@@ -112,6 +112,8 @@ class Fleet:
         if len(dims) != 1:
             raise ConfigurationError(f"clients disagree on parameter dimension: {dims}")
         self.dim = dims.pop()
+        self._importances = np.array([c.importance for c in self.clients])
+        self._importances.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.clients)
@@ -121,7 +123,8 @@ class Fleet:
 
     @property
     def importances(self) -> np.ndarray:
-        return np.array([c.importance for c in self.clients])
+        """Client importances p_i as a shared read-only array."""
+        return self._importances
 
     @property
     def compute_times(self) -> tuple:

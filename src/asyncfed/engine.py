@@ -8,7 +8,6 @@ order.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -171,7 +170,7 @@ def run(config: RunConfig) -> Trajectory:
             break
         losses = None
         if policy.kind is PolicyKind.SAMPLE_BIASED and policy.criterion == "highest_loss":
-            losses = [fleet.objective_for(c).value(models[-1]) for c in fleet.clients]
+            losses = _client_loss_matrix(fleet, models[-1][None])[0]
         outcome = advance_round(
             state,
             policy,
@@ -282,15 +281,24 @@ def _collect_deliveries(config, fleet, models, outcome, streams, noise_rngs):
     return deliveries
 
 
+def _client_loss_matrix(fleet: Fleet, thetas) -> np.ndarray:
+    """(rows, M) matrix of every client's loss at each row of ``thetas``,
+    one batched ``values`` call per client."""
+    out = np.empty((len(fleet), np.shape(thetas)[0]))
+    for row, client in zip(out, fleet.clients):
+        row[:] = fleet.objective_for(client).values(thetas)
+    return out.T
+
+
 def _compute_metrics(traj: Trajectory, fleet: Fleet, cadence: int) -> list[MetricsRow]:
-    rows = []
     last = traj.theta.shape[0] - 1
-    for n in range(last + 1):
-        if n % cadence and n != last:
-            continue
-        theta = traj.theta[n]
-        client_losses = tuple(fleet.objective_for(c).value(theta) for c in fleet.clients)
-        loss_fed = float(sum(c.importance * l for c, l in zip(fleet.clients, client_losses)))
+    kept = [n for n in range(last + 1) if n % cadence == 0 or n == last]
+    losses = _client_loss_matrix(fleet, traj.theta[kept])
+    # cumsum adds in client order, left to right, so loss_fed keeps its bits;
+    # np.sum would pair terms and move the last digit
+    loss_fed = np.cumsum(losses * fleet.importances, axis=1)[:, -1]
+    rows = []
+    for n, client_losses, fed in zip(kept, losses.tolist(), loss_fed.tolist()):
         if n < traj.n_rounds:
             outcome = traj.rounds[n]
             mask = _participant_mask(outcome)
@@ -302,16 +310,16 @@ def _compute_metrics(traj: Trajectory, fleet: Fleet, cadence: int) -> list[Metri
             )
         else:
             mask, loss_surr = None, math.nan
-        gap = theta - traj.optimum
+        gap = traj.theta[n] - traj.optimum
         rows.append(
             MetricsRow(
                 round=n,
                 wall_time=float(traj.times[n]),
                 participant_mask=mask,
-                loss_fed=loss_fed,
+                loss_fed=fed,
                 loss_surrogate=loss_surr,
                 dist_sq=float(np.dot(gap, gap)),
-                client_losses=client_losses,
+                client_losses=tuple(client_losses),
             )
         )
     return rows
@@ -520,32 +528,26 @@ def trajectory_header(n_clients: int) -> list[str]:
     ]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Comma-separated metrics rows, LF endings, 17 significant digits.
 
     The final model's row has no participant set or surrogate loss; those
-    cells are left empty.
+    cells are left empty. Rows stream through one format template into a
+    temporary file that replaces ``path`` only once complete.
     """
     path = Path(path)
     n_clients = len(traj.d)
+    template = "%d,%.17g,%s,%.17g,%s,%.17g," + ",".join(["%.17g"] * n_clients) + "\n"
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(trajectory_header(n_clients))
-        for row in traj.metrics:
-            writer.writerow(
-                [
-                    row.round,
-                    _fmt(row.wall_time),
-                    "" if row.participant_mask is None else row.participant_mask,
-                    _fmt(row.loss_fed),
-                    "" if math.isnan(row.loss_surrogate) else _fmt(row.loss_surrogate),
-                    _fmt(row.dist_sq),
-                ]
-                + [_fmt(v) for v in row.client_losses]
-            )
-    tmp.replace(path)
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(",".join(trajectory_header(n_clients)) + "\n")
+            for row in traj.metrics:
+                mask = "" if row.participant_mask is None else row.participant_mask
+                surr = "" if math.isnan(row.loss_surrogate) else "%.17g" % row.loss_surrogate
+                cells = (row.round, row.wall_time, mask, row.loss_fed, surr, row.dist_sq)
+                fh.write(template % (cells + row.client_losses))
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

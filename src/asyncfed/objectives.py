@@ -11,6 +11,8 @@ import numpy as np
 
 from .core import ConfigurationError, NumericOverflowError
 
+_CHUNK_FLOATS = 1 << 16  # bound on the temporary of one batched GLM evaluation
+
 
 class QuadraticObjective:
     """Diagonal quadratic a . theta^2 + b . theta + c.
@@ -58,8 +60,12 @@ class QuadraticObjective:
         return self.a, self.b, self.c
 
     def value(self, theta) -> float:
-        theta = np.asarray(theta, dtype=float)
-        return float(np.dot(self.a, theta * theta) + np.dot(self.b, theta) + self.c)
+        return float(self.values(np.atleast_1d(np.asarray(theta, dtype=float))[None])[0])
+
+    def values(self, thetas) -> np.ndarray:
+        """Loss at each row of the (rows, dim) array ``thetas``."""
+        thetas = np.asarray(thetas, dtype=float)
+        return (thetas * thetas) @ self.a + thetas @ self.b + self.c
 
     def gradient(self, theta) -> np.ndarray:
         return 2.0 * self.a * np.asarray(theta, dtype=float) + self.b
@@ -99,13 +105,29 @@ class GlmObjective:
         return factor * gram_top / self.n_samples
 
     def value(self, theta) -> float:
-        z = self.features @ np.asarray(theta, dtype=float)
-        if self.link == "linear":
-            r = z - self.targets
-            return 0.5 * float(np.dot(r, r)) / self.n_samples
-        # log(1 + exp(-|z|)) + max(0, -yz) form keeps the loss finite for large |z|
-        yz = np.where(self.targets > 0.5, z, -z)
-        return float(np.mean(np.logaddexp(0.0, -yz)))
+        return float(self.values(np.asarray(theta, dtype=float)[None])[0])
+
+    def values(self, thetas) -> np.ndarray:
+        """Loss at each row of the (rows, dim) array ``thetas``.
+
+        Rows are processed in chunks so the (chunk, n_samples) margin array
+        stays near ``_CHUNK_FLOATS`` floats.
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        out = np.empty(thetas.shape[0])
+        step = max(1, _CHUNK_FLOATS // self.n_samples)
+        sign = np.where(self.targets > 0.5, -1.0, 1.0)
+        for lo in range(0, thetas.shape[0], step):
+            z = thetas[lo:lo + step] @ self.features.T
+            if self.link == "linear":
+                z -= self.targets
+                out[lo:lo + step] = 0.5 * (z * z).mean(axis=1)
+            else:
+                # z becomes -y*z for y in {-1, +1}; logaddexp(0, -y*z) is
+                # log(1 + exp(-y*z)) without overflow for large |z|
+                z *= sign
+                out[lo:lo + step] = np.logaddexp(0.0, z, out=z).mean(axis=1)
+        return out
 
     def gradient(self, theta) -> np.ndarray:
         return self.batch_gradient(theta, np.arange(self.n_samples))

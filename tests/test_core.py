@@ -194,3 +194,10 @@ class TestFleetValidation:
     def test_nonpositive_compute_time(self):
         with pytest.raises(ConfigurationError):
             ClientSpec(0, 1.0, 0, 0)
+
+    def test_importances_are_one_shared_read_only_array(self, two_client_fleet):
+        p = two_client_fleet.importances
+        assert p is two_client_fleet.importances
+        assert p.tolist() == [0.5, 0.5]
+        with pytest.raises(ValueError):
+            p[0] = 1.0

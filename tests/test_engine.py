@@ -1,4 +1,6 @@
+import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +21,11 @@ from asyncfed.engine import (
     run,
     run_ensemble,
     run_scalar_ensemble,
+    trajectory_header,
     virtual_sequence,
     write_trajectory_csv,
 )
-from asyncfed.objectives import GlmObjective
+from asyncfed.objectives import GlmObjective, QuadraticObjective
 from asyncfed.oracle import phi
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy
 from asyncfed.weights import WeightScheme, plan_weights
@@ -266,6 +269,51 @@ class TestMetricsAndCsv:
         write_trajectory_csv(run(cfg), tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_csv_bytes_match_the_reference_writer(self, tmp_path):
+        fleet = quadratic_fleet([[0.0], [2.0], [-3.0]], taus=[1, 2, 3], noise_std=0.3)
+        plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2, 3], ASYNC)
+        normal = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.3, rounds=40,
+                           theta0=np.array([4.0]))
+        diverged = sync_config(fleet, eta_l=5.0, rounds=50)
+        thinned = replace(normal, rounds=41, metric_cadence=3)
+        for name, cfg in [("normal", normal), ("diverged", diverged), ("thinned", thinned)]:
+            traj = run(cfg)
+            got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}.ref.csv"
+            write_trajectory_csv(traj, got)
+            _reference_trajectory_csv(traj, want)
+            assert got.read_bytes() == want.read_bytes()
+        assert traj.metrics[-1].round == 41 and traj.metrics[-1].participant_mask is None
+        assert traj.metrics[-2].round == 39
+        assert run(diverged).diverged
+
+    def test_failed_write_leaves_no_temporary_and_keeps_the_old_file(self, tmp_path):
+        fleet = quadratic_fleet([[0.0], [2.0]])
+        traj = run(sync_config(fleet, rounds=6))
+        path = tmp_path / "trajectory.csv"
+        path.write_text("previous run\n")
+        traj.metrics[4] = replace(traj.metrics[4], client_losses=(0.5, "not a number"))
+        with pytest.raises(TypeError):
+            write_trajectory_csv(traj, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectory.csv"]
+        assert path.read_text() == "previous run\n"
+
+    def test_client_losses_match_per_point_values_on_unequal_shards(self):
+        rng = np.random.default_rng(11)
+        shards = []
+        for n_samples in (5, 40, 300):
+            x = rng.standard_normal((n_samples, 3))
+            y = (rng.random(n_samples) < 0.5).astype(float)
+            shards.append(GlmObjective(x, y, batch_size=2))
+        fleet = Fleet([ClientSpec(i, 1 / 3, i + 1, i) for i in range(3)], shards)
+        plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2, 3], ASYNC)
+        traj = run(RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.2, rounds=30,
+                             metric_cadence=4))
+        for row in traj.metrics:
+            theta = traj.theta[row.round]
+            want = [_logistic_reference(obj, theta) for obj in shards]
+            np.testing.assert_allclose(row.client_losses, want, rtol=1e-12, atol=0)
+            assert row.loss_fed == pytest.approx(sum(want) / 3, rel=1e-12)
+
     def test_realized_weights_match_participants(self):
         fleet = quadratic_fleet([[0.0], [2.0]], taus=[1, 2])
         plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2], ASYNC)
@@ -317,7 +365,11 @@ class TestMorePolicies:
         assert max(staleness) >= 1  # the slow client lands late
         assert all(len(out.participants) >= 2 for out in traj.rounds)
 
-    def test_loss_driven_sampling_targets_the_worst_client(self):
+    def test_loss_driven_sampling_targets_the_worst_client(self, monkeypatch):
+        def refuse(self, theta):
+            raise AssertionError("losses must come from the batched values()")
+
+        monkeypatch.setattr(QuadraticObjective, "value", refuse)
         fleet = quadratic_fleet([[0.0], [10.0]], taus=[1, 1])
         policy = WaitPolicy(PolicyKind.SAMPLE_BIASED, m=1, criterion="highest_loss")
         plan = plan_weights(WeightScheme.IDENTICAL, fleet.importances, [1, 1], policy)
@@ -328,3 +380,33 @@ class TestMorePolicies:
         traj = run(cfg)
         assert all(out.participant_ids == (1,) for out in traj.rounds)
         assert traj.never_served == 1
+
+
+def _reference_trajectory_csv(traj, path):
+    """The trajectory writer as it was before row templates: csv.writer with
+    one formatted string per cell."""
+
+    def fmt(x):
+        return f"{x:.17g}"
+
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(trajectory_header(len(traj.d)))
+        for row in traj.metrics:
+            writer.writerow(
+                [
+                    row.round,
+                    fmt(row.wall_time),
+                    "" if row.participant_mask is None else row.participant_mask,
+                    fmt(row.loss_fed),
+                    "" if math.isnan(row.loss_surrogate) else fmt(row.loss_surrogate),
+                    fmt(row.dist_sq),
+                ]
+                + [fmt(v) for v in row.client_losses]
+            )
+
+
+def _logistic_reference(obj, theta):
+    z = obj.features @ theta
+    yz = np.where(obj.targets > 0.5, z, -z)
+    return float(np.mean(np.logaddexp(0.0, -yz)))

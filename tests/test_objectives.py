@@ -6,6 +6,7 @@ import pytest
 
 from asyncfed.core import ConfigurationError, NumericOverflowError
 from asyncfed.objectives import (
+    _CHUNK_FLOATS,
     BatchStream,
     GlmObjective,
     QuadraticObjective,
@@ -163,6 +164,62 @@ class TestGradientChecks:
         draws = np.array([obj.noisy_gradient(theta, rng)[0] for _ in range(10_000)])
         se = draws.std(ddof=1) / 100.0
         assert abs(draws.mean() - obj.gradient(theta)[0]) <= 4 * se
+
+
+def _quadratic_value_reference(obj, theta):
+    """Per-point quadratic loss as evaluated before batching."""
+    theta = np.asarray(theta, dtype=float)
+    return float(np.dot(obj.a, theta * theta) + np.dot(obj.b, theta) + obj.c)
+
+
+def _glm_value_reference(obj, theta):
+    """Per-point GLM loss as evaluated before batching."""
+    z = obj.features @ np.asarray(theta, dtype=float)
+    if obj.link == "linear":
+        r = z - obj.targets
+        return 0.5 * float(np.dot(r, r)) / obj.n_samples
+    yz = np.where(obj.targets > 0.5, z, -z)
+    return float(np.mean(np.logaddexp(0.0, -yz)))
+
+
+def _glm_shard(rng, n_samples, dim, link):
+    x = rng.standard_normal((n_samples, dim))
+    if link == "linear":
+        y = x @ rng.standard_normal(dim) + 0.1 * rng.standard_normal(n_samples)
+    else:
+        y = (rng.random(n_samples) < 0.5).astype(float)
+    return GlmObjective(x, y, link, batch_size=1)
+
+
+class TestBatchedValues:
+    def test_scalar_quadratic_rows_are_bit_equal(self):
+        rng = np.random.default_rng(3)
+        for opt, curv in [(2.0, 0.5), (-7.25, 1.3), (0.0, 0.0)]:
+            obj = QuadraticObjective.from_optimum([opt], curv)
+            thetas = np.concatenate([rng.normal(0.0, 10.0, (50, 1)), [[0.0], [1e12], [-3.5]]])
+            got = obj.values(thetas)
+            assert got.shape == (53,)
+            assert got.tolist() == [_quadratic_value_reference(obj, t) for t in thetas]
+            assert [obj.value(t) for t in thetas] == got.tolist()
+
+    def test_vector_quadratic_rows_match_the_reference(self):
+        rng = np.random.default_rng(4)
+        obj = QuadraticObjective(rng.random(7), rng.normal(size=7), 1.5)
+        thetas = rng.normal(0.0, 5.0, (40, 7))
+        want = [_quadratic_value_reference(obj, t) for t in thetas]
+        np.testing.assert_allclose(obj.values(thetas), want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose([obj.value(t) for t in thetas], want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("link", ["linear", "logistic"])
+    def test_glm_rows_match_the_reference_across_chunks(self, link):
+        rng = np.random.default_rng(5)
+        for n_samples in (3, 64, 2000):  # one chunk of 1031 rows, then 2 and 2 chunks
+            obj = _glm_shard(rng, n_samples, 4, link)
+            rows = min(_CHUNK_FLOATS // n_samples, 1024) + 7
+            thetas = rng.normal(0.0, 3.0, (rows, 4))
+            want = [_glm_value_reference(obj, t) for t in thetas]
+            np.testing.assert_allclose(obj.values(thetas), want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(obj.value(thetas[0]), want[0], rtol=1e-12, atol=0)
 
 
 class TestBatchStream:
