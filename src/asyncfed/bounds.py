@@ -15,8 +15,6 @@ from .core import ConfigurationError, Fleet, UnsupportedConfigError, weighted_op
 from .timing import HardwareModel, PolicyKind, WaitPolicy, staleness_bound
 from .weights import WeightScheme, plan_weights
 
-OCAL_CONSTANTS = 1.0
-
 
 @dataclass(frozen=True)
 class BoundInputs:

@@ -10,7 +10,8 @@ sweep         one summary row per value of a swept hyperparameter
 gen-shards    export the configured synthetic shards as CSV
 
 Exit codes: 0 success (a diverged run is a result, not a failure),
-2 invalid config, 3 scheme unsupported by the closed forms.
+2 invalid config, 3 scheme without a closed form or a schedule too long to
+analyze.
 """
 
 from __future__ import annotations
@@ -540,6 +541,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except UnsupportedConfigError as err:
+        print(f"unsupported: {err}", file=sys.stderr)
+        return _EXIT_UNSUPPORTED
     except ConfigurationError as err:
         print(f"config error: {err}", file=sys.stderr)
         return _EXIT_BAD_CONFIG

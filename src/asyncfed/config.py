@@ -195,7 +195,7 @@ def build_fleet(document: dict) -> tuple[Fleet, HardwareModel]:
     importances = fcfg.get("importances") or uniform_importances(n)
     if len(importances) != n:
         raise ConfigurationError("importances length must match compute_times")
-    hw = HardwareModel(fcfg.get("hardware", "fixed"), document.get("seeds", {}).get("hardware", 0))
+    hw = HardwareModel(fcfg.get("hardware", "fixed"))
 
     ocfg = fcfg["objective"]
     family = ocfg["family"]

@@ -83,14 +83,10 @@ class HardwareModel:
     client's compute_time as mean."""
 
     mode: str = "fixed"
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("fixed", "exponential"):
             raise ConfigurationError(f"unknown hardware mode {self.mode!r}")
-
-    def make_rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
     def draw(self, tau, rng: np.random.Generator | None):
         if self.mode == "fixed":
@@ -304,21 +300,23 @@ def simulate_schedule(
     return outcomes
 
 
+SCHEDULE_ROUND_CAP = 200_000
+
+
+def participations_per_cycle(taus) -> list[int]:
+    """Deliveries per client in one cycle of the asynchronous fixed-hardware
+    schedule: c_i = nu / tau_i, with nu the rational lcm of the exact times
+    (lcm of the numerators over gcd of the denominators)."""
+    exact = [Fraction(t) for t in taus]
+    num = math.lcm(*(t.numerator for t in exact))
+    den = math.gcd(*(t.denominator for t in exact))
+    return [(num // t.numerator) * (t.denominator // den) for t in exact]
+
+
 def cycle_length_rounds(taus) -> int:
     """Rounds per repetition of the asynchronous fixed-hardware schedule:
     sum over clients of lcm({tau_i}) / tau_i."""
-    exact = [Fraction(t) for t in taus]
-    nu = _rational_lcm(exact)
-    return int(sum(nu / t for t in exact))
-
-
-def _rational_lcm(values: list[Fraction]) -> Fraction:
-    num = 1
-    den = values[0].denominator
-    for v in values:
-        num = num * v.numerator // math.gcd(num, v.numerator)
-        den = math.gcd(den, v.denominator)
-    return Fraction(num, den)
+    return sum(participations_per_cycle(taus))
 
 
 def staleness_bound(policy: WaitPolicy, hw: HardwareModel, taus) -> int:
@@ -326,8 +324,10 @@ def staleness_bound(policy: WaitPolicy, hw: HardwareModel, taus) -> int:
 
     Synchronous participation and per-round sampling never lag. Fixed-window
     aggregation uses the ceiling bound ceil(tau_max / delta_t). The purely
-    asynchronous and buffered policies are measured exactly by replaying the
-    deterministic schedule over its cycle.
+    asynchronous bound is read off the event order of one schedule cycle;
+    the buffered policy has no closed form and is measured over one steady
+    period of its replayed schedule. Either raises UnsupportedConfigError
+    when the schedule is longer than ``SCHEDULE_ROUND_CAP`` rounds.
     """
     if hw.mode != "fixed":
         raise UnsupportedConfigError(
@@ -340,35 +340,76 @@ def staleness_bound(policy: WaitPolicy, hw: HardwareModel, taus) -> int:
     if kind is PolicyKind.FEDFIX:
         ratio = Fraction(_exact(max(taus))) / Fraction(_exact(policy.delta_t))
         return int(math.ceil(ratio))
-    if kind in (PolicyKind.ASYNCHRONOUS, PolicyKind.FEDBUFF):
-        return _measured_staleness(policy, taus)
+    if kind is PolicyKind.ASYNCHRONOUS:
+        return _async_staleness(taus)
+    if kind is PolicyKind.FEDBUFF:
+        _, outcomes = replay_steady_period(policy, taus)
+        return max((p.staleness for out in outcomes for p in out.participants), default=0)
     raise UnsupportedConfigError(f"no staleness bound for policy {kind}")
 
 
-def _measured_staleness(policy: WaitPolicy, taus, max_rounds: int = 200_000) -> int:
+def _async_staleness(taus) -> int:
+    """Steady-state staleness bound of the asynchronous schedule.
+
+    Client i's k-th delivery of a cycle lands at fraction k / c_i of it, and
+    simultaneous deliveries are served lowest index first, so sorting the
+    events by (k / c_i, client) gives the round order. The float key is
+    exact: equal fractions round to equal doubles, and distinct fractions
+    with denominators up to the round cap differ by far more than an ulp. A
+    delivery's staleness is its round gap to the same client's previous
+    delivery minus one; the first delivery of a cycle follows the last one
+    of the previous cycle, since the schedule restarts after every cycle.
+    """
+    counts = participations_per_cycle(taus)
+    n_rounds = sum(counts)
+    if n_rounds > SCHEDULE_ROUND_CAP:
+        raise UnsupportedConfigError(
+            f"the asynchronous schedule repeats only every {n_rounds} rounds, "
+            f"beyond the {SCHEDULE_ROUND_CAP}-round cap of the staleness analysis"
+        )
+    c = np.array(counts, dtype=np.int64)
+    first = np.cumsum(c) - c                        # each client's first event
+    client = np.repeat(np.arange(c.size), c)
+    k = np.arange(1, n_rounds + 1) - first[client]  # 1..c_i within each client
+    order = np.lexsort((client, k / c[client]))
+    rank = np.empty(n_rounds, dtype=np.int64)
+    rank[order] = np.arange(n_rounds)
+    previous = np.roll(rank, 1)
+    previous[first] = rank[first + c - 1] - n_rounds
+    return int(np.max(rank - previous)) - 1
+
+
+def replay_steady_period(policy: WaitPolicy, taus) -> tuple[int, list[RoundOutcome]]:
+    """Replay a fixed-hardware schedule until its clocks repeat.
+
+    Returns the period in rounds and the outcomes of the period that starts
+    at the first repeat. Every client delivers within each period, so by
+    then every anchor was set inside the cycle and the staleness is steady.
+    Only those outcomes are kept. Raises UnsupportedConfigError when this
+    takes more than ``SCHEDULE_ROUND_CAP`` rounds.
+    """
     hw = HardwareModel("fixed")
     state = init_fleet_state(taus, hw)
+    taus = list(taus)
     seen = {tuple(state.remaining): 0}
     period = None
-    first_repeat = None
-    worst = 0
-    history: list[RoundOutcome] = []
-    for _ in range(max_rounds):
-        outcome = advance_round(state, policy, list(taus), hw)
-        history.append(outcome)
+    outcomes: list[RoundOutcome] = []
+    while state.round_index < SCHEDULE_ROUND_CAP:
+        outcome = advance_round(state, policy, taus, hw)
+        if period is not None:
+            outcomes.append(outcome)
+            if len(outcomes) == period:
+                return period, outcomes
+            continue
         key = tuple(state.remaining)
-        if period is None and key in seen:
-            first_repeat = state.round_index
-            period = first_repeat - seen[key]
-        elif period is None:
+        if key in seen:
+            period = state.round_index - seen[key]
+        else:
             seen[key] = state.round_index
-        if period is not None and state.round_index >= first_repeat + 2 * period:
-            start = first_repeat + period  # skip one period of anchor warm-up
-            for out in history[start:]:
-                for part in out.participants:
-                    worst = max(worst, part.staleness)
-            return worst
-    raise RuntimeError("participation schedule did not cycle within the round cap")
+    raise UnsupportedConfigError(
+        f"the {policy.kind.value} schedule does not settle into a steady period "
+        f"within {SCHEDULE_ROUND_CAP} rounds"
+    )
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,14 @@ from fractions import Fraction
 import numpy as np
 
 from .core import ConfigurationError, UnsupportedConfigError
-from .timing import HardwareModel, PolicyKind, WaitPolicy, cycle_length_rounds, simulate_schedule
+from .timing import (
+    HardwareModel,
+    PolicyKind,
+    WaitPolicy,
+    cycle_length_rounds,
+    participations_per_cycle,
+    replay_steady_period,
+)
 
 
 class WeightScheme(Enum):
@@ -116,23 +123,8 @@ def window_size(policy: WaitPolicy | None, compute_times) -> int:
         periods = [_ceil_ratio(t, policy.delta_t) for t in taus]
         return math.lcm(*periods)
     if policy.kind is PolicyKind.FEDBUFF:
-        return _measured_period(policy, taus)
+        return replay_steady_period(policy, taus)[0]
     raise UnsupportedConfigError(f"no window size for policy {policy.kind}")
-
-
-def _measured_period(policy: WaitPolicy, taus, max_rounds: int = 100_000) -> int:
-    from .timing import advance_round, init_fleet_state  # local to avoid cycle noise
-
-    hw = HardwareModel("fixed")
-    state = init_fleet_state(taus, hw)
-    seen = {tuple(state.remaining): 0}
-    for _ in range(max_rounds):
-        advance_round(state, policy, list(taus), hw)
-        key = tuple(state.remaining)
-        if key in seen:
-            return state.round_index - seen[key]
-        seen[key] = state.round_index
-    raise RuntimeError("schedule did not cycle within the round cap")
 
 
 def _window_average_q(policy, taus, d, window, importances):
@@ -140,15 +132,15 @@ def _window_average_q(policy, taus, d, window, importances):
     if policy is None or policy.kind is PolicyKind.SYNCHRONOUS:
         return list(d)
     if policy.kind is PolicyKind.ASYNCHRONOUS:
-        nu_over_tau = _participations_per_cycle(taus)
-        return [k * di / window for k, di in zip(nu_over_tau, d)]
+        counts = participations_per_cycle(taus)
+        return [k * di / window for k, di in zip(counts, d)]
     if policy.kind is PolicyKind.FEDFIX:
         periods = [_ceil_ratio(t, policy.delta_t) for t in taus]
         return [di / ni for di, ni in zip(d, periods)]
     if policy.kind is PolicyKind.FEDBUFF:
-        schedule = simulate_schedule(taus, policy, 2 * window)
+        _, steady = replay_steady_period(policy, taus)
         counts = [0] * len(taus)
-        for outcome in schedule[window:]:
+        for outcome in steady:
             for part in outcome.participants:
                 counts[part.client_id] += 1
         return [c * di / window for c, di in zip(counts, d)]
@@ -169,17 +161,6 @@ def _window_average_q(policy, taus, d, window, importances):
         chosen = set(order[:m])
         return [di if i in chosen else Fraction(0) for i, di in enumerate(d)]
     raise UnsupportedConfigError(f"no expected weights for policy {policy.kind}")
-
-
-def _participations_per_cycle(taus) -> list[int]:
-    fracs = [Fraction(t) for t in taus]
-    num = 1
-    den = fracs[0].denominator
-    for v in fracs:
-        num = num * v.numerator // math.gcd(num, v.numerator)
-        den = math.gcd(den, v.denominator)
-    nu = Fraction(num, den)
-    return [int(nu / t) for t in fracs]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,28 @@ class TestShippedConfigs:
         path = Path(__file__).resolve().parents[1] / "configs" / name
         document = load_config(path)
         assert document["schema_version"] == 1
+
+
+class TestShippedBounds:
+    """``bounds`` on every shipped config ends promptly with 0 or 3; the
+    reports that exit 0 match the golden files byte for byte."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
+    def test_exits_0_or_3_within_ten_seconds(self, path, capsys):
+        started = time.perf_counter()
+        code = main(["bounds", "--config", str(path)])
+        assert time.perf_counter() - started < 10.0
+        out, err = capsys.readouterr()
+        golden = self.ROOT / "tests" / "golden" / f"bounds_{path.stem}.txt"
+        if path.name == "async_logistic_heterogeneous.json":
+            # binary-float compute times make the asynchronous cycle ~1e137 rounds
+            assert code == 3
+            assert err.startswith("unsupported: ")
+        else:
+            assert code == 0
+            assert out == golden.read_text()
 
 
 class TestGoldenRows:

@@ -1,16 +1,24 @@
+import json
 import math
+import time
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from asyncfed import timing
 from asyncfed.core import ConfigurationError, UnsupportedConfigError
 from asyncfed.timing import (
+    SCHEDULE_ROUND_CAP,
     HardwareModel,
     PolicyKind,
     WaitPolicy,
     advance_round,
     cycle_length_rounds,
     init_fleet_state,
+    participations_per_cycle,
+    replay_steady_period,
     sampler_covariance,
     simulate_round_times,
     simulate_schedule,
@@ -294,3 +302,133 @@ class TestUnsortedFleets:
         for out in outcomes:
             counts[out.participants[0].client_id] += 1
         assert counts == [3, 12, 4, 6]
+
+
+# the 15-client fleet of the bounds benchmark workload: an 11,685-round cycle
+BOUNDS_TIMES = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20)
+ASYNC = WaitPolicy(PolicyKind.ASYNCHRONOUS)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _replayed_staleness(policy, taus, max_rounds=200_000):
+    """Reference: replay three schedule cycles round by round and take the
+    largest staleness of the third, after a cycle of anchor warm-up."""
+    state = init_fleet_state(taus, FIXED)
+    seen = {tuple(state.remaining): 0}
+    period = first_repeat = None
+    history = []
+    for _ in range(max_rounds):
+        history.append(advance_round(state, policy, list(taus), FIXED))
+        key = tuple(state.remaining)
+        if period is None and key in seen:
+            first_repeat = state.round_index
+            period = first_repeat - seen[key]
+        elif period is None:
+            seen[key] = state.round_index
+        if period is not None and state.round_index >= first_repeat + 2 * period:
+            steady = history[first_repeat + period:]
+            return max(p.staleness for out in steady for p in out.participants)
+    raise AssertionError("reference replay did not cycle")
+
+
+def _random_fleets():
+    rng = np.random.default_rng(7)
+    fleets = []
+    while len(fleets) < 40:
+        taus = [int(t) for t in rng.integers(1, 13, size=int(rng.integers(1, 7)))]
+        if cycle_length_rounds(taus) <= 3000:
+            fleets.append(taus)
+    while len(fleets) < 70:
+        m = int(rng.integers(2, 6))
+        taus = [Fraction(int(a), int(b)) for a, b in zip(rng.integers(1, 10, m), rng.integers(1, 5, m))]
+        if cycle_length_rounds(taus) <= 3000:
+            fleets.append(taus)
+    return fleets
+
+
+class TestAsyncStalenessAnalyzer:
+    @pytest.mark.parametrize(
+        "taus",
+        [[1, 1, 1], [2, 2, 3, 3, 6], [4, 4, 2, 2, 1], [5], [Fraction(3, 2)], [1, 2],
+         [0.5, 0.25, 1.5], [Fraction(2, 3), Fraction(3, 4), 1]],
+    )
+    def test_matches_the_replay_on_tied_single_and_rational_fleets(self, taus):
+        assert staleness_bound(ASYNC, FIXED, taus) == _replayed_staleness(ASYNC, taus)
+
+    def test_matches_the_replay_on_seeded_random_fleets(self):
+        for taus in _random_fleets():
+            assert staleness_bound(ASYNC, FIXED, taus) == _replayed_staleness(ASYNC, taus), taus
+
+    def test_matches_the_replay_on_the_benchmark_fleet(self):
+        rng = np.random.default_rng(11)
+        for taus in (list(BOUNDS_TIMES), [int(t) for t in rng.permutation(BOUNDS_TIMES)]):
+            assert cycle_length_rounds(taus) == 11_685
+            assert staleness_bound(ASYNC, FIXED, taus) == _replayed_staleness(ASYNC, taus)
+
+    def test_makes_no_advance_round_call(self, monkeypatch):
+        expected = _replayed_staleness(ASYNC, list(BOUNDS_TIMES))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("advance_round called")
+
+        monkeypatch.setattr(timing, "advance_round", forbidden)
+        assert staleness_bound(ASYNC, FIXED, list(BOUNDS_TIMES)) == expected
+
+    def test_over_cap_fleet_is_unsupported_and_fast(self):
+        taus = json.loads((CONFIGS / "async_logistic_heterogeneous.json").read_text())
+        taus = taus["fleet"]["compute_times"]
+        assert cycle_length_rounds(taus) > SCHEDULE_ROUND_CAP
+        started = time.perf_counter()
+        with pytest.raises(UnsupportedConfigError, match=str(SCHEDULE_ROUND_CAP)):
+            staleness_bound(ASYNC, FIXED, taus)
+        assert time.perf_counter() - started < 1.0
+
+    def test_participations_per_cycle_of_rational_times(self):
+        # lcm of the numerators (3) over gcd of the denominators (1): nu = 3
+        assert participations_per_cycle([Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]) == [6, 9, 4]
+        assert participations_per_cycle([0.5, 1.5]) == [3, 1]
+
+
+def _replayed_period(policy, taus, max_rounds=100_000):
+    """Reference: the round count between the first two equal clock states."""
+    state = init_fleet_state(taus, FIXED)
+    seen = {tuple(state.remaining): 0}
+    for _ in range(max_rounds):
+        advance_round(state, policy, list(taus), FIXED)
+        key = tuple(state.remaining)
+        if key in seen:
+            return state.round_index - seen[key]
+        seen[key] = state.round_index
+    raise AssertionError("reference replay did not cycle")
+
+
+class TestSteadyPeriodReplay:
+    def test_buffered_period_and_staleness_match_the_reference_replays(self):
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            m = int(rng.integers(2, 7))
+            taus = [int(t) for t in rng.integers(1, 10, size=m)]
+            policy = WaitPolicy(PolicyKind.FEDBUFF, m=int(rng.integers(1, m + 1)))
+            period, steady = replay_steady_period(policy, taus)
+            assert period == len(steady) == _replayed_period(policy, taus)
+            assert staleness_bound(policy, FIXED, taus) == _replayed_staleness(policy, taus)
+
+    def test_the_steady_period_repeats(self):
+        policy = WaitPolicy(PolicyKind.FEDBUFF, m=2)
+        taus = [8, 2, 7]  # clocks first repeat after a transient longer than the period
+        period, steady = replay_steady_period(policy, taus)
+        start = steady[0].index
+        later = simulate_schedule(taus, policy, start + 3 * period)
+        def shape(outcomes):
+            return [
+                (o.delta_t, [(p.client_id, p.multiplicity, p.staleness) for p in o.participants])
+                for o in outcomes
+            ]
+
+        for k in (1, 2):
+            assert shape(later[start + k * period:start + (k + 1) * period]) == shape(steady)
+
+    def test_round_cap_is_unsupported(self, monkeypatch):
+        monkeypatch.setattr(timing, "SCHEDULE_ROUND_CAP", 5)
+        with pytest.raises(UnsupportedConfigError, match="within 5 rounds"):
+            replay_steady_period(WaitPolicy(PolicyKind.FEDBUFF, m=2), [8, 2, 7])

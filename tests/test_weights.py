@@ -95,6 +95,18 @@ class TestWindowSize:
         policy = WaitPolicy(PolicyKind.SAMPLE_UNIFORM, m=2)
         assert window_size(policy, [1, 2, 3]) == 1
 
+    def test_buffered_window_averages_skip_the_transient(self):
+        # the clocks after round 7 repeat those after round 5 (period 2), so
+        # rounds 2-3 are still transient: client 1 (tau 8) skips them but
+        # delivers once in every steady period
+        policy = WaitPolicy(PolicyKind.FEDBUFF, m=4)
+        taus = [5, 8, 2, 6, 5, 1]
+        plan = plan_weights(WeightScheme.IDENTICAL, [1 / 6] * 6, taus, policy)
+        assert plan.window == 2
+        late = realized_weights(taus, policy, [1.0] * 6, 40)[-plan.window:]
+        assert plan.q_over_window.tolist() == late.mean(axis=0).tolist()
+        assert plan.q_over_window[1] == 0.5
+
 
 class TestWindowAssumption:
     def test_async_time_based_satisfies_the_window_condition(self):
