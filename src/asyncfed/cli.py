@@ -33,6 +33,7 @@ from .config import Experiment, build_experiment, load_config
 from .core import ConfigurationError, UnsupportedConfigError, convergence_residual, weighted_optimum
 from .engine import (
     ScalarEnsembleConfig,
+    atomic_open,
     final_window_loss,
     run,
     run_scalar_ensemble,
@@ -48,12 +49,6 @@ _EXIT_UNSUPPORTED = 3
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
 
 
 def _say(args, message: str) -> None:
@@ -101,7 +96,8 @@ def cmd_simulate(args) -> int:
         "wall_time_s": wall,
         "outputs": {"trajectory": csv_path.name},
     }
-    _atomic_write(out_dir / "run_log.json", json.dumps(log, indent=2, sort_keys=True) + "\n")
+    with atomic_open(out_dir / "run_log.json") as fh:
+        fh.write(json.dumps(log, indent=2, sort_keys=True) + "\n")
     _say(args, f"{trajectory.n_rounds} rounds in {wall:.2f}s -> {csv_path}")
     if trajectory.diverged:
         _say(args, f"run diverged at round {trajectory.divergence_round} (recorded, not a failure)")
@@ -176,11 +172,7 @@ def _oracle_state_for(experiment: Experiment) -> tuple[OracleState, float, float
 def cmd_oracle_check(args) -> int:
     document = load_config(args.config)
     experiment = build_experiment(document, seed_override=args.seed)
-    try:
-        state, theta0, eta_g = _oracle_state_for(experiment)
-    except UnsupportedConfigError as err:
-        print(f"unsupported: {err}")
-        return _EXIT_UNSUPPORTED
+    state, theta0, eta_g = _oracle_state_for(experiment)
 
     check_cfg = document.get("oracle_check", {})
     checkpoints = sorted(check_cfg.get("checkpoints", [1, 5, 20]))
@@ -286,7 +278,8 @@ def cmd_oracle_check(args) -> int:
             ],
             "overall_pass": bool(overall),
         }
-        _atomic_write(out_dir / "oracle_check.json", json.dumps(payload, indent=2) + "\n")
+        with atomic_open(out_dir / "oracle_check.json") as fh:
+            fh.write(json.dumps(payload, indent=2) + "\n")
         if oracle_m2 is not None:
             export_oracle_csv(state, optima, theta0, horizon, out_dir / "oracle_trajectory.csv")
     return 0
@@ -376,7 +369,8 @@ def cmd_bounds(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out_dir / "bounds_report.txt", "\n".join(reports))
+        with atomic_open(out_dir / "bounds_report.txt") as fh:
+            fh.write("\n".join(reports))
     return 0
 
 
@@ -433,8 +427,7 @@ def sweep_rows(document: dict, axis: str, values) -> list[dict]:
 
 
 def write_sweep_csv(rows: list[dict], path: Path) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="\n") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_HEADER)
         for row in rows:
@@ -450,7 +443,6 @@ def write_sweep_csv(rows: list[dict], path: Path) -> None:
                     row["diverged"],
                 ]
             )
-    tmp.replace(path)
 
 
 def cmd_sweep(args) -> int:
@@ -493,7 +485,8 @@ def cmd_gen_shards(args) -> int:
         "files": [p.name for p in paths],
         "config_sha256": _config_digest(document),
     }
-    _atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    with atomic_open(out_dir / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2) + "\n")
     _say(args, f"{len(paths)} shard files -> {out_dir}")
     return 0
 

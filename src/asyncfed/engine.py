@@ -9,6 +9,7 @@ order.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -112,7 +113,7 @@ class Trajectory:
     diverged: bool = False
     divergence_round: int | None = None
     never_served: int = 0
-    local_paths: list | None = None  # per round: list of (participant, path tuple)
+    local_paths: list | None = None  # per round: list of (participant, (K+1, dim) path)
     eta_g: float = 1.0
     d: np.ndarray | None = None
 
@@ -207,7 +208,8 @@ def run(config: RunConfig) -> Trajectory:
         )
         if local_paths is not None:
             local_paths.append([(part, update.path) for part, update in deliveries])
-        if not np.all(np.isfinite(new_theta)) or np.any(np.abs(new_theta) > DIVERGENCE_THRESHOLD):
+        # NaN fails the comparison, so one reduction catches it too
+        if not (np.abs(new_theta) <= DIVERGENCE_THRESHOLD).all():
             diverged, divergence_round = True, n
             break
         models.append(new_theta)
@@ -528,26 +530,34 @@ def trajectory_header(n_clients: int) -> list[str]:
     ]
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Comma-separated metrics rows, LF endings, 17 significant digits.
-
-    The final model's row has no participant set or surrogate loss; those
-    cells are left empty. Rows stream through one format template into a
-    temporary file that replaces ``path`` only once complete.
-    """
+@contextmanager
+def atomic_open(path):
+    """Open a text file for writing, LF line endings, that replaces ``path``
+    only once the block completes; if the block raises, the temporary
+    ``<name>.tmp`` is removed and ``path`` keeps its old content."""
     path = Path(path)
-    n_clients = len(traj.d)
-    template = "%d,%.17g,%s,%.17g,%s,%.17g," + ",".join(["%.17g"] * n_clients) + "\n"
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", newline="\n") as fh:
-            fh.write(",".join(trajectory_header(n_clients)) + "\n")
-            for row in traj.metrics:
-                mask = "" if row.participant_mask is None else row.participant_mask
-                surr = "" if math.isnan(row.loss_surrogate) else "%.17g" % row.loss_surrogate
-                cells = (row.round, row.wall_time, mask, row.loss_fed, surr, row.dist_sq)
-                fh.write(template % (cells + row.client_losses))
+            yield fh
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Comma-separated metrics rows, LF endings, 17 significant digits.
+
+    The final model's row has no participant set or surrogate loss; those
+    cells are left empty. Rows stream through one format template.
+    """
+    n_clients = len(traj.d)
+    template = "%d,%.17g,%s,%.17g,%s,%.17g," + ",".join(["%.17g"] * n_clients) + "\n"
+    with atomic_open(path) as fh:
+        fh.write(",".join(trajectory_header(n_clients)) + "\n")
+        for row in traj.metrics:
+            mask = "" if row.participant_mask is None else row.participant_mask
+            surr = "" if math.isnan(row.loss_surrogate) else "%.17g" % row.loss_surrogate
+            cells = (row.round, row.wall_time, mask, row.loss_fed, surr, row.dist_sq)
+            fh.write(template % (cells + row.client_losses))

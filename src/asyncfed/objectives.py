@@ -146,12 +146,11 @@ class GlmObjective:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, both from
+    # e = e^-|z|, so neither branch overflows; min(z, -z) is -|z| that
+    # keeps the sign bit of a NaN, as the two-branch form did
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def batch_gradient(objective, params, batch_indices) -> np.ndarray:
@@ -184,7 +183,7 @@ class BatchStream:
 class LocalUpdate:
     endpoint: np.ndarray
     delta: np.ndarray
-    path: tuple | None  # (k_steps + 1) points when recorded
+    path: np.ndarray | None  # (k_steps + 1, dim) iterates when recorded
 
 
 def local_sgd(
@@ -201,31 +200,45 @@ def local_sgd(
 
     Gradients come from ``batches`` when given, from the objective's noise
     model when it has one and ``noise_rng`` is supplied, and from the exact
-    full gradient otherwise. Raises :class:`NumericOverflowError` with the
-    offending step index if the iterates leave the finite range.
+    full gradient otherwise. A quadratic draws the noise of all its steps as
+    one block, the same stream as one draw per step. Raises
+    :class:`NumericOverflowError` with the index of the first step whose
+    iterate left the finite range.
     """
     if k_steps < 1:
         raise ConfigurationError("k_steps must be at least 1")
     if eta_l < 0:
         raise ConfigurationError("eta_l must be nonnegative")
-    theta = np.atleast_1d(np.asarray(start, dtype=float)).copy()
-    start_copy = theta.copy()
-    path = [theta.copy()] if record_path else None
-    use_noise = noise_rng is not None and getattr(objective, "noise_std", 0.0) > 0.0
+    first = np.atleast_1d(np.asarray(start, dtype=float))
+    path = np.empty((k_steps + 1, first.shape[0]))
+    path[0] = first
+    theta = path[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(k_steps):
-            if batches is not None:
+        if batches is not None:
+            for k in range(1, k_steps + 1):
                 grad = objective.batch_gradient(theta, batches.next())
-            elif use_noise:
-                grad = objective.noisy_gradient(theta, noise_rng)
-            else:
-                grad = objective.gradient(theta)
-            theta = theta - eta_l * grad
-            if not np.all(np.isfinite(theta)):
-                raise NumericOverflowError(k)
-            if record_path:
-                path.append(theta.copy())
-    return LocalUpdate(theta, theta - start_copy, tuple(path) if record_path else None)
+                theta = np.subtract(theta, eta_l * grad, out=path[k])
+        elif isinstance(objective, QuadraticObjective):
+            # the operation order of gradient() and noisy_gradient(), so the
+            # iterates keep their bits
+            two_a, b = 2.0 * objective.a, objective.b
+            noise = None
+            if noise_rng is not None and objective.noise_std > 0.0:
+                noise = objective.noise_std * noise_rng.standard_normal((k_steps, first.shape[0]))
+            for k in range(1, k_steps + 1):
+                grad = two_a * theta + b
+                if noise is not None:
+                    grad = grad + noise[k - 1]
+                theta = np.subtract(theta, eta_l * grad, out=path[k])
+        else:
+            for k in range(1, k_steps + 1):
+                theta = np.subtract(theta, eta_l * objective.gradient(theta), out=path[k])
+    # a non-finite coordinate stays non-finite under theta - eta * grad, so
+    # checking the endpoint alone catches every divergence
+    if not np.isfinite(theta).all():
+        row = int(np.argmin(np.isfinite(path).all(axis=1)))
+        raise NumericOverflowError(row - 1)
+    return LocalUpdate(theta, theta - path[0], path if record_path else None)
 
 
 # ---------------------------------------------------------------------------

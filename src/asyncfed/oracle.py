@@ -254,9 +254,8 @@ def export_oracle_csv(
     Server learning rate 1 is assumed, matching the variance recursion.
     """
     import csv as _csv
-    from pathlib import Path
 
-    from .engine import trajectory_header
+    from .engine import atomic_open, trajectory_header
 
     optima = np.atleast_1d(np.asarray(optima, dtype=float))
     theta_star = float(optima.mean())
@@ -267,9 +266,7 @@ def export_oracle_csv(
     else:
         round_time = expected_round_time(state.scheme, len(optima), rate, m=state.m)
 
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="\n") as fh:
+    with atomic_open(path) as fh:
         writer = _csv.writer(fh, lineterminator="\n")
         writer.writerow(trajectory_header(len(optima)))
         for n in range(n_rounds + 1):
@@ -283,7 +280,6 @@ def export_oracle_csv(
                 [n, f"{n * round_time:.17g}", "", f"{loss_fed:.17g}", "", f"{second[n]:.17g}"]
                 + [f"{v:.17g}" for v in client_losses]
             )
-    tmp.replace(path)
 
 
 def expected_round_time(scheme: str, n_clients: int, rate: float, m: int | None = None) -> float:

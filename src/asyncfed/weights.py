@@ -20,7 +20,6 @@ from .timing import (
     HardwareModel,
     PolicyKind,
     WaitPolicy,
-    cycle_length_rounds,
     participations_per_cycle,
     replay_steady_period,
 )
@@ -95,8 +94,11 @@ def plan_weights(
     else:  # pragma: no cover
         raise ConfigurationError(f"unknown weight scheme {scheme}")
 
-    window = window_size(policy, taus) if policy is not None else 1
-    q_window = _window_average_q(policy, taus, d, window, importances)
+    window, counts = _window_counts(policy, taus)
+    if counts is None:
+        q_window = _sampled_q(policy, taus, d, importances)
+    else:
+        q_window = [c * di / window for c, di in zip(counts, d)]
     return WeightPlan(
         scheme,
         np.array([float(x) for x in d]),
@@ -114,37 +116,36 @@ def window_size(policy: WaitPolicy | None, compute_times) -> int:
     lcm({ceil(tau_i / delta_t)}) rounds. The buffered policy is measured from
     its replayed schedule.
     """
-    if policy is None or policy.kind is PolicyKind.SYNCHRONOUS or policy.is_sampling:
-        return 1
-    taus = [Fraction(t) for t in compute_times]
-    if policy.kind is PolicyKind.ASYNCHRONOUS:
-        return cycle_length_rounds(taus)
-    if policy.kind is PolicyKind.FEDFIX:
-        periods = [_ceil_ratio(t, policy.delta_t) for t in taus]
-        return math.lcm(*periods)
-    if policy.kind is PolicyKind.FEDBUFF:
-        return replay_steady_period(policy, taus)[0]
-    raise UnsupportedConfigError(f"no window size for policy {policy.kind}")
+    return _window_counts(policy, [Fraction(t) for t in compute_times])[0]
 
 
-def _window_average_q(policy, taus, d, window, importances):
-    """Per-client average expected weight over one window."""
+def _window_counts(policy: WaitPolicy | None, taus) -> tuple[int, list[int] | None]:
+    """Window size and each client's deliveries per window, from one
+    analysis of the schedule. The counts are None for sampling policies,
+    whose participation is random."""
     if policy is None or policy.kind is PolicyKind.SYNCHRONOUS:
-        return list(d)
+        return 1, [1] * len(taus)
+    if policy.is_sampling:
+        return 1, None
     if policy.kind is PolicyKind.ASYNCHRONOUS:
         counts = participations_per_cycle(taus)
-        return [k * di / window for k, di in zip(counts, d)]
+        return sum(counts), counts
     if policy.kind is PolicyKind.FEDFIX:
         periods = [_ceil_ratio(t, policy.delta_t) for t in taus]
-        return [di / ni for di, ni in zip(d, periods)]
+        window = math.lcm(*periods)
+        return window, [window // p for p in periods]
     if policy.kind is PolicyKind.FEDBUFF:
-        _, steady = replay_steady_period(policy, taus)
+        window, steady = replay_steady_period(policy, taus)
         counts = [0] * len(taus)
         for outcome in steady:
             for part in outcome.participants:
                 counts[part.client_id] += 1
-        return [c * di / window for c, di in zip(counts, d)]
-    # sampling policies: analytic inclusion probability times d
+        return window, counts
+    raise UnsupportedConfigError(f"no window size for policy {policy.kind}")
+
+
+def _sampled_q(policy, taus, d, importances):
+    """Analytic inclusion probability times d for the sampling policies."""
     m = policy.m
     n = len(taus)
     p = [Fraction(float(x)) for x in importances]

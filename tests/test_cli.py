@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asyncfed.cli import main
+from asyncfed.cli import main, write_sweep_csv
 from asyncfed.config import load_config, validate_config
 from asyncfed.core import ConfigurationError
 
@@ -162,6 +162,16 @@ class TestSweep:
         code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--axis", "eta_l"])
         assert code == 2
 
+    def test_failed_write_leaves_no_temporary_and_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("previous sweep\n")
+        row = {"axis": "eta_l", "value": 0.5, "n_seeds": 1, "loss_mean": 1.0, "loss_std": 0.0,
+               "within_run_std": 0.0, "mean_rounds": 20.0, "diverged": 0}
+        with pytest.raises(ValueError):
+            write_sweep_csv([row, dict(row, loss_mean="not a number")], path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
+        assert path.read_text() == "previous sweep\n"
+
 
 class TestOracleCheck:
     def test_deterministic_scheme_passes_exactly(self, tmp_path, capsys):
@@ -188,7 +198,9 @@ class TestOracleCheck:
         document["fleet"]["compute_times"] = [1.0, 3.0]
         path = write_config(tmp_path, document)
         assert main(["oracle-check", "--config", str(path)]) == 3
-        assert "unsupported" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("unsupported: ")
 
 
 class TestBoundsCommand:
@@ -270,6 +282,32 @@ class TestShippedBounds:
         else:
             assert code == 0
             assert out == golden.read_text()
+
+
+class TestShippedCommands:
+    """``simulate`` and ``oracle-check`` on every shipped config, and
+    ``sweep`` on the shipped sweep, end promptly with 0 or 3."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle-check"])
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
+    def test_exits_0_or_3_within_ten_seconds(self, command, path, tmp_path, capsys):
+        started = time.perf_counter()
+        code = main([command, "--config", str(path), "--out", str(tmp_path), "--quiet"])
+        assert time.perf_counter() - started < 10.0
+        assert code in (0, 3)
+        if code == 3:
+            assert capsys.readouterr().err.startswith("unsupported: ")
+
+    def test_sweep_matches_the_golden_csv(self, tmp_path):
+        started = time.perf_counter()
+        code = main(["sweep", "--config", str(self.ROOT / "configs" / "k_sweep_noisy_quadratic.json"),
+                     "--out", str(tmp_path), "--quiet"])
+        assert time.perf_counter() - started < 10.0
+        assert code == 0
+        golden = self.ROOT / "tests" / "golden" / "sweep_k_sweep_noisy_quadratic.csv"
+        assert (tmp_path / "sweep.csv").read_bytes() == golden.read_bytes()
 
 
 class TestGoldenRows:

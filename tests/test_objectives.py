@@ -11,6 +11,7 @@ from asyncfed.objectives import (
     GlmObjective,
     QuadraticObjective,
     SyntheticShardConfig,
+    _sigmoid,
     batch_gradient,
     export_shards_csv,
     local_sgd,
@@ -83,6 +84,118 @@ class TestLocalSgd:
         assert len(out.path) == 4
         assert out.path[0][0] == 0.0
         assert np.array_equal(out.path[-1], out.endpoint)
+
+
+def _reference_local_sgd(start, objective, k_steps, eta_l, *, batches=None, noise_rng=None):
+    """One gradient call and one finiteness check per step: the iteration
+    the block-noise kernel must reproduce bit for bit."""
+    theta = np.atleast_1d(np.asarray(start, dtype=float)).copy()
+    path = [theta.copy()]
+    use_noise = noise_rng is not None and getattr(objective, "noise_std", 0.0) > 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(k_steps):
+            if batches is not None:
+                grad = objective.batch_gradient(theta, batches.next())
+            elif use_noise:
+                grad = objective.noisy_gradient(theta, noise_rng)
+            else:
+                grad = objective.gradient(theta)
+            theta = theta - eta_l * grad
+            if not np.all(np.isfinite(theta)):
+                raise NumericOverflowError(k)
+            path.append(theta.copy())
+    return theta, np.array(path)
+
+
+def _reference_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _glm(link, seed=0, n=24, dim=3):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, dim))
+    y = x @ rng.normal(size=dim) if link == "linear" else (rng.random(n) < 0.5).astype(float)
+    return GlmObjective(x, y, link, batch_size=5)
+
+
+class TestKernelMatchesTheReference:
+    """The kernel's iterates, paths, stream use and divergence steps equal
+    those of the per-step reference exactly."""
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.8])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("k_steps", [1, 2, 7, 25])
+    def test_quadratic(self, noise_std, dim, k_steps):
+        rng = np.random.default_rng([dim, k_steps])
+        obj = QuadraticObjective(rng.uniform(0.1, 2.0, dim), rng.normal(size=dim), 0.3, noise_std)
+        start = rng.normal(size=dim)
+        mine, ref = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(3):  # consecutive deliveries share the client's stream
+            out = local_sgd(start, obj, k_steps, 0.13, noise_rng=mine, record_path=True)
+            end, path = _reference_local_sgd(start, obj, k_steps, 0.13, noise_rng=ref)
+            assert np.array_equal(out.endpoint, end)
+            assert np.array_equal(out.path, path)
+            assert np.array_equal(out.delta, end - np.asarray(start))
+            start = end
+        assert mine.random() == ref.random()
+
+    @pytest.mark.parametrize("link", ["linear", "logistic"])
+    def test_glm_with_batch_stream(self, link):
+        obj = _glm(link)
+        mine = BatchStream(obj.n_samples, obj.batch_size, np.random.default_rng(3))
+        ref = BatchStream(obj.n_samples, obj.batch_size, np.random.default_rng(3))
+        start = np.array([0.4, -1.2, 2.0])
+        for k_steps in (1, 7, 25):
+            out = local_sgd(start, obj, k_steps, 0.05, batches=mine, record_path=True)
+            end, path = _reference_local_sgd(start, obj, k_steps, 0.05, batches=ref)
+            assert np.array_equal(out.endpoint, end)
+            assert np.array_equal(out.path, path)
+            start = end
+
+    def test_glm_full_gradient(self):
+        obj = _glm("logistic", seed=4)
+        out = local_sgd([0.3, 0.1, -0.5], obj, 9, 0.5, record_path=True)
+        end, path = _reference_local_sgd([0.3, 0.1, -0.5], obj, 9, 0.5)
+        assert np.array_equal(out.path, path)
+
+    def test_sigmoid_on_the_edges(self):
+        z = np.array([0.0, -0.0, 1.0, -1.0, 1e3, -1e3, np.inf, -np.inf, np.nan, -np.nan,
+                      36.7, -36.7, 745.2, -745.2, 1e-300, -1e-300])
+        z = np.concatenate([z, np.linspace(-40.0, 40.0, 801), z[::-1]])
+        with np.errstate(over="ignore"):
+            want = _reference_sigmoid(z)
+        got = _sigmoid(z)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: (QuadraticObjective([1e200], [0.0]), 10.0, 10, None),
+            lambda: (QuadraticObjective([1.0, 2.0], [0.5, -1.0], noise_std=1.0), 1e50, 20,
+                     np.random.default_rng(5)),
+            lambda: (_glm("linear"), 1e4, 400,
+                     BatchStream(24, 5, np.random.default_rng(2))),
+        ],
+        ids=["quadratic", "noisy_quadratic", "glm"],
+    )
+    def test_divergence_step_index(self, case):
+        obj, eta, k_steps, source = case()
+        kwargs = {"batches": source} if isinstance(source, BatchStream) else {"noise_rng": source}
+        start = np.full(obj.dim, 1.0)
+        with pytest.raises(NumericOverflowError) as mine:
+            local_sgd(start, obj, k_steps, eta, **kwargs)
+        obj, eta, k_steps, source = case()
+        kwargs = {"batches": source} if isinstance(source, BatchStream) else {"noise_rng": source}
+        with pytest.raises(NumericOverflowError) as ref:
+            _reference_local_sgd(start, obj, k_steps, eta, **kwargs)
+        assert 0 <= ref.value.step_index < k_steps - 1
+        assert mine.value.step_index == ref.value.step_index
 
 
 class TestBatchGradient:

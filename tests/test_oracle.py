@@ -200,6 +200,21 @@ class TestOracleCsvExport:
         # federated loss at the initial model: mean of 0.5*(5 - opt)^2
         assert float(first[3]) == pytest.approx(0.5 * (25 + 9) / 2, abs=1e-12)
 
+    def test_failed_write_leaves_no_temporary_and_keeps_the_old_file(self, tmp_path, monkeypatch):
+        import asyncfed.engine
+        from asyncfed.oracle import export_oracle_csv
+
+        def broken_header(n_clients):
+            raise RuntimeError("disk full")
+
+        path = tmp_path / "oracle_trajectory.csv"
+        path.write_text("previous oracle\n")
+        monkeypatch.setattr(asyncfed.engine, "trajectory_header", broken_header)
+        with pytest.raises(RuntimeError):
+            export_oracle_csv(OracleState("sync", 0.5), [0.0, 2.0], 5.0, 10, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["oracle_trajectory.csv"]
+        assert path.read_text() == "previous oracle\n"
+
 
 class TestScheduleDrivenWindows:
     def test_expectation_with_an_equal_window_schedule_matches_fixed(self):

@@ -107,6 +107,27 @@ class TestWindowSize:
         assert plan.q_over_window.tolist() == late.mean(axis=0).tolist()
         assert plan.q_over_window[1] == 0.5
 
+    def test_buffered_plan_replays_the_schedule_once(self, monkeypatch):
+        import asyncfed.timing as timing
+
+        calls = []
+        original = timing.advance_round
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(timing, "advance_round", counted)
+        policy = WaitPolicy(PolicyKind.FEDBUFF, m=3)
+        plan = plan_weights(WeightScheme.IDENTICAL, [0.1] * 10, list(range(2, 12)), policy)
+        # one replay: 170 rounds until the clocks first repeat, then one
+        # 51-round steady period; replaying twice made 442 calls
+        assert len(calls) == 221
+        assert plan.window == 51
+        assert plan.d.tolist() == [1.0] * 10
+        counts = np.array([44, 28, 23, 19, 16, 14, 12, 11, 10, 9])
+        assert plan.q_over_window.tolist() == (counts / 51).tolist()
+
 
 class TestWindowAssumption:
     def test_async_time_based_satisfies_the_window_condition(self):
