@@ -147,8 +147,8 @@ class GlmObjective:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, both from
-    # e = e^-|z|, so neither branch overflows; min(z, -z) is -|z| that
-    # keeps the sign bit of a NaN, as the two-branch form did
+    # e = e^-|z|, so neither branch overflows; min(z, -z) is -|z| but,
+    # unlike -abs(z), keeps the sign bit of a NaN
     e = np.exp(np.minimum(z, -z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 

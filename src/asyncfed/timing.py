@@ -313,12 +313,6 @@ def participations_per_cycle(taus) -> list[int]:
     return [(num // t.numerator) * (t.denominator // den) for t in exact]
 
 
-def cycle_length_rounds(taus) -> int:
-    """Rounds per repetition of the asynchronous fixed-hardware schedule:
-    sum over clients of lcm({tau_i}) / tau_i."""
-    return sum(participations_per_cycle(taus))
-
-
 def staleness_bound(policy: WaitPolicy, hw: HardwareModel, taus) -> int:
     """Maximum rounds a delivered contribution can lag behind its anchor.
 

@@ -161,6 +161,7 @@ class TestKernelMatchesTheReference:
         obj = _glm("logistic", seed=4)
         out = local_sgd([0.3, 0.1, -0.5], obj, 9, 0.5, record_path=True)
         end, path = _reference_local_sgd([0.3, 0.1, -0.5], obj, 9, 0.5)
+        assert np.array_equal(out.endpoint, end)
         assert np.array_equal(out.path, path)
 
     def test_sigmoid_on_the_edges(self):

@@ -15,7 +15,6 @@ from asyncfed.timing import (
     PolicyKind,
     WaitPolicy,
     advance_round,
-    cycle_length_rounds,
     init_fleet_state,
     participations_per_cycle,
     replay_steady_period,
@@ -58,7 +57,7 @@ class TestAsynchronous:
 
     def test_participation_counts_over_the_lcm_cycle(self):
         taus = [2, 3, 4]
-        window = cycle_length_rounds(taus)  # lcm 12 -> 6 + 4 + 3 = 13 rounds
+        window = sum(participations_per_cycle(taus))  # lcm 12 -> 6 + 4 + 3 = 13 rounds
         assert window == 13
         outcomes = _run_schedule(taus, WaitPolicy(PolicyKind.ASYNCHRONOUS), 2 * window)
         counts = [0, 0, 0]
@@ -295,7 +294,7 @@ class TestRoundTimeSampling:
 class TestUnsortedFleets:
     def test_async_cycle_counts_do_not_depend_on_ordering(self):
         taus = [4, 1, 3, 2]
-        window = cycle_length_rounds(taus)  # lcm 12 -> 3 + 12 + 4 + 6 = 25
+        window = sum(participations_per_cycle(taus))  # lcm 12 -> 3 + 12 + 4 + 6 = 25
         assert window == 25
         outcomes = _run_schedule(taus, WaitPolicy(PolicyKind.ASYNCHRONOUS), window)
         counts = [0] * 4
@@ -336,12 +335,12 @@ def _random_fleets():
     fleets = []
     while len(fleets) < 40:
         taus = [int(t) for t in rng.integers(1, 13, size=int(rng.integers(1, 7)))]
-        if cycle_length_rounds(taus) <= 3000:
+        if sum(participations_per_cycle(taus)) <= 3000:
             fleets.append(taus)
     while len(fleets) < 70:
         m = int(rng.integers(2, 6))
         taus = [Fraction(int(a), int(b)) for a, b in zip(rng.integers(1, 10, m), rng.integers(1, 5, m))]
-        if cycle_length_rounds(taus) <= 3000:
+        if sum(participations_per_cycle(taus)) <= 3000:
             fleets.append(taus)
     return fleets
 
@@ -362,7 +361,7 @@ class TestAsyncStalenessAnalyzer:
     def test_matches_the_replay_on_the_benchmark_fleet(self):
         rng = np.random.default_rng(11)
         for taus in (list(BOUNDS_TIMES), [int(t) for t in rng.permutation(BOUNDS_TIMES)]):
-            assert cycle_length_rounds(taus) == 11_685
+            assert sum(participations_per_cycle(taus)) == 11_685
             assert staleness_bound(ASYNC, FIXED, taus) == _replayed_staleness(ASYNC, taus)
 
     def test_makes_no_advance_round_call(self, monkeypatch):
@@ -377,7 +376,7 @@ class TestAsyncStalenessAnalyzer:
     def test_over_cap_fleet_is_unsupported_and_fast(self):
         taus = json.loads((CONFIGS / "async_logistic_heterogeneous.json").read_text())
         taus = taus["fleet"]["compute_times"]
-        assert cycle_length_rounds(taus) > SCHEDULE_ROUND_CAP
+        assert sum(participations_per_cycle(taus)) > SCHEDULE_ROUND_CAP
         started = time.perf_counter()
         with pytest.raises(UnsupportedConfigError, match=str(SCHEDULE_ROUND_CAP)):
             staleness_bound(ASYNC, FIXED, taus)
