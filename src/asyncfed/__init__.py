@@ -8,15 +8,12 @@ from .core import (
     ConfigurationError,
     Contribution,
     Fleet,
-    GlobalModel,
     InvalidWeightsError,
     NumericOverflowError,
     SeedCollisionError,
     SnapshotsUnavailableError,
     StalenessCapError,
     UnsupportedConfigError,
-    WeightKind,
-    WeightVector,
     convergence_residual,
     distribution_weights,
     federated_loss,

@@ -76,7 +76,9 @@ def cmd_simulate(args) -> int:
     wall = time.perf_counter() - started
 
     csv_path = out_dir / "trajectory.csv"
+    written = time.perf_counter()
     write_trajectory_csv(trajectory, csv_path)
+    timing_s = {**trajectory.timing_s, "io": time.perf_counter() - written}
     log = {
         "schema_version": document["schema_version"],
         "package_version": __version__,
@@ -94,6 +96,7 @@ def cmd_simulate(args) -> int:
         "divergence_round": trajectory.divergence_round,
         "never_served": trajectory.never_served,
         "wall_time_s": wall,
+        "timing_s": timing_s,
         "outputs": {"trajectory": csv_path.name},
     }
     with atomic_open(out_dir / "run_log.json") as fh:
@@ -192,7 +195,7 @@ def cmd_oracle_check(args) -> int:
     mean_exact = state.scheme in ("sync", "sync_uniform", "async")
     second_moment_exact = state.scheme in ("sync", "sync_uniform")
     oracle_m2 = None
-    if eta_g == 1.0 and state.scheme != "hybrid_evo":
+    if eta_g == 1.0:
         oracle_m2 = variance_recursion(state, optima, horizon, theta0).second_moment
 
     mc = run_scalar_ensemble(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,7 +26,8 @@ class ConfigurationError(ValueError):
 
 
 class InvalidWeightsError(ValueError):
-    """An aggregation-weight vector violates its declared kind."""
+    """An aggregation-weight vector has entries its use forbids, such as
+    negative surrogate weights."""
 
 
 class UnsupportedConfigError(ConfigurationError):
@@ -141,15 +141,6 @@ def uniform_importances(n_clients: int) -> list[float]:
 
 
 @dataclass(frozen=True)
-class GlobalModel:
-    """A server model tagged with its aggregation round and wall time."""
-
-    params: np.ndarray
-    round: int = 0
-    wall_time: float = 0.0
-
-
-@dataclass(frozen=True)
 class Contribution:
     """A delivered client update: the difference between the client's local
     endpoint and the global model it trained from."""
@@ -160,38 +151,12 @@ class Contribution:
     delivery_time: float
 
 
-class WeightKind(Enum):
-    IMPORTANCE = "importance"
-    DETERMINISTIC = "deterministic"
-    EXPECTED = "expected"
-    NORMALIZED = "normalized"
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    values: np.ndarray
-    kind: WeightKind
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if np.any(self.values < 0):
-            raise InvalidWeightsError(f"{self.kind.value} weights must be nonnegative")
-        if self.kind in (WeightKind.NORMALIZED, WeightKind.IMPORTANCE):
-            total = math.fsum(self.values.tolist())
-            if abs(total - 1.0) > PROB_TOL:
-                raise InvalidWeightsError(
-                    f"{self.kind.value} weights sum to {total!r}, expected 1"
-                )
-
-
 def _as_params(model) -> np.ndarray:
-    if isinstance(model, GlobalModel):
-        return model.params
     return np.atleast_1d(np.asarray(model, dtype=float))
 
 
 def _as_weights(weights, n_clients: int) -> np.ndarray:
-    values = weights.values if isinstance(weights, WeightVector) else np.asarray(weights, dtype=float)
+    values = np.asarray(weights, dtype=float)
     if values.shape != (n_clients,):
         raise ConfigurationError(
             f"weight vector has shape {values.shape}, expected ({n_clients},)"

@@ -9,6 +9,7 @@ order.
 from __future__ import annotations
 
 import math
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -116,6 +117,7 @@ class Trajectory:
     local_paths: list | None = None  # per round: list of (participant, (K+1, dim) path)
     eta_g: float = 1.0
     d: np.ndarray | None = None
+    timing_s: dict | None = None     # seconds per engine stage
 
     @property
     def n_rounds(self) -> int:
@@ -155,7 +157,7 @@ def run(config: RunConfig) -> Trajectory:
     sample_rng = np.random.default_rng(_seed_key(config.seeds.sampling))
     streams, noise_rngs = _client_randomness(config)
 
-    state = init_fleet_state(taus, hw, hw_rng, config.initial_clocks)
+    state = init_fleet_state(taus, hw, hw_rng, config.initial_clocks, policy=policy)
     models = [config.resolved_theta0()]
     times = [0.0]
     rounds = []
@@ -164,11 +166,14 @@ def run(config: RunConfig) -> Trajectory:
     participated = [False] * n_clients
     diverged = False
     divergence_round = None
+    clock = time.perf_counter
+    schedule_s = local_work_s = aggregate_s = 0.0
 
     while True:
         n = state.round_index
         if config.rounds is not None and n >= config.rounds:
             break
+        started = clock()
         losses = None
         if policy.kind is PolicyKind.SAMPLE_BIASED and policy.criterion == "highest_loss":
             losses = _client_loss_matrix(fleet, models[-1][None])[0]
@@ -183,15 +188,20 @@ def run(config: RunConfig) -> Trajectory:
             importances=fleet.importances,
             time_limit=config.time_budget,
         )
+        scheduled = clock()
+        schedule_s += scheduled - started
         if outcome is None:
             break
 
         try:
             deliveries = _collect_deliveries(config, fleet, models, outcome, streams, noise_rngs)
         except NumericOverflowError:
+            local_work_s += clock() - scheduled
             diverged, divergence_round = True, n
             rounds.append(outcome)
             break
+        delivered = clock()
+        local_work_s += delivered - scheduled
         for part in outcome.participants:
             participated[part.client_id] = True
 
@@ -200,21 +210,25 @@ def run(config: RunConfig) -> Trajectory:
             total += (part.multiplicity * d[part.client_id]) * update.delta
         new_theta = models[-1] + config.eta_g * total
         rounds.append(outcome)
+        now = state.time
         contributions.append(
             [
-                Contribution(part.client_id, part.anchor_round, update.delta, float(state.clock))
+                Contribution(part.client_id, part.anchor_round, update.delta, now)
                 for part, update in deliveries
             ]
         )
         if local_paths is not None:
             local_paths.append([(part, update.path) for part, update in deliveries])
         # NaN fails the comparison, so one reduction catches it too
-        if not (np.abs(new_theta) <= DIVERGENCE_THRESHOLD).all():
+        finite = (np.abs(new_theta) <= DIVERGENCE_THRESHOLD).all()
+        aggregate_s += clock() - delivered
+        if not finite:
             diverged, divergence_round = True, n
             break
         models.append(new_theta)
-        times.append(float(state.clock))
+        times.append(now)
 
+    started = clock()
     optimum = weighted_optimum(fleet)
     trajectory = Trajectory(
         theta=np.asarray(models),
@@ -231,6 +245,12 @@ def run(config: RunConfig) -> Trajectory:
         d=d,
     )
     trajectory.metrics = _compute_metrics(trajectory, fleet, config.metric_cadence)
+    trajectory.timing_s = {
+        "schedule": schedule_s,
+        "local_work": local_work_s,
+        "aggregate": aggregate_s,
+        "metrics": clock() - started,
+    }
     return trajectory
 
 

@@ -16,8 +16,6 @@ Schemes
                   geometric staleness law.
 ``hybrid``        independent participation per fixed window of length T
                   (unit-rate exponential work), weight 1/((1-e^-T) M).
-``hybrid_evo``    like ``hybrid`` with a caller-supplied window schedule;
-                  expectation recursion only.
 
 Exactness
 ---------
@@ -42,7 +40,7 @@ import numpy as np
 
 from .core import ConfigurationError, UnsupportedConfigError
 
-SCHEMES = ("sync", "sync_uniform", "async", "hybrid", "hybrid_evo")
+SCHEMES = ("sync", "sync_uniform", "async", "hybrid")
 
 
 def phi(eta_l: float, k_steps: int) -> float:
@@ -64,14 +62,13 @@ class OracleState:
     n_clients: int | None = None
     m: int | None = None            # sync_uniform sample size
     window: float | None = None     # hybrid window length (unit-rate time)
-    schedule: tuple | None = None   # hybrid_evo cumulative round times, t[0] = 0
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown oracle scheme {self.scheme!r}")
         if not 0 <= self.phi <= 1:
             raise ConfigurationError("phi must lie in [0, 1]")
-        if self.scheme in ("async", "hybrid", "hybrid_evo", "sync_uniform"):
+        if self.scheme in ("async", "hybrid", "sync_uniform"):
             if self.n_clients is None or self.n_clients < 1:
                 raise ConfigurationError(f"{self.scheme} needs the client count")
         if self.scheme == "sync_uniform":
@@ -81,11 +78,6 @@ class OracleState:
                 raise ConfigurationError("sample size m exceeds the client count")
         if self.scheme == "hybrid" and (self.window is None or self.window <= 0):
             raise ConfigurationError("hybrid needs a positive window length")
-        if self.scheme == "hybrid_evo":
-            if self.schedule is None or len(self.schedule) < 1 or self.schedule[0] != 0:
-                raise ConfigurationError("hybrid_evo needs cumulative times with t[0] = 0")
-            if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):
-                raise ConfigurationError("hybrid_evo schedule must be strictly increasing")
 
 
 def staleness_law(state: OracleState, n: int, exact: bool = False):
@@ -114,12 +106,7 @@ def staleness_law(state: OracleState, n: int, exact: bool = False):
         law = np.array([stay ** (n - k) / m_clients for k in range(n + 1)])
         law[0] = stay ** n
         return law
-    if scheme == "hybrid":
-        times = [k * state.window for k in range(n + 1)]
-    else:
-        if n >= len(state.schedule):
-            raise ConfigurationError("hybrid_evo schedule is shorter than the horizon")
-        times = list(state.schedule[: n + 1])
+    times = [k * state.window for k in range(n + 1)]
     # memoryless completions form a unit-rate Poisson process: anchor k means
     # the last completion before t[n] fell inside round k-1
     decay = [math.exp(-(times[n] - t)) for t in times]

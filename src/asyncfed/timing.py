@@ -2,8 +2,9 @@
 
 A round advances the fleet by the policy's waiting time, collects the set of
 clients whose local work lands inside it, and rebases those clients on the
-round they will receive next. Fixed hardware is kept in exact rational (or
-integer) arithmetic so cycle-based invariants hold without float drift.
+round they will receive next. The fleet's clocks are one array and a round
+is a few array operations on it. Fixed hardware counts integer ticks on one
+exact scale, so cycle-based invariants hold without float drift.
 
 Simultaneous completions under the purely asynchronous policy are serialized:
 the lowest-index finisher gets its own round and the remaining finishers
@@ -15,7 +16,7 @@ averages of the expected weights exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -96,24 +97,102 @@ class HardwareModel:
         return float(rng.exponential(scale=float(tau)))
 
 
-@dataclass
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+@dataclass(eq=False)
 class FleetState:
     """Mutable per-client clocks and staleness anchors.
 
     ``remaining[i]`` is the time client i still needs on its current local
-    work; ``anchor[i]`` is the round of the global model it trains from.
-    Owned and mutated by exactly one simulation loop.
+    work and ``period[i]`` the value its clock re-arms from. On fixed
+    hardware both are integer ticks of ``1 / scale`` time units, where
+    ``scale`` is the lcm of the denominators of the exact compute times,
+    initial clocks and fixed window, so every event time is an exact
+    integer: ``int64`` when all ticks fit, Python ints (``object``)
+    otherwise. On exponential hardware ``remaining`` is in time units
+    (``float64``), ``period`` holds the mean times and ``scale`` is 1.
+    ``clock`` is the server time in the same units as ``remaining`` (a
+    Python int or float). ``anchor[i]`` is the round of the global model
+    client i trains from. Owned and mutated by exactly one simulation loop.
     """
 
-    remaining: list
-    anchor: list[int]
-    busy: list[bool]
-    clock: Fraction | float
+    remaining: np.ndarray
+    period: np.ndarray
+    anchor: np.ndarray
+    exact: bool
+    scale: int = 1
+    clock: int | float = 0
     round_index: int = 0
+    _limit: tuple = field(default=(None, None), repr=False)  # (time limit, its ticks)
 
     @property
     def n_clients(self) -> int:
         return len(self.remaining)
+
+    @property
+    def time(self) -> float:
+        """Server time in time units; int true division rounds correctly,
+        so this is the float nearest the exact clock."""
+        return self.clock / self.scale
+
+    def duration(self, dt):
+        """A round length in time units: exact (an int on scale 1, else a
+        Fraction) on fixed hardware, the float itself otherwise."""
+        if not self.exact or self.scale == 1:
+            return dt
+        return Fraction(dt, self.scale)
+
+    def ticks(self, value) -> int:
+        """An exact time on this fleet's tick scale."""
+        num, den = _ratio(value)
+        if self.scale % den:
+            raise ConfigurationError(
+                f"time {value!r} is not on the fleet's tick scale; pass the policy "
+                "to init_fleet_state"
+            )
+        return num * (self.scale // den)
+
+    def exceeds(self, dt, time_limit) -> bool:
+        """Whether a round of length ``dt`` would end past ``time_limit``.
+
+        The exact clock compares in ticks: an integer tick count exceeds the
+        limit exactly when it exceeds the floor of the limit's tick value,
+        which is worked out once per limit.
+        """
+        if not self.exact:
+            return self.clock + dt > time_limit
+        if time_limit is not self._limit[0]:
+            num, den = _ratio(time_limit)
+            self._limit = (time_limit, num * self.scale // den)
+        return self.clock + dt > self._limit[1]
+
+    def arm(self, idx, rng):
+        """Fresh local-work times for clients ``idx`` in ascending order: the
+        tick period on fixed hardware, an exponential draw with that mean
+        otherwise (the same stream as one draw per client)."""
+        if self.exact:
+            return self.period[idx]
+        if rng is None:
+            raise ConfigurationError("exponential hardware needs an RNG")
+        return rng.exponential(scale=self.period[idx])
+
+
+def _ratio(value) -> tuple[int, int]:
+    """Numerator and denominator of an exact time, in lowest terms."""
+    if not isinstance(value, (int, float, Fraction)):
+        value = Fraction(value)
+    return value.as_integer_ratio()
+
+
+def _tick_arrays(*groups, scale: int):
+    """Exact times as integer ticks on ``scale``, one array per group, all
+    ``int64`` when every tick fits and Python ints otherwise."""
+    ticks = [
+        [num * (scale // den) for num, den in map(_ratio, group)] for group in groups
+    ]
+    fits = max(abs(t) for group in ticks for t in group) <= _INT64_MAX
+    return [np.array(group, dtype=np.int64 if fits else object) for group in ticks]
 
 
 def init_fleet_state(
@@ -121,34 +200,36 @@ def init_fleet_state(
     hw: HardwareModel,
     rng: np.random.Generator | None = None,
     initial_clocks=None,
+    *,
+    policy: WaitPolicy | None = None,
 ) -> FleetState:
     """All clients start busy on the round-0 model at time 0.
 
     ``initial_clocks`` overrides the first remaining times (fixed hardware
     only), which phase-shifts client deliveries without changing their
-    periods.
+    periods. ``policy`` puts a fixed window's ``delta_t`` on the tick scale;
+    without it the window must already lie on the scale of the times.
     """
     taus = list(taus)
     if not taus:
         raise ConfigurationError("empty fleet")
-    if initial_clocks is not None:
-        if hw.mode != "fixed":
+    anchor = np.zeros(len(taus), dtype=np.int64)
+    if hw.mode != "fixed":
+        if initial_clocks is not None:
             raise ConfigurationError("initial clock offsets require fixed hardware")
-        if len(initial_clocks) != len(taus):
-            raise ConfigurationError("initial_clocks length must match the fleet")
-        remaining = [_exact(c) for c in initial_clocks]
-        if any(c <= 0 for c in remaining):
-            raise ConfigurationError("initial clocks must be positive")
-    else:
-        remaining = [hw.draw(tau, rng) for tau in taus]
-    clock = 0 if hw.mode == "fixed" else 0.0
-    return FleetState(
-        remaining=remaining,
-        anchor=[0] * len(taus),
-        busy=[True] * len(taus),
-        clock=clock,
-        round_index=0,
-    )
+        if rng is None:
+            raise ConfigurationError("exponential hardware needs an RNG")
+        means = np.array([float(t) for t in taus])
+        return FleetState(rng.exponential(scale=means), means, anchor, exact=False, clock=0.0)
+    starts = taus if initial_clocks is None else list(initial_clocks)
+    if len(starts) != len(taus):
+        raise ConfigurationError("initial_clocks length must match the fleet")
+    window = [policy.delta_t] if policy is not None and policy.kind is PolicyKind.FEDFIX else []
+    scale = math.lcm(*(_ratio(v)[1] for v in taus + starts + window))
+    period, remaining, _ = _tick_arrays(taus, starts, window, scale=scale)
+    if initial_clocks is not None and (remaining <= 0).any():
+        raise ConfigurationError("initial clocks must be positive")
+    return FleetState(remaining, period, anchor, exact=True, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -186,56 +267,57 @@ def advance_round(
 
     Returns the participant set (with staleness bookkeeping) and the round
     duration. When ``time_limit`` is given and the round would end past it,
-    the state is left untouched and ``None`` is returned.
+    the state is left untouched and ``None`` is returned. ``hw`` is the model
+    the state was built with and ``taus`` orders the fastest-first sampling
+    criterion; the clocks themselves come from ``state``.
+
+    Every clock is rebased by the round length rather than kept as an
+    absolute finish time, because absolute times would round exponential
+    clocks differently.
     """
     n = state.round_index
-    n_clients = state.n_clients
-    if n_clients == 0:
-        raise ConfigurationError("empty fleet")
-
-    if policy.is_sampling:
-        return _advance_sampling_round(
-            state, policy, taus, hw, hw_rng, sample_rng, client_losses, importances, time_limit
-        )
-
+    rem = state.remaining
     kind = policy.kind
-    if kind is PolicyKind.SYNCHRONOUS:
-        dt = max(state.remaining)
-        selected = list(range(n_clients))
-    elif kind is PolicyKind.ASYNCHRONOUS:
-        dt = min(state.remaining)
-        selected = [state.remaining.index(dt)]  # ties serialized, lowest index first
-    elif kind is PolicyKind.FEDFIX:
-        dt = policy.delta_t if hw.mode == "fixed" else float(policy.delta_t)
-        selected = [i for i, t in enumerate(state.remaining) if t <= dt]
-    elif kind is PolicyKind.FEDBUFF:
-        if policy.m > n_clients:
-            raise ConfigurationError("fedbuff m exceeds the fleet size")
-        dt = sorted(state.remaining)[policy.m - 1]
-        selected = [i for i, t in enumerate(state.remaining) if t <= dt]
-    else:  # pragma: no cover
-        raise ConfigurationError(f"unhandled policy kind {kind}")
+    if kind is PolicyKind.ASYNCHRONOUS:
+        selected = int(rem.argmin())  # ties serialized, lowest index first
+        dt = rem[selected]
+    else:
+        if kind is PolicyKind.SYNCHRONOUS:
+            dt = rem.max()
+        elif kind is PolicyKind.FEDFIX:
+            dt = state.ticks(policy.delta_t) if state.exact else float(policy.delta_t)
+        elif kind is PolicyKind.FEDBUFF:
+            if policy.m > state.n_clients:
+                raise ConfigurationError("fedbuff m exceeds the fleet size")
+            dt = np.partition(rem, policy.m - 1)[policy.m - 1]
+        else:
+            return _advance_sampling_round(
+                state, policy, taus, hw_rng, sample_rng, client_losses, importances, time_limit
+            )
+        selected = np.flatnonzero(rem <= dt)
+    dt = int(dt) if state.exact else float(dt)
 
-    if time_limit is not None and state.clock + dt > time_limit:
+    if time_limit is not None and state.exceeds(dt, time_limit):
         return None
 
-    participants = tuple(
-        Participant(i, 1, state.anchor[i], n - state.anchor[i]) for i in selected
-    )
-    selected_set = set(selected)
-    for i in range(n_clients):
-        if i in selected_set:
-            state.remaining[i] = hw.draw(taus[i], hw_rng)
-            state.anchor[i] = n + 1
-        else:
-            state.remaining[i] = state.remaining[i] - dt
-    state.clock = state.clock + dt
+    if kind is PolicyKind.ASYNCHRONOUS:
+        a = int(state.anchor[selected])
+        participants = (Participant(selected, 1, a, n - a),)
+    else:
+        participants = tuple(
+            Participant(i, 1, a, n - a)
+            for i, a in zip(selected.tolist(), state.anchor[selected].tolist())
+        )
+    rem -= dt
+    rem[selected] = state.arm(selected, hw_rng)
+    state.anchor[selected] = n + 1
+    state.clock += dt
     state.round_index = n + 1
-    return RoundOutcome(n, dt, participants)
+    return RoundOutcome(n, state.duration(dt), participants)
 
 
 def _advance_sampling_round(
-    state, policy, taus, hw, hw_rng, sample_rng, client_losses, importances, time_limit
+    state, policy, taus, hw_rng, sample_rng, client_losses, importances, time_limit
 ):
     """Per-round client sampling: selected clients train on the current
     model, everyone else idles (treated as infinitely slow for the round)."""
@@ -269,19 +351,19 @@ def _advance_sampling_round(
             order = sorted(range(n_clients), key=lambda i: (-client_losses[i], i))
         counts = {i: 1 for i in order[:m]}
 
-    times = {i: hw.draw(taus[i], hw_rng) for i in counts}
-    dt = max(times.values())
-    if time_limit is not None and state.clock + dt > time_limit:
+    # draws follow the selection order, as one hardware draw per client would
+    times = state.arm(list(counts), hw_rng)
+    dt = int(times.max()) if state.exact else float(times.max())
+    if time_limit is not None and state.exceeds(dt, time_limit):
         return None
 
     participants = tuple(
         Participant(i, mult, n, 0) for i, mult in sorted(counts.items())
     )
-    for i in range(n_clients):
-        state.anchor[i] = n + 1
-    state.clock = state.clock + dt
+    state.anchor[:] = n + 1
+    state.clock += dt
     state.round_index = n + 1
-    return RoundOutcome(n, dt, participants)
+    return RoundOutcome(n, state.duration(dt), participants)
 
 
 def simulate_schedule(
@@ -293,7 +375,7 @@ def simulate_schedule(
 ) -> list[RoundOutcome]:
     """Deterministic participation schedule under fixed hardware."""
     hw = HardwareModel("fixed")
-    state = init_fleet_state(taus, hw, initial_clocks=initial_clocks)
+    state = init_fleet_state(taus, hw, initial_clocks=initial_clocks, policy=policy)
     outcomes = []
     for _ in range(n_rounds):
         outcomes.append(advance_round(state, policy, list(taus), hw))
@@ -383,9 +465,10 @@ def replay_steady_period(policy: WaitPolicy, taus) -> tuple[int, list[RoundOutco
     takes more than ``SCHEDULE_ROUND_CAP`` rounds.
     """
     hw = HardwareModel("fixed")
-    state = init_fleet_state(taus, hw)
+    state = init_fleet_state(taus, hw, policy=policy)
     taus = list(taus)
-    seen = {tuple(state.remaining): 0}
+    # value-based key: the bytes of an object array are pointers
+    seen = {tuple(state.remaining.tolist()): 0}
     period = None
     outcomes: list[RoundOutcome] = []
     while state.round_index < SCHEDULE_ROUND_CAP:
@@ -395,7 +478,7 @@ def replay_steady_period(policy: WaitPolicy, taus) -> tuple[int, list[RoundOutco
             if len(outcomes) == period:
                 return period, outcomes
             continue
-        key = tuple(state.remaining)
+        key = tuple(state.remaining.tolist())
         if key in seen:
             period = state.round_index - seen[key]
         else:
@@ -473,7 +556,7 @@ def simulate_round_times(
 ) -> np.ndarray:
     """Empirical round durations, for checking expected-time formulas."""
     rng = np.random.default_rng(seed)
-    state = init_fleet_state(taus, hw, rng)
+    state = init_fleet_state(taus, hw, rng, policy=policy)
     out = np.empty(n_rounds)
     taus = list(taus)
     for k in range(n_rounds):

@@ -104,6 +104,27 @@ class TestSimulate:
         assert "config_sha256" in log and "seeds_resolved" in log
         assert log["diverged"] is False
 
+    @pytest.mark.parametrize("diverge", [False, True])
+    def test_run_log_times_each_stage_within_the_command_wall_time(self, tmp_path, diverge):
+        document = base_config(
+            scheme={"policy": "asynchronous", "weights": "identical"}, horizon={"time": 40.0}
+        )
+        if diverge:
+            document["fleet"]["objective"]["curvature"] = 5.0
+            document["optimization"]["eta_l"] = 1.9
+        path = write_config(tmp_path, document)
+        out = tmp_path / "out"
+        started = time.perf_counter()
+        assert main(["simulate", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        wall = time.perf_counter() - started
+        log = json.loads((out / "run_log.json").read_text())
+        assert log["diverged"] is diverge
+        timing = log["timing_s"]
+        assert set(timing) == {"schedule", "local_work", "aggregate", "metrics", "io"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in timing.values())
+        assert sum(timing.values()) <= wall
+        assert sum(v for k, v in timing.items() if k != "io") <= log["wall_time_s"]
+
     def test_divergence_is_reported_but_not_a_failure(self, tmp_path):
         document = base_config()
         document["fleet"]["objective"]["curvature"] = 5.0

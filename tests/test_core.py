@@ -10,8 +10,6 @@ from asyncfed.core import (
     ConfigurationError,
     Fleet,
     InvalidWeightsError,
-    WeightKind,
-    WeightVector,
     convergence_residual,
     distribution_weights,
     federated_loss,
@@ -117,28 +115,6 @@ class TestDistributionWeights:
         for j, dist in enumerate(out.ids):
             members = [c.importance for c in fleet.clients if c.distribution_id == dist]
             assert out.importance[j] >= max(members) - 1e-15
-
-
-class TestWeightVector:
-    def test_normalized_must_sum_to_one(self):
-        with pytest.raises(InvalidWeightsError):
-            WeightVector(np.array([0.5, 0.4]), WeightKind.NORMALIZED)
-
-    def test_negative_entries_rejected(self):
-        with pytest.raises(InvalidWeightsError):
-            WeightVector(np.array([-0.1, 1.1]), WeightKind.EXPECTED)
-
-    def test_valid_normalized(self):
-        wv = WeightVector(np.array([0.25, 0.75]), WeightKind.NORMALIZED)
-        assert wv.values.sum() == 1.0
-
-    def test_ops_accept_weight_vectors_and_tagged_models(self, two_client_fleet):
-        from asyncfed.core import GlobalModel
-
-        model = GlobalModel(np.array([1.0]), round=3, wall_time=2.5)
-        weights = WeightVector(np.array([0.3, 0.6]), WeightKind.EXPECTED)
-        assert surrogate_loss(model, weights, two_client_fleet) == pytest.approx(0.45)
-        assert federated_loss(model, two_client_fleet) == pytest.approx(0.5)
 
 
 class TestConvexityAlongSegments:

@@ -66,15 +66,6 @@ class TestStalenessLaw:
             law = staleness_law(state, n)
             assert math.fsum(law.tolist()) == 1.0
 
-    def test_schedule_with_equal_windows_matches_fixed_window(self):
-        fixed = OracleState("hybrid", 0.5, n_clients=2, window=0.25)
-        evo = OracleState(
-            "hybrid_evo", 0.5, n_clients=2,
-            schedule=tuple(0.25 * k for k in range(12)),
-        )
-        for n in (0, 1, 5, 10):
-            assert np.allclose(staleness_law(fixed, n), staleness_law(evo, n), atol=1e-15)
-
 
 class TestExpectationRecursion:
     def test_sync_closed_form(self):
@@ -214,25 +205,3 @@ class TestOracleCsvExport:
             export_oracle_csv(OracleState("sync", 0.5), [0.0, 2.0], 5.0, 10, path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["oracle_trajectory.csv"]
         assert path.read_text() == "previous oracle\n"
-
-
-class TestScheduleDrivenWindows:
-    def test_expectation_with_an_equal_window_schedule_matches_fixed(self):
-        fixed = OracleState("hybrid", 0.4, n_clients=3, window=0.6)
-        evo = OracleState(
-            "hybrid_evo", 0.4, n_clients=3,
-            schedule=tuple(0.6 * k for k in range(16)),
-        )
-        a = expectation_recursion(fixed, 15, 1.0, [0.0, 1.0, 5.0])
-        b = expectation_recursion(evo, 15, 1.0, [0.0, 1.0, 5.0])
-        assert np.allclose(a.A, b.A, atol=1e-15)
-        assert np.allclose(a.B, b.B, atol=1e-15)
-
-    def test_uneven_schedules_shift_the_anchor_mass(self):
-        evo = OracleState(
-            "hybrid_evo", 0.4, n_clients=2, schedule=(0.0, 0.1, 2.1, 2.2, 4.2),
-        )
-        law = staleness_law(evo, 3)
-        assert math.fsum(law.tolist()) == 1.0
-        # the long second round flushes almost all older anchors
-        assert law[0] < 0.15 and law[2] + law[3] > 0.8

@@ -431,3 +431,272 @@ class TestSteadyPeriodReplay:
         monkeypatch.setattr(timing, "SCHEDULE_ROUND_CAP", 5)
         with pytest.raises(UnsupportedConfigError, match="within 5 rounds"):
             replay_steady_period(WaitPolicy(PolicyKind.FEDBUFF, m=2), [8, 2, 7])
+
+
+# ---------------------------------------------------------------------------
+# The array clock against the list-of-Fraction scheduler it replaced
+# ---------------------------------------------------------------------------
+
+def _exact_ref(value):
+    if isinstance(value, int):
+        return value
+    frac = Fraction(value)
+    return int(frac) if frac.denominator == 1 else frac
+
+
+def _draw_ref(hw, tau, rng):
+    if hw.mode == "fixed":
+        return _exact_ref(tau)
+    return float(rng.exponential(scale=float(tau)))
+
+
+class _ReferenceFleet:
+    """Reference scheduler: one exact rational (or float) clock per client
+    in a Python list, advanced by a per-client loop each round."""
+
+    def __init__(self, taus, hw, rng=None, initial_clocks=None):
+        if initial_clocks is not None:
+            self.remaining = [_exact_ref(c) for c in initial_clocks]
+        else:
+            self.remaining = [_draw_ref(hw, tau, rng) for tau in taus]
+        self.anchor = [0] * len(taus)
+        self.clock = 0 if hw.mode == "fixed" else 0.0
+        self.round_index = 0
+
+    def advance(self, policy, taus, hw, *, hw_rng=None, sample_rng=None,
+                client_losses=None, importances=None, time_limit=None):
+        n = self.round_index
+        n_clients = len(self.remaining)
+        kind = policy.kind
+        if policy.is_sampling:
+            return self._sampling(policy, taus, hw, hw_rng, sample_rng,
+                                  client_losses, importances, time_limit)
+        if kind is PolicyKind.SYNCHRONOUS:
+            dt = max(self.remaining)
+            selected = list(range(n_clients))
+        elif kind is PolicyKind.ASYNCHRONOUS:
+            dt = min(self.remaining)
+            selected = [self.remaining.index(dt)]
+        elif kind is PolicyKind.FEDFIX:
+            dt = policy.delta_t if hw.mode == "fixed" else float(policy.delta_t)
+            selected = [i for i, t in enumerate(self.remaining) if t <= dt]
+        else:
+            dt = sorted(self.remaining)[policy.m - 1]
+            selected = [i for i, t in enumerate(self.remaining) if t <= dt]
+        if time_limit is not None and self.clock + dt > time_limit:
+            return None
+        participants = tuple(
+            timing.Participant(i, 1, self.anchor[i], n - self.anchor[i]) for i in selected
+        )
+        selected_set = set(selected)
+        for i in range(n_clients):
+            if i in selected_set:
+                self.remaining[i] = _draw_ref(hw, taus[i], hw_rng)
+                self.anchor[i] = n + 1
+            else:
+                self.remaining[i] = self.remaining[i] - dt
+        self.clock = self.clock + dt
+        self.round_index = n + 1
+        return timing.RoundOutcome(n, dt, participants)
+
+    def _sampling(self, policy, taus, hw, hw_rng, sample_rng, client_losses,
+                  importances, time_limit):
+        n = self.round_index
+        n_clients = len(self.remaining)
+        m = policy.m
+        if policy.kind is PolicyKind.SAMPLE_UNIFORM:
+            counts = {int(i): 1 for i in sample_rng.choice(n_clients, size=m, replace=False)}
+        elif policy.kind is PolicyKind.SAMPLE_MD:
+            counts = {}
+            for i in sample_rng.choice(n_clients, size=m, replace=True,
+                                       p=np.asarray(importances, dtype=float)):
+                counts[int(i)] = counts.get(int(i), 0) + 1
+        elif policy.criterion == "fastest":
+            counts = {i: 1 for i in sorted(range(n_clients), key=lambda i: (taus[i], i))[:m]}
+        else:
+            order = sorted(range(n_clients), key=lambda i: (-client_losses[i], i))
+            counts = {i: 1 for i in order[:m]}
+        times = {i: _draw_ref(hw, taus[i], hw_rng) for i in counts}
+        dt = max(times.values())
+        if time_limit is not None and self.clock + dt > time_limit:
+            return None
+        participants = tuple(
+            timing.Participant(i, mult, n, 0) for i, mult in sorted(counts.items())
+        )
+        self.anchor = [n + 1] * n_clients
+        self.clock = self.clock + dt
+        self.round_index = n + 1
+        return timing.RoundOutcome(n, dt, participants)
+
+
+def _compare_with_reference(taus, policy, hw, *, seed=0, initial_clocks=None,
+                            time_limit=None, n_rounds=150):
+    """Advance both schedulers round by round and require the same
+    participants, anchors, staleness, round lengths, clocks and hardware RNG
+    state. Returns the array state and the rounds completed."""
+    taus = list(taus)
+    exponential = hw.mode == "exponential"
+    rng_new, rng_ref = (np.random.default_rng(seed) for _ in range(2))
+    sample_new, sample_ref = (np.random.default_rng(seed + 1) for _ in range(2))
+    losses_rng = np.random.default_rng(seed + 2)
+    importances = np.full(len(taus), 1.0 / len(taus))
+    state = init_fleet_state(taus, hw, rng_new if exponential else None, initial_clocks,
+                             policy=policy)
+    ref = _ReferenceFleet(taus, hw, rng_ref, initial_clocks)
+    for _ in range(n_rounds):
+        losses = losses_rng.random(len(taus)).tolist()
+        kwargs = dict(client_losses=losses, importances=importances, time_limit=time_limit)
+        got = advance_round(state, policy, taus, hw, hw_rng=rng_new if exponential else None,
+                            sample_rng=sample_new, **kwargs)
+        want = ref.advance(policy, taus, hw, hw_rng=rng_ref if exponential else None,
+                           sample_rng=sample_ref, **kwargs)
+        if want is None:
+            assert got is None
+            break
+        assert got.index == want.index
+        assert got.participants == want.participants
+        assert all(
+            type(v) is int
+            for p in got.participants
+            for v in (p.client_id, p.multiplicity, p.anchor_round, p.staleness)
+        )
+        assert got.delta_t == want.delta_t
+        if exponential:
+            assert type(got.delta_t) is float and type(want.delta_t) is float
+            assert state.remaining.tolist() == ref.remaining
+        else:
+            # exact either way; the reference's int-or-Fraction depends on its
+            # arithmetic history, the array clock's on the tick scale alone
+            assert type(got.delta_t) is (int if state.scale == 1 else Fraction)
+            assert isinstance(want.delta_t, (int, Fraction))
+            assert [Fraction(t, state.scale) for t in state.remaining.tolist()] == ref.remaining
+        assert state.time.hex() == float(ref.clock).hex()
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        assert sample_new.bit_generator.state == sample_ref.bit_generator.state
+    return state, state.round_index
+
+
+def _policies(m_clients, delta_t):
+    return [
+        WaitPolicy(PolicyKind.SYNCHRONOUS),
+        WaitPolicy(PolicyKind.ASYNCHRONOUS),
+        WaitPolicy(PolicyKind.FEDFIX, delta_t=delta_t),
+        WaitPolicy(PolicyKind.FEDBUFF, m=max(1, m_clients // 2)),
+        WaitPolicy(PolicyKind.FEDBUFF, m=m_clients),
+        WaitPolicy(PolicyKind.SAMPLE_UNIFORM, m=max(1, m_clients - 1)),
+        WaitPolicy(PolicyKind.SAMPLE_MD, m=min(2, m_clients)),
+        WaitPolicy(PolicyKind.SAMPLE_BIASED, m=1, criterion="fastest"),
+        WaitPolicy(PolicyKind.SAMPLE_BIASED, m=1, criterion="highest_loss"),
+    ]
+
+
+class TestArrayClockMatchesTheReference:
+    def test_integer_times(self):
+        rng = np.random.default_rng(21)
+        for _ in range(8):
+            taus = [int(t) for t in rng.integers(1, 13, size=int(rng.integers(1, 7)))]
+            for policy in _policies(len(taus), int(rng.integers(1, 6))):
+                state, _ = _compare_with_reference(taus, policy, FIXED)
+                assert state.scale == 1 and state.remaining.dtype == np.int64
+
+    def test_binary_float_times_with_a_non_integer_window(self):
+        rng = np.random.default_rng(22)
+        for _ in range(8):
+            taus = [round(float(t), 2) for t in rng.uniform(0.5, 3.0, size=int(rng.integers(1, 7)))]
+            delta_t = round(float(rng.uniform(0.3, 2.0)), 2)
+            for policy in _policies(len(taus), delta_t):
+                state, _ = _compare_with_reference(taus, policy, FIXED)
+                assert state.scale > 1 and state.remaining.dtype == np.int64
+
+    def test_shipped_logistic_times_over_the_time_horizon(self):
+        taus = json.loads((CONFIGS / "async_logistic_heterogeneous.json").read_text())
+        taus = taus["fleet"]["compute_times"]
+        for policy in _policies(len(taus), 0.7):
+            _, rounds = _compare_with_reference(taus, policy, FIXED, time_limit=120.0,
+                                                n_rounds=2000)
+            assert 0 < rounds < 2000
+
+    def test_rational_times_and_initial_clocks(self):
+        rng = np.random.default_rng(23)
+        for _ in range(8):
+            m = int(rng.integers(1, 6))
+            taus = [Fraction(int(a), int(b)) for a, b in zip(rng.integers(1, 10, m),
+                                                             rng.integers(1, 5, m))]
+            clocks = [round(float(c), 3) for c in rng.uniform(0.01, 2.0, m)]
+            for policy in _policies(m, Fraction(3, 4)):
+                if policy.is_sampling:
+                    continue  # sampling rounds never read the clocks
+                _compare_with_reference(taus, policy, FIXED, initial_clocks=clocks)
+
+    def test_time_limited_runs_stop_at_the_same_round(self):
+        rng = np.random.default_rng(24)
+        for limit in (7, 7.3, Fraction(22, 3), 0.1):
+            taus = [round(float(t), 2) for t in rng.uniform(0.5, 3.0, size=4)]
+            for policy in _policies(4, 0.45):
+                state, rounds = _compare_with_reference(taus, policy, FIXED, time_limit=limit)
+                assert rounds < 150 and state.time <= limit
+        # a limit between two ticks: a round ending one tick past it must stop
+        for limit in (7.5, 8, Fraction(17, 2)):
+            for policy in _policies(4, 1):
+                state, rounds = _compare_with_reference([1, 2, 3, 4], policy, FIXED,
+                                                        time_limit=limit)
+                state, rounds = _compare_with_reference(taus, policy, FIXED, time_limit=limit)
+                assert rounds < 150 and state.time <= limit
+
+    @pytest.mark.parametrize("m_clients, n_rounds", [(3, 300), (500, 120)])
+    def test_exponential_hardware(self, m_clients, n_rounds):
+        rng = np.random.default_rng(25)
+        taus = [float(t) for t in rng.integers(1, 17, size=m_clients)]
+        taus[0] = 1.09
+        for seed, policy in enumerate(_policies(m_clients, 0.7)):
+            _compare_with_reference(taus, policy, HardwareModel("exponential"), seed=seed,
+                                    n_rounds=n_rounds)
+            _compare_with_reference(taus, policy, HardwareModel("exponential"), seed=seed,
+                                    time_limit=3.5, n_rounds=n_rounds)
+
+    def test_ticks_beyond_int64_fall_back_to_python_ints(self):
+        taus = [2.0 ** -60, 1e6, 3.5]
+        for policy in _policies(3, 0.75):
+            state, _ = _compare_with_reference(taus, policy, FIXED, time_limit=2e6)
+            assert state.remaining.dtype == object
+            assert state.scale == 2 ** 60
+
+    def test_replay_key_is_value_based_on_python_int_ticks(self):
+        policy = WaitPolicy(PolicyKind.FEDBUFF, m=2)
+        big = [t * 2 ** 70 for t in (8, 2, 7)]
+        assert init_fleet_state(big, FIXED, policy=policy).remaining.dtype == object
+        period, steady = replay_steady_period(policy, [8, 2, 7])
+        period_big, steady_big = replay_steady_period(policy, big)
+        assert period_big == period
+        assert [o.participants for o in steady_big] == [o.participants for o in steady]
+
+    def test_window_off_the_tick_scale_is_rejected(self):
+        state = init_fleet_state([1, 2], FIXED)
+        with pytest.raises(ConfigurationError, match="tick scale"):
+            advance_round(state, WaitPolicy(PolicyKind.FEDFIX, delta_t=0.5), [1, 2], FIXED)
+
+
+def _forbidden(*args):
+    raise AssertionError("Fraction arithmetic in the round step")
+
+
+class TestNoFractionArithmeticPerRound:
+    OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+
+    def test_binary_float_fleet(self, monkeypatch):
+        taus = [1.0, 1.09, 1.18, 1.27, 1.36]
+        clocks = [0.5, 1.25, 0.3, 2.0, 1.09]
+        policies = [WaitPolicy(PolicyKind.SYNCHRONOUS), WaitPolicy(PolicyKind.ASYNCHRONOUS),
+                    WaitPolicy(PolicyKind.FEDFIX, delta_t=0.7), WaitPolicy(PolicyKind.FEDBUFF, m=3)]
+        with monkeypatch.context() as patch:
+            for name in self.OPERATORS:
+                patch.setattr(Fraction, name, _forbidden)
+            with pytest.raises(AssertionError, match="Fraction arithmetic"):
+                Fraction(1, 2) + 1
+            for policy in policies:
+                state = init_fleet_state(taus, FIXED, initial_clocks=clocks, policy=policy)
+                rounds = 0
+                while advance_round(state, policy, taus, FIXED, time_limit=60.0) is not None:
+                    rounds += 1
+                assert rounds > 40 and state.scale > 1
