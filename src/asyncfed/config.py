@@ -8,6 +8,7 @@ rejected at every level so typos fail loudly before any compute happens.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -166,9 +167,27 @@ def validate_config(document: dict) -> list[str]:
     return out
 
 
+def _reject_constant(name):
+    raise ConfigurationError(f"config holds {name}; only finite numbers are allowed")
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"config number {text} overflows a double")
+    return value
+
+
 def load_config(path) -> dict:
+    """Read, parse and validate a config file; every failure to do so,
+    unreadable or non-UTF-8 files and NaN/Infinity/overflowing numbers
+    included, is a ``ConfigurationError``."""
     try:
-        document = json.loads(Path(path).read_text())
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigurationError(f"cannot read config {path}: {err}") from err
+    try:
+        document = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"config is not valid JSON: {err}") from err
     problems = validate_config(document)

@@ -27,6 +27,7 @@ from .core import (
     weighted_optimum,
 )
 from .objectives import BatchStream, GlmObjective, local_sgd
+from .textfmt import BLOCK_CELLS, format_rows
 from .timing import HardwareModel, PolicyKind, WaitPolicy, advance_round, init_fleet_state
 from .weights import WeightPlan
 
@@ -98,7 +99,7 @@ class MetricsRow:
     loss_fed: float
     loss_surrogate: float
     dist_sq: float
-    client_losses: tuple[float, ...]
+    client_losses: np.ndarray       # read-only row of the run's (rows, M) loss matrix
 
 
 @dataclass
@@ -316,19 +317,27 @@ def _compute_metrics(traj: Trajectory, fleet: Fleet, cadence: int) -> list[Metri
     last = traj.theta.shape[0] - 1
     kept = [n for n in range(last + 1) if n % cadence == 0 or n == last]
     losses = _client_loss_matrix(fleet, traj.theta[kept])
+    losses.flags.writeable = False
     # cumsum adds in client order, left to right, so loss_fed keeps its bits;
     # np.sum would pair terms and move the last digit
     loss_fed = np.cumsum(losses * fleet.importances, axis=1)[:, -1]
+    # every participant's loss as a Python float, in one gather; rows with
+    # an outcome come first in ``kept``
+    outcomes = [traj.rounds[n] for n in kept if n < traj.n_rounds]
+    picked = iter(
+        losses[
+            [i for i, outcome in enumerate(outcomes) for _ in outcome.participants],
+            [part.client_id for outcome in outcomes for part in outcome.participants],
+        ].tolist()
+    )
+    d = traj.d.tolist()
     rows = []
-    for n, client_losses, fed in zip(kept, losses.tolist(), loss_fed.tolist()):
+    for n, client_losses, fed in zip(kept, losses, loss_fed.tolist()):
         if n < traj.n_rounds:
             outcome = traj.rounds[n]
             mask = _participant_mask(outcome)
             loss_surr = float(
-                sum(
-                    part.multiplicity * traj.d[part.client_id] * client_losses[part.client_id]
-                    for part in outcome.participants
-                )
+                sum(part.multiplicity * d[part.client_id] * next(picked) for part in outcome.participants)
             )
         else:
             mask, loss_surr = None, math.nan
@@ -341,7 +350,7 @@ def _compute_metrics(traj: Trajectory, fleet: Fleet, cadence: int) -> list[Metri
                 loss_fed=fed,
                 loss_surrogate=loss_surr,
                 dist_sq=float(np.dot(gap, gap)),
-                client_losses=tuple(client_losses),
+                client_losses=client_losses,
             )
         )
     return rows
@@ -570,14 +579,39 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Comma-separated metrics rows, LF endings, 17 significant digits.
 
     The final model's row has no participant set or surrogate loss; those
-    cells are left empty. Rows stream through one format template.
+    cells are left empty.
     """
-    n_clients = len(traj.d)
-    template = "%d,%.17g,%s,%.17g,%s,%.17g," + ",".join(["%.17g"] * n_clients) + "\n"
+    leading = [
+        (
+            row.round,
+            row.wall_time,
+            "" if row.participant_mask is None else row.participant_mask,
+            row.loss_fed,
+            "" if math.isnan(row.loss_surrogate) else "%.17g" % row.loss_surrogate,
+            row.dist_sq,
+        )
+        for row in traj.metrics
+    ]
+    write_trajectory_table(path, len(traj.d), leading, [row.client_losses for row in traj.metrics])
+
+
+def write_trajectory_table(path, n_clients: int, leading, client_losses) -> None:
+    """Write the trajectory schema: per row the cells (n, t, participants,
+    loss_fed, loss_surrogate, dist_sq), participants and surrogate already
+    text, then that row of ``client_losses`` (rows of ``n_clients`` floats).
+
+    Loss cells are encoded by :func:`asyncfed.textfmt.format_rows`, exactly
+    as ``'%.17g' % x``, in blocks of about ``BLOCK_CELLS`` cells; a row of
+    the wrong length or a non-real cell raises ``TypeError`` and leaves
+    ``path`` as it was.
+    """
+    step = max(1, BLOCK_CELLS // n_clients)
     with atomic_open(path) as fh:
         fh.write(",".join(trajectory_header(n_clients)) + "\n")
-        for row in traj.metrics:
-            mask = "" if row.participant_mask is None else row.participant_mask
-            surr = "" if math.isnan(row.loss_surrogate) else "%.17g" % row.loss_surrogate
-            cells = (row.round, row.wall_time, mask, row.loss_fed, surr, row.dist_sq)
-            fh.write(template % (cells + row.client_losses))
+        for start in range(0, len(leading), step):
+            stop = start + step
+            block = np.asarray(client_losses[start:stop])
+            if block.shape[1:] != (n_clients,):
+                raise TypeError(f"expected rows of {n_clients} client losses, got shape {block.shape}")
+            for cells, text in zip(leading[start:stop], format_rows(block)):
+                fh.write("%d,%.17g,%s,%.17g,%s,%.17g,%s\n" % (cells + (text,)))

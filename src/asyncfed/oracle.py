@@ -240,9 +240,7 @@ def export_oracle_csv(
     the given rate (the window length itself for the fixed-window scheme).
     Server learning rate 1 is assumed, matching the variance recursion.
     """
-    import csv as _csv
-
-    from .engine import atomic_open, trajectory_header
+    from .engine import write_trajectory_table
 
     optima = np.atleast_1d(np.asarray(optima, dtype=float))
     theta_star = float(optima.mean())
@@ -253,20 +251,16 @@ def export_oracle_csv(
     else:
         round_time = expected_round_time(state.scheme, len(optima), rate, m=state.m)
 
-    with atomic_open(path) as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(trajectory_header(len(optima)))
-        for n in range(n_rounds + 1):
-            drift = mean_seq[n] - theta_star
-            client_losses = [
-                0.5 * (second[n] + 2 * (theta_star - opt) * drift + (theta_star - opt) ** 2)
-                for opt in optima
-            ]
-            loss_fed = sum(client_losses) / len(optima)
-            writer.writerow(
-                [n, f"{n * round_time:.17g}", "", f"{loss_fed:.17g}", "", f"{second[n]:.17g}"]
-                + [f"{v:.17g}" for v in client_losses]
-            )
+    offset = theta_star - optima
+    drift = (mean_seq - theta_star)[:, None]
+    client_losses = 0.5 * (second[:, None] + 2 * offset * drift + offset**2)
+    # cumsum adds left to right, as the scalar sum did
+    loss_fed = np.cumsum(client_losses, axis=1)[:, -1] / len(optima)
+    leading = [
+        (n, n * round_time, "", fed, "", sm)
+        for n, (fed, sm) in enumerate(zip(loss_fed.tolist(), second.tolist()))
+    ]
+    write_trajectory_table(path, len(optima), leading, client_losses)
 
 
 def expected_round_time(scheme: str, n_clients: int, rate: float, m: int | None = None) -> float:

@@ -55,6 +55,41 @@ class TestValidation:
         assert code == 2
         assert "horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"compute_times": [1,', '"compute_times": [NaN,'),
+            ('"eta_l": 0.5', '"eta_l": Infinity'),
+            ('"eta_l": 0.5', '"eta_l": 1e400'),
+            ('"theta0": 5.0', '"theta0": -Infinity'),
+        ],
+        ids=["nan_compute_time", "infinite_eta_l", "overflowing_eta_l", "negative_infinite_theta0"],
+    )
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, old, new):
+        text = json.dumps(base_config())
+        assert old in text
+        path = tmp_path / "config.json"
+        path.write_text(text.replace(old, new))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        code = main(["simulate", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "absent.json" in err and "Traceback" not in err
+
+    def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(base_config()).replace("quadratic", "quadr\xe4tic").encode("latin-1"))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_two_horizons_rejected(self, tmp_path):
         path = write_config(tmp_path, base_config(horizon={"rounds": 5, "time": 2.0}))
         with pytest.raises(ConfigurationError):

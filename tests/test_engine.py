@@ -297,6 +297,36 @@ class TestMetricsAndCsv:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectory.csv"]
         assert path.read_text() == "previous run\n"
 
+    def test_csv_rows_spanning_encoder_blocks_match_the_reference_writer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n_clients = 700  # BLOCK_CELLS // 700 = 11 rows per encoder block
+        optima = rng.standard_normal((n_clients, 1)) * 10.0 ** rng.uniform(-5, 5, (n_clients, 1))
+        taus = rng.integers(1, 6, n_clients).tolist()
+        fleet = quadratic_fleet(optima.tolist(), taus=taus)
+        plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, taus, ASYNC)
+        # client 0 starts at its optimum, so its first loss cell is exactly 0
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.3, rounds=30,
+                        theta0=optima[0].copy())
+        for name, config in [("every", cfg), ("thinned", replace(cfg, metric_cadence=4))]:
+            traj = run(config)
+            if name == "every":
+                assert len(traj.metrics) == 31 and traj.metrics[0].client_losses[0] == 0.0
+                # a row a caller replaced is written as replaced
+                traj.metrics[12] = replace(traj.metrics[12], client_losses=tuple(-traj.metrics[12].client_losses))
+            got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}.ref.csv"
+            write_trajectory_csv(traj, got)
+            _reference_trajectory_csv(traj, want)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_client_losses_are_read_only_rows_of_one_matrix(self):
+        fleet = quadratic_fleet([[0.0], [2.0], [-1.0]], taus=[1, 2, 3])
+        traj = run(sync_config(fleet, rounds=5))
+        rows = [m.client_losses for m in traj.metrics]
+        assert all(isinstance(r, np.ndarray) and r.dtype == np.float64 and r.shape == (3,) for r in rows)
+        assert all(not r.flags.writeable and np.shares_memory(r, rows[0].base) for r in rows)
+        with pytest.raises(ValueError):
+            rows[0][0] = 1.0
+
     def test_client_losses_match_per_point_values_on_unequal_shards(self):
         rng = np.random.default_rng(11)
         shards = []

@@ -205,3 +205,67 @@ class TestOracleCsvExport:
             export_oracle_csv(OracleState("sync", 0.5), [0.0, 2.0], 5.0, 10, path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["oracle_trajectory.csv"]
         assert path.read_text() == "previous oracle\n"
+
+    @pytest.mark.parametrize("n_rounds", [20, 200])
+    def test_bytes_match_the_csv_writer_on_the_shipped_oracle_config(self, tmp_path, n_rounds):
+        from pathlib import Path
+
+        from asyncfed.cli import _oracle_state_for
+        from asyncfed.config import build_experiment, load_config
+        from asyncfed.oracle import export_oracle_csv
+
+        shipped = Path(__file__).resolve().parent.parent / "configs" / "async_exponential_oracle.json"
+        experiment = build_experiment(load_config(shipped))
+        state, theta0, _ = _oracle_state_for(experiment)
+        optima = tuple(float(experiment.fleet.objective_for(c).optimum[0]) for c in experiment.fleet.clients)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        export_oracle_csv(state, optima, theta0, n_rounds, got)
+        _reference_oracle_csv(state, optima, theta0, n_rounds, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize(
+        "state, optima",
+        [
+            (OracleState("sync", 0.5), [0.0, 2.0, -1.25]),
+            (OracleState("sync_uniform", 0.3, n_clients=4, m=2), [1e-7, 3.0, -2.0, 0.5]),
+            (OracleState("hybrid", 0.4, n_clients=3, window=0.7), [0.0, 1.0, 2.0]),
+        ],
+    )
+    def test_bytes_match_the_csv_writer_for_other_schemes(self, tmp_path, state, optima):
+        from asyncfed.oracle import export_oracle_csv
+
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        export_oracle_csv(state, optima, 5.0, 60, got)
+        _reference_oracle_csv(state, optima, 5.0, 60, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def _reference_oracle_csv(state, optima, theta0, n_rounds, path, rate=1.0):
+    """The oracle CSV writer as it was before the shared encoder: csv.writer
+    with one f-string per cell and a per-client list per row."""
+    import csv
+
+    from asyncfed.engine import trajectory_header
+
+    optima = np.atleast_1d(np.asarray(optima, dtype=float))
+    theta_star = float(optima.mean())
+    mean_seq = expectation_recursion(state, n_rounds, 1.0, optima).mean(theta0)
+    second = variance_recursion(state, optima, n_rounds, theta0).second_moment
+    if state.scheme == "hybrid":
+        round_time = state.window / rate
+    else:
+        round_time = expected_round_time(state.scheme, len(optima), rate, m=state.m)
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(trajectory_header(len(optima)))
+        for n in range(n_rounds + 1):
+            drift = mean_seq[n] - theta_star
+            client_losses = [
+                0.5 * (second[n] + 2 * (theta_star - opt) * drift + (theta_star - opt) ** 2)
+                for opt in optima
+            ]
+            loss_fed = sum(client_losses) / len(optima)
+            writer.writerow(
+                [n, f"{n * round_time:.17g}", "", f"{loss_fed:.17g}", "", f"{second[n]:.17g}"]
+                + [f"{v:.17g}" for v in client_losses]
+            )
