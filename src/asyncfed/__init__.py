@@ -21,7 +21,7 @@ from .core import (
     uniform_importances,
     weighted_optimum,
 )
-from .engine import RunConfig, Seeds, Trajectory, run, run_ensemble, run_scalar_ensemble
+from .engine import MemberRun, RunConfig, Seeds, Trajectory, run, run_ensemble, run_members, run_scalar_ensemble
 from .objectives import (
     GlmObjective,
     QuadraticObjective,

@@ -33,9 +33,10 @@ from .config import Experiment, build_experiment, load_config
 from .core import ConfigurationError, UnsupportedConfigError, convergence_residual, weighted_optimum
 from .engine import (
     ScalarEnsembleConfig,
+    Seeds,
     atomic_open,
-    final_window_loss,
     run,
+    run_members,
     run_scalar_ensemble,
     write_trajectory_csv,
 )
@@ -394,39 +395,56 @@ SWEEP_HEADER = [
 ]
 
 
+def _axis_value(axis: str, value):
+    """A sweep value as the axis takes it; an integer axis rejects values
+    with a fractional part instead of truncating them."""
+    cast = _AXIS_PATH[axis][2]
+    if cast is int and not float(value).is_integer():
+        raise ConfigurationError(f"sweep axis {axis} takes integers, got {value!r}")
+    return cast(value)
+
+
 def sweep_rows(document: dict, axis: str, values) -> list[dict]:
-    section, key, cast = _AXIS_PATH[axis]
+    """One row per value: the experiment is built once per value and its
+    ``ensemble.n_seeds`` members (seeds ``base_seed + j``) run in one
+    :func:`run_members` call."""
+    section, key, _ = _AXIS_PATH[axis]
     ensemble = document.get("ensemble", {})
     n_seeds = ensemble.get("n_seeds", 1)
     base_seed = ensemble.get("base_seed", 0)
+    member_seeds = [Seeds.override(base_seed + j) for j in range(n_seeds)]
     rows = []
-    for value in values:
+    for value in [_axis_value(axis, v) for v in values]:
         patched = json.loads(json.dumps(document))
-        patched.setdefault(section, {})[key] = cast(value)
-        finals, withins, lengths, diverged = [], [], [], 0
-        for j in range(n_seeds):
-            experiment = build_experiment(patched, seed_override=base_seed + j)
-            traj = run(experiment.run_config)
-            if traj.diverged:
-                diverged += 1
-                continue
-            mean, std = final_window_loss(traj)
-            finals.append(mean)
-            withins.append(std)
-            lengths.append(traj.n_rounds)
+        patched.setdefault(section, {})[key] = value
+        members = run_members(build_experiment(patched).run_config, member_seeds)
+        kept = [m for m in members if not m.diverged]
+        finals = [m.final_loss[0] for m in kept]
+        withins = [m.final_loss[1] for m in kept]
+        lengths = [m.n_rounds for m in kept]
         rows.append(
             {
                 "axis": axis,
-                "value": cast(value),
+                "value": value,
                 "n_seeds": n_seeds,
                 "loss_mean": float(np.mean(finals)) if finals else math.nan,
                 "loss_std": float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0,
                 "within_run_std": float(np.mean(withins)) if withins else math.nan,
                 "mean_rounds": float(np.mean(lengths)) if lengths else 0.0,
-                "diverged": diverged,
+                "diverged": len(members) - len(kept),
             }
         )
     return rows
+
+
+def _sweep_value(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigurationError(f"--values entry {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigurationError(f"--values entry {text!r} is not finite")
+    return value
 
 
 def write_sweep_csv(rows: list[dict], path: Path) -> None:
@@ -455,11 +473,13 @@ def cmd_sweep(args) -> int:
     if axis is None or axis not in _AXIS_PATH:
         raise ConfigurationError("sweep needs an axis: one of eta_l, k_steps, delta_t, m")
     if args.values:
-        values = [float(v) for v in args.values.split(",") if v]
+        values = [_sweep_value(v) for v in args.values.split(",") if v]
     else:
         values = (sweep_cfg or {}).get("values")
     if not values:
         raise ConfigurationError("sweep needs a nonempty values list")
+    if args.seed is not None:
+        document.setdefault("ensemble", {})["base_seed"] = args.seed
 
     rows = sweep_rows(document, axis, values)
     out_dir = Path(args.out)

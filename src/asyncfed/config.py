@@ -16,7 +16,7 @@ import jsonschema
 import numpy as np
 
 from .core import ClientSpec, ConfigurationError, Fleet, uniform_importances
-from .engine import RunConfig, Seeds
+from .engine import MAX_K_STEPS, RunConfig, Seeds
 from .objectives import QuadraticObjective, SyntheticShardConfig, make_synthetic_shards
 from .timing import BIASED_CRITERIA, HardwareModel, PolicyKind, WaitPolicy
 from .weights import WeightScheme, plan_weights
@@ -85,7 +85,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "eta_g": {"type": "number", "minimum": 0},
                 "eta_l": {"type": "number", "minimum": 0},
-                "k_steps": {"type": "integer", "minimum": 1},
+                "k_steps": {"type": "integer", "minimum": 1, "maximum": MAX_K_STEPS},
                 "batch_size": {"type": "integer", "minimum": 1},
                 "full_gradient": {"type": "boolean"},
                 "theta0": {"anyOf": [_NUMBER, _VECTOR]},
@@ -281,7 +281,7 @@ def build_experiment(document: dict, seed_override: int | None = None) -> Experi
         seeds_cfg.get("sampling", 2),
     )
     if seed_override is not None:
-        seeds = Seeds((seed_override, 0), (seed_override, 1), (seed_override, 2))
+        seeds = Seeds.override(seed_override)
 
     theta0 = opt.get("theta0")
     if theta0 is not None:

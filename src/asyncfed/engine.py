@@ -1,9 +1,9 @@
 """Simulation loop: timing, local work, and weighted aggregation of delayed
 contributions, with trajectory recording and ensemble statistics.
 
-One run is one logical thread. Ensemble members share only immutable
-configuration and are merged by seed, so results do not depend on execution
-order.
+One loop advances the rounds. Ensemble members that share one schedule step
+through it together as one (R, dim) model; each member keeps its own seed
+material, so results do not depend on how members are grouped.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,6 @@ from .core import (
     ConfigurationError,
     Contribution,
     Fleet,
-    NumericOverflowError,
     SeedCollisionError,
     SnapshotsUnavailableError,
     StalenessCapError,
@@ -32,6 +31,7 @@ from .timing import HardwareModel, PolicyKind, WaitPolicy, advance_round, init_f
 from .weights import WeightPlan
 
 DIVERGENCE_THRESHOLD = 1e12
+MAX_K_STEPS = 10_000  # local steps per delivery; bounds the (R, K, dim) noise block
 CSV_SCHEMA_VERSION = 1
 
 
@@ -42,6 +42,13 @@ class Seeds:
     hardware: int | tuple = 0
     batching: int | tuple = 1
     sampling: int | tuple = 2
+
+    @classmethod
+    def override(cls, seed: int) -> Seeds:
+        """The seed material one integer (``--seed``) stands for."""
+        if seed < 0:
+            raise ConfigurationError(f"seed must be a nonnegative integer, got {seed}")
+        return cls((seed, 0), (seed, 1), (seed, 2))
 
 
 @dataclass(frozen=True)
@@ -73,8 +80,8 @@ class RunConfig:
             raise ConfigurationError("time budget must be positive")
         if self.eta_g < 0 or self.eta_l < 0:
             raise ConfigurationError("learning rates must be nonnegative")
-        if self.k_steps < 1:
-            raise ConfigurationError("k_steps must be at least 1")
+        if not 1 <= self.k_steps <= MAX_K_STEPS:
+            raise ConfigurationError(f"k_steps must lie in [1, {MAX_K_STEPS}]")
         if len(self.plan.d) != len(self.fleet):
             raise ConfigurationError("weight plan does not match the fleet size")
         if self.metric_cadence < 1:
@@ -145,113 +152,168 @@ def _participant_mask(outcome) -> int:
     return mask
 
 
-def run(config: RunConfig) -> Trajectory:
-    """Execute the aggregation loop until the horizon (or divergence)."""
+def shares_schedule(config: RunConfig) -> bool:
+    """Whether members of ``config`` that differ only in seed material see
+    one schedule: it then draws nothing from the seeds and reads no losses.
+
+    That holds on fixed hardware for the synchronous, asynchronous, FedFix
+    and FedBuff policies and fastest-first sampling. Exponential hardware,
+    uniform and multinomial sampling and the highest-loss criterion give
+    every member a schedule of its own.
+    """
+    if config.hw.mode != "fixed":
+        return False
+    if config.policy.kind is PolicyKind.SAMPLE_BIASED:
+        return config.policy.criterion == "fastest"
+    return not config.policy.is_sampling
+
+
+@dataclass
+class _GroupRun:
+    """What the round loop leaves for one group of members."""
+
+    models: list        # (R, dim) global model per recorded model
+    round_times: list   # server time at the end of each round
+    rounds: list        # RoundOutcome per round
+    divergence: list    # per member: None, or (round, "overflow" | "threshold")
+    timing_s: dict
+    contributions: list | None = None  # per round, when recorded (one member)
+    local_paths: list | None = None    # per round, when recorded and asked for
+
+
+def _run_group(config: RunConfig, member_seeds, *, record: bool = False) -> _GroupRun:
+    """The round loop, for members that share one schedule (one member, or
+    members of a config that :func:`shares_schedule`).
+
+    The schedule advances once per round for all R members, which step as
+    one (R, dim) model, each with its own seeded randomness. A member that
+    overflows in local work or passes ``DIVERGENCE_THRESHOLD`` diverges at
+    that round while the others go on; the loop ends at the horizon or when
+    every member has diverged. ``record`` keeps the first member's
+    contributions (and local paths, when the config asks) of every round.
+    """
     fleet = config.fleet
-    n_clients = len(fleet)
     d = config.plan.d
     taus = list(fleet.compute_times)
     policy = config.policy
     hw = config.hw
+    lead = member_seeds[0]
 
-    hw_rng = np.random.default_rng(_seed_key(config.seeds.hardware)) if hw.mode == "exponential" else None
-    sample_rng = np.random.default_rng(_seed_key(config.seeds.sampling))
-    streams, noise_rngs = _client_randomness(config)
+    hw_rng = np.random.default_rng(_seed_key(lead.hardware)) if hw.mode == "exponential" else None
+    sample_rng = np.random.default_rng(_seed_key(lead.sampling))
+    streams, noise_rngs = _client_randomness(config, member_seeds)
+    by_loss = policy.kind is PolicyKind.SAMPLE_BIASED and policy.criterion == "highest_loss"
 
     state = init_fleet_state(taus, hw, hw_rng, config.initial_clocks, policy=policy)
-    models = [config.resolved_theta0()]
-    times = [0.0]
+    n_members = len(member_seeds)
+    models = [np.tile(config.resolved_theta0(), (n_members, 1))]
+    shape = models[0].shape
+    round_times = []
     rounds = []
-    contributions = []
-    local_paths = [] if config.record_local_paths else None
-    participated = [False] * n_clients
-    diverged = False
-    divergence_round = None
+    contributions = [] if record else None
+    local_paths = [] if record and config.record_local_paths else None
+    live = np.ones(n_members, dtype=bool)
+    n_live = n_members
+    divergence = [None] * n_members
     clock = time.perf_counter
     schedule_s = local_work_s = aggregate_s = 0.0
 
-    while True:
-        n = state.round_index
-        if config.rounds is not None and n >= config.rounds:
-            break
-        started = clock()
-        losses = None
-        if policy.kind is PolicyKind.SAMPLE_BIASED and policy.criterion == "highest_loss":
-            losses = _client_loss_matrix(fleet, models[-1][None])[0]
-        outcome = advance_round(
-            state,
-            policy,
-            taus,
-            hw,
-            hw_rng=hw_rng,
-            sample_rng=sample_rng,
-            client_losses=losses,
-            importances=fleet.importances,
-            time_limit=config.time_budget,
-        )
-        scheduled = clock()
-        schedule_s += scheduled - started
-        if outcome is None:
-            break
+    # diverged members keep stepping on non-finite rows until the group ends
+    with np.errstate(over="ignore", invalid="ignore"):
+        while config.rounds is None or state.round_index < config.rounds:
+            n = state.round_index
+            started = clock()
+            losses = _client_loss_matrix(fleet, models[-1])[0] if by_loss else None
+            outcome = advance_round(
+                state,
+                policy,
+                taus,
+                hw,
+                hw_rng=hw_rng,
+                sample_rng=sample_rng,
+                client_losses=losses,
+                importances=fleet.importances,
+                time_limit=config.time_budget,
+            )
+            scheduled = clock()
+            schedule_s += scheduled - started
+            if outcome is None:
+                break
 
-        try:
             deliveries = _collect_deliveries(config, fleet, models, outcome, streams, noise_rngs)
-        except NumericOverflowError:
-            local_work_s += clock() - scheduled
-            diverged, divergence_round = True, n
+            delivered = clock()
+            local_work_s += delivered - scheduled
+
+            total = np.zeros(shape)
+            overflowed = None
+            for part, update in deliveries:
+                total += (part.multiplicity * d[part.client_id]) * update.delta
+                if update.overflow_step is not None:
+                    hit = update.overflow_step >= 0
+                    overflowed = hit if overflowed is None else overflowed | hit
+            new_theta = models[-1] + config.eta_g * total
             rounds.append(outcome)
-            break
-        delivered = clock()
-        local_work_s += delivered - scheduled
-        for part in outcome.participants:
-            participated[part.client_id] = True
+            now = state.time
+            round_times.append(now)
+            if contributions is not None:
+                contributions.append(
+                    [
+                        Contribution(part.client_id, part.anchor_round, update.delta[0], now)
+                        for part, update in deliveries
+                    ]
+                )
+            if local_paths is not None:
+                local_paths.append([(part, update.path[:, 0]) for part, update in deliveries])
+            # NaN fails the comparison, so one reduction catches it too
+            bounded = np.abs(new_theta) <= DIVERGENCE_THRESHOLD
+            if overflowed is not None or not bounded.all():
+                failed = ~bounded.all(axis=1)
+                if overflowed is not None:
+                    failed |= overflowed
+                for r in np.flatnonzero(failed & live).tolist():
+                    cause = "overflow" if overflowed is not None and overflowed[r] else "threshold"
+                    divergence[r] = (n, cause)
+                live &= ~failed
+                n_live = int(live.sum())
+            aggregate_s += clock() - delivered
+            if not n_live:
+                break
+            models.append(new_theta)
 
-        total = np.zeros(fleet.dim)
-        for part, update in deliveries:
-            total += (part.multiplicity * d[part.client_id]) * update.delta
-        new_theta = models[-1] + config.eta_g * total
-        rounds.append(outcome)
-        now = state.time
-        contributions.append(
-            [
-                Contribution(part.client_id, part.anchor_round, update.delta, now)
-                for part, update in deliveries
-            ]
-        )
-        if local_paths is not None:
-            local_paths.append([(part, update.path) for part, update in deliveries])
-        # NaN fails the comparison, so one reduction catches it too
-        finite = (np.abs(new_theta) <= DIVERGENCE_THRESHOLD).all()
-        aggregate_s += clock() - delivered
-        if not finite:
-            diverged, divergence_round = True, n
-            break
-        models.append(new_theta)
-        times.append(now)
-
-    started = clock()
-    optimum = weighted_optimum(fleet)
-    trajectory = Trajectory(
-        theta=np.asarray(models),
-        times=np.asarray(times),
-        rounds=rounds,
-        metrics=[],
-        optimum=optimum,
-        contributions=contributions,
-        diverged=diverged,
-        divergence_round=divergence_round,
-        never_served=n_clients - sum(participated),
-        local_paths=local_paths,
-        eta_g=config.eta_g,
-        d=d,
+    return _GroupRun(
+        models, round_times, rounds, divergence,
+        {"schedule": schedule_s, "local_work": local_work_s, "aggregate": aggregate_s},
+        contributions, local_paths,
     )
-    trajectory.metrics = _compute_metrics(trajectory, fleet, config.metric_cadence)
-    trajectory.timing_s = {
-        "schedule": schedule_s,
-        "local_work": local_work_s,
-        "aggregate": aggregate_s,
-        "metrics": clock() - started,
-    }
+
+
+def run(config: RunConfig) -> Trajectory:
+    """Execute the aggregation loop until the horizon (or divergence): the
+    one-member case of the round loop."""
+    group = _run_group(config, [config.seeds], record=True)
+    clock = time.perf_counter
+    started = clock()
+    (divergence,) = group.divergence
+    # an overflow in local work ends the run before its round is aggregated
+    served = len(group.rounds) - (divergence is not None and divergence[1] == "overflow")
+    served_ids = {part.client_id for outcome in group.rounds[:served] for part in outcome.participants}
+    n_models = len(group.models)
+    trajectory = Trajectory(
+        theta=np.asarray(group.models)[:, 0],
+        times=np.asarray([0.0] + group.round_times[: n_models - 1]),
+        rounds=group.rounds,
+        metrics=[],
+        optimum=weighted_optimum(config.fleet),
+        contributions=group.contributions[:served],
+        diverged=divergence is not None,
+        divergence_round=None if divergence is None else divergence[0],
+        never_served=len(config.fleet) - len(served_ids),
+        local_paths=None if group.local_paths is None else group.local_paths[:served],
+        eta_g=config.eta_g,
+        d=config.plan.d,
+    )
+    trajectory.metrics = _compute_metrics(trajectory, config.fleet, config.metric_cadence)
+    trajectory.timing_s = {**group.timing_s, "metrics": clock() - started}
     return trajectory
 
 
@@ -259,26 +321,27 @@ def _seed_key(seed):
     return seed if isinstance(seed, (int, np.integer)) else list(seed)
 
 
-def _client_randomness(config: RunConfig):
-    """Per-client batch streams and gradient-noise generators.
+def _client_randomness(config: RunConfig, member_seeds):
+    """Per client, one batch stream or gradient-noise generator per member.
 
-    Each client owns an independent stream keyed by (batching seed, id), so
-    concurrent simulations never share mutable RNG state.
+    Each member's client owns an independent stream keyed by (the member's
+    batching seed, client id), so members never share mutable RNG state.
     """
     streams = {}
     noise_rngs = {}
     if config.full_gradient:
         return streams, noise_rngs
-    base = config.seeds.batching
-    base_key = [base] if isinstance(base, (int, np.integer)) else list(base)
+    keys = [[s.batching] if isinstance(s.batching, (int, np.integer)) else list(s.batching)
+            for s in member_seeds]
     for client in config.fleet.clients:
         obj = config.fleet.objective_for(client)
-        rng = np.random.default_rng(base_key + [client.id])
         if isinstance(obj, GlmObjective):
             batch = config.batch_size or obj.batch_size
-            streams[client.id] = BatchStream(obj.n_samples, batch, rng)
+            streams[client.id] = [
+                BatchStream(obj.n_samples, batch, np.random.default_rng(key + [client.id])) for key in keys
+            ]
         elif getattr(obj, "noise_std", 0.0) > 0.0:
-            noise_rngs[client.id] = rng
+            noise_rngs[client.id] = [np.random.default_rng(key + [client.id]) for key in keys]
     return streams, noise_rngs
 
 
@@ -313,14 +376,25 @@ def _client_loss_matrix(fleet: Fleet, thetas) -> np.ndarray:
     return out.T
 
 
-def _compute_metrics(traj: Trajectory, fleet: Fleet, cadence: int) -> list[MetricsRow]:
-    last = traj.theta.shape[0] - 1
-    kept = [n for n in range(last + 1) if n % cadence == 0 or n == last]
-    losses = _client_loss_matrix(fleet, traj.theta[kept])
-    losses.flags.writeable = False
+def _kept_rows(n_models: int, cadence: int) -> list[int]:
+    """Recorded models that get a metrics row: every ``cadence``-th and the last."""
+    last = n_models - 1
+    return [n for n in range(last + 1) if n % cadence == 0 or n == last]
+
+
+def _federated_losses(fleet: Fleet, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, M) client-loss matrix at ``thetas`` and the federated loss
+    of each row."""
+    losses = _client_loss_matrix(fleet, thetas)
     # cumsum adds in client order, left to right, so loss_fed keeps its bits;
     # np.sum would pair terms and move the last digit
-    loss_fed = np.cumsum(losses * fleet.importances, axis=1)[:, -1]
+    return losses, np.cumsum(losses * fleet.importances, axis=1)[:, -1].copy()
+
+
+def _compute_metrics(traj: Trajectory, fleet: Fleet, cadence: int) -> list[MetricsRow]:
+    kept = _kept_rows(traj.theta.shape[0], cadence)
+    losses, loss_fed = _federated_losses(fleet, traj.theta[kept])
+    losses.flags.writeable = False
     # every participant's loss as a Python float, in one gather; rows with
     # an outcome come first in ``kept``
     outcomes = [traj.rounds[n] for n in kept if n < traj.n_rounds]
@@ -380,7 +454,10 @@ def virtual_sequence(traj: Trajectory, k: int) -> np.ndarray:
 def final_window_loss(traj: Trajectory, fraction: float = 0.05) -> tuple[float, float]:
     """Mean and standard deviation of the federated loss over the trailing
     fraction of recorded rounds."""
-    series = traj.loss_series()
+    return _window_stats(traj.loss_series(), fraction)
+
+
+def _window_stats(series: np.ndarray, fraction: float = 0.05) -> tuple[float, float]:
     window = max(1, math.ceil(fraction * series.shape[0]))
     tail = series[-window:]
     return float(tail.mean()), float(tail.std())
@@ -389,6 +466,47 @@ def final_window_loss(traj: Trajectory, fraction: float = 0.05) -> tuple[float, 
 # ---------------------------------------------------------------------------
 # Ensembles
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MemberRun:
+    """One member's recorded models, up to the round it diverged."""
+
+    seeds: Seeds
+    theta: np.ndarray                         # (n_models, dim)
+    n_rounds: int
+    divergence_round: int | None
+    final_loss: tuple[float, float] | None    # final_window_loss; None when diverged
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence_round is not None
+
+
+def run_members(config: RunConfig, member_seeds) -> list[MemberRun]:
+    """One rerun of ``config`` per entry of ``member_seeds``, in order.
+
+    Members that share a schedule (:func:`shares_schedule`) step through
+    the round loop together as one (R, dim) model; otherwise each member is
+    a group of one. Either way a member's models, round count, divergence
+    round and final-window loss equal those of :func:`run` with its seeds,
+    bit for bit.
+    """
+    member_seeds = list(member_seeds)
+    groups = [member_seeds] if shares_schedule(config) else [[seeds] for seeds in member_seeds]
+    members = []
+    for group in groups:
+        out = _run_group(config, group)
+        thetas = np.stack(out.models, axis=1)  # (R, n_models, dim)
+        for seeds, theta, divergence in zip(group, thetas, out.divergence):
+            if divergence is None:
+                kept = _kept_rows(theta.shape[0], config.metric_cadence)
+                final = _window_stats(_federated_losses(config.fleet, theta[kept])[1])
+                members.append(MemberRun(seeds, theta, len(out.rounds), None, final))
+            else:
+                n = divergence[0]
+                members.append(MemberRun(seeds, theta[: n + 1], n + 1, n, None))
+    return members
+
 
 @dataclass
 class EnsembleResult:
@@ -404,7 +522,8 @@ class EnsembleResult:
 
 
 def run_ensemble(config: RunConfig, seeds) -> EnsembleResult:
-    """Independent reruns of ``config`` with per-member seed material.
+    """Independent reruns of ``config`` with per-member seed material, all
+    through one :func:`run_members` call.
 
     Diverged members are excluded from the statistics and counted. Seeds
     must be pairwise distinct.
@@ -415,37 +534,28 @@ def run_ensemble(config: RunConfig, seeds) -> EnsembleResult:
     if len(set(seeds)) != len(seeds):
         raise SeedCollisionError("ensemble seeds must be pairwise distinct")
 
-    thetas, dists, finals = [], [], []
-    diverged = 0
-    for s in seeds:
-        member = replace(config, seeds=_member_seeds(config.seeds, s))
-        traj = run(member)
-        if traj.diverged:
-            diverged += 1
-            continue
-        gap = traj.theta - traj.optimum
-        thetas.append(traj.theta)
-        dists.append(np.sum(gap * gap, axis=1))
-        finals.append(final_window_loss(traj)[0])
-    if not thetas:
+    members = run_members(config, [_member_seeds(config.seeds, s) for s in seeds])
+    kept = [m for m in members if not m.diverged]
+    if not kept:
         raise RuntimeError("every ensemble member diverged")
 
-    n_models = min(t.shape[0] for t in thetas)
-    stack = np.stack([t[:n_models] for t in thetas])
-    dstack = np.stack([d[:n_models] for d in dists])
+    n_models = min(m.theta.shape[0] for m in kept)
+    stack = np.stack([m.theta[:n_models] for m in kept])
+    gap = stack - weighted_optimum(config.fleet)
+    dstack = np.sum(gap * gap, axis=2)
     n = stack.shape[0]
     var_theta = stack.var(axis=0, ddof=1) if n > 1 else np.zeros_like(stack[0])
     var_dist = dstack.var(axis=0, ddof=1) if n > 1 else np.zeros_like(dstack[0])
     return EnsembleResult(
         member_seeds=tuple(seeds),
         n_completed=n,
-        diverged_count=diverged,
+        diverged_count=len(members) - n,
         mean_theta=stack.mean(axis=0),
         var_theta=var_theta,
         se_theta=np.sqrt(var_theta / n),
         mean_dist_sq=dstack.mean(axis=0),
         se_dist_sq=np.sqrt(var_dist / n),
-        member_final_loss=tuple(finals),
+        member_final_loss=tuple(m.final_loss[0] for m in kept),
     )
 
 

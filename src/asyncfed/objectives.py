@@ -34,6 +34,7 @@ class QuadraticObjective:
             raise ConfigurationError("noise_std must be nonnegative")
         self.c = float(c)
         self.noise_std = float(noise_std)
+        self._step_rows = {}
 
     @classmethod
     def from_optimum(cls, optimum, curvature=0.5, noise_std: float = 0.0):
@@ -69,6 +70,15 @@ class QuadraticObjective:
 
     def gradient(self, theta) -> np.ndarray:
         return 2.0 * self.a * np.asarray(theta, dtype=float) + self.b
+
+    def step_coefficients(self, n_members: int) -> tuple[np.ndarray, np.ndarray]:
+        """2a and b repeated for ``n_members`` models laid end to end, so a
+        gradient step on R flattened members is one equal-shape operation;
+        cached per member count (the coefficients are fixed at construction)."""
+        rows = self._step_rows.get(n_members)
+        if rows is None:
+            rows = self._step_rows[n_members] = (np.tile(2.0 * self.a, n_members), np.tile(self.b, n_members))
+        return rows
 
     def noisy_gradient(self, theta, rng: np.random.Generator) -> np.ndarray:
         return self.gradient(theta) + self.noise_std * rng.standard_normal(self.dim)
@@ -183,7 +193,10 @@ class BatchStream:
 class LocalUpdate:
     endpoint: np.ndarray
     delta: np.ndarray
-    path: np.ndarray | None  # (k_steps + 1, dim) iterates when recorded
+    path: np.ndarray | None  # (k_steps + 1, dim) iterates when recorded, (k_steps + 1, R, dim) for R members
+    # members only: per member the index of the first step whose iterate left
+    # the finite range, -1 for members that stayed finite; None when all did
+    overflow_step: np.ndarray | None = None
 
 
 def local_sgd(
@@ -192,53 +205,82 @@ def local_sgd(
     k_steps: int,
     eta_l: float,
     *,
-    batches: BatchStream | None = None,
-    noise_rng: np.random.Generator | None = None,
+    batches=None,
+    noise_rng=None,
     record_path: bool = False,
 ) -> LocalUpdate:
     """Run ``k_steps`` of (stochastic) gradient descent from ``start``.
 
+    ``start`` is one model, shape (dim,), or R members, shape (R, dim),
+    that step together; members take a sequence of R batch streams or noise
+    generators, one per member, where one model takes a single one.
     Gradients come from ``batches`` when given, from the objective's noise
     model when it has one and ``noise_rng`` is supplied, and from the exact
     full gradient otherwise. A quadratic draws the noise of all its steps as
-    one block, the same stream as one draw per step. Raises
+    one (K, dim) block per member, the same stream as one draw per step, and
+    steps all members as one (R, dim) array; GLM members step one at a time.
+
+    One model that leaves the finite range raises
     :class:`NumericOverflowError` with the index of the first step whose
-    iterate left the finite range.
+    iterate did; members do not raise, and ``overflow_step`` records that
+    index per member.
     """
     if k_steps < 1:
         raise ConfigurationError("k_steps must be at least 1")
     if eta_l < 0:
         raise ConfigurationError("eta_l must be nonnegative")
-    first = np.atleast_1d(np.asarray(start, dtype=float))
-    path = np.empty((k_steps + 1, first.shape[0]))
+    first = np.asarray(start, dtype=float)
+    single = first.ndim < 2
+    if single:
+        first = np.atleast_1d(first)[None]
+        batches = None if batches is None else (batches,)
+        noise_rng = None if noise_rng is None else (noise_rng,)
+    n_members, dim = first.shape
+    path = np.empty((k_steps + 1, n_members, dim))
     path[0] = first
-    theta = path[0]
     with np.errstate(over="ignore", invalid="ignore"):
         if batches is not None:
-            for k in range(1, k_steps + 1):
-                grad = objective.batch_gradient(theta, batches.next())
-                theta = np.subtract(theta, eta_l * grad, out=path[k])
+            for row, stream in enumerate(batches):
+                theta = path[0, row]
+                for k in range(1, k_steps + 1):
+                    grad = objective.batch_gradient(theta, stream.next())
+                    theta = np.subtract(theta, eta_l * grad, out=path[k, row])
         elif isinstance(objective, QuadraticObjective):
             # the operation order of gradient() and noisy_gradient(), so the
-            # iterates keep their bits
-            two_a, b = 2.0 * objective.a, objective.b
+            # iterates keep their bits; the members' coordinates are laid out
+            # as one flat row per step, so every operation is on equal-shape
+            # contiguous vectors
+            two_a, b = objective.step_coefficients(n_members)
             noise = None
             if noise_rng is not None and objective.noise_std > 0.0:
-                noise = objective.noise_std * noise_rng.standard_normal((k_steps, first.shape[0]))
+                draws = [rng.standard_normal((k_steps, dim)) for rng in noise_rng]
+                # row k holds every member's step-k noise; one member needs no copy
+                block = draws[0] if n_members == 1 else np.concatenate(draws, axis=1)
+                noise = objective.noise_std * block
+            flat = path.reshape(k_steps + 1, -1)
+            theta = flat[0]
             for k in range(1, k_steps + 1):
                 grad = two_a * theta + b
                 if noise is not None:
                     grad = grad + noise[k - 1]
-                theta = np.subtract(theta, eta_l * grad, out=path[k])
+                theta = np.subtract(theta, eta_l * grad, out=flat[k])
         else:
-            for k in range(1, k_steps + 1):
-                theta = np.subtract(theta, eta_l * objective.gradient(theta), out=path[k])
+            for row in range(n_members):
+                theta = path[0, row]
+                for k in range(1, k_steps + 1):
+                    theta = np.subtract(theta, eta_l * objective.gradient(theta), out=path[k, row])
     # a non-finite coordinate stays non-finite under theta - eta * grad, so
-    # checking the endpoint alone catches every divergence
-    if not np.isfinite(theta).all():
-        row = int(np.argmin(np.isfinite(path).all(axis=1)))
-        raise NumericOverflowError(row - 1)
-    return LocalUpdate(theta, theta - path[0], path if record_path else None)
+    # checking the endpoints alone catches every divergence
+    endpoint = path[-1]
+    overflow_step = None
+    if not np.isfinite(endpoint).all():
+        finite = np.isfinite(path).all(axis=2)  # (K + 1, R)
+        overflow_step = np.where(finite[-1], -1, np.argmin(finite, axis=0) - 1)
+        if single:
+            raise NumericOverflowError(int(overflow_step[0]))
+    if single:
+        return LocalUpdate(endpoint[0], endpoint[0] - path[0, 0], path[:, 0] if record_path else None)
+    return LocalUpdate(endpoint, endpoint - path[0], path if record_path else None, overflow_step)
 
 
 # ---------------------------------------------------------------------------

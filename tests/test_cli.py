@@ -9,6 +9,7 @@ import pytest
 from asyncfed.cli import main, write_sweep_csv
 from asyncfed.config import load_config, validate_config
 from asyncfed.core import ConfigurationError
+from asyncfed.engine import MAX_K_STEPS
 
 
 def base_config(**overrides):
@@ -89,6 +90,26 @@ class TestValidation:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle-check", "sweep"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, base_config(sweep={"axis": "eta_l", "values": [0.5]}))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "-3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "-3" in err and "Traceback" not in err
+
+    def test_k_steps_above_the_maximum_exits_2(self, tmp_path, capsys):
+        text = json.dumps(base_config())
+        path = tmp_path / "config.json"
+        path.write_text(text.replace('"k_steps": 1', '"k_steps": 1e30'))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "k_steps" in err and "Traceback" not in err
+        document = base_config()
+        document["optimization"]["k_steps"] = MAX_K_STEPS
+        assert validate_config(document) == []
 
     def test_two_horizons_rejected(self, tmp_path):
         path = write_config(tmp_path, base_config(horizon={"rounds": 5, "time": 2.0}))
@@ -217,6 +238,45 @@ class TestSweep:
         path = write_config(tmp_path, base_config())
         code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--axis", "eta_l"])
         assert code == 2
+
+    def test_seed_overrides_the_base_seed(self, tmp_path):
+        noisy = base_config(ensemble={"n_seeds": 3, "base_seed": 0})
+        noisy["optimization"]["full_gradient"] = False
+        noisy["fleet"]["objective"]["noise_std"] = 0.5
+        args = ["--axis", "eta_l", "--values", "0.1,0.3", "--quiet"]
+        outputs = {}
+        for name, document, extra in [
+            ("plain", noisy, []),
+            ("seeded", noisy, ["--seed", "5"]),
+            ("base5", dict(noisy, ensemble={"n_seeds": 3, "base_seed": 5}), []),
+        ]:
+            path = write_config(tmp_path, document, name=f"{name}.json")
+            out = tmp_path / name
+            assert main(["sweep", "--config", str(path), "--out", str(out)] + extra + args) == 0
+            outputs[name] = (out / "sweep.csv").read_bytes()
+        assert outputs["seeded"] == outputs["base5"]
+        assert outputs["seeded"] != outputs["plain"]
+
+    @pytest.mark.parametrize("axis, value", [("k_steps", 1.5), ("m", 2.5)])
+    def test_fractional_values_on_integer_axes_exit_2(self, tmp_path, capsys, axis, value):
+        document = base_config(scheme={"policy": "fedbuff", "m": 1, "weights": "fedavg"},
+                               sweep={"axis": axis, "values": [1, value]})
+        path = write_config(tmp_path, document)
+        for extra in ([], ["--values", f"1,{value}"]):  # from sweep.values, then from --values
+            code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")] + extra)
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("config error:") and str(value) in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("values", ["1e30", "abc", "nan"])
+    def test_bad_values_exit_2(self, tmp_path, capsys, values):
+        path = write_config(tmp_path, base_config())
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--axis", "k_steps", "--values", values])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_failed_write_leaves_no_temporary_and_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -1,0 +1,196 @@
+"""The member axis: R reruns of one config that share a schedule step as one
+(R, dim) model. Every member must equal a separate ``run`` with its seeds,
+bit for bit, and ensembles must equal the per-member loop they replace."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from asyncfed import engine
+from asyncfed.core import ClientSpec, Fleet
+from asyncfed.engine import (
+    EnsembleResult,
+    RunConfig,
+    Seeds,
+    final_window_loss,
+    run,
+    run_ensemble,
+    run_members,
+    shares_schedule,
+)
+from asyncfed.objectives import QuadraticObjective, SyntheticShardConfig, make_synthetic_shards
+from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy
+from asyncfed.weights import WeightScheme, plan_weights
+
+from conftest import quadratic_fleet
+
+SYNC = WaitPolicy(PolicyKind.SYNCHRONOUS)
+ASYNC = WaitPolicy(PolicyKind.ASYNCHRONOUS)
+FEDFIX = WaitPolicy(PolicyKind.FEDFIX, delta_t=0.7)
+FEDBUFF = WaitPolicy(PolicyKind.FEDBUFF, m=2)
+FASTEST = WaitPolicy(PolicyKind.SAMPLE_BIASED, m=2, criterion="fastest")
+UNIFORM = WaitPolicy(PolicyKind.SAMPLE_UNIFORM, m=2)
+HIGHEST_LOSS = WaitPolicy(PolicyKind.SAMPLE_BIASED, m=1, criterion="highest_loss")
+
+OPTIMA_1D = [[-2.0], [1.0], [3.0], [0.5]]
+OPTIMA_3D = [[-2.0, 1.0, 0.5], [1.0, 0.0, 2.0], [3.0, -1.0, 0.0], [0.0, 0.5, 1.0]]
+TAUS = [1.09, 2, 3.5, 1]
+
+
+def _config(fleet, policy, scheme=WeightScheme.IDENTICAL, **kwargs):
+    plan = plan_weights(scheme, fleet.importances, fleet.compute_times, policy)
+    settings = dict(fleet=fleet, policy=policy, plan=plan, eta_l=0.05, k_steps=3,
+                    time_budget=25.0, theta0=np.full(fleet.dim, 2.0))
+    settings.update(kwargs)
+    return RunConfig(**settings)
+
+
+def _noisy(optima, taus=TAUS, noise_std=0.7):
+    return quadratic_fleet(optima, taus=taus, noise_std=noise_std)
+
+
+def _glm_fleet(link="logistic"):
+    shards = make_synthetic_shards(SyntheticShardConfig(4, dim=3, samples_per_client=20, seed=2,
+                                                        link=link, batch_size=4))
+    return Fleet([ClientSpec(i, 0.25, t, i) for i, t in enumerate(TAUS)], shards)
+
+
+def _threshold_config():
+    # stable on average but noisy enough that some members pass the
+    # divergence threshold partway through and others never do
+    fleet = quadratic_fleet([[0.0], [2.0]], noise_std=1e11)
+    plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, [1, 1], SYNC)
+    return RunConfig(fleet=fleet, policy=SYNC, plan=plan, eta_l=1.9, rounds=40, theta0=np.array([5.0]))
+
+
+def _overflow_config():
+    # client 0's gradient noise overflows to inf on about 7% of draws, which
+    # ends that member inside local SGD; its zero weight keeps the finite
+    # members' models untouched by it
+    objectives = [QuadraticObjective.from_optimum([0.0], noise_std=1e308),
+                  QuadraticObjective.from_optimum([2.0], noise_std=0.5)]
+    fleet = Fleet([ClientSpec(0, 0.5, 1, 0), ClientSpec(1, 0.5, 1, 1)], objectives)
+    plan = plan_weights(WeightScheme.CUSTOM, fleet.importances, [1, 1], SYNC, custom_d=[0.0, 1.0])
+    return RunConfig(fleet=fleet, policy=SYNC, plan=plan, eta_l=0.3, rounds=12, theta0=np.array([5.0]))
+
+
+CASES = {
+    "sync_dim1": lambda: _config(_noisy(OPTIMA_1D), SYNC),
+    "async_dim3": lambda: _config(_noisy(OPTIMA_3D), ASYNC, WeightScheme.ASYNC_TIME_BASED),
+    "fedfix_dim1": lambda: _config(_noisy(OPTIMA_1D), FEDFIX, WeightScheme.FEDFIX_TIME_BASED),
+    "fedbuff_dim3": lambda: _config(_noisy(OPTIMA_3D), FEDBUFF, WeightScheme.FEDAVG),
+    "fastest_dim1": lambda: _config(_noisy(OPTIMA_1D), FASTEST),
+    "async_k1_rounds": lambda: _config(_noisy(OPTIMA_1D), ASYNC, k_steps=1, time_budget=None,
+                                       rounds=60, metric_cadence=7),
+    "exponential_async": lambda: _config(_noisy(OPTIMA_3D, taus=[1, 2, 3, 1]), ASYNC,
+                                         hw=HardwareModel("exponential")),
+    "uniform_sampling": lambda: _config(_noisy(OPTIMA_1D), UNIFORM),
+    "highest_loss": lambda: _config(_noisy(OPTIMA_1D), HIGHEST_LOSS),
+    "glm_minibatch": lambda: _config(_glm_fleet(), ASYNC, WeightScheme.ASYNC_TIME_BASED),
+    "glm_full_gradient": lambda: _config(_glm_fleet("linear"), FEDBUFF, full_gradient=True),
+    "threshold": _threshold_config,
+    "overflow": _overflow_config,
+}
+
+SHARED = {"sync_dim1", "async_dim3", "fedfix_dim1", "fedbuff_dim3", "fastest_dim1", "async_k1_rounds",
+          "glm_minibatch", "glm_full_gradient", "threshold", "overflow"}
+
+MEMBER_SEEDS = [Seeds((0, j), (1, j), (2, j)) for j in range(8)]
+
+
+def _separate_runs(config, member_seeds):
+    """The reference: one full run per member."""
+    return [run(replace(config, seeds=seeds)) for seeds in member_seeds]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_members_equal_separate_runs(name):
+    config = CASES[name]()
+    assert shares_schedule(config) == (name in SHARED)
+    members = run_members(config, MEMBER_SEEDS)
+    reference = _separate_runs(config, MEMBER_SEEDS)
+    assert [m.seeds for m in members] == MEMBER_SEEDS
+    for member, traj in zip(members, reference):
+        assert member.theta.shape == traj.theta.shape
+        assert np.array_equal(member.theta, traj.theta)
+        assert member.n_rounds == traj.n_rounds
+        assert member.diverged == traj.diverged
+        assert member.divergence_round == traj.divergence_round
+        if traj.diverged:
+            assert member.final_loss is None
+        else:
+            assert member.final_loss == final_window_loss(traj)
+    if name == "threshold" or name == "overflow":
+        rounds = [m.divergence_round for m in members]
+        assert any(r is None for r in rounds)
+        assert len({r for r in rounds if r is not None}) >= 2, rounds
+
+
+def test_an_overflowing_member_ends_inside_local_work():
+    config = _overflow_config()
+    for seeds in MEMBER_SEEDS:
+        traj = run(replace(config, seeds=seeds))
+        if traj.diverged:
+            # local work raised before the round was aggregated
+            assert len(traj.contributions) == traj.divergence_round == traj.n_rounds - 1
+            return
+    pytest.fail("no member overflowed")
+
+
+def test_a_shared_schedule_advances_once_per_round(monkeypatch):
+    calls = []
+    original = engine.advance_round
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "advance_round", counted)
+    shared = CASES["async_k1_rounds"]()
+    run_members(shared, MEMBER_SEEDS)
+    assert len(calls) == 60
+    calls.clear()
+    own = CASES["uniform_sampling"]()
+    n_rounds = [m.n_rounds for m in run_members(own, MEMBER_SEEDS)]
+    # one call past the time budget per member, which returns None
+    assert len(calls) == sum(n_rounds) + len(MEMBER_SEEDS)
+
+
+def _reference_ensemble(config, seeds) -> EnsembleResult:
+    """``run_ensemble`` as a loop of separate runs, one per member."""
+    thetas, dists, finals = [], [], []
+    diverged = 0
+    for s in seeds:
+        traj = run(replace(config, seeds=engine._member_seeds(config.seeds, s)))
+        if traj.diverged:
+            diverged += 1
+            continue
+        gap = traj.theta - traj.optimum
+        thetas.append(traj.theta)
+        dists.append(np.sum(gap * gap, axis=1))
+        finals.append(final_window_loss(traj)[0])
+    n_models = min(t.shape[0] for t in thetas)
+    stack = np.stack([t[:n_models] for t in thetas])
+    dstack = np.stack([d[:n_models] for d in dists])
+    n = stack.shape[0]
+    var_theta = stack.var(axis=0, ddof=1) if n > 1 else np.zeros_like(stack[0])
+    var_dist = dstack.var(axis=0, ddof=1) if n > 1 else np.zeros_like(dstack[0])
+    return EnsembleResult(tuple(seeds), n, diverged, stack.mean(axis=0), var_theta,
+                          np.sqrt(var_theta / n), dstack.mean(axis=0), np.sqrt(var_dist / n),
+                          tuple(finals))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_ensemble_equals_the_per_member_loop(name):
+    config = CASES[name]()
+    seeds = [3, 1, 4, 15, 9, 2, 6]
+    got = run_ensemble(config, seeds)
+    want = _reference_ensemble(config, seeds)
+    if name in ("threshold", "overflow"):
+        assert 0 < got.diverged_count < len(seeds)
+    assert got.member_seeds == want.member_seeds
+    assert (got.n_completed, got.diverged_count) == (want.n_completed, want.diverged_count)
+    assert got.member_final_loss == want.member_final_loss
+    for field in ("mean_theta", "var_theta", "se_theta", "mean_dist_sq", "se_dist_sq"):
+        assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field

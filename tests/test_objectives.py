@@ -199,6 +199,57 @@ class TestKernelMatchesTheReference:
         assert mine.value.step_index == ref.value.step_index
 
 
+class TestMembersMatchSingleModels:
+    """R members stepped together equal R single-model calls, each with its
+    own stream, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("k_steps", [1, 6])
+    def test_noisy_quadratic(self, dim, k_steps):
+        rng = np.random.default_rng([dim, k_steps, 1])
+        obj = QuadraticObjective(rng.uniform(0.1, 2.0, dim), rng.normal(size=dim), 0.3, 0.8)
+        starts = rng.normal(size=(5, dim))
+        mine = [np.random.default_rng([9, r]) for r in range(5)]
+        ref = [np.random.default_rng([9, r]) for r in range(5)]
+        for _ in range(3):
+            out = local_sgd(starts, obj, k_steps, 0.13, noise_rng=mine, record_path=True)
+            assert out.overflow_step is None and out.path.shape == (k_steps + 1, 5, dim)
+            for r in range(5):
+                one = local_sgd(starts[r], obj, k_steps, 0.13, noise_rng=ref[r], record_path=True)
+                assert np.array_equal(out.endpoint[r], one.endpoint)
+                assert np.array_equal(out.delta[r], one.delta)
+                assert np.array_equal(out.path[:, r], one.path)
+            starts = out.endpoint
+        assert [g.random() for g in mine] == [g.random() for g in ref]
+
+    @pytest.mark.parametrize("link", ["linear", "logistic"])
+    def test_glm_batch_streams_and_full_gradient(self, link):
+        obj = _glm(link)
+        starts = np.array([[0.4, -1.2, 2.0], [0.0, 0.1, -0.3]])
+        mine = [BatchStream(obj.n_samples, obj.batch_size, np.random.default_rng(s)) for s in (3, 4)]
+        ref = [BatchStream(obj.n_samples, obj.batch_size, np.random.default_rng(s)) for s in (3, 4)]
+        out = local_sgd(starts, obj, 7, 0.05, batches=mine)
+        full = local_sgd(starts, obj, 7, 0.05)
+        for r in range(2):
+            assert np.array_equal(out.endpoint[r], local_sgd(starts[r], obj, 7, 0.05, batches=ref[r]).endpoint)
+            assert np.array_equal(full.endpoint[r], local_sgd(starts[r], obj, 7, 0.05).endpoint)
+
+    def test_overflow_is_recorded_per_member(self):
+        obj = QuadraticObjective([1.0, 2.0], [0.5, -1.0])
+        # the second member starts at the optimum, where every gradient is 0
+        starts = np.array([[1.0, 1.0], [-0.25, 0.25], [1e-200, 0.25], [1e100, 1e100]])
+        out = local_sgd(starts, obj, 60, 1e50)
+        steps = []
+        for start in starts:
+            try:
+                local_sgd(start, obj, 60, 1e50)
+                steps.append(-1)
+            except NumericOverflowError as err:
+                steps.append(err.step_index)
+        assert out.overflow_step.tolist() == steps
+        assert steps[1] == -1 and len(set(steps)) >= 3
+
+
 class TestBatchGradient:
     def _logistic(self, n=8, d=3, seed=0):
         rng = np.random.default_rng(seed)
