@@ -202,32 +202,35 @@ def cmd_oracle_check(args) -> int:
     mc = run_scalar_ensemble(
         ScalarEnsembleConfig(
             state.scheme, optima, state.phi, eta_g=eta_g, theta0=theta0,
-            n_rounds=horizon, n_runs=n_runs, seed=seed, m=state.m, window=state.window,
+            checkpoints=tuple(checkpoints), n_runs=n_runs, seed=seed, m=state.m,
+            window=state.window,
         )
     )
+    at = {n: i for i, n in enumerate(mc.rounds.tolist())}
 
     rows = []
     overall = True
     for n in checkpoints:
-        tol_mean = max(3.0 * mc.se_mean[n], 1e-9)
-        mean_ok = abs(mc.mean[n] - oracle_mean[n]) <= tol_mean
+        i = at[n]
+        tol_mean = max(3.0 * mc.se_mean[i], 1e-9)
+        mean_ok = abs(mc.mean[i] - oracle_mean[n]) <= tol_mean
         if mean_exact:
             overall &= mean_ok
         row = {
             "n": n,
             "oracle_mean": oracle_mean[n],
-            "mc_mean": mc.mean[n],
-            "se_mean": mc.se_mean[n],
+            "mc_mean": mc.mean[i],
+            "se_mean": mc.se_mean[i],
             "mean_gate": "checked" if mean_exact else "reference",
             "mean_pass": mean_ok,
         }
         if oracle_m2 is not None:
-            tol_m2 = max(3.0 * mc.se_second_moment[n], 1e-9)
-            m2_ok = abs(mc.second_moment[n] - oracle_m2[n]) <= tol_m2
+            tol_m2 = max(3.0 * mc.se_second_moment[i], 1e-9)
+            m2_ok = abs(mc.second_moment[i] - oracle_m2[n]) <= tol_m2
             row.update(
                 oracle_m2=oracle_m2[n],
-                mc_m2=mc.second_moment[n],
-                se_m2=mc.se_second_moment[n],
+                mc_m2=mc.second_moment[i],
+                se_m2=mc.se_second_moment[i],
                 m2_gate="checked" if second_moment_exact else "reference",
                 m2_pass=m2_ok,
             )
@@ -285,7 +288,8 @@ def cmd_oracle_check(args) -> int:
         with atomic_open(out_dir / "oracle_check.json") as fh:
             fh.write(json.dumps(payload, indent=2) + "\n")
         if oracle_m2 is not None:
-            export_oracle_csv(state, optima, theta0, horizon, out_dir / "oracle_trajectory.csv")
+            # eta_g is 1 here, so these are the sequences the table printed
+            export_oracle_csv(state, optima, oracle_mean, oracle_m2, out_dir / "oracle_trajectory.csv")
     return 0
 
 

@@ -156,10 +156,24 @@ CONFIG_SCHEMA = {
 }
 
 
+def _is_strict_integer(checker, instance) -> bool:
+    return isinstance(instance, int) and not isinstance(instance, bool)
+
+
+# JSON Schema counts 2.0 as an integer; the builders need a Python int, so
+# "integer" here means exactly that (an integral float is a config error)
+_StrictValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", _is_strict_integer
+    ),
+)
+_VALIDATOR = _StrictValidator(CONFIG_SCHEMA)
+
+
 def validate_config(document: dict) -> list[str]:
     """All schema violations, formatted with their JSON paths."""
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
+    errors = sorted(_VALIDATOR.iter_errors(document), key=lambda e: list(e.absolute_path))
     out = []
     for err in errors:
         where = "/".join(str(p) for p in err.absolute_path) or "<root>"

@@ -573,14 +573,15 @@ def _member_seeds(base: Seeds, member: int) -> Seeds:
 @dataclass(frozen=True)
 class ScalarEnsembleConfig:
     """Monte-Carlo settings for the symmetric scalar-quadratic schemes that
-    have closed-form counterparts."""
+    have closed-form counterparts. The members run to the last checkpoint;
+    statistics are taken at round 0 and at each checkpoint only."""
 
     scheme: str                      # sync | sync_uniform | async | hybrid
     optima: tuple[float, ...]
     phi: float
     eta_g: float = 1.0
     theta0: float = 0.0
-    n_rounds: int = 20
+    checkpoints: tuple[int, ...] = (20,)
     n_runs: int = 10_000
     seed: int = 0
     m: int | None = None             # sync_uniform sample size
@@ -593,13 +594,19 @@ class ScalarEnsembleConfig:
             raise ConfigurationError("sync_uniform needs 1 <= m <= M")
         if self.scheme == "hybrid" and (self.window is None or self.window <= 0):
             raise ConfigurationError("hybrid needs a positive window")
-        if self.n_runs < 1 or self.n_rounds < 1:
+        if self.checkpoints and min(self.checkpoints) < 0:
+            raise ConfigurationError("checkpoints must be nonnegative rounds")
+        if self.n_runs < 1 or not self.checkpoints or max(self.checkpoints) < 1:
             raise ConfigurationError("need at least one run and one round")
 
 
 @dataclass(frozen=True)
 class ScalarEnsembleResult:
-    mean: np.ndarray            # E[theta^n] estimate per round
+    """Statistics at ``rounds`` (round 0 and the checkpoints, ascending and
+    distinct); entry i of every array belongs to round ``rounds[i]``."""
+
+    rounds: np.ndarray
+    mean: np.ndarray            # E[theta^n] estimate
     se_mean: np.ndarray
     second_moment: np.ndarray   # E[(theta^n - theta_star)^2] estimate
     se_second_moment: np.ndarray
@@ -612,51 +619,62 @@ def run_scalar_ensemble(cfg: ScalarEnsembleConfig) -> ScalarEnsembleResult:
 
     Equivalent in distribution to driving :func:`run` with the matching
     policy and symmetric exponential hardware; kept separate so oracle
-    comparisons can afford 1e5 members.
+    comparisons can afford 1e5 members. The asynchronous round reads and
+    writes the held anchors through flat indices into one (members, M)
+    buffer, and the window scheme overwrites them in place.
     """
     rng = np.random.default_rng(cfg.seed)
     optima = np.asarray(cfg.optima, dtype=float)
     m_clients = optima.shape[0]
+    n_runs = cfg.n_runs
     theta_star = float(optima.mean())
     step = cfg.eta_g * cfg.phi
+    rounds = np.array(sorted({0, *cfg.checkpoints}))
 
-    theta = np.full(cfg.n_runs, float(cfg.theta0))
-    held = np.full((cfg.n_runs, m_clients), float(cfg.theta0))
-    rows = np.arange(cfg.n_runs)
+    theta = np.full(n_runs, float(cfg.theta0))
+    held = np.full((n_runs, m_clients), float(cfg.theta0))
+    flat = held.reshape(-1)
+    base = np.arange(0, n_runs * m_clients, m_clients)
+    if cfg.scheme == "hybrid":
+        rate = 1.0 - math.exp(-cfg.window)
+        d = 1.0 / (rate * m_clients)
 
-    mean = np.empty(cfg.n_rounds + 1)
-    se_mean = np.empty(cfg.n_rounds + 1)
-    sm = np.empty(cfg.n_rounds + 1)
-    se_sm = np.empty(cfg.n_rounds + 1)
+    mean, se_mean, sm, se_sm = np.empty((4, rounds.shape[0]))
 
-    def record(n):
-        mean[n] = theta.mean()
-        se_mean[n] = theta.std(ddof=1) / math.sqrt(cfg.n_runs) if cfg.n_runs > 1 else 0.0
+    def record(i):
+        mean[i] = theta.mean()
+        se_mean[i] = theta.std(ddof=1) / math.sqrt(n_runs) if n_runs > 1 else 0.0
         gap_sq = (theta - theta_star) ** 2
-        sm[n] = gap_sq.mean()
-        se_sm[n] = gap_sq.std(ddof=1) / math.sqrt(cfg.n_runs) if cfg.n_runs > 1 else 0.0
+        sm[i] = gap_sq.mean()
+        se_sm[i] = gap_sq.std(ddof=1) / math.sqrt(n_runs) if n_runs > 1 else 0.0
 
     record(0)
-    for n in range(cfg.n_rounds):
+    due = 1
+    for n in range(1, int(rounds[-1]) + 1):
         if cfg.scheme == "sync":
             theta = theta + step * (theta_star - theta)
         elif cfg.scheme == "sync_uniform":
-            scores = rng.random((cfg.n_runs, m_clients))
+            scores = rng.random((n_runs, m_clients))
             chosen = np.argpartition(scores, cfg.m - 1, axis=1)[:, : cfg.m]
             theta = theta + step * (optima[chosen].mean(axis=1) - theta)
         elif cfg.scheme == "async":
-            j = rng.integers(0, m_clients, cfg.n_runs)
-            theta = theta + step * (optima[j] - held[rows, j])
-            held[rows, j] = theta
+            j = rng.integers(0, m_clients, n_runs)
+            pull = optima.take(j)
+            j += base
+            pull -= flat.take(j)
+            pull *= step
+            theta += pull
+            flat.put(j, theta)
+            del j, pull  # so record's temporaries do not stack on them
         else:  # hybrid
-            rate = 1.0 - math.exp(-cfg.window)
-            d = 1.0 / (rate * m_clients)
-            mask = rng.random((cfg.n_runs, m_clients)) < rate
+            mask = rng.random((n_runs, m_clients)) < rate
             contrib = (mask * (optima[None, :] - held)).sum(axis=1)
             theta = theta + step * d * contrib
-            held = np.where(mask, theta[:, None], held)
-        record(n + 1)
-    return ScalarEnsembleResult(mean, se_mean, sm, se_sm, cfg.n_runs, theta_star)
+            np.copyto(held, theta[:, None], where=mask)
+        if n == rounds[due]:
+            record(due)
+            due += 1
+    return ScalarEnsembleResult(rounds, mean, se_mean, sm, se_sm, n_runs, theta_star)
 
 
 # ---------------------------------------------------------------------------

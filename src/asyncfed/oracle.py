@@ -223,29 +223,30 @@ def variance_recursion(
             + p * p * self_coeff * weighted_v
             + p * p * cross_coeff * double_sum
         )
-        for past in range(n + 1):
-            u[past, n + 1] = u[past, n] - p * float(np.dot(law, u[past, : n + 1]))
-            u[n + 1, past] = u[past, n + 1]
+        u[: n + 1, n + 1] = u[: n + 1, n] - p * (u[: n + 1, : n + 1] @ law)
+        u[n + 1, : n + 1] = u[: n + 1, n + 1]
         u[n + 1, n + 1] = v[n + 1]
     return VarianceSequence(v, u)
 
 
 def export_oracle_csv(
-    state: OracleState, optima, theta0: float, n_rounds: int, path, rate: float = 1.0
+    state: OracleState, optima, mean, second_moment, path, rate: float = 1.0
 ) -> None:
-    """Write the closed-form sequences in the trajectory CSV schema.
+    """Write closed-form sequences in the trajectory CSV schema: ``mean`` is
+    E[theta^n] and ``second_moment`` E[(theta^n - theta_star)^2] for rounds
+    0..n, as computed by :func:`expectation_recursion` and
+    :func:`variance_recursion` (server learning rate 1).
 
     The participant and surrogate columns are left empty. Wall time uses the
     scheme's expected round duration under common exponential hardware with
     the given rate (the window length itself for the fixed-window scheme).
-    Server learning rate 1 is assumed, matching the variance recursion.
     """
     from .engine import write_trajectory_table
 
     optima = np.atleast_1d(np.asarray(optima, dtype=float))
     theta_star = float(optima.mean())
-    mean_seq = expectation_recursion(state, n_rounds, 1.0, optima).mean(theta0)
-    second = variance_recursion(state, optima, n_rounds, theta0).second_moment
+    mean_seq = np.asarray(mean, dtype=float)
+    second = np.asarray(second_moment, dtype=float)
     if state.scheme == "hybrid":
         round_time = state.window / rate
     else:

@@ -149,13 +149,14 @@ class TestCriterion4UniformSamplingFixedPoint:
 
         mc = run_scalar_ensemble(
             ScalarEnsembleConfig("sync_uniform", (0.0, 2.0), 0.5, theta0=1.0,
-                                 n_rounds=40, n_runs=10_000, seed=11, m=1)
+                                 checkpoints=(40,), n_runs=10_000, seed=11, m=1)
         )
-        gap = abs(mc.second_moment[40] - recursion.second_moment[40])
-        assert gap <= 3 * mc.se_second_moment[40]
+        assert mc.rounds.tolist() == [0, 40]
+        gap = abs(mc.second_moment[-1] - recursion.second_moment[40])
+        assert gap <= 3 * mc.se_second_moment[-1]
         elapsed = time.perf_counter() - started
         assert elapsed < 30.0
-        report(4, f"fixed point 1/3, MC gap {gap:.1e} <= 3se={3 * mc.se_second_moment[40]:.1e}, {elapsed:.2f}s")
+        report(4, f"fixed point 1/3, MC gap {gap:.1e} <= 3se={3 * mc.se_second_moment[-1]:.1e}, {elapsed:.2f}s")
 
 
 class TestCriterion5AsyncExpectation:
@@ -164,11 +165,12 @@ class TestCriterion5AsyncExpectation:
         oracle_mean = expectation_recursion(state, 20, 1.0, [0.0, 2.0]).mean(0.0)
         mc = run_scalar_ensemble(
             ScalarEnsembleConfig("async", (0.0, 2.0), 0.5, theta0=0.0,
-                                 n_rounds=20, n_runs=100_000, seed=0)
+                                 checkpoints=(1, 5, 20), n_runs=100_000, seed=0)
         )
+        assert mc.rounds.tolist() == [0, 1, 5, 20]
         worst_z = 0.0
-        for n in (1, 5, 20):
-            z = abs(mc.mean[n] - oracle_mean[n]) / mc.se_mean[n]
+        for i, n in enumerate((1, 5, 20), start=1):
+            z = abs(mc.mean[i] - oracle_mean[n]) / mc.se_mean[i]
             worst_z = max(worst_z, z)
             assert z <= 3.0
         report(5, f"ensemble mean within {worst_z:.2f} standard errors at n in {{1,5,20}}")

@@ -111,6 +111,27 @@ class TestValidation:
         document["optimization"]["k_steps"] = MAX_K_STEPS
         assert validate_config(document) == []
 
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("simulate", "optimization", "k_steps", 2.0),
+            ("oracle-check", "oracle_check", "n_runs", 1000.0),
+            ("oracle-check", "oracle_check", "seed", 5.0),
+            ("oracle-check", "oracle_check", "checkpoints", [1, 3.0]),
+            ("simulate", "horizon", "rounds", 20.0),
+        ],
+        ids=["k_steps", "n_runs", "oracle_seed", "checkpoints", "rounds"],
+    )
+    def test_integral_floats_in_integer_fields_exit_2(self, tmp_path, capsys, command, section, key, value):
+        document = base_config()
+        document.setdefault(section, {})[key] = value
+        path = write_config(tmp_path, document)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and key in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_two_horizons_rejected(self, tmp_path):
         path = write_config(tmp_path, base_config(horizon={"rounds": 5, "time": 2.0}))
         with pytest.raises(ConfigurationError):
@@ -307,6 +328,34 @@ class TestOracleCheck:
         path = write_config(tmp_path, document)
         assert main(["oracle-check", "--config", str(path)]) == 0
         assert "overall_pass = true" in capsys.readouterr().out
+
+    def test_each_closed_form_is_computed_once(self, tmp_path, monkeypatch, capsys):
+        import asyncfed.cli
+        import asyncfed.oracle
+
+        calls = {"expectation_recursion": 0, "variance_recursion": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            wrapper = counted(getattr(asyncfed.oracle, name))
+            monkeypatch.setattr(asyncfed.oracle, name, wrapper)
+            monkeypatch.setattr(asyncfed.cli, name, wrapper)
+        document = base_config(
+            scheme={"policy": "asynchronous", "weights": "identical"},
+            oracle_check={"checkpoints": [1, 5], "n_runs": 64, "seed": 0},
+        )
+        document["fleet"]["hardware"] = "exponential"
+        document["fleet"]["compute_times"] = [1.0, 1.0]
+        path = write_config(tmp_path, document)
+        out = tmp_path / "oc"
+        assert main(["oracle-check", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "oracle_trajectory.csv").exists()
+        assert calls == {"expectation_recursion": 1, "variance_recursion": 1}
 
     def test_heterogeneous_async_is_unsupported(self, tmp_path, capsys):
         document = base_config(scheme={"policy": "asynchronous", "weights": "identical"})

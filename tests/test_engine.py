@@ -176,16 +176,16 @@ class TestEnsembles:
         general = run_ensemble(cfg, seeds=list(range(400)))
         fast = run_scalar_ensemble(
             ScalarEnsembleConfig("sync_uniform", (0.0, 2.0), 0.5, theta0=1.0,
-                                 n_rounds=10, n_runs=40_000, seed=77, m=1)
+                                 checkpoints=(1, 5, 10), n_runs=40_000, seed=77, m=1)
         )
         from asyncfed.oracle import OracleState, expectation_recursion
 
         recursion = expectation_recursion(
             OracleState("sync_uniform", 0.5, n_clients=2, m=1), 10, 1.0, [0.0, 2.0]
         ).mean(1.0)
-        for n in (1, 5, 10):
-            se = math.hypot(general.se_theta[n, 0], fast.se_mean[n])
-            assert abs(general.mean_theta[n, 0] - fast.mean[n]) <= 4 * se
+        for i, n in enumerate((1, 5, 10), start=1):
+            se = math.hypot(general.se_theta[n, 0], fast.se_mean[i])
+            assert abs(general.mean_theta[n, 0] - fast.mean[i]) <= 4 * se
             assert abs(general.mean_theta[n, 0] - recursion[n]) <= 4 * max(general.se_theta[n, 0], 1e-12)
 
 
@@ -194,8 +194,10 @@ class TestScalarEnsemble:
         fleet = quadratic_fleet([[0.0], [2.0]])
         traj = run(sync_config(fleet, eta_l=0.5, rounds=10, theta0=np.array([5.0])))
         fast = run_scalar_ensemble(
-            ScalarEnsembleConfig("sync", (0.0, 2.0), 0.5, theta0=5.0, n_rounds=10, n_runs=3)
+            ScalarEnsembleConfig("sync", (0.0, 2.0), 0.5, theta0=5.0,
+                                 checkpoints=tuple(range(11)), n_runs=3)
         )
+        assert fast.rounds.tolist() == list(range(11))
         assert np.allclose(fast.mean, traj.theta[:, 0], atol=1e-12)
         assert np.all(fast.se_mean == 0.0)
 
@@ -209,11 +211,82 @@ class TestScalarEnsemble:
         general = run_ensemble(cfg, seeds=list(range(500)))
         fast = run_scalar_ensemble(
             ScalarEnsembleConfig("async", (0.0, 2.0), 0.5, theta0=0.0,
-                                 n_rounds=8, n_runs=100_000, seed=3)
+                                 checkpoints=(1, 4, 8), n_runs=100_000, seed=3)
         )
-        for n in (1, 4, 8):
-            se = math.hypot(general.se_theta[n, 0], fast.se_mean[n])
-            assert abs(general.mean_theta[n, 0] - fast.mean[n]) <= 4 * se
+        for i, n in enumerate((1, 4, 8), start=1):
+            se = math.hypot(general.se_theta[n, 0], fast.se_mean[i])
+            assert abs(general.mean_theta[n, 0] - fast.mean[i]) <= 4 * se
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("n_runs", [256, 257])
+    @pytest.mark.parametrize("m_clients", [1, 2, 10])
+    @pytest.mark.parametrize("scheme", ["sync", "sync_uniform", "async", "hybrid"])
+    def test_checkpoint_statistics_are_bit_identical_to_the_per_round_kernel(
+        self, scheme, m_clients, n_runs, seed
+    ):
+        optima = tuple(np.random.default_rng(m_clients).normal(0.0, 3.0, m_clients).tolist())
+        cfg = ScalarEnsembleConfig(
+            scheme, optima, 0.5, eta_g=0.9, theta0=1.5, checkpoints=(12, 0, 5, 5),
+            n_runs=n_runs, seed=seed, m=min(3, m_clients), window=0.7,
+        )
+        fast = run_scalar_ensemble(cfg)
+        assert fast.rounds.tolist() == [0, 5, 12]
+        want = _reference_scalar_ensemble(cfg, 12)
+        for got, ref in zip(
+            (fast.mean, fast.se_mean, fast.second_moment, fast.se_second_moment), want
+        ):
+            assert got.tobytes() == ref[fast.rounds].tobytes()
+
+    def test_checkpoints_must_include_a_round(self):
+        with pytest.raises(ConfigurationError):
+            ScalarEnsembleConfig("sync", (0.0, 2.0), 0.5, checkpoints=(0,))
+        with pytest.raises(ConfigurationError):
+            ScalarEnsembleConfig("sync", (0.0, 2.0), 0.5, checkpoints=(-1, 3))
+
+
+def _reference_scalar_ensemble(cfg, n_rounds):
+    """The ensemble kernel as it was before checkpoint-only statistics: fancy
+    gather and scatter of the held anchors, a fresh ``np.where`` copy per
+    window round, and all four statistics at every round 0..n_rounds."""
+    rng = np.random.default_rng(cfg.seed)
+    optima = np.asarray(cfg.optima, dtype=float)
+    m_clients = optima.shape[0]
+    theta_star = float(optima.mean())
+    step = cfg.eta_g * cfg.phi
+
+    theta = np.full(cfg.n_runs, float(cfg.theta0))
+    held = np.full((cfg.n_runs, m_clients), float(cfg.theta0))
+    rows = np.arange(cfg.n_runs)
+    mean, se_mean, sm, se_sm = (np.empty(n_rounds + 1) for _ in range(4))
+
+    def record(n):
+        mean[n] = theta.mean()
+        se_mean[n] = theta.std(ddof=1) / math.sqrt(cfg.n_runs) if cfg.n_runs > 1 else 0.0
+        gap_sq = (theta - theta_star) ** 2
+        sm[n] = gap_sq.mean()
+        se_sm[n] = gap_sq.std(ddof=1) / math.sqrt(cfg.n_runs) if cfg.n_runs > 1 else 0.0
+
+    record(0)
+    for n in range(n_rounds):
+        if cfg.scheme == "sync":
+            theta = theta + step * (theta_star - theta)
+        elif cfg.scheme == "sync_uniform":
+            scores = rng.random((cfg.n_runs, m_clients))
+            chosen = np.argpartition(scores, cfg.m - 1, axis=1)[:, : cfg.m]
+            theta = theta + step * (optima[chosen].mean(axis=1) - theta)
+        elif cfg.scheme == "async":
+            j = rng.integers(0, m_clients, cfg.n_runs)
+            theta = theta + step * (optima[j] - held[rows, j])
+            held[rows, j] = theta
+        else:  # hybrid
+            rate = 1.0 - math.exp(-cfg.window)
+            d = 1.0 / (rate * m_clients)
+            mask = rng.random((cfg.n_runs, m_clients)) < rate
+            contrib = (mask * (optima[None, :] - held)).sum(axis=1)
+            theta = theta + step * d * contrib
+            held = np.where(mask, theta[:, None], held)
+        record(n + 1)
+    return mean, se_mean, sm, se_sm
 
 
 class TestGuards:

@@ -85,11 +85,12 @@ class TestExpectationRecursion:
         seq = expectation_recursion(state, 12, 1.0, [0.0, 2.0])
         mc = run_scalar_ensemble(
             ScalarEnsembleConfig("async", (0.0, 2.0), 0.5, theta0=0.0,
-                                 n_rounds=12, n_runs=40_000, seed=5)
+                                 checkpoints=(1, 5, 12), n_runs=40_000, seed=5)
         )
         oracle_mean = seq.mean(0.0)
-        for n in (1, 5, 12):
-            assert abs(mc.mean[n] - oracle_mean[n]) <= 3 * mc.se_mean[n]
+        assert mc.rounds.tolist() == [0, 1, 5, 12]
+        for i, n in enumerate((1, 5, 12), start=1):
+            assert abs(mc.mean[i] - oracle_mean[n]) <= 3 * mc.se_mean[i]
 
 
 class TestVarianceRecursion:
@@ -122,16 +123,36 @@ class TestVarianceRecursion:
         out = variance_recursion(state, [0.0, 2.0], 30, theta0=1.0)
         mc = run_scalar_ensemble(
             ScalarEnsembleConfig("sync_uniform", (0.0, 2.0), 0.5, theta0=1.0,
-                                 n_rounds=30, n_runs=20_000, seed=9, m=1)
+                                 checkpoints=(1, 10, 30), n_runs=20_000, seed=9, m=1)
         )
-        for n in (1, 10, 30):
-            assert abs(mc.second_moment[n] - out.second_moment[n]) <= 3 * mc.se_second_moment[n]
+        assert mc.rounds.tolist() == [0, 1, 10, 30]
+        for i, n in enumerate((1, 10, 30), start=1):
+            assert abs(mc.second_moment[i] - out.second_moment[n]) <= 3 * mc.se_second_moment[i]
 
     def test_cross_round_table_is_symmetric_with_the_moments_on_the_diagonal(self):
         state = OracleState("async", 0.5, n_clients=2)
         out = variance_recursion(state, [0.0, 2.0], 25, theta0=0.0)
         assert np.array_equal(out.u_table, out.u_table.T)
         assert np.array_equal(np.diag(out.u_table), out.second_moment)
+
+    @pytest.mark.parametrize(
+        "state, optima, theta0",
+        [
+            (OracleState("async", 0.5, n_clients=2), [0.0, 2.0], 0.0),
+            (OracleState("async", 0.5, n_clients=10), [-4.1, 3.3, 0.2, 5.0, -1.0, 2.2, -2.9, 0.7, 1.1, -0.4], 6.5),
+            (OracleState("hybrid", 0.4, n_clients=3, window=0.7), [0.0, 1.0, 5.0], 0.0),
+            (OracleState("hybrid", 0.9, n_clients=5, window=2.5), [1.0, -2.0, 0.5, 3.0, 4.0], -3.0),
+        ],
+        ids=["async-2", "async-10", "hybrid-3", "hybrid-5"],
+    )
+    def test_cross_round_table_matches_the_per_row_update(self, state, optima, theta0):
+        got = variance_recursion(state, optima, 200, theta0)
+        want_v, want_u = _reference_variance_recursion(state, optima, 200, theta0)
+        assert np.allclose(got.second_moment, want_v, rtol=1e-13, atol=0.0)
+        # entries that cancel to ~1e-30 carry no relative digits; scale by the table
+        assert np.allclose(got.u_table, want_u, rtol=0.0, atol=1e-13 * np.abs(want_u).max())
+        assert np.array_equal(got.u_table, got.u_table.T)
+        assert np.array_equal(np.diag(got.u_table), got.second_moment)
 
     def test_async_first_round_matches_exact_enumeration(self):
         # anchors are all the initial model at round 0, so the first round is
@@ -178,7 +199,7 @@ class TestOracleCsvExport:
 
         state = OracleState("sync", 0.5)
         path = tmp_path / "oracle_trajectory.csv"
-        export_oracle_csv(state, [0.0, 2.0], 5.0, 10, path)
+        export_oracle_csv(state, [0.0, 2.0], *_sequences(state, [0.0, 2.0], 5.0, 10), path)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(trajectory_header(2))
         assert len(lines) == 12
@@ -201,8 +222,9 @@ class TestOracleCsvExport:
         path = tmp_path / "oracle_trajectory.csv"
         path.write_text("previous oracle\n")
         monkeypatch.setattr(asyncfed.engine, "trajectory_header", broken_header)
+        state = OracleState("sync", 0.5)
         with pytest.raises(RuntimeError):
-            export_oracle_csv(OracleState("sync", 0.5), [0.0, 2.0], 5.0, 10, path)
+            export_oracle_csv(state, [0.0, 2.0], *_sequences(state, [0.0, 2.0], 5.0, 10), path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["oracle_trajectory.csv"]
         assert path.read_text() == "previous oracle\n"
 
@@ -219,7 +241,7 @@ class TestOracleCsvExport:
         state, theta0, _ = _oracle_state_for(experiment)
         optima = tuple(float(experiment.fleet.objective_for(c).optimum[0]) for c in experiment.fleet.clients)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        export_oracle_csv(state, optima, theta0, n_rounds, got)
+        export_oracle_csv(state, optima, *_sequences(state, optima, theta0, n_rounds), got)
         _reference_oracle_csv(state, optima, theta0, n_rounds, want)
         assert got.read_bytes() == want.read_bytes()
 
@@ -235,9 +257,51 @@ class TestOracleCsvExport:
         from asyncfed.oracle import export_oracle_csv
 
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        export_oracle_csv(state, optima, 5.0, 60, got)
+        export_oracle_csv(state, optima, *_sequences(state, optima, 5.0, 60), got)
         _reference_oracle_csv(state, optima, 5.0, 60, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+def _reference_variance_recursion(state, optima, n_rounds, theta0):
+    """The async/window second-moment recursion as it was before the
+    vectorized U-table: one ``np.dot`` per past round per round."""
+    optima = np.asarray(optima, dtype=float)
+    m_clients = optima.shape[0]
+    theta_star = float(optima.mean())
+    spread = float(np.sum((optima - theta_star) ** 2))
+    p = state.phi
+    if state.scheme == "async":
+        cross_coeff, self_coeff = 0.0, 1.0
+        drive = (p * p / m_clients) * spread
+    else:
+        stay = math.exp(-state.window)
+        drive = stay / ((1.0 - stay) * m_clients ** 2) * p * p * spread
+        self_coeff = 1.0 / (m_clients * (1.0 - stay))
+        cross_coeff = (m_clients - 1) / m_clients
+    v = np.empty(n_rounds + 1)
+    v[0] = (theta0 - theta_star) ** 2
+    u = np.zeros((n_rounds + 1, n_rounds + 1))
+    u[0, 0] = v[0]
+    for n in range(n_rounds):
+        law = staleness_law(state, n)
+        weighted_u = float(np.dot(law, u[n, : n + 1]))
+        weighted_v = float(np.dot(law, v[: n + 1]))
+        double_sum = float(law @ u[: n + 1, : n + 1] @ law) if cross_coeff else 0.0
+        v[n + 1] = (
+            v[n] - 2.0 * p * weighted_u + drive
+            + p * p * self_coeff * weighted_v + p * p * cross_coeff * double_sum
+        )
+        for past in range(n + 1):
+            u[past, n + 1] = u[past, n] - p * float(np.dot(law, u[past, : n + 1]))
+            u[n + 1, past] = u[past, n + 1]
+        u[n + 1, n + 1] = v[n + 1]
+    return v, u
+
+
+def _sequences(state, optima, theta0, n_rounds):
+    """The closed-form mean and second moment that oracle-check exports."""
+    mean = expectation_recursion(state, n_rounds, 1.0, optima).mean(theta0)
+    return mean, variance_recursion(state, optima, n_rounds, theta0).second_moment
 
 
 def _reference_oracle_csv(state, optima, theta0, n_rounds, path, rate=1.0):
