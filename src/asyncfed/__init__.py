@@ -6,18 +6,14 @@ __version__ = "0.1.0"
 from .core import (
     ClientSpec,
     ConfigurationError,
-    Contribution,
     Fleet,
-    InvalidWeightsError,
     NumericOverflowError,
     SeedCollisionError,
-    SnapshotsUnavailableError,
     StalenessCapError,
     UnsupportedConfigError,
     convergence_residual,
     distribution_weights,
     federated_loss,
-    surrogate_loss,
     uniform_importances,
     weighted_optimum,
 )
@@ -31,5 +27,5 @@ from .objectives import (
     make_synthetic_shards,
 )
 from .oracle import OracleState, expectation_recursion, expected_round_time, phi, staleness_law, variance_recursion
-from .timing import FleetState, HardwareModel, PolicyKind, WaitPolicy, advance_round, sampler_covariance, staleness_bound
+from .timing import FleetState, HardwareModel, PolicyKind, WaitPolicy, advance_round, staleness_bound
 from .weights import WeightPlan, WeightScheme, chi_square_bias, plan_weights, verify_window_assumption, window_size

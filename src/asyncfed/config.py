@@ -121,7 +121,6 @@ CONFIG_SCHEMA = {
             },
         },
         "tau_max": {"type": "integer", "minimum": 0},
-        "record_local_paths": {"type": "boolean"},
         "oracle_check": {
             "type": "object",
             "additionalProperties": False,
@@ -263,9 +262,22 @@ def build_fleet(document: dict) -> tuple[Fleet, HardwareModel]:
     return Fleet(clients, objectives), hw
 
 
+# the policies that read each optional policy key of ``scheme``
+_POLICY_KEYS = {
+    "delta_t": {PolicyKind.FEDFIX},
+    "m": {PolicyKind.FEDBUFF, PolicyKind.SAMPLE_UNIFORM, PolicyKind.SAMPLE_MD, PolicyKind.SAMPLE_BIASED},
+    "criterion": {PolicyKind.SAMPLE_BIASED},
+}
+
+
 def build_policy(document: dict) -> WaitPolicy:
+    """The configured waiting policy; a policy key the policy does not read
+    is a config error rather than being silently ignored."""
     scfg = document["scheme"]
     kind = PolicyKind(scfg["policy"])
+    for key, readers in _POLICY_KEYS.items():
+        if key in scfg and kind not in readers:
+            raise ConfigurationError(f"scheme/{key} is not read by the {kind.value} policy")
     return WaitPolicy(
         kind,
         delta_t=scfg.get("delta_t"),
@@ -278,8 +290,11 @@ def build_experiment(document: dict, seed_override: int | None = None) -> Experi
     fleet, hw = build_fleet(document)
     policy = build_policy(document)
     scfg = document["scheme"]
+    scheme = WeightScheme(scfg["weights"])
+    if "custom_d" in scfg and scheme is not WeightScheme.CUSTOM:
+        raise ConfigurationError(f"scheme/custom_d is not read by {scheme.value} weights")
     plan = plan_weights(
-        WeightScheme(scfg["weights"]),
+        scheme,
         fleet.importances,
         fleet.compute_times,
         policy,
@@ -319,7 +334,6 @@ def build_experiment(document: dict, seed_override: int | None = None) -> Experi
         seeds=seeds,
         metric_cadence=document.get("outputs", {}).get("cadence", 1),
         tau_max=document.get("tau_max"),
-        record_local_paths=document.get("record_local_paths", False),
         initial_clocks=tuple(document["fleet"]["initial_clocks"]) if document["fleet"].get("initial_clocks") else None,
     )
     return Experiment(document, fleet, policy, hw, run_config)

@@ -1,5 +1,5 @@
-"""Shared domain vocabulary: clients, models, importance weights, and the
-federated / surrogate objectives built from them.
+"""Shared domain vocabulary: clients, importance weights, and the federated
+objective, gradient residual and weighted optima built from them.
 
 Everything here is a pure function over immutable inputs and safe to call
 concurrently.
@@ -25,11 +25,6 @@ class ConfigurationError(ValueError):
     """A fleet, policy, or run setup is internally inconsistent."""
 
 
-class InvalidWeightsError(ValueError):
-    """An aggregation-weight vector has entries its use forbids, such as
-    negative surrogate weights."""
-
-
 class UnsupportedConfigError(ConfigurationError):
     """A combination of policy, hardware, and scheme is not supported."""
 
@@ -48,10 +43,6 @@ class NumericOverflowError(RuntimeError):
 
 class SeedCollisionError(ValueError):
     """Two ensemble members were given the same seed."""
-
-
-class SnapshotsUnavailableError(RuntimeError):
-    """Per-step local snapshots were not recorded for this trajectory."""
 
 
 class StalenessCapError(RuntimeError):
@@ -140,17 +131,6 @@ def uniform_importances(n_clients: int) -> list[float]:
     return [1.0 / n_clients] * n_clients
 
 
-@dataclass(frozen=True)
-class Contribution:
-    """A delivered client update: the difference between the client's local
-    endpoint and the global model it trained from."""
-
-    client_id: int
-    anchor_round: int
-    delta: np.ndarray
-    delivery_time: float
-
-
 def _as_params(model) -> np.ndarray:
     return np.atleast_1d(np.asarray(model, dtype=float))
 
@@ -177,23 +157,6 @@ def federated_loss(model, fleet: Fleet) -> float:
         )
     return math.fsum(
         c.importance * fleet.objective_for(c).value(params) for c in fleet.clients
-    )
-
-
-def surrogate_loss(model, weights, fleet: Fleet) -> float:
-    """Loss of the round-level problem sum(q_i(n) * L_i(theta)).
-
-    ``weights`` are the expected aggregation weights of the round; they need
-    not be normalized. Negative entries are rejected.
-    """
-    params = _as_params(model)
-    q = _as_weights(weights, len(fleet))
-    if np.any(q < 0):
-        raise InvalidWeightsError("surrogate weights must be nonnegative")
-    return math.fsum(
-        qi * fleet.objective_for(c).value(params)
-        for qi, c in zip(q, fleet.clients)
-        if qi != 0.0
     )
 
 

@@ -18,10 +18,8 @@ import numpy as np
 
 from .core import (
     ConfigurationError,
-    Contribution,
     Fleet,
     SeedCollisionError,
-    SnapshotsUnavailableError,
     StalenessCapError,
     weighted_optimum,
 )
@@ -68,7 +66,6 @@ class RunConfig:
     seeds: Seeds = Seeds()
     metric_cadence: int = 1
     tau_max: int | None = None
-    record_local_paths: bool = False
     initial_clocks: tuple | None = None
 
     def __post_init__(self):
@@ -118,12 +115,9 @@ class Trajectory:
     rounds: list                    # RoundOutcome per completed round
     metrics: list[MetricsRow]
     optimum: np.ndarray
-    contributions: list[list[Contribution]] | None = None  # per round
     diverged: bool = False
     divergence_round: int | None = None
     never_served: int = 0
-    local_paths: list | None = None  # per round: list of (participant, (K+1, dim) path)
-    eta_g: float = 1.0
     d: np.ndarray | None = None
     timing_s: dict | None = None     # seconds per engine stage
 
@@ -177,11 +171,9 @@ class _GroupRun:
     rounds: list        # RoundOutcome per round
     divergence: list    # per member: None, or (round, "overflow" | "threshold")
     timing_s: dict
-    contributions: list | None = None  # per round, when recorded (one member)
-    local_paths: list | None = None    # per round, when recorded and asked for
 
 
-def _run_group(config: RunConfig, member_seeds, *, record: bool = False) -> _GroupRun:
+def _run_group(config: RunConfig, member_seeds) -> _GroupRun:
     """The round loop, for members that share one schedule (one member, or
     members of a config that :func:`shares_schedule`).
 
@@ -189,8 +181,7 @@ def _run_group(config: RunConfig, member_seeds, *, record: bool = False) -> _Gro
     one (R, dim) model, each with its own seeded randomness. A member that
     overflows in local work or passes ``DIVERGENCE_THRESHOLD`` diverges at
     that round while the others go on; the loop ends at the horizon or when
-    every member has diverged. ``record`` keeps the first member's
-    contributions (and local paths, when the config asks) of every round.
+    every member has diverged.
     """
     fleet = config.fleet
     d = config.plan.d
@@ -210,8 +201,6 @@ def _run_group(config: RunConfig, member_seeds, *, record: bool = False) -> _Gro
     shape = models[0].shape
     round_times = []
     rounds = []
-    contributions = [] if record else None
-    local_paths = [] if record and config.record_local_paths else None
     live = np.ones(n_members, dtype=bool)
     n_live = n_members
     divergence = [None] * n_members
@@ -253,17 +242,7 @@ def _run_group(config: RunConfig, member_seeds, *, record: bool = False) -> _Gro
                     overflowed = hit if overflowed is None else overflowed | hit
             new_theta = models[-1] + config.eta_g * total
             rounds.append(outcome)
-            now = state.time
-            round_times.append(now)
-            if contributions is not None:
-                contributions.append(
-                    [
-                        Contribution(part.client_id, part.anchor_round, update.delta[0], now)
-                        for part, update in deliveries
-                    ]
-                )
-            if local_paths is not None:
-                local_paths.append([(part, update.path[:, 0]) for part, update in deliveries])
+            round_times.append(state.time)
             # NaN fails the comparison, so one reduction catches it too
             bounded = np.abs(new_theta) <= DIVERGENCE_THRESHOLD
             if overflowed is not None or not bounded.all():
@@ -283,14 +262,13 @@ def _run_group(config: RunConfig, member_seeds, *, record: bool = False) -> _Gro
     return _GroupRun(
         models, round_times, rounds, divergence,
         {"schedule": schedule_s, "local_work": local_work_s, "aggregate": aggregate_s},
-        contributions, local_paths,
     )
 
 
 def run(config: RunConfig) -> Trajectory:
     """Execute the aggregation loop until the horizon (or divergence): the
     one-member case of the round loop."""
-    group = _run_group(config, [config.seeds], record=True)
+    group = _run_group(config, [config.seeds])
     clock = time.perf_counter
     started = clock()
     (divergence,) = group.divergence
@@ -304,12 +282,9 @@ def run(config: RunConfig) -> Trajectory:
         rounds=group.rounds,
         metrics=[],
         optimum=weighted_optimum(config.fleet),
-        contributions=group.contributions[:served],
         diverged=divergence is not None,
         divergence_round=None if divergence is None else divergence[0],
         never_served=len(config.fleet) - len(served_ids),
-        local_paths=None if group.local_paths is None else group.local_paths[:served],
-        eta_g=config.eta_g,
         d=config.plan.d,
     )
     trajectory.metrics = _compute_metrics(trajectory, config.fleet, config.metric_cadence)
@@ -361,7 +336,6 @@ def _collect_deliveries(config, fleet, models, outcome, streams, noise_rngs):
             config.eta_l,
             batches=streams.get(part.client_id),
             noise_rng=noise_rngs.get(part.client_id),
-            record_path=config.record_local_paths,
         )
         deliveries.append((part, update))
     return deliveries
@@ -428,27 +402,6 @@ def _compute_metrics(traj: Trajectory, fleet: Fleet, cadence: int) -> list[Metri
             )
         )
     return rows
-
-
-def virtual_sequence(traj: Trajectory, k: int) -> np.ndarray:
-    """Models interpolated at local step k: the round-n model plus the
-    weighted partial local work of that round's participants.
-
-    Step 0 reproduces the round-n model and step K the round-(n+1) model,
-    bit for bit.
-    """
-    if traj.local_paths is None:
-        raise SnapshotsUnavailableError("run with record_local_paths=True")
-    out = []
-    for n, deliveries in enumerate(traj.local_paths):
-        if deliveries and not 0 <= k < len(deliveries[0][1]):
-            raise ConfigurationError(f"local step {k} outside 0..K")
-        total = np.zeros(traj.theta.shape[1])
-        for part, path in deliveries:
-            anchor = traj.theta[part.anchor_round]
-            total += (part.multiplicity * traj.d[part.client_id]) * (path[k] - anchor)
-        out.append(traj.theta[n] + traj.eta_g * total)
-    return np.asarray(out)
 
 
 def final_window_loss(traj: Trajectory, fraction: float = 0.05) -> tuple[float, float]:

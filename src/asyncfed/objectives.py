@@ -193,7 +193,7 @@ class BatchStream:
 class LocalUpdate:
     endpoint: np.ndarray
     delta: np.ndarray
-    path: np.ndarray | None  # (k_steps + 1, dim) iterates when recorded, (k_steps + 1, R, dim) for R members
+    path: np.ndarray  # (k_steps + 1, dim) iterates, (k_steps + 1, R, dim) for R members
     # members only: per member the index of the first step whose iterate left
     # the finite range, -1 for members that stayed finite; None when all did
     overflow_step: np.ndarray | None = None
@@ -207,7 +207,6 @@ def local_sgd(
     *,
     batches=None,
     noise_rng=None,
-    record_path: bool = False,
 ) -> LocalUpdate:
     """Run ``k_steps`` of (stochastic) gradient descent from ``start``.
 
@@ -279,8 +278,8 @@ def local_sgd(
         if single:
             raise NumericOverflowError(int(overflow_step[0]))
     if single:
-        return LocalUpdate(endpoint[0], endpoint[0] - path[0, 0], path[:, 0] if record_path else None)
-    return LocalUpdate(endpoint, endpoint - path[0], path if record_path else None, overflow_step)
+        return LocalUpdate(endpoint[0], endpoint[0] - path[0, 0], path[:, 0])
+    return LocalUpdate(endpoint, endpoint - path[0], path, overflow_step)
 
 
 # ---------------------------------------------------------------------------

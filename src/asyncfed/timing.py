@@ -89,13 +89,6 @@ class HardwareModel:
         if self.mode not in ("fixed", "exponential"):
             raise ConfigurationError(f"unknown hardware mode {self.mode!r}")
 
-    def draw(self, tau, rng: np.random.Generator | None):
-        if self.mode == "fixed":
-            return _exact(tau)
-        if rng is None:
-            raise ConfigurationError("exponential hardware needs an RNG")
-        return float(rng.exponential(scale=float(tau)))
-
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -366,22 +359,6 @@ def _advance_sampling_round(
     return RoundOutcome(n, state.duration(dt), participants)
 
 
-def simulate_schedule(
-    taus,
-    policy: WaitPolicy,
-    n_rounds: int,
-    *,
-    initial_clocks=None,
-) -> list[RoundOutcome]:
-    """Deterministic participation schedule under fixed hardware."""
-    hw = HardwareModel("fixed")
-    state = init_fleet_state(taus, hw, initial_clocks=initial_clocks, policy=policy)
-    outcomes = []
-    for _ in range(n_rounds):
-        outcomes.append(advance_round(state, policy, list(taus), hw))
-    return outcomes
-
-
 SCHEDULE_ROUND_CAP = 200_000
 
 
@@ -487,83 +464,3 @@ def replay_steady_period(policy: WaitPolicy, taus) -> tuple[int, list[RoundOutco
         f"the {policy.kind.value} schedule does not settle into a steady period "
         f"within {SCHEDULE_ROUND_CAP} rounds"
     )
-
-
-@dataclass(frozen=True)
-class CovarianceStats:
-    """Second-moment parameters of the stochastic aggregation weights:
-    E[w_i w_j] = alpha * q_i * q_j for i != j, and beta bounds the
-    per-client excess d_i - alpha * q_i."""
-
-    alpha: float
-    beta: float
-    biased: bool = False
-
-
-def sampler_covariance(
-    policy: WaitPolicy,
-    n_clients: int,
-    *,
-    d=None,
-    p=None,
-) -> CovarianceStats:
-    """Covariance parameters (alpha, beta) for a participation scheme.
-
-    Deterministic-criterion sampling is flagged ``biased``: participation is
-    a 0/1 product event, which gives alpha = 1 and beta = 0 but no weighting
-    scheme can make the round unbiased.
-    """
-    kind = policy.kind
-    if kind is PolicyKind.SYNCHRONOUS or kind is PolicyKind.FEDFIX:
-        return CovarianceStats(1.0, 0.0)
-    if kind is PolicyKind.SAMPLE_BIASED:
-        return CovarianceStats(1.0, 0.0, biased=True)
-    if kind is PolicyKind.ASYNCHRONOUS:
-        if d is None:
-            raise ConfigurationError("asynchronous covariance needs the weight vector d")
-        return CovarianceStats(0.0, float(np.max(d)))
-    if kind is PolicyKind.SAMPLE_UNIFORM:
-        if d is None:
-            raise ConfigurationError("uniform-sampling covariance needs the weight vector d")
-        m = policy.m
-        if m > n_clients:
-            raise ConfigurationError("sample size exceeds the fleet")
-        if n_clients == 1 or m == n_clients:
-            return CovarianceStats(1.0, 0.0)
-        alpha = (m - 1) * n_clients / (m * (n_clients - 1))
-        beta = float(np.max(d)) * (n_clients - m) / (n_clients - 1)
-        return CovarianceStats(alpha, beta)
-    if kind is PolicyKind.SAMPLE_MD:
-        if d is None or p is None:
-            raise ConfigurationError("multinomial covariance needs d and p")
-        m = policy.m
-        alpha = (m - 1) / m
-        d = np.asarray(d, dtype=float)
-        p = np.asarray(p, dtype=float)
-        beta = float(np.max(d * (1.0 - (m - 1) * p)))
-        return CovarianceStats(alpha, max(beta, 0.0))
-    raise UnsupportedConfigError(f"no covariance parameters for policy {kind}")
-
-
-def simulate_round_times(
-    policy: WaitPolicy,
-    hw: HardwareModel,
-    taus,
-    n_rounds: int,
-    *,
-    seed: int = 0,
-    importances=None,
-) -> np.ndarray:
-    """Empirical round durations, for checking expected-time formulas."""
-    rng = np.random.default_rng(seed)
-    state = init_fleet_state(taus, hw, rng, policy=policy)
-    out = np.empty(n_rounds)
-    taus = list(taus)
-    for k in range(n_rounds):
-        if policy.kind is PolicyKind.SAMPLE_UNIFORM:
-            chosen = rng.choice(len(taus), size=min(policy.m, len(taus)), replace=False)
-            out[k] = max(hw.draw(taus[i], rng) for i in chosen)
-            continue
-        outcome = advance_round(state, policy, taus, hw, hw_rng=rng, sample_rng=rng)
-        out[k] = float(outcome.delta_t)
-    return out

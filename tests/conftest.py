@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from asyncfed.core import ClientSpec, Fleet, uniform_importances
 from asyncfed.objectives import QuadraticObjective
+from asyncfed.timing import HardwareModel, advance_round, init_fleet_state
 
 
 def quadratic_fleet(optima, taus=None, importances=None, curvature=0.5, noise_std=0.0,
@@ -16,6 +18,25 @@ def quadratic_fleet(optima, taus=None, importances=None, curvature=0.5, noise_st
         ClientSpec(i, importances[i], taus[i], i, distribution_ids[i]) for i in range(n)
     ]
     return Fleet(clients, objectives)
+
+
+def fixed_schedule(taus, policy, n_rounds, initial_clocks=None):
+    """The first ``n_rounds`` round outcomes of ``policy`` on fixed hardware."""
+    hw = HardwareModel("fixed")
+    state = init_fleet_state(taus, hw, initial_clocks=initial_clocks, policy=policy)
+    return [advance_round(state, policy, list(taus), hw) for _ in range(n_rounds)]
+
+
+def round_durations(policy, taus, n_rounds, seed):
+    """Durations of ``n_rounds`` rounds on exponential hardware, with one
+    generator seeded by ``seed`` behind the clocks and the sampling."""
+    hw = HardwareModel("exponential")
+    rng = np.random.default_rng(seed)
+    state = init_fleet_state(taus, hw, rng, policy=policy)
+    return np.array([
+        advance_round(state, policy, taus, hw, hw_rng=rng, sample_rng=rng).delta_t
+        for _ in range(n_rounds)
+    ])
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ with its measured margin. Tolerances are fixed here, not tuned at runtime.
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,10 +23,10 @@ from asyncfed.engine import (
 from asyncfed.cli import sweep_rows
 from asyncfed.objectives import GlmObjective, QuadraticObjective, SyntheticShardConfig, make_synthetic_shards
 from asyncfed.oracle import OracleState, expectation_recursion, expected_round_time, phi, staleness_law, variance_recursion
-from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy, simulate_round_times, simulate_schedule
+from asyncfed.timing import PolicyKind, WaitPolicy
 from asyncfed.weights import WeightScheme, plan_weights, verify_window_assumption
 
-from conftest import quadratic_fleet
+from conftest import quadratic_fleet, round_durations
 
 
 def report(number: int, message: str) -> None:
@@ -187,7 +188,6 @@ class TestCriterion5AsyncExpectation:
 
 class TestCriterion6ExpectedRoundTimes:
     def test_harmonic_sum_formulas(self):
-        hw = HardwareModel("exponential")
         checks = [
             ("sync", WaitPolicy(PolicyKind.SYNCHRONOUS), [1.0] * 3, 3, None),
             ("sync_uniform", WaitPolicy(PolicyKind.SAMPLE_UNIFORM, m=2), [1.0] * 5, 5, 2),
@@ -195,7 +195,7 @@ class TestCriterion6ExpectedRoundTimes:
         ]
         margins = []
         for scheme, policy, taus, m_clients, m in checks:
-            times = simulate_round_times(policy, hw, taus, 100_000, seed=29)
+            times = round_durations(policy, taus, 100_000, seed=29)
             se = times.std(ddof=1) / math.sqrt(times.size)
             target = expected_round_time(scheme, m_clients, 1.0, m=m)
             gap = abs(times.mean() - target)
@@ -218,16 +218,16 @@ class TestCriterion7WindowCloseForms:
             plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, p, taus, policy)
             if plan.window > 3000:
                 continue  # keeps the schedule replay fast; the identity is exact regardless
-            schedule = simulate_schedule(taus, policy, 2 * plan.window)
-            q = np.zeros((2 * plan.window, m))
-            for row, outcome in zip(q, schedule):
-                for part in outcome.participants:
-                    row[part.client_id] = part.multiplicity * plan.d[part.client_id]
+            fleet = quadratic_fleet([[float(i)] for i in range(m)], taus=taus, importances=p)
+            cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.01,
+                            full_gradient=True, rounds=2 * plan.window)
+            q = run(cfg).weight_matrix()
+            assert q.shape == (2 * plan.window, m)
             good = verify_window_assumption(q, plan.window, p, tol=1e-12)
             assert good.satisfied, (taus, good.max_deviation)
 
             identical = plan_weights(WeightScheme.IDENTICAL, p, taus, policy)
-            q_id = np.where(q > 0, 1.0, 0.0)
+            q_id = run(replace(cfg, plan=identical)).weight_matrix()
             bad = verify_window_assumption(q_id, plan.window, p, tol=1e-12)
             assert not bad.satisfied, taus
             fleets += 1
@@ -314,8 +314,6 @@ class TestCriterion10BoundEvaluator:
             smoothness=1.0, tau=1, window=2, alpha=0.5, beta=0.5,
             sigma=1.0, sigma1=1.0, residual=0.5, init_gap_sq=4.0,
         )
-        from dataclasses import replace
-
         total = epsilon_terms(base).total
         for field_name in ("tau", "window", "alpha", "beta"):
             bumped = replace(base, **{field_name: getattr(base, field_name) * 2})

@@ -44,11 +44,33 @@ def read_csv_column(path, column):
 
 
 class TestValidation:
-    def test_unknown_keys_are_rejected_with_a_path(self):
+    # a removed key must not pass as accepted and ignored
+    @pytest.mark.parametrize("section, key", [("fleet", "typo_key"), (None, "record_local_paths")])
+    def test_unknown_keys_are_rejected_with_a_path(self, section, key, tmp_path, capsys):
         document = base_config()
-        document["fleet"]["typo_key"] = 1
+        (document if section is None else document[section])[key] = True
         problems = validate_config(document)
-        assert problems and "typo_key" in problems[0]
+        assert problems and key in problems[0]
+        path = write_config(tmp_path, document)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scheme, key",
+        [
+            ({"policy": "synchronous", "delta_t": 2.0}, "delta_t"),
+            ({"policy": "fedbuff", "m": 1, "delta_t": 2.0}, "delta_t"),
+            ({"policy": "asynchronous", "m": 1}, "m"),
+            ({"policy": "fedfix", "delta_t": 2.0, "m": 1}, "m"),
+            ({"policy": "sample_uniform", "m": 1, "criterion": "fastest"}, "criterion"),
+            ({"policy": "fedbuff", "m": 1, "criterion": "fastest"}, "criterion"),
+            ({"policy": "synchronous", "custom_d": [1.0, 1.0]}, "custom_d"),
+        ],
+    )
+    def test_scheme_keys_the_policy_ignores_are_rejected(self, scheme, key, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(scheme={**scheme, "weights": "fedavg"}))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"scheme/{key} is not read" in capsys.readouterr().err
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(horizon={"rounds": 0}))
@@ -464,6 +486,15 @@ class TestShippedCommands:
         assert code in (0, 3)
         if code == 3:
             assert capsys.readouterr().err.startswith("unsupported: ")
+
+    def test_sweeping_a_key_the_policy_ignores_is_rejected(self, tmp_path, capsys):
+        # delta_t means nothing to the synchronous policy, so every value
+        # would give the same row
+        code = main(["sweep", "--config", str(self.ROOT / "configs" / "sync_quadratic.json"),
+                     "--out", str(tmp_path), "--axis", "delta_t", "--values", "0.5,3", "--quiet"])
+        assert code == 2
+        assert "scheme/delta_t" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_sweep_matches_the_golden_csv(self, tmp_path):
         started = time.perf_counter()

@@ -9,11 +9,9 @@ from asyncfed.core import (
     ClientSpec,
     ConfigurationError,
     Fleet,
-    InvalidWeightsError,
     convergence_residual,
     distribution_weights,
     federated_loss,
-    surrogate_loss,
     weighted_optimum,
 )
 from asyncfed.objectives import GlmObjective, QuadraticObjective
@@ -45,26 +43,6 @@ class TestFederatedLoss:
     def test_dimension_mismatch_rejected(self, two_client_fleet):
         with pytest.raises(ConfigurationError):
             federated_loss([1.0, 2.0], two_client_fleet)
-
-
-class TestSurrogateLoss:
-    def test_single_counted_client_at_optimum(self, two_client_fleet):
-        assert surrogate_loss([0.0], [1.0, 0.0], two_client_fleet) == 0.0
-
-    def test_importance_weights_recover_federated_loss(self, two_client_fleet):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            theta = rng.normal(scale=3.0, size=1)
-            fed = federated_loss(theta, two_client_fleet)
-            sur = surrogate_loss(theta, two_client_fleet.importances, two_client_fleet)
-            assert sur == pytest.approx(fed, abs=1e-12)
-
-    def test_unnormalized_weights(self, two_client_fleet):
-        assert surrogate_loss([1.0], [0.3, 0.6], two_client_fleet) == pytest.approx(0.45, abs=1e-15)
-
-    def test_negative_weight_rejected(self, two_client_fleet):
-        with pytest.raises(InvalidWeightsError):
-            surrogate_loss([1.0], [-0.1, 1.1], two_client_fleet)
 
 
 class TestConvergenceResidual:

@@ -10,7 +10,6 @@ from asyncfed.core import (
     ConfigurationError,
     Fleet,
     SeedCollisionError,
-    SnapshotsUnavailableError,
     StalenessCapError,
 )
 from asyncfed.engine import (
@@ -22,10 +21,9 @@ from asyncfed.engine import (
     run_ensemble,
     run_scalar_ensemble,
     trajectory_header,
-    virtual_sequence,
     write_trajectory_csv,
 )
-from asyncfed.objectives import GlmObjective, QuadraticObjective
+from asyncfed.objectives import GlmObjective, QuadraticObjective, local_sgd
 from asyncfed.oracle import phi
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy
 from asyncfed.weights import WeightScheme, plan_weights
@@ -95,35 +93,6 @@ class TestTimeBudget:
         traj = run(cfg)
         deltas = [float(out.delta_t) for out in traj.rounds]
         assert traj.times[-1] == pytest.approx(sum(deltas), abs=1e-12)
-
-
-class TestVirtualSequence:
-    def _config(self, k_steps=4):
-        fleet = quadratic_fleet([[0.0], [2.0]], taus=[1, 2])
-        plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2], ASYNC)
-        return RunConfig(
-            fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.2, k_steps=k_steps,
-            full_gradient=True, rounds=9, record_local_paths=True,
-        )
-
-    def test_endpoints_are_bitwise_identical(self):
-        traj = run(self._config())
-        start = virtual_sequence(traj, 0)
-        end = virtual_sequence(traj, 4)
-        assert np.array_equal(start, traj.theta[:-1])
-        assert np.array_equal(end, traj.theta[1:])
-
-    def test_single_step_paths_have_two_points(self):
-        traj = run(self._config(k_steps=1))
-        for deliveries in traj.local_paths:
-            for _, path in deliveries:
-                assert len(path) == 2
-
-    def test_unrecorded_snapshots_raise(self):
-        fleet = quadratic_fleet([[0.0], [2.0]])
-        traj = run(sync_config(fleet))
-        with pytest.raises(SnapshotsUnavailableError):
-            virtual_sequence(traj, 0)
 
 
 class TestPolicyEquivalences:
@@ -441,18 +410,19 @@ class TestMetricsAndCsv:
         traj = run(sync_config(fleet, rounds=10, metric_cadence=5))
         assert [m.round for m in traj.metrics] == [0, 5, 10]
 
-    def test_contribution_records_reconstruct_the_aggregation(self):
+    def test_local_work_from_the_anchors_reconstructs_the_aggregation(self):
         fleet = quadratic_fleet([[0.0], [2.0]], taus=[1, 2])
         plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2], ASYNC)
         cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_g=0.8, eta_l=0.2,
                         full_gradient=True, rounds=8)
         traj = run(cfg)
-        for n, deliveries in enumerate(traj.contributions):
+        for n, outcome in enumerate(traj.rounds):
             total = np.zeros(1)
-            for c in deliveries:
-                assert c.anchor_round <= n
-                assert c.delivery_time == traj.times[n + 1]
-                total += plan.d[c.client_id] * c.delta
+            for part in outcome.participants:
+                assert part.anchor_round <= n
+                objective = fleet.objectives[part.client_id]
+                update = local_sgd(traj.theta[part.anchor_round], objective, cfg.k_steps, cfg.eta_l)
+                total += plan.d[part.client_id] * update.delta
             assert np.allclose(traj.theta[n] + 0.8 * total, traj.theta[n + 1], atol=1e-15)
 
 

@@ -80,7 +80,7 @@ class TestLocalSgd:
 
     def test_recorded_path_has_k_plus_one_points(self):
         obj = QuadraticObjective.from_optimum([2.0])
-        out = local_sgd([0.0], obj, 3, 0.1, record_path=True)
+        out = local_sgd([0.0], obj, 3, 0.1)
         assert len(out.path) == 4
         assert out.path[0][0] == 0.0
         assert np.array_equal(out.path[-1], out.endpoint)
@@ -136,7 +136,7 @@ class TestKernelMatchesTheReference:
         start = rng.normal(size=dim)
         mine, ref = np.random.default_rng(7), np.random.default_rng(7)
         for _ in range(3):  # consecutive deliveries share the client's stream
-            out = local_sgd(start, obj, k_steps, 0.13, noise_rng=mine, record_path=True)
+            out = local_sgd(start, obj, k_steps, 0.13, noise_rng=mine)
             end, path = _reference_local_sgd(start, obj, k_steps, 0.13, noise_rng=ref)
             assert np.array_equal(out.endpoint, end)
             assert np.array_equal(out.path, path)
@@ -151,7 +151,7 @@ class TestKernelMatchesTheReference:
         ref = BatchStream(obj.n_samples, obj.batch_size, np.random.default_rng(3))
         start = np.array([0.4, -1.2, 2.0])
         for k_steps in (1, 7, 25):
-            out = local_sgd(start, obj, k_steps, 0.05, batches=mine, record_path=True)
+            out = local_sgd(start, obj, k_steps, 0.05, batches=mine)
             end, path = _reference_local_sgd(start, obj, k_steps, 0.05, batches=ref)
             assert np.array_equal(out.endpoint, end)
             assert np.array_equal(out.path, path)
@@ -159,7 +159,7 @@ class TestKernelMatchesTheReference:
 
     def test_glm_full_gradient(self):
         obj = _glm("logistic", seed=4)
-        out = local_sgd([0.3, 0.1, -0.5], obj, 9, 0.5, record_path=True)
+        out = local_sgd([0.3, 0.1, -0.5], obj, 9, 0.5)
         end, path = _reference_local_sgd([0.3, 0.1, -0.5], obj, 9, 0.5)
         assert np.array_equal(out.endpoint, end)
         assert np.array_equal(out.path, path)
@@ -212,10 +212,10 @@ class TestMembersMatchSingleModels:
         mine = [np.random.default_rng([9, r]) for r in range(5)]
         ref = [np.random.default_rng([9, r]) for r in range(5)]
         for _ in range(3):
-            out = local_sgd(starts, obj, k_steps, 0.13, noise_rng=mine, record_path=True)
+            out = local_sgd(starts, obj, k_steps, 0.13, noise_rng=mine)
             assert out.overflow_step is None and out.path.shape == (k_steps + 1, 5, dim)
             for r in range(5):
-                one = local_sgd(starts[r], obj, k_steps, 0.13, noise_rng=ref[r], record_path=True)
+                one = local_sgd(starts[r], obj, k_steps, 0.13, noise_rng=ref[r])
                 assert np.array_equal(out.endpoint[r], one.endpoint)
                 assert np.array_equal(out.delta[r], one.delta)
                 assert np.array_equal(out.path[:, r], one.path)

@@ -18,35 +18,30 @@ from asyncfed.timing import (
     init_fleet_state,
     participations_per_cycle,
     replay_steady_period,
-    sampler_covariance,
-    simulate_round_times,
-    simulate_schedule,
     staleness_bound,
 )
+
+from conftest import fixed_schedule, round_durations
 
 FIXED = HardwareModel("fixed")
 
 
-def _run_schedule(taus, policy, n_rounds, initial_clocks=None):
-    return simulate_schedule(taus, policy, n_rounds, initial_clocks=initial_clocks)
-
-
 class TestSynchronous:
     def test_round_waits_for_the_slowest(self):
-        outcomes = _run_schedule([1, 2], WaitPolicy(PolicyKind.SYNCHRONOUS), 3)
+        outcomes = fixed_schedule([1, 2], WaitPolicy(PolicyKind.SYNCHRONOUS), 3)
         for out in outcomes:
             assert out.delta_t == 2
             assert out.participant_ids == (0, 1)
 
     def test_anchors_are_always_fresh(self):
-        outcomes = _run_schedule([3, 5, 2], WaitPolicy(PolicyKind.SYNCHRONOUS), 4)
+        outcomes = fixed_schedule([3, 5, 2], WaitPolicy(PolicyKind.SYNCHRONOUS), 4)
         for out in outcomes:
             assert all(p.staleness == 0 for p in out.participants)
 
 
 class TestAsynchronous:
     def test_fast_client_contributes_twice_per_cycle(self):
-        outcomes = _run_schedule([1, 2], WaitPolicy(PolicyKind.ASYNCHRONOUS), 6)
+        outcomes = fixed_schedule([1, 2], WaitPolicy(PolicyKind.ASYNCHRONOUS), 6)
         # one contribution per round; cycle of 2 time units = 3 rounds
         assert [out.delta_t for out in outcomes] == [1, 1, 0, 1, 1, 0]
         counts = [0, 0]
@@ -59,14 +54,14 @@ class TestAsynchronous:
         taus = [2, 3, 4]
         window = sum(participations_per_cycle(taus))  # lcm 12 -> 6 + 4 + 3 = 13 rounds
         assert window == 13
-        outcomes = _run_schedule(taus, WaitPolicy(PolicyKind.ASYNCHRONOUS), 2 * window)
+        outcomes = fixed_schedule(taus, WaitPolicy(PolicyKind.ASYNCHRONOUS), 2 * window)
         counts = [0, 0, 0]
         for out in outcomes[:window]:
             counts[out.participants[0].client_id] += 1
         assert counts == [6, 4, 3]
 
     def test_simultaneous_finishers_are_serialized_lowest_index_first(self):
-        outcomes = _run_schedule([1, 1, 1], WaitPolicy(PolicyKind.ASYNCHRONOUS), 6)
+        outcomes = fixed_schedule([1, 1, 1], WaitPolicy(PolicyKind.ASYNCHRONOUS), 6)
         assert [out.delta_t for out in outcomes] == [1, 0, 0, 1, 0, 0]
         assert [out.participants[0].client_id for out in outcomes] == [0, 1, 2, 0, 1, 2]
 
@@ -84,17 +79,17 @@ class TestAsynchronous:
 
 class TestFedFix:
     def test_empty_rounds_are_legal(self):
-        outcomes = _run_schedule([5], WaitPolicy(PolicyKind.FEDFIX, delta_t=1), 5)
+        outcomes = fixed_schedule([5], WaitPolicy(PolicyKind.FEDFIX, delta_t=1), 5)
         sizes = [len(out.participants) for out in outcomes]
         assert sizes == [0, 0, 0, 0, 1]
 
     def test_slow_client_lands_every_other_round(self):
-        outcomes = _run_schedule([3], WaitPolicy(PolicyKind.FEDFIX, delta_t=2), 8)
+        outcomes = fixed_schedule([3], WaitPolicy(PolicyKind.FEDFIX, delta_t=2), 8)
         landing = [len(out.participants) for out in outcomes]
         assert landing == [0, 1, 0, 1, 0, 1, 0, 1]
 
     def test_wide_window_degenerates_to_full_participation(self):
-        outcomes = _run_schedule([1, 2, 3], WaitPolicy(PolicyKind.FEDFIX, delta_t=3), 4)
+        outcomes = fixed_schedule([1, 2, 3], WaitPolicy(PolicyKind.FEDFIX, delta_t=3), 4)
         for out in outcomes:
             assert out.participant_ids == (0, 1, 2)
             assert all(p.staleness == 0 for p in out.participants)
@@ -111,12 +106,12 @@ class TestFedFix:
 
 class TestFedBuff:
     def test_waits_for_the_mth_fastest(self):
-        out = _run_schedule([1, 2, 3], WaitPolicy(PolicyKind.FEDBUFF, m=2), 1)[0]
+        out = fixed_schedule([1, 2, 3], WaitPolicy(PolicyKind.FEDBUFF, m=2), 1)[0]
         assert out.delta_t == 2
         assert out.participant_ids == (0, 1)
 
     def test_stragglers_keep_training_on_stale_anchors(self):
-        outcomes = _run_schedule([1, 2, 3], WaitPolicy(PolicyKind.FEDBUFF, m=2), 3)
+        outcomes = fixed_schedule([1, 2, 3], WaitPolicy(PolicyKind.FEDBUFF, m=2), 3)
         staleness_of_slowest = [
             p.staleness for out in outcomes for p in out.participants if p.client_id == 2
         ]
@@ -199,7 +194,7 @@ class TestStalenessBound:
     def test_fixed_window_bound_dominates_realized_staleness(self):
         policy = WaitPolicy(PolicyKind.FEDFIX, delta_t=2)
         bound = staleness_bound(policy, FIXED, [3, 5])
-        outcomes = _run_schedule([3, 5], policy, 40)
+        outcomes = fixed_schedule([3, 5], policy, 40)
         realized = max(
             (p.staleness for out in outcomes[10:] for p in out.participants), default=0
         )
@@ -225,35 +220,6 @@ class TestStalenessBound:
             staleness_bound(WaitPolicy(PolicyKind.ASYNCHRONOUS), HardwareModel("exponential"), [1, 2])
 
 
-class TestSamplerCovariance:
-    def test_full_participation(self):
-        stats = sampler_covariance(WaitPolicy(PolicyKind.SYNCHRONOUS), 4)
-        assert (stats.alpha, stats.beta, stats.biased) == (1.0, 0.0, False)
-
-    def test_async_uses_the_largest_weight(self):
-        stats = sampler_covariance(WaitPolicy(PolicyKind.ASYNCHRONOUS), 2, d=[0.75, 1.5])
-        assert (stats.alpha, stats.beta) == (0.0, 1.5)
-
-    def test_fixed_window_is_independent(self):
-        stats = sampler_covariance(WaitPolicy(PolicyKind.FEDFIX, delta_t=1), 3)
-        assert (stats.alpha, stats.beta) == (1.0, 0.0)
-
-    def test_uniform_sampling_everyone_recovers_full_participation(self):
-        policy = WaitPolicy(PolicyKind.SAMPLE_UNIFORM, m=5)
-        stats = sampler_covariance(policy, 5, d=[0.2] * 5)
-        assert (stats.alpha, stats.beta) == (1.0, 0.0)
-
-    def test_multinomial_alpha(self):
-        policy = WaitPolicy(PolicyKind.SAMPLE_MD, m=4)
-        stats = sampler_covariance(policy, 3, d=[0.25] * 3, p=[1 / 3] * 3)
-        assert stats.alpha == pytest.approx(0.75)
-
-    def test_biased_criterion_is_flagged(self):
-        policy = WaitPolicy(PolicyKind.SAMPLE_BIASED, m=1, criterion="fastest")
-        stats = sampler_covariance(policy, 3)
-        assert (stats.alpha, stats.beta, stats.biased) == (1.0, 0.0, True)
-
-
 class TestPolicyValidation:
     def test_fedfix_needs_positive_window(self):
         with pytest.raises(ConfigurationError):
@@ -270,7 +236,7 @@ class TestPolicyValidation:
 
 class TestInitialClocks:
     def test_offsets_shift_the_first_deliveries(self):
-        outcomes = _run_schedule(
+        outcomes = fixed_schedule(
             [2, 2], WaitPolicy(PolicyKind.FEDFIX, delta_t=1), 4, initial_clocks=[2, 1]
         )
         assert [out.participant_ids for out in outcomes] == [(1,), (0,), (1,), (0,)]
@@ -283,10 +249,7 @@ class TestInitialClocks:
 
 class TestRoundTimeSampling:
     def test_exponential_minimum_rate(self):
-        hw = HardwareModel("exponential")
-        times = simulate_round_times(
-            WaitPolicy(PolicyKind.ASYNCHRONOUS), hw, [1.0] * 4, 20_000, seed=5
-        )
+        times = round_durations(WaitPolicy(PolicyKind.ASYNCHRONOUS), [1.0] * 4, 20_000, seed=5)
         se = times.std(ddof=1) / math.sqrt(times.size)
         assert abs(times.mean() - 0.25) <= 4 * se
 
@@ -296,7 +259,7 @@ class TestUnsortedFleets:
         taus = [4, 1, 3, 2]
         window = sum(participations_per_cycle(taus))  # lcm 12 -> 3 + 12 + 4 + 6 = 25
         assert window == 25
-        outcomes = _run_schedule(taus, WaitPolicy(PolicyKind.ASYNCHRONOUS), window)
+        outcomes = fixed_schedule(taus, WaitPolicy(PolicyKind.ASYNCHRONOUS), window)
         counts = [0] * 4
         for out in outcomes:
             counts[out.participants[0].client_id] += 1
@@ -417,7 +380,7 @@ class TestSteadyPeriodReplay:
         taus = [8, 2, 7]  # clocks first repeat after a transient longer than the period
         period, steady = replay_steady_period(policy, taus)
         start = steady[0].index
-        later = simulate_schedule(taus, policy, start + 3 * period)
+        later = fixed_schedule(taus, policy, start + 3 * period)
         def shape(outcomes):
             return [
                 (o.delta_t, [(p.client_id, p.multiplicity, p.staleness) for p in o.participants])

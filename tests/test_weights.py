@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncfed.core import UnsupportedConfigError
-from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy, simulate_schedule
+from asyncfed.engine import RunConfig, run
+from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy
 from asyncfed.weights import (
     WeightScheme,
     chi_square_bias,
@@ -16,18 +17,19 @@ from asyncfed.weights import (
     window_size,
 )
 
+from conftest import quadratic_fleet
+
 ASYNC = WaitPolicy(PolicyKind.ASYNCHRONOUS)
 SYNC = WaitPolicy(PolicyKind.SYNCHRONOUS)
 
 
 def realized_weights(taus, policy, d, n_rounds):
-    """Per-round expected weights of a deterministic schedule."""
-    schedule = simulate_schedule(taus, policy, n_rounds)
-    out = np.zeros((n_rounds, len(taus)))
-    for row, outcome in zip(out, schedule):
-        for part in outcome.participants:
-            row[part.client_id] = part.multiplicity * d[part.client_id]
-    return out
+    """Per-round expected weights of a deterministic schedule: the realized
+    weights of an engine run with per-client weights ``d``."""
+    fleet = quadratic_fleet([[0.0]] * len(taus), taus=taus)
+    plan = plan_weights(WeightScheme.CUSTOM, fleet.importances, taus, policy, custom_d=d)
+    config = RunConfig(fleet=fleet, policy=policy, plan=plan, full_gradient=True, rounds=n_rounds)
+    return run(config).weight_matrix()
 
 
 class TestPlanWeights:
