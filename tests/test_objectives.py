@@ -85,6 +85,15 @@ class TestLocalSgd:
         assert out.path[0][0] == 0.0
         assert np.array_equal(out.path[-1], out.endpoint)
 
+    def test_single_step_path_has_two_points(self):
+        obj = QuadraticObjective.from_optimum([2.0, -1.0])
+        start = np.array([0.5, 0.25])
+        out = local_sgd(start, obj, 1, 0.3)
+        assert out.path.shape == (2, 2)
+        assert np.array_equal(out.path[0], start)
+        assert np.array_equal(out.path[1], start - 0.3 * obj.gradient(start))
+        assert np.array_equal(out.delta, out.path[1] - out.path[0])
+
 
 def _reference_local_sgd(start, objective, k_steps, eta_l, *, batches=None, noise_rng=None):
     """One gradient call and one finiteness check per step: the iteration

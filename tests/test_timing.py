@@ -165,6 +165,58 @@ class TestSampling:
         assert out.participant_ids == (1,)
 
 
+def _counts(outcome, n_clients):
+    row = np.zeros(n_clients)
+    for p in outcome.participants:
+        row[p.client_id] = p.multiplicity
+    return row
+
+
+class TestParticipationCovariance:
+    """The (alpha, beta) covariance of the participation counts, measured on
+    the rounds the scheduler produces: E[c_i c_j] = alpha E[c_i] E[c_j] for
+    i != j, and squares of the weights d_i c_i stay under beta times their
+    mean."""
+
+    def test_full_participation_counts_are_constant(self):
+        for out in fixed_schedule([1, 3, 2, 5], WaitPolicy(PolicyKind.SYNCHRONOUS), 12):
+            assert np.array_equal(_counts(out, 4), np.ones(4))  # alpha = 1, beta = 0
+
+    def test_async_rounds_have_no_cross_terms_and_beta_is_the_largest_weight(self):
+        d = np.array([0.75, 1.5])
+        w = np.array([
+            d * _counts(out, 2)
+            for out in fixed_schedule([1, 2], WaitPolicy(PolicyKind.ASYNCHRONOUS), 30)
+        ])
+        assert np.all(w[:, 0] * w[:, 1] == 0.0)  # alpha = 0
+        assert np.all(w ** 2 <= d.max() * w)
+        assert np.any(w[:, 1] ** 2 == d.max() * w[:, 1])  # the bound is attained
+
+    def test_uniform_sampling_of_everyone_recovers_full_participation(self):
+        state = init_fleet_state([1, 2, 3, 4, 5], FIXED)
+        policy = WaitPolicy(PolicyKind.SAMPLE_UNIFORM, m=5)
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            out = advance_round(state, policy, [1, 2, 3, 4, 5], FIXED, sample_rng=rng)
+            assert np.array_equal(_counts(out, 5), np.ones(5))
+
+    def test_multinomial_cross_moment_gives_alpha_m_minus_one_over_m(self):
+        m, n_rounds = 3, 20_000
+        policy = WaitPolicy(PolicyKind.SAMPLE_MD, m=m)
+        state = init_fleet_state([1, 1, 1, 1], FIXED)
+        rng = np.random.default_rng(3)
+        counts = np.array([
+            _counts(advance_round(state, policy, [1, 1, 1, 1], FIXED, sample_rng=rng,
+                                  importances=[0.25] * 4), 4)
+            for _ in range(n_rounds)
+        ])
+        assert np.all(counts.sum(axis=1) == m)
+        cross = counts[:, 0] * counts[:, 1]
+        se = cross.std(ddof=1) / math.sqrt(n_rounds)
+        expected = (m - 1) / m * (m / 4) ** 2  # alpha = 2/3 times E[c_0] E[c_1]
+        assert abs(cross.mean() - expected) <= 4 * se
+
+
 class TestDeterminism:
     def test_same_seed_same_participant_sequence(self):
         policy = WaitPolicy(PolicyKind.ASYNCHRONOUS)
