@@ -94,7 +94,10 @@ def cmd_simulate(args) -> int:
         "n_rounds": trajectory.n_rounds,
         "final_time": float(trajectory.times[-1]),
         "diverged": trajectory.diverged,
-        "divergence_round": trajectory.divergence_round,
+        "divergence": None if not trajectory.diverged else {
+            "round": trajectory.divergence_round,
+            "cause": trajectory.divergence_cause,
+        },
         "never_served": trajectory.never_served,
         "wall_time_s": wall,
         "timing_s": timing_s,
@@ -104,7 +107,11 @@ def cmd_simulate(args) -> int:
         fh.write(json.dumps(log, indent=2, sort_keys=True) + "\n")
     _say(args, f"{trajectory.n_rounds} rounds in {wall:.2f}s -> {csv_path}")
     if trajectory.diverged:
-        _say(args, f"run diverged at round {trajectory.divergence_round} (recorded, not a failure)")
+        _say(
+            args,
+            f"run diverged at round {trajectory.divergence_round} "
+            f"({trajectory.divergence_cause}; recorded, not a failure)",
+        )
     if trajectory.never_served:
         _say(args, f"warning: {trajectory.never_served} client(s) never received an updated model")
     return 0

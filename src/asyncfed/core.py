@@ -83,7 +83,12 @@ class ClientSpec:
 class Fleet:
     """A fixed set of clients plus the objective table their specs point into.
 
-    The engine never relies on clients being sorted by compute time.
+    The client objectives are also held as stacked tables, built once here:
+    the quadratics as one table, the GLM shards as one table per (sample
+    count, link), each with a row per client (clients sharing an
+    ``objective_ref`` get a row each). Fleet-level losses and gradients go
+    through the tables. The engine never relies on clients being sorted by
+    compute time.
     """
 
     def __init__(self, clients: Sequence[ClientSpec], objectives: Sequence):
@@ -105,6 +110,9 @@ class Fleet:
         self.dim = dims.pop()
         self._importances = np.array([c.importance for c in self.clients])
         self._importances.setflags(write=False)
+        from .objectives import stack_objectives  # objectives imports this module
+
+        self.tables = stack_objectives([self.objective_for(c) for c in self.clients])
 
     def __len__(self) -> int:
         return len(self.clients)
@@ -124,6 +132,22 @@ class Fleet:
     @property
     def distribution_ids(self) -> tuple[int, ...]:
         return tuple(c.distribution_id for c in self.clients)
+
+    def losses(self, thetas) -> np.ndarray:
+        """(rows, M) loss of every client at each row of the (rows, dim)
+        array ``thetas``, one evaluation per table."""
+        thetas = np.asarray(thetas, dtype=float)
+        out = np.empty((len(self), thetas.shape[0]))
+        for positions, table in self.tables:
+            out[positions] = table.values(thetas).T
+        return out.T
+
+    def gradients(self, theta) -> np.ndarray:
+        """(M, dim) full gradient of every client at ``theta``."""
+        out = np.empty((len(self), self.dim))
+        for positions, table in self.tables:
+            out[positions] = table.gradients(theta)
+        return out
 
 
 def uniform_importances(n_clients: int) -> list[float]:
@@ -155,9 +179,7 @@ def federated_loss(model, fleet: Fleet) -> float:
         raise ConfigurationError(
             f"model dimension {params.shape[-1]} does not match fleet dimension {fleet.dim}"
         )
-    return math.fsum(
-        c.importance * fleet.objective_for(c).value(params) for c in fleet.clients
-    )
+    return math.fsum(fleet.importances * fleet.losses(params.reshape(1, -1))[0])
 
 
 @dataclass(frozen=True)
@@ -258,30 +280,35 @@ def weighted_optimum(
     full-gradient descent with step 1/L runs until the gradient norm drops
     below ``grad_tol``.
     """
+    from .objectives import QuadraticTable  # objectives imports this module
+
     w = fleet.importances if weights is None else _as_weights(weights, len(fleet))
-    objs = [fleet.objective_for(c) for c in fleet.clients]
-    if all(hasattr(o, "quadratic_coefficients") for o in objs):
-        a_sum = np.zeros(fleet.dim)
-        b_sum = np.zeros(fleet.dim)
-        for wi, obj in zip(w, objs):
-            a, b, _ = obj.quadratic_coefficients()
-            a_sum += wi * a
-            b_sum += wi * b
+    (_, table), *others = fleet.tables
+    if not others and isinstance(table, QuadraticTable):
+        a_sum = _sum_in_order(w[:, None] * table.a)
+        b_sum = _sum_in_order(w[:, None] * table.b)
         if np.any(a_sum <= 0):
             raise ConfigurationError("weighted quadratic has a flat direction; no finite optimum")
         return -b_sum / (2.0 * a_sum)
 
-    smoothness = math.fsum(wi * o.smoothness for wi, o in zip(w, objs))
+    smoothness = math.fsum(wi * fleet.objective_for(c).smoothness for wi, c in zip(w, fleet.clients))
     step = 1.0 / smoothness
+    active = w != 0.0
+    w_active = w[active, None]
     theta = np.zeros(fleet.dim)
     for _ in range(max_iter):
-        grad = np.zeros(fleet.dim)
-        for wi, obj in zip(w, objs):
-            if wi != 0.0:
-                grad += wi * obj.gradient(theta)
+        grad = _sum_in_order(w_active * fleet.gradients(theta)[active])
         if np.linalg.norm(grad) < grad_tol:
             return theta
         theta = theta - step * grad
     raise RuntimeError(
         f"gradient descent did not reach gradient norm {grad_tol} in {max_iter} iterations"
     )
+
+
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """Sum of the rows of ``terms``, first to last, as ``total += row`` from
+    a zero ``total`` adds them: cumsum keeps that order where ``np.sum``
+    would pair terms, and adding +0.0 last gives the +0.0 a zero start
+    leaves where every term is a zero."""
+    return np.cumsum(terms, axis=0)[-1] + 0.0

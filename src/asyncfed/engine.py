@@ -117,6 +117,7 @@ class Trajectory:
     optimum: np.ndarray
     diverged: bool = False
     divergence_round: int | None = None
+    divergence_cause: str | None = None   # "overflow" (local work) or "threshold"
     never_served: int = 0
     d: np.ndarray | None = None
     timing_s: dict | None = None     # seconds per engine stage
@@ -212,7 +213,7 @@ def _run_group(config: RunConfig, member_seeds) -> _GroupRun:
         while config.rounds is None or state.round_index < config.rounds:
             n = state.round_index
             started = clock()
-            losses = _client_loss_matrix(fleet, models[-1])[0] if by_loss else None
+            losses = fleet.losses(models[-1])[0] if by_loss else None
             outcome = advance_round(
                 state,
                 policy,
@@ -284,6 +285,7 @@ def run(config: RunConfig) -> Trajectory:
         optimum=weighted_optimum(config.fleet),
         diverged=divergence is not None,
         divergence_round=None if divergence is None else divergence[0],
+        divergence_cause=None if divergence is None else divergence[1],
         never_served=len(config.fleet) - len(served_ids),
         d=config.plan.d,
     )
@@ -341,15 +343,6 @@ def _collect_deliveries(config, fleet, models, outcome, streams, noise_rngs):
     return deliveries
 
 
-def _client_loss_matrix(fleet: Fleet, thetas) -> np.ndarray:
-    """(rows, M) matrix of every client's loss at each row of ``thetas``,
-    one batched ``values`` call per client."""
-    out = np.empty((len(fleet), np.shape(thetas)[0]))
-    for row, client in zip(out, fleet.clients):
-        row[:] = fleet.objective_for(client).values(thetas)
-    return out.T
-
-
 def _kept_rows(n_models: int, cadence: int) -> list[int]:
     """Recorded models that get a metrics row: every ``cadence``-th and the last."""
     last = n_models - 1
@@ -359,7 +352,7 @@ def _kept_rows(n_models: int, cadence: int) -> list[int]:
 def _federated_losses(fleet: Fleet, thetas) -> tuple[np.ndarray, np.ndarray]:
     """The (rows, M) client-loss matrix at ``thetas`` and the federated loss
     of each row."""
-    losses = _client_loss_matrix(fleet, thetas)
+    losses = fleet.losses(thetas)
     # cumsum adds in client order, left to right, so loss_fed keeps its bits;
     # np.sum would pair terms and move the last digit
     return losses, np.cumsum(losses * fleet.importances, axis=1)[:, -1].copy()
@@ -617,7 +610,7 @@ def run_scalar_ensemble(cfg: ScalarEnsembleConfig) -> ScalarEnsembleResult:
             pull -= flat.take(j)
             pull *= step
             theta += pull
-            flat.put(j, theta)
+            flat[j] = theta  # j holds one index per member, so no two writes collide
             del j, pull  # so record's temporaries do not stack on them
         else:  # hybrid
             mask = rng.random((n_runs, m_clients)) < rate

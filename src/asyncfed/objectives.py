@@ -57,14 +57,12 @@ class QuadraticObjective:
     def smoothness(self) -> float:
         return 2.0 * float(self.a.max())
 
-    def quadratic_coefficients(self):
-        return self.a, self.b, self.c
-
     def value(self, theta) -> float:
         return float(self.values(np.atleast_1d(np.asarray(theta, dtype=float))[None])[0])
 
     def values(self, thetas) -> np.ndarray:
-        """Loss at each row of the (rows, dim) array ``thetas``."""
+        """Loss at each row of the (rows, dim) array ``thetas``; a column of
+        :meth:`QuadraticTable.values` has these bits."""
         thetas = np.asarray(thetas, dtype=float)
         return (thetas * thetas) @ self.a + thetas @ self.b + self.c
 
@@ -88,7 +86,7 @@ class GlmObjective:
     """Linear or logistic regression loss over a fixed data shard."""
 
     def __init__(self, features, targets, link: str = "logistic", batch_size: int = 8):
-        self.features = np.asarray(features, dtype=float)
+        self.features = np.ascontiguousarray(features, dtype=float)
         self.targets = np.asarray(targets, dtype=float).reshape(-1)
         if link not in ("linear", "logistic"):
             raise ConfigurationError(f"unknown link {link!r}")
@@ -118,49 +116,138 @@ class GlmObjective:
         return float(self.values(np.asarray(theta, dtype=float)[None])[0])
 
     def values(self, thetas) -> np.ndarray:
-        """Loss at each row of the (rows, dim) array ``thetas``.
-
-        Rows are processed in chunks so the (chunk, n_samples) margin array
-        stays near ``_CHUNK_FLOATS`` floats.
-        """
-        thetas = np.asarray(thetas, dtype=float)
-        out = np.empty(thetas.shape[0])
-        step = max(1, _CHUNK_FLOATS // self.n_samples)
-        sign = np.where(self.targets > 0.5, -1.0, 1.0)
-        for lo in range(0, thetas.shape[0], step):
-            z = thetas[lo:lo + step] @ self.features.T
-            if self.link == "linear":
-                z -= self.targets
-                out[lo:lo + step] = 0.5 * (z * z).mean(axis=1)
-            else:
-                # z becomes -y*z for y in {-1, +1}; logaddexp(0, -y*z) is
-                # log(1 + exp(-y*z)) without overflow for large |z|
-                z *= sign
-                out[lo:lo + step] = np.logaddexp(0.0, z, out=z).mean(axis=1)
-        return out
+        """Loss at each row of the (rows, dim) array ``thetas``."""
+        return GlmTable(self.features[None], self.targets[None], self.link).values(thetas)[:, 0]
 
     def gradient(self, theta) -> np.ndarray:
-        return self.batch_gradient(theta, np.arange(self.n_samples))
+        return _glm_gradient(self.features, self.targets, theta, self.link)
 
     def batch_gradient(self, theta, batch_indices) -> np.ndarray:
         idx = np.asarray(batch_indices, dtype=int)
-        if idx.size == 0 or idx.min() < 0 or idx.max() >= self.n_samples:
-            raise ConfigurationError("batch indices out of range")
-        x = self.features[idx]
-        z = x @ np.asarray(theta, dtype=float)
-        if self.link == "linear":
-            err = z - self.targets[idx]
-        else:
-            err = _sigmoid(z) - self.targets[idx]
-        return x.T @ err / idx.size
+        _check_batch_indices(idx, self.n_samples)
+        return _glm_gradient(self.features[idx], self.targets[idx], theta, self.link)
+
+
+def _check_batch_indices(idx: np.ndarray, n_samples: int) -> None:
+    if idx.size == 0 or idx.min() < 0 or idx.max() >= n_samples:
+        raise ConfigurationError("batch indices out of range")
+
+
+def _glm_gradient(x, y, theta, link: str) -> np.ndarray:
+    """Mean gradient over the samples of ``x`` (n, dim) with targets ``y``
+    (n,), or one such gradient per shard of a stack (G, n, dim) and (G, n);
+    a stacked shard gets the bits of its own call (the same BLAS
+    vector-matrix product)."""
+    z = x @ np.asarray(theta, dtype=float)
+    err = (z if link == "linear" else _sigmoid(z)) - y
+    if x.ndim == 2:
+        return err @ x / x.shape[0]
+    return (err[:, None, :] @ x)[:, 0, :] / x.shape[1]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, both from
-    # e = e^-|z|, so neither branch overflows; min(z, -z) is -|z| but,
-    # unlike -abs(z), keeps the sign bit of a NaN
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, with e = e^-|z|,
+    # so neither branch overflows: the numerator e^min(z, 0) is 1 for
+    # z >= 0 and e below; min(z, -z) is -|z| but, unlike -abs(z), keeps the
+    # sign bit of a NaN
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + e)
+
+
+class QuadraticTable:
+    """G quadratics of one dimension stacked: ``a`` and ``b`` are (G, dim),
+    ``c`` is (G,)."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+        self.a, self.b, self.c = a, b, c
+
+    def values(self, thetas) -> np.ndarray:
+        """(rows, G) loss of every quadratic at each row of ``thetas``.
+
+        Each quadratic's column is a batched matrix-vector product, the BLAS
+        call of :meth:`QuadraticObjective.values`, so a loss has the same
+        bits alone and in any table; one (rows, dim) x (dim, G) product
+        would sum the coordinates in another order for dim > 1.
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        out = (thetas * thetas) @ self.a[:, :, None]
+        out += thetas @ self.b[:, :, None]
+        out += self.c[:, None, None]
+        return out[:, :, 0].T
+
+    def gradients(self, theta) -> np.ndarray:
+        """(G, dim) gradient of every quadratic at ``theta``."""
+        return 2.0 * self.a * np.asarray(theta, dtype=float) + self.b
+
+
+class GlmTable:
+    """G GLM shards of one sample count and link stacked: ``features`` is
+    (G, n, dim), ``targets`` (G, n). A single shard is the table of its own
+    data."""
+
+    def __init__(self, features: np.ndarray, targets: np.ndarray, link: str):
+        self.features, self.targets, self.link = features, targets, link
+        # logistic: the margin sign that turns z into -y*z for y in {-1, +1}
+        self._sign = np.where(targets > 0.5, -1.0, 1.0)
+
+    def values(self, thetas) -> np.ndarray:
+        """(rows, G) mean loss of every shard at each row of ``thetas``.
+
+        Rows go in chunks of ``_CHUNK_FLOATS // n``, as for one shard: the
+        chunk fixes the shape of each BLAS product and so the bits of its
+        result. Within a chunk the shards go in slices whose (shards, chunk,
+        n) margin array stays near ``_CHUNK_FLOATS`` floats.
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        n_shards, n = self.targets.shape
+        out = np.empty((n_shards, thetas.shape[0]))
+        features_t = self.features.transpose(0, 2, 1)
+        step = max(1, _CHUNK_FLOATS // n)
+        for lo in range(0, thetas.shape[0], step):
+            chunk = thetas[lo:lo + step]
+            per = max(1, _CHUNK_FLOATS // (chunk.shape[0] * n))
+            for g in range(0, n_shards, per):
+                z = chunk @ features_t[g:g + per]
+                if self.link == "linear":
+                    z -= self.targets[g:g + per, None]
+                    out[g:g + per, lo:lo + step] = 0.5 * (z * z).mean(axis=2)
+                else:
+                    # logaddexp(0, -y*z) is log(1 + exp(-y*z)) without
+                    # overflow for large |z|
+                    z *= self._sign[g:g + per, None]
+                    out[g:g + per, lo:lo + step] = np.logaddexp(0.0, z, out=z).mean(axis=2)
+        return out.T
+
+    def gradients(self, theta) -> np.ndarray:
+        """(G, dim) full-shard gradient of every shard at ``theta``."""
+        return _glm_gradient(self.features, self.targets, theta, self.link)
+
+
+def stack_objectives(objectives) -> list[tuple[np.ndarray, QuadraticTable | GlmTable]]:
+    """Group per-client objectives, in client order, into stacked tables:
+    every quadratic in one table, GLM shards in one table per (sample
+    count, link). Returns (client positions, table) pairs; row j of a table
+    belongs to the client at position ``positions[j]``."""
+    groups = {}
+    for i, obj in enumerate(objectives):
+        if isinstance(obj, QuadraticObjective):
+            key = ("quadratic",)
+        elif isinstance(obj, GlmObjective):
+            key = ("glm", obj.n_samples, obj.link)
+        else:
+            raise ConfigurationError(f"client {i}: unsupported objective type {type(obj).__name__}")
+        groups.setdefault(key, []).append(i)
+    tables = []
+    for key, positions in groups.items():
+        members = [objectives[i] for i in positions]
+        if key[0] == "quadratic":
+            table = QuadraticTable(np.array([o.a for o in members]), np.array([o.b for o in members]),
+                                   np.array([o.c for o in members]))
+        else:
+            table = GlmTable(np.array([o.features for o in members]), np.array([o.targets for o in members]),
+                             key[2])
+        tables.append((np.array(positions), table))
+    return tables
 
 
 def batch_gradient(objective, params, batch_indices) -> np.ndarray:
@@ -187,6 +274,23 @@ class BatchStream:
         batch = self._order[self._cursor:self._cursor + self.batch_size]
         self._cursor += self.batch_size
         return batch
+
+    def take(self, k: int) -> np.ndarray:
+        """The next ``k`` batches as one (k, batch_size) array: the indices
+        of ``k`` calls of :meth:`next`, and the same generator state after.
+        The batches that fit in one epoch are one slice of it."""
+        size = self.batch_size
+        parts = []
+        while k:
+            if self._cursor + size > self.n_samples:
+                self._order = self._rng.permutation(self.n_samples)
+                self._cursor = 0
+            fit = min(k, (self.n_samples - self._cursor) // size)
+            stop = self._cursor + fit * size
+            parts.append(self._order[self._cursor:stop])
+            self._cursor = stop
+            k -= fit
+        return (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(-1, size)
 
 
 @dataclass(frozen=True)
@@ -217,7 +321,9 @@ def local_sgd(
     model when it has one and ``noise_rng`` is supplied, and from the exact
     full gradient otherwise. A quadratic draws the noise of all its steps as
     one (K, dim) block per member, the same stream as one draw per step, and
-    steps all members as one (R, dim) array; GLM members step one at a time.
+    steps all members as one (R, dim) array. GLM members step one at a
+    time; a member's K batches come from one :meth:`BatchStream.take` and
+    one gather of their samples.
 
     One model that leaves the finite range raises
     :class:`NumericOverflowError` with the index of the first step whose
@@ -239,10 +345,16 @@ def local_sgd(
     path[0] = first
     with np.errstate(over="ignore", invalid="ignore"):
         if batches is not None:
+            link = objective.link
             for row, stream in enumerate(batches):
+                # one range check and one (K, B, dim) gather per delivery;
+                # step k reads its batch as a view
+                idx = stream.take(k_steps)
+                _check_batch_indices(idx, objective.n_samples)
+                x, y = objective.features.take(idx, axis=0), objective.targets[idx]
                 theta = path[0, row]
                 for k in range(1, k_steps + 1):
-                    grad = objective.batch_gradient(theta, stream.next())
+                    grad = _glm_gradient(x[k - 1], y[k - 1], theta, link)
                     theta = np.subtract(theta, eta_l * grad, out=path[k, row])
         elif isinstance(objective, QuadraticObjective):
             # the operation order of gradient() and noisy_gradient(), so the

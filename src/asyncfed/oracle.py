@@ -117,6 +117,24 @@ def staleness_law(state: OracleState, n: int, exact: bool = False):
     return law
 
 
+def _staleness_laws(state: OracleState, n_rounds: int):
+    """Yield ``staleness_law(state, n)`` for n = 0..n_rounds-1, one at a
+    time. The asynchronous laws are slices of one table of the powers of
+    (M-1)/M, so the sequence costs n_rounds Python powers where building
+    each law anew costs O(n_rounds^2); the entries keep their bits."""
+    if state.scheme != "async":
+        for n in range(n_rounds):
+            yield staleness_law(state, n)
+        return
+    stay = (state.n_clients - 1) / state.n_clients
+    powers = np.array([stay ** j for j in range(n_rounds)])
+    shares = powers / state.n_clients
+    for n in range(n_rounds):
+        law = shares[n::-1].copy()
+        law[0] = powers[n]
+        yield law
+
+
 @dataclass(frozen=True)
 class ExpectationSequence:
     """Affine coefficients of the expected model: E[theta^n] = A[n] * theta0 + B[n]."""
@@ -139,8 +157,7 @@ def expectation_recursion(
     b = np.empty(n_rounds + 1)
     a[0], b[0] = 1.0, 0.0
     step = eta_g * state.phi
-    for n in range(n_rounds):
-        law = staleness_law(state, n)
+    for n, law in enumerate(_staleness_laws(state, n_rounds)):
         a[n + 1] = a[n] - step * float(np.dot(law, a[: n + 1]))
         b[n + 1] = b[n] - step * float(np.dot(law, b[: n + 1])) + step * theta_star
     return ExpectationSequence(a, b)
@@ -211,8 +228,7 @@ def variance_recursion(
 
     u = np.zeros((n_rounds + 1, n_rounds + 1))
     u[0, 0] = v[0]
-    for n in range(n_rounds):
-        law = staleness_law(state, n)
+    for n, law in enumerate(_staleness_laws(state, n_rounds)):
         weighted_u = float(np.dot(law, u[n, : n + 1]))
         weighted_v = float(np.dot(law, v[: n + 1]))
         double_sum = float(law @ u[: n + 1, : n + 1] @ law) if cross_coeff else 0.0

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import time
@@ -201,7 +202,7 @@ class TestSimulate:
         assert log["schema_version"] == 1
         assert log["config"]["horizon"] == {"rounds": 20}
         assert "config_sha256" in log and "seeds_resolved" in log
-        assert log["diverged"] is False
+        assert log["diverged"] is False and log["divergence"] is None
 
     @pytest.mark.parametrize("diverge", [False, True])
     def test_run_log_times_each_stage_within_the_command_wall_time(self, tmp_path, diverge):
@@ -234,6 +235,9 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), "--out", str(out), "--quiet"]) == 0
         log = json.loads((out / "run_log.json").read_text())
         assert log["diverged"] is True
+        # the model passes the divergence threshold after the last CSV row
+        n_rows = len(read_csv_column(out / "trajectory.csv", "n"))
+        assert log["divergence"] == {"round": n_rows - 1, "cause": "threshold"}
 
 
 class TestSweep:
@@ -504,6 +508,25 @@ class TestShippedCommands:
         assert code == 0
         golden = self.ROOT / "tests" / "golden" / "sweep_k_sweep_noisy_quadratic.csv"
         assert (tmp_path / "sweep.csv").read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
+    def test_simulate_matches_the_golden_trajectory(self, path, tmp_path):
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        written = tmp_path / "trajectory.csv"
+        golden = self.ROOT / "tests" / "golden" / f"simulate_{path.stem}.csv"
+        if path.name != "async_logistic_heterogeneous.json":
+            assert written.read_bytes() == golden.read_bytes()
+            return
+        # the logistic golden keeps four columns; loss cells rest on BLAS dot
+        # products, which another BLAS build may sum in another order
+        with open(written, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(golden, newline="") as fh:
+            want = list(csv.DictReader(fh))
+        assert [(r["n"], r["participants"]) for r in rows] == [(r["n"], r["participants"]) for r in want]
+        for column in ("loss_fed", "dist_sq"):
+            got = np.array([float(r[column]) for r in rows])
+            np.testing.assert_allclose(got, [float(r[column]) for r in want], rtol=1e-12, atol=0)
 
 
 class TestGoldenRows:

@@ -14,7 +14,8 @@ from asyncfed.core import (
     federated_loss,
     weighted_optimum,
 )
-from asyncfed.objectives import GlmObjective, QuadraticObjective
+from asyncfed.objectives import _CHUNK_FLOATS, GlmObjective, QuadraticObjective, make_synthetic_shards
+from asyncfed.objectives import SyntheticShardConfig
 
 from conftest import quadratic_fleet
 
@@ -155,3 +156,119 @@ class TestFleetValidation:
         assert p.tolist() == [0.5, 0.5]
         with pytest.raises(ValueError):
             p[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# Stacked tables: every fleet-level evaluation equals the per-shard
+# computation it replaces, bit for bit
+# ---------------------------------------------------------------------------
+
+def _reference_quadratic_values(obj, thetas):
+    """One quadratic's losses as evaluated before the fleet tables."""
+    return (thetas * thetas) @ obj.a + thetas @ obj.b + obj.c
+
+
+def _reference_glm_values(obj, thetas):
+    """One shard's losses as evaluated before the fleet tables: row chunks
+    of ``_CHUNK_FLOATS // n``, one margin product per chunk."""
+    out = np.empty(thetas.shape[0])
+    step = max(1, _CHUNK_FLOATS // obj.n_samples)
+    sign = np.where(obj.targets > 0.5, -1.0, 1.0)
+    for lo in range(0, thetas.shape[0], step):
+        z = thetas[lo:lo + step] @ obj.features.T
+        if obj.link == "linear":
+            z -= obj.targets
+            out[lo:lo + step] = 0.5 * (z * z).mean(axis=1)
+        else:
+            z *= sign
+            out[lo:lo + step] = np.logaddexp(0.0, z, out=z).mean(axis=1)
+    return out
+
+
+def _reference_values(obj, thetas):
+    if isinstance(obj, QuadraticObjective):
+        return _reference_quadratic_values(obj, thetas)
+    return _reference_glm_values(obj, thetas)
+
+
+def _reference_descent(fleet, w, grad_tol=1e-10):
+    """The weighted GLM optimum as a per-client loop: full-shard gradients
+    one client at a time, added in client order, zero weights skipped."""
+    objs = [fleet.objective_for(c) for c in fleet.clients]
+    step = 1.0 / math.fsum(wi * o.smoothness for wi, o in zip(w, objs))
+    theta = np.zeros(fleet.dim)
+    while True:
+        grad = np.zeros(fleet.dim)
+        for wi, obj in zip(w, objs):
+            if wi != 0.0:
+                z = obj.features @ theta
+                if obj.link == "logistic":
+                    e = np.exp(np.minimum(z, -z))
+                    z = np.where(z >= 0, 1.0, e) / (1.0 + e)
+                grad += wi * (obj.features.T @ (z - obj.targets) / obj.n_samples)
+        if np.linalg.norm(grad) < grad_tol:
+            return theta
+        theta = theta - step * grad
+
+
+def _ragged_fleet(link):
+    """Shards of 5, 40 and 300 samples, one shard shared by two clients and
+    a quadratic client: four tables' worth of groups in one fleet."""
+    rng = np.random.default_rng(11)
+    objectives = []
+    for n_samples in (5, 40, 300):
+        x = rng.standard_normal((n_samples, 3))
+        y = (rng.random(n_samples) < 0.5).astype(float) if link == "logistic" else x @ rng.normal(size=3)
+        objectives.append(GlmObjective(x, y, link, batch_size=2))
+    objectives.append(QuadraticObjective(rng.uniform(0.1, 2.0, 3), rng.normal(size=3), 0.7))
+    refs = [1, 0, 2, 1, 3, 0]
+    p = rng.dirichlet(np.ones(len(refs)))
+    p[-1] = 1.0 - math.fsum(p[:-1])
+    return Fleet([ClientSpec(i, float(p[i]), i + 1, ref) for i, ref in enumerate(refs)], objectives)
+
+
+class TestFleetTables:
+    def test_clients_are_grouped_by_shape(self):
+        fleet = _ragged_fleet("logistic")
+        groups = [positions.tolist() for positions, _ in fleet.tables]
+        assert sorted(groups) == [[0, 3], [1, 5], [2], [4]]
+
+    @pytest.mark.parametrize("rows", [1, 7, 450])  # 450 rows: two chunks and a tail for 300 samples
+    @pytest.mark.parametrize("link", ["linear", "logistic"])
+    def test_ragged_glm_fleet_losses_are_the_per_shard_bits(self, link, rows):
+        fleet = _ragged_fleet(link)
+        thetas = np.random.default_rng(rows).normal(0.0, 2.0, (rows, 3))
+        matrix = fleet.losses(thetas)
+        assert matrix.shape == (rows, len(fleet))
+        for i, client in enumerate(fleet.clients):
+            obj = fleet.objective_for(client)
+            assert np.array_equal(matrix[:, i], _reference_values(obj, thetas))
+            assert np.array_equal(matrix[:, i], obj.values(thetas))
+        for theta in thetas[:3]:
+            by_client = [c.importance * fleet.objective_for(c).value(theta) for c in fleet.clients]
+            assert federated_loss(theta, fleet) == math.fsum(by_client)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_quadratic_fleet_losses_are_the_per_client_bits(self, dim):
+        rng = np.random.default_rng(dim)
+        objectives = [QuadraticObjective(rng.uniform(0.0, 2.0, dim), rng.normal(size=dim), float(rng.normal()))
+                      for _ in range(6)]
+        fleet = Fleet([ClientSpec(i, 1 / 6, 1, i) for i in range(6)], objectives)
+        thetas = rng.normal(0.0, 5.0, (41, dim))
+        matrix = fleet.losses(thetas)
+        for i, obj in enumerate(objectives):
+            assert np.array_equal(matrix[:, i], _reference_quadratic_values(obj, thetas))
+            assert np.array_equal(matrix[:, i], obj.values(thetas))
+        for theta in thetas[:5]:
+            by_client = [c.importance * objectives[i].value(theta) for i, c in enumerate(fleet.clients)]
+            assert federated_loss(theta, fleet) == math.fsum(by_client)
+
+    @pytest.mark.parametrize("link", ["linear", "logistic"])
+    def test_glm_optimum_is_the_per_client_descent(self, link):
+        shards = (make_synthetic_shards(SyntheticShardConfig(3, dim=3, samples_per_client=20, seed=1, link=link))
+                  + make_synthetic_shards(SyntheticShardConfig(2, dim=3, samples_per_client=35, seed=2, link=link)))
+        fleet = Fleet([ClientSpec(i, 0.2, 1, i) for i in range(5)], shards)
+        w = np.array([0.3, 0.0, 0.25, 0.25, 0.2])  # a zero weight is skipped
+        got = weighted_optimum(fleet, w)
+        assert np.array_equal(got, _reference_descent(fleet, w))
+        assert np.array_equal(weighted_optimum(fleet), _reference_descent(fleet, fleet.importances))

@@ -133,6 +133,7 @@ def test_an_overflowing_member_ends_inside_local_work():
         traj = run(replace(config, seeds=seeds))
         if traj.diverged:
             # local work raised before the round was aggregated
+            assert traj.divergence_cause == "overflow"
             assert traj.theta.shape[0] == traj.n_rounds
             assert traj.divergence_round == traj.n_rounds - 1
             return

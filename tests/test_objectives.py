@@ -208,6 +208,36 @@ class TestKernelMatchesTheReference:
         assert mine.value.step_index == ref.value.step_index
 
 
+class TestGlmKernel:
+    """Overflow and index errors of the GLM minibatch kernel."""
+
+    def test_overflow_is_recorded_per_member(self):
+        obj = _glm("linear")
+        # each step multiplies a large iterate by ~1e4, so the start sets
+        # the step at which a member leaves the finite range
+        starts = np.array([[1.0, -1.0, 0.5], [1e200, 1e200, 1e200], [1e300, 0.0, 0.0], [1e250, 0.0, 0.0]])
+        seeds = [5, 6, 7, 8]
+        out = local_sgd(starts, obj, 40, 1e4,
+                        batches=[BatchStream(24, 5, np.random.default_rng(s)) for s in seeds])
+        steps = []
+        for start, seed in zip(starts, seeds):
+            try:
+                _reference_local_sgd(start, obj, 40, 1e4, batches=BatchStream(24, 5, np.random.default_rng(seed)))
+                steps.append(-1)
+            except NumericOverflowError as err:
+                steps.append(err.step_index)
+        assert out.overflow_step.tolist() == steps
+        assert steps[0] == -1 and len(set(steps)) >= 3
+
+    @pytest.mark.parametrize("members", [False, True])
+    def test_out_of_range_batch_indices_are_rejected(self, members):
+        obj = _glm("logistic")  # 24 samples
+        stream = BatchStream(30, 5, np.random.default_rng(1))
+        start = np.zeros((2, 3)) if members else np.zeros(3)
+        with pytest.raises(ConfigurationError, match="out of range"):
+            local_sgd(start, obj, 25, 0.1, batches=[stream, stream] if members else stream)
+
+
 class TestMembersMatchSingleModels:
     """R members stepped together equal R single-model calls, each with its
     own stream, bit for bit."""
@@ -401,6 +431,18 @@ class TestBatchStream:
         stream = BatchStream(8, 4, np.random.default_rng(0))
         epoch = np.concatenate([stream.next(), stream.next()])
         assert sorted(epoch.tolist()) == list(range(8))
+
+    @pytest.mark.parametrize("n_samples, batch_size", [(24, 5), (64, 8), (7, 7), (10, 3)])
+    def test_take_equals_repeated_next(self, n_samples, batch_size):
+        mine_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        mine = BatchStream(n_samples, batch_size, mine_rng)
+        ref = BatchStream(n_samples, batch_size, ref_rng)
+        for k in (1, 3, 5, 9, 2, 17, 4):  # within an epoch, across one, across several
+            got = mine.take(k)
+            assert got.shape == (k, batch_size)
+            assert np.array_equal(got, np.array([ref.next() for _ in range(k)]))
+        assert np.array_equal(mine.next(), ref.next())
+        assert mine_rng.random() == ref_rng.random()
 
     def test_reshuffles_between_epochs(self):
         stream = BatchStream(64, 32, np.random.default_rng(0))

@@ -10,6 +10,7 @@ from asyncfed.core import ConfigurationError, UnsupportedConfigError
 from asyncfed.engine import ScalarEnsembleConfig, run_scalar_ensemble
 from asyncfed.oracle import (
     OracleState,
+    _staleness_laws,
     expectation_recursion,
     expected_round_time,
     phi,
@@ -65,6 +66,19 @@ class TestStalenessLaw:
         for n in (1, 13, 200):
             law = staleness_law(state, n)
             assert math.fsum(law.tolist()) == 1.0
+
+    @pytest.mark.parametrize(
+        "state",
+        [OracleState("async", 0.5, n_clients=2), OracleState("async", 0.3, n_clients=10),
+         OracleState("hybrid", 0.5, n_clients=4, window=0.37), OracleState("sync", 0.5)],
+        ids=["async2", "async10", "hybrid", "sync"],
+    )
+    def test_the_law_sequence_is_each_law_bit_for_bit(self, state):
+        laws = list(_staleness_laws(state, 120))
+        assert len(laws) == 120
+        for n, law in enumerate(laws):
+            assert law.flags.c_contiguous
+            assert np.array_equal(law, staleness_law(state, n))
 
 
 class TestExpectationRecursion:
