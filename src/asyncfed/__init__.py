@@ -8,7 +8,6 @@ from .core import (
     ConfigurationError,
     Fleet,
     NumericOverflowError,
-    SeedCollisionError,
     StalenessCapError,
     UnsupportedConfigError,
     convergence_residual,
@@ -17,7 +16,7 @@ from .core import (
     uniform_importances,
     weighted_optimum,
 )
-from .engine import MemberRun, RunConfig, Seeds, Trajectory, run, run_ensemble, run_members, run_scalar_ensemble
+from .engine import MemberRun, RunConfig, Seeds, Trajectory, run, run_members, run_scalar_ensemble
 from .objectives import (
     GlmObjective,
     QuadraticObjective,

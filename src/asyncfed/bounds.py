@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ConfigurationError, Fleet, UnsupportedConfigError, weighted_optimum
+from .core import ConfigurationError, Fleet, UnsupportedConfigError, ordered_sum, weighted_optimum
 from .timing import HardwareModel, PolicyKind, WaitPolicy, staleness_bound
 from .weights import WeightScheme, plan_weights
 
@@ -146,7 +146,7 @@ def scheme_presets(
             staleness_bound(async_policy, hw, fleet.compute_times),
             plan.window,
             residual_mean_gap(fleet),
-            sum(time_budget / t for t in taus),
+            ordered_sum(time_budget / t for t in taus),
             tuple(plan.d),
         )
     if policy is None or policy.kind is not PolicyKind.FEDFIX:

@@ -7,7 +7,9 @@ concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -39,10 +41,6 @@ class NumericOverflowError(RuntimeError):
     def __init__(self, step_index: int, message: str | None = None):
         self.step_index = step_index
         super().__init__(message or f"non-finite parameters at step {step_index}")
-
-
-class SeedCollisionError(ValueError):
-    """Two ensemble members were given the same seed."""
 
 
 class StalenessCapError(RuntimeError):
@@ -312,3 +310,10 @@ def _sum_in_order(terms: np.ndarray) -> np.ndarray:
     would pair terms, and adding +0.0 last gives the +0.0 a zero start
     leaves where every term is a zero."""
     return np.cumsum(terms, axis=0)[-1] + 0.0
+
+
+def ordered_sum(terms):
+    """``sum(terms)`` added left to right, one rounding per term, on every
+    Python version: from 3.12 on the builtin compensates float sums, which
+    moves their last digits."""
+    return functools.reduce(operator.add, terms, 0)

@@ -16,16 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    ConfigurationError,
-    Fleet,
-    SeedCollisionError,
-    StalenessCapError,
-    weighted_optimum,
-)
+from .core import ConfigurationError, Fleet, StalenessCapError, weighted_optimum
 from .objectives import BatchStream, GlmObjective, local_sgd
 from .textfmt import BLOCK_CELLS, format_rows
-from .timing import HardwareModel, PolicyKind, WaitPolicy, advance_round, init_fleet_state
+from .timing import HardwareModel, PolicyKind, Round, WaitPolicy, advance_round, init_fleet_state
 from .weights import WeightPlan
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -112,7 +106,7 @@ class Trajectory:
 
     theta: np.ndarray               # (n_models, dim)
     times: np.ndarray               # (n_models,)
-    rounds: list                    # RoundOutcome per completed round
+    rounds: list[Round]             # one per completed round
     metrics: list[MetricsRow]
     optimum: np.ndarray
     diverged: bool = False
@@ -129,22 +123,23 @@ class Trajectory:
     def weight_matrix(self) -> np.ndarray:
         """Realized aggregation weights per round; for deterministic
         schedules these equal the expected weights q_i(n)."""
-        n_clients = len(self.d)
-        out = np.zeros((self.n_rounds, n_clients))
-        for row, outcome in zip(out, self.rounds):
-            for part in outcome.participants:
-                row[part.client_id] = part.multiplicity * self.d[part.client_id]
+        rows, clients, multiplicity = _participations(self.rounds)
+        out = np.zeros((self.n_rounds, len(self.d)))
+        out[rows, clients] = multiplicity * self.d[clients]
         return out
 
     def loss_series(self) -> np.ndarray:
         return np.array([m.loss_fed for m in self.metrics])
 
 
-def _participant_mask(outcome) -> int:
-    mask = 0
-    for part in outcome.participants:
-        mask |= 1 << part.client_id
-    return mask
+def _participations(rounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every participation in ``rounds`` as three aligned arrays: its
+    position in ``rounds``, the client and its multiplicity."""
+    rows = np.repeat(np.arange(len(rounds)), [r.clients.size for r in rounds])
+    empty = np.empty(0, dtype=np.int64)
+    clients = np.concatenate([empty] + [r.clients for r in rounds])
+    multiplicity = np.concatenate([empty] + [r.multiplicity for r in rounds])
+    return rows, clients, multiplicity
 
 
 def shares_schedule(config: RunConfig) -> bool:
@@ -169,7 +164,7 @@ class _GroupRun:
 
     models: list        # (R, dim) global model per recorded model
     round_times: list   # server time at the end of each round
-    rounds: list        # RoundOutcome per round
+    rounds: list        # Round per round
     divergence: list    # per member: None, or (round, "overflow" | "threshold")
     timing_s: dict
 
@@ -185,7 +180,7 @@ def _run_group(config: RunConfig, member_seeds) -> _GroupRun:
     every member has diverged.
     """
     fleet = config.fleet
-    d = config.plan.d
+    d = config.plan.d.tolist()
     taus = list(fleet.compute_times)
     policy = config.policy
     hw = config.hw
@@ -236,8 +231,9 @@ def _run_group(config: RunConfig, member_seeds) -> _GroupRun:
 
             total = np.zeros(shape)
             overflowed = None
-            for part, update in deliveries:
-                total += (part.multiplicity * d[part.client_id]) * update.delta
+            clients, multiplicity = outcome.clients.tolist(), outcome.multiplicity.tolist()
+            for i, mult, update in zip(clients, multiplicity, deliveries):
+                total += (mult * d[i]) * update.delta
                 if update.overflow_step is not None:
                     hit = update.overflow_step >= 0
                     overflowed = hit if overflowed is None else overflowed | hit
@@ -275,7 +271,7 @@ def run(config: RunConfig) -> Trajectory:
     (divergence,) = group.divergence
     # an overflow in local work ends the run before its round is aggregated
     served = len(group.rounds) - (divergence is not None and divergence[1] == "overflow")
-    served_ids = {part.client_id for outcome in group.rounds[:served] for part in outcome.participants}
+    _, served_ids, _ = _participations(group.rounds[:served])
     n_models = len(group.models)
     trajectory = Trajectory(
         theta=np.asarray(group.models)[:, 0],
@@ -286,7 +282,7 @@ def run(config: RunConfig) -> Trajectory:
         diverged=divergence is not None,
         divergence_round=None if divergence is None else divergence[0],
         divergence_cause=None if divergence is None else divergence[1],
-        never_served=len(config.fleet) - len(served_ids),
+        never_served=len(config.fleet) - int(np.count_nonzero(np.bincount(served_ids))),
         d=config.plan.d,
     )
     trajectory.metrics = _compute_metrics(trajectory, config.fleet, config.metric_cadence)
@@ -323,24 +319,26 @@ def _client_randomness(config: RunConfig, member_seeds):
 
 
 def _collect_deliveries(config, fleet, models, outcome, streams, noise_rngs):
-    deliveries = []
-    for part in outcome.participants:
-        if config.tau_max is not None and part.staleness > config.tau_max:
+    """Each participant's local update, in client order."""
+    if config.tau_max is not None:
+        over = np.flatnonzero(outcome.staleness > config.tau_max)
+        if over.size:
+            j = over[0]
             raise StalenessCapError(
-                f"client {part.client_id} delivered with staleness {part.staleness} "
+                f"client {outcome.clients[j]} delivered with staleness {outcome.staleness[j]} "
                 f"> cap {config.tau_max}"
             )
-        client = fleet.clients[part.client_id]
-        update = local_sgd(
-            models[part.anchor_round],
-            fleet.objective_for(client),
+    return [
+        local_sgd(
+            models[anchor],
+            fleet.objective_for(fleet.clients[i]),
             config.k_steps,
             config.eta_l,
-            batches=streams.get(part.client_id),
-            noise_rng=noise_rngs.get(part.client_id),
+            batches=streams.get(i),
+            noise_rng=noise_rngs.get(i),
         )
-        deliveries.append((part, update))
-    return deliveries
+        for i, anchor in zip(outcome.clients.tolist(), outcome.anchors.tolist())
+    ]
 
 
 def _kept_rows(n_models: int, cadence: int) -> list[int]:
@@ -362,28 +360,29 @@ def _compute_metrics(traj: Trajectory, fleet: Fleet, cadence: int) -> list[Metri
     kept = _kept_rows(traj.theta.shape[0], cadence)
     losses, loss_fed = _federated_losses(fleet, traj.theta[kept])
     losses.flags.writeable = False
-    # every participant's loss as a Python float, in one gather; rows with
-    # an outcome come first in ``kept``
-    outcomes = [traj.rounds[n] for n in kept if n < traj.n_rounds]
-    picked = iter(
-        losses[
-            [i for i, outcome in enumerate(outcomes) for _ in outcome.participants],
-            [part.client_id for outcome in outcomes for part in outcome.participants],
-        ].tolist()
-    )
-    d = traj.d.tolist()
-    rows = []
-    for n, client_losses, fed in zip(kept, losses, loss_fed.tolist()):
-        if n < traj.n_rounds:
-            outcome = traj.rounds[n]
-            mask = _participant_mask(outcome)
-            loss_surr = float(
-                sum(part.multiplicity * d[part.client_id] * next(picked) for part in outcome.participants)
-            )
-        else:
-            mask, loss_surr = None, math.nan
+    # rows with a round come first in ``kept``; the final model's row has
+    # no participants and no surrogate
+    recorded = [traj.rounds[n] for n in kept if n < traj.n_rounds]
+    unrecorded = len(kept) - len(recorded)
+    pos, clients, multiplicity = _participations(recorded)
+    served = np.zeros((len(recorded), len(fleet)), dtype=bool)
+    served[pos, clients] = True
+    masks = [int.from_bytes(row.tobytes(), "little")
+             for row in np.packbits(served, axis=1, bitorder="little")] + [None] * unrecorded
+    # the surrogate: mult * d_i * loss_i summed over the participants in
+    # client order, left to right. Each round's terms fill the front of its
+    # row and zeros follow, which leave the cumsum unchanged; +0.0 gives an
+    # all-zero row the +0 of a sum's zero start
+    slot = np.arange(pos.size) - np.searchsorted(pos, pos)
+    terms = np.zeros((len(recorded), int(slot.max(initial=0)) + 1))
+    terms[pos, slot] = (multiplicity * traj.d[clients]) * losses[pos, clients]
+    surrogates = (np.cumsum(terms, axis=1)[:, -1] + 0.0).tolist() + [math.nan] * unrecorded
+    metrics = []
+    for n, client_losses, fed, mask, loss_surr in zip(
+        kept, losses, loss_fed.tolist(), masks, surrogates
+    ):
         gap = traj.theta[n] - traj.optimum
-        rows.append(
+        metrics.append(
             MetricsRow(
                 round=n,
                 wall_time=float(traj.times[n]),
@@ -394,7 +393,7 @@ def _compute_metrics(traj: Trajectory, fleet: Fleet, cadence: int) -> list[Metri
                 client_losses=client_losses,
             )
         )
-    return rows
+    return metrics
 
 
 def final_window_loss(traj: Trajectory, fraction: float = 0.05) -> tuple[float, float]:
@@ -452,64 +451,6 @@ def run_members(config: RunConfig, member_seeds) -> list[MemberRun]:
                 n = divergence[0]
                 members.append(MemberRun(seeds, theta[: n + 1], n + 1, n, None))
     return members
-
-
-@dataclass
-class EnsembleResult:
-    member_seeds: tuple[int, ...]
-    n_completed: int
-    diverged_count: int
-    mean_theta: np.ndarray      # (rounds+1, dim)
-    var_theta: np.ndarray
-    se_theta: np.ndarray
-    mean_dist_sq: np.ndarray
-    se_dist_sq: np.ndarray
-    member_final_loss: tuple[float, ...]
-
-
-def run_ensemble(config: RunConfig, seeds) -> EnsembleResult:
-    """Independent reruns of ``config`` with per-member seed material, all
-    through one :func:`run_members` call.
-
-    Diverged members are excluded from the statistics and counted. Seeds
-    must be pairwise distinct.
-    """
-    seeds = [int(s) for s in seeds]
-    if len(seeds) < 2:
-        raise ConfigurationError("an ensemble needs at least two members")
-    if len(set(seeds)) != len(seeds):
-        raise SeedCollisionError("ensemble seeds must be pairwise distinct")
-
-    members = run_members(config, [_member_seeds(config.seeds, s) for s in seeds])
-    kept = [m for m in members if not m.diverged]
-    if not kept:
-        raise RuntimeError("every ensemble member diverged")
-
-    n_models = min(m.theta.shape[0] for m in kept)
-    stack = np.stack([m.theta[:n_models] for m in kept])
-    gap = stack - weighted_optimum(config.fleet)
-    dstack = np.sum(gap * gap, axis=2)
-    n = stack.shape[0]
-    var_theta = stack.var(axis=0, ddof=1) if n > 1 else np.zeros_like(stack[0])
-    var_dist = dstack.var(axis=0, ddof=1) if n > 1 else np.zeros_like(dstack[0])
-    return EnsembleResult(
-        member_seeds=tuple(seeds),
-        n_completed=n,
-        diverged_count=len(members) - n,
-        mean_theta=stack.mean(axis=0),
-        var_theta=var_theta,
-        se_theta=np.sqrt(var_theta / n),
-        mean_dist_sq=dstack.mean(axis=0),
-        se_dist_sq=np.sqrt(var_dist / n),
-        member_final_loss=tuple(m.final_loss[0] for m in kept),
-    )
-
-
-def _member_seeds(base: Seeds, member: int) -> Seeds:
-    def derive(value):
-        return (value if isinstance(value, tuple) else (value,)) + (member,)
-
-    return Seeds(derive(base.hardware), derive(base.batching), derive(base.sampling))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ConfigurationError, UnsupportedConfigError
+from .core import ConfigurationError, UnsupportedConfigError, ordered_sum
 
 SCHEMES = ("sync", "sync_uniform", "async", "hybrid")
 
@@ -286,11 +286,11 @@ def expected_round_time(scheme: str, n_clients: int, rate: float, m: int | None 
     if rate <= 0:
         raise ConfigurationError("rate must be positive")
     if scheme == "sync":
-        return sum(1.0 / ((n_clients - k) * rate) for k in range(n_clients))
+        return ordered_sum(1.0 / ((n_clients - k) * rate) for k in range(n_clients))
     if scheme == "sync_uniform":
         if m is None or not 1 <= m <= n_clients:
             raise ConfigurationError("sampled-m round time needs 1 <= m <= M")
-        return sum(1.0 / ((m - k) * rate) for k in range(m))
+        return ordered_sum(1.0 / ((m - k) * rate) for k in range(m))
     if scheme == "async":
         return 1.0 / (n_clients * rate)
     raise UnsupportedConfigError(f"no round-time formula for scheme {scheme!r}")

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,6 +125,15 @@ class FleetState:
     def n_clients(self) -> int:
         return len(self.remaining)
 
+    @cached_property
+    def ones(self) -> np.ndarray:
+        """Read-only int64 ones, one per client: a leading slice is the
+        multiplicity of a round whose participants deliver once each, and
+        costs far less than a fresh ``np.ones`` per round."""
+        ones = np.ones(self.n_clients, dtype=np.int64)
+        ones.flags.writeable = False
+        return ones
+
     @property
     def time(self) -> float:
         """Server time in time units; int true division rounds correctly,
@@ -161,14 +172,16 @@ class FleetState:
         return self.clock + dt > self._limit[1]
 
     def arm(self, idx, rng):
-        """Fresh local-work times for clients ``idx`` in ascending order: the
+        """Fresh local-work times for clients ``idx``, in that order: the
         tick period on fixed hardware, an exponential draw with that mean
-        otherwise (the same stream as one draw per client)."""
+        otherwise. Scaling standard draws gives the stream and the bits of
+        ``rng.exponential(scale=means)``, one draw per client, without its
+        slow array path."""
         if self.exact:
             return self.period[idx]
         if rng is None:
             raise ConfigurationError("exponential hardware needs an RNG")
-        return rng.exponential(scale=self.period[idx])
+        return rng.standard_exponential(len(idx)) * self.period[idx]
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -225,23 +238,28 @@ def init_fleet_state(
     return FleetState(remaining, period, anchor, exact=True, scale=scale)
 
 
-@dataclass(frozen=True)
-class Participant:
-    client_id: int
-    multiplicity: int
-    anchor_round: int
-    staleness: int
+class Round(NamedTuple):
+    """One aggregation round: its index n, its length, and the participant
+    set S_n as arrays aligned by position. ``clients`` is ascending; client
+    ``clients[j]`` delivers ``multiplicity[j]`` times, trained from the model
+    of round ``anchors[j]``. A named tuple, because one is built per round
+    and costs a third of a frozen dataclass."""
 
-
-@dataclass(frozen=True)
-class RoundOutcome:
     index: int
     delta_t: Fraction | float
-    participants: tuple[Participant, ...]
+    clients: np.ndarray         # int64
+    multiplicity: np.ndarray    # int64
+    anchors: np.ndarray         # int64
 
     @property
-    def participant_ids(self) -> tuple[int, ...]:
-        return tuple(p.client_id for p in self.participants)
+    def staleness(self) -> np.ndarray:
+        return self.index - self.anchors
+
+
+def fastest_first(taus) -> list[int]:
+    """Client indices by compute time, ties by index: the order of the
+    fastest-first sampling criterion."""
+    return sorted(range(len(taus)), key=lambda i: (taus[i], i))
 
 
 def advance_round(
@@ -255,13 +273,13 @@ def advance_round(
     client_losses=None,
     importances=None,
     time_limit=None,
-) -> RoundOutcome | None:
+) -> Round | None:
     """Advance one aggregation round, mutating ``state``.
 
-    Returns the participant set (with staleness bookkeeping) and the round
-    duration. When ``time_limit`` is given and the round would end past it,
-    the state is left untouched and ``None`` is returned. ``hw`` is the model
-    the state was built with and ``taus`` orders the fastest-first sampling
+    Returns the participant set (with its anchors) and the round duration.
+    When ``time_limit`` is given and the round would end past it, the state
+    is left untouched and ``None`` is returned. ``hw`` is the model the
+    state was built with and ``taus`` orders the fastest-first sampling
     criterion; the clocks themselves come from ``state``.
 
     Every clock is rebased by the round length rather than kept as an
@@ -272,8 +290,8 @@ def advance_round(
     rem = state.remaining
     kind = policy.kind
     if kind is PolicyKind.ASYNCHRONOUS:
-        selected = int(rem.argmin())  # ties serialized, lowest index first
-        dt = rem[selected]
+        selected = rem.argmin(keepdims=True)  # ties serialized, lowest index first
+        dt = rem[selected[0]]
     else:
         if kind is PolicyKind.SYNCHRONOUS:
             dt = rem.max()
@@ -293,20 +311,14 @@ def advance_round(
     if time_limit is not None and state.exceeds(dt, time_limit):
         return None
 
-    if kind is PolicyKind.ASYNCHRONOUS:
-        a = int(state.anchor[selected])
-        participants = (Participant(selected, 1, a, n - a),)
-    else:
-        participants = tuple(
-            Participant(i, 1, a, n - a)
-            for i, a in zip(selected.tolist(), state.anchor[selected].tolist())
-        )
+    ones = state.ones[: selected.size]
+    outcome = Round(n, state.duration(dt), selected, ones, state.anchor[selected])
     rem -= dt
     rem[selected] = state.arm(selected, hw_rng)
     state.anchor[selected] = n + 1
     state.clock += dt
     state.round_index = n + 1
-    return RoundOutcome(n, state.duration(dt), participants)
+    return outcome
 
 
 def _advance_sampling_round(
@@ -320,11 +332,11 @@ def _advance_sampling_round(
     if m > n_clients:
         raise ConfigurationError("sample size m exceeds the fleet size")
 
+    clients = None
     if policy.kind is PolicyKind.SAMPLE_UNIFORM:
         if sample_rng is None:
             raise ConfigurationError("uniform sampling needs a sampling RNG")
-        chosen = sample_rng.choice(n_clients, size=m, replace=False)
-        counts = {int(i): 1 for i in chosen}
+        drawn = sample_rng.choice(n_clients, size=m, replace=False)
     elif policy.kind is PolicyKind.SAMPLE_MD:
         if sample_rng is None:
             raise ConfigurationError("multinomial sampling needs a sampling RNG")
@@ -332,31 +344,30 @@ def _advance_sampling_round(
             raise ConfigurationError("multinomial sampling needs client importances")
         p = np.asarray(importances, dtype=float)
         draws = sample_rng.choice(n_clients, size=m, replace=True, p=p)
-        counts = {}
-        for i in draws:
-            counts[int(i)] = counts.get(int(i), 0) + 1
-    else:  # biased deterministic criterion
-        if policy.criterion == "fastest":
-            order = sorted(range(n_clients), key=lambda i: (taus[i], i))
-        else:
-            if client_losses is None:
-                raise ConfigurationError("highest_loss criterion needs client losses")
-            order = sorted(range(n_clients), key=lambda i: (-client_losses[i], i))
-        counts = {i: 1 for i in order[:m]}
+        drawn = list(dict.fromkeys(draws.tolist()))  # first-appearance order
+        counts = np.bincount(draws, minlength=n_clients)
+        clients = np.flatnonzero(counts)
+        counts = counts[clients]
+    elif policy.criterion == "fastest":
+        drawn = np.array(fastest_first(taus)[:m], dtype=np.int64)
+    else:
+        if client_losses is None:
+            raise ConfigurationError("highest_loss criterion needs client losses")
+        drawn = np.argsort(-np.asarray(client_losses, dtype=float), kind="stable")[:m]
 
     # draws follow the selection order, as one hardware draw per client would
-    times = state.arm(list(counts), hw_rng)
+    times = state.arm(drawn, hw_rng)
     dt = int(times.max()) if state.exact else float(times.max())
     if time_limit is not None and state.exceeds(dt, time_limit):
         return None
 
-    participants = tuple(
-        Participant(i, mult, n, 0) for i, mult in sorted(counts.items())
-    )
+    if clients is None:
+        clients, counts = np.sort(drawn), state.ones[:m]
+    outcome = Round(n, state.duration(dt), clients, counts, state.anchor[clients])
     state.anchor[:] = n + 1
     state.clock += dt
     state.round_index = n + 1
-    return RoundOutcome(n, state.duration(dt), participants)
+    return outcome
 
 
 SCHEDULE_ROUND_CAP = 200_000
@@ -396,8 +407,8 @@ def staleness_bound(policy: WaitPolicy, hw: HardwareModel, taus) -> int:
     if kind is PolicyKind.ASYNCHRONOUS:
         return _async_staleness(taus)
     if kind is PolicyKind.FEDBUFF:
-        _, outcomes = replay_steady_period(policy, taus)
-        return max((p.staleness for out in outcomes for p in out.participants), default=0)
+        _, steady = replay_steady_period(policy, taus)
+        return int(np.concatenate([r.staleness for r in steady]).max())
     raise UnsupportedConfigError(f"no staleness bound for policy {kind}")
 
 
@@ -432,13 +443,13 @@ def _async_staleness(taus) -> int:
     return int(np.max(rank - previous)) - 1
 
 
-def replay_steady_period(policy: WaitPolicy, taus) -> tuple[int, list[RoundOutcome]]:
+def replay_steady_period(policy: WaitPolicy, taus) -> tuple[int, list[Round]]:
     """Replay a fixed-hardware schedule until its clocks repeat.
 
-    Returns the period in rounds and the outcomes of the period that starts
+    Returns the period in rounds and the rounds of the period that starts
     at the first repeat. Every client delivers within each period, so by
     then every anchor was set inside the cycle and the staleness is steady.
-    Only those outcomes are kept. Raises UnsupportedConfigError when this
+    Only those rounds are kept. Raises UnsupportedConfigError when this
     takes more than ``SCHEDULE_ROUND_CAP`` rounds.
     """
     hw = HardwareModel("fixed")
@@ -447,7 +458,7 @@ def replay_steady_period(policy: WaitPolicy, taus) -> tuple[int, list[RoundOutco
     # value-based key: the bytes of an object array are pointers
     seen = {tuple(state.remaining.tolist()): 0}
     period = None
-    outcomes: list[RoundOutcome] = []
+    outcomes: list[Round] = []
     while state.round_index < SCHEDULE_ROUND_CAP:
         outcome = advance_round(state, policy, taus, hw)
         if period is not None:

@@ -20,6 +20,7 @@ from .timing import (
     HardwareModel,
     PolicyKind,
     WaitPolicy,
+    fastest_first,
     participations_per_cycle,
     replay_steady_period,
 )
@@ -136,11 +137,8 @@ def _window_counts(policy: WaitPolicy | None, taus) -> tuple[int, list[int] | No
         return window, [window // p for p in periods]
     if policy.kind is PolicyKind.FEDBUFF:
         window, steady = replay_steady_period(policy, taus)
-        counts = [0] * len(taus)
-        for outcome in steady:
-            for part in outcome.participants:
-                counts[part.client_id] += 1
-        return window, counts
+        clients = np.concatenate([r.clients for r in steady])
+        return window, np.bincount(clients, minlength=len(taus)).tolist()
     raise UnsupportedConfigError(f"no window size for policy {policy.kind}")
 
 
@@ -158,8 +156,7 @@ def _sampled_q(policy, taus, d, importances):
             # loss-driven selection depends on the trajectory; there is no
             # analytic inclusion probability to report
             return [math.nan] * n
-        order = sorted(range(n), key=lambda i: (taus[i], i))
-        chosen = set(order[:m])
+        chosen = set(fastest_first(taus)[:m])
         return [di if i in chosen else Fraction(0) for i, di in enumerate(d)]
     raise UnsupportedConfigError(f"no expected weights for policy {policy.kind}")
 

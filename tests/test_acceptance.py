@@ -81,8 +81,8 @@ class TestCriterion2AlternatingPairsRecursion:
             initial_clocks=(2, 1, 2, 1),
         )
         traj = run(cfg)
-        pattern = [out.participant_ids for out in traj.rounds[:4]]
-        assert pattern == [(1, 3), (0, 2), (1, 3), (0, 2)]
+        pattern = [out.clients.tolist() for out in traj.rounds[:4]]
+        assert pattern == [[1, 3], [0, 2], [1, 3], [0, 2]]
 
         theta = traj.theta[:, 0]
         contraction = phi(0.5, 1)
@@ -118,9 +118,10 @@ class TestCriterion3AlternatingBiasAndRepair:
         # weighted-optima limit and converges geometrically
         total, mass = 0.0, 0.0
         for k in (at_round, at_round + 1):
-            (part,) = traj.rounds[k].participants
-            weight = plan.d[part.client_id]
-            total += weight * traj.theta[part.anchor_round, 0]
+            (client,) = traj.rounds[k].clients
+            (anchor,) = traj.rounds[k].anchors
+            weight = plan.d[client]
+            total += weight * traj.theta[anchor, 0]
             mass += weight
         return total / mass
 

@@ -178,6 +178,23 @@ class TestSimulate:
             assert main(["simulate", "--config", str(path), "--out", str(tmp_path / name), "--quiet"]) == 0
         assert (tmp_path / "a/trajectory.csv").read_bytes() == (tmp_path / "b/trajectory.csv").read_bytes()
 
+    def test_sync_fedavg_surrogate_is_the_federated_loss_bit_for_bit(self, tmp_path):
+        # every client delivers once with d_i = p_i, so both columns add the
+        # same products in client order; a compensated sum would move digits
+        document = base_config(horizon={"rounds": 60})
+        document["fleet"]["compute_times"] = [1, 2, 3, 4, 5, 6, 7]
+        document["fleet"]["objective"] = {
+            "family": "quadratic", "optima": [0.0, 1.0, -2.0, 3.5, 0.25, 7.0, -1.5], "noise_std": 0.4,
+        }
+        document["optimization"].update(full_gradient=False, eta_l=0.3)
+        path = write_config(tmp_path, document)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        surrogate = read_csv_column(out / "trajectory.csv", "loss_surrogate")
+        federated = read_csv_column(out / "trajectory.csv", "loss_fed")
+        assert len(surrogate) == 61 and surrogate[-1] == ""
+        assert surrogate[:-1] == federated[:-1]
+
     def test_time_budget_row_count_tracks_completions(self, tmp_path):
         document = base_config(
             scheme={"policy": "asynchronous", "weights": "async_time_based"},

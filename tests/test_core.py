@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from asyncfed.core import (
     convergence_residual,
     distribution_weights,
     federated_loss,
+    ordered_sum,
     weighted_optimum,
 )
 from asyncfed.objectives import _CHUNK_FLOATS, GlmObjective, QuadraticObjective, make_synthetic_shards
@@ -44,6 +46,19 @@ class TestFederatedLoss:
     def test_dimension_mismatch_rejected(self, two_client_fleet):
         with pytest.raises(ConfigurationError):
             federated_loss([1.0, 2.0], two_client_fleet)
+
+
+class TestOrderedSum:
+    def test_adds_left_to_right_without_compensation(self):
+        # 1e16 + 1.0 rounds back to 1e16, so the plain order gives 0.0;
+        # the compensated builtin sum of Python 3.12+ gives 1.0
+        assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+        assert ordered_sum(x for x in [0.1] * 10) == 0.9999999999999999
+
+    def test_keeps_the_zero_start_and_exact_types(self):
+        assert ordered_sum([]) == 0
+        assert math.copysign(1.0, ordered_sum([-0.0])) == 1.0
+        assert ordered_sum([Fraction(1, 3)] * 3) == 1
 
 
 class TestConvergenceResidual:

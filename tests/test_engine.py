@@ -5,20 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from asyncfed.core import (
-    ClientSpec,
-    ConfigurationError,
-    Fleet,
-    SeedCollisionError,
-    StalenessCapError,
-)
+from asyncfed.core import ClientSpec, ConfigurationError, Fleet, StalenessCapError
 from asyncfed.engine import (
     RunConfig,
     ScalarEnsembleConfig,
     Seeds,
     final_window_loss,
     run,
-    run_ensemble,
+    run_members,
     run_scalar_ensemble,
     trajectory_header,
     write_trajectory_csv,
@@ -116,23 +110,20 @@ class TestPolicyEquivalences:
         assert np.array_equal(sync_traj.theta, fix_traj.theta)
 
 
+def _member_statistics(config, n_members):
+    """Per-round mean and standard error of the models of ``n_members``
+    reruns, member s seeded ``Seeds((0, s), (1, s), (2, s))``."""
+    members = run_members(config, [Seeds((0, s), (1, s), (2, s)) for s in range(n_members)])
+    assert not any(m.diverged for m in members)
+    stack = np.stack([m.theta for m in members])
+    return stack.mean(axis=0), np.sqrt(stack.var(axis=0, ddof=1) / n_members)
+
+
 class TestEnsembles:
     def test_deterministic_config_has_zero_cross_seed_variance(self):
         fleet = quadratic_fleet([[0.0], [2.0]])
-        out = run_ensemble(sync_config(fleet), seeds=[1, 2, 3])
-        assert np.all(out.var_theta == 0.0)
-        assert out.diverged_count == 0
-
-    def test_seed_collision_rejected(self):
-        fleet = quadratic_fleet([[0.0], [2.0]])
-        with pytest.raises(SeedCollisionError):
-            run_ensemble(sync_config(fleet), seeds=[4, 4])
-
-    def test_diverged_members_are_excluded_and_counted(self):
-        fleet = quadratic_fleet([[0.0], [2.0]], noise_std=1e11)
-        cfg = sync_config(fleet, full_gradient=False, eta_l=1.9, rounds=40)
-        out = run_ensemble(cfg, seeds=[0, 1, 2, 3])
-        assert out.n_completed + out.diverged_count == 4
+        _, se_theta = _member_statistics(sync_config(fleet), 3)
+        assert np.all(se_theta == 0.0)
 
     def test_uniform_sampling_mean_tracks_the_vectorized_simulator(self):
         fleet = quadratic_fleet([[0.0], [2.0]])
@@ -142,7 +133,7 @@ class TestEnsembles:
             fleet=fleet, policy=policy, plan=plan, eta_l=0.5, k_steps=1,
             full_gradient=True, rounds=10, theta0=np.array([1.0]),
         )
-        general = run_ensemble(cfg, seeds=list(range(400)))
+        mean_theta, se_theta = _member_statistics(cfg, 400)
         fast = run_scalar_ensemble(
             ScalarEnsembleConfig("sync_uniform", (0.0, 2.0), 0.5, theta0=1.0,
                                  checkpoints=(1, 5, 10), n_runs=40_000, seed=77, m=1)
@@ -153,9 +144,9 @@ class TestEnsembles:
             OracleState("sync_uniform", 0.5, n_clients=2, m=1), 10, 1.0, [0.0, 2.0]
         ).mean(1.0)
         for i, n in enumerate((1, 5, 10), start=1):
-            se = math.hypot(general.se_theta[n, 0], fast.se_mean[i])
-            assert abs(general.mean_theta[n, 0] - fast.mean[i]) <= 4 * se
-            assert abs(general.mean_theta[n, 0] - recursion[n]) <= 4 * max(general.se_theta[n, 0], 1e-12)
+            se = math.hypot(se_theta[n, 0], fast.se_mean[i])
+            assert abs(mean_theta[n, 0] - fast.mean[i]) <= 4 * se
+            assert abs(mean_theta[n, 0] - recursion[n]) <= 4 * max(se_theta[n, 0], 1e-12)
 
 
 class TestScalarEnsemble:
@@ -177,14 +168,14 @@ class TestScalarEnsemble:
             fleet=fleet, policy=ASYNC, plan=plan, hw=HardwareModel("exponential"),
             eta_l=0.5, k_steps=1, full_gradient=True, rounds=8, theta0=np.array([0.0]),
         )
-        general = run_ensemble(cfg, seeds=list(range(500)))
+        mean_theta, se_theta = _member_statistics(cfg, 500)
         fast = run_scalar_ensemble(
             ScalarEnsembleConfig("async", (0.0, 2.0), 0.5, theta0=0.0,
                                  checkpoints=(1, 4, 8), n_runs=100_000, seed=3)
         )
         for i, n in enumerate((1, 4, 8), start=1):
-            se = math.hypot(general.se_theta[n, 0], fast.se_mean[i])
-            assert abs(general.mean_theta[n, 0] - fast.mean[i]) <= 4 * se
+            se = math.hypot(se_theta[n, 0], fast.se_mean[i])
+            assert abs(mean_theta[n, 0] - fast.mean[i]) <= 4 * se
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     @pytest.mark.parametrize("n_runs", [256, 257])
@@ -394,9 +385,8 @@ class TestMetricsAndCsv:
         traj = run(cfg)
         matrix = traj.weight_matrix()
         for n, outcome in enumerate(traj.rounds):
-            ids = set(outcome.participant_ids)
             for i in range(2):
-                assert (matrix[n, i] > 0) == (i in ids)
+                assert (matrix[n, i] > 0) == (i in outcome.clients)
 
     def test_final_window_loss_uses_the_tail(self):
         fleet = quadratic_fleet([[0.0], [2.0]])
@@ -418,12 +408,49 @@ class TestMetricsAndCsv:
         traj = run(cfg)
         for n, outcome in enumerate(traj.rounds):
             total = np.zeros(1)
-            for part in outcome.participants:
-                assert part.anchor_round <= n
-                objective = fleet.objectives[part.client_id]
-                update = local_sgd(traj.theta[part.anchor_round], objective, cfg.k_steps, cfg.eta_l)
-                total += plan.d[part.client_id] * update.delta
+            for client, anchor in zip(outcome.clients.tolist(), outcome.anchors.tolist()):
+                assert anchor <= n
+                objective = fleet.objectives[client]
+                update = local_sgd(traj.theta[anchor], objective, cfg.k_steps, cfg.eta_l)
+                total += plan.d[client] * update.delta
             assert np.allclose(traj.theta[n] + 0.8 * total, traj.theta[n + 1], atol=1e-15)
+
+
+class TestRoundBookkeeping:
+    """The metrics rows and realized weights, read off the rounds' arrays,
+    against a loop over each round's participants."""
+
+    @pytest.mark.parametrize("policy", [
+        ASYNC,
+        WaitPolicy(PolicyKind.FEDFIX, delta_t=0.3),  # has empty rounds
+        WaitPolicy(PolicyKind.FEDBUFF, m=2),
+        WaitPolicy(PolicyKind.SAMPLE_MD, m=4),       # has repeated clients
+    ])
+    def test_masks_surrogates_and_weights_match_a_participant_loop(self, policy):
+        fleet = quadratic_fleet([[0.0], [1.0], [-2.0], [3.5], [0.25]], taus=[1, 2, 1.5, 3, 0.5],
+                                importances=[0.1, 0.3, 0.2, 0.25, 0.15], noise_std=0.3)
+        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+        traj = run(RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.2, rounds=90,
+                             metric_cadence=2, theta0=np.array([4.0])))
+        d = plan.d.tolist()
+        weights = traj.weight_matrix()
+        assert weights.shape == (90, 5)
+        for n, outcome in enumerate(traj.rounds):
+            row = np.zeros(5)
+            for i, mult in zip(outcome.clients.tolist(), outcome.multiplicity.tolist()):
+                row[i] = mult * d[i]
+            assert np.array_equal(weights[n], row)
+        assert any(r.clients.size == 0 for r in traj.rounds) == (policy.kind is PolicyKind.FEDFIX)
+        for metrics in traj.metrics[:-1]:
+            outcome = traj.rounds[metrics.round]
+            mask, surrogate = 0, 0.0
+            for i, mult in zip(outcome.clients.tolist(), outcome.multiplicity.tolist()):
+                mask |= 1 << i
+                surrogate += mult * d[i] * float(metrics.client_losses[i])
+            assert metrics.participant_mask == mask
+            assert metrics.loss_surrogate == surrogate
+            assert math.copysign(1.0, metrics.loss_surrogate) == math.copysign(1.0, surrogate)
+        assert traj.metrics[-1].participant_mask is None
 
 
 class TestMorePolicies:
@@ -434,9 +461,9 @@ class TestMorePolicies:
         cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.2,
                         full_gradient=True, rounds=8)
         traj = run(cfg)
-        staleness = [p.staleness for out in traj.rounds for p in out.participants]
+        staleness = [s for out in traj.rounds for s in out.staleness.tolist()]
         assert max(staleness) >= 1  # the slow client lands late
-        assert all(len(out.participants) >= 2 for out in traj.rounds)
+        assert all(out.clients.size >= 2 for out in traj.rounds)
 
     def test_loss_driven_sampling_targets_the_worst_client(self, monkeypatch):
         def refuse(self, theta):
@@ -451,7 +478,7 @@ class TestMorePolicies:
         cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.1,
                         full_gradient=True, rounds=5, theta0=np.array([0.0]))
         traj = run(cfg)
-        assert all(out.participant_ids == (1,) for out in traj.rounds)
+        assert all(out.clients.tolist() == [1] for out in traj.rounds)
         assert traj.never_served == 1
 
 

@@ -1,6 +1,6 @@
 """The member axis: R reruns of one config that share a schedule step as one
 (R, dim) model. Every member must equal a separate ``run`` with its seeds,
-bit for bit, and ensembles must equal the per-member loop they replace."""
+bit for bit."""
 
 from dataclasses import replace
 
@@ -9,16 +9,7 @@ import pytest
 
 from asyncfed import engine
 from asyncfed.core import ClientSpec, Fleet
-from asyncfed.engine import (
-    EnsembleResult,
-    RunConfig,
-    Seeds,
-    final_window_loss,
-    run,
-    run_ensemble,
-    run_members,
-    shares_schedule,
-)
+from asyncfed.engine import RunConfig, Seeds, final_window_loss, run, run_members, shares_schedule
 from asyncfed.objectives import QuadraticObjective, SyntheticShardConfig, make_synthetic_shards
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy
 from asyncfed.weights import WeightScheme, plan_weights
@@ -157,42 +148,3 @@ def test_a_shared_schedule_advances_once_per_round(monkeypatch):
     n_rounds = [m.n_rounds for m in run_members(own, MEMBER_SEEDS)]
     # one call past the time budget per member, which returns None
     assert len(calls) == sum(n_rounds) + len(MEMBER_SEEDS)
-
-
-def _reference_ensemble(config, seeds) -> EnsembleResult:
-    """``run_ensemble`` as a loop of separate runs, one per member."""
-    thetas, dists, finals = [], [], []
-    diverged = 0
-    for s in seeds:
-        traj = run(replace(config, seeds=engine._member_seeds(config.seeds, s)))
-        if traj.diverged:
-            diverged += 1
-            continue
-        gap = traj.theta - traj.optimum
-        thetas.append(traj.theta)
-        dists.append(np.sum(gap * gap, axis=1))
-        finals.append(final_window_loss(traj)[0])
-    n_models = min(t.shape[0] for t in thetas)
-    stack = np.stack([t[:n_models] for t in thetas])
-    dstack = np.stack([d[:n_models] for d in dists])
-    n = stack.shape[0]
-    var_theta = stack.var(axis=0, ddof=1) if n > 1 else np.zeros_like(stack[0])
-    var_dist = dstack.var(axis=0, ddof=1) if n > 1 else np.zeros_like(dstack[0])
-    return EnsembleResult(tuple(seeds), n, diverged, stack.mean(axis=0), var_theta,
-                          np.sqrt(var_theta / n), dstack.mean(axis=0), np.sqrt(var_dist / n),
-                          tuple(finals))
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_ensemble_equals_the_per_member_loop(name):
-    config = CASES[name]()
-    seeds = [3, 1, 4, 15, 9, 2, 6]
-    got = run_ensemble(config, seeds)
-    want = _reference_ensemble(config, seeds)
-    if name in ("threshold", "overflow"):
-        assert 0 < got.diverged_count < len(seeds)
-    assert got.member_seeds == want.member_seeds
-    assert (got.n_completed, got.diverged_count) == (want.n_completed, want.diverged_count)
-    assert got.member_final_loss == want.member_final_loss
-    for field in ("mean_theta", "var_theta", "se_theta", "mean_dist_sq", "se_dist_sq"):
-        assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field

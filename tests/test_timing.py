@@ -31,12 +31,12 @@ class TestSynchronous:
         outcomes = fixed_schedule([1, 2], WaitPolicy(PolicyKind.SYNCHRONOUS), 3)
         for out in outcomes:
             assert out.delta_t == 2
-            assert out.participant_ids == (0, 1)
+            assert out.clients.tolist() == [0, 1]
 
     def test_anchors_are_always_fresh(self):
         outcomes = fixed_schedule([3, 5, 2], WaitPolicy(PolicyKind.SYNCHRONOUS), 4)
         for out in outcomes:
-            assert all(p.staleness == 0 for p in out.participants)
+            assert out.staleness.tolist() == [0, 0, 0]
 
 
 class TestAsynchronous:
@@ -46,8 +46,8 @@ class TestAsynchronous:
         assert [out.delta_t for out in outcomes] == [1, 1, 0, 1, 1, 0]
         counts = [0, 0]
         for out in outcomes:
-            (part,) = out.participants
-            counts[part.client_id] += 1
+            (client,) = out.clients.tolist()
+            counts[client] += 1
         assert counts == [4, 2]
 
     def test_participation_counts_over_the_lcm_cycle(self):
@@ -57,13 +57,13 @@ class TestAsynchronous:
         outcomes = fixed_schedule(taus, WaitPolicy(PolicyKind.ASYNCHRONOUS), 2 * window)
         counts = [0, 0, 0]
         for out in outcomes[:window]:
-            counts[out.participants[0].client_id] += 1
+            counts[out.clients[0]] += 1
         assert counts == [6, 4, 3]
 
     def test_simultaneous_finishers_are_serialized_lowest_index_first(self):
         outcomes = fixed_schedule([1, 1, 1], WaitPolicy(PolicyKind.ASYNCHRONOUS), 6)
         assert [out.delta_t for out in outcomes] == [1, 0, 0, 1, 0, 0]
-        assert [out.participants[0].client_id for out in outcomes] == [0, 1, 2, 0, 1, 2]
+        assert [out.clients.tolist() for out in outcomes] == [[0], [1], [2], [0], [1], [2]]
 
     def test_clock_conservation_with_waiting_allowed(self):
         state = init_fleet_state([1, 2], FIXED)
@@ -72,7 +72,7 @@ class TestAsynchronous:
             before = list(state.remaining)
             out = advance_round(state, policy, [1, 2], FIXED)
             for i in range(2):
-                if i not in out.participant_ids:
+                if i not in out.clients:
                     assert state.remaining[i] == before[i] - out.delta_t
                     assert state.remaining[i] >= 0
 
@@ -80,19 +80,19 @@ class TestAsynchronous:
 class TestFedFix:
     def test_empty_rounds_are_legal(self):
         outcomes = fixed_schedule([5], WaitPolicy(PolicyKind.FEDFIX, delta_t=1), 5)
-        sizes = [len(out.participants) for out in outcomes]
+        sizes = [out.clients.size for out in outcomes]
         assert sizes == [0, 0, 0, 0, 1]
 
     def test_slow_client_lands_every_other_round(self):
         outcomes = fixed_schedule([3], WaitPolicy(PolicyKind.FEDFIX, delta_t=2), 8)
-        landing = [len(out.participants) for out in outcomes]
+        landing = [out.clients.size for out in outcomes]
         assert landing == [0, 1, 0, 1, 0, 1, 0, 1]
 
     def test_wide_window_degenerates_to_full_participation(self):
         outcomes = fixed_schedule([1, 2, 3], WaitPolicy(PolicyKind.FEDFIX, delta_t=3), 4)
         for out in outcomes:
-            assert out.participant_ids == (0, 1, 2)
-            assert all(p.staleness == 0 for p in out.participants)
+            assert out.clients.tolist() == [0, 1, 2]
+            assert out.staleness.tolist() == [0, 0, 0]
 
     def test_nonparticipant_clocks_stay_positive(self):
         state = init_fleet_state([1, 5], FIXED)
@@ -100,7 +100,7 @@ class TestFedFix:
         for _ in range(6):
             out = advance_round(state, policy, [1, 5], FIXED)
             for i in range(2):
-                if i not in out.participant_ids:
+                if i not in out.clients:
                     assert state.remaining[i] > 0
 
 
@@ -108,12 +108,12 @@ class TestFedBuff:
     def test_waits_for_the_mth_fastest(self):
         out = fixed_schedule([1, 2, 3], WaitPolicy(PolicyKind.FEDBUFF, m=2), 1)[0]
         assert out.delta_t == 2
-        assert out.participant_ids == (0, 1)
+        assert out.clients.tolist() == [0, 1]
 
     def test_stragglers_keep_training_on_stale_anchors(self):
         outcomes = fixed_schedule([1, 2, 3], WaitPolicy(PolicyKind.FEDBUFF, m=2), 3)
         staleness_of_slowest = [
-            p.staleness for out in outcomes for p in out.participants if p.client_id == 2
+            s for out in outcomes for i, s in zip(out.clients, out.staleness) if i == 2
         ]
         assert staleness_of_slowest and max(staleness_of_slowest) >= 1
 
@@ -126,10 +126,10 @@ class TestSampling:
         rng = np.random.default_rng(0)
         for _ in range(20):
             out = advance_round(state, policy, [1, 2, 3, 4], hw, sample_rng=rng)
-            assert len(out.participants) == 2
-            assert all(p.multiplicity == 1 and p.staleness == 0 for p in out.participants)
-            assert out.delta_t == max(4 if 3 in out.participant_ids else 0,
-                                      *[i + 1 for i in out.participant_ids])
+            assert out.clients.size == 2
+            assert out.multiplicity.tolist() == [1, 1] and out.staleness.tolist() == [0, 0]
+            assert out.delta_t == max(4 if 3 in out.clients else 0,
+                                      *[i + 1 for i in out.clients.tolist()])
 
     def test_multinomial_sampling_counts_multiplicity(self):
         policy = WaitPolicy(PolicyKind.SAMPLE_MD, m=2)
@@ -140,8 +140,8 @@ class TestSampling:
             out = advance_round(
                 state, policy, [1, 1], FIXED, sample_rng=rng, importances=[0.5, 0.5]
             )
-            assert sum(p.multiplicity for p in out.participants) == 2
-            saw_double = saw_double or any(p.multiplicity == 2 for p in out.participants)
+            assert out.multiplicity.sum() == 2
+            saw_double = saw_double or 2 in out.multiplicity
         assert saw_double
 
     def test_sample_size_cannot_exceed_fleet(self):
@@ -154,7 +154,7 @@ class TestSampling:
         state = init_fleet_state([3, 1, 2], FIXED)
         policy = WaitPolicy(PolicyKind.SAMPLE_BIASED, m=2, criterion="fastest")
         out = advance_round(state, policy, [3, 1, 2], FIXED)
-        assert out.participant_ids == (1, 2)
+        assert out.clients.tolist() == [1, 2]
 
     def test_highest_loss_criterion_needs_losses(self):
         state = init_fleet_state([1, 1], FIXED)
@@ -162,13 +162,12 @@ class TestSampling:
         with pytest.raises(ConfigurationError):
             advance_round(state, policy, [1, 1], FIXED)
         out = advance_round(state, policy, [1, 1], FIXED, client_losses=[0.1, 0.9])
-        assert out.participant_ids == (1,)
+        assert out.clients.tolist() == [1]
 
 
 def _counts(outcome, n_clients):
     row = np.zeros(n_clients)
-    for p in outcome.participants:
-        row[p.client_id] = p.multiplicity
+    row[outcome.clients] = outcome.multiplicity
     return row
 
 
@@ -228,7 +227,7 @@ class TestDeterminism:
             seq = []
             for _ in range(30):
                 out = advance_round(state, policy, [1.0, 2.0], hw, hw_rng=rng)
-                seq.append(out.participant_ids)
+                seq.append(out.clients.tolist())
             return seq
 
         assert participants(123) == participants(123)
@@ -248,7 +247,7 @@ class TestStalenessBound:
         bound = staleness_bound(policy, FIXED, [3, 5])
         outcomes = fixed_schedule([3, 5], policy, 40)
         realized = max(
-            (p.staleness for out in outcomes[10:] for p in out.participants), default=0
+            (s for out in outcomes[10:] for s in out.staleness.tolist()), default=0
         )
         assert realized <= bound
 
@@ -291,7 +290,7 @@ class TestInitialClocks:
         outcomes = fixed_schedule(
             [2, 2], WaitPolicy(PolicyKind.FEDFIX, delta_t=1), 4, initial_clocks=[2, 1]
         )
-        assert [out.participant_ids for out in outcomes] == [(1,), (0,), (1,), (0,)]
+        assert [out.clients.tolist() for out in outcomes] == [[1], [0], [1], [0]]
 
     def test_offsets_require_fixed_hardware(self):
         with pytest.raises(ConfigurationError):
@@ -314,7 +313,7 @@ class TestUnsortedFleets:
         outcomes = fixed_schedule(taus, WaitPolicy(PolicyKind.ASYNCHRONOUS), window)
         counts = [0] * 4
         for out in outcomes:
-            counts[out.participants[0].client_id] += 1
+            counts[out.clients[0]] += 1
         assert counts == [3, 12, 4, 6]
 
 
@@ -341,7 +340,7 @@ def _replayed_staleness(policy, taus, max_rounds=200_000):
             seen[key] = state.round_index
         if period is not None and state.round_index >= first_repeat + 2 * period:
             steady = history[first_repeat + period:]
-            return max(p.staleness for out in steady for p in out.participants)
+            return max(s for out in steady for s in out.staleness.tolist())
     raise AssertionError("reference replay did not cycle")
 
 
@@ -435,7 +434,7 @@ class TestSteadyPeriodReplay:
         later = fixed_schedule(taus, policy, start + 3 * period)
         def shape(outcomes):
             return [
-                (o.delta_t, [(p.client_id, p.multiplicity, p.staleness) for p in o.participants])
+                (o.delta_t, o.clients.tolist(), o.multiplicity.tolist(), o.staleness.tolist())
                 for o in outcomes
             ]
 
@@ -467,7 +466,9 @@ def _draw_ref(hw, tau, rng):
 
 class _ReferenceFleet:
     """Reference scheduler: one exact rational (or float) clock per client
-    in a Python list, advanced by a per-client loop each round."""
+    in a Python list, advanced by a per-client loop each round. A round is
+    (index, delta_t, participants), with one (client, multiplicity, anchor,
+    staleness) tuple per participant in ascending client order."""
 
     def __init__(self, taus, hw, rng=None, initial_clocks=None):
         if initial_clocks is not None:
@@ -500,9 +501,7 @@ class _ReferenceFleet:
             selected = [i for i, t in enumerate(self.remaining) if t <= dt]
         if time_limit is not None and self.clock + dt > time_limit:
             return None
-        participants = tuple(
-            timing.Participant(i, 1, self.anchor[i], n - self.anchor[i]) for i in selected
-        )
+        participants = tuple((i, 1, self.anchor[i], n - self.anchor[i]) for i in selected)
         selected_set = set(selected)
         for i in range(n_clients):
             if i in selected_set:
@@ -512,7 +511,7 @@ class _ReferenceFleet:
                 self.remaining[i] = self.remaining[i] - dt
         self.clock = self.clock + dt
         self.round_index = n + 1
-        return timing.RoundOutcome(n, dt, participants)
+        return n, dt, participants
 
     def _sampling(self, policy, taus, hw, hw_rng, sample_rng, client_losses,
                   importances, time_limit):
@@ -535,13 +534,11 @@ class _ReferenceFleet:
         dt = max(times.values())
         if time_limit is not None and self.clock + dt > time_limit:
             return None
-        participants = tuple(
-            timing.Participant(i, mult, n, 0) for i, mult in sorted(counts.items())
-        )
+        participants = tuple((i, mult, n, 0) for i, mult in sorted(counts.items()))
         self.anchor = [n + 1] * n_clients
         self.clock = self.clock + dt
         self.round_index = n + 1
-        return timing.RoundOutcome(n, dt, participants)
+        return n, dt, participants
 
 
 def _compare_with_reference(taus, policy, hw, *, seed=0, initial_clocks=None,
@@ -568,22 +565,24 @@ def _compare_with_reference(taus, policy, hw, *, seed=0, initial_clocks=None,
         if want is None:
             assert got is None
             break
-        assert got.index == want.index
-        assert got.participants == want.participants
-        assert all(
-            type(v) is int
-            for p in got.participants
-            for v in (p.client_id, p.multiplicity, p.anchor_round, p.staleness)
-        )
-        assert got.delta_t == want.delta_t
+        index, delta_t, participants = want
+        clients, multiplicity, anchors, staleness = ([p[k] for p in participants] for k in range(4))
+        assert got.index == index
+        assert got.clients.tolist() == clients
+        assert got.multiplicity.tolist() == multiplicity
+        assert got.anchors.tolist() == anchors
+        assert got.staleness.tolist() == staleness
+        for values in (got.clients, got.multiplicity, got.anchors, got.staleness):
+            assert values.dtype == np.int64
+        assert got.delta_t == delta_t
         if exponential:
-            assert type(got.delta_t) is float and type(want.delta_t) is float
+            assert type(got.delta_t) is float and type(delta_t) is float
             assert state.remaining.tolist() == ref.remaining
         else:
             # exact either way; the reference's int-or-Fraction depends on its
             # arithmetic history, the array clock's on the tick scale alone
             assert type(got.delta_t) is (int if state.scale == 1 else Fraction)
-            assert isinstance(want.delta_t, (int, Fraction))
+            assert isinstance(delta_t, (int, Fraction))
             assert [Fraction(t, state.scale) for t in state.remaining.tolist()] == ref.remaining
         assert state.time.hex() == float(ref.clock).hex()
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
@@ -683,7 +682,9 @@ class TestArrayClockMatchesTheReference:
         period, steady = replay_steady_period(policy, [8, 2, 7])
         period_big, steady_big = replay_steady_period(policy, big)
         assert period_big == period
-        assert [o.participants for o in steady_big] == [o.participants for o in steady]
+        for big, small in zip(steady_big, steady, strict=True):
+            for field in ("clients", "multiplicity", "anchors"):
+                assert np.array_equal(getattr(big, field), getattr(small, field))
 
     def test_window_off_the_tick_scale_is_rejected(self):
         state = init_fleet_state([1, 2], FIXED)
