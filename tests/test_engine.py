@@ -125,6 +125,21 @@ class TestEnsembles:
         _, se_theta = _member_statistics(sync_config(fleet), 3)
         assert np.all(se_theta == 0.0)
 
+    def test_diverged_members_are_excluded_and_counted(self):
+        fleet = quadratic_fleet([[0.0], [2.0]], noise_std=1e11)
+        cfg = sync_config(fleet, full_gradient=False, eta_l=1.9, rounds=40)
+        members = run_members(cfg, [Seeds((0, s), (1, s), (2, s)) for s in range(4)])
+        kept = [m for m in members if not m.diverged]
+        diverged = [m for m in members if m.diverged]
+        assert 0 < len(diverged) < len(members) == 4
+        for m in diverged:
+            # models are kept up to the divergence round, with no final loss
+            assert m.final_loss is None
+            assert m.theta.shape[0] == m.divergence_round + 1 == m.n_rounds
+        for m in kept:
+            assert m.n_rounds == 40 and m.theta.shape == (41, 1)
+            assert np.all(np.isfinite(m.theta)) and all(map(math.isfinite, m.final_loss))
+
     def test_uniform_sampling_mean_tracks_the_vectorized_simulator(self):
         fleet = quadratic_fleet([[0.0], [2.0]])
         policy = WaitPolicy(PolicyKind.SAMPLE_UNIFORM, m=1)

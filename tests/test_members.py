@@ -1,6 +1,7 @@
 """The member axis: R reruns of one config that share a schedule step as one
 (R, dim) model. Every member must equal a separate ``run`` with its seeds,
-bit for bit."""
+bit for bit, and ensemble statistics over the members must equal those of
+the per-member loop."""
 
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from asyncfed import engine
-from asyncfed.core import ClientSpec, Fleet
+from asyncfed.core import ClientSpec, Fleet, weighted_optimum
 from asyncfed.engine import RunConfig, Seeds, final_window_loss, run, run_members, shares_schedule
 from asyncfed.objectives import QuadraticObjective, SyntheticShardConfig, make_synthetic_shards
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy
@@ -148,3 +149,42 @@ def test_a_shared_schedule_advances_once_per_round(monkeypatch):
     n_rounds = [m.n_rounds for m in run_members(own, MEMBER_SEEDS)]
     # one call past the time budget per member, which returns None
     assert len(calls) == sum(n_rounds) + len(MEMBER_SEEDS)
+
+
+def _ensemble_statistics(config, thetas, finals):
+    """Mean, variance and standard error over the completed members (a
+    ``final`` of None marks a diverged one, which is only counted) of the
+    models and of their squared distances to the optimum, truncated to the
+    shortest completed member."""
+    kept = [(t, f) for t, f in zip(thetas, finals) if f is not None]
+    n_models = min(t.shape[0] for t, _ in kept)
+    stack = np.stack([t[:n_models] for t, _ in kept])
+    gap = stack - weighted_optimum(config.fleet)
+    dstack = np.sum(gap * gap, axis=2)
+    n = len(kept)
+    var_theta = stack.var(axis=0, ddof=1) if n > 1 else np.zeros_like(stack[0])
+    var_dist = dstack.var(axis=0, ddof=1) if n > 1 else np.zeros_like(dstack[0])
+    return {
+        "n_completed": n, "diverged": len(thetas) - n, "final_loss": [f for _, f in kept],
+        "mean_theta": stack.mean(axis=0), "var_theta": var_theta, "se_theta": np.sqrt(var_theta / n),
+        "mean_dist_sq": dstack.mean(axis=0), "se_dist_sq": np.sqrt(var_dist / n),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_ensemble_equals_the_per_member_loop(name):
+    # unordered, non-contiguous member seeds
+    config = CASES[name]()
+    member_seeds = [Seeds((0, s), (1, s), (2, s)) for s in (3, 1, 4, 15, 9, 2, 6)]
+    members = run_members(config, member_seeds)
+    assert [m.seeds for m in members] == member_seeds
+    got = _ensemble_statistics(config, [m.theta for m in members], [m.final_loss for m in members])
+    reference = _separate_runs(config, member_seeds)
+    want = _ensemble_statistics(config, [t.theta for t in reference],
+                                [None if t.diverged else final_window_loss(t) for t in reference])
+    if name in ("threshold", "overflow"):
+        assert 0 < got["diverged"] < len(member_seeds)
+    assert (got["n_completed"], got["diverged"]) == (want["n_completed"], want["diverged"])
+    assert got["final_loss"] == want["final_loss"]
+    for field in ("mean_theta", "var_theta", "se_theta", "mean_dist_sq", "se_dist_sq"):
+        assert np.array_equal(got[field], want[field], equal_nan=True), field
