@@ -7,7 +7,6 @@ from .core import (
     ClientSpec,
     ConfigurationError,
     Fleet,
-    NumericOverflowError,
     StalenessCapError,
     UnsupportedConfigError,
     convergence_residual,

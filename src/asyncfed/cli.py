@@ -10,8 +10,8 @@ sweep         one summary row per value of a swept hyperparameter
 gen-shards    export the configured synthetic shards as CSV
 
 Exit codes: 0 success (a diverged run is a result, not a failure),
-2 invalid config, 3 scheme without a closed form or a schedule too long to
-analyze.
+2 invalid config (a ``tau_max`` the schedule exceeds included), 3 scheme
+without a closed form or a schedule too long to analyze.
 """
 
 from __future__ import annotations

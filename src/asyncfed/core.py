@@ -31,20 +31,9 @@ class UnsupportedConfigError(ConfigurationError):
     """A combination of policy, hardware, and scheme is not supported."""
 
 
-class NumericOverflowError(RuntimeError):
-    """Local or global parameters left the finite range.
-
-    Carries the index of the SGD step (or aggregation round) that produced
-    the first non-finite or out-of-range value.
-    """
-
-    def __init__(self, step_index: int, message: str | None = None):
-        self.step_index = step_index
-        super().__init__(message or f"non-finite parameters at step {step_index}")
-
-
-class StalenessCapError(RuntimeError):
-    """A contribution exceeded the configured maximum staleness."""
+class StalenessCapError(ConfigurationError):
+    """A contribution exceeded the configured maximum staleness: the
+    ``tau_max`` of the config is below what its schedule delivers."""
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +190,26 @@ def convergence_residual(
     """Estimate sum(q_i * E||grad L_i(theta_bar, xi)||^2) at ``optimum``.
 
     With full gradients (``batch_size=None`` and noiseless objectives) every
-    draw is identical, so the estimate is exact and the standard error is 0.
-    The caller supplies the optimum; see :func:`weighted_optimum`.
+    draw is identical, so the estimate is exact, read off one
+    :meth:`Fleet.gradients` call, and the standard error is 0. The caller
+    supplies the optimum; see :func:`weighted_optimum`.
     """
     if n_draws <= 0:
         raise ConfigurationError("n_draws must be positive")
     q = _as_weights(weights_avg, len(fleet))
     theta = _as_params(optimum)
-    rng = rng or np.random.default_rng(0)
+    objectives = [fleet.objective_for(c) for c in fleet.clients]
+    if batch_size is None and not any(getattr(obj, "noise_std", 0.0) > 0.0 for obj in objectives):
+        squares = [float(np.dot(g, g)) for g in fleet.gradients(theta)]
+        total = float(ordered_sum(qi * sq for qi, sq in zip(q, squares) if qi != 0.0))
+        return ResidualEstimate(total, 0.0, n_draws)
 
+    rng = rng or np.random.default_rng(0)
     total = 0.0
     var_total = 0.0
-    for qi, client in zip(q, fleet.clients):
+    for qi, obj in zip(q, objectives):
         if qi == 0.0:
             continue
-        obj = fleet.objective_for(client)
         samples = np.empty(n_draws)
         for s in range(n_draws):
             g = _draw_gradient(obj, theta, batch_size, rng)
@@ -283,8 +277,8 @@ def weighted_optimum(
     w = fleet.importances if weights is None else _as_weights(weights, len(fleet))
     (_, table), *others = fleet.tables
     if not others and isinstance(table, QuadraticTable):
-        a_sum = _sum_in_order(w[:, None] * table.a)
-        b_sum = _sum_in_order(w[:, None] * table.b)
+        a_sum = sum_in_order(w[:, None] * table.a)
+        b_sum = sum_in_order(w[:, None] * table.b)
         if np.any(a_sum <= 0):
             raise ConfigurationError("weighted quadratic has a flat direction; no finite optimum")
         return -b_sum / (2.0 * a_sum)
@@ -295,7 +289,7 @@ def weighted_optimum(
     w_active = w[active, None]
     theta = np.zeros(fleet.dim)
     for _ in range(max_iter):
-        grad = _sum_in_order(w_active * fleet.gradients(theta)[active])
+        grad = sum_in_order(w_active * fleet.gradients(theta)[active])
         if np.linalg.norm(grad) < grad_tol:
             return theta
         theta = theta - step * grad
@@ -304,12 +298,14 @@ def weighted_optimum(
     )
 
 
-def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+def sum_in_order(terms: np.ndarray) -> np.ndarray:
     """Sum of the rows of ``terms``, first to last, as ``total += row`` from
     a zero ``total`` adds them: cumsum keeps that order where ``np.sum``
     would pair terms, and adding +0.0 last gives the +0.0 a zero start
-    leaves where every term is a zero."""
-    return np.cumsum(terms, axis=0)[-1] + 0.0
+    leaves where every term is a zero. A single row is that row plus +0.0."""
+    if terms.shape[0] == 1:
+        return terms[0] + 0.0
+    return terms.cumsum(axis=0)[-1] + 0.0
 
 
 def ordered_sum(terms):

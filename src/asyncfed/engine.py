@@ -4,6 +4,18 @@ contributions, with trajectory recording and ensemble statistics.
 One loop advances the rounds. Ensemble members that share one schedule step
 through it together as one (R, dim) model; each member keeps its own seed
 material, so results do not depend on how members are grouped.
+
+Local work runs when its result is first needed. A client's run is fixed
+once the model it trains from (its anchor) exists, so when a round's
+participant has no computed run, the loop computes every pending run in one
+pass: each client in flight whose anchor model exists and whose run is not
+yet computed, as one stacked :func:`~asyncfed.objectives.local_sgd` call
+per objective table. The results wait in a per-client buffer until the
+client delivers. Each client draws from its own batch stream or noise
+generator in dispatch order, so the trajectory is the one that computing
+each run at its delivery gives. A run still in flight at the horizon may
+have drawn from its client's stream, but it is never delivered: its result,
+and any overflow in it, is dropped.
 """
 
 from __future__ import annotations
@@ -16,14 +28,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigurationError, Fleet, StalenessCapError, weighted_optimum
-from .objectives import BatchStream, GlmObjective, local_sgd
+from .core import ConfigurationError, Fleet, StalenessCapError, sum_in_order, weighted_optimum
+from .objectives import BatchStream, GlmObjective, GlmTable, local_sgd
 from .textfmt import BLOCK_CELLS, format_rows
 from .timing import HardwareModel, PolicyKind, Round, WaitPolicy, advance_round, init_fleet_state
 from .weights import WeightPlan
 
 DIVERGENCE_THRESHOLD = 1e12
-MAX_K_STEPS = 10_000  # local steps per delivery; bounds the (R, K, dim) noise block
+MAX_K_STEPS = 10_000  # local steps per run
+_LOCAL_FLOATS = 1 << 20  # bound on the floats one local_sgd call holds: iterates and gathered samples
 CSV_SCHEMA_VERSION = 1
 
 
@@ -162,7 +175,7 @@ def shares_schedule(config: RunConfig) -> bool:
 class _GroupRun:
     """What the round loop leaves for one group of members."""
 
-    models: list        # (R, dim) global model per recorded model
+    models: np.ndarray  # (n_models, R, dim) recorded global models
     round_times: list   # server time at the end of each round
     rounds: list        # Round per round
     divergence: list    # per member: None, or (round, "overflow" | "threshold")
@@ -174,13 +187,14 @@ def _run_group(config: RunConfig, member_seeds) -> _GroupRun:
     members of a config that :func:`shares_schedule`).
 
     The schedule advances once per round for all R members, which step as
-    one (R, dim) model, each with its own seeded randomness. A member that
-    overflows in local work or passes ``DIVERGENCE_THRESHOLD`` diverges at
-    that round while the others go on; the loop ends at the horizon or when
-    every member has diverged.
+    one (R, dim) model, each with its own seeded randomness. Local work is
+    computed ahead of delivery by :class:`_LocalWork`. A member that is
+    delivered a run that overflowed, or that passes
+    ``DIVERGENCE_THRESHOLD``, diverges at that round while the others go on;
+    the loop ends at the horizon or when every member has diverged.
     """
     fleet = config.fleet
-    d = config.plan.d.tolist()
+    d = config.plan.d
     taus = list(fleet.compute_times)
     policy = config.policy
     hw = config.hw
@@ -188,13 +202,16 @@ def _run_group(config: RunConfig, member_seeds) -> _GroupRun:
 
     hw_rng = np.random.default_rng(_seed_key(lead.hardware)) if hw.mode == "exponential" else None
     sample_rng = np.random.default_rng(_seed_key(lead.sampling))
-    streams, noise_rngs = _client_randomness(config, member_seeds)
+    work = _LocalWork(config, member_seeds)
     by_loss = policy.kind is PolicyKind.SAMPLE_BIASED and policy.criterion == "highest_loss"
 
     state = init_fleet_state(taus, hw, hw_rng, config.initial_clocks, policy=policy)
     n_members = len(member_seeds)
-    models = [np.tile(config.resolved_theta0(), (n_members, 1))]
-    shape = models[0].shape
+    shape = (n_members, fleet.dim)
+    # the recorded models are models[:n_models]; the buffer doubles when full
+    models = np.empty((min(config.rounds or 1023, 1023) + 1,) + shape)
+    models[0] = config.resolved_theta0()
+    n_models = 1
     round_times = []
     rounds = []
     live = np.ones(n_members, dtype=bool)
@@ -208,7 +225,7 @@ def _run_group(config: RunConfig, member_seeds) -> _GroupRun:
         while config.rounds is None or state.round_index < config.rounds:
             n = state.round_index
             started = clock()
-            losses = fleet.losses(models[-1])[0] if by_loss else None
+            losses = fleet.losses(models[n])[0] if by_loss else None
             outcome = advance_round(
                 state,
                 policy,
@@ -225,19 +242,19 @@ def _run_group(config: RunConfig, member_seeds) -> _GroupRun:
             if outcome is None:
                 break
 
-            deliveries = _collect_deliveries(config, fleet, models, outcome, streams, noise_rngs)
+            if config.tau_max is not None:
+                _check_staleness(outcome, config.tau_max)
+            clients = outcome.clients
+            deltas, overflowed = work.deliver(outcome, state.anchor, models)
             delivered = clock()
             local_work_s += delivered - scheduled
 
-            total = np.zeros(shape)
-            overflowed = None
-            clients, multiplicity = outcome.clients.tolist(), outcome.multiplicity.tolist()
-            for i, mult, update in zip(clients, multiplicity, deliveries):
-                total += (mult * d[i]) * update.delta
-                if update.overflow_step is not None:
-                    hit = update.overflow_step >= 0
-                    overflowed = hit if overflowed is None else overflowed | hit
-            new_theta = models[-1] + config.eta_g * total
+            # (mult * d_i) * delta_i added in client order from a zero start
+            if clients.size:
+                total = sum_in_order((outcome.multiplicity * d[clients])[:, None, None] * deltas)
+            else:
+                total = np.zeros(shape)
+            new_theta = models[n] + config.eta_g * total
             rounds.append(outcome)
             round_times.append(state.time)
             # NaN fails the comparison, so one reduction catches it too
@@ -254,10 +271,13 @@ def _run_group(config: RunConfig, member_seeds) -> _GroupRun:
             aggregate_s += clock() - delivered
             if not n_live:
                 break
-            models.append(new_theta)
+            if n_models == len(models):
+                models = np.concatenate([models, np.empty_like(models)])
+            models[n_models] = new_theta
+            n_models += 1
 
     return _GroupRun(
-        models, round_times, rounds, divergence,
+        models[:n_models], round_times, rounds, divergence,
         {"schedule": schedule_s, "local_work": local_work_s, "aggregate": aggregate_s},
     )
 
@@ -274,7 +294,7 @@ def run(config: RunConfig) -> Trajectory:
     _, served_ids, _ = _participations(group.rounds[:served])
     n_models = len(group.models)
     trajectory = Trajectory(
-        theta=np.asarray(group.models)[:, 0],
+        theta=group.models[:, 0],
         times=np.asarray([0.0] + group.round_times[: n_models - 1]),
         rounds=group.rounds,
         metrics=[],
@@ -294,51 +314,113 @@ def _seed_key(seed):
     return seed if isinstance(seed, (int, np.integer)) else list(seed)
 
 
-def _client_randomness(config: RunConfig, member_seeds):
-    """Per client, one batch stream or gradient-noise generator per member.
+def _client_randomness(config: RunConfig, member_seeds) -> list:
+    """Per client, one batch stream or gradient-noise generator per member,
+    or None for a client that takes exact full gradients.
 
     Each member's client owns an independent stream keyed by (the member's
     batching seed, client id), so members never share mutable RNG state.
     """
-    streams = {}
-    noise_rngs = {}
+    sources = [None] * len(config.fleet)
     if config.full_gradient:
-        return streams, noise_rngs
+        return sources
     keys = [[s.batching] if isinstance(s.batching, (int, np.integer)) else list(s.batching)
             for s in member_seeds]
     for client in config.fleet.clients:
         obj = config.fleet.objective_for(client)
         if isinstance(obj, GlmObjective):
             batch = config.batch_size or obj.batch_size
-            streams[client.id] = [
+            sources[client.id] = [
                 BatchStream(obj.n_samples, batch, np.random.default_rng(key + [client.id])) for key in keys
             ]
         elif getattr(obj, "noise_std", 0.0) > 0.0:
-            noise_rngs[client.id] = [np.random.default_rng(key + [client.id]) for key in keys]
-    return streams, noise_rngs
+            sources[client.id] = [np.random.default_rng(key + [client.id]) for key in keys]
+    return sources
 
 
-def _collect_deliveries(config, fleet, models, outcome, streams, noise_rngs):
-    """Each participant's local update, in client order."""
-    if config.tau_max is not None:
-        over = np.flatnonzero(outcome.staleness > config.tau_max)
-        if over.size:
-            j = over[0]
-            raise StalenessCapError(
-                f"client {outcome.clients[j]} delivered with staleness {outcome.staleness[j]} "
-                f"> cap {config.tau_max}"
-            )
-    return [
-        local_sgd(
-            models[anchor],
-            fleet.objective_for(fleet.clients[i]),
-            config.k_steps,
-            config.eta_l,
-            batches=streams.get(i),
-            noise_rng=noise_rngs.get(i),
+def _check_staleness(outcome: Round, tau_max: int) -> None:
+    """Raise StalenessCapError when a delivery of the round is staler than
+    ``tau_max``; called at delivery, before the round is aggregated."""
+    over = np.flatnonzero(outcome.staleness > tau_max)
+    if over.size:
+        j = over[0]
+        raise StalenessCapError(
+            f"client {outcome.clients[j]} delivered at round {outcome.index} with staleness "
+            f"{outcome.staleness[j]} > tau_max {tau_max}"
         )
-        for i, anchor in zip(outcome.clients.tolist(), outcome.anchors.tolist())
-    ]
+
+
+class _LocalWork:
+    """Every client's current run, computed once its anchor model exists and
+    kept until the client delivers it.
+
+    ``deltas`` (M, R, dim) and ``overflow`` (M, R) hold each client's last
+    computed run. Runs are computed in passes, the last one at round
+    ``computed_through``; a pass computes every run in flight whose anchor
+    model exists, so a run is computed exactly when its anchor is at most
+    ``computed_through``. Clients are located by table and row of
+    ``Fleet.tables``.
+    """
+
+    def __init__(self, config: RunConfig, member_seeds):
+        fleet = config.fleet
+        n_clients, n_members = len(fleet), len(member_seeds)
+        self.config = config
+        self.sources = _client_randomness(config, member_seeds)
+        self.stochastic = any(src is not None for src in self.sources)
+        self.deltas = np.zeros((n_clients, n_members, fleet.dim))
+        self.overflow = np.full((n_clients, n_members), -1)
+        self.any_overflow = False  # set once a pass has seen an overflow
+        self.computed_through = -1
+        self.table_of = np.empty(n_clients, dtype=np.intp)
+        self.row_of = np.empty(n_clients, dtype=np.intp)
+        self.chunks = []  # jobs per local_sgd call on each table
+        for t, (positions, table) in enumerate(fleet.tables):
+            self.table_of[positions] = t
+            self.row_of[positions] = np.arange(positions.size)
+            # a job's R runs hold K + 1 iterates and, on a GLM table, at most
+            # n gathered samples per step
+            samples = table.targets.shape[1] if isinstance(table, GlmTable) else 0
+            per_job = n_members * fleet.dim * (config.k_steps + 1 + config.k_steps * samples)
+            self.chunks.append(max(1, _LOCAL_FLOATS // per_job))
+
+    def deliver(self, outcome: Round, anchor: np.ndarray, models: np.ndarray):
+        """The participants' deltas (P, R, dim) and, when some participant's
+        run overflowed, which members that hits (else None). Computes the
+        pending runs first if a participant's run is not computed yet;
+        ``anchor`` is the fleet state's after the round."""
+        clients = outcome.clients
+        if outcome.anchors.max(initial=-1) > self.computed_through:
+            self._compute_pending(outcome, anchor, models)
+        overflowed = None
+        if self.any_overflow:
+            hit = (self.overflow[clients] >= 0).any(axis=0)
+            overflowed = hit if hit.any() else None
+        return self.deltas[clients], overflowed
+
+    def _compute_pending(self, outcome: Round, anchor: np.ndarray, models: np.ndarray) -> None:
+        """Run every client in flight whose anchor model exists (anchor at
+        most this round's index) and whose run is not computed: the
+        participants, and the clients still busy on an earlier model.
+        Clients that are not sampled this round are rebased past it, so
+        they are left out."""
+        config = self.config
+        anchor = anchor.copy()
+        anchor[outcome.clients] = outcome.anchors  # the participants' runs, before the round rebased them
+        pending = np.flatnonzero((anchor <= outcome.index) & (anchor > self.computed_through))
+        tables = config.fleet.tables
+        for t, ((_, table), chunk) in enumerate(zip(tables, self.chunks)):
+            jobs = pending if len(tables) == 1 else pending[self.table_of[pending] == t]
+            for lo in range(0, jobs.size, chunk):
+                part = jobs[lo:lo + chunk]
+                out = local_sgd(
+                    table, self.row_of[part], models[anchor[part]], config.k_steps, config.eta_l,
+                    [self.sources[i] for i in part.tolist()] if self.stochastic else None,
+                )
+                self.deltas[part] = out.delta
+                self.overflow[part] = -1 if out.overflow_step is None else out.overflow_step
+                self.any_overflow |= out.overflow_step is not None
+        self.computed_through = outcome.index
 
 
 def _kept_rows(n_models: int, cadence: int) -> list[int]:
@@ -441,7 +523,7 @@ def run_members(config: RunConfig, member_seeds) -> list[MemberRun]:
     members = []
     for group in groups:
         out = _run_group(config, group)
-        thetas = np.stack(out.models, axis=1)  # (R, n_models, dim)
+        thetas = out.models.transpose(1, 0, 2)  # (R, n_models, dim)
         for seeds, theta, divergence in zip(group, thetas, out.divergence):
             if divergence is None:
                 kept = _kept_rows(theta.shape[0], config.metric_cadence)

@@ -6,10 +6,11 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConfigurationError, NumericOverflowError
+from .core import ConfigurationError
 
 _CHUNK_FLOATS = 1 << 16  # bound on the temporary of one batched GLM evaluation
 
@@ -34,7 +35,6 @@ class QuadraticObjective:
             raise ConfigurationError("noise_std must be nonnegative")
         self.c = float(c)
         self.noise_std = float(noise_std)
-        self._step_rows = {}
 
     @classmethod
     def from_optimum(cls, optimum, curvature=0.5, noise_std: float = 0.0):
@@ -68,15 +68,6 @@ class QuadraticObjective:
 
     def gradient(self, theta) -> np.ndarray:
         return 2.0 * self.a * np.asarray(theta, dtype=float) + self.b
-
-    def step_coefficients(self, n_members: int) -> tuple[np.ndarray, np.ndarray]:
-        """2a and b repeated for ``n_members`` models laid end to end, so a
-        gradient step on R flattened members is one equal-shape operation;
-        cached per member count (the coefficients are fixed at construction)."""
-        rows = self._step_rows.get(n_members)
-        if rows is None:
-            rows = self._step_rows[n_members] = (np.tile(2.0 * self.a, n_members), np.tile(self.b, n_members))
-        return rows
 
     def noisy_gradient(self, theta, rng: np.random.Generator) -> np.ndarray:
         return self.gradient(theta) + self.noise_std * rng.standard_normal(self.dim)
@@ -135,10 +126,12 @@ def _check_batch_indices(idx: np.ndarray, n_samples: int) -> None:
 
 def _glm_gradient(x, y, theta, link: str) -> np.ndarray:
     """Mean gradient over the samples of ``x`` (n, dim) with targets ``y``
-    (n,), or one such gradient per shard of a stack (G, n, dim) and (G, n);
-    a stacked shard gets the bits of its own call (the same BLAS
-    vector-matrix product)."""
-    z = x @ np.asarray(theta, dtype=float)
+    (n,), or one such gradient per shard of a stack (G, n, dim) and (G, n),
+    at one ``theta`` (dim,) or at a (G, dim) row per shard; a stacked shard
+    gets the bits of its own call (the same BLAS matrix-vector and
+    vector-matrix products)."""
+    theta = np.asarray(theta, dtype=float)
+    z = x @ theta if theta.ndim == 1 else (x @ theta[:, :, None])[:, :, 0]
     err = (z if link == "linear" else _sigmoid(z)) - y
     if x.ndim == 2:
         return err @ x / x.shape[0]
@@ -156,10 +149,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 class QuadraticTable:
     """G quadratics of one dimension stacked: ``a`` and ``b`` are (G, dim),
-    ``c`` is (G,)."""
+    ``c`` and ``noise_std`` are (G,)."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray):
-        self.a, self.b, self.c = a, b, c
+    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, noise_std: np.ndarray):
+        self.a, self.b, self.c, self.noise_std = a, b, c, noise_std
+        self.two_a = 2.0 * a  # the gradient's coefficient, as gradient() computes it
 
     def values(self, thetas) -> np.ndarray:
         """(rows, G) loss of every quadratic at each row of ``thetas``.
@@ -177,7 +171,7 @@ class QuadraticTable:
 
     def gradients(self, theta) -> np.ndarray:
         """(G, dim) gradient of every quadratic at ``theta``."""
-        return 2.0 * self.a * np.asarray(theta, dtype=float) + self.b
+        return self.two_a * np.asarray(theta, dtype=float) + self.b
 
 
 class GlmTable:
@@ -226,14 +220,15 @@ class GlmTable:
 def stack_objectives(objectives) -> list[tuple[np.ndarray, QuadraticTable | GlmTable]]:
     """Group per-client objectives, in client order, into stacked tables:
     every quadratic in one table, GLM shards in one table per (sample
-    count, link). Returns (client positions, table) pairs; row j of a table
+    count, link, batch size), so the minibatches of one table's local work
+    stack. Returns (client positions, table) pairs; row j of a table
     belongs to the client at position ``positions[j]``."""
     groups = {}
     for i, obj in enumerate(objectives):
         if isinstance(obj, QuadraticObjective):
             key = ("quadratic",)
         elif isinstance(obj, GlmObjective):
-            key = ("glm", obj.n_samples, obj.link)
+            key = ("glm", obj.n_samples, obj.link, obj.batch_size)
         else:
             raise ConfigurationError(f"client {i}: unsupported objective type {type(obj).__name__}")
         groups.setdefault(key, []).append(i)
@@ -242,7 +237,7 @@ def stack_objectives(objectives) -> list[tuple[np.ndarray, QuadraticTable | GlmT
         members = [objectives[i] for i in positions]
         if key[0] == "quadratic":
             table = QuadraticTable(np.array([o.a for o in members]), np.array([o.b for o in members]),
-                                   np.array([o.c for o in members]))
+                                   np.array([o.c for o in members]), np.array([o.noise_std for o in members]))
         else:
             table = GlmTable(np.array([o.features for o in members]), np.array([o.targets for o in members]),
                              key[2])
@@ -280,6 +275,11 @@ class BatchStream:
         of ``k`` calls of :meth:`next`, and the same generator state after.
         The batches that fit in one epoch are one slice of it."""
         size = self.batch_size
+        stop = self._cursor + k * size
+        if stop <= self.n_samples:  # the common case: no reshuffle on the way
+            batches = self._order[self._cursor:stop]
+            self._cursor = stop
+            return batches.reshape(k, size)
         parts = []
         while k:
             if self._cursor + size > self.n_samples:
@@ -293,105 +293,102 @@ class BatchStream:
         return (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(-1, size)
 
 
-@dataclass(frozen=True)
-class LocalUpdate:
-    endpoint: np.ndarray
-    delta: np.ndarray
-    path: np.ndarray  # (k_steps + 1, dim) iterates, (k_steps + 1, R, dim) for R members
-    # members only: per member the index of the first step whose iterate left
-    # the finite range, -1 for members that stayed finite; None when all did
-    overflow_step: np.ndarray | None = None
+class LocalUpdate(NamedTuple):
+    """The runs of one :func:`local_sgd` call: P jobs of R members."""
+
+    path: np.ndarray            # (k_steps + 1, P, R, dim) iterates
+    delta: np.ndarray           # (P, R, dim) endpoint minus start
+    # per job and member the index of the first step whose iterate left the
+    # finite range, -1 where it stayed finite; None when every run did
+    overflow_step: np.ndarray | None
+
+    @property
+    def endpoint(self) -> np.ndarray:
+        return self.path[-1]
 
 
-def local_sgd(
-    start,
-    objective,
-    k_steps: int,
-    eta_l: float,
-    *,
-    batches=None,
-    noise_rng=None,
-) -> LocalUpdate:
-    """Run ``k_steps`` of (stochastic) gradient descent from ``start``.
+def local_sgd(table, rows, starts, k_steps: int, eta_l: float, sources=None) -> LocalUpdate:
+    """Run ``k_steps`` of (stochastic) gradient descent for P jobs at once.
 
-    ``start`` is one model, shape (dim,), or R members, shape (R, dim),
-    that step together; members take a sequence of R batch streams or noise
-    generators, one per member, where one model takes a single one.
-    Gradients come from ``batches`` when given, from the objective's noise
-    model when it has one and ``noise_rng`` is supplied, and from the exact
-    full gradient otherwise. A quadratic draws the noise of all its steps as
-    one (K, dim) block per member, the same stream as one draw per step, and
-    steps all members as one (R, dim) array. GLM members step one at a
-    time; a member's K batches come from one :meth:`BatchStream.take` and
-    one gather of their samples.
+    Job p trains R members from ``starts[p]`` ((P, R, dim) in all) on row
+    ``rows[p]`` of ``table``, a :class:`QuadraticTable` or :class:`GlmTable`;
+    a lone objective is the one-row table ``stack_objectives([obj])``.
+    ``sources[p]`` is the job's randomness, one entry per member: batch
+    streams on a GLM table, noise generators on a quadratic one. A job
+    without sources (``sources`` None, or its entry None) takes exact full
+    gradients, and so does a quadratic row without noise. GLM jobs of one
+    call take all batch streams or all full gradients.
 
-    One model that leaves the finite range raises
-    :class:`NumericOverflowError` with the index of the first step whose
-    iterate did; members do not raise, and ``overflow_step`` records that
-    index per member.
+    The P*R runs step as one array, row by row the operations of a run on
+    its own, so a run has the same bits in any stack. Each member draws its
+    K steps from its own source in one block: ``standard_normal((K, dim))``
+    scaled by the row's ``noise_std`` (the raw draws of all rows are scaled
+    at once), or one :meth:`BatchStream.take` and one gather of its samples.
+    A noiseless row in a noisy call adds -0.0, which leaves every gradient's
+    bits as they are. Each time the engine computes the runs it has
+    pending, it calls this once per objective table (more often only when
+    the iterates would pass a size bound); see :mod:`asyncfed.engine`.
+
+    Runs do not raise when they leave the finite range; ``overflow_step``
+    records where.
     """
     if k_steps < 1:
         raise ConfigurationError("k_steps must be at least 1")
     if eta_l < 0:
         raise ConfigurationError("eta_l must be nonnegative")
-    first = np.asarray(start, dtype=float)
-    single = first.ndim < 2
-    if single:
-        first = np.atleast_1d(first)[None]
-        batches = None if batches is None else (batches,)
-        noise_rng = None if noise_rng is None else (noise_rng,)
-    n_members, dim = first.shape
-    path = np.empty((k_steps + 1, n_members, dim))
-    path[0] = first
+    rows = np.asarray(rows, dtype=np.intp)
+    n_jobs, n_members, dim = np.shape(starts)
+    path = np.empty((k_steps + 1, n_jobs, n_members, dim))
+    path[0] = starts
+    flat = path.reshape(k_steps + 1, n_jobs * n_members, dim)  # row p*R + r: job p, member r
+    given = [] if sources is None else list(sources)
+    run_rows = rows if n_members == 1 else np.repeat(rows, n_members)  # the table row of each run
     with np.errstate(over="ignore", invalid="ignore"):
-        if batches is not None:
-            link = objective.link
-            for row, stream in enumerate(batches):
-                # one range check and one (K, B, dim) gather per delivery;
-                # step k reads its batch as a view
-                idx = stream.take(k_steps)
-                _check_batch_indices(idx, objective.n_samples)
-                x, y = objective.features.take(idx, axis=0), objective.targets[idx]
-                theta = path[0, row]
-                for k in range(1, k_steps + 1):
-                    grad = _glm_gradient(x[k - 1], y[k - 1], theta, link)
-                    theta = np.subtract(theta, eta_l * grad, out=path[k, row])
-        elif isinstance(objective, QuadraticObjective):
-            # the operation order of gradient() and noisy_gradient(), so the
-            # iterates keep their bits; the members' coordinates are laid out
-            # as one flat row per step, so every operation is on equal-shape
-            # contiguous vectors
-            two_a, b = objective.step_coefficients(n_members)
+        if isinstance(table, QuadraticTable):
+            # one coordinate per (job, member, dim) entry, so every
+            # operation is on equal-shape contiguous vectors
+            two_a, b = table.two_a[run_rows].reshape(-1), table.b[run_rows].reshape(-1)
+            # per job its row's noise scale, or -0.0 for a job without noise
+            scale = [s if src is not None and s > 0.0 else -0.0
+                     for src, s in zip(given, table.noise_std[rows].tolist())] if given else []
             noise = None
-            if noise_rng is not None and objective.noise_std > 0.0:
-                draws = [rng.standard_normal((k_steps, dim)) for rng in noise_rng]
-                # row k holds every member's step-k noise; one member needs no copy
-                block = draws[0] if n_members == 1 else np.concatenate(draws, axis=1)
-                noise = objective.noise_std * block
-            flat = path.reshape(k_steps + 1, -1)
-            theta = flat[0]
+            if any(s > 0.0 for s in scale):
+                quiet = np.zeros((k_steps, n_members * dim))
+                draws = []
+                for src, s in zip(given, scale):
+                    draws += [rng.standard_normal((k_steps, dim)) for rng in src] if s > 0.0 else [quiet]
+                # row k holds every run's step-k noise
+                noise = np.repeat(scale, n_members * dim) * np.concatenate(draws, axis=1)
+            theta = flat[0].reshape(-1)
             for k in range(1, k_steps + 1):
                 grad = two_a * theta + b
                 if noise is not None:
-                    grad = grad + noise[k - 1]
-                theta = np.subtract(theta, eta_l * grad, out=flat[k])
+                    grad += noise[k - 1]
+                theta = np.subtract(theta, eta_l * grad, out=flat[k].reshape(-1))
         else:
-            for row in range(n_members):
-                theta = path[0, row]
-                for k in range(1, k_steps + 1):
-                    theta = np.subtract(theta, eta_l * objective.gradient(theta), out=path[k, row])
+            batched = any(src is not None for src in given)
+            if batched:
+                # step-major (K, P*R, B) indices, so each step's samples are one contiguous block
+                idx = np.stack([stream.take(k_steps) for src in given for stream in src], axis=1)
+                n_samples = table.targets.shape[1]
+                _check_batch_indices(idx, n_samples)
+                idx += run_rows[:, None] * n_samples  # flat sample index into the table
+                x = table.features.reshape(-1, table.features.shape[2]).take(idx, axis=0)
+                y = table.targets.reshape(-1).take(idx)
+            else:
+                x, y = table.features[run_rows], table.targets[run_rows]  # (P*R, n, dim), (P*R, n)
+            theta = flat[0]
+            for k in range(1, k_steps + 1):
+                xk, yk = (x[k - 1], y[k - 1]) if batched else (x, y)
+                grad = _glm_gradient(xk, yk, theta, table.link)
+                theta = np.subtract(theta, eta_l * grad, out=flat[k])
     # a non-finite coordinate stays non-finite under theta - eta * grad, so
     # checking the endpoints alone catches every divergence
-    endpoint = path[-1]
     overflow_step = None
-    if not np.isfinite(endpoint).all():
-        finite = np.isfinite(path).all(axis=2)  # (K + 1, R)
+    if not np.isfinite(flat[-1]).all():
+        finite = np.isfinite(path).all(axis=3)  # (K + 1, P, R)
         overflow_step = np.where(finite[-1], -1, np.argmin(finite, axis=0) - 1)
-        if single:
-            raise NumericOverflowError(int(overflow_step[0]))
-    if single:
-        return LocalUpdate(endpoint[0], endpoint[0] - path[0, 0], path[:, 0])
-    return LocalUpdate(endpoint, endpoint - path[0], path, overflow_step)
+    return LocalUpdate(path, path[-1] - path[0], overflow_step)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,7 @@ class HardwareModel:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_P_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass(eq=False)
@@ -120,6 +121,7 @@ class FleetState:
     clock: int | float = 0
     round_index: int = 0
     _limit: tuple = field(default=(None, None), repr=False)  # (time limit, its ticks)
+    _cdf: tuple = field(default=(None, None), repr=False)    # (importances, their sampling CDF)
 
     @property
     def n_clients(self) -> int:
@@ -170,6 +172,21 @@ class FleetState:
             num, den = _ratio(time_limit)
             self._limit = (time_limit, num * self.scale // den)
         return self.clock + dt > self._limit[1]
+
+    def sampling_cdf(self, importances) -> np.ndarray:
+        """The CDF multinomial sampling draws from: ``Generator.choice``'s
+        ``p.cumsum() / p.cumsum()[-1]``, worked out once per importance
+        vector (told apart by identity, as the fleet's is one read-only
+        array) instead of once per round."""
+        if importances is not self._cdf[0]:
+            p = np.asarray(importances, dtype=float)
+            # choice's own checks: one per client, nonnegative, summing to 1 within sqrt(eps)
+            if p.shape != (self.n_clients,) or not (p >= 0).all() or abs(math.fsum(p) - 1.0) > _P_ATOL:
+                raise ConfigurationError("multinomial sampling needs one probability per client, summing to 1")
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            self._cdf = (importances, cdf)
+        return self._cdf[1]
 
     def arm(self, idx, rng):
         """Fresh local-work times for clients ``idx``, in that order: the
@@ -342,8 +359,9 @@ def _advance_sampling_round(
             raise ConfigurationError("multinomial sampling needs a sampling RNG")
         if importances is None:
             raise ConfigurationError("multinomial sampling needs client importances")
-        p = np.asarray(importances, dtype=float)
-        draws = sample_rng.choice(n_clients, size=m, replace=True, p=p)
+        # the draws of sample_rng.choice(n_clients, m, replace=True, p=p),
+        # without rebuilding the CDF every round
+        draws = state.sampling_cdf(importances).searchsorted(sample_rng.random(m), side="right")
         drawn = list(dict.fromkeys(draws.tolist()))  # first-appearance order
         counts = np.bincount(draws, minlength=n_clients)
         clients = np.flatnonzero(counts)

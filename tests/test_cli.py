@@ -122,6 +122,24 @@ class TestValidation:
         assert code == 2
         assert err.startswith("config error:") and "-3" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_a_tau_max_the_schedule_exceeds_exits_2(self, tmp_path, capsys, command):
+        # client 2 (tau 9) delivers with staleness 13 under the asynchronous policy
+        document = base_config(
+            fleet={"compute_times": [1, 2, 9], "objective": {"family": "quadratic", "optima": [0.0, 1.0, 2.0]}},
+            scheme={"policy": "asynchronous", "weights": "async_time_based"},
+            sweep={"axis": "eta_l", "values": [0.5]},
+            tau_max=3,
+        )
+        out = tmp_path / "out"
+        code = main([command, "--config", str(write_config(tmp_path, document)), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "tau_max 3" in err and "Traceback" not in err
+        assert not list(out.glob("*"))
+        document["tau_max"] = 13
+        assert main([command, "--config", str(write_config(tmp_path, document)), "--out", str(out)]) == 0
+
     def test_k_steps_above_the_maximum_exits_2(self, tmp_path, capsys):
         text = json.dumps(base_config())
         path = tmp_path / "config.json"

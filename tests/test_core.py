@@ -78,6 +78,22 @@ class TestConvergenceResidual:
         est = convergence_residual(two_client_fleet, [0.5, 0.5], [1.0], n_draws=3)
         assert est.value == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("n_draws", [1, 9])
+    def test_full_gradients_are_one_fleet_call_and_exact(self, monkeypatch, n_draws):
+        fleet = _ragged_fleet("logistic")
+        q = np.array([0.3, 0.0, 0.1, 0.2, 0.25, 0.15])
+        theta = np.array([0.4, -1.0, 0.7])
+        want = ordered_sum(qi * float(np.dot(g, g)) for qi, g in
+                           zip(q, (fleet.objective_for(c).gradient(theta) for c in fleet.clients)) if qi)
+        calls = []
+        original = Fleet.gradients
+        monkeypatch.setattr(Fleet, "gradients", lambda self, t: calls.append(1) or original(self, t))
+        for cls in (GlmObjective, QuadraticObjective):
+            monkeypatch.setattr(cls, "gradient", lambda self, t: pytest.fail("per-client gradient call"))
+        est = convergence_residual(fleet, q, theta, n_draws=n_draws)
+        assert len(calls) == 1
+        assert est.value == want and est.stderr == 0.0 and est.n_draws == n_draws
+
     def test_zero_draws_rejected(self, two_client_fleet):
         with pytest.raises(ConfigurationError):
             convergence_residual(two_client_fleet, [0.5, 0.5], [1.0], n_draws=0)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from asyncfed import engine
 from asyncfed.core import ClientSpec, ConfigurationError, Fleet, StalenessCapError
 from asyncfed.engine import (
     RunConfig,
@@ -17,7 +18,15 @@ from asyncfed.engine import (
     trajectory_header,
     write_trajectory_csv,
 )
-from asyncfed.objectives import GlmObjective, QuadraticObjective, local_sgd
+from asyncfed.objectives import (
+    BatchStream,
+    GlmObjective,
+    QuadraticObjective,
+    SyntheticShardConfig,
+    local_sgd,
+    make_synthetic_shards,
+    stack_objectives,
+)
 from asyncfed.oracle import phi
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy
 from asyncfed.weights import WeightScheme, plan_weights
@@ -425,10 +434,112 @@ class TestMetricsAndCsv:
             total = np.zeros(1)
             for client, anchor in zip(outcome.clients.tolist(), outcome.anchors.tolist()):
                 assert anchor <= n
-                objective = fleet.objectives[client]
-                update = local_sgd(traj.theta[anchor], objective, cfg.k_steps, cfg.eta_l)
-                total += plan.d[client] * update.delta
+                total += plan.d[client] * _delivered_delta(fleet.objectives[client], traj.theta[anchor], cfg)
             assert np.allclose(traj.theta[n] + 0.8 * total, traj.theta[n + 1], atol=1e-15)
+
+
+def _delivered_delta(objective, anchor_model, cfg, source=None):
+    """One client's local work, computed at its delivery: one job of one
+    member on the objective's own table."""
+    ((_, table),) = stack_objectives([objective])
+    out = local_sgd(table, [0], anchor_model[None, None], cfg.k_steps, cfg.eta_l,
+                    None if source is None else [[source]])
+    return out.delta[0, 0]
+
+
+class TestLocalWorkTiming:
+    """Local work runs once its anchor model exists, ahead of delivery; the
+    trajectory is the one computing each run at its delivery gives."""
+
+    def _overflow_fleet(self, slow_tau):
+        # client 1's quadratic leaves the finite range within 3 local steps
+        objectives = [QuadraticObjective.from_optimum([1.0]), QuadraticObjective([1e200], [0.0])]
+        return Fleet([ClientSpec(0, 0.5, 1, 0), ClientSpec(1, 0.5, slow_tau, 1)], objectives)
+
+    def test_an_overflow_still_in_flight_at_the_horizon_is_not_a_divergence(self, monkeypatch):
+        computed = []
+
+        def recording(table, rows, *args, **kwargs):
+            out = local_sgd(table, rows, *args, **kwargs)
+            computed.append((list(rows), out.overflow_step))
+            return out
+
+        monkeypatch.setattr(engine, "local_sgd", recording)
+        fleet = self._overflow_fleet(slow_tau=100)
+        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, ASYNC)
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.1, k_steps=3, full_gradient=True,
+                        rounds=40, theta0=np.array([1.0]))
+        traj = run(cfg)
+        # client 1's run was computed with client 0's first one, at round 0,
+        # and overflowed; it is never delivered
+        assert computed[0][0] == [0, 1] and computed[0][1][:, 0].tolist() == [-1, 1]
+        assert not traj.diverged and traj.n_rounds == 40
+        assert all(r.clients.tolist() == [0] for r in traj.rounds)
+        assert traj.never_served == 1
+        longer = run(replace(cfg, rounds=None, time_budget=150.0))
+        assert longer.diverged and longer.divergence_cause == "overflow"
+        assert longer.rounds[longer.divergence_round].clients.tolist() == [1]
+
+    @pytest.mark.parametrize("policy", [SYNC, ASYNC, WaitPolicy(PolicyKind.FEDFIX, delta_t=0.7)])
+    def test_one_run_per_call_gives_the_stacked_trajectory(self, monkeypatch, policy):
+        # a bound of one float per call leaves one run per local_sgd call;
+        # the fleet has a quadratic table and two GLM tables
+        shards = make_synthetic_shards(SyntheticShardConfig(3, dim=2, samples_per_client=12, seed=4,
+                                                            batch_size=3))
+        objectives = [QuadraticObjective.from_optimum([1.0, -1.0], noise_std=0.7), shards[0],
+                      QuadraticObjective.from_optimum([0.5, 2.0]), shards[1], GlmObjective(
+                          shards[2].features[:9], shards[2].targets[:9], batch_size=3)]
+        fleet = Fleet([ClientSpec(i, 0.2, t, i) for i, t in enumerate([1, 2, 3, 1.5, 2.5])], objectives)
+        assert len(fleet.tables) == 3
+        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.1, k_steps=3, rounds=60)
+        seeds = [Seeds((0, j), (1, j), (2, j)) for j in range(3)]
+        stacked = run_members(cfg, seeds)
+        sizes = []
+
+        def recording(table, rows, *args, **kwargs):
+            sizes.append(len(rows))
+            return local_sgd(table, rows, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "_LOCAL_FLOATS", 1)
+        monkeypatch.setattr(engine, "local_sgd", recording)
+        alone = run_members(cfg, seeds)
+        assert set(sizes) == {1}
+        for a, b in zip(stacked, alone):
+            assert a.theta.tobytes() == b.theta.tobytes()
+
+    @pytest.mark.parametrize("policy", [ASYNC, WaitPolicy(PolicyKind.FEDBUFF, m=2),
+                                        WaitPolicy(PolicyKind.SAMPLE_MD, m=3)])
+    @pytest.mark.parametrize("family", ["noisy_quadratic", "glm"])
+    def test_trajectory_matches_a_per_delivery_replay(self, family, policy):
+        if family == "glm":
+            shards = make_synthetic_shards(SyntheticShardConfig(4, dim=3, samples_per_client=20, seed=2,
+                                                                batch_size=4))
+            fleet = Fleet([ClientSpec(i, 0.25, t, i) for i, t in enumerate([1, 2, 3, 1])], shards)
+        else:
+            fleet = quadratic_fleet([[-2.0], [1.0], [3.0], [0.5], [4.0]], taus=[1, 2, 3, 1, 5], noise_std=0.7)
+        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+        seeds = Seeds((0, 3), (1, 3), (2, 3))
+        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, hw=HardwareModel("exponential"), eta_g=0.9,
+                        eta_l=0.05, k_steps=3, rounds=150, seeds=seeds, theta0=np.full(fleet.dim, 2.0))
+        traj = run(cfg)
+        # asynchronous runs overlap; sampled clients train only when drawn
+        assert max(r.staleness.max() for r in traj.rounds) >= (0 if policy.is_sampling else 3)
+
+        def source(i):
+            rng = np.random.default_rng([1, 3, i])
+            obj = fleet.objectives[i]
+            return BatchStream(obj.n_samples, obj.batch_size, rng) if family == "glm" else rng
+
+        sources = [source(i) for i in range(len(fleet))]
+        models = [traj.theta[0]]
+        for outcome in traj.rounds:
+            total = np.zeros(fleet.dim)
+            for i, mult, anchor in zip(outcome.clients.tolist(), outcome.multiplicity.tolist(),
+                                       outcome.anchors.tolist()):
+                total += (mult * plan.d[i]) * _delivered_delta(fleet.objectives[i], models[anchor], cfg, sources[i])
+            models.append(models[-1] + cfg.eta_g * total)
+        assert np.asarray(models).tobytes() == traj.theta.tobytes()
 
 
 class TestRoundBookkeeping:

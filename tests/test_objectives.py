@@ -1,10 +1,11 @@
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from asyncfed.core import ConfigurationError, NumericOverflowError
+from asyncfed.core import ConfigurationError
 from asyncfed.objectives import (
     _CHUNK_FLOATS,
     BatchStream,
@@ -16,6 +17,7 @@ from asyncfed.objectives import (
     export_shards_csv,
     local_sgd,
     make_synthetic_shards,
+    stack_objectives,
 )
 
 
@@ -27,16 +29,40 @@ def _local_optimum(obj, iters=20000):
     return theta
 
 
+def _table(*objectives):
+    """The one table of ``objectives``, one row each in order; a lone
+    objective gives its one-row table."""
+    ((positions, table),) = stack_objectives(objectives)
+    assert positions.tolist() == list(range(len(objectives)))
+    return table
+
+
+class Run(NamedTuple):
+    endpoint: np.ndarray
+    delta: np.ndarray
+    path: np.ndarray
+    overflow_step: int  # -1 when the run stayed finite
+
+
+def one_run(start, obj, k_steps, eta_l, source=None) -> Run:
+    """One job of one member on the lone objective's table."""
+    start = np.atleast_1d(np.asarray(start, dtype=float))
+    out = local_sgd(_table(obj), [0], start[None, None], k_steps, eta_l,
+                    None if source is None else [[source]])
+    step = -1 if out.overflow_step is None else int(out.overflow_step[0, 0])
+    return Run(out.endpoint[0, 0], out.delta[0, 0], out.path[:, 0, 0], step)
+
+
 class TestLocalSgd:
     def test_one_step_halves_the_gap(self):
         obj = QuadraticObjective.from_optimum([2.0])  # gradient is theta - 2
-        out = local_sgd([0.0], obj, 1, 0.5)
+        out = one_run([0.0], obj, 1, 0.5)
         assert out.endpoint[0] == pytest.approx(1.0, abs=0)
         assert out.delta[0] == pytest.approx(1.0, abs=0)
 
     def test_zero_learning_rate_is_identity(self):
         obj = QuadraticObjective.from_optimum([2.0])
-        out = local_sgd([0.7], obj, 5, 0.0)
+        out = one_run([0.7], obj, 5, 0.0)
         assert out.endpoint[0] == 0.7
 
     def test_three_steps_match_explicit_iteration(self):
@@ -44,7 +70,7 @@ class TestLocalSgd:
         theta = 0.4
         for _ in range(3):
             theta = theta - 0.1 * (theta - 3.0)
-        out = local_sgd([0.4], obj, 3, 0.1)
+        out = one_run([0.4], obj, 3, 0.1)
         assert out.endpoint[0] == pytest.approx(theta, abs=1e-15)
         contraction = 1 - (1 - 0.1) ** 3
         assert contraction == pytest.approx(0.271, abs=1e-15)
@@ -57,7 +83,7 @@ class TestLocalSgd:
             k = int(rng.integers(1, 9))
             eta = float(rng.uniform(0.01, 0.9))
             obj = QuadraticObjective.from_optimum([opt])
-            out = local_sgd([start], obj, k, eta)
+            out = one_run([start], obj, k, eta)
             expected = (1 - eta) ** k * start + (1 - (1 - eta) ** k) * opt
             assert out.endpoint[0] == pytest.approx(expected, abs=1e-12)
 
@@ -67,20 +93,20 @@ class TestLocalSgd:
         for _ in range(10):
             x, y = rng.normal(size=(2, 2))
             alpha = float(rng.random())
-            fx = local_sgd(x, obj, 4, 0.2).endpoint
-            fy = local_sgd(y, obj, 4, 0.2).endpoint
-            fmix = local_sgd(alpha * x + (1 - alpha) * y, obj, 4, 0.2).endpoint
+            fx = one_run(x, obj, 4, 0.2).endpoint
+            fy = one_run(y, obj, 4, 0.2).endpoint
+            fmix = one_run(alpha * x + (1 - alpha) * y, obj, 4, 0.2).endpoint
             assert np.allclose(fmix, alpha * fx + (1 - alpha) * fy, atol=1e-10)
 
     def test_divergence_reports_step_index(self):
         obj = QuadraticObjective(np.array([1e200]), np.array([0.0]))
-        with pytest.raises(NumericOverflowError) as err:
-            local_sgd([1.0], obj, 10, 10.0)
-        assert 0 <= err.value.step_index < 10
+        out = one_run([1.0], obj, 10, 10.0)
+        assert 0 <= out.overflow_step < 10
+        assert not np.isfinite(out.endpoint).all()
 
     def test_recorded_path_has_k_plus_one_points(self):
         obj = QuadraticObjective.from_optimum([2.0])
-        out = local_sgd([0.0], obj, 3, 0.1)
+        out = one_run([0.0], obj, 3, 0.1)
         assert len(out.path) == 4
         assert out.path[0][0] == 0.0
         assert np.array_equal(out.path[-1], out.endpoint)
@@ -88,7 +114,7 @@ class TestLocalSgd:
     def test_single_step_path_has_two_points(self):
         obj = QuadraticObjective.from_optimum([2.0, -1.0])
         start = np.array([0.5, 0.25])
-        out = local_sgd(start, obj, 1, 0.3)
+        out = one_run(start, obj, 1, 0.3)
         assert out.path.shape == (2, 2)
         assert np.array_equal(out.path[0], start)
         assert np.array_equal(out.path[1], start - 0.3 * obj.gradient(start))
@@ -97,9 +123,12 @@ class TestLocalSgd:
 
 def _reference_local_sgd(start, objective, k_steps, eta_l, *, batches=None, noise_rng=None):
     """One gradient call and one finiteness check per step: the iteration
-    the block-noise kernel must reproduce bit for bit."""
+    the block-noise kernel must reproduce bit for bit. Returns the endpoint,
+    the path and the first step whose iterate left the finite range (-1
+    when none did)."""
     theta = np.atleast_1d(np.asarray(start, dtype=float)).copy()
     path = [theta.copy()]
+    overflow_step = -1
     use_noise = noise_rng is not None and getattr(objective, "noise_std", 0.0) > 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(k_steps):
@@ -110,10 +139,10 @@ def _reference_local_sgd(start, objective, k_steps, eta_l, *, batches=None, nois
             else:
                 grad = objective.gradient(theta)
             theta = theta - eta_l * grad
-            if not np.all(np.isfinite(theta)):
-                raise NumericOverflowError(k)
+            if overflow_step < 0 and not np.all(np.isfinite(theta)):
+                overflow_step = k
             path.append(theta.copy())
-    return theta, np.array(path)
+    return theta, np.array(path), overflow_step
 
 
 def _reference_sigmoid(z):
@@ -145,8 +174,8 @@ class TestKernelMatchesTheReference:
         start = rng.normal(size=dim)
         mine, ref = np.random.default_rng(7), np.random.default_rng(7)
         for _ in range(3):  # consecutive deliveries share the client's stream
-            out = local_sgd(start, obj, k_steps, 0.13, noise_rng=mine)
-            end, path = _reference_local_sgd(start, obj, k_steps, 0.13, noise_rng=ref)
+            out = one_run(start, obj, k_steps, 0.13, mine)
+            end, path, _ = _reference_local_sgd(start, obj, k_steps, 0.13, noise_rng=ref)
             assert np.array_equal(out.endpoint, end)
             assert np.array_equal(out.path, path)
             assert np.array_equal(out.delta, end - np.asarray(start))
@@ -160,16 +189,16 @@ class TestKernelMatchesTheReference:
         ref = BatchStream(obj.n_samples, obj.batch_size, np.random.default_rng(3))
         start = np.array([0.4, -1.2, 2.0])
         for k_steps in (1, 7, 25):
-            out = local_sgd(start, obj, k_steps, 0.05, batches=mine)
-            end, path = _reference_local_sgd(start, obj, k_steps, 0.05, batches=ref)
+            out = one_run(start, obj, k_steps, 0.05, mine)
+            end, path, _ = _reference_local_sgd(start, obj, k_steps, 0.05, batches=ref)
             assert np.array_equal(out.endpoint, end)
             assert np.array_equal(out.path, path)
             start = end
 
     def test_glm_full_gradient(self):
         obj = _glm("logistic", seed=4)
-        out = local_sgd([0.3, 0.1, -0.5], obj, 9, 0.5)
-        end, path = _reference_local_sgd([0.3, 0.1, -0.5], obj, 9, 0.5)
+        out = one_run([0.3, 0.1, -0.5], obj, 9, 0.5)
+        end, path, _ = _reference_local_sgd([0.3, 0.1, -0.5], obj, 9, 0.5)
         assert np.array_equal(out.endpoint, end)
         assert np.array_equal(out.path, path)
 
@@ -196,16 +225,13 @@ class TestKernelMatchesTheReference:
     )
     def test_divergence_step_index(self, case):
         obj, eta, k_steps, source = case()
-        kwargs = {"batches": source} if isinstance(source, BatchStream) else {"noise_rng": source}
         start = np.full(obj.dim, 1.0)
-        with pytest.raises(NumericOverflowError) as mine:
-            local_sgd(start, obj, k_steps, eta, **kwargs)
+        mine = one_run(start, obj, k_steps, eta, source)
         obj, eta, k_steps, source = case()
         kwargs = {"batches": source} if isinstance(source, BatchStream) else {"noise_rng": source}
-        with pytest.raises(NumericOverflowError) as ref:
-            _reference_local_sgd(start, obj, k_steps, eta, **kwargs)
-        assert 0 <= ref.value.step_index < k_steps - 1
-        assert mine.value.step_index == ref.value.step_index
+        _, _, ref = _reference_local_sgd(start, obj, k_steps, eta, **kwargs)
+        assert 0 <= ref < k_steps - 1
+        assert mine.overflow_step == ref
 
 
 class TestGlmKernel:
@@ -217,25 +243,22 @@ class TestGlmKernel:
         # the step at which a member leaves the finite range
         starts = np.array([[1.0, -1.0, 0.5], [1e200, 1e200, 1e200], [1e300, 0.0, 0.0], [1e250, 0.0, 0.0]])
         seeds = [5, 6, 7, 8]
-        out = local_sgd(starts, obj, 40, 1e4,
-                        batches=[BatchStream(24, 5, np.random.default_rng(s)) for s in seeds])
-        steps = []
-        for start, seed in zip(starts, seeds):
-            try:
-                _reference_local_sgd(start, obj, 40, 1e4, batches=BatchStream(24, 5, np.random.default_rng(seed)))
-                steps.append(-1)
-            except NumericOverflowError as err:
-                steps.append(err.step_index)
-        assert out.overflow_step.tolist() == steps
+        out = local_sgd(_table(obj), [0], starts[None], 40, 1e4,
+                        [[BatchStream(24, 5, np.random.default_rng(s)) for s in seeds]])
+        steps = [
+            _reference_local_sgd(start, obj, 40, 1e4, batches=BatchStream(24, 5, np.random.default_rng(seed)))[2]
+            for start, seed in zip(starts, seeds)
+        ]
+        assert out.overflow_step[0].tolist() == steps
         assert steps[0] == -1 and len(set(steps)) >= 3
 
     @pytest.mark.parametrize("members", [False, True])
     def test_out_of_range_batch_indices_are_rejected(self, members):
         obj = _glm("logistic")  # 24 samples
         stream = BatchStream(30, 5, np.random.default_rng(1))
-        start = np.zeros((2, 3)) if members else np.zeros(3)
+        n_members = 2 if members else 1
         with pytest.raises(ConfigurationError, match="out of range"):
-            local_sgd(start, obj, 25, 0.1, batches=[stream, stream] if members else stream)
+            local_sgd(_table(obj), [0], np.zeros((1, n_members, 3)), 25, 0.1, [[stream] * n_members])
 
 
 class TestMembersMatchSingleModels:
@@ -251,14 +274,14 @@ class TestMembersMatchSingleModels:
         mine = [np.random.default_rng([9, r]) for r in range(5)]
         ref = [np.random.default_rng([9, r]) for r in range(5)]
         for _ in range(3):
-            out = local_sgd(starts, obj, k_steps, 0.13, noise_rng=mine)
-            assert out.overflow_step is None and out.path.shape == (k_steps + 1, 5, dim)
+            out = local_sgd(_table(obj), [0], starts[None], k_steps, 0.13, [mine])
+            assert out.overflow_step is None and out.path.shape == (k_steps + 1, 1, 5, dim)
             for r in range(5):
-                one = local_sgd(starts[r], obj, k_steps, 0.13, noise_rng=ref[r])
-                assert np.array_equal(out.endpoint[r], one.endpoint)
-                assert np.array_equal(out.delta[r], one.delta)
-                assert np.array_equal(out.path[:, r], one.path)
-            starts = out.endpoint
+                one = one_run(starts[r], obj, k_steps, 0.13, ref[r])
+                assert np.array_equal(out.endpoint[0, r], one.endpoint)
+                assert np.array_equal(out.delta[0, r], one.delta)
+                assert np.array_equal(out.path[:, 0, r], one.path)
+            starts = out.endpoint[0]
         assert [g.random() for g in mine] == [g.random() for g in ref]
 
     @pytest.mark.parametrize("link", ["linear", "logistic"])
@@ -267,26 +290,90 @@ class TestMembersMatchSingleModels:
         starts = np.array([[0.4, -1.2, 2.0], [0.0, 0.1, -0.3]])
         mine = [BatchStream(obj.n_samples, obj.batch_size, np.random.default_rng(s)) for s in (3, 4)]
         ref = [BatchStream(obj.n_samples, obj.batch_size, np.random.default_rng(s)) for s in (3, 4)]
-        out = local_sgd(starts, obj, 7, 0.05, batches=mine)
-        full = local_sgd(starts, obj, 7, 0.05)
+        out = local_sgd(_table(obj), [0], starts[None], 7, 0.05, [mine])
+        full = local_sgd(_table(obj), [0], starts[None], 7, 0.05)
         for r in range(2):
-            assert np.array_equal(out.endpoint[r], local_sgd(starts[r], obj, 7, 0.05, batches=ref[r]).endpoint)
-            assert np.array_equal(full.endpoint[r], local_sgd(starts[r], obj, 7, 0.05).endpoint)
+            assert np.array_equal(out.endpoint[0, r], one_run(starts[r], obj, 7, 0.05, ref[r]).endpoint)
+            assert np.array_equal(full.endpoint[0, r], one_run(starts[r], obj, 7, 0.05).endpoint)
 
     def test_overflow_is_recorded_per_member(self):
         obj = QuadraticObjective([1.0, 2.0], [0.5, -1.0])
         # the second member starts at the optimum, where every gradient is 0
         starts = np.array([[1.0, 1.0], [-0.25, 0.25], [1e-200, 0.25], [1e100, 1e100]])
-        out = local_sgd(starts, obj, 60, 1e50)
-        steps = []
-        for start in starts:
-            try:
-                local_sgd(start, obj, 60, 1e50)
-                steps.append(-1)
-            except NumericOverflowError as err:
-                steps.append(err.step_index)
-        assert out.overflow_step.tolist() == steps
+        out = local_sgd(_table(obj), [0], starts[None], 60, 1e50)
+        steps = [one_run(start, obj, 60, 1e50).overflow_step for start in starts]
+        assert out.overflow_step[0].tolist() == steps
         assert steps[1] == -1 and len(set(steps)) >= 3
+
+
+def _bits(x) -> bytes:
+    """The bytes of an array: unlike ``array_equal``, this tells -0.0 from +0.0."""
+    return np.ascontiguousarray(x).tobytes()
+
+
+class TestStackedJobsMatchOneJob:
+    """P jobs of R members on rows of one table, in one call, equal P*R calls
+    of one job and one member on the lone objectives: the same bits (signed
+    zeros included), overflow steps and stream use."""
+
+    ROWS = [3, 0, 1, 3, 4, 2]  # a row may appear in several jobs
+
+    def _compare(self, objectives, starts, k_steps, eta_l, make_sources):
+        table = _table(*objectives)
+        mine, ref = make_sources(), make_sources()
+        out = local_sgd(table, self.ROWS, starts, k_steps, eta_l, mine)
+        for p, row in enumerate(self.ROWS):
+            for r in range(starts.shape[1]):
+                one = one_run(starts[p, r], objectives[row], k_steps, eta_l, None if ref is None else ref[p][r])
+                assert _bits(out.path[:, p, r]) == _bits(one.path), (p, r)
+                assert _bits(out.delta[p, r]) == _bits(one.delta), (p, r)
+                step = -1 if out.overflow_step is None else out.overflow_step[p, r]
+                assert step == one.overflow_step, (p, r)
+        return out, mine, ref
+
+    @pytest.mark.parametrize("n_members", [1, 3])
+    @pytest.mark.parametrize("k_steps", [1, 4])
+    @pytest.mark.parametrize("noise", ["noiseless", "noisy", "mixed"])
+    def test_quadratic_table(self, noise, k_steps, n_members):
+        rng = np.random.default_rng([k_steps, n_members])
+        stds = {"noiseless": [0.0] * 5, "noisy": [0.7, 0.4, 1.3, 0.2, 0.9],
+                "mixed": [0.7, 0.0, 1.3, 0.0, 0.0]}[noise]
+        objectives = [QuadraticObjective(rng.uniform(0.1, 2.0, 2), rng.normal(size=2), 0.1, s) for s in stds]
+        # row 1 has b = -0.0, so from a -0.0 start its gradient is -0.0; row 4
+        # leaves the finite range within a few steps
+        objectives[1] = QuadraticObjective.from_optimum([0.0, 0.0], noise_std=stds[1])
+        objectives[4] = QuadraticObjective([1e200, 1.0], [0.0, 0.5], noise_std=stds[4])
+        starts = rng.normal(size=(len(self.ROWS), n_members, 2))
+        starts[2] = -0.0
+
+        def sources():
+            return [[np.random.default_rng([p, r]) for r in range(n_members)] for p in range(len(self.ROWS))]
+
+        out, mine, ref = self._compare(objectives, starts, k_steps, 0.13, sources)
+        assert (out.overflow_step is not None) == (k_steps > 1)
+        if noise != "noisy":
+            # -0.0 - eta * -0.0 is +0.0; a +0.0 noise term would have kept -0.0
+            assert _bits(out.endpoint[2]) == _bits(np.zeros((n_members, 2)))
+        for p in range(len(self.ROWS)):
+            # a noiseless row draws nothing from its generators
+            assert [g.random() for g in mine[p]] == [g.random() for g in ref[p]]
+
+    @pytest.mark.parametrize("n_members", [1, 3])
+    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("link", ["linear", "logistic"])
+    def test_glm_table(self, link, batched, n_members):
+        objectives = [_glm(link, seed=s) for s in range(5)]
+        starts = np.random.default_rng(n_members).normal(size=(len(self.ROWS), n_members, 3))
+
+        def sources():
+            if not batched:
+                return None
+            return [[BatchStream(24, 5, np.random.default_rng([p, r])) for r in range(n_members)]
+                    for p in range(len(self.ROWS))]
+
+        _, mine, ref = self._compare(objectives, starts, 6, 0.05, sources)
+        if batched:
+            assert [s.next().tolist() for job in mine for s in job] == [s.next().tolist() for job in ref for s in job]
 
 
 class TestBatchGradient:

@@ -144,6 +144,36 @@ class TestSampling:
             saw_double = saw_double or 2 in out.multiplicity
         assert saw_double
 
+    def test_multinomial_draws_and_stream_match_generator_choice(self):
+        # exponential hardware arms the drawn clients in first-appearance
+        # order, so each round's length pins the order of the draws too
+        p = [0.1, 0.3, 0.2, 0.25, 0.15]
+        taus = [1.0, 2.0, 1.5, 3.0, 0.5]
+        policy = WaitPolicy(PolicyKind.SAMPLE_MD, m=3)
+        hw = HardwareModel("exponential")
+        hw_rng, sample_rng = np.random.default_rng(5), np.random.default_rng(6)
+        state = init_fleet_state(taus, hw, hw_rng, policy=policy)
+        ref_hw, ref_sample = np.random.default_rng(5), np.random.default_rng(6)
+        ref_hw.exponential(scale=np.array(taus))  # the initial clocks
+        for _ in range(10_000):
+            out = advance_round(state, policy, taus, hw, hw_rng=hw_rng, sample_rng=sample_rng, importances=p)
+            draws = ref_sample.choice(5, size=3, replace=True, p=np.asarray(p))
+            drawn = list(dict.fromkeys(draws.tolist()))
+            counts = np.bincount(draws, minlength=5)
+            assert out.clients.tolist() == np.flatnonzero(counts).tolist()
+            assert out.multiplicity.tolist() == counts[counts > 0].tolist()
+            assert out.delta_t == (ref_hw.standard_exponential(len(drawn)) * np.array(taus)[drawn]).max()
+        assert sample_rng.bit_generator.state == ref_sample.bit_generator.state
+        assert hw_rng.bit_generator.state == ref_hw.bit_generator.state
+
+    @pytest.mark.parametrize("importances", [[0.5, 0.6], [1.5, -0.5], [1.0]])
+    def test_multinomial_sampling_rejects_bad_probabilities(self, importances):
+        state = init_fleet_state([1, 1], FIXED)
+        policy = WaitPolicy(PolicyKind.SAMPLE_MD, m=2)
+        with pytest.raises(ConfigurationError, match="probability per client"):
+            advance_round(state, policy, [1, 1], FIXED, sample_rng=np.random.default_rng(0),
+                          importances=importances)
+
     def test_sample_size_cannot_exceed_fleet(self):
         state = init_fleet_state([1, 1], FIXED)
         policy = WaitPolicy(PolicyKind.SAMPLE_UNIFORM, m=3)
