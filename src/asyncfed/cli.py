@@ -194,6 +194,11 @@ def cmd_oracle_check(args) -> int:
     optima = tuple(
         float(experiment.fleet.objective_for(c).optimum[0]) for c in experiment.fleet.clients
     )
+    ensemble = ScalarEnsembleConfig(
+        state.scheme, optima, state.phi, eta_g=eta_g, theta0=theta0,
+        checkpoints=tuple(checkpoints), n_runs=n_runs, seed=seed, m=state.m,
+        window=state.window,
+    )
     expected = expectation_recursion(state, horizon, eta_g, optima)
     oracle_mean = expected.mean(theta0)
     # the mean recursion is exact for fresh anchors and for the uniform
@@ -206,13 +211,7 @@ def cmd_oracle_check(args) -> int:
     if eta_g == 1.0:
         oracle_m2 = variance_recursion(state, optima, horizon, theta0).second_moment
 
-    mc = run_scalar_ensemble(
-        ScalarEnsembleConfig(
-            state.scheme, optima, state.phi, eta_g=eta_g, theta0=theta0,
-            checkpoints=tuple(checkpoints), n_runs=n_runs, seed=seed, m=state.m,
-            window=state.window,
-        )
-    )
+    mc = run_scalar_ensemble(ensemble)
     at = {n: i for i, n in enumerate(mc.rounds.tolist())}
 
     rows = []

@@ -16,7 +16,7 @@ import jsonschema
 import numpy as np
 
 from .core import ClientSpec, ConfigurationError, Fleet, uniform_importances
-from .engine import MAX_K_STEPS, RunConfig, Seeds
+from .engine import MAX_ENSEMBLE_SEEDS, MAX_K_STEPS, RunConfig, Seeds
 from .objectives import QuadraticObjective, SyntheticShardConfig, make_synthetic_shards
 from .timing import BIASED_CRITERIA, HardwareModel, PolicyKind, WaitPolicy
 from .weights import WeightScheme, plan_weights
@@ -26,6 +26,7 @@ SCHEMA_VERSION = 1
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _VECTOR = {"type": "array", "items": _NUMBER, "minItems": 1}
+_NUMBER_OR_VECTOR = {"anyOf": [_NUMBER, _VECTOR]}
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -52,7 +53,7 @@ CONFIG_SCHEMA = {
                         "family": {"enum": ["quadratic", "logistic", "linear"]},
                         "optima": {
                             "type": "array",
-                            "items": {"anyOf": [_NUMBER, _VECTOR]},
+                            "items": _NUMBER_OR_VECTOR,
                             "minItems": 1,
                         },
                         "curvature": _POSITIVE,
@@ -88,7 +89,7 @@ CONFIG_SCHEMA = {
                 "k_steps": {"type": "integer", "minimum": 1, "maximum": MAX_K_STEPS},
                 "batch_size": {"type": "integer", "minimum": 1},
                 "full_gradient": {"type": "boolean"},
-                "theta0": {"anyOf": [_NUMBER, _VECTOR]},
+                "theta0": _NUMBER_OR_VECTOR,
             },
         },
         "horizon": {
@@ -102,7 +103,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_seeds": {"type": "integer", "minimum": 1},
+                "n_seeds": {"type": "integer", "minimum": 1, "maximum": MAX_ENSEMBLE_SEEDS},
                 "base_seed": {"type": "integer", "minimum": 0},
             },
         },
@@ -159,10 +160,48 @@ def _is_strict_integer(checker, instance) -> bool:
     return isinstance(instance, int) and not isinstance(instance, bool)
 
 
+_LEAF_TYPES = {"number": {int, float}, "integer": {int}}  # bool is neither
+_LEAF_KEYS = {"type", "minimum", "exclusiveMinimum"}
+_STOCK_ITEMS = jsonschema.Draft202012Validator.VALIDATORS["items"]
+
+
+def _items_pass(schema, values: list) -> bool:
+    """True when every value meets ``schema`` and the schema is a numeric
+    leaf (``type`` with ``minimum``/``exclusiveMinimum``) or the
+    number-or-vector ``anyOf``; False also when unsure. Each check covers
+    the whole list at once."""
+    if not isinstance(schema, dict):
+        return False
+    if schema == _NUMBER_OR_VECTOR:
+        numbers = _LEAF_TYPES["number"]
+        return set(map(type, values)) <= numbers or all(
+            type(v) in numbers or (type(v) is list and len(v) > 0 and _items_pass(_NUMBER, v))
+            for v in values
+        )
+    kinds = _LEAF_TYPES.get(schema.get("type"))
+    if kinds is None or not schema.keys() <= _LEAF_KEYS or not set(map(type, values)) <= kinds:
+        return False
+    if not values:
+        return True
+    # min ignores a NaN past the first item, which every bound check passes
+    low = min(values)
+    return low >= schema.get("minimum", -math.inf) and low > schema.get("exclusiveMinimum", -math.inf)
+
+
+def _items(validator, items, instance, schema):
+    """The ``items`` keyword in one pass over an array of numeric leaves; an
+    array that does not pass whole goes to the stock keyword, so the errors
+    and their order are the stock walk's."""
+    if type(instance) is list and "prefixItems" not in schema and _items_pass(items, instance):
+        return
+    yield from _STOCK_ITEMS(validator, items, instance, schema)
+
+
 # JSON Schema counts 2.0 as an integer; the builders need a Python int, so
 # "integer" here means exactly that (an integral float is a config error)
 _StrictValidator = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
+    validators={"items": _items},
     type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
         "integer", _is_strict_integer
     ),
@@ -220,7 +259,16 @@ class Experiment:
     run_config: RunConfig
 
 
+# the families that read each optional key of ``fleet/objective``
+_FAMILY_KEYS = {
+    **dict.fromkeys(("optima", "curvature", "noise_std"), {"quadratic"}),
+    **dict.fromkeys(("dim", "samples_per_client", "concentration", "seed", "batch_size"), {"logistic", "linear"}),
+}
+
+
 def build_fleet(document: dict) -> tuple[Fleet, HardwareModel]:
+    """The configured fleet and hardware; an objective key the family does
+    not read is a config error rather than being silently ignored."""
     fcfg = document["fleet"]
     taus = fcfg["compute_times"]
     n = len(taus)
@@ -231,18 +279,16 @@ def build_fleet(document: dict) -> tuple[Fleet, HardwareModel]:
 
     ocfg = fcfg["objective"]
     family = ocfg["family"]
+    for key, readers in _FAMILY_KEYS.items():
+        if key in ocfg and family not in readers:
+            raise ConfigurationError(f"fleet/objective/{key} is not read by the {family} family")
     if family == "quadratic":
         optima = ocfg.get("optima")
         if optima is None or len(optima) != n:
             raise ConfigurationError("quadratic objective needs one optimum per client")
-        objectives = [
-            QuadraticObjective.from_optimum(
-                np.atleast_1d(np.asarray(opt, dtype=float)),
-                ocfg.get("curvature", 0.5),
-                noise_std=ocfg.get("noise_std", 0.0),
-            )
-            for opt in optima
-        ]
+        objectives = QuadraticObjective.from_optima(
+            optima, ocfg.get("curvature", 0.5), noise_std=ocfg.get("noise_std", 0.0)
+        )
     else:
         shard_cfg = SyntheticShardConfig(
             n_clients=n,

@@ -36,6 +36,12 @@ from .weights import WeightPlan
 
 DIVERGENCE_THRESHOLD = 1e12
 MAX_K_STEPS = 10_000  # local steps per run
+# members per sweep value: run_members holds (rounds + 1, R, dim) models and
+# seeds one generator per member and noisy client (~1.2 KB and ~20 us each)
+MAX_ENSEMBLE_SEEDS = 10_000
+# n_runs x M of a scalar ensemble: its (n_runs, M) held-anchor buffer is
+# 128 MiB at the cap, and a window round draws an array and a mask that size
+MAX_HELD_ANCHORS = 1 << 24
 _LOCAL_FLOATS = 1 << 20  # bound on the floats one local_sgd call holds: iterates and gathered samples
 CSV_SCHEMA_VERSION = 1
 
@@ -567,6 +573,11 @@ class ScalarEnsembleConfig:
             raise ConfigurationError("checkpoints must be nonnegative rounds")
         if self.n_runs < 1 or not self.checkpoints or max(self.checkpoints) < 1:
             raise ConfigurationError("need at least one run and one round")
+        if self.n_runs * len(self.optima) > MAX_HELD_ANCHORS:
+            raise ConfigurationError(
+                f"n_runs x clients must be at most {MAX_HELD_ANCHORS} (the held-anchor buffer), "
+                f"got {self.n_runs} x {len(self.optima)}"
+            )
 
 
 @dataclass(frozen=True)

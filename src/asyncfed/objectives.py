@@ -37,11 +37,39 @@ class QuadraticObjective:
         self.noise_std = float(noise_std)
 
     @classmethod
-    def from_optimum(cls, optimum, curvature=0.5, noise_std: float = 0.0):
-        """Quadratic with minimum value 0 at ``optimum``: a . (theta - opt)^2."""
-        opt = np.atleast_1d(np.asarray(optimum, dtype=float))
-        a = np.full_like(opt, float(curvature)) if np.isscalar(curvature) else np.asarray(curvature, float)
-        return cls(a, -2.0 * a * opt, float(np.dot(a, opt * opt)), noise_std)
+    def from_optimum(cls, optimum, curvature: float = 0.5, noise_std: float = 0.0):
+        """Quadratic with minimum value 0 at ``optimum``: a . (theta - opt)^2,
+        with a = ``curvature`` in every coordinate."""
+        opt = np.atleast_1d(np.asarray(optimum, dtype=float)).tolist()
+        return cls.from_optima([opt], curvature, noise_std)[0]
+
+    @classmethod
+    def from_optima(cls, optima, curvature: float = 0.5, noise_std: float = 0.0) -> list:
+        """One :meth:`from_optimum` quadratic per entry of ``optima``, given
+        as numbers or lists: the coefficients are computed once per
+        dimension as one (clients, dim) array, checked once, and each
+        quadratic holds row views of them."""
+        curvature, noise_std = float(curvature), float(noise_std)
+        if curvature < 0:
+            raise ConfigurationError("quadratic curvature must be nonnegative")
+        if noise_std < 0:
+            raise ConfigurationError("noise_std must be nonnegative")
+        rows = [opt if isinstance(opt, (list, tuple)) else (opt,) for opt in optima]
+        dims = dict.fromkeys(map(len, rows))
+        out = [None] * len(rows)
+        for dim in dims:  # several only when the clients disagree, which Fleet reports
+            picked = range(len(rows)) if len(dims) == 1 else [i for i, r in enumerate(rows) if len(r) == dim]
+            opt = np.array([rows[i] for i in picked], dtype=float).reshape(len(picked), dim)
+            a = np.full_like(opt, curvature)
+            b = -2.0 * a * opt
+            square = opt * opt
+            # c = np.dot(a, opt * opt) per row: one product for dim 1, else
+            # the BLAS dot product a stacked 1 x dim @ dim x 1 takes
+            c = a[:, 0] * square[:, 0] if dim == 1 else (a[:, None, :] @ square[:, :, None])[:, 0, 0]
+            for i, a_row, b_row, c_row in zip(picked, a, b, c.tolist()):
+                obj = out[i] = cls.__new__(cls)
+                obj.a, obj.b, obj.c, obj.noise_std = a_row, b_row, c_row, noise_std
+        return out
 
     @property
     def dim(self) -> int:

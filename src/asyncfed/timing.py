@@ -151,7 +151,7 @@ class FleetState:
 
     def ticks(self, value) -> int:
         """An exact time on this fleet's tick scale."""
-        num, den = _ratio(value)
+        num, den = exact_ratio(value)
         if self.scale % den:
             raise ConfigurationError(
                 f"time {value!r} is not on the fleet's tick scale; pass the policy "
@@ -169,7 +169,7 @@ class FleetState:
         if not self.exact:
             return self.clock + dt > time_limit
         if time_limit is not self._limit[0]:
-            num, den = _ratio(time_limit)
+            num, den = exact_ratio(time_limit)
             self._limit = (time_limit, num * self.scale // den)
         return self.clock + dt > self._limit[1]
 
@@ -201,7 +201,7 @@ class FleetState:
         return rng.standard_exponential(len(idx)) * self.period[idx]
 
 
-def _ratio(value) -> tuple[int, int]:
+def exact_ratio(value) -> tuple[int, int]:
     """Numerator and denominator of an exact time, in lowest terms."""
     if not isinstance(value, (int, float, Fraction)):
         value = Fraction(value)
@@ -212,7 +212,7 @@ def _tick_arrays(*groups, scale: int):
     """Exact times as integer ticks on ``scale``, one array per group, all
     ``int64`` when every tick fits and Python ints otherwise."""
     ticks = [
-        [num * (scale // den) for num, den in map(_ratio, group)] for group in groups
+        [num * (scale // den) for num, den in map(exact_ratio, group)] for group in groups
     ]
     fits = max(abs(t) for group in ticks for t in group) <= _INT64_MAX
     return [np.array(group, dtype=np.int64 if fits else object) for group in ticks]
@@ -248,7 +248,7 @@ def init_fleet_state(
     if len(starts) != len(taus):
         raise ConfigurationError("initial_clocks length must match the fleet")
     window = [policy.delta_t] if policy is not None and policy.kind is PolicyKind.FEDFIX else []
-    scale = math.lcm(*(_ratio(v)[1] for v in taus + starts + window))
+    scale = math.lcm(*(exact_ratio(v)[1] for v in taus + starts + window))
     period, remaining, _ = _tick_arrays(taus, starts, window, scale=scale)
     if initial_clocks is not None and (remaining <= 0).any():
         raise ConfigurationError("initial clocks must be positive")
@@ -395,10 +395,10 @@ def participations_per_cycle(taus) -> list[int]:
     """Deliveries per client in one cycle of the asynchronous fixed-hardware
     schedule: c_i = nu / tau_i, with nu the rational lcm of the exact times
     (lcm of the numerators over gcd of the denominators)."""
-    exact = [Fraction(t) for t in taus]
-    num = math.lcm(*(t.numerator for t in exact))
-    den = math.gcd(*(t.denominator for t in exact))
-    return [(num // t.numerator) * (t.denominator // den) for t in exact]
+    exact = [exact_ratio(t) for t in taus]
+    num = math.lcm(*(t_num for t_num, _ in exact))
+    den = math.gcd(*(t_den for _, t_den in exact))
+    return [(num // t_num) * (t_den // den) for t_num, t_den in exact]
 
 
 def staleness_bound(policy: WaitPolicy, hw: HardwareModel, taus) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .timing import (
     HardwareModel,
     PolicyKind,
     WaitPolicy,
+    exact_ratio,
     fastest_first,
     participations_per_cycle,
     replay_steady_period,
@@ -56,7 +56,22 @@ def _require_fixed(hw: HardwareModel | None, scheme: WeightScheme):
 
 
 def _ceil_ratio(tau, delta_t) -> int:
-    return math.ceil(Fraction(tau) / Fraction(delta_t))
+    (tau_num, tau_den), (dt_num, dt_den) = exact_ratio(tau), exact_ratio(delta_t)
+    return -(-tau_num * dt_den // (tau_den * dt_num))
+
+
+def _over_common_den(values) -> tuple[list[int], int]:
+    """Exact values as integer numerators over one common denominator."""
+    ratios = [exact_ratio(v) for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [num * (den // d) for num, d in ratios], den
+
+
+def _to_floats(exact: tuple[list, int]) -> np.ndarray:
+    """Each numerator over the denominator, rounded once: ``int / int`` is
+    correctly rounded, as ``float(Fraction)`` is."""
+    nums, den = exact
+    return np.array([num / den for num in nums])
 
 
 def plan_weights(
@@ -68,44 +83,45 @@ def plan_weights(
     custom_d=None,
 ) -> WeightPlan:
     """Fill the per-client weights d_i for a scheme, the window size, and the
-    window-averaged expected weights."""
-    p = [Fraction(float(x)) for x in importances]
-    taus = [Fraction(t) for t in compute_times]
-    n = len(p)
-    if len(taus) != n:
+    window-averaged expected weights. Each vector is exact, as integer
+    numerators over one common denominator, until it is rounded to float."""
+    p = _over_common_den(map(float, importances))
+    n = len(p[0])
+    if len(compute_times) != n:
         raise ConfigurationError("importances and compute times disagree on fleet size")
 
     if scheme is WeightScheme.IDENTICAL:
-        d = [Fraction(1)] * n
+        d = [1] * n, 1
     elif scheme is WeightScheme.FEDAVG:
-        d = list(p)
+        d = p
     elif scheme is WeightScheme.ASYNC_TIME_BASED:
         _require_fixed(hw, scheme)
-        rate_sum = sum(1 / t for t in taus)
-        d = [rate_sum * t * pi for t, pi in zip(taus, p)]
+        # d_i = (sum_j 1 / tau_j) tau_i p_i, with the rate sum over the lcm
+        # of the time numerators and tau_i over the lcm of their denominators
+        taus = [exact_ratio(t) for t in compute_times]
+        num_lcm = math.lcm(*(num for num, _ in taus))
+        den_lcm = math.lcm(*(den for _, den in taus))
+        rate_sum = sum(den * (num_lcm // num) for num, den in taus)
+        d = ([rate_sum * num * (den_lcm // den) * pn for (num, den), pn in zip(taus, p[0])],
+             num_lcm * den_lcm * p[1])
     elif scheme is WeightScheme.FEDFIX_TIME_BASED:
         _require_fixed(hw, scheme)
         if policy is None or policy.kind is not PolicyKind.FEDFIX:
             raise ConfigurationError("fedfix time-based weights need a fedfix policy")
-        d = [_ceil_ratio(t, policy.delta_t) * pi for t, pi in zip(taus, p)]
+        d = [_ceil_ratio(t, policy.delta_t) * pn for t, pn in zip(compute_times, p[0])], p[1]
     elif scheme is WeightScheme.CUSTOM:
         if custom_d is None or len(custom_d) != n:
             raise ConfigurationError("custom scheme needs one weight per client")
-        d = [Fraction(float(x)) for x in custom_d]
+        d = _over_common_den(map(float, custom_d))
     else:  # pragma: no cover
         raise ConfigurationError(f"unknown weight scheme {scheme}")
 
-    window, counts = _window_counts(policy, taus)
+    window, counts = _window_counts(policy, compute_times)
     if counts is None:
-        q_window = _sampled_q(policy, taus, d, importances)
+        q_window = _sampled_q(policy, compute_times, d, p)
     else:
-        q_window = [c * di / window for c, di in zip(counts, d)]
-    return WeightPlan(
-        scheme,
-        np.array([float(x) for x in d]),
-        window,
-        np.array([float(x) for x in q_window]),
-    )
+        q_window = [c * dn for c, dn in zip(counts, d[0])], d[1] * window
+    return WeightPlan(scheme, _to_floats(d), window, _to_floats(q_window))
 
 
 def window_size(policy: WaitPolicy | None, compute_times) -> int:
@@ -117,7 +133,7 @@ def window_size(policy: WaitPolicy | None, compute_times) -> int:
     lcm({ceil(tau_i / delta_t)}) rounds. The buffered policy is measured from
     its replayed schedule.
     """
-    return _window_counts(policy, [Fraction(t) for t in compute_times])[0]
+    return _window_counts(policy, compute_times)[0]
 
 
 def _window_counts(policy: WaitPolicy | None, taus) -> tuple[int, list[int] | None]:
@@ -142,22 +158,23 @@ def _window_counts(policy: WaitPolicy | None, taus) -> tuple[int, list[int] | No
     raise UnsupportedConfigError(f"no window size for policy {policy.kind}")
 
 
-def _sampled_q(policy, taus, d, importances):
-    """Analytic inclusion probability times d for the sampling policies."""
+def _sampled_q(policy, taus, d, p):
+    """Analytic inclusion probability times d for the sampling policies, as
+    numerators over a denominator like ``d`` and the importances ``p``."""
     m = policy.m
-    n = len(taus)
-    p = [Fraction(float(x)) for x in importances]
+    nums, den = d
+    n = len(nums)
     if policy.kind is PolicyKind.SAMPLE_UNIFORM:
-        return [Fraction(min(m, n), n) * di for di in d]
+        return [min(m, n) * dn for dn in nums], n * den
     if policy.kind is PolicyKind.SAMPLE_MD:
-        return [m * pi * di for pi, di in zip(p, d)]
+        return [m * pn * dn for pn, dn in zip(p[0], nums)], p[1] * den
     if policy.kind is PolicyKind.SAMPLE_BIASED:
         if policy.criterion != "fastest":
             # loss-driven selection depends on the trajectory; there is no
             # analytic inclusion probability to report
-            return [math.nan] * n
+            return [math.nan] * n, 1
         chosen = set(fastest_first(taus)[:m])
-        return [di if i in chosen else Fraction(0) for i, di in enumerate(d)]
+        return [dn if i in chosen else 0 for i, dn in enumerate(nums)], den
     raise UnsupportedConfigError(f"no expected weights for policy {policy.kind}")
 
 

@@ -10,7 +10,7 @@ import pytest
 from asyncfed.cli import main, write_sweep_csv
 from asyncfed.config import load_config, validate_config
 from asyncfed.core import ConfigurationError
-from asyncfed.engine import MAX_K_STEPS
+from asyncfed.engine import MAX_ENSEMBLE_SEEDS, MAX_HELD_ANCHORS, MAX_K_STEPS, ScalarEnsembleConfig
 
 
 def base_config(**overrides):
@@ -72,6 +72,29 @@ class TestValidation:
         path = write_config(tmp_path, base_config(scheme={**scheme, "weights": "fedavg"}))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"scheme/{key} is not read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family, key, value",
+        [
+            ("logistic", "optima", [1.0, 2.0]),
+            ("linear", "curvature", 0.5),
+            ("logistic", "noise_std", 0.1),
+            ("quadratic", "dim", 2),
+            ("quadratic", "samples_per_client", 16),
+            ("quadratic", "concentration", 0.5),
+            ("quadratic", "seed", 3),
+            ("quadratic", "batch_size", 4),
+        ],
+    )
+    def test_objective_keys_the_family_ignores_are_rejected(self, family, key, value, tmp_path, capsys):
+        objective = {"family": family, key: value}
+        if family == "quadratic":
+            objective["optima"] = [0.0, 2.0]
+        path = write_config(tmp_path, base_config(fleet={"compute_times": [1, 2], "objective": objective}))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: fleet/objective/{key} is not read by the {family} family\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(horizon={"rounds": 0}))
@@ -151,6 +174,32 @@ class TestValidation:
         document = base_config()
         document["optimization"]["k_steps"] = MAX_K_STEPS
         assert validate_config(document) == []
+
+    def test_ensemble_sizes_above_their_caps_exit_2(self, tmp_path, capsys, monkeypatch):
+        def started(*args):
+            raise AssertionError("an ensemble started")
+
+        monkeypatch.setattr("asyncfed.cli.run_scalar_ensemble", started)
+        monkeypatch.setattr("asyncfed.cli.sweep_rows", started)
+        oracle = base_config(scheme={"policy": "asynchronous", "weights": "identical"},
+                             oracle_check={"checkpoints": [1], "n_runs": 10**13})
+        oracle["fleet"].update(hardware="exponential", compute_times=[1.0, 1.0])
+        path = write_config(tmp_path, oracle)
+        assert main(["oracle-check", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: n_runs x clients must be at most") and "Traceback" not in err
+        sweep = base_config(ensemble={"n_seeds": 10**12}, sweep={"axis": "eta_l", "values": [0.5]})
+        path = write_config(tmp_path, sweep)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "ensemble/n_seeds" in err and "Traceback" not in err
+
+    def test_the_largest_ensemble_sizes_in_use_stay_allowed(self):
+        assert validate_config(base_config(ensemble={"n_seeds": MAX_ENSEMBLE_SEEDS})) == []
+        for n_runs, m in [(100_000, 10), (MAX_HELD_ANCHORS // 4, 4)]:
+            ScalarEnsembleConfig("async", (0.0,) * m, 0.5, n_runs=n_runs)
+        with pytest.raises(ConfigurationError, match="n_runs x clients"):
+            ScalarEnsembleConfig("async", (0.0,) * 4, 0.5, n_runs=MAX_HELD_ANCHORS // 4 + 1)
 
     @pytest.mark.parametrize(
         "command, section, key, value",
