@@ -4,7 +4,6 @@ asynchronous federated optimization with heterogeneous clients."""
 __version__ = "0.1.0"
 
 from .core import (
-    ClientSpec,
     ConfigurationError,
     Fleet,
     StalenessCapError,
@@ -20,7 +19,6 @@ from .objectives import (
     GlmObjective,
     QuadraticObjective,
     SyntheticShardConfig,
-    batch_gradient,
     local_sgd,
     make_synthetic_shards,
 )

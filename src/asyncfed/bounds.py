@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .core import ConfigurationError, Fleet, UnsupportedConfigError, ordered_sum, weighted_optimum
+from .objectives import stack_objectives
 from .timing import HardwareModel, PolicyKind, WaitPolicy, staleness_bound
 from .weights import WeightScheme, plan_weights
 
@@ -172,21 +173,14 @@ def residual_mean_gap(fleet: Fleet) -> float:
     quadratic objectives."""
     theta_star = weighted_optimum(fleet)
     total = 0.0
-    for client in fleet.clients:
-        obj = fleet.objective_for(client)
+    for i in range(len(fleet)):
+        obj = fleet.objective(i)
         if hasattr(obj, "optimum"):
             local_opt = obj.optimum
         else:
-            single = Fleet([_solo_client(client)], [obj])
-            local_opt = weighted_optimum(single)
+            local_opt = weighted_optimum(Fleet(stack_objectives([obj]), [1], [1.0]))
         total += obj.value(theta_star) - obj.value(local_opt)
     return total / len(fleet)
-
-
-def _solo_client(client):
-    from .core import ClientSpec
-
-    return ClientSpec(0, 1.0, client.compute_time, 0, client.distribution_id)
 
 
 def fill_inputs(preset: SchemePreset, base: BoundInputs) -> BoundInputs:

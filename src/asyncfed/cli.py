@@ -130,7 +130,7 @@ def _oracle_state_for(experiment: Experiment) -> tuple[OracleState, float, float
     """
     fleet = experiment.fleet
     cfg = experiment.run_config
-    objectives = [fleet.objective_for(c) for c in fleet.clients]
+    objectives = [fleet.objective(i) for i in range(len(fleet))]
     if fleet.dim != 1 or not all(isinstance(o, QuadraticObjective) for o in objectives):
         raise UnsupportedConfigError("closed forms cover scalar quadratic fleets only")
     if any(abs(float(o.a[0]) - 0.5) > 1e-12 for o in objectives):
@@ -191,9 +191,8 @@ def cmd_oracle_check(args) -> int:
     seed = check_cfg.get("seed", 0)
     horizon = max(checkpoints)
 
-    optima = tuple(
-        float(experiment.fleet.objective_for(c).optimum[0]) for c in experiment.fleet.clients
-    )
+    fleet = experiment.fleet
+    optima = tuple(float(fleet.objective(i).optimum[0]) for i in range(len(fleet)))
     ensemble = ScalarEnsembleConfig(
         state.scheme, optima, state.phi, eta_g=eta_g, theta0=theta0,
         checkpoints=tuple(checkpoints), n_runs=n_runs, seed=seed, m=state.m,
@@ -312,7 +311,7 @@ def cmd_bounds(args) -> int:
 
     smoothness = bcfg.get("smoothness")
     if smoothness is None:
-        smoothness = max(fleet.objective_for(c).smoothness for c in fleet.clients)
+        smoothness = max(fleet.objective(i).smoothness for i in range(len(fleet)))
         note = "smoothness defaulted to the largest client curvature"
     else:
         note = None
@@ -511,10 +510,11 @@ def cmd_gen_shards(args) -> int:
     if family == "quadratic":
         raise ConfigurationError("gen-shards needs a logistic or linear objective family")
     out_dir = Path(args.out)
-    paths = export_shards_csv(list(experiment.fleet.objectives), out_dir)
+    fleet = experiment.fleet
+    paths = export_shards_csv([fleet.objective(i) for i in range(len(fleet))], out_dir)
     manifest = {
         "families": family,
-        "n_clients": len(experiment.fleet),
+        "n_clients": len(fleet),
         "files": [p.name for p in paths],
         "config_sha256": _config_digest(document),
     }

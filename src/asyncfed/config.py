@@ -15,9 +15,9 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .core import ClientSpec, ConfigurationError, Fleet, uniform_importances
+from .core import ConfigurationError, Fleet, uniform_importances
 from .engine import MAX_ENSEMBLE_SEEDS, MAX_K_STEPS, RunConfig, Seeds
-from .objectives import QuadraticObjective, SyntheticShardConfig, make_synthetic_shards
+from .objectives import QuadraticTable, SyntheticShardConfig, make_synthetic_shards, stack_objectives
 from .timing import BIASED_CRITERIA, HardwareModel, PolicyKind, WaitPolicy
 from .weights import WeightScheme, plan_weights
 
@@ -230,16 +230,29 @@ def _finite_float(text):
     return value
 
 
+def _finite_int(text):
+    if len(text) < 309:  # at most 308 digits: inside the double range
+        return int(text)
+    try:
+        value = int(text)  # ValueError past Python's digit limit
+        float(value)  # OverflowError beyond the double range
+    except (OverflowError, ValueError):
+        raise ConfigurationError(f"config integer of {len(text.lstrip('-'))} digits overflows a double") from None
+    return value
+
+
 def load_config(path) -> dict:
     """Read, parse and validate a config file; every failure to do so,
-    unreadable or non-UTF-8 files and NaN/Infinity/overflowing numbers
-    included, is a ``ConfigurationError``."""
+    unreadable or non-UTF-8 files, NaN/Infinity and numbers beyond the
+    double range (integers too) included, is a ``ConfigurationError``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigurationError(f"cannot read config {path}: {err}") from err
     try:
-        document = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
+        document = json.loads(
+            text, parse_constant=_reject_constant, parse_float=_finite_float, parse_int=_finite_int
+        )
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"config is not valid JSON: {err}") from err
     problems = validate_config(document)
@@ -286,9 +299,8 @@ def build_fleet(document: dict) -> tuple[Fleet, HardwareModel]:
         optima = ocfg.get("optima")
         if optima is None or len(optima) != n:
             raise ConfigurationError("quadratic objective needs one optimum per client")
-        objectives = QuadraticObjective.from_optima(
-            optima, ocfg.get("curvature", 0.5), noise_std=ocfg.get("noise_std", 0.0)
-        )
+        table = QuadraticTable.from_optima(optima, ocfg.get("curvature", 0.5), ocfg.get("noise_std", 0.0))
+        tables = [(np.arange(n), table)]
     else:
         shard_cfg = SyntheticShardConfig(
             n_clients=n,
@@ -299,13 +311,8 @@ def build_fleet(document: dict) -> tuple[Fleet, HardwareModel]:
             link=family,
             batch_size=ocfg.get("batch_size", 8),
         )
-        objectives = make_synthetic_shards(shard_cfg)
-
-    ids = fcfg.get("distribution_ids") or list(range(n))
-    if len(ids) != n:
-        raise ConfigurationError("distribution_ids length must match compute_times")
-    clients = [ClientSpec(i, importances[i], taus[i], i, ids[i]) for i in range(n)]
-    return Fleet(clients, objectives), hw
+        tables = stack_objectives(make_synthetic_shards(shard_cfg))
+    return Fleet(tables, taus, importances, fcfg.get("distribution_ids")), hw
 
 
 # the policies that read each optional policy key of ``scheme``
@@ -364,6 +371,7 @@ def build_experiment(document: dict, seed_override: int | None = None) -> Experi
         if theta0.shape == (1,) and fleet.dim > 1:
             theta0 = np.full(fleet.dim, theta0[0])
 
+    initial_clocks = document["fleet"].get("initial_clocks")
     run_config = RunConfig(
         fleet=fleet,
         policy=policy,
@@ -380,6 +388,6 @@ def build_experiment(document: dict, seed_override: int | None = None) -> Experi
         seeds=seeds,
         metric_cadence=document.get("outputs", {}).get("cadence", 1),
         tau_max=document.get("tau_max"),
-        initial_clocks=tuple(document["fleet"]["initial_clocks"]) if document["fleet"].get("initial_clocks") else None,
+        initial_clocks=None if initial_clocks is None else tuple(initial_clocks),
     )
     return Experiment(document, fleet, policy, hw, run_config)

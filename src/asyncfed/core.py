@@ -1,4 +1,4 @@
-"""Shared domain vocabulary: clients, importance weights, and the federated
+"""Shared domain vocabulary: the fleet, importance weights, and the federated
 objective, gradient residual and weighted optima built from them.
 
 Everything here is a pure function over immutable inputs and safe to call
@@ -11,8 +11,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -40,85 +38,64 @@ class StalenessCapError(ConfigurationError):
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClientSpec:
-    """One client of the fleet.
-
-    ``compute_time`` is the mean local update time: taken literally under
-    fixed hardware, used as the mean of an exponential draw under stochastic
-    hardware. ``objective_ref`` indexes the fleet's objective table,
-    ``distribution_id`` groups clients sharing a data distribution.
-    """
-
-    id: int
-    importance: float
-    compute_time: Fraction | float
-    objective_ref: int
-    distribution_id: int = 0
-
-    def __post_init__(self):
-        if self.importance <= 0 or self.importance > 1:
-            raise ConfigurationError(
-                f"client {self.id}: importance must lie in (0, 1], got {self.importance}"
-            )
-        if self.compute_time <= 0:
-            raise ConfigurationError(
-                f"client {self.id}: compute_time must be positive, got {self.compute_time}"
-            )
-
-
 class Fleet:
-    """A fixed set of clients plus the objective table their specs point into.
+    """A fixed set of clients: per-client arrays plus the stacked tables that
+    are the only stored form of their objectives.
 
-    The client objectives are also held as stacked tables, built once here:
-    the quadratics as one table, the GLM shards as one table per (sample
-    count, link), each with a row per client (clients sharing an
-    ``objective_ref`` get a row each). Fleet-level losses and gradients go
-    through the tables. The engine never relies on clients being sorted by
-    compute time.
+    ``tables`` is the (client positions, table) list of
+    :func:`~asyncfed.objectives.stack_objectives`; client i is row
+    ``row_of[i]`` of table ``table_of[i]``. ``compute_times`` are the mean
+    local update times as given: literal under fixed hardware, exponential
+    means under stochastic hardware. ``distribution_ids`` groups clients
+    sharing a data distribution. The engine never relies on clients being
+    sorted by compute time.
     """
 
-    def __init__(self, clients: Sequence[ClientSpec], objectives: Sequence):
-        self.clients = tuple(clients)
-        self.objectives = tuple(objectives)
-        if not self.clients:
+    def __init__(self, tables, compute_times, importances, distribution_ids=None):
+        self.tables = list(tables)
+        self.compute_times = tuple(compute_times)
+        n = len(self.compute_times)
+        p = np.array(importances, dtype=float)
+        if p.shape != (n,):
+            raise ConfigurationError("importances length must match compute_times")
+        ids = tuple(range(n)) if distribution_ids is None else tuple(distribution_ids)
+        if len(ids) != n:
+            raise ConfigurationError("distribution_ids length must match compute_times")
+        if ((p <= 0) | (p > 1)).any() or (n and min(self.compute_times) <= 0):
+            for i, (importance, compute_time) in enumerate(zip(importances, self.compute_times)):
+                if importance <= 0 or importance > 1:
+                    raise ConfigurationError(f"client {i}: importance must lie in (0, 1], got {importance}")
+                if compute_time <= 0:
+                    raise ConfigurationError(f"client {i}: compute_time must be positive, got {compute_time}")
+        if not n:
             raise ConfigurationError("empty fleet")
-        total = math.fsum(c.importance for c in self.clients)
+        total = math.fsum(p.tolist())
         if abs(total - 1.0) > PROB_TOL:
             raise ConfigurationError(f"client importances sum to {total!r}, expected 1")
-        for c in self.clients:
-            if not 0 <= c.objective_ref < len(self.objectives):
-                raise ConfigurationError(
-                    f"client {c.id}: unresolvable objective_ref {c.objective_ref}"
-                )
-        dims = {self.objective_for(c).dim for c in self.clients}
+        listed = [positions for positions, _ in self.tables]
+        if [pos.size for pos in listed] != [len(table) for _, table in self.tables] or not np.array_equal(
+            np.sort(np.concatenate(listed or [[]])), np.arange(n)
+        ):
+            raise ConfigurationError("the objective tables must hold exactly one row per client")
+        self.table_of = np.empty(n, dtype=np.intp)
+        self.row_of = np.empty(n, dtype=np.intp)
+        for t, positions in enumerate(listed):
+            self.table_of[positions] = t
+            self.row_of[positions] = np.arange(positions.size)
+        dims = {table.dim for _, table in self.tables}
         if len(dims) != 1:
             raise ConfigurationError(f"clients disagree on parameter dimension: {dims}")
         self.dim = dims.pop()
-        self._importances = np.array([c.importance for c in self.clients])
-        self._importances.setflags(write=False)
-        from .objectives import stack_objectives  # objectives imports this module
-
-        self.tables = stack_objectives([self.objective_for(c) for c in self.clients])
+        p.setflags(write=False)
+        self.importances = p  # client importances p_i, one shared read-only array
+        self.distribution_ids = ids
 
     def __len__(self) -> int:
-        return len(self.clients)
+        return len(self.compute_times)
 
-    def objective_for(self, client: ClientSpec):
-        return self.objectives[client.objective_ref]
-
-    @property
-    def importances(self) -> np.ndarray:
-        """Client importances p_i as a shared read-only array."""
-        return self._importances
-
-    @property
-    def compute_times(self) -> tuple:
-        return tuple(c.compute_time for c in self.clients)
-
-    @property
-    def distribution_ids(self) -> tuple[int, ...]:
-        return tuple(c.distribution_id for c in self.clients)
+    def objective(self, i: int):
+        """Client ``i``'s objective, holding views of its table row."""
+        return self.tables[self.table_of[i]][1].objective(self.row_of[i])
 
     def losses(self, thetas) -> np.ndarray:
         """(rows, M) loss of every client at each row of the (rows, dim)
@@ -198,8 +175,8 @@ def convergence_residual(
         raise ConfigurationError("n_draws must be positive")
     q = _as_weights(weights_avg, len(fleet))
     theta = _as_params(optimum)
-    objectives = [fleet.objective_for(c) for c in fleet.clients]
-    if batch_size is None and not any(getattr(obj, "noise_std", 0.0) > 0.0 for obj in objectives):
+    noisy = any(np.any(getattr(table, "noise_std", 0.0) > 0.0) for _, table in fleet.tables)
+    if batch_size is None and not noisy:
         squares = [float(np.dot(g, g)) for g in fleet.gradients(theta)]
         total = float(ordered_sum(qi * sq for qi, sq in zip(q, squares) if qi != 0.0))
         return ResidualEstimate(total, 0.0, n_draws)
@@ -207,9 +184,10 @@ def convergence_residual(
     rng = rng or np.random.default_rng(0)
     total = 0.0
     var_total = 0.0
-    for qi, obj in zip(q, objectives):
+    for i, qi in enumerate(q):
         if qi == 0.0:
             continue
+        obj = fleet.objective(i)
         samples = np.empty(n_draws)
         for s in range(n_draws):
             g = _draw_gradient(obj, theta, batch_size, rng)
@@ -246,9 +224,9 @@ def distribution_weights(fleet: Fleet, per_round_q) -> DistributionWeights:
     index = {j: pos for pos, j in enumerate(ids)}
     r = np.zeros(len(ids))
     s = np.zeros(len(ids))
-    for qi, client in zip(q, fleet.clients):
-        pos = index[client.distribution_id]
-        r[pos] += client.importance
+    for qi, pi, j in zip(q, fleet.importances, fleet.distribution_ids):
+        pos = index[j]
+        r[pos] += pi
         s[pos] += qi
     total = s.sum()
     s_tilde = s / total if total > 0 else np.zeros_like(s)
@@ -283,7 +261,7 @@ def weighted_optimum(
             raise ConfigurationError("weighted quadratic has a flat direction; no finite optimum")
         return -b_sum / (2.0 * a_sum)
 
-    smoothness = math.fsum(wi * fleet.objective_for(c).smoothness for wi, c in zip(w, fleet.clients))
+    smoothness = math.fsum(wi * fleet.objective(i).smoothness for i, wi in enumerate(w))
     step = 1.0 / smoothness
     active = w != 0.0
     w_active = w[active, None]

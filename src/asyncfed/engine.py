@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ConfigurationError, Fleet, StalenessCapError, sum_in_order, weighted_optimum
-from .objectives import BatchStream, GlmObjective, GlmTable, local_sgd
+from .objectives import BatchStream, GlmTable, local_sgd
 from .textfmt import BLOCK_CELLS, format_rows
 from .timing import HardwareModel, PolicyKind, Round, WaitPolicy, advance_round, init_fleet_state
 from .weights import WeightPlan
@@ -332,15 +332,14 @@ def _client_randomness(config: RunConfig, member_seeds) -> list:
         return sources
     keys = [[s.batching] if isinstance(s.batching, (int, np.integer)) else list(s.batching)
             for s in member_seeds]
-    for client in config.fleet.clients:
-        obj = config.fleet.objective_for(client)
-        if isinstance(obj, GlmObjective):
-            batch = config.batch_size or obj.batch_size
-            sources[client.id] = [
-                BatchStream(obj.n_samples, batch, np.random.default_rng(key + [client.id])) for key in keys
-            ]
-        elif getattr(obj, "noise_std", 0.0) > 0.0:
-            sources[client.id] = [np.random.default_rng(key + [client.id]) for key in keys]
+    for positions, table in config.fleet.tables:
+        if isinstance(table, GlmTable):
+            batch, n_samples = config.batch_size or table.batch_size, table.targets.shape[1]
+            for i in positions.tolist():
+                sources[i] = [BatchStream(n_samples, batch, np.random.default_rng(key + [i])) for key in keys]
+        else:
+            for i in positions[table.noise_std > 0.0].tolist():
+                sources[i] = [np.random.default_rng(key + [i]) for key in keys]
     return sources
 
 
@@ -364,8 +363,7 @@ class _LocalWork:
     computed run. Runs are computed in passes, the last one at round
     ``computed_through``; a pass computes every run in flight whose anchor
     model exists, so a run is computed exactly when its anchor is at most
-    ``computed_through``. Clients are located by table and row of
-    ``Fleet.tables``.
+    ``computed_through``.
     """
 
     def __init__(self, config: RunConfig, member_seeds):
@@ -378,12 +376,8 @@ class _LocalWork:
         self.overflow = np.full((n_clients, n_members), -1)
         self.any_overflow = False  # set once a pass has seen an overflow
         self.computed_through = -1
-        self.table_of = np.empty(n_clients, dtype=np.intp)
-        self.row_of = np.empty(n_clients, dtype=np.intp)
         self.chunks = []  # jobs per local_sgd call on each table
-        for t, (positions, table) in enumerate(fleet.tables):
-            self.table_of[positions] = t
-            self.row_of[positions] = np.arange(positions.size)
+        for _, table in fleet.tables:
             # a job's R runs hold K + 1 iterates and, on a GLM table, at most
             # n gathered samples per step
             samples = table.targets.shape[1] if isinstance(table, GlmTable) else 0
@@ -414,13 +408,13 @@ class _LocalWork:
         anchor = anchor.copy()
         anchor[outcome.clients] = outcome.anchors  # the participants' runs, before the round rebased them
         pending = np.flatnonzero((anchor <= outcome.index) & (anchor > self.computed_through))
-        tables = config.fleet.tables
-        for t, ((_, table), chunk) in enumerate(zip(tables, self.chunks)):
-            jobs = pending if len(tables) == 1 else pending[self.table_of[pending] == t]
+        fleet = config.fleet
+        for t, ((_, table), chunk) in enumerate(zip(fleet.tables, self.chunks)):
+            jobs = pending if len(fleet.tables) == 1 else pending[fleet.table_of[pending] == t]
             for lo in range(0, jobs.size, chunk):
                 part = jobs[lo:lo + chunk]
                 out = local_sgd(
-                    table, self.row_of[part], models[anchor[part]], config.k_steps, config.eta_l,
+                    table, fleet.row_of[part], models[anchor[part]], config.k_steps, config.eta_l,
                     [self.sources[i] for i in part.tolist()] if self.stochastic else None,
                 )
                 self.deltas[part] = out.delta

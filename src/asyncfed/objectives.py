@@ -39,37 +39,10 @@ class QuadraticObjective:
     @classmethod
     def from_optimum(cls, optimum, curvature: float = 0.5, noise_std: float = 0.0):
         """Quadratic with minimum value 0 at ``optimum``: a . (theta - opt)^2,
-        with a = ``curvature`` in every coordinate."""
+        with a = ``curvature`` in every coordinate; row 0 of the one-client
+        :meth:`QuadraticTable.from_optima`."""
         opt = np.atleast_1d(np.asarray(optimum, dtype=float)).tolist()
-        return cls.from_optima([opt], curvature, noise_std)[0]
-
-    @classmethod
-    def from_optima(cls, optima, curvature: float = 0.5, noise_std: float = 0.0) -> list:
-        """One :meth:`from_optimum` quadratic per entry of ``optima``, given
-        as numbers or lists: the coefficients are computed once per
-        dimension as one (clients, dim) array, checked once, and each
-        quadratic holds row views of them."""
-        curvature, noise_std = float(curvature), float(noise_std)
-        if curvature < 0:
-            raise ConfigurationError("quadratic curvature must be nonnegative")
-        if noise_std < 0:
-            raise ConfigurationError("noise_std must be nonnegative")
-        rows = [opt if isinstance(opt, (list, tuple)) else (opt,) for opt in optima]
-        dims = dict.fromkeys(map(len, rows))
-        out = [None] * len(rows)
-        for dim in dims:  # several only when the clients disagree, which Fleet reports
-            picked = range(len(rows)) if len(dims) == 1 else [i for i, r in enumerate(rows) if len(r) == dim]
-            opt = np.array([rows[i] for i in picked], dtype=float).reshape(len(picked), dim)
-            a = np.full_like(opt, curvature)
-            b = -2.0 * a * opt
-            square = opt * opt
-            # c = np.dot(a, opt * opt) per row: one product for dim 1, else
-            # the BLAS dot product a stacked 1 x dim @ dim x 1 takes
-            c = a[:, 0] * square[:, 0] if dim == 1 else (a[:, None, :] @ square[:, :, None])[:, 0, 0]
-            for i, a_row, b_row, c_row in zip(picked, a, b, c.tolist()):
-                obj = out[i] = cls.__new__(cls)
-                obj.a, obj.b, obj.c, obj.noise_std = a_row, b_row, c_row, noise_std
-        return out
+        return QuadraticTable.from_optima([opt], curvature, noise_std).objective(0)
 
     @property
     def dim(self) -> int:
@@ -136,7 +109,7 @@ class GlmObjective:
 
     def values(self, thetas) -> np.ndarray:
         """Loss at each row of the (rows, dim) array ``thetas``."""
-        return GlmTable(self.features[None], self.targets[None], self.link).values(thetas)[:, 0]
+        return GlmTable(self.features[None], self.targets[None], self.link, self.batch_size).values(thetas)[:, 0]
 
     def gradient(self, theta) -> np.ndarray:
         return _glm_gradient(self.features, self.targets, theta, self.link)
@@ -183,6 +156,45 @@ class QuadraticTable:
         self.a, self.b, self.c, self.noise_std = a, b, c, noise_std
         self.two_a = 2.0 * a  # the gradient's coefficient, as gradient() computes it
 
+    @classmethod
+    def from_optima(cls, optima, curvature: float = 0.5, noise_std: float = 0.0) -> QuadraticTable:
+        """One :meth:`QuadraticObjective.from_optimum` quadratic per entry of
+        ``optima``, given as numbers or lists, as one table: the
+        coefficients are computed once as (clients, dim) arrays and checked
+        once."""
+        curvature, noise_std = float(curvature), float(noise_std)
+        if curvature < 0:
+            raise ConfigurationError("quadratic curvature must be nonnegative")
+        if noise_std < 0:
+            raise ConfigurationError("noise_std must be nonnegative")
+        rows = [opt if isinstance(opt, (list, tuple)) else (opt,) for opt in optima]
+        dims = set(map(len, rows))
+        if len(dims) != 1:
+            raise ConfigurationError(f"clients disagree on parameter dimension: {dims}")
+        (dim,) = dims
+        opt = np.array(rows, dtype=float).reshape(len(rows), dim)
+        a = np.full_like(opt, curvature)
+        b = -2.0 * a * opt
+        square = opt * opt
+        # c = np.dot(a, opt * opt) per row: one product for dim 1, else the
+        # BLAS dot product a stacked 1 x dim @ dim x 1 takes
+        c = a[:, 0] * square[:, 0] if dim == 1 else (a[:, None, :] @ square[:, :, None])[:, 0, 0]
+        return cls(a, b, c, np.full(len(rows), noise_std))
+
+    def __len__(self) -> int:
+        return self.c.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[1]
+
+    def objective(self, row: int) -> QuadraticObjective:
+        """The quadratic of ``row``, holding views of its coefficients; the
+        table's coefficients are not checked again."""
+        obj = QuadraticObjective.__new__(QuadraticObjective)
+        obj.a, obj.b, obj.c, obj.noise_std = self.a[row], self.b[row], float(self.c[row]), float(self.noise_std[row])
+        return obj
+
     def values(self, thetas) -> np.ndarray:
         """(rows, G) loss of every quadratic at each row of ``thetas``.
 
@@ -203,14 +215,25 @@ class QuadraticTable:
 
 
 class GlmTable:
-    """G GLM shards of one sample count and link stacked: ``features`` is
-    (G, n, dim), ``targets`` (G, n). A single shard is the table of its own
-    data."""
+    """G GLM shards of one sample count, link and batch size stacked:
+    ``features`` is (G, n, dim), ``targets`` (G, n). A single shard is the
+    table of its own data."""
 
-    def __init__(self, features: np.ndarray, targets: np.ndarray, link: str):
-        self.features, self.targets, self.link = features, targets, link
+    def __init__(self, features: np.ndarray, targets: np.ndarray, link: str, batch_size: int):
+        self.features, self.targets, self.link, self.batch_size = features, targets, link, batch_size
         # logistic: the margin sign that turns z into -y*z for y in {-1, +1}
         self._sign = np.where(targets > 0.5, -1.0, 1.0)
+
+    def __len__(self) -> int:
+        return self.targets.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.features.shape[2]
+
+    def objective(self, row: int) -> GlmObjective:
+        """The shard of ``row``, holding views of its data."""
+        return GlmObjective(self.features[row], self.targets[row], self.link, self.batch_size)
 
     def values(self, thetas) -> np.ndarray:
         """(rows, G) mean loss of every shard at each row of ``thetas``.
@@ -268,14 +291,9 @@ def stack_objectives(objectives) -> list[tuple[np.ndarray, QuadraticTable | GlmT
                                    np.array([o.c for o in members]), np.array([o.noise_std for o in members]))
         else:
             table = GlmTable(np.array([o.features for o in members]), np.array([o.targets for o in members]),
-                             key[2])
+                             key[2], key[3])
         tables.append((np.array(positions), table))
     return tables
-
-
-def batch_gradient(objective, params, batch_indices) -> np.ndarray:
-    """Mean gradient of ``objective`` over the given sample indices."""
-    return objective.batch_gradient(params, batch_indices)
 
 
 class BatchStream:
@@ -478,14 +496,18 @@ def make_synthetic_shards(cfg: SyntheticShardConfig) -> list[GlmObjective]:
 
 
 def export_shards_csv(shards: list[GlmObjective], directory) -> list[Path]:
-    """Write one CSV per shard: feature columns then the target column."""
+    """Write one CSV per shard: feature columns then the target column. Each
+    file is replaced only once it is complete (see
+    :func:`~asyncfed.engine.atomic_open`)."""
+    from .engine import atomic_open  # the engine imports this module
+
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for i, shard in enumerate(shards):
         path = directory / f"shard_{i:03d}.csv"
         header = [f"x{j}" for j in range(shard.dim)] + ["y"]
-        with open(path, "w", newline="\n") as fh:
+        with atomic_open(path) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             for row, target in zip(shard.features, shard.targets):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from asyncfed.core import ClientSpec, Fleet, uniform_importances
-from asyncfed.objectives import QuadraticObjective
+from asyncfed.core import Fleet, uniform_importances
+from asyncfed.objectives import QuadraticObjective, stack_objectives
 from asyncfed.timing import HardwareModel, advance_round, init_fleet_state
 
 
@@ -10,14 +10,9 @@ def quadratic_fleet(optima, taus=None, importances=None, curvature=0.5, noise_st
                     distribution_ids=None):
     """Fleet of scalar (or vector) quadratics with squared-distance losses."""
     n = len(optima)
-    taus = taus or [1] * n
-    importances = importances or uniform_importances(n)
-    distribution_ids = distribution_ids or list(range(n))
     objectives = [QuadraticObjective.from_optimum(opt, curvature, noise_std=noise_std) for opt in optima]
-    clients = [
-        ClientSpec(i, importances[i], taus[i], i, distribution_ids[i]) for i in range(n)
-    ]
-    return Fleet(clients, objectives)
+    return Fleet(stack_objectives(objectives), taus or [1] * n, importances or uniform_importances(n),
+                 distribution_ids)
 
 
 def fixed_schedule(taus, policy, n_rounds, initial_clocks=None):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from asyncfed.bounds import BoundInputs, epsilon_terms, exponent_check, fill_inputs, lr_constraint, scheme_presets
-from asyncfed.core import ClientSpec, Fleet
+from asyncfed.core import Fleet
 from asyncfed.engine import (
     RunConfig,
     ScalarEnsembleConfig,
@@ -22,6 +22,7 @@ from asyncfed.engine import (
 )
 from asyncfed.cli import sweep_rows
 from asyncfed.objectives import GlmObjective, QuadraticObjective, SyntheticShardConfig, make_synthetic_shards
+from asyncfed.objectives import stack_objectives
 from asyncfed.oracle import OracleState, expectation_recursion, expected_round_time, phi, staleness_law, variance_recursion
 from asyncfed.timing import PolicyKind, WaitPolicy
 from asyncfed.weights import WeightScheme, plan_weights, verify_window_assumption
@@ -245,9 +246,7 @@ class TestCriterion8HeterogeneousLogisticTrend:
             SyntheticShardConfig(n_clients=m_clients, dim=5, samples_per_client=64,
                                  concentration=0.1, seed=1, batch_size=8)
         )
-        fleet = Fleet(
-            [ClientSpec(i, 1 / m_clients, taus[i], i) for i in range(m_clients)], shards
-        )
+        fleet = Fleet(stack_objectives(shards), taus, [1 / m_clients] * m_clients)
         policy = WaitPolicy(PolicyKind.ASYNCHRONOUS)
 
         def final_losses(scheme):

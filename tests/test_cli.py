@@ -3,6 +3,7 @@ import json
 import math
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from asyncfed.cli import main, write_sweep_csv
 from asyncfed.config import load_config, validate_config
 from asyncfed.core import ConfigurationError
 from asyncfed.engine import MAX_ENSEMBLE_SEEDS, MAX_HELD_ANCHORS, MAX_K_STEPS, ScalarEnsembleConfig
+from asyncfed.objectives import SyntheticShardConfig, export_shards_csv, make_synthetic_shards
 
 
 def base_config(**overrides):
@@ -121,6 +123,56 @@ class TestValidation:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:") and "Traceback" not in err
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize(
+        "hardware, old, new",
+        [
+            ("fixed", '"optima": [0.0, 2.0]', '"optima": [0.0, 1%s]' % ("0" * 400)),
+            ("fixed", '"compute_times": [1, 2]', '"compute_times": [1, 1%s]' % ("0" * 400)),
+            ("exponential", '"compute_times": [1, 2]', '"compute_times": [1, 1%s]' % ("0" * 400)),
+            ("fixed", '"rounds": 20', '"rounds": %s' % ("9" * 5000)),  # past Python's digit limit
+        ],
+        ids=["optimum", "fixed_compute_time", "exponential_compute_time", "rounds"],
+    )
+    def test_integers_beyond_the_double_range_exit_2(self, tmp_path, capsys, hardware, old, new):
+        document = base_config()
+        document["fleet"]["hardware"] = hardware
+        text = json.dumps(document)
+        assert old in text
+        path = tmp_path / "config.json"
+        path.write_text(text.replace(old, new))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: config integer of") and "overflows a double" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_integers_inside_the_double_range_stay_exact(self, tmp_path):
+        text = json.dumps(base_config(tau_max=10**308))
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        tau_max = load_config(path)["tau_max"]
+        assert type(tau_max) is int and tau_max == 10**308
+        path.write_text(text.replace(str(10**308), str(2**1024)))  # 309 digits, past the largest double
+        with pytest.raises(ConfigurationError, match="config integer of 309 digits overflows a double"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("distribution_ids", "distribution_ids length must match compute_times"),
+            ("initial_clocks", "initial_clocks length must match the fleet"),
+        ],
+    )
+    def test_empty_per_client_lists_exit_2(self, tmp_path, capsys, key, message):
+        document = base_config()
+        document["fleet"][key] = []
+        path = write_config(tmp_path, document)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out" / "trajectory.csv").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
@@ -515,6 +567,30 @@ class TestGenShards:
         assert manifest["files"] == ["shard_000.csv", "shard_001.csv", "shard_002.csv"]
         header = (out / "shard_000.csv").read_text().splitlines()[0]
         assert header == "x0,x1,x2,y"
+
+    @pytest.mark.parametrize("family", ["logistic", "linear"])
+    def test_shard_files_are_the_generated_shards(self, tmp_path, family):
+        objective = {"family": family, "dim": 3, "samples_per_client": 8, "concentration": 0.5, "seed": 2,
+                     "batch_size": 4}
+        document = base_config(fleet={"compute_times": [1, 2, 3], "objective": objective})
+        out = tmp_path / "shards"
+        assert main(["gen-shards", "--config", str(write_config(tmp_path, document)), "--out", str(out),
+                     "--quiet"]) == 0
+        shards = make_synthetic_shards(SyntheticShardConfig(3, dim=3, samples_per_client=8, concentration=0.5,
+                                                            seed=2, link=family, batch_size=4))
+        want = export_shards_csv(shards, tmp_path / "want")
+        assert len(want) == 3
+        for path in want:
+            assert (out / path.name).read_bytes() == path.read_bytes()
+
+    def test_failed_shard_write_leaves_no_temporary_and_keeps_the_old_file(self, tmp_path):
+        (shard,) = make_synthetic_shards(SyntheticShardConfig(1, dim=2, samples_per_client=4))
+        broken = SimpleNamespace(dim=2, features=[[1.0, "not a number"]], targets=[1.0])
+        (tmp_path / "shard_001.csv").write_text("previous shard\n")
+        with pytest.raises(ValueError):
+            export_shards_csv([shard, broken], tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["shard_000.csv", "shard_001.csv"]
+        assert (tmp_path / "shard_001.csv").read_text() == "previous shard\n"
 
     def test_quadratic_fleets_are_rejected(self, tmp_path):
         path = write_config(tmp_path, base_config())

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncfed.core import (
-    ClientSpec,
     ConfigurationError,
     Fleet,
     convergence_residual,
@@ -17,7 +16,7 @@ from asyncfed.core import (
     weighted_optimum,
 )
 from asyncfed.objectives import _CHUNK_FLOATS, GlmObjective, QuadraticObjective, make_synthetic_shards
-from asyncfed.objectives import SyntheticShardConfig
+from asyncfed.objectives import SyntheticShardConfig, stack_objectives
 
 from conftest import quadratic_fleet
 
@@ -28,7 +27,7 @@ class TestFederatedLoss:
 
     def test_single_client_at_its_optimum(self):
         fleet = quadratic_fleet([[3.0]], importances=[1.0])
-        obj = fleet.objectives[0]
+        obj = fleet.objective(0)
         assert federated_loss([3.0], fleet) == pytest.approx(obj.value([3.0]), abs=0)
 
     def test_matches_hand_summation_on_random_fleets(self):
@@ -39,8 +38,8 @@ class TestFederatedLoss:
             fleet = quadratic_fleet([o.tolist() for o in optima], importances=p)
             theta = rng.normal(size=2)
             by_hand = 0.0
-            for client in fleet.clients:
-                by_hand += client.importance * fleet.objective_for(client).value(theta)
+            for i, pi in enumerate(p):
+                by_hand += pi * fleet.objective(i).value(theta)
             assert federated_loss(theta, fleet) == pytest.approx(by_hand, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self, two_client_fleet):
@@ -84,7 +83,7 @@ class TestConvergenceResidual:
         q = np.array([0.3, 0.0, 0.1, 0.2, 0.25, 0.15])
         theta = np.array([0.4, -1.0, 0.7])
         want = ordered_sum(qi * float(np.dot(g, g)) for qi, g in
-                           zip(q, (fleet.objective_for(c).gradient(theta) for c in fleet.clients)) if qi)
+                           zip(q, (fleet.objective(i).gradient(theta) for i in range(len(fleet)))) if qi)
         calls = []
         original = Fleet.gradients
         monkeypatch.setattr(Fleet, "gradients", lambda self, t: calls.append(1) or original(self, t))
@@ -123,7 +122,7 @@ class TestDistributionWeights:
         out = distribution_weights(fleet, p)
         assert math.fsum(out.importance.tolist()) == pytest.approx(1.0, abs=1e-12)
         for j, dist in enumerate(out.ids):
-            members = [c.importance for c in fleet.clients if c.distribution_id == dist]
+            members = [pi for pi, k in zip(p, fleet.distribution_ids) if k == dist]
             assert out.importance[j] >= max(members) - 1e-15
 
 
@@ -142,7 +141,7 @@ class TestConvexityAlongSegments:
         x = rng.normal(size=(20, 3))
         y = (rng.random(20) < 0.5).astype(float)
         obj = GlmObjective(x, y, "logistic", batch_size=4)
-        fleet = Fleet([ClientSpec(0, 1.0, 1, 0)], [obj])
+        fleet = Fleet(stack_objectives([obj]), [1], [1.0])
         for _ in range(20):
             a, b = rng.normal(size=3), rng.normal(size=3)
             mid = federated_loss((a + b) / 2, fleet)
@@ -160,26 +159,37 @@ class TestWeightedOptimum:
         logits = x @ np.array([1.0, -0.5, 0.2])
         y = (rng.random(40) < 1 / (1 + np.exp(-logits))).astype(float)
         obj = GlmObjective(x, y, "logistic", batch_size=4)
-        fleet = Fleet([ClientSpec(0, 1.0, 1, 0)], [obj])
+        fleet = Fleet(stack_objectives([obj]), [1], [1.0])
         opt = weighted_optimum(fleet)
         assert np.linalg.norm(obj.gradient(opt)) < 1e-10
 
 
 class TestFleetValidation:
     def test_importances_must_sum_to_one(self):
-        objs = [QuadraticObjective.from_optimum([0.0])] * 2
-        clients = [ClientSpec(0, 0.5, 1, 0), ClientSpec(1, 0.6, 1, 1)]
+        tables = stack_objectives([QuadraticObjective.from_optimum([0.0])] * 2)
         with pytest.raises(ConfigurationError):
-            Fleet(clients, objs)
-
-    def test_unresolvable_objective_ref(self):
-        objs = [QuadraticObjective.from_optimum([0.0])]
-        with pytest.raises(ConfigurationError):
-            Fleet([ClientSpec(0, 1.0, 1, 3)], objs)
+            Fleet(tables, [1, 1], [0.5, 0.6])
 
     def test_nonpositive_compute_time(self):
-        with pytest.raises(ConfigurationError):
-            ClientSpec(0, 1.0, 0, 0)
+        tables = stack_objectives([QuadraticObjective.from_optimum([0.0])])
+        with pytest.raises(ConfigurationError, match="client 0: compute_time must be positive, got 0"):
+            Fleet(tables, [0], [1.0])
+
+    def test_importance_outside_the_unit_interval_is_named_as_given(self):
+        tables = stack_objectives([QuadraticObjective.from_optimum([0.0])] * 2)
+        with pytest.raises(ConfigurationError, match=r"client 1: importance must lie in \(0, 1\], got 2$"):
+            Fleet(tables, [1, 1], [0.5, 2])
+
+    @pytest.mark.parametrize("positions", [[0, 1], [0, 1, 1], [0, 1, 3]])
+    def test_tables_must_hold_one_row_per_client(self, positions):
+        (_, table), = stack_objectives([QuadraticObjective.from_optimum([float(i)]) for i in positions])
+        with pytest.raises(ConfigurationError, match="exactly one row per client"):
+            Fleet([(np.array(positions), table)], [1, 1, 1], [0.25, 0.25, 0.5])
+
+    def test_clients_must_agree_on_the_dimension(self):
+        objectives = [QuadraticObjective.from_optimum([0.0]), GlmObjective(np.ones((4, 2)), np.ones(4), batch_size=2)]
+        with pytest.raises(ConfigurationError, match=r"clients disagree on parameter dimension: \{1, 2\}"):
+            Fleet(stack_objectives(objectives), [1, 1], [0.5, 0.5])
 
     def test_importances_are_one_shared_read_only_array(self, two_client_fleet):
         p = two_client_fleet.importances
@@ -225,7 +235,7 @@ def _reference_values(obj, thetas):
 def _reference_descent(fleet, w, grad_tol=1e-10):
     """The weighted GLM optimum as a per-client loop: full-shard gradients
     one client at a time, added in client order, zero weights skipped."""
-    objs = [fleet.objective_for(c) for c in fleet.clients]
+    objs = [fleet.objective(i) for i in range(len(fleet))]
     step = 1.0 / math.fsum(wi * o.smoothness for wi, o in zip(w, objs))
     theta = np.zeros(fleet.dim)
     while True:
@@ -255,7 +265,7 @@ def _ragged_fleet(link):
     refs = [1, 0, 2, 1, 3, 0]
     p = rng.dirichlet(np.ones(len(refs)))
     p[-1] = 1.0 - math.fsum(p[:-1])
-    return Fleet([ClientSpec(i, float(p[i]), i + 1, ref) for i, ref in enumerate(refs)], objectives)
+    return Fleet(stack_objectives([objectives[ref] for ref in refs]), range(1, len(refs) + 1), p)
 
 
 class TestFleetTables:
@@ -271,12 +281,12 @@ class TestFleetTables:
         thetas = np.random.default_rng(rows).normal(0.0, 2.0, (rows, 3))
         matrix = fleet.losses(thetas)
         assert matrix.shape == (rows, len(fleet))
-        for i, client in enumerate(fleet.clients):
-            obj = fleet.objective_for(client)
+        for i in range(len(fleet)):
+            obj = fleet.objective(i)
             assert np.array_equal(matrix[:, i], _reference_values(obj, thetas))
             assert np.array_equal(matrix[:, i], obj.values(thetas))
         for theta in thetas[:3]:
-            by_client = [c.importance * fleet.objective_for(c).value(theta) for c in fleet.clients]
+            by_client = [pi * fleet.objective(i).value(theta) for i, pi in enumerate(fleet.importances)]
             assert federated_loss(theta, fleet) == math.fsum(by_client)
 
     @pytest.mark.parametrize("dim", [1, 3])
@@ -284,21 +294,21 @@ class TestFleetTables:
         rng = np.random.default_rng(dim)
         objectives = [QuadraticObjective(rng.uniform(0.0, 2.0, dim), rng.normal(size=dim), float(rng.normal()))
                       for _ in range(6)]
-        fleet = Fleet([ClientSpec(i, 1 / 6, 1, i) for i in range(6)], objectives)
+        fleet = Fleet(stack_objectives(objectives), [1] * 6, [1 / 6] * 6)
         thetas = rng.normal(0.0, 5.0, (41, dim))
         matrix = fleet.losses(thetas)
         for i, obj in enumerate(objectives):
             assert np.array_equal(matrix[:, i], _reference_quadratic_values(obj, thetas))
             assert np.array_equal(matrix[:, i], obj.values(thetas))
         for theta in thetas[:5]:
-            by_client = [c.importance * objectives[i].value(theta) for i, c in enumerate(fleet.clients)]
+            by_client = [pi * objectives[i].value(theta) for i, pi in enumerate(fleet.importances)]
             assert federated_loss(theta, fleet) == math.fsum(by_client)
 
     @pytest.mark.parametrize("link", ["linear", "logistic"])
     def test_glm_optimum_is_the_per_client_descent(self, link):
         shards = (make_synthetic_shards(SyntheticShardConfig(3, dim=3, samples_per_client=20, seed=1, link=link))
                   + make_synthetic_shards(SyntheticShardConfig(2, dim=3, samples_per_client=35, seed=2, link=link)))
-        fleet = Fleet([ClientSpec(i, 0.2, 1, i) for i in range(5)], shards)
+        fleet = Fleet(stack_objectives(shards), [1] * 5, [0.2] * 5)
         w = np.array([0.3, 0.0, 0.25, 0.25, 0.2])  # a zero weight is skipped
         got = weighted_optimum(fleet, w)
         assert np.array_equal(got, _reference_descent(fleet, w))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from asyncfed import engine
-from asyncfed.core import ClientSpec, ConfigurationError, Fleet, StalenessCapError
+from asyncfed.core import ConfigurationError, Fleet, StalenessCapError
 from asyncfed.engine import (
     RunConfig,
     ScalarEnsembleConfig,
@@ -104,7 +104,7 @@ class TestPolicyEquivalences:
         x = rng.normal(size=(16, 2))
         y = (rng.random(16) < 0.5).astype(float)
         objs = [GlmObjective(x, y, "logistic", 4), GlmObjective(x + 0.1, y, "logistic", 4)]
-        fleet = Fleet([ClientSpec(0, 0.5, 1, 0), ClientSpec(1, 0.5, 3, 1)], objs)
+        fleet = Fleet(stack_objectives(objs), [1, 3], [0.5, 0.5])
 
         sync_plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, [1, 3], SYNC)
         fedfix = WaitPolicy(PolicyKind.FEDFIX, delta_t=3)
@@ -391,7 +391,7 @@ class TestMetricsAndCsv:
             x = rng.standard_normal((n_samples, 3))
             y = (rng.random(n_samples) < 0.5).astype(float)
             shards.append(GlmObjective(x, y, batch_size=2))
-        fleet = Fleet([ClientSpec(i, 1 / 3, i + 1, i) for i in range(3)], shards)
+        fleet = Fleet(stack_objectives(shards), [1, 2, 3], [1 / 3] * 3)
         plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2, 3], ASYNC)
         traj = run(RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.2, rounds=30,
                              metric_cadence=4))
@@ -434,7 +434,7 @@ class TestMetricsAndCsv:
             total = np.zeros(1)
             for client, anchor in zip(outcome.clients.tolist(), outcome.anchors.tolist()):
                 assert anchor <= n
-                total += plan.d[client] * _delivered_delta(fleet.objectives[client], traj.theta[anchor], cfg)
+                total += plan.d[client] * _delivered_delta(fleet.objective(client), traj.theta[anchor], cfg)
             assert np.allclose(traj.theta[n] + 0.8 * total, traj.theta[n + 1], atol=1e-15)
 
 
@@ -454,7 +454,7 @@ class TestLocalWorkTiming:
     def _overflow_fleet(self, slow_tau):
         # client 1's quadratic leaves the finite range within 3 local steps
         objectives = [QuadraticObjective.from_optimum([1.0]), QuadraticObjective([1e200], [0.0])]
-        return Fleet([ClientSpec(0, 0.5, 1, 0), ClientSpec(1, 0.5, slow_tau, 1)], objectives)
+        return Fleet(stack_objectives(objectives), [1, slow_tau], [0.5, 0.5])
 
     def test_an_overflow_still_in_flight_at_the_horizon_is_not_a_divergence(self, monkeypatch):
         computed = []
@@ -489,7 +489,7 @@ class TestLocalWorkTiming:
         objectives = [QuadraticObjective.from_optimum([1.0, -1.0], noise_std=0.7), shards[0],
                       QuadraticObjective.from_optimum([0.5, 2.0]), shards[1], GlmObjective(
                           shards[2].features[:9], shards[2].targets[:9], batch_size=3)]
-        fleet = Fleet([ClientSpec(i, 0.2, t, i) for i, t in enumerate([1, 2, 3, 1.5, 2.5])], objectives)
+        fleet = Fleet(stack_objectives(objectives), [1, 2, 3, 1.5, 2.5], [0.2] * 5)
         assert len(fleet.tables) == 3
         plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
         cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.1, k_steps=3, rounds=60)
@@ -515,7 +515,7 @@ class TestLocalWorkTiming:
         if family == "glm":
             shards = make_synthetic_shards(SyntheticShardConfig(4, dim=3, samples_per_client=20, seed=2,
                                                                 batch_size=4))
-            fleet = Fleet([ClientSpec(i, 0.25, t, i) for i, t in enumerate([1, 2, 3, 1])], shards)
+            fleet = Fleet(stack_objectives(shards), [1, 2, 3, 1], [0.25] * 4)
         else:
             fleet = quadratic_fleet([[-2.0], [1.0], [3.0], [0.5], [4.0]], taus=[1, 2, 3, 1, 5], noise_std=0.7)
         plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
@@ -528,7 +528,7 @@ class TestLocalWorkTiming:
 
         def source(i):
             rng = np.random.default_rng([1, 3, i])
-            obj = fleet.objectives[i]
+            obj = fleet.objective(i)
             return BatchStream(obj.n_samples, obj.batch_size, rng) if family == "glm" else rng
 
         sources = [source(i) for i in range(len(fleet))]
@@ -537,7 +537,7 @@ class TestLocalWorkTiming:
             total = np.zeros(fleet.dim)
             for i, mult, anchor in zip(outcome.clients.tolist(), outcome.multiplicity.tolist(),
                                        outcome.anchors.tolist()):
-                total += (mult * plan.d[i]) * _delivered_delta(fleet.objectives[i], models[anchor], cfg, sources[i])
+                total += (mult * plan.d[i]) * _delivered_delta(fleet.objective(i), models[anchor], cfg, sources[i])
             models.append(models[-1] + cfg.eta_g * total)
         assert np.asarray(models).tobytes() == traj.theta.tobytes()
 

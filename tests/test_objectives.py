@@ -13,7 +13,6 @@ from asyncfed.objectives import (
     QuadraticObjective,
     SyntheticShardConfig,
     _sigmoid,
-    batch_gradient,
     export_shards_csv,
     local_sgd,
     make_synthetic_shards,
@@ -387,12 +386,12 @@ class TestBatchGradient:
         obj = self._logistic()
         theta = np.array([0.3, -0.1, 0.5])
         full = obj.gradient(theta)
-        assert np.array_equal(batch_gradient(obj, theta, np.arange(8)), full)
+        assert np.array_equal(obj.batch_gradient(theta, np.arange(8)), full)
 
     def test_logistic_gradient_at_origin(self):
         obj = self._logistic()
         idx = np.array([0, 3])
-        grad = batch_gradient(obj, np.zeros(3), idx)
+        grad = obj.batch_gradient(np.zeros(3), idx)
         expected = obj.features[idx].T @ (0.5 - obj.targets[idx]) / 2
         assert np.allclose(grad, expected, atol=1e-15)
 
@@ -400,13 +399,13 @@ class TestBatchGradient:
         obj = self._logistic(n=6)
         theta = np.array([0.1, 0.2, -0.4])
         batches = list(itertools.combinations(range(6), 2))
-        mean = np.mean([batch_gradient(obj, theta, np.array(b)) for b in batches], axis=0)
+        mean = np.mean([obj.batch_gradient(theta, np.array(b)) for b in batches], axis=0)
         assert np.allclose(mean, obj.gradient(theta), atol=1e-12)
 
     def test_out_of_range_indices_rejected(self):
         obj = self._logistic()
         with pytest.raises(ConfigurationError):
-            batch_gradient(obj, np.zeros(3), np.array([99]))
+            obj.batch_gradient(np.zeros(3), np.array([99]))
 
 
 class TestGradientChecks:
@@ -549,10 +548,10 @@ class TestSyntheticShards:
             assert np.array_equal(sa.targets, sb.targets)
 
     def test_single_client_optimum_is_the_federated_optimum(self):
-        from asyncfed.core import ClientSpec, Fleet, weighted_optimum
+        from asyncfed.core import Fleet, weighted_optimum
 
         shards = make_synthetic_shards(SyntheticShardConfig(n_clients=1, seed=1))
-        fleet = Fleet([ClientSpec(0, 1.0, 1, 0)], shards)
+        fleet = Fleet(stack_objectives(shards), [1], [1.0])
         fed_opt = weighted_optimum(fleet)
         assert np.allclose(fed_opt, _local_optimum(shards[0]), atol=1e-5)
 

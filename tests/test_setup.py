@@ -8,8 +8,13 @@ in ``Fraction`` arithmetic.
 """
 
 import copy
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -17,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import asyncfed
 from asyncfed.config import CONFIG_SCHEMA, _StrictValidator, build_fleet, validate_config
 from asyncfed.core import ConfigurationError, UnsupportedConfigError
 from asyncfed.objectives import QuadraticObjective, stack_objectives
@@ -201,11 +207,54 @@ def test_quadratic_fleet_table_matches_per_client_construction(m, dim, curvature
     (_, want), = stack_objectives(reference)
     for name in ("a", "b", "c", "two_a", "noise_std"):
         _same_bits(getattr(table, name), getattr(want, name))
-    for got, ref in zip(fleet.objectives, reference):
+    for i, ref in enumerate(reference):
+        got = fleet.objective(i)
         _same_bits(got.a, ref.a)
         _same_bits(got.b, ref.b)
         assert type(got.c) is float and got.c.hex() == ref.c.hex()
         assert got.noise_std == ref.noise_std
+
+
+# counts the objectives that set-up and a run construct; run in a child
+# process, since CPython leaves a class whose __new__ was patched and then
+# deleted unable to construct with arguments
+_COUNT_OBJECTIVES = """
+import json, sys
+from asyncfed.config import build_experiment
+from asyncfed.engine import run
+from asyncfed.objectives import GlmObjective, QuadraticObjective
+
+made = []
+
+def counting_new(cls, *args, **kwargs):
+    made.append(cls.__name__)
+    return object.__new__(cls)
+
+for cls in (QuadraticObjective, GlmObjective):
+    cls.__new__ = staticmethod(counting_new)
+QuadraticObjective([0.5], [0.0])  # the counter sees a construction
+seen = made[:]
+with open(sys.argv[1]) as fh:
+    experiment = build_experiment(json.load(fh))
+traj = run(experiment.run_config)
+print(json.dumps([seen, traj.n_rounds, len(made) - len(seen)]))
+"""
+
+
+def test_set_up_and_run_hold_no_per_client_objectives(tmp_path):
+    """The fleet's tables are the only form of its objectives: building and
+    running a noisy quadratic fleet constructs no per-client objective."""
+    document = quadratic_document(seeded_optima(500, 1, seed=3), noise_std=0.3)
+    document["scheme"] = {"policy": "asynchronous", "weights": "async_time_based"}
+    document["fleet"]["compute_times"] = [1 + i % 7 for i in range(500)]
+    document["horizon"] = {"rounds": 50}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    src = str(Path(asyncfed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _COUNT_OBJECTIVES, str(path)], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert json.loads(out.stdout) == [["QuadraticObjective"], 50, 0]
 
 
 def test_ragged_optima_report_the_dimensions():
