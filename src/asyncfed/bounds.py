@@ -122,10 +122,16 @@ def scheme_presets(
     fleet: Fleet,
     policy: WaitPolicy | None = None,
     time_budget: float = 1.0,
+    residual: float | None = None,
 ) -> SchemePreset:
-    """Fill the per-scheme bound parameters for a fixed-hardware fleet."""
+    """Fill the per-scheme bound parameters for a fixed-hardware fleet.
+
+    ``residual`` is the fleet's :func:`residual_mean_gap`, computed here when
+    not given; a caller filling several presets computes it once."""
     if scheme not in _PRESET_SCHEMES:
         raise UnsupportedConfigError(f"no preset for scheme {scheme!r}")
+    if scheme == "fedfix" and (policy is None or policy.kind is not PolicyKind.FEDFIX):
+        raise ConfigurationError("the fedfix preset needs a fedfix policy with delta_t")
     taus = [float(t) for t in fleet.compute_times]
     tau_max = max(taus)
     hw = HardwareModel("fixed")
@@ -135,6 +141,8 @@ def scheme_presets(
             scheme, 1.0, 0.0, 0, 1, 0.0, time_budget / tau_max,
             tuple(fleet.importances),
         )
+    if residual is None:
+        residual = residual_mean_gap(fleet)
     if scheme == "async":
         async_policy = WaitPolicy(PolicyKind.ASYNCHRONOUS)
         plan = plan_weights(
@@ -146,12 +154,10 @@ def scheme_presets(
             float(plan.d.max()),
             staleness_bound(async_policy, hw, fleet.compute_times),
             plan.window,
-            residual_mean_gap(fleet),
+            residual,
             ordered_sum(time_budget / t for t in taus),
             tuple(plan.d),
         )
-    if policy is None or policy.kind is not PolicyKind.FEDFIX:
-        raise ConfigurationError("the fedfix preset needs a fedfix policy with delta_t")
     plan = plan_weights(
         WeightScheme.FEDFIX_TIME_BASED, fleet.importances, fleet.compute_times, policy, hw
     )
@@ -161,7 +167,7 @@ def scheme_presets(
         0.0,
         staleness_bound(policy, hw, fleet.compute_times),
         plan.window,
-        residual_mean_gap(fleet),
+        residual,
         time_budget / float(policy.delta_t),
         tuple(plan.d),
     )

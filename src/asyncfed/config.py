@@ -18,7 +18,7 @@ import numpy as np
 from .core import ConfigurationError, Fleet, uniform_importances
 from .engine import MAX_ENSEMBLE_SEEDS, MAX_K_STEPS, RunConfig, Seeds
 from .objectives import QuadraticTable, SyntheticShardConfig, make_synthetic_shards, stack_objectives
-from .timing import BIASED_CRITERIA, HardwareModel, PolicyKind, WaitPolicy
+from .timing import BIASED_CRITERIA, HardwareModel, PolicyKind, WaitPolicy, check_initial_clocks
 from .weights import WeightScheme, plan_weights
 
 SCHEMA_VERSION = 1
@@ -341,6 +341,8 @@ def build_policy(document: dict) -> WaitPolicy:
 
 def build_experiment(document: dict, seed_override: int | None = None) -> Experiment:
     fleet, hw = build_fleet(document)
+    # checked here, not only when a run starts, so bounds rejects them too
+    check_initial_clocks(document["fleet"].get("initial_clocks"), len(fleet), hw)
     policy = build_policy(document)
     scfg = document["scheme"]
     scheme = WeightScheme(scfg["weights"])

@@ -662,14 +662,15 @@ def trajectory_header(n_clients: int) -> list[str]:
 
 
 @contextmanager
-def atomic_open(path):
-    """Open a text file for writing, LF line endings, that replaces ``path``
-    only once the block completes; if the block raises, the temporary
-    ``<name>.tmp`` is removed and ``path`` keeps its old content."""
+def atomic_open(path, binary: bool = False):
+    """Open a file for writing, text with LF line endings or, if ``binary``,
+    bytes, that replaces ``path`` only once the block completes; if the
+    block raises, the temporary ``<name>.tmp`` is removed and ``path`` keeps
+    its old content."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", newline="\n") as fh:
+        with open(tmp, "wb") if binary else open(tmp, "w", newline="\n") as fh:
             yield fh
         tmp.replace(path)
     except BaseException:
@@ -687,9 +688,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         (
             row.round,
             row.wall_time,
-            "" if row.participant_mask is None else row.participant_mask,
+            b"" if row.participant_mask is None else b"%d" % row.participant_mask,
             row.loss_fed,
-            "" if math.isnan(row.loss_surrogate) else "%.17g" % row.loss_surrogate,
+            b"" if math.isnan(row.loss_surrogate) else b"%.17g" % row.loss_surrogate,
             row.dist_sq,
         )
         for row in traj.metrics
@@ -700,20 +701,27 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 def write_trajectory_table(path, n_clients: int, leading, client_losses) -> None:
     """Write the trajectory schema: per row the cells (n, t, participants,
     loss_fed, loss_surrogate, dist_sq), participants and surrogate already
-    text, then that row of ``client_losses`` (rows of ``n_clients`` floats).
+    ASCII bytes, then that row of ``client_losses`` (rows of ``n_clients``
+    floats).
 
     Loss cells are encoded by :func:`asyncfed.textfmt.format_rows`, exactly
-    as ``'%.17g' % x``, in blocks of about ``BLOCK_CELLS`` cells; a row of
-    the wrong length or a non-real cell raises ``TypeError`` and leaves
-    ``path`` as it was.
+    as ``'%.17g' % x``, and written in blocks of about ``BLOCK_CELLS``
+    cells; a row of the wrong length or a non-real cell raises ``TypeError``
+    and leaves ``path`` as it was.
     """
     step = max(1, BLOCK_CELLS // n_clients)
-    with atomic_open(path) as fh:
-        fh.write(",".join(trajectory_header(n_clients)) + "\n")
+    with atomic_open(path, binary=True) as fh:
+        fh.write(",".join(trajectory_header(n_clients)).encode("ascii") + b"\n")
         for start in range(0, len(leading), step):
             stop = start + step
             block = np.asarray(client_losses[start:stop])
             if block.shape[1:] != (n_clients,):
                 raise TypeError(f"expected rows of {n_clients} client losses, got shape {block.shape}")
-            for cells, text in zip(leading[start:stop], format_rows(block)):
-                fh.write("%d,%.17g,%s,%.17g,%s,%.17g,%s\n" % (cells + (text,)))
+            text = format_rows(block)
+            # each row's leading cells go before its slice of the loss text
+            view, pieces, pos = memoryview(text), [], 0
+            for cells, _ in zip(leading[start:stop], block):
+                end = text.index(b"\n", pos) + 1
+                pieces += (b"%d,%.17g,%s,%.17g,%s,%.17g," % cells, view[pos:end])
+                pos = end
+            fh.write(b"".join(pieces))

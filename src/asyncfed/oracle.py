@@ -274,7 +274,7 @@ def export_oracle_csv(
     # cumsum adds left to right, as the scalar sum did
     loss_fed = np.cumsum(client_losses, axis=1)[:, -1] / len(optima)
     leading = [
-        (n, n * round_time, "", fed, "", sm)
+        (n, n * round_time, b"", fed, b"", sm)
         for n, (fed, sm) in enumerate(zip(loss_fed.tolist(), second.tolist()))
     ]
     write_trajectory_table(path, len(optima), leading, client_losses)

@@ -1,22 +1,33 @@
 """Exact ``'%.17g'`` text for float64 blocks, without a Python call per cell.
 
-:func:`format_rows` turns a 2-D block of numbers into one comma-joined string
-per row whose cells are byte for byte ``'%.17g' % x``. Finite values with
-1e-11 <= |x| < 1e17 are converted with integer arithmetic, the fixed-precision
-case of Adams, "Ryu revisited: printf floating point conversion" (OOPSLA
-2019): with |x| = m * 2**e and E the decimal exponent, the 17 significant
-digits are D = round-half-even(m * 5**k * 2**(e + k)), k = 16 - E <= 27, and
-the product m * 5**k (< 2**116) is held exactly in two uint64 limbs. E starts
-as floor(log10|x|) and is corrected by one step from the truncated quotient.
+:func:`format_rows` turns a 2-D block of numbers into ASCII bytes, one
+comma-joined line per row, whose cells are byte for byte ``'%.17g' % x``.
+For finite 1e-11 <= |x| < 1e17 with decimal exponent E, the 17 significant
+digits are D = round-half-even(|x| * 10**k), k = 16 - E, and E starts as
+floor(log10|x|).
+
+Where 10**k is a double (k <= 22, E >= -6), one double product settles most
+cells: p = fl(|x| * 10**k) and its exact error err (Dekker's product of
+Veltkamp halves) give D = p + rint(err), since for 1e16 <= p < 1e17 p is an
+even integer and |err| <= 8. numpy never fuses the products into an FMA,
+and with float64 operands only, value-based casting (numpy 1.x) and NEP 50
+(numpy 2) agree. The remaining cells of the range, E <= -7 and those whose
+exact product shows the guess of E one off (p < 1e16, p == 1e16 with
+err < 0, or p >= 1e17), use integer arithmetic, the fixed-precision case of
+Adams, "Ryu revisited: printf floating point conversion" (OOPSLA 2019):
+with |x| = m * 2**e, D = round-half-even(m * 5**k * 2**(e + k)), k <= 27,
+the product m * 5**k (< 2**116) held exactly in two uint64 limbs, and E
+corrected by one step from the truncated quotient.
+
 The digits of D come from a 4-digit table as a 17-byte string in uint64
 words; a layout table per (separator, sign, E, trailing zeros) shifts that
 string into place around the constant bytes ('-', '0.', '.', 'e-XX', the
-separator) and drops the stripped zeros. Every other value (zeros, tiny,
-huge, inf, NaN) and any element whose range check fails is formatted by
-Python itself.
+separator) and drops the stripped zeros. The zero bytes left after each
+cell are deleted on output. Every other value (zeros, tiny, huge, inf, NaN)
+and any element whose range check fails is formatted by Python itself.
 
-All scalar operands are explicit ``np.uint64`` so that value-based casting
-(numpy 1.x) and NEP 50 (numpy 2) give the same bits.
+The uint64 arithmetic takes explicit ``np.uint64`` scalars, so that value-based
+casting and NEP 50 give the same bits there too.
 """
 
 from __future__ import annotations
@@ -38,8 +49,10 @@ _FAST_MAX = 1e17
 _E_MIN, _E_MAX = -11, 16
 _N_EXP = _E_MAX - _E_MIN + 1
 _POW5 = _U64(5) ** np.arange(_N_EXP, dtype=np.uint64)  # 5**27 < 2**63
+_K_DOUBLE = 22  # 10**22 is the largest power of ten that is a double
+_SPLITTER = float(2**27 + 1)
 
-_WORDS = 4  # uint64 words per cell: up to 24 characters and the separator
+_WORDS = 4  # uint64 words per cell: Python's text has up to 25 characters and the separator
 
 
 def _digit_tables():
@@ -63,8 +76,9 @@ def _layouts():
     The text is the digit string moved up by ``a`` bytes where mask ``MA``
     is set, by ``a + 1`` bytes (past the decimal point) where ``MB`` is set,
     and constant bytes ``C`` ('-', '0', '.', 'e-XX', separator) elsewhere;
-    stripped zeros are in neither mask. Returns 8a, 8(a + 1), MA, MB and C
-    (three little-endian words each) and the length with the separator."""
+    stripped zeros are in neither mask, and bytes past the separator are
+    zero. Returns 8a, 8(a + 1), MA, MB and C (three little-endian words
+    each)."""
     # int8 grids keep the import's temporaries small
     ranges = ((0, 2), (0, 2), (_E_MIN, _E_MAX + 1), (0, 17), (0, 24))
     sep, neg, exp, tz, col = np.ix_(*(np.arange(lo, hi, dtype=np.int8) for lo, hi in ranges))
@@ -113,12 +127,10 @@ def _layouts():
         words(np.where(is_digit & (moved == shift), np.uint8(0xFF), np.uint8(0))),
         words(np.where(is_digit & (moved == shift + 1), np.uint8(0xFF), np.uint8(0))),
         words(char),
-        np.broadcast_to(length[..., 0], keys).reshape(-1) + 1,
     )
 
 
-_SHIFT_A, _SHIFT_B, _MASK_A, _MASK_B, _CONST, _LENGTH = _layouts()
-_KEEP = np.arange(8 * _WORDS) < np.arange(8 * _WORDS + 1)[:, None]
+_SHIFT_A, _SHIFT_B, _MASK_A, _MASK_B, _CONST = _layouts()
 
 
 def _mul128(a, b):
@@ -149,23 +161,59 @@ def _scaled(m, e, exp):
 def _eight_digits(v):
     """ASCII of 8-digit values as uint64 words, first digit in the low byte,
     with the trailing zero counts of their low and high four digits."""
-    v = v.astype(np.uint32)
-    high = v // np.uint32(10**4)
-    low = v - high * np.uint32(10**4)
-    return _DIGITS4[high] | (_DIGITS4[low] << _32), _TRAILING4[low], _TRAILING4[high]
+    v = v.astype(np.intp)
+    high = v // 10**4
+    low = v - high * 10**4
+    return _DIGITS4.take(high) | (_DIGITS4.take(low) << _32), _TRAILING4.take(low), _TRAILING4.take(high)
+
+
+def _split(v):
+    """Veltkamp's split of float64 ``v`` into a high half of at most 26
+    significant bits and the exact remainder."""
+    t = _SPLITTER * v
+    high = t - (t - v)
+    return high, v - high
+
+
+_POW10 = np.array([float(10**k) for k in range(_K_DOUBLE + 1)])
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
 
 
 def _significand(x):
     """(D, E, ok) per element of flat float64 ``x``: the 17 significant
-    digits as an integer, the decimal exponent, and whether the integer path
-    applies (where it does not, D and E are placeholders)."""
+    digits as an integer, the decimal exponent, and whether they are exact
+    (where not, the cell is left to Python and D and E are placeholders)."""
     a = np.abs(x)
     fast = (a >= _FAST_MIN) & (a < _FAST_MAX)  # False for NaN
     a = np.where(fast, a, 1.0)
+    exp = np.clip(np.floor(np.log10(a)), _E_MIN, _E_MAX).astype(np.intp)
+    # p + err == a * 10**k exactly (Dekker's product), with 10**k a double
+    k = np.minimum(_E_MAX - exp, _K_DOUBLE)
+    c = _POW10.take(k)
+    p = a * c
+    ah, al = _split(a)
+    ch, cl = _POW10_HIGH.take(k), _POW10_LOW.take(k)
+    err = al * cl - (((p - ah * ch) - al * ch) - ah * cl)
+    del c, ah, al, ch, cl
+    # p in [1e16, 1e17) is an even integer and |err| <= 8, so rounding the
+    # exact product half to even is p + rint(err); an exact product below
+    # 1e16 or a p of at least 1e17 means the guess of E is one off, and
+    # k > 22 has no exact 10**k: those cells take the integer path
+    ok = fast & (exp >= _E_MAX - _K_DOUBLE) & (p >= 1e16) & (p < 1e17) & ((p > 1e16) | (err >= 0))
+    d = (p.astype(np.int64) + np.rint(err).astype(np.int64)).view(np.uint64)
+    del p, err
+    rest = np.flatnonzero(fast & ~ok)
+    if rest.size:
+        d[rest], exp[rest], ok[rest] = _significand_exact(a[rest], exp[rest])
+    return d, exp, ok
+
+
+def _significand_exact(a, exp):
+    """:func:`_significand` for positive float64 ``a`` in the fast range by
+    128-bit integer arithmetic, from the guess ``exp`` of E."""
     bits = a.view(np.uint64)
     m = (bits & _MANTISSA) | _HIDDEN
     e = (bits >> _52).astype(np.int64) - 1075
-    exp = np.minimum(np.maximum(np.floor(np.log10(a)), _E_MIN), _E_MAX).astype(np.int64)
     q, up = _scaled(m, e, exp)
     step = (q >= _E17).astype(np.int64) - (q < _E16)
     off = np.flatnonzero(step)
@@ -176,7 +224,7 @@ def _significand(x):
     # rounding up to 10**17 would need a double within 5e-18 (relative) below
     # a power of ten, and none in the fast range is; any cell failing this
     # check goes to Python
-    return d, exp, fast & (q >= _E16) & (d < _E17)
+    return d, exp, (q >= _E16) & (d < _E17)
 
 
 def _digit_string(d):
@@ -203,35 +251,34 @@ def _encode(x, newline):
     key = ((newline * 2 + (x < 0)) * _N_EXP + exp - _E_MIN) * 17 + tz
     del d, exp, tz
 
-    sa, sb = _SHIFT_A[key], _SHIFT_B[key]
+    sa, sb = _SHIFT_A.take(key), _SHIFT_B.take(key)
     back_a, back_b = _63 - sa, _64 - sb
-    out = np.zeros((x.shape[0], _WORDS), dtype="<u8")
-    out[:, 0] = (w0 << sa) & _MASK_A[0][key] | (w0 << sb) & _MASK_B[0][key] | _CONST[0][key]
+    slow = np.flatnonzero(~ok)
+    # zero bytes after each cell's text are dropped on output; a slot of
+    # three words holds every table-path cell, Python's text may need four
+    out = np.zeros((x.shape[0], _WORDS if slow.size else 3), dtype="<u8")
+    out[:, 0] = (w0 << sa) & _MASK_A[0].take(key) | (w0 << sb) & _MASK_B[0].take(key) | _CONST[0].take(key)
     out[:, 1] = (
-        ((w1 << sa) | ((w0 >> _1) >> back_a)) & _MASK_A[1][key]
-        | ((w1 << sb) | (w0 >> back_b)) & _MASK_B[1][key]
-        | _CONST[1][key]
+        ((w1 << sa) | ((w0 >> _1) >> back_a)) & _MASK_A[1].take(key)
+        | ((w1 << sb) | (w0 >> back_b)) & _MASK_B[1].take(key)
+        | _CONST[1].take(key)
     )
     out[:, 2] = (
-        ((w2 << sa) | ((w1 >> _1) >> back_a)) & _MASK_A[2][key]
-        | ((w2 << sb) | (w1 >> back_b)) & _MASK_B[2][key]
-        | _CONST[2][key]
+        ((w2 << sa) | ((w1 >> _1) >> back_a)) & _MASK_A[2].take(key)
+        | ((w2 << sb) | (w1 >> back_b)) & _MASK_B[2].take(key)
+        | _CONST[2].take(key)
     )
-    length = _LENGTH[key]
-
-    raw = out.view(np.uint8)
-    slow = np.flatnonzero(~ok)
     if slow.size:
         ends = np.where(newline[slow], "\n", ",").tolist()
         text = ["%.17g%s" % cell for cell in zip(x[slow].tolist(), ends)]
-        raw[slow] = np.array(text, dtype=f"S{8 * _WORDS}").view(np.uint8).reshape(-1, 8 * _WORDS)
-        length[slow] = [len(t) for t in text]
-    return raw[_KEEP[length]].tobytes()
+        out[slow] = np.array(text, dtype=f"S{8 * _WORDS}").view("<u8").reshape(-1, _WORDS)
+    return out.tobytes().translate(None, b"\0")
 
 
-def format_rows(block) -> list[str]:
-    """``[",".join("%.17g" % v for v in row) for row in block]`` for a 2-D
-    block of real numbers, encoded in chunks of about ``BLOCK_CELLS`` cells.
+def format_rows(block) -> bytes:
+    """``"".join(",".join("%.17g" % v for v in row) + "\n" for row in block)``
+    as ASCII bytes, for a 2-D block of real numbers, encoded in chunks of
+    about ``BLOCK_CELLS`` cells.
 
     Raises ``TypeError`` for a block that is not 2-D or holds anything but
     bools, integers or floats."""
@@ -240,13 +287,11 @@ def format_rows(block) -> list[str]:
         raise TypeError(f"expected a 2-D block of real numbers, got {block.dtype} of shape {block.shape}")
     n_rows, n_cols = block.shape
     if n_cols == 0:
-        return [""] * n_rows
+        return b"\n" * n_rows
     block = block.astype(np.float64, copy=False)
     newline = np.arange(n_cols) == n_cols - 1
     step = max(1, BLOCK_CELLS // n_cols)
-    out = []
-    for start in range(0, n_rows, step):
-        chunk = block[start : start + step]
-        text = _encode(chunk.ravel(), np.tile(newline, chunk.shape[0])).decode("ascii")
-        out.extend(text.split("\n")[:-1])
-    return out
+    return b"".join(
+        _encode(chunk.ravel(), np.tile(newline, chunk.shape[0]))
+        for chunk in (block[start : start + step] for start in range(0, n_rows, step))
+    )

@@ -218,6 +218,17 @@ def _tick_arrays(*groups, scale: int):
     return [np.array(group, dtype=np.int64 if fits else object) for group in ticks]
 
 
+def check_initial_clocks(initial_clocks, n_clients: int, hw: HardwareModel) -> None:
+    """Raise ``ConfigurationError`` unless ``initial_clocks`` is None or
+    holds one offset per client on fixed hardware."""
+    if initial_clocks is None:
+        return
+    if hw.mode != "fixed":
+        raise ConfigurationError("initial clock offsets require fixed hardware")
+    if len(initial_clocks) != n_clients:
+        raise ConfigurationError("initial_clocks length must match the fleet")
+
+
 def init_fleet_state(
     taus,
     hw: HardwareModel,
@@ -236,17 +247,14 @@ def init_fleet_state(
     taus = list(taus)
     if not taus:
         raise ConfigurationError("empty fleet")
+    check_initial_clocks(initial_clocks, len(taus), hw)
     anchor = np.zeros(len(taus), dtype=np.int64)
     if hw.mode != "fixed":
-        if initial_clocks is not None:
-            raise ConfigurationError("initial clock offsets require fixed hardware")
         if rng is None:
             raise ConfigurationError("exponential hardware needs an RNG")
         means = np.array([float(t) for t in taus])
         return FleetState(rng.exponential(scale=means), means, anchor, exact=False, clock=0.0)
     starts = taus if initial_clocks is None else list(initial_clocks)
-    if len(starts) != len(taus):
-        raise ConfigurationError("initial_clocks length must match the fleet")
     window = [policy.delta_t] if policy is not None and policy.kind is PolicyKind.FEDFIX else []
     scale = math.lcm(*(exact_ratio(v)[1] for v in taus + starts + window))
     period, remaining, _ = _tick_arrays(taus, starts, window, scale=scale)

@@ -1,9 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from asyncfed.core import Fleet, uniform_importances
 from asyncfed.objectives import QuadraticObjective, stack_objectives
 from asyncfed.timing import HardwareModel, advance_round, init_fleet_state
+
+# CI (GitHub Actions sets CI) prints the @reproduce_failure line of any
+# counterexample, so a rare mismatch found on one matrix leg can be replayed
+settings.register_profile("ci", print_blob=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def quadratic_fleet(optima, taus=None, importances=None, curvature=0.5, noise_std=0.0,

@@ -175,6 +175,24 @@ class TestValidation:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out" / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "bounds"])
+    @pytest.mark.parametrize(
+        "fleet, message",
+        [
+            ({"initial_clocks": [1]}, "initial_clocks length must match the fleet"),
+            ({"initial_clocks": []}, "initial_clocks length must match the fleet"),
+            ({"initial_clocks": [1, 2], "hardware": "exponential"}, "initial clock offsets require fixed hardware"),
+        ],
+    )
+    def test_initial_clocks_the_fleet_cannot_use_exit_2(self, tmp_path, capsys, command, fleet, message):
+        document = base_config()
+        document["fleet"].update(fleet)
+        out = tmp_path / "out"
+        code = main([command, "--config", str(write_config(tmp_path, document)), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not list(out.glob("*"))
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -531,6 +549,22 @@ class TestOracleCheck:
 
 
 class TestBoundsCommand:
+    def test_residual_gap_is_computed_once(self, tmp_path, monkeypatch, capsys):
+        # on a GLM fleet each residual_mean_gap call is a descent per client
+        from asyncfed import bounds
+
+        calls = []
+        gap = bounds.residual_mean_gap
+        monkeypatch.setattr(bounds, "residual_mean_gap", lambda fleet: calls.append(fleet) or gap(fleet))
+        document = base_config(fleet={
+            "compute_times": [1, 2, 3],
+            "objective": {"family": "logistic", "dim": 5, "samples_per_client": 32, "concentration": 0.1,
+                          "seed": 1},
+        })
+        assert main(["bounds", "--config", str(write_config(tmp_path, document))]) == 0
+        assert len(calls) == 1
+        assert "scheme = fedfix" in capsys.readouterr().out
+
     def test_preset_table_and_report(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
         assert main(["bounds", "--config", str(path)]) == 0

@@ -1,24 +1,44 @@
+import math
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from asyncfed.engine import trajectory_header, write_trajectory_table
 from asyncfed.textfmt import BLOCK_CELLS, format_rows
 
 
 def reference_rows(block):
-    return [",".join("%.17g" % v for v in row) for row in np.asarray(block, dtype=float).tolist()]
+    rows = np.asarray(block, dtype=float).tolist()
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows).encode("ascii")
 
 
 def assert_cells_match(values):
     values = np.asarray(values, dtype=np.float64).ravel()
-    got = format_rows(values[None, :])[0].split(",")
+    text = format_rows(values[None, :]).decode("ascii")
+    assert text.endswith("\n")
+    got = text[:-1].split(",")
     want = ["%.17g" % v for v in values.tolist()]
     mismatches = [(v.hex(), w, g) for v, w, g in zip(values.tolist(), want, got) if w != g]
     assert not mismatches, mismatches[:10]
     assert len(got) == len(want)
+
+
+def ulp_neighbours(centres, n_ulp):
+    """Every double within ``n_ulp`` steps of each centre, both signs."""
+    bits = np.asarray(centres, dtype=np.float64).view(np.int64)
+    steps = np.arange(-n_ulp, n_ulp + 1)
+    values = (bits[:, None] + steps).ravel().view(np.float64)
+    return np.concatenate([values, -values])
+
+
+def bit_uniform(rng, lo, hi, n):
+    """``n`` doubles drawn uniformly from the bit patterns of [lo, hi)."""
+    start, stop = np.array([lo, hi], dtype=np.float64).view(np.int64)
+    return rng.integers(start, stop, n).view(np.float64)
 
 
 def edge_values():
@@ -66,6 +86,99 @@ class TestCellsMatchPercentG:
         assert_cells_match(values)
 
 
+class TestSplitPathBoundaries:
+    """Cells at the edges between the double-product path, the 128-bit
+    integer path and Python's own formatting."""
+
+    def test_four_ulp_around_every_power_of_ten(self):
+        powers = [float(f"1e{e}") for e in range(-11, 17)]
+        values = ulp_neighbours(powers, 4)
+        # the floor(log10) guess is one off on both sides of some powers,
+        # so both the double and the integer path correct it here
+        guess = np.floor(np.log10(np.abs(values)))
+        true_exp = np.array([Decimal(v).adjusted() for v in values.tolist()])
+        off = guess != true_exp
+        assert np.any(off & (true_exp >= -6)) and np.any(off & (true_exp < -6))
+        assert_cells_match(values)
+
+    @pytest.mark.parametrize("direction", [-np.inf, np.inf])
+    def test_a_log10_a_few_ulp_off_still_gives_exact_text(self, monkeypatch, direction):
+        # numpy's SIMD log10 need not be correctly rounded, so the guess of
+        # E may be one too low as well as one too high
+        exact_log10 = np.log10
+
+        def skewed(a):
+            out = exact_log10(a)
+            for _ in range(4):
+                out = np.nextafter(out, direction)
+            return out
+
+        monkeypatch.setattr(np, "log10", skewed)
+        assert_cells_match(ulp_neighbours([float(f"1e{e}") for e in range(-11, 17)], 4))
+
+    def test_decades_around_the_last_exact_power_of_ten(self):
+        # E = -6 is the last exponent with 10**(16 - E) a double
+        rng = np.random.default_rng(22)
+        values = np.concatenate([
+            bit_uniform(rng, 1e-7, 1e-5, 100_000),
+            10.0 ** rng.uniform(-7.0, -5.0, 50_000),
+            ulp_neighbours([1e-7, 1e-6, 1e-5], 64),
+        ])
+        assert_cells_match(values)
+        assert_cells_match(-values)
+
+    def test_half_way_products(self):
+        # x * 10**k == t * 5**k * 2**(j - 1) exactly, with t odd: for j = 0
+        # a tie between two integers, for j >= 1 a tie between the two
+        # doubles around it in [2**(52 + j), 2**(53 + j))
+        rng = np.random.default_rng(57)
+        values = []
+        for k in range(1, 28):
+            for j in range(5):
+                lo, hi = (10**16, 10**17) if j == 0 else (max(10**16, 2 ** (52 + j)), min(10**17, 2 ** (53 + j)))
+                unit = 5**k * 2**j  # 2 * x * 10**k == t * unit
+                t_lo, t_hi = -(-2 * lo // unit), min(-(-2 * hi // unit), 2**53)
+                if t_lo < t_hi:
+                    values += [math.ldexp(t | 1, j - 1 - k) for t in rng.integers(t_lo, t_hi, 40).tolist()
+                               if t | 1 < t_hi]
+        assert len(values) > 2000
+        assert_cells_match(values)
+
+    def test_cells_near_a_seventeen_digit_carry(self):
+        # the doubles nearest each 0.99999999999999999...e(E + 1), whose
+        # 17-digit rounding is the last one before 10**17
+        centres = [float("9.99999999999999999%se%d" % (tail, e))
+                   for e in range(-12, 18) for tail in ("", "5", "49")]
+        assert_cells_match(ulp_neighbours(centres, 4))
+
+    def test_integer_path_only_block(self):
+        rng = np.random.default_rng(11)
+        values = np.concatenate([bit_uniform(rng, 1e-11, 1e-6, 60_000),
+                                 10.0 ** rng.uniform(-11.0, -6.0, 20_000)])
+        values = values[(values >= 1e-11) & (values < 1e-6)]
+        assert_cells_match(np.where(rng.random(values.size) < 0.5, -values, values))
+
+    def test_mixed_chunk_through_the_trajectory_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n_rows, n_clients = 12, 40
+        block = rng.standard_normal((n_rows, n_clients)) * 10.0 ** rng.uniform(-9, 9, (n_rows, n_clients))
+        specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308,
+                    1e-320, 1.5e17, -3e20, sys.float_info.max, 1e-11, 9.9999999999999995e-07]
+        cells = rng.choice(block.size, len(specials) * 3, replace=False)
+        block.flat[cells] = specials * 3
+        leading = [(n, n * 0.1, b"" if n % 4 == 3 else b"%d" % (n * 7), n / 3.0,
+                    b"" if n % 5 == 4 else b"%.17g" % (1.0 / (n + 1)), float(n) ** 2)
+                   for n in range(n_rows)]
+        path = tmp_path / "mixed.csv"
+        write_trajectory_table(path, n_clients, leading, block)
+        lines = [",".join(trajectory_header(n_clients))]
+        for lead, row in zip(leading, block.tolist()):
+            n, t, mask, fed, surrogate, dist = lead
+            lines.append(",".join(["%d" % n, "%.17g" % t, mask.decode(), "%.17g" % fed,
+                                   surrogate.decode(), "%.17g" % dist] + ["%.17g" % v for v in row]))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
+
 class TestRows:
     @pytest.mark.parametrize("n_cols", [1, 3, 500, BLOCK_CELLS - 1, BLOCK_CELLS + 1])
     def test_rows_across_block_boundaries(self, n_cols):
@@ -79,11 +192,11 @@ class TestRows:
     def test_integer_and_bool_blocks_format_as_floats(self):
         block = np.array([[0, 1, -3, 2**60 + 1]])
         assert format_rows(block) == reference_rows(block)
-        assert format_rows(np.array([[True, False]])) == ["1,0"]
+        assert format_rows(np.array([[True, False]])) == b"1,0\n"
 
     def test_empty_shapes(self):
-        assert format_rows(np.zeros((0, 4))) == []
-        assert format_rows(np.zeros((2, 0))) == ["", ""]
+        assert format_rows(np.zeros((0, 4))) == b""
+        assert format_rows(np.zeros((2, 0))) == b"\n\n"
 
     @pytest.mark.parametrize("block", [[[0.5, "not a number"]], [[0.5, None]], [1.0, 2.0]])
     def test_non_real_or_non_2d_blocks_raise_type_error(self, block):
