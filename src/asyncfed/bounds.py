@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .core import ConfigurationError, Fleet, UnsupportedConfigError, ordered_sum, weighted_optimum
 from .objectives import stack_objectives
 from .timing import HardwareModel, PolicyKind, WaitPolicy, staleness_bound
-from .weights import WeightScheme, plan_weights
+from .weights import WeightScheme, plan_weights, window_stats
 
 
 @dataclass(frozen=True)
@@ -148,12 +148,15 @@ def scheme_presets(
         plan = plan_weights(
             WeightScheme.ASYNC_TIME_BASED, fleet.importances, fleet.compute_times, async_policy, hw
         )
+        window, _ = window_stats(
+            WeightScheme.ASYNC_TIME_BASED, fleet.importances, fleet.compute_times, async_policy
+        )
         return SchemePreset(
             scheme,
             0.0,
             float(plan.d.max()),
             staleness_bound(async_policy, hw, fleet.compute_times),
-            plan.window,
+            window,
             residual,
             ordered_sum(time_budget / t for t in taus),
             tuple(plan.d),
@@ -161,12 +164,13 @@ def scheme_presets(
     plan = plan_weights(
         WeightScheme.FEDFIX_TIME_BASED, fleet.importances, fleet.compute_times, policy, hw
     )
+    window, _ = window_stats(WeightScheme.FEDFIX_TIME_BASED, fleet.importances, fleet.compute_times, policy)
     return SchemePreset(
         scheme,
         1.0,
         0.0,
         staleness_bound(policy, hw, fleet.compute_times),
-        plan.window,
+        window,
         residual,
         time_budget / float(policy.delta_t),
         tuple(plan.d),

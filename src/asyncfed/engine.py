@@ -478,13 +478,9 @@ def _compute_metrics(traj: Trajectory, fleet: Fleet, cadence: int) -> list[Metri
     return metrics
 
 
-def final_window_loss(traj: Trajectory, fraction: float = 0.05) -> tuple[float, float]:
-    """Mean and standard deviation of the federated loss over the trailing
-    fraction of recorded rounds."""
-    return _window_stats(traj.loss_series(), fraction)
-
-
 def _window_stats(series: np.ndarray, fraction: float = 0.05) -> tuple[float, float]:
+    """Mean and standard deviation of a loss series over its trailing
+    fraction of recorded rounds."""
     window = max(1, math.ceil(fraction * series.shape[0]))
     tail = series[-window:]
     return float(tail.mean()), float(tail.std())
@@ -502,7 +498,7 @@ class MemberRun:
     theta: np.ndarray                         # (n_models, dim)
     n_rounds: int
     divergence_round: int | None
-    final_loss: tuple[float, float] | None    # final_window_loss; None when diverged
+    final_loss: tuple[float, float] | None    # _window_stats of the losses; None when diverged
 
     @property
     def diverged(self) -> bool:

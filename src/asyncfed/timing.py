@@ -475,29 +475,54 @@ def replay_steady_period(policy: WaitPolicy, taus) -> tuple[int, list[Round]]:
     Returns the period in rounds and the rounds of the period that starts
     at the first repeat. Every client delivers within each period, so by
     then every anchor was set inside the cycle and the staleness is steady.
-    Only those rounds are kept. Raises UnsupportedConfigError when this
-    takes more than ``SCHEDULE_ROUND_CAP`` rounds.
+    Raises UnsupportedConfigError unless the first repeat plus one period
+    fit in ``SCHEDULE_ROUND_CAP`` rounds.
+
+    The cycle is found with Brent's algorithm (Brent, BIT 20, 1980), which
+    holds two clock arrays rather than one per round replayed. A leading
+    replay finds the period: it parks a copy of its clocks at rounds
+    2^k - 1 and looks up to 2^k rounds further for them. Two replays one
+    period apart then meet at the start of the cycle.
     """
     hw = HardwareModel("fixed")
-    state = init_fleet_state(taus, hw, policy=policy)
     taus = list(taus)
-    # value-based key: the bytes of an object array are pointers
-    seen = {tuple(state.remaining.tolist()): 0}
-    period = None
-    outcomes: list[Round] = []
-    while state.round_index < SCHEDULE_ROUND_CAP:
-        outcome = advance_round(state, policy, taus, hw)
-        if period is not None:
-            outcomes.append(outcome)
-            if len(outcomes) == period:
-                return period, outcomes
-            continue
-        key = tuple(state.remaining.tolist())
-        if key in seen:
-            period = state.round_index - seen[key]
-        else:
-            seen[key] = state.round_index
-    raise UnsupportedConfigError(
-        f"the {policy.kind.value} schedule does not settle into a steady period "
-        f"within {SCHEDULE_ROUND_CAP} rounds"
-    )
+    cap = SCHEDULE_ROUND_CAP
+
+    def replay():
+        return init_fleet_state(taus, hw, policy=policy)
+
+    def step(state):
+        return advance_round(state, policy, taus, hw)
+
+    def unsettled():
+        return UnsupportedConfigError(
+            f"the {policy.kind.value} schedule does not settle into a steady period "
+            f"within {cap} rounds"
+        )
+
+    # a cycle that fits the cap (start + 2 period <= cap) is found before
+    # round 2 cap: the clocks parked at round 2^k - 1 >= start, 2^k >= period,
+    # come back at round 2^k - 1 + period < 2 start + 3 period
+    lead = replay()
+    parked = lead.remaining.copy()
+    step(lead)
+    power = period = 1
+    while not np.array_equal(lead.remaining, parked):
+        if lead.round_index >= 2 * cap:
+            raise unsettled()
+        if period == power:
+            parked = lead.remaining.copy()
+            power *= 2
+            period = 0
+        step(lead)
+        period += 1
+
+    lead, trail = replay(), replay()
+    for _ in range(period):
+        step(lead)
+    while not np.array_equal(lead.remaining, trail.remaining):
+        step(lead)
+        step(trail)
+    if lead.round_index + period > cap:
+        raise unsettled()
+    return period, [step(lead) for _ in range(period)]

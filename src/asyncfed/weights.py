@@ -36,16 +36,11 @@ class WeightScheme(Enum):
 
 @dataclass(frozen=True)
 class WeightPlan:
-    """Deterministic per-client weights plus their window statistics.
-
-    ``window`` is the number of rounds over which the expected weights
-    average out; ``q_over_window`` holds those per-client averages.
-    """
+    """Deterministic per-client aggregation weights d_i. Their window
+    statistics are worked out on demand by :func:`window_stats`."""
 
     scheme: WeightScheme
     d: np.ndarray
-    window: int
-    q_over_window: np.ndarray
 
 
 def _require_fixed(hw: HardwareModel | None, scheme: WeightScheme):
@@ -82,19 +77,60 @@ def plan_weights(
     hw: HardwareModel | None = None,
     custom_d=None,
 ) -> WeightPlan:
-    """Fill the per-client weights d_i for a scheme, the window size, and the
-    window-averaged expected weights. Each vector is exact, as integer
-    numerators over one common denominator, until it is rounded to float."""
+    """Fill the per-client weights d_i for a scheme. The weights are exact,
+    as integer numerators over one common denominator, until they are
+    rounded to float; unit weights need no arithmetic. The schedule is not
+    analysed: that is :func:`window_stats`."""
+    if scheme is WeightScheme.IDENTICAL:
+        _check_fleet_size(len(importances), compute_times)
+        return WeightPlan(scheme, np.ones(len(importances)))
     p = _over_common_den(map(float, importances))
-    n = len(p[0])
+    return WeightPlan(scheme, _to_floats(_exact_weights(scheme, p, compute_times, policy, hw, custom_d)))
+
+
+def window_stats(
+    scheme: WeightScheme,
+    importances,
+    compute_times,
+    policy: WaitPolicy | None,
+    custom_d=None,
+) -> tuple[int, np.ndarray]:
+    """The window of a fixed-hardware schedule and the window-averaged
+    expected weights of a scheme's d_i.
+
+    The window is the smallest round count over which the expected weights
+    repeat. Synchronous and per-round sampling schedules repeat every round.
+    The asynchronous schedule repeats after lcm({tau_i}) time units, one
+    round per contribution. Fixed-interval aggregation repeats after
+    lcm({ceil(tau_i / delta_t)}) rounds. The buffered policy is measured
+    from its replayed schedule. The averages are exact, from the weights'
+    integer numerators, until they are rounded to float.
+    """
+    p = _over_common_den(map(float, importances))
+    d = _exact_weights(scheme, p, compute_times, policy, None, custom_d)
+    window, counts = _window_counts(policy, compute_times)
+    if counts is None:
+        q_window = _sampled_q(policy, compute_times, d, p)
+    else:
+        q_window = [c * dn for c, dn in zip(counts, d[0])], d[1] * window
+    return window, _to_floats(q_window)
+
+
+def _check_fleet_size(n: int, compute_times) -> None:
     if len(compute_times) != n:
         raise ConfigurationError("importances and compute times disagree on fleet size")
 
+
+def _exact_weights(scheme, p, compute_times, policy, hw, custom_d) -> tuple[list[int], int]:
+    """A scheme's d_i as integer numerators over one common denominator,
+    from the importances ``p`` in the same form."""
+    n = len(p[0])
+    _check_fleet_size(n, compute_times)
     if scheme is WeightScheme.IDENTICAL:
-        d = [1] * n, 1
-    elif scheme is WeightScheme.FEDAVG:
-        d = p
-    elif scheme is WeightScheme.ASYNC_TIME_BASED:
+        return [1] * n, 1
+    if scheme is WeightScheme.FEDAVG:
+        return p
+    if scheme is WeightScheme.ASYNC_TIME_BASED:
         _require_fixed(hw, scheme)
         # d_i = (sum_j 1 / tau_j) tau_i p_i, with the rate sum over the lcm
         # of the time numerators and tau_i over the lcm of their denominators
@@ -102,38 +138,18 @@ def plan_weights(
         num_lcm = math.lcm(*(num for num, _ in taus))
         den_lcm = math.lcm(*(den for _, den in taus))
         rate_sum = sum(den * (num_lcm // num) for num, den in taus)
-        d = ([rate_sum * num * (den_lcm // den) * pn for (num, den), pn in zip(taus, p[0])],
-             num_lcm * den_lcm * p[1])
-    elif scheme is WeightScheme.FEDFIX_TIME_BASED:
+        return ([rate_sum * num * (den_lcm // den) * pn for (num, den), pn in zip(taus, p[0])],
+                num_lcm * den_lcm * p[1])
+    if scheme is WeightScheme.FEDFIX_TIME_BASED:
         _require_fixed(hw, scheme)
         if policy is None or policy.kind is not PolicyKind.FEDFIX:
             raise ConfigurationError("fedfix time-based weights need a fedfix policy")
-        d = [_ceil_ratio(t, policy.delta_t) * pn for t, pn in zip(compute_times, p[0])], p[1]
-    elif scheme is WeightScheme.CUSTOM:
+        return [_ceil_ratio(t, policy.delta_t) * pn for t, pn in zip(compute_times, p[0])], p[1]
+    if scheme is WeightScheme.CUSTOM:
         if custom_d is None or len(custom_d) != n:
             raise ConfigurationError("custom scheme needs one weight per client")
-        d = _over_common_den(map(float, custom_d))
-    else:  # pragma: no cover
-        raise ConfigurationError(f"unknown weight scheme {scheme}")
-
-    window, counts = _window_counts(policy, compute_times)
-    if counts is None:
-        q_window = _sampled_q(policy, compute_times, d, p)
-    else:
-        q_window = [c * dn for c, dn in zip(counts, d[0])], d[1] * window
-    return WeightPlan(scheme, _to_floats(d), window, _to_floats(q_window))
-
-
-def window_size(policy: WaitPolicy | None, compute_times) -> int:
-    """Smallest round count over which expected weights repeat.
-
-    Synchronous and per-round sampling schedules repeat every round. The
-    asynchronous schedule repeats after lcm({tau_i}) time units, one round
-    per contribution. Fixed-interval aggregation repeats after
-    lcm({ceil(tau_i / delta_t)}) rounds. The buffered policy is measured from
-    its replayed schedule.
-    """
-    return _window_counts(policy, compute_times)[0]
+        return _over_common_den(map(float, custom_d))
+    raise ConfigurationError(f"unknown weight scheme {scheme}")  # pragma: no cover
 
 
 def _window_counts(policy: WaitPolicy | None, taus) -> tuple[int, list[int] | None]:

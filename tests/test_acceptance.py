@@ -10,13 +10,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from asyncfed import engine
 from asyncfed.bounds import BoundInputs, epsilon_terms, exponent_check, fill_inputs, lr_constraint, scheme_presets
 from asyncfed.core import Fleet
 from asyncfed.engine import (
     RunConfig,
     ScalarEnsembleConfig,
     Seeds,
-    final_window_loss,
     run,
     run_scalar_ensemble,
 )
@@ -25,7 +25,7 @@ from asyncfed.objectives import GlmObjective, QuadraticObjective, SyntheticShard
 from asyncfed.objectives import stack_objectives
 from asyncfed.oracle import OracleState, expectation_recursion, expected_round_time, phi, staleness_law, variance_recursion
 from asyncfed.timing import PolicyKind, WaitPolicy
-from asyncfed.weights import WeightScheme, plan_weights, verify_window_assumption
+from asyncfed.weights import WeightScheme, plan_weights, verify_window_assumption, window_stats
 
 from conftest import quadratic_fleet, round_durations
 
@@ -136,7 +136,10 @@ class TestCriterion3AlternatingBiasAndRepair:
     def test_window_fair_weights_repair_the_bias(self):
         plan, traj = self._run_alternating(scheme=WeightScheme.FEDFIX_TIME_BASED)
         assert plan.d.tolist() == [1.0, 1.0]
-        q_tilde = plan.q_over_window / plan.q_over_window.sum()
+        # the fleet, policy and window of _run_alternating
+        _, q_over_window = window_stats(WeightScheme.FEDFIX_TIME_BASED, [0.5, 0.5], [2, 2],
+                                        WaitPolicy(PolicyKind.FEDFIX, delta_t=1))
+        q_tilde = q_over_window / q_over_window.sum()
         assert np.allclose(q_tilde, [0.5, 0.5], atol=1e-15)
         value = self._cycle_average(traj, plan, 498)
         assert abs(value - 1.0) < 1e-8
@@ -217,20 +220,21 @@ class TestCriterion7WindowCloseForms:
             if len(set(taus)) == 1:
                 continue  # identical hardware makes unit weights fair too
             p = [1.0 / m] * m
-            plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, p, taus, policy)
-            if plan.window > 3000:
+            window, _ = window_stats(WeightScheme.ASYNC_TIME_BASED, p, taus, policy)
+            if window > 3000:
                 continue  # keeps the schedule replay fast; the identity is exact regardless
+            plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, p, taus, policy)
             fleet = quadratic_fleet([[float(i)] for i in range(m)], taus=taus, importances=p)
             cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.01,
-                            full_gradient=True, rounds=2 * plan.window)
+                            full_gradient=True, rounds=2 * window)
             q = run(cfg).weight_matrix()
-            assert q.shape == (2 * plan.window, m)
-            good = verify_window_assumption(q, plan.window, p, tol=1e-12)
+            assert q.shape == (2 * window, m)
+            good = verify_window_assumption(q, window, p, tol=1e-12)
             assert good.satisfied, (taus, good.max_deviation)
 
             identical = plan_weights(WeightScheme.IDENTICAL, p, taus, policy)
             q_id = run(replace(cfg, plan=identical)).weight_matrix()
-            bad = verify_window_assumption(q_id, plan.window, p, tol=1e-12)
+            bad = verify_window_assumption(q_id, window, p, tol=1e-12)
             assert not bad.satisfied, taus
             fleets += 1
         report(7, "20 random fleets: time-based exact to 1e-12, unit weights rejected")
@@ -257,7 +261,7 @@ class TestCriterion8HeterogeneousLogisticTrend:
                     fleet=fleet, policy=policy, plan=plan, eta_g=1.0, eta_l=0.02,
                     k_steps=5, time_budget=120.0, seeds=Seeds((0,), (seed,), (2,)),
                 )
-                out.append(final_window_loss(run(cfg))[0])
+                out.append(engine._window_stats(run(cfg).loss_series())[0])
             return out
 
         time_based = final_losses(WeightScheme.ASYNC_TIME_BASED)

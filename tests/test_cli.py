@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -8,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import asyncfed
 from asyncfed.cli import main, write_sweep_csv
 from asyncfed.config import load_config, validate_config
 from asyncfed.core import ConfigurationError
@@ -742,3 +747,49 @@ class TestGoldenRows:
         assert payload["scheme"] == "sync" and payload["overall_pass"] is True
         header = (out / "oracle_trajectory.csv").read_text().splitlines()[0]
         assert header.startswith("n,t,participants,loss_fed")
+
+
+def fedbuff_config(n_clients, hardware, rounds=300):
+    """FedBuff (m=5, identical weights) on a seeded quadratic fleet: 2-decimal
+    uniform(1, 5) mean times on exponential hardware, times 1..16 on fixed."""
+    rng = np.random.default_rng(5)
+    if hardware == "exponential":
+        taus = [round(float(x), 2) for x in rng.uniform(1.0, 5.0, n_clients)]
+    else:
+        taus = [1 + i % 16 for i in range(n_clients)]
+    optima = [round(float(x), 6) for x in rng.normal(0.0, 2.0, n_clients)]
+    return base_config(
+        fleet={"compute_times": taus, "hardware": hardware,
+               "objective": {"family": "quadratic", "optima": optima}},
+        scheme={"policy": "fedbuff", "m": 5, "weights": "identical"},
+        horizon={"rounds": rounds},
+    )
+
+
+def _limit_address_space():
+    limit = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+class TestFedBuffRuns:
+    """A run needs the weights d_i only, so FedBuff runs without replaying
+    its mean-time schedule to a steady period."""
+
+    def test_large_exponential_fleet_simulates_in_bounded_memory(self, tmp_path):
+        # the replay kept one tuple of M clocks per round and ran out of memory
+        path = write_config(tmp_path, fedbuff_config(1000, "exponential"))
+        src = str(Path(asyncfed.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-m", "asyncfed.cli", "simulate", "--config", str(path),
+             "--out", str(tmp_path / "out"), "--quiet"],
+            env=env, preexec_fn=_limit_address_space, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert len((tmp_path / "out" / "trajectory.csv").read_text().splitlines()) == 302
+
+    def test_schedule_without_a_short_period_simulates(self, tmp_path, capsys):
+        # times 1..16 do not settle within the replay's round cap
+        path = write_config(tmp_path, fedbuff_config(100, "fixed"))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""

@@ -11,7 +11,6 @@ from asyncfed.engine import (
     RunConfig,
     ScalarEnsembleConfig,
     Seeds,
-    final_window_loss,
     run,
     run_members,
     run_scalar_ensemble,
@@ -415,7 +414,7 @@ class TestMetricsAndCsv:
     def test_final_window_loss_uses_the_tail(self):
         fleet = quadratic_fleet([[0.0], [2.0]])
         traj = run(sync_config(fleet, rounds=100))
-        mean, std = final_window_loss(traj, fraction=0.05)
+        mean, std = engine._window_stats(traj.loss_series(), fraction=0.05)
         tail = traj.loss_series()[-6:]
         assert mean == pytest.approx(tail.mean())
 

@@ -10,7 +10,7 @@ import pytest
 
 from asyncfed import engine
 from asyncfed.core import Fleet, weighted_optimum
-from asyncfed.engine import RunConfig, Seeds, final_window_loss, run, run_members, shares_schedule
+from asyncfed.engine import RunConfig, Seeds, run, run_members, shares_schedule
 from asyncfed.objectives import QuadraticObjective, SyntheticShardConfig, make_synthetic_shards, stack_objectives
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy
 from asyncfed.weights import WeightScheme, plan_weights
@@ -112,7 +112,7 @@ def test_members_equal_separate_runs(name):
         if traj.diverged:
             assert member.final_loss is None
         else:
-            assert member.final_loss == final_window_loss(traj)
+            assert member.final_loss == engine._window_stats(traj.loss_series())
     if name == "threshold" or name == "overflow":
         rounds = [m.divergence_round for m in members]
         assert any(r is None for r in rounds)
@@ -181,7 +181,7 @@ def test_ensemble_equals_the_per_member_loop(name):
     got = _ensemble_statistics(config, [m.theta for m in members], [m.final_loss for m in members])
     reference = _separate_runs(config, member_seeds)
     want = _ensemble_statistics(config, [t.theta for t in reference],
-                                [None if t.diverged else final_window_loss(t) for t in reference])
+                                [None if t.diverged else engine._window_stats(t.loss_series()) for t in reference])
     if name in ("threshold", "overflow"):
         assert 0 < got["diverged"] < len(member_seeds)
     assert (got["n_completed"], got["diverged"]) == (want["n_completed"], want["diverged"])

@@ -8,6 +8,7 @@ in ``Fraction`` arithmetic.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -23,11 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asyncfed
-from asyncfed.config import CONFIG_SCHEMA, _StrictValidator, build_fleet, validate_config
+from asyncfed.config import CONFIG_SCHEMA, _StrictValidator, build_experiment, build_fleet, validate_config
 from asyncfed.core import ConfigurationError, UnsupportedConfigError
 from asyncfed.objectives import QuadraticObjective, stack_objectives
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy, fastest_first, replay_steady_period
-from asyncfed.weights import WeightScheme, plan_weights
+from asyncfed.weights import WeightPlan, WeightScheme, plan_weights, window_stats
 
 # ---------------------------------------------------------------------------
 # validate_config against the stock walk
@@ -360,12 +361,53 @@ def test_weight_plan_matches_fraction_arithmetic(m, decimal, scheme):
             continue
         plan = plan_weights(scheme, importances, taus, policy, hw, custom_d=custom_d)
         d, window, q = reference_plan(scheme, importances, taus, policy, custom_d=custom_d)
-        assert plan.window == window, policy
         _same_bits(plan.d, d)
-        _same_bits(plan.q_over_window, q)
+        got_window, got_q = window_stats(scheme, importances, taus, policy, custom_d=custom_d)
+        assert got_window == window, policy
+        _same_bits(got_q, q)
 
 
 def test_time_based_weights_still_need_fixed_hardware():
     with pytest.raises(UnsupportedConfigError):
         plan_weights(WeightScheme.ASYNC_TIME_BASED, [0.5, 0.5], [1, 2], WaitPolicy(PolicyKind.ASYNCHRONOUS),
                      HardwareModel("exponential"))
+
+
+def test_weight_plan_holds_the_weights_only():
+    assert [field.name for field in dataclasses.fields(WeightPlan)] == ["scheme", "d"]
+
+
+_ANALYSES = ("participations_per_cycle", "replay_steady_period")
+
+
+@pytest.mark.parametrize("decimal", [False, True], ids=["integer_times", "decimal_times"])
+def test_set_up_never_analyses_the_schedule(monkeypatch, decimal):
+    """Building an experiment fills the weights d_i only: the schedule
+    analyses behind the window statistics raise wherever they are bound."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the schedule was analysed during set-up")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("asyncfed")]:
+        for name in _ANALYSES:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    m = 7
+    importances, taus, custom_d = seeded_plan_inputs(m, decimal)
+    document = quadratic_document(seeded_optima(m, 1, seed=5))
+    document["fleet"].update(compute_times=taus, importances=importances)
+    built = 0
+    # FedBuff on decimal times too: its replay would not cycle within the cap
+    for policy in policies(m, decimal=False):
+        scheme_cfg = {"policy": policy.kind.value}
+        if policy.kind is PolicyKind.FEDFIX:
+            scheme_cfg["delta_t"] = float(policy.delta_t)
+        scheme_cfg.update({k: v for k, v in (("m", policy.m), ("criterion", policy.criterion)) if v is not None})
+        for scheme in WeightScheme:
+            if scheme is WeightScheme.FEDFIX_TIME_BASED and policy.kind is not PolicyKind.FEDFIX:
+                continue
+            extra = {"custom_d": custom_d} if scheme is WeightScheme.CUSTOM else {}
+            document["scheme"] = dict(scheme_cfg, weights=scheme.value, **extra)
+            experiment = build_experiment(document)
+            assert len(experiment.run_config.plan.d) == m
+            built += 1
+    assert built == 8 * 4 + 1

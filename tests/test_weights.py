@@ -14,7 +14,7 @@ from asyncfed.weights import (
     chi_square_bias,
     plan_weights,
     verify_window_assumption,
-    window_size,
+    window_stats,
 )
 
 from conftest import quadratic_fleet
@@ -82,20 +82,24 @@ class TestPlanWeights:
         assert plan.d.tolist() == [0.3, 0.6]
 
 
-class TestWindowSize:
+def window_of(policy, taus):
+    return window_stats(WeightScheme.IDENTICAL, [1 / len(taus)] * len(taus), taus, policy)[0]
+
+
+class TestWindowStats:
     def test_async_sum_of_cycle_counts(self):
-        assert window_size(ASYNC, [1, 2, 3]) == 11
+        assert window_of(ASYNC, [1, 2, 3]) == 11
 
     def test_synchronous_is_one(self):
-        assert window_size(SYNC, [1, 2, 3]) == 1
+        assert window_of(SYNC, [1, 2, 3]) == 1
 
     def test_fedfix_lcm_of_ceilinged_periods(self):
         policy = WaitPolicy(PolicyKind.FEDFIX, delta_t=2)
-        assert window_size(policy, [1, 2, 3]) == 2
+        assert window_of(policy, [1, 2, 3]) == 2
 
     def test_sampling_is_one(self):
         policy = WaitPolicy(PolicyKind.SAMPLE_UNIFORM, m=2)
-        assert window_size(policy, [1, 2, 3]) == 1
+        assert window_of(policy, [1, 2, 3]) == 1
 
     def test_buffered_window_averages_skip_the_transient(self):
         # the clocks after round 7 repeat those after round 5 (period 2), so
@@ -103,13 +107,13 @@ class TestWindowSize:
         # delivers once in every steady period
         policy = WaitPolicy(PolicyKind.FEDBUFF, m=4)
         taus = [5, 8, 2, 6, 5, 1]
-        plan = plan_weights(WeightScheme.IDENTICAL, [1 / 6] * 6, taus, policy)
-        assert plan.window == 2
-        late = realized_weights(taus, policy, [1.0] * 6, 40)[-plan.window:]
-        assert plan.q_over_window.tolist() == late.mean(axis=0).tolist()
-        assert plan.q_over_window[1] == 0.5
+        window, q = window_stats(WeightScheme.IDENTICAL, [1 / 6] * 6, taus, policy)
+        assert window == 2
+        late = realized_weights(taus, policy, [1.0] * 6, 40)[-window:]
+        assert q.tolist() == late.mean(axis=0).tolist()
+        assert q[1] == 0.5
 
-    def test_buffered_plan_replays_the_schedule_once(self, monkeypatch):
+    def test_buffered_stats_replay_the_schedule_once(self, monkeypatch):
         import asyncfed.timing as timing
 
         calls = []
@@ -121,22 +125,28 @@ class TestWindowSize:
 
         monkeypatch.setattr(timing, "advance_round", counted)
         policy = WaitPolicy(PolicyKind.FEDBUFF, m=3)
-        plan = plan_weights(WeightScheme.IDENTICAL, [0.1] * 10, list(range(2, 12)), policy)
-        # one replay: 170 rounds until the clocks first repeat, then one
-        # 51-round steady period; replaying twice made 442 calls
-        assert len(calls) == 221
-        assert plan.window == 51
+        taus = list(range(2, 12))
+        plan = plan_weights(WeightScheme.IDENTICAL, [0.1] * 10, taus, policy)
+        assert calls == []
         assert plan.d.tolist() == [1.0] * 10
+        window, q = window_stats(WeightScheme.IDENTICAL, [0.1] * 10, taus, policy)
+        # one replay: the clocks first repeat after round 170 with a 51-round
+        # period, so the cycle starts at round 119. Brent's search runs to
+        # round 127 + 51, the two meeting replays make 51 + 2 * 119 calls and
+        # the steady period 51 more
+        assert len(calls) == 178 + 51 + 2 * 119 + 51
+        assert window == 51
         counts = np.array([44, 28, 23, 19, 16, 14, 12, 11, 10, 9])
-        assert plan.q_over_window.tolist() == (counts / 51).tolist()
+        assert q.tolist() == (counts / 51).tolist()
 
 
 class TestWindowAssumption:
     def test_async_time_based_satisfies_the_window_condition(self):
         p = [0.5, 0.5]
         plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, p, [1, 2], ASYNC)
-        q = realized_weights([1, 2], ASYNC, plan.d, 2 * plan.window)
-        report = verify_window_assumption(q, plan.window, p, tol=1e-12)
+        window = window_of(ASYNC, [1, 2])
+        q = realized_weights([1, 2], ASYNC, plan.d, 2 * window)
+        report = verify_window_assumption(q, window, p, tol=1e-12)
         assert report.satisfied
         assert report.n_windows == 2
         assert not report.truncated
@@ -144,8 +154,9 @@ class TestWindowAssumption:
     def test_identical_weights_fail_on_heterogeneous_hardware(self):
         p = [0.5, 0.5]
         plan = plan_weights(WeightScheme.IDENTICAL, p, [1, 2], ASYNC)
-        q = realized_weights([1, 2], ASYNC, plan.d, 2 * plan.window)
-        report = verify_window_assumption(q, plan.window, p)
+        window = window_of(ASYNC, [1, 2])
+        q = realized_weights([1, 2], ASYNC, plan.d, 2 * window)
+        report = verify_window_assumption(q, window, p)
         assert not report.satisfied
         # fast client lands 2 of every 3 rounds with unit weight
         assert report.max_deviation == pytest.approx(2 / 3 - 0.5, abs=1e-12)
@@ -161,15 +172,17 @@ class TestWindowAssumption:
     def test_incomplete_tail_is_flagged(self):
         p = [0.5, 0.5]
         plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, p, [1, 2], ASYNC)
-        q = realized_weights([1, 2], ASYNC, plan.d, plan.window + 1)
-        report = verify_window_assumption(q, plan.window, p)
+        window = window_of(ASYNC, [1, 2])
+        q = realized_weights([1, 2], ASYNC, plan.d, window + 1)
+        report = verify_window_assumption(q, window, p)
         assert report.truncated and report.n_windows == 1
 
     def test_window_averages_match_the_plan(self):
         p = [0.25, 0.25, 0.5]
         plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, p, [2, 3, 4], ASYNC)
-        q = realized_weights([2, 3, 4], ASYNC, plan.d, plan.window)
-        assert np.allclose(q.mean(axis=0), plan.q_over_window, atol=1e-15)
+        window, q_over_window = window_stats(WeightScheme.ASYNC_TIME_BASED, p, [2, 3, 4], ASYNC)
+        q = realized_weights([2, 3, 4], ASYNC, plan.d, window)
+        assert np.allclose(q.mean(axis=0), q_over_window, atol=1e-15)
 
 
 class TestChiSquare:
@@ -205,6 +218,6 @@ class TestWindowIdentity:
         m = int(rng.integers(2, 5))
         taus = [int(t) for t in rng.integers(1, 7, size=m)]
         p = rng.dirichlet(np.ones(m)).tolist()
-        plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, p, taus, ASYNC)
-        q_tilde = plan.q_over_window / plan.q_over_window.sum()
+        _, q_over_window = window_stats(WeightScheme.ASYNC_TIME_BASED, p, taus, ASYNC)
+        q_tilde = q_over_window / q_over_window.sum()
         assert np.max(np.abs(q_tilde - np.asarray(p))) < 1e-12
