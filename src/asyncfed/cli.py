@@ -184,6 +184,8 @@ def cmd_oracle_check(args) -> int:
     document = load_config(args.config)
     experiment = build_experiment(document, seed_override=args.seed)
     state, theta0, eta_g = _oracle_state_for(experiment)
+    if args.seed is not None:
+        document.setdefault("oracle_check", {})["seed"] = args.seed
 
     check_cfg = document.get("oracle_check", {})
     checkpoints = sorted(check_cfg.get("checkpoints", [1, 5, 20]))

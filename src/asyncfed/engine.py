@@ -40,8 +40,17 @@ MAX_K_STEPS = 10_000  # local steps per run
 # seeds one generator per member and noisy client (~1.2 KB and ~20 us each)
 MAX_ENSEMBLE_SEEDS = 10_000
 # n_runs x M of a scalar ensemble: its (n_runs, M) held-anchor buffer is
-# 128 MiB at the cap, and a window round draws an array and a mask that size
+# 128 MiB at the cap, and a window round draws an array and a mask that size;
+# the asynchronous rounds add an (ASYNC_CHUNK_ROUNDS, n_runs) buffer of client
+# indices, one byte each up to M = 256 (8 rounds: one float64 member vector)
 MAX_HELD_ANCHORS = 1 << 24
+# the asynchronous scalar ensemble runs its members in blocks of this many
+# (640 KiB of held anchors at M = 10, so a block stays in a 2 MiB L2 cache
+# across a chunk of rounds), ASYNC_CHUNK_ROUNDS rounds per pass over them;
+# a block sized in bytes instead would shrink to a few hundred members at
+# M >= 300, where per-call overhead outweighs the cache
+ENSEMBLE_BLOCK_MEMBERS = 8192
+ASYNC_CHUNK_ROUNDS = 8
 _LOCAL_FLOATS = 1 << 20  # bound on the floats one local_sgd call holds: iterates and gathered samples
 CSV_SCHEMA_VERSION = 1
 
@@ -589,9 +598,10 @@ def run_scalar_ensemble(cfg: ScalarEnsembleConfig) -> ScalarEnsembleResult:
 
     Equivalent in distribution to driving :func:`run` with the matching
     policy and symmetric exponential hardware; kept separate so oracle
-    comparisons can afford 1e5 members. The asynchronous round reads and
-    writes the held anchors through flat indices into one (members, M)
-    buffer, and the window scheme overwrites them in place.
+    comparisons can afford 1e5 members. The members' held anchors are one
+    (members, M) buffer: the asynchronous rounds run as member blocks x
+    round chunks over it (:func:`_async_rounds`), and the window scheme
+    overwrites it in place.
     """
     rng = np.random.default_rng(cfg.seed)
     optima = np.asarray(cfg.optima, dtype=float)
@@ -603,8 +613,6 @@ def run_scalar_ensemble(cfg: ScalarEnsembleConfig) -> ScalarEnsembleResult:
 
     theta = np.full(n_runs, float(cfg.theta0))
     held = np.full((n_runs, m_clients), float(cfg.theta0))
-    flat = held.reshape(-1)
-    base = np.arange(0, n_runs * m_clients, m_clients)
     if cfg.scheme == "hybrid":
         rate = 1.0 - math.exp(-cfg.window)
         d = 1.0 / (rate * m_clients)
@@ -619,32 +627,62 @@ def run_scalar_ensemble(cfg: ScalarEnsembleConfig) -> ScalarEnsembleResult:
         se_sm[i] = gap_sq.std(ddof=1) / math.sqrt(n_runs) if n_runs > 1 else 0.0
 
     record(0)
-    due = 1
-    for n in range(1, int(rounds[-1]) + 1):
-        if cfg.scheme == "sync":
-            theta = theta + step * (theta_star - theta)
-        elif cfg.scheme == "sync_uniform":
-            scores = rng.random((n_runs, m_clients))
-            chosen = np.argpartition(scores, cfg.m - 1, axis=1)[:, : cfg.m]
-            theta = theta + step * (optima[chosen].mean(axis=1) - theta)
-        elif cfg.scheme == "async":
-            j = rng.integers(0, m_clients, n_runs)
-            pull = optima.take(j)
-            j += base
-            pull -= flat.take(j)
-            pull *= step
-            theta += pull
-            flat[j] = theta  # j holds one index per member, so no two writes collide
-            del j, pull  # so record's temporaries do not stack on them
-        else:  # hybrid
-            mask = rng.random((n_runs, m_clients)) < rate
-            contrib = (mask * (optima[None, :] - held)).sum(axis=1)
-            theta = theta + step * d * contrib
-            np.copyto(held, theta[:, None], where=mask)
-        if n == rounds[due]:
-            record(due)
-            due += 1
+    for due in range(1, rounds.shape[0]):
+        gap = int(rounds[due] - rounds[due - 1])
+        if cfg.scheme == "async":
+            _async_rounds(rng, optima, step, theta, held, gap)
+        else:
+            for _ in range(gap):
+                if cfg.scheme == "sync":
+                    theta = theta + step * (theta_star - theta)
+                elif cfg.scheme == "sync_uniform":
+                    scores = rng.random((n_runs, m_clients))
+                    chosen = np.argpartition(scores, cfg.m - 1, axis=1)[:, : cfg.m]
+                    theta = theta + step * (optima[chosen].mean(axis=1) - theta)
+                else:  # hybrid
+                    mask = rng.random((n_runs, m_clients)) < rate
+                    contrib = (mask * (optima[None, :] - held)).sum(axis=1)
+                    theta = theta + step * d * contrib
+                    np.copyto(held, theta[:, None], where=mask)
+        record(due)
     return ScalarEnsembleResult(rounds, mean, se_mean, sm, se_sm, n_runs, theta_star)
+
+
+def _async_rounds(rng, optima, step, theta, held, n_rounds) -> None:
+    """Advance the asynchronous ensemble ``n_rounds`` rounds in place.
+
+    Each round draws one client j per member, ``rng.integers(0, M,
+    members)``, and updates ``theta += step * (optima[j] - held[., j])``,
+    then ``held[., j] = theta``. The rounds run in chunks of
+    ``ASYNC_CHUNK_ROUNDS``: a chunk's draws are made first, one call per
+    round in round order as one round at a time makes them, into a buffer
+    of the smallest unsigned dtype that holds M - 1; then each block of
+    ``ENSEMBLE_BLOCK_MEMBERS`` members runs all the chunk's rounds on its
+    rows of ``held``, which stay in cache meanwhile. Each member sees the
+    same operations in the same order, so every result has the same bits
+    as a round-at-a-time loop.
+    """
+    n_runs, m_clients = held.shape
+    block = min(ENSEMBLE_BLOCK_MEMBERS, n_runs)
+    chunk = np.empty((min(ASYNC_CHUNK_ROUNDS, n_rounds), n_runs), np.min_scalar_type(m_clients - 1))
+    base = np.arange(0, block * m_clients, m_clients)  # row starts of a block's flat anchors
+    j, flat_j = np.empty((2, block), dtype=np.intp)
+    for start in range(0, n_rounds, chunk.shape[0]):
+        draws = chunk[: min(chunk.shape[0], n_rounds - start)]
+        for row in draws:
+            row[:] = rng.integers(0, m_clients, n_runs)
+        for lo in range(0, n_runs, block):
+            hi = min(lo + block, n_runs)
+            theta_b, held_b = theta[lo:hi], held[lo:hi].reshape(-1)
+            j_b, flat_b, base_b = j[: hi - lo], flat_j[: hi - lo], base[: hi - lo]
+            for row in draws:
+                np.copyto(j_b, row[lo:hi])
+                pull = optima.take(j_b)
+                np.add(base_b, j_b, out=flat_b)
+                pull -= held_b.take(flat_b)
+                pull *= step
+                theta_b += pull
+                held_b[flat_b] = theta_b  # one index per member, so no two writes collide
 
 
 # ---------------------------------------------------------------------------

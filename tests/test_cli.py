@@ -16,8 +16,15 @@ import asyncfed
 from asyncfed.cli import main, write_sweep_csv
 from asyncfed.config import load_config, validate_config
 from asyncfed.core import ConfigurationError
-from asyncfed.engine import MAX_ENSEMBLE_SEEDS, MAX_HELD_ANCHORS, MAX_K_STEPS, ScalarEnsembleConfig
+from asyncfed.engine import (
+    MAX_ENSEMBLE_SEEDS,
+    MAX_HELD_ANCHORS,
+    MAX_K_STEPS,
+    ScalarEnsembleConfig,
+    run_scalar_ensemble,
+)
 from asyncfed.objectives import SyntheticShardConfig, export_shards_csv, make_synthetic_shards
+from asyncfed.oracle import phi
 
 
 def base_config(**overrides):
@@ -541,6 +548,39 @@ class TestOracleCheck:
         assert main(["oracle-check", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "oracle_trajectory.csv").exists()
         assert calls == {"expectation_recursion": 1, "variance_recursion": 1}
+
+    def test_seed_replaces_the_ensemble_seed(self, tmp_path, capsys):
+        def oracle_json(name, seed, extra):
+            document = base_config(
+                scheme={"policy": "asynchronous", "weights": "identical"},
+                oracle_check={"checkpoints": [1, 5], "n_runs": 64, "seed": seed},
+            )
+            document["fleet"]["hardware"] = "exponential"
+            document["fleet"]["compute_times"] = [1.0, 1.0]
+            path = write_config(tmp_path, document, name=f"{name}.json")
+            out = tmp_path / name
+            assert main(["oracle-check", "--config", str(path), "--out", str(out)] + extra) == 0
+            return (out / "oracle_check.json").read_bytes()
+
+        outputs = {
+            "plain": oracle_json("plain", 0, []),
+            "seeded0": oracle_json("seeded0", 0, ["--seed", "0"]),
+            "seeded1": oracle_json("seeded1", 0, ["--seed", "1"]),
+            "seeded2": oracle_json("seeded2", 0, ["--seed", "2"]),
+            "config2": oracle_json("config2", 2, []),
+        }
+        assert outputs["seeded0"] == outputs["plain"]
+        assert outputs["seeded2"] == outputs["config2"]
+        mc_means = {
+            name: [row["mc_mean"] for row in json.loads(data)["checkpoints"]]
+            for name, data in outputs.items()
+        }
+        assert mc_means["seeded1"] != mc_means["seeded2"]
+        # without --seed the ensemble is the kernel's on oracle_check.seed
+        direct = run_scalar_ensemble(ScalarEnsembleConfig(
+            "async", (0.0, 2.0), phi(0.5, 1), theta0=5.0, checkpoints=(1, 5), n_runs=64, seed=0,
+        ))
+        assert mc_means["plain"] == direct.mean[1:].tolist()
 
     def test_heterogeneous_async_is_unsupported(self, tmp_path, capsys):
         document = base_config(scheme={"policy": "asynchronous", "weights": "identical"})

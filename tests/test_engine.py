@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -172,6 +173,24 @@ class TestEnsembles:
             assert abs(mean_theta[n, 0] - recursion[n]) <= 4 * max(se_theta[n, 0], 1e-12)
 
 
+_BLOCK = engine.ENSEMBLE_BLOCK_MEMBERS
+_CHUNK = engine.ASYNC_CHUNK_ROUNDS
+_BIT_IDENTITY_CASES = [
+    pytest.param(scheme, m, n, seed, (12, 0, 5, 5), id=f"{scheme}-{m}-{n}-{seed}")
+    for scheme in ("sync", "sync_uniform", "async", "hybrid")
+    for m in (1, 2, 10)
+    for n in (256, 257)
+    for seed in (0, 7, 2024)
+] + [
+    # blocks of members, a partial last block, and checkpoint gaps of 1,
+    # one chunk of rounds less one, one chunk and two chunks and a round;
+    # M = 300 draws its clients into uint16 instead of uint8
+    pytest.param("async", m, n, 11, (1, _CHUNK, 2 * _CHUNK, 4 * _CHUNK + 1), id=f"async-{m}-{n}-chunks")
+    for m in (2, 10, 300)
+    for n in (2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+]
+
+
 class TestScalarEnsemble:
     def test_sync_matches_the_general_engine_exactly(self):
         fleet = quadratic_fleet([[0.0], [2.0]])
@@ -200,25 +219,39 @@ class TestScalarEnsemble:
             se = math.hypot(se_theta[n, 0], fast.se_mean[i])
             assert abs(mean_theta[n, 0] - fast.mean[i]) <= 4 * se
 
-    @pytest.mark.parametrize("seed", [0, 7, 2024])
-    @pytest.mark.parametrize("n_runs", [256, 257])
-    @pytest.mark.parametrize("m_clients", [1, 2, 10])
-    @pytest.mark.parametrize("scheme", ["sync", "sync_uniform", "async", "hybrid"])
+    @pytest.mark.parametrize("scheme, m_clients, n_runs, seed, checkpoints", _BIT_IDENTITY_CASES)
     def test_checkpoint_statistics_are_bit_identical_to_the_per_round_kernel(
-        self, scheme, m_clients, n_runs, seed
+        self, scheme, m_clients, n_runs, seed, checkpoints
     ):
         optima = tuple(np.random.default_rng(m_clients).normal(0.0, 3.0, m_clients).tolist())
         cfg = ScalarEnsembleConfig(
-            scheme, optima, 0.5, eta_g=0.9, theta0=1.5, checkpoints=(12, 0, 5, 5),
+            scheme, optima, 0.5, eta_g=0.9, theta0=1.5, checkpoints=checkpoints,
             n_runs=n_runs, seed=seed, m=min(3, m_clients), window=0.7,
         )
         fast = run_scalar_ensemble(cfg)
-        assert fast.rounds.tolist() == [0, 5, 12]
-        want = _reference_scalar_ensemble(cfg, 12)
+        assert fast.rounds.tolist() == sorted({0, *checkpoints})
+        want = _reference_scalar_ensemble(cfg, max(checkpoints))
         for got, ref in zip(
             (fast.mean, fast.se_mean, fast.second_moment, fast.se_second_moment), want
         ):
             assert got.tobytes() == ref[fast.rounds].tobytes()
+
+    def test_async_kernel_peaks_at_the_held_buffer_and_five_member_vectors(self):
+        n_runs, m_clients = 100_000, 10
+        cfg = ScalarEnsembleConfig(
+            "async", tuple(np.linspace(-1.0, 1.0, m_clients).tolist()), 0.5,
+            checkpoints=(5, 20, 50), n_runs=n_runs,
+        )
+        run_scalar_ensemble(replace(cfg, n_runs=2))  # numpy's first-call allocations stay untraced
+        tracemalloc.start()
+        try:
+            run_scalar_ensemble(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        vector = 8 * n_runs
+        # 64 KiB covers the small objects: the result, its arrays of rounds, views
+        assert peak <= m_clients * vector + 5 * vector + (64 << 10)
 
     def test_checkpoints_must_include_a_round(self):
         with pytest.raises(ConfigurationError):
