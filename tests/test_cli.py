@@ -713,6 +713,15 @@ class TestShippedBounds:
             assert code == 0
             assert out == golden.read_text()
 
+    def test_logistic_fleet_on_integer_times_matches_its_golden(self, tmp_path, capsys):
+        # the shipped logistic fleet on times whose asynchronous cycle is
+        # short: pins the GLM residual, weighted optimum and smoothness
+        document = load_config(self.ROOT / "configs" / "async_logistic_heterogeneous.json")
+        document["fleet"]["compute_times"] = [1, 2, 3, 4, 5, 1, 2, 3, 4, 5]
+        assert main(["bounds", "--config", str(write_config(tmp_path, document))]) == 0
+        golden = self.ROOT / "tests" / "golden" / "bounds_logistic_integer_times.txt"
+        assert capsys.readouterr().out == golden.read_text()
+
 
 class TestShippedCommands:
     """``simulate`` and ``oracle-check`` on every shipped config, and
@@ -785,6 +794,28 @@ class TestGoldenRows:
         assert main(["oracle-check", "--config", str(path), "--out", str(out)]) == 0
         payload = json.loads((out / "oracle_check.json").read_text())
         assert payload["scheme"] == "sync" and payload["overall_pass"] is True
+        header = (out / "oracle_trajectory.csv").read_text().splitlines()[0]
+        assert header.startswith("n,t,participants,loss_fed")
+
+    def test_oracle_check_on_fedfix_with_exponential_hardware_is_the_hybrid_form(self, tmp_path, capsys):
+        document = base_config(
+            fleet={"compute_times": [1.0, 1.0], "hardware": "exponential",
+                   "objective": {"family": "quadratic", "optima": [0.0, 2.0]}},
+            scheme={"policy": "fedfix", "delta_t": 1.5, "weights": "identical"},
+            oracle_check={"checkpoints": [1, 5, 20], "n_runs": 2000, "seed": 0},
+        )
+        document["optimization"]["theta0"] = 0.0
+        out = tmp_path / "oc"
+        assert main(["oracle-check", "--config", str(write_config(tmp_path, document)), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "scheme = hybrid"
+        rows = lines[3:6]
+        assert [row.split()[0] for row in rows] == ["1", "5", "20"]
+        for row in rows:
+            # the window form idealizes the anchor: both verdicts are reference only
+            mean_verdict, m2_verdict = row.split()[4], row.split()[8]
+            assert mean_verdict in ("(pass)", "(FAIL)") and m2_verdict in ("(pass)", "(FAIL)")
+        assert lines[-1] == "overall_pass = true (vacuous: no exact closed form for this scheme)"
         header = (out / "oracle_trajectory.csv").read_text().splitlines()[0]
         assert header.startswith("n,t,participants,loss_fed")
 
