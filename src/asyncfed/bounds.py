@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import ConfigurationError, Fleet, UnsupportedConfigError, ordered_sum, weighted_optimum
-from .objectives import stack_objectives
+from .objectives import QuadraticObjective
 from .timing import HardwareModel, PolicyKind, WaitPolicy, staleness_bound
-from .weights import WeightScheme, plan_weights, window_stats
+from .weights import WeightScheme, plan_weights, window_counts
 
 
 @dataclass(frozen=True)
@@ -148,9 +150,7 @@ def scheme_presets(
         plan = plan_weights(
             WeightScheme.ASYNC_TIME_BASED, fleet.importances, fleet.compute_times, async_policy, hw
         )
-        window, _ = window_stats(
-            WeightScheme.ASYNC_TIME_BASED, fleet.importances, fleet.compute_times, async_policy
-        )
+        window, _ = window_counts(async_policy, fleet.compute_times)
         return SchemePreset(
             scheme,
             0.0,
@@ -164,7 +164,7 @@ def scheme_presets(
     plan = plan_weights(
         WeightScheme.FEDFIX_TIME_BASED, fleet.importances, fleet.compute_times, policy, hw
     )
-    window, _ = window_stats(WeightScheme.FEDFIX_TIME_BASED, fleet.importances, fleet.compute_times, policy)
+    window, _ = window_counts(policy, fleet.compute_times)
     return SchemePreset(
         scheme,
         1.0,
@@ -182,15 +182,14 @@ def residual_mean_gap(fleet: Fleet) -> float:
     federated optimum sits from each client's own optimum. Exact for
     quadratic objectives."""
     theta_star = weighted_optimum(fleet)
-    total = 0.0
-    for i in range(len(fleet)):
-        obj = fleet.objective(i)
-        if hasattr(obj, "optimum"):
-            local_opt = obj.optimum
-        else:
-            local_opt = weighted_optimum(Fleet(stack_objectives([obj]), [1], [1.0]))
-        total += obj.value(theta_star) - obj.value(local_opt)
-    return total / len(fleet)
+    gaps = np.empty(len(fleet))
+    for positions, table in fleet.tables:
+        quadratic = isinstance(table, QuadraticObjective)
+        for j, i in enumerate(positions.tolist()):
+            obj = table.row(j)
+            local_opt = obj.optima[0] if quadratic else weighted_optimum(Fleet([(np.arange(1), obj)], [1], [1.0]))
+            gaps[i] = obj.value(theta_star)[0] - obj.value(local_opt)[0]
+    return ordered_sum(gaps.tolist()) / len(fleet)
 
 
 def fill_inputs(preset: SchemePreset, base: BoundInputs) -> BoundInputs:

@@ -130,12 +130,12 @@ def _oracle_state_for(experiment: Experiment) -> tuple[OracleState, float, float
     """
     fleet = experiment.fleet
     cfg = experiment.run_config
-    objectives = [fleet.objective(i) for i in range(len(fleet))]
-    if fleet.dim != 1 or not all(isinstance(o, QuadraticObjective) for o in objectives):
+    tables = [table for _, table in fleet.tables]
+    if fleet.dim != 1 or not all(isinstance(t, QuadraticObjective) for t in tables):
         raise UnsupportedConfigError("closed forms cover scalar quadratic fleets only")
-    if any(abs(float(o.a[0]) - 0.5) > 1e-12 for o in objectives):
+    if any(np.any(np.abs(t.a - 0.5) > 1e-12) for t in tables):
         raise UnsupportedConfigError("closed forms assume curvature 1/2 (unit-contraction gradients)")
-    if any(o.noise_std > 0 for o in objectives) and not cfg.full_gradient:
+    if any(np.any(t.noise_std > 0) for t in tables) and not cfg.full_gradient:
         raise UnsupportedConfigError("closed forms assume noiseless local gradients")
     p = fleet.importances
     if np.max(np.abs(p - 1.0 / len(fleet))) > 1e-12:
@@ -193,8 +193,7 @@ def cmd_oracle_check(args) -> int:
     seed = check_cfg.get("seed", 0)
     horizon = max(checkpoints)
 
-    fleet = experiment.fleet
-    optima = tuple(float(fleet.objective(i).optimum[0]) for i in range(len(fleet)))
+    optima = tuple(experiment.fleet.gather("optima")[:, 0].tolist())
     ensemble = ScalarEnsembleConfig(
         state.scheme, optima, state.phi, eta_g=eta_g, theta0=theta0,
         checkpoints=tuple(checkpoints), n_runs=n_runs, seed=seed, m=state.m,
@@ -313,7 +312,7 @@ def cmd_bounds(args) -> int:
 
     smoothness = bcfg.get("smoothness")
     if smoothness is None:
-        smoothness = max(fleet.objective(i).smoothness for i in range(len(fleet)))
+        smoothness = float(fleet.gather("smoothness").max())
         note = "smoothness defaulted to the largest client curvature"
     else:
         note = None
@@ -512,7 +511,8 @@ def cmd_gen_shards(args) -> int:
         raise ConfigurationError("gen-shards needs a logistic or linear objective family")
     out_dir = Path(args.out)
     fleet = experiment.fleet
-    paths = export_shards_csv([fleet.objective(i) for i in range(len(fleet))], out_dir)
+    (_, shards), = fleet.tables  # a synthetic GLM fleet is one table
+    paths = export_shards_csv(shards, out_dir)
     manifest = {
         "families": family,
         "n_clients": len(fleet),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import ConfigurationError, Fleet, uniform_importances
 from .engine import MAX_ENSEMBLE_SEEDS, MAX_K_STEPS, RunConfig, Seeds
-from .objectives import QuadraticTable, SyntheticShardConfig, make_synthetic_shards, stack_objectives
+from .objectives import QuadraticObjective, SyntheticShardConfig, make_synthetic_shards
 from .timing import BIASED_CRITERIA, HardwareModel, PolicyKind, WaitPolicy, check_initial_clocks
 from .weights import WeightScheme, plan_weights
 
@@ -299,8 +299,7 @@ def build_fleet(document: dict) -> tuple[Fleet, HardwareModel]:
         optima = ocfg.get("optima")
         if optima is None or len(optima) != n:
             raise ConfigurationError("quadratic objective needs one optimum per client")
-        table = QuadraticTable.from_optima(optima, ocfg.get("curvature", 0.5), ocfg.get("noise_std", 0.0))
-        tables = [(np.arange(n), table)]
+        table = QuadraticObjective.from_optima(optima, ocfg.get("curvature", 0.5), ocfg.get("noise_std", 0.0))
     else:
         shard_cfg = SyntheticShardConfig(
             n_clients=n,
@@ -311,8 +310,8 @@ def build_fleet(document: dict) -> tuple[Fleet, HardwareModel]:
             link=family,
             batch_size=ocfg.get("batch_size", 8),
         )
-        tables = stack_objectives(make_synthetic_shards(shard_cfg))
-    return Fleet(tables, taus, importances, fcfg.get("distribution_ids")), hw
+        table = make_synthetic_shards(shard_cfg)
+    return Fleet([(np.arange(n), table)], taus, importances, fcfg.get("distribution_ids")), hw
 
 
 # the policies that read each optional policy key of ``scheme``

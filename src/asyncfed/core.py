@@ -39,12 +39,14 @@ class StalenessCapError(ConfigurationError):
 # ---------------------------------------------------------------------------
 
 class Fleet:
-    """A fixed set of clients: per-client arrays plus the stacked tables that
-    are the only stored form of their objectives.
+    """A fixed set of clients: per-client arrays plus the objective tables
+    whose rows are the clients' objectives.
 
-    ``tables`` is the (client positions, table) list of
-    :func:`~asyncfed.objectives.stack_objectives`; client i is row
-    ``row_of[i]`` of table ``table_of[i]``. ``compute_times`` are the mean
+    ``tables`` is a list of (client positions, table) pairs, each table a
+    :class:`~asyncfed.objectives.QuadraticObjective` or
+    :class:`~asyncfed.objectives.GlmObjective` whose row j belongs to the
+    client at ``positions[j]``; client i is row ``row_of[i]`` of table
+    ``table_of[i]``. ``compute_times`` are the mean
     local update times as given: literal under fixed hardware, exponential
     means under stochastic hardware. ``distribution_ids`` groups clients
     sharing a data distribution. The engine never relies on clients being
@@ -93,9 +95,14 @@ class Fleet:
     def __len__(self) -> int:
         return len(self.compute_times)
 
-    def objective(self, i: int):
-        """Client ``i``'s objective, holding views of its table row."""
-        return self.tables[self.table_of[i]][1].objective(self.row_of[i])
+    def gather(self, attribute: str) -> np.ndarray:
+        """A per-row table array, such as ``optima`` or ``smoothness``, with
+        one entry per client in client order."""
+        parts = [(positions, getattr(table, attribute)) for positions, table in self.tables]
+        out = np.empty((len(self),) + parts[0][1].shape[1:])
+        for positions, values in parts:
+            out[positions] = values
+        return out
 
     def losses(self, thetas) -> np.ndarray:
         """(rows, M) loss of every client at each row of the (rows, dim)
@@ -182,15 +189,16 @@ def convergence_residual(
         return ResidualEstimate(total, 0.0, n_draws)
 
     rng = rng or np.random.default_rng(0)
+    full = fleet.gradients(theta)
     total = 0.0
     var_total = 0.0
     for i, qi in enumerate(q):
         if qi == 0.0:
             continue
-        obj = fleet.objective(i)
+        table, row = fleet.tables[fleet.table_of[i]][1], fleet.row_of[i]
         samples = np.empty(n_draws)
         for s in range(n_draws):
-            g = _draw_gradient(obj, theta, batch_size, rng)
+            g = _draw_gradient(table, row, full[i], theta, batch_size, rng)
             samples[s] = float(np.dot(g, g))
         total += qi * samples.mean()
         if n_draws > 1:
@@ -198,13 +206,19 @@ def convergence_residual(
     return ResidualEstimate(total, math.sqrt(var_total), n_draws)
 
 
-def _draw_gradient(obj, theta, batch_size, rng):
-    if batch_size is not None and hasattr(obj, "n_samples"):
-        idx = rng.choice(obj.n_samples, size=min(batch_size, obj.n_samples), replace=False)
-        return obj.batch_gradient(theta, idx)
-    if getattr(obj, "noise_std", 0.0) > 0.0:
-        return obj.noisy_gradient(theta, rng)
-    return obj.gradient(theta)
+def _draw_gradient(table, row, full, theta, batch_size, rng):
+    """One stochastic gradient of ``row`` of ``table`` at ``theta``, whose
+    full gradient is ``full``: a minibatch gradient of a GLM shard, or the
+    full gradient plus a noisy quadratic's Gaussian noise."""
+    from .objectives import GlmObjective, _glm_gradient  # objectives imports this module
+
+    if isinstance(table, GlmObjective):
+        if batch_size is None:
+            return full
+        idx = rng.choice(table.n_samples, size=min(batch_size, table.n_samples), replace=False)
+        return _glm_gradient(table.features[row, idx], table.targets[row, idx], theta, table.link)
+    noise_std = table.noise_std[row]
+    return full + noise_std * rng.standard_normal(full.shape[0]) if noise_std > 0.0 else full
 
 
 @dataclass(frozen=True)
@@ -250,18 +264,18 @@ def weighted_optimum(
     full-gradient descent with step 1/L runs until the gradient norm drops
     below ``grad_tol``.
     """
-    from .objectives import QuadraticTable  # objectives imports this module
+    from .objectives import QuadraticObjective  # objectives imports this module
 
     w = fleet.importances if weights is None else _as_weights(weights, len(fleet))
     (_, table), *others = fleet.tables
-    if not others and isinstance(table, QuadraticTable):
+    if not others and isinstance(table, QuadraticObjective):
         a_sum = sum_in_order(w[:, None] * table.a)
         b_sum = sum_in_order(w[:, None] * table.b)
         if np.any(a_sum <= 0):
             raise ConfigurationError("weighted quadratic has a flat direction; no finite optimum")
         return -b_sum / (2.0 * a_sum)
 
-    smoothness = math.fsum(wi * fleet.objective(i).smoothness for i, wi in enumerate(w))
+    smoothness = math.fsum((w * fleet.gather("smoothness")).tolist())
     step = 1.0 / smoothness
     active = w != 0.0
     w_active = w[active, None]

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ConfigurationError, Fleet, StalenessCapError, sum_in_order, weighted_optimum
-from .objectives import BatchStream, GlmTable, local_sgd
+from .objectives import BatchStream, GlmObjective, local_sgd
 from .textfmt import BLOCK_CELLS, format_rows
 from .timing import HardwareModel, PolicyKind, Round, WaitPolicy, advance_round, init_fleet_state
 from .weights import WeightPlan
@@ -342,8 +342,8 @@ def _client_randomness(config: RunConfig, member_seeds) -> list:
     keys = [[s.batching] if isinstance(s.batching, (int, np.integer)) else list(s.batching)
             for s in member_seeds]
     for positions, table in config.fleet.tables:
-        if isinstance(table, GlmTable):
-            batch, n_samples = config.batch_size or table.batch_size, table.targets.shape[1]
+        if isinstance(table, GlmObjective):
+            batch, n_samples = config.batch_size or table.batch_size, table.n_samples
             for i in positions.tolist():
                 sources[i] = [BatchStream(n_samples, batch, np.random.default_rng(key + [i])) for key in keys]
         else:
@@ -389,7 +389,7 @@ class _LocalWork:
         for _, table in fleet.tables:
             # a job's R runs hold K + 1 iterates and, on a GLM table, at most
             # n gathered samples per step
-            samples = table.targets.shape[1] if isinstance(table, GlmTable) else 0
+            samples = table.n_samples if isinstance(table, GlmObjective) else 0
             per_job = n_members * fleet.dim * (config.k_steps + 1 + config.k_steps * samples)
             self.chunks.append(max(1, _LOCAL_FLOATS // per_job))
 

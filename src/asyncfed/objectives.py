@@ -15,193 +15,91 @@ from .core import ConfigurationError
 _CHUNK_FLOATS = 1 << 16  # bound on the temporary of one batched GLM evaluation
 
 
-class QuadraticObjective:
-    """Diagonal quadratic a . theta^2 + b . theta + c.
+class _Table:
+    """Client objectives of one family stacked as rows of (G, ...) arrays;
+    a single client is a one-row table."""
 
-    The coefficient vector ``a`` must be nonnegative. With a = 1/2 the
-    gradient is theta - theta_star, the convention used throughout the
-    closed-form checks. ``noise_std`` > 0 turns gradient evaluations into
+    def row(self, i: int):
+        """Row ``i`` as a one-row table holding views of the table's arrays;
+        the constructor's checks are not repeated."""
+        obj = object.__new__(type(self))
+        for name, value in vars(self).items():
+            setattr(obj, name, value[i:i + 1] if isinstance(value, np.ndarray) else value)
+        return obj
+
+    def value(self, theta) -> np.ndarray:
+        """(G,) loss of every row at one ``theta``."""
+        return self.values(np.atleast_1d(np.asarray(theta, dtype=float))[None])[0]
+
+
+class QuadraticObjective(_Table):
+    """G diagonal quadratics of one dimension, row g the loss
+    a_g . theta^2 + b_g . theta + c_g: ``a`` and ``b`` are (G, dim), ``c``
+    and ``noise_std`` are (G,) or one number for every row.
+
+    Curvatures must be nonnegative. With a = 1/2 the gradient is
+    theta - theta_star, the convention used throughout the closed-form
+    checks. A row's ``noise_std`` > 0 turns its local gradients into
     unbiased stochastic estimates with additive Gaussian noise.
     """
 
-    def __init__(self, a, b, c: float = 0.0, noise_std: float = 0.0):
-        self.a = np.atleast_1d(np.asarray(a, dtype=float))
-        self.b = np.atleast_1d(np.asarray(b, dtype=float))
-        if self.a.shape != self.b.shape:
-            raise ConfigurationError("quadratic coefficients a and b disagree on dimension")
-        if np.any(self.a < 0):
+    def __init__(self, a, b, c=0.0, noise_std=0.0):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if a.ndim != 2 or a.shape != b.shape:
+            raise ConfigurationError("quadratic coefficients a and b must be (rows, dim) arrays of one shape")
+        if np.any(a < 0):
             raise ConfigurationError("quadratic curvature must be nonnegative")
-        if noise_std < 0:
+        c, noise_std = (np.broadcast_to(np.asarray(v, dtype=float), a.shape[:1]) for v in (c, noise_std))
+        if np.any(noise_std < 0):
             raise ConfigurationError("noise_std must be nonnegative")
-        self.c = float(c)
-        self.noise_std = float(noise_std)
-
-    @classmethod
-    def from_optimum(cls, optimum, curvature: float = 0.5, noise_std: float = 0.0):
-        """Quadratic with minimum value 0 at ``optimum``: a . (theta - opt)^2,
-        with a = ``curvature`` in every coordinate; row 0 of the one-client
-        :meth:`QuadraticTable.from_optima`."""
-        opt = np.atleast_1d(np.asarray(optimum, dtype=float)).tolist()
-        return QuadraticTable.from_optima([opt], curvature, noise_std).objective(0)
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def optimum(self) -> np.ndarray:
-        if np.any(self.a == 0):
-            raise ConfigurationError("flat quadratic has no finite optimum")
-        return -self.b / (2.0 * self.a)
-
-    @property
-    def smoothness(self) -> float:
-        return 2.0 * float(self.a.max())
-
-    def value(self, theta) -> float:
-        return float(self.values(np.atleast_1d(np.asarray(theta, dtype=float))[None])[0])
-
-    def values(self, thetas) -> np.ndarray:
-        """Loss at each row of the (rows, dim) array ``thetas``; a column of
-        :meth:`QuadraticTable.values` has these bits."""
-        thetas = np.asarray(thetas, dtype=float)
-        return (thetas * thetas) @ self.a + thetas @ self.b + self.c
-
-    def gradient(self, theta) -> np.ndarray:
-        return 2.0 * self.a * np.asarray(theta, dtype=float) + self.b
-
-    def noisy_gradient(self, theta, rng: np.random.Generator) -> np.ndarray:
-        return self.gradient(theta) + self.noise_std * rng.standard_normal(self.dim)
-
-
-class GlmObjective:
-    """Linear or logistic regression loss over a fixed data shard."""
-
-    def __init__(self, features, targets, link: str = "logistic", batch_size: int = 8):
-        self.features = np.ascontiguousarray(features, dtype=float)
-        self.targets = np.asarray(targets, dtype=float).reshape(-1)
-        if link not in ("linear", "logistic"):
-            raise ConfigurationError(f"unknown link {link!r}")
-        if self.features.ndim != 2 or self.features.shape[0] != self.targets.shape[0]:
-            raise ConfigurationError("features and targets disagree on sample count")
-        if not 1 <= batch_size <= self.features.shape[0]:
-            raise ConfigurationError("batch size must lie in [1, n_samples]")
-        self.link = link
-        self.batch_size = int(batch_size)
-
-    @property
-    def n_samples(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def smoothness(self) -> float:
-        # largest eigenvalue of X^T X / n, scaled by the link curvature bound
-        gram_top = float(np.linalg.eigvalsh(self.features.T @ self.features).max())
-        factor = 1.0 if self.link == "linear" else 0.25
-        return factor * gram_top / self.n_samples
-
-    def value(self, theta) -> float:
-        return float(self.values(np.asarray(theta, dtype=float)[None])[0])
-
-    def values(self, thetas) -> np.ndarray:
-        """Loss at each row of the (rows, dim) array ``thetas``."""
-        return GlmTable(self.features[None], self.targets[None], self.link, self.batch_size).values(thetas)[:, 0]
-
-    def gradient(self, theta) -> np.ndarray:
-        return _glm_gradient(self.features, self.targets, theta, self.link)
-
-    def batch_gradient(self, theta, batch_indices) -> np.ndarray:
-        idx = np.asarray(batch_indices, dtype=int)
-        _check_batch_indices(idx, self.n_samples)
-        return _glm_gradient(self.features[idx], self.targets[idx], theta, self.link)
-
-
-def _check_batch_indices(idx: np.ndarray, n_samples: int) -> None:
-    if idx.size == 0 or idx.min() < 0 or idx.max() >= n_samples:
-        raise ConfigurationError("batch indices out of range")
-
-
-def _glm_gradient(x, y, theta, link: str) -> np.ndarray:
-    """Mean gradient over the samples of ``x`` (n, dim) with targets ``y``
-    (n,), or one such gradient per shard of a stack (G, n, dim) and (G, n),
-    at one ``theta`` (dim,) or at a (G, dim) row per shard; a stacked shard
-    gets the bits of its own call (the same BLAS matrix-vector and
-    vector-matrix products)."""
-    theta = np.asarray(theta, dtype=float)
-    z = x @ theta if theta.ndim == 1 else (x @ theta[:, :, None])[:, :, 0]
-    err = (z if link == "linear" else _sigmoid(z)) - y
-    if x.ndim == 2:
-        return err @ x / x.shape[0]
-    return (err[:, None, :] @ x)[:, 0, :] / x.shape[1]
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, with e = e^-|z|,
-    # so neither branch overflows: the numerator e^min(z, 0) is 1 for
-    # z >= 0 and e below; min(z, -z) is -|z| but, unlike -abs(z), keeps the
-    # sign bit of a NaN
-    e = np.exp(np.minimum(z, -z))
-    return np.exp(np.minimum(z, 0.0)) / (1.0 + e)
-
-
-class QuadraticTable:
-    """G quadratics of one dimension stacked: ``a`` and ``b`` are (G, dim),
-    ``c`` and ``noise_std`` are (G,)."""
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, noise_std: np.ndarray):
         self.a, self.b, self.c, self.noise_std = a, b, c, noise_std
-        self.two_a = 2.0 * a  # the gradient's coefficient, as gradient() computes it
+        self.two_a = 2.0 * a  # the gradient's coefficient
 
     @classmethod
-    def from_optima(cls, optima, curvature: float = 0.5, noise_std: float = 0.0) -> QuadraticTable:
-        """One :meth:`QuadraticObjective.from_optimum` quadratic per entry of
-        ``optima``, given as numbers or lists, as one table: the
-        coefficients are computed once as (clients, dim) arrays and checked
-        once."""
-        curvature, noise_std = float(curvature), float(noise_std)
-        if curvature < 0:
-            raise ConfigurationError("quadratic curvature must be nonnegative")
-        if noise_std < 0:
-            raise ConfigurationError("noise_std must be nonnegative")
+    def from_optima(cls, optima, curvature: float = 0.5, noise_std: float = 0.0) -> QuadraticObjective:
+        """One quadratic a . (theta - opt)^2, minimum 0 and a = ``curvature``
+        in every coordinate, per entry of ``optima``, given as numbers or
+        lists: the coefficients are computed once as (clients, dim) arrays."""
         rows = [opt if isinstance(opt, (list, tuple)) else (opt,) for opt in optima]
         dims = set(map(len, rows))
         if len(dims) != 1:
             raise ConfigurationError(f"clients disagree on parameter dimension: {dims}")
         (dim,) = dims
         opt = np.array(rows, dtype=float).reshape(len(rows), dim)
-        a = np.full_like(opt, curvature)
+        a = np.full_like(opt, float(curvature))
         b = -2.0 * a * opt
         square = opt * opt
         # c = np.dot(a, opt * opt) per row: one product for dim 1, else the
         # BLAS dot product a stacked 1 x dim @ dim x 1 takes
         c = a[:, 0] * square[:, 0] if dim == 1 else (a[:, None, :] @ square[:, :, None])[:, 0, 0]
-        return cls(a, b, c, np.full(len(rows), noise_std))
+        return cls(a, b, c, float(noise_std))
 
     def __len__(self) -> int:
-        return self.c.shape[0]
+        return self.a.shape[0]
 
     @property
     def dim(self) -> int:
         return self.a.shape[1]
 
-    def objective(self, row: int) -> QuadraticObjective:
-        """The quadratic of ``row``, holding views of its coefficients; the
-        table's coefficients are not checked again."""
-        obj = QuadraticObjective.__new__(QuadraticObjective)
-        obj.a, obj.b, obj.c, obj.noise_std = self.a[row], self.b[row], float(self.c[row]), float(self.noise_std[row])
-        return obj
+    @property
+    def optima(self) -> np.ndarray:
+        """(G, dim) minimizer of every row."""
+        if np.any(self.a == 0):
+            raise ConfigurationError("flat quadratic has no finite optimum")
+        return -self.b / (2.0 * self.a)
+
+    @property
+    def smoothness(self) -> np.ndarray:
+        """(G,) gradient Lipschitz constant of every row."""
+        return 2.0 * self.a.max(axis=1)
 
     def values(self, thetas) -> np.ndarray:
         """(rows, G) loss of every quadratic at each row of ``thetas``.
 
-        Each quadratic's column is a batched matrix-vector product, the BLAS
-        call of :meth:`QuadraticObjective.values`, so a loss has the same
-        bits alone and in any table; one (rows, dim) x (dim, G) product
-        would sum the coordinates in another order for dim > 1.
+        Each quadratic's column is a batched matrix-vector product, so a
+        loss has the same bits in its one-row table and in any other; one
+        (rows, dim) x (dim, G) product would sum the coordinates in another
+        order for dim > 1.
         """
         thetas = np.asarray(thetas, dtype=float)
         out = (thetas * thetas) @ self.a[:, :, None]
@@ -214,13 +112,20 @@ class QuadraticTable:
         return self.two_a * np.asarray(theta, dtype=float) + self.b
 
 
-class GlmTable:
-    """G GLM shards of one sample count, link and batch size stacked:
-    ``features`` is (G, n, dim), ``targets`` (G, n). A single shard is the
-    table of its own data."""
+class GlmObjective(_Table):
+    """G linear or logistic regression losses over fixed data shards of one
+    sample count, link and batch size: ``features`` is (G, n, dim),
+    ``targets`` (G, n)."""
 
-    def __init__(self, features: np.ndarray, targets: np.ndarray, link: str, batch_size: int):
-        self.features, self.targets, self.link, self.batch_size = features, targets, link, batch_size
+    def __init__(self, features, targets, link: str = "logistic", batch_size: int = 8):
+        features, targets = np.asarray(features, dtype=float), np.asarray(targets, dtype=float)
+        if link not in ("linear", "logistic"):
+            raise ConfigurationError(f"unknown link {link!r}")
+        if features.ndim != 3 or targets.shape != features.shape[:2]:
+            raise ConfigurationError("features and targets disagree on sample count")
+        if not 1 <= batch_size <= features.shape[1]:
+            raise ConfigurationError("batch size must lie in [1, n_samples]")
+        self.features, self.targets, self.link, self.batch_size = features, targets, link, int(batch_size)
         # logistic: the margin sign that turns z into -y*z for y in {-1, +1}
         self._sign = np.where(targets > 0.5, -1.0, 1.0)
 
@@ -228,12 +133,20 @@ class GlmTable:
         return self.targets.shape[0]
 
     @property
+    def n_samples(self) -> int:
+        return self.features.shape[1]
+
+    @property
     def dim(self) -> int:
         return self.features.shape[2]
 
-    def objective(self, row: int) -> GlmObjective:
-        """The shard of ``row``, holding views of its data."""
-        return GlmObjective(self.features[row], self.targets[row], self.link, self.batch_size)
+    @property
+    def smoothness(self) -> np.ndarray:
+        """(G,) gradient Lipschitz bound of every shard: the largest
+        eigenvalue of X^T X / n, scaled by the link's curvature bound."""
+        gram_top = np.linalg.eigvalsh(self.features.transpose(0, 2, 1) @ self.features).max(axis=1)
+        factor = 1.0 if self.link == "linear" else 0.25
+        return factor * gram_top / self.n_samples
 
     def values(self, thetas) -> np.ndarray:
         """(rows, G) mean loss of every shard at each row of ``thetas``.
@@ -268,32 +181,27 @@ class GlmTable:
         return _glm_gradient(self.features, self.targets, theta, self.link)
 
 
-def stack_objectives(objectives) -> list[tuple[np.ndarray, QuadraticTable | GlmTable]]:
-    """Group per-client objectives, in client order, into stacked tables:
-    every quadratic in one table, GLM shards in one table per (sample
-    count, link, batch size), so the minibatches of one table's local work
-    stack. Returns (client positions, table) pairs; row j of a table
-    belongs to the client at position ``positions[j]``."""
-    groups = {}
-    for i, obj in enumerate(objectives):
-        if isinstance(obj, QuadraticObjective):
-            key = ("quadratic",)
-        elif isinstance(obj, GlmObjective):
-            key = ("glm", obj.n_samples, obj.link, obj.batch_size)
-        else:
-            raise ConfigurationError(f"client {i}: unsupported objective type {type(obj).__name__}")
-        groups.setdefault(key, []).append(i)
-    tables = []
-    for key, positions in groups.items():
-        members = [objectives[i] for i in positions]
-        if key[0] == "quadratic":
-            table = QuadraticTable(np.array([o.a for o in members]), np.array([o.b for o in members]),
-                                   np.array([o.c for o in members]), np.array([o.noise_std for o in members]))
-        else:
-            table = GlmTable(np.array([o.features for o in members]), np.array([o.targets for o in members]),
-                             key[2], key[3])
-        tables.append((np.array(positions), table))
-    return tables
+def _glm_gradient(x, y, theta, link: str) -> np.ndarray:
+    """Mean gradient over the samples of ``x`` (n, dim) with targets ``y``
+    (n,), or one such gradient per shard of a stack (G, n, dim) and (G, n),
+    at one ``theta`` (dim,) or at a (G, dim) row per shard; a stacked shard
+    gets the bits of its own call (the same BLAS matrix-vector and
+    vector-matrix products)."""
+    theta = np.asarray(theta, dtype=float)
+    z = x @ theta if theta.ndim == 1 else (x @ theta[:, :, None])[:, :, 0]
+    err = (z if link == "linear" else _sigmoid(z)) - y
+    if x.ndim == 2:
+        return err @ x / x.shape[0]
+    return (err[:, None, :] @ x)[:, 0, :] / x.shape[1]
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, with e = e^-|z|,
+    # so neither branch overflows: the numerator e^min(z, 0) is 1 for
+    # z >= 0 and e below; min(z, -z) is -|z| but, unlike -abs(z), keeps the
+    # sign bit of a NaN
+    e = np.exp(np.minimum(z, -z))
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + e)
 
 
 class BatchStream:
@@ -357,8 +265,8 @@ def local_sgd(table, rows, starts, k_steps: int, eta_l: float, sources=None) -> 
     """Run ``k_steps`` of (stochastic) gradient descent for P jobs at once.
 
     Job p trains R members from ``starts[p]`` ((P, R, dim) in all) on row
-    ``rows[p]`` of ``table``, a :class:`QuadraticTable` or :class:`GlmTable`;
-    a lone objective is the one-row table ``stack_objectives([obj])``.
+    ``rows[p]`` of ``table``, a :class:`QuadraticObjective` or
+    :class:`GlmObjective` (a lone client is its one-row table).
     ``sources[p]`` is the job's randomness, one entry per member: batch
     streams on a GLM table, noise generators on a quadratic one. A job
     without sources (``sources`` None, or its entry None) takes exact full
@@ -390,7 +298,7 @@ def local_sgd(table, rows, starts, k_steps: int, eta_l: float, sources=None) -> 
     given = [] if sources is None else list(sources)
     run_rows = rows if n_members == 1 else np.repeat(rows, n_members)  # the table row of each run
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(table, QuadraticTable):
+        if isinstance(table, QuadraticObjective):
             # one coordinate per (job, member, dim) entry, so every
             # operation is on equal-shape contiguous vectors
             two_a, b = table.two_a[run_rows].reshape(-1), table.b[run_rows].reshape(-1)
@@ -416,8 +324,9 @@ def local_sgd(table, rows, starts, k_steps: int, eta_l: float, sources=None) -> 
             if batched:
                 # step-major (K, P*R, B) indices, so each step's samples are one contiguous block
                 idx = np.stack([stream.take(k_steps) for src in given for stream in src], axis=1)
-                n_samples = table.targets.shape[1]
-                _check_batch_indices(idx, n_samples)
+                n_samples = table.n_samples
+                if idx.size == 0 or idx.min() < 0 or idx.max() >= n_samples:
+                    raise ConfigurationError("batch indices out of range")
                 idx += run_rows[:, None] * n_samples  # flat sample index into the table
                 x = table.features.reshape(-1, table.features.shape[2]).take(idx, axis=0)
                 y = table.targets.reshape(-1).take(idx)
@@ -466,8 +375,9 @@ class SyntheticShardConfig:
             raise ConfigurationError("invalid shard geometry")
 
 
-def make_synthetic_shards(cfg: SyntheticShardConfig) -> list[GlmObjective]:
-    """Generate one GLM shard per client, deterministic in ``cfg.seed``.
+def make_synthetic_shards(cfg: SyntheticShardConfig) -> GlmObjective:
+    """Generate one GLM shard per client, row i of one table for client i,
+    deterministic in ``cfg.seed``.
 
     Heterogeneity enters twice, both sharpening as ``concentration``
     shrinks: the class balance of each shard (symmetric Beta draw) and the
@@ -475,42 +385,41 @@ def make_synthetic_shards(cfg: SyntheticShardConfig) -> list[GlmObjective]:
     near one-hot for small concentration, near uniform for large).
     """
     rng = np.random.default_rng(cfg.seed)
-    batch = min(cfg.batch_size, cfg.samples_per_client)
-    shards = []
-    for _ in range(cfg.n_clients):
+    n = cfg.samples_per_client
+    features = np.empty((cfg.n_clients, n, cfg.dim))
+    targets = np.empty((cfg.n_clients, n))
+    for i in range(cfg.n_clients):
         share = rng.beta(cfg.concentration, cfg.concentration)
         share = 0.1 + 0.8 * share  # both classes stay represented
         direction = rng.dirichlet(np.full(cfg.dim, cfg.concentration))
         direction = direction / np.linalg.norm(direction) * math.sqrt(2.0)
-        labels = (rng.random(cfg.samples_per_client) < share).astype(float)
+        labels = (rng.random(n) < share).astype(float)
         centers = np.where(labels[:, None] > 0.5, direction, -direction)
-        features = centers + rng.standard_normal((cfg.samples_per_client, cfg.dim))
-        flip = rng.random(cfg.samples_per_client) < cfg.label_noise
-        labels = np.where(flip, 1.0 - labels, labels)
+        features[i] = centers + rng.standard_normal((n, cfg.dim))
+        flip = rng.random(n) < cfg.label_noise
         if cfg.link == "linear":
-            targets = features @ direction + 0.1 * rng.standard_normal(cfg.samples_per_client)
-            shards.append(GlmObjective(features, targets, "linear", batch))
+            targets[i] = features[i] @ direction + 0.1 * rng.standard_normal(n)
         else:
-            shards.append(GlmObjective(features, labels, "logistic", batch))
-    return shards
+            targets[i] = np.where(flip, 1.0 - labels, labels)
+    return GlmObjective(features, targets, cfg.link, min(cfg.batch_size, n))
 
 
-def export_shards_csv(shards: list[GlmObjective], directory) -> list[Path]:
-    """Write one CSV per shard: feature columns then the target column. Each
-    file is replaced only once it is complete (see
+def export_shards_csv(shards: GlmObjective, directory) -> list[Path]:
+    """Write one CSV per row of ``shards``: feature columns then the target
+    column. Each file is replaced only once it is complete (see
     :func:`~asyncfed.engine.atomic_open`)."""
     from .engine import atomic_open  # the engine imports this module
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
-    for i, shard in enumerate(shards):
+    header = [f"x{j}" for j in range(shards.dim)] + ["y"]
+    for i, (features, targets) in enumerate(zip(shards.features, shards.targets)):
         path = directory / f"shard_{i:03d}.csv"
-        header = [f"x{j}" for j in range(shard.dim)] + ["y"]
         with atomic_open(path) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for row, target in zip(shard.features, shard.targets):
+            for row, target in zip(features, targets):
                 writer.writerow([f"{v:.17g}" for v in row] + [f"{target:.17g}"])
         paths.append(path)
     return paths

@@ -208,6 +208,13 @@ def exact_ratio(value) -> tuple[int, int]:
     return value.as_integer_ratio()
 
 
+def fedfix_period(tau, delta_t) -> int:
+    """ceil(tau / delta_t) in integers: the rounds between a client's
+    deliveries under fixed-interval aggregation."""
+    (tau_num, tau_den), (dt_num, dt_den) = exact_ratio(tau), exact_ratio(delta_t)
+    return -(-tau_num * dt_den // (tau_den * dt_num))
+
+
 def _tick_arrays(*groups, scale: int):
     """Exact times as integer ticks on ``scale``, one array per group, all
     ``int64`` when every tick fits and Python ints otherwise."""
@@ -413,7 +420,8 @@ def staleness_bound(policy: WaitPolicy, hw: HardwareModel, taus) -> int:
     """Maximum rounds a delivered contribution can lag behind its anchor.
 
     Synchronous participation and per-round sampling never lag. Fixed-window
-    aggregation uses the ceiling bound ceil(tau_max / delta_t). The purely
+    aggregation lags at most the longest client period, max_i
+    ceil(tau_i / delta_t) (see :func:`fedfix_period`). The purely
     asynchronous bound is read off the event order of one schedule cycle;
     the buffered policy has no closed form and is measured over one steady
     period of its replayed schedule. Either raises UnsupportedConfigError
@@ -428,8 +436,7 @@ def staleness_bound(policy: WaitPolicy, hw: HardwareModel, taus) -> int:
     if kind is PolicyKind.SYNCHRONOUS or policy.is_sampling:
         return 0
     if kind is PolicyKind.FEDFIX:
-        ratio = Fraction(_exact(max(taus))) / Fraction(_exact(policy.delta_t))
-        return int(math.ceil(ratio))
+        return max(fedfix_period(t, policy.delta_t) for t in taus)
     if kind is PolicyKind.ASYNCHRONOUS:
         return _async_staleness(taus)
     if kind is PolicyKind.FEDBUFF:

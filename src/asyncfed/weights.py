@@ -21,6 +21,7 @@ from .timing import (
     WaitPolicy,
     exact_ratio,
     fastest_first,
+    fedfix_period,
     participations_per_cycle,
     replay_steady_period,
 )
@@ -48,11 +49,6 @@ def _require_fixed(hw: HardwareModel | None, scheme: WeightScheme):
         raise UnsupportedConfigError(
             f"{scheme.value} weights need deterministic compute times"
         )
-
-
-def _ceil_ratio(tau, delta_t) -> int:
-    (tau_num, tau_den), (dt_num, dt_den) = exact_ratio(tau), exact_ratio(delta_t)
-    return -(-tau_num * dt_den // (tau_den * dt_num))
 
 
 def _over_common_den(values) -> tuple[list[int], int]:
@@ -108,7 +104,7 @@ def window_stats(
     """
     p = _over_common_den(map(float, importances))
     d = _exact_weights(scheme, p, compute_times, policy, None, custom_d)
-    window, counts = _window_counts(policy, compute_times)
+    window, counts = window_counts(policy, compute_times)
     if counts is None:
         q_window = _sampled_q(policy, compute_times, d, p)
     else:
@@ -144,7 +140,7 @@ def _exact_weights(scheme, p, compute_times, policy, hw, custom_d) -> tuple[list
         _require_fixed(hw, scheme)
         if policy is None or policy.kind is not PolicyKind.FEDFIX:
             raise ConfigurationError("fedfix time-based weights need a fedfix policy")
-        return [_ceil_ratio(t, policy.delta_t) * pn for t, pn in zip(compute_times, p[0])], p[1]
+        return [fedfix_period(t, policy.delta_t) * pn for t, pn in zip(compute_times, p[0])], p[1]
     if scheme is WeightScheme.CUSTOM:
         if custom_d is None or len(custom_d) != n:
             raise ConfigurationError("custom scheme needs one weight per client")
@@ -152,7 +148,7 @@ def _exact_weights(scheme, p, compute_times, policy, hw, custom_d) -> tuple[list
     raise ConfigurationError(f"unknown weight scheme {scheme}")  # pragma: no cover
 
 
-def _window_counts(policy: WaitPolicy | None, taus) -> tuple[int, list[int] | None]:
+def window_counts(policy: WaitPolicy | None, taus) -> tuple[int, list[int] | None]:
     """Window size and each client's deliveries per window, from one
     analysis of the schedule. The counts are None for sampling policies,
     whose participation is random."""
@@ -164,7 +160,7 @@ def _window_counts(policy: WaitPolicy | None, taus) -> tuple[int, list[int] | No
         counts = participations_per_cycle(taus)
         return sum(counts), counts
     if policy.kind is PolicyKind.FEDFIX:
-        periods = [_ceil_ratio(t, policy.delta_t) for t in taus]
+        periods = [fedfix_period(t, policy.delta_t) for t in taus]
         window = math.lcm(*periods)
         return window, [window // p for p in periods]
     if policy.kind is PolicyKind.FEDBUFF:

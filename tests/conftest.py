@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from asyncfed.core import Fleet, uniform_importances
-from asyncfed.objectives import QuadraticObjective, stack_objectives
+from asyncfed.objectives import QuadraticObjective
 from asyncfed.timing import HardwareModel, advance_round, init_fleet_state
 
 # CI (GitHub Actions sets CI) prints the @reproduce_failure line of any
@@ -19,9 +19,14 @@ def quadratic_fleet(optima, taus=None, importances=None, curvature=0.5, noise_st
                     distribution_ids=None):
     """Fleet of scalar (or vector) quadratics with squared-distance losses."""
     n = len(optima)
-    objectives = [QuadraticObjective.from_optimum(opt, curvature, noise_std=noise_std) for opt in optima]
-    return Fleet(stack_objectives(objectives), taus or [1] * n, importances or uniform_importances(n),
-                 distribution_ids)
+    table = QuadraticObjective.from_optima([np.atleast_1d(np.asarray(opt, dtype=float)).tolist() for opt in optima],
+                                           curvature, noise_std)
+    return Fleet([(np.arange(n), table)], taus or [1] * n, importances or uniform_importances(n), distribution_ids)
+
+
+def client_row(fleet, i):
+    """Client ``i``'s objective: the one-row table of its row."""
+    return fleet.tables[fleet.table_of[i]][1].row(fleet.row_of[i])
 
 
 def fixed_schedule(taus, policy, n_rounds, initial_clocks=None):

@@ -22,7 +22,6 @@ from asyncfed.engine import (
 )
 from asyncfed.cli import sweep_rows
 from asyncfed.objectives import GlmObjective, QuadraticObjective, SyntheticShardConfig, make_synthetic_shards
-from asyncfed.objectives import stack_objectives
 from asyncfed.oracle import OracleState, expectation_recursion, expected_round_time, phi, staleness_law, variance_recursion
 from asyncfed.timing import PolicyKind, WaitPolicy
 from asyncfed.weights import WeightScheme, plan_weights, verify_window_assumption, window_stats
@@ -250,7 +249,7 @@ class TestCriterion8HeterogeneousLogisticTrend:
             SyntheticShardConfig(n_clients=m_clients, dim=5, samples_per_client=64,
                                  concentration=0.1, seed=1, batch_size=8)
         )
-        fleet = Fleet(stack_objectives(shards), taus, [1 / m_clients] * m_clients)
+        fleet = Fleet([(np.arange(m_clients), shards)], taus, [1 / m_clients] * m_clients)
         policy = WaitPolicy(PolicyKind.ASYNCHRONOUS)
 
         def final_losses(scheme):
@@ -355,20 +354,20 @@ class TestCriterion11GradientCorrectness:
             for j in range(theta.shape[0]):
                 e = np.zeros_like(theta)
                 e[j] = h
-                grad[j] = (obj.value(theta + e) - obj.value(theta - e)) / (2 * h)
+                grad[j] = (obj.value(theta + e)[0] - obj.value(theta - e)[0]) / (2 * h)
             return grad
 
         worst = 0.0
         for _ in range(100):
             quad = QuadraticObjective(
-                rng.uniform(0.1, 2.0, 4), rng.normal(size=4), float(rng.normal())
+                [rng.uniform(0.1, 2.0, 4)], [rng.normal(size=4)], float(rng.normal())
             )
             x = rng.normal(size=(10, 4))
             y = (rng.random(10) < 0.5).astype(float)
-            logistic = GlmObjective(x, y, "logistic", batch_size=2)
+            logistic = GlmObjective([x], [y], "logistic", batch_size=2)
             for obj in (quad, logistic):
                 theta = rng.normal(size=4)
-                analytic = obj.gradient(theta)
+                analytic = obj.gradients(theta)[0]
                 numeric = finite_difference(obj, theta)
                 rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(analytic), 1e-8)
                 worst = max(worst, rel)
@@ -376,13 +375,12 @@ class TestCriterion11GradientCorrectness:
 
         x = rng.normal(size=(8, 3))
         y = (rng.random(8) < 0.5).astype(float)
-        obj = GlmObjective(x, y, "logistic", batch_size=2)
+        obj = GlmObjective([x], [y], "logistic", batch_size=2)
         theta = rng.normal(size=3)
-        batches = list(itertools.combinations(range(8), 2))
+        batches = [list(b) for b in itertools.combinations(range(8), 2)]
         assert len(batches) == 28
-        enumeration_mean = np.mean(
-            [obj.batch_gradient(theta, np.array(b)) for b in batches], axis=0
-        )
-        gap = np.max(np.abs(enumeration_mean - obj.gradient(theta)))
+        # a minibatch gradient is the full gradient of the batch's samples
+        enumeration_mean = GlmObjective(x[batches], y[batches], "logistic", batch_size=2).gradients(theta).mean(axis=0)
+        gap = np.max(np.abs(enumeration_mean - obj.gradients(theta)[0]))
         assert gap < 1e-12
         report(11, f"FD relative error max {worst:.1e} over 200 probes; enumeration gap {gap:.1e}")

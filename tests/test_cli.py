@@ -663,11 +663,13 @@ class TestGenShards:
             assert (out / path.name).read_bytes() == path.read_bytes()
 
     def test_failed_shard_write_leaves_no_temporary_and_keeps_the_old_file(self, tmp_path):
-        (shard,) = make_synthetic_shards(SyntheticShardConfig(1, dim=2, samples_per_client=4))
-        broken = SimpleNamespace(dim=2, features=[[1.0, "not a number"]], targets=[1.0])
+        shards = make_synthetic_shards(SyntheticShardConfig(1, dim=2, samples_per_client=4))
+        # row 1 of the table fails on its first cell
+        broken = SimpleNamespace(dim=2, features=[shards.features[0], [[1.0, "not a number"]]],
+                                 targets=[shards.targets[0], [1.0]])
         (tmp_path / "shard_001.csv").write_text("previous shard\n")
         with pytest.raises(ValueError):
-            export_shards_csv([shard, broken], tmp_path)
+            export_shards_csv(broken, tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["shard_000.csv", "shard_001.csv"]
         assert (tmp_path / "shard_001.csv").read_text() == "previous shard\n"
 

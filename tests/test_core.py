@@ -15,10 +15,10 @@ from asyncfed.core import (
     ordered_sum,
     weighted_optimum,
 )
-from asyncfed.objectives import _CHUNK_FLOATS, GlmObjective, QuadraticObjective, make_synthetic_shards
-from asyncfed.objectives import SyntheticShardConfig, stack_objectives
+from asyncfed.objectives import _CHUNK_FLOATS, GlmObjective, QuadraticObjective, SyntheticShardConfig
+from asyncfed.objectives import make_synthetic_shards
 
-from conftest import quadratic_fleet
+from conftest import client_row, quadratic_fleet
 
 
 class TestFederatedLoss:
@@ -27,8 +27,8 @@ class TestFederatedLoss:
 
     def test_single_client_at_its_optimum(self):
         fleet = quadratic_fleet([[3.0]], importances=[1.0])
-        obj = fleet.objective(0)
-        assert federated_loss([3.0], fleet) == pytest.approx(obj.value([3.0]), abs=0)
+        obj = client_row(fleet, 0)
+        assert federated_loss([3.0], fleet) == pytest.approx(obj.value([3.0])[0], abs=0)
 
     def test_matches_hand_summation_on_random_fleets(self):
         rng = np.random.default_rng(5)
@@ -39,7 +39,7 @@ class TestFederatedLoss:
             theta = rng.normal(size=2)
             by_hand = 0.0
             for i, pi in enumerate(p):
-                by_hand += pi * fleet.objective(i).value(theta)
+                by_hand += pi * client_row(fleet, i).value(theta)[0]
             assert federated_loss(theta, fleet) == pytest.approx(by_hand, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self, two_client_fleet):
@@ -83,15 +83,47 @@ class TestConvergenceResidual:
         q = np.array([0.3, 0.0, 0.1, 0.2, 0.25, 0.15])
         theta = np.array([0.4, -1.0, 0.7])
         want = ordered_sum(qi * float(np.dot(g, g)) for qi, g in
-                           zip(q, (fleet.objective(i).gradient(theta) for i in range(len(fleet)))) if qi)
+                           zip(q, (client_row(fleet, i).gradients(theta)[0] for i in range(len(fleet)))) if qi)
         calls = []
         original = Fleet.gradients
         monkeypatch.setattr(Fleet, "gradients", lambda self, t: calls.append(1) or original(self, t))
-        for cls in (GlmObjective, QuadraticObjective):
-            monkeypatch.setattr(cls, "gradient", lambda self, t: pytest.fail("per-client gradient call"))
         est = convergence_residual(fleet, q, theta, n_draws=n_draws)
         assert len(calls) == 1
         assert est.value == want and est.stderr == 0.0 and est.n_draws == n_draws
+
+    @pytest.mark.parametrize("batch_size", [None, 2, 4])
+    def test_stochastic_draws_go_client_by_client(self, batch_size):
+        # GLM shards in two tables and a noisy and a noiseless quadratic;
+        # client 2 has weight 0 and draws nothing
+        rng = np.random.default_rng(11)
+        xs = [rng.standard_normal((n, 3)) for n in (6, 6, 9)]
+        ys = [(rng.random(x.shape[0]) < 0.5).astype(float) for x in xs]
+        tables = [(np.array([0, 2]), GlmObjective(xs[:2], ys[:2], "logistic", 2)),
+                  (np.array([1, 4]), QuadraticObjective(rng.uniform(0.1, 2.0, (2, 3)), rng.normal(size=(2, 3)),
+                                                        [0.3, 0.0], [0.7, 0.0])),
+                  (np.array([3]), GlmObjective(xs[2:], ys[2:], "logistic", 2))]
+        fleet = Fleet(tables, [1] * 5, [0.2] * 5)
+        q, theta, n_draws = [0.3, 0.15, 0.0, 0.3, 0.25], np.array([0.3, -0.2, 0.5]), 40
+        est = convergence_residual(fleet, q, theta, n_draws=n_draws, batch_size=batch_size,
+                                   rng=np.random.default_rng(5))
+        draws = np.random.default_rng(5)
+        total = var_total = 0.0
+        for i, qi in enumerate(q):
+            if qi == 0.0:
+                continue
+            obj = client_row(fleet, i)
+            samples = np.empty(n_draws)
+            for s in range(n_draws):
+                g = obj.gradients(theta)[0]
+                if isinstance(obj, GlmObjective) and batch_size is not None:
+                    idx = draws.choice(obj.n_samples, size=batch_size, replace=False)
+                    g = GlmObjective(obj.features[:, idx], obj.targets[:, idx], obj.link, 1).gradients(theta)[0]
+                elif isinstance(obj, QuadraticObjective) and obj.noise_std[0] > 0.0:
+                    g = g + obj.noise_std[0] * draws.standard_normal(3)
+                samples[s] = float(np.dot(g, g))
+            total += qi * samples.mean()
+            var_total += qi * qi * samples.var(ddof=1) / n_draws
+        assert est.value == total and est.stderr == math.sqrt(var_total) > 0.0
 
     def test_zero_draws_rejected(self, two_client_fleet):
         with pytest.raises(ConfigurationError):
@@ -140,8 +172,8 @@ class TestConvexityAlongSegments:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(20, 3))
         y = (rng.random(20) < 0.5).astype(float)
-        obj = GlmObjective(x, y, "logistic", batch_size=4)
-        fleet = Fleet(stack_objectives([obj]), [1], [1.0])
+        obj = GlmObjective([x], [y], "logistic", batch_size=4)
+        fleet = Fleet([(np.arange(1), obj)], [1], [1.0])
         for _ in range(20):
             a, b = rng.normal(size=3), rng.normal(size=3)
             mid = federated_loss((a + b) / 2, fleet)
@@ -158,38 +190,39 @@ class TestWeightedOptimum:
         x = rng.normal(size=(40, 3))
         logits = x @ np.array([1.0, -0.5, 0.2])
         y = (rng.random(40) < 1 / (1 + np.exp(-logits))).astype(float)
-        obj = GlmObjective(x, y, "logistic", batch_size=4)
-        fleet = Fleet(stack_objectives([obj]), [1], [1.0])
+        obj = GlmObjective([x], [y], "logistic", batch_size=4)
+        fleet = Fleet([(np.arange(1), obj)], [1], [1.0])
         opt = weighted_optimum(fleet)
-        assert np.linalg.norm(obj.gradient(opt)) < 1e-10
+        assert np.linalg.norm(obj.gradients(opt)[0]) < 1e-10
 
 
 class TestFleetValidation:
     def test_importances_must_sum_to_one(self):
-        tables = stack_objectives([QuadraticObjective.from_optimum([0.0])] * 2)
+        tables = [(np.arange(2), QuadraticObjective.from_optima([0.0, 0.0]))]
         with pytest.raises(ConfigurationError):
             Fleet(tables, [1, 1], [0.5, 0.6])
 
     def test_nonpositive_compute_time(self):
-        tables = stack_objectives([QuadraticObjective.from_optimum([0.0])])
+        tables = [(np.arange(1), QuadraticObjective.from_optima([0.0]))]
         with pytest.raises(ConfigurationError, match="client 0: compute_time must be positive, got 0"):
             Fleet(tables, [0], [1.0])
 
     def test_importance_outside_the_unit_interval_is_named_as_given(self):
-        tables = stack_objectives([QuadraticObjective.from_optimum([0.0])] * 2)
+        tables = [(np.arange(2), QuadraticObjective.from_optima([0.0, 0.0]))]
         with pytest.raises(ConfigurationError, match=r"client 1: importance must lie in \(0, 1\], got 2$"):
             Fleet(tables, [1, 1], [0.5, 2])
 
     @pytest.mark.parametrize("positions", [[0, 1], [0, 1, 1], [0, 1, 3]])
     def test_tables_must_hold_one_row_per_client(self, positions):
-        (_, table), = stack_objectives([QuadraticObjective.from_optimum([float(i)]) for i in positions])
+        table = QuadraticObjective.from_optima([float(i) for i in positions])
         with pytest.raises(ConfigurationError, match="exactly one row per client"):
             Fleet([(np.array(positions), table)], [1, 1, 1], [0.25, 0.25, 0.5])
 
     def test_clients_must_agree_on_the_dimension(self):
-        objectives = [QuadraticObjective.from_optimum([0.0]), GlmObjective(np.ones((4, 2)), np.ones(4), batch_size=2)]
+        tables = [(np.array([0]), QuadraticObjective.from_optima([0.0])),
+                  (np.array([1]), GlmObjective([np.ones((4, 2))], [np.ones(4)], batch_size=2))]
         with pytest.raises(ConfigurationError, match=r"clients disagree on parameter dimension: \{1, 2\}"):
-            Fleet(stack_objectives(objectives), [1, 1], [0.5, 0.5])
+            Fleet(tables, [1, 1], [0.5, 0.5])
 
     def test_importances_are_one_shared_read_only_array(self, two_client_fleet):
         p = two_client_fleet.importances
@@ -205,20 +238,23 @@ class TestFleetValidation:
 # ---------------------------------------------------------------------------
 
 def _reference_quadratic_values(obj, thetas):
-    """One quadratic's losses as evaluated before the fleet tables."""
-    return (thetas * thetas) @ obj.a + thetas @ obj.b + obj.c
+    """The losses of the one-row table ``obj`` as one quadratic computed
+    them before the fleet tables."""
+    return (thetas * thetas) @ obj.a[0] + thetas @ obj.b[0] + obj.c[0]
 
 
 def _reference_glm_values(obj, thetas):
-    """One shard's losses as evaluated before the fleet tables: row chunks
-    of ``_CHUNK_FLOATS // n``, one margin product per chunk."""
+    """The losses of the one-row table ``obj`` as one shard computed them
+    before the fleet tables: row chunks of ``_CHUNK_FLOATS // n``, one
+    margin product per chunk."""
     out = np.empty(thetas.shape[0])
     step = max(1, _CHUNK_FLOATS // obj.n_samples)
-    sign = np.where(obj.targets > 0.5, -1.0, 1.0)
+    x, y = obj.features[0], obj.targets[0]
+    sign = np.where(y > 0.5, -1.0, 1.0)
     for lo in range(0, thetas.shape[0], step):
-        z = thetas[lo:lo + step] @ obj.features.T
+        z = thetas[lo:lo + step] @ x.T
         if obj.link == "linear":
-            z -= obj.targets
+            z -= y
             out[lo:lo + step] = 0.5 * (z * z).mean(axis=1)
         else:
             z *= sign
@@ -233,46 +269,57 @@ def _reference_values(obj, thetas):
 
 
 def _reference_descent(fleet, w, grad_tol=1e-10):
-    """The weighted GLM optimum as a per-client loop: full-shard gradients
-    one client at a time, added in client order, zero weights skipped."""
-    objs = [fleet.objective(i) for i in range(len(fleet))]
-    step = 1.0 / math.fsum(wi * o.smoothness for wi, o in zip(w, objs))
+    """The weighted GLM optimum as a per-client loop: the step from each
+    shard's own smoothness, full-shard gradients one client at a time, added
+    in client order, zero weights skipped."""
+    objs = [client_row(fleet, i) for i in range(len(fleet))]
+    data = [(o.features[0], o.targets[0], o.link) for o in objs]
+    smoothness = [(1.0 if link == "linear" else 0.25) * float(np.linalg.eigvalsh(x.T @ x).max()) / x.shape[0]
+                  for x, _, link in data]
+    step = 1.0 / math.fsum(wi * s for wi, s in zip(w, smoothness))
     theta = np.zeros(fleet.dim)
     while True:
         grad = np.zeros(fleet.dim)
-        for wi, obj in zip(w, objs):
+        for wi, (x, y, link) in zip(w, data):
             if wi != 0.0:
-                z = obj.features @ theta
-                if obj.link == "logistic":
+                z = x @ theta
+                if link == "logistic":
                     e = np.exp(np.minimum(z, -z))
                     z = np.where(z >= 0, 1.0, e) / (1.0 + e)
-                grad += wi * (obj.features.T @ (z - obj.targets) / obj.n_samples)
+                grad += wi * (x.T @ (z - y) / x.shape[0])
         if np.linalg.norm(grad) < grad_tol:
             return theta
         theta = theta - step * grad
 
 
 def _ragged_fleet(link):
-    """Shards of 5, 40 and 300 samples, one shard shared by two clients and
-    a quadratic client: four tables' worth of groups in one fleet."""
+    """Shards of 5, 40 and 300 samples, the first two shared by two
+    clients each, and a quadratic client: four tables in one fleet."""
     rng = np.random.default_rng(11)
-    objectives = []
+    shards = []
     for n_samples in (5, 40, 300):
         x = rng.standard_normal((n_samples, 3))
         y = (rng.random(n_samples) < 0.5).astype(float) if link == "logistic" else x @ rng.normal(size=3)
-        objectives.append(GlmObjective(x, y, link, batch_size=2))
-    objectives.append(QuadraticObjective(rng.uniform(0.1, 2.0, 3), rng.normal(size=3), 0.7))
-    refs = [1, 0, 2, 1, 3, 0]
-    p = rng.dirichlet(np.ones(len(refs)))
+        shards.append((x, y))
+    quadratic = QuadraticObjective([rng.uniform(0.1, 2.0, 3)], [rng.normal(size=3)], 0.7)
+    tables = [(np.array(positions), GlmObjective([shards[k][0]] * len(positions), [shards[k][1]] * len(positions),
+                                                 link, batch_size=2))
+              for positions, k in (([0, 3], 1), ([1, 5], 0), ([2], 2))]
+    tables.append((np.array([4]), quadratic))
+    p = rng.dirichlet(np.ones(6))
     p[-1] = 1.0 - math.fsum(p[:-1])
-    return Fleet(stack_objectives([objectives[ref] for ref in refs]), range(1, len(refs) + 1), p)
+    return Fleet(tables, range(1, 7), p)
 
 
 class TestFleetTables:
-    def test_clients_are_grouped_by_shape(self):
+    def test_gather_reads_a_per_row_array_in_client_order(self):
         fleet = _ragged_fleet("logistic")
-        groups = [positions.tolist() for positions, _ in fleet.tables]
-        assert sorted(groups) == [[0, 3], [1, 5], [2], [4]]
+        smoothness = fleet.gather("smoothness")
+        assert smoothness.shape == (6,)
+        assert smoothness.tolist() == [client_row(fleet, i).smoothness[0] for i in range(6)]
+        assert smoothness[0] == smoothness[3] and smoothness[1] == smoothness[5]  # shared shards
+        optima = quadratic_fleet([[1.0, 2.0], [-3.0, 0.5]]).gather("optima")
+        assert optima.tolist() == [[1.0, 2.0], [-3.0, 0.5]]
 
     @pytest.mark.parametrize("rows", [1, 7, 450])  # 450 rows: two chunks and a tail for 300 samples
     @pytest.mark.parametrize("link", ["linear", "logistic"])
@@ -282,33 +329,36 @@ class TestFleetTables:
         matrix = fleet.losses(thetas)
         assert matrix.shape == (rows, len(fleet))
         for i in range(len(fleet)):
-            obj = fleet.objective(i)
+            obj = client_row(fleet, i)
             assert np.array_equal(matrix[:, i], _reference_values(obj, thetas))
-            assert np.array_equal(matrix[:, i], obj.values(thetas))
+            assert np.array_equal(matrix[:, i], obj.values(thetas)[:, 0])
         for theta in thetas[:3]:
-            by_client = [pi * fleet.objective(i).value(theta) for i, pi in enumerate(fleet.importances)]
+            by_client = [pi * client_row(fleet, i).value(theta)[0] for i, pi in enumerate(fleet.importances)]
             assert federated_loss(theta, fleet) == math.fsum(by_client)
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_quadratic_fleet_losses_are_the_per_client_bits(self, dim):
         rng = np.random.default_rng(dim)
-        objectives = [QuadraticObjective(rng.uniform(0.0, 2.0, dim), rng.normal(size=dim), float(rng.normal()))
-                      for _ in range(6)]
-        fleet = Fleet(stack_objectives(objectives), [1] * 6, [1 / 6] * 6)
+        rows = [(rng.uniform(0.0, 2.0, dim), rng.normal(size=dim), float(rng.normal())) for _ in range(6)]
+        table = QuadraticObjective(*(np.array(column) for column in zip(*rows)))
+        fleet = Fleet([(np.arange(6), table)], [1] * 6, [1 / 6] * 6)
         thetas = rng.normal(0.0, 5.0, (41, dim))
         matrix = fleet.losses(thetas)
-        for i, obj in enumerate(objectives):
+        for i in range(6):
+            obj = table.row(i)
             assert np.array_equal(matrix[:, i], _reference_quadratic_values(obj, thetas))
-            assert np.array_equal(matrix[:, i], obj.values(thetas))
+            assert np.array_equal(matrix[:, i], obj.values(thetas)[:, 0])
         for theta in thetas[:5]:
-            by_client = [pi * objectives[i].value(theta) for i, pi in enumerate(fleet.importances)]
+            by_client = [pi * table.row(i).value(theta)[0] for i, pi in enumerate(fleet.importances)]
             assert federated_loss(theta, fleet) == math.fsum(by_client)
 
     @pytest.mark.parametrize("link", ["linear", "logistic"])
     def test_glm_optimum_is_the_per_client_descent(self, link):
-        shards = (make_synthetic_shards(SyntheticShardConfig(3, dim=3, samples_per_client=20, seed=1, link=link))
-                  + make_synthetic_shards(SyntheticShardConfig(2, dim=3, samples_per_client=35, seed=2, link=link)))
-        fleet = Fleet(stack_objectives(shards), [1] * 5, [0.2] * 5)
+        tables = [(np.arange(3), make_synthetic_shards(SyntheticShardConfig(3, dim=3, samples_per_client=20,
+                                                                            seed=1, link=link))),
+                  (np.arange(3, 5), make_synthetic_shards(SyntheticShardConfig(2, dim=3, samples_per_client=35,
+                                                                               seed=2, link=link)))]
+        fleet = Fleet(tables, [1] * 5, [0.2] * 5)
         w = np.array([0.3, 0.0, 0.25, 0.25, 0.2])  # a zero weight is skipped
         got = weighted_optimum(fleet, w)
         assert np.array_equal(got, _reference_descent(fleet, w))

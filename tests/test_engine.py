@@ -25,13 +25,12 @@ from asyncfed.objectives import (
     SyntheticShardConfig,
     local_sgd,
     make_synthetic_shards,
-    stack_objectives,
 )
 from asyncfed.oracle import phi
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy
 from asyncfed.weights import WeightScheme, plan_weights
 
-from conftest import quadratic_fleet
+from conftest import client_row, quadratic_fleet
 
 SYNC = WaitPolicy(PolicyKind.SYNCHRONOUS)
 ASYNC = WaitPolicy(PolicyKind.ASYNCHRONOUS)
@@ -103,8 +102,8 @@ class TestPolicyEquivalences:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(16, 2))
         y = (rng.random(16) < 0.5).astype(float)
-        objs = [GlmObjective(x, y, "logistic", 4), GlmObjective(x + 0.1, y, "logistic", 4)]
-        fleet = Fleet(stack_objectives(objs), [1, 3], [0.5, 0.5])
+        table = GlmObjective([x, x + 0.1], [y, y], "logistic", 4)
+        fleet = Fleet([(np.arange(2), table)], [1, 3], [0.5, 0.5])
 
         sync_plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, [1, 3], SYNC)
         fedfix = WaitPolicy(PolicyKind.FEDFIX, delta_t=3)
@@ -422,8 +421,8 @@ class TestMetricsAndCsv:
         for n_samples in (5, 40, 300):
             x = rng.standard_normal((n_samples, 3))
             y = (rng.random(n_samples) < 0.5).astype(float)
-            shards.append(GlmObjective(x, y, batch_size=2))
-        fleet = Fleet(stack_objectives(shards), [1, 2, 3], [1 / 3] * 3)
+            shards.append(GlmObjective([x], [y], batch_size=2))
+        fleet = Fleet([(np.array([i]), shard) for i, shard in enumerate(shards)], [1, 2, 3], [1 / 3] * 3)
         plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2, 3], ASYNC)
         traj = run(RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.2, rounds=30,
                              metric_cadence=4))
@@ -466,15 +465,14 @@ class TestMetricsAndCsv:
             total = np.zeros(1)
             for client, anchor in zip(outcome.clients.tolist(), outcome.anchors.tolist()):
                 assert anchor <= n
-                total += plan.d[client] * _delivered_delta(fleet.objective(client), traj.theta[anchor], cfg)
+                total += plan.d[client] * _delivered_delta(client_row(fleet, client), traj.theta[anchor], cfg)
             assert np.allclose(traj.theta[n] + 0.8 * total, traj.theta[n + 1], atol=1e-15)
 
 
 def _delivered_delta(objective, anchor_model, cfg, source=None):
     """One client's local work, computed at its delivery: one job of one
-    member on the objective's own table."""
-    ((_, table),) = stack_objectives([objective])
-    out = local_sgd(table, [0], anchor_model[None, None], cfg.k_steps, cfg.eta_l,
+    member on the client's one-row table ``objective``."""
+    out = local_sgd(objective, [0], anchor_model[None, None], cfg.k_steps, cfg.eta_l,
                     None if source is None else [[source]])
     return out.delta[0, 0]
 
@@ -485,8 +483,8 @@ class TestLocalWorkTiming:
 
     def _overflow_fleet(self, slow_tau):
         # client 1's quadratic leaves the finite range within 3 local steps
-        objectives = [QuadraticObjective.from_optimum([1.0]), QuadraticObjective([1e200], [0.0])]
-        return Fleet(stack_objectives(objectives), [1, slow_tau], [0.5, 0.5])
+        table = QuadraticObjective([[0.5], [1e200]], [[-1.0], [0.0]], [0.5, 0.0])
+        return Fleet([(np.arange(2), table)], [1, slow_tau], [0.5, 0.5])
 
     def test_an_overflow_still_in_flight_at_the_horizon_is_not_a_divergence(self, monkeypatch):
         computed = []
@@ -518,11 +516,13 @@ class TestLocalWorkTiming:
         # the fleet has a quadratic table and two GLM tables
         shards = make_synthetic_shards(SyntheticShardConfig(3, dim=2, samples_per_client=12, seed=4,
                                                             batch_size=3))
-        objectives = [QuadraticObjective.from_optimum([1.0, -1.0], noise_std=0.7), shards[0],
-                      QuadraticObjective.from_optimum([0.5, 2.0]), shards[1], GlmObjective(
-                          shards[2].features[:9], shards[2].targets[:9], batch_size=3)]
-        fleet = Fleet(stack_objectives(objectives), [1, 2, 3, 1.5, 2.5], [0.2] * 5)
-        assert len(fleet.tables) == 3
+        quadratics = QuadraticObjective.from_optima([[1.0, -1.0], [0.5, 2.0]])
+        tables = [
+            (np.array([0, 2]), QuadraticObjective(quadratics.a, quadratics.b, quadratics.c, [0.7, 0.0])),
+            (np.array([1, 3]), GlmObjective(shards.features[:2], shards.targets[:2], batch_size=3)),
+            (np.array([4]), GlmObjective(shards.features[2:, :9], shards.targets[2:, :9], batch_size=3)),
+        ]
+        fleet = Fleet(tables, [1, 2, 3, 1.5, 2.5], [0.2] * 5)
         plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
         cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.1, k_steps=3, rounds=60)
         seeds = [Seeds((0, j), (1, j), (2, j)) for j in range(3)]
@@ -547,7 +547,7 @@ class TestLocalWorkTiming:
         if family == "glm":
             shards = make_synthetic_shards(SyntheticShardConfig(4, dim=3, samples_per_client=20, seed=2,
                                                                 batch_size=4))
-            fleet = Fleet(stack_objectives(shards), [1, 2, 3, 1], [0.25] * 4)
+            fleet = Fleet([(np.arange(4), shards)], [1, 2, 3, 1], [0.25] * 4)
         else:
             fleet = quadratic_fleet([[-2.0], [1.0], [3.0], [0.5], [4.0]], taus=[1, 2, 3, 1, 5], noise_std=0.7)
         plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
@@ -560,7 +560,7 @@ class TestLocalWorkTiming:
 
         def source(i):
             rng = np.random.default_rng([1, 3, i])
-            obj = fleet.objective(i)
+            obj = client_row(fleet, i)
             return BatchStream(obj.n_samples, obj.batch_size, rng) if family == "glm" else rng
 
         sources = [source(i) for i in range(len(fleet))]
@@ -569,7 +569,7 @@ class TestLocalWorkTiming:
             total = np.zeros(fleet.dim)
             for i, mult, anchor in zip(outcome.clients.tolist(), outcome.multiplicity.tolist(),
                                        outcome.anchors.tolist()):
-                total += (mult * plan.d[i]) * _delivered_delta(fleet.objective(i), models[anchor], cfg, sources[i])
+                total += (mult * plan.d[i]) * _delivered_delta(client_row(fleet, i), models[anchor], cfg, sources[i])
             models.append(models[-1] + cfg.eta_g * total)
         assert np.asarray(models).tobytes() == traj.theta.tobytes()
 
@@ -665,6 +665,7 @@ def _reference_trajectory_csv(traj, path):
 
 
 def _logistic_reference(obj, theta):
-    z = obj.features @ theta
-    yz = np.where(obj.targets > 0.5, z, -z)
+    """The mean logistic loss of the one-row table ``obj`` at ``theta``."""
+    z = obj.features[0] @ theta
+    yz = np.where(obj.targets[0] > 0.5, z, -z)
     return float(np.mean(np.logaddexp(0.0, -yz)))

@@ -11,7 +11,7 @@ import pytest
 from asyncfed import engine
 from asyncfed.core import Fleet, weighted_optimum
 from asyncfed.engine import RunConfig, Seeds, run, run_members, shares_schedule
-from asyncfed.objectives import QuadraticObjective, SyntheticShardConfig, make_synthetic_shards, stack_objectives
+from asyncfed.objectives import QuadraticObjective, SyntheticShardConfig, make_synthetic_shards
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy
 from asyncfed.weights import WeightScheme, plan_weights
 
@@ -45,7 +45,7 @@ def _noisy(optima, taus=TAUS, noise_std=0.7):
 def _glm_fleet(link="logistic"):
     shards = make_synthetic_shards(SyntheticShardConfig(4, dim=3, samples_per_client=20, seed=2,
                                                         link=link, batch_size=4))
-    return Fleet(stack_objectives(shards), TAUS, [0.25] * 4)
+    return Fleet([(np.arange(4), shards)], TAUS, [0.25] * 4)
 
 
 def _threshold_config():
@@ -60,9 +60,9 @@ def _overflow_config():
     # client 0's gradient noise overflows to inf on about 7% of draws, which
     # ends that member inside local SGD; its zero weight keeps the finite
     # members' models untouched by it
-    objectives = [QuadraticObjective.from_optimum([0.0], noise_std=1e308),
-                  QuadraticObjective.from_optimum([2.0], noise_std=0.5)]
-    fleet = Fleet(stack_objectives(objectives), [1, 1], [0.5, 0.5])
+    optima = QuadraticObjective.from_optima([0.0, 2.0])
+    table = QuadraticObjective(optima.a, optima.b, optima.c, [1e308, 0.5])
+    fleet = Fleet([(np.arange(2), table)], [1, 1], [0.5, 0.5])
     plan = plan_weights(WeightScheme.CUSTOM, fleet.importances, [1, 1], SYNC, custom_d=[0.0, 1.0])
     return RunConfig(fleet=fleet, policy=SYNC, plan=plan, eta_l=0.3, rounds=12, theta0=np.array([5.0]))
 

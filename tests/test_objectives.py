@@ -12,28 +12,31 @@ from asyncfed.objectives import (
     GlmObjective,
     QuadraticObjective,
     SyntheticShardConfig,
+    _glm_gradient,
     _sigmoid,
     export_shards_csv,
     local_sgd,
     make_synthetic_shards,
-    stack_objectives,
 )
 
 
 def _local_optimum(obj, iters=20000):
+    """Gradient descent with step 1/L on the one-row table ``obj``."""
     theta = np.zeros(obj.dim)
-    step = 1.0 / obj.smoothness
+    step = 1.0 / obj.smoothness[0]
     for _ in range(iters):
-        theta = theta - step * obj.gradient(theta)
+        theta = theta - step * obj.gradients(theta)[0]
     return theta
 
 
-def _table(*objectives):
-    """The one table of ``objectives``, one row each in order; a lone
-    objective gives its one-row table."""
-    ((positions, table),) = stack_objectives(objectives)
-    assert positions.tolist() == list(range(len(objectives)))
-    return table
+def _quadratic(a, b, c=0.0, noise_std=0.0):
+    """The one-row table of the quadratic with coefficient vectors a and b."""
+    return QuadraticObjective([a], [b], c, noise_std)
+
+
+def _at(optimum, noise_std=0.0):
+    """The one-row table of the quadratic 1/2 |theta - optimum|^2."""
+    return QuadraticObjective.from_optima([optimum], noise_std=noise_std)
 
 
 class Run(NamedTuple):
@@ -44,9 +47,9 @@ class Run(NamedTuple):
 
 
 def one_run(start, obj, k_steps, eta_l, source=None) -> Run:
-    """One job of one member on the lone objective's table."""
+    """One job of one member on the one-row table ``obj``."""
     start = np.atleast_1d(np.asarray(start, dtype=float))
-    out = local_sgd(_table(obj), [0], start[None, None], k_steps, eta_l,
+    out = local_sgd(obj, [0], start[None, None], k_steps, eta_l,
                     None if source is None else [[source]])
     step = -1 if out.overflow_step is None else int(out.overflow_step[0, 0])
     return Run(out.endpoint[0, 0], out.delta[0, 0], out.path[:, 0, 0], step)
@@ -54,18 +57,18 @@ def one_run(start, obj, k_steps, eta_l, source=None) -> Run:
 
 class TestLocalSgd:
     def test_one_step_halves_the_gap(self):
-        obj = QuadraticObjective.from_optimum([2.0])  # gradient is theta - 2
+        obj = _at([2.0])  # gradient is theta - 2
         out = one_run([0.0], obj, 1, 0.5)
         assert out.endpoint[0] == pytest.approx(1.0, abs=0)
         assert out.delta[0] == pytest.approx(1.0, abs=0)
 
     def test_zero_learning_rate_is_identity(self):
-        obj = QuadraticObjective.from_optimum([2.0])
+        obj = _at([2.0])
         out = one_run([0.7], obj, 5, 0.0)
         assert out.endpoint[0] == 0.7
 
     def test_three_steps_match_explicit_iteration(self):
-        obj = QuadraticObjective.from_optimum([3.0])
+        obj = _at([3.0])
         theta = 0.4
         for _ in range(3):
             theta = theta - 0.1 * (theta - 3.0)
@@ -81,13 +84,13 @@ class TestLocalSgd:
             opt, start = rng.normal(size=2)
             k = int(rng.integers(1, 9))
             eta = float(rng.uniform(0.01, 0.9))
-            obj = QuadraticObjective.from_optimum([opt])
+            obj = _at([opt])
             out = one_run([start], obj, k, eta)
             expected = (1 - eta) ** k * start + (1 - (1 - eta) ** k) * opt
             assert out.endpoint[0] == pytest.approx(expected, abs=1e-12)
 
     def test_affine_in_the_start_point(self):
-        obj = QuadraticObjective.from_optimum([1.0, -2.0])
+        obj = _at([1.0, -2.0])
         rng = np.random.default_rng(4)
         for _ in range(10):
             x, y = rng.normal(size=(2, 2))
@@ -98,26 +101,42 @@ class TestLocalSgd:
             assert np.allclose(fmix, alpha * fx + (1 - alpha) * fy, atol=1e-10)
 
     def test_divergence_reports_step_index(self):
-        obj = QuadraticObjective(np.array([1e200]), np.array([0.0]))
+        obj = _quadratic([1e200], [0.0])
         out = one_run([1.0], obj, 10, 10.0)
         assert 0 <= out.overflow_step < 10
         assert not np.isfinite(out.endpoint).all()
 
     def test_recorded_path_has_k_plus_one_points(self):
-        obj = QuadraticObjective.from_optimum([2.0])
+        obj = _at([2.0])
         out = one_run([0.0], obj, 3, 0.1)
         assert len(out.path) == 4
         assert out.path[0][0] == 0.0
         assert np.array_equal(out.path[-1], out.endpoint)
 
     def test_single_step_path_has_two_points(self):
-        obj = QuadraticObjective.from_optimum([2.0, -1.0])
+        obj = _at([2.0, -1.0])
         start = np.array([0.5, 0.25])
         out = one_run(start, obj, 1, 0.3)
         assert out.path.shape == (2, 2)
         assert np.array_equal(out.path[0], start)
-        assert np.array_equal(out.path[1], start - 0.3 * obj.gradient(start))
+        assert np.array_equal(out.path[1], start - 0.3 * obj.gradients(start)[0])
         assert np.array_equal(out.delta, out.path[1] - out.path[0])
+
+
+def _reference_gradient(objective, theta, batch=None, noise_rng=None):
+    """One gradient of the one-row table ``objective``, as a single client
+    computed it: a quadratic's 2 a theta + b, plus its Gaussian noise when
+    ``noise_rng`` is given; a GLM shard's mean gradient over ``batch`` (all
+    samples when None)."""
+    if isinstance(objective, QuadraticObjective):
+        grad = 2.0 * objective.a[0] * theta + objective.b[0]
+        if noise_rng is not None:
+            grad = grad + objective.noise_std[0] * noise_rng.standard_normal(objective.dim)
+        return grad
+    x, y = objective.features[0], objective.targets[0]
+    if batch is not None:
+        x, y = x[batch], y[batch]
+    return _glm_gradient(x, y, theta, objective.link)
 
 
 def _reference_local_sgd(start, objective, k_steps, eta_l, *, batches=None, noise_rng=None):
@@ -128,15 +147,13 @@ def _reference_local_sgd(start, objective, k_steps, eta_l, *, batches=None, nois
     theta = np.atleast_1d(np.asarray(start, dtype=float)).copy()
     path = [theta.copy()]
     overflow_step = -1
-    use_noise = noise_rng is not None and getattr(objective, "noise_std", 0.0) > 0.0
+    use_noise = noise_rng is not None and getattr(objective, "noise_std", [0.0])[0] > 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(k_steps):
             if batches is not None:
-                grad = objective.batch_gradient(theta, batches.next())
-            elif use_noise:
-                grad = objective.noisy_gradient(theta, noise_rng)
+                grad = _reference_gradient(objective, theta, batch=batches.next())
             else:
-                grad = objective.gradient(theta)
+                grad = _reference_gradient(objective, theta, noise_rng=noise_rng if use_noise else None)
             theta = theta - eta_l * grad
             if overflow_step < 0 and not np.all(np.isfinite(theta)):
                 overflow_step = k
@@ -153,11 +170,14 @@ def _reference_sigmoid(z):
     return out
 
 
-def _glm(link, seed=0, n=24, dim=3):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, dim))
-    y = x @ rng.normal(size=dim) if link == "linear" else (rng.random(n) < 0.5).astype(float)
-    return GlmObjective(x, y, link, batch_size=5)
+def _glm(link, seeds=(0,), n=24, dim=3):
+    """A table of one shard per seed."""
+    xs, ys = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        xs.append(rng.normal(size=(n, dim)))
+        ys.append(xs[-1] @ rng.normal(size=dim) if link == "linear" else (rng.random(n) < 0.5).astype(float))
+    return GlmObjective(xs, ys, link, batch_size=5)
 
 
 class TestKernelMatchesTheReference:
@@ -169,7 +189,7 @@ class TestKernelMatchesTheReference:
     @pytest.mark.parametrize("k_steps", [1, 2, 7, 25])
     def test_quadratic(self, noise_std, dim, k_steps):
         rng = np.random.default_rng([dim, k_steps])
-        obj = QuadraticObjective(rng.uniform(0.1, 2.0, dim), rng.normal(size=dim), 0.3, noise_std)
+        obj = _quadratic(rng.uniform(0.1, 2.0, dim), rng.normal(size=dim), 0.3, noise_std)
         start = rng.normal(size=dim)
         mine, ref = np.random.default_rng(7), np.random.default_rng(7)
         for _ in range(3):  # consecutive deliveries share the client's stream
@@ -195,7 +215,7 @@ class TestKernelMatchesTheReference:
             start = end
 
     def test_glm_full_gradient(self):
-        obj = _glm("logistic", seed=4)
+        obj = _glm("logistic", seeds=[4])
         out = one_run([0.3, 0.1, -0.5], obj, 9, 0.5)
         end, path, _ = _reference_local_sgd([0.3, 0.1, -0.5], obj, 9, 0.5)
         assert np.array_equal(out.endpoint, end)
@@ -214,8 +234,8 @@ class TestKernelMatchesTheReference:
     @pytest.mark.parametrize(
         "case",
         [
-            lambda: (QuadraticObjective([1e200], [0.0]), 10.0, 10, None),
-            lambda: (QuadraticObjective([1.0, 2.0], [0.5, -1.0], noise_std=1.0), 1e50, 20,
+            lambda: (_quadratic([1e200], [0.0]), 10.0, 10, None),
+            lambda: (_quadratic([1.0, 2.0], [0.5, -1.0], noise_std=1.0), 1e50, 20,
                      np.random.default_rng(5)),
             lambda: (_glm("linear"), 1e4, 400,
                      BatchStream(24, 5, np.random.default_rng(2))),
@@ -242,7 +262,7 @@ class TestGlmKernel:
         # the step at which a member leaves the finite range
         starts = np.array([[1.0, -1.0, 0.5], [1e200, 1e200, 1e200], [1e300, 0.0, 0.0], [1e250, 0.0, 0.0]])
         seeds = [5, 6, 7, 8]
-        out = local_sgd(_table(obj), [0], starts[None], 40, 1e4,
+        out = local_sgd(obj, [0], starts[None], 40, 1e4,
                         [[BatchStream(24, 5, np.random.default_rng(s)) for s in seeds]])
         steps = [
             _reference_local_sgd(start, obj, 40, 1e4, batches=BatchStream(24, 5, np.random.default_rng(seed)))[2]
@@ -257,7 +277,7 @@ class TestGlmKernel:
         stream = BatchStream(30, 5, np.random.default_rng(1))
         n_members = 2 if members else 1
         with pytest.raises(ConfigurationError, match="out of range"):
-            local_sgd(_table(obj), [0], np.zeros((1, n_members, 3)), 25, 0.1, [[stream] * n_members])
+            local_sgd(obj, [0], np.zeros((1, n_members, 3)), 25, 0.1, [[stream] * n_members])
 
 
 class TestMembersMatchSingleModels:
@@ -268,12 +288,12 @@ class TestMembersMatchSingleModels:
     @pytest.mark.parametrize("k_steps", [1, 6])
     def test_noisy_quadratic(self, dim, k_steps):
         rng = np.random.default_rng([dim, k_steps, 1])
-        obj = QuadraticObjective(rng.uniform(0.1, 2.0, dim), rng.normal(size=dim), 0.3, 0.8)
+        obj = _quadratic(rng.uniform(0.1, 2.0, dim), rng.normal(size=dim), 0.3, 0.8)
         starts = rng.normal(size=(5, dim))
         mine = [np.random.default_rng([9, r]) for r in range(5)]
         ref = [np.random.default_rng([9, r]) for r in range(5)]
         for _ in range(3):
-            out = local_sgd(_table(obj), [0], starts[None], k_steps, 0.13, [mine])
+            out = local_sgd(obj, [0], starts[None], k_steps, 0.13, [mine])
             assert out.overflow_step is None and out.path.shape == (k_steps + 1, 1, 5, dim)
             for r in range(5):
                 one = one_run(starts[r], obj, k_steps, 0.13, ref[r])
@@ -289,17 +309,17 @@ class TestMembersMatchSingleModels:
         starts = np.array([[0.4, -1.2, 2.0], [0.0, 0.1, -0.3]])
         mine = [BatchStream(obj.n_samples, obj.batch_size, np.random.default_rng(s)) for s in (3, 4)]
         ref = [BatchStream(obj.n_samples, obj.batch_size, np.random.default_rng(s)) for s in (3, 4)]
-        out = local_sgd(_table(obj), [0], starts[None], 7, 0.05, [mine])
-        full = local_sgd(_table(obj), [0], starts[None], 7, 0.05)
+        out = local_sgd(obj, [0], starts[None], 7, 0.05, [mine])
+        full = local_sgd(obj, [0], starts[None], 7, 0.05)
         for r in range(2):
             assert np.array_equal(out.endpoint[0, r], one_run(starts[r], obj, 7, 0.05, ref[r]).endpoint)
             assert np.array_equal(full.endpoint[0, r], one_run(starts[r], obj, 7, 0.05).endpoint)
 
     def test_overflow_is_recorded_per_member(self):
-        obj = QuadraticObjective([1.0, 2.0], [0.5, -1.0])
+        obj = _quadratic([1.0, 2.0], [0.5, -1.0])
         # the second member starts at the optimum, where every gradient is 0
         starts = np.array([[1.0, 1.0], [-0.25, 0.25], [1e-200, 0.25], [1e100, 1e100]])
-        out = local_sgd(_table(obj), [0], starts[None], 60, 1e50)
+        out = local_sgd(obj, [0], starts[None], 60, 1e50)
         steps = [one_run(start, obj, 60, 1e50).overflow_step for start in starts]
         assert out.overflow_step[0].tolist() == steps
         assert steps[1] == -1 and len(set(steps)) >= 3
@@ -312,18 +332,17 @@ def _bits(x) -> bytes:
 
 class TestStackedJobsMatchOneJob:
     """P jobs of R members on rows of one table, in one call, equal P*R calls
-    of one job and one member on the lone objectives: the same bits (signed
-    zeros included), overflow steps and stream use."""
+    of one job and one member on the one-row tables of those rows: the same
+    bits (signed zeros included), overflow steps and stream use."""
 
     ROWS = [3, 0, 1, 3, 4, 2]  # a row may appear in several jobs
 
-    def _compare(self, objectives, starts, k_steps, eta_l, make_sources):
-        table = _table(*objectives)
+    def _compare(self, table, starts, k_steps, eta_l, make_sources):
         mine, ref = make_sources(), make_sources()
         out = local_sgd(table, self.ROWS, starts, k_steps, eta_l, mine)
         for p, row in enumerate(self.ROWS):
             for r in range(starts.shape[1]):
-                one = one_run(starts[p, r], objectives[row], k_steps, eta_l, None if ref is None else ref[p][r])
+                one = one_run(starts[p, r], table.row(row), k_steps, eta_l, None if ref is None else ref[p][r])
                 assert _bits(out.path[:, p, r]) == _bits(one.path), (p, r)
                 assert _bits(out.delta[p, r]) == _bits(one.delta), (p, r)
                 step = -1 if out.overflow_step is None else out.overflow_step[p, r]
@@ -337,18 +356,20 @@ class TestStackedJobsMatchOneJob:
         rng = np.random.default_rng([k_steps, n_members])
         stds = {"noiseless": [0.0] * 5, "noisy": [0.7, 0.4, 1.3, 0.2, 0.9],
                 "mixed": [0.7, 0.0, 1.3, 0.0, 0.0]}[noise]
-        objectives = [QuadraticObjective(rng.uniform(0.1, 2.0, 2), rng.normal(size=2), 0.1, s) for s in stds]
-        # row 1 has b = -0.0, so from a -0.0 start its gradient is -0.0; row 4
-        # leaves the finite range within a few steps
-        objectives[1] = QuadraticObjective.from_optimum([0.0, 0.0], noise_std=stds[1])
-        objectives[4] = QuadraticObjective([1e200, 1.0], [0.0, 0.5], noise_std=stds[4])
+        rows = [(rng.uniform(0.1, 2.0, 2), rng.normal(size=2)) for _ in stds]
+        # row 1 has b = -0.0 and c = 0, so from a -0.0 start its gradient is
+        # -0.0; row 4 leaves the finite range within a few steps
+        rows[1] = ([0.5, 0.5], [-0.0, -0.0])
+        rows[4] = ([1e200, 1.0], [0.0, 0.5])
+        a, b = (np.array(coefficients) for coefficients in zip(*rows))
+        table = QuadraticObjective(a, b, [0.1, 0.0, 0.1, 0.1, 0.0], stds)
         starts = rng.normal(size=(len(self.ROWS), n_members, 2))
         starts[2] = -0.0
 
         def sources():
             return [[np.random.default_rng([p, r]) for r in range(n_members)] for p in range(len(self.ROWS))]
 
-        out, mine, ref = self._compare(objectives, starts, k_steps, 0.13, sources)
+        out, mine, ref = self._compare(table, starts, k_steps, 0.13, sources)
         assert (out.overflow_step is not None) == (k_steps > 1)
         if noise != "noisy":
             # -0.0 - eta * -0.0 is +0.0; a +0.0 noise term would have kept -0.0
@@ -361,7 +382,6 @@ class TestStackedJobsMatchOneJob:
     @pytest.mark.parametrize("batched", [True, False])
     @pytest.mark.parametrize("link", ["linear", "logistic"])
     def test_glm_table(self, link, batched, n_members):
-        objectives = [_glm(link, seed=s) for s in range(5)]
         starts = np.random.default_rng(n_members).normal(size=(len(self.ROWS), n_members, 3))
 
         def sources():
@@ -370,42 +390,41 @@ class TestStackedJobsMatchOneJob:
             return [[BatchStream(24, 5, np.random.default_rng([p, r])) for r in range(n_members)]
                     for p in range(len(self.ROWS))]
 
-        _, mine, ref = self._compare(objectives, starts, 6, 0.05, sources)
+        _, mine, ref = self._compare(_glm(link, seeds=range(5)), starts, 6, 0.05, sources)
         if batched:
             assert [s.next().tolist() for job in mine for s in job] == [s.next().tolist() for job in ref for s in job]
 
 
 class TestBatchGradient:
+    """A minibatch gradient is the mean gradient of the batch's samples, the
+    single-shard call of :func:`_glm_gradient` that local SGD and the
+    residual draws take."""
+
     def _logistic(self, n=8, d=3, seed=0):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, d))
         y = (rng.random(n) < 0.5).astype(float)
-        return GlmObjective(x, y, "logistic", batch_size=2)
+        return GlmObjective([x], [y], "logistic", batch_size=2)
 
     def test_full_batch_equals_full_gradient(self):
         obj = self._logistic()
         theta = np.array([0.3, -0.1, 0.5])
-        full = obj.gradient(theta)
-        assert np.array_equal(obj.batch_gradient(theta, np.arange(8)), full)
+        full = obj.gradients(theta)[0]
+        assert np.array_equal(_reference_gradient(obj, theta, batch=np.arange(8)), full)
 
     def test_logistic_gradient_at_origin(self):
         obj = self._logistic()
         idx = np.array([0, 3])
-        grad = obj.batch_gradient(np.zeros(3), idx)
-        expected = obj.features[idx].T @ (0.5 - obj.targets[idx]) / 2
+        grad = _reference_gradient(obj, np.zeros(3), batch=idx)
+        expected = obj.features[0, idx].T @ (0.5 - obj.targets[0, idx]) / 2
         assert np.allclose(grad, expected, atol=1e-15)
 
     def test_mean_over_all_batches_equals_full_gradient(self):
         obj = self._logistic(n=6)
         theta = np.array([0.1, 0.2, -0.4])
         batches = list(itertools.combinations(range(6), 2))
-        mean = np.mean([obj.batch_gradient(theta, np.array(b)) for b in batches], axis=0)
-        assert np.allclose(mean, obj.gradient(theta), atol=1e-12)
-
-    def test_out_of_range_indices_rejected(self):
-        obj = self._logistic()
-        with pytest.raises(ConfigurationError):
-            obj.batch_gradient(np.zeros(3), np.array([99]))
+        mean = np.mean([_reference_gradient(obj, theta, batch=np.array(b)) for b in batches], axis=0)
+        assert np.allclose(mean, obj.gradients(theta)[0], atol=1e-12)
 
 
 class TestGradientChecks:
@@ -414,7 +433,7 @@ class TestGradientChecks:
         for j in range(theta.shape[0]):
             e = np.zeros_like(theta)
             e[j] = h
-            grad[j] = (obj.value(theta + e) - obj.value(theta - e)) / (2 * h)
+            grad[j] = (obj.value(theta + e)[0] - obj.value(theta - e)[0]) / (2 * h)
         return grad
 
     @pytest.mark.parametrize("family", ["quadratic", "logistic", "linear"])
@@ -422,13 +441,13 @@ class TestGradientChecks:
         rng = np.random.default_rng(11)
         for _ in range(25):
             if family == "quadratic":
-                obj = QuadraticObjective(rng.uniform(0.1, 2.0, 3), rng.normal(size=3), float(rng.normal()))
+                obj = _quadratic(rng.uniform(0.1, 2.0, 3), rng.normal(size=3), float(rng.normal()))
             else:
                 x = rng.normal(size=(12, 3))
                 y = (rng.random(12) < 0.5).astype(float) if family == "logistic" else x @ rng.normal(size=3)
-                obj = GlmObjective(x, y, family, batch_size=3)
+                obj = GlmObjective([x], [y], family, batch_size=3)
             theta = rng.normal(size=3)
-            analytic = obj.gradient(theta)
+            analytic = obj.gradients(theta)[0]
             numeric = self._finite_difference(obj, theta)
             denom = max(np.linalg.norm(analytic), 1e-8)
             assert np.linalg.norm(analytic - numeric) / denom < 1e-5
@@ -437,38 +456,42 @@ class TestGradientChecks:
         rng = np.random.default_rng(21)
         x = rng.normal(size=(16, 2))
         y = (rng.random(16) < 0.5).astype(float)
-        obj = GlmObjective(x, y, "logistic", batch_size=4)
+        obj = GlmObjective([x], [y], "logistic", batch_size=4)
         theta = np.array([0.4, -0.2])
         draws = np.empty((10_000, 2))
         for s in range(draws.shape[0]):
             idx = rng.choice(16, size=4, replace=False)
-            draws[s] = obj.batch_gradient(theta, idx)
+            draws[s] = _reference_gradient(obj, theta, batch=idx)
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
-        assert np.all(np.abs(mean - obj.gradient(theta)) <= 4 * se)
+        assert np.all(np.abs(mean - obj.gradients(theta)[0]) <= 4 * se)
 
     def test_quadratic_noise_model_unbiased(self):
-        obj = QuadraticObjective.from_optimum([1.0], noise_std=0.5)
-        rng = np.random.default_rng(8)
+        # one local step of size 1 from theta moves by the noisy gradient
+        obj = _at([1.0], noise_std=0.5)
         theta = np.array([3.0])
-        draws = np.array([obj.noisy_gradient(theta, rng)[0] for _ in range(10_000)])
+        members = np.broadcast_to(theta, (1, 10_000, 1))
+        out = local_sgd(obj, [0], members, 1, 1.0, [[np.random.default_rng(8)] * 10_000])
+        draws = -out.delta[0, :, 0]
         se = draws.std(ddof=1) / 100.0
-        assert abs(draws.mean() - obj.gradient(theta)[0]) <= 4 * se
+        assert abs(draws.mean() - obj.gradients(theta)[0, 0]) <= 4 * se
 
 
 def _quadratic_value_reference(obj, theta):
-    """Per-point quadratic loss as evaluated before batching."""
+    """Per-point loss of the one-row quadratic table ``obj`` as evaluated
+    before batching."""
     theta = np.asarray(theta, dtype=float)
-    return float(np.dot(obj.a, theta * theta) + np.dot(obj.b, theta) + obj.c)
+    return float(np.dot(obj.a[0], theta * theta) + np.dot(obj.b[0], theta) + obj.c[0])
 
 
 def _glm_value_reference(obj, theta):
-    """Per-point GLM loss as evaluated before batching."""
-    z = obj.features @ np.asarray(theta, dtype=float)
+    """Per-point loss of the one-row GLM table ``obj`` as evaluated before
+    batching."""
+    z = obj.features[0] @ np.asarray(theta, dtype=float)
     if obj.link == "linear":
-        r = z - obj.targets
+        r = z - obj.targets[0]
         return 0.5 * float(np.dot(r, r)) / obj.n_samples
-    yz = np.where(obj.targets > 0.5, z, -z)
+    yz = np.where(obj.targets[0] > 0.5, z, -z)
     return float(np.mean(np.logaddexp(0.0, -yz)))
 
 
@@ -478,27 +501,27 @@ def _glm_shard(rng, n_samples, dim, link):
         y = x @ rng.standard_normal(dim) + 0.1 * rng.standard_normal(n_samples)
     else:
         y = (rng.random(n_samples) < 0.5).astype(float)
-    return GlmObjective(x, y, link, batch_size=1)
+    return GlmObjective([x], [y], link, batch_size=1)
 
 
 class TestBatchedValues:
     def test_scalar_quadratic_rows_are_bit_equal(self):
         rng = np.random.default_rng(3)
         for opt, curv in [(2.0, 0.5), (-7.25, 1.3), (0.0, 0.0)]:
-            obj = QuadraticObjective.from_optimum([opt], curv)
+            obj = QuadraticObjective.from_optima([opt], curv)
             thetas = np.concatenate([rng.normal(0.0, 10.0, (50, 1)), [[0.0], [1e12], [-3.5]]])
             got = obj.values(thetas)
-            assert got.shape == (53,)
-            assert got.tolist() == [_quadratic_value_reference(obj, t) for t in thetas]
-            assert [obj.value(t) for t in thetas] == got.tolist()
+            assert got.shape == (53, 1)
+            assert got[:, 0].tolist() == [_quadratic_value_reference(obj, t) for t in thetas]
+            assert [obj.value(t)[0] for t in thetas] == got[:, 0].tolist()
 
     def test_vector_quadratic_rows_match_the_reference(self):
         rng = np.random.default_rng(4)
-        obj = QuadraticObjective(rng.random(7), rng.normal(size=7), 1.5)
+        obj = _quadratic(rng.random(7), rng.normal(size=7), 1.5)
         thetas = rng.normal(0.0, 5.0, (40, 7))
         want = [_quadratic_value_reference(obj, t) for t in thetas]
-        np.testing.assert_allclose(obj.values(thetas), want, rtol=1e-12, atol=0)
-        np.testing.assert_allclose([obj.value(t) for t in thetas], want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(obj.values(thetas)[:, 0], want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose([obj.value(t)[0] for t in thetas], want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("link", ["linear", "logistic"])
     def test_glm_rows_match_the_reference_across_chunks(self, link):
@@ -508,8 +531,78 @@ class TestBatchedValues:
             rows = min(_CHUNK_FLOATS // n_samples, 1024) + 7
             thetas = rng.normal(0.0, 3.0, (rows, 4))
             want = [_glm_value_reference(obj, t) for t in thetas]
-            np.testing.assert_allclose(obj.values(thetas), want, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(obj.value(thetas[0]), want[0], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(obj.values(thetas)[:, 0], want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(obj.value(thetas[0])[0], want[0], rtol=1e-12, atol=0)
+
+
+class TestTables:
+    """One class per family: a client objective is a row of its table."""
+
+    def test_a_row_is_a_one_row_view_that_skips_the_checks(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        quadratic = QuadraticObjective(rng.random((4, 3)), rng.normal(size=(4, 3)), rng.normal(size=4),
+                                       [0.0, 0.5, 0.0, 1.0])
+        glm = _glm("logistic", seeds=range(4))
+        for cls in (QuadraticObjective, GlmObjective):
+            monkeypatch.setattr(cls, "__init__", lambda *args: pytest.fail("a row repeats the checks"))
+        for table in (quadratic, glm):
+            row = table.row(2)
+            assert type(row) is type(table) and len(row) == 1 and row.dim == table.dim
+            for name, value in vars(table).items():
+                if isinstance(value, np.ndarray):
+                    assert np.shares_memory(getattr(row, name), value), name
+                    assert _bits(getattr(row, name)) == _bits(value[2:3]), name
+                else:
+                    assert getattr(row, name) == value, name
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_a_quadratic_loss_has_the_same_bits_in_every_table(self, dim):
+        rng = np.random.default_rng(dim)
+        table = QuadraticObjective(rng.random((5, dim)), rng.normal(size=(5, dim)), rng.normal(size=5))
+        theta = rng.normal(0.0, 3.0, dim)
+        row_vector = theta[None]
+        for i in range(5):
+            # the loss of one client as it evaluated itself: a 1 x dim matrix
+            # times its coefficient vectors
+            alone = ((row_vector * row_vector) @ table.a[i] + row_vector @ table.b[i] + table.c[i])[0]
+            assert _bits(table.row(i).value(theta)[0]) == _bits(alone)
+            assert _bits(table.value(theta)[i]) == _bits(alone)
+        assert _bits(table.value(theta)) == _bits(table.values(row_vector)[0])
+
+    def test_quadratic_optima_and_smoothness_per_row(self):
+        table = QuadraticObjective.from_optima([[1.0, -2.0], [0.5, 3.0]], curvature=0.75)
+        assert table.optima.tolist() == [[1.0, -2.0], [0.5, 3.0]]
+        assert table.smoothness.tolist() == [1.5, 1.5]
+        varied = QuadraticObjective([[0.5, 2.0], [0.25, 0.125]], [[1.0, 0.0], [0.0, -1.0]])
+        assert varied.optima.tolist() == [[-1.0, -0.0], [-0.0, 4.0]]
+        assert varied.smoothness.tolist() == [4.0, 0.5]
+        with pytest.raises(ConfigurationError, match="flat quadratic"):
+            _ = QuadraticObjective([[0.5], [0.0]], [[0.0], [1.0]]).optima
+
+    @pytest.mark.parametrize("link", ["linear", "logistic"])
+    def test_glm_smoothness_per_row_is_each_shards_own(self, link):
+        table = _glm(link, seeds=range(5), n=17, dim=4)
+        factor = 1.0 if link == "linear" else 0.25
+        want = [factor * float(np.linalg.eigvalsh(x.T @ x).max()) / 17 for x in table.features]
+        assert table.smoothness.tolist() == want
+        assert table.n_samples == 17 and len(table) == 5
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: QuadraticObjective([0.5], [0.0]), "rows, dim"),
+        (lambda: QuadraticObjective([[0.5, 1.0]], [[0.0]]), "rows, dim"),
+        (lambda: QuadraticObjective([[0.5], [-1.0]], [[0.0], [0.0]]), "curvature must be nonnegative"),
+        (lambda: QuadraticObjective.from_optima([1.0, 2.0], curvature=-0.5), "curvature must be nonnegative"),
+        (lambda: QuadraticObjective([[0.5], [1.0]], [[0.0], [0.0]], noise_std=[0.1, -0.1]),
+         "noise_std must be nonnegative"),
+        (lambda: QuadraticObjective.from_optima([[1.0], [2.0, 3.0]]), "disagree on parameter dimension"),
+        (lambda: GlmObjective(np.ones((2, 4, 3)), np.ones((2, 4)), "probit"), "unknown link"),
+        (lambda: GlmObjective(np.ones((4, 3)), np.ones(4)), "disagree on sample count"),
+        (lambda: GlmObjective(np.ones((2, 4, 3)), np.ones((2, 5))), "disagree on sample count"),
+        (lambda: GlmObjective(np.ones((2, 4, 3)), np.ones((2, 4)), batch_size=5), "batch size"),
+    ])
+    def test_the_constructor_checks_the_table_once(self, make, message):
+        with pytest.raises(ConfigurationError, match=message):
+            make()
 
 
 class TestBatchStream:
@@ -543,24 +636,24 @@ class TestSyntheticShards:
         cfg = SyntheticShardConfig(n_clients=3, seed=42)
         a = make_synthetic_shards(cfg)
         b = make_synthetic_shards(cfg)
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.features, sb.features)
-            assert np.array_equal(sa.targets, sb.targets)
+        assert len(a) == 3
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.targets, b.targets)
 
     def test_single_client_optimum_is_the_federated_optimum(self):
         from asyncfed.core import Fleet, weighted_optimum
 
         shards = make_synthetic_shards(SyntheticShardConfig(n_clients=1, seed=1))
-        fleet = Fleet(stack_objectives(shards), [1], [1.0])
+        fleet = Fleet([(np.arange(1), shards)], [1], [1.0])
         fed_opt = weighted_optimum(fleet)
-        assert np.allclose(fed_opt, _local_optimum(shards[0]), atol=1e-5)
+        assert np.allclose(fed_opt, _local_optimum(shards), atol=1e-5)
 
     def test_heterogeneity_monotone_in_inverse_concentration(self):
         def mean_pairwise_optimum_distance(concentration):
             shards = make_synthetic_shards(
                 SyntheticShardConfig(n_clients=6, seed=7, concentration=concentration)
             )
-            optima = [_local_optimum(s) for s in shards]
+            optima = [_local_optimum(shards.row(i)) for i in range(len(shards))]
             dists = [
                 np.linalg.norm(a - b) for a, b in itertools.combinations(optima, 2)
             ]
@@ -580,5 +673,5 @@ class TestSyntheticShards:
         assert lines[0] == "x0,x1,y"
         assert len(lines) == 5
         first = [float(v) for v in lines[1].split(",")]
-        assert first[0] == shards[0].features[0, 0]
-        assert first[2] == shards[0].targets[0]
+        assert first[0] == shards.features[0, 0, 0]
+        assert first[2] == shards.targets[0, 0]

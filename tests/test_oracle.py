@@ -253,8 +253,7 @@ class TestOracleCsvExport:
         shipped = Path(__file__).resolve().parent.parent / "configs" / "async_exponential_oracle.json"
         experiment = build_experiment(load_config(shipped))
         state, theta0, _ = _oracle_state_for(experiment)
-        fleet = experiment.fleet
-        optima = tuple(float(fleet.objective(i).optimum[0]) for i in range(len(fleet)))
+        optima = tuple(experiment.fleet.gather("optima")[:, 0].tolist())
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         export_oracle_csv(state, optima, *_sequences(state, optima, theta0, n_rounds), got)
         _reference_oracle_csv(state, optima, theta0, n_rounds, want)

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 import asyncfed
 from asyncfed.config import CONFIG_SCHEMA, _StrictValidator, build_experiment, build_fleet, validate_config
 from asyncfed.core import ConfigurationError, UnsupportedConfigError
-from asyncfed.objectives import QuadraticObjective, stack_objectives
+from asyncfed.objectives import QuadraticObjective
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy, fastest_first, replay_steady_period
 from asyncfed.weights import WeightPlan, WeightScheme, plan_weights, window_stats
 
@@ -165,11 +165,12 @@ def seeded_optima(m, dim, seed):
     return [row[0] for row in rows] if dim == 1 else rows
 
 
-def reference_objective(optimum, curvature, noise_std):
-    """One client's quadratic as it was built alone, with its own np.dot."""
+def reference_coefficients(optimum, curvature):
+    """One client's quadratic coefficients a, b and c as it computed them
+    alone, c with its own np.dot."""
     opt = np.atleast_1d(np.asarray(optimum, dtype=float))
     a = np.full_like(opt, float(curvature))
-    return QuadraticObjective(a, -2.0 * a * opt, float(np.dot(a, opt * opt)), noise_std)
+    return a, -2.0 * a * opt, float(np.dot(a, opt * opt))
 
 
 def quadratic_document(optima, curvature=None, noise_std=None):
@@ -200,20 +201,17 @@ def test_quadratic_fleet_table_matches_per_client_construction(m, dim, curvature
     optima = seeded_optima(m, dim, seed=5)
     assert validate_config(quadratic_document(optima, curvature, noise_std)) == []
     fleet, _ = build_fleet(quadratic_document(optima, curvature, noise_std))
-    reference = [
-        reference_objective(opt, 0.5 if curvature is None else curvature, 0.0 if noise_std is None else noise_std)
-        for opt in optima
-    ]
+    reference = [reference_coefficients(opt, 0.5 if curvature is None else curvature) for opt in optima]
+    a, b, c = (np.array(column) for column in zip(*reference))
     (_, table), = fleet.tables
-    (_, want), = stack_objectives(reference)
-    for name in ("a", "b", "c", "two_a", "noise_std"):
-        _same_bits(getattr(table, name), getattr(want, name))
-    for i, ref in enumerate(reference):
-        got = fleet.objective(i)
-        _same_bits(got.a, ref.a)
-        _same_bits(got.b, ref.b)
-        assert type(got.c) is float and got.c.hex() == ref.c.hex()
-        assert got.noise_std == ref.noise_std
+    for got, want in ((table.a, a), (table.b, b), (table.c, c), (table.two_a, 2.0 * a),
+                      (table.noise_std, np.full(m, 0.0 if noise_std is None else noise_std))):
+        _same_bits(got, want)
+    for i, (a_i, b_i, c_i) in enumerate(reference):
+        row = table.row(i)
+        _same_bits(row.a[0], a_i)
+        _same_bits(row.b[0], b_i)
+        assert float(row.c[0]).hex() == c_i.hex()
 
 
 # counts the objectives that set-up and a run construct; run in a child
@@ -233,18 +231,20 @@ def counting_new(cls, *args, **kwargs):
 
 for cls in (QuadraticObjective, GlmObjective):
     cls.__new__ = staticmethod(counting_new)
-QuadraticObjective([0.5], [0.0])  # the counter sees a construction
+QuadraticObjective([[0.5]], [[0.0]])  # the counter sees a construction
 seen = made[:]
 with open(sys.argv[1]) as fh:
     experiment = build_experiment(json.load(fh))
+(_, table), = experiment.fleet.tables
 traj = run(experiment.run_config)
-print(json.dumps([seen, traj.n_rounds, len(made) - len(seen)]))
+print(json.dumps([seen, traj.n_rounds, made[len(seen):], len(table)]))
 """
 
 
-def test_set_up_and_run_hold_no_per_client_objectives(tmp_path):
-    """The fleet's tables are the only form of its objectives: building and
-    running a noisy quadratic fleet constructs no per-client objective."""
+def test_set_up_and_run_hold_one_table(tmp_path):
+    """The fleet's one table is the only form of its objectives: building
+    and running a noisy quadratic fleet constructs one objective, the
+    table of all 500 clients."""
     document = quadratic_document(seeded_optima(500, 1, seed=3), noise_std=0.3)
     document["scheme"] = {"policy": "asynchronous", "weights": "async_time_based"}
     document["fleet"]["compute_times"] = [1 + i % 7 for i in range(500)]
@@ -255,7 +255,7 @@ def test_set_up_and_run_hold_no_per_client_objectives(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", _COUNT_OBJECTIVES, str(path)], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert json.loads(out.stdout) == [["QuadraticObjective"], 50, 0]
+    assert json.loads(out.stdout) == [["QuadraticObjective"], 50, ["QuadraticObjective"], 500]
 
 
 def test_ragged_optima_report_the_dimensions():

@@ -15,6 +15,7 @@ from asyncfed.timing import (
     PolicyKind,
     WaitPolicy,
     advance_round,
+    fedfix_period,
     init_fleet_state,
     participations_per_cycle,
     replay_steady_period,
@@ -271,6 +272,15 @@ class TestStalenessBound:
     def test_fixed_window_ceiling(self):
         policy = WaitPolicy(PolicyKind.FEDFIX, delta_t=2)
         assert staleness_bound(policy, FIXED, [1, 3]) == 2
+
+    @pytest.mark.parametrize("taus, delta_t", [([1, 3], 2), ([0.3, 0.7, 0.2], 0.1), ([2.5, 1], 0.5),
+                                                 ([Fraction(7, 3), 1], Fraction(2, 3))])
+    def test_fixed_window_bound_is_the_longest_period(self, taus, delta_t):
+        policy = WaitPolicy(PolicyKind.FEDFIX, delta_t=delta_t)
+        periods = [fedfix_period(t, policy.delta_t) for t in taus]
+        exact = [math.ceil(Fraction(t) / Fraction(policy.delta_t)) for t in taus]
+        assert periods == exact
+        assert staleness_bound(policy, FIXED, taus) == max(exact)
 
     def test_fixed_window_bound_dominates_realized_staleness(self):
         policy = WaitPolicy(PolicyKind.FEDFIX, delta_t=2)

@@ -14,6 +14,7 @@ from asyncfed.weights import (
     chi_square_bias,
     plan_weights,
     verify_window_assumption,
+    window_counts,
     window_stats,
 )
 
@@ -138,6 +139,19 @@ class TestWindowStats:
         assert window == 51
         counts = np.array([44, 28, 23, 19, 16, 14, 12, 11, 10, 9])
         assert q.tolist() == (counts / 51).tolist()
+
+
+class TestWindowCounts:
+    @pytest.mark.parametrize("policy, taus, window, counts", [
+        (SYNC, [1, 2, 3], 1, [1, 1, 1]),
+        (ASYNC, [1, 2, 3], 11, [6, 3, 2]),
+        (WaitPolicy(PolicyKind.FEDFIX, delta_t=2), [1, 2, 3, 5], 6, [6, 6, 3, 2]),
+        (WaitPolicy(PolicyKind.FEDBUFF, m=4), [5, 8, 2, 6, 5, 1], 2, [2, 1, 2, 1, 2, 2]),
+        (WaitPolicy(PolicyKind.SAMPLE_UNIFORM, m=2), [1, 2, 3], 1, None),
+    ])
+    def test_window_and_deliveries_per_window(self, policy, taus, window, counts):
+        assert window_counts(policy, taus) == (window, counts)
+        assert window_of(policy, taus) == window
 
 
 class TestWindowAssumption:
