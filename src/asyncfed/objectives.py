@@ -47,12 +47,12 @@ class QuadraticObjective(_Table):
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         if a.ndim != 2 or a.shape != b.shape:
             raise ConfigurationError("quadratic coefficients a and b must be (rows, dim) arrays of one shape")
-        if np.any(a < 0):
+        if (a < 0).any():
             raise ConfigurationError("quadratic curvature must be nonnegative")
-        c, noise_std = (np.broadcast_to(np.asarray(v, dtype=float), a.shape[:1]) for v in (c, noise_std))
-        if np.any(noise_std < 0):
+        self.a, self.b, self.c, self.noise_std = a, b, np.empty(len(a)), np.empty(len(a))
+        self.c[:], self.noise_std[:] = c, noise_std  # one number fills every row
+        if (self.noise_std < 0).any():
             raise ConfigurationError("noise_std must be nonnegative")
-        self.a, self.b, self.c, self.noise_std = a, b, c, noise_std
         self.two_a = 2.0 * a  # the gradient's coefficient
 
     @classmethod
