@@ -118,7 +118,7 @@ class GlmObjective(_Table):
     ``targets`` (G, n)."""
 
     def __init__(self, features, targets, link: str = "logistic", batch_size: int = 8):
-        features, targets = np.asarray(features, dtype=float), np.asarray(targets, dtype=float)
+        features, targets = np.ascontiguousarray(features, dtype=float), np.asarray(targets, dtype=float)
         if link not in ("linear", "logistic"):
             raise ConfigurationError(f"unknown link {link!r}")
         if features.ndim != 3 or targets.shape != features.shape[:2]:

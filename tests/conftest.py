@@ -19,8 +19,7 @@ def quadratic_fleet(optima, taus=None, importances=None, curvature=0.5, noise_st
                     distribution_ids=None):
     """Fleet of scalar (or vector) quadratics with squared-distance losses."""
     n = len(optima)
-    table = QuadraticObjective.from_optima([np.atleast_1d(np.asarray(opt, dtype=float)).tolist() for opt in optima],
-                                           curvature, noise_std)
+    table = QuadraticObjective.from_optima(optima, curvature, noise_std)
     return Fleet([(np.arange(n), table)], taus or [1] * n, importances or uniform_importances(n), distribution_ids)
 
 
