@@ -188,8 +188,9 @@ def convergence_residual(
         total = float(ordered_sum(qi * sq for qi, sq in zip(q, squares) if qi != 0.0))
         return ResidualEstimate(total, 0.0, n_draws)
 
+    from .objectives import GlmObjective, _glm_gradient  # objectives imports this module
+
     rng = rng or np.random.default_rng(0)
-    full = fleet.gradients(theta)
     total = 0.0
     var_total = 0.0
     for i, qi in enumerate(q):
@@ -197,28 +198,24 @@ def convergence_residual(
             continue
         table, row = fleet.tables[fleet.table_of[i]][1], fleet.row_of[i]
         samples = np.empty(n_draws)
-        for s in range(n_draws):
-            g = _draw_gradient(table, row, full[i], theta, batch_size, rng)
-            samples[s] = float(np.dot(g, g))
+        if batch_size is not None and isinstance(table, GlmObjective):
+            # one minibatch gradient of the shard per draw
+            x, y, n = table.features[row], table.targets[row], table.n_samples
+            for s in range(n_draws):
+                idx = rng.choice(n, size=min(batch_size, n), replace=False)
+                g = _glm_gradient(x[idx], y[idx], theta, table.link)
+                samples[s] = float(np.dot(g, g))
+        else:
+            # the full gradient, plus a noisy quadratic's Gaussian noise
+            full = table.row(row).gradients(theta)[0]
+            noise_std = 0.0 if isinstance(table, GlmObjective) else table.noise_std[row]
+            for s in range(n_draws):
+                g = full + noise_std * rng.standard_normal(full.shape[0]) if noise_std > 0.0 else full
+                samples[s] = float(np.dot(g, g))
         total += qi * samples.mean()
         if n_draws > 1:
             var_total += qi * qi * samples.var(ddof=1) / n_draws
     return ResidualEstimate(total, math.sqrt(var_total), n_draws)
-
-
-def _draw_gradient(table, row, full, theta, batch_size, rng):
-    """One stochastic gradient of ``row`` of ``table`` at ``theta``, whose
-    full gradient is ``full``: a minibatch gradient of a GLM shard, or the
-    full gradient plus a noisy quadratic's Gaussian noise."""
-    from .objectives import GlmObjective, _glm_gradient  # objectives imports this module
-
-    if isinstance(table, GlmObjective):
-        if batch_size is None:
-            return full
-        idx = rng.choice(table.n_samples, size=min(batch_size, table.n_samples), replace=False)
-        return _glm_gradient(table.features[row, idx], table.targets[row, idx], theta, table.link)
-    noise_std = table.noise_std[row]
-    return full + noise_std * rng.standard_normal(full.shape[0]) if noise_std > 0.0 else full
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,13 @@ def window_stats(
     lcm({ceil(tau_i / delta_t)}) rounds. The buffered policy is measured
     from its replayed schedule. The averages are exact, from the weights'
     integer numerators, until they are rounded to float.
+
+    Only tests read ``q_over_window`` today. Its planned readers are the
+    steady-period identity, whose right side is
+    ``weighted_optimum(fleet, q_over_window)`` (ROADMAP item 2), and the
+    run log's realized-weight check and the bound's chi-square term
+    (ROADMAP item 6). Code that needs only the window reads
+    :func:`window_counts`.
     """
     p = _over_common_den(map(float, importances))
     d = _exact_weights(scheme, p, compute_times, policy, None, custom_d)

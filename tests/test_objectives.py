@@ -548,6 +548,7 @@ class TestTables:
         for table in (quadratic, glm):
             row = table.row(2)
             assert type(row) is type(table) and len(row) == 1 and row.dim == table.dim
+            assert vars(row).keys() == vars(table).keys()  # the field lists name every attribute
             for name, value in vars(table).items():
                 if isinstance(value, np.ndarray):
                     assert np.shares_memory(getattr(row, name), value), name
