@@ -105,13 +105,13 @@ class Fleet:
         return out
 
     def losses(self, thetas) -> np.ndarray:
-        """(rows, M) loss of every client at each row of the (rows, dim)
-        array ``thetas``, one evaluation per table."""
+        """C-order (rows, M) loss of every client at each row of the
+        (rows, dim) array ``thetas``, one evaluation per table."""
         thetas = np.asarray(thetas, dtype=float)
-        out = np.empty((len(self), thetas.shape[0]))
+        out = np.empty((thetas.shape[0], len(self)))
         for positions, table in self.tables:
-            out[positions] = table.values(thetas).T
-        return out.T
+            out[:, positions] = table.values(thetas)
+        return out
 
     def gradients(self, theta) -> np.ndarray:
         """(M, dim) full gradient of every client at ``theta``."""

@@ -16,6 +16,11 @@ generator in dispatch order, so the trajectory is the one that computing
 each run at its delivery gives. A run still in flight at the horizon may
 have drawn from its client's stream, but it is never delivered: its result,
 and any overflow in it, is dropped.
+
+A client delivers at most once between two passes, so the rounds between
+them (a segment) are aggregated as one block just before the next pass:
+one gather of the participants' runs, per-round sums in client order and
+the models as one running sum over the rounds.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigurationError, Fleet, StalenessCapError, sum_in_order, weighted_optimum
+from .core import ConfigurationError, Fleet, StalenessCapError, weighted_optimum
 from .objectives import BatchStream, GlmObjective, local_sgd
 from .textfmt import BLOCK_CELLS, format_rows
 from .timing import HardwareModel, PolicyKind, Round, WaitPolicy, advance_round, init_fleet_state
@@ -118,14 +123,22 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class MetricsRow:
-    round: int
-    wall_time: float
-    participant_mask: int | None
-    loss_fed: float
-    loss_surrogate: float
-    dist_sq: float
-    client_losses: np.ndarray       # read-only row of the run's (rows, M) loss matrix
+class Metrics:
+    """The metrics of the kept models (every ``metric_cadence``-th and the
+    last) as columns: entry j of each belongs to model ``round[j]``. The
+    final model has no round of its own, so its participant mask is None
+    and its surrogate loss NaN."""
+
+    round: np.ndarray               # int64 model indices
+    wall_time: np.ndarray
+    participant_mask: list          # int bit mask of each row's participants
+    loss_fed: np.ndarray
+    loss_surrogate: np.ndarray
+    dist_sq: np.ndarray
+    client_losses: np.ndarray       # read-only, C-order (rows, M)
+
+    def __len__(self) -> int:
+        return self.round.shape[0]
 
 
 @dataclass
@@ -135,7 +148,7 @@ class Trajectory:
     theta: np.ndarray               # (n_models, dim)
     times: np.ndarray               # (n_models,)
     rounds: list[Round]             # one per completed round
-    metrics: list[MetricsRow]
+    metrics: Metrics | None
     optimum: np.ndarray
     diverged: bool = False
     divergence_round: int | None = None
@@ -157,7 +170,7 @@ class Trajectory:
         return out
 
     def loss_series(self) -> np.ndarray:
-        return np.array([m.loss_fed for m in self.metrics])
+        return self.metrics.loss_fed
 
 
 def _participations(rounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,6 +199,109 @@ def shares_schedule(config: RunConfig) -> bool:
     return not config.policy.is_sampling
 
 
+def _row_sums(terms: np.ndarray, sizes) -> np.ndarray:
+    """Per row, the sum of its terms: row r owns the next ``sizes[r]``
+    entries of ``terms`` along axis 0, added in order, left to right, as
+    ``total += term`` from a zero ``total`` adds them, then +0.0, which
+    gives a row of zeros (or none) the +0.0 of that zero start.
+
+    Each row's terms fill the front of a padded row and zeros follow, which
+    leave a running sum unchanged; np.sum would pair terms and move the
+    last digit. ``np.add.accumulate`` is cumsum's running sum at less
+    per-call cost."""
+    n_rows = len(sizes)
+    width = max(sizes) if n_rows else 0
+    if width == 1 and terms.shape[0] == n_rows:  # one term in every row
+        return terms + 0.0
+    if n_rows == 1 and width:
+        return np.add.accumulate(terms)[-1:] + 0.0
+    pos = np.repeat(np.arange(n_rows), sizes)
+    padded = np.zeros((n_rows, max(width, 1)) + terms.shape[1:])
+    padded[pos, np.arange(pos.size) - np.searchsorted(pos, pos)] = terms
+    return np.add.accumulate(padded, axis=1)[:, -1] + 0.0
+
+
+class _Server:
+    """The global models of one group of members, aggregated one segment
+    of rounds at a time, and the round each member diverged at.
+
+    ``models[:n_models]`` are the recorded models. The rounds the loop has
+    scheduled from index ``n_models - 1`` on form the segment: their runs
+    are computed, and they wait to be aggregated as one block."""
+
+    def __init__(self, config: RunConfig, n_members: int):
+        self.d = config.plan.d
+        self.eta_g = config.eta_g
+        # the buffer doubles when a segment does not fit
+        self.models = np.empty((min(config.rounds or 1023, 1023) + 1, n_members, config.fleet.dim))
+        self.models[0] = config.resolved_theta0()
+        self.n_models = 1
+        self.live = np.ones(n_members, dtype=bool)
+        self.divergence = [None] * n_members  # per member: None, or (round, "overflow" | "threshold")
+        self.seconds = 0.0
+
+    def aggregate(self, rounds: list, work: _LocalWork) -> int | None:
+        """Aggregate the segment ``rounds[n_models - 1:]`` from the runs in
+        ``work``: theta^{n+1} = theta^n + eta_g sum_i (mult_i d_i) delta_i,
+        the sum in client order. A member diverges at the first round whose
+        model is not finite or passes ``DIVERGENCE_THRESHOLD`` in absolute
+        value, or that delivers it a run that overflowed. Returns None
+        while a member is live; once none is, the number of rounds to keep,
+        up to the one the last live member diverged at, whose model is not
+        recorded."""
+        start = self.n_models - 1
+        n_rounds = len(rounds) - start
+        if not n_rounds:
+            return None
+        started = time.perf_counter()
+        if start + n_rounds >= len(self.models):
+            grown = np.empty((max(2 * len(self.models), start + n_rounds + 1),) + self.models.shape[1:])
+            grown[: self.n_models] = self.models[: self.n_models]
+            self.models = grown
+        if n_rounds == 1:
+            clients, multiplicity = rounds[start].clients, rounds[start].multiplicity
+            sizes = [clients.size]
+        else:
+            segment = rounds[start:]
+            sizes = [r.clients.size for r in segment]
+            clients = np.concatenate([r.clients for r in segment])
+            multiplicity = np.concatenate([r.multiplicity for r in segment])
+        # one gather of the participants' runs (take costs less than fancy
+        # indexing), each scaled by mult_i * d_i
+        terms = (multiplicity * self.d[clients])[:, None, None] * work.deltas.take(clients, axis=0)
+        block = self.models[start : start + n_rounds + 1]
+        new = block[1:]
+        # eta_g * total per round, then the models as running sums: the
+        # accumulate adds round by round, as models[n] + eta_g * total does
+        np.multiply(self.eta_g, _row_sums(terms, sizes), out=new)
+        np.add.accumulate(block, axis=0, out=block)
+        # NaN passes through the max and fails the comparison
+        bounded = np.abs(new).max() <= DIVERGENCE_THRESHOLD
+        overflowed = None
+        if work.any_overflow:
+            hit, members = np.nonzero(work.overflow[clients] >= 0)
+            if hit.size:
+                overflowed = np.zeros((n_rounds, len(self.live)), dtype=bool)
+                overflowed[np.repeat(np.arange(n_rounds), sizes)[hit], members] = True
+        kept = None
+        if overflowed is not None or not bounded:
+            failed = ~(np.abs(new) <= DIVERGENCE_THRESHOLD).all(axis=2)
+            if overflowed is not None:
+                failed |= overflowed
+            failed &= self.live  # diverged members step on non-finite models
+            dying = np.flatnonzero(failed.any(axis=0))
+            first = failed[:, dying].argmax(axis=0)
+            for r, k in zip(dying.tolist(), first.tolist()):
+                cause = "overflow" if overflowed is not None and overflowed[k, r] else "threshold"
+                self.divergence[r] = (start + k, cause)
+            self.live[dying] = False
+            if not self.live.any():
+                kept = start + int(first.max()) + 1
+        self.n_models = start + n_rounds + 1 if kept is None else kept
+        self.seconds += time.perf_counter() - started
+        return kept
+
+
 @dataclass
 class _GroupRun:
     """What the round loop leaves for one group of members."""
@@ -202,14 +318,18 @@ def _run_group(config: RunConfig, member_seeds) -> _GroupRun:
     members of a config that :func:`shares_schedule`).
 
     The schedule advances once per round for all R members, which step as
-    one (R, dim) model, each with its own seeded randomness. Local work is
-    computed ahead of delivery by :class:`_LocalWork`. A member that is
+    one (R, dim) model, each with its own seeded randomness. A round's own
+    work is the scheduler's: the rounds whose runs are computed collect
+    into a segment, and :class:`_Server` aggregates it as one block right
+    before the next local-work pass of :class:`_LocalWork` (which reads
+    the models up to the current round), before a highest-loss schedule
+    step (which reads the current model) and at the end. A member that is
     delivered a run that overflowed, or that passes
     ``DIVERGENCE_THRESHOLD``, diverges at that round while the others go on;
-    the loop ends at the horizon or when every member has diverged.
+    the loop ends at the horizon or when every member has diverged, and then
+    keeps the rounds up to the last divergence.
     """
     fleet = config.fleet
-    d = config.plan.d
     taus = list(fleet.compute_times)
     policy = config.policy
     hw = config.hw
@@ -218,29 +338,24 @@ def _run_group(config: RunConfig, member_seeds) -> _GroupRun:
     hw_rng = np.random.default_rng(_seed_key(lead.hardware)) if hw.mode == "exponential" else None
     sample_rng = np.random.default_rng(_seed_key(lead.sampling))
     work = _LocalWork(config, member_seeds)
+    server = _Server(config, len(member_seeds))
     by_loss = policy.kind is PolicyKind.SAMPLE_BIASED and policy.criterion == "highest_loss"
 
     state = init_fleet_state(taus, hw, hw_rng, config.initial_clocks, policy=policy)
-    n_members = len(member_seeds)
-    shape = (n_members, fleet.dim)
-    # the recorded models are models[:n_models]; the buffer doubles when full
-    models = np.empty((min(config.rounds or 1023, 1023) + 1,) + shape)
-    models[0] = config.resolved_theta0()
-    n_models = 1
     round_times = []
     rounds = []
-    live = np.ones(n_members, dtype=bool)
-    n_live = n_members
-    divergence = [None] * n_members
+    kept = None  # set once every member has diverged
     clock = time.perf_counter
-    schedule_s = local_work_s = aggregate_s = 0.0
+    schedule_s = local_work_s = 0.0
 
     # diverged members keep stepping on non-finite rows until the group ends
     with np.errstate(over="ignore", invalid="ignore"):
         while config.rounds is None or state.round_index < config.rounds:
             n = state.round_index
+            if by_loss and (kept := server.aggregate(rounds, work)) is not None:
+                break
             started = clock()
-            losses = fleet.losses(models[n])[0] if by_loss else None
+            losses = fleet.losses(server.models[n])[0] if by_loss else None
             outcome = advance_round(
                 state,
                 policy,
@@ -256,44 +371,28 @@ def _run_group(config: RunConfig, member_seeds) -> _GroupRun:
             schedule_s += scheduled - started
             if outcome is None:
                 break
-
-            if config.tau_max is not None:
-                _check_staleness(outcome, config.tau_max)
-            clients = outcome.clients
-            deltas, overflowed = work.deliver(outcome, state.anchor, models)
-            delivered = clock()
-            local_work_s += delivered - scheduled
-
-            # (mult * d_i) * delta_i added in client order from a zero start
-            if clients.size:
-                total = sum_in_order((outcome.multiplicity * d[clients])[:, None, None] * deltas)
-            else:
-                total = np.zeros(shape)
-            new_theta = models[n] + config.eta_g * total
+            stale = config.tau_max is not None and outcome.staleness.max(initial=0) > config.tau_max
+            if stale or outcome.anchors.max(initial=-1) > work.computed_through:
+                # a pass reads the models up to round n, and a staleness
+                # error is only raised if the rounds before it leave a
+                # member live
+                if (kept := server.aggregate(rounds, work)) is not None:
+                    break
+                if stale:
+                    _check_staleness(outcome, config.tau_max)  # raises
+                computing = clock()
+                work.compute_pending(outcome, state.anchor, server.models)
+                local_work_s += clock() - computing
             rounds.append(outcome)
             round_times.append(state.time)
-            # NaN fails the comparison, so one reduction catches it too
-            bounded = np.abs(new_theta) <= DIVERGENCE_THRESHOLD
-            if overflowed is not None or not bounded.all():
-                failed = ~bounded.all(axis=1)
-                if overflowed is not None:
-                    failed |= overflowed
-                for r in np.flatnonzero(failed & live).tolist():
-                    cause = "overflow" if overflowed is not None and overflowed[r] else "threshold"
-                    divergence[r] = (n, cause)
-                live &= ~failed
-                n_live = int(live.sum())
-            aggregate_s += clock() - delivered
-            if not n_live:
-                break
-            if n_models == len(models):
-                models = np.concatenate([models, np.empty_like(models)])
-            models[n_models] = new_theta
-            n_models += 1
+        if kept is None:  # the horizon or the time limit ended the loop
+            kept = server.aggregate(rounds, work)
 
+    if kept is not None:
+        del rounds[kept:], round_times[kept:]
     return _GroupRun(
-        models[:n_models], round_times, rounds, divergence,
-        {"schedule": schedule_s, "local_work": local_work_s, "aggregate": aggregate_s},
+        server.models[: server.n_models], round_times, rounds, server.divergence,
+        {"schedule": schedule_s, "local_work": local_work_s, "aggregate": server.seconds},
     )
 
 
@@ -312,7 +411,7 @@ def run(config: RunConfig) -> Trajectory:
         theta=group.models[:, 0],
         times=np.asarray([0.0] + group.round_times[: n_models - 1]),
         rounds=group.rounds,
-        metrics=[],
+        metrics=None,
         optimum=weighted_optimum(config.fleet),
         diverged=divergence is not None,
         divergence_round=None if divergence is None else divergence[0],
@@ -354,7 +453,8 @@ def _client_randomness(config: RunConfig, member_seeds) -> list:
 
 def _check_staleness(outcome: Round, tau_max: int) -> None:
     """Raise StalenessCapError when a delivery of the round is staler than
-    ``tau_max``; called at delivery, before the round is aggregated."""
+    ``tau_max``; called once the rounds before it are aggregated and leave
+    a member live."""
     over = np.flatnonzero(outcome.staleness > tau_max)
     if over.size:
         j = over[0]
@@ -393,26 +493,13 @@ class _LocalWork:
             per_job = n_members * fleet.dim * (config.k_steps + 1 + config.k_steps * samples)
             self.chunks.append(max(1, _LOCAL_FLOATS // per_job))
 
-    def deliver(self, outcome: Round, anchor: np.ndarray, models: np.ndarray):
-        """The participants' deltas (P, R, dim) and, when some participant's
-        run overflowed, which members that hits (else None). Computes the
-        pending runs first if a participant's run is not computed yet;
-        ``anchor`` is the fleet state's after the round."""
-        clients = outcome.clients
-        if outcome.anchors.max(initial=-1) > self.computed_through:
-            self._compute_pending(outcome, anchor, models)
-        overflowed = None
-        if self.any_overflow:
-            hit = (self.overflow[clients] >= 0).any(axis=0)
-            overflowed = hit if hit.any() else None
-        return self.deltas[clients], overflowed
-
-    def _compute_pending(self, outcome: Round, anchor: np.ndarray, models: np.ndarray) -> None:
+    def compute_pending(self, outcome: Round, anchor: np.ndarray, models: np.ndarray) -> None:
         """Run every client in flight whose anchor model exists (anchor at
         most this round's index) and whose run is not computed: the
         participants, and the clients still busy on an earlier model.
         Clients that are not sampled this round are rebased past it, so
-        they are left out."""
+        they are left out. ``anchor`` is the fleet state's after the round,
+        and ``models`` holds the models up to this round's."""
         config = self.config
         anchor = anchor.copy()
         anchor[outcome.clients] = outcome.anchors  # the participants' runs, before the round rebased them
@@ -432,28 +519,30 @@ class _LocalWork:
         self.computed_through = outcome.index
 
 
-def _kept_rows(n_models: int, cadence: int) -> list[int]:
+def _kept_rows(n_models: int, cadence: int) -> np.ndarray:
     """Recorded models that get a metrics row: every ``cadence``-th and the last."""
-    last = n_models - 1
-    return [n for n in range(last + 1) if n % cadence == 0 or n == last]
+    kept = np.arange(0, n_models, cadence)
+    return kept if kept[-1] == n_models - 1 else np.append(kept, n_models - 1)
 
 
 def _federated_losses(fleet: Fleet, thetas) -> tuple[np.ndarray, np.ndarray]:
-    """The (rows, M) client-loss matrix at ``thetas`` and the federated loss
-    of each row."""
+    """The C-order (rows, M) client-loss matrix at ``thetas`` and the
+    federated loss of each row."""
     losses = fleet.losses(thetas)
-    # cumsum adds in client order, left to right, so loss_fed keeps its bits;
-    # np.sum would pair terms and move the last digit
-    return losses, np.cumsum(losses * fleet.importances, axis=1)[:, -1].copy()
+    # a running sum adds in client order, left to right, so loss_fed keeps
+    # its bits; np.sum would pair terms and move the last digit
+    weighted = losses * fleet.importances
+    return losses, np.add.accumulate(weighted, axis=1, out=weighted)[:, -1].copy()
 
 
-def _compute_metrics(traj: Trajectory, fleet: Fleet, cadence: int) -> list[MetricsRow]:
+def _compute_metrics(traj: Trajectory, fleet: Fleet, cadence: int) -> Metrics:
     kept = _kept_rows(traj.theta.shape[0], cadence)
-    losses, loss_fed = _federated_losses(fleet, traj.theta[kept])
+    thetas = traj.theta[kept]
+    losses, loss_fed = _federated_losses(fleet, thetas)
     losses.flags.writeable = False
     # rows with a round come first in ``kept``; the final model's row has
     # no participants and no surrogate
-    recorded = [traj.rounds[n] for n in kept if n < traj.n_rounds]
+    recorded = [traj.rounds[n] for n in kept[kept < traj.n_rounds].tolist()]
     unrecorded = len(kept) - len(recorded)
     pos, clients, multiplicity = _participations(recorded)
     served = np.zeros((len(recorded), len(fleet)), dtype=bool)
@@ -461,30 +550,13 @@ def _compute_metrics(traj: Trajectory, fleet: Fleet, cadence: int) -> list[Metri
     masks = [int.from_bytes(row.tobytes(), "little")
              for row in np.packbits(served, axis=1, bitorder="little")] + [None] * unrecorded
     # the surrogate: mult * d_i * loss_i summed over the participants in
-    # client order, left to right. Each round's terms fill the front of its
-    # row and zeros follow, which leave the cumsum unchanged; +0.0 gives an
-    # all-zero row the +0 of a sum's zero start
-    slot = np.arange(pos.size) - np.searchsorted(pos, pos)
-    terms = np.zeros((len(recorded), int(slot.max(initial=0)) + 1))
-    terms[pos, slot] = (multiplicity * traj.d[clients]) * losses[pos, clients]
-    surrogates = (np.cumsum(terms, axis=1)[:, -1] + 0.0).tolist() + [math.nan] * unrecorded
-    metrics = []
-    for n, client_losses, fed, mask, loss_surr in zip(
-        kept, losses, loss_fed.tolist(), masks, surrogates
-    ):
-        gap = traj.theta[n] - traj.optimum
-        metrics.append(
-            MetricsRow(
-                round=n,
-                wall_time=float(traj.times[n]),
-                participant_mask=mask,
-                loss_fed=fed,
-                loss_surrogate=loss_surr,
-                dist_sq=float(np.dot(gap, gap)),
-                client_losses=client_losses,
-            )
-        )
-    return metrics
+    # client order, left to right
+    terms = (multiplicity * traj.d[clients]) * losses[pos, clients]
+    surrogates = np.append(_row_sums(terms, [r.clients.size for r in recorded]), [math.nan] * unrecorded)
+    # one stacked ddot per row, the BLAS call and bits of np.dot(gap, gap)
+    gap = thetas - traj.optimum
+    dist_sq = (gap[:, None, :] @ gap[:, :, None]).reshape(-1)
+    return Metrics(kept, traj.times[kept], masks, loss_fed, surrogates, dist_sq, losses)
 
 
 def _window_stats(series: np.ndarray, fraction: float = 0.05) -> tuple[float, float]:
@@ -718,43 +790,45 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     The final model's row has no participant set or surrogate loss; those
     cells are left empty.
     """
-    leading = [
-        (
-            row.round,
-            row.wall_time,
-            b"" if row.participant_mask is None else b"%d" % row.participant_mask,
-            row.loss_fed,
-            b"" if math.isnan(row.loss_surrogate) else b"%.17g" % row.loss_surrogate,
-            row.dist_sq,
-        )
-        for row in traj.metrics
-    ]
-    write_trajectory_table(path, len(traj.d), leading, [row.client_losses for row in traj.metrics])
+    metrics = traj.metrics
+    leading = list(zip(
+        metrics.round.tolist(),
+        metrics.wall_time.tolist(),
+        [b"" if mask is None else b"%d" % mask for mask in metrics.participant_mask],
+        metrics.loss_fed.tolist(),
+        [b"" if math.isnan(x) else b"%.17g" % x for x in metrics.loss_surrogate.tolist()],
+        metrics.dist_sq.tolist(),
+    ))
+    write_trajectory_table(path, len(traj.d), leading, metrics.client_losses)
 
 
-def write_trajectory_table(path, n_clients: int, leading, client_losses) -> None:
+def write_trajectory_table(path, n_clients: int, leading, client_losses: np.ndarray) -> None:
     """Write the trajectory schema: per row the cells (n, t, participants,
     loss_fed, loss_surrogate, dist_sq), participants and surrogate already
-    ASCII bytes, then that row of ``client_losses`` (rows of ``n_clients``
-    floats).
+    ASCII bytes, then that row of ``client_losses``, a (rows, n_clients)
+    array of real numbers.
 
     Loss cells are encoded by :func:`asyncfed.textfmt.format_rows`, exactly
     as ``'%.17g' % x``, and written in blocks of about ``BLOCK_CELLS``
-    cells; a row of the wrong length or a non-real cell raises ``TypeError``
-    and leaves ``path`` as it was.
+    cells. Anything but such an array, one row per entry of ``leading``,
+    raises ``TypeError`` before ``path`` is opened, so it keeps its old
+    content.
     """
+    shape = (len(leading), n_clients)
+    if not isinstance(client_losses, np.ndarray):
+        raise TypeError(f"expected a {shape} array of client losses, got {type(client_losses).__name__}")
+    if client_losses.dtype.kind not in "biuf" or client_losses.shape != shape:
+        raise TypeError(f"expected a {shape} array of client losses, got {client_losses.dtype} "
+                        f"of shape {client_losses.shape}")
     step = max(1, BLOCK_CELLS // n_clients)
     with atomic_open(path, binary=True) as fh:
         fh.write(",".join(trajectory_header(n_clients)).encode("ascii") + b"\n")
         for start in range(0, len(leading), step):
             stop = start + step
-            block = np.asarray(client_losses[start:stop])
-            if block.shape[1:] != (n_clients,):
-                raise TypeError(f"expected rows of {n_clients} client losses, got shape {block.shape}")
-            text = format_rows(block)
+            text = format_rows(client_losses[start:stop])
             # each row's leading cells go before its slice of the loss text
             view, pieces, pos = memoryview(text), [], 0
-            for cells, _ in zip(leading[start:stop], block):
+            for cells in leading[start:stop]:
                 end = text.index(b"\n", pos) + 1
                 pieces += (b"%d,%.17g,%s,%.17g,%s,%.17g," % cells, view[pos:end])
                 pos = end

@@ -142,13 +142,6 @@ class FleetState:
         so this is the float nearest the exact clock."""
         return self.clock / self.scale
 
-    def duration(self, dt):
-        """A round length in time units: exact (an int on scale 1, else a
-        Fraction) on fixed hardware, the float itself otherwise."""
-        if not self.exact or self.scale == 1:
-            return dt
-        return Fraction(dt, self.scale)
-
     def ticks(self, value) -> int:
         """An exact time on this fleet's tick scale."""
         num, den = exact_ratio(value)
@@ -275,13 +268,25 @@ class Round(NamedTuple):
     set S_n as arrays aligned by position. ``clients`` is ascending; client
     ``clients[j]`` delivers ``multiplicity[j]`` times, trained from the model
     of round ``anchors[j]``. A named tuple, because one is built per round
-    and costs a third of a frozen dataclass."""
+    and costs a third of a frozen dataclass.
+
+    The length is kept as the fleet state counts it, ``length`` units of
+    ``1 / scale``: integer ticks on fixed hardware, a float with scale 1
+    on exponential hardware. ``delta_t`` turns it into time units on
+    demand, so a round builds no ``Fraction``."""
 
     index: int
-    delta_t: Fraction | float
+    length: int | float
+    scale: int
     clients: np.ndarray         # int64
     multiplicity: np.ndarray    # int64
     anchors: np.ndarray         # int64
+
+    @property
+    def delta_t(self) -> int | Fraction | float:
+        """The round length in time units: exact (an int on scale 1, else a
+        Fraction) on fixed hardware, the float itself otherwise."""
+        return self.length if self.scale == 1 else Fraction(self.length, self.scale)
 
     @property
     def staleness(self) -> np.ndarray:
@@ -344,7 +349,7 @@ def advance_round(
         return None
 
     ones = state.ones[: selected.size]
-    outcome = Round(n, state.duration(dt), selected, ones, state.anchor[selected])
+    outcome = Round(n, dt, state.scale, selected, ones, state.anchor[selected])
     rem -= dt
     rem[selected] = state.arm(selected, hw_rng)
     state.anchor[selected] = n + 1
@@ -396,7 +401,7 @@ def _advance_sampling_round(
 
     if clients is None:
         clients, counts = np.sort(drawn), state.ones[:m]
-    outcome = Round(n, state.duration(dt), clients, counts, state.anchor[clients])
+    outcome = Round(n, dt, state.scale, clients, counts, state.anchor[clients])
     state.anchor[:] = n + 1
     state.clock += dt
     state.round_index = n + 1

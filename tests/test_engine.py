@@ -27,8 +27,8 @@ from asyncfed.objectives import (
     make_synthetic_shards,
 )
 from asyncfed.oracle import phi
-from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy
-from asyncfed.weights import WeightScheme, plan_weights
+from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy, advance_round, init_fleet_state
+from asyncfed.weights import WeightPlan, WeightScheme, plan_weights
 
 from conftest import client_row, quadratic_fleet
 
@@ -370,8 +370,8 @@ class TestMetricsAndCsv:
             write_trajectory_csv(traj, got)
             _reference_trajectory_csv(traj, want)
             assert got.read_bytes() == want.read_bytes()
-        assert traj.metrics[-1].round == 41 and traj.metrics[-1].participant_mask is None
-        assert traj.metrics[-2].round == 39
+        assert traj.metrics.round[-1] == 41 and traj.metrics.participant_mask[-1] is None
+        assert traj.metrics.round[-2] == 39
         assert run(diverged).diverged
 
     def test_failed_write_leaves_no_temporary_and_keeps_the_old_file(self, tmp_path):
@@ -379,11 +379,30 @@ class TestMetricsAndCsv:
         traj = run(sync_config(fleet, rounds=6))
         path = tmp_path / "trajectory.csv"
         path.write_text("previous run\n")
-        traj.metrics[4] = replace(traj.metrics[4], client_losses=(0.5, "not a number"))
+        losses = traj.metrics.client_losses.astype(object)
+        losses[4] = (0.5, "not a number")
+        traj.metrics = replace(traj.metrics, client_losses=losses)
         with pytest.raises(TypeError):
             write_trajectory_csv(traj, path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectory.csv"]
         assert path.read_text() == "previous run\n"
+
+    def test_malformed_loss_tables_raise_type_error_before_the_file_is_opened(self, tmp_path, monkeypatch):
+        path = tmp_path / "trajectory.csv"
+        path.write_text("previous run\n")
+        leading = [(0, 0.0, b"", 1.0, b"", 0.0), (1, 1.0, b"", 1.0, b"", 0.0)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the loss table is checked before the file is opened")
+
+        monkeypatch.setattr(engine, "atomic_open", refuse)
+        ragged = [np.zeros(3), np.zeros(2)]
+        for losses in (ragged, [np.zeros(3), np.zeros(3)], np.zeros((2, 2)), np.zeros((1, 3)),
+                       np.full((2, 3), "0.5"), np.zeros((2, 3), dtype=object)):
+            with pytest.raises(TypeError, match=r"expected a \(2, 3\) array"):
+                engine.write_trajectory_table(path, 3, leading, losses)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectory.csv"]
+            assert path.read_text() == "previous run\n"
 
     def test_csv_rows_spanning_encoder_blocks_match_the_reference_writer(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -398,9 +417,11 @@ class TestMetricsAndCsv:
         for name, config in [("every", cfg), ("thinned", replace(cfg, metric_cadence=4))]:
             traj = run(config)
             if name == "every":
-                assert len(traj.metrics) == 31 and traj.metrics[0].client_losses[0] == 0.0
+                assert len(traj.metrics) == 31 and traj.metrics.client_losses[0, 0] == 0.0
                 # a row a caller replaced is written as replaced
-                traj.metrics[12] = replace(traj.metrics[12], client_losses=tuple(-traj.metrics[12].client_losses))
+                losses = traj.metrics.client_losses.copy()
+                losses[12] = -losses[12]
+                traj.metrics = replace(traj.metrics, client_losses=losses)
             got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}.ref.csv"
             write_trajectory_csv(traj, got)
             _reference_trajectory_csv(traj, want)
@@ -409,11 +430,11 @@ class TestMetricsAndCsv:
     def test_client_losses_are_read_only_rows_of_one_matrix(self):
         fleet = quadratic_fleet([[0.0], [2.0], [-1.0]], taus=[1, 2, 3])
         traj = run(sync_config(fleet, rounds=5))
-        rows = [m.client_losses for m in traj.metrics]
-        assert all(isinstance(r, np.ndarray) and r.dtype == np.float64 and r.shape == (3,) for r in rows)
-        assert all(not r.flags.writeable and np.shares_memory(r, rows[0].base) for r in rows)
+        losses = traj.metrics.client_losses
+        assert isinstance(losses, np.ndarray) and losses.dtype == np.float64 and losses.shape == (6, 3)
+        assert not losses.flags.writeable and losses.flags.c_contiguous
         with pytest.raises(ValueError):
-            rows[0][0] = 1.0
+            losses[0, 0] = 1.0
 
     def test_client_losses_match_per_point_values_on_unequal_shards(self):
         rng = np.random.default_rng(11)
@@ -426,11 +447,13 @@ class TestMetricsAndCsv:
         plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2, 3], ASYNC)
         traj = run(RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.2, rounds=30,
                              metric_cadence=4))
-        for row in traj.metrics:
-            theta = traj.theta[row.round]
+        metrics = traj.metrics
+        for n, client_losses, loss_fed in zip(metrics.round.tolist(), metrics.client_losses,
+                                              metrics.loss_fed.tolist()):
+            theta = traj.theta[n]
             want = [_logistic_reference(obj, theta) for obj in shards]
-            np.testing.assert_allclose(row.client_losses, want, rtol=1e-12, atol=0)
-            assert row.loss_fed == pytest.approx(sum(want) / 3, rel=1e-12)
+            np.testing.assert_allclose(client_losses, want, rtol=1e-12, atol=0)
+            assert loss_fed == pytest.approx(sum(want) / 3, rel=1e-12)
 
     def test_realized_weights_match_participants(self):
         fleet = quadratic_fleet([[0.0], [2.0]], taus=[1, 2])
@@ -453,7 +476,7 @@ class TestMetricsAndCsv:
     def test_metric_cadence_thins_rows(self):
         fleet = quadratic_fleet([[0.0], [2.0]])
         traj = run(sync_config(fleet, rounds=10, metric_cadence=5))
-        assert [m.round for m in traj.metrics] == [0, 5, 10]
+        assert traj.metrics.round.tolist() == [0, 5, 10]
 
     def test_local_work_from_the_anchors_reconstructs_the_aggregation(self):
         fleet = quadratic_fleet([[0.0], [2.0]], taus=[1, 2])
@@ -574,6 +597,207 @@ class TestLocalWorkTiming:
         assert np.asarray(models).tobytes() == traj.theta.tobytes()
 
 
+def _reference_run_group(config, member_seeds):
+    """The round loop as it was before segments, the reference for
+    :func:`engine._run_group`: every round gathers its participants' runs,
+    adds ``(mult * d_i) * delta_i`` to a zero total in client order, steps
+    the model and checks divergence on its own. Returns the recorded
+    models, the round times, the rounds and the per-member divergence."""
+    fleet, policy, hw, lead = config.fleet, config.policy, config.hw, member_seeds[0]
+    d, taus = config.plan.d, list(fleet.compute_times)
+    hw_rng = np.random.default_rng(engine._seed_key(lead.hardware)) if hw.mode == "exponential" else None
+    sample_rng = np.random.default_rng(engine._seed_key(lead.sampling))
+    work = engine._LocalWork(config, member_seeds)
+    by_loss = policy.kind is PolicyKind.SAMPLE_BIASED and policy.criterion == "highest_loss"
+    state = init_fleet_state(taus, hw, hw_rng, config.initial_clocks, policy=policy)
+    n_members = len(member_seeds)
+    models = np.empty((8, n_members, fleet.dim))
+    models[0] = config.resolved_theta0()
+    live = np.ones(n_members, dtype=bool)
+    divergence = [None] * n_members
+    rounds, round_times = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        while config.rounds is None or state.round_index < config.rounds:
+            n = state.round_index
+            losses = fleet.losses(models[n])[0] if by_loss else None
+            outcome = advance_round(state, policy, taus, hw, hw_rng=hw_rng, sample_rng=sample_rng,
+                                    client_losses=losses, importances=fleet.importances,
+                                    time_limit=config.time_budget)
+            if outcome is None:
+                break
+            if config.tau_max is not None:
+                engine._check_staleness(outcome, config.tau_max)
+            if outcome.anchors.max(initial=-1) > work.computed_through:
+                work.compute_pending(outcome, state.anchor, models)
+            total = np.zeros((n_members, fleet.dim))
+            for i, mult in zip(outcome.clients.tolist(), outcome.multiplicity.tolist()):
+                total += (mult * d[i]) * work.deltas[i]
+            new_theta = models[n] + config.eta_g * total
+            rounds.append(outcome)
+            round_times.append(state.time)
+            overflowed = (work.overflow[outcome.clients] >= 0).any(axis=0)
+            failed = ~(np.abs(new_theta) <= engine.DIVERGENCE_THRESHOLD).all(axis=1) | overflowed
+            for r in np.flatnonzero(failed & live).tolist():
+                divergence[r] = (n, "overflow" if overflowed[r] else "threshold")
+            live &= ~failed
+            if not live.any():
+                return models[: n + 1], round_times, rounds, divergence
+            if n + 1 == len(models):
+                models = np.concatenate([models, np.empty_like(models)])
+            models[n + 1] = new_theta
+    return models[: len(rounds) + 1], round_times, rounds, divergence
+
+
+def _round_record(rounds):
+    return [(r.index, r.length, r.scale, r.clients.tolist(), r.multiplicity.tolist(), r.anchors.tolist())
+            for r in rounds]
+
+
+def _segmented_run(monkeypatch, config, member_seeds):
+    """``engine._run_group(config, member_seeds)``, checked bit for bit
+    against :func:`_reference_run_group`, and the rounds at which it ran a
+    local-work pass and the last round it scheduled: a segment runs from
+    one pass round to the next."""
+    passes, scheduled = [], []
+    compute_pending, advance_round_ = engine._LocalWork.compute_pending, engine.advance_round
+
+    def recording_pass(self, outcome, *args):
+        passes.append(outcome.index)
+        return compute_pending(self, outcome, *args)
+
+    def recording_round(*args, **kwargs):
+        outcome = advance_round_(*args, **kwargs)
+        scheduled.append(None if outcome is None else outcome.index)
+        return outcome
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine._LocalWork, "compute_pending", recording_pass)
+        patch.setattr(engine, "advance_round", recording_round)
+        got = engine._run_group(config, member_seeds)
+    models, round_times, rounds, divergence = _reference_run_group(config, member_seeds)
+    assert got.models.shape == models.shape and got.models.tobytes() == models.tobytes()
+    assert got.round_times == round_times
+    assert _round_record(got.rounds) == _round_record(rounds)
+    assert got.divergence == divergence
+    return got, passes, max(i for i in scheduled if i is not None)
+
+
+def _mid_segment(n, passes, last_scheduled):
+    """Whether round n was followed, in its segment, by a round the loop
+    scheduled before aggregating the segment."""
+    return n + 1 <= last_scheduled and n + 1 not in passes
+
+
+_MEMBERS = [Seeds((0, j), (1, j), (2, j)) for j in range(5)]
+_POLICIES = [
+    SYNC, ASYNC, WaitPolicy(PolicyKind.FEDFIX, delta_t=0.7), WaitPolicy(PolicyKind.FEDBUFF, m=2),
+    WaitPolicy(PolicyKind.SAMPLE_UNIFORM, m=2), WaitPolicy(PolicyKind.SAMPLE_MD, m=3),
+    WaitPolicy(PolicyKind.SAMPLE_BIASED, m=2, criterion="fastest"),
+    WaitPolicy(PolicyKind.SAMPLE_BIASED, m=2, criterion="highest_loss"),
+]
+
+
+def _segment_fleet(family):
+    # twelve clients, so a round of more than eight participants shows a
+    # pairwise np.sum apart from the sum in client order
+    taus = [1, 1.5, 2, 0.75, 3, 1.25] * 2
+    if family == "glm":
+        shards = make_synthetic_shards(SyntheticShardConfig(12, dim=3, samples_per_client=16, seed=6,
+                                                            batch_size=4))
+        return Fleet([(np.arange(12), shards)], taus, [1 / 12] * 12)
+    noise = 0.5 if family == "noisy_quadratic" else 0.0
+    optima = np.random.default_rng(8).normal(0.0, 3.0, (12, 1)).tolist()
+    return quadratic_fleet(optima, taus=taus, noise_std=noise)
+
+
+class TestSegmentAggregation:
+    """The loop that aggregates the rounds between two local-work passes as
+    one block gives the models, rounds, times and divergence of a loop that
+    aggregates every round on its own, bit for bit."""
+
+    @pytest.mark.parametrize("n_members", [1, 5])
+    @pytest.mark.parametrize("family", ["quadratic", "noisy_quadratic", "glm"])
+    @pytest.mark.parametrize("hw", ["fixed", "exponential"])
+    @pytest.mark.parametrize("policy", _POLICIES, ids=lambda p: p.criterion or p.kind.value)
+    def test_matches_the_per_round_loop(self, monkeypatch, policy, hw, family, n_members):
+        fleet = _segment_fleet(family)
+        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, hw=HardwareModel(hw), eta_g=0.9, eta_l=0.05,
+                        k_steps=2, full_gradient=family == "quadratic", rounds=40,
+                        theta0=np.full(fleet.dim, 2.0))
+        _segmented_run(monkeypatch, cfg, _MEMBERS[:n_members])
+
+    @pytest.mark.parametrize("family", ["noisy_quadratic", "glm"])
+    @pytest.mark.parametrize("hw", ["fixed", "exponential"])
+    @pytest.mark.parametrize("policy", [SYNC, ASYNC, WaitPolicy(PolicyKind.FEDFIX, delta_t=0.7)],
+                             ids=lambda p: p.kind.value)
+    def test_time_horizon_and_metric_cadence(self, monkeypatch, policy, hw, family):
+        fleet = _segment_fleet(family)
+        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, hw=HardwareModel(hw), eta_l=0.1, k_steps=2,
+                        time_budget=23.5, metric_cadence=3, seeds=_MEMBERS[2])
+        group, _, _ = _segmented_run(monkeypatch, cfg, [cfg.seeds])
+        traj = run(cfg)
+        assert traj.theta.tobytes() == group.models[:, 0].tobytes()
+        assert traj.times.tolist() == [0.0] + group.round_times
+        metrics = traj.metrics
+        kept = list(range(0, traj.n_rounds + 1, 3))
+        assert metrics.round.tolist() == kept + ([traj.n_rounds] if traj.n_rounds % 3 else [])
+        assert metrics.wall_time.tobytes() == traj.times[metrics.round].tobytes()
+        gaps = traj.theta[metrics.round] - traj.optimum
+        assert metrics.dist_sq.tobytes() == np.array([np.dot(g, g) for g in gaps]).tobytes()
+
+    def test_a_staleness_error_is_raised_only_while_a_member_is_live(self, monkeypatch):
+        # client 3 delivers at round 15 with staleness 15, in the segment of
+        # rounds 12-15; at eta_g = 500 the member diverges at round 13 first
+        fleet = quadratic_fleet([[0.0], [1.0], [2.0], [3.0]], taus=[1, 1, 1, 5])
+        plan = plan_weights(WeightScheme.IDENTICAL, fleet.importances, fleet.compute_times, ASYNC)
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_g=500.0, eta_l=0.5, full_gradient=True,
+                        rounds=30, theta0=np.array([1.0]), tau_max=14)
+        group, passes, last = _segmented_run(monkeypatch, cfg, [cfg.seeds])
+        assert group.divergence == [(13, "threshold")] and passes[-1] == 12 and last == 15
+        assert len(group.rounds) == 14
+        for stable in (replace(cfg, eta_g=20.0), replace(cfg, eta_g=20.0, rounds=None, time_budget=40.0)):
+            with pytest.raises(StalenessCapError, match="round 15"):
+                engine._run_group(stable, [stable.seeds])
+            with pytest.raises(StalenessCapError, match="round 15"):
+                _reference_run_group(stable, [stable.seeds])
+
+    def _noisy_fleet(self, noise_std):
+        # client 4, the fastest, is the only noisy one; its deliveries open
+        # segments of about five rounds
+        taus = [1.1, 1.2, 1.3, 1.45, 1.0]
+        table = QuadraticObjective.from_optima([[0.0], [1.0], [2.0], [-1.0], [0.5]])
+        noisy = QuadraticObjective(table.a, table.b, table.c, [0.0, 0.0, 0.0, 0.0, noise_std])
+        return Fleet([(np.arange(5), noisy)], taus, [0.2] * 5)
+
+    def _assert_members_die_one_by_one_mid_segment(self, monkeypatch, cfg, cause):
+        group, passes, last = _segmented_run(monkeypatch, cfg, _MEMBERS)
+        assert {c for _, c in group.divergence} == {cause}
+        deaths = sorted(n for n, _ in group.divergence)
+        # a member diverges while others step on, in the middle of a segment
+        assert any(n < deaths[-1] and _mid_segment(n, passes, last) for n in deaths)
+        # the last one ends the loop in the middle of a segment: the rounds
+        # after it were scheduled, then dropped
+        assert _mid_segment(deaths[-1], passes, last) and len(group.rounds) == deaths[-1] + 1
+
+    def test_threshold_divergence_of_one_member_and_of_all_members_mid_segment(self, monkeypatch):
+        # a member diverges when its noise draw carries the model past the threshold
+        fleet = self._noisy_fleet(5e12)
+        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, ASYNC)
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.5, rounds=400)
+        self._assert_members_die_one_by_one_mid_segment(monkeypatch, cfg, "threshold")
+
+    def test_overflow_of_one_member_and_of_all_members_mid_segment(self, monkeypatch):
+        # client 4's run overflows when its member's noise draw does; its
+        # zero weight leaves a finite run without effect, so only the members
+        # whose runs overflowed diverge
+        fleet = self._noisy_fleet(1e308)
+        plan = WeightPlan(WeightScheme.CUSTOM, np.array([0.25, 0.25, 0.25, 0.25, 0.0]))
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=1.0, rounds=400)
+        self._assert_members_die_one_by_one_mid_segment(monkeypatch, cfg, "overflow")
+
+
 class TestRoundBookkeeping:
     """The metrics rows and realized weights, read off the rounds' arrays,
     against a loop over each round's participants."""
@@ -599,16 +823,20 @@ class TestRoundBookkeeping:
                 row[i] = mult * d[i]
             assert np.array_equal(weights[n], row)
         assert any(r.clients.size == 0 for r in traj.rounds) == (policy.kind is PolicyKind.FEDFIX)
-        for metrics in traj.metrics[:-1]:
-            outcome = traj.rounds[metrics.round]
+        metrics = traj.metrics
+        for n, client_losses, participant_mask, loss_surrogate in list(zip(
+            metrics.round.tolist(), metrics.client_losses, metrics.participant_mask,
+            metrics.loss_surrogate.tolist(),
+        ))[:-1]:
+            outcome = traj.rounds[n]
             mask, surrogate = 0, 0.0
             for i, mult in zip(outcome.clients.tolist(), outcome.multiplicity.tolist()):
                 mask |= 1 << i
-                surrogate += mult * d[i] * float(metrics.client_losses[i])
-            assert metrics.participant_mask == mask
-            assert metrics.loss_surrogate == surrogate
-            assert math.copysign(1.0, metrics.loss_surrogate) == math.copysign(1.0, surrogate)
-        assert traj.metrics[-1].participant_mask is None
+                surrogate += mult * d[i] * float(client_losses[i])
+            assert participant_mask == mask
+            assert loss_surrogate == surrogate
+            assert math.copysign(1.0, loss_surrogate) == math.copysign(1.0, surrogate)
+        assert metrics.participant_mask[-1] is None
 
 
 class TestMorePolicies:
@@ -650,17 +878,21 @@ def _reference_trajectory_csv(traj, path):
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(trajectory_header(len(traj.d)))
-        for row in traj.metrics:
+        m = traj.metrics
+        for n, wall_time, mask, loss_fed, loss_surrogate, dist_sq, client_losses in zip(
+            m.round.tolist(), m.wall_time.tolist(), m.participant_mask, m.loss_fed.tolist(),
+            m.loss_surrogate.tolist(), m.dist_sq.tolist(), m.client_losses,
+        ):
             writer.writerow(
                 [
-                    row.round,
-                    fmt(row.wall_time),
-                    "" if row.participant_mask is None else row.participant_mask,
-                    fmt(row.loss_fed),
-                    "" if math.isnan(row.loss_surrogate) else fmt(row.loss_surrogate),
-                    fmt(row.dist_sq),
+                    n,
+                    fmt(wall_time),
+                    "" if mask is None else mask,
+                    fmt(loss_fed),
+                    "" if math.isnan(loss_surrogate) else fmt(loss_surrogate),
+                    fmt(dist_sq),
                 ]
-                + [fmt(v) for v in row.client_losses]
+                + [fmt(v) for v in client_losses.tolist()]
             )
 
 

@@ -756,3 +756,19 @@ class TestNoFractionArithmeticPerRound:
                 while advance_round(state, policy, taus, FIXED, time_limit=60.0) is not None:
                     rounds += 1
                 assert rounds > 40 and state.scale > 1
+
+    def test_a_round_builds_no_fraction(self, monkeypatch):
+        # the round keeps its tick length and scale; delta_t builds the
+        # Fraction only when read
+        taus = [1.0, 1.09, 1.18, 1.27, 1.36]
+        policies = [WaitPolicy(PolicyKind.SYNCHRONOUS), WaitPolicy(PolicyKind.ASYNCHRONOUS),
+                    WaitPolicy(PolicyKind.FEDFIX, delta_t=0.7), WaitPolicy(PolicyKind.FEDBUFF, m=3),
+                    WaitPolicy(PolicyKind.SAMPLE_BIASED, m=2, criterion="fastest")]
+        for policy in policies:
+            state = init_fleet_state(taus, FIXED, policy=policy)
+            with monkeypatch.context() as patch:
+                patch.setattr(Fraction, "__new__", _forbidden)
+                outcomes = [advance_round(state, policy, taus, FIXED) for _ in range(30)]
+            for out in outcomes:
+                assert out.scale == state.scale > 1 and type(out.length) is int
+                assert out.delta_t == Fraction(out.length, out.scale) and type(out.delta_t) is Fraction
