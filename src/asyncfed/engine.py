@@ -11,11 +11,12 @@ participant has no computed run, the loop computes every pending run in one
 pass: each client in flight whose anchor model exists and whose run is not
 yet computed, as one stacked :func:`~asyncfed.objectives.local_sgd` call
 per objective table. The results wait in a per-client buffer until the
-client delivers. Each client draws from its own batch stream or noise
-generator in dispatch order, so the trajectory is the one that computing
-each run at its delivery gives. A run still in flight at the horizon may
-have drawn from its client's stream, but it is never delivered: its result,
-and any overflow in it, is dropped.
+client delivers. Each member's client has its own generator, whose values
+a draw table per objective table holds ahead of use; a client's runs take
+them in dispatch order, so the trajectory is the one that computing each
+run at its delivery gives. A run still in flight at the horizon may have
+drawn from its client's stream, but it is never delivered: its result, and
+any overflow in it, is dropped.
 
 A client delivers at most once between two passes, so the rounds between
 them (a segment) are aggregated as one block just before the next pass:
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ConfigurationError, Fleet, StalenessCapError, weighted_optimum
-from .objectives import BatchStream, GlmObjective, local_sgd
+from .objectives import GlmObjective, local_sgd
 from .textfmt import BLOCK_CELLS, format_rows
 from .timing import HardwareModel, PolicyKind, Round, WaitPolicy, advance_round, init_fleet_state
 from .weights import WeightPlan
@@ -56,7 +57,9 @@ MAX_HELD_ANCHORS = 1 << 24
 # M >= 300, where per-call overhead outweighs the cache
 ENSEMBLE_BLOCK_MEMBERS = 8192
 ASYNC_CHUNK_ROUNDS = 8
-_LOCAL_FLOATS = 1 << 20  # bound on the floats one local_sgd call holds: iterates and gathered samples
+# bound on the floats one local_sgd call holds (iterates, its slice of the draw
+# table, gathered samples), and on the values one draw table holds
+_LOCAL_FLOATS = 1 << 20
 CSV_SCHEMA_VERSION = 1
 
 
@@ -428,27 +431,131 @@ def _seed_key(seed):
     return seed if isinstance(seed, (int, np.integer)) else list(seed)
 
 
-def _client_randomness(config: RunConfig, member_seeds) -> list:
-    """Per client, one batch stream or gradient-noise generator per member,
-    or None for a client that takes exact full gradients.
+class _DrawTable:
+    """The randomness of one objective table's runs, drawn ahead: row g
+    holds, for each of the R members, the next values of the generator of
+    that member and the client at row g, ``width`` values per local step.
 
-    Each member's client owns an independent stream keyed by (the member's
-    batching seed, client id), so members never share mutable RNG state.
+    On a GLM table the values are flat sample indices ``g * n + i`` for
+    whole epochs, ``width`` = B: each epoch's ``n % B`` leftover samples are
+    dropped, and E epochs are one ``permuted`` call on E rows of
+    ``arange(n)``, the values and end state of E ``permutation(n)`` calls.
+    On a quadratic table they are standard normals, ``width`` = dim, one
+    ``standard_normal`` call per refill, the stream that per-run ``(K,
+    dim)`` draws give; a noiseless row has no generator and reads zeros.
+
+    The members of a client advance one cursor, so a run of K steps is the
+    slice ``[cursor, cursor + K * width)`` of its row, and a pass takes its
+    jobs' slices step-major in one ``take``. A row that holds less than one
+    run is refilled: what is left moves to the front, and each member's
+    generator draws as much again as the row has drawn so far, at least
+    eight runs' worth, while the row holds at most ``_LOCAL_FLOATS / (G *
+    R)`` values (or one run and one epoch, if that is more). A refill costs
+    one generator call per member, a pass none.
     """
-    sources = [None] * len(config.fleet)
+
+    def __init__(self, table, generators: list, n_members: int, k_steps: int, batch_size: int | None):
+        self.generators = generators  # per row: one generator per member, or None
+        if isinstance(table, GlmObjective):
+            n = table.n_samples
+            if not 1 <= batch_size <= n:
+                raise ConfigurationError("batch size must lie in [1, n_samples]")
+            self.n_samples, self.width, self.unit = n, batch_size, n - n % batch_size  # unit: one epoch
+            dtype = np.intp
+        else:
+            self.n_samples, self.width, self.unit = None, table.dim, table.dim  # unit: one step
+            dtype = float
+        n_rows = len(table)
+        self.k_steps, self.need = k_steps, k_steps * self.width  # need: the values of one run
+        self.cap = max(_LOCAL_FLOATS // (n_rows * n_members), self.need)
+        self.drawn = [0] * n_rows
+        live = np.array([g is not None for g in generators])
+        self.advance = np.where(live, self.need, 0)
+        self._hold(np.zeros((n_rows, n_members, self.need), dtype=dtype))
+        # flat positions of member 0's next and last-plus-one value per row;
+        # a row without generator keeps its zeros and never moves or refills
+        self.first = self.row_start.copy()
+        self.last = self.row_start + np.where(live, 0, self.need)
+
+    def _hold(self, values: np.ndarray) -> None:
+        """Hold the (G, R, length) ``values``: row g starts at flat position
+        ``row_start[g]``, and its members' values lie ``length`` apart."""
+        n_rows, n_members, length = values.shape
+        self.values, self.flat = values, values.reshape(-1)
+        self.row_start = np.arange(n_rows) * (n_members * length)
+        steps = np.arange(self.need).reshape(self.k_steps, 1, 1, self.width)
+        self.offsets = steps + np.arange(0, n_members * length, length)[:, None]  # (K, 1, R, width)
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The next run's draws of each of the distinct table rows
+        ``rows``, as one (K, P, R, width) array."""
+        first = self.first.take(rows)
+        short = self.last.take(rows) - first < self.need
+        if np.count_nonzero(short):
+            for g in rows[short].tolist():
+                self._refill(g)
+            first = self.first.take(rows)
+        self.first[rows] = first + self.advance.take(rows)
+        return self.flat.take(first[:, None, None] + self.offsets)
+
+    def _refill(self, g: int) -> None:
+        cursor, kept = int(self.first[g] - self.row_start[g]), int(self.last[g] - self.first[g])
+        amount = max(self.need - kept, min(max(self.drawn[g], 8 * self.need), self.cap - kept))
+        epochs = -(-amount // self.unit)
+        stop = kept + epochs * self.unit
+        length = self.values.shape[2]
+        if stop > length:
+            grown = np.zeros(self.values.shape[:2] + (max(stop, min(2 * length, self.cap + self.unit)),),
+                             dtype=self.values.dtype)
+            grown[:, :, :length] = self.values
+            old_start = self.row_start
+            self._hold(grown)
+            self.first += self.row_start - old_start
+            self.last += self.row_start - old_start
+        row = self.values[g]
+        row[:, :kept] = row[:, cursor:cursor + kept]
+        if self.n_samples is None:
+            for r, rng in enumerate(self.generators[g]):
+                rng.standard_normal(out=row[r, kept:stop])
+        else:
+            n = self.n_samples
+            order = np.tile(np.arange(n), (epochs, 1))
+            for r, rng in enumerate(self.generators[g]):
+                row[r, kept:stop] = rng.permuted(order, axis=1)[:, :self.unit].reshape(-1)
+            fresh = row[:, kept:stop]
+            if fresh.min() < 0 or fresh.max() >= n:
+                raise ConfigurationError("batch indices out of range")
+            fresh += g * n  # flat sample index into the table
+        self.first[g], self.last[g] = self.row_start[g], self.row_start[g] + stop
+        self.drawn[g] += stop - kept
+
+
+def _draw_tables(config: RunConfig, member_seeds) -> list:
+    """Per objective table its :class:`_DrawTable`, or None where every
+    run takes exact full gradients (``full_gradient``, or a quadratic table
+    without noise).
+
+    Each member's client owns an independent generator keyed by (the
+    member's batching seed, client id), so members never share mutable RNG
+    state.
+    """
+    fleet = config.fleet
     if config.full_gradient:
-        return sources
+        return [None] * len(fleet.tables)
     keys = [[s.batching] if isinstance(s.batching, (int, np.integer)) else list(s.batching)
             for s in member_seeds]
-    for positions, table in config.fleet.tables:
-        if isinstance(table, GlmObjective):
-            batch, n_samples = config.batch_size or table.batch_size, table.n_samples
-            for i in positions.tolist():
-                sources[i] = [BatchStream(n_samples, batch, np.random.default_rng(key + [i])) for key in keys]
-        else:
-            for i in positions[table.noise_std > 0.0].tolist():
-                sources[i] = [np.random.default_rng(key + [i]) for key in keys]
-    return sources
+    draws = []
+    for positions, table in fleet.tables:
+        glm = isinstance(table, GlmObjective)
+        live = np.ones(len(table), dtype=bool) if glm else table.noise_std > 0.0
+        if not live.any():
+            draws.append(None)
+            continue
+        generators = [[np.random.default_rng(key + [i]) for key in keys] if on else None
+                      for i, on in zip(positions.tolist(), live.tolist())]
+        batch_size = (config.batch_size or table.batch_size) if glm else None
+        draws.append(_DrawTable(table, generators, len(keys), config.k_steps, batch_size))
+    return draws
 
 
 def _check_staleness(outcome: Round, tau_max: int) -> None:
@@ -472,26 +579,33 @@ class _LocalWork:
     computed run. Runs are computed in passes, the last one at round
     ``computed_through``; a pass computes every run in flight whose anchor
     model exists, so a run is computed exactly when its anchor is at most
-    ``computed_through``.
+    ``computed_through``. ``draws`` holds the :class:`_DrawTable` of each
+    objective table (None where its runs take full gradients); a pass hands
+    each ``local_sgd`` call its jobs' slice and draws nothing outside a
+    refill.
     """
 
     def __init__(self, config: RunConfig, member_seeds):
         fleet = config.fleet
         n_clients, n_members = len(fleet), len(member_seeds)
         self.config = config
-        self.sources = _client_randomness(config, member_seeds)
-        self.stochastic = any(src is not None for src in self.sources)
+        self.draws = _draw_tables(config, member_seeds)
         self.deltas = np.zeros((n_clients, n_members, fleet.dim))
         self.overflow = np.full((n_clients, n_members), -1)
         self.any_overflow = False  # set once a pass has seen an overflow
         self.computed_through = -1
         self.chunks = []  # jobs per local_sgd call on each table
-        for _, table in fleet.tables:
-            # a job's R runs hold K + 1 iterates and, on a GLM table, at most
-            # n gathered samples per step
-            samples = table.n_samples if isinstance(table, GlmObjective) else 0
-            per_job = n_members * fleet.dim * (config.k_steps + 1 + config.k_steps * samples)
-            self.chunks.append(max(1, _LOCAL_FLOATS // per_job))
+        k, dim = config.k_steps, fleet.dim
+        for (_, table), draws in zip(fleet.tables, self.draws):
+            # a run holds K + 1 iterates; a batched GLM run also its K * B
+            # draws and the samples and targets they gather, a full-gradient
+            # one its shard's n samples and targets; a noisy quadratic run
+            # its K * dim draws and their scaled noise
+            if isinstance(table, GlmObjective):
+                held = k * draws.width * (dim + 2) if draws is not None else table.n_samples * (dim + 1)
+            else:
+                held = 2 * k * dim if draws is not None else 0
+            self.chunks.append(max(1, _LOCAL_FLOATS // (n_members * (dim * (k + 1) + held))))
 
     def compute_pending(self, outcome: Round, anchor: np.ndarray, models: np.ndarray) -> None:
         """Run every client in flight whose anchor model exists (anchor at
@@ -505,14 +619,13 @@ class _LocalWork:
         anchor[outcome.clients] = outcome.anchors  # the participants' runs, before the round rebased them
         pending = np.flatnonzero((anchor <= outcome.index) & (anchor > self.computed_through))
         fleet = config.fleet
-        for t, ((_, table), chunk) in enumerate(zip(fleet.tables, self.chunks)):
+        for t, ((_, table), chunk, draws) in enumerate(zip(fleet.tables, self.chunks, self.draws)):
             jobs = pending if len(fleet.tables) == 1 else pending[fleet.table_of[pending] == t]
             for lo in range(0, jobs.size, chunk):
                 part = jobs[lo:lo + chunk]
-                out = local_sgd(
-                    table, fleet.row_of[part], models[anchor[part]], config.k_steps, config.eta_l,
-                    [self.sources[i] for i in part.tolist()] if self.stochastic else None,
-                )
+                rows = fleet.row_of[part]
+                out = local_sgd(table, rows, models[anchor[part]], config.k_steps, config.eta_l,
+                                None if draws is None else draws.take(rows))
                 self.deltas[part] = out.delta
                 self.overflow[part] = -1 if out.overflow_step is None else out.overflow_step
                 self.any_overflow |= out.overflow_step is not None

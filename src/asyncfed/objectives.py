@@ -1,4 +1,4 @@
-"""Client loss functions, stochastic batching, and the local SGD executor."""
+"""Client loss functions and the local SGD executor."""
 
 from __future__ import annotations
 
@@ -106,9 +106,19 @@ class QuadraticObjective(_Table):
         Each quadratic's column is a batched matrix-vector product, so a
         loss has the same bits in its one-row table and in any other; one
         (rows, dim) x (dim, G) product would sum the coordinates in another
-        order for dim > 1.
+        order for dim > 1. For dim 1 the loss is elementwise,
+        (theta^2 a + theta b) + (c + 0.0), with the bits of the matrix
+        products: those add each one-term product to a zero, so they differ
+        from the elementwise terms only in the sign of a zero and never give
+        -0.0, and neither does a sum whose last term is c + 0.0 (a NaN may
+        carry another payload).
         """
         thetas = np.asarray(thetas, dtype=float)
+        if self.dim == 1:
+            out = (thetas * thetas) * self.a[:, 0]
+            out += thetas * self.b[:, 0]
+            out += self.c + 0.0
+            return out
         out = (thetas * thetas) @ self.a[:, :, None]
         out += thetas @ self.b[:, :, None]
         out += self.c[:, None, None]
@@ -214,49 +224,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(z, 0.0)) / (1.0 + e)
 
 
-class BatchStream:
-    """Without-replacement minibatch indices, reshuffled every epoch."""
-
-    def __init__(self, n_samples: int, batch_size: int, rng: np.random.Generator):
-        if not 1 <= batch_size <= n_samples:
-            raise ConfigurationError("batch size must lie in [1, n_samples]")
-        self.n_samples = n_samples
-        self.batch_size = batch_size
-        self._rng = rng
-        self._order = rng.permutation(n_samples)
-        self._cursor = 0
-
-    def next(self) -> np.ndarray:
-        if self._cursor + self.batch_size > self.n_samples:
-            self._order = self._rng.permutation(self.n_samples)
-            self._cursor = 0
-        batch = self._order[self._cursor:self._cursor + self.batch_size]
-        self._cursor += self.batch_size
-        return batch
-
-    def take(self, k: int) -> np.ndarray:
-        """The next ``k`` batches as one (k, batch_size) array: the indices
-        of ``k`` calls of :meth:`next`, and the same generator state after.
-        The batches that fit in one epoch are one slice of it."""
-        size = self.batch_size
-        stop = self._cursor + k * size
-        if stop <= self.n_samples:  # the common case: no reshuffle on the way
-            batches = self._order[self._cursor:stop]
-            self._cursor = stop
-            return batches.reshape(k, size)
-        parts = []
-        while k:
-            if self._cursor + size > self.n_samples:
-                self._order = self._rng.permutation(self.n_samples)
-                self._cursor = 0
-            fit = min(k, (self.n_samples - self._cursor) // size)
-            stop = self._cursor + fit * size
-            parts.append(self._order[self._cursor:stop])
-            self._cursor = stop
-            k -= fit
-        return (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(-1, size)
-
-
 class LocalUpdate(NamedTuple):
     """The runs of one :func:`local_sgd` call: P jobs of R members."""
 
@@ -271,27 +238,28 @@ class LocalUpdate(NamedTuple):
         return self.path[-1]
 
 
-def local_sgd(table, rows, starts, k_steps: int, eta_l: float, sources=None) -> LocalUpdate:
+def local_sgd(table, rows, starts, k_steps: int, eta_l: float, draws=None) -> LocalUpdate:
     """Run ``k_steps`` of (stochastic) gradient descent for P jobs at once.
 
     Job p trains R members from ``starts[p]`` ((P, R, dim) in all) on row
     ``rows[p]`` of ``table``, a :class:`QuadraticObjective` or
-    :class:`GlmObjective` (a lone client is its one-row table).
-    ``sources[p]`` is the job's randomness, one entry per member: batch
-    streams on a GLM table, noise generators on a quadratic one. A job
-    without sources (``sources`` None, or its entry None) takes exact full
-    gradients, and so does a quadratic row without noise. GLM jobs of one
-    call take all batch streams or all full gradients.
+    :class:`GlmObjective` (a lone client is its one-row table). ``draws``
+    holds the runs' randomness, step-major, and None means exact full
+    gradients:
+
+    - on a quadratic table, (K, P, R, dim) standard normals, each scaled by
+      its row's ``noise_std``. A noiseless row's entries must be 0.0: they
+      add -0.0, which leaves every gradient's bits as they are;
+    - on a GLM table, (K, P, R, B) flat sample indices into the table's
+      ``G * n`` samples (row g's are ``g * n`` to ``g * n + n - 1``), the
+      minibatch of every step, gathered step-major in one ``take``.
 
     The P*R runs step as one array, row by row the operations of a run on
-    its own, so a run has the same bits in any stack. Each member draws its
-    K steps from its own source in one block: ``standard_normal((K, dim))``
-    scaled by the row's ``noise_std`` (the raw draws of all rows are scaled
-    at once), or one :meth:`BatchStream.take` and one gather of its samples.
-    A noiseless row in a noisy call adds -0.0, which leaves every gradient's
-    bits as they are. Each time the engine computes the runs it has
-    pending, it calls this once per objective table (more often only when
-    the iterates would pass a size bound); see :mod:`asyncfed.engine`.
+    its own, so a run has the same bits in any stack. The kernel holds no
+    generator: the engine draws ahead into one table per objective table
+    and hands each call its slice (see :mod:`asyncfed.engine`), once per
+    objective table each time it computes the runs it has pending (more
+    often only when a call would pass a size bound).
 
     Runs do not raise when they leave the finite range; ``overflow_step``
     records where.
@@ -305,46 +273,40 @@ def local_sgd(table, rows, starts, k_steps: int, eta_l: float, sources=None) -> 
     path = np.empty((k_steps + 1, n_jobs, n_members, dim))
     path[0] = starts
     flat = path.reshape(k_steps + 1, n_jobs * n_members, dim)  # row p*R + r: job p, member r
-    given = [] if sources is None else list(sources)
     run_rows = rows if n_members == 1 else np.repeat(rows, n_members)  # the table row of each run
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(table, QuadraticObjective):
             # one coordinate per (job, member, dim) entry, so every
             # operation is on equal-shape contiguous vectors
             two_a, b = table.two_a[run_rows].reshape(-1), table.b[run_rows].reshape(-1)
-            # per job its row's noise scale, or -0.0 for a job without noise
-            scale = [s if src is not None and s > 0.0 else -0.0
-                     for src, s in zip(given, table.noise_std[rows].tolist())] if given else []
             noise = None
-            if any(s > 0.0 for s in scale):
-                quiet = np.zeros((k_steps, n_members * dim))
-                draws = []
-                for src, s in zip(given, scale):
-                    draws += [rng.standard_normal((k_steps, dim)) for rng in src] if s > 0.0 else [quiet]
+            if draws is not None:
+                # per job its row's noise scale, or -0.0 for a noiseless row;
                 # row k holds every run's step-k noise
-                noise = np.repeat(scale, n_members * dim) * np.concatenate(draws, axis=1)
-            theta = flat[0].reshape(-1)
+                std = table.noise_std[rows]
+                scale = np.repeat(np.where(std > 0.0, std, -0.0), n_members * dim)
+                noise = np.reshape(draws, (k_steps, -1)) * scale
+            steps = path.reshape(k_steps + 1, -1)
+            theta, grad = steps[0], np.empty(steps.shape[1])
             for k in range(1, k_steps + 1):
-                grad = two_a * theta + b
+                # (2a * theta + b + noise) * eta_l in place, then theta - that
+                np.multiply(two_a, theta, out=grad)
+                grad += b
                 if noise is not None:
                     grad += noise[k - 1]
-                theta = np.subtract(theta, eta_l * grad, out=flat[k].reshape(-1))
+                grad *= eta_l
+                theta = np.subtract(theta, grad, out=steps[k])
         else:
-            batched = any(src is not None for src in given)
-            if batched:
-                # step-major (K, P*R, B) indices, so each step's samples are one contiguous block
-                idx = np.stack([stream.take(k_steps) for src in given for stream in src], axis=1)
-                n_samples = table.n_samples
-                if idx.size == 0 or idx.min() < 0 or idx.max() >= n_samples:
-                    raise ConfigurationError("batch indices out of range")
-                idx += run_rows[:, None] * n_samples  # flat sample index into the table
-                x = table.features.reshape(-1, table.features.shape[2]).take(idx, axis=0)
+            if draws is not None:
+                # (K, P*R, B): each step's samples are one contiguous block
+                idx = np.reshape(draws, (k_steps, n_jobs * n_members, -1))
+                x = table.features.reshape(-1, dim).take(idx, axis=0)
                 y = table.targets.reshape(-1).take(idx)
             else:
                 x, y = table.features[run_rows], table.targets[run_rows]  # (P*R, n, dim), (P*R, n)
             theta = flat[0]
             for k in range(1, k_steps + 1):
-                xk, yk = (x[k - 1], y[k - 1]) if batched else (x, y)
+                xk, yk = (x[k - 1], y[k - 1]) if draws is not None else (x, y)
                 grad = _glm_gradient(xk, yk, theta, table.link)
                 theta = np.subtract(theta, eta_l * grad, out=flat[k])
     # a non-finite coordinate stays non-finite under theta - eta * grad, so

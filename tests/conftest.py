@@ -23,6 +23,11 @@ def quadratic_fleet(optima, taus=None, importances=None, curvature=0.5, noise_st
     return Fleet([(np.arange(n), table)], taus or [1] * n, importances or uniform_importances(n), distribution_ids)
 
 
+def bits(x) -> bytes:
+    """The bytes of an array: unlike ``array_equal``, this tells -0.0 from +0.0."""
+    return np.ascontiguousarray(x).tobytes()
+
+
 def client_row(fleet, i):
     """Client ``i``'s objective: the one-row table of its row."""
     return fleet.tables[fleet.table_of[i]][1].row(fleet.row_of[i])
@@ -45,6 +50,43 @@ def round_durations(policy, taus, n_rounds, seed):
         advance_round(state, policy, taus, hw, hw_rng=rng, sample_rng=rng).delta_t
         for _ in range(n_rounds)
     ])
+
+
+class BatchStream:
+    """Without-replacement minibatch indices, reshuffled every epoch: one
+    member's batch source of a client as local SGD drew from it before the
+    draw tables, kept as their reference."""
+
+    def __init__(self, n_samples: int, batch_size: int, rng: np.random.Generator):
+        self.n_samples, self.batch_size, self._rng = n_samples, batch_size, rng
+        self._order = rng.permutation(n_samples)
+        self._cursor = 0
+
+    def next(self) -> np.ndarray:
+        if self._cursor + self.batch_size > self.n_samples:
+            self._order = self._rng.permutation(self.n_samples)
+            self._cursor = 0
+        batch = self._order[self._cursor:self._cursor + self.batch_size]
+        self._cursor += self.batch_size
+        return batch
+
+
+def reference_draws(table, rows, k_steps, sources):
+    """``local_sgd``'s (K, P, R, width) draws as the per-member path made
+    them: ``sources[p][r]`` is job p's member r's source. A batch stream
+    gives K ``next()`` batches, as flat indices into the table; a generator
+    on a noisy quadratic row gives one ``standard_normal((K, dim))``, and a
+    noiseless row reads zeros and draws nothing."""
+    jobs = []
+    for row, members in zip(rows, sources):
+        if isinstance(table, QuadraticObjective):
+            noisy = table.noise_std[row] > 0.0
+            runs = [rng.standard_normal((k_steps, table.dim)) if noisy else np.zeros((k_steps, table.dim))
+                    for rng in members]
+        else:
+            runs = [np.array([s.next() for _ in range(k_steps)]) + row * table.n_samples for s in members]
+        jobs.append(np.stack(runs, axis=1))
+    return np.stack(jobs, axis=1)
 
 
 @pytest.fixture

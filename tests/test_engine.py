@@ -19,7 +19,6 @@ from asyncfed.engine import (
     write_trajectory_csv,
 )
 from asyncfed.objectives import (
-    BatchStream,
     GlmObjective,
     QuadraticObjective,
     SyntheticShardConfig,
@@ -30,7 +29,7 @@ from asyncfed.oracle import phi
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy, advance_round, init_fleet_state
 from asyncfed.weights import WeightPlan, WeightScheme, plan_weights
 
-from conftest import client_row, quadratic_fleet
+from conftest import BatchStream, bits, client_row, quadratic_fleet, reference_draws
 
 SYNC = WaitPolicy(PolicyKind.SYNCHRONOUS)
 ASYNC = WaitPolicy(PolicyKind.ASYNCHRONOUS)
@@ -496,7 +495,7 @@ def _delivered_delta(objective, anchor_model, cfg, source=None):
     """One client's local work, computed at its delivery: one job of one
     member on the client's one-row table ``objective``."""
     out = local_sgd(objective, [0], anchor_model[None, None], cfg.k_steps, cfg.eta_l,
-                    None if source is None else [[source]])
+                    None if source is None else reference_draws(objective, [0], cfg.k_steps, [[source]]))
     return out.delta[0, 0]
 
 
@@ -581,20 +580,210 @@ class TestLocalWorkTiming:
         # asynchronous runs overlap; sampled clients train only when drawn
         assert max(r.staleness.max() for r in traj.rounds) >= (0 if policy.is_sampling else 3)
 
-        def source(i):
-            rng = np.random.default_rng([1, 3, i])
-            obj = client_row(fleet, i)
-            return BatchStream(obj.n_samples, obj.batch_size, rng) if family == "glm" else rng
+        assert _per_delivery_models(cfg, seeds, traj.rounds).tobytes() == traj.theta.tobytes()
 
-        sources = [source(i) for i in range(len(fleet))]
-        models = [traj.theta[0]]
-        for outcome in traj.rounds:
+
+def _member_source(config, seeds, i):
+    """The per-member source of client ``i`` for a member with ``seeds``:
+    a batch stream or noise generator keyed (batching seed, client id)."""
+    batching = seeds.batching
+    rng = np.random.default_rng(([batching] if isinstance(batching, int) else list(batching)) + [i])
+    obj = client_row(config.fleet, i)
+    if isinstance(obj, GlmObjective):
+        return BatchStream(obj.n_samples, config.batch_size or obj.batch_size, rng)
+    return rng
+
+
+def _per_delivery_models(config, seeds, rounds):
+    """The models of ``rounds`` with each run computed at its delivery from
+    the member's own sources: the per-member reference path."""
+    fleet, d = config.fleet, config.plan.d
+    sources = [None if config.full_gradient else _member_source(config, seeds, i) for i in range(len(fleet))]
+    models = [config.resolved_theta0()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for outcome in rounds:
             total = np.zeros(fleet.dim)
             for i, mult, anchor in zip(outcome.clients.tolist(), outcome.multiplicity.tolist(),
                                        outcome.anchors.tolist()):
-                total += (mult * plan.d[i]) * _delivered_delta(client_row(fleet, i), models[anchor], cfg, sources[i])
-            models.append(models[-1] + cfg.eta_g * total)
-        assert np.asarray(models).tobytes() == traj.theta.tobytes()
+                total += (mult * d[i]) * _delivered_delta(client_row(fleet, i), models[anchor], config, sources[i])
+            models.append(models[-1] + config.eta_g * total)
+    return np.asarray(models)
+
+
+def _draw_table_fleet(case):
+    """A fleet and config for one exactness case of the draw tables."""
+    taus = [1, 1.5, 2, 0.75, 3, 1.25]
+    policy, hw, extra = ASYNC, "fixed", {}
+    if case == "quadratic_mixed_noise":
+        # dim 3; rows 1 and 3 are noiseless, row 4 leaves the finite range
+        # within its run and delivers late
+        rng = np.random.default_rng(12)
+        a = rng.uniform(0.2, 1.0, (5, 3))
+        a[4] = 1e200
+        table = QuadraticObjective(a, rng.normal(size=(5, 3)), 0.0, [0.7, 0.0, 1.3, 0.0, 0.4])
+        fleet = Fleet([(np.arange(5), table)], [1, 1.5, 2, 0.75, 15], [0.2] * 5)
+        extra = dict(k_steps=3, rounds=80)
+    else:
+        n, batch, k_steps = {"n_mod_b": (10, 3, 2), "batch_size_override": (12, 3, 2),
+                             "k_longer_than_an_epoch": (10, 3, 7), "mid_pass_refills": (16, 3, 4),
+                             "time_horizon": (11, 4, 3)}[case]
+        shards = make_synthetic_shards(SyntheticShardConfig(6, dim=2, samples_per_client=n, seed=5,
+                                                            batch_size=batch))
+        quadratics = QuadraticObjective.from_optima([[1.0, -1.0], [0.5, 2.0]])
+        tables = [(np.array([0, 2, 3, 5]), GlmObjective(shards.features[:4], shards.targets[:4], batch_size=batch)),
+                  (np.array([1, 4]), QuadraticObjective(quadratics.a, quadratics.b, quadratics.c, [0.0, 0.6]))]
+        fleet = Fleet(tables, taus, [1 / 6] * 6)
+        extra = dict(k_steps=k_steps, rounds=60)
+        if case == "batch_size_override":
+            extra["batch_size"] = 5  # 12 % 5 = 2 samples dropped per epoch
+        if case == "mid_pass_refills":
+            policy = SYNC  # every client in every pass
+        if case == "time_horizon":
+            policy, hw = WaitPolicy(PolicyKind.FEDBUFF, m=2), "exponential"
+            extra = dict(k_steps=k_steps, time_budget=17.3)
+    plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+    return RunConfig(fleet=fleet, policy=policy, plan=plan, hw=HardwareModel(hw), eta_g=0.9, eta_l=0.05,
+                     theta0=np.full(fleet.dim, 1.5), **extra)
+
+
+_DRAW_TABLE_CASES = ["n_mod_b", "batch_size_override", "k_longer_than_an_epoch", "mid_pass_refills",
+                     "time_horizon", "quadratic_mixed_noise"]
+
+
+class TestDrawTables:
+    """A local-work pass takes its runs' draws as slices of one draw table
+    per objective table; every run, and so every trajectory, equals the
+    per-member path's (a batch stream or per-run normals of each member's
+    own generator), bit for bit."""
+
+    @pytest.mark.parametrize("n_members", [1, 3])
+    @pytest.mark.parametrize("case", _DRAW_TABLE_CASES)
+    def test_runs_and_models_match_the_per_member_path(self, monkeypatch, case, n_members):
+        cfg = _draw_table_fleet(case)
+        if case == "mid_pass_refills":
+            # rows of 53 normals (6.6 runs) and 26 sample indices (2.2 runs):
+            # most passes refill some rows and not others, and runs take
+            # held and fresh draws
+            monkeypatch.setattr(engine, "_LOCAL_FLOATS", 2 * n_members * 53)
+        seeds = _MEMBERS[:n_members]
+        calls, refills = [], []
+        refill = engine._DrawTable._refill
+
+        def recording(table, rows, starts, k_steps, eta_l, draws=None):
+            out = local_sgd(table, rows, starts, k_steps, eta_l, draws)
+            calls.append((table, np.array(rows), starts.copy(), out))
+            return out
+
+        def recording_refill(self, g):
+            refills.append((len(calls), self.n_samples, int(self.last[g] - self.first[g])))
+            return refill(self, g)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "local_sgd", recording)
+            patch.setattr(engine._DrawTable, "_refill", recording_refill)
+            group = engine._run_group(cfg, seeds)
+        sources = {}
+        steps = set()
+        for table, rows, starts, out in calls:
+            positions = next(pos for pos, t in cfg.fleet.tables if t is table)
+            for p, row in enumerate(rows.tolist()):
+                i = int(positions[row])
+                for r, member in enumerate(seeds):
+                    source = sources.setdefault((i, r), _member_source(cfg, member, i))
+                    one = local_sgd(table.row(row), [0], starts[p, r][None, None], cfg.k_steps, cfg.eta_l,
+                                    reference_draws(table.row(row), [0], cfg.k_steps, [[source]]))
+                    assert bits(out.path[:, p, r]) == bits(one.path[:, 0, 0]), (case, p, r)
+                    assert bits(out.delta[p, r]) == bits(one.delta[0, 0]), (case, p, r)
+                    step = -1 if out.overflow_step is None else int(out.overflow_step[p, r])
+                    assert step == (-1 if one.overflow_step is None else int(one.overflow_step[0, 0]))
+                    steps.add(step)
+        for r, member in enumerate(seeds):
+            want = _per_delivery_models(cfg, member, group.rounds)
+            got = group.models[:, r]
+            assert got.tobytes() == want[: len(got)].tobytes(), (case, r)
+        if case == "quadratic_mixed_noise":
+            assert max(steps) >= 0 and -1 in steps
+            assert group.divergence[0] is not None and group.divergence[0][1] == "overflow"
+        if case == "mid_pass_refills":
+            straddled = {n_samples for _, n_samples, kept in refills if kept > 0}
+            partial = [n for n in {n for n, _, _ in refills}
+                       if 0 < sum(m == n for m, _, _ in refills) < len(calls[n][1])]
+            assert straddled == {None, 16} and partial  # both tables
+        if case == "time_horizon":
+            delivered = sum(int(r.multiplicity.sum()) for r in group.rounds)
+            assert sum(len(rows) for _, rows, _, _ in calls) > delivered
+
+    def test_a_pass_draws_only_in_refills(self, monkeypatch):
+        counts = {"schedule": 0, "pass": 0, "refill": 0}
+        phase = ["schedule"]
+
+        class Counting:
+            """A generator that counts the calls of its methods by phase."""
+
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                method = getattr(self._rng, name)
+
+                def counted(*args, **kwargs):
+                    counts[phase[-1]] += 1
+                    return method(*args, **kwargs)
+
+                return counted
+
+        def in_phase(name, fn):
+            def wrapped(*args, **kwargs):
+                phase.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    phase.pop()
+            return wrapped
+
+        refills, per_refill = [], []
+        refill = engine._DrawTable._refill
+
+        def counting_refill(self, g):
+            before = counts["refill"]
+            refill(self, g)
+            per_refill.append(counts["refill"] - before)
+
+        cfg = replace(_draw_table_fleet("mid_pass_refills"), rounds=120, hw=HardwareModel("exponential"))
+        default_rng = np.random.default_rng
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", lambda *args: Counting(default_rng(*args)))
+            patch.setattr(engine._LocalWork, "compute_pending",
+                          in_phase("pass", engine._LocalWork.compute_pending))
+            patch.setattr(engine._DrawTable, "_refill", in_phase("refill", counting_refill))
+            traj = run(cfg)
+        assert traj.n_rounds == 120 and counts["schedule"] > 0
+        assert counts["pass"] == 0
+        # one call of each member's generator per refill, and far fewer
+        # refills than runs: 120 passes of 6 runs
+        assert set(per_refill) == {1} and len(per_refill) < 120
+
+    @pytest.mark.parametrize("full_gradient", [False, True])
+    def test_jobs_per_call_count_what_a_call_holds(self, monkeypatch, full_gradient):
+        # 8 clients in every pass, 2 members: a batched run holds its K + 1
+        # iterates and K * B draws, samples and targets, a full-gradient run
+        # its iterates and the shard's n samples and targets
+        k, dim, n, batch = 5, 3, 40, 4
+        shards = make_synthetic_shards(SyntheticShardConfig(8, dim=dim, samples_per_client=n, seed=3,
+                                                            batch_size=batch))
+        fleet = Fleet([(np.arange(8), shards)], [1] * 8, [1 / 8] * 8)
+        cfg = sync_config(fleet, k_steps=k, rounds=4, full_gradient=full_gradient, eta_l=0.05)
+        per_run = dim * (k + 1) + (n * (dim + 1) if full_gradient else k * batch * (dim + 2))
+        sizes = []
+
+        def recording(table, rows, *args, **kwargs):
+            sizes.append(len(rows))
+            return local_sgd(table, rows, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "_LOCAL_FLOATS", 3 * 2 * per_run + 2 * per_run - 1)
+        monkeypatch.setattr(engine, "local_sgd", recording)
+        run_members(cfg, _MEMBERS[:2])
+        assert sizes == [3, 3, 2] * 4
 
 
 def _reference_run_group(config, member_seeds):

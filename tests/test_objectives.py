@@ -8,7 +8,6 @@ import pytest
 from asyncfed.core import ConfigurationError
 from asyncfed.objectives import (
     _CHUNK_FLOATS,
-    BatchStream,
     GlmObjective,
     QuadraticObjective,
     SyntheticShardConfig,
@@ -18,6 +17,9 @@ from asyncfed.objectives import (
     local_sgd,
     make_synthetic_shards,
 )
+
+from asyncfed.engine import _DrawTable
+from conftest import BatchStream, bits, reference_draws
 
 
 def _local_optimum(obj, iters=20000):
@@ -50,7 +52,7 @@ def one_run(start, obj, k_steps, eta_l, source=None) -> Run:
     """One job of one member on the one-row table ``obj``."""
     start = np.atleast_1d(np.asarray(start, dtype=float))
     out = local_sgd(obj, [0], start[None, None], k_steps, eta_l,
-                    None if source is None else [[source]])
+                    None if source is None else reference_draws(obj, [0], k_steps, [[source]]))
     step = -1 if out.overflow_step is None else int(out.overflow_step[0, 0])
     return Run(out.endpoint[0, 0], out.delta[0, 0], out.path[:, 0, 0], step)
 
@@ -263,7 +265,7 @@ class TestGlmKernel:
         starts = np.array([[1.0, -1.0, 0.5], [1e200, 1e200, 1e200], [1e300, 0.0, 0.0], [1e250, 0.0, 0.0]])
         seeds = [5, 6, 7, 8]
         out = local_sgd(obj, [0], starts[None], 40, 1e4,
-                        [[BatchStream(24, 5, np.random.default_rng(s)) for s in seeds]])
+                        reference_draws(obj, [0], 40, [[BatchStream(24, 5, np.random.default_rng(s)) for s in seeds]]))
         steps = [
             _reference_local_sgd(start, obj, 40, 1e4, batches=BatchStream(24, 5, np.random.default_rng(seed)))[2]
             for start, seed in zip(starts, seeds)
@@ -271,13 +273,23 @@ class TestGlmKernel:
         assert out.overflow_step[0].tolist() == steps
         assert steps[0] == -1 and len(set(steps)) >= 3
 
-    @pytest.mark.parametrize("members", [False, True])
-    def test_out_of_range_batch_indices_are_rejected(self, members):
-        obj = _glm("logistic")  # 24 samples
-        stream = BatchStream(30, 5, np.random.default_rng(1))
-        n_members = 2 if members else 1
+    @pytest.mark.parametrize("n_members", [1, 2])
+    def test_out_of_range_batch_indices_are_rejected_at_the_refill(self, n_members):
+        class Stray:
+            """A generator whose permutations leave the 24 samples."""
+
+            def permuted(self, x, axis):
+                return x + 6
+
+        draws = _DrawTable(_glm("logistic"), [[Stray()] * n_members], n_members, 25, 5)
         with pytest.raises(ConfigurationError, match="out of range"):
-            local_sgd(obj, [0], np.zeros((1, n_members, 3)), 25, 0.1, [[stream] * n_members])
+            draws.take(np.array([0]))
+        with pytest.raises(ConfigurationError, match="batch size"):
+            _DrawTable(_glm("logistic"), [[np.random.default_rng(1)] * n_members], n_members, 25, 25)
+        # the kernel holds no check of its own: numpy's take raises
+        with pytest.raises(IndexError):
+            local_sgd(_glm("logistic"), [0], np.zeros((1, n_members, 3)), 2, 0.1,
+                      np.full((2, 1, n_members, 5), 24))
 
 
 class TestMembersMatchSingleModels:
@@ -293,7 +305,7 @@ class TestMembersMatchSingleModels:
         mine = [np.random.default_rng([9, r]) for r in range(5)]
         ref = [np.random.default_rng([9, r]) for r in range(5)]
         for _ in range(3):
-            out = local_sgd(obj, [0], starts[None], k_steps, 0.13, [mine])
+            out = local_sgd(obj, [0], starts[None], k_steps, 0.13, reference_draws(obj, [0], k_steps, [mine]))
             assert out.overflow_step is None and out.path.shape == (k_steps + 1, 1, 5, dim)
             for r in range(5):
                 one = one_run(starts[r], obj, k_steps, 0.13, ref[r])
@@ -309,7 +321,7 @@ class TestMembersMatchSingleModels:
         starts = np.array([[0.4, -1.2, 2.0], [0.0, 0.1, -0.3]])
         mine = [BatchStream(obj.n_samples, obj.batch_size, np.random.default_rng(s)) for s in (3, 4)]
         ref = [BatchStream(obj.n_samples, obj.batch_size, np.random.default_rng(s)) for s in (3, 4)]
-        out = local_sgd(obj, [0], starts[None], 7, 0.05, [mine])
+        out = local_sgd(obj, [0], starts[None], 7, 0.05, reference_draws(obj, [0], 7, [mine]))
         full = local_sgd(obj, [0], starts[None], 7, 0.05)
         for r in range(2):
             assert np.array_equal(out.endpoint[0, r], one_run(starts[r], obj, 7, 0.05, ref[r]).endpoint)
@@ -325,11 +337,6 @@ class TestMembersMatchSingleModels:
         assert steps[1] == -1 and len(set(steps)) >= 3
 
 
-def _bits(x) -> bytes:
-    """The bytes of an array: unlike ``array_equal``, this tells -0.0 from +0.0."""
-    return np.ascontiguousarray(x).tobytes()
-
-
 class TestStackedJobsMatchOneJob:
     """P jobs of R members on rows of one table, in one call, equal P*R calls
     of one job and one member on the one-row tables of those rows: the same
@@ -339,12 +346,13 @@ class TestStackedJobsMatchOneJob:
 
     def _compare(self, table, starts, k_steps, eta_l, make_sources):
         mine, ref = make_sources(), make_sources()
-        out = local_sgd(table, self.ROWS, starts, k_steps, eta_l, mine)
+        out = local_sgd(table, self.ROWS, starts, k_steps, eta_l,
+                        None if mine is None else reference_draws(table, self.ROWS, k_steps, mine))
         for p, row in enumerate(self.ROWS):
             for r in range(starts.shape[1]):
                 one = one_run(starts[p, r], table.row(row), k_steps, eta_l, None if ref is None else ref[p][r])
-                assert _bits(out.path[:, p, r]) == _bits(one.path), (p, r)
-                assert _bits(out.delta[p, r]) == _bits(one.delta), (p, r)
+                assert bits(out.path[:, p, r]) == bits(one.path), (p, r)
+                assert bits(out.delta[p, r]) == bits(one.delta), (p, r)
                 step = -1 if out.overflow_step is None else out.overflow_step[p, r]
                 assert step == one.overflow_step, (p, r)
         return out, mine, ref
@@ -373,7 +381,7 @@ class TestStackedJobsMatchOneJob:
         assert (out.overflow_step is not None) == (k_steps > 1)
         if noise != "noisy":
             # -0.0 - eta * -0.0 is +0.0; a +0.0 noise term would have kept -0.0
-            assert _bits(out.endpoint[2]) == _bits(np.zeros((n_members, 2)))
+            assert bits(out.endpoint[2]) == bits(np.zeros((n_members, 2)))
         for p in range(len(self.ROWS)):
             # a noiseless row draws nothing from its generators
             assert [g.random() for g in mine[p]] == [g.random() for g in ref[p]]
@@ -471,7 +479,7 @@ class TestGradientChecks:
         obj = _at([1.0], noise_std=0.5)
         theta = np.array([3.0])
         members = np.broadcast_to(theta, (1, 10_000, 1))
-        out = local_sgd(obj, [0], members, 1, 1.0, [[np.random.default_rng(8)] * 10_000])
+        out = local_sgd(obj, [0], members, 1, 1.0, reference_draws(obj, [0], 1, [[np.random.default_rng(8)] * 10_000]))
         draws = -out.delta[0, :, 0]
         se = draws.std(ddof=1) / 100.0
         assert abs(draws.mean() - obj.gradients(theta)[0, 0]) <= 4 * se
@@ -504,7 +512,37 @@ def _glm_shard(rng, n_samples, dim, link):
     return GlmObjective([x], [y], link, batch_size=1)
 
 
+def _batched_matmul_values(table, thetas):
+    """``QuadraticObjective.values`` as every dimension computed it before
+    dim 1 went elementwise: one batched matrix-vector product per row."""
+    out = (thetas * thetas) @ table.a[:, :, None]
+    out += thetas @ table.b[:, :, None]
+    out += table.c[:, None, None]
+    return out[:, :, 0].T
+
+
 class TestBatchedValues:
+    def test_scalar_losses_keep_the_bits_of_the_batched_matmul(self):
+        # every (a, b, c) of the edge values, a >= 0 and a = -0.0 included,
+        # at every edge value of theta; a NaN's payload is not kept (the CSV
+        # writes every NaN as "nan")
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, np.inf, -np.inf, np.nan, 1e300,
+                          -1e300, 1e-300, -1e-300, 1.5, -2.25, 1e154, 1e-160])
+        a, b, c = (grid.ravel() for grid in np.meshgrid(np.abs(edges), edges, edges, indexing="ij"))
+        a[a == 0.0] = np.resize([0.0, -0.0], np.count_nonzero(a == 0.0))
+        table = QuadraticObjective(a[:, None], b[:, None], c)
+        thetas = edges[:, None]
+        with np.errstate(all="ignore"):
+            got, want = table.values(thetas), _batched_matmul_values(table, thetas)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        real = ~np.isnan(want)
+        assert bits(got[real]) == bits(want[real])
+        assert np.signbit(want[real & (want == 0.0)]).sum() == 0  # neither gives -0.0
+        rng = np.random.default_rng(9)
+        table = QuadraticObjective(rng.random((500, 1)), rng.normal(size=(500, 1)), rng.normal(size=500))
+        thetas = rng.normal(0.0, 5.0, (401, 1))
+        assert bits(table.values(thetas)) == bits(_batched_matmul_values(table, thetas))
+
     def test_scalar_quadratic_rows_are_bit_equal(self):
         rng = np.random.default_rng(3)
         for opt, curv in [(2.0, 0.5), (-7.25, 1.3), (0.0, 0.0)]:
@@ -552,7 +590,7 @@ class TestTables:
             for name, value in vars(table).items():
                 if isinstance(value, np.ndarray):
                     assert np.shares_memory(getattr(row, name), value), name
-                    assert _bits(getattr(row, name)) == _bits(value[2:3]), name
+                    assert bits(getattr(row, name)) == bits(value[2:3]), name
                 else:
                     assert getattr(row, name) == value, name
 
@@ -566,9 +604,9 @@ class TestTables:
             # the loss of one client as it evaluated itself: a 1 x dim matrix
             # times its coefficient vectors
             alone = ((row_vector * row_vector) @ table.a[i] + row_vector @ table.b[i] + table.c[i])[0]
-            assert _bits(table.row(i).value(theta)[0]) == _bits(alone)
-            assert _bits(table.value(theta)[i]) == _bits(alone)
-        assert _bits(table.value(theta)) == _bits(table.values(row_vector)[0])
+            assert bits(table.row(i).value(theta)[0]) == bits(alone)
+            assert bits(table.value(theta)[i]) == bits(alone)
+        assert bits(table.value(theta)) == bits(table.values(row_vector)[0])
 
     def test_quadratic_optima_and_smoothness_per_row(self):
         table = QuadraticObjective.from_optima([[1.0, -2.0], [0.5, 3.0]], curvature=0.75)
@@ -606,30 +644,62 @@ class TestTables:
             make()
 
 
-class TestBatchStream:
-    def test_epoch_partitions_without_replacement(self):
-        stream = BatchStream(8, 4, np.random.default_rng(0))
-        epoch = np.concatenate([stream.next(), stream.next()])
-        assert sorted(epoch.tolist()) == list(range(8))
+class TestDrawTable:
+    """The engine's draw table gives every run the draws that its member's
+    own source gives: K ``next()`` batches of the reference batch stream,
+    or one per-run ``standard_normal((K, dim))``."""
 
+    @pytest.mark.parametrize("n, epochs", [(1, 1), (7, 3), (24, 1), (64, 10), (300, 4)])
+    def test_permuted_rows_are_successive_permutations(self, n, epochs):
+        mine, ref = np.random.default_rng([5, n]), np.random.default_rng([5, n])
+        got = mine.permuted(np.tile(np.arange(n), (epochs, 1)), axis=1)
+        assert np.array_equal(got, [ref.permutation(n) for _ in range(epochs)])
+        assert mine.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_one_block_of_normals_is_the_per_run_draws(self, dim):
+        mine, ref = np.random.default_rng(1), np.random.default_rng(1)
+        block = np.empty((40, dim))
+        mine.standard_normal(out=block[:17].reshape(-1))
+        mine.standard_normal(out=block[17:].reshape(-1))
+        assert bits(block) == bits(np.concatenate([ref.standard_normal((5, dim)) for _ in range(8)]))
+        assert mine.bit_generator.state == ref.bit_generator.state
+
+    def test_epoch_partitions_without_replacement(self):
+        draws = _DrawTable(_glm("logistic", n=8), [[np.random.default_rng(0)]], 1, 2, 4)
+        assert sorted(draws.take(np.array([0])).ravel().tolist()) == list(range(8))
+
+    @pytest.mark.parametrize("k_steps", [1, 3, 9, 17])
     @pytest.mark.parametrize("n_samples, batch_size", [(24, 5), (64, 8), (7, 7), (10, 3)])
-    def test_take_equals_repeated_next(self, n_samples, batch_size):
-        mine_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        mine = BatchStream(n_samples, batch_size, mine_rng)
-        ref = BatchStream(n_samples, batch_size, ref_rng)
-        for k in (1, 3, 5, 9, 2, 17, 4):  # within an epoch, across one, across several
-            got = mine.take(k)
-            assert got.shape == (k, batch_size)
-            assert np.array_equal(got, np.array([ref.next() for _ in range(k)]))
-        assert np.array_equal(mine.next(), ref.next())
-        assert mine_rng.random() == ref_rng.random()
+    def test_runs_equal_repeated_next(self, n_samples, batch_size, k_steps):
+        # two rows of two members; a row may sit out a pass, and runs go
+        # within an epoch, across one and across several
+        table = _glm("logistic", seeds=range(2), n=n_samples)
+        draws = _DrawTable(table, [[np.random.default_rng([g, r]) for r in range(2)] for g in range(2)],
+                           2, k_steps, batch_size)
+        ref = [[BatchStream(n_samples, batch_size, np.random.default_rng([g, r])) for r in range(2)]
+               for g in range(2)]
+        for rows in ([1, 0], [0], [0], [1], [0, 1], [1, 0], [0]) * 3:
+            got = draws.take(np.array(rows))
+            assert got.shape == (k_steps, len(rows), 2, batch_size)
+            assert np.array_equal(got, reference_draws(table, rows, k_steps, [ref[g] for g in rows]))
 
     def test_reshuffles_between_epochs(self):
-        stream = BatchStream(64, 32, np.random.default_rng(0))
-        first = np.concatenate([stream.next(), stream.next()])
-        second = np.concatenate([stream.next(), stream.next()])
+        draws = _DrawTable(_glm("logistic", n=64), [[np.random.default_rng(0)]], 1, 2, 32)
+        first, second = (draws.take(np.array([0])).ravel() for _ in range(2))
         assert sorted(first.tolist()) == sorted(second.tolist())
         assert not np.array_equal(first, second)
+
+    @pytest.mark.parametrize("k_steps", [1, 4])
+    def test_noise_rows_equal_per_run_draws_and_noiseless_rows_read_zeros(self, k_steps):
+        table = QuadraticObjective(np.ones((3, 2)), np.zeros((3, 2)), 0.0, [0.5, 0.0, 1.5])
+        generators = [[np.random.default_rng([g, r]) for r in range(3)] if g != 1 else None for g in range(3)]
+        draws = _DrawTable(table, generators, 3, k_steps, None)
+        ref = [[np.random.default_rng([g, r]) for r in range(3)] for g in range(3)]
+        for rows in ([2, 1, 0], [1], [0, 2], [2]) * 4:
+            got = draws.take(np.array(rows))
+            assert bits(got) == bits(reference_draws(table, rows, k_steps, [ref[g] for g in rows]))
+        assert draws.first[1] == draws.row_start[1]
 
 
 class TestSyntheticShards:
