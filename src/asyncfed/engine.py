@@ -1,9 +1,11 @@
 """Simulation loop: timing, local work, and weighted aggregation of delayed
 contributions, with trajectory recording and ensemble statistics.
 
-One loop advances the rounds. Ensemble members that share one schedule step
-through it together as one (R, dim) model; each member keeps its own seed
-material, so results do not depend on how members are grouped.
+One loop advances the rounds: from one local-work pass to the next through
+a schedule merged ahead (fixed-hardware synchronous, asynchronous and
+FedFix), or one round at a time. Ensemble members that share one schedule
+step through it together as one (R, dim) model; each member keeps its own
+seed material, so results do not depend on how members are grouped.
 
 Local work runs when its result is first needed. A client's run is fixed
 once the model it trains from (its anchor) exists, so when a round's
@@ -37,7 +39,16 @@ import numpy as np
 from .core import ConfigurationError, Fleet, StalenessCapError, weighted_optimum
 from .objectives import GlmObjective, local_sgd
 from .textfmt import BLOCK_CELLS, format_rows
-from .timing import HardwareModel, PolicyKind, Round, WaitPolicy, advance_round, init_fleet_state
+from .timing import (
+    HardwareModel,
+    PolicyKind,
+    Round,
+    Schedule,
+    WaitPolicy,
+    advance_round,
+    init_fleet_state,
+    merged_schedule,
+)
 from .weights import WeightPlan
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -150,7 +161,7 @@ class Trajectory:
 
     theta: np.ndarray               # (n_models, dim)
     times: np.ndarray               # (n_models,)
-    rounds: list[Round]             # one per completed round
+    rounds: Schedule                # the completed rounds
     metrics: Metrics | None
     optimum: np.ndarray
     diverged: bool = False
@@ -167,23 +178,13 @@ class Trajectory:
     def weight_matrix(self) -> np.ndarray:
         """Realized aggregation weights per round; for deterministic
         schedules these equal the expected weights q_i(n)."""
-        rows, clients, multiplicity = _participations(self.rounds)
+        rows, clients, multiplicity, _ = self.rounds.participations()
         out = np.zeros((self.n_rounds, len(self.d)))
         out[rows, clients] = multiplicity * self.d[clients]
         return out
 
     def loss_series(self) -> np.ndarray:
         return self.metrics.loss_fed
-
-
-def _participations(rounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every participation in ``rounds`` as three aligned arrays: its
-    position in ``rounds``, the client and its multiplicity."""
-    rows = np.repeat(np.arange(len(rounds)), [r.clients.size for r in rounds])
-    empty = np.empty(0, dtype=np.int64)
-    clients = np.concatenate([empty] + [r.clients for r in rounds])
-    multiplicity = np.concatenate([empty] + [r.multiplicity for r in rounds])
-    return rows, clients, multiplicity
 
 
 def shares_schedule(config: RunConfig) -> bool:
@@ -202,7 +203,7 @@ def shares_schedule(config: RunConfig) -> bool:
     return not config.policy.is_sampling
 
 
-def _row_sums(terms: np.ndarray, sizes) -> np.ndarray:
+def _row_sums(terms: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Per row, the sum of its terms: row r owns the next ``sizes[r]``
     entries of ``terms`` along axis 0, added in order, left to right, as
     ``total += term`` from a zero ``total`` adds them, then +0.0, which
@@ -212,8 +213,8 @@ def _row_sums(terms: np.ndarray, sizes) -> np.ndarray:
     leave a running sum unchanged; np.sum would pair terms and move the
     last digit. ``np.add.accumulate`` is cumsum's running sum at less
     per-call cost."""
-    n_rows = len(sizes)
-    width = max(sizes) if n_rows else 0
+    n_rows = sizes.shape[0]
+    width = int(sizes.max()) if n_rows else 0
     if width == 1 and terms.shape[0] == n_rows:  # one term in every row
         return terms + 0.0
     if n_rows == 1 and width:
@@ -228,9 +229,9 @@ class _Server:
     """The global models of one group of members, aggregated one segment
     of rounds at a time, and the round each member diverged at.
 
-    ``models[:n_models]`` are the recorded models. The rounds the loop has
-    scheduled from index ``n_models - 1`` on form the segment: their runs
-    are computed, and they wait to be aggregated as one block."""
+    ``models[:n_models]`` are the recorded models. The scheduled rounds from
+    index ``n_models - 1`` on form the segment: their runs are computed,
+    and they wait to be aggregated as one block."""
 
     def __init__(self, config: RunConfig, n_members: int):
         self.d = config.plan.d
@@ -243,9 +244,10 @@ class _Server:
         self.divergence = [None] * n_members  # per member: None, or (round, "overflow" | "threshold")
         self.seconds = 0.0
 
-    def aggregate(self, rounds: list, work: _LocalWork) -> int | None:
-        """Aggregate the segment ``rounds[n_models - 1:]`` from the runs in
-        ``work``: theta^{n+1} = theta^n + eta_g sum_i (mult_i d_i) delta_i,
+    def aggregate(self, schedule: Schedule, stop: int, work: _LocalWork) -> int | None:
+        """Aggregate the segment, rounds ``n_models - 1`` to ``stop - 1`` of
+        ``schedule``, from the runs in ``work``:
+        theta^{n+1} = theta^n + eta_g sum_i (mult_i d_i) delta_i,
         the sum in client order. A member diverges at the first round whose
         model is not finite or passes ``DIVERGENCE_THRESHOLD`` in absolute
         value, or that delivers it a run that overflowed. Returns None
@@ -253,22 +255,17 @@ class _Server:
         up to the one the last live member diverged at, whose model is not
         recorded."""
         start = self.n_models - 1
-        n_rounds = len(rounds) - start
-        if not n_rounds:
+        n_rounds = stop - start
+        if n_rounds <= 0:
             return None
         started = time.perf_counter()
         if start + n_rounds >= len(self.models):
             grown = np.empty((max(2 * len(self.models), start + n_rounds + 1),) + self.models.shape[1:])
             grown[: self.n_models] = self.models[: self.n_models]
             self.models = grown
-        if n_rounds == 1:
-            clients, multiplicity = rounds[start].clients, rounds[start].multiplicity
-            sizes = [clients.size]
-        else:
-            segment = rounds[start:]
-            sizes = [r.clients.size for r in segment]
-            clients = np.concatenate([r.clients for r in segment])
-            multiplicity = np.concatenate([r.multiplicity for r in segment])
+        offsets = schedule.offsets[start : stop + 1]
+        rows = slice(offsets[0], offsets[-1])
+        clients, multiplicity, sizes = schedule.clients[rows], schedule.multiplicity[rows], np.diff(offsets)
         # one gather of the participants' runs (take costs less than fancy
         # indexing), each scaled by mult_i * d_i
         terms = (multiplicity * self.d[clients])[:, None, None] * work.deltas.take(clients, axis=0)
@@ -310,8 +307,7 @@ class _GroupRun:
     """What the round loop leaves for one group of members."""
 
     models: np.ndarray  # (n_models, R, dim) recorded global models
-    round_times: list   # server time at the end of each round
-    rounds: list        # Round per round
+    rounds: Schedule    # the kept rounds
     divergence: list    # per member: None, or (round, "overflow" | "threshold")
     timing_s: dict
 
@@ -320,83 +316,164 @@ def _run_group(config: RunConfig, member_seeds) -> _GroupRun:
     """The round loop, for members that share one schedule (one member, or
     members of a config that :func:`shares_schedule`).
 
-    The schedule advances once per round for all R members, which step as
-    one (R, dim) model, each with its own seeded randomness. A round's own
-    work is the scheduler's: the rounds whose runs are computed collect
-    into a segment, and :class:`_Server` aggregates it as one block right
-    before the next local-work pass of :class:`_LocalWork` (which reads
-    the models up to the current round), before a highest-loss schedule
-    step (which reads the current model) and at the end. A member that is
-    delivered a run that overflowed, or that passes
-    ``DIVERGENCE_THRESHOLD``, diverges at that round while the others go on;
-    the loop ends at the horizon or when every member has diverged, and then
-    keeps the rounds up to the last divergence.
-    """
-    fleet = config.fleet
-    taus = list(fleet.compute_times)
-    policy = config.policy
-    hw = config.hw
-    lead = member_seeds[0]
+    The R members step through the schedule as one (R, dim) model, each
+    with its own seeded randomness. The rounds between two local-work
+    passes of :class:`_LocalWork` (which read the models up to the current
+    round) form a segment, which :class:`_Server` aggregates as one block
+    right before the next pass, before a highest-loss schedule step (which
+    reads the current model) and at the end. A member that is delivered a
+    run that overflowed, or that passes ``DIVERGENCE_THRESHOLD``, diverges
+    at that round while the others go on; the loop ends at the horizon or
+    when every member has diverged, and then keeps the rounds up to the
+    last divergence.
 
+    A fixed-hardware synchronous, asynchronous or FedFix schedule comes
+    whole from :func:`~asyncfed.timing.merged_schedule`, and the loop steps
+    from one pass to the next (:func:`_step_segments`). Every other
+    schedule advances one :func:`~asyncfed.timing.advance_round` at a time
+    (:func:`_advance_rounds`).
+    """
+    policy, hw, lead = config.policy, config.hw, member_seeds[0]
     hw_rng = np.random.default_rng(_seed_key(lead.hardware)) if hw.mode == "exponential" else None
-    sample_rng = np.random.default_rng(_seed_key(lead.sampling))
     work = _LocalWork(config, member_seeds)
     server = _Server(config, len(member_seeds))
-    by_loss = policy.kind is PolicyKind.SAMPLE_BIASED and policy.criterion == "highest_loss"
-
-    state = init_fleet_state(taus, hw, hw_rng, config.initial_clocks, policy=policy)
-    round_times = []
-    rounds = []
-    kept = None  # set once every member has diverged
-    clock = time.perf_counter
-    schedule_s = local_work_s = 0.0
+    state = init_fleet_state(list(config.fleet.compute_times), hw, hw_rng, config.initial_clocks, policy=policy)
+    started = time.perf_counter()
+    schedule = merged_schedule(state, policy, rounds=config.rounds, time_limit=config.time_budget)
+    timing_s = {"schedule": time.perf_counter() - started, "local_work": 0.0}
 
     # diverged members keep stepping on non-finite rows until the group ends
     with np.errstate(over="ignore", invalid="ignore"):
-        while config.rounds is None or state.round_index < config.rounds:
-            n = state.round_index
-            if by_loss and (kept := server.aggregate(rounds, work)) is not None:
-                break
-            started = clock()
-            losses = fleet.losses(server.models[n])[0] if by_loss else None
-            outcome = advance_round(
-                state,
-                policy,
-                taus,
-                hw,
-                hw_rng=hw_rng,
-                sample_rng=sample_rng,
-                client_losses=losses,
-                importances=fleet.importances,
-                time_limit=config.time_budget,
-            )
-            scheduled = clock()
-            schedule_s += scheduled - started
-            if outcome is None:
-                break
-            stale = config.tau_max is not None and outcome.staleness.max(initial=0) > config.tau_max
-            if stale or outcome.anchors.max(initial=-1) > work.computed_through:
-                # a pass reads the models up to round n, and a staleness
-                # error is only raised if the rounds before it leave a
-                # member live
-                if (kept := server.aggregate(rounds, work)) is not None:
-                    break
-                if stale:
-                    _check_staleness(outcome, config.tau_max)  # raises
-                computing = clock()
-                work.compute_pending(outcome, state.anchor, server.models)
-                local_work_s += clock() - computing
-            rounds.append(outcome)
-            round_times.append(state.time)
-        if kept is None:  # the horizon or the time limit ended the loop
-            kept = server.aggregate(rounds, work)
-
+        if schedule is None:
+            sample_rng = np.random.default_rng(_seed_key(lead.sampling))
+            schedule, kept = _advance_rounds(config, state, hw_rng, sample_rng, work, server, timing_s)
+        else:
+            kept = _step_segments(config, schedule, work, server, timing_s)
     if kept is not None:
-        del rounds[kept:], round_times[kept:]
-    return _GroupRun(
-        server.models[: server.n_models], round_times, rounds, server.divergence,
-        {"schedule": schedule_s, "local_work": local_work_s, "aggregate": server.seconds},
-    )
+        schedule.truncate(kept)
+    timing_s["aggregate"] = server.seconds
+    return _GroupRun(server.models[: server.n_models], schedule, server.divergence, timing_s)
+
+
+def _step_segments(config: RunConfig, schedule: Schedule, work: _LocalWork, server: _Server,
+                   timing_s: dict) -> int | None:
+    """The round loop over a whole schedule, one segment at a time. The
+    next pass falls at the first round with an anchor past the last pass,
+    and a round with a delivery staler than ``tau_max`` ends the segment
+    too. Returns what the last :meth:`_Server.aggregate` returns."""
+    clock = time.perf_counter
+    started = clock()
+    n_rounds, offsets, anchors = len(schedule), schedule.offsets, schedule.anchors
+    pos, clients, _, sizes = schedule.participations()
+    # the latest anchor of each round, -1 in a round without participants
+    latest = np.full(n_rounds, -1)
+    served = sizes > 0
+    if served.any():
+        latest[served] = np.maximum.reduceat(anchors, offsets[:-1][served])
+    stale = n_rounds  # the first round with a delivery staler than tau_max
+    if config.tau_max is not None:
+        over = np.flatnonzero(pos - anchors > config.tau_max)
+        if over.size:
+            stale = int(pos[over[0]])
+    in_flight = np.zeros(len(config.fleet), dtype=np.int64)  # each client's anchor at round n
+    n = 0
+    timing_s["schedule"] += clock() - started
+    while True:
+        started = clock()
+        end = min(_first_above(latest, n, work.computed_through), stale)
+        timing_s["schedule"] += clock() - started
+        if end == n_rounds:
+            return server.aggregate(schedule, n_rounds, work)
+        # a pass reads the models up to round ``end``, and a staleness
+        # error is only raised if the rounds before it leave a member live
+        if (kept := server.aggregate(schedule, end, work)) is not None:
+            return kept
+        if end == stale:
+            _check_staleness(schedule[end], config.tau_max)  # raises
+        # rounds n to end - 1 rebase their participants on the round after
+        in_flight[clients[offsets[n] : offsets[end]]] = pos[offsets[n] : offsets[end]] + 1
+        computing = clock()
+        work.compute_pending(end, in_flight, server.models)
+        timing_s["local_work"] += clock() - computing
+        n = end
+
+
+def _first_above(values: np.ndarray, start: int, bound: int) -> int:
+    """The first index from ``start`` on whose value exceeds ``bound``, or
+    ``len(values)``: one ``argmax`` over windows that double in width, so a
+    search costs about as much as the distance it covers."""
+    width = 16
+    while start < values.shape[0]:
+        window = values[start : start + width] > bound
+        hit = int(window.argmax())
+        if window[hit]:
+            return start + hit
+        start, width = start + width, 2 * width
+    return values.shape[0]
+
+
+def _advance_rounds(config: RunConfig, state, hw_rng, sample_rng, work: _LocalWork, server: _Server,
+                    timing_s: dict) -> tuple[Schedule, int | None]:
+    """The round loop, one :func:`~asyncfed.timing.advance_round` per
+    round. The rounds since the last pass join the schedule as one block
+    when the next pass, a highest-loss step or the end aggregates them.
+    Returns the schedule and what the last :meth:`_Server.aggregate`
+    returns."""
+    fleet, policy, hw = config.fleet, config.policy, config.hw
+    taus = list(fleet.compute_times)
+    by_loss = policy.kind is PolicyKind.SAMPLE_BIASED and policy.criterion == "highest_loss"
+    schedule = Schedule.empty(state)
+    pending, times = [], []  # the rounds scheduled since the last block, and their end times
+    clock = time.perf_counter
+    kept = None  # set once every member has diverged
+    while config.rounds is None or state.round_index < config.rounds:
+        n = state.round_index
+        if by_loss:
+            schedule.extend(pending, times)
+            pending.clear()
+            times.clear()
+            if (kept := server.aggregate(schedule, n, work)) is not None:
+                break
+        started = clock()
+        losses = fleet.losses(server.models[n])[0] if by_loss else None
+        outcome = advance_round(
+            state,
+            policy,
+            taus,
+            hw,
+            hw_rng=hw_rng,
+            sample_rng=sample_rng,
+            client_losses=losses,
+            importances=fleet.importances,
+            time_limit=config.time_budget,
+        )
+        timing_s["schedule"] += clock() - started
+        if outcome is None:
+            break
+        stale = config.tau_max is not None and outcome.staleness.max(initial=0) > config.tau_max
+        if stale or outcome.anchors.max(initial=-1) > work.computed_through:
+            # a pass reads the models up to round n, and a staleness
+            # error is only raised if the rounds before it leave a
+            # member live
+            schedule.extend(pending, times)
+            pending.clear()
+            times.clear()
+            if (kept := server.aggregate(schedule, n, work)) is not None:
+                break
+            if stale:
+                _check_staleness(outcome, config.tau_max)  # raises
+            # the participants' runs, before the round rebased them
+            in_flight = state.anchor.copy()
+            in_flight[outcome.clients] = outcome.anchors
+            computing = clock()
+            work.compute_pending(n, in_flight, server.models)
+            timing_s["local_work"] += clock() - computing
+        pending.append(outcome)
+        times.append(state.time)
+    if kept is None:  # the horizon or the time limit ended the loop
+        schedule.extend(pending, times)
+        kept = server.aggregate(schedule, len(schedule), work)
+    return schedule, kept
 
 
 def run(config: RunConfig) -> Trajectory:
@@ -406,14 +483,15 @@ def run(config: RunConfig) -> Trajectory:
     clock = time.perf_counter
     started = clock()
     (divergence,) = group.divergence
+    schedule = group.rounds
     # an overflow in local work ends the run before its round is aggregated
-    served = len(group.rounds) - (divergence is not None and divergence[1] == "overflow")
-    _, served_ids, _ = _participations(group.rounds[:served])
+    served = len(schedule) - (divergence is not None and divergence[1] == "overflow")
+    served_ids = schedule.clients[: schedule.offsets[served]]
     n_models = len(group.models)
     trajectory = Trajectory(
         theta=group.models[:, 0],
-        times=np.asarray([0.0] + group.round_times[: n_models - 1]),
-        rounds=group.rounds,
+        times=np.concatenate([[0.0], schedule.time[: n_models - 1]]),
+        rounds=schedule,
         metrics=None,
         optimum=weighted_optimum(config.fleet),
         diverged=divergence is not None,
@@ -607,17 +685,16 @@ class _LocalWork:
                 held = 2 * k * dim if draws is not None else 0
             self.chunks.append(max(1, _LOCAL_FLOATS // (n_members * (dim * (k + 1) + held))))
 
-    def compute_pending(self, outcome: Round, anchor: np.ndarray, models: np.ndarray) -> None:
-        """Run every client in flight whose anchor model exists (anchor at
-        most this round's index) and whose run is not computed: the
-        participants, and the clients still busy on an earlier model.
-        Clients that are not sampled this round are rebased past it, so
-        they are left out. ``anchor`` is the fleet state's after the round,
-        and ``models`` holds the models up to this round's."""
+    def compute_pending(self, index: int, anchor: np.ndarray, models: np.ndarray) -> None:
+        """Run every client in flight at round ``index`` whose anchor model
+        exists (anchor at most ``index``) and whose run is not computed: the
+        round's participants, and the clients still busy on an earlier
+        model. ``anchor`` holds each client's anchor in flight: a
+        participant's is that of the run it delivers in the round, and a
+        client that sampling left out of the round is rebased past it, so
+        it is left out. ``models`` holds the models up to round ``index``."""
         config = self.config
-        anchor = anchor.copy()
-        anchor[outcome.clients] = outcome.anchors  # the participants' runs, before the round rebased them
-        pending = np.flatnonzero((anchor <= outcome.index) & (anchor > self.computed_through))
+        pending = np.flatnonzero((anchor <= index) & (anchor > self.computed_through))
         fleet = config.fleet
         for t, ((_, table), chunk, draws) in enumerate(zip(fleet.tables, self.chunks, self.draws)):
             jobs = pending if len(fleet.tables) == 1 else pending[fleet.table_of[pending] == t]
@@ -629,7 +706,7 @@ class _LocalWork:
                 self.deltas[part] = out.delta
                 self.overflow[part] = -1 if out.overflow_step is None else out.overflow_step
                 self.any_overflow |= out.overflow_step is not None
-        self.computed_through = outcome.index
+        self.computed_through = index
 
 
 def _kept_rows(n_models: int, cadence: int) -> np.ndarray:
@@ -655,21 +732,32 @@ def _compute_metrics(traj: Trajectory, fleet: Fleet, cadence: int) -> Metrics:
     losses.flags.writeable = False
     # rows with a round come first in ``kept``; the final model's row has
     # no participants and no surrogate
-    recorded = [traj.rounds[n] for n in kept[kept < traj.n_rounds].tolist()]
+    recorded = kept[kept < traj.n_rounds]
     unrecorded = len(kept) - len(recorded)
-    pos, clients, multiplicity = _participations(recorded)
-    served = np.zeros((len(recorded), len(fleet)), dtype=bool)
-    served[pos, clients] = True
-    masks = [int.from_bytes(row.tobytes(), "little")
-             for row in np.packbits(served, axis=1, bitorder="little")] + [None] * unrecorded
+    pos, clients, multiplicity, sizes = traj.rounds.participations(
+        None if len(recorded) == traj.n_rounds else recorded
+    )
+    masks = _participant_masks(pos, clients, len(recorded), len(fleet)) + [None] * unrecorded
     # the surrogate: mult * d_i * loss_i summed over the participants in
     # client order, left to right
     terms = (multiplicity * traj.d[clients]) * losses[pos, clients]
-    surrogates = np.append(_row_sums(terms, [r.clients.size for r in recorded]), [math.nan] * unrecorded)
+    surrogates = np.append(_row_sums(terms, sizes), [math.nan] * unrecorded)
     # one stacked ddot per row, the BLAS call and bits of np.dot(gap, gap)
     gap = thetas - traj.optimum
     dist_sq = (gap[:, None, :] @ gap[:, :, None]).reshape(-1)
     return Metrics(kept, traj.times[kept], masks, loss_fed, surrogates, dist_sq, losses)
+
+
+def _participant_masks(pos: np.ndarray, clients: np.ndarray, n_rows: int, n_clients: int) -> list:
+    """Per row the int whose bit i is set when client i is among the
+    participations ``clients`` of that row (``pos``)."""
+    if n_clients < 63:  # the masks fit int64
+        masks = np.zeros(n_rows, dtype=np.int64)
+        np.bitwise_or.at(masks, pos, np.left_shift(1, clients))
+        return masks.tolist()
+    served = np.zeros((n_rows, n_clients), dtype=bool)
+    served[pos, clients] = True
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(served, axis=1, bitorder="little")]
 
 
 def _window_stats(series: np.ndarray, fraction: float = 0.05) -> tuple[float, float]:
@@ -901,18 +989,37 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Comma-separated metrics rows, LF endings, 17 significant digits.
 
     The final model's row has no participant set or surrogate loss; those
-    cells are left empty.
+    cells are left empty, as is every NaN surrogate.
+
+    Up to 53 clients every participant mask is an integer below 2^53, whose
+    ``'%d'`` is the ``'%.17g'`` of its double, as is a round's. So a row
+    with a mask and a surrogate is encoded whole, its leading cells in one
+    block with its client losses, and only the other rows splice leading
+    cells in one at a time, as :func:`write_trajectory_table` does.
     """
-    metrics = traj.metrics
-    leading = list(zip(
-        metrics.round.tolist(),
-        metrics.wall_time.tolist(),
-        [b"" if mask is None else b"%d" % mask for mask in metrics.participant_mask],
-        metrics.loss_fed.tolist(),
-        [b"" if math.isnan(x) else b"%.17g" % x for x in metrics.loss_surrogate.tolist()],
-        metrics.dist_sq.tolist(),
-    ))
-    write_trajectory_table(path, len(traj.d), leading, metrics.client_losses)
+    m = traj.metrics
+    n_rows, n_clients = len(m), len(traj.d)
+    _check_losses(m.client_losses, (n_rows, n_clients))
+    spliced = np.isnan(m.loss_surrogate) | np.array([mask is None for mask in m.participant_mask], dtype=bool)
+    whole = None
+    if n_clients <= 53 and not spliced.all():
+        whole = np.empty((n_rows, 6 + n_clients))
+        masks = [mask or 0 for mask in m.participant_mask]
+        for j, column in enumerate((m.round, m.wall_time, masks, m.loss_fed, m.loss_surrogate, m.dist_sq)):
+            whole[:, j] = column
+        whole[:, 6:] = m.client_losses
+    else:
+        spliced[:] = True
+    rounds, times, masks, feds, surrogates, dists = (
+        m.round.tolist(), m.wall_time.tolist(), m.participant_mask, m.loss_fed.tolist(),
+        m.loss_surrogate.tolist(), m.dist_sq.tolist(),
+    )
+    leading = [None] * n_rows
+    for r in np.flatnonzero(spliced).tolist():
+        mask, surrogate = masks[r], surrogates[r]
+        leading[r] = (rounds[r], times[r], b"" if mask is None else b"%d" % mask, feds[r],
+                      b"" if math.isnan(surrogate) else b"%.17g" % surrogate, dists[r])
+    _write_table(path, leading, m.client_losses, whole)
 
 
 def write_trajectory_table(path, n_clients: int, leading, client_losses: np.ndarray) -> None:
@@ -927,22 +1034,41 @@ def write_trajectory_table(path, n_clients: int, leading, client_losses: np.ndar
     raises ``TypeError`` before ``path`` is opened, so it keeps its old
     content.
     """
-    shape = (len(leading), n_clients)
+    _check_losses(client_losses, (len(leading), n_clients))
+    _write_table(path, list(leading), client_losses)
+
+
+def _check_losses(client_losses, shape) -> None:
     if not isinstance(client_losses, np.ndarray):
         raise TypeError(f"expected a {shape} array of client losses, got {type(client_losses).__name__}")
     if client_losses.dtype.kind not in "biuf" or client_losses.shape != shape:
         raise TypeError(f"expected a {shape} array of client losses, got {client_losses.dtype} "
                         f"of shape {client_losses.shape}")
-    step = max(1, BLOCK_CELLS // n_clients)
+
+
+def _write_table(path, leading: list, client_losses: np.ndarray, whole: np.ndarray | None = None) -> None:
+    """Write the rows of the trajectory schema: row r is ``whole[r]``
+    encoded as one line where ``leading[r]`` is None, and otherwise the
+    cells of ``leading[r]`` spliced in before that row of the client
+    losses. Rows go out in runs of one kind, in blocks of about
+    ``BLOCK_CELLS`` cells."""
+    n_rows, n_clients = client_losses.shape
+    step = max(1, BLOCK_CELLS // (n_clients + (0 if whole is None else 6)))
+    spliced = np.array([cells is not None for cells in leading], dtype=bool)
+    change = (np.flatnonzero(spliced[1:] != spliced[:-1]) + 1).tolist()
     with atomic_open(path, binary=True) as fh:
         fh.write(",".join(trajectory_header(n_clients)).encode("ascii") + b"\n")
-        for start in range(0, len(leading), step):
-            stop = start + step
-            text = format_rows(client_losses[start:stop])
-            # each row's leading cells go before its slice of the loss text
-            view, pieces, pos = memoryview(text), [], 0
-            for cells in leading[start:stop]:
-                end = text.index(b"\n", pos) + 1
-                pieces += (b"%d,%.17g,%s,%.17g,%s,%.17g," % cells, view[pos:end])
-                pos = end
-            fh.write(b"".join(pieces))
+        for lo, hi in zip([0, *change], [*change, n_rows]):
+            for start in range(lo, hi, step):
+                stop = min(start + step, hi)
+                if not spliced[start]:
+                    fh.write(format_rows(whole[start:stop]))
+                    continue
+                text = format_rows(client_losses[start:stop])
+                # each row's leading cells go before its slice of the loss text
+                view, pieces, pos = memoryview(text), [], 0
+                for cells in leading[start:stop]:
+                    end = text.index(b"\n", pos) + 1
+                    pieces += (b"%d,%.17g,%s,%.17g,%s,%.17g," % cells, view[pos:end])
+                    pos = end
+                fh.write(b"".join(pieces))

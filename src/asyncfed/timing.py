@@ -11,6 +11,11 @@ the lowest-index finisher gets its own round and the remaining finishers
 follow in zero-duration rounds. One aggregation per contribution is what
 makes the per-cycle round count equal sum(lcm/tau_i) and keeps window
 averages of the expected weights exact.
+
+On fixed hardware the synchronous, asynchronous and FedFix schedules are
+known before any model exists: :func:`merged_schedule` builds a whole run's
+rounds from one event merge into a columnar :class:`Schedule`, the record
+the per-round loop fills too.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -156,15 +162,19 @@ class FleetState:
         """Whether a round of length ``dt`` would end past ``time_limit``.
 
         The exact clock compares in ticks: an integer tick count exceeds the
-        limit exactly when it exceeds the floor of the limit's tick value,
-        which is worked out once per limit.
+        limit exactly when it exceeds :meth:`limit_ticks`.
         """
         if not self.exact:
             return self.clock + dt > time_limit
+        return self.clock + dt > self.limit_ticks(time_limit)
+
+    def limit_ticks(self, time_limit) -> int:
+        """The floor of ``time_limit`` on the tick scale, worked out once
+        per limit."""
         if time_limit is not self._limit[0]:
             num, den = exact_ratio(time_limit)
             self._limit = (time_limit, num * self.scale // den)
-        return self.clock + dt > self._limit[1]
+        return self._limit[1]
 
     def sampling_cdf(self, importances) -> np.ndarray:
         """The CDF multinomial sampling draws from: ``Generator.choice``'s
@@ -293,6 +303,106 @@ class Round(NamedTuple):
         return self.index - self.anchors
 
 
+def _grown(buffer: np.ndarray, size: int) -> np.ndarray:
+    """``buffer``, or a copy at least twice its size if it holds fewer than
+    ``size`` entries."""
+    if size <= buffer.shape[0]:
+        return buffer
+    grown = np.empty(max(2 * buffer.shape[0], size), dtype=buffer.dtype)
+    grown[: buffer.shape[0]] = buffer
+    return grown
+
+
+class Schedule:
+    """The rounds of a run as columns.
+
+    Round n lasts ``length[n]`` units of ``1 / scale``, as :class:`Round`
+    counts it, and ends at server time ``time[n]``. Its participations are
+    rows ``offsets[n]:offsets[n + 1]`` of ``clients`` (ascending within a
+    round), ``multiplicity`` and ``anchors``. ``schedule[n]`` is round n as
+    a :class:`Round`, and iteration yields every round so.
+
+    The columns are the fronts of buffers; :meth:`extend` appends rounds
+    and doubles a buffer they do not fit.
+    """
+
+    def __init__(self, scale: int, length, time, offsets, clients, multiplicity, anchors):
+        self.scale = scale
+        self.n_rounds = length.shape[0]
+        self._length, self._time, self._offsets = length, time, offsets
+        self._clients, self._multiplicity, self._anchors = clients, multiplicity, anchors
+
+    @classmethod
+    def empty(cls, state: FleetState) -> Schedule:
+        """A record without rounds, whose lengths take the dtype of
+        ``state``'s clocks."""
+        none = np.empty(0, dtype=np.int64)
+        return cls(state.scale, np.empty(0, dtype=state.remaining.dtype), np.empty(0),
+                   np.zeros(1, dtype=np.int64), none, none, none)
+
+    length = property(lambda self: self._length[: self.n_rounds])
+    time = property(lambda self: self._time[: self.n_rounds])
+    offsets = property(lambda self: self._offsets[: self.n_rounds + 1])
+    clients = property(lambda self: self._clients[: self._offsets[self.n_rounds]])
+    multiplicity = property(lambda self: self._multiplicity[: self._offsets[self.n_rounds]])
+    anchors = property(lambda self: self._anchors[: self._offsets[self.n_rounds]])
+
+    def __len__(self) -> int:
+        return self.n_rounds
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return [self[i] for i in range(*n.indices(self.n_rounds))]
+        n = int(n) + (self.n_rounds if n < 0 else 0)
+        if not 0 <= n < self.n_rounds:
+            raise IndexError(f"round {n} of {self.n_rounds}")
+        lo, hi = self._offsets[n], self._offsets[n + 1]
+        return Round(n, self._length.item(n), self.scale, self._clients[lo:hi],
+                     self._multiplicity[lo:hi], self._anchors[lo:hi])
+
+    def __iter__(self):
+        return (self[n] for n in range(self.n_rounds))
+
+    def extend(self, rounds: list, times: list) -> None:
+        """Append ``rounds``, the next rounds in order, which end at server
+        times ``times``."""
+        if not rounds:
+            return
+        n, rows = self.n_rounds, int(self._offsets[self.n_rounds])
+        sizes = [r.clients.size for r in rounds]
+        end, stop = n + len(rounds), rows + sum(sizes)
+        self._length, self._time, self._offsets = (
+            _grown(self._length, end), _grown(self._time, end), _grown(self._offsets, end + 1))
+        self._clients, self._multiplicity, self._anchors = (
+            _grown(column, stop) for column in (self._clients, self._multiplicity, self._anchors))
+        self._length[n:end] = [r.length for r in rounds]
+        self._time[n:end] = times
+        self._offsets[n + 1 : end + 1] = list(accumulate(sizes, initial=rows))[1:]
+        self._clients[rows:stop] = np.concatenate([r.clients for r in rounds])
+        self._multiplicity[rows:stop] = np.concatenate([r.multiplicity for r in rounds])
+        self._anchors[rows:stop] = np.concatenate([r.anchors for r in rounds])
+        self.n_rounds = end
+
+    def truncate(self, n_rounds: int) -> None:
+        """Keep the first ``n_rounds`` rounds."""
+        self.n_rounds = min(self.n_rounds, n_rounds)
+
+    def participations(self, rounds: np.ndarray | None = None):
+        """Every participation in ``rounds`` (ascending round indices; all
+        rounds by default) as aligned arrays: the position of its round in
+        ``rounds``, the client and the multiplicity; then the number of
+        participations of each of those rounds."""
+        offsets = self.offsets
+        sizes = np.diff(offsets)
+        if rounds is None:
+            return np.repeat(np.arange(self.n_rounds), sizes), self.clients, self.multiplicity, sizes
+        sizes = sizes[rounds]
+        ends = np.cumsum(sizes)
+        rows = np.arange(ends[-1] if sizes.size else 0) + np.repeat(offsets[rounds] - (ends - sizes), sizes)
+        return (np.repeat(np.arange(sizes.size), sizes), self._clients.take(rows),
+                self._multiplicity.take(rows), sizes)
+
+
 def fastest_first(taus) -> list[int]:
     """Client indices by compute time, ties by index: the order of the
     fastest-first sampling criterion."""
@@ -408,6 +518,136 @@ def _advance_sampling_round(
     return outcome
 
 
+_MERGED_KINDS = frozenset({PolicyKind.SYNCHRONOUS, PolicyKind.ASYNCHRONOUS, PolicyKind.FEDFIX})
+
+
+def merged_schedule(state: FleetState, policy: WaitPolicy, *, rounds: int | None = None,
+                    time_limit=None) -> Schedule | None:
+    """The schedule of a fresh fixed-hardware ``state`` under the
+    synchronous, asynchronous or FedFix policy up to the horizon (``rounds``
+    rounds, or the rounds that end by ``time_limit``), from one event merge:
+    the rounds, times and anchors :func:`advance_round` gives one round at a
+    time. None where the loop must run it: exponential hardware, the other
+    policies, and clocks or a horizon beyond int64 ticks.
+
+    With first clocks s_i and periods tau_i in ticks, the asynchronous
+    policy serves client i's deliveries at s_i + k tau_i in (time, client)
+    order. Under FedFix client i delivers every ceil(tau_i / delta_t)
+    rounds from round ceil(s_i / delta_t) - 1, and the synchronous policy
+    serves every client every round. A delivery trains from the model after
+    the same client's previous delivery, or from round 0's.
+    """
+    if state.remaining.dtype != np.int64 or policy.kind not in _MERGED_KINDS:
+        return None
+    if rounds is not None and rounds > _INT64_MAX:
+        return None
+    limit = None if time_limit is None else state.limit_ticks(time_limit)
+    if limit is not None and limit > _INT64_MAX:
+        return None
+    starts, period = state.remaining, state.period
+    kind = policy.kind
+    if kind is PolicyKind.ASYNCHRONOUS:
+        if limit is None:
+            limit = _async_horizon(starts, period, rounds)
+            if limit is None:
+                return None
+        order, ticks, client, anchors = _async_merge(starts, period, limit, rounds)
+        ends, clients, anchors = ticks.take(order), client.take(order), anchors.take(order)
+        offsets = np.arange(ends.shape[0] + 1)
+    else:
+        if kind is PolicyKind.SYNCHRONOUS:
+            first, step = int(starts.max()), int(period.max())
+        else:
+            first = step = state.ticks(policy.delta_t)
+        if limit is not None:
+            rounds = 0 if limit < first else (limit - first) // step + 1
+        if first + (rounds - 1) * step > _INT64_MAX:
+            return None
+        ends = first + step * np.arange(rounds)
+        if kind is PolicyKind.SYNCHRONOUS:
+            m = starts.shape[0]
+            offsets = np.arange(rounds + 1) * m
+            clients, anchors = np.tile(np.arange(m), rounds), np.repeat(np.arange(rounds), m)
+        else:
+            offsets, clients, anchors = _fedfix_merge(starts, period, step, rounds)
+    return Schedule(state.scale, np.diff(ends, prepend=0), _tick_times(ends, state.scale), offsets,
+                    clients, np.ones(clients.shape[0], dtype=np.int64), anchors)
+
+
+def _async_merge(starts, period, limit, rounds=None):
+    """The asynchronous deliveries that land by tick ``limit``, client by
+    client: the order that serves the first ``rounds`` of them (default:
+    all), and each one's tick, client and anchor. A stable sort of the
+    client-major sequences serves equal ticks lowest client first."""
+    counts = np.maximum((limit - starts) // period + 1, 0).astype(np.int64, copy=False)
+    served = counts > 0
+    client = np.repeat(np.arange(counts.shape[0]), counts)
+    first = (np.cumsum(counts) - counts)[served]  # each client's first entry
+    k = np.arange(client.shape[0])
+    k -= np.repeat(first, counts[served])
+    ticks = np.repeat(period, counts)
+    ticks *= k
+    ticks += np.repeat(starts, counts)
+    order = np.argsort(ticks, kind="stable")[:rounds]
+    rank = np.empty(client.shape[0], dtype=np.int64)
+    rank[order] = np.arange(order.shape[0])
+    # a client's previous delivery is the entry before it, and is served
+    # first; the anchors take the place of k
+    anchors = k
+    np.add(rank[:-1], 1, out=anchors[1:])
+    anchors[first] = 0
+    return order, ticks, client, anchors
+
+
+def _async_horizon(starts, period, rounds: int) -> int | None:
+    """The tick of the ``rounds``-th asynchronous delivery, or None if it
+    is past int64: a bisection on the count of deliveries by tick t,
+    sum_i max(0, floor((t - s_i) / tau_i) + 1)."""
+
+    def reached(tick):
+        return np.minimum(np.maximum((tick - starts) // period + 1, 0), rounds).sum() >= rounds
+
+    # the fastest client alone delivers ``rounds`` times by hi
+    fits = rounds - 1 <= (_INT64_MAX - starts) // period
+    lo, hi = -1, int(np.where(fits, starts + (rounds - 1) * period, _INT64_MAX).min())
+    if not reached(hi):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reached(mid) else (mid, hi)
+    return hi
+
+
+def _fedfix_merge(starts, period, window, rounds):
+    """The participations of ``rounds`` FedFix rounds of ``window`` ticks
+    each: row offsets per round, clients and anchors."""
+    first = (starts - 1) // window       # ceil(s_i / window) - 1
+    every = (period - 1) // window + 1   # fedfix_period
+    counts = np.maximum((rounds - 1 - first) // every + 1, 0)
+    client = np.repeat(np.arange(counts.shape[0]), counts)
+    k = np.arange(client.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+    served = first.take(client) + k * every.take(client)
+    order = np.argsort(served, kind="stable")
+    client, k, served = client.take(order), k.take(order), served.take(order)
+    anchors = np.where(k == 0, 0, served - every.take(client) + 1)
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(served, minlength=rounds))])
+    return offsets, client, anchors
+
+
+def _tick_times(ticks: np.ndarray, scale: int) -> np.ndarray:
+    """``ticks / scale`` in time units, each the float nearest the exact
+    quotient, as :attr:`FleetState.time` gives it. Past 2^53 an int64 does
+    not convert to float64 exactly, and then only a power-of-two scale,
+    which divides exactly (short of the subnormal range), keeps the
+    vectorized quotient correctly rounded; Python's int division rounds the
+    rest."""
+    if (not scale & (scale - 1) and scale.bit_length() < 960) or (
+        scale <= 1 << 53 and ticks.max(initial=0) <= 1 << 53
+    ):
+        return ticks.astype(np.float64) / float(scale)
+    return np.array([t / scale for t in ticks.tolist()], dtype=np.float64)
+
+
 SCHEDULE_ROUND_CAP = 200_000
 
 
@@ -451,16 +691,16 @@ def staleness_bound(policy: WaitPolicy, hw: HardwareModel, taus) -> int:
 
 
 def _async_staleness(taus) -> int:
-    """Steady-state staleness bound of the asynchronous schedule.
+    """Steady-state staleness bound of the asynchronous schedule, read off
+    one cycle of :func:`merged_schedule`'s event merge. Client i delivers
+    c_i times a cycle, so on a scale of lcm(c) ticks a cycle its clock is
+    lcm(c) / c_i, proportional to tau_i, and its first delivery ends it.
 
-    Client i's k-th delivery of a cycle lands at fraction k / c_i of it, and
-    simultaneous deliveries are served lowest index first, so sorting the
-    events by (k / c_i, client) gives the round order. The float key is
-    exact: equal fractions round to equal doubles, and distinct fractions
-    with denominators up to the round cap differ by far more than an ulp. A
-    delivery's staleness is its round gap to the same client's previous
-    delivery minus one; the first delivery of a cycle follows the last one
-    of the previous cycle, since the schedule restarts after every cycle.
+    The cycle ends with every client delivering at once, lowest index
+    first, so client i's last delivery of a cycle of n rounds is round
+    n - M + i, and its first delivery of the next cycle, at round r + n,
+    lags r + M - 1 - i rounds behind its anchor (its anchor in the record is
+    round 0). Every other delivery lags its round minus its anchor.
     """
     counts = participations_per_cycle(taus)
     n_rounds = sum(counts)
@@ -469,16 +709,16 @@ def _async_staleness(taus) -> int:
             f"the asynchronous schedule repeats only every {n_rounds} rounds, "
             f"beyond the {SCHEDULE_ROUND_CAP}-round cap of the staleness analysis"
         )
-    c = np.array(counts, dtype=np.int64)
-    first = np.cumsum(c) - c                        # each client's first event
-    client = np.repeat(np.arange(c.size), c)
-    k = np.arange(1, n_rounds + 1) - first[client]  # 1..c_i within each client
-    order = np.lexsort((client, k / c[client]))
-    rank = np.empty(n_rounds, dtype=np.int64)
-    rank[order] = np.arange(n_rounds)
-    previous = np.roll(rank, 1)
-    previous[first] = rank[first + c - 1] - n_rounds
-    return int(np.max(rank - previous)) - 1
+    cycle = math.lcm(*counts)
+    # Python ints past int64: slow, but exact
+    period = np.array([cycle // c for c in counts], dtype=np.int64 if cycle <= _INT64_MAX else object)
+    order, _, client, anchors = _async_merge(period, period, cycle)
+    clients, anchors = client.take(order), anchors.take(order)
+    # a first delivery's lag in the record, its round, is no more than its steady one
+    firsts = np.flatnonzero(anchors == 0)
+    lag = np.arange(n_rounds)
+    lag -= anchors
+    return int(max(lag.max(), (firsts + (len(period) - 1) - clients[firsts]).max()))
 
 
 def replay_steady_period(policy: WaitPolicy, taus) -> tuple[int, list[Round]]:

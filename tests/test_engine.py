@@ -426,6 +426,27 @@ class TestMetricsAndCsv:
             _reference_trajectory_csv(traj, want)
             assert got.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("policy", [ASYNC, WaitPolicy(PolicyKind.FEDFIX, delta_t=0.3)],
+                             ids=lambda p: p.kind.value)
+    def test_whole_row_blocks_match_the_reference_writer(self, tmp_path, policy):
+        # 53 clients: masks up to 2^52 (async) or 0 (an empty FedFix round),
+        # 59 cells a row, so 138 rows an encoder block
+        rng = np.random.default_rng(6)
+        fleet = quadratic_fleet(rng.normal(0.0, 3.0, (53, 1)).tolist(), taus=rng.integers(1, 6, 53).tolist())
+        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+        traj = run(RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.3, rounds=500))
+        masks = traj.metrics.participant_mask
+        assert max(masks[:-1]) >= 2**52 if policy is ASYNC else 0 in masks
+        # surrogates that are not numbers, or not finite, amid whole rows
+        surrogates = traj.metrics.loss_surrogate.copy()
+        surrogates[[100, 101, 300]] = [math.nan, math.inf, -0.0]
+        traj.metrics = replace(traj.metrics, loss_surrogate=surrogates)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_trajectory_csv(traj, got)
+        _reference_trajectory_csv(traj, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes().splitlines()[101].split(b",")[4] == b""  # round 100's NaN
+
     def test_client_losses_are_read_only_rows_of_one_matrix(self):
         fleet = quadratic_fleet([[0.0], [2.0], [-1.0]], taus=[1, 2, 3])
         traj = run(sync_config(fleet, rounds=5))
@@ -817,7 +838,9 @@ def _reference_run_group(config, member_seeds):
             if config.tau_max is not None:
                 engine._check_staleness(outcome, config.tau_max)
             if outcome.anchors.max(initial=-1) > work.computed_through:
-                work.compute_pending(outcome, state.anchor, models)
+                in_flight = state.anchor.copy()
+                in_flight[outcome.clients] = outcome.anchors
+                work.compute_pending(n, in_flight, models)
             total = np.zeros((n_members, fleet.dim))
             for i, mult in zip(outcome.clients.tolist(), outcome.multiplicity.tolist()):
                 total += (mult * d[i]) * work.deltas[i]
@@ -845,36 +868,35 @@ def _round_record(rounds):
 def _segmented_run(monkeypatch, config, member_seeds):
     """``engine._run_group(config, member_seeds)``, checked bit for bit
     against :func:`_reference_run_group`, and the rounds at which it ran a
-    local-work pass and the last round it scheduled: a segment runs from
-    one pass round to the next."""
-    passes, scheduled = [], []
-    compute_pending, advance_round_ = engine._LocalWork.compute_pending, engine.advance_round
+    local-work pass and the segments it aggregated, as (first round, round
+    after the last): a segment runs from one pass round to the next."""
+    passes, segments = [], []
+    compute_pending, aggregate = engine._LocalWork.compute_pending, engine._Server.aggregate
 
-    def recording_pass(self, outcome, *args):
-        passes.append(outcome.index)
-        return compute_pending(self, outcome, *args)
+    def recording_pass(self, index, *args):
+        passes.append(index)
+        return compute_pending(self, index, *args)
 
-    def recording_round(*args, **kwargs):
-        outcome = advance_round_(*args, **kwargs)
-        scheduled.append(None if outcome is None else outcome.index)
-        return outcome
+    def recording_aggregate(self, schedule, stop, work):
+        if stop > self.n_models - 1:
+            segments.append((self.n_models - 1, stop))
+        return aggregate(self, schedule, stop, work)
 
     with monkeypatch.context() as patch:
         patch.setattr(engine._LocalWork, "compute_pending", recording_pass)
-        patch.setattr(engine, "advance_round", recording_round)
+        patch.setattr(engine._Server, "aggregate", recording_aggregate)
         got = engine._run_group(config, member_seeds)
     models, round_times, rounds, divergence = _reference_run_group(config, member_seeds)
     assert got.models.shape == models.shape and got.models.tobytes() == models.tobytes()
-    assert got.round_times == round_times
+    assert got.rounds.time.tolist() == round_times
     assert _round_record(got.rounds) == _round_record(rounds)
     assert got.divergence == divergence
-    return got, passes, max(i for i in scheduled if i is not None)
+    return got, passes, segments
 
 
-def _mid_segment(n, passes, last_scheduled):
-    """Whether round n was followed, in its segment, by a round the loop
-    scheduled before aggregating the segment."""
-    return n + 1 <= last_scheduled and n + 1 not in passes
+def _mid_segment(n, segments):
+    """Whether round n was aggregated in one block with the round after it."""
+    return any(start <= n and n + 1 < stop for start, stop in segments)
 
 
 _MEMBERS = [Seeds((0, j), (1, j), (2, j)) for j in range(5)]
@@ -928,7 +950,7 @@ class TestSegmentAggregation:
         group, _, _ = _segmented_run(monkeypatch, cfg, [cfg.seeds])
         traj = run(cfg)
         assert traj.theta.tobytes() == group.models[:, 0].tobytes()
-        assert traj.times.tolist() == [0.0] + group.round_times
+        assert traj.times.tolist() == [0.0] + group.rounds.time.tolist()
         metrics = traj.metrics
         kept = list(range(0, traj.n_rounds + 1, 3))
         assert metrics.round.tolist() == kept + ([traj.n_rounds] if traj.n_rounds % 3 else [])
@@ -943,8 +965,8 @@ class TestSegmentAggregation:
         plan = plan_weights(WeightScheme.IDENTICAL, fleet.importances, fleet.compute_times, ASYNC)
         cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_g=500.0, eta_l=0.5, full_gradient=True,
                         rounds=30, theta0=np.array([1.0]), tau_max=14)
-        group, passes, last = _segmented_run(monkeypatch, cfg, [cfg.seeds])
-        assert group.divergence == [(13, "threshold")] and passes[-1] == 12 and last == 15
+        group, passes, segments = _segmented_run(monkeypatch, cfg, [cfg.seeds])
+        assert group.divergence == [(13, "threshold")] and passes[-1] == 12 and segments[-1] == (12, 15)
         assert len(group.rounds) == 14
         for stable in (replace(cfg, eta_g=20.0), replace(cfg, eta_g=20.0, rounds=None, time_budget=40.0)):
             with pytest.raises(StalenessCapError, match="round 15"):
@@ -961,14 +983,14 @@ class TestSegmentAggregation:
         return Fleet([(np.arange(5), noisy)], taus, [0.2] * 5)
 
     def _assert_members_die_one_by_one_mid_segment(self, monkeypatch, cfg, cause):
-        group, passes, last = _segmented_run(monkeypatch, cfg, _MEMBERS)
+        group, _, segments = _segmented_run(monkeypatch, cfg, _MEMBERS)
         assert {c for _, c in group.divergence} == {cause}
         deaths = sorted(n for n, _ in group.divergence)
         # a member diverges while others step on, in the middle of a segment
-        assert any(n < deaths[-1] and _mid_segment(n, passes, last) for n in deaths)
+        assert any(n < deaths[-1] and _mid_segment(n, segments) for n in deaths)
         # the last one ends the loop in the middle of a segment: the rounds
         # after it were scheduled, then dropped
-        assert _mid_segment(deaths[-1], passes, last) and len(group.rounds) == deaths[-1] + 1
+        assert _mid_segment(deaths[-1], segments) and len(group.rounds) == deaths[-1] + 1
 
     def test_threshold_divergence_of_one_member_and_of_all_members_mid_segment(self, monkeypatch):
         # a member diverges when its noise draw carries the model past the threshold
@@ -985,6 +1007,109 @@ class TestSegmentAggregation:
         plan = WeightPlan(WeightScheme.CUSTOM, np.array([0.25, 0.25, 0.25, 0.25, 0.0]))
         cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=1.0, rounds=400)
         self._assert_members_die_one_by_one_mid_segment(monkeypatch, cfg, "overflow")
+
+
+def _counted_run(monkeypatch, config, *, merge=True):
+    """``run(config)`` and the number of ``advance_round`` calls it made;
+    without ``merge`` every schedule advances one round at a time."""
+    calls, advance = [], engine.advance_round
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return advance(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "advance_round", counted)
+        if not merge:
+            patch.setattr(engine, "merged_schedule", lambda *args, **kwargs: None)
+        return run(config), len(calls)
+
+
+def _assert_same_trajectory(got, want, tmp_path):
+    assert got.theta.tobytes() == want.theta.tobytes()
+    assert got.times.tobytes() == want.times.tobytes()
+    assert _round_record(got.rounds) == _round_record(want.rounds)
+    assert got.rounds.time.tobytes() == want.rounds.time.tobytes()
+    assert (got.diverged, got.divergence_round, got.divergence_cause, got.never_served) == (
+        want.diverged, want.divergence_round, want.divergence_cause, want.never_served)
+    assert np.array_equal(got.weight_matrix(), want.weight_matrix())
+    paths = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_trajectory_csv(got, paths[0])
+    write_trajectory_csv(want, paths[1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestMergedLoop:
+    """The loop over a merged schedule, which steps from one local-work pass
+    to the next, gives the trajectories of the loop that advances every
+    round on its own, bit for bit, and calls no ``advance_round`` on a
+    fixed-hardware synchronous, asynchronous or FedFix fleet."""
+
+    @pytest.mark.parametrize("family", ["quadratic", "noisy_quadratic", "glm"])
+    @pytest.mark.parametrize("hw", ["fixed", "exponential"])
+    @pytest.mark.parametrize("policy", _POLICIES, ids=lambda p: p.criterion or p.kind.value)
+    def test_matches_the_per_round_loop(self, monkeypatch, tmp_path, policy, hw, family):
+        fleet = _segment_fleet(family)
+        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, hw=HardwareModel(hw), eta_g=0.9, eta_l=0.05,
+                        k_steps=2, full_gradient=family == "quadratic", rounds=40, metric_cadence=3,
+                        theta0=np.full(fleet.dim, 2.0))
+        if hw == "exponential" or policy.kind not in (PolicyKind.SYNCHRONOUS, PolicyKind.ASYNCHRONOUS,
+                                                      PolicyKind.FEDFIX):
+            # nothing to merge: the loop runs with or without the merge
+            _, calls = _counted_run(monkeypatch, replace(cfg, rounds=8))
+            assert calls >= 8
+            return
+        for config in (cfg, replace(cfg, rounds=None, time_budget=23.5, metric_cadence=1),
+                       replace(cfg, initial_clocks=(0.5, 2, 1.25, 0.3, 4, 1) * 2)):
+            got, calls = _counted_run(monkeypatch, config)
+            want, looped = _counted_run(monkeypatch, config, merge=False)
+            _assert_same_trajectory(got, want, tmp_path)
+            assert calls == 0 and looped >= got.n_rounds
+
+    @pytest.mark.parametrize("policy", [ASYNC, WaitPolicy(PolicyKind.FEDFIX, delta_t=0.7)],
+                             ids=lambda p: p.kind.value)
+    def test_a_staleness_cap_ends_the_run_as_in_the_per_round_loop(self, monkeypatch, tmp_path, policy):
+        # the first delivery staler than 2 comes at round 6 (async, client
+        # 1) or 7 (FedFix, client 3); at eta_g = 1e5 the member diverges at
+        # round 5, and the rounds before the stale one are all kept
+        fleet = quadratic_fleet([[0.0], [1.0], [2.0], [3.0]], taus=[1, 1.5, 1, 5])
+        plan = plan_weights(WeightScheme.IDENTICAL, fleet.importances, fleet.compute_times, policy)
+        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.5, full_gradient=True, rounds=60,
+                        theta0=np.array([5.0]), tau_max=2)
+        raised = []
+        for merge in (True, False):
+            with pytest.raises(StalenessCapError) as err:
+                _counted_run(monkeypatch, cfg, merge=merge)
+            raised.append(str(err.value))
+        assert raised[0] == raised[1] and f"round {7 if policy.kind is PolicyKind.FEDFIX else 6}" in raised[0]
+        unstable = replace(cfg, eta_g=1e5)
+        got, _ = _counted_run(monkeypatch, unstable)
+        want, _ = _counted_run(monkeypatch, unstable, merge=False)
+        assert got.divergence_round == 5 and got.n_rounds == 6
+        _assert_same_trajectory(got, want, tmp_path)
+
+    def test_a_last_delivering_round_before_empty_rounds(self, monkeypatch, tmp_path):
+        # FedFix round 7 serves clients 0 and 1 from rounds 4 and 6, and
+        # needs a pass for client 1's run; round 8 serves nobody
+        fleet = quadratic_fleet([[0.0], [2.0]], taus=[4, 2], noise_std=0.5)
+        policy = WaitPolicy(PolicyKind.FEDFIX, delta_t=1)
+        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.2, rounds=9, theta0=np.array([3.0]))
+        got, calls = _counted_run(monkeypatch, cfg)
+        want, _ = _counted_run(monkeypatch, cfg, merge=False)
+        assert calls == 0 and got.rounds[7].anchors.tolist() == [4, 6] and got.rounds[8].clients.size == 0
+        _assert_same_trajectory(got, want, tmp_path)
+
+    def test_ticks_beyond_int64_take_the_per_round_loop(self, monkeypatch, tmp_path):
+        fleet = quadratic_fleet([[0.0], [1.0], [3.0]], taus=[2**70, 3 * 2**70, 2**71])
+        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, ASYNC)
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.3, full_gradient=True, rounds=30)
+        got, calls = _counted_run(monkeypatch, cfg)
+        small, _ = _counted_run(monkeypatch, replace(cfg, fleet=quadratic_fleet([[0.0], [1.0], [3.0]],
+                                                                                 taus=[2, 6, 4])))
+        assert calls == 30 and got.theta.tobytes() == small.theta.tobytes()
+        assert _round_record(got.rounds)[0][1] == 2**70 and got.times[1] == 2.0**70
 
 
 class TestRoundBookkeeping:

@@ -133,18 +133,24 @@ def test_an_overflowing_member_ends_inside_local_work():
 
 
 def test_a_shared_schedule_advances_once_per_round(monkeypatch):
-    calls = []
-    original = engine.advance_round
+    calls, merges = [], []
+    original, merge = engine.advance_round, engine.merged_schedule
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
+    def counted_merge(*args, **kwargs):
+        merges.append(1)
+        return merge(*args, **kwargs)
+
     monkeypatch.setattr(engine, "advance_round", counted)
+    monkeypatch.setattr(engine, "merged_schedule", counted_merge)
+    # a fixed-hardware asynchronous schedule is merged once for the group,
+    # and no round is advanced on its own
     shared = CASES["async_k1_rounds"]()
     run_members(shared, MEMBER_SEEDS)
-    assert len(calls) == 60
-    calls.clear()
+    assert len(merges) == 1 and len(calls) == 0
     own = CASES["uniform_sampling"]()
     n_rounds = [m.n_rounds for m in run_members(own, MEMBER_SEEDS)]
     # one call past the time budget per member, which returns None

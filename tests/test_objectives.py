@@ -22,12 +22,16 @@ from asyncfed.engine import _DrawTable
 from conftest import BatchStream, bits, reference_draws
 
 
-def _local_optimum(obj, iters=20000):
-    """Gradient descent with step 1/L on the one-row table ``obj``."""
-    theta = np.zeros(obj.dim)
-    step = 1.0 / obj.smoothness[0]
+def _local_optima(table, iters=20000):
+    """Gradient descent with step 1/L from zero on every row of ``table``,
+    as one (G, dim) descent: ``gradients`` gives each row of a stacked theta
+    the bits of its one-row table's call, and each row steps by its own
+    smoothness, which is that of its one-row table."""
+    step = 1.0 / table.smoothness
+    assert step.tolist() == [1.0 / table.row(g).smoothness[0] for g in range(len(table))]
+    theta = np.zeros((len(table), table.dim))
     for _ in range(iters):
-        theta = theta - step * obj.gradients(theta)[0]
+        theta = theta - step[:, None] * table.gradients(theta)
     return theta
 
 
@@ -717,14 +721,14 @@ class TestSyntheticShards:
         shards = make_synthetic_shards(SyntheticShardConfig(n_clients=1, seed=1))
         fleet = Fleet([(np.arange(1), shards)], [1], [1.0])
         fed_opt = weighted_optimum(fleet)
-        assert np.allclose(fed_opt, _local_optimum(shards), atol=1e-5)
+        assert np.allclose(fed_opt, _local_optima(shards)[0], atol=1e-5)
 
     def test_heterogeneity_monotone_in_inverse_concentration(self):
         def mean_pairwise_optimum_distance(concentration):
             shards = make_synthetic_shards(
                 SyntheticShardConfig(n_clients=6, seed=7, concentration=concentration)
             )
-            optima = [_local_optimum(shards.row(i)) for i in range(len(shards))]
+            optima = _local_optima(shards)
             dists = [
                 np.linalg.norm(a - b) for a, b in itertools.combinations(optima, 2)
             ]

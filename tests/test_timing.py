@@ -17,6 +17,7 @@ from asyncfed.timing import (
     advance_round,
     fedfix_period,
     init_fleet_state,
+    merged_schedule,
     participations_per_cycle,
     replay_steady_period,
     staleness_bound,
@@ -403,7 +404,9 @@ class TestAsyncStalenessAnalyzer:
     @pytest.mark.parametrize(
         "taus",
         [[1, 1, 1], [2, 2, 3, 3, 6], [4, 4, 2, 2, 1], [5], [Fraction(3, 2)], [1, 2],
-         [0.5, 0.25, 1.5], [Fraction(2, 3), Fraction(3, 4), 1]],
+         [0.5, 0.25, 1.5], [Fraction(2, 3), Fraction(3, 4), 1],
+         # a 381-round cycle of ticks past int64 (the primes to 53 multiply to 3.3e19)
+         [Fraction(1, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)]],
     )
     def test_matches_the_replay_on_tied_single_and_rational_fleets(self, taus):
         assert staleness_bound(ASYNC, FIXED, taus) == _replayed_staleness(ASYNC, taus)
@@ -772,3 +775,122 @@ class TestNoFractionArithmeticPerRound:
             for out in outcomes:
                 assert out.scale == state.scale > 1 and type(out.length) is int
                 assert out.delta_t == Fraction(out.length, out.scale) and type(out.delta_t) is Fraction
+
+
+def _looped_schedule(taus, policy, *, rounds=None, time_limit=None, initial_clocks=None):
+    """Reference: the rounds ``advance_round`` gives one at a time up to the
+    horizon, and the server time at the end of each."""
+    state = init_fleet_state(taus, FIXED, initial_clocks=initial_clocks, policy=policy)
+    outcomes, times = [], []
+    while rounds is None or state.round_index < rounds:
+        out = advance_round(state, policy, list(taus), FIXED, time_limit=time_limit)
+        if out is None:
+            break
+        outcomes.append(out)
+        times.append(state.time)
+    return outcomes, times
+
+
+def _record(outcomes):
+    return [(r.index, r.length, type(r.length), r.scale, r.clients.tolist(), r.multiplicity.tolist(),
+             r.anchors.tolist(), r.staleness.tolist()) for r in outcomes]
+
+
+def _merged_fleets(scale_kind, rng):
+    """Random fleets of 1 to 9 clients whose times sit on an integer, a
+    quarter-tick, a 2^52 binary-float or a 3 * 2^52 mixed tick scale, and a
+    FedFix window on the same scale."""
+    m = int(rng.integers(1, 10))
+    if scale_kind == "integer":
+        taus, window = [int(t) for t in rng.integers(1, 13, m)], int(rng.integers(1, 6))
+    elif scale_kind == "quarter":
+        taus, window = [Fraction(int(t), 4) for t in rng.integers(1, 41, m)], Fraction(int(rng.integers(1, 13)), 4)
+    else:
+        # two decimals as binary doubles (1.09 is 4909762590626775 / 2^52)
+        taus, window = [round(float(t), 2) for t in rng.uniform(0.5, 3.0, m)], 0.7
+        if scale_kind == "mixed":
+            taus[0] = Fraction(int(rng.integers(1, 9)), 3)
+    clocks = None
+    if rng.random() < 0.5:
+        clocks = [t * Fraction(int(k), 5) for t, k in zip(taus, rng.integers(1, 16, m))]
+    return taus, window, clocks
+
+
+class TestMergedSchedule:
+    """The event merge gives the rounds, anchors, lengths and end times of
+    ``advance_round`` run round by round, on sync, async and FedFix fleets."""
+
+    @pytest.mark.parametrize("scale_kind", ["integer", "quarter", "binary", "mixed"])
+    def test_matches_advance_round_on_random_fleets(self, scale_kind):
+        rng = np.random.default_rng(["integer", "quarter", "binary", "mixed"].index(scale_kind))
+        merged = past_2_53 = 0
+        for _ in range(8):
+            taus, window, clocks = _merged_fleets(scale_kind, rng)
+            for policy in (WaitPolicy(PolicyKind.SYNCHRONOUS), WaitPolicy(PolicyKind.ASYNCHRONOUS),
+                           WaitPolicy(PolicyKind.FEDFIX, delta_t=window)):
+                n_rounds = int(rng.integers(1, 250))
+                want, times = _looped_schedule(taus, policy, rounds=n_rounds, initial_clocks=clocks)
+                # a time limit between events, and one exactly on an event
+                event = Fraction(sum(r.length for r in want[: int(rng.integers(1, n_rounds + 1))]), want[0].scale)
+                horizons = [dict(rounds=n_rounds), dict(time_limit=float(rng.uniform(0.1, 60.0))),
+                            dict(time_limit=event)]
+                for horizon in horizons:
+                    want, times = _looped_schedule(taus, policy, initial_clocks=clocks, **horizon)
+                    state = init_fleet_state(taus, FIXED, initial_clocks=clocks, policy=policy)
+                    got = merged_schedule(state, policy, **horizon)
+                    if got is None:  # only where the horizon passes int64 ticks
+                        assert sum(r.length for r in want) > 2**63 - 1
+                        continue
+                    merged += 1
+                    assert got.scale == state.scale
+                    assert _record(got) == _record(want), (taus, policy, horizon)
+                    assert [t.hex() for t in got.time.tolist()] == [t.hex() for t in times]
+                    if "time_limit" in horizon and horizon["time_limit"] is event:
+                        assert want and Fraction(int(got.length.sum()), got.scale) == event
+                    past_2_53 += bool(want) and int(got.length.sum()) > 2**53
+        assert merged >= 50 and past_2_53 > (0 if scale_kind in ("binary", "mixed") else -1)
+
+    def test_the_shipped_logistic_schedule(self):
+        doc = json.loads((CONFIGS / "async_logistic_heterogeneous.json").read_text())
+        taus, policy = doc["fleet"]["compute_times"], WaitPolicy(PolicyKind.ASYNCHRONOUS)
+        state = init_fleet_state(taus, FIXED, policy=policy)
+        got = merged_schedule(state, policy, time_limit=doc["horizon"]["time"])
+        want, times = _looped_schedule(taus, policy, time_limit=doc["horizon"]["time"])
+        # ticks pass 2^53 on a 2^52 scale, where int64 to float64 rounds
+        assert state.scale == 2**52 and int(got.length.sum()) > 2**53
+        assert _record(got) == _record(want)
+        assert [t.hex() for t in got.time.tolist()] == [t.hex() for t in times]
+
+    def test_ticks_beyond_int64_are_left_to_the_loop(self):
+        policy = WaitPolicy(PolicyKind.ASYNCHRONOUS)
+        big = init_fleet_state([2**70, 3 * 2**70], FIXED, policy=policy)
+        assert big.remaining.dtype == object
+        assert merged_schedule(big, policy, rounds=10) is None
+        small = init_fleet_state([2**60, 3 * 2**60], FIXED, policy=policy)
+        # deliveries at 1, 2, 3, 3, 4, 5, 6, 6, 7, 8 times 2^60 ticks: the
+        # tenth lands at 2^63
+        assert len(merged_schedule(small, policy, rounds=9)) == 9
+        assert merged_schedule(small, policy, rounds=10) is None
+        assert merged_schedule(small, policy, time_limit=2**63) is None
+        # synchronous rounds end at 3 * 2^60 ticks apart, FedFix windows at 2^61
+        for kind, fits in ((PolicyKind.SYNCHRONOUS, 2), (PolicyKind.FEDFIX, 3)):
+            window = WaitPolicy(kind, delta_t=2**61)
+            state = init_fleet_state([2**60, 3 * 2**60], FIXED, policy=window)
+            assert len(merged_schedule(state, window, rounds=fits)) == fits
+            assert merged_schedule(state, window, rounds=fits + 1) is None
+
+    def test_other_policies_and_exponential_hardware_are_left_to_the_loop(self):
+        for policy in (WaitPolicy(PolicyKind.FEDBUFF, m=1), WaitPolicy(PolicyKind.SAMPLE_UNIFORM, m=1)):
+            assert merged_schedule(init_fleet_state([1, 2], FIXED, policy=policy), policy, rounds=5) is None
+        exponential = init_fleet_state([1, 2], HardwareModel("exponential"), np.random.default_rng(0))
+        assert merged_schedule(exponential, WaitPolicy(PolicyKind.ASYNCHRONOUS), rounds=5) is None
+
+    def test_makes_no_advance_round_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("advance_round called")
+
+        monkeypatch.setattr(timing, "advance_round", forbidden)
+        for policy in (WaitPolicy(PolicyKind.SYNCHRONOUS), WaitPolicy(PolicyKind.ASYNCHRONOUS),
+                       WaitPolicy(PolicyKind.FEDFIX, delta_t=Fraction(7, 10))):
+            state = init_fleet_state(list(BOUNDS_TIMES), FIXED, policy=policy)
+            assert len(merged_schedule(state, policy, rounds=5000)) == 5000
