@@ -1,9 +1,9 @@
 """Simulation loop: timing, local work, and weighted aggregation of delayed
 contributions, with trajectory recording and ensemble statistics.
 
-One loop advances the rounds: from one local-work pass to the next through
-a schedule merged ahead (fixed-hardware synchronous, asynchronous and
-FedFix), or one round at a time. Ensemble members that share one schedule
+One loop steps from one local-work pass to the next over a schedule record,
+merged whole ahead (fixed-hardware synchronous, asynchronous and FedFix) or
+replayed a block of rounds ahead. Ensemble members that share one schedule
 step through it together as one (R, dim) model; each member keeps its own
 seed material, so results do not depend on how members are grouped.
 
@@ -68,6 +68,8 @@ MAX_HELD_ANCHORS = 1 << 24
 # M >= 300, where per-call overhead outweighs the cache
 ENSEMBLE_BLOCK_MEMBERS = 8192
 ASYNC_CHUNK_ROUNDS = 8
+# the rounds of the first block a replayed schedule appends, and of any block
+_FIRST_REPLAY_BLOCK, _REPLAY_BLOCK = 16, 1024
 # bound on the floats one local_sgd call holds (iterates, its slice of the draw
 # table, gathered samples), and on the values one draw table holds
 _LOCAL_FLOATS = 1 << 20
@@ -182,9 +184,6 @@ class Trajectory:
         out = np.zeros((self.n_rounds, len(self.d)))
         out[rows, clients] = multiplicity * self.d[clients]
         return out
-
-    def loss_series(self) -> np.ndarray:
-        return self.metrics.loss_fed
 
 
 def shares_schedule(config: RunConfig) -> bool:
@@ -320,18 +319,17 @@ def _run_group(config: RunConfig, member_seeds) -> _GroupRun:
     with its own seeded randomness. The rounds between two local-work
     passes of :class:`_LocalWork` (which read the models up to the current
     round) form a segment, which :class:`_Server` aggregates as one block
-    right before the next pass, before a highest-loss schedule step (which
-    reads the current model) and at the end. A member that is delivered a
-    run that overflowed, or that passes ``DIVERGENCE_THRESHOLD``, diverges
-    at that round while the others go on; the loop ends at the horizon or
-    when every member has diverged, and then keeps the rounds up to the
-    last divergence.
+    right before the next pass and whenever the loop reaches the end of the
+    schedule record. A member that is delivered a run that overflowed, or
+    that passes ``DIVERGENCE_THRESHOLD``, diverges at that round while the
+    others go on; the loop ends at the horizon or when every member has
+    diverged, and then keeps the rounds up to the last divergence.
 
     A fixed-hardware synchronous, asynchronous or FedFix schedule comes
-    whole from :func:`~asyncfed.timing.merged_schedule`, and the loop steps
-    from one pass to the next (:func:`_step_segments`). Every other
-    schedule advances one :func:`~asyncfed.timing.advance_round` at a time
-    (:func:`_advance_rounds`).
+    whole from :func:`~asyncfed.timing.merged_schedule`; every other
+    schedule grows from a :class:`_Replay` each time the loop reaches the
+    end of the record. Either way :func:`_step_segments` steps from one
+    pass to the next.
     """
     policy, hw, lead = config.policy, config.hw, member_seeds[0]
     hw_rng = np.random.default_rng(_seed_key(lead.hardware)) if hw.mode == "exponential" else None
@@ -340,68 +338,80 @@ def _run_group(config: RunConfig, member_seeds) -> _GroupRun:
     state = init_fleet_state(list(config.fleet.compute_times), hw, hw_rng, config.initial_clocks, policy=policy)
     started = time.perf_counter()
     schedule = merged_schedule(state, policy, rounds=config.rounds, time_limit=config.time_budget)
+    replay = None
+    if schedule is None:
+        replay = _Replay(config, state, hw_rng, np.random.default_rng(_seed_key(lead.sampling)))
+        schedule = Schedule.empty(state)
     timing_s = {"schedule": time.perf_counter() - started, "local_work": 0.0}
 
     # diverged members keep stepping on non-finite rows until the group ends
     with np.errstate(over="ignore", invalid="ignore"):
-        if schedule is None:
-            sample_rng = np.random.default_rng(_seed_key(lead.sampling))
-            schedule, kept = _advance_rounds(config, state, hw_rng, sample_rng, work, server, timing_s)
-        else:
-            kept = _step_segments(config, schedule, work, server, timing_s)
+        kept = _step_segments(config, schedule, replay, work, server, timing_s)
     if kept is not None:
         schedule.truncate(kept)
     timing_s["aggregate"] = server.seconds
     return _GroupRun(server.models[: server.n_models], schedule, server.divergence, timing_s)
 
 
-def _step_segments(config: RunConfig, schedule: Schedule, work: _LocalWork, server: _Server,
-                   timing_s: dict) -> int | None:
-    """The round loop over a whole schedule, one segment at a time. The
-    next pass falls at the first round with an anchor past the last pass,
-    and a round with a delivery staler than ``tau_max`` ends the segment
-    too. Returns what the last :meth:`_Server.aggregate` returns."""
+def _step_segments(config: RunConfig, schedule: Schedule, replay: _Replay | None, work: _LocalWork,
+                   server: _Server, timing_s: dict) -> int | None:
+    """The round loop, one segment at a time. The next pass falls at the
+    round of the first participation from round n on whose anchor is past
+    the last pass, and a round with a delivery staler than ``tau_max`` ends
+    the segment too. When the search reaches the end of the record, its
+    rounds are aggregated and ``replay`` (None: the record is whole)
+    appends more. Returns what the last :meth:`_Server.aggregate`
+    returns."""
     clock = time.perf_counter
     started = clock()
-    n_rounds, offsets, anchors = len(schedule), schedule.offsets, schedule.anchors
-    pos, clients, _, sizes = schedule.participations()
-    # the latest anchor of each round, -1 in a round without participants
-    latest = np.full(n_rounds, -1)
-    served = sizes > 0
-    if served.any():
-        latest[served] = np.maximum.reduceat(anchors, offsets[:-1][served])
-    stale = n_rounds  # the first round with a delivery staler than tau_max
-    if config.tau_max is not None:
-        over = np.flatnonzero(pos - anchors > config.tau_max)
-        if over.size:
-            stale = int(pos[over[0]])
+    rebase_all = config.policy.is_sampling  # a sampling round rebases every client
     in_flight = np.zeros(len(config.fleet), dtype=np.int64)  # each client's anchor at round n
-    n = 0
-    timing_s["schedule"] += clock() - started
-    while True:
+    n = row = 0  # the search for the next pass resumes at participation ``row``
+    n_rounds, stale = 0, math.inf  # the rounds read so far; the first with a delivery staler than tau_max
+    while True:  # once per extension of the record
+        if config.tau_max is not None:  # the rounds appended since: the loop ends at a stale one
+            stale = _first_stale(schedule, n_rounds, config.tau_max)
+        n_rounds, offsets, clients = len(schedule), schedule.offsets, schedule.clients
+        anchors, round_of = schedule.anchors, schedule.round_of
+        while True:  # once per pass
+            row = _first_above(anchors, row, work.computed_through)
+            end = min(n_rounds if row == anchors.shape[0] else int(round_of[row]), stale)
+            timing_s["schedule"] += clock() - started
+            # a pass reads the models up to round ``end``, and so does a
+            # highest-loss round replayed at the end of the record; a
+            # staleness error is only raised if the rounds before it leave a
+            # member live
+            if (kept := server.aggregate(schedule, end, work)) is not None:
+                return kept
+            if end == n_rounds:
+                break
+            if end == stale:
+                _check_staleness(schedule[end], config.tau_max)  # raises
+            if rebase_all:  # in flight: the participants of round ``end`` only
+                in_flight.fill(end + 1)
+                rows = slice(offsets[end], offsets[end + 1])
+                in_flight[clients[rows]] = anchors[rows]
+            else:  # rounds n to end - 1 rebase their participants on the round after
+                rows = slice(offsets[n], offsets[end])
+                in_flight[clients[rows]] = round_of[rows] + 1
+            computing = clock()
+            work.compute_pending(end, in_flight, server.models)
+            started = clock()
+            timing_s["local_work"] += started - computing
+            # an anchor is at most its round, so round ``end`` holds no next pass
+            n, row = end, int(offsets[end + 1])
+        if replay is None or replay.done:
+            return None
         started = clock()
-        end = min(_first_above(latest, n, work.computed_through), stale)
-        timing_s["schedule"] += clock() - started
-        if end == n_rounds:
-            return server.aggregate(schedule, n_rounds, work)
-        # a pass reads the models up to round ``end``, and a staleness
-        # error is only raised if the rounds before it leave a member live
-        if (kept := server.aggregate(schedule, end, work)) is not None:
-            return kept
-        if end == stale:
-            _check_staleness(schedule[end], config.tau_max)  # raises
-        # rounds n to end - 1 rebase their participants on the round after
-        in_flight[clients[offsets[n] : offsets[end]]] = pos[offsets[n] : offsets[end]] + 1
-        computing = clock()
-        work.compute_pending(end, in_flight, server.models)
-        timing_s["local_work"] += clock() - computing
-        n = end
+        replay.extend(schedule, server.models)
 
 
 def _first_above(values: np.ndarray, start: int, bound: int) -> int:
     """The first index from ``start`` on whose value exceeds ``bound``, or
     ``len(values)``: one ``argmax`` over windows that double in width, so a
     search costs about as much as the distance it covers."""
+    if start < values.shape[0] and values[start] > bound:  # a pass right where the search resumes
+        return start
     width = 16
     while start < values.shape[0]:
         window = values[start : start + width] > bound
@@ -412,68 +422,51 @@ def _first_above(values: np.ndarray, start: int, bound: int) -> int:
     return values.shape[0]
 
 
-def _advance_rounds(config: RunConfig, state, hw_rng, sample_rng, work: _LocalWork, server: _Server,
-                    timing_s: dict) -> tuple[Schedule, int | None]:
-    """The round loop, one :func:`~asyncfed.timing.advance_round` per
-    round. The rounds since the last pass join the schedule as one block
-    when the next pass, a highest-loss step or the end aggregates them.
-    Returns the schedule and what the last :meth:`_Server.aggregate`
-    returns."""
-    fleet, policy, hw = config.fleet, config.policy, config.hw
-    taus = list(fleet.compute_times)
-    by_loss = policy.kind is PolicyKind.SAMPLE_BIASED and policy.criterion == "highest_loss"
-    schedule = Schedule.empty(state)
-    pending, times = [], []  # the rounds scheduled since the last block, and their end times
-    clock = time.perf_counter
-    kept = None  # set once every member has diverged
-    while config.rounds is None or state.round_index < config.rounds:
-        n = state.round_index
-        if by_loss:
-            schedule.extend(pending, times)
-            pending.clear()
-            times.clear()
-            if (kept := server.aggregate(schedule, n, work)) is not None:
+def _first_stale(schedule: Schedule, start: int, tau_max: int) -> int | float:
+    """The first round from ``start`` on with a delivery staler than
+    ``tau_max``, or ``math.inf``."""
+    rows = slice(schedule.offsets[start], None)
+    rounds = schedule.round_of[rows]
+    over = np.flatnonzero(rounds - schedule.anchors[rows] > tau_max)
+    return int(rounds[over[0]]) if over.size else math.inf
+
+
+class _Replay:
+    """The source of a schedule that :func:`~asyncfed.timing.merged_schedule`
+    does not build: :func:`~asyncfed.timing.advance_round` calls, in blocks
+    of rounds that double from ``_FIRST_REPLAY_BLOCK`` up to
+    ``_REPLAY_BLOCK``. The schedule draws from the hardware and sampling
+    generators only, never from local work, so replaying ahead of the
+    models gives the rounds of replaying each in turn. A highest-loss round
+    reads the current model, so those rounds come one at a time."""
+
+    def __init__(self, config: RunConfig, state, hw_rng, sample_rng):
+        policy = config.policy
+        self.config, self.state, self.hw_rng, self.sample_rng = config, state, hw_rng, sample_rng
+        self.taus = list(config.fleet.compute_times)
+        self.by_loss = policy.kind is PolicyKind.SAMPLE_BIASED and policy.criterion == "highest_loss"
+        self.block, self.cap = (1, 1) if self.by_loss else (_FIRST_REPLAY_BLOCK, _REPLAY_BLOCK)
+        self.done = False  # set once the horizon is reached
+
+    def extend(self, schedule: Schedule, models: np.ndarray) -> None:
+        """Append the next block of rounds to ``schedule``, whose models up
+        to its last round are ``models``."""
+        config, state, fleet = self.config, self.state, self.config.fleet
+        block = self.block if config.rounds is None else min(self.block, config.rounds - state.round_index)
+        rounds, times = [], []
+        for _ in range(block):
+            losses = fleet.losses(models[state.round_index])[0] if self.by_loss else None
+            outcome = advance_round(state, config.policy, self.taus, config.hw, hw_rng=self.hw_rng,
+                                    sample_rng=self.sample_rng, client_losses=losses,
+                                    importances=fleet.importances, time_limit=config.time_budget)
+            if outcome is None:
+                self.done = True
                 break
-        started = clock()
-        losses = fleet.losses(server.models[n])[0] if by_loss else None
-        outcome = advance_round(
-            state,
-            policy,
-            taus,
-            hw,
-            hw_rng=hw_rng,
-            sample_rng=sample_rng,
-            client_losses=losses,
-            importances=fleet.importances,
-            time_limit=config.time_budget,
-        )
-        timing_s["schedule"] += clock() - started
-        if outcome is None:
-            break
-        stale = config.tau_max is not None and outcome.staleness.max(initial=0) > config.tau_max
-        if stale or outcome.anchors.max(initial=-1) > work.computed_through:
-            # a pass reads the models up to round n, and a staleness
-            # error is only raised if the rounds before it leave a
-            # member live
-            schedule.extend(pending, times)
-            pending.clear()
-            times.clear()
-            if (kept := server.aggregate(schedule, n, work)) is not None:
-                break
-            if stale:
-                _check_staleness(outcome, config.tau_max)  # raises
-            # the participants' runs, before the round rebased them
-            in_flight = state.anchor.copy()
-            in_flight[outcome.clients] = outcome.anchors
-            computing = clock()
-            work.compute_pending(n, in_flight, server.models)
-            timing_s["local_work"] += clock() - computing
-        pending.append(outcome)
-        times.append(state.time)
-    if kept is None:  # the horizon or the time limit ended the loop
-        schedule.extend(pending, times)
-        kept = server.aggregate(schedule, len(schedule), work)
-    return schedule, kept
+            rounds.append(outcome)
+            times.append(state.time)
+        schedule.extend(rounds, times)
+        self.done |= state.round_index == config.rounds
+        self.block = min(2 * self.block, self.cap)
 
 
 def run(config: RunConfig) -> Trajectory:
@@ -760,7 +753,7 @@ def _participant_masks(pos: np.ndarray, clients: np.ndarray, n_rows: int, n_clie
     return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(served, axis=1, bitorder="little")]
 
 
-def _window_stats(series: np.ndarray, fraction: float = 0.05) -> tuple[float, float]:
+def _tail_stats(series: np.ndarray, fraction: float = 0.05) -> tuple[float, float]:
     """Mean and standard deviation of a loss series over its trailing
     fraction of recorded rounds."""
     window = max(1, math.ceil(fraction * series.shape[0]))
@@ -780,7 +773,7 @@ class MemberRun:
     theta: np.ndarray                         # (n_models, dim)
     n_rounds: int
     divergence_round: int | None
-    final_loss: tuple[float, float] | None    # _window_stats of the losses; None when diverged
+    final_loss: tuple[float, float] | None    # _tail_stats of the losses; None when diverged
 
     @property
     def diverged(self) -> bool:
@@ -805,7 +798,7 @@ def run_members(config: RunConfig, member_seeds) -> list[MemberRun]:
         for seeds, theta, divergence in zip(group, thetas, out.divergence):
             if divergence is None:
                 kept = _kept_rows(theta.shape[0], config.metric_cadence)
-                final = _window_stats(_federated_losses(config.fleet, theta[kept])[1])
+                final = _tail_stats(_federated_losses(config.fleet, theta[kept])[1])
                 members.append(MemberRun(seeds, theta, len(out.rounds), None, final))
             else:
                 n = divergence[0]

@@ -15,7 +15,7 @@ averages of the expected weights exact.
 On fixed hardware the synchronous, asynchronous and FedFix schedules are
 known before any model exists: :func:`merged_schedule` builds a whole run's
 rounds from one event merge into a columnar :class:`Schedule`, the record
-the per-round loop fills too.
+that blocks of :func:`advance_round` rounds extend for every other schedule.
 """
 
 from __future__ import annotations
@@ -319,8 +319,9 @@ class Schedule:
     Round n lasts ``length[n]`` units of ``1 / scale``, as :class:`Round`
     counts it, and ends at server time ``time[n]``. Its participations are
     rows ``offsets[n]:offsets[n + 1]`` of ``clients`` (ascending within a
-    round), ``multiplicity`` and ``anchors``. ``schedule[n]`` is round n as
-    a :class:`Round`, and iteration yields every round so.
+    round), ``multiplicity``, ``anchors`` and ``round_of`` (n).
+    ``schedule[n]`` is round n as a :class:`Round`, and iteration yields
+    every round so.
 
     The columns are the fronts of buffers; :meth:`extend` appends rounds
     and doubles a buffer they do not fit.
@@ -331,6 +332,7 @@ class Schedule:
         self.n_rounds = length.shape[0]
         self._length, self._time, self._offsets = length, time, offsets
         self._clients, self._multiplicity, self._anchors = clients, multiplicity, anchors
+        self._round_of = np.repeat(np.arange(self.n_rounds), np.diff(offsets[: self.n_rounds + 1]))
 
     @classmethod
     def empty(cls, state: FleetState) -> Schedule:
@@ -346,6 +348,7 @@ class Schedule:
     clients = property(lambda self: self._clients[: self._offsets[self.n_rounds]])
     multiplicity = property(lambda self: self._multiplicity[: self._offsets[self.n_rounds]])
     anchors = property(lambda self: self._anchors[: self._offsets[self.n_rounds]])
+    round_of = property(lambda self: self._round_of[: self._offsets[self.n_rounds]])
 
     def __len__(self) -> int:
         return self.n_rounds
@@ -373,14 +376,16 @@ class Schedule:
         end, stop = n + len(rounds), rows + sum(sizes)
         self._length, self._time, self._offsets = (
             _grown(self._length, end), _grown(self._time, end), _grown(self._offsets, end + 1))
-        self._clients, self._multiplicity, self._anchors = (
-            _grown(column, stop) for column in (self._clients, self._multiplicity, self._anchors))
+        columns = self._clients, self._multiplicity, self._anchors, self._round_of
+        self._clients, self._multiplicity, self._anchors, self._round_of = (_grown(c, stop) for c in columns)
         self._length[n:end] = [r.length for r in rounds]
         self._time[n:end] = times
         self._offsets[n + 1 : end + 1] = list(accumulate(sizes, initial=rows))[1:]
         self._clients[rows:stop] = np.concatenate([r.clients for r in rounds])
         self._multiplicity[rows:stop] = np.concatenate([r.multiplicity for r in rounds])
         self._anchors[rows:stop] = np.concatenate([r.anchors for r in rounds])
+        # one round (a highest-loss replay appends one at a time) is a scalar fill, far cheaper than a repeat
+        self._round_of[rows:stop] = n if end == n + 1 else np.arange(n, end).repeat(sizes)
         self.n_rounds = end
 
     def truncate(self, n_rounds: int) -> None:
@@ -395,7 +400,7 @@ class Schedule:
         offsets = self.offsets
         sizes = np.diff(offsets)
         if rounds is None:
-            return np.repeat(np.arange(self.n_rounds), sizes), self.clients, self.multiplicity, sizes
+            return self.round_of, self.clients, self.multiplicity, sizes
         sizes = sizes[rounds]
         ends = np.cumsum(sizes)
         rows = np.arange(ends[-1] if sizes.size else 0) + np.repeat(offsets[rounds] - (ends - sizes), sizes)

@@ -260,7 +260,7 @@ class TestCriterion8HeterogeneousLogisticTrend:
                     fleet=fleet, policy=policy, plan=plan, eta_g=1.0, eta_l=0.02,
                     k_steps=5, time_budget=120.0, seeds=Seeds((0,), (seed,), (2,)),
                 )
-                out.append(engine._window_stats(run(cfg).loss_series())[0])
+                out.append(engine._tail_stats(run(cfg).metrics.loss_fed)[0])
             return out
 
         time_based = final_losses(WeightScheme.ASYNC_TIME_BASED)

@@ -489,8 +489,8 @@ class TestMetricsAndCsv:
     def test_final_window_loss_uses_the_tail(self):
         fleet = quadratic_fleet([[0.0], [2.0]])
         traj = run(sync_config(fleet, rounds=100))
-        mean, std = engine._window_stats(traj.loss_series(), fraction=0.05)
-        tail = traj.loss_series()[-6:]
+        mean, std = engine._tail_stats(traj.metrics.loss_fed, fraction=0.05)
+        tail = traj.metrics.loss_fed[-6:]
         assert mean == pytest.approx(tail.mean())
 
     def test_metric_cadence_thins_rows(self):
@@ -958,9 +958,17 @@ class TestSegmentAggregation:
         gaps = traj.theta[metrics.round] - traj.optimum
         assert metrics.dist_sq.tobytes() == np.array([np.dot(g, g) for g in gaps]).tobytes()
 
-    def test_a_staleness_error_is_raised_only_while_a_member_is_live(self, monkeypatch):
+    @pytest.mark.parametrize("merge", [True, False], ids=["merged", "replayed"])
+    def test_a_staleness_error_is_raised_only_while_a_member_is_live(self, monkeypatch, merge):
         # client 3 delivers at round 15 with staleness 15, in the segment of
-        # rounds 12-15; at eta_g = 500 the member diverges at round 13 first
+        # rounds 12-15; at eta_g = 500 the member diverges at round 13 first.
+        # Replayed in blocks of 4, 8 and 16 rounds, the stale round comes in
+        # the third block (rounds 12-27); the end of the first block splits
+        # the segment of rounds 3-5 at round 4, and the second ends at round
+        # 12, a pass anyway
+        if not merge:
+            monkeypatch.setattr(engine, "merged_schedule", lambda *args, **kwargs: None)
+            monkeypatch.setattr(engine, "_FIRST_REPLAY_BLOCK", 4)
         fleet = quadratic_fleet([[0.0], [1.0], [2.0], [3.0]], taus=[1, 1, 1, 5])
         plan = plan_weights(WeightScheme.IDENTICAL, fleet.importances, fleet.compute_times, ASYNC)
         cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_g=500.0, eta_l=0.5, full_gradient=True,
@@ -1011,7 +1019,8 @@ class TestSegmentAggregation:
 
 def _counted_run(monkeypatch, config, *, merge=True):
     """``run(config)`` and the number of ``advance_round`` calls it made;
-    without ``merge`` every schedule advances one round at a time."""
+    without ``merge`` every schedule comes from the replay source, in the
+    same round loop."""
     calls, advance = [], engine.advance_round
 
     def counted(*args, **kwargs):
@@ -1040,10 +1049,11 @@ def _assert_same_trajectory(got, want, tmp_path):
 
 
 class TestMergedLoop:
-    """The loop over a merged schedule, which steps from one local-work pass
-    to the next, gives the trajectories of the loop that advances every
-    round on its own, bit for bit, and calls no ``advance_round`` on a
-    fixed-hardware synchronous, asynchronous or FedFix fleet."""
+    """The round loop over a merged schedule gives the trajectories of the
+    same loop over a replayed one, which appends ``advance_round`` rounds
+    whenever the loop reaches the end of the record, bit for bit, and calls
+    no ``advance_round`` on a fixed-hardware synchronous, asynchronous or
+    FedFix fleet."""
 
     @pytest.mark.parametrize("family", ["quadratic", "noisy_quadratic", "glm"])
     @pytest.mark.parametrize("hw", ["fixed", "exponential"])
@@ -1088,6 +1098,17 @@ class TestMergedLoop:
         want, _ = _counted_run(monkeypatch, unstable, merge=False)
         assert got.divergence_round == 5 and got.n_rounds == 6
         _assert_same_trajectory(got, want, tmp_path)
+
+    def test_a_replay_stops_one_block_after_every_member_diverges(self, monkeypatch):
+        # the member diverges at round 4 of a time budget of some 800,000
+        # rounds, inside the replay's first block of 16 rounds
+        fleet = quadratic_fleet([[float(i)] for i in range(10)], taus=[1 + 0.5 * i for i in range(10)])
+        plan = plan_weights(WeightScheme.IDENTICAL, fleet.importances, fleet.compute_times, ASYNC)
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, hw=HardwareModel("exponential"), eta_g=1e5,
+                        eta_l=0.5, full_gradient=True, time_budget=2e5, theta0=np.array([5.0]))
+        got, calls = _counted_run(monkeypatch, cfg)
+        assert got.divergence_round == 4 and got.n_rounds == 5
+        assert calls <= max(16, 2 * got.n_rounds)
 
     def test_a_last_delivering_round_before_empty_rounds(self, monkeypatch, tmp_path):
         # FedFix round 7 serves clients 0 and 1 from rounds 4 and 6, and

@@ -112,7 +112,7 @@ def test_members_equal_separate_runs(name):
         if traj.diverged:
             assert member.final_loss is None
         else:
-            assert member.final_loss == engine._window_stats(traj.loss_series())
+            assert member.final_loss == engine._tail_stats(traj.metrics.loss_fed)
     if name == "threshold" or name == "overflow":
         rounds = [m.divergence_round for m in members]
         assert any(r is None for r in rounds)
@@ -186,8 +186,8 @@ def test_ensemble_equals_the_per_member_loop(name):
     assert [m.seeds for m in members] == member_seeds
     got = _ensemble_statistics(config, [m.theta for m in members], [m.final_loss for m in members])
     reference = _separate_runs(config, member_seeds)
-    want = _ensemble_statistics(config, [t.theta for t in reference],
-                                [None if t.diverged else engine._window_stats(t.loss_series()) for t in reference])
+    finals = [None if t.diverged else engine._tail_stats(t.metrics.loss_fed) for t in reference]
+    want = _ensemble_statistics(config, [t.theta for t in reference], finals)
     if name in ("threshold", "overflow"):
         assert 0 < got["diverged"] < len(member_seeds)
     assert (got["n_completed"], got["diverged"]) == (want["n_completed"], want["diverged"])
