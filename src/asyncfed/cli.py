@@ -23,6 +23,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -414,19 +415,25 @@ def _axis_value(axis: str, value):
 
 
 def sweep_rows(document: dict, axis: str, values) -> list[dict]:
-    """One row per value: the experiment is built once per value and its
-    ``ensemble.n_seeds`` members (seeds ``base_seed + j``) run in one
-    :func:`run_members` call."""
+    """One row per value: the experiment is built once per value, and the
+    ``ensemble.n_seeds`` members of every value (seeds ``base_seed + j``)
+    run in one :func:`run_members` call, which steps the values that share
+    a schedule through it together."""
     section, key, _ = _AXIS_PATH[axis]
     ensemble = document.get("ensemble", {})
     n_seeds = ensemble.get("n_seeds", 1)
     base_seed = ensemble.get("base_seed", 0)
     member_seeds = [Seeds.override(base_seed + j) for j in range(n_seeds)]
-    rows = []
-    for value in [_axis_value(axis, v) for v in values]:
+    values = [_axis_value(axis, v) for v in values]
+    configs = []
+    for value in values:
         patched = json.loads(json.dumps(document))
         patched.setdefault(section, {})[key] = value
-        members = run_members(build_experiment(patched).run_config, member_seeds)
+        configs.append(build_experiment(patched).run_config)
+    runs = run_members([replace(config, seeds=seeds) for config in configs for seeds in member_seeds])
+    rows = []
+    for i, value in enumerate(values):
+        members = runs[i * n_seeds : (i + 1) * n_seeds]
         kept = [m for m in members if not m.diverged]
         finals = [m.final_loss[0] for m in kept]
         withins = [m.final_loss[1] for m in kept]

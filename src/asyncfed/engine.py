@@ -4,8 +4,11 @@ contributions, with trajectory recording and ensemble statistics.
 One loop steps from one local-work pass to the next over a schedule record,
 merged whole ahead (fixed-hardware synchronous, asynchronous and FedFix) or
 replayed a block of rounds ahead. Ensemble members that share one schedule
-step through it together as one (R, dim) model; each member keeps its own
-seed material, so results do not depend on how members are grouped.
+step through it together as one (R, dim) model: reruns that differ only in
+seed material the schedule does not draw from, in the local step size
+``eta_l`` and in the local step count ``k_steps``, such as the values of a
+``k_steps`` sweep. Each member keeps its own seed material, step size and
+step count, so results do not depend on how members are grouped.
 
 Local work runs when its result is first needed. A client's run is fixed
 once the model it trains from (its anchor) exists, so when a round's
@@ -29,15 +32,16 @@ the models as one running sum over the rounds.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .core import ConfigurationError, Fleet, StalenessCapError, weighted_optimum
-from .objectives import GlmObjective, local_sgd
+from .objectives import GlmObjective, QuadraticObjective, local_sgd
 from .textfmt import BLOCK_CELLS, format_rows
 from .timing import (
     HardwareModel,
@@ -53,8 +57,9 @@ from .weights import WeightPlan
 
 DIVERGENCE_THRESHOLD = 1e12
 MAX_K_STEPS = 10_000  # local steps per run
-# members per sweep value: run_members holds (rounds + 1, R, dim) models and
-# seeds one generator per member and noisy client (~1.2 KB and ~20 us each)
+# members per group of run_members, which holds (rounds + 1, R, dim) models
+# and seeds one generator per member and noisy client (~1.2 KB and ~20 us
+# each); also the most seeds an ensemble config may ask for
 MAX_ENSEMBLE_SEEDS = 10_000
 # n_runs x M of a scalar ensemble: its (n_runs, M) held-anchor buffer is
 # 128 MiB at the cap, and a window round draws an array and a mask that size;
@@ -240,6 +245,7 @@ class _Server:
         self.models[0] = config.resolved_theta0()
         self.n_models = 1
         self.live = np.ones(n_members, dtype=bool)
+        self.one_each = config.policy.kind is PolicyKind.ASYNCHRONOUS  # one participation per round
         self.divergence = [None] * n_members  # per member: None, or (round, "overflow" | "threshold")
         self.seconds = 0.0
 
@@ -264,15 +270,19 @@ class _Server:
             self.models = grown
         offsets = schedule.offsets[start : stop + 1]
         rows = slice(offsets[0], offsets[-1])
-        clients, multiplicity, sizes = schedule.clients[rows], schedule.multiplicity[rows], np.diff(offsets)
+        clients, multiplicity = schedule.clients[rows], schedule.multiplicity[rows]
         # one gather of the participants' runs (take costs less than fancy
         # indexing), each scaled by mult_i * d_i
         terms = (multiplicity * self.d[clients])[:, None, None] * work.deltas.take(clients, axis=0)
+        if self.one_each or n_rounds == clients.shape[0] == 1:  # a round's total is its one term
+            totals = terms + 0.0
+        else:
+            totals = _row_sums(terms, np.diff(offsets))
         block = self.models[start : start + n_rounds + 1]
         new = block[1:]
         # eta_g * total per round, then the models as running sums: the
         # accumulate adds round by round, as models[n] + eta_g * total does
-        np.multiply(self.eta_g, _row_sums(terms, sizes), out=new)
+        np.multiply(self.eta_g, totals, out=new)
         np.add.accumulate(block, axis=0, out=block)
         # NaN passes through the max and fails the comparison
         bounded = np.abs(new).max() <= DIVERGENCE_THRESHOLD
@@ -281,7 +291,7 @@ class _Server:
             hit, members = np.nonzero(work.overflow[clients] >= 0)
             if hit.size:
                 overflowed = np.zeros((n_rounds, len(self.live)), dtype=bool)
-                overflowed[np.repeat(np.arange(n_rounds), sizes)[hit], members] = True
+                overflowed[schedule.round_of[rows][hit] - start, members] = True
         kept = None
         if overflowed is not None or not bounded:
             failed = ~(np.abs(new) <= DIVERGENCE_THRESHOLD).all(axis=2)
@@ -311,14 +321,15 @@ class _GroupRun:
     timing_s: dict
 
 
-def _run_group(config: RunConfig, member_seeds) -> _GroupRun:
-    """The round loop, for members that share one schedule (one member, or
-    members of a config that :func:`shares_schedule`).
+def _run_group(members: list) -> _GroupRun:
+    """The round loop, for members that share one schedule: their configs
+    differ at most in seed material, ``eta_l`` and ``k_steps`` (see
+    :func:`run_members`), and the first one's gives everything else.
 
     The R members step through the schedule as one (R, dim) model, each
-    with its own seeded randomness. The rounds between two local-work
-    passes of :class:`_LocalWork` (which read the models up to the current
-    round) form a segment, which :class:`_Server` aggregates as one block
+    with its own seeded randomness, step size and step count. The rounds
+    between two local-work passes of :class:`_LocalWork` (which read the
+    models up to the current round) form a segment, which :class:`_Server` aggregates as one block
     right before the next pass and whenever the loop reaches the end of the
     schedule record. A member that is delivered a run that overflowed, or
     that passes ``DIVERGENCE_THRESHOLD``, diverges at that round while the
@@ -331,10 +342,11 @@ def _run_group(config: RunConfig, member_seeds) -> _GroupRun:
     end of the record. Either way :func:`_step_segments` steps from one
     pass to the next.
     """
-    policy, hw, lead = config.policy, config.hw, member_seeds[0]
+    config = members[0]
+    policy, hw, lead = config.policy, config.hw, config.seeds
     hw_rng = np.random.default_rng(_seed_key(lead.hardware)) if hw.mode == "exponential" else None
-    work = _LocalWork(config, member_seeds)
-    server = _Server(config, len(member_seeds))
+    work = _LocalWork(members)
+    server = _Server(config, len(members))
     state = init_fleet_state(list(config.fleet.compute_times), hw, hw_rng, config.initial_clocks, policy=policy)
     started = time.perf_counter()
     schedule = merged_schedule(state, policy, rounds=config.rounds, time_limit=config.time_budget)
@@ -472,7 +484,7 @@ class _Replay:
 def run(config: RunConfig) -> Trajectory:
     """Execute the aggregation loop until the horizon (or divergence): the
     one-member case of the round loop."""
-    group = _run_group(config, [config.seeds])
+    group = _run_group([config])
     clock = time.perf_counter
     started = clock()
     (divergence,) = group.divergence
@@ -515,17 +527,19 @@ class _DrawTable:
     ``standard_normal`` call per refill, the stream that per-run ``(K,
     dim)`` draws give; a noiseless row has no generator and reads zeros.
 
-    The members of a client advance one cursor, so a run of K steps is the
-    slice ``[cursor, cursor + K * width)`` of its row, and a pass takes its
-    jobs' slices step-major in one ``take``. A row that holds less than one
-    run is refilled: what is left moves to the front, and each member's
-    generator draws as much again as the row has drawn so far, at least
-    eight runs' worth, while the row holds at most ``_LOCAL_FLOATS / (G *
-    R)`` values (or one run and one epoch, if that is more). A refill costs
-    one generator call per member, a pass none.
+    ``k_steps`` is one number or one per member. Each member of a row
+    advances its own cursor, so member r's run of K_r steps is the slice
+    ``[cursor, cursor + K_r * width)`` of its values, and a pass takes its
+    jobs' slices step-major in one ``take`` of K = max(K_r) steps, a member
+    with fewer repeating its last step's values. A member that holds less
+    than one run is refilled: what it has left moves to the front, and its
+    generator draws as much again as it has drawn so far, at least eight
+    runs' worth, while it holds at most ``_LOCAL_FLOATS / (G * R)`` values
+    (or one run and one epoch, if that is more). A refill costs one
+    generator call per member refilled, a pass none.
     """
 
-    def __init__(self, table, generators: list, n_members: int, k_steps: int, batch_size: int | None):
+    def __init__(self, table, generators: list, n_members: int, k_steps, batch_size: int | None):
         self.generators = generators  # per row: one generator per member, or None
         if isinstance(table, GlmObjective):
             n = table.n_samples
@@ -537,73 +551,88 @@ class _DrawTable:
             self.n_samples, self.width, self.unit = None, table.dim, table.dim  # unit: one step
             dtype = float
         n_rows = len(table)
-        self.k_steps, self.need = k_steps, k_steps * self.width  # need: the values of one run
-        self.cap = max(_LOCAL_FLOATS // (n_rows * n_members), self.need)
-        self.drawn = [0] * n_rows
-        live = np.array([g is not None for g in generators])
-        self.advance = np.where(live, self.need, 0)
-        self._hold(np.zeros((n_rows, n_members, self.need), dtype=dtype))
-        # flat positions of member 0's next and last-plus-one value per row;
-        # a row without generator keeps its zeros and never moves or refills
-        self.first = self.row_start.copy()
-        self.last = self.row_start + np.where(live, 0, self.need)
+        k_steps = np.broadcast_to(np.asarray(k_steps, dtype=np.intp), (n_members,))
+        self.need = k_steps * self.width  # per member: the values of one run
+        longest = int(self.need.max())
+        self.cap = max(_LOCAL_FLOATS // (n_rows * n_members), longest)
+        self.drawn = [[0] * n_members for _ in range(n_rows)]  # values each member has drawn
+        live = np.array([g is not None for g in generators])[:, None]
+        self.advance = np.where(live, self.need, 0)  # (G, R)
+        # member r's step k reads its step min(k, K_r - 1): (K, 1, R, width)
+        steps = np.minimum(np.arange(k_steps.max())[:, None], k_steps - 1)
+        self.offsets = (steps * self.width)[:, None, :, None] + np.arange(self.width)
+        self._hold(np.zeros((n_rows, n_members, longest), dtype=dtype))
+        # flat positions of each member's next and last-plus-one value per
+        # row; a row without generator keeps its zeros and never moves or
+        # refills
+        self.first = self.start.copy()
+        self.last = self.start + np.where(live, 0, self.need)
+        # flat index of each row's members in these (G, R) arrays, which a
+        # pass reads and writes with one flat take and put
+        self.cells = np.arange(n_rows * n_members).reshape(n_rows, n_members)
 
     def _hold(self, values: np.ndarray) -> None:
-        """Hold the (G, R, length) ``values``: row g starts at flat position
-        ``row_start[g]``, and its members' values lie ``length`` apart."""
+        """Hold the (G, R, length) ``values``: member r of row g starts at
+        flat position ``start[g, r]``."""
         n_rows, n_members, length = values.shape
         self.values, self.flat = values, values.reshape(-1)
-        self.row_start = np.arange(n_rows) * (n_members * length)
-        steps = np.arange(self.need).reshape(self.k_steps, 1, 1, self.width)
-        self.offsets = steps + np.arange(0, n_members * length, length)[:, None]  # (K, 1, R, width)
+        self.start = np.arange(0, n_rows * n_members * length, length).reshape(n_rows, n_members)
 
     def take(self, rows: np.ndarray) -> np.ndarray:
         """The next run's draws of each of the distinct table rows
         ``rows``, as one (K, P, R, width) array."""
-        first = self.first.take(rows)
-        short = self.last.take(rows) - first < self.need
+        cells = self.cells.take(rows, axis=0)
+        first = self.first.take(cells)
+        short = self.last.take(cells) - first < self.need
         if np.count_nonzero(short):
-            for g in rows[short].tolist():
+            for g in rows[short.any(axis=1)].tolist():
                 self._refill(g)
-            first = self.first.take(rows)
-        self.first[rows] = first + self.advance.take(rows)
-        return self.flat.take(first[:, None, None] + self.offsets)
+            first = self.first.take(cells)
+        self.first.put(cells, first + self.advance.take(cells))
+        return self.flat.take(first[:, :, None] + self.offsets)
 
     def _refill(self, g: int) -> None:
-        cursor, kept = int(self.first[g] - self.row_start[g]), int(self.last[g] - self.first[g])
-        amount = max(self.need - kept, min(max(self.drawn[g], 8 * self.need), self.cap - kept))
-        epochs = -(-amount // self.unit)
-        stop = kept + epochs * self.unit
+        """Refill the members of row ``g`` that hold less than one run."""
+        first, last, start = self.first[g].tolist(), self.last[g].tolist(), self.start[g].tolist()
+        drawn = self.drawn[g]
+        moves = []  # per member refilled: (member, cursor, values kept, values held after, epochs drawn)
+        for r, need in enumerate(self.need.tolist()):
+            kept = last[r] - first[r]
+            if kept < need:
+                epochs = -(-max(need - kept, min(max(drawn[r], 8 * need), self.cap - kept)) // self.unit)
+                moves.append((r, first[r] - start[r], kept, kept + epochs * self.unit, epochs))
         length = self.values.shape[2]
-        if stop > length:
-            grown = np.zeros(self.values.shape[:2] + (max(stop, min(2 * length, self.cap + self.unit)),),
+        if (longest := max(move[3] for move in moves)) > length:
+            grown = np.zeros(self.values.shape[:2] + (max(longest, min(2 * length, self.cap + self.unit)),),
                              dtype=self.values.dtype)
             grown[:, :, :length] = self.values
-            old_start = self.row_start
+            old_start = self.start
             self._hold(grown)
-            self.first += self.row_start - old_start
-            self.last += self.row_start - old_start
-        row = self.values[g]
-        row[:, :kept] = row[:, cursor:cursor + kept]
-        if self.n_samples is None:
-            for r, rng in enumerate(self.generators[g]):
-                rng.standard_normal(out=row[r, kept:stop])
-        else:
-            n = self.n_samples
-            order = np.tile(np.arange(n), (epochs, 1))
-            for r, rng in enumerate(self.generators[g]):
-                row[r, kept:stop] = rng.permuted(order, axis=1)[:, :self.unit].reshape(-1)
-            fresh = row[:, kept:stop]
-            if fresh.min() < 0 or fresh.max() >= n:
-                raise ConfigurationError("batch indices out of range")
-            fresh += g * n  # flat sample index into the table
-        self.first[g], self.last[g] = self.row_start[g], self.row_start[g] + stop
-        self.drawn[g] += stop - kept
+            self.first += self.start - old_start
+            self.last += self.start - old_start
+            start = self.start[g].tolist()
+        n, flat, generators = self.n_samples, self.flat, self.generators[g]
+        for r, cursor, kept, stop, epochs in moves:
+            b = start[r]
+            if kept:
+                flat[b:b + kept] = flat[b + cursor:b + cursor + kept]
+            fresh = flat[b + kept:b + stop]
+            if n is None:
+                generators[r].standard_normal(out=fresh)
+            else:
+                order = np.tile(np.arange(n), (epochs, 1))
+                fresh[:] = generators[r].permuted(order, axis=1)[:, :self.unit].reshape(-1)
+                if fresh.min() < 0 or fresh.max() >= n:
+                    raise ConfigurationError("batch indices out of range")
+                fresh += g * n  # flat sample index into the table
+            self.first[g, r], self.last[g, r] = b, b + stop
+            drawn[r] += stop - kept
 
 
-def _draw_tables(config: RunConfig, member_seeds) -> list:
-    """Per objective table its :class:`_DrawTable`, or None where every
-    run takes exact full gradients (``full_gradient``, or a quadratic table
+def _draw_tables(config: RunConfig, member_seeds, k_steps) -> list:
+    """Per objective table its :class:`_DrawTable` for members with
+    ``k_steps`` (one number, or one per member), or None where every run
+    takes exact full gradients (``full_gradient``, or a quadratic table
     without noise).
 
     Each member's client owns an independent generator keyed by (the
@@ -625,7 +654,7 @@ def _draw_tables(config: RunConfig, member_seeds) -> list:
         generators = [[np.random.default_rng(key + [i]) for key in keys] if on else None
                       for i, on in zip(positions.tolist(), live.tolist())]
         batch_size = (config.batch_size or table.batch_size) if glm else None
-        draws.append(_DrawTable(table, generators, len(keys), config.k_steps, batch_size))
+        draws.append(_DrawTable(table, generators, len(keys), k_steps, batch_size))
     return draws
 
 
@@ -656,17 +685,20 @@ class _LocalWork:
     refill.
     """
 
-    def __init__(self, config: RunConfig, member_seeds):
+    def __init__(self, members: list):
+        config = members[0]
         fleet = config.fleet
-        n_clients, n_members = len(fleet), len(member_seeds)
+        n_clients, n_members = len(fleet), len(members)
         self.config = config
-        self.draws = _draw_tables(config, member_seeds)
+        # one number where every member agrees, else one per member
+        self.k_steps, self.eta_l = _member_field(members, "k_steps", np.intp), _member_field(members, "eta_l", float)
+        self.draws = _draw_tables(config, [m.seeds for m in members], self.k_steps)
         self.deltas = np.zeros((n_clients, n_members, fleet.dim))
         self.overflow = np.full((n_clients, n_members), -1)
         self.any_overflow = False  # set once a pass has seen an overflow
         self.computed_through = -1
         self.chunks = []  # jobs per local_sgd call on each table
-        k, dim = config.k_steps, fleet.dim
+        k, dim = int(np.max(self.k_steps)), fleet.dim
         for (_, table), draws in zip(fleet.tables, self.draws):
             # a run holds K + 1 iterates; a batched GLM run also its K * B
             # draws and the samples and targets they gather, a full-gradient
@@ -694,12 +726,19 @@ class _LocalWork:
             for lo in range(0, jobs.size, chunk):
                 part = jobs[lo:lo + chunk]
                 rows = fleet.row_of[part]
-                out = local_sgd(table, rows, models[anchor[part]], config.k_steps, config.eta_l,
+                out = local_sgd(table, rows, models[anchor[part]], self.k_steps, self.eta_l,
                                 None if draws is None else draws.take(rows))
                 self.deltas[part] = out.delta
                 self.overflow[part] = -1 if out.overflow_step is None else out.overflow_step
                 self.any_overflow |= out.overflow_step is not None
         self.computed_through = index
+
+
+def _member_field(members: list, name: str, dtype):
+    """The members' ``name``: one number where they all agree, else an
+    (R,) array."""
+    values = [getattr(m, name) for m in members]
+    return values[0] if values.count(values[0]) == len(values) else np.array(values, dtype=dtype)
 
 
 def _kept_rows(n_models: int, cadence: int) -> np.ndarray:
@@ -780,30 +819,76 @@ class MemberRun:
         return self.divergence_round is not None
 
 
-def run_members(config: RunConfig, member_seeds) -> list[MemberRun]:
-    """One rerun of ``config`` per entry of ``member_seeds``, in order.
+def run_members(members) -> list[MemberRun]:
+    """One run per entry of ``members``, configs that each carry their
+    member's seed material, in order.
 
-    Members that share a schedule (:func:`shares_schedule`) step through
-    the round loop together as one (R, dim) model; otherwise each member is
-    a group of one. Either way a member's models, round count, divergence
-    round and final-window loss equal those of :func:`run` with its seeds,
-    bit for bit.
+    Members step through the round loop together as one (R, dim) model when
+    they see one schedule: their configs agree on every field but the seed
+    material, ``eta_l`` and ``k_steps``, and, unless the config
+    :func:`shares_schedule`, on the hardware and sampling seeds too; a
+    highest-loss schedule reads the members' own models, so each of its
+    members is a group of one. A group holds at most ``MAX_ENSEMBLE_SEEDS``
+    members; a larger one runs in parts. Either way a member's models, round
+    count, divergence round and final-window loss equal those of :func:`run`
+    with its config, bit for bit.
     """
-    member_seeds = list(member_seeds)
-    groups = [member_seeds] if shares_schedule(config) else [[seeds] for seeds in member_seeds]
-    members = []
-    for group in groups:
-        out = _run_group(config, group)
-        thetas = out.models.transpose(1, 0, 2)  # (R, n_models, dim)
-        for seeds, theta, divergence in zip(group, thetas, out.divergence):
-            if divergence is None:
-                kept = _kept_rows(theta.shape[0], config.metric_cadence)
-                final = _tail_stats(_federated_losses(config.fleet, theta[kept])[1])
-                members.append(MemberRun(seeds, theta, len(out.rounds), None, final))
-            else:
-                n = divergence[0]
-                members.append(MemberRun(seeds, theta[: n + 1], n + 1, n, None))
-    return members
+    members = list(members)
+    groups, memo = {}, {}
+    for i, config in enumerate(members):
+        groups.setdefault(_group_key(config, i, memo), []).append(i)
+    runs = [None] * len(members)
+    for indices in groups.values():
+        for lo in range(0, len(indices), MAX_ENSEMBLE_SEEDS):
+            part = indices[lo : lo + MAX_ENSEMBLE_SEEDS]
+            out = _run_group([members[i] for i in part])
+            thetas = out.models.transpose(1, 0, 2)  # (R, n_models, dim)
+            for i, theta, divergence in zip(part, thetas, out.divergence):
+                config = members[i]
+                if divergence is None:
+                    kept = _kept_rows(theta.shape[0], config.metric_cadence)
+                    final = _tail_stats(_federated_losses(config.fleet, theta[kept])[1])
+                    runs[i] = MemberRun(config.seeds, theta, len(out.rounds), None, final)
+                else:
+                    n = divergence[0]
+                    runs[i] = MemberRun(config.seeds, theta[: n + 1], n + 1, n, None)
+    return runs
+
+
+# the fields in which members of one group may differ, and the others
+_MEMBER_FIELDS = ("seeds", "eta_l", "k_steps")
+_shared_fields = operator.attrgetter(*(f.name for f in fields(RunConfig) if f.name not in _MEMBER_FIELDS))
+
+
+def _group_key(config: RunConfig, index: int, memo: dict) -> tuple:
+    """Members with equal keys run as one group: every field of ``config``
+    but ``_MEMBER_FIELDS``, then what else fixes its schedule (nothing, the
+    hardware and sampling seeds, or for highest-loss the member itself)."""
+    shared = _shared_fields(config)
+    held = tuple(map(id, shared))  # configs made by replace() hold the same objects
+    if (key := memo.get(held)) is None:
+        key = memo[held] = _by_value(shared, memo)
+    policy = config.policy
+    if policy.kind is PolicyKind.SAMPLE_BIASED and policy.criterion == "highest_loss":
+        return key + (index,)
+    if shares_schedule(config):
+        return key
+    return key + (_by_value(config.seeds.hardware, memo), _by_value(config.seeds.sampling, memo))
+
+
+def _by_value(value, memo: dict):
+    """A hashable stand-in for ``value`` that equals another's when their
+    contents are equal: arrays by their bytes, fleets, weight plans and
+    objective tables by their attributes (each worked out once per object,
+    kept in ``memo`` while the members hold it)."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_by_value(v, memo) for v in value)
+    if not isinstance(value, (np.ndarray, Fleet, WeightPlan, QuadraticObjective, GlmObjective)):
+        return value
+    if id(value) not in memo:
+        memo[id(value)] = ((value.dtype.str, value.shape, value.tobytes()) if isinstance(value, np.ndarray)
+                           else (type(value), _by_value(list(vars(value).items()), memo)))
+    return memo[id(value)]
 
 
 # ---------------------------------------------------------------------------

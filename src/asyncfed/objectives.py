@@ -227,25 +227,24 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class LocalUpdate(NamedTuple):
     """The runs of one :func:`local_sgd` call: P jobs of R members."""
 
-    path: np.ndarray            # (k_steps + 1, P, R, dim) iterates
+    path: np.ndarray            # (K + 1, P, R, dim) iterates, K the most steps of any member
     delta: np.ndarray           # (P, R, dim) endpoint minus start
-    # per job and member the index of the first step whose iterate left the
-    # finite range, -1 where it stayed finite; None when every run did
+    # per job and member the index of the first of its steps whose iterate
+    # left the finite range, -1 where it stayed finite; None when every run did
     overflow_step: np.ndarray | None
-
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.path[-1]
+    endpoint: np.ndarray        # (P, R, dim) each member's last iterate, path[K_r]
 
 
-def local_sgd(table, rows, starts, k_steps: int, eta_l: float, draws=None) -> LocalUpdate:
-    """Run ``k_steps`` of (stochastic) gradient descent for P jobs at once.
+def local_sgd(table, rows, starts, k_steps, eta_l, draws=None) -> LocalUpdate:
+    """Run (stochastic) gradient descent for P jobs of R members at once.
 
     Job p trains R members from ``starts[p]`` ((P, R, dim) in all) on row
     ``rows[p]`` of ``table``, a :class:`QuadraticObjective` or
-    :class:`GlmObjective` (a lone client is its one-row table). ``draws``
-    holds the runs' randomness, step-major, and None means exact full
-    gradients:
+    :class:`GlmObjective` (a lone client is its one-row table). ``k_steps``
+    and ``eta_l`` are one number for every member or an (R,) array, member
+    r taking ``k_steps[r]`` steps of size ``eta_l[r]``. ``draws`` holds the
+    runs' randomness, step-major, for K = ``max(k_steps)`` steps, and None
+    means exact full gradients:
 
     - on a quadratic table, (K, P, R, dim) standard normals, each scaled by
       its row's ``noise_std``. A noiseless row's entries must be 0.0: they
@@ -255,40 +254,54 @@ def local_sgd(table, rows, starts, k_steps: int, eta_l: float, draws=None) -> Lo
       minibatch of every step, gathered step-major in one ``take``.
 
     The P*R runs step as one array, row by row the operations of a run on
-    its own, so a run has the same bits in any stack. The kernel holds no
-    generator: the engine draws ahead into one table per objective table
-    and hands each call its slice (see :mod:`asyncfed.engine`), once per
-    objective table each time it computes the runs it has pending (more
-    often only when a call would pass a size bound).
+    its own, so a run has the same bits in any stack. Every run takes K
+    steps; a member with fewer reads its endpoint at ``path[K_r]``, and the
+    steps past it, whose draws must still be valid (the engine repeats the
+    member's last step's), are not its own. The kernel holds no generator:
+    the engine draws ahead into one table per objective table and hands
+    each call its slice (see :mod:`asyncfed.engine`), once per objective
+    table each time it computes the runs it has pending (more often only
+    when a call would pass a size bound).
 
     Runs do not raise when they leave the finite range; ``overflow_step``
-    records where.
+    records where, counting only each member's own steps.
     """
-    if k_steps < 1:
-        raise ConfigurationError("k_steps must be at least 1")
-    if eta_l < 0:
-        raise ConfigurationError("eta_l must be nonnegative")
     rows = np.asarray(rows, dtype=np.intp)
     n_jobs, n_members, dim = np.shape(starts)
-    path = np.empty((k_steps + 1, n_jobs, n_members, dim))
+    n_steps = fewest = k_steps
+    per_member = not isinstance(k_steps, (int, np.integer))
+    if per_member:  # one step count per member
+        k_steps = _per_member(k_steps, n_members, np.intp, "k_steps")
+        n_steps, fewest = int(k_steps.max(initial=1)), k_steps.min(initial=1)
+    if fewest < 1:
+        raise ConfigurationError("k_steps must be at least 1")
+    smallest = eta_l
+    if not isinstance(eta_l, (float, int, np.floating, np.integer)):  # one step size per member
+        eta_l = _per_member(eta_l, n_members, float, "eta_l")
+        smallest = eta_l.min(initial=0.0)
+    if smallest < 0:
+        raise ConfigurationError("eta_l must be nonnegative")
+    path = np.empty((n_steps + 1, n_jobs, n_members, dim))
     path[0] = starts
-    flat = path.reshape(k_steps + 1, n_jobs * n_members, dim)  # row p*R + r: job p, member r
+    flat = path.reshape(n_steps + 1, n_jobs * n_members, dim)  # row p*R + r: job p, member r
     run_rows = rows if n_members == 1 else np.repeat(rows, n_members)  # the table row of each run
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(table, QuadraticObjective):
             # one coordinate per (job, member, dim) entry, so every
             # operation is on equal-shape contiguous vectors
             two_a, b = table.two_a[run_rows].reshape(-1), table.b[run_rows].reshape(-1)
+            if isinstance(eta_l, np.ndarray):  # each entry its member's step size
+                eta_l = np.broadcast_to(eta_l[:, None], (n_jobs, n_members, dim)).reshape(-1)
             noise = None
             if draws is not None:
                 # per job its row's noise scale, or -0.0 for a noiseless row;
                 # row k holds every run's step-k noise
                 std = table.noise_std[rows]
                 scale = np.repeat(np.where(std > 0.0, std, -0.0), n_members * dim)
-                noise = np.reshape(draws, (k_steps, -1)) * scale
-            steps = path.reshape(k_steps + 1, -1)
+                noise = np.reshape(draws, (n_steps, -1)) * scale
+            steps = path.reshape(n_steps + 1, -1)
             theta, grad = steps[0], np.empty(steps.shape[1])
-            for k in range(1, k_steps + 1):
+            for k in range(1, n_steps + 1):
                 # (2a * theta + b + noise) * eta_l in place, then theta - that
                 np.multiply(two_a, theta, out=grad)
                 grad += b
@@ -297,25 +310,39 @@ def local_sgd(table, rows, starts, k_steps: int, eta_l: float, draws=None) -> Lo
                 grad *= eta_l
                 theta = np.subtract(theta, grad, out=steps[k])
         else:
+            if isinstance(eta_l, np.ndarray):  # each run's row its member's step size
+                eta_l = np.tile(eta_l, n_jobs)[:, None]
             if draws is not None:
                 # (K, P*R, B): each step's samples are one contiguous block
-                idx = np.reshape(draws, (k_steps, n_jobs * n_members, -1))
+                idx = np.reshape(draws, (n_steps, n_jobs * n_members, -1))
                 x = table.features.reshape(-1, dim).take(idx, axis=0)
                 y = table.targets.reshape(-1).take(idx)
             else:
                 x, y = table.features[run_rows], table.targets[run_rows]  # (P*R, n, dim), (P*R, n)
             theta = flat[0]
-            for k in range(1, k_steps + 1):
+            for k in range(1, n_steps + 1):
                 xk, yk = (x[k - 1], y[k - 1]) if draws is not None else (x, y)
                 grad = _glm_gradient(xk, yk, theta, table.link)
                 theta = np.subtract(theta, eta_l * grad, out=flat[k])
+    endpoint = path[-1]
+    if per_member:  # member r's endpoint is path[k_steps[r]]
+        endpoint = path[k_steps, np.arange(n_jobs)[:, None], np.arange(n_members)]
     # a non-finite coordinate stays non-finite under theta - eta * grad, so
-    # checking the endpoints alone catches every divergence
+    # checking the endpoints alone catches every divergence, and a member
+    # whose endpoint is not finite left the range within its own steps
     overflow_step = None
-    if not np.isfinite(flat[-1]).all():
+    if not np.isfinite(endpoint).all():
         finite = np.isfinite(path).all(axis=3)  # (K + 1, P, R)
-        overflow_step = np.where(finite[-1], -1, np.argmin(finite, axis=0) - 1)
-    return LocalUpdate(path, path[-1] - path[0], overflow_step)
+        overflow_step = np.where(np.isfinite(endpoint).all(axis=2), -1, np.argmin(finite, axis=0) - 1)
+    return LocalUpdate(path, endpoint - path[0], overflow_step, endpoint)
+
+
+def _per_member(values, n_members: int, dtype, name: str) -> np.ndarray:
+    """``values`` as the (R,) array of one value per member."""
+    values = np.asarray(values, dtype=dtype)
+    if values.shape != (n_members,):
+        raise ConfigurationError(f"{name} must be one number or one per member, got shape {values.shape}")
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,11 @@ def quadratic_fleet(optima, taus=None, importances=None, curvature=0.5, noise_st
     n = len(optima)
     table = QuadraticObjective.from_optima(optima, curvature, noise_std)
     return Fleet([(np.arange(n), table)], taus or [1] * n, importances or uniform_importances(n), distribution_ids)
+
+
+def with_seeds(config, member_seeds) -> list:
+    """One member config per entry of ``member_seeds``: ``config`` with those seeds."""
+    return [replace(config, seeds=seeds) for seeds in member_seeds]
 
 
 def bits(x) -> bytes:

@@ -29,7 +29,7 @@ from asyncfed.oracle import phi
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy, advance_round, init_fleet_state
 from asyncfed.weights import WeightPlan, WeightScheme, plan_weights
 
-from conftest import BatchStream, bits, client_row, quadratic_fleet, reference_draws
+from conftest import BatchStream, bits, client_row, quadratic_fleet, reference_draws, with_seeds
 
 SYNC = WaitPolicy(PolicyKind.SYNCHRONOUS)
 ASYNC = WaitPolicy(PolicyKind.ASYNCHRONOUS)
@@ -120,7 +120,7 @@ class TestPolicyEquivalences:
 def _member_statistics(config, n_members):
     """Per-round mean and standard error of the models of ``n_members``
     reruns, member s seeded ``Seeds((0, s), (1, s), (2, s))``."""
-    members = run_members(config, [Seeds((0, s), (1, s), (2, s)) for s in range(n_members)])
+    members = run_members(with_seeds(config, [Seeds((0, s), (1, s), (2, s)) for s in range(n_members)]))
     assert not any(m.diverged for m in members)
     stack = np.stack([m.theta for m in members])
     return stack.mean(axis=0), np.sqrt(stack.var(axis=0, ddof=1) / n_members)
@@ -135,7 +135,7 @@ class TestEnsembles:
     def test_diverged_members_are_excluded_and_counted(self):
         fleet = quadratic_fleet([[0.0], [2.0]], noise_std=1e11)
         cfg = sync_config(fleet, full_gradient=False, eta_l=1.9, rounds=40)
-        members = run_members(cfg, [Seeds((0, s), (1, s), (2, s)) for s in range(4)])
+        members = run_members(with_seeds(cfg, [Seeds((0, s), (1, s), (2, s)) for s in range(4)]))
         kept = [m for m in members if not m.diverged]
         diverged = [m for m in members if m.diverged]
         assert 0 < len(diverged) < len(members) == 4
@@ -569,7 +569,7 @@ class TestLocalWorkTiming:
         plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
         cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.1, k_steps=3, rounds=60)
         seeds = [Seeds((0, j), (1, j), (2, j)) for j in range(3)]
-        stacked = run_members(cfg, seeds)
+        stacked = run_members(with_seeds(cfg, seeds))
         sizes = []
 
         def recording(table, rows, *args, **kwargs):
@@ -578,7 +578,7 @@ class TestLocalWorkTiming:
 
         monkeypatch.setattr(engine, "_LOCAL_FLOATS", 1)
         monkeypatch.setattr(engine, "local_sgd", recording)
-        alone = run_members(cfg, seeds)
+        alone = run_members(with_seeds(cfg, seeds))
         assert set(sizes) == {1}
         for a, b in zip(stacked, alone):
             assert a.theta.tobytes() == b.theta.tobytes()
@@ -696,13 +696,13 @@ class TestDrawTables:
             return out
 
         def recording_refill(self, g):
-            refills.append((len(calls), self.n_samples, int(self.last[g] - self.first[g])))
+            refills.append((len(calls), self.n_samples, int(self.last[g, 0] - self.first[g, 0])))
             return refill(self, g)
 
         with monkeypatch.context() as patch:
             patch.setattr(engine, "local_sgd", recording)
             patch.setattr(engine._DrawTable, "_refill", recording_refill)
-            group = engine._run_group(cfg, seeds)
+            group = engine._run_group(with_seeds(cfg, seeds))
         sources = {}
         steps = set()
         for table, rows, starts, out in calls:
@@ -803,7 +803,7 @@ class TestDrawTables:
 
         monkeypatch.setattr(engine, "_LOCAL_FLOATS", 3 * 2 * per_run + 2 * per_run - 1)
         monkeypatch.setattr(engine, "local_sgd", recording)
-        run_members(cfg, _MEMBERS[:2])
+        run_members(with_seeds(cfg, _MEMBERS[:2]))
         assert sizes == [3, 3, 2] * 4
 
 
@@ -817,7 +817,7 @@ def _reference_run_group(config, member_seeds):
     d, taus = config.plan.d, list(fleet.compute_times)
     hw_rng = np.random.default_rng(engine._seed_key(lead.hardware)) if hw.mode == "exponential" else None
     sample_rng = np.random.default_rng(engine._seed_key(lead.sampling))
-    work = engine._LocalWork(config, member_seeds)
+    work = engine._LocalWork(with_seeds(config, member_seeds))
     by_loss = policy.kind is PolicyKind.SAMPLE_BIASED and policy.criterion == "highest_loss"
     state = init_fleet_state(taus, hw, hw_rng, config.initial_clocks, policy=policy)
     n_members = len(member_seeds)
@@ -866,7 +866,7 @@ def _round_record(rounds):
 
 
 def _segmented_run(monkeypatch, config, member_seeds):
-    """``engine._run_group(config, member_seeds)``, checked bit for bit
+    """``engine._run_group`` on ``config`` with each of ``member_seeds``, checked bit for bit
     against :func:`_reference_run_group`, and the rounds at which it ran a
     local-work pass and the segments it aggregated, as (first round, round
     after the last): a segment runs from one pass round to the next."""
@@ -885,7 +885,7 @@ def _segmented_run(monkeypatch, config, member_seeds):
     with monkeypatch.context() as patch:
         patch.setattr(engine._LocalWork, "compute_pending", recording_pass)
         patch.setattr(engine._Server, "aggregate", recording_aggregate)
-        got = engine._run_group(config, member_seeds)
+        got = engine._run_group(with_seeds(config, member_seeds))
     models, round_times, rounds, divergence = _reference_run_group(config, member_seeds)
     assert got.models.shape == models.shape and got.models.tobytes() == models.tobytes()
     assert got.rounds.time.tolist() == round_times
@@ -978,7 +978,7 @@ class TestSegmentAggregation:
         assert len(group.rounds) == 14
         for stable in (replace(cfg, eta_g=20.0), replace(cfg, eta_g=20.0, rounds=None, time_budget=40.0)):
             with pytest.raises(StalenessCapError, match="round 15"):
-                engine._run_group(stable, [stable.seeds])
+                engine._run_group([stable])
             with pytest.raises(StalenessCapError, match="round 15"):
                 _reference_run_group(stable, [stable.seeds])
 
@@ -1015,6 +1015,23 @@ class TestSegmentAggregation:
         plan = WeightPlan(WeightScheme.CUSTOM, np.array([0.25, 0.25, 0.25, 0.25, 0.0]))
         cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=1.0, rounds=400)
         self._assert_members_die_one_by_one_mid_segment(monkeypatch, cfg, "overflow")
+
+    def test_overflow_behind_rounds_of_other_sizes_in_one_segment(self, monkeypatch):
+        # FedFix rounds of none, one or both clients: an overflow of client
+        # 0, whose weight is 0, is aggregated in a segment whose earlier
+        # rounds do not hold one delivery each, so its place among the
+        # segment's deliveries is not its round's place in the segment
+        table = QuadraticObjective.from_optima([0.0, 2.0])
+        fleet = Fleet([(np.arange(2), QuadraticObjective(table.a, table.b, table.c, [1e308, 0.5]))], [1, 0.7],
+                      [0.5, 0.5])
+        policy = WaitPolicy(PolicyKind.FEDFIX, delta_t=0.3)
+        plan = WeightPlan(WeightScheme.CUSTOM, np.array([0.0, 1.0]))
+        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.3, rounds=30, theta0=np.array([5.0]))
+        members = [Seeds((0, j), (1, j), (2, j)) for j in range(8)]
+        group, _, segments = _segmented_run(monkeypatch, cfg, members)
+        deaths = [n for n, cause in filter(None, group.divergence) if cause == "overflow"]
+        sizes = np.diff(group.rounds.offsets)
+        assert any(start < n < stop and sizes[start:n].sum() != n - start for start, stop in segments for n in deaths)
 
 
 def _counted_run(monkeypatch, config, *, merge=True):

@@ -1,21 +1,23 @@
-"""The member axis: R reruns of one config that share a schedule step as one
-(R, dim) model. Every member must equal a separate ``run`` with its seeds,
-bit for bit, and ensemble statistics over the members must equal those of
-the per-member loop."""
+"""The member axis: reruns that share a schedule step as one (R, dim) model,
+whether they differ in seeds, ``eta_l`` or ``k_steps``. Every member must
+equal a separate ``run`` with its config, bit for bit, and ensemble
+statistics over the members must equal those of the per-member loop."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from asyncfed import engine
+from asyncfed import cli, engine
 from asyncfed.core import Fleet, weighted_optimum
 from asyncfed.engine import RunConfig, Seeds, run, run_members, shares_schedule
 from asyncfed.objectives import QuadraticObjective, SyntheticShardConfig, make_synthetic_shards
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy
 from asyncfed.weights import WeightScheme, plan_weights
 
-from conftest import quadratic_fleet
+from conftest import quadratic_fleet, with_seeds
 
 SYNC = WaitPolicy(PolicyKind.SYNCHRONOUS)
 ASYNC = WaitPolicy(PolicyKind.ASYNCHRONOUS)
@@ -56,15 +58,15 @@ def _threshold_config():
     return RunConfig(fleet=fleet, policy=SYNC, plan=plan, eta_l=1.9, rounds=40, theta0=np.array([5.0]))
 
 
-def _overflow_config():
+def _overflow_config(policy=SYNC, taus=(1, 1), rounds=12):
     # client 0's gradient noise overflows to inf on about 7% of draws, which
     # ends that member inside local SGD; its zero weight keeps the finite
     # members' models untouched by it
     optima = QuadraticObjective.from_optima([0.0, 2.0])
     table = QuadraticObjective(optima.a, optima.b, optima.c, [1e308, 0.5])
-    fleet = Fleet([(np.arange(2), table)], [1, 1], [0.5, 0.5])
-    plan = plan_weights(WeightScheme.CUSTOM, fleet.importances, [1, 1], SYNC, custom_d=[0.0, 1.0])
-    return RunConfig(fleet=fleet, policy=SYNC, plan=plan, eta_l=0.3, rounds=12, theta0=np.array([5.0]))
+    fleet = Fleet([(np.arange(2), table)], list(taus), [0.5, 0.5])
+    plan = plan_weights(WeightScheme.CUSTOM, fleet.importances, fleet.compute_times, policy, custom_d=[0.0, 1.0])
+    return RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.3, rounds=rounds, theta0=np.array([5.0]))
 
 
 CASES = {
@@ -83,10 +85,14 @@ CASES = {
     "glm_full_gradient": lambda: _config(_glm_fleet("linear"), FEDBUFF, full_gradient=True),
     "threshold": _threshold_config,
     "overflow": _overflow_config,
+    # FedFix rounds of none, one or both clients, aggregated several to a
+    # segment, in which an overflow may come after an empty round
+    "overflow_fedfix": lambda: _overflow_config(WaitPolicy(PolicyKind.FEDFIX, delta_t=0.3), taus=(1, 0.7),
+                                                rounds=30),
 }
 
 SHARED = {"sync_dim1", "async_dim3", "fedfix_dim1", "fedbuff_dim3", "fastest_dim1", "async_k1_rounds",
-          "glm_minibatch", "glm_full_gradient", "threshold", "overflow"}
+          "glm_minibatch", "glm_full_gradient", "threshold", "overflow", "overflow_fedfix"}
 
 MEMBER_SEEDS = [Seeds((0, j), (1, j), (2, j)) for j in range(8)]
 
@@ -100,7 +106,7 @@ def _separate_runs(config, member_seeds):
 def test_members_equal_separate_runs(name):
     config = CASES[name]()
     assert shares_schedule(config) == (name in SHARED)
-    members = run_members(config, MEMBER_SEEDS)
+    members = run_members(with_seeds(config, MEMBER_SEEDS))
     reference = _separate_runs(config, MEMBER_SEEDS)
     assert [m.seeds for m in members] == MEMBER_SEEDS
     for member, traj in zip(members, reference):
@@ -113,7 +119,7 @@ def test_members_equal_separate_runs(name):
             assert member.final_loss is None
         else:
             assert member.final_loss == engine._tail_stats(traj.metrics.loss_fed)
-    if name == "threshold" or name == "overflow":
+    if name in ("threshold", "overflow", "overflow_fedfix"):
         rounds = [m.divergence_round for m in members]
         assert any(r is None for r in rounds)
         assert len({r for r in rounds if r is not None}) >= 2, rounds
@@ -149,12 +155,140 @@ def test_a_shared_schedule_advances_once_per_round(monkeypatch):
     # a fixed-hardware asynchronous schedule is merged once for the group,
     # and no round is advanced on its own
     shared = CASES["async_k1_rounds"]()
-    run_members(shared, MEMBER_SEEDS)
+    run_members(with_seeds(shared, MEMBER_SEEDS))
     assert len(merges) == 1 and len(calls) == 0
     own = CASES["uniform_sampling"]()
-    n_rounds = [m.n_rounds for m in run_members(own, MEMBER_SEEDS)]
+    n_rounds = [m.n_rounds for m in run_members(with_seeds(own, MEMBER_SEEDS))]
     # one call past the time budget per member, which returns None
     assert len(calls) == sum(n_rounds) + len(MEMBER_SEEDS)
+
+
+def _assert_equals_its_run(member, config):
+    traj = run(config)
+    assert member.seeds == config.seeds
+    assert member.theta.shape == traj.theta.shape
+    assert np.array_equal(member.theta, traj.theta)
+    assert (member.n_rounds, member.divergence_round) == (traj.n_rounds, traj.divergence_round)
+    assert member.final_loss == (None if traj.diverged else engine._tail_stats(traj.metrics.loss_fed))
+
+
+def _recorded_groups(monkeypatch):
+    """The member count of every group ``run_members`` runs, in order."""
+    sizes = []
+    run_group = engine._run_group
+
+    def recording(members):
+        sizes.append(len(members))
+        return run_group(members)
+
+    monkeypatch.setattr(engine, "_run_group", recording)
+    return sizes
+
+
+def _expected_groups(name, n_values, n_seeds):
+    """One group per schedule: all members where it is shared, one group
+    per seed where each seed draws its own, and a group of one per member
+    where the schedule reads the members' models."""
+    if name == "highest_loss":
+        return [1] * (n_values * n_seeds)
+    if name in SHARED:
+        return [n_values * n_seeds]
+    return [n_values] * n_seeds
+
+
+@pytest.mark.parametrize("axis", ["k_steps", "eta_l"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_members_of_other_step_counts_and_rates_equal_separate_runs(monkeypatch, name, axis):
+    config = CASES[name]()
+    values = [1, 3, 6] if axis == "k_steps" else [config.eta_l * f for f in (1.0, 0.5, 1.25)]
+    seeds = MEMBER_SEEDS
+    members = [replace(config, seeds=s, **{axis: v}) for v in values for s in seeds]
+    sizes = _recorded_groups(monkeypatch)
+    got = run_members(members)
+    assert sizes == _expected_groups(name, len(values), len(seeds))
+    monkeypatch.undo()
+    for member, member_config in zip(got, members):
+        _assert_equals_its_run(member, member_config)
+    if name in ("threshold", "overflow", "overflow_fedfix"):
+        rounds = [m.divergence_round for m in got]
+        assert any(r is None for r in rounds)
+        assert len({r for r in rounds if r is not None}) >= 2, rounds
+
+
+def test_a_group_past_the_cap_runs_in_parts_with_the_same_members(monkeypatch):
+    config = CASES["async_dim3"]()
+    members = [replace(config, seeds=s, k_steps=k) for k in (1, 3, 6) for s in MEMBER_SEEDS[:4]]
+    whole = run_members(members)
+    monkeypatch.setattr(engine, "MAX_ENSEMBLE_SEEDS", 5)
+    sizes = _recorded_groups(monkeypatch)
+    parts = run_members(members)
+    assert sizes == [5, 5, 2]
+    for a, b in zip(whole, parts):
+        assert a.seeds == b.seeds and a.theta.tobytes() == b.theta.tobytes()
+        assert (a.n_rounds, a.divergence_round, a.final_loss) == (b.n_rounds, b.divergence_round, b.final_loss)
+
+
+def _sweep_document(policy):
+    scheme = {"fedfix": {"policy": "fedfix", "delta_t": 0.7, "weights": "fedfix_time_based"},
+              "fedbuff": {"policy": "fedbuff", "m": 2, "weights": "fedavg"},
+              "uniform": {"policy": "sample_uniform", "m": 2, "weights": "identical"},
+              "asynchronous": {"policy": "asynchronous", "weights": "async_time_based"}}[policy]
+    return {
+        "schema_version": 1,
+        "fleet": {"compute_times": [1.09, 2, 3.5, 1],
+                  "objective": {"family": "quadratic", "optima": [-2.0, 1.0, 3.0, 0.5], "noise_std": 0.7}},
+        "scheme": scheme,
+        "optimization": {"eta_g": 1.0, "eta_l": 0.05, "k_steps": 3, "theta0": 2.0},
+        "horizon": {"time": 25.0},
+        "ensemble": {"n_seeds": 3, "base_seed": 4},
+    }
+
+
+@pytest.mark.parametrize("policy, axis, values, n_groups", [
+    ("fedfix", "delta_t", [0.5, 0.7, 1.3], 3),      # each value its own schedule
+    ("fedbuff", "m", [1, 2, 3], 3),
+    ("uniform", "m", [1, 3], 6),                    # and within it one per seed
+    ("asynchronous", "k_steps", [1, 4, 2], 1),      # one schedule for every value
+    ("uniform", "eta_l", [0.05, 0.1], 3),           # one per seed for every value
+])
+def test_a_sweep_equals_its_values_swept_one_at_a_time(monkeypatch, policy, axis, values, n_groups):
+    document = _sweep_document(policy)
+    sizes = _recorded_groups(monkeypatch)
+    rows = cli.sweep_rows(document, axis, values)
+    assert len(sizes) == n_groups
+    sizes.clear()
+    alone = [row for value in values for row in cli.sweep_rows(document, axis, [value])]
+    assert rows == alone
+    assert [row["value"] for row in rows] == values
+
+
+SHIPPED_SWEEP = Path(__file__).resolve().parents[1] / "configs" / "k_sweep_noisy_quadratic.json"
+
+
+def test_the_shipped_sweep_merges_its_schedule_once_and_steps_its_values_together(monkeypatch):
+    document = json.loads(SHIPPED_SWEEP.read_text())
+    values = document["sweep"]["values"]
+    merges, local_work = [], []
+    merge, local_sgd = engine.merged_schedule, engine.local_sgd
+
+    def counted_merge(*args, **kwargs):
+        merges.append(1)
+        return merge(*args, **kwargs)
+
+    def counted_local_sgd(*args, **kwargs):
+        local_work.append(1)
+        return local_sgd(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "merged_schedule", counted_merge)
+    monkeypatch.setattr(engine, "local_sgd", counted_local_sgd)
+    cli.sweep_rows(document, "k_steps", values)
+    sweep_merges, sweep_calls = len(merges), len(local_work)
+    merges.clear()
+    local_work.clear()
+    cli.sweep_rows(document, "k_steps", values[:1])
+    # one schedule for the six values, and the local-work passes of one
+    assert sweep_merges == len(merges) == 1
+    assert sweep_calls == len(local_work) and 0 < sweep_calls < 100
 
 
 def _ensemble_statistics(config, thetas, finals):
@@ -182,13 +316,13 @@ def test_ensemble_equals_the_per_member_loop(name):
     # unordered, non-contiguous member seeds
     config = CASES[name]()
     member_seeds = [Seeds((0, s), (1, s), (2, s)) for s in (3, 1, 4, 15, 9, 2, 6)]
-    members = run_members(config, member_seeds)
+    members = run_members(with_seeds(config, member_seeds))
     assert [m.seeds for m in members] == member_seeds
     got = _ensemble_statistics(config, [m.theta for m in members], [m.final_loss for m in members])
     reference = _separate_runs(config, member_seeds)
     finals = [None if t.diverged else engine._tail_stats(t.metrics.loss_fed) for t in reference]
     want = _ensemble_statistics(config, [t.theta for t in reference], finals)
-    if name in ("threshold", "overflow"):
+    if name in ("threshold", "overflow", "overflow_fedfix"):
         assert 0 < got["diverged"] < len(member_seeds)
     assert (got["n_completed"], got["diverged"]) == (want["n_completed"], want["diverged"])
     assert got["final_loss"] == want["final_loss"]

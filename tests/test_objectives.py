@@ -407,6 +407,94 @@ class TestStackedJobsMatchOneJob:
             assert [s.next().tolist() for job in mine for s in job] == [s.next().tolist() for job in ref for s in job]
 
 
+def _ragged_draws(table, rows, k_steps, sources):
+    """``reference_draws`` for members of ``k_steps`` steps each: member r's
+    own K_r steps from ``sources[p][r]``, then its last step repeated up to
+    the longest run, as the engine's draw tables give them."""
+    longest = max(k_steps)
+    per_member = []
+    for r, k in enumerate(k_steps):
+        own = reference_draws(table, rows, k, [[job[r]] for job in sources])
+        per_member.append(np.concatenate([own, np.repeat(own[-1:], longest - k, axis=0)]))
+    return np.concatenate(per_member, axis=2)
+
+
+class TestPerMemberStepsAndRates:
+    """Members with their own ``k_steps`` and ``eta_l`` in one call equal
+    their own calls, bit for bit: the path up to their own step count, the
+    endpoint there, the delta and an overflow step that counts their own
+    steps only."""
+
+    ROWS = [3, 0, 1, 3, 4, 2]
+    K_STEPS = [1, 3, 6, 3]
+    ETA_L = [0.13, 0.4, 0.05, 0.13]
+
+    def _compare(self, table, starts, k_steps, eta_l, make_sources):
+        mine, ref = make_sources(), make_sources()
+        draws = None if mine is None else _ragged_draws(table, self.ROWS, np.broadcast_to(k_steps, 4), mine)
+        out = local_sgd(table, self.ROWS, starts, k_steps, eta_l, draws)
+        assert out.path.shape[0] == np.max(k_steps) + 1
+        for p, row in enumerate(self.ROWS):
+            for r in range(starts.shape[1]):
+                k, eta = np.broadcast_to(k_steps, 4)[r], np.broadcast_to(eta_l, 4)[r]
+                one = one_run(starts[p, r], table.row(row), int(k), float(eta),
+                              None if ref is None else ref[p][r])
+                assert bits(out.path[: k + 1, p, r]) == bits(one.path), (p, r)
+                assert bits(out.endpoint[p, r]) == bits(one.endpoint), (p, r)
+                assert bits(out.delta[p, r]) == bits(one.delta), (p, r)
+                step = -1 if out.overflow_step is None else out.overflow_step[p, r]
+                assert step == one.overflow_step, (p, r)
+        return out
+
+    @pytest.mark.parametrize("axis", ["k_steps", "eta_l", "both"])
+    @pytest.mark.parametrize("noise", ["noiseless", "mixed"])
+    def test_quadratic_table(self, noise, axis):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(0.1, 2.0, (5, 2))
+        a[4] = [1e200, 1.0]  # row 4 leaves the finite range from its second step on
+        table = QuadraticObjective(a, rng.normal(size=(5, 2)), 0.1,
+                                   [0.0] * 5 if noise == "noiseless" else [0.7, 0.0, 1.3, 0.0, 0.4])
+        starts = rng.normal(size=(len(self.ROWS), 4, 2))
+        k_steps = self.K_STEPS if axis != "eta_l" else 6
+        eta_l = self.ETA_L if axis != "k_steps" else 0.13
+
+        def sources():
+            if noise == "noiseless":
+                return None
+            return [[np.random.default_rng([p, r]) for r in range(4)] for p in range(len(self.ROWS))]
+
+        out = self._compare(table, starts, k_steps, eta_l, sources)
+        if axis != "eta_l":
+            # the one-step members of row 4 stay finite, though their path does not
+            p = self.ROWS.index(4)
+            assert out.overflow_step[p].tolist() == [-1, 1, 1, 1]
+            assert not np.isfinite(out.path[-1, p, 0]).all()
+
+    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("link", ["linear", "logistic"])
+    def test_glm_table(self, link, batched):
+        starts = np.random.default_rng(2).normal(size=(len(self.ROWS), 4, 3))
+
+        def sources():
+            if not batched:
+                return None
+            return [[BatchStream(24, 5, np.random.default_rng([p, r])) for r in range(4)]
+                    for p in range(len(self.ROWS))]
+
+        self._compare(_glm(link, seeds=range(5)), starts, self.K_STEPS, self.ETA_L, sources)
+
+    def test_per_member_arguments_are_checked(self):
+        obj, starts = _at([1.0]), np.zeros((1, 2, 1))
+        with pytest.raises(ConfigurationError, match="one per member"):
+            local_sgd(obj, [0], starts, [1, 2, 3], 0.1)
+        with pytest.raises(ConfigurationError, match="one per member"):
+            local_sgd(obj, [0], starts, 2, [0.1])
+        with pytest.raises(ConfigurationError, match="at least 1"):
+            local_sgd(obj, [0], starts, [1, 0], 0.1)
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            local_sgd(obj, [0], starts, 2, [0.1, -0.1])
+
+
 class TestBatchGradient:
     """A minibatch gradient is the mean gradient of the batch's samples, the
     single-shard call of :func:`_glm_gradient` that local SGD and the
@@ -688,6 +776,21 @@ class TestDrawTable:
             assert got.shape == (k_steps, len(rows), 2, batch_size)
             assert np.array_equal(got, reference_draws(table, rows, k_steps, [ref[g] for g in rows]))
 
+    @pytest.mark.parametrize("n_samples, batch_size", [(24, 5), (10, 3)])
+    def test_members_of_their_own_step_counts_take_their_own_runs(self, n_samples, batch_size):
+        # members of 1, 4 and 9 steps on two rows refill at their own rates;
+        # each reads its own run, then repeats its last step
+        k_steps = [1, 4, 9]
+        table = _glm("logistic", seeds=range(2), n=n_samples)
+        draws = _DrawTable(table, [[np.random.default_rng([g, r]) for r in range(3)] for g in range(2)],
+                           3, np.array(k_steps), batch_size)
+        ref = [[BatchStream(n_samples, batch_size, np.random.default_rng([g, r])) for r in range(3)]
+               for g in range(2)]
+        for rows in ([1, 0], [0], [0], [1], [0, 1], [1, 0], [0]) * 3:
+            got = draws.take(np.array(rows))
+            assert got.shape == (9, len(rows), 3, batch_size)
+            assert np.array_equal(got, _ragged_draws(table, rows, k_steps, [ref[g] for g in rows]))
+
     def test_reshuffles_between_epochs(self):
         draws = _DrawTable(_glm("logistic", n=64), [[np.random.default_rng(0)]], 1, 2, 32)
         first, second = (draws.take(np.array([0])).ravel() for _ in range(2))
@@ -703,7 +806,7 @@ class TestDrawTable:
         for rows in ([2, 1, 0], [1], [0, 2], [2]) * 4:
             got = draws.take(np.array(rows))
             assert bits(got) == bits(reference_draws(table, rows, k_steps, [ref[g] for g in rows]))
-        assert draws.first[1] == draws.row_start[1]
+        assert np.array_equal(draws.first[1], draws.start[1])
 
 
 class TestSyntheticShards:
