@@ -16,12 +16,15 @@ participant has no computed run, the loop computes every pending run in one
 pass: each client in flight whose anchor model exists and whose run is not
 yet computed, as one stacked :func:`~asyncfed.objectives.local_sgd` call
 per objective table. The results wait in a per-client buffer until the
-client delivers. Each member's client has its own generator, whose values
-a draw table per objective table holds ahead of use; a client's runs take
-them in dispatch order, so the trajectory is the one that computing each
-run at its delivery gives. A run still in flight at the horizon may have
-drawn from its client's stream, but it is never delivered: its result, and
-any overflow in it, is dropped.
+client delivers. Each member's client has its own generator, keyed by the
+member's batching seed and the client; members of one batching seed (member
+j of every value of a sweep) read one stream of it, each with its own
+cursor, so a draw table per objective table holds one stream per distinct
+(seed, client) ahead of use. A client's runs take the values in dispatch
+order, so the trajectory is the one that computing each run at its delivery
+from the member's own generator gives. A run still in flight at the horizon
+may have drawn from its client's stream, but it is never delivered: its
+result, and any overflow in it, is dropped.
 
 A client delivers at most once between two passes, so the rounds between
 them (a segment) are aggregated as one block just before the next pass:
@@ -31,6 +34,7 @@ the models as one running sum over the rounds.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 import time
@@ -58,8 +62,8 @@ from .weights import WeightPlan
 DIVERGENCE_THRESHOLD = 1e12
 MAX_K_STEPS = 10_000  # local steps per run
 # members per group of run_members, which holds (rounds + 1, R, dim) models
-# and seeds one generator per member and noisy client (~1.2 KB and ~20 us
-# each); also the most seeds an ensemble config may ask for
+# and seeds one generator per distinct batching seed and noisy client (~1.2
+# KB and ~8 us each); also the most seeds an ensemble config may ask for
 MAX_ENSEMBLE_SEEDS = 10_000
 # n_runs x M of a scalar ensemble: its (n_runs, M) held-anchor buffer is
 # 128 MiB at the cap, and a window round draws an array and a mask that size;
@@ -516,8 +520,12 @@ def _seed_key(seed):
 
 class _DrawTable:
     """The randomness of one objective table's runs, drawn ahead: row g
-    holds, for each of the R members, the next values of the generator of
-    that member and the client at row g, ``width`` values per local step.
+    holds, for each stream of the client at row g, the next values of its
+    generator, ``width`` values per local step. A stream is the generator
+    of one (batching seed, client) pair, so members of one batching seed
+    (member j of every value of a sweep, which share common random numbers)
+    read one stream, each at its own pace, and every member reads exactly
+    its own generator's values.
 
     On a GLM table the values are flat sample indices ``g * n + i`` for
     whole epochs, ``width`` = B: each epoch's ``n % B`` leftover samples are
@@ -527,106 +535,189 @@ class _DrawTable:
     ``standard_normal`` call per refill, the stream that per-run ``(K,
     dim)`` draws give; a noiseless row has no generator and reads zeros.
 
-    ``k_steps`` is one number or one per member. Each member of a row
-    advances its own cursor, so member r's run of K_r steps is the slice
-    ``[cursor, cursor + K_r * width)`` of its values, and a pass takes its
+    ``streams`` gives each of the R members its stream, and ``k_steps`` is
+    one number or one per member. Each member advances its own cursor into
+    its stream, so member r's run of K_r steps is the slice ``[cursor,
+    cursor + K_r * width)`` of the stream's values, and a pass takes its
     jobs' slices step-major in one ``take`` of K = max(K_r) steps, a member
-    with fewer repeating its last step's values. A member that holds less
-    than one run is refilled: what it has left moves to the front, and its
-    generator draws as much again as it has drawn so far, at least eight
-    runs' worth, while it holds at most ``_LOCAL_FLOATS / (G * R)`` values
-    (or one run and one epoch, if that is more). A refill costs one
-    generator call per member refilled, a pass none.
+    with fewer repeating its last step's values. The members of a stream
+    start at its front and every pass moves each by one of its runs, so
+    its leader (a member of the most steps) reads furthest ahead and its
+    tail (one of the fewest) furthest behind. A row counts the passes it
+    can serve before some leader holds less than one run.
+
+    Then the row refills the streams whose leader is short: the values
+    from the tail's cursor on move to the front, and the generator draws
+    as much again as the stream has drawn so far, at least eight of the
+    leader's runs, while the leader holds at most ``_LOCAL_FLOATS / (G *
+    R)`` values (or one run and one epoch, if that is more). A member that
+    would then hold more than that lags too far: it first splits off into a
+    stream of its own, with its unread values and a copy of the generator.
+    So a stream never holds more than one member's own table would, and a
+    refill costs one generator call per stream refilled, a pass none.
     """
 
-    def __init__(self, table, generators: list, n_members: int, k_steps, batch_size: int | None):
-        self.generators = generators  # per row: one generator per member, or None
+    def __init__(self, table, generators: list, streams, k_steps, batch_size: int | None):
+        # per row: one generator per stream (a stream that splits off adds
+        # its own), or None
+        self.generators = [None if row is None else list(row) for row in generators]
         if isinstance(table, GlmObjective):
             n = table.n_samples
             if not 1 <= batch_size <= n:
                 raise ConfigurationError("batch size must lie in [1, n_samples]")
             self.n_samples, self.width, self.unit = n, batch_size, n - n % batch_size  # unit: one epoch
+            self.order = np.empty((0, n), dtype=np.intp)  # rows of arange(n), to permute
             dtype = np.intp
         else:
             self.n_samples, self.width, self.unit = None, table.dim, table.dim  # unit: one step
             dtype = float
         n_rows = len(table)
+        streams = np.asarray(streams, dtype=np.intp)
+        n_members, n_streams = len(streams), int(streams.max()) + 1
         k_steps = np.broadcast_to(np.asarray(k_steps, dtype=np.intp), (n_members,))
         self.need = k_steps * self.width  # per member: the values of one run
         longest = int(self.need.max())
         self.cap = max(_LOCAL_FLOATS // (n_rows * n_members), longest)
-        self.drawn = [[0] * n_members for _ in range(n_rows)]  # values each member has drawn
+        self.bound = self.cap + self.unit - 1  # the most a leader holds after a refill
         live = np.array([g is not None for g in generators])[:, None]
-        self.advance = np.where(live, self.need, 0)  # (G, R)
         # member r's step k reads its step min(k, K_r - 1): (K, 1, R, width)
         steps = np.minimum(np.arange(k_steps.max())[:, None], k_steps - 1)
         self.offsets = (steps * self.width)[:, None, :, None] + np.arange(self.width)
-        self._hold(np.zeros((n_rows, n_members, longest), dtype=dtype))
-        # flat positions of each member's next and last-plus-one value per
-        # row; a row without generator keeps its zeros and never moves or
-        # refills
-        self.first = self.start.copy()
-        self.last = self.start + np.where(live, 0, self.need)
-        # flat index of each row's members in these (G, R) arrays, which a
-        # pass reads and writes with one flat take and put
-        self.cells = np.arange(n_rows * n_members).reshape(n_rows, n_members)
+        # per row: each member's stream, and each stream's leader, tail and
+        # values drawn
+        self.stream = np.tile(streams, (n_rows, 1))
+        lead, tail = {}, {}
+        for r in sorted(range(n_members), key=self.need.item):
+            lead[streams.item(r)] = r  # the last is one of the most steps
+            tail.setdefault(streams.item(r), r)  # one of the fewest
+        self.lead = [[lead[s] for s in range(n_streams)] for _ in range(n_rows)]
+        self.tail = [[tail[s] for s in range(n_streams)] for _ in range(n_rows)]
+        self.drawn = [[0] * n_streams for _ in range(n_rows)]
+        self._hold(np.zeros((n_rows, n_streams, longest), dtype=dtype))
+        # per row: the passes it can serve (0: refill first), then the flat
+        # position of each member's next value, read and moved by a pass in
+        # one take and one store; ``advance`` is what a pass adds, and
+        # ``last`` the flat position past each member's stream. A row
+        # without generator serves every pass from its zeros.
+        self.state = np.zeros((n_rows, 1 + n_members), dtype=np.intp)
+        self.left, self.first = self.state[:, 0], self.state[:, 1:]
+        self.left[:] = ~live[:, 0]
+        self.first[:] = np.take_along_axis(self.start, self.stream, axis=1)
+        self.advance = np.where(live, np.concatenate([[-1], self.need]), 0)
+        self.last = self.first + np.where(live, 0, self.need)
 
     def _hold(self, values: np.ndarray) -> None:
-        """Hold the (G, R, length) ``values``: member r of row g starts at
-        flat position ``start[g, r]``."""
-        n_rows, n_members, length = values.shape
+        """Hold the (G, S, length) ``values``: stream s of row g starts at
+        flat position ``start[g, s]``."""
+        n_rows, n_slots, length = values.shape
         self.values, self.flat = values, values.reshape(-1)
-        self.start = np.arange(0, n_rows * n_members * length, length).reshape(n_rows, n_members)
+        self.start = np.arange(0, values.size, length).reshape(n_rows, n_slots)
+
+    def _resize(self, n_slots: int, length: int) -> None:
+        """Hold up to ``n_slots`` streams per row of ``length`` values each,
+        every cursor moving with its stream."""
+        n_rows, held, old_length = self.values.shape
+        grown = np.zeros((n_rows, n_slots, length), dtype=self.values.dtype)
+        grown[:, :held, :old_length] = self.values
+        self._hold(grown)
+        rows = np.arange(n_rows)[:, None] * (n_slots * length - held * old_length)
+        moved = rows + self.stream * (length - old_length)  # how far each member's stream moved
+        self.first += moved
+        self.last += moved
 
     def take(self, rows: np.ndarray) -> np.ndarray:
         """The next run's draws of each of the distinct table rows
         ``rows``, as one (K, P, R, width) array."""
-        cells = self.cells.take(rows, axis=0)
-        first = self.first.take(cells)
-        short = self.last.take(cells) - first < self.need
-        if np.count_nonzero(short):
-            for g in rows[short.any(axis=1)].tolist():
+        state = self.state.take(rows, axis=0)
+        if np.count_nonzero(state[:, 0]) < len(rows):
+            for g in rows[state[:, 0] == 0].tolist():
                 self._refill(g)
-            first = self.first.take(cells)
-        self.first.put(cells, first + self.advance.take(cells))
-        return self.flat.take(first[:, :, None] + self.offsets)
+            state = self.state.take(rows, axis=0)
+        self.state[rows] = state + self.advance.take(rows, axis=0)
+        return self.flat.take(state[:, 1:, None] + self.offsets)
 
     def _refill(self, g: int) -> None:
-        """Refill the members of row ``g`` that hold less than one run."""
-        first, last, start = self.first[g].tolist(), self.last[g].tolist(), self.start[g].tolist()
-        drawn = self.drawn[g]
-        moves = []  # per member refilled: (member, cursor, values kept, values held after, epochs drawn)
-        for r, need in enumerate(self.need.tolist()):
-            kept = last[r] - first[r]
-            if kept < need:
-                epochs = -(-max(need - kept, min(max(drawn[r], 8 * need), self.cap - kept)) // self.unit)
-                moves.append((r, first[r] - start[r], kept, kept + epochs * self.unit, epochs))
+        """Refill the streams of row ``g`` whose leader holds less than one
+        run, and count the passes the row can serve then."""
+        plan, self.left[g] = self._plan(g)
         length = self.values.shape[2]
-        if (longest := max(move[3] for move in moves)) > length:
-            grown = np.zeros(self.values.shape[:2] + (max(longest, min(2 * length, self.cap + self.unit)),),
-                             dtype=self.values.dtype)
-            grown[:, :, :length] = self.values
-            old_start = self.start
-            self._hold(grown)
-            self.first += self.start - old_start
-            self.last += self.start - old_start
-            start = self.start[g].tolist()
-        n, flat, generators = self.n_samples, self.flat, self.generators[g]
-        for r, cursor, kept, stop, epochs in moves:
-            b = start[r]
+        if (longest := max(kept + fresh for _, _, kept, fresh in plan)) > length:
+            self._resize(self.values.shape[1], max(longest, min(2 * length, self.cap + self.unit)))
+        n, flat, generators, drawn = self.n_samples, self.flat, self.generators[g], self.drawn[g]
+        begin, first = self.start[g].tolist(), self.first[g]
+        # per stream: how far its values move to the front, and where they end
+        moved, ends = [0] * len(drawn), self.last[g].take(self.lead[g]).tolist()
+        for s, tail, kept, fresh in plan:
+            b = begin[s]
+            cursor = first.item(tail) - b  # the tail's, from the stream's front
             if kept:
                 flat[b:b + kept] = flat[b + cursor:b + cursor + kept]
-            fresh = flat[b + kept:b + stop]
+            out = flat[b + kept:b + kept + fresh]
             if n is None:
-                generators[r].standard_normal(out=fresh)
+                generators[s].standard_normal(out=out)
             else:
-                order = np.tile(np.arange(n), (epochs, 1))
-                fresh[:] = generators[r].permuted(order, axis=1)[:, :self.unit].reshape(-1)
-                if fresh.min() < 0 or fresh.max() >= n:
+                epochs = fresh // self.unit
+                if epochs > len(self.order):
+                    self.order = np.tile(np.arange(n), (epochs, 1))
+                out[:] = generators[s].permuted(self.order[:epochs], axis=1)[:, :self.unit].reshape(-1)
+                if out.min() < 0 or out.max() >= n:
                     raise ConfigurationError("batch indices out of range")
-                fresh += g * n  # flat sample index into the table
-            self.first[g, r], self.last[g, r] = b, b + stop
-            drawn[r] += stop - kept
+                out += g * n  # flat sample index into the table
+            moved[s], ends[s] = cursor, b + kept + fresh
+            drawn[s] += fresh
+        if len(drawn) > 1:  # per member, that of its stream
+            stream = self.stream[g]
+            moved, ends = np.array(moved).take(stream), np.array(ends).take(stream)
+        else:
+            (moved,), (ends,) = moved, ends
+        first -= moved
+        self.last[g] = ends
+
+    def _plan(self, g: int) -> tuple[list, int]:
+        """The streams of row ``g`` to refill, as (stream, its tail, values
+        kept, values to draw), and the passes the row can serve after the
+        refill. A member that would then hold more than ``bound`` values
+        first splits off."""
+        while True:
+            first, last = self.first[g].tolist(), self.last[g].tolist()
+            plan, behind, passes = [], [], []
+            for s, (lead, tail, drawn) in enumerate(zip(self.lead[g], self.tail[g], self.drawn[g])):
+                kept, need = last[lead] - first[lead], self.need.item(lead)
+                if kept < need:
+                    fresh = max(need - kept, min(max(drawn, 8 * need), self.cap - kept))
+                    fresh = -(-fresh // self.unit) * self.unit
+                    passes.append((kept + fresh) // need)
+                    kept = last[tail] - first[tail]
+                    plan.append((s, tail, kept, fresh))
+                    if kept + fresh > self.bound:
+                        unread = self.last[g] - self.first[g]
+                        behind += np.flatnonzero((self.stream[g] == s) & (unread + fresh > self.bound)).tolist()
+                else:
+                    passes.append(kept // need)
+            if not behind:
+                return plan, min(passes)
+            self._split(g, behind)
+
+    def _split(self, g: int, members: list) -> None:
+        """Give each of ``members`` of row ``g`` a stream of its own: its
+        unread values and a copy of its stream's generator."""
+        lead, tail, drawn, generators = self.lead[g], self.tail[g], self.drawn[g], self.generators[g]
+        left = set()
+        for r in members:
+            s, slot = int(self.stream[g, r]), len(drawn)
+            if slot == self.values.shape[1]:
+                self._resize(min(2 * slot, self.stream.shape[1]), self.values.shape[2])
+            b, a, e = int(self.start[g, slot]), int(self.first[g, r]), int(self.last[g, r])
+            self.flat[b:b + e - a] = self.flat[a:e]
+            self.first[g, r], self.last[g, r], self.stream[g, r] = b, b + e - a, slot
+            generators.append(copy.deepcopy(generators[s]))
+            lead.append(r)
+            tail.append(r)
+            drawn.append(drawn[s])
+            left.add(s)
+        for s in left:  # a stream keeps its leader; its tail is now the member next behind
+            stayed = np.flatnonzero(self.stream[g] == s)
+            tail[s] = int(stayed[np.argmin(self.need.take(stayed))])
 
 
 def _draw_tables(config: RunConfig, member_seeds, k_steps) -> list:
@@ -635,15 +726,18 @@ def _draw_tables(config: RunConfig, member_seeds, k_steps) -> list:
     takes exact full gradients (``full_gradient``, or a quadratic table
     without noise).
 
-    Each member's client owns an independent generator keyed by (the
-    member's batching seed, client id), so members never share mutable RNG
-    state.
+    A client's stream of a member is the generator keyed by (the member's
+    batching seed, client id). Members of one batching seed read one
+    stream, so a table seeds one generator per distinct seed and noisy
+    client, and each member still reads its own generator's values.
     """
     fleet = config.fleet
     if config.full_gradient:
         return [None] * len(fleet.tables)
-    keys = [[s.batching] if isinstance(s.batching, (int, np.integer)) else list(s.batching)
-            for s in member_seeds]
+    seeds = {}  # each distinct batching seed, as a tuple, and its stream
+    streams = [seeds.setdefault((s.batching,) if isinstance(s.batching, (int, np.integer)) else tuple(s.batching),
+                                len(seeds))
+               for s in member_seeds]
     draws = []
     for positions, table in fleet.tables:
         glm = isinstance(table, GlmObjective)
@@ -651,10 +745,10 @@ def _draw_tables(config: RunConfig, member_seeds, k_steps) -> list:
         if not live.any():
             draws.append(None)
             continue
-        generators = [[np.random.default_rng(key + [i]) for key in keys] if on else None
+        generators = [[np.random.default_rng([*key, i]) for key in seeds] if on else None
                       for i, on in zip(positions.tolist(), live.tolist())]
         batch_size = (config.batch_size or table.batch_size) if glm else None
-        draws.append(_DrawTable(table, generators, len(keys), k_steps, batch_size))
+        draws.append(_DrawTable(table, generators, streams, k_steps, batch_size))
     return draws
 
 

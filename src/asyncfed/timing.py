@@ -374,18 +374,25 @@ class Schedule:
         n, rows = self.n_rounds, int(self._offsets[self.n_rounds])
         sizes = [r.clients.size for r in rounds]
         end, stop = n + len(rounds), rows + sum(sizes)
-        self._length, self._time, self._offsets = (
-            _grown(self._length, end), _grown(self._time, end), _grown(self._offsets, end + 1))
-        columns = self._clients, self._multiplicity, self._anchors, self._round_of
-        self._clients, self._multiplicity, self._anchors, self._round_of = (_grown(c, stop) for c in columns)
-        self._length[n:end] = [r.length for r in rounds]
-        self._time[n:end] = times
-        self._offsets[n + 1 : end + 1] = list(accumulate(sizes, initial=rows))[1:]
-        self._clients[rows:stop] = np.concatenate([r.clients for r in rounds])
-        self._multiplicity[rows:stop] = np.concatenate([r.multiplicity for r in rounds])
-        self._anchors[rows:stop] = np.concatenate([r.anchors for r in rounds])
-        # one round (a highest-loss replay appends one at a time) is a scalar fill, far cheaper than a repeat
-        self._round_of[rows:stop] = n if end == n + 1 else np.arange(n, end).repeat(sizes)
+        if end > self._length.shape[0] or end >= self._offsets.shape[0]:
+            self._length, self._time, self._offsets = (
+                _grown(self._length, end), _grown(self._time, end), _grown(self._offsets, end + 1))
+        if stop > self._round_of.shape[0]:
+            columns = self._clients, self._multiplicity, self._anchors, self._round_of
+            self._clients, self._multiplicity, self._anchors, self._round_of = (_grown(c, stop) for c in columns)
+        if end == n + 1:  # one round (a highest-loss replay appends one at a time): its columns as they are
+            (r,) = rounds
+            self._length[n], self._time[n], self._offsets[end] = r.length, times[0], stop
+            self._clients[rows:stop], self._multiplicity[rows:stop] = r.clients, r.multiplicity
+            self._anchors[rows:stop], self._round_of[rows:stop] = r.anchors, n
+        else:
+            self._length[n:end] = [r.length for r in rounds]
+            self._time[n:end] = times
+            self._offsets[n + 1 : end + 1] = list(accumulate(sizes, initial=rows))[1:]
+            self._clients[rows:stop] = np.concatenate([r.clients for r in rounds])
+            self._multiplicity[rows:stop] = np.concatenate([r.multiplicity for r in rounds])
+            self._anchors[rows:stop] = np.concatenate([r.anchors for r in rounds])
+            self._round_of[rows:stop] = np.arange(n, end).repeat(sizes)
         self.n_rounds = end
 
     def truncate(self, n_rounds: int) -> None:

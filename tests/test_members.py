@@ -328,3 +328,82 @@ def test_ensemble_equals_the_per_member_loop(name):
     assert got["final_loss"] == want["final_loss"]
     for field in ("mean_theta", "var_theta", "se_theta", "mean_dist_sq", "se_dist_sq"):
         assert np.array_equal(got[field], want[field], equal_nan=True), field
+
+
+@pytest.mark.parametrize("values", [(1, 25), (1, 20, 25)])
+@pytest.mark.parametrize("family", ["noisy_quadratic", "glm_minibatch"])
+def test_members_that_lag_their_stream_split_off_and_still_equal_their_runs(monkeypatch, family, values):
+    # k_steps values on shared seeds: each seed's k_steps=25 member leads
+    # the stream they read, and the k_steps=1 member falls 24 steps further
+    # behind every pass. With a small _LOCAL_FLOATS it lags past what one
+    # member's own table may hold and splits off into a stream of its own
+    # (with 20 steps, the stream keeps a member behind its leader); the
+    # table never holds more than that per member
+    fleet = _noisy(OPTIMA_1D) if family == "noisy_quadratic" else _glm_fleet()
+    config = _config(fleet, ASYNC, WeightScheme.ASYNC_TIME_BASED, time_budget=60.0)
+    members = [replace(config, seeds=s, k_steps=k) for k in values for s in MEMBER_SEEDS[:3]]
+    n_rows, n_members = len(fleet), len(members)
+    monkeypatch.setattr(engine, "_LOCAL_FLOATS", n_rows * n_members * 250)
+    splits, refills = [], []
+    split, refill = engine._DrawTable._split, engine._DrawTable._refill
+
+    def counted_split(self, g, behind):
+        splits.append(len(behind))
+        return split(self, g, behind)
+
+    def checked_refill(self, g):
+        refill(self, g)
+        refills.append(g)
+        # what one member's own table held at most: a refill leaves under
+        # one run and one epoch (or one step) past the cap
+        cap = max(engine._LOCAL_FLOATS // (n_rows * n_members), int(self.need.max()))
+        assert (self.last - self.first).max() <= cap + self.unit - 1
+        assert self.values.size <= n_rows * n_members * (cap + self.unit)
+
+    monkeypatch.setattr(engine._DrawTable, "_split", counted_split)
+    monkeypatch.setattr(engine._DrawTable, "_refill", checked_refill)
+    got = run_members(members)
+    monkeypatch.undo()
+    assert len(splits) >= n_rows and len(refills) > len(splits)  # every row splits, and refills go on
+    for member, member_config in zip(got, members):
+        _assert_equals_its_run(member, member_config)
+
+
+def _counted_draws(monkeypatch):
+    """Counts of the generators ``np.random.default_rng`` seeds and of the
+    normals they draw."""
+    counts = {"generators": 0, "normals": 0}
+    default_rng = np.random.default_rng
+
+    class Counted:
+        """A generator that counts the normals it draws into ``out``."""
+
+        def __init__(self, rng):
+            self._rng = rng
+
+        def standard_normal(self, *, out):
+            counts["normals"] += out.size
+            return self._rng.standard_normal(out=out)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    def counted(*args):
+        counts["generators"] += 1
+        return Counted(default_rng(*args))
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    return counts
+
+
+def test_the_shipped_sweep_seeds_one_generator_per_seed_and_client(monkeypatch):
+    # member j of every value shares seed material, so the 60 members of
+    # the six values read 10 seeds x 5 noisy clients = 50 streams, and the
+    # streams draw what the k_steps=25 members, which lead them, read
+    document = json.loads(SHIPPED_SWEEP.read_text())
+    counts = _counted_draws(monkeypatch)
+    cli.sweep_rows(document, "k_steps", document["sweep"]["values"])
+    assert counts == {"generators": 50, "normals": 40_000}
+    counts.update(generators=0, normals=0)
+    cli.sweep_rows(document, "k_steps", [25])
+    assert counts == {"generators": 50, "normals": 40_000}

@@ -285,11 +285,11 @@ class TestGlmKernel:
             def permuted(self, x, axis):
                 return x + 6
 
-        draws = _DrawTable(_glm("logistic"), [[Stray()] * n_members], n_members, 25, 5)
+        draws = _DrawTable(_glm("logistic"), [[Stray()] * n_members], range(n_members), 25, 5)
         with pytest.raises(ConfigurationError, match="out of range"):
             draws.take(np.array([0]))
         with pytest.raises(ConfigurationError, match="batch size"):
-            _DrawTable(_glm("logistic"), [[np.random.default_rng(1)] * n_members], n_members, 25, 25)
+            _DrawTable(_glm("logistic"), [[np.random.default_rng(1)] * n_members], range(n_members), 25, 25)
         # the kernel holds no check of its own: numpy's take raises
         with pytest.raises(IndexError):
             local_sgd(_glm("logistic"), [0], np.zeros((1, n_members, 3)), 2, 0.1,
@@ -758,7 +758,7 @@ class TestDrawTable:
         assert mine.bit_generator.state == ref.bit_generator.state
 
     def test_epoch_partitions_without_replacement(self):
-        draws = _DrawTable(_glm("logistic", n=8), [[np.random.default_rng(0)]], 1, 2, 4)
+        draws = _DrawTable(_glm("logistic", n=8), [[np.random.default_rng(0)]], [0], 2, 4)
         assert sorted(draws.take(np.array([0])).ravel().tolist()) == list(range(8))
 
     @pytest.mark.parametrize("k_steps", [1, 3, 9, 17])
@@ -768,7 +768,7 @@ class TestDrawTable:
         # within an epoch, across one and across several
         table = _glm("logistic", seeds=range(2), n=n_samples)
         draws = _DrawTable(table, [[np.random.default_rng([g, r]) for r in range(2)] for g in range(2)],
-                           2, k_steps, batch_size)
+                           range(2), k_steps, batch_size)
         ref = [[BatchStream(n_samples, batch_size, np.random.default_rng([g, r])) for r in range(2)]
                for g in range(2)]
         for rows in ([1, 0], [0], [0], [1], [0, 1], [1, 0], [0]) * 3:
@@ -783,7 +783,7 @@ class TestDrawTable:
         k_steps = [1, 4, 9]
         table = _glm("logistic", seeds=range(2), n=n_samples)
         draws = _DrawTable(table, [[np.random.default_rng([g, r]) for r in range(3)] for g in range(2)],
-                           3, np.array(k_steps), batch_size)
+                           range(3), np.array(k_steps), batch_size)
         ref = [[BatchStream(n_samples, batch_size, np.random.default_rng([g, r])) for r in range(3)]
                for g in range(2)]
         for rows in ([1, 0], [0], [0], [1], [0, 1], [1, 0], [0]) * 3:
@@ -792,7 +792,7 @@ class TestDrawTable:
             assert np.array_equal(got, _ragged_draws(table, rows, k_steps, [ref[g] for g in rows]))
 
     def test_reshuffles_between_epochs(self):
-        draws = _DrawTable(_glm("logistic", n=64), [[np.random.default_rng(0)]], 1, 2, 32)
+        draws = _DrawTable(_glm("logistic", n=64), [[np.random.default_rng(0)]], [0], 2, 32)
         first, second = (draws.take(np.array([0])).ravel() for _ in range(2))
         assert sorted(first.tolist()) == sorted(second.tolist())
         assert not np.array_equal(first, second)
@@ -801,7 +801,7 @@ class TestDrawTable:
     def test_noise_rows_equal_per_run_draws_and_noiseless_rows_read_zeros(self, k_steps):
         table = QuadraticObjective(np.ones((3, 2)), np.zeros((3, 2)), 0.0, [0.5, 0.0, 1.5])
         generators = [[np.random.default_rng([g, r]) for r in range(3)] if g != 1 else None for g in range(3)]
-        draws = _DrawTable(table, generators, 3, k_steps, None)
+        draws = _DrawTable(table, generators, range(3), k_steps, None)
         ref = [[np.random.default_rng([g, r]) for r in range(3)] for g in range(3)]
         for rows in ([2, 1, 0], [1], [0, 2], [2]) * 4:
             got = draws.take(np.array(rows))
