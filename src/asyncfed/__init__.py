@@ -10,7 +10,6 @@ from .core import (
     UnsupportedConfigError,
     convergence_residual,
     distribution_weights,
-    federated_loss,
     uniform_importances,
     weighted_optimum,
 )

@@ -96,14 +96,6 @@ def lr_constraint(k_steps: int, smoothness: float, rho: float, eta_g: float, tau
     return base * min(1.0, 1.0 / damping) if damping > 0 else base
 
 
-def exponent_check(a: float, b: float, c: float) -> bool:
-    """Admissibility of growth exponents: window ~ N^a and staleness ~ N^b
-    are compatible with a learning rate ~ N^-c iff max(a, b) < c < 1."""
-    if min(a, b, c) < 0:
-        raise ConfigurationError("exponents must be nonnegative")
-    return max(a, b) < c < 1.0
-
-
 @dataclass(frozen=True)
 class SchemePreset:
     scheme: str

@@ -143,22 +143,11 @@ def _as_weights(weights, n_clients: int) -> np.ndarray:
 # Objectives over the fleet
 # ---------------------------------------------------------------------------
 
-def federated_loss(model, fleet: Fleet) -> float:
-    """Importance-weighted full-batch loss sum(p_i * L_i(theta))."""
-    params = _as_params(model)
-    if params.shape[-1] != fleet.dim:
-        raise ConfigurationError(
-            f"model dimension {params.shape[-1]} does not match fleet dimension {fleet.dim}"
-        )
-    return math.fsum(fleet.importances * fleet.losses(params.reshape(1, -1))[0])
-
-
 @dataclass(frozen=True)
 class ResidualEstimate:
     """Monte-Carlo estimate of the gradient second moment at an optimum."""
 
     value: float
-    stderr: float
     n_draws: int
 
 
@@ -175,8 +164,8 @@ def convergence_residual(
 
     With full gradients (``batch_size=None`` and noiseless objectives) every
     draw is identical, so the estimate is exact, read off one
-    :meth:`Fleet.gradients` call, and the standard error is 0. The caller
-    supplies the optimum; see :func:`weighted_optimum`.
+    :meth:`Fleet.gradients` call. The caller supplies the optimum; see
+    :func:`weighted_optimum`.
     """
     if n_draws <= 0:
         raise ConfigurationError("n_draws must be positive")
@@ -186,13 +175,12 @@ def convergence_residual(
     if batch_size is None and not noisy:
         squares = [float(np.dot(g, g)) for g in fleet.gradients(theta)]
         total = float(ordered_sum(qi * sq for qi, sq in zip(q, squares) if qi != 0.0))
-        return ResidualEstimate(total, 0.0, n_draws)
+        return ResidualEstimate(total, n_draws)
 
     from .objectives import GlmObjective, _glm_gradient  # objectives imports this module
 
     rng = rng or np.random.default_rng(0)
     total = 0.0
-    var_total = 0.0
     for i, qi in enumerate(q):
         if qi == 0.0:
             continue
@@ -213,9 +201,7 @@ def convergence_residual(
                 g = full + noise_std * rng.standard_normal(full.shape[0]) if noise_std > 0.0 else full
                 samples[s] = float(np.dot(g, g))
         total += qi * samples.mean()
-        if n_draws > 1:
-            var_total += qi * qi * samples.var(ddof=1) / n_draws
-    return ResidualEstimate(total, math.sqrt(var_total), n_draws)
+    return ResidualEstimate(total, n_draws)
 
 
 @dataclass(frozen=True)

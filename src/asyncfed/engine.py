@@ -82,7 +82,6 @@ _FIRST_REPLAY_BLOCK, _REPLAY_BLOCK = 16, 1024
 # bound on the floats one local_sgd call holds (iterates, its slice of the draw
 # table, gathered samples), and on the values one draw table holds
 _LOCAL_FLOATS = 1 << 20
-CSV_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ On fixed hardware the synchronous, asynchronous and FedFix schedules are
 known before any model exists: :func:`merged_schedule` builds a whole run's
 rounds from one event merge into a columnar :class:`Schedule`, the record
 that blocks of :func:`advance_round` rounds extend for every other schedule.
+:func:`steady_period` records one period of the asynchronous and FedBuff
+schedules, which the staleness and window analyses read.
 """
 
 from __future__ import annotations
@@ -332,7 +334,10 @@ class Schedule:
         self.n_rounds = length.shape[0]
         self._length, self._time, self._offsets = length, time, offsets
         self._clients, self._multiplicity, self._anchors = clients, multiplicity, anchors
-        self._round_of = np.repeat(np.arange(self.n_rounds), np.diff(offsets[: self.n_rounds + 1]))
+        rounds, ends = np.arange(self.n_rounds), offsets[: self.n_rounds + 1]
+        # one participation a round, as in an asynchronous record: no repeat
+        one_each = ends[-1] == self.n_rounds and (ends[1:] != ends[:-1]).all()
+        self._round_of = rounds if one_each else np.repeat(rounds, np.diff(ends))
 
     @classmethod
     def empty(cls, state: FleetState) -> Schedule:
@@ -586,11 +591,12 @@ def merged_schedule(state: FleetState, policy: WaitPolicy, *, rounds: int | None
                     clients, np.ones(clients.shape[0], dtype=np.int64), anchors)
 
 
-def _async_merge(starts, period, limit, rounds=None):
+def _async_merge(starts, period, limit, rounds=None, origin=0):
     """The asynchronous deliveries that land by tick ``limit``, client by
     client: the order that serves the first ``rounds`` of them (default:
-    all), and each one's tick, client and anchor. A stable sort of the
-    client-major sequences serves equal ticks lowest client first."""
+    all), and each one's tick, client and anchor, the anchor counted from
+    round ``origin``. A stable sort of the client-major sequences serves
+    equal ticks lowest client first."""
     counts = np.maximum((limit - starts) // period + 1, 0).astype(np.int64, copy=False)
     served = counts > 0
     client = np.repeat(np.arange(counts.shape[0]), counts)
@@ -600,14 +606,15 @@ def _async_merge(starts, period, limit, rounds=None):
     ticks = np.repeat(period, counts)
     ticks *= k
     ticks += np.repeat(starts, counts)
-    order = np.argsort(ticks, kind="stable")[:rounds]
+    # numpy's stable sort is a radix sort on 16-bit keys, which hold ticks below 2^16
+    order = np.argsort(ticks.astype(np.uint16) if limit < 1 << 16 else ticks, kind="stable")[:rounds]
     rank = np.empty(client.shape[0], dtype=np.int64)
     rank[order] = np.arange(order.shape[0])
     # a client's previous delivery is the entry before it, and is served
     # first; the anchors take the place of k
     anchors = k
-    np.add(rank[:-1], 1, out=anchors[1:])
-    anchors[first] = 0
+    np.add(rank[:-1], 1 - origin, out=anchors[1:])
+    anchors[first] = -origin
     return order, ticks, client, anchors
 
 
@@ -656,7 +663,10 @@ def _tick_times(ticks: np.ndarray, scale: int) -> np.ndarray:
     if (not scale & (scale - 1) and scale.bit_length() < 960) or (
         scale <= 1 << 53 and ticks.max(initial=0) <= 1 << 53
     ):
-        return ticks.astype(np.float64) / float(scale)
+        times = ticks.astype(np.float64)
+        if scale != 1:  # integer times need no division
+            times /= float(scale)
+        return times
     return np.array([t / scale for t in ticks.tolist()], dtype=np.float64)
 
 
@@ -677,12 +687,12 @@ def staleness_bound(policy: WaitPolicy, hw: HardwareModel, taus) -> int:
     """Maximum rounds a delivered contribution can lag behind its anchor.
 
     Synchronous participation and per-round sampling never lag. Fixed-window
-    aggregation lags at most the longest client period, max_i
-    ceil(tau_i / delta_t) (see :func:`fedfix_period`). The purely
-    asynchronous bound is read off the event order of one schedule cycle;
-    the buffered policy has no closed form and is measured over one steady
-    period of its replayed schedule. Either raises UnsupportedConfigError
-    when the schedule is longer than ``SCHEDULE_ROUND_CAP`` rounds.
+    aggregation is bounded by the longest client period, max_i
+    ceil(tau_i / delta_t) (see :func:`fedfix_period`), one above the lag it
+    realizes: a delivery trains from the model after the client's previous
+    one. The asynchronous and buffered bounds are the largest round minus
+    anchor of their :func:`steady_period`, which raises
+    UnsupportedConfigError past ``SCHEDULE_ROUND_CAP`` rounds.
     """
     if hw.mode != "fixed":
         raise UnsupportedConfigError(
@@ -694,63 +704,68 @@ def staleness_bound(policy: WaitPolicy, hw: HardwareModel, taus) -> int:
         return 0
     if kind is PolicyKind.FEDFIX:
         return max(fedfix_period(t, policy.delta_t) for t in taus)
-    if kind is PolicyKind.ASYNCHRONOUS:
-        return _async_staleness(taus)
-    if kind is PolicyKind.FEDBUFF:
-        _, steady = replay_steady_period(policy, taus)
-        return int(np.concatenate([r.staleness for r in steady]).max())
+    if kind is PolicyKind.ASYNCHRONOUS or kind is PolicyKind.FEDBUFF:
+        _, period = steady_period(policy, taus)
+        return int((period.round_of - period.anchors).max())
     raise UnsupportedConfigError(f"no staleness bound for policy {kind}")
 
 
-def _async_staleness(taus) -> int:
-    """Steady-state staleness bound of the asynchronous schedule, read off
-    one cycle of :func:`merged_schedule`'s event merge. Client i delivers
-    c_i times a cycle, so on a scale of lcm(c) ticks a cycle its clock is
-    lcm(c) / c_i, proportional to tau_i, and its first delivery ends it.
+def steady_period(policy: WaitPolicy, taus) -> tuple[int, Schedule]:
+    """The start round and the rounds of one steady period of the
+    fixed-hardware asynchronous or FedBuff schedule of fresh clocks
+    ``taus``, as a :class:`Schedule` on the fleet's tick scale whose round n
+    is round ``start + n``. Its anchors count rounds from the same origin
+    (round ``start`` is 0, earlier rounds are negative), so ``round_of -
+    anchors``, and each round's ``staleness``, are the lags. Every anchor
+    in it was set by a delivery, so its lags are the steady ones.
+    An asynchronous record's multiplicities are a read-only view of ones.
+    Raises UnsupportedConfigError when the period, or for FedBuff its first
+    repeat plus one period, takes more than ``SCHEDULE_ROUND_CAP`` rounds.
 
-    The cycle ends with every client delivering at once, lowest index
-    first, so client i's last delivery of a cycle of n rounds is round
-    n - M + i, and its first delivery of the next cycle, at round r + n,
-    lags r + M - 1 - i rounds behind its anchor (its anchor in the record is
-    round 0). Every other delivery lags its round minus its anchor.
+    Asynchronous client i delivers at k tau_i, k >= 1, a pattern that
+    repeats every nu, the rational lcm of the times; the period is the
+    sum(c_i) rounds (:func:`participations_per_cycle`) that end in
+    (2 tau_max, 2 tau_max + nu], from one event merge (ticks past int64 as
+    Python ints). FedBuff is replayed by :func:`advance_round` until its
+    clocks repeat, found by Brent's algorithm (Brent, BIT 20, 1980) with
+    two clock arrays: a leading replay parks its clocks at rounds 2^k - 1
+    and looks up to 2^k rounds further for them, then two replays one
+    period apart meet at the start of the cycle.
     """
-    counts = participations_per_cycle(taus)
-    n_rounds = sum(counts)
-    if n_rounds > SCHEDULE_ROUND_CAP:
-        raise UnsupportedConfigError(
-            f"the asynchronous schedule repeats only every {n_rounds} rounds, "
-            f"beyond the {SCHEDULE_ROUND_CAP}-round cap of the staleness analysis"
-        )
-    cycle = math.lcm(*counts)
-    # Python ints past int64: slow, but exact
-    period = np.array([cycle // c for c in counts], dtype=np.int64 if cycle <= _INT64_MAX else object)
-    order, _, client, anchors = _async_merge(period, period, cycle)
-    clients, anchors = client.take(order), anchors.take(order)
-    # a first delivery's lag in the record, its round, is no more than its steady one
-    firsts = np.flatnonzero(anchors == 0)
-    lag = np.arange(n_rounds)
-    lag -= anchors
-    return int(max(lag.max(), (firsts + (len(period) - 1) - clients[firsts]).max()))
-
-
-def replay_steady_period(policy: WaitPolicy, taus) -> tuple[int, list[Round]]:
-    """Replay a fixed-hardware schedule until its clocks repeat.
-
-    Returns the period in rounds and the rounds of the period that starts
-    at the first repeat. Every client delivers within each period, so by
-    then every anchor was set inside the cycle and the staleness is steady.
-    Raises UnsupportedConfigError unless the first repeat plus one period
-    fit in ``SCHEDULE_ROUND_CAP`` rounds.
-
-    The cycle is found with Brent's algorithm (Brent, BIT 20, 1980), which
-    holds two clock arrays rather than one per round replayed. A leading
-    replay finds the period: it parks a copy of its clocks at rounds
-    2^k - 1 and looks up to 2^k rounds further for them. Two replays one
-    period apart then meet at the start of the cycle.
-    """
-    hw = HardwareModel("fixed")
     taus = list(taus)
     cap = SCHEDULE_ROUND_CAP
+    if policy.kind is PolicyKind.ASYNCHRONOUS:
+        counts = participations_per_cycle(taus)
+        n_rounds = sum(counts)
+        if n_rounds > cap:
+            raise UnsupportedConfigError(
+                f"the asynchronous schedule repeats only every {n_rounds} rounds, "
+                f"beyond the {cap}-round cap of the staleness analysis"
+            )
+        # on the fleet's tick scale nu is c_0 tau_0, and client i's clock nu / c_i
+        scale = math.lcm(*(exact_ratio(t)[1] for t in taus))
+        num, den = exact_ratio(taus[0])
+        cycle = counts[0] * num * (scale // den)
+        ticks = [cycle // c for c in counts]
+        warm = 2 * max(ticks)
+        start = sum(warm // t for t in ticks)  # the deliveries by 2 tau_max
+        # Python ints past int64: slow, but exact
+        periods = np.array(ticks, dtype=np.int64 if warm + cycle <= _INT64_MAX else object)
+        order, ends, clients, anchors = _async_merge(periods, periods, warm + cycle, origin=start)
+        rows = order[start : start + n_rounds]
+        ends = ends.take(order[start - 1 : start + n_rounds])
+        clients, anchors = clients.take(rows), anchors.take(rows)
+        # each array goes before the next columns are made, and the ones are a read-only view:
+        # the peak, which sets the fresh pages a call touches, stays near the merge's
+        del order, rows
+        length, time = np.diff(ends), _tick_times(ends[1:], scale)
+        del ends
+        return start, Schedule(scale, length, time, np.arange(n_rounds + 1), clients,
+                               np.broadcast_to(np.int64(1), (n_rounds,)), anchors)
+    if policy.kind is not PolicyKind.FEDBUFF:
+        raise UnsupportedConfigError(f"no steady-period record for policy {policy.kind}")
+
+    hw = HardwareModel("fixed")
 
     def replay():
         return init_fleet_state(taus, hw, policy=policy)
@@ -787,6 +802,11 @@ def replay_steady_period(policy: WaitPolicy, taus) -> tuple[int, list[Round]]:
     while not np.array_equal(lead.remaining, trail.remaining):
         step(lead)
         step(trail)
-    if lead.round_index + period > cap:
+    start = lead.round_index
+    if start + period > cap:
         raise unsettled()
-    return period, [step(lead) for _ in range(period)]
+    record, steps = Schedule.empty(lead), [(step(lead), lead.time) for _ in range(period)]
+    record.extend([r for r, _ in steps], [t for _, t in steps])
+    anchors = record.anchors
+    anchors -= start  # a view of the record's column
+    return start, record

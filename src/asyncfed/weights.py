@@ -23,7 +23,7 @@ from .timing import (
     fastest_first,
     fedfix_period,
     participations_per_cycle,
-    replay_steady_period,
+    steady_period,
 )
 
 
@@ -98,9 +98,9 @@ def window_stats(
     repeat. Synchronous and per-round sampling schedules repeat every round.
     The asynchronous schedule repeats after lcm({tau_i}) time units, one
     round per contribution. Fixed-interval aggregation repeats after
-    lcm({ceil(tau_i / delta_t)}) rounds. The buffered policy is measured
-    from its replayed schedule. The averages are exact, from the weights'
-    integer numerators, until they are rounded to float.
+    lcm({ceil(tau_i / delta_t)}) rounds. The buffered policy's window is
+    its :func:`~asyncfed.timing.steady_period`. The averages are exact, from
+    the weights' integer numerators, until they are rounded to float.
 
     Only tests read ``q_over_window`` today. Its planned readers are the
     steady-period identity, whose right side is
@@ -157,8 +157,10 @@ def _exact_weights(scheme, p, compute_times, policy, hw, custom_d) -> tuple[list
 
 def window_counts(policy: WaitPolicy | None, taus) -> tuple[int, list[int] | None]:
     """Window size and each client's deliveries per window, from one
-    analysis of the schedule. The counts are None for sampling policies,
-    whose participation is random."""
+    analysis of the schedule: closed forms, except for the buffered policy,
+    whose window is the length of its :func:`~asyncfed.timing.steady_period`
+    and whose counts are that period's deliveries per client. The counts are
+    None for sampling policies, whose participation is random."""
     if policy is None or policy.kind is PolicyKind.SYNCHRONOUS:
         return 1, [1] * len(taus)
     if policy.is_sampling:
@@ -171,9 +173,8 @@ def window_counts(policy: WaitPolicy | None, taus) -> tuple[int, list[int] | Non
         window = math.lcm(*periods)
         return window, [window // p for p in periods]
     if policy.kind is PolicyKind.FEDBUFF:
-        window, steady = replay_steady_period(policy, taus)
-        clients = np.concatenate([r.clients for r in steady])
-        return window, np.bincount(clients, minlength=len(taus)).tolist()
+        _, period = steady_period(policy, taus)
+        return len(period), np.bincount(period.clients, minlength=len(taus)).tolist()
     raise UnsupportedConfigError(f"no window size for policy {policy.kind}")
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from asyncfed.bounds import (
     BoundInputs,
     epsilon_terms,
-    exponent_check,
     fill_inputs,
     format_report,
     lr_constraint,
@@ -103,22 +102,6 @@ class TestLrConstraint:
         assert lr_constraint(k, smooth, rho * 1.5, eta_g, tau) <= base
         assert lr_constraint(k, smooth, rho, eta_g * 1.5, tau) <= base
         assert lr_constraint(k, smooth, rho, eta_g, tau + 1) <= base
-
-
-class TestExponentCheck:
-    @pytest.mark.parametrize(
-        "a,b,c,expected",
-        [
-            (0.0, 0.0, 0.5, True),
-            (1.0, 0.0, 0.5, False),
-            (0.3, 0.4, 0.4, False),
-            (0.0, 0.0, 1.0, False),
-            (0.2, 0.3, 0.9, True),
-            (0.5, 0.5, 0.5, False),
-        ],
-    )
-    def test_truth_table(self, a, b, c, expected):
-        assert exponent_check(a, b, c) is expected
 
 
 class TestSchemePresets:

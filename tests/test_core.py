@@ -11,7 +11,6 @@ from asyncfed.core import (
     Fleet,
     convergence_residual,
     distribution_weights,
-    federated_loss,
     ordered_sum,
     weighted_optimum,
 )
@@ -21,30 +20,9 @@ from asyncfed.objectives import make_synthetic_shards
 from conftest import client_row, quadratic_fleet
 
 
-class TestFederatedLoss:
-    def test_two_quadratics_midpoint(self, two_client_fleet):
-        assert federated_loss([1.0], two_client_fleet) == pytest.approx(0.5, abs=1e-15)
-
-    def test_single_client_at_its_optimum(self):
-        fleet = quadratic_fleet([[3.0]], importances=[1.0])
-        obj = client_row(fleet, 0)
-        assert federated_loss([3.0], fleet) == pytest.approx(obj.value([3.0])[0], abs=0)
-
-    def test_matches_hand_summation_on_random_fleets(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            optima = rng.normal(size=(3, 2))
-            p = rng.dirichlet(np.ones(3)).tolist()
-            fleet = quadratic_fleet([o.tolist() for o in optima], importances=p)
-            theta = rng.normal(size=2)
-            by_hand = 0.0
-            for i, pi in enumerate(p):
-                by_hand += pi * client_row(fleet, i).value(theta)[0]
-            assert federated_loss(theta, fleet) == pytest.approx(by_hand, abs=1e-12)
-
-    def test_dimension_mismatch_rejected(self, two_client_fleet):
-        with pytest.raises(ConfigurationError):
-            federated_loss([1.0, 2.0], two_client_fleet)
+def _loss_fed(theta, fleet):
+    """The importance-weighted loss sum(p_i * L_i(theta))."""
+    return math.fsum(fleet.importances * fleet.losses(np.reshape(theta, (1, -1)))[0])
 
 
 class TestOrderedSum:
@@ -65,7 +43,6 @@ class TestConvergenceResidual:
         fleet = quadratic_fleet([[1.5], [1.5], [1.5]])
         est = convergence_residual(fleet, fleet.importances, [1.5], n_draws=10)
         assert est.value == 0.0
-        assert est.stderr == 0.0
 
     def test_single_client_at_optimum(self):
         fleet = quadratic_fleet([[4.0]], importances=[1.0])
@@ -89,7 +66,7 @@ class TestConvergenceResidual:
         monkeypatch.setattr(Fleet, "gradients", lambda self, t: calls.append(1) or original(self, t))
         est = convergence_residual(fleet, q, theta, n_draws=n_draws)
         assert len(calls) == 1
-        assert est.value == want and est.stderr == 0.0 and est.n_draws == n_draws
+        assert est.value == want and est.n_draws == n_draws
 
     @pytest.mark.parametrize("batch_size", [None, 2, 4])
     def test_stochastic_draws_go_client_by_client(self, batch_size):
@@ -107,7 +84,7 @@ class TestConvergenceResidual:
         est = convergence_residual(fleet, q, theta, n_draws=n_draws, batch_size=batch_size,
                                    rng=np.random.default_rng(5))
         draws = np.random.default_rng(5)
-        total = var_total = 0.0
+        total = 0.0
         for i, qi in enumerate(q):
             if qi == 0.0:
                 continue
@@ -122,8 +99,7 @@ class TestConvergenceResidual:
                     g = g + obj.noise_std[0] * draws.standard_normal(3)
                 samples[s] = float(np.dot(g, g))
             total += qi * samples.mean()
-            var_total += qi * qi * samples.var(ddof=1) / n_draws
-        assert est.value == total and est.stderr == math.sqrt(var_total) > 0.0
+        assert est.value == total
 
     def test_zero_draws_rejected(self, two_client_fleet):
         with pytest.raises(ConfigurationError):
@@ -165,8 +141,8 @@ class TestConvexityAlongSegments:
         rng = np.random.default_rng(seed)
         fleet = quadratic_fleet([rng.normal(size=2).tolist() for _ in range(3)])
         a, b = rng.normal(size=2), rng.normal(size=2)
-        mid = federated_loss((a + b) / 2, fleet)
-        assert mid <= 0.5 * federated_loss(a, fleet) + 0.5 * federated_loss(b, fleet) + 1e-12
+        mid = _loss_fed((a + b) / 2, fleet)
+        assert mid <= 0.5 * _loss_fed(a, fleet) + 0.5 * _loss_fed(b, fleet) + 1e-12
 
     def test_logistic_fleet_midpoint_bound(self):
         rng = np.random.default_rng(9)
@@ -176,8 +152,8 @@ class TestConvexityAlongSegments:
         fleet = Fleet([(np.arange(1), obj)], [1], [1.0])
         for _ in range(20):
             a, b = rng.normal(size=3), rng.normal(size=3)
-            mid = federated_loss((a + b) / 2, fleet)
-            assert mid <= 0.5 * federated_loss(a, fleet) + 0.5 * federated_loss(b, fleet) + 1e-12
+            mid = _loss_fed((a + b) / 2, fleet)
+            assert mid <= 0.5 * _loss_fed(a, fleet) + 0.5 * _loss_fed(b, fleet) + 1e-12
 
 
 class TestWeightedOptimum:
@@ -334,7 +310,7 @@ class TestFleetTables:
             assert np.array_equal(matrix[:, i], obj.values(thetas)[:, 0])
         for theta in thetas[:3]:
             by_client = [pi * client_row(fleet, i).value(theta)[0] for i, pi in enumerate(fleet.importances)]
-            assert federated_loss(theta, fleet) == math.fsum(by_client)
+            assert _loss_fed(theta, fleet) == math.fsum(by_client)
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_quadratic_fleet_losses_are_the_per_client_bits(self, dim):
@@ -350,7 +326,7 @@ class TestFleetTables:
             assert np.array_equal(matrix[:, i], obj.values(thetas)[:, 0])
         for theta in thetas[:5]:
             by_client = [pi * table.row(i).value(theta)[0] for i, pi in enumerate(fleet.importances)]
-            assert federated_loss(theta, fleet) == math.fsum(by_client)
+            assert _loss_fed(theta, fleet) == math.fsum(by_client)
 
     @pytest.mark.parametrize("link", ["linear", "logistic"])
     def test_glm_optimum_is_the_per_client_descent(self, link):

@@ -27,7 +27,7 @@ import asyncfed
 from asyncfed.config import CONFIG_SCHEMA, _StrictValidator, build_experiment, build_fleet, validate_config
 from asyncfed.core import ConfigurationError, UnsupportedConfigError
 from asyncfed.objectives import QuadraticObjective
-from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy, fastest_first, replay_steady_period
+from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy, fastest_first, steady_period
 from asyncfed.weights import WeightPlan, WeightScheme, plan_weights, window_stats
 
 # ---------------------------------------------------------------------------
@@ -307,7 +307,8 @@ def reference_plan(scheme, importances, compute_times, policy, custom_d=None):
         window = math.lcm(*periods)
         counts = [window // q for q in periods]
     else:
-        window, steady = replay_steady_period(policy, taus)
+        _, steady = steady_period(policy, taus)
+        window = len(steady)
         counts = np.bincount(np.concatenate([r.clients for r in steady]), minlength=n).tolist()
 
     if counts is not None:
@@ -377,7 +378,7 @@ def test_weight_plan_holds_the_weights_only():
     assert [field.name for field in dataclasses.fields(WeightPlan)] == ["scheme", "d"]
 
 
-_ANALYSES = ("participations_per_cycle", "replay_steady_period")
+_ANALYSES = ("participations_per_cycle", "steady_period")
 
 
 @pytest.mark.parametrize("decimal", [False, True], ids=["integer_times", "decimal_times"])
@@ -387,6 +388,8 @@ def test_set_up_never_analyses_the_schedule(monkeypatch, decimal):
     def forbidden(*args, **kwargs):
         raise AssertionError("the schedule was analysed during set-up")
 
+    # a renamed analysis would leave nothing to patch
+    assert all(hasattr(asyncfed.timing, name) for name in _ANALYSES)
     for module in [m for name, m in sys.modules.items() if name.startswith("asyncfed")]:
         for name in _ANALYSES:
             if hasattr(module, name):

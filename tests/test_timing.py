@@ -2,6 +2,7 @@ import json
 import math
 import time
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +14,15 @@ from asyncfed.timing import (
     SCHEDULE_ROUND_CAP,
     HardwareModel,
     PolicyKind,
+    Schedule,
     WaitPolicy,
     advance_round,
     fedfix_period,
     init_fleet_state,
     merged_schedule,
     participations_per_cycle,
-    replay_steady_period,
     staleness_bound,
+    steady_period,
 )
 
 from conftest import fixed_schedule, round_durations
@@ -292,6 +294,16 @@ class TestStalenessBound:
         )
         assert realized <= bound
 
+    @pytest.mark.parametrize("taus, delta_t, bound", [([1, 3], 2, 2), ([0.3, 0.7, 0.2], 0.1, 7), ([2.5, 1], 0.5, 5),
+                                                        ([Fraction(7, 3), 1], Fraction(2, 3), 4)])
+    def test_fixed_window_bound_is_one_above_the_realized_lag(self, taus, delta_t, bound):
+        # a delivery in round n trained from the model after the client's
+        # previous delivery, round n - ceil(tau_i / delta_t) + 1
+        policy = WaitPolicy(PolicyKind.FEDFIX, delta_t=delta_t)
+        schedule = merged_schedule(init_fleet_state(taus, FIXED, policy=policy), policy, rounds=200)
+        assert staleness_bound(policy, FIXED, taus) == bound
+        assert int((schedule.round_of - schedule.anchors).max()) == bound - 1
+
     def test_async_two_client_cycle(self):
         assert staleness_bound(WaitPolicy(PolicyKind.ASYNCHRONOUS), FIXED, [1, 2]) == 2
 
@@ -458,6 +470,17 @@ def _replayed_period(policy, taus, max_rounds=100_000):
     raise AssertionError("reference replay did not cycle")
 
 
+class TestScheduleRecord:
+    @pytest.mark.parametrize("offsets, round_of", [([0, 1, 2, 3], [0, 1, 2]), ([0, 0, 2, 3], [1, 1, 2]),
+                                                   ([0, 2, 2, 3], [0, 0, 2]), ([0], [])])
+    def test_round_column(self, offsets, round_of):
+        n = len(offsets) - 1
+        rows = offsets[-1]
+        schedule = Schedule(1, np.ones(n, dtype=np.int64), np.arange(1.0, n + 1), np.array(offsets),
+                            np.zeros(rows, dtype=np.int64), np.ones(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64))
+        assert schedule.round_of.tolist() == round_of
+
+
 class TestSteadyPeriodReplay:
     def test_buffered_period_and_staleness_match_the_reference_replays(self):
         rng = np.random.default_rng(3)
@@ -465,15 +488,15 @@ class TestSteadyPeriodReplay:
             m = int(rng.integers(2, 7))
             taus = [int(t) for t in rng.integers(1, 10, size=m)]
             policy = WaitPolicy(PolicyKind.FEDBUFF, m=int(rng.integers(1, m + 1)))
-            period, steady = replay_steady_period(policy, taus)
-            assert period == len(steady) == _replayed_period(policy, taus)
+            _, steady = steady_period(policy, taus)
+            assert len(steady) == _replayed_period(policy, taus)
             assert staleness_bound(policy, FIXED, taus) == _replayed_staleness(policy, taus)
 
     def test_the_steady_period_repeats(self):
         policy = WaitPolicy(PolicyKind.FEDBUFF, m=2)
         taus = [8, 2, 7]  # clocks first repeat after a transient longer than the period
-        period, steady = replay_steady_period(policy, taus)
-        start = steady[0].index
+        start, steady = steady_period(policy, taus)
+        period = len(steady)
         later = fixed_schedule(taus, policy, start + 3 * period)
         def shape(outcomes):
             return [
@@ -483,11 +506,57 @@ class TestSteadyPeriodReplay:
 
         for k in (1, 2):
             assert shape(later[start + k * period:start + (k + 1) * period]) == shape(steady)
+        assert steady.time.tolist() == [float(t) for t in accumulate(o.delta_t for o in later)][start:start + period]
 
     def test_round_cap_is_unsupported(self, monkeypatch):
         monkeypatch.setattr(timing, "SCHEDULE_ROUND_CAP", 5)
         with pytest.raises(UnsupportedConfigError, match="within 5 rounds"):
-            replay_steady_period(WaitPolicy(PolicyKind.FEDBUFF, m=2), [8, 2, 7])
+            steady_period(WaitPolicy(PolicyKind.FEDBUFF, m=2), [8, 2, 7])
+
+
+def _reference_schedule(taus, policy, n_rounds):
+    """The first ``n_rounds`` rounds of fresh clocks as the engine records
+    them: one event merge, or replayed rounds where the ticks pass int64."""
+    state = init_fleet_state(taus, FIXED, policy=policy)
+    schedule = merged_schedule(state, policy, rounds=n_rounds)
+    if schedule is None:
+        schedule = Schedule.empty(state)
+        rounds = [advance_round(state, policy, list(taus), FIXED) for _ in range(n_rounds)]
+        schedule.extend(rounds, [float(t) for t in accumulate(r.delta_t for r in rounds)])
+    return schedule
+
+
+def _period_lags(schedule, first, n_rounds):
+    """Clients and lags, round minus anchor, of rounds first .. first + n_rounds - 1."""
+    rows = slice(schedule.offsets[first], schedule.offsets[first + n_rounds])
+    return schedule.clients[rows].tolist(), (schedule.round_of - schedule.anchors)[rows].tolist()
+
+
+class TestAsyncSteadyPeriod:
+    @pytest.mark.parametrize("fleets", ["seeded", "primes"])
+    def test_async_period_is_one_cycle_of_the_schedule(self, fleets):
+        if fleets == "seeded":  # integer and rational times
+            fleets = _random_fleets() + [list(BOUNDS_TIMES)]
+        else:  # ticks past int64
+            fleets = [[Fraction(1, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)]]
+        for taus in fleets:
+            start, steady = steady_period(ASYNC, taus)
+            n = len(steady)
+            assert np.bincount(steady.clients, minlength=len(taus)).tolist() == participations_per_cycle(taus)
+            schedule = _reference_schedule(taus, ASYNC, start + 2 * n)
+            assert steady.scale == schedule.scale
+            assert steady.length.tolist() == schedule.length[start:start + n].tolist()
+            assert steady.time.tolist() == schedule.time[start:start + n].tolist()
+            assert steady.multiplicity.tolist() == [1] * n
+            assert _period_lags(schedule, start, n) == _period_lags(schedule, start + n, n)
+            clients, lags = _period_lags(schedule, start, n)
+            assert steady.clients.tolist() == clients
+            assert (steady.round_of - steady.anchors).tolist() == lags
+            assert np.concatenate([r.staleness for r in steady]).tolist() == lags
+
+    def test_other_policies_have_no_record(self):
+        with pytest.raises(UnsupportedConfigError, match="no steady-period record"):
+            steady_period(WaitPolicy(PolicyKind.FEDFIX, delta_t=1), [1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -722,9 +791,9 @@ class TestArrayClockMatchesTheReference:
         policy = WaitPolicy(PolicyKind.FEDBUFF, m=2)
         big = [t * 2 ** 70 for t in (8, 2, 7)]
         assert init_fleet_state(big, FIXED, policy=policy).remaining.dtype == object
-        period, steady = replay_steady_period(policy, [8, 2, 7])
-        period_big, steady_big = replay_steady_period(policy, big)
-        assert period_big == period
+        start, steady = steady_period(policy, [8, 2, 7])
+        start_big, steady_big = steady_period(policy, big)
+        assert (start_big, len(steady_big)) == (start, len(steady))
         for big, small in zip(steady_big, steady, strict=True):
             for field in ("clients", "multiplicity", "anchors"):
                 assert np.array_equal(getattr(big, field), getattr(small, field))
@@ -860,6 +929,15 @@ class TestMergedSchedule:
         assert state.scale == 2**52 and int(got.length.sum()) > 2**53
         assert _record(got) == _record(want)
         assert [t.hex() for t in got.time.tolist()] == [t.hex() for t in times]
+
+    @pytest.mark.parametrize("time_limit", [2**16 - 1, 2**16, 70_000])
+    def test_async_order_on_both_sides_of_16_bit_ticks(self, time_limit):
+        # ties included: 1000, 1500 and 2500 share every multiple of 15000
+        taus, policy = [1500, 1000, 2500, 1499], WaitPolicy(PolicyKind.ASYNCHRONOUS)
+        state = init_fleet_state(taus, FIXED, policy=policy)
+        got = merged_schedule(state, policy, time_limit=time_limit)
+        want, times = _looped_schedule(taus, policy, time_limit=time_limit)
+        assert _record(got) == _record(want) and got.time.tolist() == times
 
     def test_ticks_beyond_int64_are_left_to_the_loop(self):
         policy = WaitPolicy(PolicyKind.ASYNCHRONOUS)
