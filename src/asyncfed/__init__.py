@@ -21,6 +21,6 @@ from .objectives import (
     local_sgd,
     make_synthetic_shards,
 )
-from .oracle import OracleState, expectation_recursion, expected_round_time, phi, staleness_law, variance_recursion
+from .oracle import OracleState, expectation_recursion, expected_round_time, phi, variance_recursion
 from .timing import FleetState, HardwareModel, PolicyKind, WaitPolicy, advance_round, staleness_bound
 from .weights import WeightPlan, WeightScheme, chi_square_bias, plan_weights, verify_window_assumption, window_stats

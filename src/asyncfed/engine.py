@@ -66,9 +66,11 @@ MAX_K_STEPS = 10_000  # local steps per run
 # KB and ~8 us each); also the most seeds an ensemble config may ask for
 MAX_ENSEMBLE_SEEDS = 10_000
 # n_runs x M of a scalar ensemble: its (n_runs, M) held-anchor buffer is
-# 128 MiB at the cap, and a window round draws an array and a mask that size;
-# the asynchronous rounds add an (ASYNC_CHUNK_ROUNDS, n_runs) buffer of client
-# indices, one byte each up to M = 256 (8 rounds: one float64 member vector)
+# 128 MiB at the cap; the asynchronous rounds add an (ASYNC_CHUNK_ROUNDS,
+# n_runs) buffer of client indices, one byte each up to M = 256 (8 rounds:
+# one float64 member vector). An asynchronous round of the exact oracle holds
+# three (M+1)^2 matrices (its second moment, its rows and one temporary), and
+# the three together are held to the same cap
 MAX_HELD_ANCHORS = 1 << 24
 # the asynchronous scalar ensemble runs its members in blocks of this many
 # (640 KiB of held anchors at M = 10, so a block stays in a 2 MiB L2 cache
@@ -991,10 +993,14 @@ def _by_value(value, memo: dict):
 @dataclass(frozen=True)
 class ScalarEnsembleConfig:
     """Monte-Carlo settings for the symmetric scalar-quadratic schemes that
-    have closed-form counterparts. The members run to the last checkpoint;
-    statistics are taken at round 0 and at each checkpoint only."""
+    have closed-form counterparts. A round moves every member by
+    eta_g * phi times the mean pull of its participants, which is the
+    engine's update under equal weights d_i = 1/k for k participants per
+    round (other equal weights fold into eta_g). The members run to the
+    last checkpoint; statistics are taken at round 0 and at each checkpoint
+    only."""
 
-    scheme: str                      # sync | sync_uniform | async | hybrid
+    scheme: str                      # sync | sync_uniform | async
     optima: tuple[float, ...]
     phi: float
     eta_g: float = 1.0
@@ -1003,15 +1009,12 @@ class ScalarEnsembleConfig:
     n_runs: int = 10_000
     seed: int = 0
     m: int | None = None             # sync_uniform sample size
-    window: float | None = None      # hybrid window (unit-rate time)
 
     def __post_init__(self):
-        if self.scheme not in ("sync", "sync_uniform", "async", "hybrid"):
+        if self.scheme not in ("sync", "sync_uniform", "async"):
             raise ConfigurationError(f"unsupported scalar ensemble scheme {self.scheme!r}")
         if self.scheme == "sync_uniform" and not (self.m and 1 <= self.m <= len(self.optima)):
             raise ConfigurationError("sync_uniform needs 1 <= m <= M")
-        if self.scheme == "hybrid" and (self.window is None or self.window <= 0):
-            raise ConfigurationError("hybrid needs a positive window")
         if self.checkpoints and min(self.checkpoints) < 0:
             raise ConfigurationError("checkpoints must be nonnegative rounds")
         if self.n_runs < 1 or not self.checkpoints or max(self.checkpoints) < 1:
@@ -1042,10 +1045,9 @@ def run_scalar_ensemble(cfg: ScalarEnsembleConfig) -> ScalarEnsembleResult:
 
     Equivalent in distribution to driving :func:`run` with the matching
     policy and symmetric exponential hardware; kept separate so oracle
-    comparisons can afford 1e5 members. The members' held anchors are one
-    (members, M) buffer: the asynchronous rounds run as member blocks x
-    round chunks over it (:func:`_async_rounds`), and the window scheme
-    overwrites it in place.
+    comparisons can afford 1e5 members. The asynchronous members' held
+    anchors are one (members, M) buffer, and their rounds run as member
+    blocks x round chunks over it (:func:`_async_rounds`).
     """
     rng = np.random.default_rng(cfg.seed)
     optima = np.asarray(cfg.optima, dtype=float)
@@ -1056,10 +1058,8 @@ def run_scalar_ensemble(cfg: ScalarEnsembleConfig) -> ScalarEnsembleResult:
     rounds = np.array(sorted({0, *cfg.checkpoints}))
 
     theta = np.full(n_runs, float(cfg.theta0))
-    held = np.full((n_runs, m_clients), float(cfg.theta0))
-    if cfg.scheme == "hybrid":
-        rate = 1.0 - math.exp(-cfg.window)
-        d = 1.0 / (rate * m_clients)
+    # only the asynchronous members hold anchors; the others train from theta
+    held = np.full((n_runs, m_clients), float(cfg.theta0)) if cfg.scheme == "async" else None
 
     mean, se_mean, sm, se_sm = np.empty((4, rounds.shape[0]))
 
@@ -1079,15 +1079,10 @@ def run_scalar_ensemble(cfg: ScalarEnsembleConfig) -> ScalarEnsembleResult:
             for _ in range(gap):
                 if cfg.scheme == "sync":
                     theta = theta + step * (theta_star - theta)
-                elif cfg.scheme == "sync_uniform":
+                else:  # sync_uniform
                     scores = rng.random((n_runs, m_clients))
                     chosen = np.argpartition(scores, cfg.m - 1, axis=1)[:, : cfg.m]
                     theta = theta + step * (optima[chosen].mean(axis=1) - theta)
-                else:  # hybrid
-                    mask = rng.random((n_runs, m_clients)) < rate
-                    contrib = (mask * (optima[None, :] - held)).sum(axis=1)
-                    theta = theta + step * d * contrib
-                    np.copyto(held, theta[:, None], where=mask)
         record(due)
     return ScalarEnsembleResult(rounds, mean, se_mean, sm, se_sm, n_runs, theta_star)
 

@@ -1,46 +1,48 @@
-"""Closed-form expectation and variance recursions for scalar quadratic
-clients, used as ground truth against simulated trajectories.
+"""Exact moment recursions for scalar quadratic clients, used as ground
+truth against simulated trajectories.
 
-All formulas assume the symmetric setting: equal client importance 1/M,
-loss curvature 1/2 (so one local pass contracts toward the client optimum by
-phi = 1 - (1 - eta_l)^K), and for the stochastic-participation schemes a
-common memoryless hardware law. Heterogeneous-rate asynchronous fleets have
-no closed form here and are rejected.
+Clients have curvature 1/2, so K local steps from an anchor a end at
+a + phi (x_i - a), with phi = 1 - (1 - eta_l)^K, and the server adds eta_g
+d_i times that move: client i contributes c_i (x_i - a) with the step
+c_i = eta_g d_i phi. Second moments are taken about the federated optimum of
+identical importances, theta_star = mean(x_i).
 
 Schemes
 -------
-``sync``          every client participates, fresh anchors.
-``sync_uniform``  m of M clients drawn uniformly without replacement,
-                  fresh anchors, per-client weight 1/m.
-``async``         one uniformly random participant per round, weight 1,
-                  geometric staleness law.
-``hybrid``        independent participation per fixed window of length T
-                  (unit-rate exponential work), weight 1/((1-e^-T) M).
+``sync``          every client trains from the current model each round.
+``sync_uniform``  m of M clients, drawn uniformly without replacement, train
+                  from the current model; sync is the case m = M.
+``async``         one client per round, client j with probability p_j = 1/M
+                  (equal-rate memoryless hardware); it trains from the model
+                  it last received, its anchor a_j, and receives the new one.
 
 Exactness
 ---------
-The recursions marginalize the staleness anchor with its round-n law as if
-it were independent of the trajectory. For fresh-anchor schemes (sync,
-sync_uniform) both recursions are exact, and for async the expectation
-recursion is exact as well: the participant is uniform over clients, so the
-per-client conditional biases average out. The async variance recursion and
-both hybrid recursions keep the independence idealization and are exact
-only for the first round (all anchors still sit at the initial model);
-downstream checks treat Monte-Carlo simulation as the arbiter for those and
-gate pass/fail on the exact quantities.
+Both recursions are exact for every scheme; only floating-point rounding
+separates them from the true moments. With fresh anchors the state is theta
+alone: a round is theta' = (1 - C) theta + D, with C and D the sums of c_j and
+c_j x_j over the participants, drawn independently of theta. The mean and
+second moment then need only the first two moments of (C, D), from the
+inclusion probabilities m/M and m(m-1)/(M(M-1)). The asynchronous state
+y = (theta, a_1..a_M) is a jump-linear system (Costa, Fragoso & Marques,
+*Discrete-Time Markov Jump Linear Systems*, 2005): in mode j,
+theta' = a_j' = v_j = theta + c_j (x_j - a_j) and the other anchors stay.
+Only theta and a_j move in mode j, so a round costs O(M) for the mean and
+O(M^2) for the raw second moment E[y y^T], with no dense (1+M)^3 product.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .core import ConfigurationError, UnsupportedConfigError, ordered_sum
+from .engine import MAX_HELD_ANCHORS, write_trajectory_table
 
-SCHEMES = ("sync", "sync_uniform", "async", "hybrid")
+SCHEMES = ("sync", "sync_uniform", "async")
+# (M+1)^2 matrices alive at once in an asynchronous second-moment round
+_ASYNC_MATRICES = 3
 
 
 def phi(eta_l: float, k_steps: int) -> float:
@@ -55,194 +57,135 @@ def phi(eta_l: float, k_steps: int) -> float:
 
 @dataclass(frozen=True)
 class OracleState:
-    """Scheme parameters for the closed-form recursions."""
+    """A scheme and the clients' steps c_i = eta_g d_i phi."""
 
     scheme: str
     phi: float
-    n_clients: int | None = None
+    steps: tuple[float, ...]
     m: int | None = None            # sync_uniform sample size
-    window: float | None = None     # hybrid window length (unit-rate time)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown oracle scheme {self.scheme!r}")
         if not 0 <= self.phi <= 1:
             raise ConfigurationError("phi must lie in [0, 1]")
-        if self.scheme in ("async", "hybrid", "sync_uniform"):
-            if self.n_clients is None or self.n_clients < 1:
-                raise ConfigurationError(f"{self.scheme} needs the client count")
+        n_clients = len(self.steps)
+        if n_clients < 1:
+            raise ConfigurationError("the oracle needs at least one client")
         if self.scheme == "sync_uniform":
             if self.m is None or not 1 <= self.m:
                 raise ConfigurationError("sync_uniform needs a sample size m >= 1")
-            if self.m > self.n_clients:
+            if self.m > n_clients:
                 raise ConfigurationError("sample size m exceeds the client count")
-        if self.scheme == "hybrid" and (self.window is None or self.window <= 0):
-            raise ConfigurationError("hybrid needs a positive window length")
+        # checked before anything is allocated
+        held = _ASYNC_MATRICES * (n_clients + 1) ** 2
+        if self.scheme == "async" and held > MAX_HELD_ANCHORS:
+            raise UnsupportedConfigError(
+                f"the asynchronous second moment of {n_clients} clients holds "
+                f"{_ASYNC_MATRICES} {n_clients + 1}^2 matrices a round, "
+                f"above {MAX_HELD_ANCHORS} floats"
+            )
 
 
-def staleness_law(state: OracleState, n: int, exact: bool = False):
-    """Distribution of the anchor round k in 0..n of a round-n contribution.
-
-    With ``exact`` the geometric law is returned in rational arithmetic so
-    it sums to one identically.
-    """
-    if n < 0:
-        raise ConfigurationError("round index must be nonnegative")
-    scheme = state.scheme
-    if scheme in ("sync", "sync_uniform"):
-        if exact:
-            return [Fraction(0)] * n + [Fraction(1)]
-        law = np.zeros(n + 1)
-        law[n] = 1.0
-        return law
-    if scheme == "async":
-        m_clients = state.n_clients
-        if exact:
-            stay = Fraction(m_clients - 1, m_clients)
-            law = [stay ** (n - k) / m_clients for k in range(n + 1)]
-            law[0] = stay ** n
-            return law
-        stay = (m_clients - 1) / m_clients
-        law = np.array([stay ** (n - k) / m_clients for k in range(n + 1)])
-        law[0] = stay ** n
-        return law
-    times = [k * state.window for k in range(n + 1)]
-    # memoryless completions form a unit-rate Poisson process: anchor k means
-    # the last completion before t[n] fell inside round k-1
-    decay = [math.exp(-(times[n] - t)) for t in times]
-    law = np.empty(n + 1)
-    law[0] = decay[0]
-    for k in range(1, n + 1):
-        law[k] = decay[k] - decay[k - 1]
-    return law
+def expectation_recursion(state: OracleState, optima, n_rounds: int, theta0: float) -> np.ndarray:
+    """E[theta^n] for n = 0..n_rounds, every model starting at ``theta0``."""
+    return _moments(state, optima, n_rounds, theta0, second=False)[0]
 
 
-def _staleness_laws(state: OracleState, n_rounds: int):
-    """Yield ``staleness_law(state, n)`` for n = 0..n_rounds-1, one at a
-    time. The asynchronous laws are slices of one table of the powers of
-    (M-1)/M, so the sequence costs n_rounds Python powers where building
-    each law anew costs O(n_rounds^2); the entries keep their bits."""
-    if state.scheme != "async":
-        for n in range(n_rounds):
-            yield staleness_law(state, n)
-        return
-    stay = (state.n_clients - 1) / state.n_clients
-    powers = np.array([stay ** j for j in range(n_rounds)])
-    shares = powers / state.n_clients
-    for n in range(n_rounds):
-        law = shares[n::-1].copy()
-        law[0] = powers[n]
-        yield law
+def variance_recursion(state: OracleState, optima, n_rounds: int, theta0: float) -> np.ndarray:
+    """E[(theta^n - theta_star)^2] for n = 0..n_rounds, every model starting
+    at ``theta0``."""
+    return _moments(state, optima, n_rounds, theta0, second=True)[1]
 
 
-@dataclass(frozen=True)
-class ExpectationSequence:
-    """Affine coefficients of the expected model: E[theta^n] = A[n] * theta0 + B[n]."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-    def mean(self, theta0: float) -> np.ndarray:
-        return self.A * theta0 + self.B
-
-
-def expectation_recursion(
-    state: OracleState, n_rounds: int, eta_g: float, optima
-) -> ExpectationSequence:
-    """Run A[n+1] = A[n] - eta_g phi sum_k q_{n,k} A[k] (and the matching
-    intercept update pulled toward the federated optimum)."""
+def _moments(state: OracleState, optima, n_rounds: int, theta0: float, second: bool):
+    """The mean of theta and, with ``second``, its second moment about
+    theta_star, rounds 0..n_rounds. Both run on coordinates shifted by
+    theta_star, which the update commutes with."""
     optima = np.atleast_1d(np.asarray(optima, dtype=float))
-    theta_star = float(optima.mean())
-    a = np.empty(n_rounds + 1)
-    b = np.empty(n_rounds + 1)
-    a[0], b[0] = 1.0, 0.0
-    step = eta_g * state.phi
-    for n, law in enumerate(_staleness_laws(state, n_rounds)):
-        a[n + 1] = a[n] - step * float(np.dot(law, a[: n + 1]))
-        b[n + 1] = b[n] - step * float(np.dot(law, b[: n + 1])) + step * theta_star
-    return ExpectationSequence(a, b)
-
-
-@dataclass(frozen=True)
-class VarianceSequence:
-    """Second moments E[(theta^n - theta_star)^2] and, for the stale-anchor
-    schemes, the cross-round inner-product table U[u, v]."""
-
-    second_moment: np.ndarray
-    u_table: np.ndarray | None = None
-
-
-def variance_recursion(
-    state: OracleState, optima, n_rounds: int, theta0: float
-) -> VarianceSequence:
-    """Second-moment sequence of the distance to the federated optimum.
-
-    Server learning rate 1 and equal client importance are assumed, matching
-    the closed forms. Scheme parameters fix the weight scale d and the
-    participation covariance (gamma, R):
-
-    - sync:          R = 1, d = 1/M, gamma = 0
-    - sync_uniform:  R^2 = m(m-1)/(M(M-1)), d = 1/m, gamma = (m/M - R^2) d^2
-    - async:         R = 0, d = 1, gamma = 1/M
-    - hybrid:        R = 1 - e^-T, d = 1/(RM), gamma = e^-T / ((1 - e^-T) M^2)
-    """
-    optima = np.atleast_1d(np.asarray(optima, dtype=float))
-    m_clients = optima.shape[0]
-    if state.n_clients is not None and state.n_clients != m_clients:
+    steps = np.asarray(state.steps, dtype=float)
+    if optima.shape != steps.shape:
         raise ConfigurationError("optima length disagrees with the client count")
     theta_star = float(optima.mean())
-    spread = float(np.sum((optima - theta_star) ** 2))
-    p = state.phi
-    v = np.empty(n_rounds + 1)
-    v[0] = (theta0 - theta_star) ** 2
-
-    if state.scheme == "sync":
-        for n in range(n_rounds):
-            v[n + 1] = (1.0 - p) ** 2 * v[n]
-        return VarianceSequence(v)
-
-    if state.scheme == "sync_uniform":
-        m = state.m
-        r_sq = m * (m - 1) / (m_clients * (m_clients - 1)) if m_clients > 1 else 1.0
-        d = 1.0 / m
-        gamma = (m / m_clients - r_sq) * d * d
-        drive = gamma * p * p * spread
-        for n in range(n_rounds):
-            v[n + 1] = (1.0 - 2.0 * p + p * p) * v[n] + drive
-        return VarianceSequence(v)
-
+    z = optima - theta_star
+    start = float(theta0) - theta_star
+    mean, moment = np.empty((2, n_rounds + 1))
+    mean[0], moment[0] = start, start * start
     if state.scheme == "async":
-        cross_coeff = 0.0
-        self_coeff = 1.0
-        drive = (p * p / m_clients) * spread
-    elif state.scheme == "hybrid":
-        stay = math.exp(-state.window)
-        gamma = stay / ((1.0 - stay) * m_clients ** 2)
-        drive = gamma * p * p * spread
-        self_coeff = 1.0 / (m_clients * (1.0 - stay))
-        cross_coeff = (m_clients - 1) / m_clients
-    else:
-        raise UnsupportedConfigError(
-            "no closed-form variance for scheme " + state.scheme
-        )
+        p = np.full(len(z), 1.0 / len(z))
+        mu = np.full(len(z) + 1, start)
+        s = np.full((len(z) + 1, len(z) + 1), start * start) if second else None
+        for n in range(1, n_rounds + 1):
+            mu, s = _async_round(mu, s, p, steps, z)
+            mean[n] = mu[0]
+            if second:
+                moment[n] = s[0, 0]
+        return mean + theta_star, moment
 
-    u = np.zeros((n_rounds + 1, n_rounds + 1))
-    u[0, 0] = v[0]
-    for n, law in enumerate(_staleness_laws(state, n_rounds)):
-        weighted_u = float(np.dot(law, u[n, : n + 1]))
-        weighted_v = float(np.dot(law, v[: n + 1]))
-        double_sum = float(law @ u[: n + 1, : n + 1] @ law) if cross_coeff else 0.0
-        v[n + 1] = (
-            v[n]
-            - 2.0 * p * weighted_u
-            + drive
-            + p * p * self_coeff * weighted_v
-            + p * p * cross_coeff * double_sum
-        )
-        u[: n + 1, n + 1] = u[: n + 1, n] - p * (u[: n + 1, : n + 1] @ law)
-        u[n + 1, : n + 1] = u[: n + 1, n + 1]
-        u[n + 1, n + 1] = v[n + 1]
-    return VarianceSequence(v, u)
+    keep, drive, var_c, cov, var_d = _fresh_round(state, steps, z)
+    for n in range(n_rounds):
+        mean[n + 1] = keep * mean[n] + drive
+        moment[n + 1] = ((keep * keep + var_c) * moment[n]
+                         + 2.0 * (keep * drive - cov) * mean[n] + drive * drive + var_d)
+    return mean + theta_star, moment
+
+
+def _fresh_round(state: OracleState, c: np.ndarray, z: np.ndarray):
+    """A fresh-anchor round theta' = (1 - C) theta + D as (1 - E C, E D,
+    Var C, Cov(C, D), Var D), for m of the M clients drawn uniformly."""
+    n_clients = len(c)
+    m = n_clients if state.scheme == "sync" else state.m
+    single = m / n_clients  # inclusion probability of a client, then of a pair
+    pair = m * (m - 1) / (n_clients * (n_clients - 1)) if n_clients > 1 else 1.0
+    # Cov of sum_S u and sum_S v over the draw S: (pi1 - pi2) sum u_j v_j + (pi2 - pi1^2) sum u sum v
+    own, joint = single - pair, pair - single * single
+    cz = c * z
+    total_c, total_cz = float(c.sum()), float(cz.sum())
+    return (
+        1.0 - single * total_c,
+        single * total_cz,
+        own * float(c @ c) + joint * total_c * total_c,
+        own * float(c @ cz) + joint * total_c * total_cz,
+        own * float(cz @ cz) + joint * total_cz * total_cz,
+    )
+
+
+def _async_round(mu: np.ndarray, s: np.ndarray | None, p, c, z):
+    """One asynchronous round of the mean ``mu`` and, unless ``s`` is None,
+    the raw second moment ``s`` of y = (theta, a_1..a_M), which it updates in
+    place: client j, with probability p_j (summing to 1), delivers
+    v_j = w_j . y + b_j, where w_j = e_0 - c_j e_j and b_j = c_j z_j, and
+    theta' = a_j' = v_j. At most ``_ASYNC_MATRICES`` matrices of s's size
+    are alive at once: s, the rows r and one temporary."""
+    anchors = mu[1:]
+    b = c * z
+    v = mu[0] - c * anchors + b  # E v_j
+    new_mu = np.empty_like(mu)
+    new_mu[0] = p @ v
+    new_mu[1:] = p * v + (1.0 - p) * anchors
+    if s is None:
+        return new_mu, None
+    clients = np.arange(len(c))
+    # row j: r_j = E[v_j y] = S w_j + b_j mu
+    r = s[0] - c[:, None] * s[1:]
+    r += b[:, None] * mu
+    r_anchors = r[:, 1:]
+    own = r_anchors[clients, clients]  # E[v_j a_j]
+    q = r[:, 0] - c * own + b * v  # E[v_j^2] = w_j . r_j + b_j E v_j
+    # theta' a_k': v_j a_k in mode j != k, v_k^2 in mode k
+    cross = p @ r_anchors + p * (q - own)
+    held = s[clients + 1, clients + 1]
+    # anchors i != k: mode i replaces a_i, mode k replaces a_k, others keep both
+    shift = r_anchors
+    shift -= s[1:, 1:]
+    shift *= p[:, None]
+    s[1:, 1:] += shift
+    s[1:, 1:] += shift.T
+    s[clients + 1, clients + 1] = (1.0 - p) * held + p * q
+    s[0, 1:] = cross
+    s[1:, 0] = cross
+    s[0, 0] = p @ q
+    return new_mu, s
 
 
 def export_oracle_csv(
@@ -251,22 +194,17 @@ def export_oracle_csv(
     """Write closed-form sequences in the trajectory CSV schema: ``mean`` is
     E[theta^n] and ``second_moment`` E[(theta^n - theta_star)^2] for rounds
     0..n, as computed by :func:`expectation_recursion` and
-    :func:`variance_recursion` (server learning rate 1).
+    :func:`variance_recursion`.
 
     The participant and surrogate columns are left empty. Wall time uses the
     scheme's expected round duration under common exponential hardware with
-    the given rate (the window length itself for the fixed-window scheme).
+    the given rate.
     """
-    from .engine import write_trajectory_table
-
     optima = np.atleast_1d(np.asarray(optima, dtype=float))
     theta_star = float(optima.mean())
     mean_seq = np.asarray(mean, dtype=float)
     second = np.asarray(second_moment, dtype=float)
-    if state.scheme == "hybrid":
-        round_time = state.window / rate
-    else:
-        round_time = expected_round_time(state.scheme, len(optima), rate, m=state.m)
+    round_time = expected_round_time(state.scheme, len(optima), rate, m=state.m)
 
     offset = theta_star - optima
     drift = (mean_seq - theta_star)[:, None]

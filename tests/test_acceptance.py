@@ -22,7 +22,7 @@ from asyncfed.engine import (
 )
 from asyncfed.cli import sweep_rows
 from asyncfed.objectives import GlmObjective, QuadraticObjective, SyntheticShardConfig, make_synthetic_shards
-from asyncfed.oracle import OracleState, expectation_recursion, expected_round_time, phi, staleness_law, variance_recursion
+from asyncfed.oracle import OracleState, expectation_recursion, expected_round_time, phi, variance_recursion
 from asyncfed.timing import PolicyKind, WaitPolicy
 from asyncfed.weights import WeightScheme, plan_weights, verify_window_assumption, window_stats
 
@@ -148,16 +148,16 @@ class TestCriterion3AlternatingBiasAndRepair:
 class TestCriterion4UniformSamplingFixedPoint:
     def test_recursion_fixed_point_meets_monte_carlo(self):
         started = time.perf_counter()
-        state = OracleState("sync_uniform", 0.5, n_clients=2, m=1)
-        recursion = variance_recursion(state, [0.0, 2.0], 40, theta0=1.0)
-        assert abs(recursion.second_moment[-1] - 1 / 3) < 1e-12
+        state = OracleState("sync_uniform", 0.5, (0.5, 0.5), m=1)
+        second = variance_recursion(state, [0.0, 2.0], 40, theta0=1.0)
+        assert abs(second[-1] - 1 / 3) < 1e-12
 
         mc = run_scalar_ensemble(
             ScalarEnsembleConfig("sync_uniform", (0.0, 2.0), 0.5, theta0=1.0,
                                  checkpoints=(40,), n_runs=10_000, seed=11, m=1)
         )
         assert mc.rounds.tolist() == [0, 40]
-        gap = abs(mc.second_moment[-1] - recursion.second_moment[40])
+        gap = abs(mc.second_moment[-1] - second[40])
         assert gap <= 3 * mc.se_second_moment[-1]
         elapsed = time.perf_counter() - started
         assert elapsed < 30.0
@@ -165,14 +165,19 @@ class TestCriterion4UniformSamplingFixedPoint:
 
 
 class TestCriterion5AsyncExpectation:
-    def test_mean_recursion_meets_the_ensemble(self):
-        state = OracleState("async", 0.5, n_clients=2)
-        oracle_mean = expectation_recursion(state, 20, 1.0, [0.0, 2.0]).mean(0.0)
+    STATE = OracleState("async", 0.5, (0.5, 0.5))
+
+    def _ensemble(self):
         mc = run_scalar_ensemble(
             ScalarEnsembleConfig("async", (0.0, 2.0), 0.5, theta0=0.0,
                                  checkpoints=(1, 5, 20), n_runs=100_000, seed=0)
         )
         assert mc.rounds.tolist() == [0, 1, 5, 20]
+        return mc
+
+    def test_mean_recursion_meets_the_ensemble(self):
+        oracle_mean = expectation_recursion(self.STATE, [0.0, 2.0], 20, 0.0)
+        mc = self._ensemble()
         worst_z = 0.0
         for i, n in enumerate((1, 5, 20), start=1):
             z = abs(mc.mean[i] - oracle_mean[n]) / mc.se_mean[i]
@@ -180,14 +185,18 @@ class TestCriterion5AsyncExpectation:
             assert z <= 3.0
         report(5, f"ensemble mean within {worst_z:.2f} standard errors at n in {{1,5,20}}")
 
-    def test_staleness_laws_sum_to_one_exactly(self):
-        from fractions import Fraction
-
-        for m_clients in (2, 3, 7):
-            state = OracleState("async", 0.5, n_clients=m_clients)
-            for n in range(201):
-                assert sum(staleness_law(state, n, exact=True)) == Fraction(1)
-        report(5, "geometric staleness laws sum to 1 exactly for n <= 200")
+    def test_second_moment_recursion_is_exact_and_meets_the_ensemble(self):
+        # the exact rationals of the jump-linear recursion (M=2, phi=1/2)
+        second = variance_recursion(self.STATE, [0.0, 2.0], 20, 0.0)
+        assert abs(second[5] - 2945 / 8192) <= 1e-12
+        assert abs(second[20] - 0.3333673254759739) <= 1e-12
+        mc = self._ensemble()
+        worst_z = 0.0
+        for i, n in enumerate((1, 5, 20), start=1):
+            z = abs(mc.second_moment[i] - second[n]) / mc.se_second_moment[i]
+            worst_z = max(worst_z, z)
+            assert z <= 3.0
+        report(5, f"ensemble second moment within {worst_z:.2f} standard errors at n in {{1,5,20}}")
 
 
 class TestCriterion6ExpectedRoundTimes:

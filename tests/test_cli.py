@@ -582,6 +582,70 @@ class TestOracleCheck:
         ))
         assert mc_means["plain"] == direct.mean[1:].tolist()
 
+    SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "async_exponential_oracle.json"
+
+    def test_the_shipped_async_config_gates_every_column(self, tmp_path, capsys):
+        out = tmp_path / "oc"
+        assert main(["oracle-check", "--config", str(self.SHIPPED), "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert "FAIL" not in stdout and "(" not in stdout
+        assert stdout.splitlines()[-1] == "overall_pass = true"
+        payload = json.loads((out / "oracle_check.json").read_text())
+        rows = {row["n"]: row for row in payload["checkpoints"]}
+        assert all(row["mean_gate"] == row["m2_gate"] == "checked" for row in rows.values())
+        assert all(row["mean_pass"] and row["m2_pass"] for row in rows.values())
+        # the exact rationals of the jump-linear recursion
+        assert abs(rows[5]["oracle_m2"] - 2945 / 8192) <= 1e-12
+        assert abs(rows[20]["oracle_m2"] - 0.3333673254759739) <= 1e-12
+        assert abs(rows[5]["oracle_mean"] - 1.177734375) <= 1e-12
+        assert abs(rows[20]["oracle_mean"] - 1.0008179847336578) <= 1e-12
+
+    def test_the_configured_weights_set_the_step(self, tmp_path, capsys):
+        def oracle_json(weights):
+            document = load_config(self.SHIPPED)
+            document["scheme"]["weights"] = weights
+            document["oracle_check"]["n_runs"] = 20_000
+            out = tmp_path / weights
+            assert main(["oracle-check", "--config", str(write_config(tmp_path, document)), "--out", str(out)]) == 0
+            assert capsys.readouterr().out.splitlines()[-1] == "overall_pass = true"
+            return json.loads((out / "oracle_check.json").read_text())["checkpoints"]
+
+        identical, fedavg = oracle_json("identical"), oracle_json("fedavg")
+        # one round from theta0 = 0 moves the mean by c (E x_j - 0): c = 1/2, then 1/4
+        assert identical[0]["oracle_mean"] == 0.5 and fedavg[0]["oracle_mean"] == 0.25
+        assert identical[0]["mc_mean"] != fedavg[0]["mc_mean"]
+
+    def test_unequal_weights_are_unsupported(self, tmp_path, capsys):
+        document = load_config(self.SHIPPED)
+        document["scheme"] = {"policy": "asynchronous", "weights": "custom", "custom_d": [1.0, 0.5]}
+        assert main(["oracle-check", "--config", str(write_config(tmp_path, document))]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("unsupported: ") and "equal weights" in err
+
+    def test_a_fleet_above_the_second_moment_cap_exits_3_before_allocating(self, tmp_path, capsys, monkeypatch):
+        import tracemalloc
+
+        def started(*args):
+            raise AssertionError("an ensemble started")
+
+        monkeypatch.setattr("asyncfed.cli.run_scalar_ensemble", started)
+        m_clients = 4096  # one (M+1)^2 matrix alone passes MAX_HELD_ANCHORS: 134 MB
+        assert (m_clients + 1) ** 2 > MAX_HELD_ANCHORS
+        document = load_config(self.SHIPPED)
+        document["fleet"]["compute_times"] = [1.0] * m_clients
+        document["fleet"]["objective"]["optima"] = [float(i % 7) for i in range(m_clients)]
+        path = write_config(tmp_path, document)
+        tracemalloc.start()
+        try:
+            code = main(["oracle-check", "--config", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("unsupported: ") and "second moment" in err
+        assert peak < (16 << 20)
+
     def test_heterogeneous_async_is_unsupported(self, tmp_path, capsys):
         document = base_config(scheme={"policy": "asynchronous", "weights": "identical"})
         document["fleet"]["hardware"] = "exponential"
@@ -799,27 +863,22 @@ class TestGoldenRows:
         header = (out / "oracle_trajectory.csv").read_text().splitlines()[0]
         assert header.startswith("n,t,participants,loss_fed")
 
-    def test_oracle_check_on_fedfix_with_exponential_hardware_is_the_hybrid_form(self, tmp_path, capsys):
+    def test_oracle_check_on_fedfix_with_exponential_hardware_is_unsupported(self, tmp_path, capsys, monkeypatch):
+        def started(*args):
+            raise AssertionError("an ensemble started")
+
+        monkeypatch.setattr("asyncfed.cli.run_scalar_ensemble", started)
         document = base_config(
             fleet={"compute_times": [1.0, 1.0], "hardware": "exponential",
                    "objective": {"family": "quadratic", "optima": [0.0, 2.0]}},
             scheme={"policy": "fedfix", "delta_t": 1.5, "weights": "identical"},
             oracle_check={"checkpoints": [1, 5, 20], "n_runs": 2000, "seed": 0},
         )
-        document["optimization"]["theta0"] = 0.0
         out = tmp_path / "oc"
-        assert main(["oracle-check", "--config", str(write_config(tmp_path, document)), "--out", str(out)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "scheme = hybrid"
-        rows = lines[3:6]
-        assert [row.split()[0] for row in rows] == ["1", "5", "20"]
-        for row in rows:
-            # the window form idealizes the anchor: both verdicts are reference only
-            mean_verdict, m2_verdict = row.split()[4], row.split()[8]
-            assert mean_verdict in ("(pass)", "(FAIL)") and m2_verdict in ("(pass)", "(FAIL)")
-        assert lines[-1] == "overall_pass = true (vacuous: no exact closed form for this scheme)"
-        header = (out / "oracle_trajectory.csv").read_text().splitlines()[0]
-        assert header.startswith("n,t,participants,loss_fed")
+        assert main(["oracle-check", "--config", str(write_config(tmp_path, document)), "--out", str(out)]) == 3
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err == "unsupported: no closed form for policy 'fedfix'\n"
+        assert not out.exists()
 
 
 def fedbuff_config(n_clients, hardware, rounds=300):

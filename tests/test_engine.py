@@ -162,9 +162,7 @@ class TestEnsembles:
         )
         from asyncfed.oracle import OracleState, expectation_recursion
 
-        recursion = expectation_recursion(
-            OracleState("sync_uniform", 0.5, n_clients=2, m=1), 10, 1.0, [0.0, 2.0]
-        ).mean(1.0)
+        recursion = expectation_recursion(OracleState("sync_uniform", 0.5, (0.5, 0.5), m=1), [0.0, 2.0], 10, 1.0)
         for i, n in enumerate((1, 5, 10), start=1):
             se = math.hypot(se_theta[n, 0], fast.se_mean[i])
             assert abs(mean_theta[n, 0] - fast.mean[i]) <= 4 * se
@@ -175,7 +173,7 @@ _BLOCK = engine.ENSEMBLE_BLOCK_MEMBERS
 _CHUNK = engine.ASYNC_CHUNK_ROUNDS
 _BIT_IDENTITY_CASES = [
     pytest.param(scheme, m, n, seed, (12, 0, 5, 5), id=f"{scheme}-{m}-{n}-{seed}")
-    for scheme in ("sync", "sync_uniform", "async", "hybrid")
+    for scheme in ("sync", "sync_uniform", "async")
     for m in (1, 2, 10)
     for n in (256, 257)
     for seed in (0, 7, 2024)
@@ -224,7 +222,7 @@ class TestScalarEnsemble:
         optima = tuple(np.random.default_rng(m_clients).normal(0.0, 3.0, m_clients).tolist())
         cfg = ScalarEnsembleConfig(
             scheme, optima, 0.5, eta_g=0.9, theta0=1.5, checkpoints=checkpoints,
-            n_runs=n_runs, seed=seed, m=min(3, m_clients), window=0.7,
+            n_runs=n_runs, seed=seed, m=min(3, m_clients),
         )
         fast = run_scalar_ensemble(cfg)
         assert fast.rounds.tolist() == sorted({0, *checkpoints})
@@ -260,8 +258,8 @@ class TestScalarEnsemble:
 
 def _reference_scalar_ensemble(cfg, n_rounds):
     """The ensemble kernel as it was before checkpoint-only statistics: fancy
-    gather and scatter of the held anchors, a fresh ``np.where`` copy per
-    window round, and all four statistics at every round 0..n_rounds."""
+    gather and scatter of the held anchors, and all four statistics at every
+    round 0..n_rounds."""
     rng = np.random.default_rng(cfg.seed)
     optima = np.asarray(cfg.optima, dtype=float)
     m_clients = optima.shape[0]
@@ -288,17 +286,10 @@ def _reference_scalar_ensemble(cfg, n_rounds):
             scores = rng.random((cfg.n_runs, m_clients))
             chosen = np.argpartition(scores, cfg.m - 1, axis=1)[:, : cfg.m]
             theta = theta + step * (optima[chosen].mean(axis=1) - theta)
-        elif cfg.scheme == "async":
+        else:  # async
             j = rng.integers(0, m_clients, cfg.n_runs)
             theta = theta + step * (optima[j] - held[rows, j])
             held[rows, j] = theta
-        else:  # hybrid
-            rate = 1.0 - math.exp(-cfg.window)
-            d = 1.0 / (rate * m_clients)
-            mask = rng.random((cfg.n_runs, m_clients)) < rate
-            contrib = (mask * (optima[None, :] - held)).sum(axis=1)
-            theta = theta + step * d * contrib
-            held = np.where(mask, theta[:, None], held)
         record(n + 1)
     return mean, se_mean, sm, se_sm
 

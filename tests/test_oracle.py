@@ -1,5 +1,8 @@
+import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,16 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncfed.core import ConfigurationError, UnsupportedConfigError
-from asyncfed.engine import ScalarEnsembleConfig, run_scalar_ensemble
+from asyncfed.engine import ScalarEnsembleConfig, Seeds, run_members, run_scalar_ensemble
 from asyncfed.oracle import (
     OracleState,
-    _staleness_laws,
+    _ASYNC_MATRICES,
+    _async_round,
     expectation_recursion,
     expected_round_time,
     phi,
-    staleness_law,
     variance_recursion,
 )
+
+SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "async_exponential_oracle.json"
 
 
 class TestPhi:
@@ -37,151 +42,221 @@ class TestPhi:
             phi(2.5, 1)
 
 
-class TestStalenessLaw:
-    def test_fresh_anchor_schemes_are_degenerate(self):
-        for scheme in ("sync", "sync_uniform"):
-            state = OracleState(scheme, 0.5, n_clients=3, m=2)
-            law = staleness_law(state, 4)
-            assert law[4] == 1.0 and law[:4].sum() == 0.0
+class TestOracleState:
+    def test_the_window_scheme_is_gone(self):
+        with pytest.raises(ConfigurationError):
+            OracleState("hybrid", 0.5, (0.5, 0.5))
 
-    def test_two_client_geometric_values(self):
-        state = OracleState("async", 0.5, n_clients=2)
-        law = staleness_law(state, 2)
-        assert law.tolist() == [0.25, 0.25, 0.5]
+    def test_oversized_sample_rejected(self):
+        with pytest.raises(ConfigurationError):
+            OracleState("sync_uniform", 0.5, (0.5, 0.5), m=3)
 
-    def test_window_log_two(self):
-        state = OracleState("hybrid", 0.5, n_clients=2, window=math.log(2))
-        law = staleness_law(state, 1)
-        assert law[0] == pytest.approx(0.5, abs=1e-15)
-        assert law[1] == pytest.approx(0.5, abs=1e-15)
+    def test_an_asynchronous_second_moment_above_the_cap_is_unsupported(self):
+        from asyncfed.engine import MAX_HELD_ANCHORS
 
-    def test_geometric_law_sums_to_one_exactly(self):
-        state = OracleState("async", 0.5, n_clients=3)
-        for n in (0, 1, 7, 50, 200):
-            law = staleness_law(state, n, exact=True)
-            assert sum(law) == Fraction(1)
+        # the largest side whose round's matrices fit the cap is M + 1
+        side = math.isqrt(MAX_HELD_ANCHORS // _ASYNC_MATRICES)
+        OracleState("async", 0.5, (0.5,) * (side - 1))
+        with pytest.raises(UnsupportedConfigError, match="second moment"):
+            OracleState("async", 0.5, (0.5,) * side)
+        # fresh-anchor schemes hold no anchors
+        OracleState("sync", 0.5, (0.5,) * side)
 
-    def test_window_law_sums_to_one_exactly(self):
-        state = OracleState("hybrid", 0.5, n_clients=4, window=0.37)
-        for n in (1, 13, 200):
-            law = staleness_law(state, n)
-            assert math.fsum(law.tolist()) == 1.0
+    def test_an_asynchronous_round_holds_at_most_the_guarded_matrices(self):
+        import tracemalloc
 
-    @pytest.mark.parametrize(
-        "state",
-        [OracleState("async", 0.5, n_clients=2), OracleState("async", 0.3, n_clients=10),
-         OracleState("hybrid", 0.5, n_clients=4, window=0.37), OracleState("sync", 0.5)],
-        ids=["async2", "async10", "hybrid", "sync"],
-    )
-    def test_the_law_sequence_is_each_law_bit_for_bit(self, state):
-        laws = list(_staleness_laws(state, 120))
-        assert len(laws) == 120
-        for n, law in enumerate(laws):
-            assert law.flags.c_contiguous
-            assert np.array_equal(law, staleness_law(state, n))
+        m_clients = 400
+        state = OracleState("async", 0.5, (0.5,) * m_clients)
+        optima = np.arange(float(m_clients))
+        tracemalloc.start()
+        try:
+            variance_recursion(state, optima, 3, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = 8 * (m_clients + 1) ** 2
+        # the O(M) vectors of a round add well under a quarter matrix here
+        assert peak < (_ASYNC_MATRICES + 0.25) * matrix
 
 
 class TestExpectationRecursion:
     def test_sync_closed_form(self):
-        state = OracleState("sync", 0.5)
-        seq = expectation_recursion(state, 10, 1.0, [0.0, 2.0])
-        for n in range(11):
-            assert seq.A[n] == pytest.approx(0.5 ** n, abs=1e-15)
-            assert seq.B[n] == pytest.approx((1 - 0.5 ** n) * 1.0, abs=1e-15)
+        state = OracleState("sync", 0.5, (0.25, 0.25))
+        for theta0 in (0.0, 5.0):
+            mean = expectation_recursion(state, [0.0, 2.0], 10, theta0)
+            for n in range(11):
+                assert mean[n] == pytest.approx(1.0 + (theta0 - 1.0) * 0.5 ** n, abs=1e-15)
 
     def test_zero_contraction_freezes_the_mean(self):
-        state = OracleState("async", 0.0, n_clients=3)
-        seq = expectation_recursion(state, 6, 1.0, [0.0, 1.0, 2.0])
-        assert np.all(seq.A == 1.0) and np.all(seq.B == 0.0)
+        state = OracleState("async", 0.0, (0.0, 0.0, 0.0))
+        mean = expectation_recursion(state, [0.0, 1.0, 2.0], 6, 3.0)
+        assert np.all(mean == 3.0)
 
     def test_async_mean_matches_monte_carlo(self):
-        state = OracleState("async", 0.5, n_clients=2)
-        seq = expectation_recursion(state, 12, 1.0, [0.0, 2.0])
+        state = OracleState("async", 0.5, (0.5, 0.5))
+        oracle_mean = expectation_recursion(state, [0.0, 2.0], 12, 0.0)
         mc = run_scalar_ensemble(
             ScalarEnsembleConfig("async", (0.0, 2.0), 0.5, theta0=0.0,
                                  checkpoints=(1, 5, 12), n_runs=40_000, seed=5)
         )
-        oracle_mean = seq.mean(0.0)
         assert mc.rounds.tolist() == [0, 1, 5, 12]
         for i, n in enumerate((1, 5, 12), start=1):
             assert abs(mc.mean[i] - oracle_mean[n]) <= 3 * mc.se_mean[i]
 
+    def test_async_fedavg_mean_matches_the_engine(self):
+        # fedavg weights d_i = 1/2 halve the step of identical weights; the
+        # recursion reads them from the plan, and the engine runs them
+        from asyncfed.cli import _oracle_state_for
+        from asyncfed.config import build_experiment, load_config
+
+        document = load_config(SHIPPED)
+        document["scheme"]["weights"] = "fedavg"
+        experiment = build_experiment(document)
+        state, theta0, _ = _oracle_state_for(experiment)
+        assert state.steps == (0.25, 0.25)
+        oracle_mean = expectation_recursion(state, [0.0, 2.0], 20, theta0)
+        n_members = 1000
+        members = run_members([
+            replace(experiment.run_config, seeds=Seeds((0, s), (1, s), (2, s))) for s in range(n_members)
+        ])
+        stack = np.stack([m.theta[:, 0] for m in members])
+        mean, se = stack.mean(axis=0), stack.std(axis=0, ddof=1) / math.sqrt(n_members)
+        for n in (1, 2, 5, 20):
+            assert abs(mean[n] - oracle_mean[n]) <= 4 * se[n]
+        # identical weights step twice as far: their mean is far outside
+        identical = expectation_recursion(replace(state, steps=(0.5, 0.5)), [0.0, 2.0], 20, theta0)
+        assert abs(mean[1] - identical[1]) > 20 * se[1]
+
 
 class TestVarianceRecursion:
     def test_sync_contracts_by_the_squared_factor(self):
-        state = OracleState("sync", 0.3)
-        out = variance_recursion(state, [0.0, 2.0], 40, theta0=5.0)
+        state = OracleState("sync", 0.3, (0.15, 0.15))
+        second = variance_recursion(state, [0.0, 2.0], 40, theta0=5.0)
         expected = (5.0 - 1.0) ** 2
         for n in range(41):
-            assert out.second_moment[n] == expected
+            assert second[n] == expected
             expected *= (1 - 0.3) ** 2
 
-    def test_full_sampling_reduces_to_sync(self):
-        full = OracleState("sync_uniform", 0.4, n_clients=3, m=3)
-        sync = OracleState("sync", 0.4)
-        a = variance_recursion(full, [0.0, 1.0, 2.0], 20, theta0=3.0)
-        b = variance_recursion(sync, [0.0, 1.0, 2.0], 20, theta0=3.0)
-        assert np.allclose(a.second_moment, b.second_moment, atol=1e-15)
+    def test_full_sampling_is_sync(self):
+        steps = (0.1, 0.15, 0.2)
+        full = OracleState("sync_uniform", 0.4, steps, m=3)
+        sync = OracleState("sync", 0.4, steps)
+        for recursion in (expectation_recursion, variance_recursion):
+            a = recursion(full, [0.0, 1.0, 2.0], 20, 3.0)
+            b = recursion(sync, [0.0, 1.0, 2.0], 20, 3.0)
+            assert a.tobytes() == b.tobytes()
 
     def test_single_draw_fixed_point_is_one_third(self):
-        state = OracleState("sync_uniform", 0.5, n_clients=2, m=1)
-        out = variance_recursion(state, [0.0, 2.0], 80, theta0=1.0)
-        assert out.second_moment[-1] == pytest.approx(1 / 3, abs=1e-14)
-
-    def test_oversized_sample_rejected(self):
-        with pytest.raises(ConfigurationError):
-            OracleState("sync_uniform", 0.5, n_clients=2, m=3)
+        state = OracleState("sync_uniform", 0.5, (0.5, 0.5), m=1)
+        second = variance_recursion(state, [0.0, 2.0], 80, theta0=1.0)
+        assert second[-1] == pytest.approx(1 / 3, abs=1e-14)
 
     def test_uniform_sampling_matches_monte_carlo(self):
-        state = OracleState("sync_uniform", 0.5, n_clients=2, m=1)
-        out = variance_recursion(state, [0.0, 2.0], 30, theta0=1.0)
+        state = OracleState("sync_uniform", 0.5, (0.5, 0.5), m=1)
+        second = variance_recursion(state, [0.0, 2.0], 30, theta0=1.0)
         mc = run_scalar_ensemble(
             ScalarEnsembleConfig("sync_uniform", (0.0, 2.0), 0.5, theta0=1.0,
                                  checkpoints=(1, 10, 30), n_runs=20_000, seed=9, m=1)
         )
         assert mc.rounds.tolist() == [0, 1, 10, 30]
         for i, n in enumerate((1, 10, 30), start=1):
-            assert abs(mc.second_moment[i] - out.second_moment[n]) <= 3 * mc.se_second_moment[i]
+            assert abs(mc.second_moment[i] - second[n]) <= 3 * mc.se_second_moment[i]
 
-    def test_cross_round_table_is_symmetric_with_the_moments_on_the_diagonal(self):
-        state = OracleState("async", 0.5, n_clients=2)
-        out = variance_recursion(state, [0.0, 2.0], 25, theta0=0.0)
-        assert np.array_equal(out.u_table, out.u_table.T)
-        assert np.array_equal(np.diag(out.u_table), out.second_moment)
+    def test_async_first_rounds_match_exact_enumeration(self):
+        # M=2, optima (0, 2), phi=1/2, theta0=0: enumerating the four
+        # two-round paths gives second moments 1/2 then 5/16
+        state = OracleState("async", 0.5, (0.5, 0.5))
+        second = variance_recursion(state, [0.0, 2.0], 2, theta0=0.0)
+        assert second.tolist() == [1.0, 0.5, 0.3125]
 
-    @pytest.mark.parametrize(
-        "state, optima, theta0",
-        [
-            (OracleState("async", 0.5, n_clients=2), [0.0, 2.0], 0.0),
-            (OracleState("async", 0.5, n_clients=10), [-4.1, 3.3, 0.2, 5.0, -1.0, 2.2, -2.9, 0.7, 1.1, -0.4], 6.5),
-            (OracleState("hybrid", 0.4, n_clients=3, window=0.7), [0.0, 1.0, 5.0], 0.0),
-            (OracleState("hybrid", 0.9, n_clients=5, window=2.5), [1.0, -2.0, 0.5, 3.0, 4.0], -3.0),
-        ],
-        ids=["async-2", "async-10", "hybrid-3", "hybrid-5"],
-    )
-    def test_cross_round_table_matches_the_per_row_update(self, state, optima, theta0):
-        got = variance_recursion(state, optima, 200, theta0)
-        want_v, want_u = _reference_variance_recursion(state, optima, 200, theta0)
-        assert np.allclose(got.second_moment, want_v, rtol=1e-13, atol=0.0)
-        # entries that cancel to ~1e-30 carry no relative digits; scale by the table
-        assert np.allclose(got.u_table, want_u, rtol=0.0, atol=1e-13 * np.abs(want_u).max())
-        assert np.array_equal(got.u_table, got.u_table.T)
-        assert np.array_equal(np.diag(got.u_table), got.second_moment)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_async_second_moment_matches_monte_carlo(self, seed):
+        rng = np.random.default_rng(seed)
+        optima = tuple(rng.normal(0.0, 3.0, 5).tolist())
+        eta_g = float(rng.uniform(0.5, 1.5))
+        state = OracleState("async", 0.5, (eta_g * 0.5,) * 5)
+        second = variance_recursion(state, optima, 40, theta0=4.0)
+        mc = run_scalar_ensemble(
+            ScalarEnsembleConfig("async", optima, 0.5, eta_g=eta_g, theta0=4.0,
+                                 checkpoints=(1, 3, 10, 40), n_runs=20_000, seed=seed)
+        )
+        for i, n in enumerate((1, 3, 10, 40), start=1):
+            assert abs(mc.second_moment[i] - second[n]) <= 4 * mc.se_second_moment[i]
 
-    def test_async_first_round_matches_exact_enumeration(self):
-        # anchors are all the initial model at round 0, so the first round is
-        # exact; the anchor-independence idealization bites from round 2 on
-        # (exact enumeration for M=2, optima (0,2), phi=1/2, theta0=0 gives
-        # second moments 1/2 then 5/16)
-        state = OracleState("async", 0.5, n_clients=2)
-        out = variance_recursion(state, [0.0, 2.0], 2, theta0=0.0)
-        assert out.second_moment[1] == pytest.approx(0.5, abs=1e-15)
-        assert out.second_moment[2] > 0.3125  # idealization overshoots
 
-    def test_hybrid_recursion_runs_and_stays_positive(self):
-        state = OracleState("hybrid", 0.4, n_clients=3, window=0.7)
-        out = variance_recursion(state, [0.0, 1.0, 5.0], 30, theta0=0.0)
-        assert np.all(out.second_moment >= 0)
+class TestExactReference:
+    """The float recursions against the dense jump-linear recursion in
+    exact rationals, on the shipped asynchronous oracle config."""
+
+    def test_shipped_config_moments_are_the_exact_rationals(self):
+        from asyncfed.cli import _oracle_state_for
+        from asyncfed.config import build_experiment, load_config
+
+        experiment = build_experiment(load_config(SHIPPED))
+        state, theta0, _ = _oracle_state_for(experiment)
+        optima = experiment.fleet.gather("optima")[:, 0].tolist()
+        exact_mean, exact_second = _exact_async_moments(optima, state.steps, theta0, 20)
+        assert exact_mean[5] == Fraction(603, 512) and float(exact_mean[5]) == 1.177734375
+        assert float(exact_mean[20]) == 1.0008179847336578
+        assert exact_second[5] == Fraction(2945, 8192)
+        assert float(exact_second[20]) == 0.3333673254759739
+        mean = expectation_recursion(state, optima, 20, theta0)
+        second = variance_recursion(state, optima, 20, theta0)
+        assert np.max(np.abs(mean - np.array(exact_mean, dtype=float))) <= 1e-12
+        assert np.max(np.abs(second - np.array(exact_second, dtype=float))) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_the_sparse_round_is_the_dense_jump_linear_update(self, seed):
+        rng = np.random.default_rng(seed)
+        m_clients = int(rng.integers(1, 7))
+        size = m_clients + 1
+        p = rng.dirichlet(np.ones(m_clients))
+        d = rng.uniform(0.1, 2.0, m_clients)
+        c = float(rng.uniform(0.1, 1.5)) * d * float(rng.uniform(0.1, 1.0))
+        z = rng.normal(0.0, 2.0, m_clients)
+        mu = rng.normal(0.0, 1.0, size)
+        root = rng.normal(0.0, 1.0, (size, size))
+        second = root @ root.T + np.outer(mu, mu)
+        got_mu, got = _async_round(mu, second.copy(), p, c, z)
+        want_mu, want = np.zeros(size), np.zeros((size, size))
+        for j in range(m_clients):
+            a = np.eye(size)
+            a[0] = a[j + 1] = 0.0
+            a[[0, j + 1], 0] = 1.0
+            a[[0, j + 1], j + 1] = -c[j]
+            b = np.zeros(size)
+            b[[0, j + 1]] = c[j] * z[j]
+            a_mu = a @ mu
+            want_mu += p[j] * (a_mu + b)
+            want += p[j] * (a @ second @ a.T + np.outer(a_mu, b) + np.outer(b, a_mu) + np.outer(b, b))
+        assert np.max(np.abs(got_mu - want_mu)) <= 1e-12
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(_async_round(mu, None, p, c, z)[0], got_mu)
+
+    @pytest.mark.parametrize("m_clients, m", [(1, 1), (3, 1), (4, 2), (5, 3), (4, 4)])
+    def test_fresh_anchor_moments_match_subset_enumeration(self, m_clients, m):
+        rng = np.random.default_rng(10 * m_clients + m)
+        optima = rng.normal(0.0, 2.0, m_clients).tolist()
+        steps = tuple(rng.uniform(0.05, 0.4, m_clients).tolist())
+        state = OracleState("sync_uniform", 0.5, steps, m=m)
+        theta_star = Fraction(sum(map(Fraction, optima))) / m_clients
+        subsets = list(itertools.combinations(range(m_clients), m))
+        mean, second = Fraction(3) - theta_star, (Fraction(3) - theta_star) ** 2
+        want_mean, want_second = [mean + theta_star], [second]
+        for _ in range(12):
+            next_mean = next_second = Fraction(0)
+            for chosen in subsets:
+                keep = 1 - sum(Fraction(steps[j]) for j in chosen)
+                drive = sum(Fraction(steps[j]) * (Fraction(optima[j]) - theta_star) for j in chosen)
+                next_mean += keep * mean + drive
+                next_second += keep * keep * second + 2 * keep * drive * mean + drive * drive
+            mean, second = next_mean / len(subsets), next_second / len(subsets)
+            want_mean.append(mean + theta_star)
+            want_second.append(second)
+        got_mean = expectation_recursion(state, optima, 12, 3.0)
+        got_second = variance_recursion(state, optima, 12, 3.0)
+        assert np.max(np.abs(got_mean - np.array(want_mean, dtype=float))) <= 1e-12
+        assert np.max(np.abs(got_second - np.array(want_second, dtype=float))) <= 1e-12
 
 
 class TestExpectedRoundTime:
@@ -211,7 +286,7 @@ class TestOracleCsvExport:
         from asyncfed.engine import trajectory_header
         from asyncfed.oracle import export_oracle_csv
 
-        state = OracleState("sync", 0.5)
+        state = OracleState("sync", 0.5, (0.25, 0.25))
         path = tmp_path / "oracle_trajectory.csv"
         export_oracle_csv(state, [0.0, 2.0], *_sequences(state, [0.0, 2.0], 5.0, 10), path)
         lines = path.read_text().splitlines()
@@ -236,7 +311,7 @@ class TestOracleCsvExport:
         path = tmp_path / "oracle_trajectory.csv"
         path.write_text("previous oracle\n")
         monkeypatch.setattr(asyncfed.engine, "trajectory_header", broken_header)
-        state = OracleState("sync", 0.5)
+        state = OracleState("sync", 0.5, (0.25, 0.25))
         with pytest.raises(RuntimeError):
             export_oracle_csv(state, [0.0, 2.0], *_sequences(state, [0.0, 2.0], 5.0, 10), path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["oracle_trajectory.csv"]
@@ -244,14 +319,11 @@ class TestOracleCsvExport:
 
     @pytest.mark.parametrize("n_rounds", [20, 200])
     def test_bytes_match_the_csv_writer_on_the_shipped_oracle_config(self, tmp_path, n_rounds):
-        from pathlib import Path
-
         from asyncfed.cli import _oracle_state_for
         from asyncfed.config import build_experiment, load_config
         from asyncfed.oracle import export_oracle_csv
 
-        shipped = Path(__file__).resolve().parent.parent / "configs" / "async_exponential_oracle.json"
-        experiment = build_experiment(load_config(shipped))
+        experiment = build_experiment(load_config(SHIPPED))
         state, theta0, _ = _oracle_state_for(experiment)
         optima = tuple(experiment.fleet.gather("optima")[:, 0].tolist())
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
@@ -262,9 +334,9 @@ class TestOracleCsvExport:
     @pytest.mark.parametrize(
         "state, optima",
         [
-            (OracleState("sync", 0.5), [0.0, 2.0, -1.25]),
-            (OracleState("sync_uniform", 0.3, n_clients=4, m=2), [1e-7, 3.0, -2.0, 0.5]),
-            (OracleState("hybrid", 0.4, n_clients=3, window=0.7), [0.0, 1.0, 2.0]),
+            (OracleState("sync", 0.5, (0.5, 0.5, 0.5)), [0.0, 2.0, -1.25]),
+            (OracleState("sync_uniform", 0.3, (0.3,) * 4, m=2), [1e-7, 3.0, -2.0, 0.5]),
+            (OracleState("async", 0.4, (0.2, 0.2, 0.2)), [0.0, 1.0, 2.0]),
         ],
     )
     def test_bytes_match_the_csv_writer_for_other_schemes(self, tmp_path, state, optima):
@@ -276,46 +348,47 @@ class TestOracleCsvExport:
         assert got.read_bytes() == want.read_bytes()
 
 
-def _reference_variance_recursion(state, optima, n_rounds, theta0):
-    """The async/window second-moment recursion as it was before the
-    vectorized U-table: one ``np.dot`` per past round per round."""
-    optima = np.asarray(optima, dtype=float)
-    m_clients = optima.shape[0]
-    theta_star = float(optima.mean())
-    spread = float(np.sum((optima - theta_star) ** 2))
-    p = state.phi
-    if state.scheme == "async":
-        cross_coeff, self_coeff = 0.0, 1.0
-        drive = (p * p / m_clients) * spread
-    else:
-        stay = math.exp(-state.window)
-        drive = stay / ((1.0 - stay) * m_clients ** 2) * p * p * spread
-        self_coeff = 1.0 / (m_clients * (1.0 - stay))
-        cross_coeff = (m_clients - 1) / m_clients
-    v = np.empty(n_rounds + 1)
-    v[0] = (theta0 - theta_star) ** 2
-    u = np.zeros((n_rounds + 1, n_rounds + 1))
-    u[0, 0] = v[0]
-    for n in range(n_rounds):
-        law = staleness_law(state, n)
-        weighted_u = float(np.dot(law, u[n, : n + 1]))
-        weighted_v = float(np.dot(law, v[: n + 1]))
-        double_sum = float(law @ u[: n + 1, : n + 1] @ law) if cross_coeff else 0.0
-        v[n + 1] = (
-            v[n] - 2.0 * p * weighted_u + drive
-            + p * p * self_coeff * weighted_v + p * p * cross_coeff * double_sum
-        )
-        for past in range(n + 1):
-            u[past, n + 1] = u[past, n] - p * float(np.dot(law, u[past, : n + 1]))
-            u[n + 1, past] = u[past, n + 1]
-        u[n + 1, n + 1] = v[n + 1]
-    return v, u
+def _exact_async_moments(optima, steps, theta0, n_rounds):
+    """E[theta^n] and E[(theta^n - theta_star)^2] for n = 0..n_rounds in
+    exact rationals, from the dense jump-linear recursion over
+    y = (theta, a_1..a_M): client j with probability 1/M, mode map A_j y + b_j
+    with rows 0 and j of A_j equal to e_0 - c_j e_j and b_j = c_j x_j there."""
+    m_clients, size = len(optima), len(optima) + 1
+    x, c = [Fraction(v) for v in optima], [Fraction(v) for v in steps]
+    theta_star = sum(x) / m_clients
+    mu = [Fraction(theta0)] * size
+    second = [[a * b for b in mu] for a in mu]
+    means, moments = [], []
+    for n in range(n_rounds + 1):
+        means.append(mu[0])
+        moments.append(second[0][0] - 2 * theta_star * mu[0] + theta_star ** 2)
+        if n == n_rounds:
+            break
+        next_mu = [Fraction(0)] * size
+        next_second = [[Fraction(0)] * size for _ in range(size)]
+        for j in range(m_clients):
+            a = [[Fraction(int(i == k)) for k in range(size)] for i in range(size)]
+            w = [Fraction(0)] * size
+            w[0], w[j + 1] = Fraction(1), -c[j]
+            a[0], a[j + 1] = w, w
+            b = [Fraction(0)] * size
+            b[0] = b[j + 1] = c[j] * x[j]
+            a_mu = [sum(a[i][k] * mu[k] for k in range(size)) for i in range(size)]
+            a_s = [[sum(a[i][k] * second[k][l] for k in range(size)) for l in range(size)] for i in range(size)]
+            for i in range(size):
+                next_mu[i] += (a_mu[i] + b[i]) / m_clients
+                for l in range(size):
+                    term = sum(a_s[i][k] * a[l][k] for k in range(size))
+                    term += a_mu[i] * b[l] + b[i] * a_mu[l] + b[i] * b[l]
+                    next_second[i][l] += term / m_clients
+        mu, second = next_mu, next_second
+    return means, moments
 
 
 def _sequences(state, optima, theta0, n_rounds):
     """The closed-form mean and second moment that oracle-check exports."""
-    mean = expectation_recursion(state, n_rounds, 1.0, optima).mean(theta0)
-    return mean, variance_recursion(state, optima, n_rounds, theta0).second_moment
+    return (expectation_recursion(state, optima, n_rounds, theta0),
+            variance_recursion(state, optima, n_rounds, theta0))
 
 
 def _reference_oracle_csv(state, optima, theta0, n_rounds, path, rate=1.0):
@@ -327,12 +400,8 @@ def _reference_oracle_csv(state, optima, theta0, n_rounds, path, rate=1.0):
 
     optima = np.atleast_1d(np.asarray(optima, dtype=float))
     theta_star = float(optima.mean())
-    mean_seq = expectation_recursion(state, n_rounds, 1.0, optima).mean(theta0)
-    second = variance_recursion(state, optima, n_rounds, theta0).second_moment
-    if state.scheme == "hybrid":
-        round_time = state.window / rate
-    else:
-        round_time = expected_round_time(state.scheme, len(optima), rate, m=state.m)
+    mean_seq, second = _sequences(state, optima, theta0, n_rounds)
+    round_time = expected_round_time(state.scheme, len(optima), rate, m=state.m)
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(trajectory_header(len(optima)))

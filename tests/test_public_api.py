@@ -19,6 +19,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # public names without a reader in src/, each with the ROADMAP item that gives it one (or deletes it)
 LIBRARY_API = {
     "core.distribution_weights": "item 12: the bound's bias term",
+    "core.DistributionWeights.expected": "item 12: the bound's bias term",
     "core.DistributionWeights.expected_normalized": "item 12: the bound's bias term",
     "weights.window_stats": "item 12: the bound's bias term; item 2: the steady-period identity",
     "weights.chi_square_bias": "item 12: the bound's bias term",
@@ -27,7 +28,6 @@ LIBRARY_API = {
     "weights.WindowReport.satisfied": "item 6: the run log's realized-weight check",
     "weights.WindowReport.max_deviation": "item 6: the run log records the max deviation",
     "engine.Trajectory.weight_matrix": "item 6: the run log's realized-weight check",
-    "oracle.VarianceSequence.u_table": "item 5: deleted with the idealized variance recursion",
 }
 
 
