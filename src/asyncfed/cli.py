@@ -42,7 +42,7 @@ from .engine import (
     write_trajectory_csv,
 )
 from .objectives import QuadraticObjective, export_shards_csv
-from .oracle import OracleState, expectation_recursion, export_oracle_csv, phi, variance_recursion
+from .oracle import OracleState, expectation_recursion, expected_round_time, export_oracle_csv, phi, variance_recursion
 from .timing import PolicyKind, WaitPolicy
 
 _EXIT_BAD_CONFIG = 2
@@ -171,10 +171,30 @@ def _oracle_state_for(experiment: Experiment) -> tuple[OracleState, float, float
     raise UnsupportedConfigError(f"no closed form for policy {kind.value!r}")
 
 
+def _oracle_round_time(experiment: Experiment, state: OracleState) -> float:
+    """The round duration the oracle CSV's ``t`` steps by: a fixed-hardware
+    round's slowest time, or the expected one at rate 1/tau on exponential
+    hardware with one mean time tau. UnsupportedConfigError otherwise."""
+    taus = experiment.fleet.compute_times
+    common = len(set(taus)) == 1
+    if experiment.hw.mode == "exponential":
+        if common:
+            return expected_round_time(state.scheme, len(taus), 1.0 / taus[0], m=state.m)
+        raise UnsupportedConfigError("the oracle CSV's time column needs one mean time on exponential hardware")
+    if experiment.run_config.initial_clocks is not None:
+        raise UnsupportedConfigError("the oracle CSV's time column needs every clock to start at 0")
+    if state.scheme == "sync":
+        return float(max(taus))
+    if common:
+        return float(taus[0])
+    raise UnsupportedConfigError("the oracle CSV's time column needs one compute time for a sampled round")
+
+
 def cmd_oracle_check(args) -> int:
     document = load_config(args.config)
     experiment = build_experiment(document, seed_override=args.seed)
     state, theta0, kernel_eta_g = _oracle_state_for(experiment)
+    round_time = _oracle_round_time(experiment, state) if args.out else None
     if args.seed is not None:
         document.setdefault("oracle_check", {})["seed"] = args.seed
 
@@ -242,7 +262,7 @@ def cmd_oracle_check(args) -> int:
         }
         with atomic_open(out_dir / "oracle_check.json") as fh:
             fh.write(json.dumps(payload, indent=2) + "\n")
-        export_oracle_csv(state, optima, oracle_mean, oracle_m2, out_dir / "oracle_trajectory.csv")
+        export_oracle_csv(optima, oracle_mean, oracle_m2, round_time, out_dir / "oracle_trajectory.csv")
     return 0
 
 
@@ -269,7 +289,8 @@ def cmd_bounds(args) -> int:
     gap = theta0 - theta_star
     sigma = bcfg.get("sigma")
     if sigma is None:
-        sigma = convergence_residual(fleet, fleet.importances, theta_star, n_draws=1).value
+        sigma = convergence_residual(fleet, fleet.importances, theta_star,
+                                     full_gradient=cfg.full_gradient, batch_size=cfg.batch_size)
     sigma1 = bcfg.get("sigma1", sigma)
 
     delta_t = (

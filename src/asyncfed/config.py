@@ -265,7 +265,6 @@ def load_config(path) -> dict:
 class Experiment:
     """Everything needed to run one configured experiment."""
 
-    document: dict
     fleet: Fleet
     policy: WaitPolicy
     hw: HardwareModel
@@ -391,4 +390,4 @@ def build_experiment(document: dict, seed_override: int | None = None) -> Experi
         tau_max=document.get("tau_max"),
         initial_clocks=None if initial_clocks is None else tuple(initial_clocks),
     )
-    return Experiment(document, fleet, policy, hw, run_config)
+    return Experiment(fleet, policy, hw, run_config)

@@ -143,65 +143,27 @@ def _as_weights(weights, n_clients: int) -> np.ndarray:
 # Objectives over the fleet
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResidualEstimate:
-    """Monte-Carlo estimate of the gradient second moment at an optimum."""
-
-    value: float
-    n_draws: int
-
-
 def convergence_residual(
     fleet: Fleet,
     weights_avg,
     optimum,
     *,
-    n_draws: int = 1000,
+    full_gradient: bool = False,
     batch_size: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> ResidualEstimate:
-    """Estimate sum(q_i * E||grad L_i(theta_bar, xi)||^2) at ``optimum``.
-
-    With full gradients (``batch_size=None`` and noiseless objectives) every
-    draw is identical, so the estimate is exact, read off one
-    :meth:`Fleet.gradients` call. The caller supplies the optimum; see
-    :func:`weighted_optimum`.
-    """
-    if n_draws <= 0:
-        raise ConfigurationError("n_draws must be positive")
+) -> float:
+    """Exact sum(q_i * E||g_i||^2) at ``optimum`` for the gradient g_i a
+    run with ``full_gradient`` and ``batch_size`` (as in
+    :class:`~asyncfed.engine.RunConfig`) takes: ||grad L_i||^2 from one
+    :meth:`Fleet.gradients` call, plus, unless gradients are full, the
+    variance from client i's table's ``gradient_variance``. The caller
+    supplies the optimum; see :func:`weighted_optimum`."""
     q = _as_weights(weights_avg, len(fleet))
     theta = _as_params(optimum)
-    noisy = any(np.any(getattr(table, "noise_std", 0.0) > 0.0) for _, table in fleet.tables)
-    if batch_size is None and not noisy:
-        squares = [float(np.dot(g, g)) for g in fleet.gradients(theta)]
-        total = float(ordered_sum(qi * sq for qi, sq in zip(q, squares) if qi != 0.0))
-        return ResidualEstimate(total, n_draws)
-
-    from .objectives import GlmObjective, _glm_gradient  # objectives imports this module
-
-    rng = rng or np.random.default_rng(0)
-    total = 0.0
-    for i, qi in enumerate(q):
-        if qi == 0.0:
-            continue
-        table, row = fleet.tables[fleet.table_of[i]][1], fleet.row_of[i]
-        samples = np.empty(n_draws)
-        if batch_size is not None and isinstance(table, GlmObjective):
-            # one minibatch gradient of the shard per draw
-            x, y, n = table.features[row], table.targets[row], table.n_samples
-            for s in range(n_draws):
-                idx = rng.choice(n, size=min(batch_size, n), replace=False)
-                g = _glm_gradient(x[idx], y[idx], theta, table.link)
-                samples[s] = float(np.dot(g, g))
-        else:
-            # the full gradient, plus a noisy quadratic's Gaussian noise
-            full = table.row(row).gradients(theta)[0]
-            noise_std = 0.0 if isinstance(table, GlmObjective) else table.noise_std[row]
-            for s in range(n_draws):
-                g = full + noise_std * rng.standard_normal(full.shape[0]) if noise_std > 0.0 else full
-                samples[s] = float(np.dot(g, g))
-        total += qi * samples.mean()
-    return ResidualEstimate(total, n_draws)
+    squares = np.array([float(np.dot(g, g)) for g in fleet.gradients(theta)])
+    if not full_gradient:
+        for positions, table in fleet.tables:
+            squares[positions] += table.gradient_variance(theta, batch_size)
+    return float(ordered_sum(qi * sq for qi, sq in zip(q, squares.tolist()) if qi != 0.0))
 
 
 @dataclass(frozen=True)

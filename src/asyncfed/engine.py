@@ -349,7 +349,7 @@ def _run_group(members: list) -> _GroupRun:
     """
     config = members[0]
     policy, hw, lead = config.policy, config.hw, config.seeds
-    hw_rng = np.random.default_rng(_seed_key(lead.hardware)) if hw.mode == "exponential" else None
+    hw_rng = np.random.default_rng(lead.hardware) if hw.mode == "exponential" else None
     work = _LocalWork(members)
     server = _Server(config, len(members))
     state = init_fleet_state(list(config.fleet.compute_times), hw, hw_rng, config.initial_clocks, policy=policy)
@@ -357,7 +357,7 @@ def _run_group(members: list) -> _GroupRun:
     schedule = merged_schedule(state, policy, rounds=config.rounds, time_limit=config.time_budget)
     replay = None
     if schedule is None:
-        replay = _Replay(config, state, hw_rng, np.random.default_rng(_seed_key(lead.sampling)))
+        replay = _Replay(config, state, hw_rng, np.random.default_rng(lead.sampling))
         schedule = Schedule.empty(state)
     timing_s = {"schedule": time.perf_counter() - started, "local_work": 0.0}
 
@@ -513,10 +513,6 @@ def run(config: RunConfig) -> Trajectory:
     trajectory.metrics = _compute_metrics(trajectory, config.fleet, config.metric_cadence)
     trajectory.timing_s = {**group.timing_s, "metrics": clock() - started}
     return trajectory
-
-
-def _seed_key(seed):
-    return seed if isinstance(seed, (int, np.integer)) else list(seed)
 
 
 class _DrawTable:
@@ -1037,7 +1033,6 @@ class ScalarEnsembleResult:
     second_moment: np.ndarray   # E[(theta^n - theta_star)^2] estimate
     se_second_moment: np.ndarray
     n_runs: int
-    theta_star: float
 
 
 def run_scalar_ensemble(cfg: ScalarEnsembleConfig) -> ScalarEnsembleResult:
@@ -1084,7 +1079,7 @@ def run_scalar_ensemble(cfg: ScalarEnsembleConfig) -> ScalarEnsembleResult:
                     chosen = np.argpartition(scores, cfg.m - 1, axis=1)[:, : cfg.m]
                     theta = theta + step * (optima[chosen].mean(axis=1) - theta)
         record(due)
-    return ScalarEnsembleResult(rounds, mean, se_mean, sm, se_sm, n_runs, theta_star)
+    return ScalarEnsembleResult(rounds, mean, se_mean, sm, se_sm, n_runs)
 
 
 def _async_rounds(rng, optima, step, theta, held, n_rounds) -> None:

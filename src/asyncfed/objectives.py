@@ -128,6 +128,12 @@ class QuadraticObjective(_Table):
         """(G, dim) gradient of every quadratic at ``theta``."""
         return self.two_a * np.asarray(theta, dtype=float) + self.b
 
+    def gradient_variance(self, theta, batch_size: int | None = None) -> np.ndarray:
+        """(G,) variance E||g - grad||^2 of every row's stochastic gradient
+        g at any ``theta``: :func:`local_sgd` adds noise_std * N(0, I_dim).
+        A quadratic has no minibatches to size."""
+        return self.dim * (self.noise_std * self.noise_std)
+
 
 class GlmObjective(_Table):
     """G linear or logistic regression losses over fixed data shards of one
@@ -199,6 +205,22 @@ class GlmObjective(_Table):
     def gradients(self, theta) -> np.ndarray:
         """(G, dim) full-shard gradient of every shard at ``theta``."""
         return _glm_gradient(self.features, self.targets, theta, self.link)
+
+    def gradient_variance(self, theta, batch_size: int | None = None) -> np.ndarray:
+        """(G,) variance E||g - grad||^2 at ``theta`` of every shard's
+        gradient g over a uniform B-subset of its n samples, as each batch
+        of an epoch permutation is (B = ``batch_size``, else the table's):
+        V (n - B) / (B (n - 1)), V = (1/n) sum_s ||g_s - grad||^2."""
+        n, b = self.n_samples, batch_size or self.batch_size
+        if not 1 <= b <= n:
+            raise ConfigurationError("batch size must lie in [1, n_samples]")
+        if b == n:
+            return np.zeros(len(self))
+        z = self.features @ np.asarray(theta, dtype=float)
+        err = (z if self.link == "linear" else _sigmoid(z)) - self.targets
+        per_sample = err[:, :, None] * self.features  # (G, n, dim)
+        spread = per_sample - per_sample.mean(axis=1, keepdims=True)
+        return (spread * spread).sum(axis=2).mean(axis=1) * (n - b) / (b * (n - 1))
 
 
 def _glm_gradient(x, y, theta, link: str) -> np.ndarray:

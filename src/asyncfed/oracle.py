@@ -188,23 +188,19 @@ def _async_round(mu: np.ndarray, s: np.ndarray | None, p, c, z):
     return new_mu, s
 
 
-def export_oracle_csv(
-    state: OracleState, optima, mean, second_moment, path, rate: float = 1.0
-) -> None:
+def export_oracle_csv(optima, mean, second_moment, round_time: float, path) -> None:
     """Write closed-form sequences in the trajectory CSV schema: ``mean`` is
     E[theta^n] and ``second_moment`` E[(theta^n - theta_star)^2] for rounds
     0..n, as computed by :func:`expectation_recursion` and
     :func:`variance_recursion`.
 
-    The participant and surrogate columns are left empty. Wall time uses the
-    scheme's expected round duration under common exponential hardware with
-    the given rate.
+    The participant and surrogate columns are left empty. Round n is at
+    wall time n * ``round_time``, the fleet's (expected) round duration.
     """
     optima = np.atleast_1d(np.asarray(optima, dtype=float))
     theta_star = float(optima.mean())
     mean_seq = np.asarray(mean, dtype=float)
     second = np.asarray(second_moment, dtype=float)
-    round_time = expected_round_time(state.scheme, len(optima), rate, m=state.m)
 
     offset = theta_star - optima
     drift = (mean_seq - theta_star)[:, None]

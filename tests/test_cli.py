@@ -646,6 +646,54 @@ class TestOracleCheck:
         assert out == "" and err.startswith("unsupported: ") and "second moment" in err
         assert peak < (16 << 20)
 
+    def test_oracle_csv_time_is_the_simulated_time_on_fixed_sync(self, tmp_path, capsys):
+        # fixed times 1 and 2: every synchronous round lasts 2
+        config = str(self.SHIPPED.parent / "sync_quadratic.json")
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "sim"), "--quiet"]) == 0
+        assert main(["oracle-check", "--config", config, "--out", str(tmp_path / "oc")]) == 0
+        got = read_csv_column(tmp_path / "oc" / "oracle_trajectory.csv", "t")
+        assert got == read_csv_column(tmp_path / "sim" / "trajectory.csv", "t")[:len(got)]
+        assert got[:3] == ["0", "2", "4"]
+
+    def test_oracle_csv_time_steps_by_the_mean_round_at_the_fleets_rate(self, tmp_path, capsys):
+        # two exponential clients of mean 2: the first of them delivers
+        # after 1 on average
+        document = base_config(
+            fleet={"compute_times": [2.0, 2.0], "hardware": "exponential",
+                   "objective": {"family": "quadratic", "optima": [0.0, 2.0]}},
+            scheme={"policy": "asynchronous", "weights": "identical"},
+            oracle_check={"checkpoints": [1, 5], "n_runs": 64, "seed": 0},
+        )
+        out = tmp_path / "oc"
+        assert main(["oracle-check", "--config", str(write_config(tmp_path, document)), "--out", str(out)]) == 0
+        assert read_csv_column(out / "oracle_trajectory.csv", "t") == [str(n) for n in range(6)]
+
+    @pytest.mark.parametrize(
+        "fleet, scheme, reason",
+        [
+            ({"compute_times": [1.0, 2.0], "hardware": "exponential"}, {"policy": "synchronous", "weights": "fedavg"},
+             "needs one mean time on exponential hardware"),
+            ({"compute_times": [1, 2]}, {"policy": "sample_uniform", "m": 1, "weights": "fedavg"},
+             "needs one compute time for a sampled round"),
+            ({"compute_times": [1, 2], "initial_clocks": [1, 1]}, {"policy": "synchronous", "weights": "fedavg"},
+             "needs every clock to start at 0"),
+        ],
+    )
+    def test_fleets_without_a_round_duration_exit_3_before_the_ensemble(self, tmp_path, capsys, monkeypatch,
+                                                                         fleet, scheme, reason):
+        def started(*args):
+            raise AssertionError("an ensemble started")
+
+        monkeypatch.setattr("asyncfed.cli.run_scalar_ensemble", started)
+        fleet["objective"] = {"family": "quadratic", "optima": [0.0, 2.0]}
+        document = base_config(fleet=fleet, scheme=scheme,
+                               oracle_check={"checkpoints": [1, 5], "n_runs": 64, "seed": 0})
+        out = tmp_path / "oc"
+        assert main(["oracle-check", "--config", str(write_config(tmp_path, document)), "--out", str(out)]) == 3
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err == f"unsupported: the oracle CSV's time column {reason}\n"
+        assert not out.exists()
+
     def test_heterogeneous_async_is_unsupported(self, tmp_path, capsys):
         document = base_config(scheme={"policy": "asynchronous", "weights": "identical"})
         document["fleet"]["hardware"] = "exponential"
@@ -789,19 +837,39 @@ class TestShippedBounds:
         assert capsys.readouterr().out == golden.read_text()
 
 
+# the exit code of each command on each shipped config; oracle-check has no
+# closed form for the fixed-hardware asynchronous fleet of the K sweep nor
+# for the logistic fleet
+SHIPPED_EXIT_CODES = {
+    ("simulate", "async_exponential_oracle"): 0,
+    ("simulate", "async_logistic_heterogeneous"): 0,
+    ("simulate", "k_sweep_noisy_quadratic"): 0,
+    ("simulate", "sync_quadratic"): 0,
+    ("oracle-check", "async_exponential_oracle"): 0,
+    ("oracle-check", "async_logistic_heterogeneous"): 3,
+    ("oracle-check", "k_sweep_noisy_quadratic"): 3,
+    ("oracle-check", "sync_quadratic"): 0,
+}
+
+
 class TestShippedCommands:
     """``simulate`` and ``oracle-check`` on every shipped config, and
-    ``sweep`` on the shipped sweep, end promptly with 0 or 3."""
+    ``sweep`` on the shipped sweep, end promptly with their pinned exit
+    codes."""
 
     ROOT = Path(__file__).resolve().parents[1]
 
-    @pytest.mark.parametrize("command", ["simulate", "oracle-check"])
-    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
-    def test_exits_0_or_3_within_ten_seconds(self, command, path, tmp_path, capsys):
+    def test_every_shipped_config_has_its_exit_codes(self):
+        stems = sorted(path.stem for path in (self.ROOT / "configs").glob("*.json"))
+        assert sorted({stem for _, stem in SHIPPED_EXIT_CODES}) == stems
+
+    @pytest.mark.parametrize("command, stem", sorted(SHIPPED_EXIT_CODES), ids="-".join)
+    def test_exits_with_its_pinned_code_within_ten_seconds(self, command, stem, tmp_path, capsys):
         started = time.perf_counter()
-        code = main([command, "--config", str(path), "--out", str(tmp_path), "--quiet"])
+        code = main([command, "--config", str(self.ROOT / "configs" / f"{stem}.json"), "--out", str(tmp_path),
+                     "--quiet"])
         assert time.perf_counter() - started < 10.0
-        assert code in (0, 3)
+        assert code == SHIPPED_EXIT_CODES[command, stem]
         if code == 3:
             assert capsys.readouterr().err.startswith("unsupported: ")
 

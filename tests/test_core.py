@@ -41,21 +41,26 @@ class TestOrderedSum:
 class TestConvergenceResidual:
     def test_identical_clients_full_gradient_is_exactly_zero(self):
         fleet = quadratic_fleet([[1.5], [1.5], [1.5]])
-        est = convergence_residual(fleet, fleet.importances, [1.5], n_draws=10)
-        assert est.value == 0.0
+        assert convergence_residual(fleet, fleet.importances, [1.5]) == 0.0
 
     def test_single_client_at_optimum(self):
         fleet = quadratic_fleet([[4.0]], importances=[1.0])
-        est = convergence_residual(fleet, [1.0], [4.0], n_draws=5)
-        assert est.value == 0.0
+        assert convergence_residual(fleet, [1.0], [4.0]) == 0.0
 
     def test_two_quadratics_hand_value(self, two_client_fleet):
         # gradients at the midpoint have unit squared norm for both clients
-        est = convergence_residual(two_client_fleet, [0.5, 0.5], [1.0], n_draws=3)
-        assert est.value == pytest.approx(1.0, abs=1e-15)
+        assert convergence_residual(two_client_fleet, [0.5, 0.5], [1.0]) == pytest.approx(1.0, abs=1e-15)
 
-    @pytest.mark.parametrize("n_draws", [1, 9])
-    def test_full_gradients_are_one_fleet_call_and_exact(self, monkeypatch, n_draws):
+    def test_noise_adds_dim_times_its_variance(self):
+        # gradients -8, -4, 0, 4, 8 at the mean, plus one unit of noise each
+        fleet = quadratic_fleet([[-8.0], [-4.0], [0.0], [4.0], [8.0]], noise_std=1.0)
+        assert convergence_residual(fleet, fleet.importances, [0.0]) == 33.0
+        assert convergence_residual(fleet, fleet.importances, [0.0], full_gradient=True) == 32.0
+        wide = quadratic_fleet([[1.0, 2.0, 3.0]], importances=[1.0], noise_std=0.5)
+        assert convergence_residual(wide, [1.0], [1.0, 2.0, 3.0]) == 0.75
+
+    @pytest.mark.parametrize("batch_size", [None, 2])
+    def test_full_gradients_are_one_fleet_call_and_exact(self, monkeypatch, batch_size):
         fleet = _ragged_fleet("logistic")
         q = np.array([0.3, 0.0, 0.1, 0.2, 0.25, 0.15])
         theta = np.array([0.4, -1.0, 0.7])
@@ -64,14 +69,13 @@ class TestConvergenceResidual:
         calls = []
         original = Fleet.gradients
         monkeypatch.setattr(Fleet, "gradients", lambda self, t: calls.append(1) or original(self, t))
-        est = convergence_residual(fleet, q, theta, n_draws=n_draws)
+        assert convergence_residual(fleet, q, theta, full_gradient=True, batch_size=batch_size) == want
         assert len(calls) == 1
-        assert est.value == want and est.n_draws == n_draws
 
     @pytest.mark.parametrize("batch_size", [None, 2, 4])
-    def test_stochastic_draws_go_client_by_client(self, batch_size):
+    def test_stochastic_terms_go_client_by_client(self, batch_size):
         # GLM shards in two tables and a noisy and a noiseless quadratic;
-        # client 2 has weight 0 and draws nothing
+        # client 2 has weight 0 and adds nothing
         rng = np.random.default_rng(11)
         xs = [rng.standard_normal((n, 3)) for n in (6, 6, 9)]
         ys = [(rng.random(x.shape[0]) < 0.5).astype(float) for x in xs]
@@ -80,30 +84,67 @@ class TestConvergenceResidual:
                                                         [0.3, 0.0], [0.7, 0.0])),
                   (np.array([3]), GlmObjective(xs[2:], ys[2:], "logistic", 2))]
         fleet = Fleet(tables, [1] * 5, [0.2] * 5)
-        q, theta, n_draws = [0.3, 0.15, 0.0, 0.3, 0.25], np.array([0.3, -0.2, 0.5]), 40
-        est = convergence_residual(fleet, q, theta, n_draws=n_draws, batch_size=batch_size,
-                                   rng=np.random.default_rng(5))
-        draws = np.random.default_rng(5)
-        total = 0.0
+        q, theta = [0.3, 0.15, 0.0, 0.3, 0.25], np.array([0.3, -0.2, 0.5])
+        want = 0.0
         for i, qi in enumerate(q):
-            if qi == 0.0:
-                continue
             obj = client_row(fleet, i)
-            samples = np.empty(n_draws)
-            for s in range(n_draws):
-                g = obj.gradients(theta)[0]
-                if isinstance(obj, GlmObjective) and batch_size is not None:
-                    idx = draws.choice(obj.n_samples, size=batch_size, replace=False)
-                    g = GlmObjective(obj.features[:, idx], obj.targets[:, idx], obj.link, 1).gradients(theta)[0]
-                elif isinstance(obj, QuadraticObjective) and obj.noise_std[0] > 0.0:
-                    g = g + obj.noise_std[0] * draws.standard_normal(3)
-                samples[s] = float(np.dot(g, g))
-            total += qi * samples.mean()
-        assert est.value == total
+            g = obj.gradients(theta)[0]
+            moment = float(np.dot(g, g))
+            if isinstance(obj, GlmObjective):
+                # the variance of a B-subset mean of the per-sample gradients
+                n, b = obj.n_samples, batch_size or obj.batch_size
+                x, y = obj.features[0], obj.targets[0]
+                per_sample = [(1.0 / (1.0 + math.exp(-float(x[s] @ theta))) - y[s]) * x[s] for s in range(n)]
+                spread = math.fsum(float(np.dot(gs - g, gs - g)) for gs in per_sample) / n
+                moment += spread * (n - b) / (b * (n - 1))
+            else:
+                moment += 3 * obj.noise_std[0] ** 2
+            want += qi * moment
+        assert convergence_residual(fleet, q, theta, batch_size=batch_size) == pytest.approx(want, rel=1e-13)
 
-    def test_zero_draws_rejected(self, two_client_fleet):
-        with pytest.raises(ConfigurationError):
-            convergence_residual(two_client_fleet, [0.5, 0.5], [1.0], n_draws=0)
+    def test_a_batch_above_the_shard_is_rejected(self):
+        fleet = _ragged_fleet("linear")
+        with pytest.raises(ConfigurationError, match="batch size"):
+            convergence_residual(fleet, fleet.importances, np.zeros(3), batch_size=6)
+
+    @pytest.mark.parametrize("case", ["noisy_quadratic", "glm_minibatch", "glm_whole_shard"])
+    def test_sampled_one_step_gradients_match_the_closed_form(self, case):
+        # 20,000 one-step gradients per client, drawn as a run draws them:
+        # the engine's draw table, then one local_sgd step of size 1
+        rng = np.random.default_rng(3)
+        if case == "noisy_quadratic":
+            table, batch_size = QuadraticObjective(rng.uniform(0.2, 1.0, (3, 2)), rng.normal(size=(3, 2)), 0.0,
+                                                   [0.5, 1.0, 2.0]), None
+        else:
+            x = rng.standard_normal((3, 12, 3))
+            table = GlmObjective(x, (rng.random((3, 12)) < 0.5).astype(float), "logistic", 5)
+            batch_size = 5 if case == "glm_minibatch" else 12
+        fleet, theta = Fleet([(np.arange(3), table)], [1] * 3, [0.2, 0.3, 0.5]), rng.normal(size=table.dim)
+        squares = (_one_step_gradients(table, theta, batch_size) ** 2).sum(axis=2)  # (clients, draws)
+        for i in range(3):
+            want = convergence_residual(fleet, np.eye(3)[i], theta, batch_size=batch_size)
+            se = squares[i].std(ddof=1) / math.sqrt(squares.shape[1])
+            # a whole-shard batch adds no variance: the draws differ from the
+            # full gradient by their summation order alone
+            assert abs(squares[i].mean() - want) <= max(4.0 * se, 1e-12 * want)
+            full = convergence_residual(fleet, np.eye(3)[i], theta, full_gradient=True)
+            assert (want == full) is (case == "glm_whole_shard")
+
+
+def _one_step_gradients(table, theta, batch_size, n_passes=200, n_members=100):
+    """(rows, n_passes * n_members, dim) stochastic gradients of every row
+    of ``table`` at ``theta``: each member's stream on each row is its own
+    generator, and a pass draws one step of every row and member."""
+    from asyncfed.engine import _DrawTable
+    from asyncfed.objectives import local_sgd
+
+    rows = np.arange(len(table))
+    generators = [[np.random.default_rng([g, r]) for r in range(n_members)] for g in rows.tolist()]
+    draws = _DrawTable(table, generators, range(n_members), 1, batch_size)
+    taken = np.concatenate([draws.take(rows) for _ in range(n_passes)], axis=1)
+    starts = np.broadcast_to(theta, (n_passes * len(rows), n_members, table.dim))
+    delta = local_sgd(table, np.tile(rows, n_passes), starts, 1, 1.0, taken).delta
+    return -delta.reshape(n_passes, len(rows), n_members, -1).swapaxes(0, 1).reshape(len(rows), -1, table.dim)
 
 
 class TestDistributionWeights:

@@ -806,8 +806,8 @@ def _reference_run_group(config, member_seeds):
     models, the round times, the rounds and the per-member divergence."""
     fleet, policy, hw, lead = config.fleet, config.policy, config.hw, member_seeds[0]
     d, taus = config.plan.d, list(fleet.compute_times)
-    hw_rng = np.random.default_rng(engine._seed_key(lead.hardware)) if hw.mode == "exponential" else None
-    sample_rng = np.random.default_rng(engine._seed_key(lead.sampling))
+    hw_rng = np.random.default_rng(lead.hardware) if hw.mode == "exponential" else None
+    sample_rng = np.random.default_rng(lead.sampling)
     work = engine._LocalWork(with_seeds(config, member_seeds))
     by_loss = policy.kind is PolicyKind.SAMPLE_BIASED and policy.criterion == "highest_loss"
     state = init_fleet_state(taus, hw, hw_rng, config.initial_clocks, policy=policy)

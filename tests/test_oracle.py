@@ -288,7 +288,7 @@ class TestOracleCsvExport:
 
         state = OracleState("sync", 0.5, (0.25, 0.25))
         path = tmp_path / "oracle_trajectory.csv"
-        export_oracle_csv(state, [0.0, 2.0], *_sequences(state, [0.0, 2.0], 5.0, 10), path)
+        export_oracle_csv([0.0, 2.0], *_sequences(state, [0.0, 2.0], 5.0, 10), 1.5, path)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(trajectory_header(2))
         assert len(lines) == 12
@@ -313,13 +313,13 @@ class TestOracleCsvExport:
         monkeypatch.setattr(asyncfed.engine, "trajectory_header", broken_header)
         state = OracleState("sync", 0.5, (0.25, 0.25))
         with pytest.raises(RuntimeError):
-            export_oracle_csv(state, [0.0, 2.0], *_sequences(state, [0.0, 2.0], 5.0, 10), path)
+            export_oracle_csv([0.0, 2.0], *_sequences(state, [0.0, 2.0], 5.0, 10), 1.5, path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["oracle_trajectory.csv"]
         assert path.read_text() == "previous oracle\n"
 
     @pytest.mark.parametrize("n_rounds", [20, 200])
     def test_bytes_match_the_csv_writer_on_the_shipped_oracle_config(self, tmp_path, n_rounds):
-        from asyncfed.cli import _oracle_state_for
+        from asyncfed.cli import _oracle_round_time, _oracle_state_for
         from asyncfed.config import build_experiment, load_config
         from asyncfed.oracle import export_oracle_csv
 
@@ -327,7 +327,8 @@ class TestOracleCsvExport:
         state, theta0, _ = _oracle_state_for(experiment)
         optima = tuple(experiment.fleet.gather("optima")[:, 0].tolist())
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        export_oracle_csv(state, optima, *_sequences(state, optima, theta0, n_rounds), got)
+        round_time = _oracle_round_time(experiment, state)
+        export_oracle_csv(optima, *_sequences(state, optima, theta0, n_rounds), round_time, got)
         _reference_oracle_csv(state, optima, theta0, n_rounds, want)
         assert got.read_bytes() == want.read_bytes()
 
@@ -343,7 +344,8 @@ class TestOracleCsvExport:
         from asyncfed.oracle import export_oracle_csv
 
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        export_oracle_csv(state, optima, *_sequences(state, optima, 5.0, 60), got)
+        round_time = expected_round_time(state.scheme, len(optima), 1.0, m=state.m)
+        export_oracle_csv(optima, *_sequences(state, optima, 5.0, 60), round_time, got)
         _reference_oracle_csv(state, optima, 5.0, 60, want)
         assert got.read_bytes() == want.read_bytes()
 
