@@ -135,38 +135,20 @@ def scheme_presets(
             scheme, 1.0, 0.0, 0, 1, 0.0, time_budget / tau_max,
             tuple(fleet.importances),
         )
+    if scheme == "async":
+        policy = WaitPolicy(PolicyKind.ASYNCHRONOUS)
+        weights, alpha, n_rounds = WeightScheme.ASYNC_TIME_BASED, 0.0, ordered_sum(time_budget / t for t in taus)
+    else:
+        weights, alpha, n_rounds = WeightScheme.FEDFIX_TIME_BASED, 1.0, time_budget / float(policy.delta_t)
+    plan = plan_weights(weights, fleet.importances, fleet.compute_times, policy, hw)
+    # the schedule's own terms first: a fleet whose schedule the staleness
+    # analysis rejects exits before the residual's per-client descents
+    window, _ = window_counts(policy, fleet.compute_times)
+    tau = staleness_bound(policy, hw, fleet.compute_times)
     if residual is None:
         residual = residual_mean_gap(fleet)
-    if scheme == "async":
-        async_policy = WaitPolicy(PolicyKind.ASYNCHRONOUS)
-        plan = plan_weights(
-            WeightScheme.ASYNC_TIME_BASED, fleet.importances, fleet.compute_times, async_policy, hw
-        )
-        window, _ = window_counts(async_policy, fleet.compute_times)
-        return SchemePreset(
-            scheme,
-            0.0,
-            float(plan.d.max()),
-            staleness_bound(async_policy, hw, fleet.compute_times),
-            window,
-            residual,
-            ordered_sum(time_budget / t for t in taus),
-            tuple(plan.d),
-        )
-    plan = plan_weights(
-        WeightScheme.FEDFIX_TIME_BASED, fleet.importances, fleet.compute_times, policy, hw
-    )
-    window, _ = window_counts(policy, fleet.compute_times)
-    return SchemePreset(
-        scheme,
-        1.0,
-        0.0,
-        staleness_bound(policy, hw, fleet.compute_times),
-        window,
-        residual,
-        time_budget / float(policy.delta_t),
-        tuple(plan.d),
-    )
+    beta = float(plan.d.max()) if scheme == "async" else 0.0
+    return SchemePreset(scheme, alpha, beta, tau, window, residual, n_rounds, tuple(plan.d))
 
 
 def residual_mean_gap(fleet: Fleet) -> float:

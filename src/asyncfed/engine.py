@@ -1085,26 +1085,32 @@ def run_scalar_ensemble(cfg: ScalarEnsembleConfig) -> ScalarEnsembleResult:
 def _async_rounds(rng, optima, step, theta, held, n_rounds) -> None:
     """Advance the asynchronous ensemble ``n_rounds`` rounds in place.
 
-    Each round draws one client j per member, ``rng.integers(0, M,
-    members)``, and updates ``theta += step * (optima[j] - held[., j])``,
-    then ``held[., j] = theta``. The rounds run in chunks of
+    Each round draws one client j per member, ``rng.integers(0, M, members,
+    dtype=np.uint16)`` for M <= 65,536 and the default int64 call above, and
+    updates ``theta += step * (optima[j] - held[., j])``, then
+    ``held[., j] = theta``. The rounds run in chunks of
     ``ASYNC_CHUNK_ROUNDS``: a chunk's draws are made first, one call per
-    round in round order as one round at a time makes them, into a buffer
-    of the smallest unsigned dtype that holds M - 1; then each block of
-    ``ENSEMBLE_BLOCK_MEMBERS`` members runs all the chunk's rounds on its
-    rows of ``held``, which stay in cache meanwhile. Each member sees the
-    same operations in the same order, so every result has the same bits
-    as a round-at-a-time loop.
+    round in round order as one round at a time makes them (numpy's 16-bit
+    generator buffers within a call, so one call for the whole chunk would
+    draw other values), into a buffer of the smallest unsigned dtype that
+    holds M - 1; then each block of ``ENSEMBLE_BLOCK_MEMBERS`` members runs
+    all the chunk's rounds on its rows of ``held``, which stay in cache
+    meanwhile. Each member sees the same operations in the same order, so
+    every result has the same bits as a round-at-a-time loop that draws the
+    same way.
     """
     n_runs, m_clients = held.shape
     block = min(ENSEMBLE_BLOCK_MEMBERS, n_runs)
     chunk = np.empty((min(ASYNC_CHUNK_ROUNDS, n_rounds), n_runs), np.min_scalar_type(m_clients - 1))
+    # numpy's 16-bit bounded generator is exactly uniform and ~1.5x faster
+    # than the int64 default at 1e5 draws; it holds M up to 2^16
+    draw_dtype = np.uint16 if m_clients <= 1 << 16 else np.int64
     base = np.arange(0, block * m_clients, m_clients)  # row starts of a block's flat anchors
     j, flat_j = np.empty((2, block), dtype=np.intp)
     for start in range(0, n_rounds, chunk.shape[0]):
         draws = chunk[: min(chunk.shape[0], n_rounds - start)]
         for row in draws:
-            row[:] = rng.integers(0, m_clients, n_runs)
+            row[:] = rng.integers(0, m_clients, n_runs, dtype=draw_dtype)
         for lo in range(0, n_runs, block):
             hi = min(lo + block, n_runs)
             theta_b, held_b = theta[lo:hi], held[lo:hi].reshape(-1)

@@ -827,6 +827,18 @@ class TestShippedBounds:
             assert code == 0
             assert out == golden.read_text()
 
+    def test_logistic_fleet_exits_before_the_residual(self, monkeypatch, capsys):
+        # the rejected asynchronous schedule ends the command before the
+        # residual's per-client GLM descents start
+        from asyncfed import bounds
+
+        def no_residual(fleet):
+            raise AssertionError("residual_mean_gap ran before the schedule check")
+
+        monkeypatch.setattr(bounds, "residual_mean_gap", no_residual)
+        assert main(["bounds", "--config", str(self.ROOT / "configs" / "async_logistic_heterogeneous.json")]) == 3
+        assert capsys.readouterr().err.startswith("unsupported: the asynchronous schedule repeats only every ")
+
     def test_logistic_fleet_on_integer_times_matches_its_golden(self, tmp_path, capsys):
         # the shipped logistic fleet on times whose asynchronous cycle is
         # short: pins the GLM residual, weighted optimum and smoothness

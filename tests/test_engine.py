@@ -184,6 +184,11 @@ _BIT_IDENTITY_CASES = [
     pytest.param("async", m, n, 11, (1, _CHUNK, 2 * _CHUNK, 4 * _CHUNK + 1), id=f"async-{m}-{n}-chunks")
     for m in (2, 10, 300)
     for n in (2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+] + [
+    # the largest M that draws from numpy's 16-bit generator, and the
+    # smallest that draws with the default int64 call
+    pytest.param("async", m, 2, 5, (3, _CHUNK + 1), id=f"async-{m}-draw-dtype")
+    for m in (1 << 16, (1 << 16) + 1)
 ]
 
 
@@ -259,7 +264,8 @@ class TestScalarEnsemble:
 def _reference_scalar_ensemble(cfg, n_rounds):
     """The ensemble kernel as it was before checkpoint-only statistics: fancy
     gather and scatter of the held anchors, and all four statistics at every
-    round 0..n_rounds."""
+    round 0..n_rounds. Asynchronous rounds draw their clients as uint16 up to
+    M = 65,536 and as numpy's default int64 above."""
     rng = np.random.default_rng(cfg.seed)
     optima = np.asarray(cfg.optima, dtype=float)
     m_clients = optima.shape[0]
@@ -278,6 +284,7 @@ def _reference_scalar_ensemble(cfg, n_rounds):
         sm[n] = gap_sq.mean()
         se_sm[n] = gap_sq.std(ddof=1) / math.sqrt(cfg.n_runs) if cfg.n_runs > 1 else 0.0
 
+    draw_dtype = np.uint16 if m_clients <= 1 << 16 else np.int64
     record(0)
     for n in range(n_rounds):
         if cfg.scheme == "sync":
@@ -287,7 +294,7 @@ def _reference_scalar_ensemble(cfg, n_rounds):
             chosen = np.argpartition(scores, cfg.m - 1, axis=1)[:, : cfg.m]
             theta = theta + step * (optima[chosen].mean(axis=1) - theta)
         else:  # async
-            j = rng.integers(0, m_clients, cfg.n_runs)
+            j = rng.integers(0, m_clients, cfg.n_runs, dtype=draw_dtype)
             theta = theta + step * (optima[j] - held[rows, j])
             held[rows, j] = theta
         record(n + 1)
