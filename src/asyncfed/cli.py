@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -503,6 +504,7 @@ def cmd_gen_shards(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # six parsers per build; each parse_args call fills a fresh namespace
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="asyncfed", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

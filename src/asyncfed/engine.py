@@ -65,18 +65,22 @@ MAX_K_STEPS = 10_000  # local steps per run
 # and seeds one generator per distinct batching seed and noisy client (~1.2
 # KB and ~8 us each); also the most seeds an ensemble config may ask for
 MAX_ENSEMBLE_SEEDS = 10_000
-# n_runs x M of a scalar ensemble: its (n_runs, M) held-anchor buffer is
-# 128 MiB at the cap; the asynchronous rounds add an (ASYNC_CHUNK_ROUNDS,
-# n_runs) buffer of client indices, one byte each up to M = 256 (8 rounds:
-# one float64 member vector). An asynchronous round of the exact oracle holds
-# three (M+1)^2 matrices (its second moment, its rows and one temporary), and
-# the three together are held to the same cap
+# n_runs x M of an asynchronous or sync_uniform scalar ensemble: its (n_runs,
+# M) held-anchor buffer or per-round scores are 128 MiB at the cap (a sync
+# ensemble holds (n_runs,) vectors only, and its n_runs alone is held to the
+# cap); the asynchronous rounds add an (ASYNC_CHUNK_ROUNDS, n_runs) buffer of
+# client indices, one byte each up to M = 256 (8 rounds: one float64 member
+# vector), and one carried row of it. An asynchronous round of the exact
+# oracle holds three (M+1)^2 matrices (its second moment, its rows and one
+# temporary), and the three together are held to the same cap
 MAX_HELD_ANCHORS = 1 << 24
 # the asynchronous scalar ensemble runs its members in blocks of this many
 # (640 KiB of held anchors at M = 10, so a block stays in a 2 MiB L2 cache
 # across a chunk of rounds), ASYNC_CHUNK_ROUNDS rounds per pass over them;
 # a block sized in bytes instead would shrink to a few hundred members at
-# M >= 300, where per-call overhead outweighs the cache
+# M >= 300, where per-call overhead outweighs the cache. Up to M = 256 the
+# chunk's one-byte rows hold clients decoded two rounds at a time from one
+# 16-bit draw
 ENSEMBLE_BLOCK_MEMBERS = 8192
 ASYNC_CHUNK_ROUNDS = 8
 # the rounds of the first block a replayed schedule appends, and of any block
@@ -1015,9 +1019,15 @@ class ScalarEnsembleConfig:
             raise ConfigurationError("checkpoints must be nonnegative rounds")
         if self.n_runs < 1 or not self.checkpoints or max(self.checkpoints) < 1:
             raise ConfigurationError("need at least one run and one round")
-        if self.n_runs * len(self.optima) > MAX_HELD_ANCHORS:
+        if self.scheme == "sync":
+            if self.n_runs > MAX_HELD_ANCHORS:
+                raise ConfigurationError(
+                    f"n_runs must be at most {MAX_HELD_ANCHORS} (the member vector), got {self.n_runs}"
+                )
+        elif self.n_runs * len(self.optima) > MAX_HELD_ANCHORS:
+            array = "the held-anchor buffer" if self.scheme == "async" else "the per-round scores"
             raise ConfigurationError(
-                f"n_runs x clients must be at most {MAX_HELD_ANCHORS} (the held-anchor buffer), "
+                f"n_runs x clients must be at most {MAX_HELD_ANCHORS} ({array}), "
                 f"got {self.n_runs} x {len(self.optima)}"
             )
 
@@ -1066,10 +1076,11 @@ def run_scalar_ensemble(cfg: ScalarEnsembleConfig) -> ScalarEnsembleResult:
         se_sm[i] = gap_sq.std(ddof=1) / math.sqrt(n_runs) if n_runs > 1 else 0.0
 
     record(0)
+    pending = None  # the second client of a pair whose first fell on a checkpoint
     for due in range(1, rounds.shape[0]):
         gap = int(rounds[due] - rounds[due - 1])
         if cfg.scheme == "async":
-            _async_rounds(rng, optima, step, theta, held, gap)
+            pending = _async_rounds(rng, optima, step, theta, held, gap, pending)
         else:
             for _ in range(gap):
                 if cfg.scheme == "sync":
@@ -1082,35 +1093,62 @@ def run_scalar_ensemble(cfg: ScalarEnsembleConfig) -> ScalarEnsembleResult:
     return ScalarEnsembleResult(rounds, mean, se_mean, sm, se_sm, n_runs)
 
 
-def _async_rounds(rng, optima, step, theta, held, n_rounds) -> None:
+def _async_rounds(rng, optima, step, theta, held, n_rounds, pending):
     """Advance the asynchronous ensemble ``n_rounds`` rounds in place.
 
-    Each round draws one client j per member, ``rng.integers(0, M, members,
-    dtype=np.uint16)`` for M <= 65,536 and the default int64 call above, and
-    updates ``theta += step * (optima[j] - held[., j])``, then
-    ``held[., j] = theta``. The rounds run in chunks of
-    ``ASYNC_CHUNK_ROUNDS``: a chunk's draws are made first, one call per
-    round in round order as one round at a time makes them (numpy's 16-bit
-    generator buffers within a call, so one call for the whole chunk would
-    draw other values), into a buffer of the smallest unsigned dtype that
-    holds M - 1; then each block of ``ENSEMBLE_BLOCK_MEMBERS`` members runs
-    all the chunk's rounds on its rows of ``held``, which stay in cache
-    meanwhile. Each member sees the same operations in the same order, so
-    every result has the same bits as a round-at-a-time loop that draws the
-    same way.
+    Each round draws one client j per member and updates
+    ``theta += step * (optima[j] - held[., j])``, then ``held[., j] = theta``.
+    Up to M = 256, rounds 2k+1 and 2k+2 of the ensemble (counted from its
+    round 0) share one draw ``v = rng.integers(0, M*M, members,
+    dtype=np.uint16)``, decoded by :func:`_split_pairs` into ``v // M`` and
+    ``v mod M``: a bijection of [0, M^2) onto [0, M)^2, so the two clients
+    are exactly uniform and independent. Above M = 256 each round draws
+    ``rng.integers(0, M, members, dtype=np.uint16)`` up to M = 65,536 and
+    the default int64 call above. ``pending`` holds the clients of this
+    call's first round if they are the second half of a pair drawn by the
+    previous call, else it is None; the return value is the same for the
+    round after this call's last, so the stream does not depend on where the
+    checkpoints fall.
+
+    The rounds run in chunks of ``ASYNC_CHUNK_ROUNDS``: a chunk's draws are
+    made first, in round order as one round at a time makes them (numpy's
+    16-bit generator buffers within a call, so one call for the whole chunk
+    would draw other values), into a buffer of the smallest unsigned dtype
+    that holds M - 1, a pair that straddles two chunks keeping its second
+    client for the next one; then each block of ``ENSEMBLE_BLOCK_MEMBERS``
+    members runs all the chunk's rounds on its rows of ``held``, which stay
+    in cache meanwhile. Each member sees the same operations in the same
+    order, so every result has the same bits as a round-at-a-time loop that
+    draws the same way.
     """
     n_runs, m_clients = held.shape
     block = min(ENSEMBLE_BLOCK_MEMBERS, n_runs)
     chunk = np.empty((min(ASYNC_CHUNK_ROUNDS, n_rounds), n_runs), np.min_scalar_type(m_clients - 1))
-    # numpy's 16-bit bounded generator is exactly uniform and ~1.5x faster
-    # than the int64 default at 1e5 draws; it holds M up to 2^16
-    draw_dtype = np.uint16 if m_clients <= 1 << 16 else np.int64
+    paired = m_clients <= 1 << 8
+    if paired:
+        m16 = np.uint16(m_clients)  # built only here: np.uint16(65536) would overflow
+        scratch = np.empty(n_runs, np.uint16)
+        carry = np.empty(n_runs, chunk.dtype)
+    else:
+        # numpy's 16-bit bounded generator is exactly uniform and ~1.5x
+        # faster than the int64 default at 1e5 draws; it holds M up to 2^16
+        draw_dtype = np.uint16 if m_clients <= 1 << 16 else np.int64
     base = np.arange(0, block * m_clients, m_clients)  # row starts of a block's flat anchors
     j, flat_j = np.empty((2, block), dtype=np.intp)
     for start in range(0, n_rounds, chunk.shape[0]):
         draws = chunk[: min(chunk.shape[0], n_rounds - start)]
-        for row in draws:
-            row[:] = rng.integers(0, m_clients, n_runs, dtype=draw_dtype)
+        if paired:
+            first = 0 if pending is None else 1
+            if first:
+                draws[0] = pending
+            for r in range(first, draws.shape[0], 2):
+                second = draws[r + 1] if r + 1 < draws.shape[0] else carry
+                v = rng.integers(0, m_clients * m_clients, n_runs, dtype=np.uint16)
+                _split_pairs(v, m16, draws[r], second, scratch)
+            pending = carry if (draws.shape[0] - first) % 2 else None
+        else:
+            for row in draws:
+                row[:] = rng.integers(0, m_clients, n_runs, dtype=draw_dtype)
         for lo in range(0, n_runs, block):
             hi = min(lo + block, n_runs)
             theta_b, held_b = theta[lo:hi], held[lo:hi].reshape(-1)
@@ -1123,6 +1161,19 @@ def _async_rounds(rng, optima, step, theta, held, n_rounds) -> None:
                 pull *= step
                 theta_b += pull
                 held_b[flat_b] = theta_b  # one index per member, so no two writes collide
+    return pending
+
+
+def _split_pairs(v, m16, first, second, scratch) -> None:
+    """Decode uint16 draws ``v`` in [0, M^2) into ``first = v // M`` and
+    ``second = v - M * (v // M)``, in place; ``m16`` is M as ``np.uint16``
+    and ``scratch`` a uint16 row of ``v``'s length. The explicit uint16
+    scalar and loop dtype give the same values under numpy 1.24's
+    value-based casting and NEP 50 (``np.divmod`` and ``np.remainder`` are
+    ~2x slower on uint16)."""
+    np.floor_divide(v, m16, out=first, casting="unsafe")
+    np.multiply(first, m16, out=scratch, dtype=np.uint16)
+    np.subtract(v, scratch, out=second, casting="unsafe")
 
 
 # ---------------------------------------------------------------------------

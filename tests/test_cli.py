@@ -923,6 +923,32 @@ class TestShippedCommands:
             np.testing.assert_allclose(got, [float(r[column]) for r in want], rtol=1e-12, atol=0)
 
 
+class TestEntryPoint:
+    def test_back_to_back_calls_share_one_parser_and_nothing_else(self, monkeypatch):
+        from asyncfed import cli
+
+        seen = []
+        for command in cli._COMMANDS:
+            monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(vars(args)) or 0)
+        calls = [
+            ["sweep", "--config", "a.json", "--out", "o", "--seed", "3", "--quiet", "--axis", "eta_l",
+             "--values", "0.5,1"],
+            ["bounds", "--config", "b.json"],
+            ["sweep", "--config", "c.json", "--out", "o2"],
+            ["oracle-check", "--config", "d.json", "--seed", "9"],
+        ]
+        assert [main(argv) for argv in calls] == [0] * len(calls)
+        assert seen == [
+            {"command": "sweep", "config": "a.json", "out": "o", "seed": 3, "quiet": True, "axis": "eta_l",
+             "values": "0.5,1"},
+            {"command": "bounds", "config": "b.json", "out": None, "seed": None, "quiet": False},
+            {"command": "sweep", "config": "c.json", "out": "o2", "seed": None, "quiet": False, "axis": None,
+             "values": None},
+            {"command": "oracle-check", "config": "d.json", "out": None, "seed": 9, "quiet": False},
+        ]
+        assert cli._parser() is cli._parser()
+
+
 class TestGoldenRows:
     def test_trajectory_first_row_hand_computed(self, tmp_path):
         # theta0 = 5: client losses 12.5 and 4.5, federated loss 8.5,

@@ -185,10 +185,12 @@ _BIT_IDENTITY_CASES = [
     for m in (2, 10, 300)
     for n in (2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
 ] + [
-    # the largest M that draws from numpy's 16-bit generator, and the
-    # smallest that draws with the default int64 call
+    # the largest M that draws two clients per 16-bit draw (v spans the whole
+    # uint16 range) and the smallest that draws one per round; the largest M
+    # that draws from numpy's 16-bit generator, and the smallest that draws
+    # with the default int64 call
     pytest.param("async", m, 2, 5, (3, _CHUNK + 1), id=f"async-{m}-draw-dtype")
-    for m in (1 << 16, (1 << 16) + 1)
+    for m in (1 << 8, (1 << 8) + 1, 1 << 16, (1 << 16) + 1)
 ]
 
 
@@ -224,18 +226,33 @@ class TestScalarEnsemble:
     def test_checkpoint_statistics_are_bit_identical_to_the_per_round_kernel(
         self, scheme, m_clients, n_runs, seed, checkpoints
     ):
-        optima = tuple(np.random.default_rng(m_clients).normal(0.0, 3.0, m_clients).tolist())
-        cfg = ScalarEnsembleConfig(
-            scheme, optima, 0.5, eta_g=0.9, theta0=1.5, checkpoints=checkpoints,
-            n_runs=n_runs, seed=seed, m=min(3, m_clients),
-        )
-        fast = run_scalar_ensemble(cfg)
-        assert fast.rounds.tolist() == sorted({0, *checkpoints})
-        want = _reference_scalar_ensemble(cfg, max(checkpoints))
-        for got, ref in zip(
-            (fast.mean, fast.se_mean, fast.second_moment, fast.se_second_moment), want
-        ):
-            assert got.tobytes() == ref[fast.rounds].tobytes()
+        _assert_bit_identical_to_the_reference(scheme, m_clients, n_runs, seed, checkpoints)
+
+    @pytest.mark.parametrize("m_clients", [2, 10, 256, 257])
+    def test_pairs_straddling_chunks_blocks_and_checkpoints_keep_their_bits(self, monkeypatch, m_clients):
+        # chunks of 3 rounds cut the pairs of a 7-round gap inside one call,
+        # and gaps of 1 and 3 leave a pair's second client to the next call
+        monkeypatch.setattr(engine, "ASYNC_CHUNK_ROUNDS", 3)
+        monkeypatch.setattr(engine, "ENSEMBLE_BLOCK_MEMBERS", 5)
+        _assert_bit_identical_to_the_reference("async", m_clients, 12, 3, (1, 4, 6, 13))
+
+    @pytest.mark.parametrize("m_clients", [1, 2, 3, 10, 255, 256])
+    def test_pair_decode_hits_every_client_pair_exactly_once(self, m_clients):
+        v = np.arange(m_clients * m_clients, dtype=np.uint16)
+        first, second = np.empty((2, v.shape[0]), np.min_scalar_type(m_clients - 1))
+        engine._split_pairs(v, np.uint16(m_clients), first, second, np.empty_like(v))
+        hits = np.zeros((m_clients, m_clients), dtype=int)
+        np.add.at(hits, (first, second), 1)
+        assert (hits == 1).all()
+
+    def test_only_the_schemes_that_hold_members_x_clients_arrays_cap_them(self):
+        ScalarEnsembleConfig("sync", (0.0,) * 200, 0.5, n_runs=100_000)
+        n_runs = engine.MAX_HELD_ANCHORS // 4 + 1
+        for scheme, array in (("async", "held-anchor buffer"), ("sync_uniform", "per-round scores")):
+            with pytest.raises(ConfigurationError, match=rf"^n_runs x clients must be at most .*\(the {array}\)"):
+                ScalarEnsembleConfig(scheme, (0.0,) * 4, 0.5, n_runs=n_runs, m=1)
+        with pytest.raises(ConfigurationError, match=r"^n_runs must be at most .*\(the member vector\)"):
+            ScalarEnsembleConfig("sync", (0.0,), 0.5, n_runs=engine.MAX_HELD_ANCHORS + 1)
 
     def test_async_kernel_peaks_at_the_held_buffer_and_five_member_vectors(self):
         n_runs, m_clients = 100_000, 10
@@ -261,11 +278,28 @@ class TestScalarEnsemble:
             ScalarEnsembleConfig("sync", (0.0, 2.0), 0.5, checkpoints=(-1, 3))
 
 
+def _assert_bit_identical_to_the_reference(scheme, m_clients, n_runs, seed, checkpoints):
+    optima = tuple(np.random.default_rng(m_clients).normal(0.0, 3.0, m_clients).tolist())
+    cfg = ScalarEnsembleConfig(
+        scheme, optima, 0.5, eta_g=0.9, theta0=1.5, checkpoints=checkpoints,
+        n_runs=n_runs, seed=seed, m=min(3, m_clients),
+    )
+    fast = run_scalar_ensemble(cfg)
+    assert fast.rounds.tolist() == sorted({0, *checkpoints})
+    want = _reference_scalar_ensemble(cfg, max(checkpoints))
+    for got, ref in zip(
+        (fast.mean, fast.se_mean, fast.second_moment, fast.se_second_moment), want
+    ):
+        assert got.tobytes() == ref[fast.rounds].tobytes()
+
+
 def _reference_scalar_ensemble(cfg, n_rounds):
     """The ensemble kernel as it was before checkpoint-only statistics: fancy
     gather and scatter of the held anchors, and all four statistics at every
-    round 0..n_rounds. Asynchronous rounds draw their clients as uint16 up to
-    M = 65,536 and as numpy's default int64 above."""
+    round 0..n_rounds. Up to M = 256, asynchronous rounds 2k+1 and 2k+2 take
+    the clients v // M and v % M of one uint16 draw v in [0, M^2); above, each
+    round draws its clients as uint16 up to M = 65,536 and as numpy's default
+    int64 above that."""
     rng = np.random.default_rng(cfg.seed)
     optima = np.asarray(cfg.optima, dtype=float)
     m_clients = optima.shape[0]
@@ -285,6 +319,7 @@ def _reference_scalar_ensemble(cfg, n_rounds):
         se_sm[n] = gap_sq.std(ddof=1) / math.sqrt(cfg.n_runs) if cfg.n_runs > 1 else 0.0
 
     draw_dtype = np.uint16 if m_clients <= 1 << 16 else np.int64
+    second = None  # the second client of the last pair drawn, until its round
     record(0)
     for n in range(n_rounds):
         if cfg.scheme == "sync":
@@ -294,7 +329,13 @@ def _reference_scalar_ensemble(cfg, n_rounds):
             chosen = np.argpartition(scores, cfg.m - 1, axis=1)[:, : cfg.m]
             theta = theta + step * (optima[chosen].mean(axis=1) - theta)
         else:  # async
-            j = rng.integers(0, m_clients, cfg.n_runs, dtype=draw_dtype)
+            if m_clients > 1 << 8:
+                j = rng.integers(0, m_clients, cfg.n_runs, dtype=draw_dtype)
+            elif second is None:
+                v = rng.integers(0, m_clients * m_clients, cfg.n_runs, dtype=np.uint16).astype(np.int64)
+                j, second = v // m_clients, v % m_clients
+            else:
+                j, second = second, None
             theta = theta + step * (optima[j] - held[rows, j])
             held[rows, j] = theta
         record(n + 1)
