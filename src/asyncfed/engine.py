@@ -53,9 +53,9 @@ from .timing import (
     Round,
     Schedule,
     WaitPolicy,
-    advance_round,
     init_fleet_state,
     merged_schedule,
+    replay_rounds,
 )
 from .weights import WeightPlan
 
@@ -454,12 +454,16 @@ def _first_stale(schedule: Schedule, start: int, tau_max: int) -> int | float:
 
 class _Replay:
     """The source of a schedule that :func:`~asyncfed.timing.merged_schedule`
-    does not build: :func:`~asyncfed.timing.advance_round` calls, in blocks
-    of rounds that double from ``_FIRST_REPLAY_BLOCK`` up to
-    ``_REPLAY_BLOCK``. The schedule draws from the hardware and sampling
+    does not build: :func:`~asyncfed.timing.replay_rounds` calls, one per
+    block of rounds, in blocks that double from ``_FIRST_REPLAY_BLOCK`` up
+    to ``_REPLAY_BLOCK``. The schedule draws from the hardware and sampling
     generators only, never from local work, so replaying ahead of the
     models gives the rounds of replaying each in turn. A highest-loss round
-    reads the current model, so those rounds come one at a time."""
+    reads the current model, so those rounds come one at a time.
+
+    A block that the time budget cuts short leaves the hardware generator
+    ahead by the draws of its unplayed rounds; nothing reads that generator
+    after the horizon."""
 
     def __init__(self, config: RunConfig, state, hw_rng, sample_rng):
         policy = config.policy
@@ -474,19 +478,11 @@ class _Replay:
         to its last round are ``models``."""
         config, state, fleet = self.config, self.state, self.config.fleet
         block = self.block if config.rounds is None else min(self.block, config.rounds - state.round_index)
-        rounds, times = [], []
-        for _ in range(block):
-            losses = fleet.losses(models[state.round_index])[0] if self.by_loss else None
-            outcome = advance_round(state, config.policy, self.taus, config.hw, hw_rng=self.hw_rng,
-                                    sample_rng=self.sample_rng, client_losses=losses,
-                                    importances=fleet.importances, time_limit=config.time_budget)
-            if outcome is None:
-                self.done = True
-                break
-            rounds.append(outcome)
-            times.append(state.time)
-        schedule.extend(rounds, times)
-        self.done |= state.round_index == config.rounds
+        losses = fleet.losses(models[state.round_index])[0] if self.by_loss else None
+        played = replay_rounds(state, config.policy, self.taus, config.hw, block, schedule, hw_rng=self.hw_rng,
+                               sample_rng=self.sample_rng, client_losses=losses,
+                               importances=fleet.importances, time_limit=config.time_budget)
+        self.done = played < block or state.round_index == config.rounds
         self.block = min(2 * self.block, self.cap)
 
 

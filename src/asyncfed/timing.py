@@ -15,7 +15,9 @@ averages of the expected weights exact.
 On fixed hardware the synchronous, asynchronous and FedFix schedules are
 known before any model exists: :func:`merged_schedule` builds a whole run's
 rounds from one event merge into a columnar :class:`Schedule`, the record
-that blocks of :func:`advance_round` rounds extend for every other schedule.
+that :func:`replay_rounds` extends a block of rounds at a time for every
+other schedule, with one stepping loop and, on exponential hardware, one
+block of draws; :func:`advance_round` is its one-round call.
 :func:`steady_period` records one period of the asynchronous and FedBuff
 schedules, which the staleness and window analyses read.
 """
@@ -27,7 +29,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -160,16 +161,6 @@ class FleetState:
             )
         return num * (self.scale // den)
 
-    def exceeds(self, dt, time_limit) -> bool:
-        """Whether a round of length ``dt`` would end past ``time_limit``.
-
-        The exact clock compares in ticks: an integer tick count exceeds the
-        limit exactly when it exceeds :meth:`limit_ticks`.
-        """
-        if not self.exact:
-            return self.clock + dt > time_limit
-        return self.clock + dt > self.limit_ticks(time_limit)
-
     def limit_ticks(self, time_limit) -> int:
         """The floor of ``time_limit`` on the tick scale, worked out once
         per limit."""
@@ -192,18 +183,6 @@ class FleetState:
             cdf /= cdf[-1]
             self._cdf = (importances, cdf)
         return self._cdf[1]
-
-    def arm(self, idx, rng):
-        """Fresh local-work times for clients ``idx``, in that order: the
-        tick period on fixed hardware, an exponential draw with that mean
-        otherwise. Scaling standard draws gives the stream and the bits of
-        ``rng.exponential(scale=means)``, one draw per client, without its
-        slow array path."""
-        if self.exact:
-            return self.period[idx]
-        if rng is None:
-            raise ConfigurationError("exponential hardware needs an RNG")
-        return rng.standard_exponential(len(idx)) * self.period[idx]
 
 
 def exact_ratio(value) -> tuple[int, int]:
@@ -325,7 +304,7 @@ class Schedule:
     ``schedule[n]`` is round n as a :class:`Round`, and iteration yields
     every round so.
 
-    The columns are the fronts of buffers; :meth:`extend` appends rounds
+    The columns are the fronts of buffers; :meth:`append` appends rounds
     and doubles a buffer they do not fit.
     """
 
@@ -371,32 +350,28 @@ class Schedule:
     def __iter__(self):
         return (self[n] for n in range(self.n_rounds))
 
-    def extend(self, rounds: list, times: list) -> None:
-        """Append ``rounds``, the next rounds in order, which end at server
-        times ``times``."""
-        if not rounds:
-            return
+    def append(self, length, time, sizes, clients, multiplicity, anchors) -> None:
+        """Append the next rounds, given as columns: each round's length,
+        end time and number of participations, then the clients,
+        multiplicities and anchors of those participations, round by
+        round."""
         n, rows = self.n_rounds, int(self._offsets[self.n_rounds])
-        sizes = [r.clients.size for r in rounds]
-        end, stop = n + len(rounds), rows + sum(sizes)
+        end, stop = n + len(length), rows + clients.shape[0]
         if end > self._length.shape[0] or end >= self._offsets.shape[0]:
             self._length, self._time, self._offsets = (
                 _grown(self._length, end), _grown(self._time, end), _grown(self._offsets, end + 1))
         if stop > self._round_of.shape[0]:
             columns = self._clients, self._multiplicity, self._anchors, self._round_of
             self._clients, self._multiplicity, self._anchors, self._round_of = (_grown(c, stop) for c in columns)
-        if end == n + 1:  # one round (a highest-loss replay appends one at a time): its columns as they are
-            (r,) = rounds
-            self._length[n], self._time[n], self._offsets[end] = r.length, times[0], stop
-            self._clients[rows:stop], self._multiplicity[rows:stop] = r.clients, r.multiplicity
-            self._anchors[rows:stop], self._round_of[rows:stop] = r.anchors, n
+        self._length[n:end], self._time[n:end] = length, time
+        self._clients[rows:stop], self._multiplicity[rows:stop], self._anchors[rows:stop] = (
+            clients, multiplicity, anchors)
+        if end == n + 1:  # one round (a highest-loss replay appends one at a time)
+            self._offsets[end], self._round_of[rows:stop] = stop, n
         else:
-            self._length[n:end] = [r.length for r in rounds]
-            self._time[n:end] = times
-            self._offsets[n + 1 : end + 1] = list(accumulate(sizes, initial=rows))[1:]
-            self._clients[rows:stop] = np.concatenate([r.clients for r in rounds])
-            self._multiplicity[rows:stop] = np.concatenate([r.multiplicity for r in rounds])
-            self._anchors[rows:stop] = np.concatenate([r.anchors for r in rounds])
+            offsets = self._offsets[n + 1 : end + 1]
+            np.cumsum(sizes, out=offsets)
+            offsets += rows
             self._round_of[rows:stop] = np.arange(n, end).repeat(sizes)
         self.n_rounds = end
 
@@ -426,6 +401,35 @@ def fastest_first(taus) -> list[int]:
     return sorted(range(len(taus)), key=lambda i: (taus[i], i))
 
 
+# the most values one standard_exponential call of a replayed block draws
+_BLOCK_DRAWS = 1 << 16
+
+
+class _Draws:
+    """The hardware draws of a block of rounds: standard exponential values
+    served in stream order, as one ``standard_exponential`` call per round
+    would give them. ``budget`` values, the fewest the block's rounds take,
+    come from calls of up to ``_BLOCK_DRAWS`` values each; a round that
+    needs more draws them when it comes. So only a block that the time
+    limit cuts short draws values that no round takes."""
+
+    def __init__(self, rng: np.random.Generator, budget: int):
+        self.rng, self.budget = rng, budget
+        self.pool, self.at = np.empty(0), 0
+
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` values."""
+        at, pool = self.at, self.pool
+        if at + count > pool.shape[0]:
+            rest = pool[at:]
+            fresh = self.rng.standard_exponential(max(count - rest.shape[0], min(self.budget, _BLOCK_DRAWS)))
+            self.budget -= fresh.shape[0]
+            self.pool = pool = np.concatenate([rest, fresh]) if rest.shape[0] else fresh
+            at = 0
+        self.at = at + count
+        return pool[at : at + count]
+
+
 def advance_round(
     state: FleetState,
     policy: WaitPolicy,
@@ -438,101 +442,273 @@ def advance_round(
     importances=None,
     time_limit=None,
 ) -> Round | None:
-    """Advance one aggregation round, mutating ``state``.
+    """Advance one aggregation round, mutating ``state``: the one-round
+    call of :func:`replay_rounds`.
 
     Returns the participant set (with its anchors) and the round duration.
     When ``time_limit`` is given and the round would end past it, the state
-    is left untouched and ``None`` is returned. ``hw`` is the model the
+    is left untouched and ``None`` is returned. Such a round has drawn
+    nothing, unless it samples: to learn its length, a sampling round
+    draws its uniform or multinomial sample and, on exponential hardware,
+    the sampled clients' times. ``hw`` is the model the
     state was built with and ``taus`` orders the fastest-first sampling
     criterion; the clocks themselves come from ``state``.
+    """
+    n = state.round_index
+    lengths, _, _, clients, multiplicity, anchors = _play(
+        state, policy, taus, 1, hw_rng, sample_rng, client_losses, importances, time_limit)
+    if not lengths:
+        return None
+    return Round(n, lengths[0], state.scale, clients, multiplicity, anchors)
+
+
+def replay_rounds(
+    state: FleetState,
+    policy: WaitPolicy,
+    taus,
+    hw: HardwareModel,
+    n_rounds: int,
+    schedule: Schedule,
+    *,
+    hw_rng: np.random.Generator | None = None,
+    sample_rng: np.random.Generator | None = None,
+    client_losses=None,
+    importances=None,
+    time_limit=None,
+) -> int:
+    """Advance ``state`` by up to ``n_rounds`` rounds and append them to
+    ``schedule``: the rounds and clocks of ``n_rounds`` calls of
+    :func:`advance_round`, bit for bit. Returns the rounds played, fewer
+    than ``n_rounds`` only when the next round would end past
+    ``time_limit``.
+
+    The rounds share one stepping loop, and on exponential hardware one
+    block of standard exponential draws, the values per-round draws would
+    take in the same order; a synchronous block draws (rounds, M) clocks
+    at once. A block that the time limit cuts short leaves ``hw_rng`` ahead
+    by the draws of its unplayed rounds. The highest-loss criterion ranks
+    ``client_losses`` in every round of the block.
 
     Every clock is rebased by the round length rather than kept as an
     absolute finish time, because absolute times would round exponential
     clocks differently.
     """
-    n = state.round_index
-    rem = state.remaining
+    lengths, clocks, sizes, clients, multiplicity, anchors = _play(
+        state, policy, taus, n_rounds, hw_rng, sample_rng, client_losses, importances, time_limit)
+    if lengths:
+        times = clocks if not state.exact else [clock / state.scale for clock in clocks]
+        schedule.append(lengths, times, sizes, clients, multiplicity, anchors)
+    return len(lengths)
+
+
+def _play(state, policy, taus, n_rounds, hw_rng, sample_rng, client_losses, importances, time_limit):
+    """Up to ``n_rounds`` rounds of ``policy``, which advance ``state``, as
+    columns: their lengths (a list), the clocks they end at, their numbers
+    of participations, and the clients (ascending within a round),
+    multiplicities and anchors of those participations."""
+    if state.exact:
+        hw_rng = None
+    elif hw_rng is None:
+        raise ConfigurationError("exponential hardware needs an RNG")
+    if time_limit is None:
+        limit = None
+    else:
+        limit = state.limit_ticks(time_limit) if state.exact else time_limit
     kind = policy.kind
     if kind is PolicyKind.ASYNCHRONOUS:
-        selected = rem.argmin(keepdims=True)  # ties serialized, lowest index first
-        dt = rem[selected[0]]
-    else:
+        return _async_rounds(state, n_rounds, hw_rng, limit)
+    if kind is PolicyKind.SYNCHRONOUS and hw_rng is not None:
+        return _sync_rounds(state, n_rounds, hw_rng, limit)
+    draws = None
+    if hw_rng is not None:  # every round draws at least a buffer or a sample of m, one or none
+        least = 1 if kind is PolicyKind.SAMPLE_MD else 0 if kind is PolicyKind.FEDFIX else policy.m
+        draws = _Draws(hw_rng, n_rounds * least)
+    if policy.is_sampling:
+        return _sampling_rounds(state, policy, taus, n_rounds, draws, sample_rng, client_losses, importances,
+                                limit)
+    return _selection_rounds(state, policy, n_rounds, draws, limit)
+
+
+def _async_rounds(state, n_rounds, hw_rng, limit):
+    """Asynchronous rounds: the first finisher delivers alone and draws
+    its next clock, from one draw of up to ``_BLOCK_DRAWS`` values."""
+    rem, period, anchor = state.remaining, state.period, state.anchor
+    n, clock = state.round_index, state.clock
+    lengths, clocks, clients, anchors = [], [], [], []
+    pool, at = [], 0
+    for played in range(n_rounds):
+        i = int(rem.argmin())  # ties serialized, lowest index first
+        dt = rem.item(i)
+        if limit is not None and clock + dt > limit:
+            break
+        rem -= dt
+        if hw_rng is None:
+            rem[i] = period[i]
+        else:
+            if at == len(pool):
+                pool, at = hw_rng.standard_exponential(min(n_rounds - played, _BLOCK_DRAWS)).tolist(), 0
+            rem[i] = pool[at] * period.item(i)
+            at += 1
+        anchors.append(anchor.item(i))
+        n += 1
+        anchor[i] = n
+        clock += dt
+        lengths.append(dt)
+        clocks.append(clock)
+        clients.append(i)
+    state.clock, state.round_index = clock, n
+    ones = _ones(state, len(clients))
+    return lengths, clocks, ones, np.array(clients, dtype=np.int64), ones, np.array(anchors, dtype=np.int64)
+
+
+def _sync_rounds(state, n_rounds, hw_rng, limit):
+    """Synchronous rounds on exponential hardware, from (rows, M) draws:
+    every client delivers, and a round lasts as long as the longest clock
+    the round before it drew. The clocks are running sums, left to right,
+    as a round at a time adds them."""
+    rem, period, n_clients = state.remaining, state.period, state.n_clients
+    n, clock = state.round_index, state.clock
+    length = float(rem.max())
+    lengths, clocks = [], []
+    while len(lengths) < n_rounds and not (limit is not None and clock + length > limit):
+        rows = min(n_rounds - len(lengths), max(1, _BLOCK_DRAWS // n_clients))
+        fresh = hw_rng.standard_exponential((rows, n_clients))
+        fresh *= period
+        longest = fresh.max(axis=1)
+        ends = np.add.accumulate(np.concatenate([[clock, length], longest[:-1]]))[1:]
+        if limit is not None and ends[-1] > limit:  # a later round of the draw ends past the limit
+            rows = int((ends > limit).argmax())
+        lengths.extend([length] + longest[: rows - 1].tolist())
+        clocks.extend(ends[:rows].tolist())
+        rem[:] = fresh[rows - 1]
+        clock, length = clocks[-1], float(longest[rows - 1])
+    played = len(lengths)
+    anchors = np.repeat(np.arange(n, n + played), n_clients)
+    if played:
+        anchors[:n_clients] = state.anchor
+        state.anchor[:] = n + played
+    state.clock, state.round_index = clock, n + played
+    return (lengths, clocks, np.full(played, n_clients), np.tile(np.arange(n_clients), played),
+            _ones(state, played * n_clients), anchors)
+
+
+def _selection_rounds(state, policy, n_rounds, draws, limit):
+    """Synchronous, FedFix and FedBuff rounds: a round lasts as long as the
+    longest clock, the window or the m-th shortest clock, and every client
+    whose clock runs out within it delivers."""
+    rem, period, anchor = state.remaining, state.period, state.anchor
+    n, clock, exact, kind = state.round_index, state.clock, state.exact, policy.kind
+    if kind is PolicyKind.FEDFIX:
+        window = state.ticks(policy.delta_t) if exact else float(policy.delta_t)
+    elif kind is PolicyKind.FEDBUFF:
+        if policy.m > state.n_clients:
+            raise ConfigurationError("fedbuff m exceeds the fleet size")
+        k = policy.m - 1
+    lengths, clocks, picked, anchors = [], [], [], []
+    for _ in range(n_rounds):
         if kind is PolicyKind.SYNCHRONOUS:
             dt = rem.max()
         elif kind is PolicyKind.FEDFIX:
-            dt = state.ticks(policy.delta_t) if state.exact else float(policy.delta_t)
-        elif kind is PolicyKind.FEDBUFF:
-            if policy.m > state.n_clients:
-                raise ConfigurationError("fedbuff m exceeds the fleet size")
-            dt = np.partition(rem, policy.m - 1)[policy.m - 1]
-        else:
-            return _advance_sampling_round(
-                state, policy, taus, hw_rng, sample_rng, client_losses, importances, time_limit
-            )
-        selected = np.flatnonzero(rem <= dt)
-    dt = int(dt) if state.exact else float(dt)
-
-    if time_limit is not None and state.exceeds(dt, time_limit):
-        return None
-
-    ones = state.ones[: selected.size]
-    outcome = Round(n, dt, state.scale, selected, ones, state.anchor[selected])
-    rem -= dt
-    rem[selected] = state.arm(selected, hw_rng)
-    state.anchor[selected] = n + 1
-    state.clock += dt
-    state.round_index = n + 1
-    return outcome
+            dt = window
+        else:  # the m-th shortest clock, as np.partition(rem, k)[k] gives it
+            dt = rem.copy()
+            dt.partition(k)
+            dt = dt[k]
+        selected = (rem <= dt).nonzero()[0]
+        dt = int(dt) if exact else float(dt)
+        if limit is not None and clock + dt > limit:
+            break
+        anchors.append(anchor[selected])
+        rem -= dt
+        rem[selected] = period[selected] if draws is None else draws.take(selected.shape[0]) * period[selected]
+        n += 1
+        anchor[selected] = n
+        clock += dt
+        lengths.append(dt)
+        clocks.append(clock)
+        picked.append(selected)
+    state.clock, state.round_index = clock, n
+    return _columns(state, lengths, clocks, picked, None, anchors)
 
 
-def _advance_sampling_round(
-    state, policy, taus, hw_rng, sample_rng, client_losses, importances, time_limit
-):
+def _sampling_rounds(state, policy, taus, n_rounds, draws, sample_rng, client_losses, importances, limit):
     """Per-round client sampling: selected clients train on the current
     model, everyone else idles (treated as infinitely slow for the round)."""
-    n = state.round_index
-    n_clients = state.n_clients
-    m = policy.m
+    n_clients, m, kind = state.n_clients, policy.m, policy.kind
     if m > n_clients:
         raise ConfigurationError("sample size m exceeds the fleet size")
-
-    clients = None
-    if policy.kind is PolicyKind.SAMPLE_UNIFORM:
+    if kind is PolicyKind.SAMPLE_UNIFORM:
         if sample_rng is None:
             raise ConfigurationError("uniform sampling needs a sampling RNG")
-        drawn = sample_rng.choice(n_clients, size=m, replace=False)
-    elif policy.kind is PolicyKind.SAMPLE_MD:
+    elif kind is PolicyKind.SAMPLE_MD:
         if sample_rng is None:
             raise ConfigurationError("multinomial sampling needs a sampling RNG")
         if importances is None:
             raise ConfigurationError("multinomial sampling needs client importances")
-        # the draws of sample_rng.choice(n_clients, m, replace=True, p=p),
-        # without rebuilding the CDF every round
-        draws = state.sampling_cdf(importances).searchsorted(sample_rng.random(m), side="right")
-        drawn = list(dict.fromkeys(draws.tolist()))  # first-appearance order
-        counts = np.bincount(draws, minlength=n_clients)
-        clients = np.flatnonzero(counts)
-        counts = counts[clients]
+        cdf = state.sampling_cdf(importances)
     elif policy.criterion == "fastest":
-        drawn = np.array(fastest_first(taus)[:m], dtype=np.int64)
+        fixed = np.array(fastest_first(taus)[:m], dtype=np.int64)
     else:
         if client_losses is None:
             raise ConfigurationError("highest_loss criterion needs client losses")
-        drawn = np.argsort(-np.asarray(client_losses, dtype=float), kind="stable")[:m]
+        fixed = np.argsort(-np.asarray(client_losses, dtype=float), kind="stable")[:m]
+    period, anchor = state.period, state.anchor
+    n, clock, exact = state.round_index, state.clock, state.exact
+    lengths, clocks, picked, counted, anchors = [], [], [], [], []
+    for _ in range(n_rounds):
+        clients = None
+        if kind is PolicyKind.SAMPLE_UNIFORM:
+            drawn = sample_rng.choice(n_clients, size=m, replace=False)
+        elif kind is PolicyKind.SAMPLE_MD:
+            # the draws of sample_rng.choice(n_clients, m, replace=True, p=p),
+            # without rebuilding the CDF every round
+            picks = cdf.searchsorted(sample_rng.random(m), side="right")
+            drawn = list(dict.fromkeys(picks.tolist()))  # first-appearance order
+            counts = np.bincount(picks, minlength=n_clients)
+            clients = np.flatnonzero(counts)
+            counts = counts[clients]
+        else:
+            drawn = fixed
+        # draws follow the selection order, as one hardware draw per client would
+        times = period[drawn] if draws is None else draws.take(len(drawn)) * period[drawn]
+        dt = int(times.max()) if exact else float(times.max())
+        if limit is not None and clock + dt > limit:
+            break
+        if clients is None:
+            clients, counts = np.sort(drawn), state.ones[:m]
+        anchors.append(anchor[clients])
+        n += 1
+        anchor[:] = n
+        clock += dt
+        lengths.append(dt)
+        clocks.append(clock)
+        picked.append(clients)
+        counted.append(counts)
+    state.clock, state.round_index = clock, n
+    return _columns(state, lengths, clocks, picked, counted, anchors)
 
-    # draws follow the selection order, as one hardware draw per client would
-    times = state.arm(drawn, hw_rng)
-    dt = int(times.max()) if state.exact else float(times.max())
-    if time_limit is not None and state.exceeds(dt, time_limit):
-        return None
 
-    if clients is None:
-        clients, counts = np.sort(drawn), state.ones[:m]
-    outcome = Round(n, dt, state.scale, clients, counts, state.anchor[clients])
-    state.anchor[:] = n + 1
-    state.clock += dt
-    state.round_index = n + 1
-    return outcome
+def _ones(state: FleetState, size: int) -> np.ndarray:
+    """The multiplicities of ``size`` participations that deliver once
+    each, as a read-only view: of ``state``'s ones, or of one 1."""
+    return state.ones[:size] if size <= state.n_clients else np.broadcast_to(state.ones[:1], (size,))
+
+
+def _columns(state, lengths, clocks, picked, counted, anchors):
+    """:func:`_play`'s columns of rounds whose participants ``picked`` (one
+    array a round) deliver ``counted`` times each (None: once each)."""
+    if not picked:
+        none = np.empty(0, dtype=np.int64)
+        return lengths, clocks, [], none, none, none
+    if len(picked) == 1:  # a round's arrays as they are
+        clients, anchors = picked[0], anchors[0]
+    else:
+        clients, anchors = np.concatenate(picked), np.concatenate(anchors)
+    if counted is None:
+        multiplicity = _ones(state, clients.shape[0])
+    else:
+        multiplicity = counted[0] if len(counted) == 1 else np.concatenate(counted)
+    return lengths, clocks, [p.shape[0] for p in picked], clients, multiplicity, anchors
 
 
 _MERGED_KINDS = frozenset({PolicyKind.SYNCHRONOUS, PolicyKind.ASYNCHRONOUS, PolicyKind.FEDFIX})
@@ -726,11 +902,13 @@ def steady_period(policy: WaitPolicy, taus) -> tuple[int, Schedule]:
     repeats every nu, the rational lcm of the times; the period is the
     sum(c_i) rounds (:func:`participations_per_cycle`) that end in
     (2 tau_max, 2 tau_max + nu], from one event merge (ticks past int64 as
-    Python ints). FedBuff is replayed by :func:`advance_round` until its
-    clocks repeat, found by Brent's algorithm (Brent, BIT 20, 1980) with
-    two clock arrays: a leading replay parks its clocks at rounds 2^k - 1
-    and looks up to 2^k rounds further for them, then two replays one
-    period apart meet at the start of the cycle.
+    Python ints). FedBuff is replayed until its clocks repeat, found by
+    Brent's algorithm (Brent, BIT 20, 1980) with two clock arrays: a
+    leading replay parks its clocks at rounds 2^k - 1 and looks up to 2^k
+    rounds further for them, then two replays one period apart meet at the
+    start of the cycle. The replays that compare clocks after every round
+    take one :func:`advance_round` at a time; the head start of one period
+    and the record are :func:`replay_rounds` blocks.
     """
     taus = list(taus)
     cap = SCHEDULE_ROUND_CAP
@@ -797,16 +975,15 @@ def steady_period(policy: WaitPolicy, taus) -> tuple[int, Schedule]:
         period += 1
 
     lead, trail = replay(), replay()
-    for _ in range(period):
-        step(lead)
+    replay_rounds(lead, policy, taus, hw, period, Schedule.empty(lead))
     while not np.array_equal(lead.remaining, trail.remaining):
         step(lead)
         step(trail)
     start = lead.round_index
     if start + period > cap:
         raise unsettled()
-    record, steps = Schedule.empty(lead), [(step(lead), lead.time) for _ in range(period)]
-    record.extend([r for r, _ in steps], [t for _, t in steps])
+    record = Schedule.empty(lead)
+    replay_rounds(lead, policy, taus, hw, period, record)
     anchors = record.anchors
     anchors -= start  # a view of the record's column
     return start, record

@@ -949,6 +949,39 @@ class TestEntryPoint:
         assert cli._parser() is cli._parser()
 
 
+class TestBlockEdgeGoldens:
+    """An exponential-hardware fleet replays its schedule in blocks of 16,
+    32, 64 and 128 rounds; these time horizons end inside the fifth block.
+    Pins both trajectories byte for byte across the block edges and the
+    time-limit cut."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    @pytest.mark.parametrize("name, scheme, budget", [
+        ("async", {"policy": "asynchronous"}, 9.0),  # 190 rounds
+        ("fedbuff", {"policy": "fedbuff", "m": 3}, 30.0),  # 204 rounds
+    ])
+    def test_simulate_matches_the_golden_trajectory(self, tmp_path, name, scheme, budget):
+        n_clients = 50
+        document = {
+            "schema_version": 1,
+            "fleet": {
+                "compute_times": [1 + (7 * i % 40) / 10 for i in range(n_clients)],
+                "hardware": "exponential",
+                "objective": {"family": "quadratic", "optima": [(13 * i % 17 - 8) / 4 for i in range(n_clients)]},
+            },
+            "scheme": {**scheme, "weights": "identical"},
+            "optimization": {"eta_g": 1.0, "eta_l": 0.3, "k_steps": 1, "full_gradient": True, "theta0": 4.0},
+            "horizon": {"time": budget},
+            "seeds": {"hardware": 7, "batching": 8, "sampling": 9},
+        }
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_config(tmp_path, document)), "--out", str(out),
+                     "--quiet"]) == 0
+        golden = self.ROOT / "tests" / "golden" / f"simulate_block_edges_{name}.csv"
+        assert (out / "trajectory.csv").read_bytes() == golden.read_bytes()
+
+
 class TestGoldenRows:
     def test_trajectory_first_row_hand_computed(self, tmp_path):
         # theta0 = 5: client losses 12.5 and 4.5, federated loss 8.5,

@@ -1073,21 +1073,33 @@ class TestSegmentAggregation:
         assert any(start < n < stop and sizes[start:n].sum() != n - start for start, stop in segments for n in deaths)
 
 
-def _counted_run(monkeypatch, config, *, merge=True):
-    """``run(config)`` and the number of ``advance_round`` calls it made;
+def _per_round_replay(state, policy, taus, hw, n_rounds, schedule, **kwargs):
+    """``replay_rounds`` as one ``advance_round`` call a round."""
+    for played in range(n_rounds):
+        outcome = advance_round(state, policy, taus, hw, **kwargs)
+        if outcome is None:
+            return played
+        schedule.append([outcome.length], [state.time], [outcome.clients.size], outcome.clients,
+                        outcome.multiplicity, outcome.anchors)
+    return n_rounds
+
+
+def _counted_run(monkeypatch, config, *, merge=True, per_round=False):
+    """``run(config)`` and the number of rounds its replay source played;
     without ``merge`` every schedule comes from the replay source, in the
-    same round loop."""
-    calls, advance = [], engine.advance_round
+    same round loop, and with ``per_round`` that source replays one
+    ``advance_round`` call a round instead of a block at a time."""
+    played, replay = [], _per_round_replay if per_round else engine.replay_rounds
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return advance(*args, **kwargs)
+        played.append(replay(*args, **kwargs))
+        return played[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "advance_round", counted)
+        patch.setattr(engine, "replay_rounds", counted)
         if not merge:
             patch.setattr(engine, "merged_schedule", lambda *args, **kwargs: None)
-        return run(config), len(calls)
+        return run(config), sum(played)
 
 
 def _assert_same_trajectory(got, want, tmp_path):
@@ -1106,10 +1118,11 @@ def _assert_same_trajectory(got, want, tmp_path):
 
 class TestMergedLoop:
     """The round loop over a merged schedule gives the trajectories of the
-    same loop over a replayed one, which appends ``advance_round`` rounds
-    whenever the loop reaches the end of the record, bit for bit, and calls
-    no ``advance_round`` on a fixed-hardware synchronous, asynchronous or
-    FedFix fleet."""
+    same loop over a replayed one, which appends a block of rounds whenever
+    the loop reaches the end of the record, bit for bit, and replays no
+    round on a fixed-hardware synchronous, asynchronous or FedFix fleet.
+    Every other schedule's block replay gives the trajectories of one
+    ``advance_round`` call a round."""
 
     @pytest.mark.parametrize("family", ["quadratic", "noisy_quadratic", "glm"])
     @pytest.mark.parametrize("hw", ["fixed", "exponential"])
@@ -1120,14 +1133,19 @@ class TestMergedLoop:
         cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, hw=HardwareModel(hw), eta_g=0.9, eta_l=0.05,
                         k_steps=2, full_gradient=family == "quadratic", rounds=40, metric_cadence=3,
                         theta0=np.full(fleet.dim, 2.0))
+        # a budget of some 20 rounds or more
+        budget = 200.5 if policy.kind is PolicyKind.SYNCHRONOUS or policy.is_sampling else 23.5
+        horizons = (cfg, replace(cfg, rounds=None, time_budget=budget, metric_cadence=1))
         if hw == "exponential" or policy.kind not in (PolicyKind.SYNCHRONOUS, PolicyKind.ASYNCHRONOUS,
                                                       PolicyKind.FEDFIX):
-            # nothing to merge: the loop runs with or without the merge
-            _, calls = _counted_run(monkeypatch, replace(cfg, rounds=8))
-            assert calls >= 8
+            # nothing to merge: the block replay against one advance_round call a round
+            for config in horizons:
+                got, replayed = _counted_run(monkeypatch, config)
+                want, _ = _counted_run(monkeypatch, config, per_round=True)
+                _assert_same_trajectory(got, want, tmp_path)
+                assert replayed == got.n_rounds > 16
             return
-        for config in (cfg, replace(cfg, rounds=None, time_budget=23.5, metric_cadence=1),
-                       replace(cfg, initial_clocks=(0.5, 2, 1.25, 0.3, 4, 1) * 2)):
+        for config in horizons + (replace(cfg, initial_clocks=(0.5, 2, 1.25, 0.3, 4, 1) * 2),):
             got, calls = _counted_run(monkeypatch, config)
             want, looped = _counted_run(monkeypatch, config, merge=False)
             _assert_same_trajectory(got, want, tmp_path)

@@ -139,28 +139,28 @@ def test_an_overflowing_member_ends_inside_local_work():
 
 
 def test_a_shared_schedule_advances_once_per_round(monkeypatch):
-    calls, merges = [], []
-    original, merge = engine.advance_round, engine.merged_schedule
+    played, merges = [], []
+    original, merge = engine.replay_rounds, engine.merged_schedule
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        played.append(original(*args, **kwargs))
+        return played[-1]
 
     def counted_merge(*args, **kwargs):
         merges.append(1)
         return merge(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "advance_round", counted)
+    monkeypatch.setattr(engine, "replay_rounds", counted)
     monkeypatch.setattr(engine, "merged_schedule", counted_merge)
     # a fixed-hardware asynchronous schedule is merged once for the group,
-    # and no round is advanced on its own
+    # and no round is replayed on its own
     shared = CASES["async_k1_rounds"]()
     run_members(with_seeds(shared, MEMBER_SEEDS))
-    assert len(merges) == 1 and len(calls) == 0
+    assert len(merges) == 1 and played == []
     own = CASES["uniform_sampling"]()
     n_rounds = [m.n_rounds for m in run_members(with_seeds(own, MEMBER_SEEDS))]
-    # one call past the time budget per member, which returns None
-    assert len(calls) == sum(n_rounds) + len(MEMBER_SEEDS)
+    # every member replays its own rounds, once each
+    assert sum(played) == sum(n_rounds)
 
 
 def _assert_equals_its_run(member, config):

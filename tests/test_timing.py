@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncfed import timing
 from asyncfed.core import ConfigurationError, UnsupportedConfigError
@@ -21,6 +23,7 @@ from asyncfed.timing import (
     init_fleet_state,
     merged_schedule,
     participations_per_cycle,
+    replay_rounds,
     staleness_bound,
     steady_period,
 )
@@ -521,8 +524,7 @@ def _reference_schedule(taus, policy, n_rounds):
     schedule = merged_schedule(state, policy, rounds=n_rounds)
     if schedule is None:
         schedule = Schedule.empty(state)
-        rounds = [advance_round(state, policy, list(taus), FIXED) for _ in range(n_rounds)]
-        schedule.extend(rounds, [float(t) for t in accumulate(r.delta_t for r in rounds)])
+        replay_rounds(state, policy, list(taus), FIXED, n_rounds, schedule)
     return schedule
 
 
@@ -802,6 +804,91 @@ class TestArrayClockMatchesTheReference:
         state = init_fleet_state([1, 2], FIXED)
         with pytest.raises(ConfigurationError, match="tick scale"):
             advance_round(state, WaitPolicy(PolicyKind.FEDFIX, delta_t=0.5), [1, 2], FIXED)
+
+
+def _stepped(taus, policy, hw, blocks, *, seed, time_limit=None, per_round=False):
+    """``blocks`` calls of ``replay_rounds`` (or, ``per_round``, as many
+    ``advance_round`` calls a block) on fresh clocks, up to the first round
+    past ``time_limit``: the schedule, the final state, whether a round
+    was cut, and the hardware generator."""
+    exponential = hw.mode == "exponential"
+    hw_rng, sample_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    state = init_fleet_state(taus, hw, hw_rng if exponential else None, policy=policy)
+    schedule = Schedule.empty(state)
+    kwargs = dict(hw_rng=hw_rng if exponential else None, sample_rng=sample_rng,
+                  client_losses=np.random.default_rng(seed + 2).random(len(taus)),
+                  importances=np.full(len(taus), 1 / len(taus)), time_limit=time_limit)
+    for block in blocks:
+        played = 0
+        if not per_round:
+            played = replay_rounds(state, policy, taus, hw, block, schedule, **kwargs)
+        while per_round and played < block and (out := advance_round(state, policy, taus, hw, **kwargs)):
+            schedule.append([out.length], [state.time], [out.clients.size], out.clients, out.multiplicity,
+                            out.anchors)
+            played += 1
+        if played < block:
+            return schedule, state, True, hw_rng
+    return schedule, state, False, hw_rng
+
+
+class TestBlockReplay:
+    """``replay_rounds`` over any split of n rounds into blocks gives the
+    columns and the final fleet state of n ``advance_round`` calls, on
+    fixed and exponential hardware, for every policy."""
+
+    @pytest.mark.parametrize("hw", ["fixed", "exponential"])
+    @pytest.mark.parametrize("policy", _policies(6, 0.7), ids=lambda p: p.criterion or f"{p.kind.value}-{p.m}")
+    @given(blocks=st.lists(st.integers(1, 70), min_size=1, max_size=6), seed=st.integers(0, 2 ** 16),
+           limited=st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_any_split_matches_the_per_round_calls(self, policy, hw, blocks, seed, limited):
+        taus = [1.5, 2, 0.75, 3, 1.25, 2.5]
+        hw = HardwareModel(hw)
+        # the budget ends some 40 to 120 rounds in, or 10 to 30 for the slower policies
+        limit = (21.5 if policy.kind is PolicyKind.ASYNCHRONOUS else 37.5) if limited else None
+        got, state, cut, rng = _stepped(taus, policy, hw, blocks, seed=seed, time_limit=limit)
+        want, reference, cut_too, rng_too = _stepped(taus, policy, hw, blocks, seed=seed, time_limit=limit,
+                                                     per_round=True)
+        assert cut == cut_too and len(got) == len(want) == state.round_index == reference.round_index
+        for column in ("length", "time", "offsets", "clients", "multiplicity", "anchors", "round_of"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
+        assert state.remaining.tobytes() == reference.remaining.tobytes()
+        assert state.anchor.tolist() == reference.anchor.tolist()
+        assert (state.clock, type(state.clock)) == (reference.clock, type(reference.clock))
+        if not cut:  # a cut block has drawn ahead for its unplayed rounds
+            assert rng.bit_generator.state == rng_too.bit_generator.state
+
+    @pytest.mark.parametrize("hw", ["fixed", "exponential"])
+    @pytest.mark.parametrize("policy", _policies(6, 0.7), ids=lambda p: p.criterion or f"{p.kind.value}-{p.m}")
+    def test_a_round_past_the_limit_is_the_round_of_a_later_call(self, policy, hw):
+        # a round past the limit leaves the state and the generators as they
+        # were, so a later call with a larger limit plays the round that an
+        # unlimited call plays; a sampling round draws its sample, and on
+        # exponential hardware its clients' times, before it knows its length
+        draws_first = policy.is_sampling and (hw == "exponential" or policy.kind is not PolicyKind.SAMPLE_BIASED)
+        taus, hw = [1.5, 2, 0.75, 3, 1.25, 2.5], HardwareModel(hw)
+        kwargs = dict(client_losses=[0.3, 0.1, 0.5, 0.2, 0.6, 0.4], importances=[1 / 6] * 6)
+        states, generators = [], []
+        for _ in range(2):
+            rng, sample_rng = np.random.default_rng(4), np.random.default_rng(5)
+            generators.append((rng, sample_rng))
+            states.append(init_fleet_state(taus, hw, rng if hw.mode == "exponential" else None, policy=policy))
+        (state, twin), checked = states, 0
+        for _ in range(30):
+            (rng, sample_rng), (rng_twin, sample_twin) = generators
+            kept = state.remaining.copy(), state.anchor.copy(), state.clock, rng.bit_generator.state
+            unlimited = advance_round(twin, policy, taus, hw, hw_rng=rng_twin if hw.mode == "exponential" else None,
+                                      sample_rng=sample_twin, **kwargs)
+            call = dict(hw_rng=rng if hw.mode == "exponential" else None, sample_rng=sample_rng, **kwargs)
+            if twin.time > state.time and not draws_first:
+                assert advance_round(state, policy, taus, hw, time_limit=(state.time + twin.time) / 2, **call) is None
+                assert state.remaining.tobytes() == kept[0].tobytes() and state.anchor.tolist() == kept[1].tolist()
+                assert state.clock == kept[2] and rng.bit_generator.state == kept[3]
+                checked += 1
+            later = advance_round(state, policy, taus, hw, time_limit=twin.time + 1, **call)
+            assert _record([later]) == _record([unlimited])
+            assert state.remaining.tobytes() == twin.remaining.tobytes() and state.clock == twin.clock
+        assert checked > 10 or draws_first
 
 
 def _forbidden(*args):

@@ -117,25 +117,30 @@ class TestWindowStats:
     def test_buffered_stats_replay_the_schedule_once(self, monkeypatch):
         import asyncfed.timing as timing
 
-        calls = []
-        original = timing.advance_round
+        rounds = []
+        advance, replay = timing.advance_round, timing.replay_rounds
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return original(*args, **kwargs)
+        def advanced(*args, **kwargs):
+            rounds.append(1)
+            return advance(*args, **kwargs)
 
-        monkeypatch.setattr(timing, "advance_round", counted)
+        def replayed(*args, **kwargs):
+            rounds.append(replay(*args, **kwargs))
+            return rounds[-1]
+
+        monkeypatch.setattr(timing, "advance_round", advanced)
+        monkeypatch.setattr(timing, "replay_rounds", replayed)
         policy = WaitPolicy(PolicyKind.FEDBUFF, m=3)
         taus = list(range(2, 12))
         plan = plan_weights(WeightScheme.IDENTICAL, [0.1] * 10, taus, policy)
-        assert calls == []
+        assert rounds == []
         assert plan.d.tolist() == [1.0] * 10
         window, q = window_stats(WeightScheme.IDENTICAL, [0.1] * 10, taus, policy)
         # one replay: the clocks first repeat after round 170 with a 51-round
         # period, so the cycle starts at round 119. Brent's search runs to
-        # round 127 + 51, the two meeting replays make 51 + 2 * 119 calls and
-        # the steady period 51 more
-        assert len(calls) == 178 + 51 + 2 * 119 + 51
+        # round 127 + 51, the two meeting replays advance 51 + 2 * 119 rounds
+        # and the steady period replays 51 more
+        assert sum(rounds) == 178 + 51 + 2 * 119 + 51
         assert window == 51
         counts = np.array([44, 28, 23, 19, 16, 14, 12, 11, 10, 9])
         assert q.tolist() == (counts / 51).tolist()
