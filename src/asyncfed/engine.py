@@ -461,9 +461,9 @@ class _Replay:
     models gives the rounds of replaying each in turn. A highest-loss round
     reads the current model, so those rounds come one at a time.
 
-    A block that the time budget cuts short leaves the hardware generator
-    ahead by the draws of its unplayed rounds; nothing reads that generator
-    after the horizon."""
+    An asynchronous block that the time budget cuts short leaves the
+    hardware generator ahead by the draws of its unplayed rounds; nothing
+    reads that generator after the horizon."""
 
     def __init__(self, config: RunConfig, state, hw_rng, sample_rng):
         policy = config.policy

@@ -16,8 +16,9 @@ On fixed hardware the synchronous, asynchronous and FedFix schedules are
 known before any model exists: :func:`merged_schedule` builds a whole run's
 rounds from one event merge into a columnar :class:`Schedule`, the record
 that :func:`replay_rounds` extends a block of rounds at a time for every
-other schedule, with one stepping loop and, on exponential hardware, one
-block of draws; :func:`advance_round` is its one-round call.
+other schedule, with one stepping loop per block (and, for an asynchronous
+block on exponential hardware, one call for its draws);
+:func:`advance_round` is its one-round call.
 :func:`steady_period` records one period of the asynchronous and FedBuff
 schedules, which the staleness and window analyses read.
 """
@@ -401,33 +402,8 @@ def fastest_first(taus) -> list[int]:
     return sorted(range(len(taus)), key=lambda i: (taus[i], i))
 
 
-# the most values one standard_exponential call of a replayed block draws
+# the most values one standard_exponential call of an asynchronous block draws
 _BLOCK_DRAWS = 1 << 16
-
-
-class _Draws:
-    """The hardware draws of a block of rounds: standard exponential values
-    served in stream order, as one ``standard_exponential`` call per round
-    would give them. ``budget`` values, the fewest the block's rounds take,
-    come from calls of up to ``_BLOCK_DRAWS`` values each; a round that
-    needs more draws them when it comes. So only a block that the time
-    limit cuts short draws values that no round takes."""
-
-    def __init__(self, rng: np.random.Generator, budget: int):
-        self.rng, self.budget = rng, budget
-        self.pool, self.at = np.empty(0), 0
-
-    def take(self, count: int) -> np.ndarray:
-        """The next ``count`` values."""
-        at, pool = self.at, self.pool
-        if at + count > pool.shape[0]:
-            rest = pool[at:]
-            fresh = self.rng.standard_exponential(max(count - rest.shape[0], min(self.budget, _BLOCK_DRAWS)))
-            self.budget -= fresh.shape[0]
-            self.pool = pool = np.concatenate([rest, fresh]) if rest.shape[0] else fresh
-            at = 0
-        self.at = at + count
-        return pool[at : at + count]
 
 
 def advance_round(
@@ -482,12 +458,13 @@ def replay_rounds(
     than ``n_rounds`` only when the next round would end past
     ``time_limit``.
 
-    The rounds share one stepping loop, and on exponential hardware one
-    block of standard exponential draws, the values per-round draws would
-    take in the same order; a synchronous block draws (rounds, M) clocks
-    at once. A block that the time limit cuts short leaves ``hw_rng`` ahead
-    by the draws of its unplayed rounds. The highest-loss criterion ranks
-    ``client_losses`` in every round of the block.
+    The rounds share one stepping loop. On exponential hardware an
+    asynchronous block takes its clocks from one ``standard_exponential``
+    call of up to ``_BLOCK_DRAWS`` values, the values its per-round draws
+    would take in the same order; cut short by the time limit, it leaves
+    ``hw_rng`` ahead by the draws of its unplayed rounds. Every other
+    policy draws a round's clocks in that round. The highest-loss
+    criterion ranks ``client_losses`` in every round of the block.
 
     Every clock is rebased by the round length rather than kept as an
     absolute finish time, because absolute times would round exponential
@@ -514,19 +491,12 @@ def _play(state, policy, taus, n_rounds, hw_rng, sample_rng, client_losses, impo
         limit = None
     else:
         limit = state.limit_ticks(time_limit) if state.exact else time_limit
-    kind = policy.kind
-    if kind is PolicyKind.ASYNCHRONOUS:
+    if policy.kind is PolicyKind.ASYNCHRONOUS:
         return _async_rounds(state, n_rounds, hw_rng, limit)
-    if kind is PolicyKind.SYNCHRONOUS and hw_rng is not None:
-        return _sync_rounds(state, n_rounds, hw_rng, limit)
-    draws = None
-    if hw_rng is not None:  # every round draws at least a buffer or a sample of m, one or none
-        least = 1 if kind is PolicyKind.SAMPLE_MD else 0 if kind is PolicyKind.FEDFIX else policy.m
-        draws = _Draws(hw_rng, n_rounds * least)
     if policy.is_sampling:
-        return _sampling_rounds(state, policy, taus, n_rounds, draws, sample_rng, client_losses, importances,
+        return _sampling_rounds(state, policy, taus, n_rounds, hw_rng, sample_rng, client_losses, importances,
                                 limit)
-    return _selection_rounds(state, policy, n_rounds, draws, limit)
+    return _selection_rounds(state, policy, n_rounds, hw_rng, limit)
 
 
 def _async_rounds(state, n_rounds, hw_rng, limit):
@@ -561,38 +531,7 @@ def _async_rounds(state, n_rounds, hw_rng, limit):
     return lengths, clocks, ones, np.array(clients, dtype=np.int64), ones, np.array(anchors, dtype=np.int64)
 
 
-def _sync_rounds(state, n_rounds, hw_rng, limit):
-    """Synchronous rounds on exponential hardware, from (rows, M) draws:
-    every client delivers, and a round lasts as long as the longest clock
-    the round before it drew. The clocks are running sums, left to right,
-    as a round at a time adds them."""
-    rem, period, n_clients = state.remaining, state.period, state.n_clients
-    n, clock = state.round_index, state.clock
-    length = float(rem.max())
-    lengths, clocks = [], []
-    while len(lengths) < n_rounds and not (limit is not None and clock + length > limit):
-        rows = min(n_rounds - len(lengths), max(1, _BLOCK_DRAWS // n_clients))
-        fresh = hw_rng.standard_exponential((rows, n_clients))
-        fresh *= period
-        longest = fresh.max(axis=1)
-        ends = np.add.accumulate(np.concatenate([[clock, length], longest[:-1]]))[1:]
-        if limit is not None and ends[-1] > limit:  # a later round of the draw ends past the limit
-            rows = int((ends > limit).argmax())
-        lengths.extend([length] + longest[: rows - 1].tolist())
-        clocks.extend(ends[:rows].tolist())
-        rem[:] = fresh[rows - 1]
-        clock, length = clocks[-1], float(longest[rows - 1])
-    played = len(lengths)
-    anchors = np.repeat(np.arange(n, n + played), n_clients)
-    if played:
-        anchors[:n_clients] = state.anchor
-        state.anchor[:] = n + played
-    state.clock, state.round_index = clock, n + played
-    return (lengths, clocks, np.full(played, n_clients), np.tile(np.arange(n_clients), played),
-            _ones(state, played * n_clients), anchors)
-
-
-def _selection_rounds(state, policy, n_rounds, draws, limit):
+def _selection_rounds(state, policy, n_rounds, hw_rng, limit):
     """Synchronous, FedFix and FedBuff rounds: a round lasts as long as the
     longest clock, the window or the m-th shortest clock, and every client
     whose clock runs out within it delivers."""
@@ -620,7 +559,8 @@ def _selection_rounds(state, policy, n_rounds, draws, limit):
             break
         anchors.append(anchor[selected])
         rem -= dt
-        rem[selected] = period[selected] if draws is None else draws.take(selected.shape[0]) * period[selected]
+        times = period[selected]
+        rem[selected] = times if hw_rng is None else hw_rng.standard_exponential(times.shape[0]) * times
         n += 1
         anchor[selected] = n
         clock += dt
@@ -631,7 +571,7 @@ def _selection_rounds(state, policy, n_rounds, draws, limit):
     return _columns(state, lengths, clocks, picked, None, anchors)
 
 
-def _sampling_rounds(state, policy, taus, n_rounds, draws, sample_rng, client_losses, importances, limit):
+def _sampling_rounds(state, policy, taus, n_rounds, hw_rng, sample_rng, client_losses, importances, limit):
     """Per-round client sampling: selected clients train on the current
     model, everyone else idles (treated as infinitely slow for the round)."""
     n_clients, m, kind = state.n_clients, policy.m, policy.kind
@@ -670,7 +610,9 @@ def _sampling_rounds(state, policy, taus, n_rounds, draws, sample_rng, client_lo
         else:
             drawn = fixed
         # draws follow the selection order, as one hardware draw per client would
-        times = period[drawn] if draws is None else draws.take(len(drawn)) * period[drawn]
+        times = period[drawn]
+        if hw_rng is not None:
+            times = hw_rng.standard_exponential(times.shape[0]) * times
         dt = int(times.max()) if exact else float(times.max())
         if limit is not None and clock + dt > limit:
             break
@@ -907,8 +849,8 @@ def steady_period(policy: WaitPolicy, taus) -> tuple[int, Schedule]:
     leading replay parks its clocks at rounds 2^k - 1 and looks up to 2^k
     rounds further for them, then two replays one period apart meet at the
     start of the cycle. The replays that compare clocks after every round
-    take one :func:`advance_round` at a time; the head start of one period
-    and the record are :func:`replay_rounds` blocks.
+    take one :func:`advance_round` at a time, as does the head start of one
+    period; the record is one :func:`replay_rounds` block.
     """
     taus = list(taus)
     cap = SCHEDULE_ROUND_CAP
@@ -975,7 +917,8 @@ def steady_period(policy: WaitPolicy, taus) -> tuple[int, Schedule]:
         period += 1
 
     lead, trail = replay(), replay()
-    replay_rounds(lead, policy, taus, hw, period, Schedule.empty(lead))
+    for _ in range(period):
+        step(lead)
     while not np.array_equal(lead.remaining, trail.remaining):
         step(lead)
         step(trail)
