@@ -76,12 +76,30 @@ def epsilon_terms(inputs: BoundInputs) -> EpsilonTerms:
         eps_f = math.inf if inputs.init_gap_sq > 0 else 0.0
     else:
         eps_f = inputs.init_gap_sq / (eta * k * inputs.n_rounds)
-    eps_k = inputs.eta_l ** 2 * (k - 1) ** 2 * (inputs.residual + inputs.sigma1)
-    delay_factor = eta + eta ** 2 * k ** 2 * inputs.tau ** 2
-    eps_alpha = inputs.alpha * delay_factor * (inputs.residual + inputs.max_q * inputs.sigma)
-    eps_beta = inputs.beta * delay_factor * (inputs.residual + inputs.sigma)
-    eps_w = eta * (inputs.window - 1) * k
+    eps_k = _product(_square(inputs.eta_l), (k - 1) ** 2, inputs.residual + inputs.sigma1)
+    delay_factor = eta + _product(_square(eta), k ** 2, _square(inputs.tau))
+    eps_alpha = _product(inputs.alpha, delay_factor, inputs.residual + inputs.max_q * inputs.sigma)
+    eps_beta = _product(inputs.beta, delay_factor, inputs.residual + inputs.sigma)
+    eps_w = _product(eta, inputs.window - 1, k)
     return EpsilonTerms(eps_f, eps_k, eps_alpha, eps_beta, eps_w)
+
+
+def _square(x: float) -> float:
+    """``x ** 2``, or inf where that overflows a double (a Python float's
+    ``**`` raises ``OverflowError`` there)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _product(*factors) -> float:
+    """The factors multiplied left to right, or 0.0 when one of them is
+    zero: a term with a zero factor is 0 even where another factor
+    overflowed to inf."""
+    if 0 in factors:
+        return 0.0
+    return math.prod(factors)
 
 
 def lr_constraint(k_steps: int, smoothness: float, rho: float, eta_g: float, tau: float) -> float:
@@ -92,7 +110,7 @@ def lr_constraint(k_steps: int, smoothness: float, rho: float, eta_g: float, tau
     if k_steps < 1:
         raise ConfigurationError("k_steps must be at least 1")
     base = 1.0 / (48.0 * k_steps * smoothness)
-    damping = 3.0 * rho ** 2 * eta_g * (tau + 1.0)
+    damping = 3.0 * _square(rho) * eta_g * (tau + 1.0)
     return base * min(1.0, 1.0 / damping) if damping > 0 else base
 
 

@@ -76,12 +76,13 @@ def cmd_simulate(args) -> int:
 
     started = time.perf_counter()
     trajectory = run(experiment.run_config)
-    wall = time.perf_counter() - started
-
     csv_path = out_dir / "trajectory.csv"
     written = time.perf_counter()
+    # the metrics rows are computed block by block as they are written
     write_trajectory_csv(trajectory, csv_path)
-    timing_s = {**trajectory.timing_s, "io": time.perf_counter() - written}
+    finished = time.perf_counter()
+    wall = finished - started
+    timing_s = {**trajectory.timing_s, "io": finished - written - trajectory.timing_s["metrics"]}
     log = {
         "schema_version": document["schema_version"],
         "package_version": __version__,

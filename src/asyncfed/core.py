@@ -88,6 +88,10 @@ class Fleet:
         if len(dims) != 1:
             raise ConfigurationError(f"clients disagree on parameter dimension: {dims}")
         self.dim = dims.pop()
+        # each table's columns as (first, end) where its positions run in order
+        self._spans = [(int(pos[0]), int(pos[-1]) + 1)
+                       if pos.size and np.array_equal(pos, np.arange(pos[0], pos[-1] + 1)) else None
+                       for pos in listed]
         p.setflags(write=False)
         self.importances = p  # client importances p_i, one shared read-only array
         self.distribution_ids = ids
@@ -104,13 +108,26 @@ class Fleet:
             out[positions] = values
         return out
 
-    def losses(self, thetas) -> np.ndarray:
+    @property
+    def row_chunk(self) -> int:
+        """The least row count that is a whole number of every table's
+        ``row_chunk``: evaluating rows in blocks of a multiple of it gives
+        the bits of one evaluation of all rows."""
+        return math.lcm(*(table.row_chunk for _, table in self.tables))
+
+    def losses(self, thetas, out=None) -> np.ndarray:
         """C-order (rows, M) loss of every client at each row of the
-        (rows, dim) array ``thetas``, one evaluation per table."""
+        (rows, dim) array ``thetas``, one evaluation per table, written into
+        ``out`` when given. A table whose clients are a run of positions
+        writes its columns in place."""
         thetas = np.asarray(thetas, dtype=float)
-        out = np.empty((thetas.shape[0], len(self)))
-        for positions, table in self.tables:
-            out[:, positions] = table.values(thetas)
+        if out is None:
+            out = np.empty((thetas.shape[0], len(self)))
+        for (positions, table), span in zip(self.tables, self._spans):
+            if span is None:
+                out[:, positions] = table.values(thetas)
+            else:
+                table.values(thetas, out=out[:, span[0]:span[1]])
         return out
 
     def gradients(self, theta) -> np.ndarray:

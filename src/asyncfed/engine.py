@@ -39,7 +39,7 @@ import math
 import operator
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +88,11 @@ _FIRST_REPLAY_BLOCK, _REPLAY_BLOCK = 16, 1024
 # bound on the floats one local_sgd call holds (iterates, its slice of the draw
 # table, gathered samples), and on the values one draw table holds
 _LOCAL_FLOATS = 1 << 20
+# loss cells per metrics block (1 MiB of losses): the rows of a trajectory are
+# computed and written a block at a time, and a block's fixed cost (its
+# participations, masks and surrogates, its leading cells' text: a few dozen
+# numpy calls) stays small next to its cells
+_METRIC_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -170,26 +175,56 @@ class Metrics:
     def __len__(self) -> int:
         return self.round.shape[0]
 
+    def rows(self, start: int, stop: int) -> Metrics:
+        """Rows ``start`` to ``stop`` of every column."""
+        return Metrics(*(getattr(self, f.name)[start:stop] for f in fields(self)))
+
 
 @dataclass
 class Trajectory:
-    """Global models over rounds with per-round bookkeeping."""
+    """Global models over rounds with per-round bookkeeping.
+
+    ``metrics`` is computed on first access, in the row blocks that
+    :func:`write_trajectory_csv` writes, and kept; a caller may replace it."""
 
     theta: np.ndarray               # (n_models, dim)
     times: np.ndarray               # (n_models,)
     rounds: Schedule                # the completed rounds
-    metrics: Metrics | None
+    fleet: Fleet
     optimum: np.ndarray
     diverged: bool = False
     divergence_round: int | None = None
     divergence_cause: str | None = None   # "overflow" (local work) or "threshold"
     never_served: int = 0
     d: np.ndarray | None = None
-    timing_s: dict | None = None     # seconds per engine stage
+    metric_cadence: int = 1
+    timing_s: dict | None = None     # seconds per engine stage; "metrics" sums the metric blocks
+    _metrics: Metrics | None = field(default=None, init=False, repr=False)
 
     @property
     def n_rounds(self) -> int:
         return len(self.rounds)
+
+    @property
+    def metrics(self) -> Metrics:
+        if self._metrics is None:
+            losses = np.empty((_kept_rows(len(self.theta), self.metric_cadence).shape[0], len(self.fleet)))
+            blocks = list(_metric_blocks(self, losses))
+            losses.flags.writeable = False
+            self._metrics = Metrics(
+                np.concatenate([b.round for b in blocks]),
+                np.concatenate([b.wall_time for b in blocks]),
+                [mask for b in blocks for mask in b.participant_mask],
+                np.concatenate([b.loss_fed for b in blocks]),
+                np.concatenate([b.loss_surrogate for b in blocks]),
+                np.concatenate([b.dist_sq for b in blocks]),
+                losses,
+            )
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, value: Metrics) -> None:
+        self._metrics = value
 
     def weight_matrix(self) -> np.ndarray:
         """Realized aggregation weights per round; for deterministic
@@ -490,29 +525,26 @@ def run(config: RunConfig) -> Trajectory:
     """Execute the aggregation loop until the horizon (or divergence): the
     one-member case of the round loop."""
     group = _run_group([config])
-    clock = time.perf_counter
-    started = clock()
     (divergence,) = group.divergence
     schedule = group.rounds
     # an overflow in local work ends the run before its round is aggregated
     served = len(schedule) - (divergence is not None and divergence[1] == "overflow")
     served_ids = schedule.clients[: schedule.offsets[served]]
     n_models = len(group.models)
-    trajectory = Trajectory(
+    return Trajectory(
         theta=group.models[:, 0],
         times=np.concatenate([[0.0], schedule.time[: n_models - 1]]),
         rounds=schedule,
-        metrics=None,
+        fleet=config.fleet,
         optimum=weighted_optimum(config.fleet),
         diverged=divergence is not None,
         divergence_round=None if divergence is None else divergence[0],
         divergence_cause=None if divergence is None else divergence[1],
         never_served=len(config.fleet) - int(np.count_nonzero(np.bincount(served_ids))),
         d=config.plan.d,
+        metric_cadence=config.metric_cadence,
+        timing_s={**group.timing_s, "metrics": 0.0},
     )
-    trajectory.metrics = _compute_metrics(trajectory, config.fleet, config.metric_cadence)
-    trajectory.timing_s = {**group.timing_s, "metrics": clock() - started}
-    return trajectory
 
 
 class _DrawTable:
@@ -838,42 +870,88 @@ def _kept_rows(n_models: int, cadence: int) -> np.ndarray:
     return kept if kept[-1] == n_models - 1 else np.append(kept, n_models - 1)
 
 
-def _federated_losses(fleet: Fleet, thetas) -> tuple[np.ndarray, np.ndarray]:
-    """The C-order (rows, M) client-loss matrix at ``thetas`` and the
-    federated loss of each row."""
-    losses = fleet.losses(thetas)
-    # a running sum adds in client order, left to right, so loss_fed keeps
-    # its bits; np.sum would pair terms and move the last digit
-    weighted = losses * fleet.importances
-    return losses, np.add.accumulate(weighted, axis=1, out=weighted)[:, -1].copy()
+def _block_rows(fleet: Fleet) -> int:
+    """Rows per metrics block: whole encoder blocks (``BLOCK_CELLS`` loss
+    cells each) to about ``_METRIC_CELLS`` cells, rounded up to a whole
+    number of the fleet's ``row_chunk``, so that a block's losses have the
+    bits of one evaluation of every row."""
+    encoder = max(1, BLOCK_CELLS // len(fleet))
+    rows = encoder * max(1, _METRIC_CELLS // (encoder * len(fleet)))
+    return -(-rows // fleet.row_chunk) * fleet.row_chunk
 
 
-def _compute_metrics(traj: Trajectory, fleet: Fleet, cadence: int) -> Metrics:
-    kept = _kept_rows(traj.theta.shape[0], cadence)
+def _loss_blocks(fleet: Fleet, thetas: np.ndarray, losses: np.ndarray | None = None):
+    """For each block of rows of ``thetas``: its first row, its C-order
+    (rows, M) client losses and the federated loss of each row.
+
+    The losses go into the rows of ``losses`` where given, and otherwise
+    into one buffer that the next block overwrites. Overflow in a diverged
+    model's losses gives inf or NaN cells without a warning."""
+    n_rows, step = thetas.shape[0], _block_rows(fleet)
+    held = min(step, n_rows)
+    buffer = np.empty((held, len(fleet))) if losses is None else None
+    weighted = np.empty((len(fleet), held))  # client-major: row i holds client i's terms
+    importances = fleet.importances[:, None]
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        block = losses[lo:hi] if buffer is None else buffer[: hi - lo]
+        w = weighted[:, : hi - lo]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fleet.losses(thetas[lo:hi], out=block)
+            np.multiply(block.T, importances, out=w)
+            loss_fed = _running_sum(w)
+        yield lo, block, loss_fed
+
+
+def _running_sum(terms: np.ndarray) -> np.ndarray:
+    """Per column of the C-order (M, rows) ``terms``, the running sum of its
+    entries from the first row down, as ``total += term`` from a -0.0
+    ``total`` adds them (a first term keeps its bits, a -0.0 included).
+
+    Summed over the slow axis of two or more columns, np.add.reduce adds
+    each row of terms to the columns' totals in turn; np.sum along a row (the
+    fast axis) would pair terms and move the last digit, so one column is an
+    ``np.add.accumulate``."""
+    if terms.shape[1] == 1:
+        return np.add.accumulate(terms[:, 0])[-1:]
+    return np.add.reduce(terms, axis=0, initial=-0.0)
+
+
+def _metric_blocks(traj: Trajectory, losses: np.ndarray | None = None):
+    """The :class:`Metrics` of each block of kept rows, in order; the client
+    losses as :func:`_loss_blocks` holds them. Each block's time is added to
+    ``traj.timing_s["metrics"]``."""
+    clock = time.perf_counter
+    started = clock()
+    kept = _kept_rows(traj.theta.shape[0], traj.metric_cadence)
     thetas = traj.theta[kept]
-    losses, loss_fed = _federated_losses(fleet, thetas)
-    losses.flags.writeable = False
-    # rows with a round come first in ``kept``; the final model's row has
-    # no participants and no surrogate
-    recorded = kept[kept < traj.n_rounds]
-    unrecorded = len(kept) - len(recorded)
-    pos, clients, multiplicity, sizes = traj.rounds.participations(
-        None if len(recorded) == traj.n_rounds else recorded
-    )
-    masks = _participant_masks(pos, clients, len(recorded), len(fleet)) + [None] * unrecorded
-    # the surrogate: mult * d_i * loss_i summed over the participants in
-    # client order, left to right
-    terms = (multiplicity * traj.d[clients]) * losses[pos, clients]
-    surrogates = np.append(_row_sums(terms, sizes), [math.nan] * unrecorded)
-    # one stacked ddot per row, the BLAS call and bits of np.dot(gap, gap)
-    gap = thetas - traj.optimum
-    dist_sq = (gap[:, None, :] @ gap[:, :, None]).reshape(-1)
-    return Metrics(kept, traj.times[kept], masks, loss_fed, surrogates, dist_sq, losses)
+    for lo, block, loss_fed in _loss_blocks(traj.fleet, thetas, losses):
+        rows = kept[lo:lo + block.shape[0]]
+        # rows with a round come first in ``kept``; the final model's row
+        # has no participants and no surrogate
+        recorded = rows[rows < traj.n_rounds]
+        unrecorded = rows.shape[0] - recorded.shape[0]
+        pos, clients, multiplicity, sizes = traj.rounds.participations(recorded)
+        masks = _participant_masks(pos, clients, sizes, len(traj.d)) + [None] * unrecorded
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the surrogate: mult * d_i * loss_i summed over the participants
+            # in client order, left to right
+            terms = (multiplicity * traj.d[clients]) * block[pos, clients]
+            surrogates = np.append(_row_sums(terms, sizes), [math.nan] * unrecorded)
+            # one stacked ddot per row, the BLAS call and bits of np.dot(gap, gap)
+            gap = thetas[lo:lo + block.shape[0]] - traj.optimum
+            dist_sq = (gap[:, None, :] @ gap[:, :, None]).reshape(-1)
+        traj.timing_s["metrics"] += clock() - started
+        yield Metrics(rows, traj.times[rows], masks, loss_fed, surrogates, dist_sq, block)
+        started = clock()
 
 
-def _participant_masks(pos: np.ndarray, clients: np.ndarray, n_rows: int, n_clients: int) -> list:
+def _participant_masks(pos: np.ndarray, clients: np.ndarray, sizes: np.ndarray, n_clients: int) -> list:
     """Per row the int whose bit i is set when client i is among the
-    participations ``clients`` of that row (``pos``)."""
+    participations ``clients`` of that row (``pos``; ``sizes`` per row)."""
+    n_rows = sizes.shape[0]
+    if pos.shape[0] == n_rows and (sizes == 1).all():  # one participant a row, as asynchronous rounds have
+        return [1 << client for client in clients.tolist()]
     if n_clients < 63:  # the masks fit int64
         masks = np.zeros(n_rows, dtype=np.int64)
         np.bitwise_or.at(masks, pos, np.left_shift(1, clients))
@@ -937,8 +1015,8 @@ def run_members(members) -> list[MemberRun]:
             for i, theta, divergence in zip(part, thetas, out.divergence):
                 config = members[i]
                 if divergence is None:
-                    kept = _kept_rows(theta.shape[0], config.metric_cadence)
-                    final = _tail_stats(_federated_losses(config.fleet, theta[kept])[1])
+                    kept = theta[_kept_rows(theta.shape[0], config.metric_cadence)]
+                    final = _tail_stats(np.concatenate([fed for _, _, fed in _loss_blocks(config.fleet, kept)]))
                     runs[i] = MemberRun(config.seeds, theta, len(out.rounds), None, final)
                 else:
                     n = divergence[0]
@@ -1205,35 +1283,78 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     The final model's row has no participant set or surrogate loss; those
     cells are left empty, as is every NaN surrogate.
 
-    Up to 53 clients every participant mask is an integer below 2^53, whose
-    ``'%d'`` is the ``'%.17g'`` of its double, as is a round's. So a row
-    with a mask and a surrogate is encoded whole, its leading cells in one
-    block with its client losses, and only the other rows splice leading
-    cells in one at a time, as :func:`write_trajectory_table` does.
+    Rows are computed and written a block at a time (:func:`_metric_blocks`),
+    so no (rows, M) loss matrix is held, unless ``traj.metrics`` was read or
+    replaced before: then those columns are written. Rows with a mask and a
+    surrogate are encoded by :func:`_full_rows_text`; the others splice
+    their leading cells in one at a time, as :func:`write_trajectory_table`
+    does.
     """
-    m = traj.metrics
-    n_rows, n_clients = len(m), len(traj.d)
-    _check_losses(m.client_losses, (n_rows, n_clients))
-    spliced = np.isnan(m.loss_surrogate) | np.array([mask is None for mask in m.participant_mask], dtype=bool)
-    whole = None
-    if n_clients <= 53 and not spliced.all():
-        whole = np.empty((n_rows, 6 + n_clients))
-        masks = [mask or 0 for mask in m.participant_mask]
-        for j, column in enumerate((m.round, m.wall_time, masks, m.loss_fed, m.loss_surrogate, m.dist_sq)):
+    n_clients = len(traj.d)
+    m = traj._metrics
+    if m is None:
+        blocks = _metric_blocks(traj)
+    else:
+        _check_losses(m.client_losses, (len(m), n_clients))
+        step = _block_rows(traj.fleet)
+        blocks = (m.rows(lo, lo + step) for lo in range(0, len(m), step))
+    with atomic_open(path, binary=True) as fh:
+        fh.write(_header(n_clients))
+        for block in blocks:
+            fh.writelines(_metric_text(block, n_clients))
+
+
+def _metric_text(m: Metrics, n_clients: int):
+    """The CSV text of the rows of ``m``, in pieces: runs of rows with a
+    participant mask and a surrogate, then of rows without, in order."""
+    masks = m.participant_mask
+    partial = np.isnan(m.loss_surrogate) | np.array([mask is None for mask in masks], dtype=bool)
+    change = (np.flatnonzero(partial[1:] != partial[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *change], [*change, len(m)]):
+        run = m.rows(lo, hi)
+        if partial[lo]:
+            leading = [(n, t, b"" if mask is None else b"%d" % mask, fed,
+                        b"" if math.isnan(surrogate) else b"%.17g" % surrogate, dist)
+                       for n, t, mask, fed, surrogate, dist in zip(
+                           run.round.tolist(), run.wall_time.tolist(), run.participant_mask,
+                           run.loss_fed.tolist(), run.loss_surrogate.tolist(), run.dist_sq.tolist())]
+            yield from _table_text(leading, run.client_losses)
+        else:
+            yield from _full_rows_text(run, n_clients)
+
+
+def _full_rows_text(m: Metrics, n_clients: int):
+    """The text of rows that all have a participant mask and a surrogate.
+
+    Up to 53 clients a mask is an integer below 2^53, whose ``'%d'`` is the
+    ``'%.17g'`` of its double, as is a round's, so each row is encoded
+    whole. Otherwise the five numeric leading cells of the rows are encoded
+    as one block, the client losses as another, and each row joins its
+    leading cells, the text of its mask and its losses."""
+    columns = (m.round, m.wall_time, m.participant_mask, m.loss_fed, m.loss_surrogate, m.dist_sq)
+    if n_clients <= 53:
+        whole = np.empty((len(m), 6 + n_clients))
+        for j, column in enumerate(columns):
             whole[:, j] = column
         whole[:, 6:] = m.client_losses
-    else:
-        spliced[:] = True
-    rounds, times, masks, feds, surrogates, dists = (
-        m.round.tolist(), m.wall_time.tolist(), m.participant_mask, m.loss_fed.tolist(),
-        m.loss_surrogate.tolist(), m.dist_sq.tolist(),
-    )
-    leading = [None] * n_rows
-    for r in np.flatnonzero(spliced).tolist():
-        mask, surrogate = masks[r], surrogates[r]
-        leading[r] = (rounds[r], times[r], b"" if mask is None else b"%d" % mask, feds[r],
-                      b"" if math.isnan(surrogate) else b"%.17g" % surrogate, dists[r])
-    _write_table(path, leading, m.client_losses, whole)
+        step = max(1, BLOCK_CELLS // (6 + n_clients))
+        for start in range(0, len(m), step):
+            yield format_rows(whole[start:start + step])
+        return
+    head = format_rows(np.stack(columns[:2] + columns[3:], axis=1))
+    heads, at = memoryview(head), 0
+    step = max(1, BLOCK_CELLS // n_clients)
+    for start in range(0, len(m), step):
+        text = format_rows(m.client_losses[start:start + step])
+        view, pieces, pos = memoryview(text), [], 0
+        for mask in m.participant_mask[start:start + step]:
+            # "n,t," then the mask, then "fed,surrogate,dist," and the losses
+            cut = head.index(b",", head.index(b",", at) + 1) + 1
+            line = head.index(b"\n", cut)
+            end = text.index(b"\n", pos) + 1
+            pieces += (heads[at:cut], b"%d," % mask, heads[cut:line], b",", view[pos:end])
+            at, pos = line + 1, end
+        yield b"".join(pieces)
 
 
 def write_trajectory_table(path, n_clients: int, leading, client_losses: np.ndarray) -> None:
@@ -1249,7 +1370,13 @@ def write_trajectory_table(path, n_clients: int, leading, client_losses: np.ndar
     content.
     """
     _check_losses(client_losses, (len(leading), n_clients))
-    _write_table(path, list(leading), client_losses)
+    with atomic_open(path, binary=True) as fh:
+        fh.write(_header(n_clients))
+        fh.writelines(_table_text(list(leading), client_losses))
+
+
+def _header(n_clients: int) -> bytes:
+    return ",".join(trajectory_header(n_clients)).encode("ascii") + b"\n"
 
 
 def _check_losses(client_losses, shape) -> None:
@@ -1260,29 +1387,18 @@ def _check_losses(client_losses, shape) -> None:
                         f"of shape {client_losses.shape}")
 
 
-def _write_table(path, leading: list, client_losses: np.ndarray, whole: np.ndarray | None = None) -> None:
-    """Write the rows of the trajectory schema: row r is ``whole[r]``
-    encoded as one line where ``leading[r]`` is None, and otherwise the
-    cells of ``leading[r]`` spliced in before that row of the client
-    losses. Rows go out in runs of one kind, in blocks of about
-    ``BLOCK_CELLS`` cells."""
+def _table_text(leading: list, client_losses: np.ndarray):
+    """The rows of the trajectory schema, in pieces: the cells of
+    ``leading[r]`` spliced in before row r of the client losses, in blocks
+    of about ``BLOCK_CELLS`` loss cells."""
     n_rows, n_clients = client_losses.shape
-    step = max(1, BLOCK_CELLS // (n_clients + (0 if whole is None else 6)))
-    spliced = np.array([cells is not None for cells in leading], dtype=bool)
-    change = (np.flatnonzero(spliced[1:] != spliced[:-1]) + 1).tolist()
-    with atomic_open(path, binary=True) as fh:
-        fh.write(",".join(trajectory_header(n_clients)).encode("ascii") + b"\n")
-        for lo, hi in zip([0, *change], [*change, n_rows]):
-            for start in range(lo, hi, step):
-                stop = min(start + step, hi)
-                if not spliced[start]:
-                    fh.write(format_rows(whole[start:stop]))
-                    continue
-                text = format_rows(client_losses[start:stop])
-                # each row's leading cells go before its slice of the loss text
-                view, pieces, pos = memoryview(text), [], 0
-                for cells in leading[start:stop]:
-                    end = text.index(b"\n", pos) + 1
-                    pieces += (b"%d,%.17g,%s,%.17g,%s,%.17g," % cells, view[pos:end])
-                    pos = end
-                fh.write(b"".join(pieces))
+    step = max(1, BLOCK_CELLS // n_clients)
+    for start in range(0, n_rows, step):
+        text = format_rows(client_losses[start:start + step])
+        # each row's leading cells go before its slice of the loss text
+        view, pieces, pos = memoryview(text), [], 0
+        for cells in leading[start:start + step]:
+            end = text.index(b"\n", pos) + 1
+            pieces += (b"%d,%.17g,%s,%.17g,%s,%.17g," % cells, view[pos:end])
+            pos = end
+        yield b"".join(pieces)

@@ -100,13 +100,22 @@ class QuadraticObjective(_Table):
         """(G,) gradient Lipschitz constant of every row."""
         return 2.0 * self.a.max(axis=1)
 
-    def values(self, thetas) -> np.ndarray:
-        """(rows, G) loss of every quadratic at each row of ``thetas``.
+    @property
+    def row_chunk(self) -> int:
+        """Rows of ``thetas`` per matrix product in :meth:`values`: 1 where
+        the loss is elementwise (dim 1)."""
+        return 1 if self.dim == 1 else max(1, _CHUNK_FLOATS // self.dim)
+
+    def values(self, thetas, out=None) -> np.ndarray:
+        """(rows, G) loss of every quadratic at each row of ``thetas``,
+        written into ``out`` when given.
 
         Each quadratic's column is a batched matrix-vector product, so a
         loss has the same bits in its one-row table and in any other; one
         (rows, dim) x (dim, G) product would sum the coordinates in another
-        order for dim > 1. For dim 1 the loss is elementwise,
+        order for dim > 1. Rows go in chunks of ``row_chunk``: the chunk
+        fixes the shape of each BLAS product and so the bits of its result.
+        For dim 1 the loss is elementwise,
         (theta^2 a + theta b) + (c + 0.0), with the bits of the matrix
         products: those add each one-term product to a zero, so they differ
         from the elementwise terms only in the sign of a zero and never give
@@ -114,15 +123,21 @@ class QuadraticObjective(_Table):
         carry another payload).
         """
         thetas = np.asarray(thetas, dtype=float)
+        if out is None:
+            out = np.empty((thetas.shape[0], len(self)))
         if self.dim == 1:
-            out = (thetas * thetas) * self.a[:, 0]
+            np.multiply(thetas * thetas, self.a[:, 0], out=out)
             out += thetas * self.b[:, 0]
             out += self.c + 0.0
             return out
-        out = (thetas * thetas) @ self.a[:, :, None]
-        out += thetas @ self.b[:, :, None]
-        out += self.c[:, None, None]
-        return out[:, :, 0].T
+        step = self.row_chunk
+        for lo in range(0, thetas.shape[0], step):
+            chunk = thetas[lo:lo + step]
+            column = (chunk * chunk) @ self.a[:, :, None]
+            column += chunk @ self.b[:, :, None]
+            column += self.c[:, None, None]
+            out[lo:lo + step] = column[:, :, 0].T
+        return out
 
     def gradients(self, theta) -> np.ndarray:
         """(G, dim) gradient of every quadratic at ``theta``."""
@@ -174,19 +189,27 @@ class GlmObjective(_Table):
         factor = 1.0 if self.link == "linear" else 0.25
         return factor * gram_top / self.n_samples
 
-    def values(self, thetas) -> np.ndarray:
-        """(rows, G) mean loss of every shard at each row of ``thetas``.
+    @property
+    def row_chunk(self) -> int:
+        """Rows of ``thetas`` per margin product in :meth:`values`."""
+        return max(1, _CHUNK_FLOATS // self.n_samples)
 
-        Rows go in chunks of ``_CHUNK_FLOATS // n``, as for one shard: the
-        chunk fixes the shape of each BLAS product and so the bits of its
-        result. Within a chunk the shards go in slices whose (shards, chunk,
-        n) margin array stays near ``_CHUNK_FLOATS`` floats.
+    def values(self, thetas, out=None) -> np.ndarray:
+        """(rows, G) mean loss of every shard at each row of ``thetas``,
+        written into ``out`` when given.
+
+        Rows go in chunks of ``row_chunk`` (``_CHUNK_FLOATS // n``), as for
+        one shard: the chunk fixes the shape of each BLAS product and so the
+        bits of its result. Within a chunk the shards go in slices whose
+        (shards, chunk, n) margin array stays near ``_CHUNK_FLOATS`` floats.
         """
         thetas = np.asarray(thetas, dtype=float)
         n_shards, n = self.targets.shape
-        out = np.empty((n_shards, thetas.shape[0]))
+        if out is None:
+            out = np.empty((thetas.shape[0], n_shards))
+        by_shard = out.T
         features_t = self.features.transpose(0, 2, 1)
-        step = max(1, _CHUNK_FLOATS // n)
+        step = self.row_chunk
         for lo in range(0, thetas.shape[0], step):
             chunk = thetas[lo:lo + step]
             per = max(1, _CHUNK_FLOATS // (chunk.shape[0] * n))
@@ -194,13 +217,13 @@ class GlmObjective(_Table):
                 z = chunk @ features_t[g:g + per]
                 if self.link == "linear":
                     z -= self.targets[g:g + per, None]
-                    out[g:g + per, lo:lo + step] = 0.5 * (z * z).mean(axis=2)
+                    by_shard[g:g + per, lo:lo + step] = 0.5 * (z * z).mean(axis=2)
                 else:
                     # logaddexp(0, -y*z) is log(1 + exp(-y*z)) without
                     # overflow for large |z|
                     z *= self._sign[g:g + per, None]
-                    out[g:g + per, lo:lo + step] = np.logaddexp(0.0, z, out=z).mean(axis=2)
-        return out.T
+                    by_shard[g:g + per, lo:lo + step] = np.logaddexp(0.0, z, out=z).mean(axis=2)
+        return out
 
     def gradients(self, theta) -> np.ndarray:
         """(G, dim) full-shard gradient of every shard at ``theta``."""

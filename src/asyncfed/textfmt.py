@@ -57,16 +57,18 @@ _WORDS = 4  # uint64 words per cell: Python's text has up to 25 characters and t
 
 def _digit_tables():
     """The four ASCII digits of 0..9999 as uint64 values, first digit in the
-    low byte, and the count of trailing zero digits of each (4 for 0)."""
+    low byte, and the count of trailing zero digits of each (4 for 0) as
+    uint8."""
     v = np.arange(10_000)
     digits = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1)
     words = (digits + ord("0")).astype(np.uint8).view("<u4").ravel().astype(np.uint64)
     nonzero = digits[:, ::-1] != 0
-    trailing = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), 4)
+    trailing = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), 4).astype(np.uint8)
     return words, trailing
 
 
 _DIGITS4, _TRAILING4 = _digit_tables()
+_ALL_ZERO4 = np.uint8(4)  # the trailing zero count of a group of four zeros
 
 
 def _layouts():
@@ -77,8 +79,7 @@ def _layouts():
     is set, by ``a + 1`` bytes (past the decimal point) where ``MB`` is set,
     and constant bytes ``C`` ('-', '0', '.', 'e-XX', separator) elsewhere;
     stripped zeros are in neither mask, and bytes past the separator are
-    zero. Returns 8a, 8(a + 1), MA, MB and C (three little-endian words
-    each)."""
+    zero. Returns 8a, MA, MB and C (three little-endian words each)."""
     # int8 grids keep the import's temporaries small
     ranges = ((0, 2), (0, 2), (_E_MIN, _E_MAX + 1), (0, 17), (0, 24))
     sep, neg, exp, tz, col = np.ix_(*(np.arange(lo, hi, dtype=np.int8) for lo, hi in ranges))
@@ -123,14 +124,13 @@ def _layouts():
     shift8 = np.broadcast_to(shift[..., 0], keys).reshape(-1).astype(np.uint64) * _8
     return (
         shift8,
-        shift8 + _8,
         words(np.where(is_digit & (moved == shift), np.uint8(0xFF), np.uint8(0))),
         words(np.where(is_digit & (moved == shift + 1), np.uint8(0xFF), np.uint8(0))),
         words(char),
     )
 
 
-_SHIFT_A, _SHIFT_B, _MASK_A, _MASK_B, _CONST = _layouts()
+_SHIFT_A, _MASK_A, _MASK_B, _CONST = _layouts()
 
 
 def _mul128(a, b):
@@ -229,29 +229,31 @@ def _significand_exact(a, exp):
 
 def _digit_string(d):
     """The 17 digits of each D as a byte string in three uint64 words (the
-    first digit, then two 8-digit words), and D's trailing zero count."""
+    first digit, then two 8-digit words), and D's trailing zero count: the
+    zeros run on through a group of four into the group before it only
+    where that group is all zeros."""
     upper = d // _E8
     first = upper // _E8
     high, tz_high, tz_top = _eight_digits(upper - first * _E8)
     low, tz_low, tz_mid = _eight_digits(d - upper * _E8)
-    tz = np.where(
-        tz_low < 4,
-        tz_low,
-        np.where(tz_mid < 4, 4 + tz_mid, np.where(tz_high < 4, 8 + tz_high, 12 + tz_top)),
-    )
+    tz = tz_top
+    for group in (tz_high, tz_mid, tz_low):
+        tz = group + (group == _ALL_ZERO4) * tz
     return (first + _ASCII0) | (high << _8), (high >> _56) | (low << _8), low >> _56, tz
 
 
-def _encode(x, newline):
+def _encode(x, newline, ends):
     """Bytes of the cells of flat float64 ``x``, each followed by ',' or,
-    where ``newline`` is set, a line feed. The stages are separate functions
+    where ``newline`` is set, a line feed; ``ends`` is each cell's separator
+    and exponent offset in its layout key. The stages are separate functions
     so that each one's temporaries are freed before the next."""
     d, exp, ok = _significand(x)
     w0, w1, w2, tz = _digit_string(d)
-    key = ((newline * 2 + (x < 0)) * _N_EXP + exp - _E_MIN) * 17 + tz
+    key = ((x < 0) * _N_EXP + exp) * 17 + ends + tz
     del d, exp, tz
 
-    sa, sb = _SHIFT_A.take(key), _SHIFT_B.take(key)
+    sa = _SHIFT_A.take(key)
+    sb = sa + _8
     back_a, back_b = _63 - sa, _64 - sb
     slow = np.flatnonzero(~ok)
     # zero bytes after each cell's text are dropped on output; a slot of
@@ -289,9 +291,12 @@ def format_rows(block) -> bytes:
     if n_cols == 0:
         return b"\n" * n_rows
     block = block.astype(np.float64, copy=False)
-    newline = np.arange(n_cols) == n_cols - 1
     step = max(1, BLOCK_CELLS // n_cols)
+    newline = np.tile(np.arange(n_cols) == n_cols - 1, min(step, n_rows))
+    # the layout key (separator, sign, E, trailing zeros) of a cell is
+    # ((2 separator + sign) * _N_EXP + E - _E_MIN) * 17 + trailing zeros
+    ends = np.where(newline, (2 * _N_EXP - _E_MIN) * 17, -_E_MIN * 17)
     return b"".join(
-        _encode(chunk.ravel(), np.tile(newline, chunk.shape[0]))
+        _encode(chunk.ravel(), newline[: chunk.size], ends[: chunk.size])
         for chunk in (block[start : start + step] for start in range(0, n_rows, step))
     )

@@ -405,6 +405,20 @@ class TestSimulate:
         n_rows = len(read_csv_column(out / "trajectory.csv", "n"))
         assert log["divergence"] == {"round": n_rows - 1, "cause": "threshold"}
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_model_is_recorded_without_warnings(self, tmp_path):
+        # theta0 = 1e308: its losses and squared distance overflow to inf and
+        # NaN in the metrics rows, which the run records without a warning
+        document = load_config(Path(__file__).resolve().parents[1] / "configs" / "sync_quadratic.json")
+        document["optimization"]["theta0"] = 1e308
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_config(tmp_path, document)), "--out", str(out),
+                     "--quiet"]) == 0
+        log = json.loads((out / "run_log.json").read_text())
+        assert log["divergence"] == {"round": 0, "cause": "threshold"}
+        first = (out / "trajectory.csv").read_text().splitlines()[1].split(",")
+        assert first[3:6] == ["nan", "", "inf"]  # loss_fed, loss_surrogate (NaN: empty), dist_sq
+
 
 class TestSweep:
     def test_single_value_matches_the_simulate_summary(self, tmp_path):
@@ -741,6 +755,30 @@ class TestBoundsCommand:
         text = (out_dir / "bounds_report.txt").read_text()
         assert "ocal_constants = 1" in text
 
+    @pytest.mark.parametrize("key, value", [("eta_l", 1e160), ("eta_l", 1e200), ("eta_g", 1e300)])
+    def test_terms_that_overflow_report_inf(self, tmp_path, capsys, key, value):
+        # squares of these step sizes overflow a double: the terms are inf,
+        # and a term with a zero factor (k_steps - 1 = 0, a sync delay of 0)
+        # stays 0
+        document = load_config(Path(__file__).resolve().parents[1] / "configs" / "sync_quadratic.json")
+        document["optimization"][key] = value
+        assert main(["bounds", "--config", str(write_config(tmp_path, document))]) == 0
+        reports = capsys.readouterr().out.split("scheme = ")[1:]
+        terms = {report.split("\n")[0]: dict(line.split(" = ") for line in report.splitlines()[1:] if " = " in line)
+                 for report in reports}
+        assert terms["async"]["eps_beta"] == terms["fedfix"]["eps_alpha"] == "inf"
+        assert terms["async"]["total"] == terms["fedfix"]["total"] == "inf"
+        assert all(t["eps_k"] == "0" for t in terms.values())
+        assert math.isfinite(float(terms["sync"]["eps_alpha"])) and math.isfinite(float(terms["sync"]["total"]))
+
+    def test_an_overflowing_rho_gives_a_zero_rate_ceiling(self, tmp_path, capsys):
+        # rho^2 overflows: the damping is inf and the admissible local rate 0
+        document = load_config(Path(__file__).resolve().parents[1] / "configs" / "sync_quadratic.json")
+        document["bounds"] = {"rho": 1e200}
+        assert main(["bounds", "--config", str(write_config(tmp_path, document))]) == 0
+        out = capsys.readouterr().out
+        assert out.count("lr_max = 0\n") == 3
+
 
 class TestGenShards:
     def test_writes_one_csv_per_client(self, tmp_path):
@@ -980,6 +1018,21 @@ class TestBlockEdgeGoldens:
                      "--quiet"]) == 0
         golden = self.ROOT / "tests" / "golden" / f"simulate_block_edges_{name}.csv"
         assert (out / "trajectory.csv").read_bytes() == golden.read_bytes()
+
+
+class TestWideGolden:
+    """An asynchronous M=300 quadratic fleet (tests/golden/simulate_wide_async.json):
+    every row joins its leading cells and the text of its participant mask,
+    of up to 299 bits, to its loss text; 42 kept rows (cadence 2, then the
+    final model, which has no mask) over two encoder blocks of 27 rows."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_simulate_matches_the_golden_trajectory(self, tmp_path):
+        golden = self.ROOT / "tests" / "golden"
+        assert main(["simulate", "--config", str(golden / "simulate_wide_async.json"), "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        assert (tmp_path / "trajectory.csv").read_bytes() == (golden / "simulate_wide_async.csv").read_bytes()
 
 
 class TestGoldenRows:

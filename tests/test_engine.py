@@ -551,6 +551,97 @@ class TestMetricsAndCsv:
             assert np.allclose(traj.theta[n] + 0.8 * total, traj.theta[n + 1], atol=1e-15)
 
 
+class TestMetricBlocks:
+    """Metrics rows are computed in row blocks: ``Trajectory.metrics`` and
+    the CSV writer read the same blocks, and no (rows, M) matrix is held
+    while the CSV is written."""
+
+    def test_blocks_of_glm_chunks_have_the_bits_of_one_evaluation(self, tmp_path, monkeypatch):
+        # 1024 samples a shard: GlmObjective.values goes in chunks of 64 rows;
+        # eight encoder blocks of 20 rows make 160 rows, rounded up to 192
+        shards = make_synthetic_shards(SyntheticShardConfig(6, dim=3, samples_per_client=1024, seed=3,
+                                                            batch_size=16))
+        fleet = Fleet([(np.arange(6), shards)], [1, 1.5, 2, 0.75, 3, 1.25], [1 / 6] * 6)
+        monkeypatch.setattr(engine, "BLOCK_CELLS", 20 * 6)
+        monkeypatch.setattr(engine, "_METRIC_CELLS", 8 * 20 * 6)
+        assert shards.row_chunk == 64 and engine._block_rows(fleet) == 192
+        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, ASYNC)
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.2, rounds=450)
+        blocked, written = run(cfg), run(cfg)
+        metrics = blocked.metrics
+        # one evaluation of every kept row, and its federated loss as a
+        # running sum in client order
+        losses = fleet.losses(blocked.theta)
+        loss_fed = np.add.accumulate(losses * fleet.importances, axis=1)[:, -1]
+        assert len(metrics) == 451 > 2 * engine._block_rows(fleet)
+        assert bits(metrics.client_losses) == bits(losses) and bits(metrics.loss_fed) == bits(loss_fed)
+        write_trajectory_csv(written, tmp_path / "blocked.csv")
+        blocked.metrics = replace(metrics, client_losses=losses, loss_fed=loss_fed)
+        write_trajectory_csv(blocked, tmp_path / "whole.csv")
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    @pytest.mark.parametrize("n_clients", [20, 70])  # rows encoded whole, rows that splice their masks in
+    def test_rows_spanning_metric_blocks_match_the_reference_writer(self, tmp_path, monkeypatch, n_clients):
+        # blocks of three encoder blocks of 7 (20 clients) or 2 (70 clients)
+        # rows over 62 kept rows (cadence 3, then the final model, which
+        # splices its leading cells in); some rounds of a FedFix schedule
+        # have no participant: mask 0, surrogate 0
+        rng = np.random.default_rng(n_clients)
+        fleet = quadratic_fleet(rng.normal(0.0, 3.0, (n_clients, 1)).tolist(),
+                                taus=rng.integers(1, 6, n_clients).tolist())
+        monkeypatch.setattr(engine, "BLOCK_CELLS", 150)
+        monkeypatch.setattr(engine, "_METRIC_CELLS", 3 * 150)
+        assert engine._block_rows(fleet) == 3 * (150 // n_clients)
+        for policy in (ASYNC, WaitPolicy(PolicyKind.FEDFIX, delta_t=0.3)):
+            plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+            cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.3, rounds=181, metric_cadence=3)
+            traj = run(cfg)
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            write_trajectory_csv(traj, got)
+            _reference_trajectory_csv(traj, want)
+            assert got.read_bytes() == want.read_bytes()
+            assert len(traj.metrics) == 62 and traj.metrics.participant_mask[-1] is None
+            assert (0 in traj.metrics.participant_mask) == (policy is not ASYNC)
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 16, 131])
+    def test_the_federated_loss_is_a_running_sum_in_client_order(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        losses = rng.standard_normal((n_rows, 300)) * 10.0 ** rng.uniform(-8, 8, (n_rows, 300))
+        losses[:, ::7] = -0.0
+        losses[-1] = -0.0  # a row of negative zeros sums to -0.0
+        weights = rng.random(300)
+        terms = np.empty((300, n_rows + 5))[:, :n_rows]  # client-major, as the blocks hold them
+        np.multiply(losses.T, weights[:, None], out=terms)
+        want = np.add.accumulate(losses * weights, axis=1)[:, -1]
+        assert bits(engine._running_sum(terms)) == bits(want)
+        assert np.signbit(engine._running_sum(terms)[-1])
+
+    def test_writing_the_csv_holds_no_loss_matrix(self, tmp_path):
+        # an asynchronous M=500 fleet over 250 and 1000 rounds: the longer
+        # run may hold more of the per-round record (the models and the
+        # schedule's columns, in buffers that grow by doubling), not a
+        # (rows, M) matrix, which would add 750 * 500 * 8 = 3 MB
+        n_clients = 500
+        fleet = quadratic_fleet([[(13 * i % 17 - 8) / 4] for i in range(n_clients)],
+                                taus=[1 + (7 * i % 40) / 10 for i in range(n_clients)])
+        plan = plan_weights(WeightScheme.IDENTICAL, fleet.importances, fleet.compute_times, ASYNC)
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, hw=HardwareModel("exponential"), eta_l=0.01,
+                        full_gradient=True, rounds=20, theta0=np.array([4.0]))
+        write_trajectory_csv(run(cfg), tmp_path / "warm.csv")  # numpy's first-call allocations stay untraced
+
+        def peak(rounds):
+            tracemalloc.start()
+            try:
+                write_trajectory_csv(run(replace(cfg, rounds=rounds)), tmp_path / "trajectory.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(250), peak(1000)
+        record = 750 * (fleet.dim + 7) * 8  # the models' and the 7 schedule columns' words a round
+        assert long - short <= 2 * record + (256 << 10)
+
+
 def _delivered_delta(objective, anchor_model, cfg, source=None):
     """One client's local work, computed at its delivery: one job of one
     member on the client's one-row table ``objective``."""

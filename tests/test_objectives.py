@@ -664,6 +664,22 @@ class TestBatchedValues:
             np.testing.assert_allclose(obj.values(thetas)[:, 0], want, rtol=1e-12, atol=0)
             np.testing.assert_allclose(obj.value(thetas[0])[0], want[0], rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("dim", [1, 1024])
+    def test_rows_in_blocks_of_the_row_chunk_keep_the_bits_of_one_call(self, dim):
+        # a vector quadratic's matrix-vector products take row_chunk rows (64
+        # at dim 1024), so evaluating rows in blocks of a multiple of it gives
+        # the bits of one call, and a call writes into the columns it is given
+        rng = np.random.default_rng(dim)
+        obj = QuadraticObjective(rng.random((5, dim)), rng.normal(size=(5, dim)), rng.normal(size=5))
+        assert obj.row_chunk == (1 if dim == 1 else _CHUNK_FLOATS // dim)
+        thetas = rng.normal(0.0, 3.0, (150, dim))
+        whole = obj.values(thetas)
+        out = np.full((150, 7), np.nan)
+        for lo in range(0, 150, 2 * obj.row_chunk):
+            obj.values(thetas[lo:lo + 2 * obj.row_chunk], out=out[lo:lo + 2 * obj.row_chunk, 1:6])
+        assert bits(out[:, 1:6]) == bits(whole) and np.isnan(out[:, [0, 6]]).all()
+        assert bits(whole[64:128]) == bits(obj.values(thetas[64:128]))
+
 
 class TestTables:
     """One class per family: a client objective is a row of its table."""
