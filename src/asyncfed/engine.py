@@ -39,7 +39,7 @@ import math
 import operator
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -159,10 +159,10 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Metrics:
-    """The metrics of the kept models (every ``metric_cadence``-th and the
-    last) as columns: entry j of each belongs to model ``round[j]``. The
-    final model has no round of its own, so its participant mask is None
-    and its surrogate loss NaN."""
+    """A block of metrics rows of kept models (every ``metric_cadence``-th
+    and the last) as columns: entry j of each belongs to model ``round[j]``.
+    The final model has no round of its own, so its participant mask is None
+    and its surrogate loss NaN, as are those of a closed-form sequence."""
 
     round: np.ndarray               # int64 model indices
     wall_time: np.ndarray
@@ -170,7 +170,7 @@ class Metrics:
     loss_fed: np.ndarray
     loss_surrogate: np.ndarray
     dist_sq: np.ndarray
-    client_losses: np.ndarray       # read-only, C-order (rows, M)
+    client_losses: np.ndarray       # C-order (rows, M)
 
     def __len__(self) -> int:
         return self.round.shape[0]
@@ -182,10 +182,9 @@ class Metrics:
 
 @dataclass
 class Trajectory:
-    """Global models over rounds with per-round bookkeeping.
-
-    ``metrics`` is computed on first access, in the row blocks that
-    :func:`write_trajectory_csv` writes, and kept; a caller may replace it."""
+    """Global models over rounds with per-round bookkeeping; its metrics rows
+    are computed a block at a time (:func:`_metric_blocks`) when the CSV is
+    written."""
 
     theta: np.ndarray               # (n_models, dim)
     times: np.ndarray               # (n_models,)
@@ -199,32 +198,10 @@ class Trajectory:
     d: np.ndarray | None = None
     metric_cadence: int = 1
     timing_s: dict | None = None     # seconds per engine stage; "metrics" sums the metric blocks
-    _metrics: Metrics | None = field(default=None, init=False, repr=False)
 
     @property
     def n_rounds(self) -> int:
         return len(self.rounds)
-
-    @property
-    def metrics(self) -> Metrics:
-        if self._metrics is None:
-            losses = np.empty((_kept_rows(len(self.theta), self.metric_cadence).shape[0], len(self.fleet)))
-            blocks = list(_metric_blocks(self, losses))
-            losses.flags.writeable = False
-            self._metrics = Metrics(
-                np.concatenate([b.round for b in blocks]),
-                np.concatenate([b.wall_time for b in blocks]),
-                [mask for b in blocks for mask in b.participant_mask],
-                np.concatenate([b.loss_fed for b in blocks]),
-                np.concatenate([b.loss_surrogate for b in blocks]),
-                np.concatenate([b.dist_sq for b in blocks]),
-                losses,
-            )
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, value: Metrics) -> None:
-        self._metrics = value
 
     def weight_matrix(self) -> np.ndarray:
         """Realized aggregation weights per round; for deterministic
@@ -964,9 +941,13 @@ def _participant_masks(pos: np.ndarray, clients: np.ndarray, sizes: np.ndarray, 
 def _tail_stats(series: np.ndarray, fraction: float = 0.05) -> tuple[float, float]:
     """Mean and standard deviation of a loss series over its trailing
     fraction of recorded rounds."""
-    window = max(1, math.ceil(fraction * series.shape[0]))
-    tail = series[-window:]
+    tail = series[-_tail_rows(series.shape[0], fraction):]
     return float(tail.mean()), float(tail.std())
+
+
+def _tail_rows(n_rows: int, fraction: float = 0.05) -> int:
+    """The rows of the trailing window :func:`_tail_stats` averages."""
+    return max(1, math.ceil(fraction * n_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -1016,7 +997,13 @@ def run_members(members) -> list[MemberRun]:
                 config = members[i]
                 if divergence is None:
                     kept = theta[_kept_rows(theta.shape[0], config.metric_cadence)]
-                    final = _tail_stats(np.concatenate([fed for _, _, fed in _loss_blocks(config.fleet, kept)]))
+                    window = _tail_rows(kept.shape[0])
+                    # from a whole number of row chunks, so every loss has the
+                    # bits of an evaluation of all kept rows
+                    chunk = config.fleet.row_chunk
+                    start = (kept.shape[0] - window) // chunk * chunk
+                    tail = np.concatenate([fed for _, _, fed in _loss_blocks(config.fleet, kept[start:])])
+                    final = _tail_stats(tail[-window:], fraction=1.0)  # all of the window
                     runs[i] = MemberRun(config.seeds, theta, len(out.rounds), None, final)
                 else:
                     n = divergence[0]
@@ -1278,29 +1265,30 @@ def atomic_open(path, binary: bool = False):
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Comma-separated metrics rows, LF endings, 17 significant digits.
+    """The metrics rows of ``traj`` in the trajectory schema, computed and
+    written a block at a time (:func:`_metric_blocks`), so no (rows, M) loss
+    matrix is held."""
+    write_trajectory_table(path, len(traj.d), _metric_blocks(traj))
 
-    The final model's row has no participant set or surrogate loss; those
-    cells are left empty, as is every NaN surrogate.
 
-    Rows are computed and written a block at a time (:func:`_metric_blocks`),
-    so no (rows, M) loss matrix is held, unless ``traj.metrics`` was read or
-    replaced before: then those columns are written. Rows with a mask and a
-    surrogate are encoded by :func:`_full_rows_text`; the others splice
-    their leading cells in one at a time, as :func:`write_trajectory_table`
-    does.
+def write_trajectory_table(path, n_clients: int, blocks) -> None:
+    """Write the trajectory schema, the one writer behind it: the rows of
+    each :class:`Metrics` of ``blocks`` in turn, comma-separated, LF
+    endings, 17 significant digits.
+
+    A row without a participant mask (the final model's) leaves its
+    participants cell empty, as a NaN surrogate loss does its cell. Rows
+    with a mask and a surrogate are encoded by :func:`_full_rows_text`; the
+    others splice their leading cells in one at a time. Loss cells are
+    encoded by :func:`asyncfed.textfmt.format_rows`, exactly as
+    ``'%.17g' % x``. A block whose ``client_losses`` is not a
+    (rows, ``n_clients``) array of real numbers raises ``TypeError`` before
+    it is encoded; ``path`` then keeps its old content.
     """
-    n_clients = len(traj.d)
-    m = traj._metrics
-    if m is None:
-        blocks = _metric_blocks(traj)
-    else:
-        _check_losses(m.client_losses, (len(m), n_clients))
-        step = _block_rows(traj.fleet)
-        blocks = (m.rows(lo, lo + step) for lo in range(0, len(m), step))
     with atomic_open(path, binary=True) as fh:
-        fh.write(_header(n_clients))
+        fh.write(",".join(trajectory_header(n_clients)).encode("ascii") + b"\n")
         for block in blocks:
+            _check_losses(block.client_losses, (len(block), n_clients))
             fh.writelines(_metric_text(block, n_clients))
 
 
@@ -1311,16 +1299,29 @@ def _metric_text(m: Metrics, n_clients: int):
     partial = np.isnan(m.loss_surrogate) | np.array([mask is None for mask in masks], dtype=bool)
     change = (np.flatnonzero(partial[1:] != partial[:-1]) + 1).tolist()
     for lo, hi in zip([0, *change], [*change, len(m)]):
-        run = m.rows(lo, hi)
-        if partial[lo]:
-            leading = [(n, t, b"" if mask is None else b"%d" % mask, fed,
-                        b"" if math.isnan(surrogate) else b"%.17g" % surrogate, dist)
-                       for n, t, mask, fed, surrogate, dist in zip(
-                           run.round.tolist(), run.wall_time.tolist(), run.participant_mask,
-                           run.loss_fed.tolist(), run.loss_surrogate.tolist(), run.dist_sq.tolist())]
-            yield from _table_text(leading, run.client_losses)
-        else:
-            yield from _full_rows_text(run, n_clients)
+        rows_text = _partial_rows_text if partial[lo] else _full_rows_text
+        yield from rows_text(m.rows(lo, hi), n_clients)
+
+
+def _partial_rows_text(m: Metrics, n_clients: int):
+    """The text of rows that lack a participant mask or a surrogate, in blocks
+    of about ``BLOCK_CELLS`` loss cells: each row's leading cells, with an
+    empty cell for a missing mask or a NaN surrogate, spliced in before its
+    slice of the loss text."""
+    step = max(1, BLOCK_CELLS // n_clients)
+    for start in range(0, len(m), step):
+        rows = m.rows(start, start + step)
+        text = format_rows(rows.client_losses)
+        view, pieces, pos = memoryview(text), [], 0
+        for n, t, mask, fed, surrogate, dist in zip(
+                rows.round.tolist(), rows.wall_time.tolist(), rows.participant_mask,
+                rows.loss_fed.tolist(), rows.loss_surrogate.tolist(), rows.dist_sq.tolist()):
+            end = text.index(b"\n", pos) + 1
+            cells = (n, t, b"" if mask is None else b"%d" % mask, fed,
+                     b"" if math.isnan(surrogate) else b"%.17g" % surrogate, dist)
+            pieces += (b"%d,%.17g,%s,%.17g,%s,%.17g," % cells, view[pos:end])
+            pos = end
+        yield b"".join(pieces)
 
 
 def _full_rows_text(m: Metrics, n_clients: int):
@@ -1357,48 +1358,9 @@ def _full_rows_text(m: Metrics, n_clients: int):
         yield b"".join(pieces)
 
 
-def write_trajectory_table(path, n_clients: int, leading, client_losses: np.ndarray) -> None:
-    """Write the trajectory schema: per row the cells (n, t, participants,
-    loss_fed, loss_surrogate, dist_sq), participants and surrogate already
-    ASCII bytes, then that row of ``client_losses``, a (rows, n_clients)
-    array of real numbers.
-
-    Loss cells are encoded by :func:`asyncfed.textfmt.format_rows`, exactly
-    as ``'%.17g' % x``, and written in blocks of about ``BLOCK_CELLS``
-    cells. Anything but such an array, one row per entry of ``leading``,
-    raises ``TypeError`` before ``path`` is opened, so it keeps its old
-    content.
-    """
-    _check_losses(client_losses, (len(leading), n_clients))
-    with atomic_open(path, binary=True) as fh:
-        fh.write(_header(n_clients))
-        fh.writelines(_table_text(list(leading), client_losses))
-
-
-def _header(n_clients: int) -> bytes:
-    return ",".join(trajectory_header(n_clients)).encode("ascii") + b"\n"
-
-
 def _check_losses(client_losses, shape) -> None:
     if not isinstance(client_losses, np.ndarray):
         raise TypeError(f"expected a {shape} array of client losses, got {type(client_losses).__name__}")
     if client_losses.dtype.kind not in "biuf" or client_losses.shape != shape:
         raise TypeError(f"expected a {shape} array of client losses, got {client_losses.dtype} "
                         f"of shape {client_losses.shape}")
-
-
-def _table_text(leading: list, client_losses: np.ndarray):
-    """The rows of the trajectory schema, in pieces: the cells of
-    ``leading[r]`` spliced in before row r of the client losses, in blocks
-    of about ``BLOCK_CELLS`` loss cells."""
-    n_rows, n_clients = client_losses.shape
-    step = max(1, BLOCK_CELLS // n_clients)
-    for start in range(0, n_rows, step):
-        text = format_rows(client_losses[start:start + step])
-        # each row's leading cells go before its slice of the loss text
-        view, pieces, pos = memoryview(text), [], 0
-        for cells in leading[start:start + step]:
-            end = text.index(b"\n", pos) + 1
-            pieces += (b"%d,%.17g,%s,%.17g,%s,%.17g," % cells, view[pos:end])
-            pos = end
-        yield b"".join(pieces)

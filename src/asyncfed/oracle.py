@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigurationError, UnsupportedConfigError, ordered_sum
-from .engine import MAX_HELD_ANCHORS, write_trajectory_table
+from .engine import MAX_HELD_ANCHORS, Metrics, write_trajectory_table
 
 SCHEMES = ("sync", "sync_uniform", "async")
 # (M+1)^2 matrices alive at once in an asynchronous second-moment round
@@ -207,11 +207,10 @@ def export_oracle_csv(optima, mean, second_moment, round_time: float, path) -> N
     client_losses = 0.5 * (second[:, None] + 2 * offset * drift + offset**2)
     # cumsum adds left to right, as the scalar sum did
     loss_fed = np.cumsum(client_losses, axis=1)[:, -1] / len(optima)
-    leading = [
-        (n, n * round_time, b"", fed, b"", sm)
-        for n, (fed, sm) in enumerate(zip(loss_fed.tolist(), second.tolist()))
-    ]
-    write_trajectory_table(path, len(optima), leading, client_losses)
+    rounds = np.arange(len(second))
+    unset = np.full(len(second), np.nan)
+    metrics = Metrics(rounds, rounds * round_time, [None] * len(second), loss_fed, unset, second, client_losses)
+    write_trajectory_table(path, len(optima), [metrics])
 
 
 def expected_round_time(scheme: str, n_clients: int, rate: float, m: int | None = None) -> float:

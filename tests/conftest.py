@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from asyncfed import engine
 from asyncfed.core import Fleet, uniform_importances
+from asyncfed.engine import Metrics
 from asyncfed.objectives import QuadraticObjective
 from asyncfed.timing import HardwareModel, advance_round, init_fleet_state
 
@@ -32,6 +34,24 @@ def with_seeds(config, member_seeds) -> list:
 def bits(x) -> bytes:
     """The bytes of an array: unlike ``array_equal``, this tells -0.0 from +0.0."""
     return np.ascontiguousarray(x).tobytes()
+
+
+def trajectory_metrics(traj) -> Metrics:
+    """Every metrics row of ``traj`` as one :class:`Metrics`: the row blocks
+    the CSV writer computes, joined, their client losses in one (rows, M)
+    matrix."""
+    n_rows = engine._kept_rows(traj.theta.shape[0], traj.metric_cadence).shape[0]
+    losses = np.empty((n_rows, len(traj.fleet)))
+    blocks = list(engine._metric_blocks(traj, losses))
+    return Metrics(
+        np.concatenate([b.round for b in blocks]),
+        np.concatenate([b.wall_time for b in blocks]),
+        [mask for b in blocks for mask in b.participant_mask],
+        np.concatenate([b.loss_fed for b in blocks]),
+        np.concatenate([b.loss_surrogate for b in blocks]),
+        np.concatenate([b.dist_sq for b in blocks]),
+        losses,
+    )
 
 
 def client_row(fleet, i):

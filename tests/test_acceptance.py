@@ -26,7 +26,7 @@ from asyncfed.oracle import OracleState, expectation_recursion, expected_round_t
 from asyncfed.timing import PolicyKind, WaitPolicy
 from asyncfed.weights import WeightScheme, plan_weights, verify_window_assumption, window_stats
 
-from conftest import quadratic_fleet, round_durations
+from conftest import quadratic_fleet, round_durations, trajectory_metrics
 
 
 def report(number: int, message: str) -> None:
@@ -269,7 +269,7 @@ class TestCriterion8HeterogeneousLogisticTrend:
                     fleet=fleet, policy=policy, plan=plan, eta_g=1.0, eta_l=0.02,
                     k_steps=5, time_budget=120.0, seeds=Seeds((0,), (seed,), (2,)),
                 )
-                out.append(engine._tail_stats(run(cfg).metrics.loss_fed)[0])
+                out.append(engine._tail_stats(trajectory_metrics(run(cfg)).loss_fed)[0])
             return out
 
         time_based = final_losses(WeightScheme.ASYNC_TIME_BASED)

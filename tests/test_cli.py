@@ -960,6 +960,14 @@ class TestShippedCommands:
             got = np.array([float(r[column]) for r in rows])
             np.testing.assert_allclose(got, [float(r[column]) for r in want], rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("stem", ["async_exponential_oracle", "sync_quadratic"])
+    def test_oracle_check_matches_the_golden_trajectory(self, stem, tmp_path):
+        # the closed-form mean and second moment in the trajectory schema
+        assert main(["oracle-check", "--config", str(self.ROOT / "configs" / f"{stem}.json"),
+                     "--out", str(tmp_path), "--quiet"]) == 0
+        golden = self.ROOT / "tests" / "golden" / f"oracle_{stem}.csv"
+        assert (tmp_path / "oracle_trajectory.csv").read_bytes() == golden.read_bytes()
+
 
 class TestEntryPoint:
     def test_back_to_back_calls_share_one_parser_and_nothing_else(self, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from asyncfed import engine
 from asyncfed.core import ConfigurationError, Fleet, StalenessCapError
 from asyncfed.engine import (
+    Metrics,
     RunConfig,
     ScalarEnsembleConfig,
     Seeds,
@@ -29,7 +30,7 @@ from asyncfed.oracle import phi
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy, advance_round, init_fleet_state
 from asyncfed.weights import WeightPlan, WeightScheme, plan_weights
 
-from conftest import BatchStream, bits, client_row, quadratic_fleet, reference_draws, with_seeds
+from conftest import BatchStream, bits, client_row, quadratic_fleet, reference_draws, trajectory_metrics, with_seeds
 
 SYNC = WaitPolicy(PolicyKind.SYNCHRONOUS)
 ASYNC = WaitPolicy(PolicyKind.ASYNCHRONOUS)
@@ -406,41 +407,41 @@ class TestMetricsAndCsv:
             traj = run(cfg)
             got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}.ref.csv"
             write_trajectory_csv(traj, got)
-            _reference_trajectory_csv(traj, want)
+            metrics = trajectory_metrics(traj)
+            _reference_trajectory_csv(metrics, want)
             assert got.read_bytes() == want.read_bytes()
-        assert traj.metrics.round[-1] == 41 and traj.metrics.participant_mask[-1] is None
-        assert traj.metrics.round[-2] == 39
+        assert metrics.round[-1] == 41 and metrics.participant_mask[-1] is None
+        assert metrics.round[-2] == 39
         assert run(diverged).diverged
 
     def test_failed_write_leaves_no_temporary_and_keeps_the_old_file(self, tmp_path):
         fleet = quadratic_fleet([[0.0], [2.0]])
-        traj = run(sync_config(fleet, rounds=6))
+        metrics = trajectory_metrics(run(sync_config(fleet, rounds=6)))
         path = tmp_path / "trajectory.csv"
         path.write_text("previous run\n")
-        losses = traj.metrics.client_losses.astype(object)
+        losses = metrics.client_losses.astype(object)
         losses[4] = (0.5, "not a number")
-        traj.metrics = replace(traj.metrics, client_losses=losses)
         with pytest.raises(TypeError):
-            write_trajectory_csv(traj, path)
+            engine.write_trajectory_table(path, 2, [replace(metrics, client_losses=losses)])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectory.csv"]
         assert path.read_text() == "previous run\n"
 
-    def test_malformed_loss_tables_raise_type_error_before_the_file_is_opened(self, tmp_path, monkeypatch):
+    def test_malformed_loss_tables_raise_type_error_and_keep_the_old_file(self, tmp_path):
+        # the blocks are streamed, so a malformed block is found once the file
+        # is open, after any blocks before it are written
         path = tmp_path / "trajectory.csv"
         path.write_text("previous run\n")
-        leading = [(0, 0.0, b"", 1.0, b"", 0.0), (1, 1.0, b"", 1.0, b"", 0.0)]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the loss table is checked before the file is opened")
-
-        monkeypatch.setattr(engine, "atomic_open", refuse)
+        rows = np.arange(2)
+        good = Metrics(rows, rows * 1.0, [None, None], np.ones(2), np.full(2, math.nan), np.zeros(2),
+                       np.zeros((2, 3)))
         ragged = [np.zeros(3), np.zeros(2)]
         for losses in (ragged, [np.zeros(3), np.zeros(3)], np.zeros((2, 2)), np.zeros((1, 3)),
                        np.full((2, 3), "0.5"), np.zeros((2, 3), dtype=object)):
-            with pytest.raises(TypeError, match=r"expected a \(2, 3\) array"):
-                engine.write_trajectory_table(path, 3, leading, losses)
-            assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectory.csv"]
-            assert path.read_text() == "previous run\n"
+            for blocks in ([replace(good, client_losses=losses)], [good, replace(good, client_losses=losses)]):
+                with pytest.raises(TypeError, match=r"expected a \(2, 3\) array"):
+                    engine.write_trajectory_table(path, 3, blocks)
+                assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectory.csv"]
+                assert path.read_text() == "previous run\n"
 
     def test_csv_rows_spanning_encoder_blocks_match_the_reference_writer(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -454,16 +455,20 @@ class TestMetricsAndCsv:
                         theta0=optima[0].copy())
         for name, config in [("every", cfg), ("thinned", replace(cfg, metric_cadence=4))]:
             traj = run(config)
-            if name == "every":
-                assert len(traj.metrics) == 31 and traj.metrics.client_losses[0, 0] == 0.0
-                # a row a caller replaced is written as replaced
-                losses = traj.metrics.client_losses.copy()
-                losses[12] = -losses[12]
-                traj.metrics = replace(traj.metrics, client_losses=losses)
             got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}.ref.csv"
             write_trajectory_csv(traj, got)
-            _reference_trajectory_csv(traj, want)
+            metrics = trajectory_metrics(traj)
+            _reference_trajectory_csv(metrics, want)
             assert got.read_bytes() == want.read_bytes()
+        # a negated row, written as one block
+        metrics = trajectory_metrics(run(cfg))
+        assert len(metrics) == 31 and metrics.client_losses[0, 0] == 0.0
+        losses = metrics.client_losses.copy()
+        losses[12] = -losses[12]
+        metrics = replace(metrics, client_losses=losses)
+        engine.write_trajectory_table(tmp_path / "negated.csv", n_clients, [metrics])
+        _reference_trajectory_csv(metrics, tmp_path / "negated.ref.csv")
+        assert (tmp_path / "negated.csv").read_bytes() == (tmp_path / "negated.ref.csv").read_bytes()
 
     @pytest.mark.parametrize("policy", [ASYNC, WaitPolicy(PolicyKind.FEDFIX, delta_t=0.3)],
                              ids=lambda p: p.kind.value)
@@ -474,26 +479,31 @@ class TestMetricsAndCsv:
         fleet = quadratic_fleet(rng.normal(0.0, 3.0, (53, 1)).tolist(), taus=rng.integers(1, 6, 53).tolist())
         plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
         traj = run(RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.3, rounds=500))
-        masks = traj.metrics.participant_mask
+        metrics = trajectory_metrics(traj)
+        masks = metrics.participant_mask
         assert max(masks[:-1]) >= 2**52 if policy is ASYNC else 0 in masks
-        # surrogates that are not numbers, or not finite, amid whole rows
-        surrogates = traj.metrics.loss_surrogate.copy()
-        surrogates[[100, 101, 300]] = [math.nan, math.inf, -0.0]
-        traj.metrics = replace(traj.metrics, loss_surrogate=surrogates)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         write_trajectory_csv(traj, got)
-        _reference_trajectory_csv(traj, want)
+        _reference_trajectory_csv(metrics, want)
+        assert got.read_bytes() == want.read_bytes()
+        # surrogates that are not numbers, or not finite, amid whole rows
+        surrogates = metrics.loss_surrogate.copy()
+        surrogates[[100, 101, 300]] = [math.nan, math.inf, -0.0]
+        metrics = replace(metrics, loss_surrogate=surrogates)
+        engine.write_trajectory_table(got, 53, [metrics])
+        _reference_trajectory_csv(metrics, want)
         assert got.read_bytes() == want.read_bytes()
         assert got.read_bytes().splitlines()[101].split(b",")[4] == b""  # round 100's NaN
 
-    def test_client_losses_are_read_only_rows_of_one_matrix(self):
+    def test_client_losses_are_c_order_rows_of_one_matrix(self):
         fleet = quadratic_fleet([[0.0], [2.0], [-1.0]], taus=[1, 2, 3])
         traj = run(sync_config(fleet, rounds=5))
-        losses = traj.metrics.client_losses
-        assert isinstance(losses, np.ndarray) and losses.dtype == np.float64 and losses.shape == (6, 3)
-        assert not losses.flags.writeable and losses.flags.c_contiguous
-        with pytest.raises(ValueError):
-            losses[0, 0] = 1.0
+        losses = np.empty((6, 3))
+        (block,) = engine._metric_blocks(traj, losses)
+        assert block.client_losses.dtype == np.float64 and block.client_losses.shape == (6, 3)
+        assert block.client_losses.flags.c_contiguous and np.shares_memory(block.client_losses, losses)
+        (held,) = engine._metric_blocks(traj)
+        assert held.client_losses.flags.c_contiguous and bits(held.client_losses) == bits(losses)
 
     def test_client_losses_match_per_point_values_on_unequal_shards(self):
         rng = np.random.default_rng(11)
@@ -506,7 +516,7 @@ class TestMetricsAndCsv:
         plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2, 3], ASYNC)
         traj = run(RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.2, rounds=30,
                              metric_cadence=4))
-        metrics = traj.metrics
+        metrics = trajectory_metrics(traj)
         for n, client_losses, loss_fed in zip(metrics.round.tolist(), metrics.client_losses,
                                               metrics.loss_fed.tolist()):
             theta = traj.theta[n]
@@ -528,14 +538,15 @@ class TestMetricsAndCsv:
     def test_final_window_loss_uses_the_tail(self):
         fleet = quadratic_fleet([[0.0], [2.0]])
         traj = run(sync_config(fleet, rounds=100))
-        mean, std = engine._tail_stats(traj.metrics.loss_fed, fraction=0.05)
-        tail = traj.metrics.loss_fed[-6:]
+        loss_fed = trajectory_metrics(traj).loss_fed
+        mean, std = engine._tail_stats(loss_fed, fraction=0.05)
+        tail = loss_fed[-6:]
         assert mean == pytest.approx(tail.mean())
 
     def test_metric_cadence_thins_rows(self):
         fleet = quadratic_fleet([[0.0], [2.0]])
         traj = run(sync_config(fleet, rounds=10, metric_cadence=5))
-        assert traj.metrics.round.tolist() == [0, 5, 10]
+        assert trajectory_metrics(traj).round.tolist() == [0, 5, 10]
 
     def test_local_work_from_the_anchors_reconstructs_the_aggregation(self):
         fleet = quadratic_fleet([[0.0], [2.0]], taus=[1, 2])
@@ -552,9 +563,9 @@ class TestMetricsAndCsv:
 
 
 class TestMetricBlocks:
-    """Metrics rows are computed in row blocks: ``Trajectory.metrics`` and
-    the CSV writer read the same blocks, and no (rows, M) matrix is held
-    while the CSV is written."""
+    """Metrics rows are computed in row blocks, which the CSV writer encodes
+    one at a time, so no (rows, M) matrix is held while the CSV is
+    written."""
 
     def test_blocks_of_glm_chunks_have_the_bits_of_one_evaluation(self, tmp_path, monkeypatch):
         # 1024 samples a shard: GlmObjective.values goes in chunks of 64 rows;
@@ -567,17 +578,17 @@ class TestMetricBlocks:
         assert shards.row_chunk == 64 and engine._block_rows(fleet) == 192
         plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, ASYNC)
         cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.2, rounds=450)
-        blocked, written = run(cfg), run(cfg)
-        metrics = blocked.metrics
+        traj = run(cfg)
+        metrics = trajectory_metrics(traj)
         # one evaluation of every kept row, and its federated loss as a
         # running sum in client order
-        losses = fleet.losses(blocked.theta)
+        losses = fleet.losses(traj.theta)
         loss_fed = np.add.accumulate(losses * fleet.importances, axis=1)[:, -1]
         assert len(metrics) == 451 > 2 * engine._block_rows(fleet)
         assert bits(metrics.client_losses) == bits(losses) and bits(metrics.loss_fed) == bits(loss_fed)
-        write_trajectory_csv(written, tmp_path / "blocked.csv")
-        blocked.metrics = replace(metrics, client_losses=losses, loss_fed=loss_fed)
-        write_trajectory_csv(blocked, tmp_path / "whole.csv")
+        write_trajectory_csv(traj, tmp_path / "blocked.csv")
+        engine.write_trajectory_table(tmp_path / "whole.csv", 6,
+                                      [replace(metrics, client_losses=losses, loss_fed=loss_fed)])
         assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     @pytest.mark.parametrize("n_clients", [20, 70])  # rows encoded whole, rows that splice their masks in
@@ -598,10 +609,11 @@ class TestMetricBlocks:
             traj = run(cfg)
             got, want = tmp_path / "got.csv", tmp_path / "want.csv"
             write_trajectory_csv(traj, got)
-            _reference_trajectory_csv(traj, want)
+            metrics = trajectory_metrics(traj)
+            _reference_trajectory_csv(metrics, want)
             assert got.read_bytes() == want.read_bytes()
-            assert len(traj.metrics) == 62 and traj.metrics.participant_mask[-1] is None
-            assert (0 in traj.metrics.participant_mask) == (policy is not ASYNC)
+            assert len(metrics) == 62 and metrics.participant_mask[-1] is None
+            assert (0 in metrics.participant_mask) == (policy is not ASYNC)
 
     @pytest.mark.parametrize("n_rows", [1, 2, 3, 16, 131])
     def test_the_federated_loss_is_a_running_sum_in_client_order(self, n_rows):
@@ -1081,7 +1093,7 @@ class TestSegmentAggregation:
         traj = run(cfg)
         assert traj.theta.tobytes() == group.models[:, 0].tobytes()
         assert traj.times.tolist() == [0.0] + group.rounds.time.tolist()
-        metrics = traj.metrics
+        metrics = trajectory_metrics(traj)
         kept = list(range(0, traj.n_rounds + 1, 3))
         assert metrics.round.tolist() == kept + ([traj.n_rounds] if traj.n_rounds % 3 else [])
         assert metrics.wall_time.tobytes() == traj.times[metrics.round].tobytes()
@@ -1323,7 +1335,7 @@ class TestRoundBookkeeping:
                 row[i] = mult * d[i]
             assert np.array_equal(weights[n], row)
         assert any(r.clients.size == 0 for r in traj.rounds) == (policy.kind is PolicyKind.FEDFIX)
-        metrics = traj.metrics
+        metrics = trajectory_metrics(traj)
         for n, client_losses, participant_mask, loss_surrogate in list(zip(
             metrics.round.tolist(), metrics.client_losses, metrics.participant_mask,
             metrics.loss_surrogate.tolist(),
@@ -1368,17 +1380,16 @@ class TestMorePolicies:
         assert traj.never_served == 1
 
 
-def _reference_trajectory_csv(traj, path):
-    """The trajectory writer as it was before row templates: csv.writer with
-    one formatted string per cell."""
+def _reference_trajectory_csv(m, path):
+    """The trajectory writer as it was before row templates, on the metrics
+    rows ``m``: csv.writer with one formatted string per cell."""
 
     def fmt(x):
         return f"{x:.17g}"
 
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(trajectory_header(len(traj.d)))
-        m = traj.metrics
+        writer.writerow(trajectory_header(m.client_losses.shape[1]))
         for n, wall_time, mask, loss_fed, loss_surrogate, dist_sq, client_losses in zip(
             m.round.tolist(), m.wall_time.tolist(), m.participant_mask, m.loss_fed.tolist(),
             m.loss_surrogate.tolist(), m.dist_sq.tolist(), m.client_losses,

@@ -17,7 +17,7 @@ from asyncfed.objectives import QuadraticObjective, SyntheticShardConfig, make_s
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy
 from asyncfed.weights import WeightScheme, plan_weights
 
-from conftest import quadratic_fleet, with_seeds
+from conftest import bits, quadratic_fleet, trajectory_metrics, with_seeds
 
 SYNC = WaitPolicy(PolicyKind.SYNCHRONOUS)
 ASYNC = WaitPolicy(PolicyKind.ASYNCHRONOUS)
@@ -118,11 +118,36 @@ def test_members_equal_separate_runs(name):
         if traj.diverged:
             assert member.final_loss is None
         else:
-            assert member.final_loss == engine._tail_stats(traj.metrics.loss_fed)
+            assert member.final_loss == engine._tail_stats(trajectory_metrics(traj).loss_fed)
     if name in ("threshold", "overflow", "overflow_fedfix"):
         rounds = [m.divergence_round for m in members]
         assert any(r is None for r in rounds)
         assert len({r for r in rounds if r is not None}) >= 2, rounds
+
+
+def test_the_final_window_has_the_bits_of_the_whole_series_over_row_chunks(monkeypatch):
+    # 1024 samples a shard: GLM losses are evaluated in chunks of 64 rows;
+    # 451 kept rows give a 23-row window from row 428, evaluated from row 384
+    shards = make_synthetic_shards(SyntheticShardConfig(4, dim=3, samples_per_client=1024, seed=2,
+                                                        batch_size=16))
+    fleet = Fleet([(np.arange(4), shards)], TAUS, [0.25] * 4)
+    assert fleet.row_chunk == 64
+    config = _config(fleet, ASYNC, WeightScheme.ASYNC_TIME_BASED, k_steps=1, time_budget=None, rounds=450)
+    member_seeds = MEMBER_SEEDS[:3]
+    evaluated, loss_blocks = [], engine._loss_blocks
+
+    def recorded(fleet, thetas, losses=None):
+        evaluated.append(thetas.shape[0])
+        return loss_blocks(fleet, thetas, losses)
+
+    monkeypatch.setattr(engine, "_loss_blocks", recorded)
+    members = run_members(with_seeds(config, member_seeds))
+    assert evaluated == [451 - 384] * 3
+    monkeypatch.undo()
+    for member, traj in zip(members, _separate_runs(config, member_seeds)):
+        loss_fed = trajectory_metrics(traj).loss_fed
+        assert loss_fed.shape == (451,)
+        assert bits(member.final_loss) == bits(engine._tail_stats(loss_fed))
 
 
 def test_an_overflowing_member_ends_inside_local_work():
@@ -169,7 +194,7 @@ def _assert_equals_its_run(member, config):
     assert member.theta.shape == traj.theta.shape
     assert np.array_equal(member.theta, traj.theta)
     assert (member.n_rounds, member.divergence_round) == (traj.n_rounds, traj.divergence_round)
-    assert member.final_loss == (None if traj.diverged else engine._tail_stats(traj.metrics.loss_fed))
+    assert member.final_loss == (None if traj.diverged else engine._tail_stats(trajectory_metrics(traj).loss_fed))
 
 
 def _recorded_groups(monkeypatch):
@@ -320,7 +345,7 @@ def test_ensemble_equals_the_per_member_loop(name):
     assert [m.seeds for m in members] == member_seeds
     got = _ensemble_statistics(config, [m.theta for m in members], [m.final_loss for m in members])
     reference = _separate_runs(config, member_seeds)
-    finals = [None if t.diverged else engine._tail_stats(t.metrics.loss_fed) for t in reference]
+    finals = [None if t.diverged else engine._tail_stats(trajectory_metrics(t).loss_fed) for t in reference]
     want = _ensemble_statistics(config, [t.theta for t in reference], finals)
     if name in ("threshold", "overflow", "overflow_fedfix"):
         assert 0 < got["diverged"] < len(member_seeds)

@@ -6,8 +6,10 @@ module, or in the body of a public class there, without a leading
 underscore. It has a reader when some module of ``src/asyncfed`` other than
 ``__init__`` loads it, as a name or as an attribute of anything but an
 imported outside module (``sys.stderr`` reads no ``stderr`` field).
-Assigning a name does not read it. Code that only its own tests use is
-deleted rather than kept on the list below.
+Assigning a name does not read it, and neither does the ``@name.setter``,
+``@name.deleter`` or ``@name.getter`` decorator of a def of that name (a
+property's own accessors). Code that only its own tests use is deleted
+rather than kept on the list below.
 """
 
 import ast
@@ -60,11 +62,28 @@ def public_names(modules):
     return names
 
 
+_ACCESSORS = ("setter", "deleter", "getter")
+
+
+def _accessor_names(tree):
+    """The ``name`` node of each ``@name.setter``, ``@name.deleter`` or
+    ``@name.getter`` decorator on a def of that name."""
+    return {
+        id(decorator.value)
+        for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for decorator in node.decorator_list
+        if isinstance(decorator, ast.Attribute) and decorator.attr in _ACCESSORS
+        and isinstance(decorator.value, ast.Name) and decorator.value.id == node.name
+    }
+
+
 def read_names(modules):
     """Every identifier a module loads, as a name or as an attribute of
-    anything but a name it imports from outside the package."""
+    anything but a name it imports from outside the package; a property's
+    accessor decorators load nothing."""
     loads = set()
     for tree in modules.values():
+        accessors = _accessor_names(tree)
         outside = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -74,7 +93,7 @@ def read_names(modules):
         for node in ast.walk(tree):
             if not isinstance(getattr(node, "ctx", None), ast.Load):
                 continue
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and id(node) not in accessors:
                 loads.add(node.id)
             elif isinstance(node, ast.Attribute) and not (
                 isinstance(node.value, ast.Name) and node.value.id in outside
@@ -105,7 +124,7 @@ def test_the_library_api_list_is_exact():
             assert f"`{short}" in readme, f"the README's library table does not name {name}"
 
 
-def test_assignments_and_outside_attributes_are_not_readers():
+def test_assignments_outside_attributes_and_accessors_are_not_readers():
     source = """
 import sys
 from dataclasses import dataclass
@@ -118,11 +137,32 @@ USED = 4
 class Estimate:
     value: float
     stderr: float
+    _level: float = 0.0
+
+    @property
+    def level(self) -> float:
+        return self._level
+
+    @level.setter
+    def level(self, value: float) -> None:
+        self._level = value
+
+    @level.deleter
+    def level(self) -> None:
+        self._level = 0.0
+
+    @property
+    def spread(self) -> float:
+        return self.value
+
+    @spread.setter
+    def spread(self, value: float) -> None:
+        self.value = value
 
 
 def report(est: Estimate) -> None:
     est.value = USED
-    print(est.value, file=sys.stderr)
+    print(est.value, est.spread, file=sys.stderr)
 """
     unread = unread_names({"m": ast.parse(source)})
-    assert unread == {"m.LIMIT", "m.Estimate.stderr", "m.report"}
+    assert unread == {"m.LIMIT", "m.Estimate.stderr", "m.Estimate.level", "m.report"}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from asyncfed.engine import trajectory_header, write_trajectory_table
+from asyncfed.engine import Metrics, trajectory_header, write_trajectory_table
 from asyncfed.textfmt import BLOCK_CELLS, format_rows
 
 
@@ -169,16 +169,17 @@ class TestSplitPathBoundaries:
                     1e-320, 1.5e17, -3e20, sys.float_info.max, 1e-11, 9.9999999999999995e-07]
         cells = rng.choice(block.size, len(specials) * 3, replace=False)
         block.flat[cells] = specials * 3
-        leading = [(n, n * 0.1, b"" if n % 4 == 3 else b"%d" % (n * 7), n / 3.0,
-                    b"" if n % 5 == 4 else b"%.17g" % (1.0 / (n + 1)), float(n) ** 2)
-                   for n in range(n_rows)]
+        rounds = np.arange(n_rows)
+        masks = [None if n % 4 == 3 else n * 7 for n in range(n_rows)]
+        surrogates = np.where(rounds % 5 == 4, np.nan, 1.0 / (rounds + 1))
+        metrics = Metrics(rounds, rounds * 0.1, masks, rounds / 3.0, surrogates, rounds ** 2.0, block)
         path = tmp_path / "mixed.csv"
-        write_trajectory_table(path, n_clients, leading, block)
+        write_trajectory_table(path, n_clients, [metrics])
         lines = [",".join(trajectory_header(n_clients))]
-        for lead, row in zip(leading, block.tolist()):
-            n, t, mask, fed, surrogate, dist = lead
-            lines.append(",".join(["%d" % n, "%.17g" % t, mask.decode(), "%.17g" % fed,
-                                   surrogate.decode(), "%.17g" % dist] + ["%.17g" % v for v in row]))
+        for n, mask, surrogate, row in zip(rounds.tolist(), masks, surrogates.tolist(), block.tolist()):
+            lines.append(",".join(["%d" % n, "%.17g" % (n * 0.1), "" if mask is None else "%d" % mask,
+                                   "%.17g" % (n / 3.0), "" if math.isnan(surrogate) else "%.17g" % surrogate,
+                                   "%.17g" % float(n) ** 2] + ["%.17g" % v for v in row]))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
 
