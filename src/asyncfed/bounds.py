@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import ConfigurationError, Fleet, UnsupportedConfigError, ordered_sum, weighted_optimum
 from .objectives import QuadraticObjective
 from .timing import HardwareModel, PolicyKind, WaitPolicy, staleness_bound
@@ -174,14 +172,14 @@ def residual_mean_gap(fleet: Fleet) -> float:
     federated optimum sits from each client's own optimum. Exact for
     quadratic objectives."""
     theta_star = weighted_optimum(fleet)
-    gaps = np.empty(len(fleet))
-    for positions, table in fleet.tables:
-        quadratic = isinstance(table, QuadraticObjective)
-        for j, i in enumerate(positions.tolist()):
-            obj = table.row(j)
-            local_opt = obj.optima[0] if quadratic else weighted_optimum(Fleet([(np.arange(1), obj)], [1], [1.0]))
-            gaps[i] = obj.value(theta_star)[0] - obj.value(local_opt)[0]
-    return ordered_sum(gaps.tolist()) / len(fleet)
+    table = fleet.table
+    quadratic = isinstance(table, QuadraticObjective)
+    gaps = []
+    for i in range(len(fleet)):
+        obj = table.row(i)
+        local_opt = obj.optima[0] if quadratic else weighted_optimum(Fleet(obj, [1], [1.0]))
+        gaps.append(float(obj.value(theta_star)[0] - obj.value(local_opt)[0]))
+    return ordered_sum(gaps) / len(fleet)
 
 
 def fill_inputs(preset: SchemePreset, base: BoundInputs) -> BoundInputs:

@@ -135,12 +135,12 @@ def _oracle_state_for(experiment: Experiment) -> tuple[OracleState, float, float
     """
     fleet = experiment.fleet
     cfg = experiment.run_config
-    tables = [table for _, table in fleet.tables]
-    if fleet.dim != 1 or not all(isinstance(t, QuadraticObjective) for t in tables):
+    table = fleet.table
+    if fleet.dim != 1 or not isinstance(table, QuadraticObjective):
         raise UnsupportedConfigError("closed forms cover scalar quadratic fleets only")
-    if any(np.any(np.abs(t.a - 0.5) > 1e-12) for t in tables):
+    if np.any(np.abs(table.a - 0.5) > 1e-12):
         raise UnsupportedConfigError("closed forms assume curvature 1/2 (unit-contraction gradients)")
-    if any(np.any(t.noise_std > 0) for t in tables) and not cfg.full_gradient:
+    if np.any(table.noise_std > 0) and not cfg.full_gradient:
         raise UnsupportedConfigError("closed forms assume noiseless local gradients")
     p = fleet.importances
     if np.max(np.abs(p - 1.0 / len(fleet))) > 1e-12:
@@ -206,7 +206,7 @@ def cmd_oracle_check(args) -> int:
     seed = check_cfg.get("seed", 0)
     horizon = max(checkpoints)
 
-    optima = tuple(experiment.fleet.gather("optima")[:, 0].tolist())
+    optima = tuple(experiment.fleet.table.optima[:, 0].tolist())
     ensemble = ScalarEnsembleConfig(
         state.scheme, optima, state.phi, eta_g=kernel_eta_g, theta0=theta0,
         checkpoints=tuple(checkpoints), n_runs=n_runs, seed=seed, m=state.m,
@@ -281,7 +281,7 @@ def cmd_bounds(args) -> int:
 
     smoothness = bcfg.get("smoothness")
     if smoothness is None:
-        smoothness = float(fleet.gather("smoothness").max())
+        smoothness = float(fleet.table.smoothness.max())
         note = "smoothness defaulted to the largest client curvature"
     else:
         note = None
@@ -487,8 +487,7 @@ def cmd_gen_shards(args) -> int:
         raise ConfigurationError("gen-shards needs a logistic or linear objective family")
     out_dir = Path(args.out)
     fleet = experiment.fleet
-    (_, shards), = fleet.tables  # a synthetic GLM fleet is one table
-    paths = export_shards_csv(shards, out_dir)
+    paths = export_shards_csv(fleet.table, out_dir)
     manifest = {
         "families": family,
         "n_clients": len(fleet),

@@ -310,7 +310,7 @@ def build_fleet(document: dict) -> tuple[Fleet, HardwareModel]:
             batch_size=ocfg.get("batch_size", 8),
         )
         table = make_synthetic_shards(shard_cfg)
-    return Fleet([(np.arange(n), table)], taus, importances, fcfg.get("distribution_ids")), hw
+    return Fleet(table, taus, importances, fcfg.get("distribution_ids")), hw
 
 
 # the policies that read each optional policy key of ``scheme``

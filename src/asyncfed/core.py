@@ -39,22 +39,25 @@ class StalenessCapError(ConfigurationError):
 # ---------------------------------------------------------------------------
 
 class Fleet:
-    """A fixed set of clients: per-client arrays plus the objective tables
-    whose rows are the clients' objectives.
+    """A fixed set of clients: per-client arrays plus one objective table
+    whose row i is client i's objective.
 
-    ``tables`` is a list of (client positions, table) pairs, each table a
-    :class:`~asyncfed.objectives.QuadraticObjective` or
-    :class:`~asyncfed.objectives.GlmObjective` whose row j belongs to the
-    client at ``positions[j]``; client i is row ``row_of[i]`` of table
-    ``table_of[i]``. ``compute_times`` are the mean
-    local update times as given: literal under fixed hardware, exponential
-    means under stochastic hardware. ``distribution_ids`` groups clients
-    sharing a data distribution. The engine never relies on clients being
-    sorted by compute time.
+    ``table`` is a :class:`~asyncfed.objectives.QuadraticObjective` or
+    :class:`~asyncfed.objectives.GlmObjective` of one row per client.
+    ``compute_times`` are the mean local update times as given: literal
+    under fixed hardware, exponential means under stochastic hardware.
+    ``distribution_ids`` groups clients sharing a data distribution. The
+    engine never relies on clients being sorted by compute time.
     """
 
-    def __init__(self, tables, compute_times, importances, distribution_ids=None):
-        self.tables = list(tables)
+    def __init__(self, table, compute_times, importances, distribution_ids=None):
+        from .objectives import GlmObjective, QuadraticObjective  # objectives imports this module
+
+        if not isinstance(table, (QuadraticObjective, GlmObjective)):
+            raise ConfigurationError(
+                f"a fleet takes one QuadraticObjective or GlmObjective table, got {type(table).__name__}"
+            )
+        self.table = table
         self.compute_times = tuple(compute_times)
         n = len(self.compute_times)
         p = np.array(importances, dtype=float)
@@ -74,24 +77,9 @@ class Fleet:
         total = math.fsum(p.tolist())
         if abs(total - 1.0) > PROB_TOL:
             raise ConfigurationError(f"client importances sum to {total!r}, expected 1")
-        listed = [positions for positions, _ in self.tables]
-        if [pos.size for pos in listed] != [len(table) for _, table in self.tables] or not np.array_equal(
-            np.sort(np.concatenate(listed or [[]])), np.arange(n)
-        ):
-            raise ConfigurationError("the objective tables must hold exactly one row per client")
-        self.table_of = np.empty(n, dtype=np.intp)
-        self.row_of = np.empty(n, dtype=np.intp)
-        for t, positions in enumerate(listed):
-            self.table_of[positions] = t
-            self.row_of[positions] = np.arange(positions.size)
-        dims = {table.dim for _, table in self.tables}
-        if len(dims) != 1:
-            raise ConfigurationError(f"clients disagree on parameter dimension: {dims}")
-        self.dim = dims.pop()
-        # each table's columns as (first, end) where its positions run in order
-        self._spans = [(int(pos[0]), int(pos[-1]) + 1)
-                       if pos.size and np.array_equal(pos, np.arange(pos[0], pos[-1] + 1)) else None
-                       for pos in listed]
+        if len(table) != n:
+            raise ConfigurationError(f"the objective table has {len(table)} rows for {n} clients")
+        self.dim = table.dim
         p.setflags(write=False)
         self.importances = p  # client importances p_i, one shared read-only array
         self.distribution_ids = ids
@@ -99,43 +87,11 @@ class Fleet:
     def __len__(self) -> int:
         return len(self.compute_times)
 
-    def gather(self, attribute: str) -> np.ndarray:
-        """A per-row table array, such as ``optima`` or ``smoothness``, with
-        one entry per client in client order."""
-        parts = [(positions, getattr(table, attribute)) for positions, table in self.tables]
-        out = np.empty((len(self),) + parts[0][1].shape[1:])
-        for positions, values in parts:
-            out[positions] = values
-        return out
-
-    @property
-    def row_chunk(self) -> int:
-        """The least row count that is a whole number of every table's
-        ``row_chunk``: evaluating rows in blocks of a multiple of it gives
-        the bits of one evaluation of all rows."""
-        return math.lcm(*(table.row_chunk for _, table in self.tables))
-
     def losses(self, thetas, out=None) -> np.ndarray:
         """C-order (rows, M) loss of every client at each row of the
-        (rows, dim) array ``thetas``, one evaluation per table, written into
-        ``out`` when given. A table whose clients are a run of positions
-        writes its columns in place."""
-        thetas = np.asarray(thetas, dtype=float)
-        if out is None:
-            out = np.empty((thetas.shape[0], len(self)))
-        for (positions, table), span in zip(self.tables, self._spans):
-            if span is None:
-                out[:, positions] = table.values(thetas)
-            else:
-                table.values(thetas, out=out[:, span[0]:span[1]])
-        return out
-
-    def gradients(self, theta) -> np.ndarray:
-        """(M, dim) full gradient of every client at ``theta``."""
-        out = np.empty((len(self), self.dim))
-        for positions, table in self.tables:
-            out[positions] = table.gradients(theta)
-        return out
+        (rows, dim) array ``thetas``, one evaluation of the table, written
+        into ``out`` when given."""
+        return self.table.values(thetas, out=out)
 
 
 def uniform_importances(n_clients: int) -> list[float]:
@@ -171,15 +127,14 @@ def convergence_residual(
     """Exact sum(q_i * E||g_i||^2) at ``optimum`` for the gradient g_i a
     run with ``full_gradient`` and ``batch_size`` (as in
     :class:`~asyncfed.engine.RunConfig`) takes: ||grad L_i||^2 from one
-    :meth:`Fleet.gradients` call, plus, unless gradients are full, the
-    variance from client i's table's ``gradient_variance``. The caller
+    ``gradients`` call of the fleet's table, plus, unless gradients are
+    full, the variance from the table's ``gradient_variance``. The caller
     supplies the optimum; see :func:`weighted_optimum`."""
     q = _as_weights(weights_avg, len(fleet))
     theta = _as_params(optimum)
-    squares = np.array([float(np.dot(g, g)) for g in fleet.gradients(theta)])
+    squares = np.array([float(np.dot(g, g)) for g in fleet.table.gradients(theta)])
     if not full_gradient:
-        for positions, table in fleet.tables:
-            squares[positions] += table.gradient_variance(theta, batch_size)
+        squares += fleet.table.gradient_variance(theta, batch_size)
     return float(ordered_sum(qi * sq for qi, sq in zip(q, squares.tolist()) if qi != 0.0))
 
 
@@ -222,28 +177,28 @@ def weighted_optimum(
 ) -> np.ndarray:
     """Minimizer of the ``weights``-weighted objective (defaults to p_i).
 
-    All-quadratic fleets use the closed form; otherwise deterministic
-    full-gradient descent with step 1/L runs until the gradient norm drops
+    A quadratic table uses the closed form; a GLM table runs deterministic
+    full-gradient descent with step 1/L until the gradient norm drops
     below ``grad_tol``.
     """
     from .objectives import QuadraticObjective  # objectives imports this module
 
     w = fleet.importances if weights is None else _as_weights(weights, len(fleet))
-    (_, table), *others = fleet.tables
-    if not others and isinstance(table, QuadraticObjective):
+    table = fleet.table
+    if isinstance(table, QuadraticObjective):
         a_sum = sum_in_order(w[:, None] * table.a)
         b_sum = sum_in_order(w[:, None] * table.b)
         if np.any(a_sum <= 0):
             raise ConfigurationError("weighted quadratic has a flat direction; no finite optimum")
         return -b_sum / (2.0 * a_sum)
 
-    smoothness = math.fsum((w * fleet.gather("smoothness")).tolist())
+    smoothness = math.fsum((w * table.smoothness).tolist())
     step = 1.0 / smoothness
     active = w != 0.0
     w_active = w[active, None]
     theta = np.zeros(fleet.dim)
     for _ in range(max_iter):
-        grad = sum_in_order(w_active * fleet.gradients(theta)[active])
+        grad = sum_in_order(w_active * table.gradients(theta)[active])
         if np.linalg.norm(grad) < grad_tol:
             return theta
         theta = theta - step * grad

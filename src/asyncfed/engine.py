@@ -14,14 +14,14 @@ Local work runs when its result is first needed. A client's run is fixed
 once the model it trains from (its anchor) exists, so when a round's
 participant has no computed run, the loop computes every pending run in one
 pass: each client in flight whose anchor model exists and whose run is not
-yet computed, as one stacked :func:`~asyncfed.objectives.local_sgd` call
-per objective table. The results wait in a per-client buffer until the
-client delivers. Each member's client has its own generator, keyed by the
-member's batching seed and the client; members of one batching seed (member
-j of every value of a sweep) read one stream of it, each with its own
-cursor, so a draw table per objective table holds one stream per distinct
-(seed, client) ahead of use. A client's runs take the values in dispatch
-order, so the trajectory is the one that computing each run at its delivery
+yet computed, as stacked :func:`~asyncfed.objectives.local_sgd` calls on
+the fleet's objective table. The results wait in a per-client buffer until
+the client delivers. Each member's client has its own generator, keyed by
+the member's batching seed and the client; members of one batching seed
+(member j of every value of a sweep) read one stream of it, each with its
+own cursor, so the fleet's draw table holds one stream per distinct (seed,
+client) ahead of use. A client's runs take the values in dispatch order,
+so the trajectory is the one that computing each run at its delivery
 from the member's own generator gives. A run still in flight at the horizon
 may have drawn from its client's stream, but it is never delivered: its
 result, and any overflow in it, is dropped.
@@ -726,36 +726,29 @@ class _DrawTable:
             tail[s] = int(stayed[np.argmin(self.need.take(stayed))])
 
 
-def _draw_tables(config: RunConfig, member_seeds, k_steps) -> list:
-    """Per objective table its :class:`_DrawTable` for members with
-    ``k_steps`` (one number, or one per member), or None where every run
-    takes exact full gradients (``full_gradient``, or a quadratic table
-    without noise).
+def _draw_table(config: RunConfig, member_seeds, k_steps) -> _DrawTable | None:
+    """The fleet table's :class:`_DrawTable` for members with ``k_steps``
+    (one number, or one per member), or None where every run takes exact
+    full gradients (``full_gradient``, or a quadratic table without noise).
 
     A client's stream of a member is the generator keyed by (the member's
     batching seed, client id). Members of one batching seed read one
-    stream, so a table seeds one generator per distinct seed and noisy
+    stream, so the table seeds one generator per distinct seed and noisy
     client, and each member still reads its own generator's values.
     """
-    fleet = config.fleet
-    if config.full_gradient:
-        return [None] * len(fleet.tables)
+    table = config.fleet.table
+    glm = isinstance(table, GlmObjective)
+    live = np.ones(len(table), dtype=bool) if glm else table.noise_std > 0.0
+    if config.full_gradient or not live.any():
+        return None
     seeds = {}  # each distinct batching seed, as a tuple, and its stream
     streams = [seeds.setdefault((s.batching,) if isinstance(s.batching, (int, np.integer)) else tuple(s.batching),
                                 len(seeds))
                for s in member_seeds]
-    draws = []
-    for positions, table in fleet.tables:
-        glm = isinstance(table, GlmObjective)
-        live = np.ones(len(table), dtype=bool) if glm else table.noise_std > 0.0
-        if not live.any():
-            draws.append(None)
-            continue
-        generators = [[np.random.default_rng([*key, i]) for key in seeds] if on else None
-                      for i, on in zip(positions.tolist(), live.tolist())]
-        batch_size = (config.batch_size or table.batch_size) if glm else None
-        draws.append(_DrawTable(table, generators, streams, k_steps, batch_size))
-    return draws
+    generators = [[np.random.default_rng([*key, i]) for key in seeds] if on else None
+                  for i, on in enumerate(live.tolist())]
+    batch_size = (config.batch_size or table.batch_size) if glm else None
+    return _DrawTable(table, generators, streams, k_steps, batch_size)
 
 
 def _check_staleness(outcome: Round, tau_max: int) -> None:
@@ -779,36 +772,35 @@ class _LocalWork:
     computed run. Runs are computed in passes, the last one at round
     ``computed_through``; a pass computes every run in flight whose anchor
     model exists, so a run is computed exactly when its anchor is at most
-    ``computed_through``. ``draws`` holds the :class:`_DrawTable` of each
-    objective table (None where its runs take full gradients); a pass hands
-    each ``local_sgd`` call its jobs' slice and draws nothing outside a
-    refill.
+    ``computed_through``. ``draws`` is the fleet table's
+    :class:`_DrawTable` (None where runs take full gradients); a pass hands
+    each ``local_sgd`` call of ``chunk`` jobs its slice and draws nothing
+    outside a refill.
     """
 
     def __init__(self, members: list):
         config = members[0]
         fleet = config.fleet
+        table = fleet.table
         n_clients, n_members = len(fleet), len(members)
         self.config = config
         # one number where every member agrees, else one per member
         self.k_steps, self.eta_l = _member_field(members, "k_steps", np.intp), _member_field(members, "eta_l", float)
-        self.draws = _draw_tables(config, [m.seeds for m in members], self.k_steps)
+        self.draws = _draw_table(config, [m.seeds for m in members], self.k_steps)
         self.deltas = np.zeros((n_clients, n_members, fleet.dim))
         self.overflow = np.full((n_clients, n_members), -1)
         self.any_overflow = False  # set once a pass has seen an overflow
         self.computed_through = -1
-        self.chunks = []  # jobs per local_sgd call on each table
         k, dim = int(np.max(self.k_steps)), fleet.dim
-        for (_, table), draws in zip(fleet.tables, self.draws):
-            # a run holds K + 1 iterates; a batched GLM run also its K * B
-            # draws and the samples and targets they gather, a full-gradient
-            # one its shard's n samples and targets; a noisy quadratic run
-            # its K * dim draws and their scaled noise
-            if isinstance(table, GlmObjective):
-                held = k * draws.width * (dim + 2) if draws is not None else table.n_samples * (dim + 1)
-            else:
-                held = 2 * k * dim if draws is not None else 0
-            self.chunks.append(max(1, _LOCAL_FLOATS // (n_members * (dim * (k + 1) + held))))
+        # a run holds K + 1 iterates; a batched GLM run also its K * B
+        # draws and the samples and targets they gather, a full-gradient
+        # one its shard's n samples and targets; a noisy quadratic run its
+        # K * dim draws and their scaled noise
+        if isinstance(table, GlmObjective):
+            held = k * self.draws.width * (dim + 2) if self.draws is not None else table.n_samples * (dim + 1)
+        else:
+            held = 2 * k * dim if self.draws is not None else 0
+        self.chunk = max(1, _LOCAL_FLOATS // (n_members * (dim * (k + 1) + held)))  # jobs per local_sgd call
 
     def compute_pending(self, index: int, anchor: np.ndarray, models: np.ndarray) -> None:
         """Run every client in flight at round ``index`` whose anchor model
@@ -818,19 +810,15 @@ class _LocalWork:
         participant's is that of the run it delivers in the round, and a
         client that sampling left out of the round is rebased past it, so
         it is left out. ``models`` holds the models up to round ``index``."""
-        config = self.config
         pending = np.flatnonzero((anchor <= index) & (anchor > self.computed_through))
-        fleet = config.fleet
-        for t, ((_, table), chunk, draws) in enumerate(zip(fleet.tables, self.chunks, self.draws)):
-            jobs = pending if len(fleet.tables) == 1 else pending[fleet.table_of[pending] == t]
-            for lo in range(0, jobs.size, chunk):
-                part = jobs[lo:lo + chunk]
-                rows = fleet.row_of[part]
-                out = local_sgd(table, rows, models[anchor[part]], self.k_steps, self.eta_l,
-                                None if draws is None else draws.take(rows))
-                self.deltas[part] = out.delta
-                self.overflow[part] = -1 if out.overflow_step is None else out.overflow_step
-                self.any_overflow |= out.overflow_step is not None
+        table, chunk, draws = self.config.fleet.table, self.chunk, self.draws
+        for lo in range(0, pending.size, chunk):
+            part = pending[lo:lo + chunk]
+            out = local_sgd(table, part, models[anchor[part]], self.k_steps, self.eta_l,
+                            None if draws is None else draws.take(part))
+            self.deltas[part] = out.delta
+            self.overflow[part] = -1 if out.overflow_step is None else out.overflow_step
+            self.any_overflow |= out.overflow_step is not None
         self.computed_through = index
 
 
@@ -850,11 +838,12 @@ def _kept_rows(n_models: int, cadence: int) -> np.ndarray:
 def _block_rows(fleet: Fleet) -> int:
     """Rows per metrics block: whole encoder blocks (``BLOCK_CELLS`` loss
     cells each) to about ``_METRIC_CELLS`` cells, rounded up to a whole
-    number of the fleet's ``row_chunk``, so that a block's losses have the
-    bits of one evaluation of every row."""
+    number of the fleet table's ``row_chunk``, so that a block's losses
+    have the bits of one evaluation of every row."""
     encoder = max(1, BLOCK_CELLS // len(fleet))
     rows = encoder * max(1, _METRIC_CELLS // (encoder * len(fleet)))
-    return -(-rows // fleet.row_chunk) * fleet.row_chunk
+    chunk = fleet.table.row_chunk
+    return -(-rows // chunk) * chunk
 
 
 def _loss_blocks(fleet: Fleet, thetas: np.ndarray, losses: np.ndarray | None = None):
@@ -1000,7 +989,7 @@ def run_members(members) -> list[MemberRun]:
                     window = _tail_rows(kept.shape[0])
                     # from a whole number of row chunks, so every loss has the
                     # bits of an evaluation of all kept rows
-                    chunk = config.fleet.row_chunk
+                    chunk = config.fleet.table.row_chunk
                     start = (kept.shape[0] - window) // chunk * chunk
                     tail = np.concatenate([fed for _, _, fed in _loss_blocks(config.fleet, kept[start:])])
                     final = _tail_stats(tail[-window:], fraction=1.0)  # all of the window

@@ -303,10 +303,9 @@ def local_sgd(table, rows, starts, k_steps, eta_l, draws=None) -> LocalUpdate:
     steps; a member with fewer reads its endpoint at ``path[K_r]``, and the
     steps past it, whose draws must still be valid (the engine repeats the
     member's last step's), are not its own. The kernel holds no generator:
-    the engine draws ahead into one table per objective table and hands
-    each call its slice (see :mod:`asyncfed.engine`), once per objective
-    table each time it computes the runs it has pending (more often only
-    when a call would pass a size bound).
+    the engine draws ahead for the fleet's table and hands each call its
+    slice (see :mod:`asyncfed.engine`), once each time it computes the runs
+    it has pending (more often only when a call would pass a size bound).
 
     Runs do not raise when they leave the finite range; ``overflow_step``
     records where, counting only each member's own steps.

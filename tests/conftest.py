@@ -23,7 +23,7 @@ def quadratic_fleet(optima, taus=None, importances=None, curvature=0.5, noise_st
     """Fleet of scalar (or vector) quadratics with squared-distance losses."""
     n = len(optima)
     table = QuadraticObjective.from_optima(optima, curvature, noise_std)
-    return Fleet([(np.arange(n), table)], taus or [1] * n, importances or uniform_importances(n), distribution_ids)
+    return Fleet(table, taus or [1] * n, importances or uniform_importances(n), distribution_ids)
 
 
 def with_seeds(config, member_seeds) -> list:
@@ -52,11 +52,6 @@ def trajectory_metrics(traj) -> Metrics:
         np.concatenate([b.dist_sq for b in blocks]),
         losses,
     )
-
-
-def client_row(fleet, i):
-    """Client ``i``'s objective: the one-row table of its row."""
-    return fleet.tables[fleet.table_of[i]][1].row(fleet.row_of[i])
 
 
 def fixed_schedule(taus, policy, n_rounds, initial_clocks=None):

@@ -258,7 +258,7 @@ class TestCriterion8HeterogeneousLogisticTrend:
             SyntheticShardConfig(n_clients=m_clients, dim=5, samples_per_client=64,
                                  concentration=0.1, seed=1, batch_size=8)
         )
-        fleet = Fleet([(np.arange(m_clients), shards)], taus, [1 / m_clients] * m_clients)
+        fleet = Fleet(shards, taus, [1 / m_clients] * m_clients)
         policy = WaitPolicy(PolicyKind.ASYNCHRONOUS)
 
         def final_losses(scheme):

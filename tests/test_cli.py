@@ -899,13 +899,17 @@ SHIPPED_EXIT_CODES = {
     ("oracle-check", "async_logistic_heterogeneous"): 3,
     ("oracle-check", "k_sweep_noisy_quadratic"): 3,
     ("oracle-check", "sync_quadratic"): 0,
+    ("gen-shards", "async_exponential_oracle"): 2,
+    ("gen-shards", "async_logistic_heterogeneous"): 0,
+    ("gen-shards", "k_sweep_noisy_quadratic"): 2,
+    ("gen-shards", "sync_quadratic"): 2,
 }
 
 
 class TestShippedCommands:
-    """``simulate`` and ``oracle-check`` on every shipped config, and
-    ``sweep`` on the shipped sweep, end promptly with their pinned exit
-    codes."""
+    """``simulate``, ``oracle-check`` and ``gen-shards`` on every shipped
+    config, and ``sweep`` on the shipped sweep, end promptly with their
+    pinned exit codes."""
 
     ROOT = Path(__file__).resolve().parents[1]
 

@@ -17,7 +17,7 @@ from asyncfed.core import (
 from asyncfed.objectives import _CHUNK_FLOATS, GlmObjective, QuadraticObjective, SyntheticShardConfig
 from asyncfed.objectives import make_synthetic_shards
 
-from conftest import client_row, quadratic_fleet
+from conftest import quadratic_fleet
 
 
 def _loss_fed(theta, fleet):
@@ -61,33 +61,34 @@ class TestConvergenceResidual:
 
     @pytest.mark.parametrize("batch_size", [None, 2])
     def test_full_gradients_are_one_fleet_call_and_exact(self, monkeypatch, batch_size):
-        fleet = _ragged_fleet("logistic")
+        fleet = _glm_fleet("logistic")
         q = np.array([0.3, 0.0, 0.1, 0.2, 0.25, 0.15])
         theta = np.array([0.4, -1.0, 0.7])
         want = ordered_sum(qi * float(np.dot(g, g)) for qi, g in
-                           zip(q, (client_row(fleet, i).gradients(theta)[0] for i in range(len(fleet)))) if qi)
+                           zip(q, (fleet.table.row(i).gradients(theta)[0] for i in range(len(fleet)))) if qi)
         calls = []
-        original = Fleet.gradients
-        monkeypatch.setattr(Fleet, "gradients", lambda self, t: calls.append(1) or original(self, t))
+        original = GlmObjective.gradients
+        monkeypatch.setattr(GlmObjective, "gradients", lambda self, t: calls.append(1) or original(self, t))
         assert convergence_residual(fleet, q, theta, full_gradient=True, batch_size=batch_size) == want
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("family", ["glm", "quadratic"])
     @pytest.mark.parametrize("batch_size", [None, 2, 4])
-    def test_stochastic_terms_go_client_by_client(self, batch_size):
-        # GLM shards in two tables and a noisy and a noiseless quadratic;
-        # client 2 has weight 0 and adds nothing
+    def test_stochastic_terms_go_client_by_client(self, family, batch_size):
+        # GLM shards of 6 samples, or noisy and noiseless quadratics; client
+        # 2 has weight 0 and adds nothing
         rng = np.random.default_rng(11)
-        xs = [rng.standard_normal((n, 3)) for n in (6, 6, 9)]
-        ys = [(rng.random(x.shape[0]) < 0.5).astype(float) for x in xs]
-        tables = [(np.array([0, 2]), GlmObjective(xs[:2], ys[:2], "logistic", 2)),
-                  (np.array([1, 4]), QuadraticObjective(rng.uniform(0.1, 2.0, (2, 3)), rng.normal(size=(2, 3)),
-                                                        [0.3, 0.0], [0.7, 0.0])),
-                  (np.array([3]), GlmObjective(xs[2:], ys[2:], "logistic", 2))]
-        fleet = Fleet(tables, [1] * 5, [0.2] * 5)
+        if family == "glm":
+            x = rng.standard_normal((5, 6, 3))
+            table = GlmObjective(x, (rng.random((5, 6)) < 0.5).astype(float), "logistic", 2)
+        else:
+            table = QuadraticObjective(rng.uniform(0.1, 2.0, (5, 3)), rng.normal(size=(5, 3)),
+                                       [0.3, 0.0, 0.1, -0.2, 0.0], [0.7, 0.0, 0.4, 1.5, 0.0])
+        fleet = Fleet(table, [1] * 5, [0.2] * 5)
         q, theta = [0.3, 0.15, 0.0, 0.3, 0.25], np.array([0.3, -0.2, 0.5])
         want = 0.0
         for i, qi in enumerate(q):
-            obj = client_row(fleet, i)
+            obj = fleet.table.row(i)
             g = obj.gradients(theta)[0]
             moment = float(np.dot(g, g))
             if isinstance(obj, GlmObjective):
@@ -103,9 +104,9 @@ class TestConvergenceResidual:
         assert convergence_residual(fleet, q, theta, batch_size=batch_size) == pytest.approx(want, rel=1e-13)
 
     def test_a_batch_above_the_shard_is_rejected(self):
-        fleet = _ragged_fleet("linear")
+        fleet = _glm_fleet("linear")
         with pytest.raises(ConfigurationError, match="batch size"):
-            convergence_residual(fleet, fleet.importances, np.zeros(3), batch_size=6)
+            convergence_residual(fleet, fleet.importances, np.zeros(3), batch_size=301)
 
     @pytest.mark.parametrize("case", ["noisy_quadratic", "glm_minibatch", "glm_whole_shard"])
     def test_sampled_one_step_gradients_match_the_closed_form(self, case):
@@ -119,7 +120,7 @@ class TestConvergenceResidual:
             x = rng.standard_normal((3, 12, 3))
             table = GlmObjective(x, (rng.random((3, 12)) < 0.5).astype(float), "logistic", 5)
             batch_size = 5 if case == "glm_minibatch" else 12
-        fleet, theta = Fleet([(np.arange(3), table)], [1] * 3, [0.2, 0.3, 0.5]), rng.normal(size=table.dim)
+        fleet, theta = Fleet(table, [1] * 3, [0.2, 0.3, 0.5]), rng.normal(size=table.dim)
         squares = (_one_step_gradients(table, theta, batch_size) ** 2).sum(axis=2)  # (clients, draws)
         for i in range(3):
             want = convergence_residual(fleet, np.eye(3)[i], theta, batch_size=batch_size)
@@ -190,7 +191,7 @@ class TestConvexityAlongSegments:
         x = rng.normal(size=(20, 3))
         y = (rng.random(20) < 0.5).astype(float)
         obj = GlmObjective([x], [y], "logistic", batch_size=4)
-        fleet = Fleet([(np.arange(1), obj)], [1], [1.0])
+        fleet = Fleet(obj, [1], [1.0])
         for _ in range(20):
             a, b = rng.normal(size=3), rng.normal(size=3)
             mid = _loss_fed((a + b) / 2, fleet)
@@ -208,38 +209,42 @@ class TestWeightedOptimum:
         logits = x @ np.array([1.0, -0.5, 0.2])
         y = (rng.random(40) < 1 / (1 + np.exp(-logits))).astype(float)
         obj = GlmObjective([x], [y], "logistic", batch_size=4)
-        fleet = Fleet([(np.arange(1), obj)], [1], [1.0])
+        fleet = Fleet(obj, [1], [1.0])
         opt = weighted_optimum(fleet)
         assert np.linalg.norm(obj.gradients(opt)[0]) < 1e-10
 
 
 class TestFleetValidation:
     def test_importances_must_sum_to_one(self):
-        tables = [(np.arange(2), QuadraticObjective.from_optima([0.0, 0.0]))]
+        table = QuadraticObjective.from_optima([0.0, 0.0])
         with pytest.raises(ConfigurationError):
-            Fleet(tables, [1, 1], [0.5, 0.6])
+            Fleet(table, [1, 1], [0.5, 0.6])
 
     def test_nonpositive_compute_time(self):
-        tables = [(np.arange(1), QuadraticObjective.from_optima([0.0]))]
+        table = QuadraticObjective.from_optima([0.0])
         with pytest.raises(ConfigurationError, match="client 0: compute_time must be positive, got 0"):
-            Fleet(tables, [0], [1.0])
+            Fleet(table, [0], [1.0])
 
     def test_importance_outside_the_unit_interval_is_named_as_given(self):
-        tables = [(np.arange(2), QuadraticObjective.from_optima([0.0, 0.0]))]
+        table = QuadraticObjective.from_optima([0.0, 0.0])
         with pytest.raises(ConfigurationError, match=r"client 1: importance must lie in \(0, 1\], got 2$"):
-            Fleet(tables, [1, 1], [0.5, 2])
+            Fleet(table, [1, 1], [0.5, 2])
 
-    @pytest.mark.parametrize("positions", [[0, 1], [0, 1, 1], [0, 1, 3]])
-    def test_tables_must_hold_one_row_per_client(self, positions):
-        table = QuadraticObjective.from_optima([float(i) for i in positions])
-        with pytest.raises(ConfigurationError, match="exactly one row per client"):
-            Fleet([(np.array(positions), table)], [1, 1, 1], [0.25, 0.25, 0.5])
+    @pytest.mark.parametrize("n_rows", [2, 4])
+    def test_the_table_must_hold_one_row_per_client(self, n_rows):
+        table = QuadraticObjective.from_optima([float(i) for i in range(n_rows)])
+        with pytest.raises(ConfigurationError, match=f"the objective table has {n_rows} rows for 3 clients"):
+            Fleet(table, [1, 1, 1], [0.25, 0.25, 0.5])
 
-    def test_clients_must_agree_on_the_dimension(self):
-        tables = [(np.array([0]), QuadraticObjective.from_optima([0.0])),
-                  (np.array([1]), GlmObjective([np.ones((4, 2))], [np.ones(4)], batch_size=2))]
-        with pytest.raises(ConfigurationError, match=r"clients disagree on parameter dimension: \{1, 2\}"):
-            Fleet(tables, [1, 1], [0.5, 0.5])
+    @pytest.mark.parametrize("table", [
+        [(np.arange(1), QuadraticObjective.from_optima([0.0]))],  # a list of (positions, table) pairs
+        np.zeros((1, 1)),
+    ], ids=["positions-table-list", "array"])
+    def test_a_fleet_takes_one_objective_table(self, table):
+        # each has one entry, as many as the fleet's clients, so only the
+        # type check tells it from a one-row table
+        with pytest.raises(ConfigurationError, match="a fleet takes one QuadraticObjective or GlmObjective table"):
+            Fleet(table, [1], [1.0])
 
     def test_importances_are_one_shared_read_only_array(self, two_client_fleet):
         p = two_client_fleet.importances
@@ -289,7 +294,7 @@ def _reference_descent(fleet, w, grad_tol=1e-10):
     """The weighted GLM optimum as a per-client loop: the step from each
     shard's own smoothness, full-shard gradients one client at a time, added
     in client order, zero weights skipped."""
-    objs = [client_row(fleet, i) for i in range(len(fleet))]
+    objs = [fleet.table.row(i) for i in range(len(fleet))]
     data = [(o.features[0], o.targets[0], o.link) for o in objs]
     smoothness = [(1.0 if link == "linear" else 0.25) * float(np.linalg.eigvalsh(x.T @ x).max()) / x.shape[0]
                   for x, _, link in data]
@@ -309,48 +314,39 @@ def _reference_descent(fleet, w, grad_tol=1e-10):
         theta = theta - step * grad
 
 
-def _ragged_fleet(link):
-    """Shards of 5, 40 and 300 samples, the first two shared by two
-    clients each, and a quadratic client: four tables in one fleet."""
+def _glm_fleet(link):
+    """Six clients with distinct shards of 300 samples each: one GLM table."""
     rng = np.random.default_rng(11)
-    shards = []
-    for n_samples in (5, 40, 300):
-        x = rng.standard_normal((n_samples, 3))
-        y = (rng.random(n_samples) < 0.5).astype(float) if link == "logistic" else x @ rng.normal(size=3)
-        shards.append((x, y))
-    quadratic = QuadraticObjective([rng.uniform(0.1, 2.0, 3)], [rng.normal(size=3)], 0.7)
-    tables = [(np.array(positions), GlmObjective([shards[k][0]] * len(positions), [shards[k][1]] * len(positions),
-                                                 link, batch_size=2))
-              for positions, k in (([0, 3], 1), ([1, 5], 0), ([2], 2))]
-    tables.append((np.array([4]), quadratic))
+    x = rng.standard_normal((6, 300, 3))
+    y = (rng.random((6, 300)) < 0.5).astype(float) if link == "logistic" else x @ rng.normal(size=3)
     p = rng.dirichlet(np.ones(6))
     p[-1] = 1.0 - math.fsum(p[:-1])
-    return Fleet(tables, range(1, 7), p)
+    return Fleet(GlmObjective(x, y, link, batch_size=2), range(1, 7), p)
 
 
 class TestFleetTables:
-    def test_gather_reads_a_per_row_array_in_client_order(self):
-        fleet = _ragged_fleet("logistic")
-        smoothness = fleet.gather("smoothness")
+    def test_table_arrays_are_per_client_in_client_order(self):
+        fleet = _glm_fleet("logistic")
+        smoothness = fleet.table.smoothness
         assert smoothness.shape == (6,)
-        assert smoothness.tolist() == [client_row(fleet, i).smoothness[0] for i in range(6)]
-        assert smoothness[0] == smoothness[3] and smoothness[1] == smoothness[5]  # shared shards
-        optima = quadratic_fleet([[1.0, 2.0], [-3.0, 0.5]]).gather("optima")
+        assert smoothness.tolist() == [fleet.table.row(i).smoothness[0] for i in range(6)]
+        assert len(set(smoothness.tolist())) == 6  # distinct shards
+        optima = quadratic_fleet([[1.0, 2.0], [-3.0, 0.5]]).table.optima
         assert optima.tolist() == [[1.0, 2.0], [-3.0, 0.5]]
 
     @pytest.mark.parametrize("rows", [1, 7, 450])  # 450 rows: two chunks and a tail for 300 samples
     @pytest.mark.parametrize("link", ["linear", "logistic"])
-    def test_ragged_glm_fleet_losses_are_the_per_shard_bits(self, link, rows):
-        fleet = _ragged_fleet(link)
+    def test_glm_fleet_losses_are_the_per_shard_bits(self, link, rows):
+        fleet = _glm_fleet(link)
         thetas = np.random.default_rng(rows).normal(0.0, 2.0, (rows, 3))
         matrix = fleet.losses(thetas)
         assert matrix.shape == (rows, len(fleet))
         for i in range(len(fleet)):
-            obj = client_row(fleet, i)
+            obj = fleet.table.row(i)
             assert np.array_equal(matrix[:, i], _reference_values(obj, thetas))
             assert np.array_equal(matrix[:, i], obj.values(thetas)[:, 0])
         for theta in thetas[:3]:
-            by_client = [pi * client_row(fleet, i).value(theta)[0] for i, pi in enumerate(fleet.importances)]
+            by_client = [pi * fleet.table.row(i).value(theta)[0] for i, pi in enumerate(fleet.importances)]
             assert _loss_fed(theta, fleet) == math.fsum(by_client)
 
     @pytest.mark.parametrize("dim", [1, 3])
@@ -358,7 +354,7 @@ class TestFleetTables:
         rng = np.random.default_rng(dim)
         rows = [(rng.uniform(0.0, 2.0, dim), rng.normal(size=dim), float(rng.normal())) for _ in range(6)]
         table = QuadraticObjective(*(np.array(column) for column in zip(*rows)))
-        fleet = Fleet([(np.arange(6), table)], [1] * 6, [1 / 6] * 6)
+        fleet = Fleet(table, [1] * 6, [1 / 6] * 6)
         thetas = rng.normal(0.0, 5.0, (41, dim))
         matrix = fleet.losses(thetas)
         for i in range(6):
@@ -371,11 +367,8 @@ class TestFleetTables:
 
     @pytest.mark.parametrize("link", ["linear", "logistic"])
     def test_glm_optimum_is_the_per_client_descent(self, link):
-        tables = [(np.arange(3), make_synthetic_shards(SyntheticShardConfig(3, dim=3, samples_per_client=20,
-                                                                            seed=1, link=link))),
-                  (np.arange(3, 5), make_synthetic_shards(SyntheticShardConfig(2, dim=3, samples_per_client=35,
-                                                                               seed=2, link=link)))]
-        fleet = Fleet(tables, [1] * 5, [0.2] * 5)
+        shards = make_synthetic_shards(SyntheticShardConfig(5, dim=3, samples_per_client=20, seed=1, link=link))
+        fleet = Fleet(shards, [1] * 5, [0.2] * 5)
         w = np.array([0.3, 0.0, 0.25, 0.25, 0.2])  # a zero weight is skipped
         got = weighted_optimum(fleet, w)
         assert np.array_equal(got, _reference_descent(fleet, w))

@@ -30,7 +30,7 @@ from asyncfed.oracle import phi
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy, advance_round, init_fleet_state
 from asyncfed.weights import WeightPlan, WeightScheme, plan_weights
 
-from conftest import BatchStream, bits, client_row, quadratic_fleet, reference_draws, trajectory_metrics, with_seeds
+from conftest import BatchStream, bits, quadratic_fleet, reference_draws, trajectory_metrics, with_seeds
 
 SYNC = WaitPolicy(PolicyKind.SYNCHRONOUS)
 ASYNC = WaitPolicy(PolicyKind.ASYNCHRONOUS)
@@ -103,7 +103,7 @@ class TestPolicyEquivalences:
         x = rng.normal(size=(16, 2))
         y = (rng.random(16) < 0.5).astype(float)
         table = GlmObjective([x, x + 0.1], [y, y], "logistic", 4)
-        fleet = Fleet([(np.arange(2), table)], [1, 3], [0.5, 0.5])
+        fleet = Fleet(table, [1, 3], [0.5, 0.5])
 
         sync_plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, [1, 3], SYNC)
         fedfix = WaitPolicy(PolicyKind.FEDFIX, delta_t=3)
@@ -505,14 +505,11 @@ class TestMetricsAndCsv:
         (held,) = engine._metric_blocks(traj)
         assert held.client_losses.flags.c_contiguous and bits(held.client_losses) == bits(losses)
 
-    def test_client_losses_match_per_point_values_on_unequal_shards(self):
+    def test_client_losses_match_per_point_values_on_distinct_shards(self):
         rng = np.random.default_rng(11)
-        shards = []
-        for n_samples in (5, 40, 300):
-            x = rng.standard_normal((n_samples, 3))
-            y = (rng.random(n_samples) < 0.5).astype(float)
-            shards.append(GlmObjective([x], [y], batch_size=2))
-        fleet = Fleet([(np.array([i]), shard) for i, shard in enumerate(shards)], [1, 2, 3], [1 / 3] * 3)
+        x = rng.standard_normal((3, 40, 3))
+        shards = GlmObjective(x, (rng.random((3, 40)) < 0.5).astype(float), batch_size=2)
+        fleet = Fleet(shards, [1, 2, 3], [1 / 3] * 3)
         plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2, 3], ASYNC)
         traj = run(RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.2, rounds=30,
                              metric_cadence=4))
@@ -520,7 +517,7 @@ class TestMetricsAndCsv:
         for n, client_losses, loss_fed in zip(metrics.round.tolist(), metrics.client_losses,
                                               metrics.loss_fed.tolist()):
             theta = traj.theta[n]
-            want = [_logistic_reference(obj, theta) for obj in shards]
+            want = [_logistic_reference(shards.row(i), theta) for i in range(3)]
             np.testing.assert_allclose(client_losses, want, rtol=1e-12, atol=0)
             assert loss_fed == pytest.approx(sum(want) / 3, rel=1e-12)
 
@@ -558,7 +555,7 @@ class TestMetricsAndCsv:
             total = np.zeros(1)
             for client, anchor in zip(outcome.clients.tolist(), outcome.anchors.tolist()):
                 assert anchor <= n
-                total += plan.d[client] * _delivered_delta(client_row(fleet, client), traj.theta[anchor], cfg)
+                total += plan.d[client] * _delivered_delta(fleet.table.row(client), traj.theta[anchor], cfg)
             assert np.allclose(traj.theta[n] + 0.8 * total, traj.theta[n + 1], atol=1e-15)
 
 
@@ -572,7 +569,7 @@ class TestMetricBlocks:
         # eight encoder blocks of 20 rows make 160 rows, rounded up to 192
         shards = make_synthetic_shards(SyntheticShardConfig(6, dim=3, samples_per_client=1024, seed=3,
                                                             batch_size=16))
-        fleet = Fleet([(np.arange(6), shards)], [1, 1.5, 2, 0.75, 3, 1.25], [1 / 6] * 6)
+        fleet = Fleet(shards, [1, 1.5, 2, 0.75, 3, 1.25], [1 / 6] * 6)
         monkeypatch.setattr(engine, "BLOCK_CELLS", 20 * 6)
         monkeypatch.setattr(engine, "_METRIC_CELLS", 8 * 20 * 6)
         assert shards.row_chunk == 64 and engine._block_rows(fleet) == 192
@@ -669,7 +666,7 @@ class TestLocalWorkTiming:
     def _overflow_fleet(self, slow_tau):
         # client 1's quadratic leaves the finite range within 3 local steps
         table = QuadraticObjective([[0.5], [1e200]], [[-1.0], [0.0]], [0.5, 0.0])
-        return Fleet([(np.arange(2), table)], [1, slow_tau], [0.5, 0.5])
+        return Fleet(table, [1, slow_tau], [0.5, 0.5])
 
     def test_an_overflow_still_in_flight_at_the_horizon_is_not_a_divergence(self, monkeypatch):
         computed = []
@@ -696,18 +693,16 @@ class TestLocalWorkTiming:
         assert longer.rounds[longer.divergence_round].clients.tolist() == [1]
 
     @pytest.mark.parametrize("policy", [SYNC, ASYNC, WaitPolicy(PolicyKind.FEDFIX, delta_t=0.7)])
-    def test_one_run_per_call_gives_the_stacked_trajectory(self, monkeypatch, policy):
-        # a bound of one float per call leaves one run per local_sgd call;
-        # the fleet has a quadratic table and two GLM tables
-        shards = make_synthetic_shards(SyntheticShardConfig(3, dim=2, samples_per_client=12, seed=4,
-                                                            batch_size=3))
-        quadratics = QuadraticObjective.from_optima([[1.0, -1.0], [0.5, 2.0]])
-        tables = [
-            (np.array([0, 2]), QuadraticObjective(quadratics.a, quadratics.b, quadratics.c, [0.7, 0.0])),
-            (np.array([1, 3]), GlmObjective(shards.features[:2], shards.targets[:2], batch_size=3)),
-            (np.array([4]), GlmObjective(shards.features[2:, :9], shards.targets[2:, :9], batch_size=3)),
-        ]
-        fleet = Fleet(tables, [1, 2, 3, 1.5, 2.5], [0.2] * 5)
+    @pytest.mark.parametrize("family", ["quadratic_mixed_noise", "glm"])
+    def test_one_run_per_call_gives_the_stacked_trajectory(self, monkeypatch, family, policy):
+        # a bound of one float per call leaves one run per local_sgd call
+        if family == "glm":
+            table = make_synthetic_shards(SyntheticShardConfig(5, dim=2, samples_per_client=12, seed=4,
+                                                               batch_size=3))
+        else:
+            quadratics = QuadraticObjective.from_optima([[1.0, -1.0], [0.5, 2.0], [-1.5, 0.0], [2.0, 1.0], [0.0, 3.0]])
+            table = QuadraticObjective(quadratics.a, quadratics.b, quadratics.c, [0.7, 0.0, 0.7, 0.0, 0.3])
+        fleet = Fleet(table, [1, 2, 3, 1.5, 2.5], [0.2] * 5)
         plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
         cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.1, k_steps=3, rounds=60)
         seeds = [Seeds((0, j), (1, j), (2, j)) for j in range(3)]
@@ -732,7 +727,7 @@ class TestLocalWorkTiming:
         if family == "glm":
             shards = make_synthetic_shards(SyntheticShardConfig(4, dim=3, samples_per_client=20, seed=2,
                                                                 batch_size=4))
-            fleet = Fleet([(np.arange(4), shards)], [1, 2, 3, 1], [0.25] * 4)
+            fleet = Fleet(shards, [1, 2, 3, 1], [0.25] * 4)
         else:
             fleet = quadratic_fleet([[-2.0], [1.0], [3.0], [0.5], [4.0]], taus=[1, 2, 3, 1, 5], noise_std=0.7)
         plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
@@ -751,7 +746,7 @@ def _member_source(config, seeds, i):
     a batch stream or noise generator keyed (batching seed, client id)."""
     batching = seeds.batching
     rng = np.random.default_rng(([batching] if isinstance(batching, int) else list(batching)) + [i])
-    obj = client_row(config.fleet, i)
+    obj = config.fleet.table.row(i)
     if isinstance(obj, GlmObjective):
         return BatchStream(obj.n_samples, config.batch_size or obj.batch_size, rng)
     return rng
@@ -768,7 +763,7 @@ def _per_delivery_models(config, seeds, rounds):
             total = np.zeros(fleet.dim)
             for i, mult, anchor in zip(outcome.clients.tolist(), outcome.multiplicity.tolist(),
                                        outcome.anchors.tolist()):
-                total += (mult * d[i]) * _delivered_delta(client_row(fleet, i), models[anchor], config, sources[i])
+                total += (mult * d[i]) * _delivered_delta(fleet.table.row(i), models[anchor], config, sources[i])
             models.append(models[-1] + config.eta_g * total)
     return np.asarray(models)
 
@@ -784,7 +779,7 @@ def _draw_table_fleet(case):
         a = rng.uniform(0.2, 1.0, (5, 3))
         a[4] = 1e200
         table = QuadraticObjective(a, rng.normal(size=(5, 3)), 0.0, [0.7, 0.0, 1.3, 0.0, 0.4])
-        fleet = Fleet([(np.arange(5), table)], [1, 1.5, 2, 0.75, 15], [0.2] * 5)
+        fleet = Fleet(table, [1, 1.5, 2, 0.75, 15], [0.2] * 5)
         extra = dict(k_steps=3, rounds=80)
     else:
         n, batch, k_steps = {"n_mod_b": (10, 3, 2), "batch_size_override": (12, 3, 2),
@@ -792,15 +787,10 @@ def _draw_table_fleet(case):
                              "time_horizon": (11, 4, 3)}[case]
         shards = make_synthetic_shards(SyntheticShardConfig(6, dim=2, samples_per_client=n, seed=5,
                                                             batch_size=batch))
-        quadratics = QuadraticObjective.from_optima([[1.0, -1.0], [0.5, 2.0]])
-        tables = [(np.array([0, 2, 3, 5]), GlmObjective(shards.features[:4], shards.targets[:4], batch_size=batch)),
-                  (np.array([1, 4]), QuadraticObjective(quadratics.a, quadratics.b, quadratics.c, [0.0, 0.6]))]
-        fleet = Fleet(tables, taus, [1 / 6] * 6)
+        fleet = Fleet(shards, taus, [1 / 6] * 6)
         extra = dict(k_steps=k_steps, rounds=60)
         if case == "batch_size_override":
             extra["batch_size"] = 5  # 12 % 5 = 2 samples dropped per epoch
-        if case == "mid_pass_refills":
-            policy = SYNC  # every client in every pass
         if case == "time_horizon":
             policy, hw = WaitPolicy(PolicyKind.FEDBUFF, m=2), "exponential"
             extra = dict(k_steps=k_steps, time_budget=17.3)
@@ -814,8 +804,8 @@ _DRAW_TABLE_CASES = ["n_mod_b", "batch_size_override", "k_longer_than_an_epoch",
 
 
 class TestDrawTables:
-    """A local-work pass takes its runs' draws as slices of one draw table
-    per objective table; every run, and so every trajectory, equals the
+    """A local-work pass takes its runs' draws as slices of the draw table
+    of the fleet's objective table; every run, and so every trajectory, equals the
     per-member path's (a batch stream or per-run normals of each member's
     own generator), bit for bit."""
 
@@ -824,10 +814,10 @@ class TestDrawTables:
     def test_runs_and_models_match_the_per_member_path(self, monkeypatch, case, n_members):
         cfg = _draw_table_fleet(case)
         if case == "mid_pass_refills":
-            # rows of 53 normals (6.6 runs) and 26 sample indices (2.2 runs):
-            # most passes refill some rows and not others, and runs take
-            # held and fresh draws
-            monkeypatch.setattr(engine, "_LOCAL_FLOATS", 2 * n_members * 53)
+            # six rows of 26 sample indices (2.2 runs), used at each client's
+            # own rate: passes refill some rows and not others, and runs
+            # take held and fresh draws
+            monkeypatch.setattr(engine, "_LOCAL_FLOATS", 6 * n_members * 26)
         seeds = _MEMBERS[:n_members]
         calls, refills = [], []
         refill = engine._DrawTable._refill
@@ -848,13 +838,12 @@ class TestDrawTables:
         sources = {}
         steps = set()
         for table, rows, starts, out in calls:
-            positions = next(pos for pos, t in cfg.fleet.tables if t is table)
-            for p, row in enumerate(rows.tolist()):
-                i = int(positions[row])
+            assert table is cfg.fleet.table
+            for p, i in enumerate(rows.tolist()):
                 for r, member in enumerate(seeds):
                     source = sources.setdefault((i, r), _member_source(cfg, member, i))
-                    one = local_sgd(table.row(row), [0], starts[p, r][None, None], cfg.k_steps, cfg.eta_l,
-                                    reference_draws(table.row(row), [0], cfg.k_steps, [[source]]))
+                    one = local_sgd(table.row(i), [0], starts[p, r][None, None], cfg.k_steps, cfg.eta_l,
+                                    reference_draws(table.row(i), [0], cfg.k_steps, [[source]]))
                     assert bits(out.path[:, p, r]) == bits(one.path[:, 0, 0]), (case, p, r)
                     assert bits(out.delta[p, r]) == bits(one.delta[0, 0]), (case, p, r)
                     step = -1 if out.overflow_step is None else int(out.overflow_step[p, r])
@@ -871,7 +860,7 @@ class TestDrawTables:
             straddled = {n_samples for _, n_samples, kept in refills if kept > 0}
             partial = [n for n in {n for n, _, _ in refills}
                        if 0 < sum(m == n for m, _, _ in refills) < len(calls[n][1])]
-            assert straddled == {None, 16} and partial  # both tables
+            assert straddled == {16} and partial
         if case == "time_horizon":
             delivered = sum(int(r.multiplicity.sum()) for r in group.rounds)
             assert sum(len(rows) for _, rows, _, _ in calls) > delivered
@@ -923,7 +912,7 @@ class TestDrawTables:
         assert traj.n_rounds == 120 and counts["schedule"] > 0
         assert counts["pass"] == 0
         # one call of each member's generator per refill, and far fewer
-        # refills than runs: 120 passes of 6 runs
+        # refills than runs: 120 rounds of one delivery each
         assert set(per_refill) == {1} and len(per_refill) < 120
 
     @pytest.mark.parametrize("full_gradient", [False, True])
@@ -934,7 +923,7 @@ class TestDrawTables:
         k, dim, n, batch = 5, 3, 40, 4
         shards = make_synthetic_shards(SyntheticShardConfig(8, dim=dim, samples_per_client=n, seed=3,
                                                             batch_size=batch))
-        fleet = Fleet([(np.arange(8), shards)], [1] * 8, [1 / 8] * 8)
+        fleet = Fleet(shards, [1] * 8, [1 / 8] * 8)
         cfg = sync_config(fleet, k_steps=k, rounds=4, full_gradient=full_gradient, eta_l=0.05)
         per_run = dim * (k + 1) + (n * (dim + 1) if full_gradient else k * batch * (dim + 2))
         sizes = []
@@ -1057,7 +1046,7 @@ def _segment_fleet(family):
     if family == "glm":
         shards = make_synthetic_shards(SyntheticShardConfig(12, dim=3, samples_per_client=16, seed=6,
                                                             batch_size=4))
-        return Fleet([(np.arange(12), shards)], taus, [1 / 12] * 12)
+        return Fleet(shards, taus, [1 / 12] * 12)
     noise = 0.5 if family == "noisy_quadratic" else 0.0
     optima = np.random.default_rng(8).normal(0.0, 3.0, (12, 1)).tolist()
     return quadratic_fleet(optima, taus=taus, noise_std=noise)
@@ -1130,7 +1119,7 @@ class TestSegmentAggregation:
         taus = [1.1, 1.2, 1.3, 1.45, 1.0]
         table = QuadraticObjective.from_optima([[0.0], [1.0], [2.0], [-1.0], [0.5]])
         noisy = QuadraticObjective(table.a, table.b, table.c, [0.0, 0.0, 0.0, 0.0, noise_std])
-        return Fleet([(np.arange(5), noisy)], taus, [0.2] * 5)
+        return Fleet(noisy, taus, [0.2] * 5)
 
     def _assert_members_die_one_by_one_mid_segment(self, monkeypatch, cfg, cause):
         group, _, segments = _segmented_run(monkeypatch, cfg, _MEMBERS)
@@ -1164,8 +1153,7 @@ class TestSegmentAggregation:
         # rounds do not hold one delivery each, so its place among the
         # segment's deliveries is not its round's place in the segment
         table = QuadraticObjective.from_optima([0.0, 2.0])
-        fleet = Fleet([(np.arange(2), QuadraticObjective(table.a, table.b, table.c, [1e308, 0.5]))], [1, 0.7],
-                      [0.5, 0.5])
+        fleet = Fleet(QuadraticObjective(table.a, table.b, table.c, [1e308, 0.5]), [1, 0.7], [0.5, 0.5])
         policy = WaitPolicy(PolicyKind.FEDFIX, delta_t=0.3)
         plan = WeightPlan(WeightScheme.CUSTOM, np.array([0.0, 1.0]))
         cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.3, rounds=30, theta0=np.array([5.0]))

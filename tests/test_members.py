@@ -47,7 +47,7 @@ def _noisy(optima, taus=TAUS, noise_std=0.7):
 def _glm_fleet(link="logistic"):
     shards = make_synthetic_shards(SyntheticShardConfig(4, dim=3, samples_per_client=20, seed=2,
                                                         link=link, batch_size=4))
-    return Fleet([(np.arange(4), shards)], TAUS, [0.25] * 4)
+    return Fleet(shards, TAUS, [0.25] * 4)
 
 
 def _threshold_config():
@@ -64,7 +64,7 @@ def _overflow_config(policy=SYNC, taus=(1, 1), rounds=12):
     # members' models untouched by it
     optima = QuadraticObjective.from_optima([0.0, 2.0])
     table = QuadraticObjective(optima.a, optima.b, optima.c, [1e308, 0.5])
-    fleet = Fleet([(np.arange(2), table)], list(taus), [0.5, 0.5])
+    fleet = Fleet(table, list(taus), [0.5, 0.5])
     plan = plan_weights(WeightScheme.CUSTOM, fleet.importances, fleet.compute_times, policy, custom_d=[0.0, 1.0])
     return RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.3, rounds=rounds, theta0=np.array([5.0]))
 
@@ -130,8 +130,8 @@ def test_the_final_window_has_the_bits_of_the_whole_series_over_row_chunks(monke
     # 451 kept rows give a 23-row window from row 428, evaluated from row 384
     shards = make_synthetic_shards(SyntheticShardConfig(4, dim=3, samples_per_client=1024, seed=2,
                                                         batch_size=16))
-    fleet = Fleet([(np.arange(4), shards)], TAUS, [0.25] * 4)
-    assert fleet.row_chunk == 64
+    fleet = Fleet(shards, TAUS, [0.25] * 4)
+    assert fleet.table.row_chunk == 64
     config = _config(fleet, ASYNC, WeightScheme.ASYNC_TIME_BASED, k_steps=1, time_budget=None, rounds=450)
     member_seeds = MEMBER_SEEDS[:3]
     evaluated, loss_blocks = [], engine._loss_blocks

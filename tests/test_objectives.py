@@ -838,7 +838,7 @@ class TestSyntheticShards:
         from asyncfed.core import Fleet, weighted_optimum
 
         shards = make_synthetic_shards(SyntheticShardConfig(n_clients=1, seed=1))
-        fleet = Fleet([(np.arange(1), shards)], [1], [1.0])
+        fleet = Fleet(shards, [1], [1.0])
         fed_opt = weighted_optimum(fleet)
         assert np.allclose(fed_opt, _local_optima(shards)[0], atol=1e-5)
 

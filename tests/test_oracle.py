@@ -194,7 +194,7 @@ class TestExactReference:
 
         experiment = build_experiment(load_config(SHIPPED))
         state, theta0, _ = _oracle_state_for(experiment)
-        optima = experiment.fleet.gather("optima")[:, 0].tolist()
+        optima = experiment.fleet.table.optima[:, 0].tolist()
         exact_mean, exact_second = _exact_async_moments(optima, state.steps, theta0, 20)
         assert exact_mean[5] == Fraction(603, 512) and float(exact_mean[5]) == 1.177734375
         assert float(exact_mean[20]) == 1.0008179847336578
@@ -325,7 +325,7 @@ class TestOracleCsvExport:
 
         experiment = build_experiment(load_config(SHIPPED))
         state, theta0, _ = _oracle_state_for(experiment)
-        optima = tuple(experiment.fleet.gather("optima")[:, 0].tolist())
+        optima = tuple(experiment.fleet.table.optima[:, 0].tolist())
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         round_time = _oracle_round_time(experiment, state)
         export_oracle_csv(optima, *_sequences(state, optima, theta0, n_rounds), round_time, got)

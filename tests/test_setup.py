@@ -203,7 +203,7 @@ def test_quadratic_fleet_table_matches_per_client_construction(m, dim, curvature
     fleet, _ = build_fleet(quadratic_document(optima, curvature, noise_std))
     reference = [reference_coefficients(opt, 0.5 if curvature is None else curvature) for opt in optima]
     a, b, c = (np.array(column) for column in zip(*reference))
-    (_, table), = fleet.tables
+    table = fleet.table
     for got, want in ((table.a, a), (table.b, b), (table.c, c), (table.two_a, 2.0 * a),
                       (table.noise_std, np.full(m, 0.0 if noise_std is None else noise_std))):
         _same_bits(got, want)
@@ -235,7 +235,7 @@ QuadraticObjective([[0.5]], [[0.0]])  # the counter sees a construction
 seen = made[:]
 with open(sys.argv[1]) as fh:
     experiment = build_experiment(json.load(fh))
-(_, table), = experiment.fleet.tables
+table = experiment.fleet.table
 traj = run(experiment.run_config)
 print(json.dumps([seen, traj.n_rounds, made[len(seen):], len(table)]))
 """
