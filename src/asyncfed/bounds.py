@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ConfigurationError, Fleet, UnsupportedConfigError, ordered_sum, weighted_optimum
-from .objectives import QuadraticObjective
+from .core import ConfigurationError, Fleet, UnsupportedConfigError, ordered_sum, row_optima, weighted_optimum
 from .timing import HardwareModel, PolicyKind, WaitPolicy, staleness_bound
 from .weights import WeightScheme, plan_weights, window_counts
 
@@ -158,7 +157,7 @@ def scheme_presets(
         weights, alpha, n_rounds = WeightScheme.FEDFIX_TIME_BASED, 1.0, time_budget / float(policy.delta_t)
     plan = plan_weights(weights, fleet.importances, fleet.compute_times, policy, hw)
     # the schedule's own terms first: a fleet whose schedule the staleness
-    # analysis rejects exits before the residual's per-client descents
+    # analysis rejects exits before the residual's descent
     window, _ = window_counts(policy, fleet.compute_times)
     tau = staleness_bound(policy, hw, fleet.compute_times)
     if residual is None:
@@ -170,16 +169,16 @@ def scheme_presets(
 def residual_mean_gap(fleet: Fleet) -> float:
     """Mean over clients of L_i(theta_star) - L_i(theta_i_star): how far the
     federated optimum sits from each client's own optimum. Exact for
-    quadratic objectives."""
-    theta_star = weighted_optimum(fleet)
+    quadratic objectives.
+
+    One pass over the fleet's table: every loss at theta_star in one row of
+    ``values``, every client optimum from :func:`row_optima`, and each
+    client's loss there from ``row_values``; the gaps are added in client
+    order."""
     table = fleet.table
-    quadratic = isinstance(table, QuadraticObjective)
-    gaps = []
-    for i in range(len(fleet)):
-        obj = table.row(i)
-        local_opt = obj.optima[0] if quadratic else weighted_optimum(Fleet(obj, [1], [1.0]))
-        gaps.append(float(obj.value(theta_star)[0] - obj.value(local_opt)[0]))
-    return ordered_sum(gaps) / len(fleet)
+    at_federated = table.values(weighted_optimum(fleet)[None])[0]
+    gaps = at_federated - table.row_values(row_optima(table))
+    return ordered_sum(gaps.tolist()) / len(fleet)
 
 
 def fill_inputs(preset: SchemePreset, base: BoundInputs) -> BoundInputs:

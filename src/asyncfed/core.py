@@ -168,18 +168,17 @@ def distribution_weights(fleet: Fleet, per_round_q) -> DistributionWeights:
 # Optima
 # ---------------------------------------------------------------------------
 
-def weighted_optimum(
-    fleet: Fleet,
-    weights=None,
-    *,
-    grad_tol: float = 1e-10,
-    max_iter: int = 500_000,
-) -> np.ndarray:
+DESCENT_MAX_ITER = 500_000  # gradient evaluations a GLM descent may take
+DESCENT_GRAD_TOL = 1e-10  # the gradient norm at which a GLM descent stops
+
+
+def weighted_optimum(fleet: Fleet, weights=None) -> np.ndarray:
     """Minimizer of the ``weights``-weighted objective (defaults to p_i).
 
     A quadratic table uses the closed form; a GLM table runs deterministic
     full-gradient descent with step 1/L until the gradient norm drops
-    below ``grad_tol``.
+    below ``DESCENT_GRAD_TOL``, UnsupportedConfigError where it does not
+    within ``DESCENT_MAX_ITER`` gradients.
     """
     from .objectives import QuadraticObjective  # objectives imports this module
 
@@ -196,14 +195,56 @@ def weighted_optimum(
     step = 1.0 / smoothness
     active = w != 0.0
     w_active = w[active, None]
-    theta = np.zeros(fleet.dim)
-    for _ in range(max_iter):
+    theta, norm = np.zeros(fleet.dim), math.inf
+    for _ in range(DESCENT_MAX_ITER):
         grad = sum_in_order(w_active * table.gradients(theta)[active])
-        if np.linalg.norm(grad) < grad_tol:
+        norm = np.linalg.norm(grad)
+        if norm < DESCENT_GRAD_TOL:
             return theta
         theta = theta - step * grad
-    raise RuntimeError(
-        f"gradient descent did not reach gradient norm {grad_tol} in {max_iter} iterations"
+    raise _not_converged("the federated", norm)
+
+
+def row_optima(table) -> np.ndarray:
+    """(G, dim) minimizer of each row of ``table`` on its own.
+
+    A quadratic table gives its closed-form ``optima``. A GLM table runs
+    every row's descent of :func:`weighted_optimum` on a one-row fleet at
+    once, as one (rows, dim) array with each row's step 1/L_g and its bits:
+    a row stops, frozen, at the first iterate whose gradient norm (the
+    square root of its own dot product) is below ``DESCENT_GRAD_TOL``, and
+    the data of the rows still descending is gathered anew only when one
+    stops. So the descent takes as many gradient calls as its slowest row.
+    UnsupportedConfigError names the first row not done in
+    ``DESCENT_MAX_ITER`` gradients.
+    """
+    from .objectives import QuadraticObjective, _glm_gradient  # objectives imports this module
+
+    if isinstance(table, QuadraticObjective):
+        return table.optima
+    optima = np.empty((len(table), table.dim))
+    live = np.arange(len(table))  # the rows still descending
+    x, y, step = table.features, table.targets, (1.0 / table.smoothness)[:, None]
+    theta, norm = np.zeros_like(optima), np.full(len(table), np.inf)
+    for _ in range(DESCENT_MAX_ITER):
+        grad = _glm_gradient(x, y, theta, table.link) + 0.0
+        norm = np.sqrt((grad[:, None, :] @ grad[:, :, None])[:, 0, 0])
+        done = norm < DESCENT_GRAD_TOL
+        if done.any():
+            optima[live[done]] = theta[done]
+            keep = ~done
+            live, theta, grad, step, norm = live[keep], theta[keep], grad[keep], step[keep], norm[keep]
+            if not live.size:
+                return optima
+            x, y = table.features[live], table.targets[live]
+        theta = theta - step * grad
+    raise _not_converged(f"client {live[0]}'s", norm[0])
+
+
+def _not_converged(descent: str, norm) -> UnsupportedConfigError:
+    return UnsupportedConfigError(
+        f"{descent} gradient descent did not reach gradient norm {DESCENT_GRAD_TOL} in {DESCENT_MAX_ITER} "
+        f"iterations; its norm is {float(norm):.6g}"
     )
 
 

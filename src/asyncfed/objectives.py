@@ -126,18 +126,36 @@ class QuadraticObjective(_Table):
         if out is None:
             out = np.empty((thetas.shape[0], len(self)))
         if self.dim == 1:
-            np.multiply(thetas * thetas, self.a[:, 0], out=out)
-            out += thetas * self.b[:, 0]
-            out += self.c + 0.0
-            return out
+            return self._scalar_losses(thetas, out)
         step = self.row_chunk
         for lo in range(0, thetas.shape[0], step):
-            chunk = thetas[lo:lo + step]
-            column = (chunk * chunk) @ self.a[:, :, None]
-            column += chunk @ self.b[:, :, None]
-            column += self.c[:, None, None]
-            out[lo:lo + step] = column[:, :, 0].T
+            out[lo:lo + step] = self._columns(thetas[lo:lo + step])[:, :, 0].T
         return out
+
+    def row_values(self, points) -> np.ndarray:
+        """(G,) loss of each row g at its own point ``points[g]`` ((G, dim)),
+        with the bits of ``row(g).value(points[g])``: the arithmetic of
+        :meth:`values`, one point per row."""
+        points = np.asarray(points, dtype=float)
+        if self.dim == 1:
+            return self._scalar_losses(points[:, 0], np.empty(len(self)))
+        return self._columns(points[:, None, :])[:, 0, 0]
+
+    def _scalar_losses(self, thetas, out) -> np.ndarray:
+        """dim 1: (theta^2 a + theta b) + (c + 0.0) into ``out``, ``thetas``
+        a (rows, 1) column against every row or a (G,) value per row."""
+        np.multiply(thetas * thetas, self.a[:, 0], out=out)
+        out += thetas * self.b[:, 0]
+        out += self.c + 0.0
+        return out
+
+    def _columns(self, chunk) -> np.ndarray:
+        """(G, rows, 1) loss of every row at ``chunk``: (rows, dim) points
+        for every row, or (G, 1, dim) one point per row."""
+        column = (chunk * chunk) @ self.a[:, :, None]
+        column += chunk @ self.b[:, :, None]
+        column += self.c[:, None, None]
+        return column
 
     def gradients(self, theta) -> np.ndarray:
         """(G, dim) gradient of every quadratic at ``theta``."""
@@ -208,22 +226,39 @@ class GlmObjective(_Table):
         if out is None:
             out = np.empty((thetas.shape[0], n_shards))
         by_shard = out.T
-        features_t = self.features.transpose(0, 2, 1)
         step = self.row_chunk
         for lo in range(0, thetas.shape[0], step):
             chunk = thetas[lo:lo + step]
             per = max(1, _CHUNK_FLOATS // (chunk.shape[0] * n))
             for g in range(0, n_shards, per):
-                z = chunk @ features_t[g:g + per]
-                if self.link == "linear":
-                    z -= self.targets[g:g + per, None]
-                    by_shard[g:g + per, lo:lo + step] = 0.5 * (z * z).mean(axis=2)
-                else:
-                    # logaddexp(0, -y*z) is log(1 + exp(-y*z)) without
-                    # overflow for large |z|
-                    z *= self._sign[g:g + per, None]
-                    by_shard[g:g + per, lo:lo + step] = np.logaddexp(0.0, z, out=z).mean(axis=2)
+                by_shard[g:g + per, lo:lo + step] = self._shard_losses(chunk, slice(g, g + per))
         return out
+
+    def row_values(self, points) -> np.ndarray:
+        """(G,) mean loss of each shard g at its own point ``points[g]``
+        ((G, dim)), with the bits of ``row(g).value(points[g])``: the
+        arithmetic of :meth:`values`, one point per shard, the shards in
+        slices of ``row_chunk`` whose (shards, 1, n) margins stay near
+        ``_CHUNK_FLOATS`` floats."""
+        points = np.asarray(points, dtype=float)
+        out = np.empty(len(self))
+        per = self.row_chunk
+        for g in range(0, len(self), per):
+            out[g:g + per] = self._shard_losses(points[g:g + per, None, :], slice(g, g + per))[:, 0]
+        return out
+
+    def _shard_losses(self, thetas, shards: slice) -> np.ndarray:
+        """(shards, rows) mean loss of the shards ``shards`` at ``thetas``:
+        (rows, dim) points for every shard, or (shards, 1, dim) one point
+        per shard."""
+        z = thetas @ self.features[shards].transpose(0, 2, 1)
+        if self.link == "linear":
+            z -= self.targets[shards, None]
+            return 0.5 * (z * z).mean(axis=2)
+        # logaddexp(0, -y*z) is log(1 + exp(-y*z)) without overflow for
+        # large |z|
+        z *= self._sign[shards, None]
+        return np.logaddexp(0.0, z, out=z).mean(axis=2)
 
     def gradients(self, theta) -> np.ndarray:
         """(G, dim) full-shard gradient of every shard at ``theta``."""

@@ -14,7 +14,8 @@ from asyncfed.bounds import (
     residual_mean_gap,
     scheme_presets,
 )
-from asyncfed.core import ConfigurationError, UnsupportedConfigError
+from asyncfed.core import ConfigurationError, Fleet, UnsupportedConfigError, ordered_sum, weighted_optimum
+from asyncfed.objectives import GlmObjective, QuadraticObjective
 from asyncfed.timing import PolicyKind, WaitPolicy
 
 from conftest import quadratic_fleet
@@ -152,6 +153,50 @@ class TestSchemePresets:
             inputs = fill_inputs(scheme_presets(name, fleet, policy, 10.0), base)
             totals[name] = epsilon_terms(inputs).total
         assert totals["sync"] <= totals["fedfix"] <= totals["async"]
+
+
+def _reference_residual(fleet):
+    """The residual as a loop over clients: each client a one-row table, a
+    GLM client's optimum the descent of a one-client fleet, the gaps added
+    in client order."""
+    theta_star = weighted_optimum(fleet)
+    quadratic = isinstance(fleet.table, QuadraticObjective)
+    gaps = []
+    for i in range(len(fleet)):
+        obj = fleet.table.row(i)
+        local_opt = obj.optima[0] if quadratic else weighted_optimum(Fleet(obj, [1], [1.0]))
+        gaps.append(float(obj.value(theta_star)[0] - obj.value(local_opt)[0]))
+    return ordered_sum(gaps) / len(fleet)
+
+
+@st.composite
+def heterogeneous_fleets(draw):
+    """A fleet of 1-8 clients with Dirichlet importances: quadratics of dim
+    1-7 with per-row curvatures, or linear or logistic shards of dim 1-3 on
+    40-60 samples (random labels, so no logistic shard is separable)."""
+    family = draw(st.sampled_from(["quadratic", "linear", "logistic"]))
+    m = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if family == "quadratic":
+        dim = draw(st.integers(1, 7))
+        table = QuadraticObjective(rng.uniform(0.05, 3.0, (m, dim)), rng.normal(0.0, 2.0, (m, dim)),
+                                   rng.normal(size=m))
+    else:
+        dim, n = draw(st.integers(1, 3)), draw(st.integers(40, 60))
+        x = rng.normal(size=(m, n, dim))
+        y = (x @ rng.normal(size=dim) + rng.normal(0.0, 0.5, (m, n)) if family == "linear"
+             else (rng.random((m, n)) < 0.5).astype(float))
+        table = GlmObjective(x, y, family, batch_size=4)
+    return Fleet(table, range(1, m + 1), rng.dirichlet(np.ones(m)))
+
+
+class TestResidualMeanGap:
+    @settings(max_examples=40, deadline=None)
+    @given(heterogeneous_fleets())
+    def test_one_table_pass_is_the_per_client_loop_bit_for_bit(self, fleet):
+        got = residual_mean_gap(fleet)
+        want = _reference_residual(fleet)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestReport:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import asyncfed
+from asyncfed import core
 from asyncfed.cli import main, write_sweep_csv
 from asyncfed.config import load_config, validate_config
 from asyncfed.core import ConfigurationError
@@ -721,7 +722,8 @@ class TestOracleCheck:
 
 class TestBoundsCommand:
     def test_residual_gap_is_computed_once(self, tmp_path, monkeypatch, capsys):
-        # on a GLM fleet each residual_mean_gap call is a descent per client
+        # on a GLM fleet each residual_mean_gap call is a descent of every
+        # client's optimum
         from asyncfed import bounds
 
         calls = []
@@ -867,7 +869,7 @@ class TestShippedBounds:
 
     def test_logistic_fleet_exits_before_the_residual(self, monkeypatch, capsys):
         # the rejected asynchronous schedule ends the command before the
-        # residual's per-client GLM descents start
+        # residual's GLM descent starts
         from asyncfed import bounds
 
         def no_residual(fleet):
@@ -877,14 +879,50 @@ class TestShippedBounds:
         assert main(["bounds", "--config", str(self.ROOT / "configs" / "async_logistic_heterogeneous.json")]) == 3
         assert capsys.readouterr().err.startswith("unsupported: the asynchronous schedule repeats only every ")
 
-    def test_logistic_fleet_on_integer_times_matches_its_golden(self, tmp_path, capsys):
+    INTEGER_TIMES = ROOT / "tests" / "golden" / "bounds_logistic_integer_times.json"
+
+    def test_logistic_fleet_on_integer_times_matches_its_golden(self, capsys):
         # the shipped logistic fleet on times whose asynchronous cycle is
         # short: pins the GLM residual, weighted optimum and smoothness
-        document = load_config(self.ROOT / "configs" / "async_logistic_heterogeneous.json")
-        document["fleet"]["compute_times"] = [1, 2, 3, 4, 5, 1, 2, 3, 4, 5]
-        assert main(["bounds", "--config", str(write_config(tmp_path, document))]) == 0
+        assert main(["bounds", "--config", str(self.INTEGER_TIMES)]) == 0
         golden = self.ROOT / "tests" / "golden" / "bounds_logistic_integer_times.txt"
         assert capsys.readouterr().out == golden.read_text()
+
+    def test_a_fleet_with_one_slow_client_descent_matches_its_golden(self, tmp_path, capsys):
+        # objective seed 5: client 6's own optimum takes ~1.5e5 descent
+        # steps, the other clients' at most ~2.5e3; the rows done early stay
+        # frozen while the slow one descends alone
+        document = load_config(self.INTEGER_TIMES)
+        document["fleet"]["objective"]["seed"] = 5
+        assert main(["bounds", "--config", str(write_config(tmp_path, document))]) == 0
+        golden = self.ROOT / "tests" / "golden" / "bounds_logistic_integer_times_seed5.txt"
+        assert capsys.readouterr().out == golden.read_text()
+
+    def test_a_client_descent_short_of_its_tolerance_exits_3(self, monkeypatch, capsys):
+        # the federated descent takes 105 gradients and clients 1 and 2 more
+        # than 1,000, so a cap of 1,000 stops at client 1
+        monkeypatch.setattr(core, "DESCENT_MAX_ITER", 1000)
+        assert main(["bounds", "--config", str(self.INTEGER_TIMES)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("unsupported: client 1's gradient descent did not reach gradient norm 1e-10 in "
+                              "1000 iterations; its norm is ")
+
+    @pytest.mark.parametrize("command", ["bounds", "simulate"])
+    def test_a_federated_descent_short_of_its_tolerance_exits_3(self, command, tmp_path, monkeypatch, capsys):
+        # two clients of four samples each in five dimensions: the federated
+        # descent's gradient norm is still ~4e-6 after the default 500,000
+        # iterations; a cap of 50 keeps the test short
+        monkeypatch.setattr(core, "DESCENT_MAX_ITER", 50)
+        document = load_config(self.INTEGER_TIMES)
+        document["fleet"]["compute_times"] = [1, 2]
+        document["fleet"]["objective"].update(samples_per_client=4, batch_size=4)
+        code = main([command, "--config", str(write_config(tmp_path, document)), "--out", str(tmp_path / "out"),
+                     "--quiet"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "unsupported: the federated gradient descent did not reach gradient norm 1e-10 in 50 iterations; "
+            "its norm is ")
 
 
 # the exit code of each command on each shipped config; oracle-check has no

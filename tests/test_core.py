@@ -6,18 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asyncfed import core
 from asyncfed.core import (
     ConfigurationError,
     Fleet,
+    UnsupportedConfigError,
     convergence_residual,
     distribution_weights,
     ordered_sum,
+    row_optima,
     weighted_optimum,
 )
 from asyncfed.objectives import _CHUNK_FLOATS, GlmObjective, QuadraticObjective, SyntheticShardConfig
 from asyncfed.objectives import make_synthetic_shards
 
-from conftest import quadratic_fleet
+from conftest import bits, quadratic_fleet
 
 
 def _loss_fed(theta, fleet):
@@ -373,3 +376,78 @@ class TestFleetTables:
         got = weighted_optimum(fleet, w)
         assert np.array_equal(got, _reference_descent(fleet, w))
         assert np.array_equal(weighted_optimum(fleet), _reference_descent(fleet, fleet.importances))
+
+
+def _one_row_optimum(table, i):
+    """Row i's optimum as the federated optimum of a fleet of row i alone."""
+    return weighted_optimum(Fleet(table.row(i), [1], [1.0]))
+
+
+@pytest.fixture
+def gradient_calls(monkeypatch):
+    """The list of calls of the GLM gradient kernel made since it was
+    cleared, one shape of theta per call."""
+    from asyncfed import objectives
+
+    calls = []
+    gradient = objectives._glm_gradient
+    monkeypatch.setattr(objectives, "_glm_gradient", lambda x, y, theta, link: calls.append(np.shape(theta))
+                        or gradient(x, y, theta, link))
+    return calls
+
+
+class TestRowOptima:
+    """Every row's own optimum, the GLM rows in one stacked descent."""
+
+    TABLE = make_synthetic_shards(SyntheticShardConfig(10, samples_per_client=64, seed=1))
+
+    def _calls_per_row(self, gradient_calls):
+        """Each row's gradient calls (its iterations + 1) alone."""
+        per_row = []
+        for i in range(len(self.TABLE)):
+            gradient_calls.clear()
+            _one_row_optimum(self.TABLE, i)
+            per_row.append(len(gradient_calls))
+        gradient_calls.clear()
+        return per_row
+
+    @pytest.mark.parametrize("table", [
+        _glm_fleet("linear").table,
+        _glm_fleet("logistic").table,
+        make_synthetic_shards(SyntheticShardConfig(4, dim=1, samples_per_client=64, seed=3)),
+        make_synthetic_shards(SyntheticShardConfig(5, dim=4, samples_per_client=40, seed=2, link="linear")),
+    ], ids=["linear", "logistic", "logistic-dim-1", "linear-synthetic"])
+    def test_glm_rows_are_their_one_row_descents(self, table):
+        want = np.array([_one_row_optimum(table, i) for i in range(len(table))])
+        assert bits(row_optima(table)) == bits(want)
+
+    def test_quadratic_rows_are_the_closed_form(self):
+        table = QuadraticObjective([[0.5, 2.0], [0.25, 0.125]], [[1.0, 0.0], [0.0, -1.0]])
+        assert bits(row_optima(table)) == bits(table.optima)
+
+    def test_the_descent_takes_as_many_gradient_calls_as_its_slowest_row(self, gradient_calls):
+        per_row = self._calls_per_row(gradient_calls)
+        row_optima(self.TABLE)
+        assert len(gradient_calls) == max(per_row) < sum(per_row)
+        # the first call takes every row, the last the slowest alone
+        assert gradient_calls[0] == (10, 5) and gradient_calls[-1] == (1, 5)
+
+    def test_a_federated_descent_short_of_its_tolerance_is_unsupported(self, monkeypatch):
+        fleet = _glm_fleet("logistic")
+        monkeypatch.setattr(core, "DESCENT_MAX_ITER", 5)
+        with pytest.raises(UnsupportedConfigError, match=r"^the federated gradient descent did not reach "
+                                                         r"gradient norm 1e-10 in 5 iterations; its norm is ") as err:
+            weighted_optimum(fleet)
+        assert float(str(err.value).rsplit(" ", 1)[1]) > 1e-10
+
+    def test_a_row_descent_short_of_its_tolerance_names_its_client(self, gradient_calls, monkeypatch):
+        per_row = self._calls_per_row(gradient_calls)
+        slowest = int(np.argmax(per_row))
+        cap = max(per_row) - 1  # every other row is done within it
+        assert sorted(per_row)[-2] <= cap
+        monkeypatch.setattr(core, "DESCENT_MAX_ITER", cap)
+        with pytest.raises(UnsupportedConfigError, match=rf"^client {slowest}'s gradient descent did not reach "
+                                                         rf"gradient norm 1e-10 in {cap} iterations; its norm is "):
+            row_optima(self.TABLE)
+        with pytest.raises(UnsupportedConfigError, match=rf"^the federated gradient descent .* in {cap} iterations"):
+            _one_row_optimum(self.TABLE, slowest)

@@ -716,6 +716,23 @@ class TestTables:
             assert bits(table.value(theta)[i]) == bits(alone)
         assert bits(table.value(theta)) == bits(table.values(row_vector)[0])
 
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_a_quadratic_row_value_at_its_own_point_is_its_one_row_bits(self, dim):
+        rng = np.random.default_rng(dim)
+        table = QuadraticObjective(rng.random((9, dim)), rng.normal(size=(9, dim)), rng.normal(size=9))
+        points = rng.normal(0.0, 3.0, (9, dim))
+        points[0] = 0.0  # the losses of a zero point are c + 0.0
+        got = table.row_values(points)
+        assert bits(got) == bits(np.array([table.row(g).value(points[g])[0] for g in range(9)]))
+
+    @pytest.mark.parametrize("n", [24, _CHUNK_FLOATS // 16])  # 16 shards per slice: two slices and a tail
+    @pytest.mark.parametrize("link", ["linear", "logistic"])
+    def test_a_glm_row_value_at_its_own_point_is_its_one_row_bits(self, link, n):
+        table = _glm(link, seeds=range(37), n=n, dim=2)
+        points = np.random.default_rng(n).normal(0.0, 2.0, (37, 2))
+        got = table.row_values(points)
+        assert bits(got) == bits(np.array([table.row(g).value(points[g])[0] for g in range(37)]))
+
     def test_quadratic_optima_and_smoothness_per_row(self):
         table = QuadraticObjective.from_optima([[1.0, -2.0], [0.5, 3.0]], curvature=0.75)
         assert table.optima.tolist() == [[1.0, -2.0], [0.5, 3.0]]
