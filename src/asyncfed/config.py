@@ -3,6 +3,9 @@ a config document into fleet, policy, weight plan, and run settings.
 
 The format is versioned (``schema_version``) and strict: unknown keys are
 rejected at every level so typos fail loudly before any compute happens.
+``CONFIG_SCHEMA`` is a Draft 2020-12 JSON Schema and the only statement of
+the format; ``validate_config`` walks it with the keywords it uses and no
+jsonschema import, giving the stock walk's messages in its order.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .core import ConfigurationError, Fleet, uniform_importances
@@ -156,13 +158,21 @@ CONFIG_SCHEMA = {
 }
 
 
-def _is_strict_integer(checker, instance) -> bool:
-    return isinstance(instance, int) and not isinstance(instance, bool)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+# "integer" is a Python int, not JSON Schema's integral number: the builders
+# need an int, so 2.0 is a config error
+_IS_TYPE = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "number": _is_number,
+    "integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "boolean": lambda value: isinstance(value, bool),
+}
 _LEAF_TYPES = {"number": {int, float}, "integer": {int}}  # bool is neither
 _LEAF_KEYS = {"type", "minimum", "exclusiveMinimum"}
-_STOCK_ITEMS = jsonschema.Draft202012Validator.VALIDATORS["items"]
 
 
 def _items_pass(schema, values: list) -> bool:
@@ -170,8 +180,6 @@ def _items_pass(schema, values: list) -> bool:
     leaf (``type`` with ``minimum``/``exclusiveMinimum``) or the
     number-or-vector ``anyOf``; False also when unsure. Each check covers
     the whole list at once."""
-    if not isinstance(schema, dict):
-        return False
     if schema == _NUMBER_OR_VECTOR:
         numbers = _LEAF_TYPES["number"]
         return set(map(type, values)) <= numbers or all(
@@ -188,35 +196,145 @@ def _items_pass(schema, values: list) -> bool:
     return low >= schema.get("minimum", -math.inf) and low > schema.get("exclusiveMinimum", -math.inf)
 
 
-def _items(validator, items, instance, schema):
-    """The ``items`` keyword in one pass over an array of numeric leaves; an
-    array that does not pass whole goes to the stock keyword, so the errors
-    and their order are the stock walk's."""
-    if type(instance) is list and "prefixItems" not in schema and _items_pass(items, instance):
-        return
-    yield from _STOCK_ITEMS(validator, items, instance, schema)
+def _equal(one, two) -> bool:
+    """JSON equality for a scalar ``two`` (every ``const`` and ``enum`` value
+    of the schema is one): 1.0 equals 1, True does not."""
+    return one == two and isinstance(one, bool) == isinstance(two, bool)
 
 
-# JSON Schema counts 2.0 as an integer; the builders need a Python int, so
-# "integer" here means exactly that (an integral float is a config error)
-_StrictValidator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    validators={"items": _items},
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", _is_strict_integer
-    ),
-)
-_VALIDATOR = _StrictValidator(CONFIG_SCHEMA)
+# Each keyword of Draft 2020-12 that CONFIG_SCHEMA uses, as
+# check(value, instance, schema, path, errors): it appends (path, message)
+# pairs with the stock jsonschema message texts, and a subschema's errors
+# in the stock walk's order (schema-dict order, depth first)
 
 
-def validate_config(document: dict) -> list[str]:
-    """All schema violations, formatted with their JSON paths."""
-    errors = sorted(_VALIDATOR.iter_errors(document), key=lambda e: list(e.absolute_path))
-    out = []
-    for err in errors:
-        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        out.append(f"{where}: {err.message}")
-    return out
+def _type(name, instance, schema, path, errors):
+    if not _IS_TYPE[name](instance):
+        errors.append((path, f"{instance!r} is not of type {name!r}"))
+
+
+def _properties(properties, instance, schema, path, errors):
+    if isinstance(instance, dict):
+        for key, subschema in properties.items():
+            if key in instance:
+                _walk(subschema, instance[key], (*path, key), errors)
+
+
+def _required(names, instance, schema, path, errors):
+    if isinstance(instance, dict):
+        errors.extend((path, f"{name!r} is a required property") for name in names if name not in instance)
+
+
+def _additional_properties(allowed, instance, schema, path, errors):
+    # the schema sets it to False only: no key outside ``properties``
+    extras = isinstance(instance, dict) and not allowed and instance.keys() - schema.get("properties", {})
+    if extras:
+        verb = "was" if len(extras) == 1 else "were"
+        joined = ", ".join(map(repr, sorted(extras, key=str)))
+        errors.append((path, f"Additional properties are not allowed ({joined} {verb} unexpected)"))
+
+
+def _items(subschema, instance, schema, path, errors):
+    if isinstance(instance, list) and not _items_pass(subschema, instance):
+        for index, item in enumerate(instance):
+            _walk(subschema, item, (*path, index), errors)
+
+
+def _min_items(count, instance, schema, path, errors):
+    if isinstance(instance, list) and len(instance) < count:
+        errors.append((path, f"{instance!r} {'should be non-empty' if count == 1 else 'is too short'}"))
+
+
+def _min_properties(count, instance, schema, path, errors):
+    if isinstance(instance, dict) and len(instance) < count:
+        text = "should be non-empty" if count == 1 else "does not have enough properties"
+        errors.append((path, f"{instance!r} {text}"))
+
+
+def _max_properties(count, instance, schema, path, errors):
+    if isinstance(instance, dict) and len(instance) > count:
+        text = "is expected to be empty" if count == 0 else "has too many properties"
+        errors.append((path, f"{instance!r} {text}"))
+
+
+# a NaN fails no comparison, so it passes every bound, as in the stock walk
+def _minimum(bound, instance, schema, path, errors):
+    if _is_number(instance) and instance < bound:
+        errors.append((path, f"{instance!r} is less than the minimum of {bound!r}"))
+
+
+def _exclusive_minimum(bound, instance, schema, path, errors):
+    if _is_number(instance) and instance <= bound:
+        errors.append((path, f"{instance!r} is less than or equal to the minimum of {bound!r}"))
+
+
+def _maximum(bound, instance, schema, path, errors):
+    if _is_number(instance) and instance > bound:
+        errors.append((path, f"{instance!r} is greater than the maximum of {bound!r}"))
+
+
+def _enum(values, instance, schema, path, errors):
+    if not any(_equal(instance, value) for value in values):
+        errors.append((path, f"{instance!r} is not one of {values!r}"))
+
+
+def _const(value, instance, schema, path, errors):
+    if not _equal(instance, value):
+        errors.append((path, f"{value!r} was expected"))
+
+
+def _any_of(subschemas, instance, schema, path, errors):
+    for subschema in subschemas:
+        failed = []
+        _walk(subschema, instance, path, failed)
+        if not failed:
+            return
+    errors.append((path, f"{instance!r} is not valid under any of the given schemas"))
+
+
+_KEYWORDS = {
+    "$schema": lambda *args: None,  # names the draft, checks nothing
+    "type": _type,
+    "properties": _properties,
+    "required": _required,
+    "additionalProperties": _additional_properties,
+    "items": _items,
+    "minItems": _min_items,
+    "minProperties": _min_properties,
+    "maxProperties": _max_properties,
+    "minimum": _minimum,
+    "exclusiveMinimum": _exclusive_minimum,
+    "maximum": _maximum,
+    "enum": _enum,
+    "const": _const,
+    "anyOf": _any_of,
+}
+
+
+def _walk(schema, instance, path, errors):
+    for keyword, value in schema.items():
+        _KEYWORDS[keyword](value, instance, schema, path, errors)
+
+
+def _subschemas(schema):
+    yield schema
+    items = [schema["items"]] if "items" in schema else []
+    for sub in (*schema.get("properties", {}).values(), *items, *schema.get("anyOf", ())):
+        yield from _subschemas(sub)
+
+
+_UNHANDLED = {keyword for sub in _subschemas(CONFIG_SCHEMA) for keyword in sub} - _KEYWORDS.keys()
+if _UNHANDLED:
+    raise ImportError(f"CONFIG_SCHEMA uses keywords the validator does not handle: {sorted(_UNHANDLED)}")
+
+
+def validate_config(document) -> list[str]:
+    """All schema violations, formatted with their JSON paths, in the order
+    and with the messages of the stock Draft 2020-12 walk."""
+    errors = []
+    _walk(CONFIG_SCHEMA, document, (), errors)
+    errors.sort(key=lambda error: error[0])  # stable: walk order within a path
+    return [f"{'/'.join(map(str, path)) or '<root>'}: {message}" for path, message in errors]
 
 
 def _reject_constant(name):

@@ -24,8 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asyncfed
-from asyncfed.config import CONFIG_SCHEMA, _StrictValidator, build_experiment, build_fleet, validate_config
+from asyncfed.config import _KEYWORDS, CONFIG_SCHEMA, build_experiment, build_fleet, validate_config
 from asyncfed.core import ConfigurationError, UnsupportedConfigError
+from asyncfed.engine import MAX_ENSEMBLE_SEEDS, MAX_K_STEPS
 from asyncfed.objectives import QuadraticObjective
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy, fastest_first, steady_period
 from asyncfed.weights import WeightPlan, WeightScheme, plan_weights, window_stats
@@ -34,8 +35,13 @@ from asyncfed.weights import WeightPlan, WeightScheme, plan_weights, window_stat
 # validate_config against the stock walk
 # ---------------------------------------------------------------------------
 
+# the stock Draft 2020-12 validator with the config's one deviation: an
+# "integer" is a Python int (2.0 is not one), never a bool
 _STOCK = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator, type_checker=_StrictValidator.TYPE_CHECKER
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, instance: isinstance(instance, int) and not isinstance(instance, bool)
+    ),
 )(CONFIG_SCHEMA)
 
 
@@ -52,11 +58,13 @@ def _document(optima, theta0):
             "importances": [0.2, 0.3, 0.5],
             "initial_clocks": [1, 0.5, 2],
             "distribution_ids": [0, 1, 1],
+            "hardware": "fixed",
             "objective": {"family": "quadratic", "optima": optima},
         },
         "scheme": {"policy": "synchronous", "weights": "custom", "custom_d": [0, 1.5, 2]},
-        "optimization": {"theta0": theta0},
+        "optimization": {"theta0": theta0, "k_steps": 2, "full_gradient": False},
         "horizon": {"rounds": 5},
+        "ensemble": {"n_seeds": 3},
         "oracle_check": {"checkpoints": [0, 1, 5]},
         "sweep": {"axis": "eta_l", "values": [0.5, 1, 2.25]},
     }
@@ -76,6 +84,23 @@ ARRAY_PATHS = (
     ("optimization", "theta0"),
 )
 
+OBJECT_PATHS = (
+    (),
+    ("fleet",),
+    ("fleet", "objective"),
+    ("scheme",),
+    ("optimization",),
+    ("horizon",),
+    ("ensemble",),
+    ("sweep",),
+)
+
+# known keys of several objects, and unknown ones
+KEYS = st.sampled_from(
+    ["schema_version", "fleet", "hardware", "family", "policy", "k_steps", "theta0", "rounds", "time",
+     "n_seeds", "axis", "values", "x", "zz"]
+)
+
 MUTANTS = st.one_of(
     st.booleans(),
     st.text(max_size=2),
@@ -85,6 +110,7 @@ MUTANTS = st.one_of(
     st.floats(width=64, allow_infinity=False),
     st.lists(st.one_of(st.integers(-2, 2), st.floats(-3, 3), st.booleans(), st.none()), max_size=3),
     st.lists(st.lists(st.integers(0, 2), max_size=2), max_size=2),
+    st.dictionaries(st.sampled_from(["rounds", "time", "x"]), st.integers(-1, 2), max_size=3),
 )
 
 
@@ -93,6 +119,16 @@ def _locate(document, path):
     for step in outer:
         document = document[step]
     return document, key
+
+
+def _mutate_object(data, obj: dict) -> dict:
+    obj = dict(obj)
+    for _ in range(data.draw(st.integers(1, 3))):
+        if obj and data.draw(st.booleans()):
+            del obj[data.draw(st.sampled_from(sorted(obj)))]
+        else:
+            obj[data.draw(KEYS)] = data.draw(MUTANTS)
+    return obj
 
 
 def _mutate(data, items: list) -> list:
@@ -119,6 +155,24 @@ def test_validation_messages_match_the_stock_walk(data):
         parent, key = _locate(document, path)
         if isinstance(parent[key], list) and data.draw(st.integers(0, 9)):
             parent[key] = _mutate(data, parent[key])
+        else:
+            parent[key] = data.draw(MUTANTS)
+    assert validate_config(document) == stock_messages(document)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_object_mutations_get_the_stock_messages(data):
+    document = copy.deepcopy(data.draw(st.sampled_from(BASES)))
+    # deepest first, so a replaced parent does not hide a later path
+    for path in sorted(data.draw(st.lists(st.sampled_from(OBJECT_PATHS), min_size=1, max_size=3, unique=True)),
+                       key=len, reverse=True):
+        if not path:
+            document = _mutate_object(data, document) if data.draw(st.integers(0, 4)) else data.draw(MUTANTS)
+            continue
+        parent, key = _locate(document, path)
+        if isinstance(parent[key], dict) and data.draw(st.integers(0, 4)):
+            parent[key] = _mutate_object(data, parent[key])
         else:
             parent[key] = data.draw(MUTANTS)
     assert validate_config(document) == stock_messages(document)
@@ -151,6 +205,79 @@ def test_edge_arrays_get_the_stock_messages(path, items):
     parent, key = _locate(document, path)
     parent[key] = items
     assert validate_config(document) == stock_messages(document)
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "edits, n_messages",
+    [
+        ({("schema_version",): 2}, 1),
+        ({("schema_version",): 1.0}, 0),  # 1.0 equals 1 in JSON
+        ({("schema_version",): True}, 1),
+        ({("fleet", "hardware"): "gpu"}, 1),
+        ({("fleet",): _DELETE}, 1),
+        ({("bogus",): 1}, 1),
+        ({("bogus",): 1, ("zz",): [2]}, 1),
+        ({("horizon",): {}}, 1),
+        ({("horizon",): {"rounds": 5, "time": 2.0}}, 1),
+        ({("optimization", "k_steps"): MAX_K_STEPS + 1}, 1),
+        ({("ensemble", "n_seeds"): MAX_ENSEMBLE_SEEDS + 1}, 1),
+        ({(): []}, 1),
+        ({(): "x"}, 1),
+        ({("fleet",): []}, 1),
+        ({("optimization", "theta0"): "x"}, 1),
+        ({("optimization", "theta0"): []}, 1),
+        ({("optimization", "theta0"): [True]}, 1),
+    ],
+    ids=["const_2", "const_1.0", "const_true", "enum", "required", "one_unknown_key", "two_unknown_keys",
+         "min_properties", "max_properties", "k_steps_maximum", "n_seeds_maximum", "root_array",
+         "root_string", "fleet_array", "theta0_string", "theta0_empty", "theta0_bool_item"],
+)
+def test_object_keywords_get_the_stock_messages(edits, n_messages):
+    document = copy.deepcopy(BASES[0])
+    for path, value in edits.items():
+        if not path:
+            document = value
+            continue
+        parent, key = _locate(document, path)
+        if value is _DELETE:
+            del parent[key]
+        else:
+            parent[key] = value
+    messages = validate_config(document)
+    assert messages == stock_messages(document)
+    assert len(messages) == n_messages
+
+
+def _schema_keywords(schema) -> set:
+    found = set(schema)
+    for keyword, value in schema.items():
+        if keyword == "properties":
+            subschemas = value.values()
+        elif keyword in ("anyOf", "allOf", "oneOf", "prefixItems"):
+            subschemas = value
+        elif isinstance(value, dict):  # items, additionalProperties, not, ...
+            subschemas = [value]
+        else:
+            subschemas = []
+        for sub in subschemas:
+            found |= _schema_keywords(sub)
+    return found
+
+
+def test_the_walker_handles_exactly_the_keywords_of_the_schema():
+    assert _schema_keywords(CONFIG_SCHEMA) == set(_KEYWORDS)
+
+
+def test_importing_the_cli_does_not_import_jsonschema():
+    src = str(Path(asyncfed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, asyncfed.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
