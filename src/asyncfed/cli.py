@@ -384,7 +384,10 @@ def _axis_value(axis: str, value):
 
 
 def sweep_rows(document: dict, axis: str, values) -> list[dict]:
-    """One row per value: the experiment is built once per value, and the
+    """One row per value: the experiment is built once per sweep on
+    ``eta_l`` and ``k_steps`` (each value's run config is the built one
+    with that field replaced) and once per value on ``delta_t`` and ``m``;
+    either way every value is checked before any run. The
     ``ensemble.n_seeds`` members of every value (seeds ``base_seed + j``)
     run in one :func:`run_members` call, which steps the values that share
     a schedule through it together."""
@@ -394,11 +397,17 @@ def sweep_rows(document: dict, axis: str, values) -> list[dict]:
     base_seed = ensemble.get("base_seed", 0)
     member_seeds = [Seeds.override(base_seed + j) for j in range(n_seeds)]
     values = [_axis_value(axis, v) for v in values]
-    configs = []
-    for value in values:
-        patched = json.loads(json.dumps(document))
-        patched.setdefault(section, {})[key] = value
-        configs.append(build_experiment(patched).run_config)
+    if section == "optimization":
+        # eta_l and k_steps only set the run config's field of that name,
+        # whose own checks reject a bad value
+        built = build_experiment(document).run_config
+        configs = [replace(built, **{key: value}) for value in values]
+    else:
+        configs = []
+        for value in values:
+            patched = json.loads(json.dumps(document))
+            patched.setdefault(section, {})[key] = value
+            configs.append(build_experiment(patched).run_config)
     runs = run_members([replace(config, seeds=seeds) for config in configs for seeds in member_seeds])
     rows = []
     for i, value in enumerate(values):

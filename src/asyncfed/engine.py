@@ -981,23 +981,56 @@ def run_members(members) -> list[MemberRun]:
         for lo in range(0, len(indices), MAX_ENSEMBLE_SEEDS):
             part = indices[lo : lo + MAX_ENSEMBLE_SEEDS]
             out = _run_group([members[i] for i in part])
+            live = [j for j, divergence in enumerate(out.divergence) if divergence is None]
+            finals = iter(_final_windows(members[part[0]], out.models, live))
             thetas = out.models.transpose(1, 0, 2)  # (R, n_models, dim)
             for i, theta, divergence in zip(part, thetas, out.divergence):
                 config = members[i]
                 if divergence is None:
-                    kept = theta[_kept_rows(theta.shape[0], config.metric_cadence)]
-                    window = _tail_rows(kept.shape[0])
-                    # from a whole number of row chunks, so every loss has the
-                    # bits of an evaluation of all kept rows
-                    chunk = config.fleet.table.row_chunk
-                    start = (kept.shape[0] - window) // chunk * chunk
-                    tail = np.concatenate([fed for _, _, fed in _loss_blocks(config.fleet, kept[start:])])
-                    final = _tail_stats(tail[-window:], fraction=1.0)  # all of the window
-                    runs[i] = MemberRun(config.seeds, theta, len(out.rounds), None, final)
+                    runs[i] = MemberRun(config.seeds, theta, len(out.rounds), None, next(finals))
                 else:
                     n = divergence[0]
                     runs[i] = MemberRun(config.seeds, theta[: n + 1], n + 1, n, None)
     return runs
+
+
+def _final_windows(config: RunConfig, models: np.ndarray, live: list) -> list:
+    """The ``final_loss`` of each member in ``live`` of a group's recorded
+    models ``models`` (n_models, R, dim): the mean and standard deviation of
+    its federated loss over the final window, with the bits of
+    :func:`_tail_stats` over its whole series.
+
+    The window's rows are evaluated from a whole number of the fleet
+    table's row chunks, in blocks of :func:`_block_rows` rows as
+    :func:`_loss_blocks` evaluates them, so every loss has the bits of an
+    evaluation of all kept rows. The members go in slices of about
+    ``_METRIC_CELLS`` loss cells; each block of a slice is summed over the
+    clients by one :func:`_running_sum`, and the windows of all members
+    are averaged along the member axis at once."""
+    fleet = config.fleet
+    kept = _kept_rows(models.shape[0], config.metric_cadence)
+    window = _tail_rows(kept.shape[0])
+    chunk = fleet.table.row_chunk
+    rows = kept[(kept.shape[0] - window) // chunk * chunk:]
+    n_rows, n_clients = rows.shape[0], len(fleet)
+    step = min(n_rows, _block_rows(fleet))
+    per = max(1, _METRIC_CELLS // (step * n_clients))  # members per slice
+    losses = np.empty((min(per, len(live)) * step, n_clients))
+    weighted = np.empty((n_clients, losses.shape[0]))  # client-major: row i holds client i's terms
+    importances = fleet.importances[:, None]
+    fed = np.empty((len(live), n_rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(live), per):
+            part = live[lo:lo + per]
+            for first in range(0, n_rows, step):
+                span = rows[first:first + step]
+                height, cells = span.shape[0], len(part) * span.shape[0]
+                for j, member in enumerate(part):
+                    fleet.losses(models[span, member], out=losses[j * height:(j + 1) * height])
+                np.multiply(losses[:cells].T, importances, out=weighted[:, :cells])
+                fed[lo:lo + len(part), first:first + height] = _running_sum(weighted[:, :cells]).reshape(-1, height)
+    tail = fed[:, n_rows - window:]
+    return list(zip(tail.mean(axis=1).tolist(), tail.std(axis=1).tolist()))
 
 
 # the fields in which members of one group may differ, and the others

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import asyncfed
-from asyncfed import core
+from asyncfed import cli, core
 from asyncfed.cli import main, write_sweep_csv
 from asyncfed.config import load_config, validate_config
 from asyncfed.core import ConfigurationError
@@ -506,6 +506,47 @@ class TestSweep:
         assert code == 2
         assert err.startswith("config error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("axis, scheme, values, builds", [
+        ("k_steps", {"policy": "asynchronous", "weights": "async_time_based"}, "1,2,4", 1),
+        ("eta_l", {"policy": "asynchronous", "weights": "async_time_based"}, "0.1,0.2,0.4", 1),
+        ("delta_t", {"policy": "fedfix", "delta_t": 1.0, "weights": "fedfix_time_based"}, "0.5,1,2", 3),
+        ("m", {"policy": "fedbuff", "m": 1, "weights": "fedavg"}, "1,2", 2),
+    ])
+    def test_the_experiment_is_built_once_per_sweep_on_member_axes(self, tmp_path, monkeypatch, axis, scheme,
+                                                                   values, builds):
+        # eta_l and k_steps values replace a field of one run config; a
+        # delta_t or m value changes the policy, so each builds its own
+        calls, build = [], cli.build_experiment
+
+        def counted(document, *args, **kwargs):
+            calls.append(document)
+            return build(document, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_experiment", counted)
+        path = write_config(tmp_path, base_config(scheme=scheme, ensemble={"n_seeds": 2}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--axis", axis, "--values", values,
+                     "--quiet"]) == 0
+        assert len(calls) == builds
+        assert len((out / "sweep.csv").read_text().splitlines()) == 1 + len(values.split(","))
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("k_steps", "1,0", f"k_steps must lie in [1, {MAX_K_STEPS}]"),
+        ("eta_l", "0.5,-0.1", "learning rates must be nonnegative"),
+    ])
+    def test_an_out_of_range_member_value_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, axis,
+                                                                 values, message):
+        def started(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run_members", started)
+        path = write_config(tmp_path, base_config())
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--axis", axis,
+                     "--values", values])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
     def test_failed_write_leaves_no_temporary_and_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "sweep.csv"
         path.write_text("previous sweep\n")
@@ -982,6 +1023,16 @@ class TestShippedCommands:
         assert code == 0
         golden = self.ROOT / "tests" / "golden" / "sweep_k_sweep_noisy_quadratic.csv"
         assert (tmp_path / "sweep.csv").read_bytes() == golden.read_bytes()
+
+    def test_logistic_k_sweep_matches_the_golden_csv(self, tmp_path):
+        # 4 values x 4 seeds of 320 rounds: each member's trailing window of
+        # 17 rows is averaged with numpy's pairwise sums; dim 1 and one
+        # sample a batch make every GLM product a single term, so no BLAS
+        # build sums one in another order
+        golden = self.ROOT / "tests" / "golden"
+        assert main(["sweep", "--config", str(golden / "sweep_logistic_k_steps.json"), "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        assert (tmp_path / "sweep.csv").read_bytes() == (golden / "sweep_logistic_k_steps.csv").read_bytes()
 
     @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
     def test_simulate_matches_the_golden_trajectory(self, path, tmp_path):

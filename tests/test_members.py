@@ -134,20 +134,51 @@ def test_the_final_window_has_the_bits_of_the_whole_series_over_row_chunks(monke
     assert fleet.table.row_chunk == 64
     config = _config(fleet, ASYNC, WeightScheme.ASYNC_TIME_BASED, k_steps=1, time_budget=None, rounds=450)
     member_seeds = MEMBER_SEEDS[:3]
-    evaluated, loss_blocks = [], engine._loss_blocks
+    evaluated, losses = [], Fleet.losses
 
-    def recorded(fleet, thetas, losses=None):
-        evaluated.append(thetas.shape[0])
-        return loss_blocks(fleet, thetas, losses)
+    def recorded(fleet, thetas, out=None):
+        evaluated.append(np.array(thetas))
+        return losses(fleet, thetas, out)
 
-    monkeypatch.setattr(engine, "_loss_blocks", recorded)
+    monkeypatch.setattr(Fleet, "losses", recorded)
     members = run_members(with_seeds(config, member_seeds))
-    assert evaluated == [451 - 384] * 3
     monkeypatch.undo()
-    for member, traj in zip(members, _separate_runs(config, member_seeds)):
+    reference = _separate_runs(config, member_seeds)
+    # one evaluation per member, of its rows 384 to 450
+    assert [thetas.shape[0] for thetas in evaluated] == [451 - 384] * 3
+    for thetas, traj in zip(evaluated, reference):
+        assert bits(thetas) == bits(traj.theta[384:])
+    for member, traj in zip(members, reference):
         loss_fed = trajectory_metrics(traj).loss_fed
         assert loss_fed.shape == (451,)
         assert bits(member.final_loss) == bits(engine._tail_stats(loss_fed))
+
+
+@pytest.mark.parametrize("cells, sums", [
+    # a member's 51-row window holds 15,300 loss cells: 8 members a slice
+    (engine._METRIC_CELLS, [(300, 8 * 51)] * 5),
+    # 2000 cells: blocks of 27 rows, so one member a slice, in two blocks
+    (2000, [(300, 27), (300, 24)] * 40),
+])
+def test_a_group_in_several_member_slices_equals_separate_runs(monkeypatch, cells, sums):
+    # M=300 clients and 40 members of 1000 rounds
+    fleet = quadratic_fleet([[float(i % 7) - 3.0] for i in range(300)], taus=[1 + i % 5 for i in range(300)],
+                            noise_std=0.5)
+    config = _config(fleet, ASYNC, WeightScheme.ASYNC_TIME_BASED, k_steps=2, time_budget=None, rounds=1000)
+    member_seeds = [Seeds((0, j), (1, j), (2, j)) for j in range(40)]
+    calls, running_sum = [], engine._running_sum
+
+    def counted(terms):
+        calls.append(terms.shape)
+        return running_sum(terms)
+
+    monkeypatch.setattr(engine, "_METRIC_CELLS", cells)
+    monkeypatch.setattr(engine, "_running_sum", counted)
+    members = run_members(with_seeds(config, member_seeds))
+    monkeypatch.undo()
+    assert calls == sums
+    for member, config_j in zip(members, with_seeds(config, member_seeds)):
+        _assert_equals_its_run(member, config_j)
 
 
 def test_an_overflowing_member_ends_inside_local_work():
