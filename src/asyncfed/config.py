@@ -359,6 +359,52 @@ def _finite_int(text):
     return value
 
 
+def _in_double_range(document) -> bool:
+    """True when every number of a natively parsed JSON ``document`` (which
+    holds no NaN) is a finite double or an int inside the double range.
+
+    Each list is one ``sum`` from 0.0, item by item only when an item is
+    not a number: the float sum is finite only when every item is, and an
+    int beyond the double range raises ``OverflowError`` as it is added. A
+    sum that overflows from finite items reads False too."""
+    stack = [document]
+    try:
+        while stack:
+            node = stack.pop()
+            if type(node) is dict:
+                stack.extend(node.values())
+            elif type(node) is list:
+                try:
+                    if not math.isfinite(sum(node, 0.0)):
+                        return False
+                except TypeError:  # an item that is not a number
+                    stack.extend(node)
+            elif type(node) in (int, float) and not math.isfinite(node):
+                return False
+    except OverflowError:  # an int beyond the double range
+        return False
+    return True
+
+
+def _parse(text: str):
+    """The JSON document of ``text``, with the numbers of its hooked parse.
+
+    Numbers are parsed natively and checked once; a document that fails
+    the check or the native parse is parsed again through the hooks, which
+    raise the first of its errors in text order."""
+    try:
+        document = json.loads(text, parse_constant=_reject_constant)
+    except (ConfigurationError, ValueError):  # ValueError: invalid JSON, or Python's int digit limit
+        pass
+    else:
+        if _in_double_range(document):
+            return document
+    try:
+        return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float, parse_int=_finite_int)
+    except json.JSONDecodeError as err:
+        raise ConfigurationError(f"config is not valid JSON: {err}") from err
+
+
 def load_config(path) -> dict:
     """Read, parse and validate a config file; every failure to do so,
     unreadable or non-UTF-8 files, NaN/Infinity and numbers beyond the
@@ -367,12 +413,7 @@ def load_config(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigurationError(f"cannot read config {path}: {err}") from err
-    try:
-        document = json.loads(
-            text, parse_constant=_reject_constant, parse_float=_finite_float, parse_int=_finite_int
-        )
-    except json.JSONDecodeError as err:
-        raise ConfigurationError(f"config is not valid JSON: {err}") from err
+    document = _parse(text)
     problems = validate_config(document)
     if problems:
         raise ConfigurationError("invalid config:\n" + "\n".join(problems))

@@ -66,13 +66,22 @@ class QuadraticObjective(_Table):
     def from_optima(cls, optima, curvature: float = 0.5, noise_std: float = 0.0) -> QuadraticObjective:
         """One quadratic a . (theta - opt)^2, minimum 0 and a = ``curvature``
         in every coordinate, per entry of ``optima``, given as numbers or
-        lists: the coefficients are computed once as (clients, dim) arrays."""
-        rows = [opt if isinstance(opt, (list, tuple)) else (opt,) for opt in optima]
-        dims = set(map(len, rows))
-        if len(dims) != 1:
-            raise ConfigurationError(f"clients disagree on parameter dimension: {dims}")
-        (dim,) = dims
-        opt = np.array(rows, dtype=float).reshape(len(rows), dim)
+        lists: the coefficients are computed once as (clients, dim) arrays,
+        the optima from one array call when every optimum is a number."""
+        try:
+            opt = np.array(optima, dtype=float)
+        except (TypeError, ValueError):  # a list optimum among numbers, or ragged lists
+            opt = None
+        if opt is not None and opt.ndim == 1 and opt.size:
+            opt = opt[:, None]
+        else:  # list optima: row by row, their dimensions checked
+            rows = [optimum if isinstance(optimum, (list, tuple)) else (optimum,) for optimum in optima]
+            dims = set(map(len, rows))
+            if len(dims) != 1:
+                raise ConfigurationError(f"clients disagree on parameter dimension: {dims}")
+            (dim,) = dims
+            opt = np.array(rows, dtype=float).reshape(len(rows), dim)
+        dim = opt.shape[1]
         a = np.full_like(opt, float(curvature))
         b = -2.0 * a * opt
         square = opt * opt
@@ -461,24 +470,44 @@ def make_synthetic_shards(cfg: SyntheticShardConfig) -> GlmObjective:
     shrinks: the class balance of each shard (symmetric Beta draw) and the
     class-separating feature direction (Dirichlet draw over coordinates,
     near one-hot for small concentration, near uniform for large).
+
+    The loop over clients only draws, in the stream order of one client
+    after another, and takes each direction's squared norm as its own BLAS
+    dot product, the one ``np.linalg.norm`` takes; the arithmetic on the
+    draws is done on the whole table, elementwise, with the bits of the
+    client-by-client computation.
     """
     rng = np.random.default_rng(cfg.seed)
-    n = cfg.samples_per_client
-    features = np.empty((cfg.n_clients, n, cfg.dim))
-    targets = np.empty((cfg.n_clients, n))
-    for i in range(cfg.n_clients):
-        share = rng.beta(cfg.concentration, cfg.concentration)
-        share = 0.1 + 0.8 * share  # both classes stay represented
-        direction = rng.dirichlet(np.full(cfg.dim, cfg.concentration))
-        direction = direction / np.linalg.norm(direction) * math.sqrt(2.0)
-        labels = (rng.random(n) < share).astype(float)
-        centers = np.where(labels[:, None] > 0.5, direction, -direction)
-        features[i] = centers + rng.standard_normal((n, cfg.dim))
-        flip = rng.random(n) < cfg.label_noise
-        if cfg.link == "linear":
-            targets[i] = features[i] @ direction + 0.1 * rng.standard_normal(n)
-        else:
-            targets[i] = np.where(flip, 1.0 - labels, labels)
+    m, n, dim = cfg.n_clients, cfg.samples_per_client, cfg.dim
+    linear = cfg.link == "linear"
+    shares, squares = np.empty(m), np.empty(m)
+    directions = np.empty((m, dim))
+    label_draws, flip_draws = np.empty((m, n)), np.empty((m, n))
+    features = np.empty((m, n, dim))  # the feature noise, then the features
+    target_noise = np.empty((m, n)) if linear else None
+    alpha = np.full(dim, cfg.concentration)
+    for i in range(m):
+        shares[i] = rng.beta(cfg.concentration, cfg.concentration)
+        direction = directions[i] = rng.dirichlet(alpha)
+        squares[i] = direction.dot(direction)
+        rng.random(n, out=label_draws[i])
+        rng.standard_normal((n, dim), out=features[i])
+        rng.random(n, out=flip_draws[i])
+        if linear:
+            rng.standard_normal(n, out=target_noise[i])
+    shares = 0.1 + 0.8 * shares  # both classes stay represented
+    directions = directions / np.sqrt(squares)[:, None] * math.sqrt(2.0)
+    positive = label_draws < shares[:, None]
+    features += np.where(positive[:, :, None], directions[:, None, :], -directions[:, None, :])
+    if linear:
+        # one matrix-vector product per client, the BLAS call of one shard
+        targets = np.empty((m, n))
+        for i in range(m):
+            np.matmul(features[i], directions[i], out=targets[i])
+        targets += 0.1 * target_noise
+    else:
+        labels = positive.astype(float)
+        targets = np.where(flip_draws < cfg.label_noise, 1.0 - labels, labels)
     return GlmObjective(features, targets, cfg.link, min(cfg.batch_size, n))
 
 

@@ -1,10 +1,12 @@
 """Set-up equals the per-client construction it replaced: the schema walk's
-messages, the quadratic fleet table and the weight plan, bit for bit.
+messages, the parsed config, the quadratic fleet table, the synthetic
+shards and the weight plan, bit for bit.
 
 The references below are the earlier implementations, kept here as the
-definition of the expected output: the stock jsonschema walk, each
-client's quadratic built alone with its own ``np.dot``, and the weight plan
-in ``Fraction`` arithmetic.
+definition of the expected output: the stock jsonschema walk, the parse
+with a hook per number, each client's quadratic built alone with its own
+``np.dot``, the optima table built row by row, each client's shard drawn
+and computed alone, and the weight plan in ``Fraction`` arithmetic.
 """
 
 import copy
@@ -12,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,10 +27,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asyncfed
-from asyncfed.config import _KEYWORDS, CONFIG_SCHEMA, build_experiment, build_fleet, validate_config
+from asyncfed import config
+from asyncfed.config import _KEYWORDS, CONFIG_SCHEMA, build_experiment, build_fleet, load_config, validate_config
 from asyncfed.core import ConfigurationError, UnsupportedConfigError
 from asyncfed.engine import MAX_ENSEMBLE_SEEDS, MAX_K_STEPS
-from asyncfed.objectives import QuadraticObjective
+from asyncfed.objectives import QuadraticObjective, SyntheticShardConfig, make_synthetic_shards
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy, fastest_first, steady_period
 from asyncfed.weights import WeightPlan, WeightScheme, plan_weights, window_stats
 
@@ -281,6 +285,148 @@ def test_importing_the_cli_does_not_import_jsonschema():
 
 
 # ---------------------------------------------------------------------------
+# the config parse against the parse with a hook per number
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED_JSON = sorted((REPO / "configs").glob("*.json")) + sorted((REPO / "tests" / "golden").glob("*.json"))
+
+
+def hooked_parse(text):
+    """The parse every config took before: a hook on every number, the
+    first overflow or syntax error in text order raised."""
+    try:
+        return json.loads(text, parse_constant=config._reject_constant, parse_float=config._finite_float,
+                          parse_int=config._finite_int)
+    except json.JSONDecodeError as err:
+        raise ConfigurationError(f"config is not valid JSON: {err}") from err
+
+
+def typed(value):
+    """``value`` with every scalar as (type, value), floats by their bits."""
+    if isinstance(value, dict):
+        return {key: typed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [typed(item) for item in value]
+    return type(value), value.hex() if type(value) is float else value
+
+
+def test_shipped_json_is_found():
+    assert len(SHIPPED_JSON) >= 7
+
+
+@pytest.mark.parametrize("path", SHIPPED_JSON, ids=lambda path: path.name)
+def test_shipped_configs_parse_as_the_hooked_parse(path):
+    assert typed(load_config(path)) == typed(hooked_parse(path.read_text(encoding="utf-8")))
+
+
+def counting_hooks(monkeypatch):
+    calls = {"_finite_float": 0, "_finite_int": 0}
+    for name in calls:
+        hook = getattr(config, name)
+
+        def counted(text, name=name, hook=hook):
+            calls[name] += 1
+            return hook(text)
+
+        monkeypatch.setattr(config, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("path", SHIPPED_JSON, ids=lambda path: path.name)
+def test_shipped_configs_call_no_number_hook(monkeypatch, path):
+    calls = counting_hooks(monkeypatch)
+    load_config(path)
+    assert calls == {"_finite_float": 0, "_finite_int": 0}
+
+
+def base_document():
+    return _document([1.0, [2.0], 3], 0.5)
+
+
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("1e400", "config number 1e400 overflows a double"),
+        ("-1e400", "config number -1e400 overflows a double"),
+        ("1" + "0" * 400, "config integer of 401 digits overflows a double"),
+        ("9" * 5000, "config integer of 5000 digits overflows a double"),
+    ],
+    ids=["float", "negative_float", "401_digits", "5000_digits"],
+)
+def test_out_of_range_numbers_take_the_hooked_parse(monkeypatch, tmp_path, literal, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_document()).replace('"k_steps": 2', f'"k_steps": {literal}'))
+    calls = counting_hooks(monkeypatch)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        load_config(path)
+    assert calls["_finite_float"] + calls["_finite_int"] > 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"a": [1, 2.5, 1e400], "b": }',  # the overflow comes first
+        '{"a": [1, 2.5, 1%s], "b": }' % ("0" * 400),
+        '{"a": [1, 2.5], "b": , "c": 1e400}',  # the syntax error comes first
+        '{"a": [1, 2.5], "b": , "c": 1%s}' % ("0" * 400),
+        '{"a": NaN, "b": 1e400}',
+        '{"a": 1e400, "b": NaN}',
+        '{"a": [1, 2.5]',
+        '{"a": [1, {"b": -Infinity}, 1e999]}',
+    ],
+)
+def test_the_first_error_in_text_order_is_reported(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError) as want:
+        hooked_parse(text)
+    with pytest.raises(ConfigurationError) as got:
+        load_config(path)
+    assert str(got.value) == str(want.value)
+    assert str(want.value).startswith(("config number", "config integer", "config holds", "config is not valid JSON"))
+
+
+def test_finite_numbers_whose_sum_overflows_load_as_they_are(tmp_path):
+    document = base_document()
+    document["fleet"]["compute_times"] = [1.7e308, 1.7e308, 3]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    assert typed(load_config(path)) == typed(document)
+
+
+def test_an_underflowing_number_loads_as_zero(tmp_path):
+    document = base_document()
+    document["optimization"]["theta0"] = 5.0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document).replace("5.0", "1e-400"))
+    theta0 = load_config(path)["optimization"]["theta0"]
+    assert type(theta0) is float and theta0.hex() == "0x0.0p+0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3) | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308])  # 1e308 is written 1e400 below
+    | st.sampled_from([10**308, -(10**308), 2**1024, -(2**1024), 10**400, 2**1024 - 2**970, 2**1024 - 2**970 - 1]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+))
+def test_any_document_parses_as_the_hooked_parse(document):
+    """Numbers in and out of the double range, in lists of numbers and
+    mixed lists and objects, and finite numbers whose sum overflows: the
+    parse returns or raises as the hooked one."""
+    text = json.dumps(document).replace("1e+308", "1e+400")  # a float literal past the double range
+    try:
+        want = typed(hooked_parse(text))
+    except ConfigurationError as err:
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(err))}$"):
+            config._parse(text)
+    else:
+        assert typed(config._parse(text)) == want
+
+
+# ---------------------------------------------------------------------------
 # the quadratic fleet table
 # ---------------------------------------------------------------------------
 
@@ -391,6 +537,117 @@ def test_ragged_optima_report_the_dimensions():
     # a scalar and a one-vector agree
     fleet, _ = build_fleet(quadratic_document([1.0, [2.0]]))
     assert fleet.dim == 1
+
+
+def row_by_row_from_optima(optima, curvature=0.5):
+    """The optima table as every config built it before: each optimum a
+    row, and the coefficients computed once as (clients, dim) arrays."""
+    rows = [opt if isinstance(opt, (list, tuple)) else (opt,) for opt in optima]
+    dims = set(map(len, rows))
+    if len(dims) != 1:
+        raise ConfigurationError(f"clients disagree on parameter dimension: {dims}")
+    (dim,) = dims
+    opt = np.array(rows, dtype=float).reshape(len(rows), dim)
+    a = np.full_like(opt, float(curvature))
+    b = -2.0 * a * opt
+    square = opt * opt
+    c = a[:, 0] * square[:, 0] if dim == 1 else (a[:, None, :] @ square[:, :, None])[:, 0, 0]
+    return a, b, c, 2.0 * a
+
+
+@pytest.mark.parametrize(
+    "optima",
+    [
+        [0.25, -1.5, 3.0, 1e150, -0.0, 5e-324],
+        [1, -2, 0, 3, 2**53 + 1, 10**150],
+        [1, 2.5, -3, 0.1],
+        [[1.0, -2.0], [0.5, 3.0], [-0.0, 7]],
+        [1.0, [2.0], 3, [-0.5]],
+        [[1.0], [2.0]],
+        [(1.0, 2.0), (3.0, 4.0)],
+        [[]],
+        np.array([0.5, -1.25]),
+    ],
+    ids=["floats", "integers", "mixed_numbers", "dim_2", "numbers_and_one_lists", "one_lists", "tuples", "empty_row",
+         "array"],
+)
+@pytest.mark.parametrize("curvature", [0.5, 0.37, 3])
+def test_from_optima_has_the_bits_of_the_row_by_row_table(optima, curvature):
+    table = QuadraticObjective.from_optima(optima, curvature)
+    for got, want in zip((table.a, table.b, table.c, table.two_a), row_by_row_from_optima(optima, curvature)):
+        _same_bits(got, want)
+
+
+@given(st.lists(st.floats(allow_nan=False) | st.integers(-(10**300), 10**300), min_size=1, max_size=40),
+       st.floats(0.0, 10.0))
+@settings(max_examples=100, deadline=None)
+def test_from_optima_on_any_numbers_has_the_bits_of_the_row_by_row_table(optima, curvature):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = QuadraticObjective.from_optima(optima, curvature)
+        want = row_by_row_from_optima(optima, curvature)
+    for got_array, want_array in zip((got.a, got.b, got.c, got.two_a), want):
+        _same_bits(got_array, want_array)
+
+
+@pytest.mark.parametrize("optima", [[], [[1.0], [2.0, 3.0]], [1.0, [2.0, 3.0]]], ids=repr)
+def test_from_optima_reports_the_dimensions_as_before(optima):
+    with pytest.raises(ConfigurationError) as want:
+        row_by_row_from_optima(optima)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(str(want.value))}$"):
+        QuadraticObjective.from_optima(optima)
+
+
+# ---------------------------------------------------------------------------
+# the synthetic shards
+# ---------------------------------------------------------------------------
+
+def client_by_client_shards(cfg):
+    """The shards as each client's were drawn and computed alone."""
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.samples_per_client
+    features = np.empty((cfg.n_clients, n, cfg.dim))
+    targets = np.empty((cfg.n_clients, n))
+    for i in range(cfg.n_clients):
+        share = rng.beta(cfg.concentration, cfg.concentration)
+        share = 0.1 + 0.8 * share
+        direction = rng.dirichlet(np.full(cfg.dim, cfg.concentration))
+        direction = direction / np.linalg.norm(direction) * math.sqrt(2.0)
+        labels = (rng.random(n) < share).astype(float)
+        centers = np.where(labels[:, None] > 0.5, direction, -direction)
+        features[i] = centers + rng.standard_normal((n, cfg.dim))
+        flip = rng.random(n) < cfg.label_noise
+        if cfg.link == "linear":
+            targets[i] = features[i] @ direction + 0.1 * rng.standard_normal(n)
+        else:
+            targets[i] = np.where(flip, 1.0 - labels, labels)
+    return features, targets
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    link=st.sampled_from(["logistic", "linear"]),
+    n_clients=st.integers(1, 12),
+    dim=st.integers(1, 40),
+    samples=st.integers(1, 70),
+    concentration=st.sampled_from([0.01, 0.1, 0.5, 1.0, 7.0, 1e4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shards_have_the_bits_of_the_client_by_client_draws(link, n_clients, dim, samples, concentration, seed):
+    cfg = SyntheticShardConfig(n_clients, dim=dim, samples_per_client=samples, concentration=concentration,
+                               seed=seed, link=link)
+    shards = make_synthetic_shards(cfg)
+    features, targets = client_by_client_shards(cfg)
+    _same_bits(shards.features, features)
+    _same_bits(shards.targets, targets)
+
+
+@pytest.mark.parametrize("link", ["logistic", "linear"])
+def test_shards_of_the_shipped_geometry_have_the_reference_bits(link):
+    cfg = SyntheticShardConfig(10, dim=5, samples_per_client=64, concentration=0.1, seed=1, link=link)
+    shards = make_synthetic_shards(cfg)
+    features, targets = client_by_client_shards(cfg)
+    _same_bits(shards.features, features)
+    _same_bits(shards.targets, targets)
 
 
 # ---------------------------------------------------------------------------
