@@ -34,9 +34,9 @@ from .bounds import BoundInputs, epsilon_terms, fill_inputs, format_report, sche
 from .config import Experiment, build_experiment, load_config
 from .core import ConfigurationError, UnsupportedConfigError, convergence_residual, weighted_optimum
 from .engine import (
-    ScalarEnsembleConfig,
     Seeds,
     atomic_open,
+    check_scalar_ensemble,
     run,
     run_members,
     run_scalar_ensemble,
@@ -124,12 +124,8 @@ def cmd_simulate(args) -> int:
 # oracle-check
 # ---------------------------------------------------------------------------
 
-def _oracle_state_for(experiment: Experiment) -> tuple[OracleState, float, float]:
-    """Map a configured experiment onto a closed-form scheme.
-
-    Returns the oracle state, theta0 and the Monte-Carlo kernel's server
-    rate: eta_g times the common weight d times the participants per round,
-    since the kernel moves by the participants' mean pull. Raises
+def _oracle_state_for(experiment: Experiment) -> OracleState:
+    """Map a configured experiment onto its closed-form problem. Raises
     UnsupportedConfigError with an explicit reason when no closed form or
     no kernel applies.
     """
@@ -148,17 +144,20 @@ def _oracle_state_for(experiment: Experiment) -> tuple[OracleState, float, float
     d = cfg.plan.d
     if np.any(d != d[0]):
         raise UnsupportedConfigError("the Monte-Carlo ensemble needs equal weights d_i")
-    contraction = phi(cfg.eta_l, cfg.k_steps)
-    steps = tuple((cfg.eta_g * d * contraction).tolist())
-    theta0 = float(cfg.resolved_theta0()[0])
+    problem = functools.partial(
+        OracleState,
+        phi=phi(cfg.eta_l, cfg.k_steps),
+        rates=tuple((cfg.eta_g * d).tolist()),
+        optima=tuple(table.optima[:, 0].tolist()),
+        theta0=float(cfg.resolved_theta0()[0]),
+    )
     taus = [float(t) for t in fleet.compute_times]
 
     kind = experiment.policy.kind
     if kind is PolicyKind.SYNCHRONOUS:
-        return OracleState("sync", contraction, steps), theta0, cfg.eta_g * d[0] * len(fleet)
+        return problem("sync")
     if kind is PolicyKind.SAMPLE_UNIFORM:
-        m = experiment.policy.m
-        return OracleState("sync_uniform", contraction, steps, m=m), theta0, cfg.eta_g * d[0] * m
+        return problem("sync_uniform", m=experiment.policy.m)
     if kind is PolicyKind.ASYNCHRONOUS:
         if experiment.hw.mode != "exponential":
             raise UnsupportedConfigError(
@@ -169,7 +168,9 @@ def _oracle_state_for(experiment: Experiment) -> tuple[OracleState, float, float
                 "the Monte-Carlo ensemble draws asynchronous clients at equal rates; "
                 "measure heterogeneous-rate fleets empirically instead"
             )
-        return OracleState("async", contraction, steps), theta0, cfg.eta_g * d[0]
+        state = problem("async")
+        state.check_second_moment()
+        return state
     raise UnsupportedConfigError(f"no closed form for policy {kind.value!r}")
 
 
@@ -181,7 +182,7 @@ def _oracle_round_time(experiment: Experiment, state: OracleState) -> float:
     common = len(set(taus)) == 1
     if experiment.hw.mode == "exponential":
         if common:
-            return expected_round_time(state.scheme, len(taus), 1.0 / taus[0], m=state.m)
+            return expected_round_time(state, 1.0 / taus[0])
         raise UnsupportedConfigError("the oracle CSV's time column needs one mean time on exponential hardware")
     if experiment.run_config.initial_clocks is not None:
         raise UnsupportedConfigError("the oracle CSV's time column needs every clock to start at 0")
@@ -195,7 +196,7 @@ def _oracle_round_time(experiment: Experiment, state: OracleState) -> float:
 def cmd_oracle_check(args) -> int:
     document = load_config(args.config)
     experiment = build_experiment(document, seed_override=args.seed)
-    state, theta0, kernel_eta_g = _oracle_state_for(experiment)
+    state = _oracle_state_for(experiment)
     round_time = _oracle_round_time(experiment, state) if args.out else None
     if args.seed is not None:
         document.setdefault("oracle_check", {})["seed"] = args.seed
@@ -206,15 +207,11 @@ def cmd_oracle_check(args) -> int:
     seed = check_cfg.get("seed", 0)
     horizon = max(checkpoints)
 
-    optima = tuple(experiment.fleet.table.optima[:, 0].tolist())
-    ensemble = ScalarEnsembleConfig(
-        state.scheme, optima, state.phi, eta_g=kernel_eta_g, theta0=theta0,
-        checkpoints=tuple(checkpoints), n_runs=n_runs, seed=seed, m=state.m,
-    )
-    oracle_mean = expectation_recursion(state, optima, horizon, theta0)
-    oracle_m2 = variance_recursion(state, optima, horizon, theta0)
+    check_scalar_ensemble(state, checkpoints, n_runs)
+    oracle_mean = expectation_recursion(state, horizon)
+    oracle_m2 = variance_recursion(state, horizon)
 
-    mc = run_scalar_ensemble(ensemble)
+    mc = run_scalar_ensemble(state, checkpoints, n_runs, seed)
     at = {n: i for i, n in enumerate(mc.rounds.tolist())}
 
     rows = []
@@ -264,7 +261,7 @@ def cmd_oracle_check(args) -> int:
         }
         with atomic_open(out_dir / "oracle_check.json") as fh:
             fh.write(json.dumps(payload, indent=2) + "\n")
-        export_oracle_csv(optima, oracle_mean, oracle_m2, round_time, out_dir / "oracle_trajectory.csv")
+        export_oracle_csv(state, oracle_mean, oracle_m2, round_time, out_dir / "oracle_trajectory.csv")
     return 0
 
 

@@ -41,11 +41,12 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ConfigurationError, Fleet, StalenessCapError, weighted_optimum
-from .objectives import GlmObjective, QuadraticObjective, local_sgd
+from .core import ConfigurationError, Fleet, StalenessCapError, UnsupportedConfigError, weighted_optimum
+from .objectives import GlmObjective, local_sgd
 from .textfmt import BLOCK_CELLS, format_rows
 from .timing import (
     HardwareModel,
@@ -58,6 +59,9 @@ from .timing import (
     replay_rounds,
 )
 from .weights import WeightPlan
+
+if TYPE_CHECKING:
+    from .oracle import OracleState
 
 DIVERGENCE_THRESHOLD = 1e12
 MAX_K_STEPS = 10_000  # local steps per run
@@ -846,21 +850,21 @@ def _block_rows(fleet: Fleet) -> int:
     return -(-rows // chunk) * chunk
 
 
-def _loss_blocks(fleet: Fleet, thetas: np.ndarray, losses: np.ndarray | None = None):
+def _loss_blocks(fleet: Fleet, thetas: np.ndarray):
     """For each block of rows of ``thetas``: its first row, its C-order
     (rows, M) client losses and the federated loss of each row.
 
-    The losses go into the rows of ``losses`` where given, and otherwise
-    into one buffer that the next block overwrites. Overflow in a diverged
-    model's losses gives inf or NaN cells without a warning."""
+    The losses go into one buffer that the next block overwrites. Overflow
+    in a diverged model's losses gives inf or NaN cells without a
+    warning."""
     n_rows, step = thetas.shape[0], _block_rows(fleet)
     held = min(step, n_rows)
-    buffer = np.empty((held, len(fleet))) if losses is None else None
+    buffer = np.empty((held, len(fleet)))
     weighted = np.empty((len(fleet), held))  # client-major: row i holds client i's terms
     importances = fleet.importances[:, None]
     for lo in range(0, n_rows, step):
         hi = min(lo + step, n_rows)
-        block = losses[lo:hi] if buffer is None else buffer[: hi - lo]
+        block = buffer[: hi - lo]
         w = weighted[:, : hi - lo]
         with np.errstate(over="ignore", invalid="ignore"):
             fleet.losses(thetas[lo:hi], out=block)
@@ -883,7 +887,7 @@ def _running_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=0, initial=-0.0)
 
 
-def _metric_blocks(traj: Trajectory, losses: np.ndarray | None = None):
+def _metric_blocks(traj: Trajectory):
     """The :class:`Metrics` of each block of kept rows, in order; the client
     losses as :func:`_loss_blocks` holds them. Each block's time is added to
     ``traj.timing_s["metrics"]``."""
@@ -891,7 +895,7 @@ def _metric_blocks(traj: Trajectory, losses: np.ndarray | None = None):
     started = clock()
     kept = _kept_rows(traj.theta.shape[0], traj.metric_cadence)
     thetas = traj.theta[kept]
-    for lo, block, loss_fed in _loss_blocks(traj.fleet, thetas, losses):
+    for lo, block, loss_fed in _loss_blocks(traj.fleet, thetas):
         rows = kept[lo:lo + block.shape[0]]
         # rows with a round come first in ``kept``; the final model's row
         # has no participants and no surrogate
@@ -927,16 +931,16 @@ def _participant_masks(pos: np.ndarray, clients: np.ndarray, sizes: np.ndarray, 
     return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(served, axis=1, bitorder="little")]
 
 
-def _tail_stats(series: np.ndarray, fraction: float = 0.05) -> tuple[float, float]:
-    """Mean and standard deviation of a loss series over its trailing
-    fraction of recorded rounds."""
-    tail = series[-_tail_rows(series.shape[0], fraction):]
+def _tail_stats(series: np.ndarray) -> tuple[float, float]:
+    """Mean and standard deviation of a loss series over its trailing 5% of
+    recorded rounds."""
+    tail = series[-_tail_rows(series.shape[0]):]
     return float(tail.mean()), float(tail.std())
 
 
-def _tail_rows(n_rows: int, fraction: float = 0.05) -> int:
+def _tail_rows(n_rows: int) -> int:
     """The rows of the trailing window :func:`_tail_stats` averages."""
-    return max(1, math.ceil(fraction * n_rows))
+    return max(1, math.ceil(0.05 * n_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -963,8 +967,9 @@ def run_members(members) -> list[MemberRun]:
     member's seed material, in order.
 
     Members step through the round loop together as one (R, dim) model when
-    they see one schedule: their configs agree on every field but the seed
-    material, ``eta_l`` and ``k_steps``, and, unless the config
+    they see one schedule: their configs hold the same objects in every
+    field but the seed material, ``eta_l`` and ``k_steps``, as configs made
+    from one by ``replace()`` do, and, unless the config
     :func:`shares_schedule`, on the hardware and sampling seeds too; a
     highest-loss schedule reads the members' own models, so each of its
     members is a group of one. A group holds at most ``MAX_ENSEMBLE_SEEDS``
@@ -973,9 +978,9 @@ def run_members(members) -> list[MemberRun]:
     with its config, bit for bit.
     """
     members = list(members)
-    groups, memo = {}, {}
+    groups = {}
     for i, config in enumerate(members):
-        groups.setdefault(_group_key(config, i, memo), []).append(i)
+        groups.setdefault(_group_key(config, i), []).append(i)
     runs = [None] * len(members)
     for indices in groups.values():
         for lo in range(0, len(indices), MAX_ENSEMBLE_SEEDS):
@@ -1038,81 +1043,49 @@ _MEMBER_FIELDS = ("seeds", "eta_l", "k_steps")
 _shared_fields = operator.attrgetter(*(f.name for f in fields(RunConfig) if f.name not in _MEMBER_FIELDS))
 
 
-def _group_key(config: RunConfig, index: int, memo: dict) -> tuple:
-    """Members with equal keys run as one group: every field of ``config``
-    but ``_MEMBER_FIELDS``, then what else fixes its schedule (nothing, the
-    hardware and sampling seeds, or for highest-loss the member itself)."""
-    shared = _shared_fields(config)
-    held = tuple(map(id, shared))  # configs made by replace() hold the same objects
-    if (key := memo.get(held)) is None:
-        key = memo[held] = _by_value(shared, memo)
+def _group_key(config: RunConfig, index: int) -> tuple:
+    """Members with equal keys run as one group: the identity of every field
+    of ``config`` but ``_MEMBER_FIELDS`` (configs made from one by
+    ``replace()`` hold the same objects), then what else fixes its schedule
+    (nothing, the hardware and sampling seeds, or for highest-loss the
+    member itself)."""
+    key = tuple(map(id, _shared_fields(config)))
     policy = config.policy
     if policy.kind is PolicyKind.SAMPLE_BIASED and policy.criterion == "highest_loss":
         return key + (index,)
     if shares_schedule(config):
         return key
-    return key + (_by_value(config.seeds.hardware, memo), _by_value(config.seeds.sampling, memo))
-
-
-def _by_value(value, memo: dict):
-    """A hashable stand-in for ``value`` that equals another's when their
-    contents are equal: arrays by their bytes, fleets, weight plans and
-    objective tables by their attributes (each worked out once per object,
-    kept in ``memo`` while the members hold it)."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_by_value(v, memo) for v in value)
-    if not isinstance(value, (np.ndarray, Fleet, WeightPlan, QuadraticObjective, GlmObjective)):
-        return value
-    if id(value) not in memo:
-        memo[id(value)] = ((value.dtype.str, value.shape, value.tobytes()) if isinstance(value, np.ndarray)
-                           else (type(value), _by_value(list(vars(value).items()), memo)))
-    return memo[id(value)]
+    return key + (config.seeds.hardware, config.seeds.sampling)
 
 
 # ---------------------------------------------------------------------------
 # Vectorized scalar-quadratic ensembles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScalarEnsembleConfig:
-    """Monte-Carlo settings for the symmetric scalar-quadratic schemes that
-    have closed-form counterparts. A round moves every member by
-    eta_g * phi times the mean pull of its participants, which is the
-    engine's update under equal weights d_i = 1/k for k participants per
-    round (other equal weights fold into eta_g). The members run to the
-    last checkpoint; statistics are taken at round 0 and at each checkpoint
-    only."""
-
-    scheme: str                      # sync | sync_uniform | async
-    optima: tuple[float, ...]
-    phi: float
-    eta_g: float = 1.0
-    theta0: float = 0.0
-    checkpoints: tuple[int, ...] = (20,)
-    n_runs: int = 10_000
-    seed: int = 0
-    m: int | None = None             # sync_uniform sample size
-
-    def __post_init__(self):
-        if self.scheme not in ("sync", "sync_uniform", "async"):
-            raise ConfigurationError(f"unsupported scalar ensemble scheme {self.scheme!r}")
-        if self.scheme == "sync_uniform" and not (self.m and 1 <= self.m <= len(self.optima)):
-            raise ConfigurationError("sync_uniform needs 1 <= m <= M")
-        if self.checkpoints and min(self.checkpoints) < 0:
-            raise ConfigurationError("checkpoints must be nonnegative rounds")
-        if self.n_runs < 1 or not self.checkpoints or max(self.checkpoints) < 1:
-            raise ConfigurationError("need at least one run and one round")
-        if self.scheme == "sync":
-            if self.n_runs > MAX_HELD_ANCHORS:
-                raise ConfigurationError(
-                    f"n_runs must be at most {MAX_HELD_ANCHORS} (the member vector), got {self.n_runs}"
-                )
-        elif self.n_runs * len(self.optima) > MAX_HELD_ANCHORS:
-            array = "the held-anchor buffer" if self.scheme == "async" else "the per-round scores"
+def check_scalar_ensemble(state: OracleState, checkpoints, n_runs: int) -> None:
+    """Raise ConfigurationError, before anything is allocated, unless
+    :func:`run_scalar_ensemble` can run ``n_runs`` members of ``state`` to
+    the last of ``checkpoints`` within ``MAX_HELD_ANCHORS`` floats a buffer;
+    UnsupportedConfigError when the clients' rates differ, since a round
+    moves every member by one step."""
+    if any(rate != state.rates[0] for rate in state.rates):
+        raise UnsupportedConfigError("the Monte-Carlo ensemble needs equal rates eta_g d_i")
+    if checkpoints and min(checkpoints) < 0:
+        raise ConfigurationError("checkpoints must be nonnegative rounds")
+    if n_runs < 1 or not checkpoints or max(checkpoints) < 1:
+        raise ConfigurationError("need at least one run and one round")
+    m_clients = len(state.rates)
+    if state.scheme == "sync":
+        if n_runs > MAX_HELD_ANCHORS:
             raise ConfigurationError(
-                f"n_runs x clients must be at most {MAX_HELD_ANCHORS} ({array}), "
-                f"got {self.n_runs} x {len(self.optima)}"
+                f"n_runs must be at most {MAX_HELD_ANCHORS} (the member vector), got {n_runs}"
             )
+    elif n_runs * m_clients > MAX_HELD_ANCHORS:
+        array = "the held-anchor buffer" if state.scheme == "async" else "the per-round scores"
+        raise ConfigurationError(
+            f"n_runs x clients must be at most {MAX_HELD_ANCHORS} ({array}), "
+            f"got {n_runs} x {m_clients}"
+        )
 
 
 @dataclass(frozen=True)
@@ -1128,26 +1101,33 @@ class ScalarEnsembleResult:
     n_runs: int
 
 
-def run_scalar_ensemble(cfg: ScalarEnsembleConfig) -> ScalarEnsembleResult:
-    """Vectorized reruns of the scalar update rule, one row per member.
+def run_scalar_ensemble(state: OracleState, checkpoints, n_runs: int, seed: int) -> ScalarEnsembleResult:
+    """Vectorized reruns of ``state``'s update rule, ``n_runs`` members
+    seeded by ``seed``, one row per member. The members run to the last of
+    ``checkpoints``; statistics are taken at round 0 and at each checkpoint
+    only.
 
-    Equivalent in distribution to driving :func:`run` with the matching
-    policy and symmetric exponential hardware; kept separate so oracle
-    comparisons can afford 1e5 members. The asynchronous members' held
-    anchors are one (members, M) buffer, and their rounds run as member
-    blocks x round chunks over it (:func:`_async_rounds`).
+    A round moves every member by phi times the participants' total rate
+    k eta_g d times their mean pull, for k = M, m or 1 participants a round,
+    which is the engine's update under equal weights. Equivalent in
+    distribution to driving :func:`run` with the matching policy and
+    symmetric exponential hardware; kept separate so oracle comparisons can
+    afford 1e5 members. The asynchronous members' held anchors are one
+    (members, M) buffer, and their rounds run as member blocks x round
+    chunks over it (:func:`_async_rounds`).
     """
-    rng = np.random.default_rng(cfg.seed)
-    optima = np.asarray(cfg.optima, dtype=float)
+    check_scalar_ensemble(state, checkpoints, n_runs)
+    rng = np.random.default_rng(seed)
+    optima = np.asarray(state.optima, dtype=float)
     m_clients = optima.shape[0]
-    n_runs = cfg.n_runs
-    theta_star = float(optima.mean())
-    step = cfg.eta_g * cfg.phi
-    rounds = np.array(sorted({0, *cfg.checkpoints}))
+    theta_star = state.theta_star
+    participants = {"sync": m_clients, "sync_uniform": state.m, "async": 1}[state.scheme]
+    step = (state.rates[0] * participants) * state.phi
+    rounds = np.array(sorted({0, *checkpoints}))
 
-    theta = np.full(n_runs, float(cfg.theta0))
+    theta = np.full(n_runs, float(state.theta0))
     # only the asynchronous members hold anchors; the others train from theta
-    held = np.full((n_runs, m_clients), float(cfg.theta0)) if cfg.scheme == "async" else None
+    held = np.full((n_runs, m_clients), float(state.theta0)) if state.scheme == "async" else None
 
     mean, se_mean, sm, se_sm = np.empty((4, rounds.shape[0]))
 
@@ -1162,15 +1142,15 @@ def run_scalar_ensemble(cfg: ScalarEnsembleConfig) -> ScalarEnsembleResult:
     pending = None  # the second client of a pair whose first fell on a checkpoint
     for due in range(1, rounds.shape[0]):
         gap = int(rounds[due] - rounds[due - 1])
-        if cfg.scheme == "async":
+        if state.scheme == "async":
             pending = _async_rounds(rng, optima, step, theta, held, gap, pending)
         else:
             for _ in range(gap):
-                if cfg.scheme == "sync":
+                if state.scheme == "sync":
                     theta = theta + step * (theta_star - theta)
                 else:  # sync_uniform
                     scores = rng.random((n_runs, m_clients))
-                    chosen = np.argpartition(scores, cfg.m - 1, axis=1)[:, : cfg.m]
+                    chosen = np.argpartition(scores, state.m - 1, axis=1)[:, : state.m]
                     theta = theta + step * (optima[chosen].mean(axis=1) - theta)
         record(due)
     return ScalarEnsembleResult(rounds, mean, se_mean, sm, se_sm, n_runs)

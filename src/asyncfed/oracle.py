@@ -57,11 +57,15 @@ def phi(eta_l: float, k_steps: int) -> float:
 
 @dataclass(frozen=True)
 class OracleState:
-    """A scheme and the clients' steps c_i = eta_g d_i phi."""
+    """The closed-form problem: a scheme, the contraction phi, the clients'
+    server rates eta_g d_i, their optima and the common start theta0. It is
+    the only place that checks the scheme, m and the optima's length."""
 
     scheme: str
     phi: float
-    steps: tuple[float, ...]
+    rates: tuple[float, ...]        # eta_g d_i
+    optima: tuple[float, ...]
+    theta0: float
     m: int | None = None            # sync_uniform sample size
 
     def __post_init__(self):
@@ -69,15 +73,24 @@ class OracleState:
             raise ConfigurationError(f"unknown oracle scheme {self.scheme!r}")
         if not 0 <= self.phi <= 1:
             raise ConfigurationError("phi must lie in [0, 1]")
-        n_clients = len(self.steps)
+        n_clients = len(self.rates)
         if n_clients < 1:
             raise ConfigurationError("the oracle needs at least one client")
+        if len(self.optima) != n_clients:
+            raise ConfigurationError("optima length disagrees with the client count")
         if self.scheme == "sync_uniform":
             if self.m is None or not 1 <= self.m:
                 raise ConfigurationError("sync_uniform needs a sample size m >= 1")
             if self.m > n_clients:
                 raise ConfigurationError("sample size m exceeds the client count")
-        # checked before anything is allocated
+
+    def check_second_moment(self) -> None:
+        """Raise UnsupportedConfigError, before anything is allocated, when
+        a round of :func:`variance_recursion` would hold more than
+        ``MAX_HELD_ANCHORS`` floats: the asynchronous second moment's
+        matrices grow as M^2, while the Monte-Carlo kernel needs no more
+        than a (members, M) buffer."""
+        n_clients = len(self.rates)
         held = _ASYNC_MATRICES * (n_clients + 1) ** 2
         if self.scheme == "async" and held > MAX_HELD_ANCHORS:
             raise UnsupportedConfigError(
@@ -86,29 +99,37 @@ class OracleState:
                 f"above {MAX_HELD_ANCHORS} floats"
             )
 
+    @property
+    def steps(self) -> np.ndarray:
+        """The clients' steps c_i = eta_g d_i phi."""
+        return np.asarray(self.rates, dtype=float) * self.phi
 
-def expectation_recursion(state: OracleState, optima, n_rounds: int, theta0: float) -> np.ndarray:
-    """E[theta^n] for n = 0..n_rounds, every model starting at ``theta0``."""
-    return _moments(state, optima, n_rounds, theta0, second=False)[0]
+    @property
+    def theta_star(self) -> float:
+        """The federated optimum of identical importances, mean(x_i)."""
+        return float(np.asarray(self.optima, dtype=float).mean())
 
 
-def variance_recursion(state: OracleState, optima, n_rounds: int, theta0: float) -> np.ndarray:
-    """E[(theta^n - theta_star)^2] for n = 0..n_rounds, every model starting
-    at ``theta0``."""
-    return _moments(state, optima, n_rounds, theta0, second=True)[1]
+def expectation_recursion(state: OracleState, n_rounds: int) -> np.ndarray:
+    """E[theta^n] for n = 0..n_rounds, every model starting at theta0."""
+    return _moments(state, n_rounds, second=False)[0]
 
 
-def _moments(state: OracleState, optima, n_rounds: int, theta0: float, second: bool):
+def variance_recursion(state: OracleState, n_rounds: int) -> np.ndarray:
+    """E[(theta^n - theta_star)^2] for n = 0..n_rounds, every model
+    starting at theta0."""
+    state.check_second_moment()
+    return _moments(state, n_rounds, second=True)[1]
+
+
+def _moments(state: OracleState, n_rounds: int, second: bool):
     """The mean of theta and, with ``second``, its second moment about
     theta_star, rounds 0..n_rounds. Both run on coordinates shifted by
     theta_star, which the update commutes with."""
-    optima = np.atleast_1d(np.asarray(optima, dtype=float))
-    steps = np.asarray(state.steps, dtype=float)
-    if optima.shape != steps.shape:
-        raise ConfigurationError("optima length disagrees with the client count")
-    theta_star = float(optima.mean())
-    z = optima - theta_star
-    start = float(theta0) - theta_star
+    steps = state.steps
+    theta_star = state.theta_star
+    z = np.asarray(state.optima, dtype=float) - theta_star
+    start = float(state.theta0) - theta_star
     mean, moment = np.empty((2, n_rounds + 1))
     mean[0], moment[0] = start, start * start
     if state.scheme == "async":
@@ -188,17 +209,17 @@ def _async_round(mu: np.ndarray, s: np.ndarray | None, p, c, z):
     return new_mu, s
 
 
-def export_oracle_csv(optima, mean, second_moment, round_time: float, path) -> None:
-    """Write closed-form sequences in the trajectory CSV schema: ``mean`` is
-    E[theta^n] and ``second_moment`` E[(theta^n - theta_star)^2] for rounds
-    0..n, as computed by :func:`expectation_recursion` and
+def export_oracle_csv(state: OracleState, mean, second_moment, round_time: float, path) -> None:
+    """Write closed-form sequences of ``state`` in the trajectory CSV schema:
+    ``mean`` is E[theta^n] and ``second_moment`` E[(theta^n - theta_star)^2]
+    for rounds 0..n, as computed by :func:`expectation_recursion` and
     :func:`variance_recursion`.
 
     The participant and surrogate columns are left empty. Round n is at
     wall time n * ``round_time``, the fleet's (expected) round duration.
     """
-    optima = np.atleast_1d(np.asarray(optima, dtype=float))
-    theta_star = float(optima.mean())
+    optima = np.asarray(state.optima, dtype=float)
+    theta_star = state.theta_star
     mean_seq = np.asarray(mean, dtype=float)
     second = np.asarray(second_moment, dtype=float)
 
@@ -213,17 +234,14 @@ def export_oracle_csv(optima, mean, second_moment, round_time: float, path) -> N
     write_trajectory_table(path, len(optima), [metrics])
 
 
-def expected_round_time(scheme: str, n_clients: int, rate: float, m: int | None = None) -> float:
-    """Mean round duration under common exponential hardware with the given
-    rate: harmonic sums for maxima, the order-statistic minimum otherwise."""
+def expected_round_time(state: OracleState, rate: float) -> float:
+    """Mean round duration of ``state``'s scheme under common exponential
+    hardware with the given rate: harmonic sums for maxima, the
+    order-statistic minimum otherwise."""
     if rate <= 0:
         raise ConfigurationError("rate must be positive")
-    if scheme == "sync":
-        return ordered_sum(1.0 / ((n_clients - k) * rate) for k in range(n_clients))
-    if scheme == "sync_uniform":
-        if m is None or not 1 <= m <= n_clients:
-            raise ConfigurationError("sampled-m round time needs 1 <= m <= M")
-        return ordered_sum(1.0 / ((m - k) * rate) for k in range(m))
-    if scheme == "async":
+    n_clients = len(state.rates)
+    if state.scheme == "async":
         return 1.0 / (n_clients * rate)
-    raise UnsupportedConfigError(f"no round-time formula for scheme {scheme!r}")
+    k = n_clients if state.scheme == "sync" else state.m
+    return ordered_sum(1.0 / ((k - i) * rate) for i in range(k))

@@ -40,9 +40,10 @@ def trajectory_metrics(traj) -> Metrics:
     """Every metrics row of ``traj`` as one :class:`Metrics`: the row blocks
     the CSV writer computes, joined, their client losses in one (rows, M)
     matrix."""
-    n_rows = engine._kept_rows(traj.theta.shape[0], traj.metric_cadence).shape[0]
-    losses = np.empty((n_rows, len(traj.fleet)))
-    blocks = list(engine._metric_blocks(traj, losses))
+    blocks, losses = [], []
+    for block in engine._metric_blocks(traj):
+        blocks.append(block)
+        losses.append(block.client_losses.copy())  # the next block reuses its buffer
     return Metrics(
         np.concatenate([b.round for b in blocks]),
         np.concatenate([b.wall_time for b in blocks]),
@@ -50,7 +51,7 @@ def trajectory_metrics(traj) -> Metrics:
         np.concatenate([b.loss_fed for b in blocks]),
         np.concatenate([b.loss_surrogate for b in blocks]),
         np.concatenate([b.dist_sq for b in blocks]),
-        losses,
+        np.concatenate(losses),
     )
 
 

@@ -15,7 +15,6 @@ from asyncfed.bounds import BoundInputs, epsilon_terms, fill_inputs, lr_constrai
 from asyncfed.core import Fleet
 from asyncfed.engine import (
     RunConfig,
-    ScalarEnsembleConfig,
     Seeds,
     run,
     run_scalar_ensemble,
@@ -148,14 +147,11 @@ class TestCriterion3AlternatingBiasAndRepair:
 class TestCriterion4UniformSamplingFixedPoint:
     def test_recursion_fixed_point_meets_monte_carlo(self):
         started = time.perf_counter()
-        state = OracleState("sync_uniform", 0.5, (0.5, 0.5), m=1)
-        second = variance_recursion(state, [0.0, 2.0], 40, theta0=1.0)
+        state = OracleState("sync_uniform", 0.5, (1.0, 1.0), (0.0, 2.0), 1.0, m=1)
+        second = variance_recursion(state, 40)
         assert abs(second[-1] - 1 / 3) < 1e-12
 
-        mc = run_scalar_ensemble(
-            ScalarEnsembleConfig("sync_uniform", (0.0, 2.0), 0.5, theta0=1.0,
-                                 checkpoints=(40,), n_runs=10_000, seed=11, m=1)
-        )
+        mc = run_scalar_ensemble(state, (40,), 10_000, 11)
         assert mc.rounds.tolist() == [0, 40]
         gap = abs(mc.second_moment[-1] - second[40])
         assert gap <= 3 * mc.se_second_moment[-1]
@@ -165,18 +161,15 @@ class TestCriterion4UniformSamplingFixedPoint:
 
 
 class TestCriterion5AsyncExpectation:
-    STATE = OracleState("async", 0.5, (0.5, 0.5))
+    STATE = OracleState("async", 0.5, (1.0, 1.0), (0.0, 2.0), 0.0)
 
     def _ensemble(self):
-        mc = run_scalar_ensemble(
-            ScalarEnsembleConfig("async", (0.0, 2.0), 0.5, theta0=0.0,
-                                 checkpoints=(1, 5, 20), n_runs=100_000, seed=0)
-        )
+        mc = run_scalar_ensemble(self.STATE, (1, 5, 20), 100_000, 0)
         assert mc.rounds.tolist() == [0, 1, 5, 20]
         return mc
 
     def test_mean_recursion_meets_the_ensemble(self):
-        oracle_mean = expectation_recursion(self.STATE, [0.0, 2.0], 20, 0.0)
+        oracle_mean = expectation_recursion(self.STATE, 20)
         mc = self._ensemble()
         worst_z = 0.0
         for i, n in enumerate((1, 5, 20), start=1):
@@ -187,7 +180,7 @@ class TestCriterion5AsyncExpectation:
 
     def test_second_moment_recursion_is_exact_and_meets_the_ensemble(self):
         # the exact rationals of the jump-linear recursion (M=2, phi=1/2)
-        second = variance_recursion(self.STATE, [0.0, 2.0], 20, 0.0)
+        second = variance_recursion(self.STATE, 20)
         assert abs(second[5] - 2945 / 8192) <= 1e-12
         assert abs(second[20] - 0.3333673254759739) <= 1e-12
         mc = self._ensemble()
@@ -210,7 +203,8 @@ class TestCriterion6ExpectedRoundTimes:
         for scheme, policy, taus, m_clients, m in checks:
             times = round_durations(policy, taus, 100_000, seed=29)
             se = times.std(ddof=1) / math.sqrt(times.size)
-            target = expected_round_time(scheme, m_clients, 1.0, m=m)
+            state = OracleState(scheme, 0.5, (1.0,) * m_clients, (0.0,) * m_clients, 0.0, m=m)
+            target = expected_round_time(state, 1.0)
             gap = abs(times.mean() - target)
             assert gap <= 3 * se
             margins.append(f"{scheme}:{gap / se:.2f}se")

@@ -21,11 +21,11 @@ from asyncfed.engine import (
     MAX_ENSEMBLE_SEEDS,
     MAX_HELD_ANCHORS,
     MAX_K_STEPS,
-    ScalarEnsembleConfig,
+    check_scalar_ensemble,
     run_scalar_ensemble,
 )
 from asyncfed.objectives import SyntheticShardConfig, export_shards_csv, make_synthetic_shards
-from asyncfed.oracle import phi
+from asyncfed.oracle import OracleState, phi
 
 
 def base_config(**overrides):
@@ -263,6 +263,8 @@ class TestValidation:
             raise AssertionError("an ensemble started")
 
         monkeypatch.setattr("asyncfed.cli.run_scalar_ensemble", started)
+        monkeypatch.setattr("asyncfed.cli.expectation_recursion", started)
+        monkeypatch.setattr("asyncfed.cli.variance_recursion", started)
         monkeypatch.setattr("asyncfed.cli.sweep_rows", started)
         oracle = base_config(scheme={"policy": "asynchronous", "weights": "identical"},
                              oracle_check={"checkpoints": [1], "n_runs": 10**13})
@@ -279,10 +281,13 @@ class TestValidation:
 
     def test_the_largest_ensemble_sizes_in_use_stay_allowed(self):
         assert validate_config(base_config(ensemble={"n_seeds": MAX_ENSEMBLE_SEEDS})) == []
+        def state(m):
+            return OracleState("async", 0.5, (1.0,) * m, (0.0,) * m, 0.0)
+
         for n_runs, m in [(100_000, 10), (MAX_HELD_ANCHORS // 4, 4)]:
-            ScalarEnsembleConfig("async", (0.0,) * m, 0.5, n_runs=n_runs)
+            check_scalar_ensemble(state(m), (20,), n_runs)
         with pytest.raises(ConfigurationError, match="n_runs x clients"):
-            ScalarEnsembleConfig("async", (0.0,) * 4, 0.5, n_runs=MAX_HELD_ANCHORS // 4 + 1)
+            check_scalar_ensemble(state(4), (20,), MAX_HELD_ANCHORS // 4 + 1)
 
     @pytest.mark.parametrize(
         "command, section, key, value",
@@ -633,9 +638,7 @@ class TestOracleCheck:
         }
         assert mc_means["seeded1"] != mc_means["seeded2"]
         # without --seed the ensemble is the kernel's on oracle_check.seed
-        direct = run_scalar_ensemble(ScalarEnsembleConfig(
-            "async", (0.0, 2.0), phi(0.5, 1), theta0=5.0, checkpoints=(1, 5), n_runs=64, seed=0,
-        ))
+        direct = run_scalar_ensemble(OracleState("async", phi(0.5, 1), (1.0, 1.0), (0.0, 2.0), 5.0), (1, 5), 64, 0)
         assert mc_means["plain"] == direct.mean[1:].tolist()
 
     SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "async_exponential_oracle.json"

@@ -11,7 +11,6 @@ from asyncfed.core import ConfigurationError, Fleet, StalenessCapError
 from asyncfed.engine import (
     Metrics,
     RunConfig,
-    ScalarEnsembleConfig,
     Seeds,
     run,
     run_members,
@@ -26,7 +25,7 @@ from asyncfed.objectives import (
     local_sgd,
     make_synthetic_shards,
 )
-from asyncfed.oracle import phi
+from asyncfed.oracle import OracleState, expectation_recursion, phi
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy, advance_round, init_fleet_state
 from asyncfed.weights import WeightPlan, WeightScheme, plan_weights
 
@@ -157,13 +156,9 @@ class TestEnsembles:
             full_gradient=True, rounds=10, theta0=np.array([1.0]),
         )
         mean_theta, se_theta = _member_statistics(cfg, 400)
-        fast = run_scalar_ensemble(
-            ScalarEnsembleConfig("sync_uniform", (0.0, 2.0), 0.5, theta0=1.0,
-                                 checkpoints=(1, 5, 10), n_runs=40_000, seed=77, m=1)
-        )
-        from asyncfed.oracle import OracleState, expectation_recursion
-
-        recursion = expectation_recursion(OracleState("sync_uniform", 0.5, (0.5, 0.5), m=1), [0.0, 2.0], 10, 1.0)
+        state = OracleState("sync_uniform", 0.5, (1.0, 1.0), (0.0, 2.0), 1.0, m=1)
+        fast = run_scalar_ensemble(state, (1, 5, 10), 40_000, 77)
+        recursion = expectation_recursion(state, 10)
         for i, n in enumerate((1, 5, 10), start=1):
             se = math.hypot(se_theta[n, 0], fast.se_mean[i])
             assert abs(mean_theta[n, 0] - fast.mean[i]) <= 4 * se
@@ -199,10 +194,7 @@ class TestScalarEnsemble:
     def test_sync_matches_the_general_engine_exactly(self):
         fleet = quadratic_fleet([[0.0], [2.0]])
         traj = run(sync_config(fleet, eta_l=0.5, rounds=10, theta0=np.array([5.0])))
-        fast = run_scalar_ensemble(
-            ScalarEnsembleConfig("sync", (0.0, 2.0), 0.5, theta0=5.0,
-                                 checkpoints=tuple(range(11)), n_runs=3)
-        )
+        fast = run_scalar_ensemble(OracleState("sync", 0.5, (0.5, 0.5), (0.0, 2.0), 5.0), range(11), 3, 0)
         assert fast.rounds.tolist() == list(range(11))
         assert np.allclose(fast.mean, traj.theta[:, 0], atol=1e-12)
         assert np.all(fast.se_mean == 0.0)
@@ -215,10 +207,7 @@ class TestScalarEnsemble:
             eta_l=0.5, k_steps=1, full_gradient=True, rounds=8, theta0=np.array([0.0]),
         )
         mean_theta, se_theta = _member_statistics(cfg, 500)
-        fast = run_scalar_ensemble(
-            ScalarEnsembleConfig("async", (0.0, 2.0), 0.5, theta0=0.0,
-                                 checkpoints=(1, 4, 8), n_runs=100_000, seed=3)
-        )
+        fast = run_scalar_ensemble(OracleState("async", 0.5, (1.0, 1.0), (0.0, 2.0), 0.0), (1, 4, 8), 100_000, 3)
         for i, n in enumerate((1, 4, 8), start=1):
             se = math.hypot(se_theta[n, 0], fast.se_mean[i])
             assert abs(mean_theta[n, 0] - fast.mean[i]) <= 4 * se
@@ -247,24 +236,21 @@ class TestScalarEnsemble:
         assert (hits == 1).all()
 
     def test_only_the_schemes_that_hold_members_x_clients_arrays_cap_them(self):
-        ScalarEnsembleConfig("sync", (0.0,) * 200, 0.5, n_runs=100_000)
+        engine.check_scalar_ensemble(_zeros_state("sync", 200), (20,), 100_000)
         n_runs = engine.MAX_HELD_ANCHORS // 4 + 1
         for scheme, array in (("async", "held-anchor buffer"), ("sync_uniform", "per-round scores")):
             with pytest.raises(ConfigurationError, match=rf"^n_runs x clients must be at most .*\(the {array}\)"):
-                ScalarEnsembleConfig(scheme, (0.0,) * 4, 0.5, n_runs=n_runs, m=1)
+                engine.check_scalar_ensemble(_zeros_state(scheme, 4), (20,), n_runs)
         with pytest.raises(ConfigurationError, match=r"^n_runs must be at most .*\(the member vector\)"):
-            ScalarEnsembleConfig("sync", (0.0,), 0.5, n_runs=engine.MAX_HELD_ANCHORS + 1)
+            engine.check_scalar_ensemble(_zeros_state("sync", 1), (20,), engine.MAX_HELD_ANCHORS + 1)
 
     def test_async_kernel_peaks_at_the_held_buffer_and_five_member_vectors(self):
         n_runs, m_clients = 100_000, 10
-        cfg = ScalarEnsembleConfig(
-            "async", tuple(np.linspace(-1.0, 1.0, m_clients).tolist()), 0.5,
-            checkpoints=(5, 20, 50), n_runs=n_runs,
-        )
-        run_scalar_ensemble(replace(cfg, n_runs=2))  # numpy's first-call allocations stay untraced
+        state = OracleState("async", 0.5, (1.0,) * m_clients, tuple(np.linspace(-1.0, 1.0, m_clients).tolist()), 0.0)
+        run_scalar_ensemble(state, (5, 20, 50), 2, 0)  # numpy's first-call allocations stay untraced
         tracemalloc.start()
         try:
-            run_scalar_ensemble(cfg)
+            run_scalar_ensemble(state, (5, 20, 50), n_runs, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -274,66 +260,73 @@ class TestScalarEnsemble:
 
     def test_checkpoints_must_include_a_round(self):
         with pytest.raises(ConfigurationError):
-            ScalarEnsembleConfig("sync", (0.0, 2.0), 0.5, checkpoints=(0,))
+            run_scalar_ensemble(_zeros_state("sync", 2), (0,), 10_000, 0)
         with pytest.raises(ConfigurationError):
-            ScalarEnsembleConfig("sync", (0.0, 2.0), 0.5, checkpoints=(-1, 3))
+            run_scalar_ensemble(_zeros_state("sync", 2), (-1, 3), 10_000, 0)
+
+
+def _zeros_state(scheme, m_clients):
+    """A state of ``m_clients`` clients at optimum 0; sync_uniform samples one."""
+    return OracleState(scheme, 0.5, (1.0,) * m_clients, (0.0,) * m_clients, 0.0,
+                       m=1 if scheme == "sync_uniform" else None)
 
 
 def _assert_bit_identical_to_the_reference(scheme, m_clients, n_runs, seed, checkpoints):
     optima = tuple(np.random.default_rng(m_clients).normal(0.0, 3.0, m_clients).tolist())
-    cfg = ScalarEnsembleConfig(
-        scheme, optima, 0.5, eta_g=0.9, theta0=1.5, checkpoints=checkpoints,
-        n_runs=n_runs, seed=seed, m=min(3, m_clients),
-    )
-    fast = run_scalar_ensemble(cfg)
+    # a rate of 0.9 / k for k participants a round keeps every scheme's step near 0.45
+    m = min(3, m_clients)
+    state = OracleState(scheme, 0.5, (0.9 / _participants(scheme, m_clients, m),) * m_clients, optima, 1.5,
+                        m=m if scheme == "sync_uniform" else None)
+    fast = run_scalar_ensemble(state, checkpoints, n_runs, seed)
     assert fast.rounds.tolist() == sorted({0, *checkpoints})
-    want = _reference_scalar_ensemble(cfg, max(checkpoints))
+    want = _reference_scalar_ensemble(state, n_runs, seed, max(checkpoints))
     for got, ref in zip(
         (fast.mean, fast.se_mean, fast.second_moment, fast.se_second_moment), want
     ):
         assert got.tobytes() == ref[fast.rounds].tobytes()
 
 
-def _reference_scalar_ensemble(cfg, n_rounds):
+def _reference_scalar_ensemble(state, n_runs, seed, n_rounds):
     """The ensemble kernel as it was before checkpoint-only statistics: fancy
     gather and scatter of the held anchors, and all four statistics at every
     round 0..n_rounds. Up to M = 256, asynchronous rounds 2k+1 and 2k+2 take
     the clients v // M and v % M of one uint16 draw v in [0, M^2); above, each
     round draws its clients as uint16 up to M = 65,536 and as numpy's default
     int64 above that."""
-    rng = np.random.default_rng(cfg.seed)
-    optima = np.asarray(cfg.optima, dtype=float)
+    rng = np.random.default_rng(seed)
+    optima = np.asarray(state.optima, dtype=float)
     m_clients = optima.shape[0]
     theta_star = float(optima.mean())
-    step = cfg.eta_g * cfg.phi
+    # the participants' total rate times phi
+    step = (state.rates[0] * _participants(state.scheme, m_clients, state.m)) * state.phi
 
-    theta = np.full(cfg.n_runs, float(cfg.theta0))
-    held = np.full((cfg.n_runs, m_clients), float(cfg.theta0))
-    rows = np.arange(cfg.n_runs)
+    theta = np.full(n_runs, float(state.theta0))
+    held = np.full((n_runs, m_clients), float(state.theta0))
+    rows = np.arange(n_runs)
     mean, se_mean, sm, se_sm = (np.empty(n_rounds + 1) for _ in range(4))
 
     def record(n):
         mean[n] = theta.mean()
-        se_mean[n] = theta.std(ddof=1) / math.sqrt(cfg.n_runs) if cfg.n_runs > 1 else 0.0
+        se_mean[n] = theta.std(ddof=1) / math.sqrt(n_runs) if n_runs > 1 else 0.0
         gap_sq = (theta - theta_star) ** 2
         sm[n] = gap_sq.mean()
-        se_sm[n] = gap_sq.std(ddof=1) / math.sqrt(cfg.n_runs) if cfg.n_runs > 1 else 0.0
+        se_sm[n] = gap_sq.std(ddof=1) / math.sqrt(n_runs) if n_runs > 1 else 0.0
 
     draw_dtype = np.uint16 if m_clients <= 1 << 16 else np.int64
     second = None  # the second client of the last pair drawn, until its round
     record(0)
     for n in range(n_rounds):
-        if cfg.scheme == "sync":
+        if state.scheme == "sync":
             theta = theta + step * (theta_star - theta)
-        elif cfg.scheme == "sync_uniform":
-            scores = rng.random((cfg.n_runs, m_clients))
-            chosen = np.argpartition(scores, cfg.m - 1, axis=1)[:, : cfg.m]
+        elif state.scheme == "sync_uniform":
+            scores = rng.random((n_runs, m_clients))
+            chosen = np.argpartition(scores, state.m - 1, axis=1)[:, : state.m]
             theta = theta + step * (optima[chosen].mean(axis=1) - theta)
         else:  # async
             if m_clients > 1 << 8:
-                j = rng.integers(0, m_clients, cfg.n_runs, dtype=draw_dtype)
+                j = rng.integers(0, m_clients, n_runs, dtype=draw_dtype)
             elif second is None:
-                v = rng.integers(0, m_clients * m_clients, cfg.n_runs, dtype=np.uint16).astype(np.int64)
+                v = rng.integers(0, m_clients * m_clients, n_runs, dtype=np.uint16).astype(np.int64)
                 j, second = v // m_clients, v % m_clients
             else:
                 j, second = second, None
@@ -341,6 +334,11 @@ def _reference_scalar_ensemble(cfg, n_rounds):
             held[rows, j] = theta
         record(n + 1)
     return mean, se_mean, sm, se_sm
+
+
+def _participants(scheme, m_clients, m):
+    """Clients per round: all M, the sample of m, or one."""
+    return {"sync": m_clients, "sync_uniform": m, "async": 1}[scheme]
 
 
 class TestGuards:
@@ -498,12 +496,10 @@ class TestMetricsAndCsv:
     def test_client_losses_are_c_order_rows_of_one_matrix(self):
         fleet = quadratic_fleet([[0.0], [2.0], [-1.0]], taus=[1, 2, 3])
         traj = run(sync_config(fleet, rounds=5))
-        losses = np.empty((6, 3))
-        (block,) = engine._metric_blocks(traj, losses)
+        (block,) = engine._metric_blocks(traj)
         assert block.client_losses.dtype == np.float64 and block.client_losses.shape == (6, 3)
-        assert block.client_losses.flags.c_contiguous and np.shares_memory(block.client_losses, losses)
-        (held,) = engine._metric_blocks(traj)
-        assert held.client_losses.flags.c_contiguous and bits(held.client_losses) == bits(losses)
+        assert block.client_losses.flags.c_contiguous
+        assert bits(block.client_losses) == bits(fleet.losses(traj.theta))
 
     def test_client_losses_match_per_point_values_on_distinct_shards(self):
         rng = np.random.default_rng(11)
@@ -536,7 +532,7 @@ class TestMetricsAndCsv:
         fleet = quadratic_fleet([[0.0], [2.0]])
         traj = run(sync_config(fleet, rounds=100))
         loss_fed = trajectory_metrics(traj).loss_fed
-        mean, std = engine._tail_stats(loss_fed, fraction=0.05)
+        mean, std = engine._tail_stats(loss_fed)
         tail = loss_fed[-6:]
         assert mean == pytest.approx(tail.mean())
 

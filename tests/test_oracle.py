@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncfed.core import ConfigurationError, UnsupportedConfigError
-from asyncfed.engine import ScalarEnsembleConfig, Seeds, run_members, run_scalar_ensemble
+from asyncfed.engine import Seeds, run_members, run_scalar_ensemble
 from asyncfed.oracle import (
     OracleState,
     _ASYNC_MATRICES,
@@ -22,6 +22,13 @@ from asyncfed.oracle import (
 )
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "async_exponential_oracle.json"
+
+
+def _state(scheme, phi_, rates, optima=None, theta0=0.0, m=None):
+    """An :class:`OracleState`; the optima default to 0, 2, 4, ... ."""
+    if optima is None:
+        optima = tuple(2.0 * i for i in range(len(rates)))
+    return OracleState(scheme, phi_, tuple(rates), tuple(optima), theta0, m=m)
 
 
 class TestPhi:
@@ -45,32 +52,43 @@ class TestPhi:
 class TestOracleState:
     def test_the_window_scheme_is_gone(self):
         with pytest.raises(ConfigurationError):
-            OracleState("hybrid", 0.5, (0.5, 0.5))
+            _state("hybrid", 0.5, (0.5, 0.5))
 
     def test_oversized_sample_rejected(self):
         with pytest.raises(ConfigurationError):
-            OracleState("sync_uniform", 0.5, (0.5, 0.5), m=3)
+            _state("sync_uniform", 0.5, (0.5, 0.5), m=3)
+
+    def test_optima_of_another_length_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="optima length"):
+            _state("sync", 0.5, (0.5, 0.5), optima=(0.0, 1.0, 2.0))
+
+    def test_steps_and_theta_star_are_read_off_the_state(self):
+        state = _state("sync", 0.4, (0.5, 1.25), optima=(0.0, 3.0))
+        assert state.steps.tolist() == [0.5 * 0.4, 1.25 * 0.4]
+        assert state.theta_star == 1.5
 
     def test_an_asynchronous_second_moment_above_the_cap_is_unsupported(self):
         from asyncfed.engine import MAX_HELD_ANCHORS
 
         # the largest side whose round's matrices fit the cap is M + 1
         side = math.isqrt(MAX_HELD_ANCHORS // _ASYNC_MATRICES)
-        OracleState("async", 0.5, (0.5,) * (side - 1))
+        _state("async", 0.5, (0.5,) * (side - 1)).check_second_moment()
+        state = _state("async", 0.5, (0.5,) * side)
         with pytest.raises(UnsupportedConfigError, match="second moment"):
-            OracleState("async", 0.5, (0.5,) * side)
+            state.check_second_moment()
+        with pytest.raises(UnsupportedConfigError, match="second moment"):
+            variance_recursion(state, 1)
         # fresh-anchor schemes hold no anchors
-        OracleState("sync", 0.5, (0.5,) * side)
+        _state("sync", 0.5, (0.5,) * side).check_second_moment()
 
     def test_an_asynchronous_round_holds_at_most_the_guarded_matrices(self):
         import tracemalloc
 
         m_clients = 400
-        state = OracleState("async", 0.5, (0.5,) * m_clients)
-        optima = np.arange(float(m_clients))
+        state = _state("async", 0.5, (0.5,) * m_clients, optima=np.arange(float(m_clients)).tolist(), theta0=1.0)
         tracemalloc.start()
         try:
-            variance_recursion(state, optima, 3, 1.0)
+            variance_recursion(state, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -81,24 +99,20 @@ class TestOracleState:
 
 class TestExpectationRecursion:
     def test_sync_closed_form(self):
-        state = OracleState("sync", 0.5, (0.25, 0.25))
         for theta0 in (0.0, 5.0):
-            mean = expectation_recursion(state, [0.0, 2.0], 10, theta0)
+            mean = expectation_recursion(_state("sync", 0.5, (0.5, 0.5), theta0=theta0), 10)
             for n in range(11):
                 assert mean[n] == pytest.approx(1.0 + (theta0 - 1.0) * 0.5 ** n, abs=1e-15)
 
     def test_zero_contraction_freezes_the_mean(self):
-        state = OracleState("async", 0.0, (0.0, 0.0, 0.0))
-        mean = expectation_recursion(state, [0.0, 1.0, 2.0], 6, 3.0)
+        state = _state("async", 0.0, (1.0, 1.0, 1.0), optima=(0.0, 1.0, 2.0), theta0=3.0)
+        mean = expectation_recursion(state, 6)
         assert np.all(mean == 3.0)
 
     def test_async_mean_matches_monte_carlo(self):
-        state = OracleState("async", 0.5, (0.5, 0.5))
-        oracle_mean = expectation_recursion(state, [0.0, 2.0], 12, 0.0)
-        mc = run_scalar_ensemble(
-            ScalarEnsembleConfig("async", (0.0, 2.0), 0.5, theta0=0.0,
-                                 checkpoints=(1, 5, 12), n_runs=40_000, seed=5)
-        )
+        state = _state("async", 0.5, (1.0, 1.0))
+        oracle_mean = expectation_recursion(state, 12)
+        mc = run_scalar_ensemble(state, (1, 5, 12), 40_000, 5)
         assert mc.rounds.tolist() == [0, 1, 5, 12]
         for i, n in enumerate((1, 5, 12), start=1):
             assert abs(mc.mean[i] - oracle_mean[n]) <= 3 * mc.se_mean[i]
@@ -112,9 +126,9 @@ class TestExpectationRecursion:
         document = load_config(SHIPPED)
         document["scheme"]["weights"] = "fedavg"
         experiment = build_experiment(document)
-        state, theta0, _ = _oracle_state_for(experiment)
-        assert state.steps == (0.25, 0.25)
-        oracle_mean = expectation_recursion(state, [0.0, 2.0], 20, theta0)
+        state = _oracle_state_for(experiment)
+        assert state.steps.tolist() == [0.25, 0.25]
+        oracle_mean = expectation_recursion(state, 20)
         n_members = 1000
         members = run_members([
             replace(experiment.run_config, seeds=Seeds((0, s), (1, s), (2, s))) for s in range(n_members)
@@ -124,40 +138,37 @@ class TestExpectationRecursion:
         for n in (1, 2, 5, 20):
             assert abs(mean[n] - oracle_mean[n]) <= 4 * se[n]
         # identical weights step twice as far: their mean is far outside
-        identical = expectation_recursion(replace(state, steps=(0.5, 0.5)), [0.0, 2.0], 20, theta0)
+        identical = expectation_recursion(replace(state, rates=(1.0, 1.0)), 20)
         assert abs(mean[1] - identical[1]) > 20 * se[1]
 
 
 class TestVarianceRecursion:
     def test_sync_contracts_by_the_squared_factor(self):
-        state = OracleState("sync", 0.3, (0.15, 0.15))
-        second = variance_recursion(state, [0.0, 2.0], 40, theta0=5.0)
+        state = _state("sync", 0.3, (0.5, 0.5), theta0=5.0)
+        second = variance_recursion(state, 40)
         expected = (5.0 - 1.0) ** 2
         for n in range(41):
             assert second[n] == expected
             expected *= (1 - 0.3) ** 2
 
     def test_full_sampling_is_sync(self):
-        steps = (0.1, 0.15, 0.2)
-        full = OracleState("sync_uniform", 0.4, steps, m=3)
-        sync = OracleState("sync", 0.4, steps)
+        rates, optima = (0.25, 0.375, 0.5), (0.0, 1.0, 2.0)
+        full = _state("sync_uniform", 0.4, rates, optima, 3.0, m=3)
+        sync = _state("sync", 0.4, rates, optima, 3.0)
         for recursion in (expectation_recursion, variance_recursion):
-            a = recursion(full, [0.0, 1.0, 2.0], 20, 3.0)
-            b = recursion(sync, [0.0, 1.0, 2.0], 20, 3.0)
+            a = recursion(full, 20)
+            b = recursion(sync, 20)
             assert a.tobytes() == b.tobytes()
 
     def test_single_draw_fixed_point_is_one_third(self):
-        state = OracleState("sync_uniform", 0.5, (0.5, 0.5), m=1)
-        second = variance_recursion(state, [0.0, 2.0], 80, theta0=1.0)
+        state = _state("sync_uniform", 0.5, (1.0, 1.0), theta0=1.0, m=1)
+        second = variance_recursion(state, 80)
         assert second[-1] == pytest.approx(1 / 3, abs=1e-14)
 
     def test_uniform_sampling_matches_monte_carlo(self):
-        state = OracleState("sync_uniform", 0.5, (0.5, 0.5), m=1)
-        second = variance_recursion(state, [0.0, 2.0], 30, theta0=1.0)
-        mc = run_scalar_ensemble(
-            ScalarEnsembleConfig("sync_uniform", (0.0, 2.0), 0.5, theta0=1.0,
-                                 checkpoints=(1, 10, 30), n_runs=20_000, seed=9, m=1)
-        )
+        state = _state("sync_uniform", 0.5, (1.0, 1.0), theta0=1.0, m=1)
+        second = variance_recursion(state, 30)
+        mc = run_scalar_ensemble(state, (1, 10, 30), 20_000, 9)
         assert mc.rounds.tolist() == [0, 1, 10, 30]
         for i, n in enumerate((1, 10, 30), start=1):
             assert abs(mc.second_moment[i] - second[n]) <= 3 * mc.se_second_moment[i]
@@ -165,8 +176,8 @@ class TestVarianceRecursion:
     def test_async_first_rounds_match_exact_enumeration(self):
         # M=2, optima (0, 2), phi=1/2, theta0=0: enumerating the four
         # two-round paths gives second moments 1/2 then 5/16
-        state = OracleState("async", 0.5, (0.5, 0.5))
-        second = variance_recursion(state, [0.0, 2.0], 2, theta0=0.0)
+        state = _state("async", 0.5, (1.0, 1.0))
+        second = variance_recursion(state, 2)
         assert second.tolist() == [1.0, 0.5, 0.3125]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -174,14 +185,43 @@ class TestVarianceRecursion:
         rng = np.random.default_rng(seed)
         optima = tuple(rng.normal(0.0, 3.0, 5).tolist())
         eta_g = float(rng.uniform(0.5, 1.5))
-        state = OracleState("async", 0.5, (eta_g * 0.5,) * 5)
-        second = variance_recursion(state, optima, 40, theta0=4.0)
-        mc = run_scalar_ensemble(
-            ScalarEnsembleConfig("async", optima, 0.5, eta_g=eta_g, theta0=4.0,
-                                 checkpoints=(1, 3, 10, 40), n_runs=20_000, seed=seed)
-        )
+        state = _state("async", 0.5, (eta_g,) * 5, optima, theta0=4.0)
+        second = variance_recursion(state, 40)
+        mc = run_scalar_ensemble(state, (1, 3, 10, 40), 20_000, seed)
         for i, n in enumerate((1, 3, 10, 40), start=1):
             assert abs(mc.second_moment[i] - second[n]) <= 4 * mc.se_second_moment[i]
+
+
+class TestOneState:
+    """The Monte-Carlo kernel and the recursions read one state: on a
+    synchronous state every member is the deterministic trajectory the mean
+    recursion follows."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_the_sync_kernel_is_the_mean_recursion(self, seed):
+        rng = np.random.default_rng(seed)
+        m_clients = int(rng.integers(1, 9))
+        eta_g = float(rng.uniform(0.2, 1.5))
+        state = _state(
+            "sync", phi(float(rng.uniform(0.05, 1.0)), int(rng.integers(1, 5))),
+            (eta_g / m_clients,) * m_clients, rng.normal(0.0, 3.0, m_clients).tolist(),
+            float(rng.uniform(-8.0, 8.0)),
+        )
+        checkpoints = tuple(sorted({int(n) for n in rng.integers(1, 60, 4)}))
+        mc = run_scalar_ensemble(state, checkpoints, 8, seed)
+        # relative to the problem's size, since the models approach theta_star
+        size = max(abs(state.theta0), *map(abs, state.optima))
+        np.testing.assert_allclose(mc.mean, expectation_recursion(state, checkpoints[-1])[mc.rounds],
+                                   rtol=1e-12, atol=1e-12 * size)
+        # sync_uniform with m = M draws every client, in some order
+        full = run_scalar_ensemble(replace(state, scheme="sync_uniform", m=m_clients), checkpoints, 8, seed)
+        np.testing.assert_allclose(full.mean, mc.mean, rtol=1e-12, atol=1e-12 * size)
+        np.testing.assert_allclose(full.second_moment, mc.second_moment, rtol=1e-12, atol=1e-12 * size**2)
+
+    def test_the_kernel_refuses_unequal_rates(self):
+        state = _state("async", 0.5, (1.0, 0.5))
+        with pytest.raises(UnsupportedConfigError, match="equal rates"):
+            run_scalar_ensemble(state, (1,), 64, 0)
 
 
 class TestExactReference:
@@ -193,15 +233,15 @@ class TestExactReference:
         from asyncfed.config import build_experiment, load_config
 
         experiment = build_experiment(load_config(SHIPPED))
-        state, theta0, _ = _oracle_state_for(experiment)
-        optima = experiment.fleet.table.optima[:, 0].tolist()
-        exact_mean, exact_second = _exact_async_moments(optima, state.steps, theta0, 20)
+        state = _oracle_state_for(experiment)
+        assert state.optima == tuple(experiment.fleet.table.optima[:, 0].tolist())
+        exact_mean, exact_second = _exact_async_moments(state.optima, state.steps.tolist(), state.theta0, 20)
         assert exact_mean[5] == Fraction(603, 512) and float(exact_mean[5]) == 1.177734375
         assert float(exact_mean[20]) == 1.0008179847336578
         assert exact_second[5] == Fraction(2945, 8192)
         assert float(exact_second[20]) == 0.3333673254759739
-        mean = expectation_recursion(state, optima, 20, theta0)
-        second = variance_recursion(state, optima, 20, theta0)
+        mean = expectation_recursion(state, 20)
+        second = variance_recursion(state, 20)
         assert np.max(np.abs(mean - np.array(exact_mean, dtype=float))) <= 1e-12
         assert np.max(np.abs(second - np.array(exact_second, dtype=float))) <= 1e-12
 
@@ -237,8 +277,9 @@ class TestExactReference:
     def test_fresh_anchor_moments_match_subset_enumeration(self, m_clients, m):
         rng = np.random.default_rng(10 * m_clients + m)
         optima = rng.normal(0.0, 2.0, m_clients).tolist()
-        steps = tuple(rng.uniform(0.05, 0.4, m_clients).tolist())
-        state = OracleState("sync_uniform", 0.5, steps, m=m)
+        rates = tuple(rng.uniform(0.1, 0.8, m_clients).tolist())
+        state = _state("sync_uniform", 0.5, rates, optima, 3.0, m=m)
+        steps = state.steps.tolist()
         theta_star = Fraction(sum(map(Fraction, optima))) / m_clients
         subsets = list(itertools.combinations(range(m_clients), m))
         mean, second = Fraction(3) - theta_star, (Fraction(3) - theta_star) ** 2
@@ -253,32 +294,33 @@ class TestExactReference:
             mean, second = next_mean / len(subsets), next_second / len(subsets)
             want_mean.append(mean + theta_star)
             want_second.append(second)
-        got_mean = expectation_recursion(state, optima, 12, 3.0)
-        got_second = variance_recursion(state, optima, 12, 3.0)
+        got_mean = expectation_recursion(state, 12)
+        got_second = variance_recursion(state, 12)
         assert np.max(np.abs(got_mean - np.array(want_mean, dtype=float))) <= 1e-12
         assert np.max(np.abs(got_second - np.array(want_second, dtype=float))) <= 1e-12
 
 
 class TestExpectedRoundTime:
     def test_slowest_of_two(self):
-        assert expected_round_time("sync", 2, 1.0) == pytest.approx(1.5, abs=1e-15)
+        assert expected_round_time(_state("sync", 0.5, (1.0,) * 2), 1.0) == pytest.approx(1.5, abs=1e-15)
 
     def test_fastest_of_four(self):
-        assert expected_round_time("async", 4, 1.0) == 0.25
+        assert expected_round_time(_state("async", 0.5, (1.0,) * 4), 1.0) == 0.25
 
     def test_sampled_subset(self):
-        assert expected_round_time("sync_uniform", 5, 2.0, m=2) == pytest.approx(0.75, abs=1e-15)
+        state = _state("sync_uniform", 0.5, (1.0,) * 5, m=2)
+        assert expected_round_time(state, 2.0) == pytest.approx(0.75, abs=1e-15)
 
     def test_matches_direct_simulation(self):
         rng = np.random.default_rng(3)
         draws = rng.exponential(1.0, size=(100_000, 3))
         for scheme, empirical in (("sync", draws.max(axis=1)), ("async", draws.min(axis=1))):
             se = empirical.std(ddof=1) / math.sqrt(empirical.shape[0])
-            assert abs(empirical.mean() - expected_round_time(scheme, 3, 1.0)) <= 3 * se
+            assert abs(empirical.mean() - expected_round_time(_state(scheme, 0.5, (1.0,) * 3), 1.0)) <= 3 * se
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(UnsupportedConfigError):
-            expected_round_time("fedbuff", 3, 1.0)
+        with pytest.raises(ConfigurationError, match="unknown oracle scheme"):
+            _state("fedbuff", 0.5, (1.0,) * 3)
 
 
 class TestOracleCsvExport:
@@ -286,9 +328,9 @@ class TestOracleCsvExport:
         from asyncfed.engine import trajectory_header
         from asyncfed.oracle import export_oracle_csv
 
-        state = OracleState("sync", 0.5, (0.25, 0.25))
+        state = _state("sync", 0.5, (0.5, 0.5), theta0=5.0)
         path = tmp_path / "oracle_trajectory.csv"
-        export_oracle_csv([0.0, 2.0], *_sequences(state, [0.0, 2.0], 5.0, 10), 1.5, path)
+        export_oracle_csv(state, *_sequences(state, 10), 1.5, path)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(trajectory_header(2))
         assert len(lines) == 12
@@ -311,9 +353,9 @@ class TestOracleCsvExport:
         path = tmp_path / "oracle_trajectory.csv"
         path.write_text("previous oracle\n")
         monkeypatch.setattr(asyncfed.engine, "trajectory_header", broken_header)
-        state = OracleState("sync", 0.5, (0.25, 0.25))
+        state = _state("sync", 0.5, (0.5, 0.5), theta0=5.0)
         with pytest.raises(RuntimeError):
-            export_oracle_csv([0.0, 2.0], *_sequences(state, [0.0, 2.0], 5.0, 10), 1.5, path)
+            export_oracle_csv(state, *_sequences(state, 10), 1.5, path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["oracle_trajectory.csv"]
         assert path.read_text() == "previous oracle\n"
 
@@ -324,29 +366,28 @@ class TestOracleCsvExport:
         from asyncfed.oracle import export_oracle_csv
 
         experiment = build_experiment(load_config(SHIPPED))
-        state, theta0, _ = _oracle_state_for(experiment)
-        optima = tuple(experiment.fleet.table.optima[:, 0].tolist())
+        state = _oracle_state_for(experiment)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         round_time = _oracle_round_time(experiment, state)
-        export_oracle_csv(optima, *_sequences(state, optima, theta0, n_rounds), round_time, got)
-        _reference_oracle_csv(state, optima, theta0, n_rounds, want)
+        export_oracle_csv(state, *_sequences(state, n_rounds), round_time, got)
+        _reference_oracle_csv(state, n_rounds, want)
         assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize(
-        "state, optima",
+        "state",
         [
-            (OracleState("sync", 0.5, (0.5, 0.5, 0.5)), [0.0, 2.0, -1.25]),
-            (OracleState("sync_uniform", 0.3, (0.3,) * 4, m=2), [1e-7, 3.0, -2.0, 0.5]),
-            (OracleState("async", 0.4, (0.2, 0.2, 0.2)), [0.0, 1.0, 2.0]),
+            _state("sync", 0.5, (1.0,) * 3, (0.0, 2.0, -1.25), 5.0),
+            _state("sync_uniform", 0.3, (1.0,) * 4, (1e-7, 3.0, -2.0, 0.5), 5.0, m=2),
+            _state("async", 0.4, (0.5,) * 3, (0.0, 1.0, 2.0), 5.0),
         ],
     )
-    def test_bytes_match_the_csv_writer_for_other_schemes(self, tmp_path, state, optima):
+    def test_bytes_match_the_csv_writer_for_other_schemes(self, tmp_path, state):
         from asyncfed.oracle import export_oracle_csv
 
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        round_time = expected_round_time(state.scheme, len(optima), 1.0, m=state.m)
-        export_oracle_csv(optima, *_sequences(state, optima, 5.0, 60), round_time, got)
-        _reference_oracle_csv(state, optima, 5.0, 60, want)
+        round_time = expected_round_time(state, 1.0)
+        export_oracle_csv(state, *_sequences(state, 60), round_time, got)
+        _reference_oracle_csv(state, 60, want)
         assert got.read_bytes() == want.read_bytes()
 
 
@@ -387,23 +428,22 @@ def _exact_async_moments(optima, steps, theta0, n_rounds):
     return means, moments
 
 
-def _sequences(state, optima, theta0, n_rounds):
+def _sequences(state, n_rounds):
     """The closed-form mean and second moment that oracle-check exports."""
-    return (expectation_recursion(state, optima, n_rounds, theta0),
-            variance_recursion(state, optima, n_rounds, theta0))
+    return expectation_recursion(state, n_rounds), variance_recursion(state, n_rounds)
 
 
-def _reference_oracle_csv(state, optima, theta0, n_rounds, path, rate=1.0):
+def _reference_oracle_csv(state, n_rounds, path, rate=1.0):
     """The oracle CSV writer as it was before the shared encoder: csv.writer
     with one f-string per cell and a per-client list per row."""
     import csv
 
     from asyncfed.engine import trajectory_header
 
-    optima = np.atleast_1d(np.asarray(optima, dtype=float))
+    optima = np.asarray(state.optima, dtype=float)
     theta_star = float(optima.mean())
-    mean_seq, second = _sequences(state, optima, theta0, n_rounds)
-    round_time = expected_round_time(state.scheme, len(optima), rate, m=state.m)
+    mean_seq, second = _sequences(state, n_rounds)
+    round_time = expected_round_time(state, rate)
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(trajectory_header(len(optima)))
