@@ -23,4 +23,4 @@ from .objectives import (
 )
 from .oracle import OracleState, expectation_recursion, expected_round_time, phi, variance_recursion
 from .timing import FleetState, HardwareModel, PolicyKind, WaitPolicy, advance_round, staleness_bound
-from .weights import WeightPlan, WeightScheme, chi_square_bias, plan_weights, verify_window_assumption, window_stats
+from .weights import WeightScheme, chi_square_bias, plan_weights, verify_window_assumption, window_stats

@@ -72,7 +72,7 @@ def epsilon_terms(inputs: BoundInputs) -> EpsilonTerms:
     if eta == 0:
         eps_f = math.inf if inputs.init_gap_sq > 0 else 0.0
     else:
-        eps_f = inputs.init_gap_sq / (eta * k * inputs.n_rounds)
+        eps_f = inputs.init_gap_sq / _product(eta, k, inputs.n_rounds)
     eps_k = _product(_square(inputs.eta_l), (k - 1) ** 2, inputs.residual + inputs.sigma1)
     delay_factor = eta + _product(_square(eta), k ** 2, _square(inputs.tau))
     eps_alpha = _product(inputs.alpha, delay_factor, inputs.residual + inputs.max_q * inputs.sigma)
@@ -82,10 +82,11 @@ def epsilon_terms(inputs: BoundInputs) -> EpsilonTerms:
 
 
 def _square(x: float) -> float:
-    """``x ** 2``, or inf where that overflows a double (a Python float's
-    ``**`` raises ``OverflowError`` there)."""
+    """``x ** 2`` as a double, or inf where that overflows one (a Python
+    float's ``**`` raises ``OverflowError`` there, and so does the
+    conversion of an int's exact square)."""
     try:
-        return x ** 2
+        return float(x ** 2)
     except OverflowError:
         return math.inf
 
@@ -93,10 +94,14 @@ def _square(x: float) -> float:
 def _product(*factors) -> float:
     """The factors multiplied left to right, or 0.0 when one of them is
     zero: a term with a zero factor is 0 even where another factor
-    overflowed to inf."""
+    overflowed to inf. An int factor beyond the double range counts as
+    inf."""
     if 0 in factors:
         return 0.0
-    return math.prod(factors)
+    try:
+        return math.prod(factors)
+    except OverflowError:  # the int factor's conversion to a double
+        return math.inf
 
 
 def lr_constraint(k_steps: int, smoothness: float, rho: float, eta_g: float, tau: float) -> float:
@@ -116,8 +121,8 @@ class SchemePreset:
     scheme: str
     alpha: float
     beta: float
-    tau: int
-    window: int
+    tau: float
+    window: float
     residual: float
     n_rounds: float     # aggregations per time budget
     d: tuple[float, ...]
@@ -155,15 +160,24 @@ def scheme_presets(
         weights, alpha, n_rounds = WeightScheme.ASYNC_TIME_BASED, 0.0, ordered_sum(time_budget / t for t in taus)
     else:
         weights, alpha, n_rounds = WeightScheme.FEDFIX_TIME_BASED, 1.0, time_budget / float(policy.delta_t)
-    plan = plan_weights(weights, fleet.importances, fleet.compute_times, policy, hw)
+    d = plan_weights(weights, fleet.importances, fleet.compute_times, policy, hw)
     # the schedule's own terms first: a fleet whose schedule the staleness
     # analysis rejects exits before the residual's descent
     window, _ = window_counts(policy, fleet.compute_times)
     tau = staleness_bound(policy, hw, fleet.compute_times)
     if residual is None:
         residual = residual_mean_gap(fleet)
-    beta = float(plan.d.max()) if scheme == "async" else 0.0
-    return SchemePreset(scheme, alpha, beta, tau, window, residual, n_rounds, tuple(plan.d))
+    beta = float(d.max()) if scheme == "async" else 0.0
+    return SchemePreset(scheme, alpha, beta, _double(tau), _double(window), residual, n_rounds, tuple(d))
+
+
+def _double(count: int) -> float:
+    """An exact count as a bound input: the nearest double, or inf beyond
+    the double range."""
+    try:
+        return float(count)
+    except OverflowError:
+        return math.inf
 
 
 def residual_mean_gap(fleet: Fleet) -> float:

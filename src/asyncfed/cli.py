@@ -25,15 +25,17 @@ import math
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .bounds import BoundInputs, epsilon_terms, fill_inputs, format_report, scheme_presets
-from .config import Experiment, build_experiment, load_config
+from .config import build_experiment, load_config
 from .core import ConfigurationError, UnsupportedConfigError, convergence_residual, weighted_optimum
 from .engine import (
+    RunConfig,
     Seeds,
     atomic_open,
     check_scalar_ensemble,
@@ -70,12 +72,12 @@ def _config_digest(document: dict) -> str:
 
 def cmd_simulate(args) -> int:
     document = load_config(args.config)
-    experiment = build_experiment(document, seed_override=args.seed)
+    cfg = build_experiment(document, seed_override=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    trajectory = run(experiment.run_config)
+    trajectory = run(cfg)
     csv_path = out_dir / "trajectory.csv"
     written = time.perf_counter()
     # the metrics rows are computed block by block as they are written
@@ -90,9 +92,9 @@ def cmd_simulate(args) -> int:
         "config_sha256": _config_digest(document),
         "seed_override": args.seed,
         "seeds_resolved": {
-            "hardware": list(np.atleast_1d(experiment.run_config.seeds.hardware).tolist()),
-            "batching": list(np.atleast_1d(experiment.run_config.seeds.batching).tolist()),
-            "sampling": list(np.atleast_1d(experiment.run_config.seeds.sampling).tolist()),
+            "hardware": list(np.atleast_1d(cfg.seeds.hardware).tolist()),
+            "batching": list(np.atleast_1d(cfg.seeds.batching).tolist()),
+            "sampling": list(np.atleast_1d(cfg.seeds.sampling).tolist()),
         },
         "n_rounds": trajectory.n_rounds,
         "final_time": float(trajectory.times[-1]),
@@ -124,13 +126,12 @@ def cmd_simulate(args) -> int:
 # oracle-check
 # ---------------------------------------------------------------------------
 
-def _oracle_state_for(experiment: Experiment) -> OracleState:
-    """Map a configured experiment onto its closed-form problem. Raises
+def _oracle_state_for(cfg: RunConfig) -> OracleState:
+    """Map a configured run onto its closed-form problem. Raises
     UnsupportedConfigError with an explicit reason when no closed form or
     no kernel applies.
     """
-    fleet = experiment.fleet
-    cfg = experiment.run_config
+    fleet = cfg.fleet
     table = fleet.table
     if fleet.dim != 1 or not isinstance(table, QuadraticObjective):
         raise UnsupportedConfigError("closed forms cover scalar quadratic fleets only")
@@ -141,7 +142,7 @@ def _oracle_state_for(experiment: Experiment) -> OracleState:
     p = fleet.importances
     if np.max(np.abs(p - 1.0 / len(fleet))) > 1e-12:
         raise UnsupportedConfigError("closed forms assume identical client importance")
-    d = cfg.plan.d
+    d = cfg.d
     if np.any(d != d[0]):
         raise UnsupportedConfigError("the Monte-Carlo ensemble needs equal weights d_i")
     problem = functools.partial(
@@ -153,13 +154,13 @@ def _oracle_state_for(experiment: Experiment) -> OracleState:
     )
     taus = [float(t) for t in fleet.compute_times]
 
-    kind = experiment.policy.kind
+    kind = cfg.policy.kind
     if kind is PolicyKind.SYNCHRONOUS:
         return problem("sync")
     if kind is PolicyKind.SAMPLE_UNIFORM:
-        return problem("sync_uniform", m=experiment.policy.m)
+        return problem("sync_uniform", m=cfg.policy.m)
     if kind is PolicyKind.ASYNCHRONOUS:
-        if experiment.hw.mode != "exponential":
+        if cfg.hw.mode != "exponential":
             raise UnsupportedConfigError(
                 "the asynchronous closed form needs memoryless (exponential) hardware"
             )
@@ -174,17 +175,17 @@ def _oracle_state_for(experiment: Experiment) -> OracleState:
     raise UnsupportedConfigError(f"no closed form for policy {kind.value!r}")
 
 
-def _oracle_round_time(experiment: Experiment, state: OracleState) -> float:
+def _oracle_round_time(cfg: RunConfig, state: OracleState) -> float:
     """The round duration the oracle CSV's ``t`` steps by: a fixed-hardware
     round's slowest time, or the expected one at rate 1/tau on exponential
     hardware with one mean time tau. UnsupportedConfigError otherwise."""
-    taus = experiment.fleet.compute_times
+    taus = cfg.fleet.compute_times
     common = len(set(taus)) == 1
-    if experiment.hw.mode == "exponential":
+    if cfg.hw.mode == "exponential":
         if common:
             return expected_round_time(state, 1.0 / taus[0])
         raise UnsupportedConfigError("the oracle CSV's time column needs one mean time on exponential hardware")
-    if experiment.run_config.initial_clocks is not None:
+    if cfg.initial_clocks is not None:
         raise UnsupportedConfigError("the oracle CSV's time column needs every clock to start at 0")
     if state.scheme == "sync":
         return float(max(taus))
@@ -195,9 +196,9 @@ def _oracle_round_time(experiment: Experiment, state: OracleState) -> float:
 
 def cmd_oracle_check(args) -> int:
     document = load_config(args.config)
-    experiment = build_experiment(document, seed_override=args.seed)
-    state = _oracle_state_for(experiment)
-    round_time = _oracle_round_time(experiment, state) if args.out else None
+    cfg = build_experiment(document, seed_override=args.seed)
+    state = _oracle_state_for(cfg)
+    round_time = _oracle_round_time(cfg, state) if args.out else None
     if args.seed is not None:
         document.setdefault("oracle_check", {})["seed"] = args.seed
 
@@ -271,9 +272,8 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_bounds(args) -> int:
     document = load_config(args.config)
-    experiment = build_experiment(document)
-    fleet = experiment.fleet
-    cfg = experiment.run_config
+    cfg = build_experiment(document)
+    fleet = cfg.fleet
     bcfg = document.get("bounds", {})
 
     smoothness = bcfg.get("smoothness")
@@ -293,8 +293,8 @@ def cmd_bounds(args) -> int:
     sigma1 = bcfg.get("sigma1", sigma)
 
     delta_t = (
-        float(experiment.policy.delta_t)
-        if experiment.policy.kind is PolicyKind.FEDFIX
+        float(cfg.policy.delta_t)
+        if cfg.policy.kind is PolicyKind.FEDFIX
         else bcfg.get("delta_t", max(float(t) for t in fleet.compute_times))
     )
     fedfix_policy = WaitPolicy(PolicyKind.FEDFIX, delta_t=delta_t)
@@ -322,7 +322,12 @@ def cmd_bounds(args) -> int:
         print(f"{label:<16} {cells}")
     print()
 
-    n_rounds = cfg.rounds if cfg.rounds is not None else max(1, int(presets["sync"].n_rounds))
+    n_rounds = cfg.rounds
+    if n_rounds is None:
+        per_budget = presets["sync"].n_rounds
+        # a count beyond the double range is the exact quotient's floor
+        n_rounds = (max(1, int(per_budget)) if math.isfinite(per_budget)
+                    else int(Fraction(time_budget) / Fraction(max(fleet.compute_times))))
     base = BoundInputs(
         n_clients=len(fleet),
         k_steps=cfg.k_steps,
@@ -381,7 +386,7 @@ def _axis_value(axis: str, value):
 
 
 def sweep_rows(document: dict, axis: str, values) -> list[dict]:
-    """One row per value: the experiment is built once per sweep on
+    """One row per value: the run config is built once per sweep on
     ``eta_l`` and ``k_steps`` (each value's run config is the built one
     with that field replaced) and once per value on ``delta_t`` and ``m``;
     either way every value is checked before any run. The
@@ -397,14 +402,14 @@ def sweep_rows(document: dict, axis: str, values) -> list[dict]:
     if section == "optimization":
         # eta_l and k_steps only set the run config's field of that name,
         # whose own checks reject a bad value
-        built = build_experiment(document).run_config
+        built = build_experiment(document)
         configs = [replace(built, **{key: value}) for value in values]
     else:
         configs = []
         for value in values:
             patched = json.loads(json.dumps(document))
             patched.setdefault(section, {})[key] = value
-            configs.append(build_experiment(patched).run_config)
+            configs.append(build_experiment(patched))
     runs = run_members([replace(config, seeds=seeds) for config in configs for seeds in member_seeds])
     rows = []
     for i, value in enumerate(values):
@@ -487,12 +492,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_gen_shards(args) -> int:
     document = load_config(args.config)
-    experiment = build_experiment(document)
+    fleet = build_experiment(document).fleet
     family = document["fleet"]["objective"]["family"]
     if family == "quadratic":
         raise ConfigurationError("gen-shards needs a logistic or linear objective family")
     out_dir = Path(args.out)
-    fleet = experiment.fleet
     paths = export_shards_csv(fleet.table, out_dir)
     manifest = {
         "families": family,

@@ -1,5 +1,5 @@
 """Experiment configuration: JSON schema, validation, and builders that turn
-a config document into fleet, policy, weight plan, and run settings.
+a config document into fleet, policy, aggregation weights, and run settings.
 
 The format is versioned (``schema_version``) and strict: unknown keys are
 rejected at every level so typos fail loudly before any compute happens.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -420,16 +419,6 @@ def load_config(path) -> dict:
     return document
 
 
-@dataclass(frozen=True)
-class Experiment:
-    """Everything needed to run one configured experiment."""
-
-    fleet: Fleet
-    policy: WaitPolicy
-    hw: HardwareModel
-    run_config: RunConfig
-
-
 # the families that read each optional key of ``fleet/objective``
 _FAMILY_KEYS = {
     **dict.fromkeys(("optima", "curvature", "noise_std"), {"quadratic"}),
@@ -496,7 +485,10 @@ def build_policy(document: dict) -> WaitPolicy:
     )
 
 
-def build_experiment(document: dict, seed_override: int | None = None) -> Experiment:
+def build_experiment(document: dict, seed_override: int | None = None) -> RunConfig:
+    """The run a validated config ``document`` describes: its fleet, policy,
+    hardware, weights d_i and settings; ``seed_override`` replaces every
+    seed of the document (``--seed``)."""
     fleet, hw = build_fleet(document)
     # checked here, not only when a run starts, so bounds rejects them too
     check_initial_clocks(document["fleet"].get("initial_clocks"), len(fleet), hw)
@@ -505,7 +497,7 @@ def build_experiment(document: dict, seed_override: int | None = None) -> Experi
     scheme = WeightScheme(scfg["weights"])
     if "custom_d" in scfg and scheme is not WeightScheme.CUSTOM:
         raise ConfigurationError(f"scheme/custom_d is not read by {scheme.value} weights")
-    plan = plan_weights(
+    d = plan_weights(
         scheme,
         fleet.importances,
         fleet.compute_times,
@@ -531,10 +523,10 @@ def build_experiment(document: dict, seed_override: int | None = None) -> Experi
             theta0 = np.full(fleet.dim, theta0[0])
 
     initial_clocks = document["fleet"].get("initial_clocks")
-    run_config = RunConfig(
+    return RunConfig(
         fleet=fleet,
         policy=policy,
-        plan=plan,
+        d=d,
         hw=hw,
         eta_g=opt.get("eta_g", 1.0),
         eta_l=opt.get("eta_l", 0.1),
@@ -549,4 +541,3 @@ def build_experiment(document: dict, seed_override: int | None = None) -> Experi
         tau_max=document.get("tau_max"),
         initial_clocks=None if initial_clocks is None else tuple(initial_clocks),
     )
-    return Experiment(fleet, policy, hw, run_config)

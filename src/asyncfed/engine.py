@@ -58,7 +58,6 @@ from .timing import (
     merged_schedule,
     replay_rounds,
 )
-from .weights import WeightPlan
 
 if TYPE_CHECKING:
     from .oracle import OracleState
@@ -119,7 +118,7 @@ class Seeds:
 class RunConfig:
     fleet: Fleet
     policy: WaitPolicy
-    plan: WeightPlan
+    d: np.ndarray                       # per-client aggregation weights d_i
     hw: HardwareModel = HardwareModel("fixed")
     eta_g: float = 1.0
     eta_l: float = 0.1
@@ -145,7 +144,7 @@ class RunConfig:
             raise ConfigurationError("learning rates must be nonnegative")
         if not 1 <= self.k_steps <= MAX_K_STEPS:
             raise ConfigurationError(f"k_steps must lie in [1, {MAX_K_STEPS}]")
-        if len(self.plan.d) != len(self.fleet):
+        if len(self.d) != len(self.fleet):
             raise ConfigurationError("weight plan does not match the fleet size")
         if self.metric_cadence < 1:
             raise ConfigurationError("metric cadence must be positive")
@@ -263,7 +262,7 @@ class _Server:
     and they wait to be aggregated as one block."""
 
     def __init__(self, config: RunConfig, n_members: int):
-        self.d = config.plan.d
+        self.d = config.d
         self.eta_g = config.eta_g
         # the buffer doubles when a segment does not fit
         self.models = np.empty((min(config.rounds or 1023, 1023) + 1, n_members, config.fleet.dim))
@@ -522,7 +521,7 @@ def run(config: RunConfig) -> Trajectory:
         divergence_round=None if divergence is None else divergence[0],
         divergence_cause=None if divergence is None else divergence[1],
         never_served=len(config.fleet) - int(np.count_nonzero(np.bincount(served_ids))),
-        d=config.plan.d,
+        d=config.d,
         metric_cadence=config.metric_cadence,
         timing_s={**group.timing_s, "metrics": 0.0},
     )
@@ -1296,7 +1295,10 @@ def write_trajectory_table(path, n_clients: int, blocks) -> None:
 
 def _metric_text(m: Metrics, n_clients: int):
     """The CSV text of the rows of ``m``, in pieces: runs of rows with a
-    participant mask and a surrogate, then of rows without, in order."""
+    participant mask and a surrogate, then of rows without, in order; an
+    empty block has no text."""
+    if not len(m):
+        return
     masks = m.participant_mask
     partial = np.isnan(m.loss_surrogate) | np.array([mask is None for mask in masks], dtype=bool)
     change = (np.flatnonzero(partial[1:] != partial[:-1]) + 1).tolist()

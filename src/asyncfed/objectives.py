@@ -19,19 +19,6 @@ class _Table:
     """Client objectives of one family stacked as rows of (G, ...) arrays;
     a single client is a one-row table."""
 
-    _ROW_FIELDS: tuple[str, ...] = ()  # the per-row arrays, first axis the row
-    _SHARED_FIELDS: tuple[str, ...] = ()  # the attributes every row shares
-
-    def row(self, i: int):
-        """Row ``i`` as a one-row table holding views of the table's arrays;
-        the constructor's checks are not repeated."""
-        obj = type(self).__new__(type(self))
-        for name in self._ROW_FIELDS:
-            setattr(obj, name, getattr(self, name)[i:i + 1])
-        for name in self._SHARED_FIELDS:
-            setattr(obj, name, getattr(self, name))
-        return obj
-
     def value(self, theta) -> np.ndarray:
         """(G,) loss of every row at one ``theta``."""
         return self.values(np.atleast_1d(np.asarray(theta, dtype=float))[None])[0]
@@ -47,8 +34,6 @@ class QuadraticObjective(_Table):
     checks. A row's ``noise_std`` > 0 turns its local gradients into
     unbiased stochastic estimates with additive Gaussian noise.
     """
-
-    _ROW_FIELDS = ("a", "b", "c", "noise_std", "two_a")
 
     def __init__(self, a, b, c=0.0, noise_std=0.0):
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -181,9 +166,6 @@ class GlmObjective(_Table):
     """G linear or logistic regression losses over fixed data shards of one
     sample count, link and batch size: ``features`` is (G, n, dim),
     ``targets`` (G, n)."""
-
-    _ROW_FIELDS = ("features", "targets", "_sign")
-    _SHARED_FIELDS = ("link", "batch_size")
 
     def __init__(self, features, targets, link: str = "logistic", batch_size: int = 8):
         features, targets = np.ascontiguousarray(features, dtype=float), np.asarray(targets, dtype=float)

@@ -26,7 +26,7 @@ schedules, which the staleness and window analyses read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -130,8 +130,6 @@ class FleetState:
     scale: int = 1
     clock: int | float = 0
     round_index: int = 0
-    _limit: tuple = field(default=(None, None), repr=False)  # (time limit, its ticks)
-    _cdf: tuple = field(default=(None, None), repr=False)    # (importances, their sampling CDF)
 
     @property
     def n_clients(self) -> int:
@@ -163,27 +161,9 @@ class FleetState:
         return num * (self.scale // den)
 
     def limit_ticks(self, time_limit) -> int:
-        """The floor of ``time_limit`` on the tick scale, worked out once
-        per limit."""
-        if time_limit is not self._limit[0]:
-            num, den = exact_ratio(time_limit)
-            self._limit = (time_limit, num * self.scale // den)
-        return self._limit[1]
-
-    def sampling_cdf(self, importances) -> np.ndarray:
-        """The CDF multinomial sampling draws from: ``Generator.choice``'s
-        ``p.cumsum() / p.cumsum()[-1]``, worked out once per importance
-        vector (told apart by identity, as the fleet's is one read-only
-        array) instead of once per round."""
-        if importances is not self._cdf[0]:
-            p = np.asarray(importances, dtype=float)
-            # choice's own checks: one per client, nonnegative, summing to 1 within sqrt(eps)
-            if p.shape != (self.n_clients,) or not (p >= 0).all() or abs(math.fsum(p) - 1.0) > _P_ATOL:
-                raise ConfigurationError("multinomial sampling needs one probability per client, summing to 1")
-            cdf = p.cumsum()
-            cdf /= cdf[-1]
-            self._cdf = (importances, cdf)
-        return self._cdf[1]
+        """The floor of ``time_limit`` on the tick scale."""
+        num, den = exact_ratio(time_limit)
+        return num * self.scale // den
 
 
 def exact_ratio(value) -> tuple[int, int]:
@@ -585,7 +565,13 @@ def _sampling_rounds(state, policy, taus, n_rounds, hw_rng, sample_rng, client_l
             raise ConfigurationError("multinomial sampling needs a sampling RNG")
         if importances is None:
             raise ConfigurationError("multinomial sampling needs client importances")
-        cdf = state.sampling_cdf(importances)
+        p = np.asarray(importances, dtype=float)
+        # choice's own checks: one per client, nonnegative, summing to 1 within sqrt(eps)
+        if p.shape != (n_clients,) or not (p >= 0).all() or abs(math.fsum(p) - 1.0) > _P_ATOL:
+            raise ConfigurationError("multinomial sampling needs one probability per client, summing to 1")
+        # the CDF Generator.choice draws from: p.cumsum() / p.cumsum()[-1]
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
     elif policy.criterion == "fastest":
         fixed = np.array(fastest_first(taus)[:m], dtype=np.int64)
     else:

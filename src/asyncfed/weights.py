@@ -35,15 +35,6 @@ class WeightScheme(Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class WeightPlan:
-    """Deterministic per-client aggregation weights d_i. Their window
-    statistics are worked out on demand by :func:`window_stats`."""
-
-    scheme: WeightScheme
-    d: np.ndarray
-
-
 def _require_fixed(hw: HardwareModel | None, scheme: WeightScheme):
     if hw is not None and hw.mode != "fixed":
         raise UnsupportedConfigError(
@@ -72,16 +63,16 @@ def plan_weights(
     policy: WaitPolicy | None = None,
     hw: HardwareModel | None = None,
     custom_d=None,
-) -> WeightPlan:
-    """Fill the per-client weights d_i for a scheme. The weights are exact,
+) -> np.ndarray:
+    """The per-client aggregation weights d_i of a scheme. They are exact,
     as integer numerators over one common denominator, until they are
     rounded to float; unit weights need no arithmetic. The schedule is not
     analysed: that is :func:`window_stats`."""
     if scheme is WeightScheme.IDENTICAL:
         _check_fleet_size(len(importances), compute_times)
-        return WeightPlan(scheme, np.ones(len(importances)))
+        return np.ones(len(importances))
     p = _over_common_den(map(float, importances))
-    return WeightPlan(scheme, _to_floats(_exact_weights(scheme, p, compute_times, policy, hw, custom_d)))
+    return _to_floats(_exact_weights(scheme, p, compute_times, policy, hw, custom_d))
 
 
 def window_stats(

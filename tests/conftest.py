@@ -8,7 +8,7 @@ from hypothesis import settings
 from asyncfed import engine
 from asyncfed.core import Fleet, uniform_importances
 from asyncfed.engine import Metrics
-from asyncfed.objectives import QuadraticObjective
+from asyncfed.objectives import GlmObjective, QuadraticObjective
 from asyncfed.timing import HardwareModel, advance_round, init_fleet_state
 
 # CI (GitHub Actions sets CI) prints the @reproduce_failure line of any
@@ -24,6 +24,14 @@ def quadratic_fleet(optima, taus=None, importances=None, curvature=0.5, noise_st
     n = len(optima)
     table = QuadraticObjective.from_optima(optima, curvature, noise_std)
     return Fleet(table, taus or [1] * n, importances or uniform_importances(n), distribution_ids)
+
+
+def table_row(table, i: int):
+    """Row ``i`` of an objective table as a one-row table of its family,
+    built by the family's constructor from the row's slices."""
+    if isinstance(table, QuadraticObjective):
+        return QuadraticObjective(table.a[i:i + 1], table.b[i:i + 1], table.c[i:i + 1], table.noise_std[i:i + 1])
+    return GlmObjective(table.features[i:i + 1], table.targets[i:i + 1], table.link, table.batch_size)
 
 
 def with_seeds(config, member_seeds) -> list:

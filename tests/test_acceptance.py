@@ -35,14 +35,14 @@ def report(number: int, message: str) -> None:
 class TestCriterion1SynchronousContraction:
     def test_gap_follows_the_closed_form(self):
         fleet = quadratic_fleet([[0.0, 1.0], [2.0, -1.0], [4.0, 3.0]], taus=[1, 2, 3])
-        plan = plan_weights(
+        d = plan_weights(
             WeightScheme.FEDAVG, fleet.importances, fleet.compute_times,
             WaitPolicy(PolicyKind.SYNCHRONOUS),
         )
         # contraction slow enough that the predicted gap stays well inside
         # double-precision range over all 100 rounds
         cfg = RunConfig(
-            fleet=fleet, policy=WaitPolicy(PolicyKind.SYNCHRONOUS), plan=plan,
+            fleet=fleet, policy=WaitPolicy(PolicyKind.SYNCHRONOUS), d=d,
             eta_g=1.0, eta_l=0.05, k_steps=2, full_gradient=True, rounds=100,
             theta0=np.array([10.0, -7.0]),
         )
@@ -70,12 +70,12 @@ class TestCriterion2AlternatingPairsRecursion:
             distribution_ids=[0, 0, 1, 1],
         )
         policy = WaitPolicy(PolicyKind.FEDFIX, delta_t=1)
-        plan = plan_weights(
+        d = plan_weights(
             WeightScheme.FEDFIX_TIME_BASED, fleet.importances, fleet.compute_times, policy
         )
-        assert plan.d.tolist() == [0.5, 0.5, 0.5, 0.5]
+        assert d.tolist() == [0.5, 0.5, 0.5, 0.5]
         cfg = RunConfig(
-            fleet=fleet, policy=policy, plan=plan, eta_g=1.0, eta_l=0.5, k_steps=1,
+            fleet=fleet, policy=policy, d=d, eta_g=1.0, eta_l=0.5, k_steps=1,
             full_gradient=True, rounds=502, theta0=np.array([5.0]),
             initial_clocks=(2, 1, 2, 1),
         )
@@ -100,18 +100,18 @@ class TestCriterion3AlternatingBiasAndRepair:
     def _run_alternating(custom_d=None, scheme=WeightScheme.CUSTOM):
         fleet = quadratic_fleet([[0.0], [2.0]], taus=[2, 2], distribution_ids=[0, 1])
         policy = WaitPolicy(PolicyKind.FEDFIX, delta_t=1)
-        plan = plan_weights(
+        d = plan_weights(
             scheme, fleet.importances, fleet.compute_times, policy, custom_d=custom_d
         )
         cfg = RunConfig(
-            fleet=fleet, policy=policy, plan=plan, eta_g=1.0, eta_l=0.5, k_steps=1,
+            fleet=fleet, policy=policy, d=d, eta_g=1.0, eta_l=0.5, k_steps=1,
             full_gradient=True, rounds=502, theta0=np.array([5.0]),
             initial_clocks=(1, 2),
         )
-        return plan, run(cfg)
+        return d, run(cfg)
 
     @staticmethod
-    def _cycle_average(traj, plan, at_round):
+    def _cycle_average(traj, d, at_round):
         # single-participant rounds oscillate on a two-cycle; the d-weighted
         # average of the anchor models over one full cycle telescopes to the
         # weighted-optima limit and converges geometrically
@@ -119,27 +119,27 @@ class TestCriterion3AlternatingBiasAndRepair:
         for k in (at_round, at_round + 1):
             (client,) = traj.rounds[k].clients
             (anchor,) = traj.rounds[k].anchors
-            weight = plan.d[client]
+            weight = d[client]
             total += weight * traj.theta[anchor, 0]
             mass += weight
         return total / mass
 
     def test_biased_weights_settle_on_the_weighted_combination(self):
-        plan, traj = self._run_alternating(custom_d=[0.3, 0.6])
+        d, traj = self._run_alternating(custom_d=[0.3, 0.6])
         limit = (0.3 * 0.0 + 0.6 * 2.0) / 0.9
-        value = self._cycle_average(traj, plan, 498)
+        value = self._cycle_average(traj, d, 498)
         assert abs(value - limit) < 1e-8
         report(3, f"biased limit error {abs(value - limit):.2e} (window-averaged)")
 
     def test_window_fair_weights_repair_the_bias(self):
-        plan, traj = self._run_alternating(scheme=WeightScheme.FEDFIX_TIME_BASED)
-        assert plan.d.tolist() == [1.0, 1.0]
+        d, traj = self._run_alternating(scheme=WeightScheme.FEDFIX_TIME_BASED)
+        assert d.tolist() == [1.0, 1.0]
         # the fleet, policy and window of _run_alternating
         _, q_over_window = window_stats(WeightScheme.FEDFIX_TIME_BASED, [0.5, 0.5], [2, 2],
                                         WaitPolicy(PolicyKind.FEDFIX, delta_t=1))
         q_tilde = q_over_window / q_over_window.sum()
         assert np.allclose(q_tilde, [0.5, 0.5], atol=1e-15)
-        value = self._cycle_average(traj, plan, 498)
+        value = self._cycle_average(traj, d, 498)
         assert abs(value - 1.0) < 1e-8
         report(3, f"repaired limit error {abs(value - 1.0):.2e} (window-averaged)")
 
@@ -225,9 +225,9 @@ class TestCriterion7WindowCloseForms:
             window, _ = window_stats(WeightScheme.ASYNC_TIME_BASED, p, taus, policy)
             if window > 3000:
                 continue  # keeps the schedule replay fast; the identity is exact regardless
-            plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, p, taus, policy)
+            d = plan_weights(WeightScheme.ASYNC_TIME_BASED, p, taus, policy)
             fleet = quadratic_fleet([[float(i)] for i in range(m)], taus=taus, importances=p)
-            cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.01,
+            cfg = RunConfig(fleet=fleet, policy=policy, d=d, eta_l=0.01,
                             full_gradient=True, rounds=2 * window)
             q = run(cfg).weight_matrix()
             assert q.shape == (2 * window, m)
@@ -235,7 +235,7 @@ class TestCriterion7WindowCloseForms:
             assert good.satisfied, (taus, good.max_deviation)
 
             identical = plan_weights(WeightScheme.IDENTICAL, p, taus, policy)
-            q_id = run(replace(cfg, plan=identical)).weight_matrix()
+            q_id = run(replace(cfg, d=identical)).weight_matrix()
             bad = verify_window_assumption(q_id, window, p, tol=1e-12)
             assert not bad.satisfied, taus
             fleets += 1
@@ -256,11 +256,11 @@ class TestCriterion8HeterogeneousLogisticTrend:
         policy = WaitPolicy(PolicyKind.ASYNCHRONOUS)
 
         def final_losses(scheme):
-            plan = plan_weights(scheme, fleet.importances, fleet.compute_times, policy)
+            d = plan_weights(scheme, fleet.importances, fleet.compute_times, policy)
             out = []
             for seed in range(5):
                 cfg = RunConfig(
-                    fleet=fleet, policy=policy, plan=plan, eta_g=1.0, eta_l=0.02,
+                    fleet=fleet, policy=policy, d=d, eta_g=1.0, eta_l=0.02,
                     k_steps=5, time_budget=120.0, seeds=Seeds((0,), (seed,), (2,)),
                 )
                 out.append(engine._tail_stats(trajectory_metrics(run(cfg)).loss_fed)[0])

@@ -18,7 +18,7 @@ from asyncfed.core import ConfigurationError, Fleet, UnsupportedConfigError, ord
 from asyncfed.objectives import GlmObjective, QuadraticObjective
 from asyncfed.timing import PolicyKind, WaitPolicy
 
-from conftest import quadratic_fleet
+from conftest import quadratic_fleet, table_row
 
 
 def base_inputs(**overrides):
@@ -163,7 +163,7 @@ def _reference_residual(fleet):
     quadratic = isinstance(fleet.table, QuadraticObjective)
     gaps = []
     for i in range(len(fleet)):
-        obj = fleet.table.row(i)
+        obj = table_row(fleet.table, i)
         local_opt = obj.optima[0] if quadratic else weighted_optimum(Fleet(obj, [1], [1.0]))
         gaps.append(float(obj.value(theta_star)[0] - obj.value(local_opt)[0]))
     return ordered_sum(gaps) / len(fleet)

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -764,7 +765,17 @@ class TestOracleCheck:
         assert err.startswith("unsupported: ")
 
 
+def report_terms(out):
+    """Each ``scheme = `` report of the ``bounds`` output, as a dict of its
+    ``key = value`` lines, by scheme."""
+    reports = out.split("scheme = ")[1:]
+    return {report.split("\n")[0]: dict(line.split(" = ") for line in report.splitlines()[1:] if " = " in line)
+            for report in reports}
+
+
 class TestBoundsCommand:
+    SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+
     def test_residual_gap_is_computed_once(self, tmp_path, monkeypatch, capsys):
         # on a GLM fleet each residual_mean_gap call is a descent of every
         # client's optimum
@@ -806,12 +817,10 @@ class TestBoundsCommand:
         # squares of these step sizes overflow a double: the terms are inf,
         # and a term with a zero factor (k_steps - 1 = 0, a sync delay of 0)
         # stays 0
-        document = load_config(Path(__file__).resolve().parents[1] / "configs" / "sync_quadratic.json")
+        document = load_config(self.SHIPPED / "sync_quadratic.json")
         document["optimization"][key] = value
         assert main(["bounds", "--config", str(write_config(tmp_path, document))]) == 0
-        reports = capsys.readouterr().out.split("scheme = ")[1:]
-        terms = {report.split("\n")[0]: dict(line.split(" = ") for line in report.splitlines()[1:] if " = " in line)
-                 for report in reports}
+        terms = report_terms(capsys.readouterr().out)
         assert terms["async"]["eps_beta"] == terms["fedfix"]["eps_alpha"] == "inf"
         assert terms["async"]["total"] == terms["fedfix"]["total"] == "inf"
         assert all(t["eps_k"] == "0" for t in terms.values())
@@ -819,11 +828,77 @@ class TestBoundsCommand:
 
     def test_an_overflowing_rho_gives_a_zero_rate_ceiling(self, tmp_path, capsys):
         # rho^2 overflows: the damping is inf and the admissible local rate 0
-        document = load_config(Path(__file__).resolve().parents[1] / "configs" / "sync_quadratic.json")
+        document = load_config(self.SHIPPED / "sync_quadratic.json")
         document["bounds"] = {"rho": 1e200}
         assert main(["bounds", "--config", str(write_config(tmp_path, document))]) == 0
         out = capsys.readouterr().out
         assert out.count("lr_max = 0\n") == 3
+
+    @pytest.mark.parametrize("scheme", [
+        None,
+        {"policy": "fedfix", "delta_t": 1e-300, "weights": "fedfix_time_based"},
+    ], ids=["bounds_delta_t", "fedfix_policy"])
+    def test_a_fedfix_staleness_beyond_the_double_range_gives_inf_terms(self, tmp_path, capsys, scheme):
+        # ceil(tau / delta_t) ~ 2e300 is an int whose exact square is beyond
+        # the double range: the square is inf, the delay terms with it, and
+        # a term with a zero factor (beta = 0) stays 0
+        document = load_config(self.SHIPPED / "sync_quadratic.json")
+        if scheme is None:
+            document["bounds"] = {"delta_t": 1e-300}
+        else:
+            document["scheme"] = scheme
+        assert main(["bounds", "--config", str(write_config(tmp_path, document))]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        fedfix = report_terms(out)["fedfix"]
+        assert 1e300 < float(fedfix["tau"]) < 3e300
+        assert fedfix["eps_alpha"] == fedfix["total"] == "inf"
+        assert fedfix["eps_beta"] == "0"
+        # the synchronous and asynchronous reports read no delta_t
+        golden = (self.SHIPPED.parent / "tests" / "golden" / "bounds_sync_quadratic.txt").read_text()
+        assert out.split("scheme = sync")[1].split("scheme = fedfix")[0] == \
+            golden.split("scheme = sync")[1].split("scheme = fedfix")[0]
+        assert out.split("scheme = async")[1] == golden.split("scheme = async")[1]
+
+    def test_a_fedfix_period_beyond_the_double_range_is_an_inf_staleness_and_window(self, tmp_path, capsys):
+        # ceil(1e-15 / 5e-324) ~ 2e308 rounds, an int no double holds: tau
+        # and the window are inf, and so are the terms they enter
+        document = load_config(self.SHIPPED / "sync_quadratic.json")
+        document["fleet"]["compute_times"] = [1e-15, 1e-15]
+        document["bounds"] = {"delta_t": 5e-324}
+        assert main(["bounds", "--config", str(write_config(tmp_path, document))]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        fedfix = report_terms(out)["fedfix"]
+        assert fedfix["tau"] == fedfix["window"] == fedfix["eps_w"] == fedfix["total"] == "inf"
+        assert fedfix["lr_max"] == "0"
+
+    def test_an_int_step_size_whose_square_is_beyond_the_double_range_gives_inf_terms(self, tmp_path, capsys):
+        # eta_l = 10**200 is an int, and its exact square no double holds
+        document = load_config(self.SHIPPED / "sync_quadratic.json")
+        document["optimization"].update(eta_l=10**200, k_steps=2)
+        assert main(["bounds", "--config", str(write_config(tmp_path, document))]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert all(terms["eps_k"] == terms["total"] == "inf" for terms in report_terms(out).values())
+
+    def test_rounds_in_a_budget_beyond_the_double_range_count_exactly(self, tmp_path, capsys):
+        # T / max(tau) overflows a double: the rounds in T are the exact
+        # quotient's floor, printed as an integer, and eps_f, whose
+        # denominator overflows, is 0
+        document = load_config(self.SHIPPED / "k_sweep_noisy_quadratic.json")
+        document["fleet"]["compute_times"] = [t * 0.125 for t in document["fleet"]["compute_times"]]
+        document["bounds"] = {"time_budget": 1.7e308}
+        assert main(["bounds", "--config", str(write_config(tmp_path, document))]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "rounds_in_T      inf               inf               inf" in out
+        n_rounds = str(int(Fraction(1.7e308) / Fraction(0.625)))
+        assert len(n_rounds) == 309
+        for terms in report_terms(out).values():
+            assert terms["n_rounds"] == n_rounds
+            assert terms["eps_f"] == "0"
+            assert math.isfinite(float(terms["total"])) and float(terms["total"]) > 0
 
 
 class TestGenShards:

@@ -20,7 +20,7 @@ from asyncfed.core import (
 from asyncfed.objectives import _CHUNK_FLOATS, GlmObjective, QuadraticObjective, SyntheticShardConfig
 from asyncfed.objectives import make_synthetic_shards
 
-from conftest import bits, quadratic_fleet
+from conftest import bits, quadratic_fleet, table_row
 
 
 def _loss_fed(theta, fleet):
@@ -68,7 +68,7 @@ class TestConvergenceResidual:
         q = np.array([0.3, 0.0, 0.1, 0.2, 0.25, 0.15])
         theta = np.array([0.4, -1.0, 0.7])
         want = ordered_sum(qi * float(np.dot(g, g)) for qi, g in
-                           zip(q, (fleet.table.row(i).gradients(theta)[0] for i in range(len(fleet)))) if qi)
+                           zip(q, (table_row(fleet.table, i).gradients(theta)[0] for i in range(len(fleet)))) if qi)
         calls = []
         original = GlmObjective.gradients
         monkeypatch.setattr(GlmObjective, "gradients", lambda self, t: calls.append(1) or original(self, t))
@@ -91,7 +91,7 @@ class TestConvergenceResidual:
         q, theta = [0.3, 0.15, 0.0, 0.3, 0.25], np.array([0.3, -0.2, 0.5])
         want = 0.0
         for i, qi in enumerate(q):
-            obj = fleet.table.row(i)
+            obj = table_row(fleet.table, i)
             g = obj.gradients(theta)[0]
             moment = float(np.dot(g, g))
             if isinstance(obj, GlmObjective):
@@ -297,7 +297,7 @@ def _reference_descent(fleet, w, grad_tol=1e-10):
     """The weighted GLM optimum as a per-client loop: the step from each
     shard's own smoothness, full-shard gradients one client at a time, added
     in client order, zero weights skipped."""
-    objs = [fleet.table.row(i) for i in range(len(fleet))]
+    objs = [table_row(fleet.table, i) for i in range(len(fleet))]
     data = [(o.features[0], o.targets[0], o.link) for o in objs]
     smoothness = [(1.0 if link == "linear" else 0.25) * float(np.linalg.eigvalsh(x.T @ x).max()) / x.shape[0]
                   for x, _, link in data]
@@ -332,7 +332,7 @@ class TestFleetTables:
         fleet = _glm_fleet("logistic")
         smoothness = fleet.table.smoothness
         assert smoothness.shape == (6,)
-        assert smoothness.tolist() == [fleet.table.row(i).smoothness[0] for i in range(6)]
+        assert smoothness.tolist() == [table_row(fleet.table, i).smoothness[0] for i in range(6)]
         assert len(set(smoothness.tolist())) == 6  # distinct shards
         optima = quadratic_fleet([[1.0, 2.0], [-3.0, 0.5]]).table.optima
         assert optima.tolist() == [[1.0, 2.0], [-3.0, 0.5]]
@@ -345,11 +345,11 @@ class TestFleetTables:
         matrix = fleet.losses(thetas)
         assert matrix.shape == (rows, len(fleet))
         for i in range(len(fleet)):
-            obj = fleet.table.row(i)
+            obj = table_row(fleet.table, i)
             assert np.array_equal(matrix[:, i], _reference_values(obj, thetas))
             assert np.array_equal(matrix[:, i], obj.values(thetas)[:, 0])
         for theta in thetas[:3]:
-            by_client = [pi * fleet.table.row(i).value(theta)[0] for i, pi in enumerate(fleet.importances)]
+            by_client = [pi * table_row(fleet.table, i).value(theta)[0] for i, pi in enumerate(fleet.importances)]
             assert _loss_fed(theta, fleet) == math.fsum(by_client)
 
     @pytest.mark.parametrize("dim", [1, 3])
@@ -361,11 +361,11 @@ class TestFleetTables:
         thetas = rng.normal(0.0, 5.0, (41, dim))
         matrix = fleet.losses(thetas)
         for i in range(6):
-            obj = table.row(i)
+            obj = table_row(table, i)
             assert np.array_equal(matrix[:, i], _reference_quadratic_values(obj, thetas))
             assert np.array_equal(matrix[:, i], obj.values(thetas)[:, 0])
         for theta in thetas[:5]:
-            by_client = [pi * table.row(i).value(theta)[0] for i, pi in enumerate(fleet.importances)]
+            by_client = [pi * table_row(table, i).value(theta)[0] for i, pi in enumerate(fleet.importances)]
             assert _loss_fed(theta, fleet) == math.fsum(by_client)
 
     @pytest.mark.parametrize("link", ["linear", "logistic"])
@@ -380,7 +380,7 @@ class TestFleetTables:
 
 def _one_row_optimum(table, i):
     """Row i's optimum as the federated optimum of a fleet of row i alone."""
-    return weighted_optimum(Fleet(table.row(i), [1], [1.0]))
+    return weighted_optimum(Fleet(table_row(table, i), [1], [1.0]))
 
 
 @pytest.fixture

@@ -27,18 +27,18 @@ from asyncfed.objectives import (
 )
 from asyncfed.oracle import OracleState, expectation_recursion, phi
 from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy, advance_round, init_fleet_state
-from asyncfed.weights import WeightPlan, WeightScheme, plan_weights
+from asyncfed.weights import WeightScheme, plan_weights
 
-from conftest import BatchStream, bits, quadratic_fleet, reference_draws, trajectory_metrics, with_seeds
+from conftest import BatchStream, bits, quadratic_fleet, reference_draws, table_row, trajectory_metrics, with_seeds
 
 SYNC = WaitPolicy(PolicyKind.SYNCHRONOUS)
 ASYNC = WaitPolicy(PolicyKind.ASYNCHRONOUS)
 
 
 def sync_config(fleet, **kwargs):
-    plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, SYNC)
+    d = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, SYNC)
     defaults = dict(
-        fleet=fleet, policy=SYNC, plan=plan, eta_g=1.0, eta_l=0.5, k_steps=1,
+        fleet=fleet, policy=SYNC, d=d, eta_g=1.0, eta_l=0.5, k_steps=1,
         full_gradient=True, rounds=10, theta0=np.full(fleet.dim, 5.0),
     )
     defaults.update(kwargs)
@@ -75,10 +75,10 @@ class TestTimeBudget:
     def test_async_round_count_matches_completions(self):
         taus = [1, 2, 5]
         fleet = quadratic_fleet([[0.0], [1.0], [2.0]], taus=taus)
-        plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, taus, ASYNC)
+        d = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, taus, ASYNC)
         budget = 17.0
         cfg = RunConfig(
-            fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.1, full_gradient=True,
+            fleet=fleet, policy=ASYNC, d=d, eta_l=0.1, full_gradient=True,
             time_budget=budget,
         )
         traj = run(cfg)
@@ -88,8 +88,8 @@ class TestTimeBudget:
 
     def test_wall_time_accumulates_round_durations(self):
         fleet = quadratic_fleet([[0.0], [2.0]], taus=[2, 3])
-        plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [2, 3], ASYNC)
-        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.1,
+        d = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [2, 3], ASYNC)
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, d=d, eta_l=0.1,
                         full_gradient=True, time_budget=12.0)
         traj = run(cfg)
         deltas = [float(out.delta_t) for out in traj.rounds]
@@ -104,16 +104,16 @@ class TestPolicyEquivalences:
         table = GlmObjective([x, x + 0.1], [y, y], "logistic", 4)
         fleet = Fleet(table, [1, 3], [0.5, 0.5])
 
-        sync_plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, [1, 3], SYNC)
+        sync_d = plan_weights(WeightScheme.FEDAVG, fleet.importances, [1, 3], SYNC)
         fedfix = WaitPolicy(PolicyKind.FEDFIX, delta_t=3)
-        fix_plan = plan_weights(
+        fix_d = plan_weights(
             WeightScheme.FEDFIX_TIME_BASED, fleet.importances, [1, 3], fedfix
         )
-        assert fix_plan.d.tolist() == sync_plan.d.tolist()
+        assert fix_d.tolist() == sync_d.tolist()
 
         shared = dict(fleet=fleet, eta_l=0.3, k_steps=2, rounds=12, seeds=Seeds(0, 7, 2))
-        sync_traj = run(RunConfig(policy=SYNC, plan=sync_plan, **shared))
-        fix_traj = run(RunConfig(policy=fedfix, plan=fix_plan, **shared))
+        sync_traj = run(RunConfig(policy=SYNC, d=sync_d, **shared))
+        fix_traj = run(RunConfig(policy=fedfix, d=fix_d, **shared))
         assert np.array_equal(sync_traj.theta, fix_traj.theta)
 
 
@@ -150,9 +150,9 @@ class TestEnsembles:
     def test_uniform_sampling_mean_tracks_the_vectorized_simulator(self):
         fleet = quadratic_fleet([[0.0], [2.0]])
         policy = WaitPolicy(PolicyKind.SAMPLE_UNIFORM, m=1)
-        plan = plan_weights(WeightScheme.IDENTICAL, fleet.importances, [1, 1], policy)
+        d = plan_weights(WeightScheme.IDENTICAL, fleet.importances, [1, 1], policy)
         cfg = RunConfig(
-            fleet=fleet, policy=policy, plan=plan, eta_l=0.5, k_steps=1,
+            fleet=fleet, policy=policy, d=d, eta_l=0.5, k_steps=1,
             full_gradient=True, rounds=10, theta0=np.array([1.0]),
         )
         mean_theta, se_theta = _member_statistics(cfg, 400)
@@ -201,9 +201,9 @@ class TestScalarEnsemble:
 
     def test_async_exponential_agrees_with_the_general_engine(self):
         fleet = quadratic_fleet([[0.0], [2.0]], taus=[1.0, 1.0])
-        plan = plan_weights(WeightScheme.IDENTICAL, fleet.importances, [1.0, 1.0])
+        d = plan_weights(WeightScheme.IDENTICAL, fleet.importances, [1.0, 1.0])
         cfg = RunConfig(
-            fleet=fleet, policy=ASYNC, plan=plan, hw=HardwareModel("exponential"),
+            fleet=fleet, policy=ASYNC, d=d, hw=HardwareModel("exponential"),
             eta_l=0.5, k_steps=1, full_gradient=True, rounds=8, theta0=np.array([0.0]),
         )
         mean_theta, se_theta = _member_statistics(cfg, 500)
@@ -344,12 +344,12 @@ def _participants(scheme, m_clients, m):
 class TestGuards:
     def test_staleness_cap_enforced(self):
         fleet = quadratic_fleet([[0.0], [2.0]], taus=[1, 2])
-        plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2], ASYNC)
-        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.1,
+        d = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2], ASYNC)
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, d=d, eta_l=0.1,
                         full_gradient=True, rounds=12, tau_max=1)
         with pytest.raises(StalenessCapError):
             run(cfg)
-        relaxed = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.1,
+        relaxed = RunConfig(fleet=fleet, policy=ASYNC, d=d, eta_l=0.1,
                             full_gradient=True, rounds=12, tau_max=2)
         assert run(relaxed).n_rounds == 12
 
@@ -363,16 +363,16 @@ class TestGuards:
     def test_never_served_clients_are_counted(self):
         fleet = quadratic_fleet([[0.0], [1.0], [2.0]], taus=[1, 2, 3])
         policy = WaitPolicy(PolicyKind.SAMPLE_BIASED, m=1, criterion="fastest")
-        plan = plan_weights(WeightScheme.IDENTICAL, fleet.importances, [1, 2, 3], policy)
-        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.1,
+        d = plan_weights(WeightScheme.IDENTICAL, fleet.importances, [1, 2, 3], policy)
+        cfg = RunConfig(fleet=fleet, policy=policy, d=d, eta_l=0.1,
                         full_gradient=True, rounds=6)
         assert run(cfg).never_served == 2
 
     def test_two_horizons_rejected(self):
         fleet = quadratic_fleet([[0.0], [2.0]])
-        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, [1, 1])
+        d = plan_weights(WeightScheme.FEDAVG, fleet.importances, [1, 1])
         with pytest.raises(ConfigurationError):
-            RunConfig(fleet=fleet, policy=SYNC, plan=plan, rounds=5, time_budget=3.0)
+            RunConfig(fleet=fleet, policy=SYNC, d=d, rounds=5, time_budget=3.0)
 
 
 class TestMetricsAndCsv:
@@ -396,8 +396,8 @@ class TestMetricsAndCsv:
 
     def test_csv_bytes_match_the_reference_writer(self, tmp_path):
         fleet = quadratic_fleet([[0.0], [2.0], [-3.0]], taus=[1, 2, 3], noise_std=0.3)
-        plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2, 3], ASYNC)
-        normal = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.3, rounds=40,
+        d = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2, 3], ASYNC)
+        normal = RunConfig(fleet=fleet, policy=ASYNC, d=d, eta_l=0.3, rounds=40,
                            theta0=np.array([4.0]))
         diverged = sync_config(fleet, eta_l=5.0, rounds=50)
         thinned = replace(normal, rounds=41, metric_cadence=3)
@@ -447,9 +447,9 @@ class TestMetricsAndCsv:
         optima = rng.standard_normal((n_clients, 1)) * 10.0 ** rng.uniform(-5, 5, (n_clients, 1))
         taus = rng.integers(1, 6, n_clients).tolist()
         fleet = quadratic_fleet(optima.tolist(), taus=taus)
-        plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, taus, ASYNC)
+        d = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, taus, ASYNC)
         # client 0 starts at its optimum, so its first loss cell is exactly 0
-        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.3, rounds=30,
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, d=d, eta_l=0.3, rounds=30,
                         theta0=optima[0].copy())
         for name, config in [("every", cfg), ("thinned", replace(cfg, metric_cadence=4))]:
             traj = run(config)
@@ -475,8 +475,8 @@ class TestMetricsAndCsv:
         # 59 cells a row, so 138 rows an encoder block
         rng = np.random.default_rng(6)
         fleet = quadratic_fleet(rng.normal(0.0, 3.0, (53, 1)).tolist(), taus=rng.integers(1, 6, 53).tolist())
-        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
-        traj = run(RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.3, rounds=500))
+        d = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+        traj = run(RunConfig(fleet=fleet, policy=policy, d=d, eta_l=0.3, rounds=500))
         metrics = trajectory_metrics(traj)
         masks = metrics.participant_mask
         assert max(masks[:-1]) >= 2**52 if policy is ASYNC else 0 in masks
@@ -506,21 +506,21 @@ class TestMetricsAndCsv:
         x = rng.standard_normal((3, 40, 3))
         shards = GlmObjective(x, (rng.random((3, 40)) < 0.5).astype(float), batch_size=2)
         fleet = Fleet(shards, [1, 2, 3], [1 / 3] * 3)
-        plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2, 3], ASYNC)
-        traj = run(RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.2, rounds=30,
+        d = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2, 3], ASYNC)
+        traj = run(RunConfig(fleet=fleet, policy=ASYNC, d=d, eta_l=0.2, rounds=30,
                              metric_cadence=4))
         metrics = trajectory_metrics(traj)
         for n, client_losses, loss_fed in zip(metrics.round.tolist(), metrics.client_losses,
                                               metrics.loss_fed.tolist()):
             theta = traj.theta[n]
-            want = [_logistic_reference(shards.row(i), theta) for i in range(3)]
+            want = [_logistic_reference(table_row(shards, i), theta) for i in range(3)]
             np.testing.assert_allclose(client_losses, want, rtol=1e-12, atol=0)
             assert loss_fed == pytest.approx(sum(want) / 3, rel=1e-12)
 
     def test_realized_weights_match_participants(self):
         fleet = quadratic_fleet([[0.0], [2.0]], taus=[1, 2])
-        plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2], ASYNC)
-        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.1,
+        d = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2], ASYNC)
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, d=d, eta_l=0.1,
                         full_gradient=True, rounds=6)
         traj = run(cfg)
         matrix = traj.weight_matrix()
@@ -543,15 +543,15 @@ class TestMetricsAndCsv:
 
     def test_local_work_from_the_anchors_reconstructs_the_aggregation(self):
         fleet = quadratic_fleet([[0.0], [2.0]], taus=[1, 2])
-        plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2], ASYNC)
-        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_g=0.8, eta_l=0.2,
+        d = plan_weights(WeightScheme.ASYNC_TIME_BASED, fleet.importances, [1, 2], ASYNC)
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, d=d, eta_g=0.8, eta_l=0.2,
                         full_gradient=True, rounds=8)
         traj = run(cfg)
         for n, outcome in enumerate(traj.rounds):
             total = np.zeros(1)
             for client, anchor in zip(outcome.clients.tolist(), outcome.anchors.tolist()):
                 assert anchor <= n
-                total += plan.d[client] * _delivered_delta(fleet.table.row(client), traj.theta[anchor], cfg)
+                total += d[client] * _delivered_delta(table_row(fleet.table, client), traj.theta[anchor], cfg)
             assert np.allclose(traj.theta[n] + 0.8 * total, traj.theta[n + 1], atol=1e-15)
 
 
@@ -569,8 +569,8 @@ class TestMetricBlocks:
         monkeypatch.setattr(engine, "BLOCK_CELLS", 20 * 6)
         monkeypatch.setattr(engine, "_METRIC_CELLS", 8 * 20 * 6)
         assert shards.row_chunk == 64 and engine._block_rows(fleet) == 192
-        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, ASYNC)
-        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.2, rounds=450)
+        d = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, ASYNC)
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, d=d, eta_l=0.2, rounds=450)
         traj = run(cfg)
         metrics = trajectory_metrics(traj)
         # one evaluation of every kept row, and its federated loss as a
@@ -597,8 +597,8 @@ class TestMetricBlocks:
         monkeypatch.setattr(engine, "_METRIC_CELLS", 3 * 150)
         assert engine._block_rows(fleet) == 3 * (150 // n_clients)
         for policy in (ASYNC, WaitPolicy(PolicyKind.FEDFIX, delta_t=0.3)):
-            plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
-            cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.3, rounds=181, metric_cadence=3)
+            d = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+            cfg = RunConfig(fleet=fleet, policy=policy, d=d, eta_l=0.3, rounds=181, metric_cadence=3)
             traj = run(cfg)
             got, want = tmp_path / "got.csv", tmp_path / "want.csv"
             write_trajectory_csv(traj, got)
@@ -629,8 +629,8 @@ class TestMetricBlocks:
         n_clients = 500
         fleet = quadratic_fleet([[(13 * i % 17 - 8) / 4] for i in range(n_clients)],
                                 taus=[1 + (7 * i % 40) / 10 for i in range(n_clients)])
-        plan = plan_weights(WeightScheme.IDENTICAL, fleet.importances, fleet.compute_times, ASYNC)
-        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, hw=HardwareModel("exponential"), eta_l=0.01,
+        d = plan_weights(WeightScheme.IDENTICAL, fleet.importances, fleet.compute_times, ASYNC)
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, d=d, hw=HardwareModel("exponential"), eta_l=0.01,
                         full_gradient=True, rounds=20, theta0=np.array([4.0]))
         write_trajectory_csv(run(cfg), tmp_path / "warm.csv")  # numpy's first-call allocations stay untraced
 
@@ -674,8 +674,8 @@ class TestLocalWorkTiming:
 
         monkeypatch.setattr(engine, "local_sgd", recording)
         fleet = self._overflow_fleet(slow_tau=100)
-        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, ASYNC)
-        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.1, k_steps=3, full_gradient=True,
+        d = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, ASYNC)
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, d=d, eta_l=0.1, k_steps=3, full_gradient=True,
                         rounds=40, theta0=np.array([1.0]))
         traj = run(cfg)
         # client 1's run was computed with client 0's first one, at round 0,
@@ -699,8 +699,8 @@ class TestLocalWorkTiming:
             quadratics = QuadraticObjective.from_optima([[1.0, -1.0], [0.5, 2.0], [-1.5, 0.0], [2.0, 1.0], [0.0, 3.0]])
             table = QuadraticObjective(quadratics.a, quadratics.b, quadratics.c, [0.7, 0.0, 0.7, 0.0, 0.3])
         fleet = Fleet(table, [1, 2, 3, 1.5, 2.5], [0.2] * 5)
-        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
-        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.1, k_steps=3, rounds=60)
+        d = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+        cfg = RunConfig(fleet=fleet, policy=policy, d=d, eta_l=0.1, k_steps=3, rounds=60)
         seeds = [Seeds((0, j), (1, j), (2, j)) for j in range(3)]
         stacked = run_members(with_seeds(cfg, seeds))
         sizes = []
@@ -726,9 +726,9 @@ class TestLocalWorkTiming:
             fleet = Fleet(shards, [1, 2, 3, 1], [0.25] * 4)
         else:
             fleet = quadratic_fleet([[-2.0], [1.0], [3.0], [0.5], [4.0]], taus=[1, 2, 3, 1, 5], noise_std=0.7)
-        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+        d = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
         seeds = Seeds((0, 3), (1, 3), (2, 3))
-        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, hw=HardwareModel("exponential"), eta_g=0.9,
+        cfg = RunConfig(fleet=fleet, policy=policy, d=d, hw=HardwareModel("exponential"), eta_g=0.9,
                         eta_l=0.05, k_steps=3, rounds=150, seeds=seeds, theta0=np.full(fleet.dim, 2.0))
         traj = run(cfg)
         # asynchronous runs overlap; sampled clients train only when drawn
@@ -742,7 +742,7 @@ def _member_source(config, seeds, i):
     a batch stream or noise generator keyed (batching seed, client id)."""
     batching = seeds.batching
     rng = np.random.default_rng(([batching] if isinstance(batching, int) else list(batching)) + [i])
-    obj = config.fleet.table.row(i)
+    obj = table_row(config.fleet.table, i)
     if isinstance(obj, GlmObjective):
         return BatchStream(obj.n_samples, config.batch_size or obj.batch_size, rng)
     return rng
@@ -751,7 +751,7 @@ def _member_source(config, seeds, i):
 def _per_delivery_models(config, seeds, rounds):
     """The models of ``rounds`` with each run computed at its delivery from
     the member's own sources: the per-member reference path."""
-    fleet, d = config.fleet, config.plan.d
+    fleet, d = config.fleet, config.d
     sources = [None if config.full_gradient else _member_source(config, seeds, i) for i in range(len(fleet))]
     models = [config.resolved_theta0()]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -759,7 +759,7 @@ def _per_delivery_models(config, seeds, rounds):
             total = np.zeros(fleet.dim)
             for i, mult, anchor in zip(outcome.clients.tolist(), outcome.multiplicity.tolist(),
                                        outcome.anchors.tolist()):
-                total += (mult * d[i]) * _delivered_delta(fleet.table.row(i), models[anchor], config, sources[i])
+                total += (mult * d[i]) * _delivered_delta(table_row(fleet.table, i), models[anchor], config, sources[i])
             models.append(models[-1] + config.eta_g * total)
     return np.asarray(models)
 
@@ -790,8 +790,8 @@ def _draw_table_fleet(case):
         if case == "time_horizon":
             policy, hw = WaitPolicy(PolicyKind.FEDBUFF, m=2), "exponential"
             extra = dict(k_steps=k_steps, time_budget=17.3)
-    plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
-    return RunConfig(fleet=fleet, policy=policy, plan=plan, hw=HardwareModel(hw), eta_g=0.9, eta_l=0.05,
+    d = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+    return RunConfig(fleet=fleet, policy=policy, d=d, hw=HardwareModel(hw), eta_g=0.9, eta_l=0.05,
                      theta0=np.full(fleet.dim, 1.5), **extra)
 
 
@@ -838,8 +838,8 @@ class TestDrawTables:
             for p, i in enumerate(rows.tolist()):
                 for r, member in enumerate(seeds):
                     source = sources.setdefault((i, r), _member_source(cfg, member, i))
-                    one = local_sgd(table.row(i), [0], starts[p, r][None, None], cfg.k_steps, cfg.eta_l,
-                                    reference_draws(table.row(i), [0], cfg.k_steps, [[source]]))
+                    one = local_sgd(table_row(table, i), [0], starts[p, r][None, None], cfg.k_steps, cfg.eta_l,
+                                    reference_draws(table_row(table, i), [0], cfg.k_steps, [[source]]))
                     assert bits(out.path[:, p, r]) == bits(one.path[:, 0, 0]), (case, p, r)
                     assert bits(out.delta[p, r]) == bits(one.delta[0, 0]), (case, p, r)
                     step = -1 if out.overflow_step is None else int(out.overflow_step[p, r])
@@ -941,7 +941,7 @@ def _reference_run_group(config, member_seeds):
     the model and checks divergence on its own. Returns the recorded
     models, the round times, the rounds and the per-member divergence."""
     fleet, policy, hw, lead = config.fleet, config.policy, config.hw, member_seeds[0]
-    d, taus = config.plan.d, list(fleet.compute_times)
+    d, taus = config.d, list(fleet.compute_times)
     hw_rng = np.random.default_rng(lead.hardware) if hw.mode == "exponential" else None
     sample_rng = np.random.default_rng(lead.sampling)
     work = engine._LocalWork(with_seeds(config, member_seeds))
@@ -1059,8 +1059,8 @@ class TestSegmentAggregation:
     @pytest.mark.parametrize("policy", _POLICIES, ids=lambda p: p.criterion or p.kind.value)
     def test_matches_the_per_round_loop(self, monkeypatch, policy, hw, family, n_members):
         fleet = _segment_fleet(family)
-        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
-        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, hw=HardwareModel(hw), eta_g=0.9, eta_l=0.05,
+        d = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+        cfg = RunConfig(fleet=fleet, policy=policy, d=d, hw=HardwareModel(hw), eta_g=0.9, eta_l=0.05,
                         k_steps=2, full_gradient=family == "quadratic", rounds=40,
                         theta0=np.full(fleet.dim, 2.0))
         _segmented_run(monkeypatch, cfg, _MEMBERS[:n_members])
@@ -1071,8 +1071,8 @@ class TestSegmentAggregation:
                              ids=lambda p: p.kind.value)
     def test_time_horizon_and_metric_cadence(self, monkeypatch, policy, hw, family):
         fleet = _segment_fleet(family)
-        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
-        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, hw=HardwareModel(hw), eta_l=0.1, k_steps=2,
+        d = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+        cfg = RunConfig(fleet=fleet, policy=policy, d=d, hw=HardwareModel(hw), eta_l=0.1, k_steps=2,
                         time_budget=23.5, metric_cadence=3, seeds=_MEMBERS[2])
         group, _, _ = _segmented_run(monkeypatch, cfg, [cfg.seeds])
         traj = run(cfg)
@@ -1097,8 +1097,8 @@ class TestSegmentAggregation:
             monkeypatch.setattr(engine, "merged_schedule", lambda *args, **kwargs: None)
             monkeypatch.setattr(engine, "_FIRST_REPLAY_BLOCK", 4)
         fleet = quadratic_fleet([[0.0], [1.0], [2.0], [3.0]], taus=[1, 1, 1, 5])
-        plan = plan_weights(WeightScheme.IDENTICAL, fleet.importances, fleet.compute_times, ASYNC)
-        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_g=500.0, eta_l=0.5, full_gradient=True,
+        d = plan_weights(WeightScheme.IDENTICAL, fleet.importances, fleet.compute_times, ASYNC)
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, d=d, eta_g=500.0, eta_l=0.5, full_gradient=True,
                         rounds=30, theta0=np.array([1.0]), tau_max=14)
         group, passes, segments = _segmented_run(monkeypatch, cfg, [cfg.seeds])
         assert group.divergence == [(13, "threshold")] and passes[-1] == 12 and segments[-1] == (12, 15)
@@ -1130,8 +1130,8 @@ class TestSegmentAggregation:
     def test_threshold_divergence_of_one_member_and_of_all_members_mid_segment(self, monkeypatch):
         # a member diverges when its noise draw carries the model past the threshold
         fleet = self._noisy_fleet(5e12)
-        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, ASYNC)
-        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.5, rounds=400)
+        d = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, ASYNC)
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, d=d, eta_l=0.5, rounds=400)
         self._assert_members_die_one_by_one_mid_segment(monkeypatch, cfg, "threshold")
 
     def test_overflow_of_one_member_and_of_all_members_mid_segment(self, monkeypatch):
@@ -1139,8 +1139,8 @@ class TestSegmentAggregation:
         # zero weight leaves a finite run without effect, so only the members
         # whose runs overflowed diverge
         fleet = self._noisy_fleet(1e308)
-        plan = WeightPlan(WeightScheme.CUSTOM, np.array([0.25, 0.25, 0.25, 0.25, 0.0]))
-        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=1.0, rounds=400)
+        d = np.array([0.25, 0.25, 0.25, 0.25, 0.0])
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, d=d, eta_l=1.0, rounds=400)
         self._assert_members_die_one_by_one_mid_segment(monkeypatch, cfg, "overflow")
 
     def test_overflow_behind_rounds_of_other_sizes_in_one_segment(self, monkeypatch):
@@ -1151,8 +1151,8 @@ class TestSegmentAggregation:
         table = QuadraticObjective.from_optima([0.0, 2.0])
         fleet = Fleet(QuadraticObjective(table.a, table.b, table.c, [1e308, 0.5]), [1, 0.7], [0.5, 0.5])
         policy = WaitPolicy(PolicyKind.FEDFIX, delta_t=0.3)
-        plan = WeightPlan(WeightScheme.CUSTOM, np.array([0.0, 1.0]))
-        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.3, rounds=30, theta0=np.array([5.0]))
+        d = np.array([0.0, 1.0])
+        cfg = RunConfig(fleet=fleet, policy=policy, d=d, eta_l=0.3, rounds=30, theta0=np.array([5.0]))
         members = [Seeds((0, j), (1, j), (2, j)) for j in range(8)]
         group, _, segments = _segmented_run(monkeypatch, cfg, members)
         deaths = [n for n, cause in filter(None, group.divergence) if cause == "overflow"]
@@ -1216,8 +1216,8 @@ class TestMergedLoop:
     @pytest.mark.parametrize("policy", _POLICIES, ids=lambda p: p.criterion or p.kind.value)
     def test_matches_the_per_round_loop(self, monkeypatch, tmp_path, policy, hw, family):
         fleet = _segment_fleet(family)
-        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
-        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, hw=HardwareModel(hw), eta_g=0.9, eta_l=0.05,
+        d = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+        cfg = RunConfig(fleet=fleet, policy=policy, d=d, hw=HardwareModel(hw), eta_g=0.9, eta_l=0.05,
                         k_steps=2, full_gradient=family == "quadratic", rounds=40, metric_cadence=3,
                         theta0=np.full(fleet.dim, 2.0))
         # a budget of some 20 rounds or more
@@ -1245,8 +1245,8 @@ class TestMergedLoop:
         # 1) or 7 (FedFix, client 3); at eta_g = 1e5 the member diverges at
         # round 5, and the rounds before the stale one are all kept
         fleet = quadratic_fleet([[0.0], [1.0], [2.0], [3.0]], taus=[1, 1.5, 1, 5])
-        plan = plan_weights(WeightScheme.IDENTICAL, fleet.importances, fleet.compute_times, policy)
-        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.5, full_gradient=True, rounds=60,
+        d = plan_weights(WeightScheme.IDENTICAL, fleet.importances, fleet.compute_times, policy)
+        cfg = RunConfig(fleet=fleet, policy=policy, d=d, eta_l=0.5, full_gradient=True, rounds=60,
                         theta0=np.array([5.0]), tau_max=2)
         raised = []
         for merge in (True, False):
@@ -1264,8 +1264,8 @@ class TestMergedLoop:
         # the member diverges at round 4 of a time budget of some 800,000
         # rounds, inside the replay's first block of 16 rounds
         fleet = quadratic_fleet([[float(i)] for i in range(10)], taus=[1 + 0.5 * i for i in range(10)])
-        plan = plan_weights(WeightScheme.IDENTICAL, fleet.importances, fleet.compute_times, ASYNC)
-        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, hw=HardwareModel("exponential"), eta_g=1e5,
+        d = plan_weights(WeightScheme.IDENTICAL, fleet.importances, fleet.compute_times, ASYNC)
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, d=d, hw=HardwareModel("exponential"), eta_g=1e5,
                         eta_l=0.5, full_gradient=True, time_budget=2e5, theta0=np.array([5.0]))
         got, calls = _counted_run(monkeypatch, cfg)
         assert got.divergence_round == 4 and got.n_rounds == 5
@@ -1276,8 +1276,8 @@ class TestMergedLoop:
         # needs a pass for client 1's run; round 8 serves nobody
         fleet = quadratic_fleet([[0.0], [2.0]], taus=[4, 2], noise_std=0.5)
         policy = WaitPolicy(PolicyKind.FEDFIX, delta_t=1)
-        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
-        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.2, rounds=9, theta0=np.array([3.0]))
+        d = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+        cfg = RunConfig(fleet=fleet, policy=policy, d=d, eta_l=0.2, rounds=9, theta0=np.array([3.0]))
         got, calls = _counted_run(monkeypatch, cfg)
         want, _ = _counted_run(monkeypatch, cfg, merge=False)
         assert calls == 0 and got.rounds[7].anchors.tolist() == [4, 6] and got.rounds[8].clients.size == 0
@@ -1285,8 +1285,8 @@ class TestMergedLoop:
 
     def test_ticks_beyond_int64_take_the_per_round_loop(self, monkeypatch, tmp_path):
         fleet = quadratic_fleet([[0.0], [1.0], [3.0]], taus=[2**70, 3 * 2**70, 2**71])
-        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, ASYNC)
-        cfg = RunConfig(fleet=fleet, policy=ASYNC, plan=plan, eta_l=0.3, full_gradient=True, rounds=30)
+        d = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, ASYNC)
+        cfg = RunConfig(fleet=fleet, policy=ASYNC, d=d, eta_l=0.3, full_gradient=True, rounds=30)
         got, calls = _counted_run(monkeypatch, cfg)
         small, _ = _counted_run(monkeypatch, replace(cfg, fleet=quadratic_fleet([[0.0], [1.0], [3.0]],
                                                                                  taus=[2, 6, 4])))
@@ -1307,10 +1307,9 @@ class TestRoundBookkeeping:
     def test_masks_surrogates_and_weights_match_a_participant_loop(self, policy):
         fleet = quadratic_fleet([[0.0], [1.0], [-2.0], [3.5], [0.25]], taus=[1, 2, 1.5, 3, 0.5],
                                 importances=[0.1, 0.3, 0.2, 0.25, 0.15], noise_std=0.3)
-        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
-        traj = run(RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.2, rounds=90,
+        d = plan_weights(WeightScheme.FEDAVG, fleet.importances, fleet.compute_times, policy)
+        traj = run(RunConfig(fleet=fleet, policy=policy, d=d, eta_l=0.2, rounds=90,
                              metric_cadence=2, theta0=np.array([4.0])))
-        d = plan.d.tolist()
         weights = traj.weight_matrix()
         assert weights.shape == (90, 5)
         for n, outcome in enumerate(traj.rounds):
@@ -1339,8 +1338,8 @@ class TestMorePolicies:
     def test_buffered_policy_applies_stale_contributions(self):
         fleet = quadratic_fleet([[0.0], [1.0], [2.0]], taus=[1, 2, 3])
         policy = WaitPolicy(PolicyKind.FEDBUFF, m=2)
-        plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, [1, 2, 3], policy)
-        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.2,
+        d = plan_weights(WeightScheme.FEDAVG, fleet.importances, [1, 2, 3], policy)
+        cfg = RunConfig(fleet=fleet, policy=policy, d=d, eta_l=0.2,
                         full_gradient=True, rounds=8)
         traj = run(cfg)
         staleness = [s for out in traj.rounds for s in out.staleness.tolist()]
@@ -1354,10 +1353,10 @@ class TestMorePolicies:
         monkeypatch.setattr(QuadraticObjective, "value", refuse)
         fleet = quadratic_fleet([[0.0], [10.0]], taus=[1, 1])
         policy = WaitPolicy(PolicyKind.SAMPLE_BIASED, m=1, criterion="highest_loss")
-        plan = plan_weights(WeightScheme.IDENTICAL, fleet.importances, [1, 1], policy)
+        d = plan_weights(WeightScheme.IDENTICAL, fleet.importances, [1, 1], policy)
         # small steps keep the model on client 0's side of the midpoint, so
         # the distant client always has the larger loss and is always picked
-        cfg = RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.1,
+        cfg = RunConfig(fleet=fleet, policy=policy, d=d, eta_l=0.1,
                         full_gradient=True, rounds=5, theta0=np.array([0.0]))
         traj = run(cfg)
         assert all(out.clients.tolist() == [1] for out in traj.rounds)

@@ -33,8 +33,8 @@ TAUS = [1.09, 2, 3.5, 1]
 
 
 def _config(fleet, policy, scheme=WeightScheme.IDENTICAL, **kwargs):
-    plan = plan_weights(scheme, fleet.importances, fleet.compute_times, policy)
-    settings = dict(fleet=fleet, policy=policy, plan=plan, eta_l=0.05, k_steps=3,
+    d = plan_weights(scheme, fleet.importances, fleet.compute_times, policy)
+    settings = dict(fleet=fleet, policy=policy, d=d, eta_l=0.05, k_steps=3,
                     time_budget=25.0, theta0=np.full(fleet.dim, 2.0))
     settings.update(kwargs)
     return RunConfig(**settings)
@@ -54,8 +54,8 @@ def _threshold_config():
     # stable on average but noisy enough that some members pass the
     # divergence threshold partway through and others never do
     fleet = quadratic_fleet([[0.0], [2.0]], noise_std=1e11)
-    plan = plan_weights(WeightScheme.FEDAVG, fleet.importances, [1, 1], SYNC)
-    return RunConfig(fleet=fleet, policy=SYNC, plan=plan, eta_l=1.9, rounds=40, theta0=np.array([5.0]))
+    d = plan_weights(WeightScheme.FEDAVG, fleet.importances, [1, 1], SYNC)
+    return RunConfig(fleet=fleet, policy=SYNC, d=d, eta_l=1.9, rounds=40, theta0=np.array([5.0]))
 
 
 def _overflow_config(policy=SYNC, taus=(1, 1), rounds=12):
@@ -65,8 +65,8 @@ def _overflow_config(policy=SYNC, taus=(1, 1), rounds=12):
     optima = QuadraticObjective.from_optima([0.0, 2.0])
     table = QuadraticObjective(optima.a, optima.b, optima.c, [1e308, 0.5])
     fleet = Fleet(table, list(taus), [0.5, 0.5])
-    plan = plan_weights(WeightScheme.CUSTOM, fleet.importances, fleet.compute_times, policy, custom_d=[0.0, 1.0])
-    return RunConfig(fleet=fleet, policy=policy, plan=plan, eta_l=0.3, rounds=rounds, theta0=np.array([5.0]))
+    d = plan_weights(WeightScheme.CUSTOM, fleet.importances, fleet.compute_times, policy, custom_d=[0.0, 1.0])
+    return RunConfig(fleet=fleet, policy=policy, d=d, eta_l=0.3, rounds=rounds, theta0=np.array([5.0]))
 
 
 CASES = {

@@ -119,19 +119,19 @@ class TestExpectationRecursion:
 
     def test_async_fedavg_mean_matches_the_engine(self):
         # fedavg weights d_i = 1/2 halve the step of identical weights; the
-        # recursion reads them from the plan, and the engine runs them
+        # recursion reads them from the run config, and the engine runs them
         from asyncfed.cli import _oracle_state_for
         from asyncfed.config import build_experiment, load_config
 
         document = load_config(SHIPPED)
         document["scheme"]["weights"] = "fedavg"
-        experiment = build_experiment(document)
-        state = _oracle_state_for(experiment)
+        cfg = build_experiment(document)
+        state = _oracle_state_for(cfg)
         assert state.steps.tolist() == [0.25, 0.25]
         oracle_mean = expectation_recursion(state, 20)
         n_members = 1000
         members = run_members([
-            replace(experiment.run_config, seeds=Seeds((0, s), (1, s), (2, s))) for s in range(n_members)
+            replace(cfg, seeds=Seeds((0, s), (1, s), (2, s))) for s in range(n_members)
         ])
         stack = np.stack([m.theta[:, 0] for m in members])
         mean, se = stack.mean(axis=0), stack.std(axis=0, ddof=1) / math.sqrt(n_members)
@@ -232,9 +232,9 @@ class TestExactReference:
         from asyncfed.cli import _oracle_state_for
         from asyncfed.config import build_experiment, load_config
 
-        experiment = build_experiment(load_config(SHIPPED))
-        state = _oracle_state_for(experiment)
-        assert state.optima == tuple(experiment.fleet.table.optima[:, 0].tolist())
+        cfg = build_experiment(load_config(SHIPPED))
+        state = _oracle_state_for(cfg)
+        assert state.optima == tuple(cfg.fleet.table.optima[:, 0].tolist())
         exact_mean, exact_second = _exact_async_moments(state.optima, state.steps.tolist(), state.theta0, 20)
         assert exact_mean[5] == Fraction(603, 512) and float(exact_mean[5]) == 1.177734375
         assert float(exact_mean[20]) == 1.0008179847336578
@@ -365,10 +365,10 @@ class TestOracleCsvExport:
         from asyncfed.config import build_experiment, load_config
         from asyncfed.oracle import export_oracle_csv
 
-        experiment = build_experiment(load_config(SHIPPED))
-        state = _oracle_state_for(experiment)
+        cfg = build_experiment(load_config(SHIPPED))
+        state = _oracle_state_for(cfg)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        round_time = _oracle_round_time(experiment, state)
+        round_time = _oracle_round_time(cfg, state)
         export_oracle_csv(state, *_sequences(state, n_rounds), round_time, got)
         _reference_oracle_csv(state, n_rounds, want)
         assert got.read_bytes() == want.read_bytes()

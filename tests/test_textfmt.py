@@ -182,6 +182,23 @@ class TestSplitPathBoundaries:
                                    "%.17g" % float(n) ** 2] + ["%.17g" % v for v in row]))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
+    @pytest.mark.parametrize("n_clients", [3, 70])  # rows encoded whole, rows that splice their masks in
+    def test_an_empty_block_writes_no_rows(self, tmp_path, n_clients):
+        rng = np.random.default_rng(n_clients)
+        rounds = np.arange(9)
+        masks = [None if n == 8 else n + 1 for n in range(9)]
+        metrics = Metrics(rounds, rounds * 0.5, masks, rounds / 3.0, np.where(rounds == 8, np.nan, 0.25),
+                          rounds ** 2.0, rng.standard_normal((9, n_clients)))
+        blocks = [metrics.rows(0, 4), metrics.rows(4, 9)]
+        want = tmp_path / "want.csv"
+        write_trajectory_table(want, n_clients, blocks)
+        for at in range(len(blocks) + 1):
+            got = tmp_path / f"empty_at_{at}.csv"
+            write_trajectory_table(got, n_clients, [*blocks[:at], metrics.rows(0, 0), *blocks[at:]])
+            assert got.read_bytes() == want.read_bytes(), at
+        write_trajectory_table(got, n_clients, [metrics.rows(9, 9)])
+        assert got.read_bytes() == (",".join(trajectory_header(n_clients)) + "\n").encode("ascii")
+
 
 class TestRows:
     @pytest.mark.parametrize("n_cols", [1, 3, 500, BLOCK_CELLS - 1, BLOCK_CELLS + 1])

@@ -173,6 +173,22 @@ class TestSampling:
         assert sample_rng.bit_generator.state == ref_sample.bit_generator.state
         assert hw_rng.bit_generator.state == ref_hw.bit_generator.state
 
+    def test_multinomial_sampling_reads_importances_changed_in_place(self):
+        # one importance array, rewritten between rounds: each round draws
+        # from the probabilities the array holds when it is played
+        policy = WaitPolicy(PolicyKind.SAMPLE_MD, m=2)
+        rng = np.random.default_rng(3)
+        state = init_fleet_state([1, 1, 1], FIXED)
+        importances = np.array([1.0, 0.0, 0.0])
+        assert advance_round(state, policy, [1, 1, 1], FIXED, sample_rng=rng, importances=importances) \
+            .clients.tolist() == [0]
+        importances[:] = [0.0, 0.0, 1.0]
+        assert advance_round(state, policy, [1, 1, 1], FIXED, sample_rng=rng, importances=importances) \
+            .clients.tolist() == [2]
+        importances[:] = [0.5, 0.6, -0.1]
+        with pytest.raises(ConfigurationError, match="probability per client"):
+            advance_round(state, policy, [1, 1, 1], FIXED, sample_rng=rng, importances=importances)
+
     @pytest.mark.parametrize("importances", [[0.5, 0.6], [1.5, -0.5], [1.0]])
     def test_multinomial_sampling_rejects_bad_probabilities(self, importances):
         state = init_fleet_state([1, 1], FIXED)

@@ -28,30 +28,30 @@ def realized_weights(taus, policy, d, n_rounds):
     """Per-round expected weights of a deterministic schedule: the realized
     weights of an engine run with per-client weights ``d``."""
     fleet = quadratic_fleet([[0.0]] * len(taus), taus=taus)
-    plan = plan_weights(WeightScheme.CUSTOM, fleet.importances, taus, policy, custom_d=d)
-    config = RunConfig(fleet=fleet, policy=policy, plan=plan, full_gradient=True, rounds=n_rounds)
+    d = plan_weights(WeightScheme.CUSTOM, fleet.importances, taus, policy, custom_d=d)
+    config = RunConfig(fleet=fleet, policy=policy, d=d, full_gradient=True, rounds=n_rounds)
     return run(config).weight_matrix()
 
 
 class TestPlanWeights:
     def test_async_time_based_close_form(self):
-        plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, [0.5, 0.5], [1, 2], ASYNC)
-        assert plan.d.tolist() == [0.75, 1.5]
+        d = plan_weights(WeightScheme.ASYNC_TIME_BASED, [0.5, 0.5], [1, 2], ASYNC)
+        assert d.tolist() == [0.75, 1.5]
 
     def test_fedfix_time_based_close_form(self):
         policy = WaitPolicy(PolicyKind.FEDFIX, delta_t=2)
-        plan = plan_weights(
+        d = plan_weights(
             WeightScheme.FEDFIX_TIME_BASED, [0.25] * 4, [3, 3, 3, 3], policy
         )
-        assert plan.d.tolist() == [0.5] * 4
+        assert d.tolist() == [0.5] * 4
 
     def test_fedavg_weights_are_the_importances(self):
-        plan = plan_weights(WeightScheme.FEDAVG, [0.2, 0.3, 0.5], [1, 2, 3], ASYNC)
-        assert plan.d.tolist() == [0.2, 0.3, 0.5]
+        d = plan_weights(WeightScheme.FEDAVG, [0.2, 0.3, 0.5], [1, 2, 3], ASYNC)
+        assert d.tolist() == [0.2, 0.3, 0.5]
 
     def test_identical_weights(self):
-        plan = plan_weights(WeightScheme.IDENTICAL, [0.5, 0.5], [1, 2], ASYNC)
-        assert plan.d.tolist() == [1.0, 1.0]
+        d = plan_weights(WeightScheme.IDENTICAL, [0.5, 0.5], [1, 2], ASYNC)
+        assert d.tolist() == [1.0, 1.0]
 
     def test_time_based_rejects_random_hardware(self):
         with pytest.raises(UnsupportedConfigError):
@@ -69,18 +69,18 @@ class TestPlanWeights:
                 [Fraction(t) * factor for t in (1, 2)],
                 ASYNC,
             )
-            assert scaled.d.tolist() == base.d.tolist()
+            assert scaled.tolist() == base.tolist()
 
     def test_fedfix_wide_window_degenerates_to_importances(self):
         policy = WaitPolicy(PolicyKind.FEDFIX, delta_t=3)
-        plan = plan_weights(WeightScheme.FEDFIX_TIME_BASED, [0.3, 0.7], [1, 3], policy)
-        assert plan.d.tolist() == [0.3, 0.7]
+        d = plan_weights(WeightScheme.FEDFIX_TIME_BASED, [0.3, 0.7], [1, 3], policy)
+        assert d.tolist() == [0.3, 0.7]
 
     def test_custom_table(self):
-        plan = plan_weights(
+        d = plan_weights(
             WeightScheme.CUSTOM, [0.5, 0.5], [2, 2], SYNC, custom_d=[0.3, 0.6]
         )
-        assert plan.d.tolist() == [0.3, 0.6]
+        assert d.tolist() == [0.3, 0.6]
 
 
 def window_of(policy, taus):
@@ -132,9 +132,9 @@ class TestWindowStats:
         monkeypatch.setattr(timing, "replay_rounds", replayed)
         policy = WaitPolicy(PolicyKind.FEDBUFF, m=3)
         taus = list(range(2, 12))
-        plan = plan_weights(WeightScheme.IDENTICAL, [0.1] * 10, taus, policy)
+        d = plan_weights(WeightScheme.IDENTICAL, [0.1] * 10, taus, policy)
         assert rounds == []
-        assert plan.d.tolist() == [1.0] * 10
+        assert d.tolist() == [1.0] * 10
         window, q = window_stats(WeightScheme.IDENTICAL, [0.1] * 10, taus, policy)
         # one replay: the clocks first repeat after round 170 with a 51-round
         # period, so the cycle starts at round 119. Brent's search runs to
@@ -162,9 +162,9 @@ class TestWindowCounts:
 class TestWindowAssumption:
     def test_async_time_based_satisfies_the_window_condition(self):
         p = [0.5, 0.5]
-        plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, p, [1, 2], ASYNC)
+        d = plan_weights(WeightScheme.ASYNC_TIME_BASED, p, [1, 2], ASYNC)
         window = window_of(ASYNC, [1, 2])
-        q = realized_weights([1, 2], ASYNC, plan.d, 2 * window)
+        q = realized_weights([1, 2], ASYNC, d, 2 * window)
         report = verify_window_assumption(q, window, p, tol=1e-12)
         assert report.satisfied
         assert report.n_windows == 2
@@ -172,9 +172,9 @@ class TestWindowAssumption:
 
     def test_identical_weights_fail_on_heterogeneous_hardware(self):
         p = [0.5, 0.5]
-        plan = plan_weights(WeightScheme.IDENTICAL, p, [1, 2], ASYNC)
+        d = plan_weights(WeightScheme.IDENTICAL, p, [1, 2], ASYNC)
         window = window_of(ASYNC, [1, 2])
-        q = realized_weights([1, 2], ASYNC, plan.d, 2 * window)
+        q = realized_weights([1, 2], ASYNC, d, 2 * window)
         report = verify_window_assumption(q, window, p)
         assert not report.satisfied
         # fast client lands 2 of every 3 rounds with unit weight
@@ -182,25 +182,25 @@ class TestWindowAssumption:
 
     def test_synchronous_importance_weights_have_zero_deviation(self):
         p = [0.3, 0.7]
-        plan = plan_weights(WeightScheme.FEDAVG, p, [1, 2], SYNC)
-        q = realized_weights([1, 2], SYNC, plan.d, 4)
+        d = plan_weights(WeightScheme.FEDAVG, p, [1, 2], SYNC)
+        q = realized_weights([1, 2], SYNC, d, 4)
         report = verify_window_assumption(q, 1, p, tol=1e-15)
         assert report.satisfied
         assert report.max_deviation == 0.0
 
     def test_incomplete_tail_is_flagged(self):
         p = [0.5, 0.5]
-        plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, p, [1, 2], ASYNC)
+        d = plan_weights(WeightScheme.ASYNC_TIME_BASED, p, [1, 2], ASYNC)
         window = window_of(ASYNC, [1, 2])
-        q = realized_weights([1, 2], ASYNC, plan.d, window + 1)
+        q = realized_weights([1, 2], ASYNC, d, window + 1)
         report = verify_window_assumption(q, window, p)
         assert report.truncated and report.n_windows == 1
 
     def test_window_averages_match_the_plan(self):
         p = [0.25, 0.25, 0.5]
-        plan = plan_weights(WeightScheme.ASYNC_TIME_BASED, p, [2, 3, 4], ASYNC)
+        d = plan_weights(WeightScheme.ASYNC_TIME_BASED, p, [2, 3, 4], ASYNC)
         window, q_over_window = window_stats(WeightScheme.ASYNC_TIME_BASED, p, [2, 3, 4], ASYNC)
-        q = realized_weights([2, 3, 4], ASYNC, plan.d, window)
+        q = realized_weights([2, 3, 4], ASYNC, d, window)
         assert np.allclose(q.mean(axis=0), q_over_window, atol=1e-15)
 
 
