@@ -11,7 +11,8 @@ gen-shards    export the configured synthetic shards as CSV
 
 Exit codes: 0 success (a diverged run is a result, not a failure),
 2 invalid config (a ``tau_max`` the schedule exceeds included), 3 scheme
-without a closed form or a schedule too long to analyze.
+without a closed form or a schedule too long to analyze, 141 (128 + SIGPIPE)
+standard output closed by its reader, with nothing printed to stderr.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -50,6 +52,7 @@ from .timing import PolicyKind, WaitPolicy
 
 _EXIT_BAD_CONFIG = 2
 _EXIT_UNSUPPORTED = 3
+_EXIT_BROKEN_PIPE = 128 + 13  # SIGPIPE's number
 
 
 def _fmt(x: float) -> str:
@@ -553,7 +556,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed reader shows here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # the exit flush of what is still buffered cannot raise on devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_BROKEN_PIPE
     except UnsupportedConfigError as err:
         print(f"unsupported: {err}", file=sys.stderr)
         return _EXIT_UNSUPPORTED

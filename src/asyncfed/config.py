@@ -505,6 +505,11 @@ def build_experiment(document: dict, seed_override: int | None = None) -> RunCon
         hw,
         custom_d=scfg.get("custom_d"),
     )
+    finite = np.isfinite(d)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ConfigurationError(f"scheme/weights {scheme.value} gives client {i} the weight d_{i} = {d[i]}, "
+                                 "beyond the double range")
     opt = document.get("optimization", {})
     horizon = document["horizon"]
     seeds_cfg = document.get("seeds", {})

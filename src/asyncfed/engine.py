@@ -1279,9 +1279,8 @@ def write_trajectory_table(path, n_clients: int, blocks) -> None:
 
     A row without a participant mask (the final model's) leaves its
     participants cell empty, as a NaN surrogate loss does its cell. Rows
-    with a mask and a surrogate are encoded by :func:`_full_rows_text`; the
-    others splice their leading cells in one at a time. Loss cells are
-    encoded by :func:`asyncfed.textfmt.format_rows`, exactly as
+    are encoded by :func:`_rows_text`, their cells by
+    :func:`asyncfed.textfmt.format_rows`, exactly as
     ``'%.17g' % x``. A block whose ``client_losses`` is not a
     (rows, ``n_clients``) array of real numbers raises ``TypeError`` before
     it is encoded; ``path`` then keeps its old content.
@@ -1290,74 +1289,62 @@ def write_trajectory_table(path, n_clients: int, blocks) -> None:
         fh.write(",".join(trajectory_header(n_clients)).encode("ascii") + b"\n")
         for block in blocks:
             _check_losses(block.client_losses, (len(block), n_clients))
-            fh.writelines(_metric_text(block, n_clients))
+            fh.writelines(_rows_text(block, n_clients))
 
 
-def _metric_text(m: Metrics, n_clients: int):
-    """The CSV text of the rows of ``m``, in pieces: runs of rows with a
-    participant mask and a surrogate, then of rows without, in order; an
-    empty block has no text."""
-    if not len(m):
-        return
-    masks = m.participant_mask
-    partial = np.isnan(m.loss_surrogate) | np.array([mask is None for mask in masks], dtype=bool)
-    change = (np.flatnonzero(partial[1:] != partial[:-1]) + 1).tolist()
-    for lo, hi in zip([0, *change], [*change, len(m)]):
-        rows_text = _partial_rows_text if partial[lo] else _full_rows_text
-        yield from rows_text(m.rows(lo, hi), n_clients)
-
-
-def _partial_rows_text(m: Metrics, n_clients: int):
-    """The text of rows that lack a participant mask or a surrogate, in blocks
-    of about ``BLOCK_CELLS`` loss cells: each row's leading cells, with an
-    empty cell for a missing mask or a NaN surrogate, spliced in before its
-    slice of the loss text."""
-    step = max(1, BLOCK_CELLS // n_clients)
-    for start in range(0, len(m), step):
-        rows = m.rows(start, start + step)
-        text = format_rows(rows.client_losses)
-        view, pieces, pos = memoryview(text), [], 0
-        for n, t, mask, fed, surrogate, dist in zip(
-                rows.round.tolist(), rows.wall_time.tolist(), rows.participant_mask,
-                rows.loss_fed.tolist(), rows.loss_surrogate.tolist(), rows.dist_sq.tolist()):
-            end = text.index(b"\n", pos) + 1
-            cells = (n, t, b"" if mask is None else b"%d" % mask, fed,
-                     b"" if math.isnan(surrogate) else b"%.17g" % surrogate, dist)
-            pieces += (b"%d,%.17g,%s,%.17g,%s,%.17g," % cells, view[pos:end])
-            pos = end
-        yield b"".join(pieces)
-
-
-def _full_rows_text(m: Metrics, n_clients: int):
-    """The text of rows that all have a participant mask and a surrogate.
+def _rows_text(m: Metrics, n_clients: int):
+    """The CSV text of the rows of ``m``, in pieces; an empty block has none.
 
     Up to 53 clients a mask is an integer below 2^53, whose ``'%d'`` is the
     ``'%.17g'`` of its double, as is a round's, so each row is encoded
-    whole. Otherwise the five numeric leading cells of the rows are encoded
-    as one block, the client losses as another, and each row joins its
-    leading cells, the text of its mask and its losses."""
-    columns = (m.round, m.wall_time, m.participant_mask, m.loss_fed, m.loss_surrogate, m.dist_sq)
+    whole, a missing mask as 0; the few lines of a chunk without a mask or
+    with a NaN surrogate then get those cells blanked. Otherwise the five
+    numeric leading cells of the rows are encoded as one block, the client
+    losses as another, and each row joins its leading cells, the text of
+    its mask (empty for none) and its losses, with a NaN surrogate's
+    ``nan`` cut out."""
+    masks = m.participant_mask
+    no_surrogate = np.isnan(m.loss_surrogate)
+    columns = (m.round, m.wall_time, m.loss_fed, m.loss_surrogate, m.dist_sq)
     if n_clients <= 53:
         whole = np.empty((len(m), 6 + n_clients))
-        for j, column in enumerate(columns):
+        for j, column in zip((0, 1, 3, 4, 5), columns):
             whole[:, j] = column
+        whole[:, 2] = [0 if mask is None else mask for mask in masks]
         whole[:, 6:] = m.client_losses
+        blank = no_surrogate | np.array([mask is None for mask in masks], dtype=bool)
         step = max(1, BLOCK_CELLS // (6 + n_clients))
         for start in range(0, len(m), step):
-            yield format_rows(whole[start:start + step])
+            text = format_rows(whole[start:start + step])
+            partial = np.flatnonzero(blank[start:start + step]).tolist()
+            if partial:
+                lines = text.splitlines(keepends=True)
+                for j in partial:
+                    cells = lines[j].split(b",", 5)
+                    if masks[start + j] is None:
+                        cells[2] = b""
+                    if no_surrogate[start + j]:
+                        cells[4] = b""
+                    lines[j] = b",".join(cells)
+                text = b"".join(lines)
+            yield text
         return
-    head = format_rows(np.stack(columns[:2] + columns[3:], axis=1))
+    head = format_rows(np.stack(columns, axis=1))
     heads, at = memoryview(head), 0
     step = max(1, BLOCK_CELLS // n_clients)
     for start in range(0, len(m), step):
         text = format_rows(m.client_losses[start:start + step])
         view, pieces, pos = memoryview(text), [], 0
-        for mask in m.participant_mask[start:start + step]:
+        for mask, nan in zip(masks[start:start + step], no_surrogate[start:start + step].tolist()):
             # "n,t," then the mask, then "fed,surrogate,dist," and the losses
             cut = head.index(b",", head.index(b",", at) + 1) + 1
             line = head.index(b"\n", cut)
             end = text.index(b"\n", pos) + 1
-            pieces += (heads[at:cut], b"%d," % mask, heads[cut:line], b",", view[pos:end])
+            mid = heads[cut:line]
+            if nan:
+                surrogate = head.index(b",", cut) + 1
+                mid = head[cut:surrogate] + head[surrogate + 3:line]
+            pieces += (heads[at:cut], b"," if mask is None else b"%d," % mask, mid, b",", view[pos:end])
             at, pos = line + 1, end
         yield b"".join(pieces)
 

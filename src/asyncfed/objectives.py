@@ -128,8 +128,8 @@ class QuadraticObjective(_Table):
 
     def row_values(self, points) -> np.ndarray:
         """(G,) loss of each row g at its own point ``points[g]`` ((G, dim)),
-        with the bits of ``row(g).value(points[g])``: the arithmetic of
-        :meth:`values`, one point per row."""
+        with the bits of a one-row table of row g's slices evaluated there:
+        the arithmetic of :meth:`values`, one point per row."""
         points = np.asarray(points, dtype=float)
         if self.dim == 1:
             return self._scalar_losses(points[:, 0], np.empty(len(self)))
@@ -227,8 +227,8 @@ class GlmObjective(_Table):
 
     def row_values(self, points) -> np.ndarray:
         """(G,) mean loss of each shard g at its own point ``points[g]``
-        ((G, dim)), with the bits of ``row(g).value(points[g])``: the
-        arithmetic of :meth:`values`, one point per shard, the shards in
+        ((G, dim)), with the bits of a one-shard table of shard g evaluated
+        there: the arithmetic of :meth:`values`, one point per shard, the shards in
         slices of ``row_chunk`` whose (shards, 1, n) margins stay near
         ``_CHUNK_FLOATS`` floats."""
         points = np.asarray(points, dtype=float)

@@ -2,29 +2,24 @@
 
 :func:`format_rows` turns a 2-D block of numbers into ASCII bytes, one
 comma-joined line per row, whose cells are byte for byte ``'%.17g' % x``.
-For finite 1e-11 <= |x| < 1e17 with decimal exponent E, the 17 significant
-digits are D = round-half-even(|x| * 10**k), k = 16 - E, and E starts as
-floor(log10|x|).
+For finite 1e-6 <= |x| < 1e17 with decimal exponent E, the 17 significant
+digits are D = round-half-even(|x| * 10**k), k = 16 - E <= 22, and E starts
+as floor(log10|x|).
 
-Where 10**k is a double (k <= 22, E >= -6), one double product settles most
-cells: p = fl(|x| * 10**k) and its exact error err (Dekker's product of
-Veltkamp halves) give D = p + rint(err), since for 1e16 <= p < 1e17 p is an
-even integer and |err| <= 8. numpy never fuses the products into an FMA,
-and with float64 operands only, value-based casting (numpy 1.x) and NEP 50
-(numpy 2) agree. The remaining cells of the range, E <= -7 and those whose
-exact product shows the guess of E one off (p < 1e16, p == 1e16 with
-err < 0, or p >= 1e17), use integer arithmetic, the fixed-precision case of
-Adams, "Ryu revisited: printf floating point conversion" (OOPSLA 2019):
-with |x| = m * 2**e, D = round-half-even(m * 5**k * 2**(e + k)), k <= 27,
-the product m * 5**k (< 2**116) held exactly in two uint64 limbs, and E
-corrected by one step from the truncated quotient.
+10**k is then a double, and one double product settles most cells:
+p = fl(|x| * 10**k) and its exact error err (Dekker's product of Veltkamp
+halves) give D = p + rint(err), since for 1e16 <= p < 1e17 p is an even
+integer and |err| <= 8. numpy never fuses the products into an FMA, and
+with float64 operands only, value-based casting (numpy 1.x) and NEP 50
+(numpy 2) agree. A cell whose exact product shows the guess of E one off
+(p < 1e16, p == 1e16 with err < 0, or p >= 1e17) is formatted by Python.
 
 The digits of D come from a 4-digit table as a 17-byte string in uint64
 words; a layout table per (separator, sign, E, trailing zeros) shifts that
-string into place around the constant bytes ('-', '0.', '.', 'e-XX', the
+string into place around the constant bytes ('-', '0.', '.', 'e-0X', the
 separator) and drops the stripped zeros. The zero bytes left after each
-cell are deleted on output. Every other value (zeros, tiny, huge, inf, NaN)
-and any element whose range check fails is formatted by Python itself.
+cell are deleted on output. Every other value (zeros, |x| < 1e-6, huge,
+inf, NaN) and any element whose check fails is formatted by Python itself.
 
 The uint64 arithmetic takes explicit ``np.uint64`` scalars, so that value-based
 casting and NEP 50 give the same bits there too.
@@ -37,22 +32,16 @@ import numpy as np
 BLOCK_CELLS = 8192  # cells encoded at once; bounds the temporaries (~1.2 MB)
 
 _U64 = np.uint64
-_1, _8, _32, _52, _56, _63, _64 = (_U64(v) for v in (1, 8, 32, 52, 56, 63, 64))
-_LOW32 = _U64(0xFFFFFFFF)
-_MANTISSA = _U64((1 << 52) - 1)
-_HIDDEN = _U64(1 << 52)
+_1, _8, _32, _56, _63, _64 = (_U64(v) for v in (1, 8, 32, 56, 63, 64))
 _ASCII0 = _U64(ord("0"))
-_E8, _E16, _E17 = _U64(10**8), _U64(10**16), _U64(10**17)
+_E8 = _U64(10**8)
 
-_FAST_MIN = float(np.nextafter(1e-11, np.inf))  # least double >= 10**-11
+_FAST_MIN = float(np.nextafter(1e-6, np.inf))  # least double >= 10**-6
 _FAST_MAX = 1e17
-_E_MIN, _E_MAX = -11, 16
+# 10**(16 - E) is a double for every E of the range: 10**22 is the largest
+_E_MIN, _E_MAX = -6, 16
 _N_EXP = _E_MAX - _E_MIN + 1
-_POW5 = _U64(5) ** np.arange(_N_EXP, dtype=np.uint64)  # 5**27 < 2**63
-_K_DOUBLE = 22  # 10**22 is the largest power of ten that is a double
 _SPLITTER = float(2**27 + 1)
-
-_WORDS = 4  # uint64 words per cell: Python's text has up to 25 characters and the separator
 
 
 def _digit_tables():
@@ -133,31 +122,6 @@ def _layouts():
 _SHIFT_A, _MASK_A, _MASK_B, _CONST = _layouts()
 
 
-def _mul128(a, b):
-    """Exact a * b of uint64 arrays as (low, high) uint64 limbs."""
-    al, ah, bl, bh = a & _LOW32, a >> _32, b & _LOW32, b >> _32
-    ll, lh, hl, hh = al * bl, al * bh, ah * bl, ah * bh
-    mid = (ll >> _32) + (lh & _LOW32) + (hl & _LOW32)
-    return (ll & _LOW32) | (mid << _32), hh + (lh >> _32) + (hl >> _32) + (mid >> _32)
-
-
-def _scaled(m, e, exp):
-    """floor(m * 2**e * 10**(16 - exp)) and whether round-half-even adds one.
-
-    The right shift is capped at 63: a larger one means exp is too high, and
-    the capped quotient still falls below 1e16, which says so."""
-    k = _E_MAX - np.minimum(np.maximum(exp, _E_MIN), _E_MAX)
-    lo, hi = _mul128(m, _POW5[k])
-    shift = e + k
-    left = np.maximum(shift, 0).astype(np.uint64)
-    right = np.minimum(np.maximum(-shift, 0), 63).astype(np.uint64)
-    q = ((lo >> right) | ((hi << _1) << (_63 - right))) << left
-    below = np.maximum(right, _1) - _1
-    half = (lo >> below) & (right > 0)
-    sticky = (lo & ((_1 << below) - _1)) != 0
-    return q, half & (sticky | (q & _1))
-
-
 def _eight_digits(v):
     """ASCII of 8-digit values as uint64 words, first digit in the low byte,
     with the trailing zero counts of their low and high four digits."""
@@ -175,7 +139,7 @@ def _split(v):
     return high, v - high
 
 
-_POW10 = np.array([float(10**k) for k in range(_K_DOUBLE + 1)])
+_POW10 = np.array([float(10**k) for k in range(_N_EXP)])
 _POW10_HIGH, _POW10_LOW = _split(_POW10)
 
 
@@ -188,7 +152,7 @@ def _significand(x):
     a = np.where(fast, a, 1.0)
     exp = np.clip(np.floor(np.log10(a)), _E_MIN, _E_MAX).astype(np.intp)
     # p + err == a * 10**k exactly (Dekker's product), with 10**k a double
-    k = np.minimum(_E_MAX - exp, _K_DOUBLE)
+    k = _E_MAX - exp
     c = _POW10.take(k)
     p = a * c
     ah, al = _split(a)
@@ -196,35 +160,11 @@ def _significand(x):
     err = al * cl - (((p - ah * ch) - al * ch) - ah * cl)
     del c, ah, al, ch, cl
     # p in [1e16, 1e17) is an even integer and |err| <= 8, so rounding the
-    # exact product half to even is p + rint(err); an exact product below
-    # 1e16 or a p of at least 1e17 means the guess of E is one off, and
-    # k > 22 has no exact 10**k: those cells take the integer path
-    ok = fast & (exp >= _E_MAX - _K_DOUBLE) & (p >= 1e16) & (p < 1e17) & ((p > 1e16) | (err >= 0))
-    d = (p.astype(np.int64) + np.rint(err).astype(np.int64)).view(np.uint64)
-    del p, err
-    rest = np.flatnonzero(fast & ~ok)
-    if rest.size:
-        d[rest], exp[rest], ok[rest] = _significand_exact(a[rest], exp[rest])
-    return d, exp, ok
-
-
-def _significand_exact(a, exp):
-    """:func:`_significand` for positive float64 ``a`` in the fast range by
-    128-bit integer arithmetic, from the guess ``exp`` of E."""
-    bits = a.view(np.uint64)
-    m = (bits & _MANTISSA) | _HIDDEN
-    e = (bits >> _52).astype(np.int64) - 1075
-    q, up = _scaled(m, e, exp)
-    step = (q >= _E17).astype(np.int64) - (q < _E16)
-    off = np.flatnonzero(step)
-    if off.size:
-        exp[off] += step[off]
-        q[off], up[off] = _scaled(m[off], e[off], exp[off])
-    d = q + up
-    # rounding up to 10**17 would need a double within 5e-18 (relative) below
-    # a power of ten, and none in the fast range is; any cell failing this
-    # check goes to Python
-    return d, exp, (q >= _E16) & (d < _E17)
+    # exact product half to even is p + rint(err) < 1e17; an exact product
+    # below 1e16 or a p of at least 1e17 means the guess of E is one off,
+    # and such a cell is left to Python
+    ok = fast & (p >= 1e16) & (p < 1e17) & ((p > 1e16) | (err >= 0))
+    return (p.astype(np.int64) + np.rint(err).astype(np.int64)).view(np.uint64), exp, ok
 
 
 def _digit_string(d):
@@ -256,9 +196,12 @@ def _encode(x, newline, ends):
     sb = sa + _8
     back_a, back_b = _63 - sa, _64 - sb
     slow = np.flatnonzero(~ok)
+    seps = np.where(newline[slow], "\n", ",").tolist()
+    text = np.array(["%.17g%s" % cell for cell in zip(x[slow].tolist(), seps)], dtype="S")
     # zero bytes after each cell's text are dropped on output; a slot of
-    # three words holds every table-path cell, Python's text may need four
-    out = np.zeros((x.shape[0], _WORDS if slow.size else 3), dtype="<u8")
+    # three words holds every table-path cell, and most of Python's texts
+    words = max(3, -(-text.itemsize // 8))
+    out = np.zeros((x.shape[0], words), dtype="<u8")
     out[:, 0] = (w0 << sa) & _MASK_A[0].take(key) | (w0 << sb) & _MASK_B[0].take(key) | _CONST[0].take(key)
     out[:, 1] = (
         ((w1 << sa) | ((w0 >> _1) >> back_a)) & _MASK_A[1].take(key)
@@ -271,9 +214,7 @@ def _encode(x, newline, ends):
         | _CONST[2].take(key)
     )
     if slow.size:
-        ends = np.where(newline[slow], "\n", ",").tolist()
-        text = ["%.17g%s" % cell for cell in zip(x[slow].tolist(), ends)]
-        out[slow] = np.array(text, dtype=f"S{8 * _WORDS}").view("<u8").reshape(-1, _WORDS)
+        out[slow] = text.astype(f"S{8 * words}").view("<u8").reshape(-1, words)
     return out.tobytes().translate(None, b"\0")
 
 

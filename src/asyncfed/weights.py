@@ -51,9 +51,20 @@ def _over_common_den(values) -> tuple[list[int], int]:
 
 def _to_floats(exact: tuple[list, int]) -> np.ndarray:
     """Each numerator over the denominator, rounded once: ``int / int`` is
-    correctly rounded, as ``float(Fraction)`` is."""
+    correctly rounded, as ``float(Fraction)`` is, and a quotient beyond the
+    double range is inf of its sign."""
     nums, den = exact
-    return np.array([num / den for num in nums])
+    try:
+        return np.array([num / den for num in nums])
+    except OverflowError:
+        return np.array([_quotient(num, den) for num in nums])
+
+
+def _quotient(num, den: int) -> float:
+    try:
+        return num / den
+    except OverflowError:
+        return -math.inf if num < 0 else math.inf
 
 
 def plan_weights(

@@ -139,6 +139,17 @@ class TestValidation:
         assert err.startswith("config error:") and "Traceback" not in err
         assert not (tmp_path / "out" / "trajectory.csv").exists()
 
+    def test_a_fedfix_weight_beyond_the_double_range_exits_2(self, tmp_path, capsys):
+        # d_i = ceil(tau_i / delta_t) p_i ~ 5e309 is a rational no double holds
+        document = base_config(scheme={"policy": "fedfix", "delta_t": 1e-300, "weights": "fedfix_time_based"})
+        document["fleet"]["compute_times"] = [1e10, 2e10]
+        path = write_config(tmp_path, document)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err == ("config error: scheme/weights fedfix_time_based gives client 0 "
+                                           "the weight d_0 = inf, beyond the double range\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "hardware, old, new",
         [
@@ -873,6 +884,18 @@ class TestBoundsCommand:
         assert fedfix["tau"] == fedfix["window"] == fedfix["eps_w"] == fedfix["total"] == "inf"
         assert fedfix["lr_max"] == "0"
 
+    def test_a_fedfix_weight_beyond_the_double_range_is_an_inf_max_d(self, tmp_path, capsys):
+        # the FedFix preset's d_i ~ 5e309 is inf; its report reads no d
+        document = load_config(self.SHIPPED / "sync_quadratic.json")
+        document["fleet"]["compute_times"] = [1e10, 2e10]
+        document["bounds"] = {"delta_t": 1e-300}
+        assert main(["bounds", "--config", str(write_config(tmp_path, document))]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        max_d = next(line for line in out.splitlines() if line.startswith("max_d"))
+        assert max_d.split() == ["max_d", "0.5", "1.5", "inf"]
+        assert set(report_terms(out)) == {"sync", "async", "fedfix"}
+
     def test_an_int_step_size_whose_square_is_beyond_the_double_range_gives_inf_terms(self, tmp_path, capsys):
         # eta_l = 10**200 is an int, and its exact square no double holds
         document = load_config(self.SHIPPED / "sync_quadratic.json")
@@ -1164,6 +1187,23 @@ class TestEntryPoint:
             {"command": "oracle-check", "config": "d.json", "out": None, "seed": 9, "quiet": False},
         ]
         assert cli._parser() is cli._parser()
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_a_closed_stdout_exits_141_in_silence(self, unbuffered):
+        # the reader is gone before the first write: unbuffered, the first
+        # print meets the closed pipe; buffered, the flush at the end does
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(asyncfed.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        config = Path(__file__).resolve().parents[1] / "configs" / "k_sweep_noisy_quadratic.json"
+        try:
+            out = subprocess.run([sys.executable, "-m", "asyncfed.cli", "bounds", "--config", str(config)],
+                                 env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (out.returncode, out.stderr) == (141, b"")
 
 
 class TestBlockEdgeGoldens:

@@ -90,14 +90,16 @@ class TestCellsMatchPercentG:
 
 
 class TestSplitPathBoundaries:
-    """Cells at the edges between the double-product path, the 128-bit
-    integer path and Python's own formatting."""
+    """Cells at the edges between the double-product path and Python's own
+    formatting, which takes every cell below 1e-6 and every cell whose
+    guess of E the exact product shows one off."""
 
     def test_four_ulp_around_every_power_of_ten(self):
         powers = [float(f"1e{e}") for e in range(-11, 17)]
         values = ulp_neighbours(powers, 4)
-        # the floor(log10) guess is one off on both sides of some powers,
-        # so both the double and the integer path correct it here
+        # the floor(log10) guess is one off on both sides of some powers:
+        # the double path rejects those cells, above and below 1e-6 alike,
+        # and Python formats them
         guess = np.floor(np.log10(np.abs(values)))
         true_exp = np.array([Decimal(v).adjusted() for v in values.tolist()])
         off = guess != true_exp
@@ -154,16 +156,19 @@ class TestSplitPathBoundaries:
                    for e in range(-12, 18) for tail in ("", "5", "49")]
         assert_cells_match(ulp_neighbours(centres, 4))
 
-    def test_integer_path_only_block(self):
+    def test_python_fallback_only_block(self):
         rng = np.random.default_rng(11)
         values = np.concatenate([bit_uniform(rng, 1e-11, 1e-6, 60_000),
                                  10.0 ** rng.uniform(-11.0, -6.0, 20_000)])
         values = values[(values >= 1e-11) & (values < 1e-6)]
         assert_cells_match(np.where(rng.random(values.size) < 0.5, -values, values))
 
-    def test_mixed_chunk_through_the_trajectory_writer(self, tmp_path):
+    # rows encoded whole, rows that splice their masks in: both meet missing
+    # masks, NaN surrogates and cells below 1e-6 in one block
+    @pytest.mark.parametrize("n_clients", [40, 70])
+    def test_mixed_chunk_through_the_trajectory_writer(self, tmp_path, n_clients):
         rng = np.random.default_rng(3)
-        n_rows, n_clients = 12, 40
+        n_rows = 12
         block = rng.standard_normal((n_rows, n_clients)) * 10.0 ** rng.uniform(-9, 9, (n_rows, n_clients))
         specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308,
                     1e-320, 1.5e17, -3e20, sys.float_info.max, 1e-11, 9.9999999999999995e-07]
