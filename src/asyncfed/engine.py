@@ -71,21 +71,25 @@ MAX_ENSEMBLE_SEEDS = 10_000
 # n_runs x M of an asynchronous or sync_uniform scalar ensemble: its (n_runs,
 # M) held-anchor buffer or per-round scores are 128 MiB at the cap (a sync
 # ensemble holds (n_runs,) vectors only, and its n_runs alone is held to the
-# cap); the asynchronous rounds add an (ASYNC_CHUNK_ROUNDS, n_runs) buffer of
-# client indices, one byte each up to M = 256 (8 rounds: one float64 member
-# vector), and one carried row of it. An asynchronous round of the exact
-# oracle holds three (M+1)^2 matrices (its second moment, its rows and one
-# temporary), and the three together are held to the same cap
+# cap); the asynchronous rounds add ASYNC_CHUNK_BYTES of raw draws per member
+# (two float64 member vectors) and one carried row of them. The closed forms
+# hold (2, n + 1) floats to the last checkpoint n, held to the same cap. An
+# asynchronous round of the exact oracle holds three (M+1)^2 matrices (its
+# second moment, its rows and one temporary), and the three together are
+# held to the same cap
 MAX_HELD_ANCHORS = 1 << 24
 # the asynchronous scalar ensemble runs its members in blocks of this many
 # (640 KiB of held anchors at M = 10, so a block stays in a 2 MiB L2 cache
-# across a chunk of rounds), ASYNC_CHUNK_ROUNDS rounds per pass over them;
-# a block sized in bytes instead would shrink to a few hundred members at
-# M >= 300, where per-call overhead outweighs the cache. Up to M = 256 the
-# chunk's one-byte rows hold clients decoded two rounds at a time from one
-# 16-bit draw
+# across a chunk of rounds), all of a chunk's rounds per pass over them; a
+# block sized in bytes instead would shrink to a few hundred members at
+# M >= 300, where per-call overhead outweighs the cache. A block decodes its
+# own slice of the chunk's raw draws into block-sized rows of clients
 ENSEMBLE_BLOCK_MEMBERS = 8192
-ASYNC_CHUNK_ROUNDS = 8
+# bytes of raw draws per member in a chunk of asynchronous rounds: a draw
+# is kept in the smallest unsigned dtype that holds it, so a chunk spans 32
+# rounds up to M = 16 (one byte per two clients), 16 up to M = 256 (two
+# bytes per two clients) and 8 up to M = 65,536 (two bytes per client)
+ASYNC_CHUNK_BYTES = 16
 # the rounds of the first block a replayed schedule appends, and of any block
 _FIRST_REPLAY_BLOCK, _REPLAY_BLOCK = 16, 1024
 # bound on the floats one local_sgd call holds (iterates, its slice of the draw
@@ -177,10 +181,6 @@ class Metrics:
 
     def __len__(self) -> int:
         return self.round.shape[0]
-
-    def rows(self, start: int, stop: int) -> Metrics:
-        """Rows ``start`` to ``stop`` of every column."""
-        return Metrics(*(getattr(self, f.name)[start:stop] for f in fields(self)))
 
 
 @dataclass
@@ -1063,16 +1063,21 @@ def _group_key(config: RunConfig, index: int) -> tuple:
 
 def check_scalar_ensemble(state: OracleState, checkpoints, n_runs: int) -> None:
     """Raise ConfigurationError, before anything is allocated, unless
-    :func:`run_scalar_ensemble` can run ``n_runs`` members of ``state`` to
-    the last of ``checkpoints`` within ``MAX_HELD_ANCHORS`` floats a buffer;
-    UnsupportedConfigError when the clients' rates differ, since a round
-    moves every member by one step."""
+    :func:`run_scalar_ensemble` can run ``n_runs`` members of ``state``, and
+    the closed forms can run, to the last of ``checkpoints`` within
+    ``MAX_HELD_ANCHORS`` floats a buffer; UnsupportedConfigError when the
+    clients' rates differ, since a round moves every member by one step."""
     if any(rate != state.rates[0] for rate in state.rates):
         raise UnsupportedConfigError("the Monte-Carlo ensemble needs equal rates eta_g d_i")
     if checkpoints and min(checkpoints) < 0:
         raise ConfigurationError("checkpoints must be nonnegative rounds")
     if n_runs < 1 or not checkpoints or max(checkpoints) < 1:
         raise ConfigurationError("need at least one run and one round")
+    if 2 * (max(checkpoints) + 1) > MAX_HELD_ANCHORS:
+        raise ConfigurationError(
+            f"the last checkpoint must be at most {MAX_HELD_ANCHORS // 2 - 1} "
+            f"(the closed forms' (2, n + 1) floats), got {max(checkpoints)}"
+        )
     m_clients = len(state.rates)
     if state.scheme == "sync":
         if n_runs > MAX_HELD_ANCHORS:
@@ -1166,76 +1171,76 @@ def _async_rounds(rng, optima, step, theta, held, n_rounds, pending):
     ``v mod M``: a bijection of [0, M^2) onto [0, M)^2, so the two clients
     are exactly uniform and independent. Above M = 256 each round draws
     ``rng.integers(0, M, members, dtype=np.uint16)`` up to M = 65,536 and
-    the default int64 call above. ``pending`` holds the clients of this
-    call's first round if they are the second half of a pair drawn by the
-    previous call, else it is None; the return value is the same for the
-    round after this call's last, so the stream does not depend on where the
-    checkpoints fall.
+    the default int64 call above. ``pending`` is the raw draw row of a pair
+    whose first round was the previous call's last, else None; the return
+    value is the same for the round after this call's last, so the stream
+    does not depend on where the checkpoints fall.
 
-    The rounds run in chunks of ``ASYNC_CHUNK_ROUNDS``: a chunk's draws are
-    made first, in round order as one round at a time makes them (numpy's
-    16-bit generator buffers within a call, so one call for the whole chunk
-    would draw other values), into a buffer of the smallest unsigned dtype
-    that holds M - 1, a pair that straddles two chunks keeping its second
-    client for the next one; then each block of ``ENSEMBLE_BLOCK_MEMBERS``
-    members runs all the chunk's rounds on its rows of ``held``, which stay
-    in cache meanwhile. Each member sees the same operations in the same
-    order, so every result has the same bits as a round-at-a-time loop that
-    draws the same way.
+    The rounds run in chunks of ``ASYNC_CHUNK_BYTES`` bytes of draws per
+    member: a chunk's draws are made first, in round order as one round at
+    a time makes them (numpy's 16-bit generator buffers within a call, so
+    one call for the whole chunk would draw other values), and kept raw in
+    the smallest unsigned dtype that holds them, so a chunk spans 32 rounds
+    up to M = 16, 16 up to M = 256 and 8 up to M = 65,536. Then each block
+    of ``ENSEMBLE_BLOCK_MEMBERS`` members decodes its slice of the chunk and
+    runs all the chunk's rounds on its rows of ``held``, which stay in cache
+    meanwhile. Each member sees the same operations in the same order, so
+    every result has the same bits as a round-at-a-time loop that draws the
+    same way.
     """
     n_runs, m_clients = held.shape
     block = min(ENSEMBLE_BLOCK_MEMBERS, n_runs)
-    chunk = np.empty((min(ASYNC_CHUNK_ROUNDS, n_rounds), n_runs), np.min_scalar_type(m_clients - 1))
-    paired = m_clients <= 1 << 8
-    if paired:
-        m16 = np.uint16(m_clients)  # built only here: np.uint16(65536) would overflow
-        scratch = np.empty(n_runs, np.uint16)
-        carry = np.empty(n_runs, chunk.dtype)
-    else:
-        # numpy's 16-bit bounded generator is exactly uniform and ~1.5x
-        # faster than the int64 default at 1e5 draws; it holds M up to 2^16
-        draw_dtype = np.uint16 if m_clients <= 1 << 16 else np.int64
+    per_draw = 2 if m_clients <= 1 << 8 else 1  # clients per draw
+    # numpy's 16-bit bounded generator is exactly uniform and ~1.5x faster
+    # than the int64 default at 1e5 draws; it holds M up to 2^16
+    draw_dtype = np.uint16 if m_clients ** per_draw <= 1 << 16 else np.int64
+    raw_dtype = np.min_scalar_type(m_clients ** per_draw - 1)
+    raw = np.empty((ASYNC_CHUNK_BYTES // raw_dtype.itemsize, n_runs), raw_dtype)
+    if per_draw == 2:
+        m_raw = raw_dtype.type(m_clients)  # M in the raw dtype, so the decode never widens
+        decoded = np.empty((2, raw.shape[0], block), raw_dtype)
     base = np.arange(0, block * m_clients, m_clients)  # row starts of a block's flat anchors
     j, flat_j = np.empty((2, block), dtype=np.intp)
-    for start in range(0, n_rounds, chunk.shape[0]):
-        draws = chunk[: min(chunk.shape[0], n_rounds - start)]
-        if paired:
-            first = 0 if pending is None else 1
-            if first:
-                draws[0] = pending
-            for r in range(first, draws.shape[0], 2):
-                second = draws[r + 1] if r + 1 < draws.shape[0] else carry
-                v = rng.integers(0, m_clients * m_clients, n_runs, dtype=np.uint16)
-                _split_pairs(v, m16, draws[r], second, scratch)
-            pending = carry if (draws.shape[0] - first) % 2 else None
-        else:
-            for row in draws:
-                row[:] = rng.integers(0, m_clients, n_runs, dtype=draw_dtype)
+    done = 0
+    while done < n_rounds:
+        skip = 0 if pending is None else 1  # the pending row's first client is spent
+        if skip:
+            raw[0] = pending
+        n_chunk = min(n_rounds - done, raw.shape[0] * per_draw - skip)
+        n_rows = -(-(skip + n_chunk) // per_draw)
+        for row in raw[skip:n_rows]:
+            row[:] = rng.integers(0, m_clients ** per_draw, n_runs, dtype=draw_dtype)
+        pending = raw[n_rows - 1] if (skip + n_chunk) % per_draw else None
         for lo in range(0, n_runs, block):
             hi = min(lo + block, n_runs)
             theta_b, held_b = theta[lo:hi], held[lo:hi].reshape(-1)
             j_b, flat_b, base_b = j[: hi - lo], flat_j[: hi - lo], base[: hi - lo]
-            for row in draws:
-                np.copyto(j_b, row[lo:hi])
+            if per_draw == 2:
+                clients = decoded[:, :n_rows, : hi - lo]
+                _split_pairs(raw[:n_rows, lo:hi], m_raw, *clients)
+            else:
+                clients = raw[None, :n_rows, lo:hi]
+            for k in range(skip, skip + n_chunk):
+                np.copyto(j_b, clients[k % per_draw, k // per_draw])
                 pull = optima.take(j_b)
                 np.add(base_b, j_b, out=flat_b)
                 pull -= held_b.take(flat_b)
                 pull *= step
                 theta_b += pull
                 held_b[flat_b] = theta_b  # one index per member, so no two writes collide
-    return pending
+        done += n_chunk
+    return None if pending is None else pending.copy()
 
 
-def _split_pairs(v, m16, first, second, scratch) -> None:
-    """Decode uint16 draws ``v`` in [0, M^2) into ``first = v // M`` and
-    ``second = v - M * (v // M)``, in place; ``m16`` is M as ``np.uint16``
-    and ``scratch`` a uint16 row of ``v``'s length. The explicit uint16
-    scalar and loop dtype give the same values under numpy 1.24's
-    value-based casting and NEP 50 (``np.divmod`` and ``np.remainder`` are
-    ~2x slower on uint16)."""
-    np.floor_divide(v, m16, out=first, casting="unsafe")
-    np.multiply(first, m16, out=scratch, dtype=np.uint16)
-    np.subtract(v, scratch, out=second, casting="unsafe")
+def _split_pairs(v, m, first, second) -> None:
+    """Decode pair draws ``v`` in [0, M^2) into ``first = v // M`` and
+    ``second = v - M * (v // M)``, in place; ``first``, ``second`` and the
+    scalar ``m`` (M) share ``v``'s unsigned dtype, so every step stays in it
+    alike under numpy 1.24's value-based casting and NEP 50 (``np.divmod``
+    and ``np.remainder`` are ~2x slower on uint16)."""
+    np.floor_divide(v, m, out=first)
+    np.multiply(first, m, out=second)
+    np.subtract(v, second, out=second)
 
 
 # ---------------------------------------------------------------------------

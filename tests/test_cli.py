@@ -291,6 +291,23 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "ensemble/n_seeds" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("last", [10**8, 10**12])
+    def test_a_checkpoint_beyond_the_closed_forms_floats_exits_2(self, tmp_path, capsys, monkeypatch, last):
+        def started(*args):
+            raise AssertionError("a closed form or the ensemble started")
+
+        monkeypatch.setattr("asyncfed.cli.run_scalar_ensemble", started)
+        monkeypatch.setattr("asyncfed.cli.expectation_recursion", started)
+        monkeypatch.setattr("asyncfed.cli.variance_recursion", started)
+        document = load_config(Path(__file__).resolve().parents[1] / "configs" / "sync_quadratic.json")
+        document["oracle_check"] = {"checkpoints": [last], "n_runs": 2}
+        out = tmp_path / "out"
+        assert main(["oracle-check", "--config", str(write_config(tmp_path, document)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: the last checkpoint must be at most {MAX_HELD_ANCHORS // 2 - 1} "
+                       f"(the closed forms' (2, n + 1) floats), got {last}\n")
+        assert not out.exists()
+
     def test_the_largest_ensemble_sizes_in_use_stay_allowed(self):
         assert validate_config(base_config(ensemble={"n_seeds": MAX_ENSEMBLE_SEEDS})) == []
         def state(m):

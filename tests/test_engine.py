@@ -166,7 +166,24 @@ class TestEnsembles:
 
 
 _BLOCK = engine.ENSEMBLE_BLOCK_MEMBERS
-_CHUNK = engine.ASYNC_CHUNK_ROUNDS
+
+
+def _clients_per_draw(m_clients):
+    """Two clients a draw up to M = 256, one above."""
+    return 2 if m_clients <= 1 << 8 else 1
+
+
+def _raw_itemsize(m_clients):
+    """Bytes of one raw draw: the smallest unsigned dtype holding M^2 - 1 for
+    a pair, M - 1 for one client."""
+    return np.min_scalar_type(m_clients ** _clients_per_draw(m_clients) - 1).itemsize
+
+
+def _chunk_rounds(m_clients):
+    """Rounds a chunk of ``ASYNC_CHUNK_BYTES`` raw draws per member spans."""
+    return engine.ASYNC_CHUNK_BYTES // _raw_itemsize(m_clients) * _clients_per_draw(m_clients)
+
+
 _BIT_IDENTITY_CASES = [
     pytest.param(scheme, m, n, seed, (12, 0, 5, 5), id=f"{scheme}-{m}-{n}-{seed}")
     for scheme in ("sync", "sync_uniform", "async")
@@ -174,18 +191,23 @@ _BIT_IDENTITY_CASES = [
     for n in (256, 257)
     for seed in (0, 7, 2024)
 ] + [
-    # blocks of members, a partial last block, and checkpoint gaps of 1,
-    # one chunk of rounds less one, one chunk and two chunks and a round;
-    # M = 300 draws its clients into uint16 instead of uint8
-    pytest.param("async", m, n, 11, (1, _CHUNK, 2 * _CHUNK, 4 * _CHUNK + 1), id=f"async-{m}-{n}-chunks")
-    for m in (2, 10, 300)
+    # blocks of members, a partial last block, and checkpoint gaps of 1
+    # (its pair's second client carried to the next call), one chunk of
+    # rounds less one (starting from that carried row), one chunk and two
+    # chunks and a round, each M's chunk counted in rounds: M = 16 is the
+    # last to keep its pairs in one byte (32-round chunks), M = 17 the first
+    # in two (16 rounds), M = 300 draws one client a round into two bytes
+    # (8 rounds)
+    pytest.param("async", m, n, 11, (1, _chunk_rounds(m), 2 * _chunk_rounds(m), 4 * _chunk_rounds(m) + 1),
+                 id=f"async-{m}-{n}-chunks")
+    for m in (2, 10, 16, 17, 300)
     for n in (2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
 ] + [
     # the largest M that draws two clients per 16-bit draw (v spans the whole
     # uint16 range) and the smallest that draws one per round; the largest M
     # that draws from numpy's 16-bit generator, and the smallest that draws
-    # with the default int64 call
-    pytest.param("async", m, 2, 5, (3, _CHUNK + 1), id=f"async-{m}-draw-dtype")
+    # with the default int64 call (its raw draws in four bytes)
+    pytest.param("async", m, 2, 5, (3, _chunk_rounds(m) + 1), id=f"async-{m}-draw-dtype")
     for m in (1 << 8, (1 << 8) + 1, 1 << 16, (1 << 16) + 1)
 ]
 
@@ -218,19 +240,23 @@ class TestScalarEnsemble:
     ):
         _assert_bit_identical_to_the_reference(scheme, m_clients, n_runs, seed, checkpoints)
 
-    @pytest.mark.parametrize("m_clients", [2, 10, 256, 257])
+    @pytest.mark.parametrize("m_clients", [2, 10, 16, 17, 256, 257])
     def test_pairs_straddling_chunks_blocks_and_checkpoints_keep_their_bits(self, monkeypatch, m_clients):
-        # chunks of 3 rounds cut the pairs of a 7-round gap inside one call,
-        # and gaps of 1 and 3 leave a pair's second client to the next call
-        monkeypatch.setattr(engine, "ASYNC_CHUNK_ROUNDS", 3)
+        # a budget of one raw draw per member makes every pair (above M =
+        # 256, every round) a chunk of its own, and blocks of 5 members cut
+        # 12 into a partial last block; gaps of 1 and 3 leave a pair's second
+        # client to the next call as its raw row, and the next call starts a
+        # chunk with it
+        monkeypatch.setattr(engine, "ASYNC_CHUNK_BYTES", _raw_itemsize(m_clients))
         monkeypatch.setattr(engine, "ENSEMBLE_BLOCK_MEMBERS", 5)
         _assert_bit_identical_to_the_reference("async", m_clients, 12, 3, (1, 4, 6, 13))
 
-    @pytest.mark.parametrize("m_clients", [1, 2, 3, 10, 255, 256])
+    @pytest.mark.parametrize("m_clients", [1, 2, 3, 10, 16, 17, 255, 256])
     def test_pair_decode_hits_every_client_pair_exactly_once(self, m_clients):
-        v = np.arange(m_clients * m_clients, dtype=np.uint16)
-        first, second = np.empty((2, v.shape[0]), np.min_scalar_type(m_clients - 1))
-        engine._split_pairs(v, np.uint16(m_clients), first, second, np.empty_like(v))
+        # raw pairs of one byte up to M = 16, of two above
+        v = np.arange(m_clients * m_clients, dtype=np.min_scalar_type(m_clients * m_clients - 1))
+        first, second = np.empty((2, v.shape[0]), v.dtype)
+        engine._split_pairs(v, v.dtype.type(m_clients), first, second)
         hits = np.zeros((m_clients, m_clients), dtype=int)
         np.add.at(hits, (first, second), 1)
         assert (hits == 1).all()
@@ -244,19 +270,28 @@ class TestScalarEnsemble:
         with pytest.raises(ConfigurationError, match=r"^n_runs must be at most .*\(the member vector\)"):
             engine.check_scalar_ensemble(_zeros_state("sync", 1), (20,), engine.MAX_HELD_ANCHORS + 1)
 
-    def test_async_kernel_peaks_at_the_held_buffer_and_five_member_vectors(self):
+    # gaps of 5, 15 and 30 rounds fill no 32-round chunk; a gap of 143
+    # rounds runs four whole chunks and a partial one
+    @pytest.mark.parametrize("checkpoints", [(5, 20, 50), (7, 150)])
+    def test_async_kernel_peaks_at_the_held_buffer_and_five_member_vectors(self, checkpoints):
         n_runs, m_clients = 100_000, 10
         state = OracleState("async", 0.5, (1.0,) * m_clients, tuple(np.linspace(-1.0, 1.0, m_clients).tolist()), 0.0)
-        run_scalar_ensemble(state, (5, 20, 50), 2, 0)  # numpy's first-call allocations stay untraced
+        run_scalar_ensemble(state, checkpoints, 2, 0)  # numpy's first-call allocations stay untraced
         tracemalloc.start()
         try:
-            run_scalar_ensemble(state, (5, 20, 50), n_runs, 0)
+            run_scalar_ensemble(state, checkpoints, n_runs, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         vector = 8 * n_runs
         # 64 KiB covers the small objects: the result, its arrays of rounds, views
         assert peak <= m_clients * vector + 5 * vector + (64 << 10)
+
+    def test_the_last_checkpoint_is_held_to_the_closed_forms_floats(self):
+        last = engine.MAX_HELD_ANCHORS // 2 - 1  # (2, last + 1) floats fill the cap
+        engine.check_scalar_ensemble(_zeros_state("sync", 2), (1, last), 10)
+        with pytest.raises(ConfigurationError, match=rf"^the last checkpoint must be at most {last} .* got {last + 1}$"):
+            engine.check_scalar_ensemble(_zeros_state("sync", 2), (1, last + 1), 10)
 
     def test_checkpoints_must_include_a_round(self):
         with pytest.raises(ConfigurationError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from decimal import Decimal
@@ -194,14 +195,18 @@ class TestSplitPathBoundaries:
         masks = [None if n == 8 else n + 1 for n in range(9)]
         metrics = Metrics(rounds, rounds * 0.5, masks, rounds / 3.0, np.where(rounds == 8, np.nan, 0.25),
                           rounds ** 2.0, rng.standard_normal((9, n_clients)))
-        blocks = [metrics.rows(0, 4), metrics.rows(4, 9)]
+
+        def rows(start, stop):
+            return Metrics(*(getattr(metrics, f.name)[start:stop] for f in dataclasses.fields(metrics)))
+
+        blocks = [rows(0, 4), rows(4, 9)]
         want = tmp_path / "want.csv"
         write_trajectory_table(want, n_clients, blocks)
         for at in range(len(blocks) + 1):
             got = tmp_path / f"empty_at_{at}.csv"
-            write_trajectory_table(got, n_clients, [*blocks[:at], metrics.rows(0, 0), *blocks[at:]])
+            write_trajectory_table(got, n_clients, [*blocks[:at], rows(0, 0), *blocks[at:]])
             assert got.read_bytes() == want.read_bytes(), at
-        write_trajectory_table(got, n_clients, [metrics.rows(9, 9)])
+        write_trajectory_table(got, n_clients, [rows(9, 9)])
         assert got.read_bytes() == (",".join(trajectory_header(n_clients)) + "\n").encode("ascii")
 
 
