@@ -185,8 +185,8 @@ def weighted_optimum(fleet: Fleet, weights=None) -> np.ndarray:
     w = fleet.importances if weights is None else _as_weights(weights, len(fleet))
     table = fleet.table
     if isinstance(table, QuadraticObjective):
-        a_sum = sum_in_order(w[:, None] * table.a)
-        b_sum = sum_in_order(w[:, None] * table.b)
+        a_sum = sum_in_order(w[:, None] * table.a) + 0.0
+        b_sum = sum_in_order(w[:, None] * table.b) + 0.0
         if np.any(a_sum <= 0):
             raise ConfigurationError("weighted quadratic has a flat direction; no finite optimum")
         return -b_sum / (2.0 * a_sum)
@@ -197,7 +197,7 @@ def weighted_optimum(fleet: Fleet, weights=None) -> np.ndarray:
     w_active = w[active, None]
     theta, norm = np.zeros(fleet.dim), math.inf
     for _ in range(DESCENT_MAX_ITER):
-        grad = sum_in_order(w_active * table.gradients(theta)[active])
+        grad = sum_in_order(w_active * table.gradients(theta)[active]) + 0.0
         norm = np.linalg.norm(grad)
         if norm < DESCENT_GRAD_TOL:
             return theta
@@ -249,13 +249,18 @@ def _not_converged(descent: str, norm) -> UnsupportedConfigError:
 
 
 def sum_in_order(terms: np.ndarray) -> np.ndarray:
-    """Sum of the rows of ``terms``, first to last, as ``total += row`` from
-    a zero ``total`` adds them: cumsum keeps that order where ``np.sum``
-    would pair terms, and adding +0.0 last gives the +0.0 a zero start
-    leaves where every term is a zero. A single row is that row plus +0.0."""
-    if terms.shape[0] == 1:
-        return terms[0] + 0.0
-    return terms.cumsum(axis=0)[-1] + 0.0
+    """The client-order total: the sum along axis 0 of ``terms``, whose last
+    axis is contiguous, its rows added first to last as ``total += row``
+    from a -0.0 ``total`` adds them, so a single row keeps its bits, a -0.0
+    included; adding +0.0 to the result gives the +0.0 of a zero start.
+
+    Where a row holds two or more values, np.add.reduce along the slow axis
+    adds each row to the totals in turn. Where it holds one, the summed axis
+    is the only one, along which numpy pairs terms and moves the last digit,
+    so np.add.accumulate runs the total instead."""
+    if math.prod(terms.shape[1:]) == 1:  # one value a row
+        return np.add.accumulate(terms, axis=0)[-1]
+    return np.add.reduce(terms, axis=0, initial=-0.0)
 
 
 def ordered_sum(terms):

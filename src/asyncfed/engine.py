@@ -45,10 +45,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ConfigurationError, Fleet, StalenessCapError, UnsupportedConfigError, weighted_optimum
+from .core import ConfigurationError, Fleet, StalenessCapError, UnsupportedConfigError, sum_in_order, weighted_optimum
 from .objectives import GlmObjective, local_sgd
 from .textfmt import BLOCK_CELLS, format_rows
 from .timing import (
+    MAX_ROUNDS,
     HardwareModel,
     PolicyKind,
     Round,
@@ -140,8 +141,9 @@ class RunConfig:
     def __post_init__(self):
         if (self.rounds is None) == (self.time_budget is None):
             raise ConfigurationError("set exactly one horizon: rounds or time_budget")
-        if self.rounds is not None and self.rounds < 1:
-            raise ConfigurationError("rounds horizon must be positive")
+        if self.rounds is not None and not 1 <= self.rounds <= MAX_ROUNDS:
+            raise ConfigurationError(f"rounds horizon must lie in [1, {MAX_ROUNDS}], the rounds one member's "
+                                     f"models may hold; got {self.rounds}")
         if self.time_budget is not None and self.time_budget <= 0:
             raise ConfigurationError("time budget must be positive")
         if self.eta_g < 0 or self.eta_l < 0:
@@ -233,24 +235,24 @@ def shares_schedule(config: RunConfig) -> bool:
 
 def _row_sums(terms: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Per row, the sum of its terms: row r owns the next ``sizes[r]``
-    entries of ``terms`` along axis 0, added in order, left to right, as
-    ``total += term`` from a zero ``total`` adds them, then +0.0, which
-    gives a row of zeros (or none) the +0.0 of that zero start.
+    entries of ``terms`` along axis 0, added in client order by
+    :func:`sum_in_order`, then +0.0, which gives a row of zeros (or none)
+    the +0.0 of a zero start.
 
-    Each row's terms fill the front of a padded row and zeros follow, which
-    leave a running sum unchanged; np.sum would pair terms and move the
-    last digit. ``np.add.accumulate`` is cumsum's running sum at less
-    per-call cost."""
+    The terms go client-major into a padded array, the j-th term of every
+    row in its row j, and zeros follow a row's last term: adding them
+    leaves its total unchanged but for the sign of a zero, which the +0.0
+    settles."""
     n_rows = sizes.shape[0]
     width = int(sizes.max()) if n_rows else 0
     if width == 1 and terms.shape[0] == n_rows:  # one term in every row
         return terms + 0.0
     if n_rows == 1 and width:
-        return np.add.accumulate(terms)[-1:] + 0.0
+        return sum_in_order(terms)[None] + 0.0
     pos = np.repeat(np.arange(n_rows), sizes)
-    padded = np.zeros((n_rows, max(width, 1)) + terms.shape[1:])
-    padded[pos, np.arange(pos.size) - np.searchsorted(pos, pos)] = terms
-    return np.add.accumulate(padded, axis=1)[:, -1] + 0.0
+    padded = np.zeros((max(width, 1), n_rows) + terms.shape[1:])
+    padded[np.arange(pos.size) - np.searchsorted(pos, pos), pos] = terms
+    return sum_in_order(padded) + 0.0
 
 
 class _Server:
@@ -850,40 +852,33 @@ def _block_rows(fleet: Fleet) -> int:
 
 
 def _loss_blocks(fleet: Fleet, thetas: np.ndarray):
-    """For each block of rows of ``thetas``: its first row, its C-order
-    (rows, M) client losses and the federated loss of each row.
+    """For each block of the member stack ``thetas`` (rows, R, dim): its
+    members and rows (two slices), its C-order client losses, one (rows, M)
+    block per member in member order, and the federated loss of each of
+    those rows, summed over the clients by one :func:`sum_in_order`.
 
-    The losses go into one buffer that the next block overwrites. Overflow
-    in a diverged model's losses gives inf or NaN cells without a
-    warning."""
-    n_rows, step = thetas.shape[0], _block_rows(fleet)
-    held = min(step, n_rows)
-    buffer = np.empty((held, len(fleet)))
-    weighted = np.empty((len(fleet), held))  # client-major: row i holds client i's terms
+    The members go in slices of about ``_METRIC_CELLS`` loss cells, and
+    each slice in blocks of :func:`_block_rows` rows. The losses go into
+    one buffer that the next block overwrites. Overflow in a diverged
+    model's losses gives inf or NaN cells without a warning."""
+    n_rows, n_members, n_clients = thetas.shape[0], thetas.shape[1], len(fleet)
+    step = min(n_rows, _block_rows(fleet))
+    per = max(1, _METRIC_CELLS // (step * n_clients))  # members per slice
+    buffer = np.empty((min(per, n_members) * step, n_clients))
+    weighted = np.empty((n_clients, buffer.shape[0]))  # client-major: row i holds client i's terms
     importances = fleet.importances[:, None]
-    for lo in range(0, n_rows, step):
-        hi = min(lo + step, n_rows)
-        block = buffer[: hi - lo]
-        w = weighted[:, : hi - lo]
-        with np.errstate(over="ignore", invalid="ignore"):
-            fleet.losses(thetas[lo:hi], out=block)
-            np.multiply(block.T, importances, out=w)
-            loss_fed = _running_sum(w)
-        yield lo, block, loss_fed
-
-
-def _running_sum(terms: np.ndarray) -> np.ndarray:
-    """Per column of the C-order (M, rows) ``terms``, the running sum of its
-    entries from the first row down, as ``total += term`` from a -0.0
-    ``total`` adds them (a first term keeps its bits, a -0.0 included).
-
-    Summed over the slow axis of two or more columns, np.add.reduce adds
-    each row of terms to the columns' totals in turn; np.sum along a row (the
-    fast axis) would pair terms and move the last digit, so one column is an
-    ``np.add.accumulate``."""
-    if terms.shape[1] == 1:
-        return np.add.accumulate(terms[:, 0])[-1:]
-    return np.add.reduce(terms, axis=0, initial=-0.0)
+    for lo in range(0, n_members, per):
+        count = min(per, n_members - lo)
+        for first in range(0, n_rows, step):
+            rows = slice(first, min(first + step, n_rows))
+            height = rows.stop - first
+            block, w = buffer[: count * height], weighted[:, : count * height]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(count):  # a member's rows as one contiguous operand, as a single run's are
+                    fleet.losses(np.ascontiguousarray(thetas[rows, lo + j]), out=block[j * height:(j + 1) * height])
+                np.multiply(block.T, importances, out=w)
+                loss_fed = sum_in_order(w)
+            yield slice(lo, lo + count), rows, block, loss_fed
 
 
 def _metric_blocks(traj: Trajectory):
@@ -894,8 +889,8 @@ def _metric_blocks(traj: Trajectory):
     started = clock()
     kept = _kept_rows(traj.theta.shape[0], traj.metric_cadence)
     thetas = traj.theta[kept]
-    for lo, block, loss_fed in _loss_blocks(traj.fleet, thetas):
-        rows = kept[lo:lo + block.shape[0]]
+    for _, span, block, loss_fed in _loss_blocks(traj.fleet, thetas[:, None]):
+        rows = kept[span]
         # rows with a round come first in ``kept``; the final model's row
         # has no participants and no surrogate
         recorded = rows[rows < traj.n_rounds]
@@ -908,7 +903,7 @@ def _metric_blocks(traj: Trajectory):
             terms = (multiplicity * traj.d[clients]) * block[pos, clients]
             surrogates = np.append(_row_sums(terms, sizes), [math.nan] * unrecorded)
             # one stacked ddot per row, the BLAS call and bits of np.dot(gap, gap)
-            gap = thetas[lo:lo + block.shape[0]] - traj.optimum
+            gap = thetas[span] - traj.optimum
             dist_sq = (gap[:, None, :] @ gap[:, :, None]).reshape(-1)
         traj.timing_s["metrics"] += clock() - started
         yield Metrics(rows, traj.times[rows], masks, loss_fed, surrogates, dist_sq, block)
@@ -1004,36 +999,18 @@ def _final_windows(config: RunConfig, models: np.ndarray, live: list) -> list:
     its federated loss over the final window, with the bits of
     :func:`_tail_stats` over its whole series.
 
-    The window's rows are evaluated from a whole number of the fleet
-    table's row chunks, in blocks of :func:`_block_rows` rows as
-    :func:`_loss_blocks` evaluates them, so every loss has the bits of an
-    evaluation of all kept rows. The members go in slices of about
-    ``_METRIC_CELLS`` loss cells; each block of a slice is summed over the
-    clients by one :func:`_running_sum`, and the windows of all members
-    are averaged along the member axis at once."""
-    fleet = config.fleet
+    The window's rows are evaluated by :func:`_loss_blocks` from a whole
+    number of the fleet table's row chunks, so every loss has the bits of
+    an evaluation of all kept rows, and the windows of all members are
+    averaged along the member axis at once."""
     kept = _kept_rows(models.shape[0], config.metric_cadence)
     window = _tail_rows(kept.shape[0])
-    chunk = fleet.table.row_chunk
+    chunk = config.fleet.table.row_chunk
     rows = kept[(kept.shape[0] - window) // chunk * chunk:]
-    n_rows, n_clients = rows.shape[0], len(fleet)
-    step = min(n_rows, _block_rows(fleet))
-    per = max(1, _METRIC_CELLS // (step * n_clients))  # members per slice
-    losses = np.empty((min(per, len(live)) * step, n_clients))
-    weighted = np.empty((n_clients, losses.shape[0]))  # client-major: row i holds client i's terms
-    importances = fleet.importances[:, None]
-    fed = np.empty((len(live), n_rows))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(live), per):
-            part = live[lo:lo + per]
-            for first in range(0, n_rows, step):
-                span = rows[first:first + step]
-                height, cells = span.shape[0], len(part) * span.shape[0]
-                for j, member in enumerate(part):
-                    fleet.losses(models[span, member], out=losses[j * height:(j + 1) * height])
-                np.multiply(losses[:cells].T, importances, out=weighted[:, :cells])
-                fed[lo:lo + len(part), first:first + height] = _running_sum(weighted[:, :cells]).reshape(-1, height)
-    tail = fed[:, n_rows - window:]
+    fed = np.empty((len(live), rows.shape[0]))
+    for members, span, _, loss_fed in _loss_blocks(config.fleet, models[np.ix_(rows, live)]):
+        fed[members, span] = loss_fed.reshape(-1, span.stop - span.start)
+    tail = fed[:, -window:]
     return list(zip(tail.mean(axis=1).tolist(), tail.std(axis=1).tolist()))
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, UnsupportedConfigError, ordered_sum
+from .core import ConfigurationError, UnsupportedConfigError, ordered_sum, sum_in_order
 from .engine import MAX_HELD_ANCHORS, Metrics, write_trajectory_table
 
 SCHEMES = ("sync", "sync_uniform", "async")
@@ -226,8 +226,8 @@ def export_oracle_csv(state: OracleState, mean, second_moment, round_time: float
     offset = theta_star - optima
     drift = (mean_seq - theta_star)[:, None]
     client_losses = 0.5 * (second[:, None] + 2 * offset * drift + offset**2)
-    # cumsum adds left to right, as the scalar sum did
-    loss_fed = np.cumsum(client_losses, axis=1)[:, -1] / len(optima)
+    # the clients' losses in client order, as the scalar sum added them
+    loss_fed = sum_in_order(np.ascontiguousarray(client_losses.T)) / len(optima)
     rounds = np.arange(len(second))
     unset = np.full(len(second), np.nan)
     metrics = Metrics(rounds, rounds * round_time, [None] * len(second), loss_fed, unset, second, client_losses)

@@ -640,6 +640,10 @@ def _columns(state, lengths, clocks, picked, counted, anchors):
 
 
 _MERGED_KINDS = frozenset({PolicyKind.SYNCHRONOUS, PolicyKind.ASYNCHRONOUS, PolicyKind.FEDFIX})
+# the rounds one run may record, one model a round in each member's buffer
+# (128 MiB at dim 1): a horizon of more is a config error, where allocating
+# its schedule would fail or replaying it would not end
+MAX_ROUNDS = 1 << 24
 
 
 def merged_schedule(state: FleetState, policy: WaitPolicy, *, rounds: int | None = None,
@@ -656,7 +660,9 @@ def merged_schedule(state: FleetState, policy: WaitPolicy, *, rounds: int | None
     order. Under FedFix client i delivers every ceil(tau_i / delta_t)
     rounds from round ceil(s_i / delta_t) - 1, and the synchronous policy
     serves every client every round. A delivery trains from the model after
-    the same client's previous delivery, or from round 0's.
+    the same client's previous delivery, or from round 0's. A time horizon
+    of more than ``MAX_ROUNDS`` rounds is a ConfigurationError, raised
+    before anything is allocated.
     """
     if state.remaining.dtype != np.int64 or policy.kind not in _MERGED_KINDS:
         return None
@@ -672,6 +678,9 @@ def merged_schedule(state: FleetState, policy: WaitPolicy, *, rounds: int | None
             limit = _async_horizon(starts, period, rounds)
             if limit is None:
                 return None
+        else:
+            # summed as Python ints: counts near int64 each would wrap an int64 sum
+            _check_horizon(sum(_delivered_by(starts, period, limit).tolist()), time_limit)
         order, ticks, client, anchors = _async_merge(starts, period, limit, rounds)
         ends, clients, anchors = ticks.take(order), client.take(order), anchors.take(order)
         offsets = np.arange(ends.shape[0] + 1)
@@ -682,6 +691,7 @@ def merged_schedule(state: FleetState, policy: WaitPolicy, *, rounds: int | None
             first = step = state.ticks(policy.delta_t)
         if limit is not None:
             rounds = 0 if limit < first else (limit - first) // step + 1
+            _check_horizon(rounds, time_limit)
         if first + (rounds - 1) * step > _INT64_MAX:
             return None
         ends = first + step * np.arange(rounds)
@@ -695,13 +705,26 @@ def merged_schedule(state: FleetState, policy: WaitPolicy, *, rounds: int | None
                     clients, np.ones(clients.shape[0], dtype=np.int64), anchors)
 
 
+def _check_horizon(n_rounds: int, time_limit) -> None:
+    """ConfigurationError where the time horizon ``time_limit`` gives more
+    than ``MAX_ROUNDS`` rounds."""
+    if n_rounds > MAX_ROUNDS:
+        raise ConfigurationError(f"horizon time {time_limit} gives {n_rounds} rounds, above the {MAX_ROUNDS} "
+                                 "one run may record")
+
+
+def _delivered_by(starts, period, tick):
+    """Per client, its asynchronous deliveries s_i + k tau_i by ``tick``."""
+    return np.maximum((tick - starts) // period + 1, 0)
+
+
 def _async_merge(starts, period, limit, rounds=None, origin=0):
     """The asynchronous deliveries that land by tick ``limit``, client by
     client: the order that serves the first ``rounds`` of them (default:
     all), and each one's tick, client and anchor, the anchor counted from
     round ``origin``. A stable sort of the client-major sequences serves
     equal ticks lowest client first."""
-    counts = np.maximum((limit - starts) // period + 1, 0).astype(np.int64, copy=False)
+    counts = _delivered_by(starts, period, limit).astype(np.int64, copy=False)
     served = counts > 0
     client = np.repeat(np.arange(counts.shape[0]), counts)
     first = (np.cumsum(counts) - counts)[served]  # each client's first entry
@@ -728,7 +751,7 @@ def _async_horizon(starts, period, rounds: int) -> int | None:
     sum_i max(0, floor((t - s_i) / tau_i) + 1)."""
 
     def reached(tick):
-        return np.minimum(np.maximum((tick - starts) // period + 1, 0), rounds).sum() >= rounds
+        return np.minimum(_delivered_by(starts, period, tick), rounds).sum() >= rounds
 
     # the fastest client alone delivers ``rounds`` times by hi
     fits = rounds - 1 <= (_INT64_MAX - starts) // period

@@ -27,6 +27,7 @@ from asyncfed.engine import (
 )
 from asyncfed.objectives import SyntheticShardConfig, export_shards_csv, make_synthetic_shards
 from asyncfed.oracle import OracleState, phi
+from asyncfed.timing import MAX_ROUNDS
 
 
 def base_config(**overrides):
@@ -306,6 +307,24 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err == (f"config error: the last checkpoint must be at most {MAX_HELD_ANCHORS // 2 - 1} "
                        f"(the closed forms' (2, n + 1) floats), got {last}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, name, horizon, message", [
+        ("simulate", "sync_quadratic", {"rounds": 10**12},
+         f"rounds horizon must lie in [1, {MAX_ROUNDS}], the rounds one member's models may hold; got {10**12}"),
+        # exponential hardware replays its schedule a block at a time
+        ("simulate", "async_exponential_oracle", {"rounds": 10**12},
+         f"rounds horizon must lie in [1, {MAX_ROUNDS}], the rounds one member's models may hold; got {10**12}"),
+        # an asynchronous time horizon: the count of its merged deliveries
+        ("sweep", "k_sweep_noisy_quadratic", {"time": 1e12},
+         f"horizon time 1000000000000.0 gives 2283333333333 rounds, above the {MAX_ROUNDS} one run may record"),
+    ], ids=["simulate-rounds", "simulate-exponential-rounds", "sweep-time"])
+    def test_a_horizon_beyond_the_recorded_rounds_exits_2(self, tmp_path, capsys, command, name, horizon, message):
+        document = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
+        document["horizon"] = horizon
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, document)), "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     def test_the_largest_ensemble_sizes_in_use_stay_allowed(self):

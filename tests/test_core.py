@@ -15,6 +15,7 @@ from asyncfed.core import (
     distribution_weights,
     ordered_sum,
     row_optima,
+    sum_in_order,
     weighted_optimum,
 )
 from asyncfed.objectives import _CHUNK_FLOATS, GlmObjective, QuadraticObjective, SyntheticShardConfig
@@ -39,6 +40,58 @@ class TestOrderedSum:
         assert ordered_sum([]) == 0
         assert math.copysign(1.0, ordered_sum([-0.0])) == 1.0
         assert ordered_sum([Fraction(1, 3)] * 3) == 1
+
+
+def _in_order(terms):
+    """Python's left-to-right loop: the rows added one at a time to a -0.0
+    total, each by one ``np.add`` (scalar arithmetic may add the operands the
+    other way round, which picks another NaN of two)."""
+    total = np.full(terms.shape[1:], -0.0)
+    for row in terms:
+        total = np.add(total, row)
+    return total
+
+
+def _summands(rng, shape):
+    """Terms over sixteen decades, so that any other order of the additions
+    moves last digits, with a random share of signed zeros, infinities and
+    NaN among them (none in about a third of the draws)."""
+    terms = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    share = rng.choice([0.0, 0.05, 0.5])
+    special = rng.random(shape) < share
+    terms[special] = rng.choice([-0.0, 0.0, np.inf, -np.inf, np.nan], p=[0.4, 0.3, 0.1, 0.1, 0.1],
+                                size=int(special.sum()))
+    return terms
+
+
+class TestSumInOrder:
+    """The one client-order total: the bits of a left-to-right loop from
+    -0.0 on every shape the engine, the optima and the oracle CSV sum."""
+
+    SHAPES = {
+        "one_column": lambda rng, m: _summands(rng, (m, 1)),
+        "one_value_rows": lambda rng, m: _summands(rng, (m,)),
+        "columns": lambda rng, m: _summands(rng, (m, int(rng.integers(2, 40)))),
+        "member_stack": lambda rng, m: _summands(rng, (m, int(rng.integers(1, 6)), int(rng.integers(1, 5)))),
+        "one_row": lambda rng, m: _summands(rng, (1, int(rng.integers(1, 40)))),
+        "row_strided_view": lambda rng, m: _summands(rng, (2 * m, 30))[::2, :int(rng.integers(1, 25))],
+    }
+
+    @pytest.mark.parametrize("kind", SHAPES)
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_a_left_to_right_loop(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        terms = self.SHAPES[kind](rng, int(rng.integers(1, 300)))
+        with np.errstate(invalid="ignore"):
+            assert bits(sum_in_order(terms)) == bits(_in_order(terms))
+
+    def test_starts_from_negative_zero(self):
+        negative = np.full((5, 3), -0.0)
+        assert bits(sum_in_order(negative)) == bits(np.full(3, -0.0))
+        assert bits(sum_in_order(negative[:, :1])) == bits(np.full(1, -0.0))
+        negative[2, 1] = 0.0
+        assert np.signbit(sum_in_order(negative)).tolist() == [True, False, True]
 
 
 class TestConvergenceResidual:

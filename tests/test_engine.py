@@ -26,7 +26,7 @@ from asyncfed.objectives import (
     make_synthetic_shards,
 )
 from asyncfed.oracle import OracleState, expectation_recursion, phi
-from asyncfed.timing import HardwareModel, PolicyKind, WaitPolicy, advance_round, init_fleet_state
+from asyncfed.timing import MAX_ROUNDS, HardwareModel, PolicyKind, WaitPolicy, advance_round, init_fleet_state
 from asyncfed.weights import WeightScheme, plan_weights
 
 from conftest import BatchStream, bits, quadratic_fleet, reference_draws, table_row, trajectory_metrics, with_seeds
@@ -409,6 +409,13 @@ class TestGuards:
         with pytest.raises(ConfigurationError):
             RunConfig(fleet=fleet, policy=SYNC, d=d, rounds=5, time_budget=3.0)
 
+    def test_a_rounds_horizon_holds_at_most_max_rounds(self):
+        fleet = quadratic_fleet([[0.0], [2.0]])
+        assert sync_config(fleet, rounds=MAX_ROUNDS).rounds == MAX_ROUNDS
+        for rounds in (0, MAX_ROUNDS + 1):
+            with pytest.raises(ConfigurationError, match=rf"^rounds horizon must lie in \[1, {MAX_ROUNDS}\]"):
+                sync_config(fleet, rounds=rounds)
+
 
 class TestMetricsAndCsv:
     def test_header_and_schema(self, tmp_path):
@@ -653,8 +660,8 @@ class TestMetricBlocks:
         terms = np.empty((300, n_rows + 5))[:, :n_rows]  # client-major, as the blocks hold them
         np.multiply(losses.T, weights[:, None], out=terms)
         want = np.add.accumulate(losses * weights, axis=1)[:, -1]
-        assert bits(engine._running_sum(terms)) == bits(want)
-        assert np.signbit(engine._running_sum(terms)[-1])
+        assert bits(engine.sum_in_order(terms)) == bits(want)
+        assert np.signbit(engine.sum_in_order(terms)[-1])
 
     def test_writing_the_csv_holds_no_loss_matrix(self, tmp_path):
         # an asynchronous M=500 fleet over 250 and 1000 rounds: the longer

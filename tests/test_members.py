@@ -166,14 +166,14 @@ def test_a_group_in_several_member_slices_equals_separate_runs(monkeypatch, cell
                             noise_std=0.5)
     config = _config(fleet, ASYNC, WeightScheme.ASYNC_TIME_BASED, k_steps=2, time_budget=None, rounds=1000)
     member_seeds = [Seeds((0, j), (1, j), (2, j)) for j in range(40)]
-    calls, running_sum = [], engine._running_sum
+    calls, sum_in_order = [], engine.sum_in_order
 
     def counted(terms):
         calls.append(terms.shape)
-        return running_sum(terms)
+        return sum_in_order(terms)
 
     monkeypatch.setattr(engine, "_METRIC_CELLS", cells)
-    monkeypatch.setattr(engine, "_running_sum", counted)
+    monkeypatch.setattr(engine, "sum_in_order", counted)
     members = run_members(with_seeds(config, member_seeds))
     monkeypatch.undo()
     assert calls == sums

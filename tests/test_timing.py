@@ -1060,6 +1060,19 @@ class TestMergedSchedule:
             assert len(merged_schedule(state, window, rounds=fits)) == fits
             assert merged_schedule(state, window, rounds=fits + 1) is None
 
+    def test_a_time_horizon_past_max_rounds_is_a_config_error(self, monkeypatch):
+        monkeypatch.setattr(timing, "MAX_ROUNDS", 10)
+        # times 1 and 2: asynchronous deliveries 10 by time 7 and 12 by 8,
+        # synchronous rounds every 2, FedFix windows of 1
+        for policy, fits, past in ((WaitPolicy(PolicyKind.ASYNCHRONOUS), 7, 8),
+                                   (WaitPolicy(PolicyKind.SYNCHRONOUS), 21, 22),
+                                   (WaitPolicy(PolicyKind.FEDFIX, delta_t=1), 10, 11)):
+            state = init_fleet_state([1, 2], FIXED, policy=policy)
+            assert len(merged_schedule(state, policy, time_limit=fits)) == 10
+            state = init_fleet_state([1, 2], FIXED, policy=policy)
+            with pytest.raises(ConfigurationError, match=f"^horizon time {past} gives 1[12] rounds, above the 10 "):
+                merged_schedule(state, policy, time_limit=past)
+
     def test_other_policies_and_exponential_hardware_are_left_to_the_loop(self):
         for policy in (WaitPolicy(PolicyKind.FEDBUFF, m=1), WaitPolicy(PolicyKind.SAMPLE_UNIFORM, m=1)):
             assert merged_schedule(init_fleet_state([1, 2], FIXED, policy=policy), policy, rounds=5) is None
